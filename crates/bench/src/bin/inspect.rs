@@ -17,14 +17,14 @@
 //!
 //! Run with `cargo run -p infopipes-bench --bin inspect -- --json --smoke`.
 
-use feedback::{FeedbackLoop, UnifiedCongestionController};
+use feedback::{readings, FeedbackLoop, UnifiedCongestionController};
 use infopipes::helpers::IterSource;
 use infopipes::{BufferPool, FreePump, Pipeline, StatsRegistry};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::inspect::{self, InspectClient, InspectServer, WireSnapshot, SCHEMA_VERSION};
 use netpipe::{
     Acceptor, Marshal, NetSendEnd, ServeConfig, SessionRegistry, SimConfig, SimTransport,
-    TcpTransport, Transport, Unmarshal, SEND_SATURATION_READING,
+    TcpTransport, Transport, Unmarshal,
 };
 use std::io::Write as _;
 use std::time::Duration;
@@ -75,7 +75,7 @@ fn self_hosted() -> Demo {
     let _remote_end = acceptor.accept().expect("accept uplink");
 
     let send_end = NetSendEnd::new("send", uplink.clone())
-        .with_congestion_reports(SEND_SATURATION_READING, 16);
+        .with_congestion_reports(readings::SEND_SATURATION, 16);
     let probe = send_end.saturation_probe();
     let (fb, loop_stats) =
         FeedbackLoop::event_driven("congestion-loop", UnifiedCongestionController::standard());

@@ -17,8 +17,9 @@
 //! of §3.3 (each pull takes the next available item, both out-ports
 //! passive).
 
+use crate::events::tags;
 use crate::item::Item;
-use mbthread::ThreadId;
+use mbthread::{Message, ThreadId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
@@ -114,6 +115,17 @@ impl Wakeups {
     pub(crate) fn is_empty(&self) -> bool {
         self.arrivals.is_empty() && self.space.is_empty()
     }
+
+    /// Sends every notification through `post` — a kernel thread's
+    /// context, or the external port of a sender outside the kernel.
+    pub(crate) fn post(self, mut post: impl FnMut(ThreadId, Message)) {
+        for t in self.arrivals {
+            post(t, Message::signal(tags::ARRIVAL));
+        }
+        for t in self.space {
+            post(t, Message::signal(tags::SPACE));
+        }
+    }
 }
 
 /// Result of a non-blocking put attempt.
@@ -135,7 +147,8 @@ pub(crate) enum TakeOutcome {
     Taken(Item, Wakeups),
     /// Buffer empty and the policy is non-blocking.
     Empty,
-    /// Buffer empty and policy is Block: the caller must wait for arrival.
+    /// Buffer empty and policy is Block: the caller is registered and
+    /// must wait for arrival.
     MustWait,
     /// Buffer drained and the upstream reported end of stream.
     Eos,
@@ -218,8 +231,11 @@ impl BufHandle {
         PutOutcome::Stored(wake)
     }
 
-    /// Attempts to remove an item without blocking.
-    pub(crate) fn try_take(&self) -> TakeOutcome {
+    /// Attempts to remove an item without blocking. On
+    /// [`TakeOutcome::MustWait`], `me` has been registered for the next
+    /// arrival under the same lock that found the buffer empty, so a put
+    /// landing right after this call cannot miss the waiter.
+    pub(crate) fn take_or_wait(&self, me: ThreadId) -> TakeOutcome {
         let mut s = self.state.lock();
         match s.q.pop_front() {
             Some(item) => {
@@ -230,7 +246,12 @@ impl BufHandle {
             }
             None if s.eos => TakeOutcome::Eos,
             None if s.spec.on_empty == OnEmpty::ReturnNone => TakeOutcome::Empty,
-            None => TakeOutcome::MustWait,
+            None => {
+                if !s.get_waiters.contains(&me) {
+                    s.get_waiters.push(me);
+                }
+                TakeOutcome::MustWait
+            }
         }
     }
 
@@ -239,15 +260,6 @@ impl BufHandle {
         let mut s = self.state.lock();
         if !s.put_waiters.contains(&me) {
             s.put_waiters.push(me);
-        }
-    }
-
-    /// Registers the calling thread to be woken on the next arrival (used
-    /// both by blocked takers and by pumps parked `OnArrival`).
-    pub(crate) fn wait_for_arrival(&self, me: ThreadId) {
-        let mut s = self.state.lock();
-        if !s.get_waiters.contains(&me) {
-            s.get_waiters.push(me);
         }
     }
 
@@ -362,12 +374,12 @@ mod tests {
             assert!(matches!(b.try_put(item(n)), PutOutcome::Stored(_)));
         }
         for n in 0..4 {
-            match b.try_take() {
+            match b.take_or_wait(me()) {
                 TakeOutcome::Taken(it, _) => assert_eq!(it.expect::<u32>(), n),
                 other => panic!("expected item, got {other:?}"),
             }
         }
-        assert!(matches!(b.try_take(), TakeOutcome::MustWait));
+        assert!(matches!(b.take_or_wait(me()), TakeOutcome::MustWait));
     }
 
     #[test]
@@ -386,7 +398,7 @@ mod tests {
         let b = BufHandle::new("b", BufferSpec::bounded(1).on_full(OnFull::DropNewest));
         assert!(matches!(b.try_put(item(0)), PutOutcome::Stored(_)));
         assert!(matches!(b.try_put(item(1)), PutOutcome::Dropped(_)));
-        match b.try_take() {
+        match b.take_or_wait(me()) {
             TakeOutcome::Taken(it, _) => assert_eq!(it.expect::<u32>(), 0),
             other => panic!("unexpected {other:?}"),
         }
@@ -399,7 +411,7 @@ mod tests {
         for n in 0..3 {
             let _ = b.try_put(item(n));
         }
-        match b.try_take() {
+        match b.take_or_wait(me()) {
             TakeOutcome::Taken(it, _) => assert_eq!(it.expect::<u32>(), 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -410,7 +422,7 @@ mod tests {
     #[test]
     fn return_none_policy_reports_empty() {
         let b = BufHandle::new("b", BufferSpec::bounded(1).on_empty(OnEmpty::ReturnNone));
-        assert!(matches!(b.try_take(), TakeOutcome::Empty));
+        assert!(matches!(b.take_or_wait(me()), TakeOutcome::Empty));
     }
 
     #[test]
@@ -419,16 +431,17 @@ mod tests {
         let _ = b.try_put(item(0));
         let wake = b.mark_eos();
         assert!(wake.is_empty());
-        assert!(matches!(b.try_take(), TakeOutcome::Taken(_, _)));
-        assert!(matches!(b.try_take(), TakeOutcome::Eos));
+        assert!(matches!(b.take_or_wait(me()), TakeOutcome::Taken(_, _)));
+        assert!(matches!(b.take_or_wait(me()), TakeOutcome::Eos));
     }
 
     #[test]
     fn waiters_are_woken_exactly_once() {
         let b = BufHandle::new("b", BufferSpec::bounded(1));
         let t1 = dummy_thread(1);
-        b.wait_for_arrival(t1);
-        b.wait_for_arrival(t1); // duplicate registration collapses
+        assert!(matches!(b.take_or_wait(t1), TakeOutcome::MustWait));
+        // Duplicate registration collapses.
+        assert!(matches!(b.take_or_wait(t1), TakeOutcome::MustWait));
         match b.try_put(item(0)) {
             PutOutcome::Stored(wake) => assert_eq!(wake.arrivals, vec![t1]),
             other => panic!("unexpected {other:?}"),
@@ -437,8 +450,28 @@ mod tests {
         assert!(matches!(b.try_put(item(1)), PutOutcome::MustWait(_)));
         let t2 = dummy_thread(2);
         b.wait_for_space(t2);
-        match b.try_take() {
+        match b.take_or_wait(me()) {
             TakeOutcome::Taken(_, wake) => assert_eq!(wake.space, vec![t2]),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The lost wake-up: a put landing between an empty take and a
+    /// separate registration call used to see no waiter. The empty take
+    /// itself now registers, so the very next put must name the taker.
+    #[test]
+    fn empty_blocking_take_registers_the_taker_for_the_next_put() {
+        let b = BufHandle::new("b", BufferSpec::bounded(4));
+        assert!(matches!(b.take_or_wait(me()), TakeOutcome::MustWait));
+        match b.try_put(item(0)) {
+            PutOutcome::Stored(wake) => assert_eq!(wake.arrivals, vec![me()]),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Takes that do not block leave nobody registered.
+        let b = BufHandle::new("b", BufferSpec::bounded(4).on_empty(OnEmpty::ReturnNone));
+        assert!(matches!(b.take_or_wait(me()), TakeOutcome::Empty));
+        match b.try_put(item(0)) {
+            PutOutcome::Stored(wake) => assert!(wake.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -469,5 +502,10 @@ mod tests {
     /// Fabricates a ThreadId for waiter-list tests (never dereferenced).
     fn dummy_thread(n: u64) -> ThreadId {
         ThreadId::from_raw(n)
+    }
+
+    /// The taking thread in tests that do not care who takes.
+    fn me() -> ThreadId {
+        dummy_thread(0)
     }
 }

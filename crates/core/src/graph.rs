@@ -4,12 +4,11 @@
 
 use crate::buffer::{BufHandle, BufferProbe, BufferSpec, PutOutcome};
 use crate::error::PipeError;
-use crate::events::tags;
 use crate::item::Item;
 use crate::pump::Pump;
 use crate::stage::{ActiveObject, Consumer, Function, Producer, Style};
 use crate::tee::SplitKind;
-use mbthread::{ExternalPort, Kernel, Message};
+use mbthread::{ExternalPort, Kernel, Message, ThreadId};
 use parking_lot::Mutex;
 use std::fmt;
 use std::ops::Shr;
@@ -421,56 +420,48 @@ pub struct InboxSender {
 }
 
 impl InboxSender {
-    /// Injects an item. Returns `false` if the buffer was full and its
-    /// policy discarded the item (or refused it: a `Block` policy cannot
-    /// suspend an external sender, so a full blocking inbox also refuses).
-    pub fn put(&self, item: Item) -> bool {
+    /// Stores `item` and sends the wake-ups through `post`; `false` if
+    /// the buffer dropped or refused it.
+    fn put_with(&self, item: Item, post: impl FnMut(ThreadId, Message)) -> bool {
         match self.buf.try_put(item) {
             PutOutcome::Stored(wake) => {
-                for t in wake.arrivals {
-                    let _ = self.port.send(t, Message::signal(tags::ARRIVAL));
-                }
-                for t in wake.space {
-                    let _ = self.port.send(t, Message::signal(tags::SPACE));
-                }
+                wake.post(post);
                 true
             }
             PutOutcome::Dropped(_) | PutOutcome::MustWait(_) => false,
         }
     }
 
+    /// Injects an item. Returns `false` if the buffer was full and its
+    /// policy discarded the item (or refused it: a `Block` policy cannot
+    /// suspend an external sender, so a full blocking inbox also refuses).
+    pub fn put(&self, item: Item) -> bool {
+        self.put_with(item, |t, msg| {
+            let _ = self.port.send(t, msg);
+        })
+    }
+
     /// Signals end of stream to the pipeline.
     pub fn finish(&self) {
-        let wake = self.buf.mark_eos();
-        for t in wake.arrivals.into_iter().chain(wake.space) {
-            let _ = self.port.send(t, Message::signal(tags::ARRIVAL));
-        }
+        self.buf.mark_eos().post(|t, msg| {
+            let _ = self.port.send(t, msg);
+        });
     }
 
     /// Injects an item from a *kernel* thread (e.g. a netpipe link
     /// thread), sending wakeups through the given context instead of the
     /// external port. Returns `false` if the buffer refused the item.
     pub fn put_via(&self, ctx: &mut mbthread::Ctx<'_>, item: Item) -> bool {
-        match self.buf.try_put(item) {
-            PutOutcome::Stored(wake) => {
-                for t in wake.arrivals {
-                    let _ = ctx.send(t, Message::signal(tags::ARRIVAL));
-                }
-                for t in wake.space {
-                    let _ = ctx.send(t, Message::signal(tags::SPACE));
-                }
-                true
-            }
-            PutOutcome::Dropped(_) | PutOutcome::MustWait(_) => false,
-        }
+        self.put_with(item, |t, msg| {
+            let _ = ctx.send(t, msg);
+        })
     }
 
     /// Signals end of stream from a kernel thread.
     pub fn finish_via(&self, ctx: &mut mbthread::Ctx<'_>) {
-        let wake = self.buf.mark_eos();
-        for t in wake.arrivals.into_iter().chain(wake.space) {
-            let _ = ctx.send(t, Message::signal(tags::ARRIVAL));
-        }
+        self.buf.mark_eos().post(|t, msg| {
+            let _ = ctx.send(t, msg);
+        });
     }
 
     /// Current statistics of the underlying buffer.

@@ -182,12 +182,9 @@ impl RtState {
 
     /// Performs the wakeups a buffer mutation demands.
     pub(crate) fn send_wakeups(&mut self, ctx: &mut Ctx<'_>, wake: Wakeups) {
-        for t in wake.arrivals {
-            let _ = ctx.send(t, Message::signal(tags::ARRIVAL));
-        }
-        for t in wake.space {
-            let _ = ctx.send(t, Message::signal(tags::SPACE));
-        }
+        wake.post(|t, msg| {
+            let _ = ctx.send(t, msg);
+        });
     }
 
     /// Blocks until a message with one of `want` tags arrives, staying
@@ -247,7 +244,7 @@ impl RtState {
             if self.stopping {
                 return Pulled::Interrupted;
             }
-            match buf.try_take() {
+            match buf.take_or_wait(ctx.id()) {
                 TakeOutcome::Taken(item, wake) => {
                     self.send_wakeups(ctx, wake);
                     return Pulled::Item(item);
@@ -255,7 +252,6 @@ impl RtState {
                 TakeOutcome::Empty => return Pulled::Empty,
                 TakeOutcome::Eos => return Pulled::Eos,
                 TakeOutcome::MustWait => {
-                    buf.wait_for_arrival(ctx.id());
                     if self.wait_tags(ctx, &[tags::ARRIVAL]).is_none() {
                         return Pulled::Interrupted;
                     }

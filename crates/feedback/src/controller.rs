@@ -117,84 +117,6 @@ impl Controller for DropLevelController {
     }
 }
 
-/// A drop-level policy driven by **send-side transport backpressure**:
-/// it watches the saturation fraction a
-/// [`NetSendEnd`](../netpipe/struct.NetSendEnd.html) broadcasts (the
-/// share of sends in a window the link reported `Saturated` or
-/// `Dropped`, under the reading name `net-send-saturation`) and steers
-/// a producer-side [`PriorityDropFilter`](../media/struct.PriorityDropFilter.html).
-///
-/// This is the complement of [`DropLevelController`]: that one senses
-/// the *receive* rate on the far side of the congested link (a
-/// round-trip-delayed signal), while this one reacts to the congestion
-/// where it first becomes visible — the transport refusing or shedding
-/// frames at the send end. The two compose: run both and the drop level
-/// follows whichever signal trips first.
-pub struct CongestionDropController {
-    reading_name: String,
-    level: u8,
-    max_level: u8,
-    /// Raise the level when the window's saturation fraction is at or
-    /// above this value.
-    pub raise_at: f64,
-    /// Lower the level when the fraction is at or below this value.
-    pub lower_at: f64,
-    /// Consecutive calm windows required before lowering (hysteresis).
-    pub patience: u32,
-    calm_windows: u32,
-}
-
-impl CongestionDropController {
-    /// Creates a controller watching `reading_name` (use
-    /// `netpipe::SEND_SATURATION_READING` to pair with a default
-    /// `NetSendEnd`).
-    #[must_use]
-    pub fn new(reading_name: impl Into<String>) -> CongestionDropController {
-        CongestionDropController {
-            reading_name: reading_name.into(),
-            level: 0,
-            max_level: 2,
-            raise_at: 0.5,
-            lower_at: 0.0,
-            patience: 3,
-            calm_windows: 0,
-        }
-    }
-
-    /// The current drop level.
-    #[must_use]
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-}
-
-impl Controller for CongestionDropController {
-    fn observe(&mut self, reading: &SensorReading) -> Option<ControlEvent> {
-        if reading.name != self.reading_name {
-            return None;
-        }
-        if reading.value >= self.raise_at {
-            self.calm_windows = 0;
-            if self.level < self.max_level {
-                self.level += 1;
-                return Some(ControlEvent::SetDropLevel(self.level));
-            }
-            return None;
-        }
-        if reading.value <= self.lower_at && self.level > 0 {
-            self.calm_windows += 1;
-            if self.calm_windows >= self.patience {
-                self.calm_windows = 0;
-                self.level -= 1;
-                return Some(ControlEvent::SetDropLevel(self.level));
-            }
-        } else {
-            self.calm_windows = 0;
-        }
-        None
-    }
-}
-
 /// One signal's policy inside a [`UnifiedCongestionController`]: the
 /// reading it matches, its raise/lower thresholds and hysteresis, and —
 /// the priority rule — the highest drop level this signal alone may
@@ -217,8 +139,11 @@ pub struct SignalRule {
 }
 
 impl SignalRule {
-    /// A rule with [`CongestionDropController`]'s defaults: raise at 0.5,
-    /// lower at 0.0, full range (max level 2), patience 3.
+    /// A rule with the defaults tuned for a 0..1 pressured fraction such
+    /// as [`readings::SEND_SATURATION`](crate::readings::SEND_SATURATION):
+    /// raise when half a window is pressured (0.5), count only fully calm
+    /// windows (0.0) towards recovery, full range (max level 2),
+    /// patience 3.
     #[must_use]
     pub fn new(reading: impl Into<String>) -> SignalRule {
         SignalRule {
@@ -266,7 +191,9 @@ struct SignalState {
 }
 
 impl SignalState {
-    /// Per-signal hysteresis, mirroring [`CongestionDropController`].
+    /// Per-signal hysteresis: a pressured window raises at once, only
+    /// `patience` consecutive calm windows lower, and a window in between
+    /// resets the calm count without raising.
     fn observe(&mut self, value: f64) {
         if value >= self.rule.raise_at {
             self.calm_windows = 0;
@@ -285,10 +212,17 @@ impl SignalState {
     }
 }
 
-/// One congestion policy over several pressure signals — send-side
-/// saturation *and* receive-side memory pressure — instead of an ad-hoc
-/// [`CongestionDropController`] per signal, each fighting over the same
-/// actuator.
+/// The congestion policy: one drop level steered by any number of
+/// pressure signals — send-side saturation, receive-side memory
+/// pressure — so no two policies fight over the same actuator.
+///
+/// This is the complement of [`DropLevelController`]: that one senses the
+/// *receive* rate on the far side of the congested link (a
+/// round-trip-delayed signal), while this one reacts where congestion
+/// first becomes visible — the transport refusing or shedding frames at
+/// the send end. The two compose: run both and the drop level follows
+/// whichever trips first. With a single [`SignalRule`] it is a plain
+/// threshold controller with hysteresis on that one reading.
 ///
 /// Every [`SignalRule`] keeps its own level with its own hysteresis; the
 /// announced drop level is the **maximum** over the signals. Two priority
@@ -391,60 +325,6 @@ impl Controller for UnifiedCongestionController {
     }
 }
 
-/// A proportional rate controller: nudges a pump's rate to hold a buffer
-/// at a target fill level (the real-rate allocator of ref \[27\], reduced
-/// to its proportional term).
-pub struct ProportionalRateController {
-    reading_name: String,
-    base_rate: f64,
-    target_fill: f64,
-    gain: f64,
-    min_rate: f64,
-    max_rate: f64,
-}
-
-impl ProportionalRateController {
-    /// Creates a controller that emits `SetRate` commands around
-    /// `base_rate` in response to fill-level readings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_rate` is not strictly positive.
-    #[must_use]
-    pub fn new(
-        reading_name: impl Into<String>,
-        base_rate: f64,
-        target_fill: f64,
-        gain: f64,
-    ) -> ProportionalRateController {
-        assert!(
-            base_rate > 0.0 && base_rate.is_finite(),
-            "base rate must be positive"
-        );
-        ProportionalRateController {
-            reading_name: reading_name.into(),
-            base_rate,
-            target_fill,
-            gain,
-            min_rate: base_rate * 0.25,
-            max_rate: base_rate * 4.0,
-        }
-    }
-}
-
-impl Controller for ProportionalRateController {
-    fn observe(&mut self, reading: &SensorReading) -> Option<ControlEvent> {
-        if reading.name != self.reading_name {
-            return None;
-        }
-        // A consumer-side pump should speed up when the buffer is too
-        // full and slow down when it drains.
-        let error = reading.value - self.target_fill;
-        let rate = (self.base_rate * (1.0 + self.gain * error)).clamp(self.min_rate, self.max_rate);
-        Some(ControlEvent::SetRate(rate))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,32 +375,13 @@ mod tests {
     #[test]
     fn drop_controller_ignores_other_readings() {
         let mut c = DropLevelController::new(readings::RECV_RATE_HZ, 30.0);
-        assert_eq!(c.observe(&reading(readings::FILL_LEVEL, 0.0)), None);
-    }
-
-    #[test]
-    fn rate_controller_is_proportional_and_clamped() {
-        let mut c = ProportionalRateController::new(readings::FILL_LEVEL, 30.0, 0.5, 1.0);
-        // At target: base rate.
-        match c.observe(&reading(readings::FILL_LEVEL, 0.5)) {
-            Some(ControlEvent::SetRate(r)) => assert!((r - 30.0).abs() < 1e-9),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Overfull buffer: speed up.
-        match c.observe(&reading(readings::FILL_LEVEL, 1.0)) {
-            Some(ControlEvent::SetRate(r)) => assert!(r > 30.0),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Clamped below.
-        match c.observe(&reading(readings::FILL_LEVEL, -100.0)) {
-            Some(ControlEvent::SetRate(r)) => assert!((r - 7.5).abs() < 1e-9),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(c.observe(&reading("unrelated", 0.0)), None);
     }
 
     #[test]
     fn congestion_controller_reacts_to_send_side_backpressure() {
-        let mut c = CongestionDropController::new(readings::SEND_SATURATION);
+        let mut c = UnifiedCongestionController::new()
+            .with_signal(SignalRule::new(readings::SEND_SATURATION));
         // Calm link: nothing to do.
         assert_eq!(c.observe(&reading(readings::SEND_SATURATION, 0.0)), None);
         // Half the window saturated: raise.

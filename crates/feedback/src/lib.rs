@@ -10,17 +10,12 @@
 #![warn(missing_docs)]
 
 mod controller;
-mod drift;
 mod loopctl;
 pub mod readings;
 mod sensor;
 mod session;
 
-pub use controller::{
-    CongestionDropController, Controller, DropLevelController, ProportionalRateController,
-    SignalRule, UnifiedCongestionController,
-};
-pub use drift::DriftEstimator;
+pub use controller::{Controller, DropLevelController, SignalRule, UnifiedCongestionController};
 pub use loopctl::{FeedbackLoop, LoopStats};
-pub use sensor::{FillLevelSensor, GaugeSensor, RateSensor, RegistrySensor, SensorReading};
+pub use sensor::{RateSensor, RegistrySensor, SensorReading};
 pub use session::SessionControllerBank;

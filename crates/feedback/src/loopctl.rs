@@ -161,22 +161,22 @@ mod tests {
 
     #[test]
     fn event_driven_loop_reacts_to_remote_readings() {
+        const FILL_LEVEL: &str = "fill-level";
         let controller = move |r: &SensorReading| {
-            (r.name == crate::readings::FILL_LEVEL && r.value > 0.9)
-                .then_some(ControlEvent::SetRate(60.0))
+            (r.name == FILL_LEVEL && r.value > 0.9).then_some(ControlEvent::SetRate(60.0))
         };
         let (mut fb, stats) = FeedbackLoop::event_driven("fb", controller);
         // Feed readings directly (unit level).
         assert_eq!(
             fb.feed(&SensorReading {
-                name: crate::readings::FILL_LEVEL.into(),
+                name: FILL_LEVEL.into(),
                 value: 0.95
             }),
             Some(ControlEvent::SetRate(60.0))
         );
         assert_eq!(
             fb.feed(&SensorReading {
-                name: crate::readings::FILL_LEVEL.into(),
+                name: FILL_LEVEL.into(),
                 value: 0.2
             }),
             None

@@ -3,9 +3,7 @@
 //! Sensor readings travel as named [`ControlEvent::Custom`] events, and
 //! controllers match on the name — so a drifted string literal silently
 //! severs a feedback loop. This module is the single home of the names
-//! the crates agree on; `netpipe` re-exports the transport-related ones
-//! (e.g. `netpipe::SEND_SATURATION_READING`) so existing call sites keep
-//! compiling.
+//! the crates agree on.
 //!
 //! [`ControlEvent::Custom`]: infopipes::ControlEvent::Custom
 
@@ -28,10 +26,6 @@ pub const UDP_RX_SHED: &str = "udp-rx-shed";
 /// Consumer-side delivery rate in items per second, as reported by a
 /// [`RateSensor`](crate::RateSensor) window.
 pub const RECV_RATE_HZ: &str = "recv-rate-hz";
-
-/// A buffer's fill fraction (0..1), as reported by a
-/// [`FillLevelSensor`](crate::FillLevelSensor).
-pub const FILL_LEVEL: &str = "fill-level";
 
 /// Replay lag-behind-schedule in seconds: how far past its recorded
 /// virtual timestamp the replayer delivered the most recent frame. Zero

@@ -1,14 +1,14 @@
 //! Sensors: components that measure a flow and report readings as custom
 //! control events.
 
-use infopipes::{BufferProbe, ControlEvent, Function, Item, Stage, StatsRegistry};
+use infopipes::{ControlEvent, Function, Item, Stage, StatsRegistry};
 use std::fmt;
 
 /// A named scalar measurement, as carried by a
 /// [`ControlEvent::Custom`] event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SensorReading {
-    /// The reading's name (e.g. `crate::readings::RECV_RATE_HZ`, `crate::readings::FILL_LEVEL`).
+    /// The reading's name (e.g. `crate::readings::RECV_RATE_HZ`).
     pub name: String,
     /// The measured value.
     pub value: f64,
@@ -117,78 +117,6 @@ impl Function for RateSensor {
     }
 }
 
-/// Samples a buffer's fill fraction on demand — the fill-level feedback
-/// of ref \[27\] ("adjust CPU allocations among pipeline stages according
-/// to feedback from buffer fill levels").
-pub struct FillLevelSensor {
-    name: String,
-    probe: BufferProbe,
-}
-
-impl FillLevelSensor {
-    /// Creates a sensor over the given buffer probe.
-    #[must_use]
-    pub fn new(name: impl Into<String>, probe: BufferProbe) -> FillLevelSensor {
-        FillLevelSensor {
-            name: name.into(),
-            probe,
-        }
-    }
-
-    /// Reads the current fill fraction (0.0–1.0).
-    #[must_use]
-    pub fn read(&self) -> SensorReading {
-        SensorReading {
-            name: self.name.clone(),
-            value: self.probe.fill_fraction(),
-        }
-    }
-}
-
-/// Samples any externally-maintained scalar on demand: a polled sensor
-/// over a closure. This is how transport-level pressure counters — a
-/// link's pool-miss rate, the UDP receive-queue shed count — become
-/// feedback readings a controller can react to, without the transport
-/// depending on this crate.
-///
-/// ```
-/// use feedback::{readings, GaugeSensor};
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use std::sync::Arc;
-///
-/// let sheds = Arc::new(AtomicU64::new(0));
-/// let probe = Arc::clone(&sheds);
-/// let sensor = GaugeSensor::new(readings::UDP_RX_SHED, move || {
-///     probe.load(Ordering::Relaxed) as f64
-/// });
-/// sheds.store(3, Ordering::Relaxed);
-/// assert_eq!(sensor.read().value, 3.0);
-/// ```
-pub struct GaugeSensor {
-    name: String,
-    read: Box<dyn Fn() -> f64 + Send + Sync>,
-}
-
-impl GaugeSensor {
-    /// Creates a sensor reporting `read()` under the given reading name.
-    #[must_use]
-    pub fn new(name: impl Into<String>, read: impl Fn() -> f64 + Send + Sync + 'static) -> Self {
-        GaugeSensor {
-            name: name.into(),
-            read: Box::new(read),
-        }
-    }
-
-    /// Samples the gauge now.
-    #[must_use]
-    pub fn read(&self) -> SensorReading {
-        SensorReading {
-            name: self.name.clone(),
-            value: (self.read)(),
-        }
-    }
-}
-
 /// How a [`RegistrySensor`] probe turns a metric into a reading value.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum ProbeMode {
@@ -213,8 +141,9 @@ struct RegistryProbe {
 /// a single poll fans the registry's signals into one reading stream a
 /// controller (e.g.
 /// [`UnifiedCongestionController`](crate::UnifiedCongestionController))
-/// consumes. This replaces wiring one ad-hoc [`GaugeSensor`] per signal:
-/// the registry is the contract, and adding a signal is one more probe.
+/// consumes. The registry is the contract: transports publish their
+/// pressure counters there without depending on this crate, and adding a
+/// signal to the loop is one more probe.
 ///
 /// Metrics missing from a snapshot (source not yet registered, or
 /// unregistered mid-run) are skipped, not reported as zero — a vanished
@@ -304,22 +233,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gauge_sensor_samples_the_closure() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let misses = Arc::new(AtomicU64::new(0));
-        let probe = Arc::clone(&misses);
-        let s = GaugeSensor::new(crate::readings::POOL_MISS, move || {
-            probe.load(Ordering::Relaxed) as f64 / 100.0
-        });
-        assert_eq!(s.read().value, 0.0);
-        misses.store(50, Ordering::Relaxed);
-        let r = s.read();
-        assert_eq!(r.name, crate::readings::POOL_MISS);
-        assert_eq!(r.value, 0.5);
-    }
-
-    #[test]
     fn registry_sensor_maps_metrics_to_named_readings() {
         use infopipes::Metric;
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -361,7 +274,7 @@ mod tests {
     #[test]
     fn reading_round_trips_through_events() {
         let r = SensorReading {
-            name: crate::readings::FILL_LEVEL.into(),
+            name: "fill-level".into(),
             value: 0.75,
         };
         let ev = r.to_event();

@@ -21,11 +21,12 @@ use std::collections::HashMap;
 /// An independent [`Controller`] per session, built on demand.
 ///
 /// ```
-/// use feedback::{readings, CongestionDropController, SessionControllerBank};
+/// use feedback::{readings, SessionControllerBank, SignalRule, UnifiedCongestionController};
 /// use infopipes::ControlEvent;
 ///
-/// let mut bank =
-///     SessionControllerBank::new(|_id| CongestionDropController::new(readings::SEND_SATURATION));
+/// let mut bank = SessionControllerBank::new(|_id| {
+///     UnifiedCongestionController::new().with_signal(SignalRule::new(readings::SEND_SATURATION))
+/// });
 /// // Session 7 saturates; session 9 is calm. Only 7 is told to thin.
 /// let cmds = bank.observe_values(readings::SEND_SATURATION, [(7, 0.8), (9, 0.0)]);
 /// assert_eq!(cmds, vec![(7, ControlEvent::SetDropLevel(1))]);
@@ -120,14 +121,16 @@ impl<C: Controller> std::fmt::Debug for SessionControllerBank<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::CongestionDropController;
+    use crate::controller::{SignalRule, UnifiedCongestionController};
     use crate::readings;
+
+    fn saturation_controller(_session: u64) -> UnifiedCongestionController {
+        UnifiedCongestionController::new().with_signal(SignalRule::new(readings::SEND_SATURATION))
+    }
 
     #[test]
     fn sessions_escalate_independently() {
-        let mut bank = SessionControllerBank::new(|_| {
-            CongestionDropController::new(readings::SEND_SATURATION)
-        });
+        let mut bank = SessionControllerBank::new(saturation_controller);
         // Session 1 saturates twice: walks to level 2. Session 2 stays calm.
         let cmds = bank.observe_values(readings::SEND_SATURATION, [(1, 0.9), (2, 0.0), (1, 0.9)]);
         assert_eq!(
@@ -138,20 +141,18 @@ mod tests {
             ]
         );
         assert_eq!(
-            bank.controller(1).map(CongestionDropController::level),
+            bank.controller(1).map(UnifiedCongestionController::level),
             Some(2)
         );
         assert_eq!(
-            bank.controller(2).map(CongestionDropController::level),
+            bank.controller(2).map(UnifiedCongestionController::level),
             Some(0)
         );
     }
 
     #[test]
     fn forget_resets_a_session() {
-        let mut bank = SessionControllerBank::new(|_| {
-            CongestionDropController::new(readings::SEND_SATURATION)
-        });
+        let mut bank = SessionControllerBank::new(saturation_controller);
         let _ = bank.observe_values(readings::SEND_SATURATION, [(1, 0.9)]);
         assert_eq!(bank.len(), 1);
         bank.forget(1);
@@ -164,9 +165,7 @@ mod tests {
 
     #[test]
     fn retain_reconciles_against_a_roster() {
-        let mut bank = SessionControllerBank::new(|_| {
-            CongestionDropController::new(readings::SEND_SATURATION)
-        });
+        let mut bank = SessionControllerBank::new(saturation_controller);
         let _ = bank.observe_values(readings::SEND_SATURATION, [(1, 0.9), (2, 0.9), (3, 0.9)]);
         bank.retain(|id| id == 2);
         assert_eq!(bank.len(), 1);

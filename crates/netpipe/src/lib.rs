@@ -31,8 +31,8 @@
 //!   carry [`PayloadBytes`] frames end-to-end. [`NetSendEnd`] is the one
 //!   generic producer-side pipeline stage serving every backend — it
 //!   also broadcasts send-side congestion readings
-//!   ([`SEND_SATURATION_READING`]) so feedback loops can react to
-//!   transport backpressure — and
+//!   ([`feedback::readings::SEND_SATURATION`]) so feedback loops can
+//!   react to transport backpressure — and
 //!   [`PipelineTransportExt::add_net_sink`] records the transport at the
 //!   planned section boundary,
 //! * **remote component factories** and a remote Typespec query
@@ -83,6 +83,5 @@ pub use transport::{
     Acceptor, BatchPolicy, Frame, InProcAcceptor, InProcLink, InProcTransport, Link, LinkStats,
     NetSendEnd, PeerIdentity, PipelineTransportExt, RecvOutcome, SaturationProbe, SendStatus,
     SimAcceptor, SimConfig, SimLink, SimTransport, TcpAcceptor, TcpLink, TcpTransport, Transport,
-    TransportError, UdpAcceptor, UdpLink, UdpTransport, POOL_MISS_READING, SEND_SATURATION_READING,
-    UDP_RX_SHED_READING,
+    TransportError, UdpAcceptor, UdpLink, UdpTransport,
 };

@@ -120,7 +120,7 @@ mod tests {
                 height: 480,
             },
             ControlEvent::FrameRelease(99),
-            ControlEvent::custom(feedback::readings::FILL_LEVEL, 0.5),
+            ControlEvent::custom("fill-level", 0.5),
         ];
         for ev in events {
             let wire_form = WireEvent::from(&ev);

@@ -52,7 +52,7 @@
 use crate::marshal::WireBytes;
 use crate::proto::WireEvent;
 use crate::transport::{
-    Acceptor, Frame, Link, PeerIdentity, SendStatus, TransportError, SEND_SATURATION_READING,
+    Acceptor, Frame, Link, PeerIdentity, SaturationWindow, SendStatus, TransportError,
 };
 use infopipes::{Consumer, ControlEvent, EventCtx, Item, ItemType, PayloadBytes, Stage, StageCtx};
 use parking_lot::Mutex;
@@ -113,10 +113,6 @@ pub struct ServeConfig {
     /// How long a [`Draining`](SessionState::Draining) session may keep
     /// flushing before it is force-evicted with its queue unsent.
     pub drain_deadline: Duration,
-    /// Bounded backlog of per-session readings awaiting
-    /// [`SessionRegistry::take_readings`]; on overflow the oldest reading
-    /// is discarded (a stale congestion sample is worthless anyway).
-    pub max_pending_readings: usize,
 }
 
 impl Default for ServeConfig {
@@ -125,10 +121,14 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             saturation_window: 32,
             drain_deadline: Duration::from_secs(2),
-            max_pending_readings: 4096,
         }
     }
 }
+
+/// Bound on per-session readings awaiting
+/// [`SessionRegistry::take_readings`]; past it the oldest reading is
+/// discarded (a stale congestion sample is worthless anyway).
+const MAX_PENDING_READINGS: usize = 4096;
 
 /// Per-level keep-every strides, matching the drop-level fractions
 /// `[1.0, 0.34, 0.12]` used by the media filters: level 1 keeps every
@@ -138,8 +138,7 @@ const KEEP_EVERY: [u64; 3] = [1, 3, 8];
 /// One session's bounded outbound queue plus its saturation window.
 struct SendQueue {
     frames: VecDeque<PayloadBytes>,
-    window_attempts: u64,
-    window_pressured: u64,
+    window: SaturationWindow,
     /// Broadcast tick for drop-level thinning (counts offered frames).
     tick: u64,
 }
@@ -297,8 +296,7 @@ impl<L: Link> SessionRegistry<L> {
                 // Preallocated once: steady-state broadcasts push into
                 // existing capacity, keeping the fan-out allocation-free.
                 frames: VecDeque::with_capacity(self.inner.cfg.queue_capacity),
-                window_attempts: 0,
-                window_pressured: 0,
+                window: SaturationWindow::new(self.inner.cfg.saturation_window),
                 tick: 0,
             }),
             drop_level: AtomicU8::new(0),
@@ -308,8 +306,10 @@ impl<L: Link> SessionRegistry<L> {
             thinned: AtomicU64::new(0),
             fin_sent: AtomicBool::new(false),
         });
-        self.inner.roster.lock().push(session);
+        // Counted before it is resident, so a concurrent `stats` never
+        // sees more sessions in the roster than were ever accepted.
         self.inner.accepted_total.fetch_add(1, Ordering::Relaxed);
+        self.inner.roster.lock().push(session);
         id
     }
 
@@ -379,9 +379,7 @@ impl<L: Link> SessionRegistry<L> {
                 // data, and an overflowing queue is a pressured link.
                 q.frames.pop_front();
                 overflowed = true;
-                q.window_attempts += 1;
-                q.window_pressured += 1;
-                reading = self.complete_window(&mut q);
+                reading = q.window.observe(true);
             }
             q.frames.push_back(payload.clone());
             reading
@@ -396,21 +394,9 @@ impl<L: Link> SessionRegistry<L> {
         true
     }
 
-    /// Completes the saturation window if due; returns the fraction to
-    /// report. Caller must hold the queue lock.
-    fn complete_window(&self, q: &mut SendQueue) -> Option<f64> {
-        if q.window_attempts < self.inner.cfg.saturation_window {
-            return None;
-        }
-        let fraction = q.window_pressured as f64 / q.window_attempts as f64;
-        q.window_attempts = 0;
-        q.window_pressured = 0;
-        Some(fraction)
-    }
-
     fn push_reading(&self, id: SessionId, fraction: f64) {
         let mut readings = self.inner.readings.lock();
-        if readings.len() >= self.inner.cfg.max_pending_readings {
+        if readings.len() >= MAX_PENDING_READINGS {
             readings.pop_front();
         }
         readings.push_back((id, fraction));
@@ -421,62 +407,43 @@ impl<L: Link> SessionRegistry<L> {
     /// send path would wait ([`Link::send_ready`] false) keeps its frames
     /// queued and is merely marked pressured.
     fn flush_session(&self, s: &Arc<SessionShared<L>>) {
-        loop {
-            if s.q.lock().frames.is_empty() {
-                return;
-            }
-            if !s.link.send_ready() {
-                let mut q = s.q.lock();
-                q.window_attempts += 1;
-                q.window_pressured += 1;
-                let reading = self.complete_window(&mut q);
-                drop(q);
-                if let Some(fraction) = reading {
-                    self.push_reading(s.id, fraction);
-                }
-                return;
-            }
-            let Some(frame) = s.q.lock().frames.pop_front() else {
-                return;
-            };
-            let status = s.link.send(Frame::Data(frame));
-            let mut q = s.q.lock();
-            q.window_attempts += 1;
-            match status {
-                SendStatus::Sent => {
-                    s.sent.fetch_add(1, Ordering::Relaxed);
-                }
-                SendStatus::Saturated => {
+        let mut drained = s.q.lock().frames.is_empty();
+        while !drained {
+            // One send attempt: did it meet pressure, and may another
+            // follow? The link is never called with the queue locked.
+            let (pressured, more) = if s.link.send_ready() {
+                let Some(frame) = s.q.lock().frames.pop_front() else {
+                    return;
+                };
+                match s.link.send(Frame::Data(frame)) {
+                    SendStatus::Sent => {
+                        s.sent.fetch_add(1, Ordering::Relaxed);
+                        (false, true)
+                    }
                     // Accepted, but stop here: one more send could block
                     // behind this client's congestion.
-                    q.window_pressured += 1;
-                    s.sent.fetch_add(1, Ordering::Relaxed);
-                    let reading = self.complete_window(&mut q);
-                    drop(q);
-                    if let Some(fraction) = reading {
-                        self.push_reading(s.id, fraction);
+                    SendStatus::Saturated => {
+                        s.sent.fetch_add(1, Ordering::Relaxed);
+                        (true, false)
                     }
-                    return;
-                }
-                SendStatus::Dropped => {
-                    q.window_pressured += 1;
-                    s.shed.fetch_add(1, Ordering::Relaxed);
-                    let reading = self.complete_window(&mut q);
-                    drop(q);
-                    if let Some(fraction) = reading {
-                        self.push_reading(s.id, fraction);
+                    SendStatus::Dropped => {
+                        s.shed.fetch_add(1, Ordering::Relaxed);
+                        (true, false)
                     }
-                    return;
+                    SendStatus::Closed => {
+                        s.shed.fetch_add(1, Ordering::Relaxed);
+                        self.evict(s.id);
+                        return;
+                    }
                 }
-                SendStatus::Closed => {
-                    drop(q);
-                    s.shed.fetch_add(1, Ordering::Relaxed);
-                    self.evict(s.id);
-                    return;
-                }
-            }
-            let reading = self.complete_window(&mut q);
-            drop(q);
+            } else {
+                (true, false)
+            };
+            let reading = {
+                let mut q = s.q.lock();
+                drained = !more || q.frames.is_empty();
+                q.window.observe(pressured)
+            };
             if let Some(fraction) = reading {
                 self.push_reading(s.id, fraction);
             }
@@ -567,7 +534,8 @@ impl<L: Link> SessionRegistry<L> {
         };
         s.shed.fetch_add(discarded as u64, Ordering::Relaxed);
         s.send_fin_once();
-        self.inner.evicted_total.fetch_add(1, Ordering::Relaxed);
+        // Release pairs with the Acquire load in `stats`.
+        self.inner.evicted_total.fetch_add(1, Ordering::Release);
     }
 
     /// Removes evicted sessions from the roster, returning how many were
@@ -590,17 +558,10 @@ impl<L: Link> SessionRegistry<L> {
 
     /// Drains the pending per-session saturation readings (the same
     /// 0..=1 pressured-fraction a [`NetSendEnd`](crate::NetSendEnd)
-    /// broadcasts under [`SEND_SATURATION_READING`], but one stream per
-    /// session). Feed these to a per-session controller bank.
+    /// broadcasts under [`feedback::readings::SEND_SATURATION`], but one
+    /// stream per session). Feed these to a per-session controller bank.
     pub fn take_readings(&self) -> Vec<(SessionId, f64)> {
         self.inner.readings.lock().drain(..).collect()
-    }
-
-    /// The reading name under which per-session saturation fractions are
-    /// reported (shared with the point-to-point send end).
-    #[must_use]
-    pub fn reading_name(&self) -> &'static str {
-        SEND_SATURATION_READING
     }
 
     /// Point-in-time snapshots of every resident session.
@@ -626,12 +587,17 @@ impl<L: Link> SessionRegistry<L> {
     /// roster.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
+        // Read order keeps `evicted_total <= accepted_total` and
+        // `resident <= accepted_total` under concurrent churn: evictions
+        // first, then the roster, admissions last.
+        let evicted_total = self.inner.evicted_total.load(Ordering::Acquire);
+        let roster = self.snapshot_roster();
         let mut stats = RegistryStats {
             accepted_total: self.inner.accepted_total.load(Ordering::Relaxed),
-            evicted_total: self.inner.evicted_total.load(Ordering::Relaxed),
+            evicted_total,
             ..RegistryStats::default()
         };
-        for s in &self.snapshot_roster() {
+        for s in &roster {
             match s.state() {
                 SessionState::Connecting => stats.connecting += 1,
                 SessionState::Active => stats.active += 1,

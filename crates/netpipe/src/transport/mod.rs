@@ -603,27 +603,6 @@ pub(crate) fn drain_receiver<L: Link>(
 // The generic producer-side send end
 // ---------------------------------------------------------------------
 
-/// The default reading name under which [`NetSendEnd`] broadcasts its
-/// send-side congestion observations (see
-/// [`NetSendEnd::with_congestion_reports`]). Canonically
-/// [`feedback::readings::SEND_SATURATION`]; re-exported here so
-/// transport users need not import `feedback`.
-pub const SEND_SATURATION_READING: &str = feedback::readings::SEND_SATURATION;
-
-/// Reading name for the pool-miss rate of a link's buffer pool: the
-/// fraction of acquisitions that fell back to a fresh allocation (0..1).
-/// Rising values mean downstream consumers hold payloads longer than the
-/// pool can recycle them — memory pressure a congestion controller can
-/// react to just like send saturation. Canonically
-/// [`feedback::readings::POOL_MISS`].
-pub const POOL_MISS_READING: &str = feedback::readings::POOL_MISS;
-
-/// Reading name for the UDP receive-queue shed count: frames discarded
-/// because the bounded receive queue was full. Reported as a cumulative
-/// count; pair with a rate window when controlling on it. Canonically
-/// [`feedback::readings::UDP_RX_SHED`].
-pub const UDP_RX_SHED_READING: &str = feedback::readings::UDP_RX_SHED;
-
 /// A lock-free probe onto a [`NetSendEnd`]'s most recent *completed*
 /// saturation window: the same 0..1 fraction the stage broadcasts as a
 /// control event, readable from outside the pipeline. This is how send
@@ -693,6 +672,40 @@ impl BatchPolicy {
 /// The default congestion-report window (data sends per reading).
 const SATURATION_WINDOW: u64 = 32;
 
+/// A tumbling window over send attempts: every `every` attempts it
+/// yields the fraction of them that met pressure (0..1) and starts over.
+/// The one implementation behind both the point-to-point
+/// [`NetSendEnd`] reading and the serving tier's per-session readings.
+pub(crate) struct SaturationWindow {
+    every: u64,
+    attempts: u64,
+    pressured: u64,
+}
+
+impl SaturationWindow {
+    pub(crate) fn new(every: u64) -> SaturationWindow {
+        SaturationWindow {
+            every,
+            attempts: 0,
+            pressured: 0,
+        }
+    }
+
+    /// Counts one attempt; returns the pressured fraction when it
+    /// completes the window.
+    pub(crate) fn observe(&mut self, pressured: bool) -> Option<f64> {
+        self.attempts += 1;
+        self.pressured += u64::from(pressured);
+        if self.attempts < self.every {
+            return None;
+        }
+        let fraction = self.pressured as f64 / self.attempts as f64;
+        self.attempts = 0;
+        self.pressured = 0;
+        Some(fraction)
+    }
+}
+
 /// The producer-side end of a netpipe: a passive pipeline sink accepting
 /// [`WireBytes`] and transmitting them as data frames over any
 /// [`Link`]. Broadcast control events are forwarded on the control lane;
@@ -705,34 +718,31 @@ const SATURATION_WINDOW: u64 = 32;
 ///
 /// The stage doubles as a sensor: every window of data sends it
 /// broadcasts a custom control event (default name
-/// [`SEND_SATURATION_READING`]) whose value is the fraction of sends in
-/// that window the link reported as [`SendStatus::Saturated`] or
-/// [`SendStatus::Dropped`]. Feedback controllers (e.g.
-/// `feedback::CongestionDropController`) subscribe to this reading, so
-/// drop levels react to transport backpressure directly — not only to
-/// the receive-rate sensor on the far side of the congested link.
+/// [`feedback::readings::SEND_SATURATION`]) whose value is the fraction
+/// of sends in that window the link reported as
+/// [`SendStatus::Saturated`] or [`SendStatus::Dropped`]. Feedback
+/// controllers (`feedback::UnifiedCongestionController`) subscribe to
+/// this reading, so drop levels react to transport backpressure
+/// directly — not only to the receive-rate sensor on the far side of the
+/// congested link.
 pub struct NetSendEnd<L: Link> {
     name: String,
     link: L,
-    reading_name: Option<String>,
-    window: u64,
-    window_sends: u64,
-    window_pressured: u64,
+    reading_name: String,
+    window: SaturationWindow,
     probe: SaturationProbe,
 }
 
 impl<L: Link> NetSendEnd<L> {
     /// Wraps a link end as a pipeline sink, reporting send-side
-    /// congestion under [`SEND_SATURATION_READING`].
+    /// congestion under [`feedback::readings::SEND_SATURATION`].
     #[must_use]
     pub fn new(name: impl Into<String>, link: L) -> NetSendEnd<L> {
         NetSendEnd {
             name: name.into(),
             link,
-            reading_name: Some(SEND_SATURATION_READING.to_owned()),
-            window: SATURATION_WINDOW,
-            window_sends: 0,
-            window_pressured: 0,
+            reading_name: feedback::readings::SEND_SATURATION.to_owned(),
+            window: SaturationWindow::new(SATURATION_WINDOW),
             probe: SaturationProbe::default(),
         }
     }
@@ -750,15 +760,8 @@ impl<L: Link> NetSendEnd<L> {
         every: u64,
     ) -> NetSendEnd<L> {
         assert!(every > 0, "report window must be positive");
-        self.reading_name = Some(reading_name.into());
-        self.window = every;
-        self
-    }
-
-    /// Disables congestion reporting.
-    #[must_use]
-    pub fn without_congestion_reports(mut self) -> NetSendEnd<L> {
-        self.reading_name = None;
+        self.reading_name = reading_name.into();
+        self.window = SaturationWindow::new(every);
         self
     }
 
@@ -770,8 +773,7 @@ impl<L: Link> NetSendEnd<L> {
 
     /// A shared probe onto this stage's completed saturation windows —
     /// take it *before* handing the stage to a pipeline, then register
-    /// it with the process stats registry. Updated only while congestion
-    /// reporting is enabled.
+    /// it with the process stats registry.
     #[must_use]
     pub fn saturation_probe(&self) -> SaturationProbe {
         self.probe.clone()
@@ -780,25 +782,16 @@ impl<L: Link> NetSendEnd<L> {
     /// Folds one send status into the current window; returns a reading
     /// to broadcast when the window completes.
     fn observe_send(&mut self, status: SendStatus) -> Option<ControlEvent> {
-        let reading = self.reading_name.as_deref()?;
         // A closed link is not a calm link: counting Closed sends would
         // complete windows at 0.0 saturation and walk drop levels back
         // down while nothing is being delivered at all.
         if matches!(status, SendStatus::Closed) {
             return None;
         }
-        self.window_sends += 1;
-        if matches!(status, SendStatus::Saturated | SendStatus::Dropped) {
-            self.window_pressured += 1;
-        }
-        if self.window_sends < self.window {
-            return None;
-        }
-        let fraction = self.window_pressured as f64 / self.window_sends as f64;
-        self.window_sends = 0;
-        self.window_pressured = 0;
+        let pressured = matches!(status, SendStatus::Saturated | SendStatus::Dropped);
+        let fraction = self.window.observe(pressured)?;
         self.probe.set(fraction);
-        Some(ControlEvent::custom(reading, fraction))
+        Some(ControlEvent::custom(&self.reading_name, fraction))
     }
 }
 
@@ -827,8 +820,7 @@ impl<L: Link> Stage for NetSendEnd<L> {
             // that describes *this* sender, and — with send ends on both
             // sides using the same reading name — echo back and forth
             // forever.
-            ControlEvent::Custom { name, .. }
-                if Some(name.as_ref()) == self.reading_name.as_deref() => {}
+            ControlEvent::Custom { name, .. } if name.as_ref() == self.reading_name => {}
             other => {
                 let _ = self.link.send_via(
                     &mut |to, msg| ctx.post(to, msg),

@@ -2,10 +2,8 @@
 //! miss rate, a UDP link's receive-side sheds, and a real send end's
 //! saturation all land in one [`StatsRegistry`], one [`RegistrySensor`]
 //! turns them into named readings, and one
-//! [`UnifiedCongestionController`] fuses them under priority rules —
-//! replacing the previous per-signal ad-hoc `GaugeSensor` +
-//! `CongestionDropController` wire-ups with a single loop:
-//! registry → sensor → controller → `SetDropLevel`.
+//! [`UnifiedCongestionController`] fuses them under priority rules — a
+//! single loop: registry → sensor → controller → `SetDropLevel`.
 
 use feedback::{readings, Controller, RegistrySensor, UnifiedCongestionController};
 use infopipes::helpers::IterSource;
@@ -13,7 +11,7 @@ use infopipes::{BufferPool, ControlEvent, FreePump, Pipeline, StatsRegistry};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     inspect, Acceptor, Frame, InProcTransport, Link, Marshal, NetSendEnd, PayloadBytes, Transport,
-    UdpTransport, SEND_SATURATION_READING,
+    UdpTransport,
 };
 use std::time::{Duration, Instant};
 
@@ -152,7 +150,7 @@ fn unified_controller_fuses_send_and_memory_pressure() {
         let _remote_end = acceptor.accept().unwrap();
 
         let send_end = NetSendEnd::new("send", link.clone())
-            .with_congestion_reports(SEND_SATURATION_READING, 16);
+            .with_congestion_reports(readings::SEND_SATURATION, 16);
         let probe = send_end.saturation_probe();
 
         let stats = StatsRegistry::new();

@@ -8,7 +8,6 @@ use infopipes::{payload_copy_count, BufferPool, ControlEvent, InboxSender, Paylo
 use netpipe::{
     AcceptLoop, Acceptor, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
     ServeConfig, SessionRegistry, SessionState, TcpTransport, Transport, TransportError,
-    SEND_SATURATION_READING,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -113,7 +112,6 @@ fn small_config() -> ServeConfig {
         queue_capacity: 8,
         saturation_window: 4,
         drain_deadline: Duration::from_millis(100),
-        ..ServeConfig::default()
     }
 }
 
@@ -297,7 +295,8 @@ fn disconnected_client_is_evicted_mid_broadcast_without_leaking() {
 
 #[test]
 fn per_session_readings_drive_independent_drop_levels() {
-    use feedback::{CongestionDropController, SessionControllerBank};
+    use feedback::readings::SEND_SATURATION;
+    use feedback::{SessionControllerBank, SignalRule, UnifiedCongestionController};
 
     let registry = SessionRegistry::new(small_config());
     let fast = StubLink::new(SendStatus::Sent, true);
@@ -311,9 +310,10 @@ fn per_session_readings_drive_independent_drop_levels() {
 
     // Close the loop: the registry's per-session readings feed a bank of
     // independent congestion controllers; commands come back per session.
-    let mut bank =
-        SessionControllerBank::new(|_| CongestionDropController::new(SEND_SATURATION_READING));
-    let commands = bank.observe_values(SEND_SATURATION_READING, registry.take_readings());
+    let mut bank = SessionControllerBank::new(|_| {
+        UnifiedCongestionController::new().with_signal(SignalRule::new(SEND_SATURATION))
+    });
+    let commands = bank.observe_values(SEND_SATURATION, registry.take_readings());
     assert!(
         commands.iter().all(|(id, _)| *id == slow_id),
         "only the pressured session may be commanded: {commands:?}"

@@ -1,17 +1,16 @@
 //! The send-side congestion loop, end to end: a [`NetSendEnd`] pushed
 //! against a saturated inproc link broadcasts its saturation readings, a
-//! [`CongestionDropController`] turns them into `SetDropLevel` commands,
+//! one-rule [`UnifiedCongestionController`] turns them into `SetDropLevel` commands,
 //! and a producer-side [`PriorityDropFilter`] sheds load — the Fig. 1
 //! adaptation driven by transport backpressure instead of (only) the
 //! consumer's receive rate.
 
-use feedback::{CongestionDropController, FeedbackLoop};
+use feedback::readings::SEND_SATURATION;
+use feedback::{FeedbackLoop, SignalRule, UnifiedCongestionController};
 use infopipes::{ControlEvent, FreePump, Pipeline};
 use mbthread::{Kernel, KernelConfig};
 use media::{CompressedFrame, GopStructure, MpegFileSource, PriorityDropFilter};
-use netpipe::{
-    Acceptor, InProcTransport, Link, Marshal, NetSendEnd, Transport, SEND_SATURATION_READING,
-};
+use netpipe::{Acceptor, InProcTransport, Link, Marshal, NetSendEnd, Transport};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -35,14 +34,13 @@ fn send_saturation_raises_the_drop_level() {
         let filter = pipeline.add_function("drop-filter", filter);
         let (fb, loop_stats) = FeedbackLoop::event_driven(
             "congestion-loop",
-            CongestionDropController::new(SEND_SATURATION_READING),
+            UnifiedCongestionController::new().with_signal(SignalRule::new(SEND_SATURATION)),
         );
         let fb = pipeline.add_consumer("congestion-loop", fb);
         let marshal = pipeline.add_function("marshal", Marshal::<CompressedFrame>::new("marshal"));
         let send = pipeline.add_consumer(
             "send",
-            NetSendEnd::new("send", link.clone())
-                .with_congestion_reports(SEND_SATURATION_READING, 16),
+            NetSendEnd::new("send", link.clone()).with_congestion_reports(SEND_SATURATION, 16),
         );
         let _ = src >> pump >> filter >> fb >> marshal >> send;
 
@@ -97,7 +95,7 @@ fn send_saturation_raises_the_drop_level() {
                 netpipe::RecvOutcome::Frame(netpipe::Frame::Event(ev)) => {
                     if let netpipe::WireEvent::Custom { name, .. } = &ev {
                         assert_ne!(
-                            name, SEND_SATURATION_READING,
+                            name, SEND_SATURATION,
                             "the send end's own congestion reading leaked onto the wire"
                         );
                     }
