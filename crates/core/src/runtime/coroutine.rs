@@ -80,7 +80,7 @@ impl MsgEndpoint {
             if rt.stopping {
                 return Pulled::Interrupted;
             }
-            match rt.wait_tags_ext(ctx, &[tags::PUT], true) {
+            match rt.wait_tag_ext(ctx, tags::PUT, true) {
                 WaitOutcome::Msg(mut env) => {
                     ctx.adopt_constraint(env.constraint());
                     let item: Item = env.message_mut().take_body().expect("PUT carries an Item");
@@ -106,7 +106,7 @@ impl MsgEndpoint {
             return PushRes::Interrupted;
         };
         let _ = ctx.reply(&env, Message::new(tags::GET, GetReply(Some(item))));
-        match rt.wait_tags_ext(ctx, &[tags::GET], false) {
+        match rt.wait_tag_ext(ctx, tags::GET, false) {
             WaitOutcome::Msg(env) => {
                 ctx.adopt_constraint(env.constraint());
                 self.pending = Some(env);

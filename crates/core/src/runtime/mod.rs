@@ -30,9 +30,7 @@ use crate::buffer::{BufHandle, PutOutcome, TakeOutcome, Wakeups};
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
 use crate::graph::StageId;
 use crate::item::Item;
-use mbthread::{
-    Constraint, Ctx, Envelope, Kernel, MatchSpec, Message, Priority, SyncOutcome, Tag, ThreadId,
-};
+use mbthread::{Constraint, Ctx, Envelope, Kernel, Message, Priority, SyncOutcome, Tag, ThreadId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -187,25 +185,22 @@ impl RtState {
         });
     }
 
-    /// Blocks until a message with one of `want` tags arrives, staying
-    /// receptive to control messages: controls are queued for later
-    /// dispatch, a stop request aborts the wait, and — when `eos_ends` —
-    /// an end-of-stream control ends it too (used by push-position
-    /// coroutine glue, whose only EOS signal is that control).
-    pub(crate) fn wait_tags_ext(
+    /// Blocks until a message tagged `want` arrives, staying receptive to
+    /// control messages: controls are queued for later dispatch, a stop
+    /// request aborts the wait, and — when `eos_ends` — an end-of-stream
+    /// control ends it too (used by push-position coroutine glue, whose
+    /// only EOS signal is that control).
+    pub(crate) fn wait_tag_ext(
         &mut self,
         ctx: &mut Ctx<'_>,
-        want: &[Tag],
+        want: Tag,
         eos_ends: bool,
     ) -> WaitOutcome {
-        let mut all: Vec<Tag> = want.to_vec();
-        all.push(tags::CTRL);
-        let spec = MatchSpec::Tags(all);
         loop {
             if self.stopping {
                 return WaitOutcome::Stop;
             }
-            let env = match ctx.receive_matching(&spec) {
+            let env = match ctx.receive_tags(&[want, tags::CTRL]) {
                 Ok(env) => env,
                 Err(_) => {
                     self.stopping = true;
@@ -226,10 +221,10 @@ impl RtState {
         }
     }
 
-    /// [`RtState::wait_tags_ext`] for waits whose EOS arrives on the data
+    /// [`RtState::wait_tag_ext`] for waits whose EOS arrives on the data
     /// path; returns `None` on stop/shutdown.
-    pub(crate) fn wait_tags(&mut self, ctx: &mut Ctx<'_>, want: &[Tag]) -> Option<Envelope> {
-        match self.wait_tags_ext(ctx, want, false) {
+    pub(crate) fn wait_tag(&mut self, ctx: &mut Ctx<'_>, want: Tag) -> Option<Envelope> {
+        match self.wait_tag_ext(ctx, want, false) {
             WaitOutcome::Msg(env) => Some(env),
             WaitOutcome::Stop | WaitOutcome::Eos => None,
         }
@@ -252,7 +247,7 @@ impl RtState {
                 TakeOutcome::Empty => return Pulled::Empty,
                 TakeOutcome::Eos => return Pulled::Eos,
                 TakeOutcome::MustWait => {
-                    if self.wait_tags(ctx, &[tags::ARRIVAL]).is_none() {
+                    if self.wait_tag(ctx, tags::ARRIVAL).is_none() {
                         return Pulled::Interrupted;
                     }
                 }
@@ -274,7 +269,7 @@ impl RtState {
                 PutOutcome::MustWait(returned) => {
                     item = returned;
                     buf.wait_for_space(ctx.id());
-                    if self.wait_tags(ctx, &[tags::SPACE]).is_none() {
+                    if self.wait_tag(ctx, tags::SPACE).is_none() {
                         return PushRes::Interrupted;
                     }
                 }

@@ -9,13 +9,12 @@
 use crate::clock::Time;
 use crate::constraint::{Constraint, Priority};
 use crate::error::{KernelError, SendError};
-use crate::kernel::Kernel;
-use crate::message::{Envelope, MatchSpec, Message, ReplyToken, Tag};
+use crate::kernel::{KGuard, Kernel};
+use crate::message::{Envelope, MatchSpec, Message, ReplyToken, SpecRef, Tag};
 use crate::record::{CodeFn, RunState, ThreadId};
 use crate::sched::{self, KState};
-use crate::stats::StatCounters;
 use crate::timer::{TimerId, TimerKind};
-use parking_lot::{Condvar, MutexGuard};
+use parking_lot::Condvar;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,7 +91,7 @@ impl Drop for PendingReply {
         }
         // Cancel the wait: retire the token, stop donating priority, and
         // discard any reply that already landed in our mailbox.
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         state.pending_tokens.remove(&self.token);
         if let Some(rec) = state.rec_mut(self.me) {
             if rec.waiting_on == Some(self.to) {
@@ -128,7 +127,7 @@ pub struct Ctx<'k> {
 impl<'k> Ctx<'k> {
     pub(crate) fn new(kernel: &'k Kernel, me: ThreadId) -> Self {
         let cv = {
-            let state = kernel.inner.state.lock();
+            let state = kernel.inner.lock();
             Arc::clone(&state.rec(me).expect("ctx thread exists").cv)
         };
         Ctx { kernel, me, cv }
@@ -146,7 +145,7 @@ impl<'k> Ctx<'k> {
         self.kernel
     }
 
-    /// Current kernel time.
+    /// Current kernel time. Lock-free under the real clock.
     #[must_use]
     pub fn now(&self) -> Time {
         self.kernel.now()
@@ -170,7 +169,7 @@ impl<'k> Ctx<'k> {
     /// a pump's constraint propagates across its coroutine set.
     #[must_use]
     pub fn current_constraint(&self) -> Option<Constraint> {
-        let state = self.kernel.inner.state.lock();
+        let state = self.kernel.inner.lock();
         state.rec(self.me).and_then(|r| r.cur)
     }
 
@@ -180,7 +179,7 @@ impl<'k> Ctx<'k> {
     /// message received by the sending component" (§4), so the latest
     /// received constraint must govern subsequent sends.
     pub fn adopt_constraint(&mut self, constraint: Option<Constraint>) {
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         if let Some(rec) = state.rec_mut(self.me) {
             rec.cur = constraint;
             rec.processing = true;
@@ -199,8 +198,7 @@ impl<'k> Ctx<'k> {
     /// Fails if the target does not exist, has terminated, or the kernel is
     /// shutting down.
     pub fn send(&mut self, to: ThreadId, msg: Message) -> Result<(), SendError> {
-        let constraint = self.current_constraint();
-        self.send_with(to, msg, constraint)
+        self.post(to, msg, None)
     }
 
     /// Sends a message asynchronously with an explicit constraint
@@ -216,20 +214,22 @@ impl<'k> Ctx<'k> {
         msg: Message,
         constraint: Option<Constraint>,
     ) -> Result<(), SendError> {
+        self.post(to, msg, Some(constraint))
+    }
+
+    /// One critical section per send; `explicit: None` inherits the
+    /// constraint of the message being processed.
+    fn post(
+        &mut self,
+        to: ThreadId,
+        msg: Message,
+        explicit: Option<Option<Constraint>>,
+    ) -> Result<(), SendError> {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
-        let seq = state.send_seq;
-        state.send_seq += 1;
-        let env = Envelope {
-            from: Some(self.me),
-            msg,
-            constraint,
-            reply_to: None,
-            in_reply: None,
-            seq,
-        };
+        let mut state = inner.lock();
+        let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
+        let env = state.stamp(Some(self.me), msg, constraint);
         sched::enqueue(&mut state, &inner.stats, to, env)?;
-        inner.cv_global.notify_all();
         let _ = self.maybe_preempt(&mut state);
         Ok(())
     }
@@ -244,8 +244,7 @@ impl<'k> Ctx<'k> {
     /// Fails if the target does not exist, has terminated, or the kernel is
     /// shutting down.
     pub fn begin_sync(&mut self, to: ThreadId, msg: Message) -> Result<PendingReply, SendError> {
-        let constraint = self.current_constraint();
-        self.begin_sync_with(to, msg, constraint)
+        self.post_sync(to, msg, None)
     }
 
     /// [`Ctx::begin_sync`] with an explicit constraint.
@@ -260,27 +259,20 @@ impl<'k> Ctx<'k> {
         msg: Message,
         constraint: Option<Constraint>,
     ) -> Result<PendingReply, SendError> {
+        self.post_sync(to, msg, Some(constraint))
+    }
+
+    /// The synchronous counterpart of [`Ctx::post`].
+    fn post_sync(
+        &mut self,
+        to: ThreadId,
+        msg: Message,
+        explicit: Option<Option<Constraint>>,
+    ) -> Result<PendingReply, SendError> {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
-        let token = state.next_token;
-        state.next_token += 1;
-        let seq = state.send_seq;
-        state.send_seq += 1;
-        let env = Envelope {
-            from: Some(self.me),
-            msg,
-            constraint,
-            reply_to: Some(ReplyToken(token)),
-            in_reply: None,
-            seq,
-        };
-        sched::enqueue(&mut state, &inner.stats, to, env)?;
-        StatCounters::bump(&inner.stats.sync_sends);
-        state.pending_tokens.insert(token);
-        if let Some(rec) = state.rec_mut(self.me) {
-            rec.waiting_on = Some(to);
-        }
-        inner.cv_global.notify_all();
+        let mut state = inner.lock();
+        let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
+        let token = sched::enqueue_request(&mut state, &inner.stats, self.me, to, msg, constraint)?;
         let _ = self.maybe_preempt(&mut state);
         Ok(PendingReply {
             kernel: self.kernel.clone(),
@@ -298,10 +290,8 @@ impl<'k> Ctx<'k> {
     /// Returns [`KernelError::PeerGone`] if the receiver terminated without
     /// replying, or [`KernelError::Shutdown`].
     pub fn wait(&mut self, mut pending: PendingReply) -> Result<Envelope, KernelError> {
-        let spec = MatchSpec::Reply(pending.token);
-        let out = self.blocking_receive(&spec, true);
+        let out = self.blocking_receive(SpecRef::reply_or_tags(pending.token, &[]), true);
         pending.consume();
-        self.clear_waiting_on();
         out
     }
 
@@ -320,18 +310,16 @@ impl<'k> Ctx<'k> {
         mut pending: PendingReply,
         interrupt_tags: &[Tag],
     ) -> Result<SyncOutcome, KernelError> {
-        let spec = MatchSpec::ReplyOrTags(pending.token, interrupt_tags.to_vec());
-        let env = match self.blocking_receive(&spec, true) {
+        let spec = SpecRef::reply_or_tags(pending.token, interrupt_tags);
+        let env = match self.blocking_receive(spec, true) {
             Ok(env) => env,
             Err(e) => {
                 pending.consume();
-                self.clear_waiting_on();
                 return Err(e);
             }
         };
-        if env.in_reply == Some(ReplyToken(pending.token)) {
+        if spec.is_reply(&env) {
             pending.consume();
-            self.clear_waiting_on();
             Ok(SyncOutcome::Reply(env))
         } else {
             Ok(SyncOutcome::Interrupted(pending, env))
@@ -361,24 +349,16 @@ impl<'k> Ctx<'k> {
         let token = env.reply_to.ok_or(SendError::NotARequest)?;
         let to = env.from.ok_or(SendError::NotARequest)?;
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
+        let mut state = inner.lock();
         // Each request may be answered once: the token is retired here, so
         // a second reply (or a reply after the waiter gave up) fails.
         if !state.pending_tokens.remove(&token.0) {
             return Err(SendError::StaleReply);
         }
-        let seq = state.send_seq;
-        state.send_seq += 1;
-        let reply_env = Envelope {
-            from: Some(self.me),
-            msg,
-            constraint: self.constraint_of(&state),
-            reply_to: None,
-            in_reply: Some(token),
-            seq,
-        };
+        let constraint = self.constraint_of(&state);
+        let mut reply_env = state.stamp(Some(self.me), msg, constraint);
+        reply_env.in_reply = Some(token);
         sched::enqueue(&mut state, &inner.stats, to, reply_env)?;
-        inner.cv_global.notify_all();
         let _ = self.maybe_preempt(&mut state);
         Ok(())
     }
@@ -394,7 +374,7 @@ impl<'k> Ctx<'k> {
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive(&mut self) -> Result<Envelope, KernelError> {
-        self.blocking_receive(&MatchSpec::Any, false)
+        self.blocking_receive(SpecRef::ANY, false)
     }
 
     /// Suspends until a message matching `spec` arrives; non-matching
@@ -404,36 +384,45 @@ impl<'k> Ctx<'k> {
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive_matching(&mut self, spec: &MatchSpec) -> Result<Envelope, KernelError> {
-        self.blocking_receive(spec, false)
+        self.blocking_receive(spec.as_ref(), false)
+    }
+
+    /// [`Ctx::receive_matching`] for a borrowed tag set: suspends until a
+    /// message whose tag is in `tags` arrives, without building a
+    /// [`MatchSpec`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
+    pub fn receive_tags(&mut self, tags: &[Tag]) -> Result<Envelope, KernelError> {
+        self.blocking_receive(SpecRef::tags(tags), false)
     }
 
     /// Takes a matching message from the mailbox without blocking.
     #[must_use]
     pub fn try_receive(&mut self, spec: &MatchSpec) -> Option<Envelope> {
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         let rec = state.rec_mut(self.me)?;
-        let idx = rec.find_match(spec)?;
+        let idx = rec.find_match(spec.as_ref())?;
         rec.mailbox.remove(idx)
     }
 
-    /// Top-level receive for the thread main loop: also records the
-    /// received message's constraint as the thread's current constraint.
+    /// Top-level receive for the thread main loop. In the critical section
+    /// that dequeues the next message it also retires the previous
+    /// message's constraint and records the new one as the thread's
+    /// current constraint.
     pub(crate) fn main_receive(&mut self) -> Result<Envelope, KernelError> {
-        let env = self.blocking_receive(&MatchSpec::Any, false)?;
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
+        if let Some(rec) = state.rec_mut(self.me) {
+            rec.cur = None;
+            rec.processing = false;
+        }
+        let env = self.receive_locked(&mut state, SpecRef::ANY, false)?;
         if let Some(rec) = state.rec_mut(self.me) {
             rec.cur = env.constraint();
             rec.processing = true;
         }
         Ok(env)
-    }
-
-    pub(crate) fn clear_current_constraint(&mut self) {
-        let mut state = self.kernel.inner.state.lock();
-        if let Some(rec) = state.rec_mut(self.me) {
-            rec.cur = None;
-            rec.processing = false;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -446,21 +435,8 @@ impl<'k> Ctx<'k> {
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn sleep_until(&mut self, at: Time) -> Result<(), KernelError> {
-        let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
-        if at <= inner.now(&state) {
-            return self.yield_cpu(&mut state);
-        }
-        sched::add_timer(&mut state, at, TimerKind::Wake(self.me));
-        {
-            let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
-            rec.sleeping = true;
-            rec.state = RunState::Blocked;
-        }
-        debug_assert_eq!(state.running, Some(self.me));
-        state.running = None;
-        inner.reschedule(&mut state);
-        self.park(&mut state)
+        let mut state = self.kernel.inner.lock();
+        self.sleep_locked(&mut state, at)
     }
 
     /// Suspends this thread for the given duration (in kernel time).
@@ -469,8 +445,27 @@ impl<'k> Ctx<'k> {
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn sleep(&mut self, d: Duration) -> Result<(), KernelError> {
-        let at = self.now() + d;
-        self.sleep_until(at)
+        let inner = &self.kernel.inner;
+        let mut state = inner.lock();
+        let at = inner.now(&state) + d;
+        self.sleep_locked(&mut state, at)
+    }
+
+    fn sleep_locked(&self, state: &mut KGuard<'_>, at: Time) -> Result<(), KernelError> {
+        let inner = &self.kernel.inner;
+        if at <= inner.now(state) {
+            return self.yield_cpu(state);
+        }
+        inner.arm_timer(state, at, TimerKind::Wake(self.me));
+        {
+            let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
+            rec.sleeping = true;
+            rec.state = RunState::Blocked;
+        }
+        debug_assert_eq!(state.running, Some(self.me));
+        state.running = None;
+        inner.reschedule(state);
+        self.park(state)
     }
 
     /// Offers the CPU to any other runnable thread.
@@ -479,7 +474,7 @@ impl<'k> Ctx<'k> {
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn yield_now(&mut self) -> Result<(), KernelError> {
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         self.yield_cpu(&mut state)
     }
 
@@ -490,8 +485,8 @@ impl<'k> Ctx<'k> {
     #[must_use]
     pub fn set_timer(&mut self, at: Time, msg: Message, constraint: Option<Constraint>) -> TimerId {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
-        let id = sched::add_timer(
+        let mut state = inner.lock();
+        inner.arm_timer(
             &mut state,
             at,
             TimerKind::Deliver {
@@ -499,15 +494,12 @@ impl<'k> Ctx<'k> {
                 msg,
                 constraint,
             },
-        );
-        // The dispatcher may need to shorten its sleep.
-        inner.cv_global.notify_all();
-        id
+        )
     }
 
     /// Cancels a pending timer; returns whether it had not yet fired.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         sched::cancel_timer(&mut state, id)
     }
 
@@ -519,21 +511,17 @@ impl<'k> Ctx<'k> {
         state.rec(self.me).and_then(|r| r.cur)
     }
 
-    fn clear_waiting_on(&mut self) {
-        let mut state = self.kernel.inner.state.lock();
-        if let Some(rec) = state.rec_mut(self.me) {
-            rec.waiting_on = None;
-        }
-    }
-
     /// Parks until this thread is first granted the CPU.
     pub(crate) fn park_initial(&mut self) -> Result<(), KernelError> {
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         self.park(&mut state)
     }
 
-    /// Waits (with the lock held on entry) until this thread is Running.
-    fn park(&self, state: &mut MutexGuard<'_, KState>) -> Result<(), KernelError> {
+    /// Waits (with the lock held on entry and on return) until this thread
+    /// is Running. The first pass through [`KGuard::wait`] hands the wake of
+    /// whoever was just granted the CPU over with the lock released; only
+    /// then, still not Running, does this thread sleep.
+    fn park(&self, state: &mut KGuard<'_>) -> Result<(), KernelError> {
         loop {
             if state.shutdown {
                 return Err(KernelError::Shutdown);
@@ -543,27 +531,33 @@ impl<'k> Ctx<'k> {
                 Some(_) => {}
                 None => return Err(KernelError::Shutdown),
             }
-            self.cv.wait(state);
+            state.wait(&self.cv);
         }
     }
 
     /// The core blocking receive: takes a matching message or gives up the
-    /// CPU until one arrives. With `check_peer`, also fails when the peer
-    /// of an outstanding synchronous send terminates.
-    fn blocking_receive(
-        &mut self,
-        spec: &MatchSpec,
-        check_peer: bool,
+    /// CPU until one arrives. With `sync`, the receive is the wait of an
+    /// outstanding synchronous send: it fails when the peer terminates, and
+    /// the reply's arrival ends the priority donation to the peer.
+    fn blocking_receive(&mut self, spec: SpecRef<'_>, sync: bool) -> Result<Envelope, KernelError> {
+        let mut state = self.kernel.inner.lock();
+        self.receive_locked(&mut state, spec, sync)
+    }
+
+    fn receive_locked(
+        &self,
+        state: &mut KGuard<'_>,
+        spec: SpecRef<'_>,
+        sync: bool,
     ) -> Result<Envelope, KernelError> {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
         loop {
             if state.shutdown {
                 return Err(KernelError::Shutdown);
             }
             {
                 let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
-                if check_peer {
+                if sync {
                     if let Some(peer) = rec.peer_gone.take() {
                         rec.waiting_on = None;
                         return Err(KernelError::PeerGone(peer));
@@ -571,20 +565,23 @@ impl<'k> Ctx<'k> {
                 }
                 if let Some(idx) = rec.find_match(spec) {
                     let env = rec.mailbox.remove(idx).expect("index from find_match");
+                    if sync && spec.is_reply(&env) {
+                        rec.waiting_on = None;
+                    }
                     return Ok(env);
                 }
                 rec.state = RunState::Blocked;
-                rec.wait = Some(spec.clone());
+                rec.set_wait(spec);
             }
             debug_assert_eq!(state.running, Some(self.me));
             state.running = None;
-            inner.reschedule(&mut state);
-            self.park(&mut state)?;
+            inner.reschedule(state);
+            self.park(state)?;
         }
     }
 
     /// Gives up the CPU, staying runnable; returns once rescheduled.
-    fn yield_cpu(&self, state: &mut MutexGuard<'_, KState>) -> Result<(), KernelError> {
+    fn yield_cpu(&self, state: &mut KGuard<'_>) -> Result<(), KernelError> {
         let inner = &self.kernel.inner;
         if state.shutdown {
             return Err(KernelError::Shutdown);
@@ -604,18 +601,19 @@ impl<'k> Ctx<'k> {
 
     /// After waking another thread: hand over the CPU if that thread is now
     /// more urgent than we are.
-    fn maybe_preempt(&self, state: &mut MutexGuard<'_, KState>) -> Result<(), KernelError> {
+    fn maybe_preempt(&self, state: &mut KGuard<'_>) -> Result<(), KernelError> {
         let inner = &self.kernel.inner;
         if !inner.cfg.preemptive || state.running != Some(self.me) {
             return Ok(());
         }
-        let my_eff = sched::effective(state, &inner.cfg, self.me, &mut Vec::new());
+        let mut my_eff = None;
         let someone_better = state.threads.iter().any(|(&id, rec)| {
-            id != self.me
-                && !rec.external
-                && rec.state == RunState::Runnable
-                && sched::effective(state, &inner.cfg, id, &mut Vec::new()).urgency_cmp(&my_eff)
+            id != self.me && !rec.external && rec.state == RunState::Runnable && {
+                let mine =
+                    my_eff.get_or_insert_with(|| sched::effective(state, &inner.cfg, self.me));
+                sched::effective(state, &inner.cfg, id).urgency_cmp(mine)
                     == std::cmp::Ordering::Greater
+            }
         });
         if someone_better {
             self.yield_cpu(state)

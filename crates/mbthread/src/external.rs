@@ -14,11 +14,10 @@
 use crate::clock::Time;
 use crate::constraint::Constraint;
 use crate::error::{KernelError, SendError};
-use crate::kernel::Kernel;
-use crate::message::{Envelope, MatchSpec, Message, ReplyToken};
+use crate::kernel::{KGuard, Kernel};
+use crate::message::{Envelope, MatchSpec, Message, SpecRef};
 use crate::record::{RunState, ThreadId};
 use crate::sched::{self};
-use crate::stats::StatCounters;
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::Condvar;
 use std::sync::Arc;
@@ -38,7 +37,7 @@ pub struct ExternalPort {
 impl ExternalPort {
     pub(crate) fn new(kernel: Kernel, id: ThreadId) -> Self {
         let cv = {
-            let state = kernel.inner.state.lock();
+            let state = kernel.inner.lock();
             Arc::clone(&state.rec(id).expect("external record exists").cv)
         };
         ExternalPort { kernel, id, cv }
@@ -79,19 +78,11 @@ impl ExternalPort {
         constraint: Option<Constraint>,
     ) -> Result<(), SendError> {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
-        let seq = state.send_seq;
-        state.send_seq += 1;
-        let env = Envelope {
-            from: Some(self.id),
-            msg,
-            constraint,
-            reply_to: None,
-            in_reply: None,
-            seq,
-        };
+        let mut state = inner.lock();
+        let env = state.stamp(Some(self.id), msg, constraint);
         sched::enqueue(&mut state, &inner.stats, to, env)?;
-        // Kick the dispatcher in case the kernel was idle.
+        // If the kernel was idle the target gets the CPU here; its OS
+        // thread is woken when `state` drops.
         inner.reschedule(&mut state);
         Ok(())
     }
@@ -114,14 +105,14 @@ impl ExternalPort {
     /// kernel is shutting down.
     pub fn send_at(&self, to: ThreadId, at: Time, msg: Message) -> Result<TimerId, SendError> {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
+        let mut state = inner.lock();
         if state.shutdown {
             return Err(SendError::Shutdown);
         }
         if state.rec(to).is_none() {
             return Err(SendError::UnknownThread(to));
         }
-        let id = sched::add_timer(
+        Ok(inner.arm_timer(
             &mut state,
             at,
             TimerKind::Deliver {
@@ -129,11 +120,7 @@ impl ExternalPort {
                 msg,
                 constraint: None,
             },
-        );
-        // The dispatcher may need to shorten its sleep for the new
-        // deadline.
-        inner.reschedule(&mut state);
-        Ok(id)
+        ))
     }
 
     /// Sends a message and blocks the calling OS thread until the kernel
@@ -145,32 +132,10 @@ impl ExternalPort {
     /// kernel shuts down.
     pub fn send_sync(&self, to: ThreadId, msg: Message) -> Result<Envelope, KernelError> {
         let inner = &self.kernel.inner;
-        let token = {
-            let mut state = inner.state.lock();
-            let token = state.next_token;
-            state.next_token += 1;
-            let seq = state.send_seq;
-            state.send_seq += 1;
-            let env = Envelope {
-                from: Some(self.id),
-                msg,
-                constraint: None,
-                reply_to: Some(ReplyToken(token)),
-                in_reply: None,
-                seq,
-            };
-            sched::enqueue(&mut state, &inner.stats, to, env).map_err(KernelError::from)?;
-            StatCounters::bump(&inner.stats.sync_sends);
-            state.pending_tokens.insert(token);
-            if let Some(rec) = state.rec_mut(self.id) {
-                rec.waiting_on = Some(to);
-            }
-            inner.reschedule(&mut state);
-            token
-        };
-        let spec = MatchSpec::Reply(token);
-        let out = self.blocking_recv(&spec, None);
-        let mut state = inner.state.lock();
+        let mut state = inner.lock();
+        let token = sched::enqueue_request(&mut state, &inner.stats, self.id, to, msg, None)?;
+        inner.reschedule(&mut state);
+        let out = self.recv_locked(&mut state, SpecRef::reply_or_tags(token, &[]), None);
         state.pending_tokens.remove(&token);
         if let Some(rec) = state.rec_mut(self.id) {
             rec.waiting_on = None;
@@ -215,9 +180,17 @@ impl ExternalPort {
         spec: &MatchSpec,
         timeout: Option<Duration>,
     ) -> Option<Result<Envelope, KernelError>> {
-        let inner = &self.kernel.inner;
+        let mut state = self.kernel.inner.lock();
+        self.recv_locked(&mut state, spec.as_ref(), timeout)
+    }
+
+    fn recv_locked(
+        &self,
+        state: &mut KGuard<'_>,
+        spec: SpecRef<'_>,
+        timeout: Option<Duration>,
+    ) -> Option<Result<Envelope, KernelError>> {
         let deadline = timeout.map(|d| std::time::Instant::now() + d);
-        let mut state = inner.state.lock();
         loop {
             if state.shutdown {
                 return Some(Err(KernelError::Shutdown));
@@ -237,23 +210,17 @@ impl ExternalPort {
             }
             match deadline {
                 Some(dl) => {
-                    let now = std::time::Instant::now();
-                    if now >= dl {
+                    // The mailbox was re-checked above, so a wait that
+                    // timed out reports the timeout from here.
+                    let left = dl.checked_duration_since(std::time::Instant::now())?;
+                    if left.is_zero() {
                         return None;
                     }
-                    let res = self.cv.wait_for(&mut state, dl - now);
-                    if res.timed_out() {
-                        // Re-check the mailbox once more before reporting
-                        // the timeout.
-                        let rec = state.rec_mut(self.id)?;
-                        if let Some(idx) = rec.find_match(spec) {
-                            let env = rec.mailbox.remove(idx).expect("index from find_match");
-                            return Some(Ok(env));
-                        }
-                        return None;
-                    }
+                    state.wait_for(&self.cv, left);
                 }
-                None => self.cv.wait(&mut state),
+                None => {
+                    state.wait(&self.cv);
+                }
             }
         }
     }
@@ -262,7 +229,7 @@ impl ExternalPort {
 impl Drop for ExternalPort {
     fn drop(&mut self) {
         let inner = &self.kernel.inner;
-        let mut state = inner.state.lock();
+        let mut state = inner.lock();
         if state.rec(self.id).is_some() {
             sched::terminate(&mut state, self.id);
             // terminate() keeps the record for diagnostics; mark it Done so
@@ -270,6 +237,7 @@ impl Drop for ExternalPort {
             if let Some(rec) = state.rec_mut(self.id) {
                 rec.state = RunState::Done;
             }
+            // Kernel threads that were waiting on this port are runnable.
             inner.reschedule(&mut state);
         }
     }

@@ -8,9 +8,11 @@ use crate::external::ExternalPort;
 use crate::record::{CodeFn, Flow, ThreadId, ThreadRec};
 use crate::sched::{self, KState, SchedConfig};
 use crate::stats::{KernelStats, StatCounters};
-use parking_lot::{Condvar, Mutex};
+use crate::timer::{TimerId, TimerKind};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,31 +69,132 @@ impl KernelConfig {
 }
 
 pub(crate) struct KernelInner {
-    pub(crate) state: Mutex<KState>,
-    /// Notified on every scheduling-relevant state change; the dispatcher
-    /// and quiescence waiters sleep on it.
-    pub(crate) cv_global: Condvar,
-    pub(crate) epoch: std::time::Instant,
+    /// Locked only through [`KernelInner::lock`], whose guard delivers the
+    /// wakes a critical section produced after releasing the mutex.
+    state: Mutex<KState>,
+    /// The dispatcher and quiescence waiters sleep on it; see
+    /// [`dispatcher_main`] for when it is notified.
+    cv_global: Condvar,
+    epoch: std::time::Instant,
     pub(crate) cfg: SchedConfig,
     pub(crate) stats: StatCounters,
     pub(crate) joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl KernelInner {
+    pub(crate) fn lock(&self) -> KGuard<'_> {
+        KGuard {
+            inner: self,
+            guard: Some(self.state.lock()),
+        }
+    }
+
+    fn real_now(&self) -> Time {
+        Time::from_nanos(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    }
+
     /// Current kernel time under the lock-holder's view of the world.
     pub(crate) fn now(&self, state: &KState) -> Time {
         match self.cfg.clock {
-            ClockMode::Real => {
-                Time::from_nanos(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
-            }
+            ClockMode::Real => self.real_now(),
             ClockMode::Virtual => state.vnow,
         }
     }
 
+    /// Fires due timers and, if the CPU is free, grants it to the best
+    /// runnable thread. Called when a thread gives up the CPU and when an
+    /// external thread may have made one runnable.
     pub(crate) fn reschedule(&self, state: &mut KState) {
-        let now = self.now(state);
-        sched::reschedule(state, &self.cfg, &self.stats, now);
-        self.cv_global.notify_all();
+        if !state.timers.is_empty() {
+            let now = self.now(state);
+            sched::fire_due_timers(state, &self.stats, now);
+        }
+        sched::dispatch(state, &self.cfg, &self.stats);
+        let clock_may_jump = self.cfg.clock == ClockMode::Virtual && !state.timers.is_empty();
+        if state.running.is_none() && (clock_may_jump || state.quiescence_waiters > 0) {
+            // The kernel went idle: the dispatcher advances virtual time,
+            // quiescence waiters re-check.
+            state.wakes.dispatcher = true;
+        }
+    }
+
+    /// Registers a timer and tells the dispatcher about the new deadline.
+    pub(crate) fn arm_timer(&self, state: &mut KState, at: Time, kind: TimerKind) -> TimerId {
+        let id = sched::add_timer(state, at, kind);
+        // Under the virtual clock a running thread's timers are picked up
+        // by the idle rule when it blocks.
+        if self.cfg.clock == ClockMode::Real || state.running.is_none() {
+            // The timer set changed: the dispatcher's sleep may be too long.
+            state.wakes.dispatcher = true;
+        }
+        id
+    }
+}
+
+/// The kernel mutex guard. Scheduling code never wakes an OS thread itself;
+/// it records the wake in [`KState::wakes`], and this guard issues it once
+/// the mutex is released — on drop, or before sleeping in
+/// [`KGuard::wait`] — so a woken thread never runs into a held lock.
+pub(crate) struct KGuard<'a> {
+    inner: &'a KernelInner,
+    /// `None` only inside `drop`.
+    guard: Option<MutexGuard<'a, KState>>,
+}
+
+impl KGuard<'_> {
+    /// Sleeps on `cv` until notified. If this critical section owes wakes,
+    /// delivers them with the mutex released instead and returns `false`
+    /// without sleeping: the state may have changed meanwhile, so the
+    /// caller re-checks its predicate as after a spurious wake-up.
+    pub(crate) fn wait(&mut self, cv: &Condvar) -> bool {
+        if self.deliver_wakes() {
+            return false;
+        }
+        cv.wait(self.guard.as_mut().expect("guard held"));
+        true
+    }
+
+    /// [`KGuard::wait`] with a timeout.
+    pub(crate) fn wait_for(&mut self, cv: &Condvar, timeout: Duration) -> bool {
+        if self.deliver_wakes() {
+            return false;
+        }
+        let _ = cv.wait_for(self.guard.as_mut().expect("guard held"), timeout);
+        true
+    }
+
+    fn deliver_wakes(&mut self) -> bool {
+        let wakes = std::mem::take(&mut self.wakes);
+        if wakes.is_empty() {
+            return false;
+        }
+        let cv_global = &self.inner.cv_global;
+        MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
+            wakes.deliver(cv_global);
+        });
+        true
+    }
+}
+
+impl Deref for KGuard<'_> {
+    type Target = KState;
+
+    fn deref(&self) -> &KState {
+        self.guard.as_ref().expect("guard held")
+    }
+}
+
+impl DerefMut for KGuard<'_> {
+    fn deref_mut(&mut self) -> &mut KState {
+        self.guard.as_mut().expect("guard held")
+    }
+}
+
+impl Drop for KGuard<'_> {
+    fn drop(&mut self) {
+        let wakes = std::mem::take(&mut self.wakes);
+        drop(self.guard.take());
+        wakes.deliver(&self.inner.cv_global);
     }
 }
 
@@ -110,7 +213,7 @@ pub struct Kernel {
 
 impl fmt::Debug for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut state = self.inner.state.lock();
+        let mut state = self.inner.lock();
         f.debug_struct("Kernel")
             .field("clock", &self.inner.cfg.clock)
             .field("threads", &state.threads.len())
@@ -161,8 +264,10 @@ impl Kernel {
     /// Current kernel time.
     #[must_use]
     pub fn now(&self) -> Time {
-        let state = self.inner.state.lock();
-        self.inner.now(&state)
+        match self.inner.cfg.clock {
+            ClockMode::Real => self.inner.real_now(),
+            ClockMode::Virtual => self.inner.lock().vnow,
+        }
     }
 
     /// A snapshot of the kernel's activity counters.
@@ -187,7 +292,7 @@ impl Kernel {
     ) -> Result<ThreadId, KernelError> {
         let opts = opts.into();
         let id = {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.lock();
             if state.shutdown {
                 return Err(KernelError::Shutdown);
             }
@@ -217,7 +322,7 @@ impl Kernel {
     #[must_use]
     pub fn external(&self, name: &str) -> ExternalPort {
         let id = {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.lock();
             let id = state.alloc_thread_id();
             state
                 .threads
@@ -253,7 +358,7 @@ impl Kernel {
     /// released. Release first, then wait.
     pub fn freeze_clock(&self) -> ClockHold {
         {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.lock();
             state.clock_holds += 1;
         }
         ClockHold {
@@ -274,26 +379,25 @@ impl Kernel {
             !on_kernel_thread(),
             "wait_quiescent must not be called from a kernel thread"
         );
-        let mut state = self.inner.state.lock();
-        loop {
-            if state.shutdown || state.is_idle() {
-                return;
-            }
-            self.inner.cv_global.wait(&mut state);
+        let mut state = self.inner.lock();
+        state.quiescence_waiters += 1;
+        while !(state.shutdown || state.is_idle()) {
+            state.wait(&self.inner.cv_global);
         }
+        state.quiescence_waiters -= 1;
     }
 
     /// Whether shutdown has been initiated.
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.inner.state.lock().shutdown
+        self.inner.lock().shutdown
     }
 
     /// A human-readable dump of every thread's state, for debugging
     /// deadlocks.
     #[must_use]
     pub fn thread_dump(&self) -> String {
-        let state = self.inner.state.lock();
+        let state = self.inner.lock();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -308,7 +412,7 @@ impl Kernel {
                 rec.name,
                 rec.state,
                 rec.mailbox.len(),
-                rec.wait,
+                rec.wait_spec(),
                 rec.sleeping,
                 rec.cur,
                 rec.external,
@@ -331,12 +435,8 @@ impl Kernel {
             "shutdown must not be called from a kernel thread"
         );
         let panic_info = {
-            let mut state = self.inner.state.lock();
-            state.shutdown = true;
-            for rec in state.threads.values() {
-                rec.cv.notify_all();
-            }
-            self.inner.cv_global.notify_all();
+            let mut state = self.inner.lock();
+            state.begin_shutdown();
             state.panic.clone()
         };
         let handles: Vec<_> = std::mem::take(&mut *self.inner.joins.lock());
@@ -371,10 +471,11 @@ impl ClockHold {
             return;
         }
         self.released = true;
-        let mut state = self.kernel.inner.state.lock();
+        let mut state = self.kernel.inner.lock();
         state.clock_holds = state.clock_holds.saturating_sub(1);
-        // Wake the dispatcher so a now-permitted jump happens promptly.
-        self.kernel.inner.cv_global.notify_all();
+        // A clock hold was released: the dispatcher may now be allowed to
+        // jump to the next deadline.
+        state.wakes.dispatcher = true;
     }
 }
 
@@ -406,15 +507,13 @@ fn thread_main(inner: &Arc<KernelInner>, me: ThreadId, mut code: Box<dyn CodeFn>
         }
         code.on_start(&mut ctx);
         while let Ok(env) = ctx.main_receive() {
-            let flow = code.on_message(&mut ctx, env);
-            ctx.clear_current_constraint();
-            if flow == Flow::Stop {
+            if code.on_message(&mut ctx, env) == Flow::Stop {
                 break;
             }
         }
     }));
 
-    let mut state = inner.state.lock();
+    let mut state = inner.lock();
     if let Err(payload) = result {
         let msg = panic_message(payload.as_ref());
         let name = state
@@ -425,10 +524,7 @@ fn thread_main(inner: &Arc<KernelInner>, me: ThreadId, mut code: Box<dyn CodeFn>
         }
         // A panicking thread poisons the kernel: everything shuts down so
         // the failure is loud rather than a silent hang.
-        state.shutdown = true;
-        for rec in state.threads.values() {
-            rec.cv.notify_all();
-        }
+        state.begin_shutdown();
     }
     sched::terminate(&mut state, me);
     inner.reschedule(&mut state);
@@ -445,69 +541,61 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The dispatcher: fires timers, advances virtual time when the kernel is
-/// otherwise blocked, and grants the CPU when no user thread is in a
-/// position to do so itself.
+/// otherwise blocked, and grants the CPU when a timer made a thread runnable
+/// while no user thread held it.
+///
+/// It sleeps on `cv_global` and is woken only for something it (or a
+/// `wait_quiescent` caller sharing the condvar) acts on:
+///
+/// * the kernel went idle — no thread running, none runnable — and either
+///   the clock is virtual with a timer to jump to, or a `wait_quiescent`
+///   caller is registered ([`KernelInner::reschedule`]; the dispatcher does
+///   the same when its own timer firing leaves the kernel quiescent),
+/// * a timer was armed ([`KernelInner::arm_timer`]),
+/// * a clock hold was released,
+/// * shutdown began.
+///
+/// Sends, replies and CPU hand-offs between threads never wake it. Like
+/// every OS wake in this crate, the notification is issued by [`KGuard`]
+/// after the kernel mutex is released.
 fn dispatcher_main(inner: &Arc<KernelInner>) {
     IS_KERNEL_THREAD.with(|c| c.set(true));
-    let mut state = inner.state.lock();
+    let mut state = inner.lock();
     loop {
         if state.shutdown {
             // Wake everyone so blocked threads observe shutdown.
-            for rec in state.threads.values() {
-                rec.cv.notify_all();
-            }
-            inner.cv_global.notify_all();
+            state.begin_shutdown();
             return;
         }
         let now = inner.now(&state);
-        sched::reschedule(&mut state, &inner.cfg, &inner.stats, now);
+        let fired = sched::fire_due_timers(&mut state, &inner.stats, now);
+        sched::dispatch(&mut state, &inner.cfg, &inner.stats);
+        let idle = state.running.is_none();
 
-        if state.running.is_none() && !state.has_runnable() {
-            match state.next_timer_deadline() {
-                Some(at) => match inner.cfg.clock {
-                    ClockMode::Virtual => {
-                        if state.clock_holds > 0 {
-                            // A construction barrier is up: the program is
-                            // still being assembled from outside, so do
-                            // not jump to the deadline — wait for the
-                            // release (or for new work) instead.
-                            inner.cv_global.wait(&mut state);
-                            continue;
-                        }
-                        // Everything is blocked: jump time forward to the
-                        // next deadline. This is the only place virtual
-                        // time advances.
-                        state.vnow = state.vnow.max(at);
-                        continue;
-                    }
-                    ClockMode::Real => {
-                        let dur = at - now;
-                        let _ = inner
-                            .cv_global
-                            .wait_for(&mut state, dur.max(Duration::from_micros(50)));
-                    }
-                },
-                None => {
-                    // Fully idle: tell quiescence waiters, then sleep until
-                    // external input arrives.
-                    inner.cv_global.notify_all();
-                    inner.cv_global.wait(&mut state);
-                }
+        let slept = match (state.next_timer_deadline(), inner.cfg.clock) {
+            // Everything is blocked and no construction barrier is up
+            // (under one the program is still being assembled from outside,
+            // so wait for the release instead): jump time forward to the
+            // next deadline. This is the only place virtual time advances.
+            (Some(at), ClockMode::Virtual) if idle && state.clock_holds == 0 => {
+                state.vnow = state.vnow.max(at);
+                continue;
             }
-        } else {
-            // Work is in progress; sleep until the next timer (real time)
-            // or until a state change needs us.
-            match (inner.cfg.clock, state.next_timer_deadline()) {
-                (ClockMode::Real, Some(at)) => {
-                    let dur = at - inner.now(&state);
-                    let _ = inner
-                        .cv_global
-                        .wait_for(&mut state, dur.max(Duration::from_micros(50)));
-                }
-                _ => {
-                    inner.cv_global.wait(&mut state);
-                }
+            (Some(at), ClockMode::Real) => {
+                let dur = (at - now).max(Duration::from_micros(50));
+                state.wait_for(&inner.cv_global, dur)
             }
+            (pending, _) => {
+                if idle && fired > 0 && pending.is_none() && state.quiescence_waiters > 0 {
+                    // The last timer fired without making anything
+                    // runnable: the kernel went idle here, not in a thread.
+                    state.wakes.dispatcher = true;
+                }
+                state.wait(&inner.cv_global)
+            }
+        };
+        if slept {
+            StatCounters::bump(&inner.stats.dispatcher_wakeups);
         }
     }
 }

@@ -31,6 +31,31 @@
 //! the microsecond-scale cost that §4 of the paper reports, two orders of
 //! magnitude above a plain function call.
 //!
+//! # What a message operation costs
+//!
+//! A send, reply or receive is one critical section under the kernel
+//! mutex and wakes at most the one OS thread that must run next:
+//!
+//! * **No OS wake is issued with the kernel mutex held.** Granting the CPU
+//!   (or queueing a message for an [`ExternalPort`]) only records the wake;
+//!   the lock guard delivers it after releasing the mutex — a parking
+//!   thread unlocks, notifies its successor, relocks and then waits for its
+//!   own turn — so a woken thread never blocks on the lock its waker still
+//!   holds.
+//! * **The dispatcher is not on the message path.** Its OS thread (timers,
+//!   virtual-time jumps) is woken only when the kernel goes idle — no
+//!   thread running or runnable — with a virtual-clock jump or a
+//!   [`Kernel::wait_quiescent`] caller pending, when a timer is armed
+//!   ([`Ctx::set_timer`], [`Ctx::sleep_until`], [`ExternalPort::send_at`]),
+//!   when a [`ClockHold`] is released, and at shutdown. Sends, replies and
+//!   hand-offs between threads never wake it;
+//!   [`KernelStats::dispatcher_wakeups`] counts the times it did wake.
+//! * The hand-off allocates nothing: tag sets of blocked receives are
+//!   copied into a per-thread buffer that is reused, and effective
+//!   priorities are computed by iteration over the thread table.
+//!
+//! # Clocks
+//!
 //! The kernel clock can be **real** or **virtual**. Under the virtual clock,
 //! time advances only when every thread is blocked, which makes timing-
 //! dependent pipelines (clocked pumps, network latency models) fully

@@ -223,14 +223,58 @@ impl MatchSpec {
     /// Whether `env` satisfies this spec.
     #[must_use]
     pub fn matches(&self, env: &Envelope) -> bool {
+        self.as_ref().matches(env)
+    }
+
+    pub(crate) fn as_ref(&self) -> SpecRef<'_> {
         match self {
-            MatchSpec::Any => true,
-            MatchSpec::Tags(tags) => tags.contains(&env.msg.tag()),
-            MatchSpec::Reply(tok) => env.in_reply == Some(ReplyToken(*tok)),
-            MatchSpec::ReplyOrTags(tok, tags) => {
-                env.in_reply == Some(ReplyToken(*tok)) || tags.contains(&env.msg.tag())
-            }
+            MatchSpec::Any => SpecRef::ANY,
+            MatchSpec::Tags(tags) => SpecRef::tags(tags),
+            MatchSpec::Reply(tok) => SpecRef::reply_or_tags(*tok, &[]),
+            MatchSpec::ReplyOrTags(tok, tags) => SpecRef::reply_or_tags(*tok, tags),
         }
+    }
+}
+
+/// The borrowed form of a [`MatchSpec`] that receives are matched against,
+/// so a wait on a caller's `&[Tag]` needs no owned tag set.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct SpecRef<'a> {
+    pub(crate) any: bool,
+    pub(crate) reply: Option<ReplyToken>,
+    pub(crate) tags: &'a [Tag],
+}
+
+impl<'a> SpecRef<'a> {
+    pub(crate) const ANY: SpecRef<'static> = SpecRef {
+        any: true,
+        reply: None,
+        tags: &[],
+    };
+
+    pub(crate) fn tags(tags: &'a [Tag]) -> Self {
+        SpecRef {
+            any: false,
+            reply: None,
+            tags,
+        }
+    }
+
+    pub(crate) fn reply_or_tags(token: u64, tags: &'a [Tag]) -> Self {
+        SpecRef {
+            any: false,
+            reply: Some(ReplyToken(token)),
+            tags,
+        }
+    }
+
+    /// Whether `env` is the reply this spec waits for.
+    pub(crate) fn is_reply(&self, env: &Envelope) -> bool {
+        self.reply.is_some() && env.in_reply == self.reply
+    }
+
+    pub(crate) fn matches(&self, env: &Envelope) -> bool {
+        self.any || self.is_reply(env) || self.tags.contains(&env.msg.tag())
     }
 }
 

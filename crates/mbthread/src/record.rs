@@ -3,7 +3,7 @@
 
 use crate::constraint::{Constraint, Priority};
 use crate::ctx::Ctx;
-use crate::message::{Envelope, MatchSpec};
+use crate::message::{Envelope, ReplyToken, SpecRef, Tag};
 use parking_lot::Condvar;
 use std::collections::VecDeque;
 use std::fmt;
@@ -82,7 +82,7 @@ pub(crate) enum RunState {
     /// The single thread currently executing.
     Running,
     /// Suspended waiting for a matching message (spec in
-    /// [`ThreadRec::wait`]) or for a timer ([`ThreadRec::sleeping`]).
+    /// [`ThreadRec::wait_spec`]) or for a timer ([`ThreadRec::sleeping`]).
     Blocked,
     /// Terminated; kept for diagnostics until the kernel is dropped.
     Done,
@@ -94,8 +94,14 @@ pub(crate) struct ThreadRec {
     pub(crate) static_pri: Priority,
     pub(crate) mailbox: VecDeque<Envelope>,
     pub(crate) state: RunState,
-    /// Match spec for a blocked receive; `None` while not receive-blocked.
-    pub(crate) wait: Option<MatchSpec>,
+    /// Whether a blocked receive is in progress, and the owned copy of its
+    /// match spec: set by [`ThreadRec::set_wait`], read through
+    /// [`ThreadRec::wait_spec`]. The tag buffer keeps its allocation from
+    /// one wait to the next.
+    pub(crate) receive_blocked: bool,
+    wait_any: bool,
+    wait_reply: Option<ReplyToken>,
+    wait_tags: Vec<Tag>,
     /// True while blocked in a sleep (woken by a timer, not a message).
     pub(crate) sleeping: bool,
     /// Constraint of the message currently being processed (set by the
@@ -132,7 +138,10 @@ impl ThreadRec {
             } else {
                 RunState::Runnable
             },
-            wait: None,
+            receive_blocked: false,
+            wait_any: false,
+            wait_reply: None,
+            wait_tags: Vec::new(),
             sleeping: false,
             cur: None,
             processing: false,
@@ -145,8 +154,27 @@ impl ThreadRec {
     }
 
     /// Index of the first queued envelope matching `spec`.
-    pub(crate) fn find_match(&self, spec: &MatchSpec) -> Option<usize> {
+    pub(crate) fn find_match(&self, spec: SpecRef<'_>) -> Option<usize> {
         self.mailbox.iter().position(|env| spec.matches(env))
+    }
+
+    /// Records `spec` as what this thread's blocked receive accepts.
+    pub(crate) fn set_wait(&mut self, spec: SpecRef<'_>) {
+        self.receive_blocked = true;
+        self.wait_any = spec.any;
+        self.wait_reply = spec.reply;
+        self.wait_tags.clear();
+        self.wait_tags.extend_from_slice(spec.tags);
+    }
+
+    /// The match spec of the blocked receive; `None` while not
+    /// receive-blocked.
+    pub(crate) fn wait_spec(&self) -> Option<SpecRef<'_>> {
+        self.receive_blocked.then_some(SpecRef {
+            any: self.wait_any,
+            reply: self.wait_reply,
+            tags: &self.wait_tags,
+        })
     }
 }
 
@@ -156,7 +184,7 @@ impl fmt::Debug for ThreadRec {
             .field("name", &self.name)
             .field("state", &self.state)
             .field("queued", &self.mailbox.len())
-            .field("wait", &self.wait)
+            .field("wait", &self.wait_spec())
             .field("sleeping", &self.sleeping)
             .field("cur", &self.cur)
             .finish()

@@ -4,17 +4,59 @@
 //! All of this runs under the single kernel mutex, which is what gives the
 //! package its uniprocessor semantics: at most one user thread executes at
 //! any instant, and every scheduling decision is a serialized state
-//! transition.
+//! transition. Nothing here wakes an OS thread: a transition that needs
+//! one records it in [`KState::wakes`], and the kernel guard delivers it
+//! after the mutex is released.
 
 use crate::clock::{ClockMode, Time};
 use crate::constraint::{Constraint, Priority};
 use crate::error::SendError;
-use crate::message::Envelope;
+use crate::message::{Envelope, Message, ReplyToken};
 use crate::record::{RunState, ThreadId, ThreadRec};
 use crate::stats::StatCounters;
 use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
+use parking_lot::Condvar;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
+
+/// OS wakes a critical section has produced but not yet issued. A hand-off
+/// produces exactly one, which lives in the inline slot, so the message
+/// path never allocates here.
+#[derive(Default)]
+pub(crate) struct Wakes {
+    /// Notify `cv_global`: the dispatcher and `wait_quiescent` callers.
+    pub(crate) dispatcher: bool,
+    first: Option<Arc<Condvar>>,
+    rest: Vec<Arc<Condvar>>,
+}
+
+impl Wakes {
+    pub(crate) fn push(&mut self, cv: Arc<Condvar>) {
+        if self.first.is_none() {
+            self.first = Some(cv);
+        } else {
+            self.rest.push(cv);
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.dispatcher && self.first.is_none()
+    }
+
+    /// Issues the wakes. Must be called with the kernel mutex released, so
+    /// a woken thread finds it free.
+    pub(crate) fn deliver(self, cv_global: &Condvar) {
+        for cv in self.first.iter().chain(&self.rest) {
+            cv.notify_all();
+        }
+        if self.dispatcher {
+            // Requested by the idle rule, a timer arming, a clock-hold
+            // release or shutdown (the sites that set `wakes.dispatcher`).
+            cv_global.notify_all();
+        }
+    }
+}
 
 /// Everything the scheduler knows, guarded by the kernel mutex.
 pub(crate) struct KState {
@@ -42,6 +84,11 @@ pub(crate) struct KState {
     pub(crate) pending_tokens: HashSet<u64>,
     /// First panic observed in a user thread (name, message).
     pub(crate) panic: Option<(String, String)>,
+    /// Threads inside [`Kernel::wait_quiescent`]; while nonzero, going idle
+    /// notifies `cv_global` under the real clock too.
+    pub(crate) quiescence_waiters: u32,
+    /// Wakes owed to OS threads once the kernel mutex is released.
+    pub(crate) wakes: Wakes,
 }
 
 impl KState {
@@ -62,6 +109,8 @@ impl KState {
             timer_entries: HashMap::new(),
             pending_tokens: HashSet::new(),
             panic: None,
+            quiescence_waiters: 0,
+            wakes: Wakes::default(),
         }
     }
 
@@ -90,7 +139,7 @@ impl KState {
             );
             if rec.state != RunState::Done {
                 rec.state = RunState::Runnable;
-                rec.wait = None;
+                rec.receive_blocked = false;
                 rec.ready_seq = seq;
             }
         }
@@ -122,6 +171,34 @@ impl KState {
     pub(crate) fn is_idle(&mut self) -> bool {
         self.running.is_none() && !self.has_runnable() && self.next_timer_deadline().is_none()
     }
+
+    /// Wraps `msg` in an envelope carrying the next send sequence number.
+    pub(crate) fn stamp(
+        &mut self,
+        from: Option<ThreadId>,
+        msg: Message,
+        constraint: Option<Constraint>,
+    ) -> Envelope {
+        let seq = self.send_seq;
+        self.send_seq += 1;
+        Envelope {
+            from,
+            msg,
+            constraint,
+            reply_to: None,
+            in_reply: None,
+            seq,
+        }
+    }
+
+    /// Starts shutdown: every blocked OS thread is woken to observe it.
+    pub(crate) fn begin_shutdown(&mut self) {
+        self.shutdown = true;
+        for rec in self.threads.values() {
+            self.wakes.push(Arc::clone(&rec.cv));
+        }
+        self.wakes.dispatcher = true;
+    }
 }
 
 /// Scheduler behaviour switches (a copy of the user-facing config).
@@ -133,16 +210,26 @@ pub(crate) struct SchedConfig {
     pub(crate) priority_scheduling: bool,
 }
 
+/// How many threads deep a donation chain is followed.
+const MAX_DONATION_DEPTH: usize = 16;
+
 /// Computes the effective constraint of a thread per §4 of the paper:
 /// the constraint of the message currently being processed, or — while the
 /// thread waits for the CPU — the constraint of the first queued message;
 /// with priority inheritance, additionally the most urgent constraint among
 /// all queued messages and among threads synchronously waiting on this one.
-pub(crate) fn effective(
+pub(crate) fn effective(state: &KState, cfg: &SchedConfig, id: ThreadId) -> Constraint {
+    effective_along(state, cfg, id, &mut [id; MAX_DONATION_DEPTH], 0)
+}
+
+/// [`effective`] for the thread at the end of the donation chain
+/// `chain[..depth]`.
+fn effective_along(
     state: &KState,
     cfg: &SchedConfig,
     id: ThreadId,
-    visited: &mut Vec<ThreadId>,
+    chain: &mut [ThreadId; MAX_DONATION_DEPTH],
+    depth: usize,
 ) -> Constraint {
     let Some(rec) = state.rec(id) else {
         return Constraint::priority(Priority::LOW);
@@ -169,18 +256,14 @@ pub(crate) fn effective(
         }
         // Donation chains: threads blocked on us in a synchronous send lend
         // us their urgency (classic priority inheritance).
-        if visited.len() < 16 && !visited.contains(&id) {
-            visited.push(id);
-            let waiters: Vec<ThreadId> = state
-                .threads
-                .iter()
-                .filter(|(_, r)| r.waiting_on == Some(id))
-                .map(|(wid, _)| *wid)
-                .collect();
-            for w in waiters {
-                eff = eff.max_urgency(effective(state, cfg, w, visited));
+        if depth < MAX_DONATION_DEPTH && !chain[..depth].contains(&id) {
+            chain[depth] = id;
+            for (&waiter, wrec) in &state.threads {
+                if wrec.waiting_on == Some(id) {
+                    let donated = effective_along(state, cfg, waiter, chain, depth + 1);
+                    eff = eff.max_urgency(donated);
+                }
             }
-            visited.pop();
         }
     }
     eff
@@ -195,7 +278,7 @@ pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
         if rec.state != RunState::Runnable || rec.external {
             continue;
         }
-        let eff = effective(state, cfg, id, &mut Vec::new());
+        let eff = effective(state, cfg, id);
         match &best {
             None => best = Some((id, eff, rec.ready_seq)),
             Some((_, beff, bseq)) => {
@@ -217,7 +300,8 @@ pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
     best.map(|(id, _, _)| id)
 }
 
-/// Hands the CPU to `id`: marks it running and unparks its OS thread.
+/// Hands the CPU to `id`: marks it running and records the wake its OS
+/// thread is owed.
 pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) {
     debug_assert!(state.running.is_none());
     if state.last_running != Some(id) {
@@ -227,14 +311,14 @@ pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) 
     state.running = Some(id);
     let rec = state.rec_mut(id).expect("granted thread exists");
     rec.state = RunState::Running;
-    rec.cv.notify_one();
+    let cv = Arc::clone(&rec.cv);
+    state.wakes.push(cv);
 }
 
-/// If the CPU is free, fires due timers and dispatches the best runnable
-/// thread. Called whenever a thread gives up the CPU and periodically by
-/// the dispatcher.
-pub(crate) fn reschedule(state: &mut KState, cfg: &SchedConfig, stats: &StatCounters, now: Time) {
-    fire_due_timers(state, stats, now);
+/// If the CPU is free, dispatches the best runnable thread. Called (after
+/// firing due timers) whenever a thread gives up the CPU, when an external
+/// thread makes one runnable, and by the dispatcher.
+pub(crate) fn dispatch(state: &mut KState, cfg: &SchedConfig, stats: &StatCounters) {
     if state.running.is_none() && !state.shutdown {
         if let Some(next) = pick_next(state, cfg) {
             grant_cpu(state, stats, next);
@@ -242,8 +326,9 @@ pub(crate) fn reschedule(state: &mut KState, cfg: &SchedConfig, stats: &StatCoun
     }
 }
 
-/// Fires every timer whose deadline has passed.
-pub(crate) fn fire_due_timers(state: &mut KState, stats: &StatCounters, now: Time) {
+/// Fires every timer whose deadline has passed; returns how many fired.
+pub(crate) fn fire_due_timers(state: &mut KState, stats: &StatCounters, now: Time) -> usize {
+    let mut fired = 0;
     loop {
         let due = match state.timers.peek() {
             Some(top) if top.at <= now => *top,
@@ -257,6 +342,7 @@ pub(crate) fn fire_due_timers(state: &mut KState, stats: &StatCounters, now: Tim
             continue;
         }
         StatCounters::bump(&stats.timer_fires);
+        fired += 1;
         match entry.kind {
             TimerKind::Wake(id) => {
                 let asleep = state
@@ -274,26 +360,17 @@ pub(crate) fn fire_due_timers(state: &mut KState, stats: &StatCounters, now: Tim
                 msg,
                 constraint,
             } => {
-                let seq = state.send_seq;
-                state.send_seq += 1;
-                let env = Envelope {
-                    from: None,
-                    msg,
-                    constraint,
-                    reply_to: None,
-                    in_reply: None,
-                    seq,
-                };
+                let env = state.stamp(None, msg, constraint);
                 // A dead target silently drops the delivery.
                 let _ = enqueue(state, stats, to, env);
             }
         }
     }
+    fired
 }
 
-/// Appends an envelope to `to`'s mailbox and wakes the target if it is
-/// blocked on a matching receive. Returns whether the target should now be
-/// considered for preemption.
+/// Appends an envelope to `to`'s mailbox and makes the target runnable if
+/// it is blocked on a matching receive.
 pub(crate) fn enqueue(
     state: &mut KState,
     stats: &StatCounters,
@@ -311,17 +388,40 @@ pub(crate) fn enqueue(
         return Err(SendError::UnknownThread(to));
     }
     StatCounters::bump(&stats.messages_sent);
-    let external = rec.external;
-    let matched = rec.wait.as_ref().is_some_and(|spec| spec.matches(&env));
+    let matched = rec.wait_spec().is_some_and(|spec| spec.matches(&env));
     rec.mailbox.push_back(env);
-    if external {
+    if rec.external {
         // External ports are OS threads waiting on their own condvar; they
         // are not scheduled, just notified.
-        rec.cv.notify_all();
+        let cv = Arc::clone(&rec.cv);
+        state.wakes.push(cv);
     } else if matched && rec.state == RunState::Blocked && !rec.sleeping {
         state.make_runnable(to);
     }
     Ok(())
+}
+
+/// Enqueues `msg` for `to` as a synchronous request from `from` and
+/// registers the wait (reply token, priority donation); returns the token.
+pub(crate) fn enqueue_request(
+    state: &mut KState,
+    stats: &StatCounters,
+    from: ThreadId,
+    to: ThreadId,
+    msg: Message,
+    constraint: Option<Constraint>,
+) -> Result<u64, SendError> {
+    let token = state.next_token;
+    state.next_token += 1;
+    let mut env = state.stamp(Some(from), msg, constraint);
+    env.reply_to = Some(ReplyToken(token));
+    enqueue(state, stats, to, env)?;
+    StatCounters::bump(&stats.sync_sends);
+    state.pending_tokens.insert(token);
+    if let Some(rec) = state.rec_mut(from) {
+        rec.waiting_on = Some(to);
+    }
+    Ok(token)
 }
 
 /// Creates a timer entry and registers it.
@@ -358,7 +458,7 @@ pub(crate) fn terminate(state: &mut KState, id: ThreadId) {
     }
     if let Some(rec) = state.rec_mut(id) {
         rec.state = RunState::Done;
-        rec.wait = None;
+        rec.receive_blocked = false;
         rec.mailbox.clear();
     }
     let orphans: Vec<ThreadId> = state
@@ -371,7 +471,8 @@ pub(crate) fn terminate(state: &mut KState, id: ThreadId) {
         if let Some(rec) = state.rec_mut(w) {
             rec.peer_gone = Some(id);
             if rec.external {
-                rec.cv.notify_all();
+                let cv = Arc::clone(&rec.cv);
+                state.wakes.push(cv);
                 continue;
             }
         }
@@ -446,14 +547,14 @@ mod tests {
             seq: 0,
         };
         enqueue(&mut state, &stats, t, env).unwrap();
-        let eff = effective(&state, &cfg(), t, &mut Vec::new());
+        let eff = effective(&state, &cfg(), t);
         assert_eq!(eff.priority, Priority::CONTROL);
 
         // Without inheritance the head-of-queue rule still applies while
         // waiting for the CPU.
         let mut c = cfg();
         c.priority_inheritance = false;
-        let eff = effective(&state, &c, t, &mut Vec::new());
+        let eff = effective(&state, &c, t);
         assert_eq!(eff.priority, Priority::CONTROL);
     }
 
@@ -476,12 +577,12 @@ mod tests {
         };
         enqueue(&mut state, &stats, t, env).unwrap();
 
-        let eff_pi = effective(&state, &cfg(), t, &mut Vec::new());
+        let eff_pi = effective(&state, &cfg(), t);
         assert_eq!(eff_pi.priority, Priority::CONTROL);
 
         let mut c = cfg();
         c.priority_inheritance = false;
-        let eff_nopi = effective(&state, &c, t, &mut Vec::new());
+        let eff_nopi = effective(&state, &c, t);
         assert_eq!(eff_nopi.priority, Priority::NORMAL);
     }
 
@@ -492,12 +593,12 @@ mod tests {
         let waiter = spawn_rec(&mut state, Priority::HIGH);
         state.rec_mut(waiter).unwrap().state = RunState::Blocked;
         state.rec_mut(waiter).unwrap().waiting_on = Some(holder);
-        let eff = effective(&state, &cfg(), holder, &mut Vec::new());
+        let eff = effective(&state, &cfg(), holder);
         assert_eq!(eff.priority, Priority::HIGH);
 
         let mut c = cfg();
         c.priority_inheritance = false;
-        let eff = effective(&state, &c, holder, &mut Vec::new());
+        let eff = effective(&state, &c, holder);
         assert_eq!(eff.priority, Priority::LOW);
     }
 

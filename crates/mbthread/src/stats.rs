@@ -11,6 +11,7 @@ pub(crate) struct StatCounters {
     pub(crate) sync_sends: AtomicU64,
     pub(crate) timer_fires: AtomicU64,
     pub(crate) threads_spawned: AtomicU64,
+    pub(crate) dispatcher_wakeups: AtomicU64,
 }
 
 impl StatCounters {
@@ -21,6 +22,7 @@ impl StatCounters {
             sync_sends: self.sync_sends.load(Ordering::Relaxed),
             timer_fires: self.timer_fires.load(Ordering::Relaxed),
             threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
+            dispatcher_wakeups: self.dispatcher_wakeups.load(Ordering::Relaxed),
         }
     }
 
@@ -48,6 +50,13 @@ pub struct KernelStats {
     pub timer_fires: u64,
     /// Threads spawned over the kernel's lifetime.
     pub threads_spawned: u64,
+    /// Times the dispatcher OS thread came back from sleeping on its
+    /// condition variable (notified or timed out). It is woken only when
+    /// the kernel goes idle with a clock jump or a quiescence waiter
+    /// pending, when a timer is armed, when a clock hold is released, and
+    /// at shutdown — never per message, so a timer-free message exchange
+    /// leaves this counter unchanged.
+    pub dispatcher_wakeups: u64,
 }
 
 impl KernelStats {
@@ -55,13 +64,14 @@ impl KernelStats {
     /// enumeration observability exporters iterate instead of hard-coding
     /// the field list.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 5] {
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("context_switches", self.context_switches),
             ("messages_sent", self.messages_sent),
             ("sync_sends", self.sync_sends),
             ("timer_fires", self.timer_fires),
             ("threads_spawned", self.threads_spawned),
+            ("dispatcher_wakeups", self.dispatcher_wakeups),
         ]
     }
 
@@ -74,6 +84,7 @@ impl KernelStats {
             sync_sends: self.sync_sends - earlier.sync_sends,
             timer_fires: self.timer_fires - earlier.timer_fires,
             threads_spawned: self.threads_spawned - earlier.threads_spawned,
+            dispatcher_wakeups: self.dispatcher_wakeups - earlier.dispatcher_wakeups,
         }
     }
 }
@@ -90,6 +101,7 @@ mod tests {
             sync_sends: 5,
             timer_fires: 2,
             threads_spawned: 3,
+            dispatcher_wakeups: 7,
         };
         let b = KernelStats {
             context_switches: 4,
@@ -97,6 +109,7 @@ mod tests {
             sync_sends: 1,
             timer_fires: 0,
             threads_spawned: 3,
+            dispatcher_wakeups: 6,
         };
         let d = a.delta_since(&b);
         assert_eq!(d.context_switches, 6);
@@ -104,6 +117,7 @@ mod tests {
         assert_eq!(d.sync_sends, 4);
         assert_eq!(d.timer_fires, 2);
         assert_eq!(d.threads_spawned, 0);
+        assert_eq!(d.dispatcher_wakeups, 1);
     }
 
     #[test]

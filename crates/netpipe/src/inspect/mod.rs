@@ -333,5 +333,6 @@ mod tests {
         assert_eq!(src.subsystem, SUBSYSTEM_KERNEL);
         assert!(src.metric("context_switches").is_some());
         assert!(src.metric("threads_spawned").is_some());
+        assert!(src.metric("dispatcher_wakeups").is_some());
     }
 }

@@ -92,7 +92,19 @@ fn udp_rx_shed_drives_the_drop_level() {
     while server.stats().rx_shed == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let link_stats = server.stats();
+    // The reader thread may still be shedding what the socket buffered:
+    // let the counter settle, or a late shed lands in a window the
+    // recovery below needs calm.
+    let mut link_stats = server.stats();
+    while Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        let later = server.stats();
+        let settled = later.rx_shed == link_stats.rx_shed;
+        link_stats = later;
+        if settled {
+            break;
+        }
+    }
     assert!(
         link_stats.rx_shed > 0,
         "overflow must register as sheds: {link_stats:?}"

@@ -1,8 +1,8 @@
 //! A minimal, API-compatible stand-in for the `parking_lot` crate, backed
 //! by `std::sync`. The build environment has no network access to
 //! crates.io, so the workspace vendors the small slice of the API it
-//! actually uses: `Mutex` (non-poisoning `lock()`), `MutexGuard`, and
-//! `Condvar` with `wait`/`wait_for`.
+//! actually uses: `Mutex` (non-poisoning `lock()`), `MutexGuard` (with
+//! `unlocked`), and `Condvar` with `wait`/`wait_for`.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -35,6 +35,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
+            mutex: &self.inner,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
@@ -42,8 +43,12 @@ impl<T: ?Sized> Mutex<T> {
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(g) => Some(MutexGuard {
+                mutex: &self.inner,
+                inner: Some(g),
+            }),
             Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
+                mutex: &self.inner,
                 inner: Some(p.into_inner()),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
@@ -72,9 +77,23 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard for [`Mutex`]. Holds the std guard in an `Option` so
-/// [`Condvar::wait`] can temporarily take ownership through `&mut`.
+/// [`Condvar::wait`] and [`MutexGuard::unlocked`] can temporarily take
+/// ownership through `&mut`.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a std::sync::Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
+}
+
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Releases the mutex, runs `f`, and re-acquires the mutex before
+    /// returning (an associated function, as in parking_lot: call it as
+    /// `MutexGuard::unlocked(&mut guard, f)`).
+    pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
+        drop(s.inner.take());
+        let out = f();
+        s.inner = Some(s.mutex.lock().unwrap_or_else(PoisonError::into_inner));
+        out
+    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -216,6 +235,20 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
+    }
+
+    #[test]
+    fn unlocked_releases_the_mutex_for_the_closure_only() {
+        let m = Mutex::new(1);
+        let mut g = m.lock();
+        let seen = MutexGuard::unlocked(&mut g, || {
+            let mut inner = m.try_lock().expect("released inside the closure");
+            *inner += 1;
+            *inner
+        });
+        assert_eq!(seen, 2);
+        assert_eq!(*g, 2);
+        assert!(m.try_lock().is_none(), "re-acquired after the closure");
     }
 
     #[test]
