@@ -11,8 +11,8 @@ use crate::constraint::{Constraint, Priority};
 use crate::error::{KernelError, SendError};
 use crate::kernel::{KGuard, Kernel};
 use crate::message::{Envelope, MatchSpec, Message, ReplyToken, SpecRef, Tag};
-use crate::record::{CodeFn, RunState, ThreadId};
 use crate::sched::{self, KState};
+use crate::thread::{CodeFn, RunState, ThreadId};
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::Condvar;
 use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! Error types for kernel operations.
 
-use crate::record::ThreadId;
+use crate::thread::ThreadId;
 use std::error::Error;
 use std::fmt;
 

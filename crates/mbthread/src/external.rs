@@ -16,8 +16,8 @@ use crate::constraint::Constraint;
 use crate::error::{KernelError, SendError};
 use crate::kernel::{KGuard, Kernel};
 use crate::message::{Envelope, MatchSpec, Message, SpecRef};
-use crate::record::{RunState, ThreadId};
 use crate::sched::{self};
+use crate::thread::{RunState, ThreadId};
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::Condvar;
 use std::sync::Arc;

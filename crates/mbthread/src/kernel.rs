@@ -5,9 +5,9 @@ use crate::constraint::Priority;
 use crate::ctx::{Ctx, SpawnOptions};
 use crate::error::KernelError;
 use crate::external::ExternalPort;
-use crate::record::{CodeFn, Flow, ThreadId, ThreadRec};
 use crate::sched::{self, KState, SchedConfig};
 use crate::stats::{KernelStats, StatCounters};
+use crate::thread::{CodeFn, Flow, ThreadId, ThreadRec};
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;

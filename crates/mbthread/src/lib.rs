@@ -93,9 +93,9 @@ mod error;
 mod external;
 mod kernel;
 mod message;
-mod record;
 mod sched;
 mod stats;
+mod thread;
 mod timer;
 
 pub use clock::{ClockMode, Time};
@@ -105,6 +105,6 @@ pub use error::{KernelError, SendError};
 pub use external::ExternalPort;
 pub use kernel::{ClockHold, Kernel, KernelConfig};
 pub use message::{Body, Envelope, MatchSpec, Message, Tag};
-pub use record::{CodeFn, Flow, ThreadId};
 pub use stats::KernelStats;
+pub use thread::{CodeFn, Flow, ThreadId};
 pub use timer::TimerId;

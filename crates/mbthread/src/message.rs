@@ -8,7 +8,7 @@
 //! code function sees a single uniform event interface.
 
 use crate::constraint::Constraint;
-use crate::record::ThreadId;
+use crate::thread::ThreadId;
 use std::any::Any;
 use std::fmt;
 

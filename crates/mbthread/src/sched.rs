@@ -12,8 +12,8 @@ use crate::clock::{ClockMode, Time};
 use crate::constraint::{Constraint, Priority};
 use crate::error::SendError;
 use crate::message::{Envelope, Message, ReplyToken};
-use crate::record::{RunState, ThreadId, ThreadRec};
 use crate::stats::StatCounters;
+use crate::thread::{RunState, ThreadId, ThreadRec};
 use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
 use parking_lot::Condvar;
 use std::cmp::Ordering;

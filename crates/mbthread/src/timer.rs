@@ -8,7 +8,7 @@
 use crate::clock::Time;
 use crate::constraint::Constraint;
 use crate::message::Message;
-use crate::record::ThreadId;
+use crate::thread::ThreadId;
 use std::cmp::Ordering;
 use std::fmt;
 

@@ -1,8 +1,10 @@
 //! The inspector's control-channel server and client.
 //!
-//! An [`InspectServer`] parks an accept loop on any
+//! An [`InspectServer`] parks the crate's shared accept loop on any
 //! [`Acceptor`] and answers [`InspectRequest`]s on each
-//! accepted link with a freshly sampled [`WireSnapshot`]. The exchange
+//! accepted link with a freshly sampled [`WireSnapshot`]. Each client
+//! gets a handler thread the accept loop owns: reaped as soon as the
+//! client goes, stopped and joined with the server. The exchange
 //! uses only [`Frame::Control`] frames, so it runs unchanged over
 //! inproc, sim, TCP, and UDP — exactly the property the remote factory
 //! protocol ([`crate::remote`]) established for data pipelines, applied
@@ -15,16 +17,16 @@
 use super::schema::{InspectReply, InspectRequest, WireSnapshot, SCHEMA_VERSION};
 use crate::transport::{Acceptor, Frame, Link, RecvOutcome, Transport};
 use crate::wire;
+use crate::worker::{spawn_accept_loop, Accepted, Stop, Worker};
 use infopipes::StatsRegistry;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long the client waits for a snapshot reply before giving up.
 const CTRL_TIMEOUT: Duration = Duration::from_secs(20);
-/// Poll granularity for accept and receive loops.
+/// Poll granularity for receive loops.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Errors of the inspector protocol.
@@ -72,9 +74,8 @@ impl From<crate::TransportError> for InspectError {
 /// Shut down explicitly with [`shutdown`](InspectServer::shutdown) or
 /// implicitly on drop.
 pub struct InspectServer {
-    stop: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept: Option<Worker<Accepted>>,
 }
 
 impl InspectServer {
@@ -88,40 +89,21 @@ impl InspectServer {
     where
         A: Acceptor + 'static,
     {
-        let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
-        let accept_stop = Arc::clone(&stop);
-        let accept_served = Arc::clone(&served);
-        let accept_thread = std::thread::Builder::new()
-            .name("inspect-accept".into())
-            .spawn(move || {
-                let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                while !accept_stop.load(Ordering::Acquire) {
-                    match acceptor.accept_timeout(POLL) {
-                        Ok(Some(link)) => {
-                            let stop = Arc::clone(&accept_stop);
-                            let served = Arc::clone(&accept_served);
-                            let registry = registry.clone();
-                            if let Ok(h) = std::thread::Builder::new()
-                                .name("inspect-handler".into())
-                                .spawn(move || handle_link(&link, &registry, &stop, &served))
-                            {
-                                handlers.push(h);
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(_) => break,
-                    }
-                }
-                for h in handlers {
-                    let _ = h.join();
-                }
+        let counter = Arc::clone(&served);
+        let accept = spawn_accept_loop("inspect-accept", acceptor, move |link| {
+            let registry = registry.clone();
+            let served = Arc::clone(&counter);
+            // A client whose handler cannot be spawned is dropped.
+            Worker::spawn("inspect-handler", move |stop| {
+                handle_link(&link, &registry, stop, &served);
             })
-            .expect("spawn inspect accept thread");
+            .ok()
+        })
+        .expect("spawn inspect accept thread");
         InspectServer {
-            stop,
             served,
-            accept_thread: Some(accept_thread),
+            accept: Some(accept),
         }
     }
 
@@ -134,21 +116,12 @@ impl InspectServer {
     /// Stops the accept loop and all handler threads, and waits for
     /// them to exit.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.accept = None;
     }
 }
 
-impl Drop for InspectServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn handle_link<L: Link>(link: &L, registry: &StatsRegistry, stop: &AtomicBool, served: &AtomicU64) {
-    while !stop.load(Ordering::Acquire) {
+fn handle_link<L: Link>(link: &L, registry: &StatsRegistry, stop: &Stop, served: &AtomicU64) {
+    while !stop.requested() {
         match link.recv(POLL) {
             RecvOutcome::Frame(Frame::Control(payload)) => {
                 let Ok(req) = wire::from_bytes::<InspectRequest>(&payload) else {
@@ -245,5 +218,33 @@ impl<L: Link> InspectClient<L> {
                 ));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::InProcTransport;
+
+    /// A long-lived server must not grow with the number of clients it
+    /// has ever served: a handler is reaped once its client is gone.
+    #[test]
+    fn finished_handlers_are_reaped_while_the_server_runs() {
+        const CLIENTS: u64 = 200;
+        let transport = InProcTransport::new();
+        let acceptor = transport.listen("inspect").unwrap();
+        let mut server = InspectServer::spawn(acceptor, StatsRegistry::new());
+        for _ in 0..CLIENTS {
+            let client = InspectClient::connect(&transport, "inspect").unwrap();
+            client.fetch().unwrap();
+        }
+        assert_eq!(server.snapshots_served(), CLIENTS);
+        let done = server.accept.take().unwrap().shutdown().unwrap();
+        assert_eq!(done.links, CLIENTS);
+        assert!(
+            done.peak_handlers <= 8,
+            "{} handlers were held at once for {CLIENTS} sequential clients",
+            done.peak_handlers
+        );
     }
 }

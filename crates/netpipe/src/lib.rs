@@ -64,6 +64,7 @@ pub mod remote;
 pub mod serve;
 pub mod transport;
 pub mod wire;
+mod worker;
 
 pub use framing::{read_frame, read_frame_in, write_frame, FrameKind};
 pub use infopipes::{BufferPool, PayloadBytes, PoolStats};
@@ -81,7 +82,7 @@ pub use serve::{
 };
 pub use transport::{
     Acceptor, BatchPolicy, Frame, InProcAcceptor, InProcLink, InProcTransport, Link, LinkStats,
-    NetSendEnd, PeerIdentity, PipelineTransportExt, RecvOutcome, SaturationProbe, SendStatus,
-    SimAcceptor, SimConfig, SimLink, SimTransport, TcpAcceptor, TcpLink, TcpTransport, Transport,
-    TransportError, UdpAcceptor, UdpLink, UdpTransport,
+    NetSendEnd, PeerIdentity, PipelineTransportExt, RecvOutcome, SaturationProbe, SendSink,
+    SendStatus, SimAcceptor, SimConfig, SimLink, SimTransport, TcpAcceptor, TcpLink, TcpTransport,
+    Transport, TransportError, UdpAcceptor, UdpLink, UdpTransport,
 };

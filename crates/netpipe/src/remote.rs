@@ -21,13 +21,13 @@
 use crate::proto::{CtrlMsg, WireEvent};
 use crate::transport::{Frame, Link, PeerIdentity, RecvOutcome, Transport};
 use crate::wire;
+use crate::worker::Worker;
 use infopipes::{
     BufferSpec, ControlEvent, FreePump, InboxSender, Item, Pipeline, RunningPipeline, Style,
 };
 use mbthread::Kernel;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How long protocol peers wait for a control reply before giving up.
@@ -290,10 +290,12 @@ impl RemoteHost {
 
         // 3. Forward outbound events (host pipeline → client) from a
         // side thread; the main loop keeps the link's receive side.
-        let stop_flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let forwarder = spawn_event_forwarder(link.clone(), &running, Arc::clone(&stop_flag));
+        let forwarder = spawn_event_forwarder(link.clone(), &running)
+            .map_err(|e| RemoteError::Transport(e.into()))?;
         // Our own subscription, opened before streaming so the pipeline's
-        // EOS broadcast cannot slip past between loop exit and teardown.
+        // EOS broadcast cannot slip past between loop exit and teardown —
+        // and after the forwarder's, so an event we see here is already
+        // in the forwarder's mailbox.
         let eos_probe = running.subscribe();
 
         // 4. Main frame loop.
@@ -301,18 +303,16 @@ impl RemoteHost {
         if result.is_ok() {
             // The stream ended in order: wait (bounded) for the end of
             // stream to drain through the pipeline and surface as the EOS
-            // broadcast, then one forwarder poll cycle so it reaches the
-            // client before the forwarder stops.
+            // broadcast; stopping the forwarder then flushes it to the
+            // client.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while std::time::Instant::now() < deadline {
                 if let Some(ControlEvent::Eos) = eos_probe.recv_timeout(Duration::from_millis(50)) {
                     break;
                 }
             }
-            std::thread::sleep(Duration::from_millis(100));
         }
-        stop_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = forwarder.join();
+        drop(forwarder);
         result
     }
 }
@@ -366,27 +366,28 @@ fn stream_frames<L: Link>(
     }
 }
 
-fn spawn_event_forwarder<L: Link>(
-    link: L,
-    running: &RunningPipeline,
-    stop_flag: Arc<std::sync::atomic::AtomicBool>,
-) -> std::thread::JoinHandle<()> {
+/// Forwards the running pipeline's broadcast events to the client until
+/// stopped — and then whatever its subscription still holds, so nothing
+/// broadcast before the stop is lost to the poll period.
+fn spawn_event_forwarder<L: Link>(link: L, running: &RunningPipeline) -> std::io::Result<Worker> {
     let sub = running.subscribe();
-    std::thread::Builder::new()
-        .name("remote-event-fwd".into())
-        .spawn(move || {
-            while !stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
-                if let Some(ev) = sub.recv_timeout(Duration::from_millis(50)) {
-                    if matches!(ev, ControlEvent::Start | ControlEvent::Stop) {
-                        continue;
-                    }
-                    if !link.send(Frame::Event(WireEvent::from(&ev))).accepted() {
-                        break;
-                    }
-                }
+    Worker::spawn("remote-event-fwd", move |stop| loop {
+        let wait = if stop.requested() {
+            Duration::ZERO
+        } else {
+            POLL
+        };
+        let Some(ev) = sub.recv_timeout(wait) else {
+            if wait.is_zero() {
+                return;
             }
-        })
-        .expect("spawn event forwarder")
+            continue;
+        };
+        let local = matches!(ev, ControlEvent::Start | ControlEvent::Stop);
+        if !local && !link.send(Frame::Event(WireEvent::from(&ev))).accepted() {
+            return;
+        }
+    })
 }
 
 impl fmt::Debug for RemoteHost {

@@ -9,7 +9,9 @@
 //! * an [`AcceptLoop`] per transport turns incoming links into
 //!   registered **sessions** — it polls
 //!   [`Acceptor::accept_timeout`] so shutdown never needs a poison
-//!   connection,
+//!   connection. Its thread, like the [`Housekeeper`]'s, is one of the
+//!   crate's shared service workers: stopped and joined on shutdown or
+//!   drop,
 //! * a [`SessionRegistry`] owns the roster: each session walks the
 //!   lifecycle [`Connecting` → `Active` → `Draining` →
 //!   `Evicted`](SessionState), observable through
@@ -45,23 +47,24 @@
 //! let acceptor = transport.listen("studio").unwrap();
 //! let registry = SessionRegistry::new(ServeConfig::default());
 //! let accept = AcceptLoop::spawn(acceptor, registry.clone());
-//! // ... producer pipeline ends in a BroadcastSendEnd over `registry` ...
+//! // ... the producer pipeline ends in
+//! // `BroadcastSendEnd::new("fan-out", registry.clone())` ...
 //! accept.shutdown();
 //! ```
 
-use crate::marshal::WireBytes;
 use crate::proto::WireEvent;
 use crate::transport::{
-    Acceptor, Frame, Link, PeerIdentity, SaturationWindow, SendStatus, TransportError,
+    sealed, Acceptor, Frame, KernelPost, Link, NetSendEnd, PeerIdentity, SaturationWindow,
+    SendSink, SendStatus,
 };
-use infopipes::{Consumer, ControlEvent, EventCtx, Item, ItemType, PayloadBytes, Stage, StageCtx};
+use crate::worker::{spawn_accept_loop, Accepted, Worker};
+use infopipes::{ControlEvent, PayloadBytes};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use typespec::Typespec;
 
 /// Identifies one session within a [`SessionRegistry`] (unique for the
 /// registry's lifetime; never reused).
@@ -108,7 +111,7 @@ pub struct ServeConfig {
     /// marked pressured.
     pub queue_capacity: usize,
     /// Send attempts per session between saturation readings (mirrors
-    /// [`NetSendEnd`](crate::NetSendEnd)'s window).
+    /// [`NetSendEnd`]'s window).
     pub saturation_window: u64,
     /// How long a [`Draining`](SessionState::Draining) session may keep
     /// flushing before it is force-evicted with its queue unsent.
@@ -453,11 +456,14 @@ impl<L: Link> SessionRegistry<L> {
     /// Sends a control event to every connecting, active, or draining
     /// session (control lane — overtakes queued data on every backend).
     pub fn broadcast_event(&self, event: &ControlEvent) {
+        self.broadcast_ctrl(&Frame::Event(WireEvent::from(event)));
+    }
+
+    fn broadcast_ctrl(&self, frame: &Frame) {
         for s in &self.snapshot_roster() {
-            if s.state() == SessionState::Evicted {
-                continue;
+            if s.state() != SessionState::Evicted {
+                let _ = s.link.send(frame.clone());
             }
-            let _ = s.link.send(Frame::Event(WireEvent::from(event)));
         }
     }
 
@@ -557,7 +563,7 @@ impl<L: Link> SessionRegistry<L> {
     }
 
     /// Drains the pending per-session saturation readings (the same
-    /// 0..=1 pressured-fraction a [`NetSendEnd`](crate::NetSendEnd)
+    /// 0..=1 pressured-fraction a [`NetSendEnd`]
     /// broadcasts under [`feedback::readings::SEND_SATURATION`], but one
     /// stream per session). Feed these to a per-session controller bank.
     pub fn take_readings(&self) -> Vec<(SessionId, f64)> {
@@ -635,22 +641,15 @@ impl<L: Link> SessionRegistry<L> {
     #[must_use]
     pub fn spawn_housekeeper(&self, period: Duration) -> Housekeeper {
         let registry = self.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("serve-housekeeper".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Acquire) {
-                    registry.sweep();
-                    registry.reap();
-                    std::thread::sleep(period);
-                }
-            })
-            .expect("spawn housekeeper");
-        Housekeeper {
-            stop,
-            handle: Some(handle),
-        }
+        let worker = Worker::spawn("serve-housekeeper", move |stop| loop {
+            registry.sweep();
+            registry.reap();
+            if stop.sleep(period) {
+                return;
+            }
+        })
+        .expect("spawn housekeeper");
+        Housekeeper { _worker: worker }
     }
 }
 
@@ -667,43 +666,24 @@ impl<L: Link> fmt::Debug for SessionRegistry<L> {
 
 /// Handle to a registry housekeeper thread
 /// ([`SessionRegistry::spawn_housekeeper`]); stops and joins it on
-/// [`shutdown`](Housekeeper::shutdown) or drop.
+/// [`shutdown`](Housekeeper::shutdown) or drop, without waiting out the
+/// current period.
 pub struct Housekeeper {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _worker: Worker,
 }
 
 impl Housekeeper {
     /// Stops the housekeeper and waits for its thread to exit.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    pub fn shutdown(self) {}
 }
-
-impl Drop for Housekeeper {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// How often the accept loop checks its shutdown flag between bounded
-/// [`Acceptor::accept_timeout`] waits.
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
 
 /// A serving thread turning incoming links into registered sessions:
 /// polls [`Acceptor::accept_timeout`] so [`shutdown`](AcceptLoop::shutdown)
 /// completes promptly without a poison connection, and
-/// [`admit`](SessionRegistry::admit)s each accepted link.
+/// [`admit`](SessionRegistry::admit)s each accepted link. Dropping it
+/// stops and joins the thread too.
 pub struct AcceptLoop {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
+    worker: Worker<Accepted>,
 }
 
 impl AcceptLoop {
@@ -714,129 +694,55 @@ impl AcceptLoop {
     where
         A: Acceptor + 'static,
     {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || {
-                let mut admitted = 0u64;
-                while !flag.load(Ordering::Acquire) {
-                    match acceptor.accept_timeout(ACCEPT_POLL) {
-                        Ok(Some(link)) => {
-                            registry.admit(link);
-                            admitted += 1;
-                        }
-                        Ok(None) => {}
-                        Err(TransportError::Closed) => break,
-                        // Transient socket errors (e.g. a connection reset
-                        // between accept and handshake) should not kill
-                        // the serving tier.
-                        Err(_) => {}
-                    }
-                }
-                admitted
-            })
-            .expect("spawn accept loop");
-        AcceptLoop {
-            stop,
-            handle: Some(handle),
-        }
+        let worker = spawn_accept_loop("serve-accept", acceptor, move |link| {
+            registry.admit(link);
+            None
+        })
+        .expect("spawn accept loop");
+        AcceptLoop { worker }
     }
 
     /// Stops the loop and joins its thread, returning how many sessions
     /// it admitted. The acceptor is dropped (unbinding the address).
-    pub fn shutdown(mut self) -> u64 {
-        self.stop.store(true, Ordering::Release);
-        self.handle
-            .take()
-            .and_then(|h| h.join().ok())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for AcceptLoop {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) -> u64 {
+        self.worker.shutdown().map_or(0, |done| done.links)
     }
 }
 
 impl fmt::Debug for AcceptLoop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AcceptLoop")
-            .field("stopped", &self.stop.load(Ordering::Relaxed))
+            .field("stopped", &self.worker.is_finished())
             .finish()
     }
 }
 
-/// The producer-side pipeline stage of the serving tier: a passive sink
-/// accepting [`WireBytes`] and teeing each sealed payload into every
-/// registered session via [`SessionRegistry::broadcast`] — the fan-out
-/// counterpart of the point-to-point [`NetSendEnd`](crate::NetSendEnd).
+/// The producer-side pipeline stage of the serving tier: the
+/// [`NetSendEnd`] whose sink is a session roster instead of one link. It
+/// accepts [`WireBytes`](crate::WireBytes) and tees each sealed payload
+/// into every registered session via [`SessionRegistry::broadcast`].
 ///
 /// Broadcast control events go to every session's control lane; end of
 /// stream starts a registry-wide drain (sessions flush their queues, get
-/// a `Fin`, and are evicted).
-pub struct BroadcastSendEnd<L: Link> {
-    name: String,
-    registry: SessionRegistry<L>,
-}
+/// a `Fin`, and are evicted). Per-session saturation readings come out
+/// of the registry ([`SessionRegistry::take_readings`]), not the
+/// pipeline's event bus.
+pub type BroadcastSendEnd<L> = NetSendEnd<SessionRegistry<L>>;
 
-impl<L: Link> BroadcastSendEnd<L> {
-    /// Wraps a registry as a pipeline sink.
-    #[must_use]
-    pub fn new(name: impl Into<String>, registry: SessionRegistry<L>) -> BroadcastSendEnd<L> {
-        BroadcastSendEnd {
-            name: name.into(),
-            registry,
-        }
-    }
+impl<L: Link> sealed::Sealed for SessionRegistry<L> {}
 
-    /// The registry this stage broadcasts into.
-    #[must_use]
-    pub fn registry(&self) -> &SessionRegistry<L> {
-        &self.registry
-    }
-}
-
-impl<L: Link> Stage for BroadcastSendEnd<L> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn accepts(&self) -> Typespec {
-        Typespec::with_item_type(ItemType::of::<WireBytes>())
-    }
-
-    fn on_event(&mut self, _ctx: &mut EventCtx<'_, '_>, event: &ControlEvent) {
-        match event {
-            ControlEvent::Eos => {
-                self.registry.drain_all();
-                self.registry.sweep();
+impl<L: Link> SendSink for SessionRegistry<L> {
+    fn transmit(&self, _post: KernelPost<'_>, frame: Frame) -> Option<SendStatus> {
+        match frame {
+            Frame::Data(bytes) => {
+                self.broadcast(&bytes);
             }
-            // Start/Stop are pipeline-local; per-session saturation
-            // readings come out of the registry, not the event bus.
-            ControlEvent::Start | ControlEvent::Stop => {}
-            other => self.registry.broadcast_event(other),
+            Frame::Fin => {
+                self.drain_all();
+                self.sweep();
+            }
+            ctrl_frame => self.broadcast_ctrl(&ctrl_frame),
         }
-    }
-}
-
-impl<L: Link> Consumer for BroadcastSendEnd<L> {
-    fn push(&mut self, _ctx: &mut StageCtx<'_, '_>, item: Item) {
-        if let Ok((bytes, _)) = item.into_payload::<WireBytes>() {
-            self.registry.broadcast(&bytes);
-        }
-    }
-}
-
-impl<L: Link> fmt::Debug for BroadcastSendEnd<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BroadcastSendEnd")
-            .field("name", &self.name)
-            .field("registry", &self.registry)
-            .finish()
+        None
     }
 }

@@ -11,7 +11,7 @@
 
 use super::rendezvous::{self, Registry};
 use super::{
-    Acceptor, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
+    Frame, Link, LinkStats, PeerIdentity, ReceiverSlot, RecvOutcome, SendStatus, SharedStats,
     Transport, TransportError,
 };
 use crate::marshal::WireBytes;
@@ -133,8 +133,11 @@ impl<T> Drop for Ring<T> {
 // ---------------------------------------------------------------------
 
 /// One direction of an inproc connection.
+// Not a `lanes::LaneQueue`: the data lane is the lock-free ring, so the
+// lane order is restated in `try_recv` (with `Fin` a flag, not a frame).
 struct Direction {
     data: Ring<WireBytes>,
+    /// Events and factory messages only; `Fin` is the flag below.
     ctrl: Mutex<VecDeque<Frame>>,
     /// Parked receiver to unpark on arrival (one receiver at a time).
     waiter: Mutex<Option<Thread>>,
@@ -199,7 +202,6 @@ impl Direction {
                 }
             }
             Frame::Fin => {
-                self.ctrl.lock().push_back(Frame::Fin);
                 self.fin.store(true, Ordering::Release);
                 SendStatus::Sent
             }
@@ -215,49 +217,24 @@ impl Direction {
     /// Pops the next frame. Events and control messages overtake queued
     /// data; `Fin` only ends the stream once the data lane is drained.
     fn try_recv(&self) -> Option<RecvOutcome> {
-        {
-            let mut ctrl = self.ctrl.lock();
-            if let Some(pos) = ctrl.iter().position(|f| !matches!(f, Frame::Fin)) {
-                let frame = ctrl.remove(pos).expect("indexed frame");
-                return Some(RecvOutcome::Frame(frame));
-            }
+        // Read the end marks before the lanes: whatever the sender
+        // published ahead of its `Fin` (or of vanishing) is visible to
+        // the pops that follow these loads.
+        let ended = if self.fin.load(Ordering::Acquire) {
+            Some(RecvOutcome::Fin)
+        } else if self.closed.load(Ordering::Acquire) {
+            Some(RecvOutcome::Closed)
+        } else {
+            None
+        };
+        if let Some(frame) = self.ctrl.lock().pop_front() {
+            return Some(RecvOutcome::Frame(frame));
         }
         if let Some(bytes) = self.data.pop() {
             self.stats.delivered.fetch_add(1, Ordering::Relaxed);
             return Some(RecvOutcome::Frame(Frame::Data(bytes)));
         }
-        {
-            // Re-inspect under the lock: a non-Fin control frame may have
-            // been pushed since the scan above, and popping it as a `Fin`
-            // would both lose it and falsely end the stream.
-            let mut ctrl = self.ctrl.lock();
-            match ctrl.front() {
-                Some(Frame::Fin) => {
-                    // Data published before the Fin is visible now that we
-                    // hold the lock the sender released after pushing it.
-                    if let Some(bytes) = self.data.pop() {
-                        drop(ctrl);
-                        self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                        return Some(RecvOutcome::Frame(Frame::Data(bytes)));
-                    }
-                    ctrl.pop_front();
-                    return Some(RecvOutcome::Fin);
-                }
-                Some(_) => {
-                    let frame = ctrl.pop_front().expect("non-empty front");
-                    return Some(RecvOutcome::Frame(frame));
-                }
-                None => {}
-            }
-        }
-        if self.fin.load(Ordering::Acquire) {
-            // The Fin frame was already consumed on an earlier call.
-            return Some(RecvOutcome::Fin);
-        }
-        if self.closed.load(Ordering::Acquire) {
-            return Some(RecvOutcome::Closed);
-        }
-        None
+        ended
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
@@ -288,8 +265,7 @@ struct LinkShared {
     out: Arc<Direction>,
     /// Inbound direction (this end receives here).
     inn: Arc<Direction>,
-    /// A receiver binding exists (at most one per link).
-    rx_bound: AtomicBool,
+    receiver: ReceiverSlot,
 }
 
 impl Drop for LinkShared {
@@ -325,15 +301,14 @@ impl Link for InProcLink {
         inbox: Option<infopipes::InboxSender>,
         on_event: impl Fn(infopipes::ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
-        if self.shared.rx_bound.swap(true, Ordering::AcqRel) {
-            return Err(TransportError::ReceiverTaken);
-        }
         // Refusals are credited to the inbound direction's stats, which
         // the peer's `stats()` reads as its outbound counters.
         let rx_stats = Arc::clone(&self.shared.inn.stats);
-        super::drain_receiver(self.clone(), inbox, on_event, rx_stats, |link| {
-            Arc::strong_count(&link.shared) == 1
-        })
+        self.shared
+            .receiver
+            .bind(self.clone(), inbox, on_event, rx_stats, |link| {
+                Arc::strong_count(&link.shared) == 1
+            })
     }
 
     fn stats(&self) -> LinkStats {
@@ -401,9 +376,7 @@ impl Transport for InProcTransport {
     }
 
     fn listen(&self, addr: &str) -> Result<InProcAcceptor, TransportError> {
-        Ok(InProcAcceptor {
-            inner: rendezvous::listen(&self.registry, addr)?,
-        })
+        rendezvous::listen(&self.registry, addr)
     }
 
     fn connect(&self, addr: &str) -> Result<InProcLink, TransportError> {
@@ -416,7 +389,7 @@ impl Transport for InProcTransport {
                 peer: PeerIdentity::new("inproc", addr),
                 out: Arc::clone(&a_to_b),
                 inn: Arc::clone(&b_to_a),
-                rx_bound: AtomicBool::new(false),
+                receiver: ReceiverSlot::default(),
             }),
         };
         let server = InProcLink {
@@ -424,7 +397,7 @@ impl Transport for InProcTransport {
                 peer: PeerIdentity::new("inproc", format!("{addr}#client-{n}")),
                 out: b_to_a,
                 inn: a_to_b,
-                rx_bound: AtomicBool::new(false),
+                receiver: ReceiverSlot::default(),
             }),
         };
         endpoint.offer(server);
@@ -441,33 +414,7 @@ impl std::fmt::Debug for InProcTransport {
 }
 
 /// A bound in-process listening endpoint.
-pub struct InProcAcceptor {
-    inner: rendezvous::Bound<InProcLink>,
-}
-
-impl Acceptor for InProcAcceptor {
-    type Link = InProcLink;
-
-    fn local_addr(&self) -> String {
-        self.inner.local_addr()
-    }
-
-    fn accept(&self) -> Result<InProcLink, TransportError> {
-        self.inner.accept()
-    }
-
-    fn accept_timeout(&self, timeout: Duration) -> Result<Option<InProcLink>, TransportError> {
-        self.inner.accept_timeout(timeout)
-    }
-}
-
-impl std::fmt::Debug for InProcAcceptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InProcAcceptor")
-            .field("addr", &self.inner.local_addr())
-            .finish()
-    }
-}
+pub type InProcAcceptor = rendezvous::Bound<InProcLink>;
 
 #[cfg(test)]
 mod tests {

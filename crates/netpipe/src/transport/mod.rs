@@ -54,14 +54,18 @@
 //!    your wire; report [`SendStatus`] honestly — backpressure is the
 //!    feedback loops' signal), [`Link::recv`], and [`Link::stats`].
 //! 3. Keep the two-lane contract: control frames must not wait behind
-//!    data frames on the *sending* side. On a single ordered byte stream
-//!    (like TCP) it is enough to let control frames jump the local send
-//!    queue.
-//! 4. Implement `bind_receiver`: enforce the single-binding rule (a
-//!    swapped atomic flag), then either drain `recv` on an OS thread
-//!    (what the inproc and TCP backends do) or deliver from your own
-//!    event loop. Only the simulator delivers in-kernel, to stay
-//!    deterministic under virtual time.
+//!    data frames, and `Fin` must not overtake its own data. Do not write
+//!    that ordering out again: put the private `lanes::LaneQueue` wherever
+//!    your backend queues frames — `offer`/`take_batch` on a sending side
+//!    that waits for room (TCP), `arrive`/`recv` on a receiving side that
+//!    sheds (UDP, sim) — and the policy comes with it.
+//! 4. Implement `bind_receiver` with a `ReceiverSlot` field: it enforces
+//!    the single-binding rule and drains `recv` on a `worker::Worker`
+//!    thread that is joined with the link. Every other thread your
+//!    backend needs (a writer, a flusher, a socket reader) is a `Worker`
+//!    too — the crate spawns threads nowhere else, and CI greps for it.
+//!    Only the simulator delivers in-kernel, to stay deterministic under
+//!    virtual time.
 //! 5. Run the conformance suite (`crates/netpipe/tests/
 //!    transport_conformance.rs`) against the new backend: ordering,
 //!    backpressure, control-event priority, and clean shutdown are the
@@ -71,38 +75,77 @@
 //! `Frame` ⇄ byte-stream codec used by the TCP backend.
 
 mod inproc;
+mod lanes;
 mod sim;
 mod tcp;
 mod udp;
 
-/// Shared in-process rendezvous plumbing for backends whose "network"
-/// lives inside the process (sim, inproc): a named registry of
-/// endpoints, each with a pending-connection queue the acceptor blocks
-/// on. Generic over the link type so every future in-process backend
-/// reuses it.
-pub(crate) mod rendezvous {
-    use super::TransportError;
-    use parking_lot::{Condvar, Mutex};
-    use std::collections::{HashMap, VecDeque};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+/// Connections announced to a listener and not yet accepted: the queue
+/// an acceptor blocks on, whichever way its backend learns of a peer.
+pub(crate) struct Pending<T> {
+    queue: Mutex<VecDeque<T>>,
+    cv: Condvar,
+    closed: AtomicBool,
+}
 
-    pub(crate) struct Endpoint<L> {
-        pending: Mutex<VecDeque<L>>,
-        cv: Condvar,
-        closed: AtomicBool,
-    }
-
-    impl<L> Endpoint<L> {
-        /// Hands an accepted-side link to the listener.
-        pub(crate) fn offer(&self, link: L) {
-            self.pending.lock().push_back(link);
-            self.cv.notify_one();
+impl<T> Pending<T> {
+    pub(crate) fn new() -> Pending<T> {
+        Pending {
+            queue: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+            closed: AtomicBool::new(false),
         }
     }
 
-    pub(crate) type Registry<L> = Arc<Mutex<HashMap<String, Arc<Endpoint<L>>>>>;
+    /// Hands a new connection to the listener.
+    pub(crate) fn offer(&self, conn: T) {
+        self.queue.lock().push_back(conn);
+        self.cv.notify_one();
+    }
+
+    /// The listener is gone: wakes every blocked accept.
+    pub(crate) fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.cv.notify_all();
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// The next connection, waiting at most `timeout` (`None`: for as
+    /// long as it takes, so never `Ok(None)`).
+    pub(crate) fn take(&self, timeout: Option<Duration>) -> Result<Option<T>, TransportError> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut queue = self.queue.lock();
+        loop {
+            if let Some(conn) = queue.pop_front() {
+                return Ok(Some(conn));
+            }
+            if self.is_closed() {
+                return Err(TransportError::Closed);
+            }
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => self.cv.wait(&mut queue),
+                Some(Duration::ZERO) => return Ok(None),
+                Some(left) => drop(self.cv.wait_for(&mut queue, left)),
+            }
+        }
+    }
+}
+
+/// Shared in-process rendezvous plumbing for backends whose "network"
+/// lives inside the process (sim, inproc): a named registry of
+/// endpoints, each a [`Pending`] queue the acceptor blocks on. Generic
+/// over the link type so every future in-process backend reuses it.
+pub(crate) mod rendezvous {
+    use super::{Acceptor, Link, Pending, TransportError};
+    use parking_lot::Mutex;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    pub(crate) type Registry<L> = Arc<Mutex<HashMap<String, Arc<Pending<L>>>>>;
 
     pub(crate) fn new_registry<L>() -> Registry<L> {
         Arc::new(Mutex::new(HashMap::new()))
@@ -117,11 +160,7 @@ pub(crate) mod rendezvous {
         if reg.contains_key(addr) {
             return Err(TransportError::AddrInUse(addr.to_owned()));
         }
-        let endpoint = Arc::new(Endpoint {
-            pending: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-        });
+        let endpoint = Arc::new(Pending::new());
         reg.insert(addr.to_owned(), Arc::clone(&endpoint));
         Ok(Bound {
             addr: addr.to_owned(),
@@ -134,69 +173,56 @@ pub(crate) mod rendezvous {
     pub(crate) fn claim<L>(
         registry: &Registry<L>,
         addr: &str,
-    ) -> Result<Arc<Endpoint<L>>, TransportError> {
+    ) -> Result<Arc<Pending<L>>, TransportError> {
         let endpoint = registry
             .lock()
             .get(addr)
             .cloned()
             .ok_or_else(|| TransportError::NotFound(addr.to_owned()))?;
-        if endpoint.closed.load(Ordering::Acquire) {
+        if endpoint.is_closed() {
             return Err(TransportError::Closed);
         }
         Ok(endpoint)
     }
 
-    /// A bound endpoint: the acceptor half of the rendezvous.
-    pub(crate) struct Bound<L> {
+    /// A bound in-process listening endpoint: the acceptor half of the
+    /// rendezvous, under the names
+    /// [`InProcAcceptor`](crate::InProcAcceptor) and
+    /// [`SimAcceptor`](crate::SimAcceptor).
+    pub struct Bound<L> {
         addr: String,
-        endpoint: Arc<Endpoint<L>>,
+        endpoint: Arc<Pending<L>>,
         registry: Registry<L>,
     }
 
-    impl<L> Bound<L> {
-        pub(crate) fn local_addr(&self) -> String {
+    impl<L: Link> Acceptor for Bound<L> {
+        type Link = L;
+
+        fn local_addr(&self) -> String {
             self.addr.clone()
         }
 
-        pub(crate) fn accept(&self) -> Result<L, TransportError> {
-            let mut pending = self.endpoint.pending.lock();
-            loop {
-                if let Some(link) = pending.pop_front() {
-                    return Ok(link);
-                }
-                if self.endpoint.closed.load(Ordering::Acquire) {
-                    return Err(TransportError::Closed);
-                }
-                self.endpoint.cv.wait(&mut pending);
-            }
+        fn accept(&self) -> Result<L, TransportError> {
+            let link = self.endpoint.take(None)?;
+            Ok(link.expect("an untimed wait ends with a link or an error"))
         }
 
-        pub(crate) fn accept_timeout(
-            &self,
-            timeout: Duration,
-        ) -> Result<Option<L>, TransportError> {
-            let deadline = Instant::now() + timeout;
-            let mut pending = self.endpoint.pending.lock();
-            loop {
-                if let Some(link) = pending.pop_front() {
-                    return Ok(Some(link));
-                }
-                if self.endpoint.closed.load(Ordering::Acquire) {
-                    return Err(TransportError::Closed);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Ok(None);
-                }
-                let _ = self.endpoint.cv.wait_for(&mut pending, deadline - now);
-            }
+        fn accept_timeout(&self, timeout: Duration) -> Result<Option<L>, TransportError> {
+            self.endpoint.take(Some(timeout))
+        }
+    }
+
+    impl<L> std::fmt::Debug for Bound<L> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("Acceptor")
+                .field("addr", &self.addr)
+                .finish()
         }
     }
 
     impl<L> Drop for Bound<L> {
         fn drop(&mut self) {
-            self.endpoint.closed.store(true, Ordering::Release);
-            self.endpoint.cv.notify_all();
+            self.endpoint.close();
             self.registry.lock().remove(&self.addr);
         }
     }
@@ -209,15 +235,18 @@ pub use udp::{UdpAcceptor, UdpLink, UdpTransport, DEFAULT_MAX_DATAGRAM};
 
 use crate::marshal::WireBytes;
 use crate::proto::WireEvent;
+use crate::worker::Worker;
 use infopipes::{
     Consumer, ControlEvent, EventCtx, InboxSender, Item, ItemType, Node, PayloadBytes, Pipeline,
     Stage, StageCtx,
 };
 use mbthread::{Message, ThreadId};
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use typespec::Typespec;
 
 // ---------------------------------------------------------------------
@@ -367,6 +396,14 @@ pub(crate) struct SharedStats {
 }
 
 impl SharedStats {
+    /// Counts a data frame handed to the receiver of a polled `recv`.
+    pub(crate) fn count_delivery(&self, outcome: RecvOutcome) -> RecvOutcome {
+        if matches!(outcome, RecvOutcome::Frame(Frame::Data(_))) {
+            self.delivered.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
     pub(crate) fn snapshot(&self) -> LinkStats {
         LinkStats {
             sent: self.sent.load(Ordering::Relaxed),
@@ -532,9 +569,9 @@ pub trait Link: Clone + Send + Sync + 'static {
     /// finishes the inbox. At most one binding per link — "network
     /// packets … are mapped to messages by the platform" (§4).
     ///
-    /// Thread-backed backends delegate to the crate's shared drain loop;
-    /// the simulator instead delivers from its kernel thread to stay
-    /// deterministic under virtual time.
+    /// Thread-backed backends delegate to the crate's shared receive
+    /// pump; the simulator instead delivers from its kernel thread to
+    /// stay deterministic under virtual time.
     ///
     /// # Errors
     ///
@@ -549,27 +586,36 @@ pub trait Link: Clone + Send + Sync + 'static {
     fn stats(&self) -> LinkStats;
 }
 
-/// The shared receive pump for thread-backed backends: drains
-/// [`Link::recv`] on an OS thread, feeding data to the inbox (counting
-/// refusals into `rx_stats`), events to the callback, and finishing the
-/// inbox on `Fin`/close.
-///
-/// An events-only binding (`inbox == None`) additionally reaps itself
-/// once `abandoned` reports that the drain thread holds the last handle
-/// — otherwise an abandoned client link would keep its connection (and
-/// this thread) alive forever. Data bindings intentionally stay alive
-/// while the peer may still send ("bind and forget" is the normal
-/// consumer-side pattern).
-pub(crate) fn drain_receiver<L: Link>(
-    link: L,
-    inbox: Option<InboxSender>,
-    on_event: impl Fn(ControlEvent) + Send + 'static,
-    rx_stats: Arc<SharedStats>,
-    abandoned: impl Fn(&L) -> bool + Send + 'static,
-) -> Result<(), TransportError> {
-    std::thread::Builder::new()
-        .name("netpipe-receiver".into())
-        .spawn(move || loop {
+/// The receive binding of a thread-backed link: at most one, its pump
+/// thread owned by the link it drains.
+#[derive(Default)]
+pub(crate) struct ReceiverSlot(Mutex<Option<Worker>>);
+
+impl ReceiverSlot {
+    /// Binds the shared receive pump: drains [`Link::recv`] on a worker
+    /// thread, feeding data to the inbox (counting refusals into
+    /// `rx_stats`), events to the callback, and finishing the inbox on
+    /// `Fin`/close.
+    ///
+    /// An events-only binding (`inbox == None`) additionally reaps
+    /// itself once `abandoned` reports that the pump holds the last
+    /// handle — otherwise an abandoned client link would keep its
+    /// connection (and this thread) alive forever. Data bindings
+    /// intentionally stay alive while the peer may still send ("bind and
+    /// forget" is the normal consumer-side pattern).
+    pub(crate) fn bind<L: Link>(
+        &self,
+        link: L,
+        inbox: Option<InboxSender>,
+        on_event: impl Fn(ControlEvent) + Send + 'static,
+        rx_stats: Arc<SharedStats>,
+        abandoned: impl Fn(&L) -> bool + Send + 'static,
+    ) -> Result<(), TransportError> {
+        let mut slot = self.0.lock();
+        if slot.is_some() {
+            return Err(TransportError::ReceiverTaken);
+        }
+        *slot = Some(Worker::spawn("netpipe-receiver", move |_| loop {
             match link.recv(Duration::from_millis(50)) {
                 RecvOutcome::Frame(Frame::Data(bytes)) => {
                     if let Some(inbox) = &inbox {
@@ -594,9 +640,9 @@ pub(crate) fn drain_receiver<L: Link>(
                     return;
                 }
             }
-        })
-        .map_err(TransportError::Io)?;
-    Ok(())
+        })?);
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -706,18 +752,44 @@ impl SaturationWindow {
     }
 }
 
+pub(crate) mod sealed {
+    pub trait Sealed {}
+}
+
+/// What a [`NetSendEnd`] transmits into: one [`Link`], or the session
+/// roster of a serving tier
+/// ([`SessionRegistry`](crate::serve::SessionRegistry)). Sealed — a new
+/// transport implements [`Link`] and gets this for free.
+pub trait SendSink: sealed::Sealed + Send + 'static {
+    /// Transmits one frame from inside a kernel thread. A single link
+    /// answers with its [`SendStatus`]; a roster, whose congestion is
+    /// read per session from the registry, answers `None`.
+    fn transmit(&self, post: KernelPost<'_>, frame: Frame) -> Option<SendStatus>;
+}
+
+impl<L: Link> sealed::Sealed for L {}
+
+impl<L: Link> SendSink for L {
+    fn transmit(&self, post: KernelPost<'_>, frame: Frame) -> Option<SendStatus> {
+        Some(self.send_via(post, frame))
+    }
+}
+
 /// The producer-side end of a netpipe: a passive pipeline sink accepting
-/// [`WireBytes`] and transmitting them as data frames over any
-/// [`Link`]. Broadcast control events are forwarded on the control lane;
-/// end of stream becomes a `Fin` frame.
+/// [`WireBytes`] and transmitting them as data frames into a
+/// [`SendSink`] — over any [`Link`], or fanned out to every session of a
+/// [`SessionRegistry`](crate::serve::SessionRegistry)
+/// ([`BroadcastSendEnd`](crate::serve::BroadcastSendEnd)). Broadcast
+/// control events are forwarded on the control lane; end of stream
+/// becomes a `Fin` frame.
 ///
 /// One generic implementation serves every backend — this is what makes
 /// remote pipelines transport-agnostic at the composition level.
 ///
 /// # Send-side congestion sensing
 ///
-/// The stage doubles as a sensor: every window of data sends it
-/// broadcasts a custom control event (default name
+/// Over a link the stage doubles as a sensor: every window of data sends
+/// it broadcasts a custom control event (default name
 /// [`feedback::readings::SEND_SATURATION`]) whose value is the fraction
 /// of sends in that window the link reported as
 /// [`SendStatus::Saturated`] or [`SendStatus::Dropped`]. Feedback
@@ -725,58 +797,27 @@ impl SaturationWindow {
 /// this reading, so drop levels react to transport backpressure
 /// directly — not only to the receive-rate sensor on the far side of the
 /// congested link.
-pub struct NetSendEnd<L: Link> {
+pub struct NetSendEnd<S: SendSink> {
     name: String,
-    link: L,
+    sink: S,
     reading_name: String,
     window: SaturationWindow,
     probe: SaturationProbe,
 }
 
-impl<L: Link> NetSendEnd<L> {
-    /// Wraps a link end as a pipeline sink, reporting send-side
-    /// congestion under [`feedback::readings::SEND_SATURATION`].
+impl<S: SendSink> NetSendEnd<S> {
+    /// Wraps a link end (or a session registry) as a pipeline sink. Over
+    /// a link, send-side congestion is reported under
+    /// [`feedback::readings::SEND_SATURATION`].
     #[must_use]
-    pub fn new(name: impl Into<String>, link: L) -> NetSendEnd<L> {
+    pub fn new(name: impl Into<String>, sink: S) -> NetSendEnd<S> {
         NetSendEnd {
             name: name.into(),
-            link,
+            sink,
             reading_name: feedback::readings::SEND_SATURATION.to_owned(),
             window: SaturationWindow::new(SATURATION_WINDOW),
             probe: SaturationProbe::default(),
         }
-    }
-
-    /// Overrides the congestion reading name and window (data sends per
-    /// report).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    #[must_use]
-    pub fn with_congestion_reports(
-        mut self,
-        reading_name: impl Into<String>,
-        every: u64,
-    ) -> NetSendEnd<L> {
-        assert!(every > 0, "report window must be positive");
-        self.reading_name = reading_name.into();
-        self.window = SaturationWindow::new(every);
-        self
-    }
-
-    /// The underlying link (for stats probes).
-    #[must_use]
-    pub fn link(&self) -> &L {
-        &self.link
-    }
-
-    /// A shared probe onto this stage's completed saturation windows —
-    /// take it *before* handing the stage to a pipeline, then register
-    /// it with the process stats registry.
-    #[must_use]
-    pub fn saturation_probe(&self) -> SaturationProbe {
-        self.probe.clone()
     }
 
     /// Folds one send status into the current window; returns a reading
@@ -795,7 +836,35 @@ impl<L: Link> NetSendEnd<L> {
     }
 }
 
-impl<L: Link> Stage for NetSendEnd<L> {
+impl<L: Link> NetSendEnd<L> {
+    /// Overrides the congestion reading name and window (data sends per
+    /// report).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    #[must_use]
+    pub fn with_congestion_reports(
+        mut self,
+        reading_name: impl Into<String>,
+        every: u64,
+    ) -> NetSendEnd<L> {
+        assert!(every > 0, "report window must be positive");
+        self.reading_name = reading_name.into();
+        self.window = SaturationWindow::new(every);
+        self
+    }
+
+    /// A shared probe onto this stage's completed saturation windows —
+    /// take it *before* handing the stage to a pipeline, then register
+    /// it with the process stats registry.
+    #[must_use]
+    pub fn saturation_probe(&self) -> SaturationProbe {
+        self.probe.clone()
+    }
+}
+
+impl<S: SendSink> Stage for NetSendEnd<S> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -805,50 +874,42 @@ impl<L: Link> Stage for NetSendEnd<L> {
     }
 
     fn on_event(&mut self, ctx: &mut EventCtx<'_, '_>, event: &ControlEvent) {
-        match event {
-            ControlEvent::Eos => {
-                let _ = self
-                    .link
-                    .send_via(&mut |to, msg| ctx.post(to, msg), Frame::Fin);
-            }
+        let frame = match event {
+            ControlEvent::Eos => Frame::Fin,
             // Start/Stop are pipeline-local; everything else is forwarded
             // to the remote side (feedback commands, resizes, ...).
-            ControlEvent::Start | ControlEvent::Stop => {}
+            ControlEvent::Start | ControlEvent::Stop => return,
             // The stage's own congestion readings are local-loop signals:
             // forwarding them would push extra control frames onto the
             // very link that is saturated, hand the remote side a reading
             // that describes *this* sender, and — with send ends on both
             // sides using the same reading name — echo back and forth
             // forever.
-            ControlEvent::Custom { name, .. } if name.as_ref() == self.reading_name => {}
-            other => {
-                let _ = self.link.send_via(
-                    &mut |to, msg| ctx.post(to, msg),
-                    Frame::Event(WireEvent::from(other)),
-                );
-            }
-        }
+            ControlEvent::Custom { name, .. } if name.as_ref() == self.reading_name => return,
+            other => Frame::Event(WireEvent::from(other)),
+        };
+        let _ = self.sink.transmit(&mut |to, msg| ctx.post(to, msg), frame);
     }
 }
 
-impl<L: Link> Consumer for NetSendEnd<L> {
+impl<S: SendSink> Consumer for NetSendEnd<S> {
     fn push(&mut self, ctx: &mut StageCtx<'_, '_>, item: Item) {
         if let Ok((bytes, _)) = item.into_payload::<WireBytes>() {
             let status = self
-                .link
-                .send_via(&mut |to, msg| ctx.post(to, msg), Frame::Data(bytes));
-            if let Some(reading) = self.observe_send(status) {
+                .sink
+                .transmit(&mut |to, msg| ctx.post(to, msg), Frame::Data(bytes));
+            if let Some(reading) = status.and_then(|s| self.observe_send(s)) {
                 ctx.broadcast(&reading);
             }
         }
     }
 }
 
-impl<L: Link> fmt::Debug for NetSendEnd<L> {
+impl<S: SendSink + fmt::Debug> fmt::Debug for NetSendEnd<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetSendEnd")
             .field("name", &self.name)
-            .field("peer", &self.link.peer().to_string())
+            .field("sink", &self.sink)
             .finish()
     }
 }

@@ -20,21 +20,21 @@
 //! jitter buffers) are built to tolerate reordering. `Fin` is never
 //! reordered ahead of data: it waits for every in-flight frame to land.
 
+use super::lanes::LaneQueue;
 use super::rendezvous::{self, Registry};
 use super::{
-    Acceptor, Frame, KernelPost, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
-    SharedStats, Transport, TransportError,
+    Frame, KernelPost, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
+    Transport, TransportError,
 };
 use crate::marshal::WireBytes;
 use infopipes::{ControlEvent, InboxSender, Item};
 use mbthread::{Ctx, Envelope, ExternalPort, Flow, Kernel, Message, Tag, ThreadId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Send end → direction thread: a data frame to transmit.
 const NET_DATA: Tag = Tag(0x4E50_0001);
@@ -78,30 +78,54 @@ impl Default for SimConfig {
 
 type EventCallback = Box<dyn Fn(ControlEvent) + Send>;
 
-enum RxSink {
-    /// Frames queue for external `recv` polls.
-    External(VecDeque<Frame>),
-    /// Frames flow straight into a pipeline.
-    Bound {
-        inbox: Option<InboxSender>,
-        on_event: EventCallback,
-    },
+/// A pipeline binding: arrivals flow straight into it.
+struct Bound {
+    inbox: Option<InboxSender>,
+    on_event: EventCallback,
+}
+
+impl Bound {
+    /// Hands one arrived frame to the pipeline — through `ctx` from the
+    /// direction's kernel thread (deterministic delivery), without it
+    /// for the backlog `bind_receiver` finds already queued.
+    fn accept(&self, mut ctx: Option<&mut Ctx<'_>>, frame: Frame, stats: &SharedStats) {
+        match (frame, &self.inbox) {
+            (Frame::Data(bytes), Some(inbox)) => {
+                let item = Item::bytes(bytes);
+                let taken = match ctx.as_mut() {
+                    Some(ctx) => inbox.put_via(ctx, item),
+                    None => inbox.put(item),
+                };
+                let counter = if taken {
+                    &stats.delivered
+                } else {
+                    &stats.refused
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            (Frame::Fin, Some(inbox)) => match ctx {
+                Some(ctx) => inbox.finish_via(ctx),
+                None => inbox.finish(),
+            },
+            (Frame::Event(ev), _) => (self.on_event)(ev.into()),
+            _ => {}
+        }
+    }
 }
 
 struct RxShared {
-    sink: Mutex<RxSink>,
-    cv: Condvar,
-    fin: AtomicBool,
-    closed: AtomicBool,
+    /// Frames awaiting external `recv` polls, until a binding exists.
+    /// Its data lane is unbounded: the link's byte queue has already
+    /// admitted whatever arrives here.
+    queue: LaneQueue,
+    bound: Mutex<Option<Bound>>,
 }
 
 impl RxShared {
     fn new() -> RxShared {
         RxShared {
-            sink: Mutex::new(RxSink::External(VecDeque::new())),
-            cv: Condvar::new(),
-            fin: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
+            queue: LaneQueue::new(usize::MAX),
+            bound: Mutex::new(None),
         }
     }
 }
@@ -150,38 +174,18 @@ impl DirectionFn {
     }
 
     /// Hands an arrived frame to the receiving end, from the kernel
-    /// thread: bound sinks get direct (deterministic) delivery, external
-    /// sinks are woken through the condvar.
+    /// thread: a binding gets direct (deterministic) delivery, otherwise
+    /// the frame queues for external polls.
     fn deliver(&self, ctx: &mut Ctx<'_>, frame: Frame) {
-        let fin = matches!(frame, Frame::Fin);
-        {
-            let mut sink = self.rx.sink.lock();
-            match &mut *sink {
-                RxSink::External(queue) => queue.push_back(frame),
-                RxSink::Bound { inbox, on_event } => match frame {
-                    Frame::Data(bytes) => {
-                        if let Some(inbox) = inbox {
-                            if inbox.put_via(ctx, Item::bytes(bytes)) {
-                                self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                self.stats.refused.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Frame::Event(ev) => on_event(ev.into()),
-                    Frame::Control(_) => {}
-                    Frame::Fin => {
-                        if let Some(inbox) = inbox {
-                            inbox.finish_via(ctx);
-                        }
-                    }
-                },
+        // Held across the enqueue so `bind_receiver` cannot take the
+        // backlog and miss this frame.
+        let bound = self.rx.bound.lock();
+        match &*bound {
+            Some(bound) => bound.accept(Some(ctx), frame, &self.stats),
+            None => {
+                self.rx.queue.arrive(frame);
             }
         }
-        if fin {
-            self.rx.fin.store(true, Ordering::Release);
-        }
-        self.rx.cv.notify_all();
     }
 }
 
@@ -318,8 +322,7 @@ impl Drop for SimLinkShared {
     fn drop(&mut self) {
         // A vanished end closes the peer's receive side so nothing polls
         // forever.
-        self.peer_rx.closed.store(true, Ordering::Release);
-        self.peer_rx.cv.notify_all();
+        self.peer_rx.queue.close();
     }
 }
 
@@ -335,16 +338,8 @@ impl Link for SimLink {
     }
 
     fn send(&self, frame: Frame) -> SendStatus {
-        match self.shared.tx.admit(frame) {
-            Ok((msg, status)) => {
-                if self.shared.tx.port.send(self.shared.tx.thread, msg).is_ok() {
-                    status
-                } else {
-                    SendStatus::Closed
-                }
-            }
-            Err(status) => status,
-        }
+        let tx = &self.shared.tx;
+        self.send_via(&mut |to, msg| tx.port.send(to, msg).is_ok(), frame)
     }
 
     fn send_via(&self, post: KernelPost<'_>, frame: Frame) -> SendStatus {
@@ -364,47 +359,10 @@ impl Link for SimLink {
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
         let rx = &self.shared.rx;
-        let deadline = Instant::now() + timeout;
-        let mut sink = rx.sink.lock();
-        loop {
-            match &mut *sink {
-                RxSink::External(queue) => {
-                    // Events and control messages overtake queued data;
-                    // `Fin` keeps its place (the stream ends after its
-                    // data).
-                    if let Some(pos) = queue
-                        .iter()
-                        .position(|f| !matches!(f, Frame::Data(_) | Frame::Fin))
-                    {
-                        let frame = queue.remove(pos).expect("indexed frame");
-                        return RecvOutcome::Frame(frame);
-                    }
-                    match queue.pop_front() {
-                        Some(Frame::Fin) => return RecvOutcome::Fin,
-                        Some(frame) => {
-                            self.shared
-                                .rx_stats
-                                .delivered
-                                .fetch_add(1, Ordering::Relaxed);
-                            return RecvOutcome::Frame(frame);
-                        }
-                        None => {}
-                    }
-                    if rx.fin.load(Ordering::Acquire) {
-                        return RecvOutcome::Fin;
-                    }
-                    if rx.closed.load(Ordering::Acquire) {
-                        return RecvOutcome::Closed;
-                    }
-                }
-                RxSink::Bound { .. } => return RecvOutcome::Closed,
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RecvOutcome::TimedOut;
-            }
-            rx.cv.wait_for(&mut sink, deadline - now);
+        if rx.bound.lock().is_some() {
+            return RecvOutcome::Closed;
         }
+        self.shared.rx_stats.count_delivery(rx.queue.recv(timeout))
     }
 
     fn bind_receiver(
@@ -413,41 +371,26 @@ impl Link for SimLink {
         on_event: impl Fn(ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
         let rx = &self.shared.rx;
-        let mut sink = rx.sink.lock();
-        let backlog = match &mut *sink {
-            RxSink::External(queue) => std::mem::take(queue),
-            RxSink::Bound { .. } => return Err(TransportError::ReceiverTaken),
-        };
-        // Flush frames that arrived before binding (external path).
-        let mut fin_seen = false;
-        for frame in backlog {
-            match frame {
-                Frame::Data(bytes) => {
-                    if let Some(inbox) = &inbox {
-                        if inbox.put(Item::bytes(bytes)) {
-                            self.shared
-                                .rx_stats
-                                .delivered
-                                .fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            self.shared.rx_stats.refused.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Frame::Event(ev) => on_event(ev.into()),
-                Frame::Control(_) => {}
-                Frame::Fin => fin_seen = true,
-            }
+        let mut slot = rx.bound.lock();
+        if slot.is_some() {
+            return Err(TransportError::ReceiverTaken);
         }
-        if fin_seen || rx.fin.load(Ordering::Acquire) {
-            if let Some(inbox) = &inbox {
-                inbox.finish();
-            }
-        }
-        *sink = RxSink::Bound {
+        let bound = Bound {
             inbox,
             on_event: Box::new(on_event),
         };
+        // Flush frames that arrived before binding (external path).
+        loop {
+            match rx.queue.try_recv() {
+                Some(RecvOutcome::Frame(frame)) => bound.accept(None, frame, &self.shared.rx_stats),
+                Some(RecvOutcome::Fin) => {
+                    bound.accept(None, Frame::Fin, &self.shared.rx_stats);
+                    break;
+                }
+                _ => break,
+            }
+        }
+        *slot = Some(bound);
         Ok(())
     }
 
@@ -530,9 +473,7 @@ impl Transport for SimTransport {
     }
 
     fn listen(&self, addr: &str) -> Result<SimAcceptor, TransportError> {
-        Ok(SimAcceptor {
-            inner: rendezvous::listen(&self.registry, addr)?,
-        })
+        rendezvous::listen(&self.registry, addr)
     }
 
     fn connect(&self, addr: &str) -> Result<SimLink, TransportError> {
@@ -604,38 +545,12 @@ impl std::fmt::Debug for SimTransport {
 }
 
 /// A bound simulated listening endpoint.
-pub struct SimAcceptor {
-    inner: rendezvous::Bound<SimLink>,
-}
-
-impl Acceptor for SimAcceptor {
-    type Link = SimLink;
-
-    fn local_addr(&self) -> String {
-        self.inner.local_addr()
-    }
-
-    fn accept(&self) -> Result<SimLink, TransportError> {
-        self.inner.accept()
-    }
-
-    fn accept_timeout(&self, timeout: Duration) -> Result<Option<SimLink>, TransportError> {
-        self.inner.accept_timeout(timeout)
-    }
-}
-
-impl std::fmt::Debug for SimAcceptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimAcceptor")
-            .field("addr", &self.inner.local_addr())
-            .finish()
-    }
-}
+pub type SimAcceptor = rendezvous::Bound<SimLink>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::PipelineTransportExt;
+    use crate::transport::{Acceptor, PipelineTransportExt};
     use infopipes::helpers::{CollectSink, IterSource};
     use infopipes::{BufferSpec, FreePump, Pipeline};
     use mbthread::KernelConfig;

@@ -12,9 +12,10 @@
 //! send queue, which is how out-of-band priority manifests on a single
 //! ordered byte stream.
 
+use super::lanes::{Batch, LaneQueue};
 use super::{
-    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
-    SharedStats, Transport, TransportError,
+    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, ReceiverSlot, RecvOutcome,
+    SendStatus, SharedStats, Transport, TransportError,
 };
 use crate::framing::{
     encode_header, write_all_vectored, write_frame, FrameKind, HEADER_LEN, MAX_FRAME,
@@ -22,9 +23,9 @@ use crate::framing::{
 use crate::marshal::WireBytes;
 use crate::proto::WireEvent;
 use crate::wire;
+use crate::worker::Worker;
 use infopipes::BufferPool;
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use parking_lot::Mutex;
 use std::io::{IoSlice, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,103 +33,41 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
-// Send side: two-lane queue drained by a writer thread
+// Send side: the two-lane queue drained by a writer thread
 // ---------------------------------------------------------------------
 
-struct TxQueues {
-    /// Control lane: events and protocol messages. Unbounded, never
-    /// dropped, drained before data (priority).
-    ctrl: VecDeque<Frame>,
-    /// Data lane, bounded by `TcpTransport::send_queue`.
-    data: VecDeque<WireBytes>,
-    /// `Fin` requested: written once both lanes drain (end of stream
-    /// must not overtake its own data), then no further sends.
-    fin_queued: bool,
-    /// The writer thread exited (socket error or `Fin` written).
-    writer_gone: bool,
-}
-
 struct TxShared {
-    queues: Mutex<TxQueues>,
-    cv: Condvar,
-    capacity: usize,
+    /// Data lane bounded by `TcpTransport::send_queue`; closed once the
+    /// writer thread exits (socket error or `Fin` written).
+    queue: LaneQueue,
     batch: BatchPolicy,
     stats: Arc<SharedStats>,
 }
 
 impl TxShared {
     fn send(&self, frame: Frame) -> SendStatus {
-        let mut q = self.queues.lock();
-        if q.fin_queued || q.writer_gone {
+        let data_len = match &frame {
+            Frame::Data(bytes) => Some(bytes.len() as u64),
+            _ => None,
+        };
+        // Reliable transport: a full data lane waits for space rather
+        // than drop, and reports the congestion.
+        let Some(pressured) = self.queue.offer(frame) else {
             return SendStatus::Closed;
+        };
+        // Accounting happens only once the frame is actually queued: a
+        // frame abandoned because the writer died mid-wait must not
+        // count as sent on a never-drops transport.
+        if let Some(len) = data_len {
+            self.stats.sent.fetch_add(1, Ordering::Relaxed);
+            self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
         }
-        let status = match frame {
-            Frame::Data(bytes) => {
-                // Accounting happens only once the frame is actually
-                // queued: a frame abandoned because the writer died
-                // mid-wait must not count as sent on a never-drops
-                // transport.
-                let len = bytes.len() as u64;
-                let status = if q.data.len() >= self.capacity {
-                    // Reliable transport: wait for space rather than drop,
-                    // and report the congestion.
-                    while q.data.len() >= self.capacity && !q.writer_gone {
-                        self.cv.wait(&mut q);
-                    }
-                    if q.writer_gone {
-                        return SendStatus::Closed;
-                    }
-                    q.data.push_back(bytes);
-                    SendStatus::Saturated
-                } else {
-                    q.data.push_back(bytes);
-                    if (q.data.len() + 1) * 2 > self.capacity {
-                        SendStatus::Saturated
-                    } else {
-                        SendStatus::Sent
-                    }
-                };
-                self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
-                status
-            }
-            Frame::Fin => {
-                q.fin_queued = true;
-                SendStatus::Sent
-            }
-            ctrl_frame => {
-                q.ctrl.push_back(ctrl_frame);
-                SendStatus::Sent
-            }
-        };
-        self.cv.notify_all();
-        status
+        if pressured {
+            SendStatus::Saturated
+        } else {
+            SendStatus::Sent
+        }
     }
-}
-
-/// Drains ready frames under the lock: every pending control-lane frame
-/// (priority: they always overtake data), then data frames up to the
-/// batch policy. Returns `true` when `Fin` should be written — both
-/// lanes fully drained with `fin_queued` set, so end of stream never
-/// overtakes its own data.
-fn drain_ready(
-    q: &mut TxQueues,
-    policy: BatchPolicy,
-    ctrl: &mut Vec<Frame>,
-    data: &mut Vec<WireBytes>,
-    data_bytes: &mut usize,
-) -> bool {
-    while let Some(f) = q.ctrl.pop_front() {
-        ctrl.push(f);
-    }
-    while data.len() < policy.max_frames.max(1) && *data_bytes < policy.max_bytes {
-        let Some(bytes) = q.data.pop_front() else {
-            break;
-        };
-        *data_bytes += bytes.len();
-        data.push(bytes);
-    }
-    q.fin_queued && q.ctrl.is_empty() && q.data.is_empty()
 }
 
 /// The writer thread: coalesces queued frames into one vectored write —
@@ -137,39 +76,13 @@ fn drain_ready(
 /// shared payload buffer, with no coalescing copy. N small frames cost
 /// one `write_vectored` syscall instead of N (counted in `wire_writes`).
 fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
-    let policy = tx.batch;
     loop {
-        let mut ctrl: Vec<Frame> = Vec::new();
-        let mut data: Vec<WireBytes> = Vec::new();
-        let mut data_bytes = 0usize;
-        let mut fin;
-        {
-            let mut q = tx.queues.lock();
-            loop {
-                fin = drain_ready(&mut q, policy, &mut ctrl, &mut data, &mut data_bytes);
-                if !ctrl.is_empty() || !data.is_empty() || fin {
-                    break;
-                }
-                tx.cv.wait(&mut q);
-            }
-            // Hold an undersized all-data batch open for one linger
-            // window: frames arriving meanwhile join the same write.
-            if let Some(linger) = policy.linger {
-                if ctrl.is_empty()
-                    && !fin
-                    && data.len() < policy.max_frames
-                    && data_bytes < policy.max_bytes
-                {
-                    tx.cv.wait_for(&mut q, linger);
-                    fin = drain_ready(&mut q, policy, &mut ctrl, &mut data, &mut data_bytes);
-                }
-            }
-            if !data.is_empty() {
-                tx.cv.notify_all(); // space freed
-            }
-        }
+        let Batch {
+            ctrl, data, fin, ..
+        } = tx.queue.take_batch(tx.batch);
 
-        // Encode control frames outside the lock (events marshal here).
+        // Encode control frames outside the lock (events marshal here);
+        // they lead the write, so their priority survives the batch.
         let mut ctrl_payloads: Vec<(FrameKind, Vec<u8>)> = Vec::with_capacity(ctrl.len());
         for f in ctrl {
             match f {
@@ -182,31 +95,22 @@ fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
                 Frame::Data(_) | Frame::Fin => unreachable!("only ctrl-lane frames queued"),
             }
         }
-        if ctrl_payloads.iter().any(|(_, b)| b.len() > MAX_FRAME)
-            || data.iter().any(|b| b.len() > MAX_FRAME)
-        {
+        let frames: Vec<(FrameKind, &[u8])> = ctrl_payloads
+            .iter()
+            .map(|(kind, bytes)| (*kind, bytes.as_slice()))
+            .chain(data.iter().map(|bytes| (FrameKind::Data, bytes.as_slice())))
+            .collect();
+        if frames.iter().any(|(_, bytes)| bytes.len() > MAX_FRAME) {
             break; // oversized frame: fail the link, as write_frame would
         }
-
-        let mut headers: Vec<[u8; HEADER_LEN]> =
-            Vec::with_capacity(ctrl_payloads.len() + data.len());
-        for (kind, bytes) in &ctrl_payloads {
-            headers.push(encode_header(*kind, bytes.len()));
-        }
-        for bytes in &data {
-            headers.push(encode_header(FrameKind::Data, bytes.len()));
-        }
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(headers.len() * 2);
-        let mut next_header = 0;
-        for (_, bytes) in &ctrl_payloads {
-            slices.push(IoSlice::new(&headers[next_header]));
+        let headers: Vec<[u8; HEADER_LEN]> = frames
+            .iter()
+            .map(|(kind, bytes)| encode_header(*kind, bytes.len()))
+            .collect();
+        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len() * 2);
+        for (header, (_, bytes)) in headers.iter().zip(&frames) {
+            slices.push(IoSlice::new(header));
             slices.push(IoSlice::new(bytes));
-            next_header += 1;
-        }
-        for bytes in &data {
-            slices.push(IoSlice::new(&headers[next_header]));
-            slices.push(IoSlice::new(bytes));
-            next_header += 1;
         }
         if !slices.is_empty() {
             match write_all_vectored(stream, &mut slices) {
@@ -226,9 +130,7 @@ fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
             break;
         }
     }
-    let mut q = tx.queues.lock();
-    q.writer_gone = true;
-    tx.cv.notify_all();
+    tx.queue.close();
 }
 
 // ---------------------------------------------------------------------
@@ -332,12 +234,12 @@ struct TcpInner {
     /// The receive-side pool (shared with the [`FrameReader`]) so callers
     /// can observe recycling pressure via [`TcpLink::pool_stats`].
     rx_pool: BufferPool,
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// A handle on the socket for teardown: lets `drop` unblock a writer
     /// stuck in `write` against a peer that stopped reading.
     shutdown_stream: TcpStream,
-    /// A receiver binding exists (at most one per link).
-    rx_bound: AtomicBool,
+    receiver: ReceiverSlot,
+    /// Joined when the link goes, after `drop` below has made it exit.
+    _writer: Worker,
 }
 
 impl Drop for TcpInner {
@@ -346,22 +248,8 @@ impl Drop for TcpInner {
         // bounded window to flush, then cut the socket so the join below
         // cannot hang on a peer that stopped reading.
         self.tx.send(Frame::Fin);
-        {
-            let mut q = self.tx.queues.lock();
-            let deadline = Instant::now() + Duration::from_secs(2);
-            while !q.writer_gone {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                self.tx.cv.wait_for(&mut q, deadline - now);
-            }
-            if !q.writer_gone {
-                let _ = self.shutdown_stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        if let Some(h) = self.writer.lock().take() {
-            let _ = h.join();
+        if !self.tx.queue.wait_closed(Duration::from_secs(2)) {
+            let _ = self.shutdown_stream.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -382,24 +270,16 @@ impl TcpLink {
         let stats = Arc::new(SharedStats::default());
         let rx_pool = BufferPool::new();
         let tx = Arc::new(TxShared {
-            queues: Mutex::new(TxQueues {
-                ctrl: VecDeque::new(),
-                data: VecDeque::new(),
-                fin_queued: false,
-                writer_gone: false,
-            }),
-            cv: Condvar::new(),
-            capacity: send_queue.max(1),
+            queue: LaneQueue::new(send_queue),
             batch,
             stats: Arc::clone(&stats),
         });
         let mut write_half = stream.try_clone()?;
         let shutdown_stream = stream.try_clone()?;
         let tx2 = Arc::clone(&tx);
-        let writer = std::thread::Builder::new()
-            .name("tcp-netpipe-writer".into())
-            .spawn(move || writer_loop(&tx2, &mut write_half))
-            .map_err(TransportError::Io)?;
+        let writer = Worker::spawn("tcp-netpipe-writer", move |_| {
+            writer_loop(&tx2, &mut write_half);
+        })?;
         Ok(TcpLink {
             inner: Arc::new(TcpInner {
                 peer: PeerIdentity::new("tcp", peer_addr.to_string()),
@@ -413,9 +293,9 @@ impl TcpLink {
                 fin_seen: AtomicBool::new(false),
                 stats,
                 rx_pool,
-                writer: Mutex::new(Some(writer)),
                 shutdown_stream,
-                rx_bound: AtomicBool::new(false),
+                receiver: ReceiverSlot::default(),
+                _writer: writer,
             }),
         })
     }
@@ -438,10 +318,9 @@ impl Link for TcpLink {
     }
 
     fn send_ready(&self) -> bool {
-        let q = self.inner.tx.queues.lock();
         // A finished or dead writer makes `send` return Closed without
         // waiting, so only a full data lane means "would block".
-        q.fin_queued || q.writer_gone || q.data.len() < self.inner.tx.capacity
+        !self.inner.tx.queue.would_block()
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
@@ -482,13 +361,12 @@ impl Link for TcpLink {
         inbox: Option<infopipes::InboxSender>,
         on_event: impl Fn(infopipes::ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
-        if self.inner.rx_bound.swap(true, Ordering::AcqRel) {
-            return Err(TransportError::ReceiverTaken);
-        }
         let rx_stats = Arc::clone(&self.inner.stats);
-        super::drain_receiver(self.clone(), inbox, on_event, rx_stats, |link| {
-            Arc::strong_count(&link.inner) == 1
-        })
+        self.inner
+            .receiver
+            .bind(self.clone(), inbox, on_event, rx_stats, |link| {
+                Arc::strong_count(&link.inner) == 1
+            })
     }
 
     fn stats(&self) -> LinkStats {

@@ -31,18 +31,20 @@
 //! contiguous), and receives seal each datagram once — the unavoidable
 //! I/O-boundary copies, with none elsewhere.
 
+use super::lanes::LaneQueue;
 use super::{
-    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
-    SharedStats, Transport, TransportError,
+    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, Pending, ReceiverSlot,
+    RecvOutcome, SendStatus, SharedStats, Transport, TransportError,
 };
 use crate::proto::WireEvent;
 use crate::wire;
+use crate::worker::{Stop, Worker};
 use infopipes::{BufferPool, PayloadBytes};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Datagram type bytes (first byte of every datagram).
@@ -62,15 +64,6 @@ pub const DEFAULT_MAX_DATAGRAM: usize = 60 * 1024;
 /// How long a partial packed datagram is held open before the flusher
 /// sends it, when the policy doesn't specify a linger.
 const DEFAULT_UDP_LINGER: Duration = Duration::from_millis(1);
-
-fn encode(frame: &Frame) -> Option<(u8, Vec<u8>)> {
-    match frame {
-        Frame::Data(_) => None, // data frames are framed inline in send_frame
-        Frame::Event(ev) => Some((TAG_EVENT, wire::to_bytes(ev).ok()?)),
-        Frame::Control(bytes) => Some((TAG_CONTROL, bytes.clone())),
-        Frame::Fin => Some((TAG_FIN, Vec::new())),
-    }
-}
 
 /// Seals `payload` into a pooled buffer — the receive-side copy off the
 /// socket, allocation-free once the pool is warm.
@@ -110,6 +103,7 @@ fn decode_into(tag: u8, payload: &[u8], pool: &BufferPool, push: &mut impl FnMut
 }
 
 /// The packed datagram under construction on the send side.
+#[derive(Default)]
 struct TxBatch {
     /// `[TAG_BATCH]([len][payload])*` so far; empty when no batch is open.
     buf: Vec<u8>,
@@ -117,16 +111,6 @@ struct TxBatch {
     frames: u64,
     /// Payload bytes packed into `buf` (for `bytes_sent` on flush).
     payload_bytes: u64,
-}
-
-impl TxBatch {
-    fn new() -> TxBatch {
-        TxBatch {
-            buf: Vec::new(),
-            frames: 0,
-            payload_bytes: 0,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -138,96 +122,15 @@ impl TxBatch {
 /// memory use and counted drops, not an unbounded backlog.
 const RX_QUEUE_FRAMES: usize = 1024;
 
-/// The two receive lanes, under one lock. Control frames (events,
-/// factory messages, `Fin`) live apart from data so priority pops are
-/// O(1) on the data path and never scan a deep data backlog.
-struct RxLanes {
-    ctrl: VecDeque<Frame>,
-    data: VecDeque<PayloadBytes>,
-}
-
-/// Frames awaiting a `recv` (or the bind_receiver drain thread).
-struct RxQueue {
-    lanes: Mutex<RxLanes>,
-    cv: Condvar,
-    fin: AtomicBool,
-    closed: AtomicBool,
-}
-
-impl RxQueue {
-    fn new() -> RxQueue {
-        RxQueue {
-            lanes: Mutex::new(RxLanes {
-                ctrl: VecDeque::new(),
-                data: VecDeque::new(),
-            }),
-            cv: Condvar::new(),
-            fin: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueues an arrived frame. The data lane is bounded
-    /// ([`RX_QUEUE_FRAMES`]): overflow sheds the arrival and counts it
-    /// into `stats.dropped`, keeping the backend lossy rather than
-    /// unbounded when the consumer stalls. The control lane is small and
-    /// never shed.
-    fn push(&self, frame: Frame, stats: &SharedStats) {
-        {
-            let mut lanes = self.lanes.lock();
-            match frame {
-                Frame::Data(bytes) => {
-                    if lanes.data.len() >= RX_QUEUE_FRAMES {
-                        // Receive-queue shed: counted both as a drop (it
-                        // is loss) and separately as `rx_shed`, the
-                        // memory-pressure signal feedback loops watch.
-                        stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        stats.rx_shed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        lanes.data.push_back(bytes);
-                    }
-                }
-                Frame::Fin => {
-                    self.fin.store(true, Ordering::Release);
-                    lanes.ctrl.push_back(Frame::Fin);
-                }
-                ctrl_frame => lanes.ctrl.push_back(ctrl_frame),
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    /// Marks the link dead (socket error observed); wakes waiters so
-    /// they see `Closed`.
-    fn mark_closed(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// Pops the next frame with control priority: events and control
-    /// messages overtake queued data; `Fin` keeps its place so the
-    /// stream ends after its data.
-    fn pop(&self, delivered: &SharedStats) -> Option<RecvOutcome> {
-        let mut lanes = self.lanes.lock();
-        if let Some(pos) = lanes.ctrl.iter().position(|f| !matches!(f, Frame::Fin)) {
-            let frame = lanes.ctrl.remove(pos).expect("indexed frame");
-            return Some(RecvOutcome::Frame(frame));
-        }
-        if let Some(bytes) = lanes.data.pop_front() {
-            delivered.delivered.fetch_add(1, Ordering::Relaxed);
-            return Some(RecvOutcome::Frame(Frame::Data(bytes)));
-        }
-        if matches!(lanes.ctrl.front(), Some(Frame::Fin)) {
-            lanes.ctrl.pop_front();
-            return Some(RecvOutcome::Fin);
-        }
-        if self.fin.load(Ordering::Acquire) {
-            Some(RecvOutcome::Fin)
-        } else if self.closed.load(Ordering::Acquire) {
-            Some(RecvOutcome::Closed)
-        } else {
-            None
-        }
+/// Enqueues an arrived frame on a link's receive queue. The data lane
+/// is bounded ([`RX_QUEUE_FRAMES`]): overflow sheds the arrival, keeping
+/// the backend lossy rather than unbounded when the consumer stalls. A
+/// shed is counted both as a drop (it is loss) and separately as
+/// `rx_shed`, the memory-pressure signal feedback loops watch.
+fn rx_push(rx: &LaneQueue, frame: Frame, stats: &SharedStats) {
+    if !rx.arrive(frame) {
+        stats.dropped.fetch_add(1, Ordering::Relaxed);
+        stats.rx_shed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -254,19 +157,20 @@ enum LinkSide {
 struct UdpInner {
     peer: PeerIdentity,
     side: LinkSide,
-    rx: Arc<RxQueue>,
+    rx: Arc<LaneQueue>,
     max_datagram: usize,
     stats: Arc<SharedStats>,
     fin_sent: AtomicBool,
-    rx_bound: AtomicBool,
+    receiver: ReceiverSlot,
     /// Pool arriving data payloads are sealed into (shared with the
     /// listener's [`PeerEntry`] on the server side).
     rx_pool: BufferPool,
     /// Small-frame packing policy; `None` sends one datagram per frame.
     batch: Option<BatchPolicy>,
     tx_batch: Mutex<TxBatch>,
-    /// The linger flusher thread exists (spawned on first packed frame).
-    flusher_started: AtomicBool,
+    /// The linger flusher, spawned on the first packed frame; `None`
+    /// remembers a refused spawn, after which packed frames flush inline.
+    flusher: OnceLock<Option<Worker>>,
 }
 
 impl UdpInner {
@@ -276,6 +180,16 @@ impl UdpInner {
             LinkSide::Client { socket, .. } => socket.send(dgram),
             LinkSide::Server { server, peer_addr } => server.socket.send_to(dgram, peer_addr),
         }
+    }
+
+    /// Sends `[tag][payload]` as one datagram, counting the write.
+    fn send_tagged(&self, tag: u8, payload: &[u8]) -> std::io::Result<usize> {
+        let mut dgram = Vec::with_capacity(payload.len() + 1);
+        dgram.push(tag);
+        dgram.extend_from_slice(payload);
+        let sent = self.raw_send(&dgram)?;
+        self.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
+        Ok(sent)
     }
 
     /// Sends the pending packed datagram, if any. A failed send sheds
@@ -310,12 +224,8 @@ impl UdpInner {
 
     /// Sends a data frame singly: `[TAG_DATA][payload]`, one datagram.
     fn send_data_single(&self, bytes: &PayloadBytes) -> SendStatus {
-        let mut dgram = Vec::with_capacity(bytes.len() + 1);
-        dgram.push(TAG_DATA);
-        dgram.extend_from_slice(bytes);
-        match self.raw_send(&dgram) {
+        match self.send_tagged(TAG_DATA, bytes) {
             Ok(_) => {
-                self.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .bytes_sent
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -346,6 +256,24 @@ pub struct UdpLink {
 }
 
 impl UdpLink {
+    fn new(peer_addr: String, side: LinkSide, entry: PeerEntry, cfg: &UdpTransport) -> UdpLink {
+        UdpLink {
+            inner: Arc::new(UdpInner {
+                peer: PeerIdentity::new("udp", peer_addr),
+                side,
+                rx: entry.rx,
+                max_datagram: cfg.max_datagram,
+                stats: entry.stats,
+                fin_sent: AtomicBool::new(false),
+                receiver: ReceiverSlot::default(),
+                rx_pool: entry.pool,
+                batch: cfg.batch,
+                tx_batch: Mutex::new(TxBatch::default()),
+                flusher: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Statistics of the receive-side buffer pool: hit/miss counts and
     /// the number of payload buffers still checked out downstream.
     #[must_use]
@@ -353,26 +281,30 @@ impl UdpLink {
         self.inner.rx_pool.stats()
     }
 
-    /// Spawns the linger flusher on first use: a thread holding only a
+    /// Makes sure a packed frame left pending gets sent within one
+    /// linger: spawns the flusher on first use — a worker holding only a
     /// `Weak` ref that ticks at the linger interval and sends whatever
-    /// packed datagram is pending, so an undersized batch is never held
-    /// longer than one linger. Exits when the link is gone or finished.
+    /// packed datagram is pending, until the link is gone or finished.
+    /// Without a flusher (the OS refused the thread) nothing may stay
+    /// pending, so the frame goes out now.
     fn ensure_flusher(&self, linger: Duration) {
-        if self.inner.flusher_started.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let weak = Arc::downgrade(&self.inner);
-        let linger = linger.max(Duration::from_micros(100));
-        let _ = std::thread::Builder::new()
-            .name("udp-netpipe-flusher".into())
-            .spawn(move || loop {
-                std::thread::sleep(linger);
-                let Some(inner) = weak.upgrade() else { return };
-                inner.flush_pending();
-                if inner.fin_sent.load(Ordering::Acquire) {
-                    return;
+        let flusher = self.inner.flusher.get_or_init(|| {
+            let weak = Arc::downgrade(&self.inner);
+            let linger = linger.max(Duration::from_micros(100));
+            Worker::spawn("udp-netpipe-flusher", move |stop: &Stop| {
+                while !stop.sleep(linger) {
+                    let Some(inner) = weak.upgrade() else { return };
+                    inner.flush_pending();
+                    if inner.fin_sent.load(Ordering::Acquire) {
+                        return;
+                    }
                 }
-            });
+            })
+            .ok()
+        });
+        if flusher.is_none() {
+            self.inner.flush_pending();
+        }
     }
 
     /// Drains every datagram currently readable on the client socket
@@ -396,7 +328,7 @@ impl UdpLink {
             match socket.recv(&mut buf) {
                 Ok(n) if n > 0 => {
                     decode_into(buf[0], &buf[1..n], &self.inner.rx_pool, &mut |frame| {
-                        self.inner.rx.push(frame, &self.inner.stats);
+                        rx_push(&self.inner.rx, frame, &self.inner.stats);
                     });
                     timeout = Duration::from_micros(100);
                 }
@@ -411,7 +343,7 @@ impl UdpLink {
                     return;
                 }
                 Err(_) => {
-                    self.inner.rx.mark_closed();
+                    self.inner.rx.close();
                     return;
                 }
             }
@@ -484,46 +416,39 @@ impl Link for UdpLink {
             ctrl_frame => {
                 // Control-lane frames go out immediately, overtaking any
                 // pending packed data — out-of-band priority.
-                let Some((tag, payload)) = encode(&ctrl_frame) else {
-                    return SendStatus::Sent;
+                let _ = match ctrl_frame {
+                    Frame::Event(ev) => match wire::to_bytes(&ev) {
+                        Ok(payload) => inner.send_tagged(TAG_EVENT, &payload),
+                        Err(_) => return SendStatus::Sent,
+                    },
+                    Frame::Control(payload) => inner.send_tagged(TAG_CONTROL, &payload),
+                    Frame::Data(_) | Frame::Fin => unreachable!("matched above"),
                 };
-                let mut dgram = Vec::with_capacity(payload.len() + 1);
-                dgram.push(tag);
-                dgram.extend_from_slice(&payload);
-                if inner.raw_send(&dgram).is_ok() {
-                    inner.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
-                }
                 SendStatus::Sent
             }
         }
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(out) = self.inner.rx.pop(&self.inner.stats) {
-                return out;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RecvOutcome::TimedOut;
-            }
-            match &self.inner.side {
-                LinkSide::Client { .. } => self.pump_client_socket(deadline - now),
-                LinkSide::Server { .. } => {
-                    // The listener's reader thread fills the queue; wait
-                    // on its condvar.
-                    let mut lanes = self.inner.rx.lanes.lock();
-                    if lanes.ctrl.is_empty()
-                        && lanes.data.is_empty()
-                        && !self.inner.rx.fin.load(Ordering::Acquire)
-                        && !self.inner.rx.closed.load(Ordering::Acquire)
-                    {
-                        self.inner.rx.cv.wait_for(&mut lanes, deadline - now);
+        let rx = &self.inner.rx;
+        let outcome = match &self.inner.side {
+            // The listener's reader thread fills the queue.
+            LinkSide::Server { .. } => rx.recv(timeout),
+            LinkSide::Client { .. } => {
+                let deadline = Instant::now() + timeout;
+                loop {
+                    if let Some(out) = rx.try_recv() {
+                        break out;
                     }
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break RecvOutcome::TimedOut;
+                    }
+                    self.pump_client_socket(deadline - now);
                 }
             }
-        }
+        };
+        self.inner.stats.count_delivery(outcome)
     }
 
     fn bind_receiver(
@@ -531,13 +456,12 @@ impl Link for UdpLink {
         inbox: Option<infopipes::InboxSender>,
         on_event: impl Fn(infopipes::ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
-        if self.inner.rx_bound.swap(true, Ordering::AcqRel) {
-            return Err(TransportError::ReceiverTaken);
-        }
         let rx_stats = Arc::clone(&self.inner.stats);
-        super::drain_receiver(self.clone(), inbox, on_event, rx_stats, |link| {
-            Arc::strong_count(&link.inner) == 1
-        })
+        self.inner
+            .receiver
+            .bind(self.clone(), inbox, on_event, rx_stats, |link| {
+                Arc::strong_count(&link.inner) == 1
+            })
     }
 
     fn stats(&self) -> LinkStats {
@@ -558,8 +482,9 @@ impl std::fmt::Debug for UdpLink {
 // Listener: one socket, demultiplexed by source address
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 struct PeerEntry {
-    rx: Arc<RxQueue>,
+    rx: Arc<LaneQueue>,
     stats: Arc<SharedStats>,
     /// Per-peer receive pool: arriving payloads seal into recycled
     /// buffers, so a fan-in of N peers costs N warm pools, not N × frames
@@ -567,22 +492,32 @@ struct PeerEntry {
     pool: BufferPool,
 }
 
+impl PeerEntry {
+    fn new() -> PeerEntry {
+        PeerEntry {
+            rx: Arc::new(LaneQueue::new(RX_QUEUE_FRAMES)),
+            stats: Arc::new(SharedStats::default()),
+            pool: BufferPool::new(),
+        }
+    }
+}
+
 struct ServerShared {
     socket: Arc<UdpSocket>,
     peers: Mutex<HashMap<SocketAddr, PeerEntry>>,
     /// Freshly announced peers awaiting `accept`.
-    pending: Mutex<VecDeque<SocketAddr>>,
-    pending_cv: Condvar,
-    closed: AtomicBool,
+    pending: Pending<SocketAddr>,
+    /// The datagram router, set once by `listen`.
+    reader: OnceLock<Worker>,
 }
 
 /// Routes every arriving datagram: `HELLO` creates a peer entry and
 /// wakes `accept`; anything else lands in its peer's queue. Holds only a
 /// weak ref, so the thread reaps itself once the acceptor and every
 /// accepted link are gone.
-fn reader_loop(server: &Weak<ServerShared>) {
+fn reader_loop(server: &Weak<ServerShared>, stop: &Stop) {
     let mut buf = vec![0u8; 64 * 1024 + 1];
-    loop {
+    while !stop.requested() {
         let Some(srv) = server.upgrade() else { return };
         let _ = srv.socket.set_read_timeout(Some(Duration::from_millis(50)));
         match srv.socket.recv_from(&mut buf) {
@@ -590,17 +525,12 @@ fn reader_loop(server: &Weak<ServerShared>) {
                 if buf[0] == TAG_HELLO {
                     let mut peers = srv.peers.lock();
                     if let std::collections::hash_map::Entry::Vacant(slot) = peers.entry(from) {
-                        slot.insert(PeerEntry {
-                            rx: Arc::new(RxQueue::new()),
-                            stats: Arc::new(SharedStats::default()),
-                            pool: BufferPool::new(),
-                        });
-                        srv.pending.lock().push_back(from);
-                        srv.pending_cv.notify_all();
+                        slot.insert(PeerEntry::new());
+                        srv.pending.offer(from);
                     }
                 } else if let Some(entry) = srv.peers.lock().get(&from) {
                     decode_into(buf[0], &buf[1..n], &entry.pool, &mut |frame| {
-                        entry.rx.push(frame, &entry.stats);
+                        rx_push(&entry.rx, frame, &entry.stats);
                     });
                 }
             }
@@ -614,14 +544,12 @@ fn reader_loop(server: &Weak<ServerShared>) {
 /// links and exits once the last of them is gone.
 pub struct UdpAcceptor {
     server: Arc<ServerShared>,
-    max_datagram: usize,
-    batch: Option<BatchPolicy>,
+    cfg: UdpTransport,
 }
 
 impl Drop for UdpAcceptor {
     fn drop(&mut self) {
-        self.server.closed.store(true, Ordering::Release);
-        self.server.pending_cv.notify_all();
+        self.server.pending.close();
     }
 }
 
@@ -637,76 +565,30 @@ impl Acceptor for UdpAcceptor {
     }
 
     fn accept(&self) -> Result<UdpLink, TransportError> {
-        let peer_addr = {
-            let mut pending = self.server.pending.lock();
-            loop {
-                if let Some(addr) = pending.pop_front() {
-                    break addr;
-                }
-                if self.server.closed.load(Ordering::Acquire) {
-                    return Err(TransportError::Closed);
-                }
-                self.server.pending_cv.wait(&mut pending);
-            }
-        };
-        self.link_for(peer_addr)
+        let peer_addr = self.server.pending.take(None)?;
+        self.link_for(peer_addr.expect("an untimed wait ends with a peer or an error"))
     }
 
     fn accept_timeout(&self, timeout: Duration) -> Result<Option<UdpLink>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let peer_addr = {
-            let mut pending = self.server.pending.lock();
-            loop {
-                if let Some(addr) = pending.pop_front() {
-                    break addr;
-                }
-                if self.server.closed.load(Ordering::Acquire) {
-                    return Err(TransportError::Closed);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Ok(None);
-                }
-                let _ = self
-                    .server
-                    .pending_cv
-                    .wait_for(&mut pending, deadline - now);
-            }
-        };
-        self.link_for(peer_addr).map(Some)
+        let peer_addr = self.server.pending.take(Some(timeout))?;
+        peer_addr.map(|addr| self.link_for(addr)).transpose()
     }
 }
 
 impl UdpAcceptor {
     /// Builds the server-side link for a handshaken peer address.
     fn link_for(&self, peer_addr: std::net::SocketAddr) -> Result<UdpLink, TransportError> {
-        let entry = {
-            let peers = self.server.peers.lock();
-            let entry = peers.get(&peer_addr).ok_or(TransportError::Closed)?;
-            (
-                Arc::clone(&entry.rx),
-                Arc::clone(&entry.stats),
-                entry.pool.clone(),
-            )
+        let entry = self.server.peers.lock().get(&peer_addr).cloned();
+        let side = LinkSide::Server {
+            server: Arc::clone(&self.server),
+            peer_addr,
         };
-        Ok(UdpLink {
-            inner: Arc::new(UdpInner {
-                peer: PeerIdentity::new("udp", peer_addr.to_string()),
-                side: LinkSide::Server {
-                    server: Arc::clone(&self.server),
-                    peer_addr,
-                },
-                rx: entry.0,
-                max_datagram: self.max_datagram,
-                stats: entry.1,
-                fin_sent: AtomicBool::new(false),
-                rx_bound: AtomicBool::new(false),
-                rx_pool: entry.2,
-                batch: self.batch,
-                tx_batch: Mutex::new(TxBatch::new()),
-                flusher_started: AtomicBool::new(false),
-            }),
-        })
+        Ok(UdpLink::new(
+            peer_addr.to_string(),
+            side,
+            entry.ok_or(TransportError::Closed)?,
+            &self.cfg,
+        ))
     }
 }
 
@@ -791,19 +673,17 @@ impl Transport for UdpTransport {
         let server = Arc::new(ServerShared {
             socket,
             peers: Mutex::new(HashMap::new()),
-            pending: Mutex::new(VecDeque::new()),
-            pending_cv: Condvar::new(),
-            closed: AtomicBool::new(false),
+            pending: Pending::new(),
+            reader: OnceLock::new(),
         });
         let weak = Arc::downgrade(&server);
-        std::thread::Builder::new()
-            .name("udp-netpipe-reader".into())
-            .spawn(move || reader_loop(&weak))
-            .map_err(TransportError::Io)?;
+        let reader = Worker::spawn("udp-netpipe-reader", move |stop| {
+            reader_loop(&weak, stop);
+        })?;
+        let _ = server.reader.set(reader);
         Ok(UdpAcceptor {
             server,
-            max_datagram: self.max_datagram,
-            batch: self.batch,
+            cfg: self.clone(),
         })
     }
 
@@ -831,24 +711,11 @@ impl Transport for UdpTransport {
         for _ in 0..2 {
             let _ = socket.send(&[TAG_HELLO]);
         }
-        Ok(UdpLink {
-            inner: Arc::new(UdpInner {
-                peer: PeerIdentity::new("udp", addr.to_owned()),
-                side: LinkSide::Client {
-                    socket,
-                    recv_buf: Mutex::new(Vec::new()),
-                },
-                rx: Arc::new(RxQueue::new()),
-                max_datagram: self.max_datagram,
-                stats: Arc::new(SharedStats::default()),
-                fin_sent: AtomicBool::new(false),
-                rx_bound: AtomicBool::new(false),
-                rx_pool: BufferPool::new(),
-                batch: self.batch,
-                tx_batch: Mutex::new(TxBatch::new()),
-                flusher_started: AtomicBool::new(false),
-            }),
-        })
+        let side = LinkSide::Client {
+            socket,
+            recv_buf: Mutex::new(Vec::new()),
+        };
+        Ok(UdpLink::new(addr.to_owned(), side, PeerEntry::new(), self))
     }
 }
 
@@ -887,29 +754,33 @@ mod tests {
 
     #[test]
     fn receive_queue_is_bounded_and_sheds_with_counting() {
-        let rx = RxQueue::new();
+        let rx = LaneQueue::new(RX_QUEUE_FRAMES);
         let stats = SharedStats::default();
         for i in 0..(RX_QUEUE_FRAMES + 10) {
-            rx.push(
+            rx_push(
+                &rx,
                 Frame::Data(PayloadBytes::from(vec![(i % 251) as u8])),
                 &stats,
             );
         }
-        // Control frames are never shed, and still overtake the backlog.
-        rx.push(Frame::Event(WireEvent::SetDropLevel(1)), &stats);
+        // Control frames are never shed, and still overtake the backlog —
+        // even one the network reordered behind the `Fin`.
+        rx_push(&rx, Frame::Fin, &stats);
+        rx_push(&rx, Frame::Event(WireEvent::SetDropLevel(1)), &stats);
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 10);
         // Sheds are also split out as the memory-pressure signal.
         assert_eq!(stats.rx_shed.load(Ordering::Relaxed), 10);
-        assert!(matches!(
-            rx.pop(&stats),
-            Some(RecvOutcome::Frame(Frame::Event(_)))
-        ));
+        let pop = || rx.try_recv().map(|out| stats.count_delivery(out));
+        assert!(matches!(pop(), Some(RecvOutcome::Frame(Frame::Event(_)))));
         let mut data = 0;
-        while let Some(RecvOutcome::Frame(Frame::Data(_))) = rx.pop(&stats) {
+        while let Some(RecvOutcome::Frame(Frame::Data(_))) = pop() {
             data += 1;
         }
         assert_eq!(data, RX_QUEUE_FRAMES, "backlog capped at the queue bound");
         assert_eq!(stats.delivered.load(Ordering::Relaxed), data as u64);
+        // `Fin` kept its place behind the data, and stays readable.
+        assert!(matches!(rx.try_recv(), Some(RecvOutcome::Fin)));
+        assert!(matches!(rx.try_recv(), Some(RecvOutcome::Fin)));
     }
 
     #[test]

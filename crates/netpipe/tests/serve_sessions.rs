@@ -1,13 +1,19 @@
 //! Session lifecycle coverage for the serving tier: refcounted fan-out,
 //! slow-client isolation and eviction, mid-broadcast disconnects, and
 //! the per-session feedback loop. A scripted stub [`Link`] drives the
-//! lifecycle deterministically; a real-socket TCP smoke closes the loop
-//! end to end.
+//! lifecycle deterministically; a pipeline ending in a
+//! [`BroadcastSendEnd`] drives the tier the way a producer does; a
+//! real-socket TCP smoke closes the loop end to end.
 
-use infopipes::{payload_copy_count, BufferPool, ControlEvent, InboxSender, PayloadBytes};
+use infopipes::helpers::IterSource;
+use infopipes::{
+    payload_copy_count, BufferPool, ControlEvent, FreePump, InboxSender, PayloadBytes, Pipeline,
+};
+use mbthread::{Kernel, KernelConfig};
 use netpipe::{
-    AcceptLoop, Acceptor, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
-    ServeConfig, SessionRegistry, SessionState, TcpTransport, Transport, TransportError,
+    AcceptLoop, Acceptor, BroadcastSendEnd, Frame, InProcTransport, Link, LinkStats, Marshal,
+    PeerIdentity, RecvOutcome, SendStatus, ServeConfig, SessionRegistry, SessionState,
+    TcpTransport, Transport, TransportError, WireEvent,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -350,6 +356,93 @@ fn per_session_readings_drive_independent_drop_levels() {
     );
     assert_eq!(snap(fast_id).drop_level, 0);
     assert!(snap(slow_id).drop_level >= 1);
+}
+
+// ---------------------------------------------------------------------
+// A producer pipeline drives the tier through `BroadcastSendEnd`
+// ---------------------------------------------------------------------
+
+#[test]
+fn pipeline_broadcasts_events_and_frames_then_drains_every_session() {
+    const SESSIONS: usize = 4;
+    const FRAMES: u32 = 64;
+
+    let transport = InProcTransport::new();
+    let acceptor = transport.listen("studio").expect("listen");
+    let registry = SessionRegistry::new(ServeConfig::default());
+    let accept = AcceptLoop::spawn(acceptor, registry.clone());
+    let clients: Vec<_> = (0..SESSIONS)
+        .map(|_| transport.connect("studio").expect("connect"))
+        .collect();
+    let deadline = Instant::now() + DEADLINE;
+    while registry.stats().active < SESSIONS {
+        assert!(Instant::now() < deadline, "sessions must be admitted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(accept.shutdown() as usize, SESSIONS);
+
+    let kernel = Kernel::new(KernelConfig::default());
+    let producer = Pipeline::new(&kernel, "producer");
+    let src = producer.add_producer("src", IterSource::new("src", 0..FRAMES));
+    let pump = producer.add_pump("pump", FreePump::new());
+    let marshal = producer.add_function("marshal", Marshal::<u32>::new("marshal"));
+    let fan_out = producer.add_consumer(
+        "fan-out",
+        BroadcastSendEnd::new("fan-out", registry.clone()),
+    );
+    let _ = src >> pump >> marshal >> fan_out;
+    let running = producer.start().expect("plan");
+
+    // A broadcast control event reaches every session's control lane…
+    running
+        .send_event(ControlEvent::custom("tune", 0.25))
+        .expect("send event");
+    // …then the flow: every frame to every session, nothing deep-copied
+    // between the marshaller's seal and the clients' hands.
+    let copies_before = payload_copy_count();
+    let eos = running.subscribe();
+    running.start_flow().expect("start");
+    assert!(eos.wait_for("eos", DEADLINE), "the source must run dry");
+
+    for client in &clients {
+        let mut events = Vec::new();
+        let mut frames = Vec::new();
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            registry.sweep();
+            match client.recv(Duration::from_millis(50)) {
+                RecvOutcome::Frame(Frame::Data(bytes)) => {
+                    frames.push(netpipe::wire::from_bytes::<u32>(&bytes).expect("decode"));
+                }
+                RecvOutcome::Frame(Frame::Event(ev)) => events.push(ev),
+                RecvOutcome::Frame(other) => panic!("unexpected {other:?}"),
+                RecvOutcome::Fin => break,
+                RecvOutcome::Closed => panic!("a drained session ends with Fin"),
+                RecvOutcome::TimedOut => {
+                    assert!(Instant::now() < deadline, "stalled at {frames:?}");
+                }
+            }
+        }
+        assert_eq!(frames, (0..FRAMES).collect::<Vec<u32>>());
+        assert_eq!(
+            events,
+            vec![WireEvent::from(&ControlEvent::custom("tune", 0.25))]
+        );
+    }
+    assert_eq!(payload_copy_count(), copies_before);
+
+    // End of stream drained, finished and evicted every session (the
+    // `Fin` a client saw leaves the sweeping thread before its count).
+    let deadline = Instant::now() + DEADLINE;
+    while registry.stats().evicted_total < SESSIONS as u64 {
+        assert!(Instant::now() < deadline, "{:?}", registry.stats());
+        std::thread::yield_now();
+    }
+    let stats = registry.stats();
+    assert_eq!(stats.sent_total, u64::from(FRAMES) * SESSIONS as u64);
+    assert_eq!(stats.shed_total, 0);
+    assert_eq!(registry.reap(), SESSIONS);
+    kernel.shutdown();
 }
 
 // ---------------------------------------------------------------------
