@@ -14,9 +14,10 @@
 //! * **inproc_unpooled** — the same loop sealing through `wire::to_payload`
 //!   (fresh `Vec` + `Arc` per frame), for contrast. Published only.
 //! * **pipeline_inproc** — the full scheduled pipeline (pumps, inbox,
-//!   drain thread) from the zero-copy bench. The scheduler parks and
-//!   boxes per item, so this is *not* zero; published to keep the claim
-//!   honest about where the remaining allocations live.
+//!   drain thread) from the zero-copy bench. The kernel hand-off and the
+//!   pump cycle allocate nothing, but each stage that makes an `Item`
+//!   from a typed value boxes it, so this is *not* zero; published to
+//!   keep the claim honest about where the remaining allocations live.
 //! * **tcp_batched / tcp_unbatched** — 256-byte frames over loopback TCP
 //!   with the default [`BatchPolicy`](netpipe::BatchPolicy) versus `unbatched()`. Batching must
 //!   deliver >= 1.5x frames/sec (exit 1 otherwise); syscalls/frame shows
@@ -346,9 +347,14 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"alloc_report\",\n",
-            "  \"note\": \"wire_writes are socket write syscalls on the send path\",\n",
+            "  \"note\": \"wire_writes are socket write syscalls on the send path; {}\",\n",
             "  \"tcp_batch_speedup\": {:.3},\n  \"cases\": [\n{}\n  ]\n}}\n"
         ),
+        if smoke {
+            "--smoke run: a few hundred frames per case, rates mean little"
+        } else {
+            "full run, both gates applied"
+        },
         speedup,
         rows.join(",\n")
     );

@@ -20,6 +20,25 @@
 //!
 //! Custom pumps implement [`Pump`]: a scheduling *policy*, kept deliberately
 //! free of any thread or scheduler mechanics — those stay in the middleware.
+//!
+//! # What a cycle costs the scheduler
+//!
+//! The middleware pays for a kernel operation only where the schedule
+//! demands one. A cycle scheduled [`Schedule::At`] a time is a kernel
+//! timer and its message. A cycle scheduled [`Schedule::Immediately`]
+//! (or [`Schedule::OnArrival`] with data already waiting) runs in the
+//! same invocation of the pump's thread as the one before it, with no
+//! kernel message in between, for as long as nothing needs the thread:
+//! control events the thread has queued are handled first, between two
+//! items (§3.2); a message in the thread's mailbox — a control event from
+//! elsewhere, a stop request — is received first; a more urgent runnable
+//! thread gets the CPU first (when the kernel preempts at all); and a
+//! kernel shutting down ends the run. The pump's thread learns of all
+//! these by comparing one kernel-wide generation word per cycle
+//! ([`mbthread::Ctx::undisturbed`]). Among threads of equal urgency a
+//! free-running pump keeps the CPU until it blocks — on a full or empty
+//! buffer, or on a coroutine — which is the hand-off rule the kernel has
+//! for any thread with a message waiting.
 
 use crate::events::ControlEvent;
 use mbthread::{Constraint, Priority, Time};
@@ -30,7 +49,8 @@ use std::time::Duration;
 pub enum Schedule {
     /// Run a cycle at the given kernel time.
     At(Time),
-    /// Run a cycle as soon as possible (but after pending control events).
+    /// Run a cycle as soon as possible, after pending control events,
+    /// without a kernel message when nothing else needs the thread.
     Immediately,
     /// Park until the upstream boundary signals an arrival.
     OnArrival,

@@ -10,7 +10,7 @@ use crate::events::{tags, ControlEvent, EventMsg};
 use crate::graph::NodeId;
 use crate::pump::{CycleOutcome, Pump, Schedule};
 use crate::stage::{ActiveObject, Stage};
-use mbthread::{Ctx, Envelope, Flow, Message, TimerId};
+use mbthread::{Constraint, Ctx, Envelope, Flow, Message, Time, TimerId};
 
 /// Which kind of activity owner runs this section.
 pub(crate) enum OwnerRole {
@@ -26,6 +26,9 @@ pub(crate) enum OwnerRole {
         stage: Box<dyn ActiveObject>,
     },
 }
+
+/// The next cycle is due right away, under this constraint.
+struct DueNow(Option<Constraint>);
 
 pub(crate) struct OwnerFn {
     pub(crate) role: OwnerRole,
@@ -79,61 +82,88 @@ impl OwnerFn {
         }
     }
 
-    fn apply_schedule(&mut self, ctx: &mut Ctx<'_>, schedule: Schedule) {
+    /// Arms what `schedule` asks for. Returns the next cycle's constraint
+    /// when that cycle is due right away; the caller then either runs it
+    /// where it stands or asks for it with [`OwnerFn::send_tick`].
+    fn apply_schedule(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        schedule: Schedule,
+        now: Time,
+    ) -> Option<DueNow> {
         if let Some(t) = self.pending_tick.take() {
             let _ = ctx.cancel_timer(t);
         }
         self.waiting_arrival = false;
-        let OwnerRole::Pump { pump } = &mut self.role else {
-            return;
+        let OwnerRole::Pump { pump } = &self.role else {
+            return None;
         };
-        match schedule {
+        let constraint = pump.cycle_constraint(now);
+        let due_now = match schedule {
             Schedule::Stopped => {
                 self.stopped = true;
+                false
             }
             Schedule::At(t) => {
-                let constraint = pump.cycle_constraint(ctx.now());
                 self.pending_tick = Some(ctx.set_timer(t, Message::signal(tags::TICK), constraint));
+                false
             }
-            Schedule::Immediately => {
-                let constraint = pump.cycle_constraint(ctx.now());
-                let me = ctx.id();
-                let _ = ctx.send_with(me, Message::signal(tags::TICK), constraint);
+            Schedule::Immediately => true,
+            // Without a buffer boundary in the direct segment a coroutine
+            // or passive source blocks instead, so the cycle may as well
+            // start; with one, it may when data is already present.
+            Schedule::OnArrival => {
+                self.waiting_arrival = self
+                    .arrival_buf
+                    .as_ref()
+                    .is_some_and(|buf| buf.watch_arrival(ctx.id()));
+                !self.waiting_arrival
             }
-            Schedule::OnArrival => match &self.arrival_buf {
-                Some(buf) => {
-                    if buf.watch_arrival(ctx.id()) {
-                        self.waiting_arrival = true;
-                    } else {
-                        // Data already present: go again right away.
-                        let constraint = pump.cycle_constraint(ctx.now());
-                        let me = ctx.id();
-                        let _ = ctx.send_with(me, Message::signal(tags::TICK), constraint);
-                    }
-                }
-                None => {
-                    // No buffer boundary in the direct segment (a
-                    // coroutine or passive source blocks instead); treat
-                    // as immediate.
-                    let constraint = pump.cycle_constraint(ctx.now());
-                    let me = ctx.id();
-                    let _ = ctx.send_with(me, Message::signal(tags::TICK), constraint);
-                }
-            },
+        };
+        due_now.then_some(DueNow(constraint))
+    }
+
+    /// Asks for the next cycle through the main loop: whatever waits in
+    /// the mailbox is received first, and a more urgent thread runs first.
+    fn send_tick(ctx: &mut Ctx<'_>, DueNow(constraint): DueNow) {
+        let me = ctx.id();
+        let _ = ctx.send_with(me, Message::signal(tags::TICK), constraint);
+    }
+
+    /// [`OwnerFn::apply_schedule`] from outside a cycle (start, a
+    /// rescheduling event): a cycle due right away goes through the main
+    /// loop, behind the events still to be delivered.
+    fn reschedule(&mut self, ctx: &mut Ctx<'_>, schedule: Schedule, now: Time) {
+        if let Some(due) = self.apply_schedule(ctx, schedule, now) {
+            Self::send_tick(ctx, due);
         }
     }
 
-    fn run_cycle_and_reschedule(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.started || self.stopped || self.rt.stopping {
-            return;
+    /// Runs pump cycles for as long as each is due right after the one
+    /// before and nothing needs the thread in between: no control event to
+    /// handle (they are handled between items, §3.2), no message to
+    /// receive, no more urgent thread to run. When something does, the
+    /// next cycle is asked for with a `TICK` and the main loop takes over;
+    /// so it does when the next cycle carries another constraint than
+    /// `current`, that of the message being processed, which only a
+    /// received message replaces.
+    fn run_cycles(&mut self, ctx: &mut Ctx<'_>, current: Option<Constraint>) {
+        while self.started && !self.stopped && !self.rt.stopping {
+            let outcome = self.cycle(ctx);
+            let now = ctx.now();
+            let schedule = match &mut self.role {
+                OwnerRole::Pump { pump } => pump.after_cycle(now, outcome),
+                _ => Schedule::Stopped,
+            };
+            let Some(due) = self.apply_schedule(ctx, schedule, now) else {
+                return;
+            };
+            let stay = due.0 == current && self.rt.pending_events.is_empty() && ctx.undisturbed();
+            if !stay {
+                Self::send_tick(ctx, due);
+                return;
+            }
         }
-        let outcome = self.cycle(ctx);
-        let now = ctx.now();
-        let schedule = match &mut self.role {
-            OwnerRole::Pump { pump } => pump.after_cycle(now, outcome),
-            _ => Schedule::Stopped,
-        };
-        self.apply_schedule(ctx, schedule);
     }
 
     /// Runs an active endpoint's main function to completion.
@@ -187,8 +217,9 @@ impl OwnerFn {
                     self.started = true;
                     match &mut self.role {
                         OwnerRole::Pump { pump } => {
-                            let s = pump.on_start(ctx.now());
-                            self.apply_schedule(ctx, s);
+                            let now = ctx.now();
+                            let s = pump.on_start(now);
+                            self.reschedule(ctx, s, now);
                         }
                         _ => self.run_active(ctx),
                     }
@@ -202,7 +233,7 @@ impl OwnerFn {
                     };
                     if let Some(s) = resched {
                         if self.started && !self.stopped {
-                            self.apply_schedule(ctx, s);
+                            self.reschedule(ctx, s, now);
                         }
                     }
                 }
@@ -238,11 +269,11 @@ impl mbthread::CodeFn for OwnerFn {
                 }
             }
             t if t == tags::TICK => {
-                self.run_cycle_and_reschedule(ctx);
+                self.run_cycles(ctx, env.constraint());
             }
             t if t == tags::ARRIVAL && self.waiting_arrival => {
                 self.waiting_arrival = false;
-                self.run_cycle_and_reschedule(ctx);
+                self.run_cycles(ctx, env.constraint());
             }
             // Otherwise: a stray wakeup from an earlier blocking wait.
             _ => { /* SPACE and other stray wakeups are harmless */ }

@@ -15,6 +15,7 @@ use crate::sched::{self, KState};
 use crate::thread::{CodeFn, RunState, ThreadId};
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::Condvar;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,6 +123,9 @@ pub struct Ctx<'k> {
     kernel: &'k Kernel,
     me: ThreadId,
     cv: Arc<Condvar>,
+    /// The kernel generation at which [`Ctx::undisturbed`] last found
+    /// nothing this thread has to give way to.
+    quiet_at: Option<u64>,
 }
 
 impl<'k> Ctx<'k> {
@@ -130,7 +134,12 @@ impl<'k> Ctx<'k> {
             let state = kernel.inner.lock();
             Arc::clone(&state.rec(me).expect("ctx thread exists").cv)
         };
-        Ctx { kernel, me, cv }
+        Ctx {
+            kernel,
+            me,
+            cv,
+            quiet_at: None,
+        }
     }
 
     /// This thread's id.
@@ -425,6 +434,37 @@ impl<'k> Ctx<'k> {
         Ok(env)
     }
 
+    /// Whether this thread may go on with work of its own choosing instead
+    /// of returning to its main loop: the kernel is not shutting down, no
+    /// message waits in this thread's mailbox, and no more urgent thread
+    /// is runnable. A thread that would otherwise send itself a message
+    /// per step of a long job (a pump between two cycles) asks this per
+    /// step and sends only when the answer is `false`.
+    ///
+    /// While nothing happens in the kernel the answer costs one atomic
+    /// load. After an enqueue anywhere, a thread becoming runnable or the
+    /// start of shutdown, it costs one critical section, which is also a
+    /// preemption point like a send: a more urgent runnable thread gets
+    /// the CPU there (when the kernel is configured preemptive) before the
+    /// call returns.
+    pub fn undisturbed(&mut self) -> bool {
+        let inner = &self.kernel.inner;
+        if self.quiet_at == Some(inner.generation.load(Ordering::Acquire)) {
+            return true;
+        }
+        self.quiet_at = None;
+        let mut state = inner.lock();
+        // `maybe_preempt` fails only once shutdown has begun; the mailbox
+        // is looked at after it, for what arrived while the CPU was away.
+        if state.shutdown || self.maybe_preempt(&mut state).is_err() {
+            return false;
+        }
+        if state.rec(self.me).is_some_and(|rec| rec.mailbox.is_empty()) {
+            self.quiet_at = Some(state.generation.load(Ordering::Relaxed));
+        }
+        self.quiet_at.is_some()
+    }
+
     // ------------------------------------------------------------------
     // Time
     // ------------------------------------------------------------------
@@ -593,6 +633,7 @@ impl<'k> Ctx<'k> {
             rec.state = RunState::Runnable;
             rec.ready_seq = seq;
         }
+        state.disturb();
         debug_assert_eq!(state.running, Some(self.me));
         state.running = None;
         inner.reschedule(state);

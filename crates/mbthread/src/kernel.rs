@@ -14,6 +14,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,6 +79,8 @@ pub(crate) struct KernelInner {
     epoch: std::time::Instant,
     pub(crate) cfg: SchedConfig,
     pub(crate) stats: StatCounters,
+    /// [`KState::generation`], readable without the mutex.
+    pub(crate) generation: Arc<AtomicU64>,
     pub(crate) joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -228,8 +231,10 @@ impl Kernel {
     /// Creates a kernel and starts its dispatcher.
     #[must_use]
     pub fn new(cfg: KernelConfig) -> Kernel {
+        let state = KState::new();
         let inner = Arc::new(KernelInner {
-            state: Mutex::new(KState::new()),
+            generation: Arc::clone(&state.generation),
+            state: Mutex::new(state),
             cv_global: Condvar::new(),
             epoch: std::time::Instant::now(),
             cfg: SchedConfig {

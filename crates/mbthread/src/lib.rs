@@ -53,6 +53,14 @@
 //! * The hand-off allocates nothing: tag sets of blocked receives are
 //!   copied into a per-thread buffer that is reused, and effective
 //!   priorities are computed by iteration over the thread table.
+//! * **A thread with more work of its own need not send itself a message
+//!   to stay preemptible.** [`Ctx::undisturbed`] tells it whether anything
+//!   needs it back in its main loop — a message in its mailbox, a more
+//!   urgent runnable thread, shutdown — for one atomic load while nothing
+//!   happens in the kernel: every enqueue, every thread becoming runnable
+//!   and the start of shutdown move one generation word on, and only a
+//!   moved word costs the asking thread a critical section (which is a
+//!   preemption point, like a send).
 //!
 //! # Clocks
 //!

@@ -18,6 +18,7 @@ use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
 use parking_lot::Condvar;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::Arc;
 
 /// OS wakes a critical section has produced but not yet issued. A hand-off
@@ -89,6 +90,11 @@ pub(crate) struct KState {
     pub(crate) quiescence_waiters: u32,
     /// Wakes owed to OS threads once the kernel mutex is released.
     pub(crate) wakes: Wakes,
+    /// Changes whenever something happens that the running thread may have
+    /// to give way to: a mailbox gains an envelope, a thread becomes
+    /// runnable, shutdown begins. Written under the kernel mutex only;
+    /// [`Ctx::undisturbed`](crate::Ctx::undisturbed) reads it without.
+    pub(crate) generation: Arc<AtomicU64>,
 }
 
 impl KState {
@@ -111,7 +117,16 @@ impl KState {
             panic: None,
             quiescence_waiters: 0,
             wakes: Wakes::default(),
+            generation: Arc::default(),
         }
+    }
+
+    /// Moves [`KState::generation`] on. Writers hold the kernel mutex, so
+    /// a load and a store do; `Release` pairs with the `Acquire` load in
+    /// `Ctx::undisturbed`, which reads what changed under the mutex.
+    pub(crate) fn disturb(&self) {
+        let next = self.generation.load(MemOrdering::Relaxed).wrapping_add(1);
+        self.generation.store(next, MemOrdering::Release);
     }
 
     pub(crate) fn alloc_thread_id(&mut self) -> ThreadId {
@@ -130,6 +145,7 @@ impl KState {
 
     /// Marks a blocked or freshly created thread ready to run.
     pub(crate) fn make_runnable(&mut self, id: ThreadId) {
+        self.disturb();
         let seq = self.ready_seq;
         self.ready_seq += 1;
         if let Some(rec) = self.threads.get_mut(&id) {
@@ -194,6 +210,7 @@ impl KState {
     /// Starts shutdown: every blocked OS thread is woken to observe it.
     pub(crate) fn begin_shutdown(&mut self) {
         self.shutdown = true;
+        self.disturb();
         for rec in self.threads.values() {
             self.wakes.push(Arc::clone(&rec.cv));
         }
@@ -398,6 +415,7 @@ pub(crate) fn enqueue(
     } else if matched && rec.state == RunState::Blocked && !rec.sleeping {
         state.make_runnable(to);
     }
+    state.disturb();
     Ok(())
 }
 

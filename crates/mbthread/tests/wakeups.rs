@@ -1,13 +1,14 @@
 //! Who gets woken, and when: the dispatcher stays off the message path,
-//! every legitimate reason to wake it still does, and the
-//! wake-after-unlock hand-off loses no wake-up.
+//! every legitimate reason to wake it still does, the wake-after-unlock
+//! hand-off loses no wake-up, and a thread that keeps the CPU by asking
+//! [`Ctx::undisturbed`] hears of everything it has to give way to.
 //!
 //! A lost wake-up is a hang, so every test that could hang runs its body
 //! under [`within`], which fails the test instead.
 
 use mbthread::{
-    ClockMode, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, KernelStats, Message, Tag,
-    Time,
+    ClockMode, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, KernelStats, Message,
+    Priority, SpawnOptions, Tag, Time,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -408,5 +409,186 @@ fn hand_off_survives_external_floods_and_quiescence_waiters() {
         );
         drop(port);
         kernel.shutdown();
+    });
+}
+
+/// A thread that, on `GO`, reports in, keeps the CPU until the test lets
+/// it go on, and then sends what `probe` makes of its [`Ctx`] back. What
+/// the test does in between happens while this thread is the running one.
+fn spawn_holder<R: Send + 'static>(
+    kernel: &Kernel,
+    mut probe: impl FnMut(&mut Ctx<'_>) -> R + Send + 'static,
+) -> (
+    mbthread::ThreadId,
+    mpsc::Receiver<()>,
+    mpsc::Sender<()>,
+    mpsc::Receiver<R>,
+) {
+    let (holding, held) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let (report, reported) = mpsc::channel();
+    let holder = kernel
+        .spawn("holder", move |ctx: &mut Ctx<'_>, env: Envelope| {
+            if env.tag() == GO {
+                // Nothing has happened since this message was taken.
+                assert!(ctx.undisturbed());
+                holding.send(()).unwrap();
+                released.recv().unwrap();
+                report.send(probe(ctx)).unwrap();
+            }
+            Flow::Continue
+        })
+        .unwrap();
+    (holder, held, release, reported)
+}
+
+/// A thread of the given priority that counts the messages it handles.
+fn spawn_counter(kernel: &Kernel, priority: Priority) -> (mbthread::ThreadId, Arc<AtomicU64>) {
+    let handled = Arc::new(AtomicU64::new(0));
+    let count = Arc::clone(&handled);
+    let id = kernel
+        .spawn(
+            SpawnOptions::new("counter").priority(priority),
+            move |_: &mut Ctx<'_>, _: Envelope| {
+                count.fetch_add(1, Ordering::SeqCst);
+                Flow::Continue
+            },
+        )
+        .unwrap();
+    (id, handled)
+}
+
+#[test]
+fn a_quiet_kernel_leaves_the_running_thread_undisturbed() {
+    const CHECKS: u64 = 100_000;
+    for clock in [ClockMode::Real, ClockMode::Virtual] {
+        within(Duration::from_secs(60), move || {
+            let kernel = Kernel::new(config(clock));
+            let worker = kernel
+                .spawn("checker", |ctx: &mut Ctx<'_>, env: Envelope| {
+                    let to = env.expect_body::<mbthread::ThreadId>();
+                    let before = ctx.kernel().stats();
+                    let quiet = (0..CHECKS).filter(|_| ctx.undisturbed()).count() as u64;
+                    let delta = ctx.kernel().stats().delta_since(&before);
+                    assert_eq!(quiet, CHECKS);
+                    ctx.send(to, Message::new(DONE, delta)).unwrap();
+                    Flow::Continue
+                })
+                .unwrap();
+            let delta = measured_delta(&kernel, worker);
+            assert_eq!(delta.messages_sent, 0, "{clock:?}");
+            assert_eq!(delta.context_switches, 0, "{clock:?}");
+            kernel.shutdown();
+        });
+    }
+}
+
+#[test]
+fn a_message_for_the_running_thread_disturbs_it_until_received() {
+    for clock in [ClockMode::Real, ClockMode::Virtual] {
+        within(Duration::from_secs(30), move || {
+            let kernel = Kernel::new(config(clock));
+            let (holder, held, release, reported) = spawn_holder(&kernel, |ctx| {
+                // Asking again does not make the message go away.
+                (ctx.undisturbed(), ctx.undisturbed())
+            });
+            let port = kernel.external("main");
+            port.send(holder, Message::signal(GO)).unwrap();
+            held.recv().unwrap();
+            port.send(holder, Message::signal(PING)).unwrap();
+            release.send(()).unwrap();
+            assert_eq!(reported.recv().unwrap(), (false, false), "{clock:?}");
+
+            // With the message received the thread is undisturbed again.
+            kernel.wait_quiescent();
+            port.send(holder, Message::signal(GO)).unwrap();
+            held.recv().unwrap();
+            release.send(()).unwrap();
+            assert_eq!(reported.recv().unwrap(), (true, true), "{clock:?}");
+            drop(port);
+            kernel.shutdown();
+        });
+    }
+}
+
+#[test]
+fn waking_a_less_urgent_thread_does_not_disturb_the_running_one() {
+    for clock in [ClockMode::Real, ClockMode::Virtual] {
+        within(Duration::from_secs(30), move || {
+            let kernel = Kernel::new(config(clock));
+            let (background, handled) = spawn_counter(&kernel, Priority::LOW);
+            let handled_in = Arc::clone(&handled);
+            let (holder, held, release, reported) = spawn_holder(&kernel, move |ctx| {
+                let stays = ctx.undisturbed() && ctx.undisturbed();
+                (stays, handled_in.load(Ordering::SeqCst))
+            });
+            let port = kernel.external("main");
+            port.send(holder, Message::signal(GO)).unwrap();
+            held.recv().unwrap();
+            port.send(background, Message::signal(PING)).unwrap();
+            release.send(()).unwrap();
+            // The holder kept the CPU: the woken thread had not run yet.
+            assert_eq!(reported.recv().unwrap(), (true, 0), "{clock:?}");
+            kernel.wait_quiescent();
+            assert_eq!(handled.load(Ordering::SeqCst), 1, "{clock:?}");
+            drop(port);
+            kernel.shutdown();
+        });
+    }
+}
+
+#[test]
+fn waking_a_more_urgent_thread_takes_the_cpu_and_gives_it_back() {
+    for preemptive in [true, false] {
+        within(Duration::from_secs(30), move || {
+            let kernel = Kernel::new(KernelConfig {
+                preemptive,
+                ..KernelConfig::default()
+            });
+            let (urgent, handled) = spawn_counter(&kernel, Priority::HIGH);
+            let handled_in = Arc::clone(&handled);
+            let (holder, held, release, reported) = spawn_holder(&kernel, move |ctx| {
+                (ctx.undisturbed(), handled_in.load(Ordering::SeqCst))
+            });
+            let port = kernel.external("main");
+            port.send(holder, Message::signal(GO)).unwrap();
+            held.recv().unwrap();
+            port.send(urgent, Message::signal(PING)).unwrap();
+            release.send(()).unwrap();
+            // The check itself is where the urgent thread ran, and the
+            // holder went on afterwards; a kernel that does not preempt
+            // makes the urgent thread wait for the holder to block.
+            let ran_first = u64::from(preemptive);
+            assert_eq!(
+                reported.recv().unwrap(),
+                (true, ran_first),
+                "preemptive: {preemptive}"
+            );
+            kernel.wait_quiescent();
+            assert_eq!(handled.load(Ordering::SeqCst), 1);
+            drop(port);
+            kernel.shutdown();
+        });
+    }
+}
+
+#[test]
+fn shutdown_disturbs_the_running_thread() {
+    within(Duration::from_secs(30), || {
+        let kernel = Kernel::new(KernelConfig::default());
+        let (holder, held, release, reported) = spawn_holder(&kernel, |ctx| {
+            // Shutdown begins on another OS thread once this one is let
+            // go, and waits for this thread to return.
+            while ctx.undisturbed() {
+                std::thread::yield_now();
+            }
+        });
+        let port = kernel.external("main");
+        port.send(holder, Message::signal(GO)).unwrap();
+        held.recv().unwrap();
+        release.send(()).unwrap();
+        drop(port);
+        kernel.shutdown();
+        reported.recv().unwrap();
     });
 }

@@ -1,9 +1,9 @@
 //! The benchmark's two 8-stage chains (`benchmark/src/workloads/chain.rs`)
 //! rebuilt from the public API: over a window of steady flow the planner's
-//! decisions cost exactly what the benchmark gates — 1 thread and 0
-//! switches per item with every stage a direct call, 5 threads and 8
-//! switches with four active objects — and the dispatcher OS thread is
-//! never woken.
+//! decisions cost exactly what the benchmark gates — 1 thread, 0 switches
+//! and no kernel message per item with every stage a direct call (the
+//! pump cycles in place), 5 threads, 8 switches and 8 messages with four
+//! active objects — and the dispatcher OS thread is never woken.
 
 use infopipes::helpers::{ActiveRelay, FnFunction, FnSink, IdentityFn, IterSource};
 use infopipes::{FreePump, Pipeline};
@@ -21,6 +21,9 @@ use StageKind::{Active, Fold, Identity};
 
 const WARM: u64 = 200;
 const MEASURED: u64 = 2_000;
+/// Messages the measured window may hold that are not per item: a pump
+/// asks for a cycle through its main loop once after each disturbance.
+const STRAY_MESSAGES: u64 = 4;
 
 /// Runs `source → pump → stages → sink` on a real-clock kernel; returns the
 /// planned thread count and the kernel-counter delta between the arrival
@@ -72,13 +75,17 @@ fn run_chain(stages: &[StageKind]) -> (usize, KernelStats) {
 }
 
 #[test]
-fn direct_chain_costs_one_message_per_item_and_no_dispatcher_wake() {
+fn direct_chain_costs_no_message_per_item_and_no_dispatcher_wake() {
     let (threads, delta) = run_chain(&[
         Identity, Identity, Identity, Identity, Identity, Identity, Identity, Fold,
     ]);
     assert_eq!(threads, 1);
     assert_eq!(delta.context_switches, 0);
-    assert_eq!(delta.messages_sent, MEASURED);
+    assert!(
+        delta.messages_sent <= STRAY_MESSAGES,
+        "{} messages over {MEASURED} items",
+        delta.messages_sent
+    );
     assert_eq!(delta.sync_sends, 0);
     assert_eq!(delta.dispatcher_wakeups, 0);
 }
@@ -90,7 +97,12 @@ fn coroutine_chain_costs_eight_switches_per_item_and_no_dispatcher_wake() {
     ]);
     assert_eq!(threads, 5);
     assert_eq!(delta.context_switches, 8 * MEASURED);
-    assert_eq!(delta.messages_sent, 9 * MEASURED);
+    let per_item = 8 * MEASURED;
+    assert!(
+        (per_item..=per_item + STRAY_MESSAGES).contains(&delta.messages_sent),
+        "{} messages over {MEASURED} items",
+        delta.messages_sent
+    );
     assert_eq!(delta.sync_sends, 4 * MEASURED);
     assert_eq!(delta.dispatcher_wakeups, 0);
 }
