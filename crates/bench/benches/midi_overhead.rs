@@ -37,6 +37,10 @@ fn run(chain_len: usize, per_component_threads: bool) -> (usize, u64) {
         pipeline.connect(prev, sink).expect("connect");
 
         let running = pipeline.start().expect("plan");
+        // The spawned threads switch their way to their first receive;
+        // count from the point where they are all parked there, or the
+        // row reads one or two short depending on who ran last.
+        kernel.wait_quiescent();
         let before = kernel.stats();
         running.start_flow().expect("start");
         running.wait_quiescent();

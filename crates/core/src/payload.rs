@@ -26,13 +26,20 @@
 //!    does not invalidate fragments. (The flip side — a tiny slice
 //!    pinning a large buffer — is the standard shared-buffer trade-off;
 //!    [`PayloadBytes::to_vec`] detaches when that matters.)
+//! 4. **Decoding out of a buffer is slicing it.** A message decoded
+//!    under [`PayloadBytes::decode_with`] gets its `PayloadBytes` fields
+//!    as slices of the buffer it arrived in, so invariant 1 holds across
+//!    a marshalling boundary too: the receive side of a netpipe copies
+//!    a payload only where it must join fragments. Decoded from a plain
+//!    `&[u8]`, a field is one counted copy, as there is nothing to share.
 //!
 //! The equality, ordering, and hashing of `PayloadBytes` follow the
 //! *bytes in view*, not the identity of the backing allocation: two
 //! buffers with equal contents compare equal even when they do not share
 //! memory, and aliasing slices of different ranges compare unequal.
 
-use crate::pool::PooledMem;
+use crate::pool::PooledRef;
+use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
@@ -57,6 +64,12 @@ pub fn payload_copy_count() -> u64 {
     DEEP_COPIES.load(Ordering::Relaxed)
 }
 
+thread_local! {
+    /// The buffer this thread is decoding out of, innermost
+    /// [`PayloadBytes::decode_with`] scope; see there.
+    static DECODE_SOURCE: RefCell<Option<PayloadBytes>> = const { RefCell::new(None) };
+}
+
 /// The shared allocation behind a [`PayloadBytes`] view: either a plain
 /// heap sealing or a recycled buffer from a
 /// [`BufferPool`](crate::BufferPool). Both are immutable while any view
@@ -65,14 +78,14 @@ pub fn payload_copy_count() -> u64 {
 #[derive(Clone)]
 enum Backing {
     Shared(Arc<[u8]>),
-    Pooled(Arc<PooledMem>),
+    Pooled(PooledRef),
 }
 
 impl Backing {
     fn bytes(&self) -> &[u8] {
         match self {
             Backing::Shared(buf) => buf,
-            Backing::Pooled(mem) => &mem.data,
+            Backing::Pooled(mem) => mem.bytes(),
         }
     }
 }
@@ -130,7 +143,7 @@ impl PayloadBytes {
 
     /// Wraps a pool-owned buffer as an immutable view
     /// ([`PoolBuffer::seal`](crate::PoolBuffer::seal)).
-    pub(crate) fn pooled(mem: Arc<PooledMem>, len: usize) -> PayloadBytes {
+    pub(crate) fn pooled(mem: PooledRef, len: usize) -> PayloadBytes {
         PayloadBytes {
             buf: Backing::Pooled(mem),
             off: 0,
@@ -229,19 +242,63 @@ impl PayloadBytes {
     pub fn shares_allocation_with(&self, other: &PayloadBytes) -> bool {
         match (&self.buf, &other.buf) {
             (Backing::Shared(a), Backing::Shared(b)) => Arc::ptr_eq(a, b),
-            (Backing::Pooled(a), Backing::Pooled(b)) => Arc::ptr_eq(a, b),
+            (Backing::Pooled(a), Backing::Pooled(b)) => a.ptr_eq(b),
             _ => false,
         }
     }
 
-    /// Number of live references to the backing allocation. For pooled
-    /// backings this includes the pool's own tracking reference.
+    /// Number of live references to the backing allocation (the pool
+    /// holds none while a pooled buffer is checked out).
     #[must_use]
     pub fn ref_count(&self) -> usize {
         match &self.buf {
             Backing::Shared(buf) => Arc::strong_count(buf),
-            Backing::Pooled(mem) => Arc::strong_count(mem),
+            Backing::Pooled(mem) => mem.ref_count(),
         }
+    }
+
+    /// Runs `decode` over the viewed bytes with this buffer installed as
+    /// the calling thread's *decode source*: every `PayloadBytes` that
+    /// `decode` deserializes from bytes borrowed out of this buffer comes
+    /// back as a [`slice`](PayloadBytes::slice) of it instead of a copy
+    /// (see `Deserialize for PayloadBytes`). This is how a received
+    /// message's payload fields become views of the frame buffer; the
+    /// `serde` visitor interface has no other channel to hand the owning
+    /// buffer down to a field.
+    ///
+    /// Scopes nest — a `decode` that itself decodes a field's bytes with
+    /// `decode_with` gets this source back afterwards — and the previous
+    /// source is restored on unwind too.
+    pub fn decode_with<R>(&self, decode: impl FnOnce(&[u8]) -> R) -> R {
+        /// Puts the enclosing scope's source back, however this one ends.
+        struct Restore(Option<PayloadBytes>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                // `try_with`: a scope unwinding during thread teardown
+                // may find the slot already destroyed.
+                let _ = DECODE_SOURCE.try_with(|slot| slot.replace(self.0.take()));
+            }
+        }
+        let _restore = Restore(DECODE_SOURCE.with(|slot| slot.replace(Some(self.clone()))));
+        decode(self.as_slice())
+    }
+
+    /// The decode side of [`decode_with`](PayloadBytes::decode_with):
+    /// `bytes` as a view of the installed source when they lie inside it,
+    /// as a counted copy otherwise (no source, or bytes from elsewhere).
+    fn view_or_copy(bytes: &[u8]) -> PayloadBytes {
+        DECODE_SOURCE.with(|slot| {
+            if let Some(source) = slot.borrow().as_ref() {
+                let (have, want) = (source.as_slice().as_ptr_range(), bytes.as_ptr_range());
+                if have.start <= want.start && want.end <= have.end {
+                    // Inside the source's memory these *are* the source's
+                    // bytes, and they cannot change while a view lives.
+                    let at = want.start as usize - have.start as usize;
+                    return source.slice(at..at + bytes.len());
+                }
+            }
+            PayloadBytes::copy_from_slice(bytes)
+        })
     }
 
     /// Detaches the viewed bytes into an owned `Vec` (a copy, counted in
@@ -334,6 +391,9 @@ impl serde::Serialize for PayloadBytes {
     }
 }
 
+/// Deserializes from raw bytes: as a zero-copy view when the bytes are
+/// borrowed out of the buffer installed by
+/// [`PayloadBytes::decode_with`], as one counted copy otherwise.
 impl<'de> serde::Deserialize<'de> for PayloadBytes {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct BytesVisitor;
@@ -346,7 +406,7 @@ impl<'de> serde::Deserialize<'de> for PayloadBytes {
             }
 
             fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<PayloadBytes, E> {
-                Ok(PayloadBytes::copy_from_slice(v))
+                Ok(PayloadBytes::view_or_copy(v))
             }
 
             fn visit_byte_buf<E: serde::de::Error>(self, v: Vec<u8>) -> Result<PayloadBytes, E> {

@@ -3,7 +3,7 @@
 //!
 //! [`PayloadBytes`] made sealing the *only copy* on the data path; this
 //! module makes it the only *allocation* too. A pool hands out writable
-//! [`PoolBuffer`]s drawn from per-size-class freelists; sealing one
+//! [`PoolBuffer`]s drawn from per-size-class free lists; sealing one
 //! yields an ordinary [`PayloadBytes`] that is shared, sliced, and
 //! transmitted exactly like a heap-sealed buffer — downstream layers
 //! cannot tell the difference.
@@ -13,25 +13,38 @@
 //! A pooled buffer is reusable only when **the last `PayloadBytes`
 //! referring to it is dropped** — never earlier:
 //!
-//! * Sealing stores one reference inside the pool and hands the caller a
-//!   [`PayloadBytes`] holding another. Clones and slices take further
-//!   references, as usual.
-//! * [`BufferPool::acquire`] only reuses a buffer whose *pool reference
-//!   is the last one left* (`Arc::strong_count == 1`). While any alias —
-//!   a clone held by a producer, a slice parked in a transport queue —
-//!   is alive, the buffer is skipped, so an alias can never observe its
-//!   bytes change underneath it (the immutability invariant of
-//!   [`PayloadBytes`] holds for pooled backings too; the transport
-//!   conformance suite asserts it across every backend).
+//! * Sealing hands the caller the buffer's only reference; clones and
+//!   slices take further references, as usual. The pool keeps none: a
+//!   buffer that is checked out is known to the pool only as a count.
+//! * The view that finds itself the buffer's sole owner as it drops
+//!   pushes the whole buffer — the bytes and their refcount box together
+//!   — onto its size class's free list. While any alias — a clone held by
+//!   a producer, a slice parked in a transport queue — is alive, nobody
+//!   is the sole owner, so an alias can never observe its bytes change
+//!   underneath it (the immutability invariant of [`PayloadBytes`] holds
+//!   for pooled backings too; the transport conformance suite asserts it
+//!   across every backend). Two threads that drop the last two views at
+//!   the same instant may each see the other's reference: the buffer is
+//!   then freed instead of recycled — at most once home, never early.
 //! * There is no explicit release call and nothing to leak: dropping the
-//!   last alias *is* the return to the pool, and dropping the pool
-//!   itself simply frees buffers as their aliases die.
+//!   last alias *is* the return to the pool. A buffer finds its way home
+//!   through a `Weak` handle, so the pool and its buffers never keep each
+//!   other alive: dropping the last [`BufferPool`] handle frees the free
+//!   lists at once, and buffers still checked out are freed as their
+//!   aliases die.
 //!
-//! In steady state — stable message sizes, bounded pipeline depth — every
-//! acquire is a hit and sealing performs **zero heap allocations**: the
-//! freelist pop, the clear, the serializer's writes into retained
-//! capacity, and the seal are all allocation-free (measured by
-//! `alloc_report` in the bench crate).
+//! [`BufferPool::acquire`] is one lock and one pop: a hit whenever any
+//! buffer of the class is free, and a hit performs **zero heap
+//! allocations** — the pop, the clear, the serializer's writes into
+//! retained capacity, and the seal are all allocation-free (measured by
+//! `alloc_report` in the bench crate). A miss means the pool had to
+//! allocate.
+//!
+//! A view of a few bytes pins its whole buffer until it drops. That
+//! holds for slices and equally for fields decoded as views out of a
+//! received buffer ([`PayloadBytes::decode_with`]): a consumer that
+//! parks decoded payloads keeps the receive pool's buffers checked out.
+//! [`PayloadBytes::to_vec`] detaches when that matters.
 //!
 //! # Tuning knobs
 //!
@@ -39,15 +52,16 @@
 //!   served from the smallest class ≥ the requested capacity; requests
 //!   above the largest class fall back to plain unpooled allocations
 //!   (counted in [`PoolStats::oversize`]).
-//! * **Per-class depth** (`per_class`): how many buffers a class retains.
-//!   More depth tolerates more frames in flight at once before misses;
-//!   each retained buffer pins its class's bytes.
+//! * **Per-class depth** (`per_class`): how many *free* buffers a class
+//!   retains. Any number may be checked out at once; a buffer that comes
+//!   home to a full free list is freed. More depth rides out deeper
+//!   bursts without allocating; each retained buffer pins its class's
+//!   bytes.
 
 use crate::payload::PayloadBytes;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Default size classes: 256 B … 1 MiB in 4x steps, covering control
 /// messages through video frames.
@@ -61,22 +75,94 @@ const DEFAULT_CLASSES: [usize; 7] = [
     1 << 20,
 ];
 
-/// Default per-class freelist depth.
+/// Default per-class free-list depth.
 const DEFAULT_PER_CLASS: usize = 32;
 
-/// The backing memory of one pooled buffer. `PayloadBytes` holds these
-/// behind an `Arc`; the pool keeps its own reference and reuses the
-/// buffer only once every outside reference is gone.
+/// The backing memory of one pooled buffer, and its way home.
 #[derive(Debug)]
 pub(crate) struct PooledMem {
-    pub(crate) data: Vec<u8>,
+    data: Vec<u8>,
+    /// The pool to return to. Weak, so a buffer never keeps its pool
+    /// alive (nor, from a free list, itself); dangling for oversize
+    /// buffers, which have no home.
+    home: Weak<PoolShared>,
+    /// Index of the size class this buffer belongs to.
+    class: usize,
+}
+
+impl Drop for PooledMem {
+    fn drop(&mut self) {
+        // Freed, not recycled: the class has one buffer fewer. (No
+        // upgrade while the pool itself is going down — nobody is left
+        // to read the count.)
+        if let Some(pool) = self.home.upgrade() {
+            pool.classes[self.class].state.lock().live -= 1;
+        }
+    }
+}
+
+/// One reference to a pooled buffer: what a [`PayloadBytes`] view (or an
+/// unsealed [`PoolBuffer`]) holds. The reference that drops as the sole
+/// owner takes the buffer home.
+#[derive(Clone, Debug)]
+pub(crate) struct PooledRef(
+    /// `None` only inside `drop`, which moves the `Arc` out.
+    Option<Arc<PooledMem>>,
+);
+
+impl PooledRef {
+    fn mem(&self) -> &Arc<PooledMem> {
+        self.0.as_ref().expect("present until dropped")
+    }
+
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.mem().data
+    }
+
+    pub(crate) fn ptr_eq(&self, other: &PooledRef) -> bool {
+        Arc::ptr_eq(self.mem(), other.mem())
+    }
+
+    pub(crate) fn ref_count(&self) -> usize {
+        Arc::strong_count(self.mem())
+    }
+}
+
+impl Drop for PooledRef {
+    fn drop(&mut self) {
+        let Some(mut mem) = self.0.take() else { return };
+        // Sole owner: nobody can see the bytes any more, take them home.
+        // `get_mut` is the test — it also orders us after every other
+        // view's last read — and the plain count before it spares the
+        // many drops that are obviously not the last its exclusive check.
+        if Arc::strong_count(&mem) != 1 || Arc::get_mut(&mut mem).is_none() {
+            return;
+        }
+        let Some(pool) = mem.home.upgrade() else {
+            return;
+        };
+        let mut class = pool.classes[mem.class].state.lock();
+        if class.free.len() < pool.per_class {
+            class.free.push(mem);
+        } else {
+            // Free list full: let the buffer go, outside the lock its
+            // own drop takes.
+            drop(class);
+            drop(mem);
+        }
+    }
+}
+
+struct ClassState {
+    /// Buffers nobody refers to, each the only reference to its memory.
+    free: Vec<Arc<PooledMem>>,
+    /// Buffers of this class in existence: free or checked out.
+    live: usize,
 }
 
 struct SizeClass {
     size: usize,
-    /// Every buffer of this class the pool tracks — free and in-flight
-    /// mixed; an entry is free iff the pool holds its only reference.
-    buffers: Mutex<VecDeque<Arc<PooledMem>>>,
+    state: Mutex<ClassState>,
 }
 
 struct PoolShared {
@@ -90,17 +176,17 @@ struct PoolShared {
 /// A snapshot of pool counters (see [`BufferPool::stats`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct PoolStats {
-    /// Acquires served by recycling a previously sealed buffer.
+    /// Acquires served by recycling a previously used buffer.
     pub hits: u64,
     /// Acquires that had to allocate (includes `oversize`).
     pub misses: u64,
     /// Misses whose request exceeded the largest size class (served by a
     /// plain unpooled allocation).
     pub oversize: u64,
-    /// Tracked buffers currently aliased outside the pool (sealed
-    /// payloads still alive somewhere).
+    /// Classed buffers currently checked out: being written, or sealed
+    /// with a view still alive somewhere.
     pub outstanding: usize,
-    /// Total buffers the pool tracks (free + outstanding).
+    /// Total classed buffers in existence (free + outstanding).
     pub pooled: usize,
 }
 
@@ -123,7 +209,7 @@ impl PoolStats {
 /// the module docs for the recycle-on-last-drop contract.
 ///
 /// Cheap to clone (a shared handle); every clone draws from and recycles
-/// into the same freelists.
+/// into the same free lists.
 #[derive(Clone)]
 pub struct BufferPool {
     shared: Arc<PoolShared>,
@@ -131,13 +217,13 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool with the default size classes (256 B – 1 MiB in 4x steps)
-    /// and per-class depth (32 buffers).
+    /// and per-class depth (32 free buffers).
     #[must_use]
     pub fn new() -> BufferPool {
         BufferPool::with_classes(&DEFAULT_CLASSES, DEFAULT_PER_CLASS)
     }
 
-    /// A pool with custom size classes and per-class freelist depth.
+    /// A pool with custom size classes and per-class free-list depth.
     /// Classes are sorted and deduplicated; zero-sized classes are
     /// dropped.
     ///
@@ -157,7 +243,10 @@ impl BufferPool {
                     .into_iter()
                     .map(|size| SizeClass {
                         size,
-                        buffers: Mutex::new(VecDeque::with_capacity(per_class)),
+                        state: Mutex::new(ClassState {
+                            free: Vec::with_capacity(per_class),
+                            live: 0,
+                        }),
                     })
                     .collect(),
                 per_class,
@@ -176,65 +265,58 @@ impl BufferPool {
     pub fn acquire(&self, min_capacity: usize) -> PoolBuffer {
         let shared = &self.shared;
         let Some(ci) = shared.classes.iter().position(|c| c.size >= min_capacity) else {
-            // Above the largest class: a plain allocation the pool never
-            // tracks, freed normally when its last alias drops.
+            // Above the largest class: a plain allocation with no way
+            // home, freed normally when its last alias drops.
             shared.oversize.fetch_add(1, Ordering::Relaxed);
             shared.misses.fetch_add(1, Ordering::Relaxed);
-            return PoolBuffer {
-                mem: Some(Arc::new(PooledMem {
-                    data: Vec::with_capacity(min_capacity),
-                })),
-                pool: Arc::clone(shared),
-                class: None,
-            };
+            return PoolBuffer::new(PooledMem {
+                data: Vec::with_capacity(min_capacity),
+                home: Weak::new(),
+                class: 0,
+            });
         };
         let class = &shared.classes[ci];
-        {
-            let mut q = class.buffers.lock();
-            // Rotate through the class once: an entry is free iff we hold
-            // its only reference after popping it off the list.
-            for _ in 0..q.len() {
-                let Some(mut mem) = q.pop_front() else { break };
-                match Arc::get_mut(&mut mem) {
-                    Some(m) => {
-                        m.data.clear();
-                        shared.hits.fetch_add(1, Ordering::Relaxed);
-                        return PoolBuffer {
-                            mem: Some(mem),
-                            pool: Arc::clone(shared),
-                            class: Some(ci),
-                        };
-                    }
-                    // Still aliased by live payloads: not reusable yet.
-                    None => q.push_back(mem),
-                }
+        let recycled = {
+            let mut state = class.state.lock();
+            let recycled = state.free.pop();
+            if recycled.is_none() {
+                state.live += 1;
             }
+            recycled
+        };
+        if let Some(mut mem) = recycled {
+            Arc::get_mut(&mut mem)
+                .expect("a free buffer has no other reference")
+                .data
+                .clear();
+            shared.hits.fetch_add(1, Ordering::Relaxed);
+            return PoolBuffer {
+                mem: PooledRef(Some(mem)),
+            };
         }
         shared.misses.fetch_add(1, Ordering::Relaxed);
-        PoolBuffer {
-            mem: Some(Arc::new(PooledMem {
-                data: Vec::with_capacity(class.size),
-            })),
-            pool: Arc::clone(shared),
-            class: Some(ci),
-        }
+        PoolBuffer::new(PooledMem {
+            data: Vec::with_capacity(class.size),
+            home: Arc::downgrade(shared),
+            class: ci,
+        })
     }
 
     /// A snapshot of the pool's counters.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
-        let mut outstanding = 0;
+        let mut free = 0;
         let mut pooled = 0;
         for class in &self.shared.classes {
-            let q = class.buffers.lock();
-            pooled += q.len();
-            outstanding += q.iter().filter(|m| Arc::strong_count(m) > 1).count();
+            let state = class.state.lock();
+            free += state.free.len();
+            pooled += state.live;
         }
         PoolStats {
             hits: self.shared.hits.load(Ordering::Relaxed),
             misses: self.shared.misses.load(Ordering::Relaxed),
             oversize: self.shared.oversize.load(Ordering::Relaxed),
-            outstanding,
+            outstanding: pooled - free,
             pooled,
         }
     }
@@ -261,20 +343,24 @@ impl std::fmt::Debug for BufferPool {
 /// immutable [`PayloadBytes`]. Dropping an unsealed buffer returns it to
 /// the pool unused.
 pub struct PoolBuffer {
-    /// Present until sealed or dropped; while it is, this is the only
-    /// reference, so `buf_mut` hands out `&mut` soundly.
-    mem: Option<Arc<PooledMem>>,
-    pool: Arc<PoolShared>,
-    /// The size class to recycle into; `None` for oversize (untracked).
-    class: Option<usize>,
+    /// The only reference until sealed, so `buf_mut` hands out `&mut`
+    /// soundly; dropped unsealed, it takes the buffer home like any last
+    /// view.
+    mem: PooledRef,
 }
 
 impl PoolBuffer {
+    fn new(mem: PooledMem) -> PoolBuffer {
+        PoolBuffer {
+            mem: PooledRef(Some(Arc::new(mem))),
+        }
+    }
+
     /// The writable bytes (empty at acquire). Growing past the buffer's
     /// capacity works but allocates; the grown capacity is what gets
     /// recycled.
     pub fn buf_mut(&mut self) -> &mut Vec<u8> {
-        let mem = self.mem.as_mut().expect("unsealed buffer");
+        let mem = self.mem.0.as_mut().expect("present until dropped");
         &mut Arc::get_mut(mem)
             .expect("writer holds the only reference")
             .data
@@ -283,46 +369,23 @@ impl PoolBuffer {
     /// Current capacity of the underlying buffer.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.mem.as_ref().expect("unsealed buffer").data.capacity()
+        self.mem.mem().data.capacity()
     }
 
-    /// Seals the written bytes into an immutable shared [`PayloadBytes`]
-    /// and registers the buffer for recycling once every alias of the
-    /// returned payload is gone. Allocation-free.
+    /// Seals the written bytes into an immutable shared [`PayloadBytes`];
+    /// the buffer goes home once every alias of the returned payload is
+    /// gone. Allocation-free.
     #[must_use]
-    pub fn seal(mut self) -> PayloadBytes {
-        let mem = self.mem.take().expect("sealed once");
-        let len = mem.data.len();
-        self.track(&mem);
-        PayloadBytes::pooled(mem, len)
-    }
-
-    /// Puts a reference into the pool's class list (bounded) so future
-    /// acquires can find the buffer once it goes quiet.
-    fn track(&self, mem: &Arc<PooledMem>) {
-        if let Some(ci) = self.class {
-            let mut q = self.pool.classes[ci].buffers.lock();
-            if q.len() < self.pool.per_class {
-                q.push_back(Arc::clone(mem));
-            }
-        }
-    }
-}
-
-impl Drop for PoolBuffer {
-    fn drop(&mut self) {
-        // Unsealed: hand the buffer straight back for reuse.
-        if let Some(mem) = self.mem.take() {
-            self.track(&mem);
-        }
+    pub fn seal(self) -> PayloadBytes {
+        let len = self.mem.bytes().len();
+        PayloadBytes::pooled(self.mem, len)
     }
 }
 
 impl std::fmt::Debug for PoolBuffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolBuffer")
-            .field("capacity", &self.mem.as_ref().map(|m| m.data.capacity()))
-            .field("class", &self.class)
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
@@ -331,14 +394,23 @@ impl std::fmt::Debug for PoolBuffer {
 mod tests {
     use super::*;
 
+    /// `(outstanding, pooled)`, the two gauges most tests step through.
+    fn gauges(pool: &BufferPool) -> (usize, usize) {
+        let stats = pool.stats();
+        (stats.outstanding, stats.pooled)
+    }
+
     #[test]
     fn sealed_buffers_recycle_on_last_drop() {
         let pool = BufferPool::with_classes(&[64], 4);
+        assert_eq!(gauges(&pool), (0, 0));
         let mut b = pool.acquire(16);
+        assert_eq!(gauges(&pool), (1, 1), "a buffer being written is out");
         b.buf_mut().extend_from_slice(&[1, 2, 3]);
         let sealed = b.seal();
         let ptr = sealed.as_ptr();
         assert_eq!(&sealed[..], &[1, 2, 3]);
+        assert_eq!(gauges(&pool), (1, 1));
 
         // While the payload is alive the buffer must not be reused.
         let mut other = pool.acquire(16);
@@ -346,18 +418,22 @@ mod tests {
         let poison = other.seal();
         assert_ne!(poison.as_ptr(), ptr, "live alias must not be reused");
         assert_eq!(&sealed[..], &[1, 2, 3], "alias unchanged");
-        assert_eq!(pool.stats().outstanding, 2);
+        assert_eq!(gauges(&pool), (2, 2));
 
         // Dropping the last alias returns the buffer; the next acquire
         // reuses the same allocation.
         drop(sealed);
+        assert_eq!(gauges(&pool), (1, 2), "home: free, still pooled");
         let mut again = pool.acquire(16);
+        assert_eq!(gauges(&pool), (2, 2));
         again.buf_mut().extend_from_slice(&[7]);
         let resealed = again.seal();
         assert_eq!(resealed.as_ptr(), ptr, "recycled the same backing");
         let stats = pool.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
+        drop((resealed, poison));
+        assert_eq!(gauges(&pool), (0, 2));
     }
 
     #[test]
@@ -368,16 +444,32 @@ mod tests {
         let sealed = b.seal();
         let ptr = sealed.as_ptr();
         let slice = sealed.slice(2..6);
+        let clone = sealed.clone();
         drop(sealed);
+        assert_eq!(gauges(&pool), (1, 1), "two aliases, one buffer");
+        drop(clone);
         // The slice still aliases the allocation: no reuse.
         let p2 = pool.acquire(8).seal();
         assert_ne!(p2.as_ptr(), ptr);
         assert_eq!(&slice[..], &[5; 4]);
-        drop((slice, p2));
-        // Everything released: now it recycles.
-        let mut b = pool.acquire(8);
-        b.buf_mut().push(1);
-        assert_eq!(b.seal().as_ptr(), ptr);
+        assert_eq!(pool.stats().hits, 0);
+        assert_eq!(gauges(&pool), (2, 2));
+        let ptr2 = p2.as_ptr();
+        drop(slice);
+        assert_eq!(gauges(&pool), (1, 2));
+        drop(p2);
+        assert_eq!(gauges(&pool), (0, 2));
+        // Everything released: both allocations recycle, and nothing
+        // else is handed out in their place.
+        let (mut x, mut y) = (pool.acquire(8), pool.acquire(8));
+        x.buf_mut().push(1);
+        y.buf_mut().push(1);
+        let mut got = [x.seal().as_ptr(), y.seal().as_ptr()];
+        got.sort_unstable();
+        let mut want = [ptr, ptr2];
+        want.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(pool.stats().hits, 2);
     }
 
     #[test]
@@ -391,11 +483,16 @@ mod tests {
         let big = pool.acquire(1000);
         assert!(big.capacity() >= 1000);
         assert_eq!(pool.stats().oversize, 1);
-        // Oversize buffers are not tracked for reuse: dropping one adds
-        // nothing to the freelist, and the next oversize acquire is
-        // another miss, never a hit. (Address inequality would be the
-        // obvious check, but the system allocator may hand the freed
-        // block straight back.)
+        assert_eq!(
+            gauges(&pool),
+            (0, 3),
+            "an oversize buffer is not the pool's"
+        );
+        // Oversize buffers are never retained: dropping one adds nothing
+        // to a free list, and the next oversize acquire is another miss,
+        // never a hit. (Address inequality would be the obvious check,
+        // but the system allocator may hand the freed block straight
+        // back.)
         drop(big.seal());
         let before = pool.stats();
         drop(pool.acquire(1000).seal());
@@ -403,6 +500,7 @@ mod tests {
         assert_eq!(after.oversize, 2);
         assert_eq!(after.hits, before.hits);
         assert_eq!(after.pooled, before.pooled);
+        assert_eq!(after.outstanding, 0);
     }
 
     #[test]
@@ -411,24 +509,49 @@ mod tests {
         let a = pool.acquire(8).seal();
         let b = pool.acquire(8).seal();
         let c = pool.acquire(8).seal();
-        drop((a, b, c));
-        let stats = pool.stats();
-        assert_eq!(stats.pooled, 2, "freelist capped at per_class");
-        assert_eq!(stats.outstanding, 0);
+        assert_eq!(gauges(&pool), (3, 3), "any number may be out at once");
+        drop(a);
+        assert_eq!(gauges(&pool), (2, 3));
+        drop(b);
+        assert_eq!(gauges(&pool), (1, 3));
+        drop(c);
+        assert_eq!(gauges(&pool), (0, 2), "free list capped at per_class");
+    }
+
+    /// `per_class` bounds the free buffers kept, not the buffers known:
+    /// with that many sealed buffers alive, one more that comes home
+    /// must still serve the next acquire.
+    #[test]
+    fn a_free_buffer_is_a_hit_however_many_are_out() {
+        const PER_CLASS: usize = 4;
+        let pool = BufferPool::with_classes(&[32], PER_CLASS);
+        let held: Vec<PayloadBytes> = (0..PER_CLASS).map(|_| pool.acquire(8).seal()).collect();
+        let extra = pool.acquire(8).seal();
+        let ptr = extra.as_ptr();
+        drop(extra);
+        assert_eq!(gauges(&pool), (PER_CLASS, PER_CLASS + 1));
+        let hits = pool.stats().hits;
+        let mut again = pool.acquire(8);
+        again.buf_mut().push(1);
+        assert_eq!(pool.stats().hits, hits + 1, "a free buffer must be found");
+        assert_eq!(again.seal().as_ptr(), ptr);
+        drop(held);
+        assert_eq!(gauges(&pool), (0, PER_CLASS));
     }
 
     #[test]
     fn unsealed_drop_recycles() {
         let pool = BufferPool::with_classes(&[32], 4);
-        {
+        let ptr = {
             let mut b = pool.acquire(8);
             b.buf_mut().push(1);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.pooled, 1);
-        assert_eq!(stats.outstanding, 0);
-        let _ = pool.acquire(8);
+            b.buf_mut().as_ptr()
+        };
+        assert_eq!(gauges(&pool), (0, 1));
+        let mut b = pool.acquire(8);
         assert_eq!(pool.stats().hits, 1);
+        assert!(b.buf_mut().is_empty(), "recycled buffers come back cleared");
+        assert_eq!(b.buf_mut().as_ptr(), ptr);
     }
 
     #[test]
@@ -445,5 +568,44 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.hits, 4);
         assert!(stats.miss_rate() < 0.6);
+    }
+
+    /// Two threads drop the last two views of one buffer at the same
+    /// instant. Whoever is last takes it home — or, when each saw the
+    /// other's reference, nobody does and it is freed: at most once
+    /// home, never while a view lives, and the gauges stay exact.
+    #[test]
+    fn racing_last_drops_recycle_at_most_once() {
+        use std::sync::atomic::AtomicU32;
+        let pool = BufferPool::with_classes(&[64], 4);
+        for round in 0..2000u32 {
+            let bytes = round.to_le_bytes();
+            let mut b = pool.acquire(8);
+            b.buf_mut().extend_from_slice(&bytes);
+            let sealed = b.seal();
+            let views = [sealed.slice(..2), sealed.slice(2..)];
+            drop(sealed);
+            // A spin barrier: both racers leave it within a few cycles
+            // of each other, which a sleeping barrier cannot promise.
+            let arrived = AtomicU32::new(0);
+            std::thread::scope(|s| {
+                for (view, want) in views.into_iter().zip([&bytes[..2], &bytes[2..]]) {
+                    let arrived = &arrived;
+                    s.spawn(move || {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        while arrived.load(Ordering::SeqCst) < 2 {
+                            std::hint::spin_loop();
+                        }
+                        assert_eq!(&view[..], want, "bytes moved under a live view");
+                        drop(view);
+                    });
+                }
+            });
+            let (outstanding, pooled) = gauges(&pool);
+            assert_eq!(outstanding, 0, "round {round}");
+            assert!(pooled <= 1, "round {round}: {pooled} buffers, one was made");
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.hits + stats.misses, 2000);
     }
 }

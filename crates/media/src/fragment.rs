@@ -67,10 +67,11 @@ impl Consumer for Fragmenter {
         let meta = item.meta;
         let frame = item.expect::<CompressedFrame>();
         // `chunks_shared` views share the frame's allocation: the
-        // fragmenter emits N packets and zero payload copies.
-        let chunks: Vec<PayloadBytes> = frame.data.chunks_shared(self.mtu).collect();
-        let count = u32::try_from(chunks.len()).unwrap_or(u32::MAX);
-        for (i, chunk) in chunks.into_iter().enumerate() {
+        // fragmenter emits N packets and zero payload copies. It yields
+        // one (empty) chunk for an empty frame, hence the `max`.
+        let count = frame.data.len().div_ceil(self.mtu).max(1);
+        let count = u32::try_from(count).unwrap_or(u32::MAX);
+        for (i, chunk) in frame.data.chunks_shared(self.mtu).enumerate() {
             let pkt = Packet {
                 frame_seq: frame.seq,
                 index: u32::try_from(i).unwrap_or(u32::MAX),
@@ -93,6 +94,11 @@ pub struct Defragmenter {
     /// Frames discarded because packets were lost.
     pub incomplete_dropped: u64,
 }
+
+/// The most fragment slots a frame's first packet may reserve: `count`
+/// comes off the wire and must not size an allocation by itself. Longer
+/// frames grow the list as their packets actually arrive.
+const RESERVED_PARTS_MAX: usize = 64;
 
 struct PartialFrame {
     frame_seq: u64,
@@ -182,7 +188,7 @@ impl Consumer for Defragmenter {
                 ftype: pkt.ftype,
                 pts_us: pkt.pts_us,
                 got: 0,
-                parts: Vec::new(),
+                parts: Vec::with_capacity((pkt.count as usize).min(RESERVED_PARTS_MAX)),
             });
         }
         let Some(cur) = self.current.as_mut() else {

@@ -10,6 +10,15 @@
 //! ([`Marshal::at_peer`], [`Unmarshal::at_peer`]) rather than a
 //! hand-written string, so the location property tracks where the flow
 //! actually crossed the network.
+//!
+//! Neither side copies a payload beyond the marshaller's own sealing
+//! step: a [`Marshal`] serializes each item once into one sealed buffer,
+//! and an [`Unmarshal`] decodes with that buffer installed as the decode
+//! source ([`PayloadBytes::decode_with`]), so the `PayloadBytes` fields
+//! of the decoded item — a `media::Packet`'s bytes, say — are views of
+//! the frame buffer it arrived in. The view keeps that buffer (a pooled
+//! one: checked out of the link's receive pool) alive until the item's
+//! payload is dropped or joined into something else.
 
 use crate::transport::PeerIdentity;
 use crate::wire;
@@ -255,9 +264,10 @@ impl<T: DeserializeOwned + Clone + Send + 'static> Function for Unmarshal<T> {
     fn convert(&mut self, item: Item) -> Option<Item> {
         let meta = item.meta;
         let (bytes, _) = item.into_payload::<WireBytes>().ok()?;
-        // Decode by borrowing the shared frame buffer: no copy of the
+        // Decode with the frame buffer as the decode source: payload
+        // fields of `T` come back as views of it, so no copy of the
         // payload is made on the receive path.
-        match wire::from_bytes::<T>(&bytes) {
+        match bytes.decode_with(wire::from_bytes::<T>) {
             Ok(value) => {
                 self.stats.decoded.fetch_add(1, Ordering::Relaxed);
                 let mut out = Item::cloneable(value);
@@ -383,6 +393,46 @@ mod tests {
         let second = m.convert(Item::cloneable(9u32)).unwrap();
         assert!(second.as_payload_bytes().unwrap().is_pooled());
         assert!(pool.stats().hits >= 1, "expected a recycled-buffer hit");
+    }
+
+    /// The receive-path claim: an unmarshalled packet's payload is a view
+    /// of the wire buffer it arrived in, at the payload's offset — for a
+    /// heap-sealed and for a pooled wire buffer alike.
+    #[test]
+    fn unmarshalled_payloads_are_views_of_the_wire_buffer() {
+        let pool = BufferPool::new();
+        let pkt = media::Packet {
+            frame_seq: 3,
+            index: 1,
+            count: 4,
+            ftype: media::FrameType::P,
+            pts_us: 99,
+            bytes: WireBytes::from_vec((0..=255).collect()),
+        };
+        for mut m in [
+            Marshal::<media::Packet>::new("m"),
+            Marshal::<media::Packet>::new("m").with_pool(&pool),
+        ] {
+            let wire_item = m.convert(Item::cloneable(pkt.clone())).unwrap();
+            let on_wire = wire_item.as_payload_bytes().unwrap().clone();
+            let mut u = Unmarshal::<media::Packet>::new("u");
+            let back = u.convert(wire_item).unwrap().expect::<media::Packet>();
+            assert_eq!(back, pkt);
+            assert!(
+                back.bytes.shares_allocation_with(&on_wire),
+                "the payload must alias the wire buffer, not a copy of it"
+            );
+            // Five fixed-width fields and the length prefix lead it.
+            let header = on_wire.len() - pkt.bytes.len();
+            assert_eq!(header, 8 + 4 + 4 + 4 + 8 + 4);
+            assert_eq!(back.bytes.as_ptr(), on_wire.slice(header..).as_ptr());
+            // The view alone keeps a pooled wire buffer checked out.
+            let pooled = on_wire.is_pooled();
+            drop(on_wire);
+            assert_eq!(pool.stats().outstanding, usize::from(pooled));
+            drop(back);
+            assert_eq!(pool.stats().outstanding, 0);
+        }
     }
 
     #[test]

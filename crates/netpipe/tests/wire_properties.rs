@@ -143,4 +143,30 @@ proptest! {
         let expect = to_bytes(&data[start..].to_vec()).expect("tail encode");
         prop_assert_eq!(enc, expect);
     }
+
+    /// Decoded with its buffer installed as the decode source, a
+    /// `PayloadBytes` field is a view of that buffer at the field's
+    /// offset, whatever surrounds it; decoded from the same bytes as a
+    /// plain slice, it is a copy.
+    #[test]
+    fn payload_fields_decode_as_views_of_the_source(
+        lead in ".{0,12}",
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        trail in any::<u64>(),
+    ) {
+        use infopipes::PayloadBytes;
+        type Message = (String, PayloadBytes, u64);
+        let sent: Message = (lead, PayloadBytes::from_vec(data), trail);
+        let wire = PayloadBytes::from_vec(to_bytes(&sent).expect("serialize"));
+        let at = 4 + sent.0.len() + 4;
+
+        let viewed: Message = wire.decode_with(from_bytes).expect("decode");
+        prop_assert_eq!(&viewed, &sent);
+        prop_assert!(viewed.1.shares_allocation_with(&wire));
+        prop_assert_eq!(viewed.1.as_ptr(), wire.slice(at..).as_ptr());
+
+        let copied: Message = from_bytes(&wire).expect("decode");
+        prop_assert_eq!(&copied, &sent);
+        prop_assert!(!copied.1.shares_allocation_with(&wire));
+    }
 }
