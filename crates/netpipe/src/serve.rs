@@ -37,6 +37,27 @@
 //! reports [`SendStatus::Closed`] is evicted on the spot. The worst a
 //! dead-slow client can do is lose its own frames.
 //!
+//! # Locking
+//!
+//! A session has **one lock**: its lifecycle state, drain deadline,
+//! queue, saturation window and frame counters share a cell, taken once
+//! per session by [`broadcast`](SessionRegistry::broadcast),
+//! [`sweep`](SessionRegistry::sweep) and the snapshot calls. Every data
+//! send happens under that lock and only after [`Link::send_ready`]
+//! said it would not wait. Because no data frame reaches the link any
+//! other way, nothing can fill the lane between the question and the
+//! send — the "never blocks" contract holds by construction — and two
+//! flushers of one session (a broadcaster and a housekeeper) cannot
+//! reorder its frames. A frame for a session whose queue is empty and
+//! whose link is ready goes straight to the link under the same
+//! acquisition and never touches the queue. Control frames and `Fin`
+//! travel the control lane outside the lock. Lock order: roster, then a
+//! session's cell, then the readings queue; no two cells at once.
+//!
+//! The roster is an `Arc`'d vector replaced copy-on-write by
+//! `register`/`reap`; a pass over it holds one refcount, not the roster
+//! lock and not a private copy.
+//!
 //! # Typical assembly
 //!
 //! ```no_run
@@ -59,10 +80,10 @@ use crate::transport::{
 };
 use crate::worker::{spawn_accept_loop, Accepted, Worker};
 use infopipes::{ControlEvent, PayloadBytes};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,45 +159,29 @@ const MAX_PENDING_READINGS: usize = 4096;
 /// 3rd broadcast frame for that session, level 2 every 8th.
 const KEEP_EVERY: [u64; 3] = [1, 3, 8];
 
-/// One session's bounded outbound queue plus its saturation window.
-struct SendQueue {
+/// Everything about one session that changes, behind the session's one
+/// lock: a snapshot taken under it is exact
+/// (`enqueued == sent + shed + queued`).
+struct SessionCell {
+    state: SessionState,
+    drain_deadline: Option<Instant>,
+    /// Bounded outbound queue, used only while the link pushes back.
     frames: VecDeque<PayloadBytes>,
     window: SaturationWindow,
     /// Broadcast tick for drop-level thinning (counts offered frames).
     tick: u64,
-}
-
-/// Lifecycle cell, guarded separately from the queue so state checks
-/// never contend with a flush in progress.
-struct StateCell {
-    state: SessionState,
-    drain_deadline: Option<Instant>,
+    enqueued: u64,
+    sent: u64,
+    shed: u64,
+    thinned: u64,
 }
 
 struct SessionShared<L> {
     id: SessionId,
     peer: PeerIdentity,
     link: L,
-    state: Mutex<StateCell>,
-    q: Mutex<SendQueue>,
+    cell: Mutex<SessionCell>,
     drop_level: AtomicU8,
-    enqueued: AtomicU64,
-    sent: AtomicU64,
-    shed: AtomicU64,
-    thinned: AtomicU64,
-    fin_sent: AtomicBool,
-}
-
-impl<L: Link> SessionShared<L> {
-    fn state(&self) -> SessionState {
-        self.state.lock().state
-    }
-
-    fn send_fin_once(&self) {
-        if !self.fin_sent.swap(true, Ordering::AcqRel) {
-            let _ = self.link.send(Frame::Fin);
-        }
-    }
 }
 
 /// A point-in-time view of one session (see
@@ -232,10 +237,14 @@ pub struct RegistryStats {
     pub thinned_total: u64,
 }
 
+/// A pass over the roster: shared, immutable, one refcount to take.
+type Roster<L> = Arc<Vec<Arc<SessionShared<L>>>>;
+
 struct RegistryInner<L> {
     cfg: ServeConfig,
     next_id: AtomicU64,
-    roster: Mutex<Vec<Arc<SessionShared<L>>>>,
+    /// Replaced copy-on-write (`Arc::make_mut`) by `enroll` and `reap`.
+    roster: Mutex<Roster<L>>,
     /// Per-session saturation readings awaiting collection, oldest first.
     readings: Mutex<VecDeque<(SessionId, f64)>>,
     accepted_total: AtomicU64,
@@ -268,7 +277,7 @@ impl<L: Link> SessionRegistry<L> {
             inner: Arc::new(RegistryInner {
                 cfg,
                 next_id: AtomicU64::new(1),
-                roster: Mutex::new(Vec::new()),
+                roster: Mutex::new(Arc::default()),
                 readings: Mutex::new(VecDeque::new()),
                 accepted_total: AtomicU64::new(0),
                 evicted_total: AtomicU64::new(0),
@@ -286,41 +295,14 @@ impl<L: Link> SessionRegistry<L> {
     /// session; it receives no broadcasts until
     /// [`activate`](SessionRegistry::activate)d.
     pub fn register(&self, link: L) -> SessionId {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let session = Arc::new(SessionShared {
-            id,
-            peer: link.peer(),
-            link,
-            state: Mutex::new(StateCell {
-                state: SessionState::Connecting,
-                drain_deadline: None,
-            }),
-            q: Mutex::new(SendQueue {
-                // Preallocated once: steady-state broadcasts push into
-                // existing capacity, keeping the fan-out allocation-free.
-                frames: VecDeque::with_capacity(self.inner.cfg.queue_capacity),
-                window: SaturationWindow::new(self.inner.cfg.saturation_window),
-                tick: 0,
-            }),
-            drop_level: AtomicU8::new(0),
-            enqueued: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            thinned: AtomicU64::new(0),
-            fin_sent: AtomicBool::new(false),
-        });
-        // Counted before it is resident, so a concurrent `stats` never
-        // sees more sessions in the roster than were ever accepted.
-        self.inner.accepted_total.fetch_add(1, Ordering::Relaxed);
-        self.inner.roster.lock().push(session);
-        id
+        self.enroll(link, SessionState::Connecting)
     }
 
     /// Moves a [`Connecting`](SessionState::Connecting) session into
     /// [`Active`](SessionState::Active); no-op in any other state.
     pub fn activate(&self, id: SessionId) {
         if let Some(s) = self.find(id) {
-            let mut cell = s.state.lock();
+            let mut cell = s.cell.lock();
             if cell.state == SessionState::Connecting {
                 cell.state = SessionState::Active;
             }
@@ -329,128 +311,139 @@ impl<L: Link> SessionRegistry<L> {
 
     /// Registers and immediately activates (the accept loop's path).
     pub fn admit(&self, link: L) -> SessionId {
-        let id = self.register(link);
-        self.activate(id);
+        self.enroll(link, SessionState::Active)
+    }
+
+    fn enroll(&self, link: L, state: SessionState) -> SessionId {
+        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let session = Arc::new(SessionShared {
+            id,
+            peer: link.peer(),
+            link,
+            cell: Mutex::new(SessionCell {
+                state,
+                drain_deadline: None,
+                // Preallocated once: steady-state broadcasts push into
+                // existing capacity, keeping the fan-out allocation-free.
+                frames: VecDeque::with_capacity(self.inner.cfg.queue_capacity),
+                window: SaturationWindow::new(self.inner.cfg.saturation_window),
+                tick: 0,
+                enqueued: 0,
+                sent: 0,
+                shed: 0,
+                thinned: 0,
+            }),
+            drop_level: AtomicU8::new(0),
+        });
+        // Counted before it is resident, so a concurrent `stats` never
+        // sees more sessions in the roster than were ever accepted.
+        self.inner.accepted_total.fetch_add(1, Ordering::Relaxed);
+        Arc::make_mut(&mut *self.inner.roster.lock()).push(session);
         id
     }
 
+    /// By-id lookup for the public per-session calls; passes over the
+    /// roster work on the `Arc` they already hold.
     fn find(&self, id: SessionId) -> Option<Arc<SessionShared<L>>> {
-        self.inner
-            .roster
-            .lock()
-            .iter()
-            .find(|s| s.id == id)
-            .cloned()
+        self.roster().iter().find(|s| s.id == id).cloned()
     }
 
-    /// Tees one sealed payload into every active session's queue by
-    /// refcount — no copy, N sessions share one allocation — then flushes
-    /// each queue without ever blocking on a slow client. Returns the
-    /// number of sessions the frame was enqueued to.
+    /// Tees one sealed payload to every active session by refcount — no
+    /// copy, N sessions share one allocation — without ever blocking on
+    /// a slow client: straight to the link when the session's queue is
+    /// empty and the link ready, otherwise queued (drop-oldest) and
+    /// flushed. One lock acquisition per session. Returns the number of
+    /// sessions that accepted the frame.
     pub fn broadcast(&self, payload: &PayloadBytes) -> usize {
-        let roster = self.snapshot_roster();
+        let capacity = self.inner.cfg.queue_capacity;
         let mut reached = 0;
-        for s in &roster {
-            if s.state() != SessionState::Active {
+        for s in self.roster().iter() {
+            let mut cell = s.cell.lock();
+            if cell.state != SessionState::Active {
                 continue;
             }
-            if self.enqueue(s, payload) {
-                reached += 1;
+            let level = usize::from(s.drop_level.load(Ordering::Relaxed)).min(KEEP_EVERY.len() - 1);
+            let tick = cell.tick;
+            cell.tick += 1;
+            if !tick.is_multiple_of(KEEP_EVERY[level]) {
+                cell.thinned += 1;
+                continue;
             }
-            self.flush_session(s);
+            cell.enqueued += 1;
+            reached += 1;
+            let open = if cell.frames.is_empty() && s.link.send_ready() {
+                self.send(s, &mut cell, payload.clone()) != SendStatus::Closed
+            } else {
+                if cell.frames.len() >= capacity {
+                    // Shed the *oldest* frame: a streaming client wants
+                    // fresh data, and an overflowing queue is a
+                    // pressured link.
+                    cell.frames.pop_front();
+                    cell.shed += 1;
+                    self.observe(s, &mut cell, true);
+                }
+                cell.frames.push_back(payload.clone());
+                self.flush(s, &mut cell)
+            };
+            if !open {
+                self.evict_locked(s, cell);
+            }
         }
         reached
     }
 
-    /// Queues `payload` on one session, applying drop-level thinning and
-    /// drop-oldest overflow. Returns whether the frame was accepted.
-    fn enqueue(&self, s: &Arc<SessionShared<L>>, payload: &PayloadBytes) -> bool {
-        let level = usize::from(s.drop_level.load(Ordering::Relaxed)).min(KEEP_EVERY.len() - 1);
-        let mut overflowed = false;
-        let reading = {
-            let mut q = s.q.lock();
-            let tick = q.tick;
-            q.tick += 1;
-            if !tick.is_multiple_of(KEEP_EVERY[level]) {
-                drop(q);
-                s.thinned.fetch_add(1, Ordering::Relaxed);
-                return false;
+    /// Counts one send attempt in the session's saturation window.
+    fn observe(&self, s: &SessionShared<L>, cell: &mut SessionCell, pressured: bool) {
+        if let Some(fraction) = cell.window.observe(pressured) {
+            let mut readings = self.inner.readings.lock();
+            if readings.len() >= MAX_PENDING_READINGS {
+                readings.pop_front();
             }
-            let mut reading = None;
-            if q.frames.len() >= self.inner.cfg.queue_capacity {
-                // Shed the *oldest* frame: a streaming client wants fresh
-                // data, and an overflowing queue is a pressured link.
-                q.frames.pop_front();
-                overflowed = true;
-                reading = q.window.observe(true);
+            readings.push_back((s.id, fraction));
+        }
+    }
+
+    /// One data send, counted and observed. Every data frame reaches a
+    /// link through here, under the session's lock and after
+    /// [`Link::send_ready`] — so the send cannot wait on a slow client
+    /// and two flushers cannot reorder a session's frames.
+    fn send(
+        &self,
+        s: &SessionShared<L>,
+        cell: &mut SessionCell,
+        frame: PayloadBytes,
+    ) -> SendStatus {
+        let status = s.link.send(Frame::Data(frame));
+        if status.accepted() {
+            cell.sent += 1;
+        } else {
+            cell.shed += 1;
+        }
+        if status != SendStatus::Closed {
+            self.observe(s, cell, status != SendStatus::Sent);
+        }
+        status
+    }
+
+    /// Sends queued frames until the queue is empty or the link pushes
+    /// back: a link whose send path would wait keeps its frames queued
+    /// and is merely marked pressured, and one that answers `Saturated`
+    /// or `Dropped` gets no second frame this pass. Returns false when
+    /// the link reported `Closed` — the caller evicts.
+    fn flush(&self, s: &SessionShared<L>, cell: &mut SessionCell) -> bool {
+        while !cell.frames.is_empty() {
+            if !s.link.send_ready() {
+                self.observe(s, cell, true);
+                break;
             }
-            q.frames.push_back(payload.clone());
-            reading
-        };
-        if overflowed {
-            s.shed.fetch_add(1, Ordering::Relaxed);
+            let frame = cell.frames.pop_front().expect("non-empty, checked above");
+            match self.send(s, cell, frame) {
+                SendStatus::Sent => {}
+                SendStatus::Saturated | SendStatus::Dropped => break,
+                SendStatus::Closed => return false,
+            }
         }
-        if let Some(fraction) = reading {
-            self.push_reading(s.id, fraction);
-        }
-        s.enqueued.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    fn push_reading(&self, id: SessionId, fraction: f64) {
-        let mut readings = self.inner.readings.lock();
-        if readings.len() >= MAX_PENDING_READINGS {
-            readings.pop_front();
-        }
-        readings.push_back((id, fraction));
-    }
-
-    /// Flushes one session's queue: sends until the queue is empty or the
-    /// link pushes back. Never blocks on a slow client — a link whose
-    /// send path would wait ([`Link::send_ready`] false) keeps its frames
-    /// queued and is merely marked pressured.
-    fn flush_session(&self, s: &Arc<SessionShared<L>>) {
-        let mut drained = s.q.lock().frames.is_empty();
-        while !drained {
-            // One send attempt: did it meet pressure, and may another
-            // follow? The link is never called with the queue locked.
-            let (pressured, more) = if s.link.send_ready() {
-                let Some(frame) = s.q.lock().frames.pop_front() else {
-                    return;
-                };
-                match s.link.send(Frame::Data(frame)) {
-                    SendStatus::Sent => {
-                        s.sent.fetch_add(1, Ordering::Relaxed);
-                        (false, true)
-                    }
-                    // Accepted, but stop here: one more send could block
-                    // behind this client's congestion.
-                    SendStatus::Saturated => {
-                        s.sent.fetch_add(1, Ordering::Relaxed);
-                        (true, false)
-                    }
-                    SendStatus::Dropped => {
-                        s.shed.fetch_add(1, Ordering::Relaxed);
-                        (true, false)
-                    }
-                    SendStatus::Closed => {
-                        s.shed.fetch_add(1, Ordering::Relaxed);
-                        self.evict(s.id);
-                        return;
-                    }
-                }
-            } else {
-                (true, false)
-            };
-            let reading = {
-                let mut q = s.q.lock();
-                drained = !more || q.frames.is_empty();
-                q.window.observe(pressured)
-            };
-            if let Some(fraction) = reading {
-                self.push_reading(s.id, fraction);
-            }
-        }
     }
 
     /// Sends a control event to every connecting, active, or draining
@@ -460,8 +453,9 @@ impl<L: Link> SessionRegistry<L> {
     }
 
     fn broadcast_ctrl(&self, frame: &Frame) {
-        for s in &self.snapshot_roster() {
-            if s.state() != SessionState::Evicted {
+        for s in self.roster().iter() {
+            let state = s.cell.lock().state;
+            if state != SessionState::Evicted {
                 let _ = s.link.send(frame.clone());
             }
         }
@@ -472,19 +466,22 @@ impl<L: Link> SessionRegistry<L> {
     /// empty or the drain deadline, then the session is evicted.
     pub fn drain(&self, id: SessionId) {
         if let Some(s) = self.find(id) {
-            let mut cell = s.state.lock();
-            if matches!(cell.state, SessionState::Connecting | SessionState::Active) {
-                cell.state = SessionState::Draining;
-                cell.drain_deadline = Some(Instant::now() + self.inner.cfg.drain_deadline);
-            }
+            self.start_drain(&mut s.cell.lock());
         }
     }
 
     /// Starts draining every connecting or active session (the serving
     /// tier's response to end of stream).
     pub fn drain_all(&self) {
-        for s in self.snapshot_roster() {
-            self.drain(s.id);
+        for s in self.roster().iter() {
+            self.start_drain(&mut s.cell.lock());
+        }
+    }
+
+    fn start_drain(&self, cell: &mut SessionCell) {
+        if matches!(cell.state, SessionState::Connecting | SessionState::Active) {
+            cell.state = SessionState::Draining;
+            cell.drain_deadline = Some(Instant::now() + self.inner.cfg.drain_deadline);
         }
     }
 
@@ -494,26 +491,19 @@ impl<L: Link> SessionRegistry<L> {
     /// housekeeper thread ([`SessionRegistry::spawn_housekeeper`]) or
     /// between broadcasts.
     pub fn sweep(&self) {
-        for s in &self.snapshot_roster() {
-            match s.state() {
-                SessionState::Active => self.flush_session(s),
+        for s in self.roster().iter() {
+            let mut cell = s.cell.lock();
+            let done = match cell.state {
+                SessionState::Active => !self.flush(s, &mut cell),
                 SessionState::Draining => {
-                    self.flush_session(s);
-                    // flush_session may have evicted a closed link.
-                    let (state, deadline) = {
-                        let cell = s.state.lock();
-                        (cell.state, cell.drain_deadline)
-                    };
-                    if state != SessionState::Draining {
-                        continue;
-                    }
-                    let empty = s.q.lock().frames.is_empty();
-                    let expired = deadline.is_some_and(|d| Instant::now() >= d);
-                    if empty || expired {
-                        self.evict(s.id);
-                    }
+                    !self.flush(s, &mut cell)
+                        || cell.frames.is_empty()
+                        || cell.drain_deadline.is_some_and(|d| Instant::now() >= d)
                 }
-                SessionState::Connecting | SessionState::Evicted => {}
+                SessionState::Connecting | SessionState::Evicted => false,
+            };
+            if done {
+                self.evict_locked(s, cell);
             }
         }
     }
@@ -523,33 +513,34 @@ impl<L: Link> SessionRegistry<L> {
     /// session becomes [`Evicted`](SessionState::Evicted) (resident until
     /// [`reap`](SessionRegistry::reap)).
     pub fn evict(&self, id: SessionId) {
-        let Some(s) = self.find(id) else { return };
-        {
-            let mut cell = s.state.lock();
-            if cell.state == SessionState::Evicted {
-                return;
-            }
-            cell.state = SessionState::Evicted;
-            cell.drain_deadline = None;
+        if let Some(s) = self.find(id) {
+            self.evict_locked(&s, s.cell.lock());
         }
-        let discarded = {
-            let mut q = s.q.lock();
-            let n = q.frames.len();
-            q.frames.clear();
-            n
-        };
-        s.shed.fetch_add(discarded as u64, Ordering::Relaxed);
-        s.send_fin_once();
+    }
+
+    /// Evicts the session whose lock the caller holds. Only the caller
+    /// that makes the transition gets past the check, so the `Fin` goes
+    /// out once — on the control lane, after the lock is released.
+    fn evict_locked(&self, s: &SessionShared<L>, mut cell: MutexGuard<'_, SessionCell>) {
+        if cell.state == SessionState::Evicted {
+            return;
+        }
+        cell.state = SessionState::Evicted;
+        cell.drain_deadline = None;
+        cell.shed += cell.frames.len() as u64;
+        cell.frames.clear();
+        drop(cell);
+        let _ = s.link.send(Frame::Fin);
         // Release pairs with the Acquire load in `stats`.
         self.inner.evicted_total.fetch_add(1, Ordering::Release);
     }
 
     /// Removes evicted sessions from the roster, returning how many were
-    /// released (their links drop here).
+    /// released (their links drop once no pass in progress holds them).
     pub fn reap(&self) -> usize {
         let mut roster = self.inner.roster.lock();
         let before = roster.len();
-        roster.retain(|s| s.state() != SessionState::Evicted);
+        Arc::make_mut(&mut *roster).retain(|s| s.cell.lock().state != SessionState::Evicted);
         before - roster.len()
     }
 
@@ -570,51 +561,58 @@ impl<L: Link> SessionRegistry<L> {
         self.inner.readings.lock().drain(..).collect()
     }
 
-    /// Point-in-time snapshots of every resident session.
+    /// Point-in-time snapshots of every resident session. Each is taken
+    /// under its session's lock, so its counters and queue depth belong
+    /// to one instant: `enqueued == sent + shed + queued`.
     #[must_use]
     pub fn sessions(&self) -> Vec<SessionSnapshot> {
-        self.snapshot_roster()
+        self.roster()
             .iter()
-            .map(|s| SessionSnapshot {
-                id: s.id,
-                peer: s.peer.to_string(),
-                state: s.state(),
-                queued: s.q.lock().frames.len(),
-                drop_level: s.drop_level.load(Ordering::Relaxed),
-                enqueued: s.enqueued.load(Ordering::Relaxed),
-                sent: s.sent.load(Ordering::Relaxed),
-                shed: s.shed.load(Ordering::Relaxed),
-                thinned: s.thinned.load(Ordering::Relaxed),
+            .map(|s| {
+                let cell = s.cell.lock();
+                SessionSnapshot {
+                    id: s.id,
+                    peer: s.peer.to_string(),
+                    state: cell.state,
+                    queued: cell.frames.len(),
+                    drop_level: s.drop_level.load(Ordering::Relaxed),
+                    enqueued: cell.enqueued,
+                    sent: cell.sent,
+                    shed: cell.shed,
+                    thinned: cell.thinned,
+                }
             })
             .collect()
     }
 
     /// Aggregate counters across the registry's lifetime and the current
-    /// roster.
+    /// roster. The frame totals are sums of per-session instants, so
+    /// `enqueued_total == sent_total + shed_total + queued_frames`.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
         // Read order keeps `evicted_total <= accepted_total` and
         // `resident <= accepted_total` under concurrent churn: evictions
         // first, then the roster, admissions last.
         let evicted_total = self.inner.evicted_total.load(Ordering::Acquire);
-        let roster = self.snapshot_roster();
+        let roster = self.roster();
         let mut stats = RegistryStats {
             accepted_total: self.inner.accepted_total.load(Ordering::Relaxed),
             evicted_total,
             ..RegistryStats::default()
         };
-        for s in &roster {
-            match s.state() {
+        for s in roster.iter() {
+            let cell = s.cell.lock();
+            match cell.state {
                 SessionState::Connecting => stats.connecting += 1,
                 SessionState::Active => stats.active += 1,
                 SessionState::Draining => stats.draining += 1,
                 SessionState::Evicted => stats.evicted_resident += 1,
             }
-            stats.queued_frames += s.q.lock().frames.len();
-            stats.enqueued_total += s.enqueued.load(Ordering::Relaxed);
-            stats.sent_total += s.sent.load(Ordering::Relaxed);
-            stats.shed_total += s.shed.load(Ordering::Relaxed);
-            stats.thinned_total += s.thinned.load(Ordering::Relaxed);
+            stats.queued_frames += cell.frames.len();
+            stats.enqueued_total += cell.enqueued;
+            stats.sent_total += cell.sent;
+            stats.shed_total += cell.shed;
+            stats.thinned_total += cell.thinned;
         }
         stats
     }
@@ -631,8 +629,9 @@ impl<L: Link> SessionRegistry<L> {
         self.inner.roster.lock().is_empty()
     }
 
-    fn snapshot_roster(&self) -> Vec<Arc<SessionShared<L>>> {
-        self.inner.roster.lock().clone()
+    /// The current roster, for one pass: a refcount, not a copy.
+    fn roster(&self) -> Roster<L> {
+        Arc::clone(&self.inner.roster.lock())
     }
 
     /// Spawns a thread that calls [`sweep`](SessionRegistry::sweep) and

@@ -139,7 +139,16 @@ struct Direction {
     data: Ring<WireBytes>,
     /// Events and factory messages only; `Fin` is the flag below.
     ctrl: Mutex<VecDeque<Frame>>,
+    /// Length of `ctrl`, stored under its lock by whoever changed it, so
+    /// a receive locks `ctrl` only when a control frame is waiting (the
+    /// common case is none). `Release` store, `Acquire` load: a receiver
+    /// that sees the count sees the frame. It is no part of the wake-up:
+    /// a sender still goes through `waiter` after publishing, and a
+    /// receiver still re-checks the lanes after registering there.
+    ctrl_queued: AtomicUsize,
     /// Parked receiver to unpark on arrival (one receiver at a time).
+    /// Taken on every send; an atomic "someone is waiting" flag in front
+    /// of it was measured and cost more than it saved.
     waiter: Mutex<Option<Thread>>,
     /// Sender posted a `Fin`.
     fin: AtomicBool,
@@ -155,6 +164,7 @@ impl Direction {
         Direction {
             data: Ring::new(capacity),
             ctrl: Mutex::new(VecDeque::new()),
+            ctrl_queued: AtomicUsize::new(0),
             waiter: Mutex::new(None),
             fin: AtomicBool::new(false),
             closed: AtomicBool::new(false),
@@ -206,7 +216,9 @@ impl Direction {
                 SendStatus::Sent
             }
             ctrl_frame => {
-                self.ctrl.lock().push_back(ctrl_frame);
+                let mut ctrl = self.ctrl.lock();
+                ctrl.push_back(ctrl_frame);
+                self.ctrl_queued.store(ctrl.len(), Ordering::Release);
                 SendStatus::Sent
             }
         };
@@ -227,8 +239,12 @@ impl Direction {
         } else {
             None
         };
-        if let Some(frame) = self.ctrl.lock().pop_front() {
-            return Some(RecvOutcome::Frame(frame));
+        if self.ctrl_queued.load(Ordering::Acquire) > 0 {
+            let mut ctrl = self.ctrl.lock();
+            if let Some(frame) = ctrl.pop_front() {
+                self.ctrl_queued.store(ctrl.len(), Ordering::Release);
+                return Some(RecvOutcome::Frame(frame));
+            }
         }
         if let Some(bytes) = self.data.pop() {
             self.stats.delivered.fetch_add(1, Ordering::Relaxed);
@@ -238,24 +254,30 @@ impl Direction {
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(out) = self.try_recv() {
-                return out;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RecvOutcome::TimedOut;
-            }
+        // Try before reading the clock: a frame that is already there,
+        // or a poll (`Duration::ZERO`), never needs the time.
+        if let Some(out) = self.try_recv() {
+            return out;
+        }
+        if timeout.is_zero() {
+            return RecvOutcome::TimedOut;
+        }
+        let mut now = Instant::now();
+        let deadline = now + timeout;
+        while now < deadline {
             *self.waiter.lock() = Some(std::thread::current());
             // Re-check after registering, then park for the remainder.
-            if let Some(out) = self.try_recv() {
-                self.waiter.lock().take();
+            let early = self.try_recv();
+            if early.is_none() {
+                std::thread::park_timeout(deadline - now);
+            }
+            self.waiter.lock().take();
+            if let Some(out) = early.or_else(|| self.try_recv()) {
                 return out;
             }
-            std::thread::park_timeout(deadline - now);
-            self.waiter.lock().take();
+            now = Instant::now();
         }
+        RecvOutcome::TimedOut
     }
 }
 
@@ -475,5 +497,117 @@ mod tests {
             h.join().unwrap();
         }
         assert!(ring.pop().is_none());
+    }
+
+    const GUARD: Duration = Duration::from_secs(20);
+
+    fn data(seq: u32) -> Frame {
+        Frame::Data(WireBytes::from(seq.to_le_bytes().to_vec()))
+    }
+
+    fn event(n: u32) -> Frame {
+        Frame::Event(crate::proto::WireEvent::SetRate(f64::from(n)))
+    }
+
+    fn expect_frame(out: RecvOutcome) -> Frame {
+        match out {
+            RecvOutcome::Frame(frame) => frame,
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_waiting_control_frame_overtakes_queued_data() {
+        // Data queued first, then control; and control first, then data.
+        for control_first in [false, true] {
+            let dir = Direction::new(8);
+            if control_first {
+                dir.send(event(7));
+                dir.send(data(1));
+            } else {
+                dir.send(data(1));
+                dir.send(event(7));
+            }
+            assert_eq!(expect_frame(dir.recv(Duration::ZERO)), event(7));
+            assert_eq!(dir.ctrl_queued.load(Ordering::Acquire), 0);
+            assert_eq!(expect_frame(dir.recv(Duration::ZERO)), data(1));
+        }
+    }
+
+    #[test]
+    fn polling_receiver_loses_neither_data_nor_control() {
+        const DATA: u32 = 10_000;
+        const EVENTS: u32 = 1_000;
+        let dir = Direction::new(256);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for seq in 0..DATA {
+                    // The data lane is lossy when full: offer again.
+                    while dir.send(data(seq)) == SendStatus::Dropped {
+                        std::thread::yield_now();
+                    }
+                    if seq % (DATA / EVENTS) == 0 {
+                        dir.send(event(seq / (DATA / EVENTS)));
+                    }
+                }
+            });
+            let (mut next_data, mut next_event) = (0, 0);
+            let started = Instant::now();
+            while next_data < DATA || next_event < EVENTS {
+                match dir.recv(Duration::ZERO) {
+                    RecvOutcome::Frame(frame @ Frame::Data(_)) => {
+                        assert_eq!(frame, data(next_data));
+                        next_data += 1;
+                    }
+                    RecvOutcome::Frame(frame) => {
+                        assert_eq!(frame, event(next_event));
+                        next_event += 1;
+                    }
+                    RecvOutcome::TimedOut => {
+                        assert!(started.elapsed() < GUARD, "stalled at {next_data}");
+                        std::thread::yield_now();
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        });
+        assert_eq!(dir.ctrl_queued.load(Ordering::Acquire), 0);
+        assert!(matches!(dir.recv(Duration::ZERO), RecvOutcome::TimedOut));
+    }
+
+    #[test]
+    fn a_poll_times_out_when_empty_and_ends_after_the_data() {
+        let dir = Direction::new(8);
+        assert!(matches!(dir.recv(Duration::ZERO), RecvOutcome::TimedOut));
+        dir.send(data(1));
+        dir.send(Frame::Fin);
+        assert_eq!(expect_frame(dir.recv(Duration::ZERO)), data(1));
+        assert!(matches!(dir.recv(Duration::ZERO), RecvOutcome::Fin));
+    }
+
+    #[test]
+    fn a_parked_receiver_wakes_on_data_and_on_control() {
+        for frame in [data(3), event(3)] {
+            let dir = Direction::new(8);
+            std::thread::scope(|scope| {
+                let receiver = scope.spawn(|| {
+                    let started = Instant::now();
+                    (dir.recv(Duration::from_secs(1)), started.elapsed())
+                });
+                // Send only once the receiver has registered to be woken.
+                let started = Instant::now();
+                while dir.waiter.lock().is_none() {
+                    assert!(started.elapsed() < GUARD, "receiver never parked");
+                    std::thread::yield_now();
+                }
+                dir.send(frame.clone());
+                let (out, waited) = receiver.join().expect("receiver");
+                assert_eq!(expect_frame(out), frame);
+                assert!(
+                    waited < Duration::from_millis(900),
+                    "woken by the send, not by the timeout: {waited:?}"
+                );
+            });
+        }
     }
 }

@@ -9,7 +9,11 @@
 //! * resident-state accounting stays within the admitted population,
 //! * the final ledger balances: every enqueued frame was either sent or
 //!   shed, and every admitted session is eventually evicted,
-//! * reaped (evicted) sessions leave the roster snapshot.
+//! * reaped (evicted) sessions leave the roster snapshot,
+//! * every snapshot balances *exactly* while frames move — a session's
+//!   counters and queue depth are read under its one lock:
+//!   `enqueued == sent + shed + queued`,
+//! * end of stream retires a large roster in one pass per call.
 
 use infopipes::{ControlEvent, InboxSender};
 use netpipe::{
@@ -17,22 +21,27 @@ use netpipe::{
     SessionRegistry, SessionState, TransportError,
 };
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 
 /// The smallest possible always-accepting link: every data frame is
-/// counted as sent, every Fin acknowledged.
-#[derive(Clone)]
-struct MiniLink;
+/// counted as sent, every Fin acknowledged (and counted).
+#[derive(Clone, Default)]
+struct MiniLink {
+    fins: Arc<AtomicUsize>,
+}
 
 impl Link for MiniLink {
     fn peer(&self) -> PeerIdentity {
         PeerIdentity::new("stub", "mini")
     }
-    fn send(&self, _frame: Frame) -> SendStatus {
+    fn send(&self, frame: Frame) -> SendStatus {
+        if matches!(frame, Frame::Fin) {
+            self.fins.fetch_add(1, Ordering::Relaxed);
+        }
         SendStatus::Sent
     }
     fn recv(&self, _timeout: Duration) -> RecvOutcome {
@@ -72,7 +81,7 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
         let pending = Arc::clone(&pending);
         threads.push(std::thread::spawn(move || {
             for i in 0..PER_ADMITTER {
-                let id = registry.admit(MiniLink);
+                let id = registry.admit(MiniLink::default());
                 pending.lock().unwrap().push(id);
                 if i % 8 == 0 {
                     std::thread::yield_now();
@@ -211,4 +220,123 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
     assert_eq!(stats.accepted_total, TOTAL);
     assert_eq!(stats.evicted_total, TOTAL);
     assert_eq!(stats.evicted_resident, 0);
+}
+
+/// A link whose answer changes with every `send_ready`: ready and
+/// `Sent`, not ready, ready and `Dropped`, and round again.
+#[derive(Clone, Default)]
+struct FlakyLink {
+    asked: Arc<AtomicUsize>,
+}
+
+impl Link for FlakyLink {
+    fn peer(&self) -> PeerIdentity {
+        PeerIdentity::new("stub", "flaky")
+    }
+    fn send_ready(&self) -> bool {
+        self.asked.fetch_add(1, Ordering::Relaxed) % 3 != 1
+    }
+    fn send(&self, _frame: Frame) -> SendStatus {
+        if self.asked.load(Ordering::Relaxed).is_multiple_of(3) {
+            SendStatus::Dropped
+        } else {
+            SendStatus::Sent
+        }
+    }
+    fn recv(&self, _timeout: Duration) -> RecvOutcome {
+        RecvOutcome::TimedOut
+    }
+    fn bind_receiver(
+        &self,
+        _inbox: Option<InboxSender>,
+        _on_event: impl Fn(ControlEvent) + Send + 'static,
+    ) -> Result<(), TransportError> {
+        Ok(())
+    }
+    fn stats(&self) -> LinkStats {
+        LinkStats::default()
+    }
+}
+
+#[test]
+fn every_snapshot_balances_exactly_while_frames_move() {
+    const SESSIONS: usize = 8;
+    const FRAMES: u32 = 20_000;
+
+    let registry: SessionRegistry<FlakyLink> = SessionRegistry::new(ServeConfig {
+        queue_capacity: 4,
+        ..ServeConfig::default()
+    });
+    for _ in 0..SESSIONS {
+        registry.admit(FlakyLink::default());
+    }
+    let done = AtomicBool::new(false);
+
+    let observed = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let payload = netpipe::wire::to_payload(&0xCD_u32).expect("encode");
+            for frame in 0..FRAMES {
+                registry.broadcast(&payload);
+                if frame % 4 == 0 {
+                    registry.sweep();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+
+        // The inspector's sampler, unsynchronised with the broadcaster.
+        let mut observed = 0u64;
+        loop {
+            let finished = done.load(Ordering::Acquire);
+            for snap in registry.sessions() {
+                assert_eq!(
+                    snap.enqueued,
+                    snap.sent + snap.shed + snap.queued as u64,
+                    "a snapshot is one instant of its session: {snap:?}"
+                );
+                observed += 1;
+            }
+            let stats = registry.stats();
+            assert_eq!(
+                stats.enqueued_total,
+                stats.sent_total + stats.shed_total + stats.queued_frames as u64,
+                "totals are sums of per-session instants: {stats:?}"
+            );
+            if finished {
+                return observed;
+            }
+        }
+    });
+    assert!(observed >= SESSIONS as u64);
+
+    // Every path was taken: sent, shed (link drops and overflow), queued.
+    let stats = registry.stats();
+    assert_eq!(stats.enqueued_total, u64::from(FRAMES) * SESSIONS as u64);
+    assert!(stats.sent_total > 0 && stats.shed_total > 0, "{stats:?}");
+}
+
+#[test]
+fn end_of_stream_retires_a_large_roster() {
+    const SESSIONS: usize = 2048;
+
+    let registry = SessionRegistry::new(ServeConfig::default());
+    let links: Vec<MiniLink> = (0..SESSIONS)
+        .map(|_| {
+            let link = MiniLink::default();
+            registry.admit(link.clone());
+            link
+        })
+        .collect();
+    assert_eq!(registry.stats().active, SESSIONS);
+
+    // What a `Fin` through `BroadcastSendEnd` runs.
+    registry.drain_all();
+    registry.sweep();
+    assert_eq!(registry.stats().evicted_resident, SESSIONS);
+    assert_eq!(registry.reap(), SESSIONS);
+    assert!(registry.is_empty());
+    for link in &links {
+        assert_eq!(link.fins.load(Ordering::Relaxed), 1, "one Fin each");
+    }
+    assert_eq!(registry.stats().evicted_total, SESSIONS as u64);
 }

@@ -17,6 +17,7 @@ use netpipe::{
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,6 +35,9 @@ struct StubInner {
     /// Data frames the link accepted, as a receiver would hold them.
     accepted: Mutex<Vec<PayloadBytes>>,
     fins: AtomicUsize,
+    /// Armed by `hold_next_send`: the next data send reports on the
+    /// first channel that it is inside the link, then waits on the second.
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
 }
 
 #[derive(Clone)]
@@ -49,8 +53,18 @@ impl StubLink {
                 ready: AtomicBool::new(ready),
                 accepted: Mutex::new(Vec::new()),
                 fins: AtomicUsize::new(0),
+                gate: Mutex::new(None),
             }),
         }
+    }
+
+    /// Holds the next data send inside the link: the receiver hears when
+    /// it got there, the sender lets it go on.
+    fn hold_next_send(&self) -> (Receiver<()>, Sender<()>) {
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        *self.inner.gate.lock() = Some((held_tx, release_rx));
+        (held_rx, release_tx)
     }
 
     fn set_ready(&self, ready: bool) {
@@ -78,6 +92,11 @@ impl Link for StubLink {
     fn send(&self, frame: Frame) -> SendStatus {
         match frame {
             Frame::Data(bytes) => {
+                let gate = self.inner.gate.lock().take();
+                if let Some((held, release)) = gate {
+                    let _ = held.send(());
+                    let _ = release.recv();
+                }
                 let status = *self.inner.mode.lock();
                 if status.accepted() {
                     self.inner.accepted.lock().push(bytes);
@@ -293,6 +312,64 @@ fn disconnected_client_is_evicted_mid_broadcast_without_leaking() {
         0,
         "no payload buffer may leak through an eviction"
     );
+}
+
+// ---------------------------------------------------------------------
+// Two flushers of one session cannot reorder its frames
+// ---------------------------------------------------------------------
+
+/// One round: two frames queue behind a link that is not ready; it
+/// becomes ready, a broadcaster's first send is held inside the link,
+/// and a sweep runs beside it.
+fn flush_beside_a_held_send() {
+    let registry = SessionRegistry::new(small_config());
+    let link = StubLink::new(SendStatus::Sent, false);
+    registry.admit(link.clone());
+    let frames: Vec<PayloadBytes> = (0..3u8)
+        .map(|i| PayloadBytes::from_vec(vec![i; 8]))
+        .collect();
+    registry.broadcast(&frames[0]);
+    registry.broadcast(&frames[1]);
+    assert!(link.accepted().is_empty(), "a stalled link keeps its queue");
+
+    link.set_ready(true);
+    let (held, release) = link.hold_next_send();
+    let registry = &registry;
+    std::thread::scope(|scope| {
+        scope.spawn(|| registry.broadcast(&frames[2]));
+        held.recv_timeout(DEADLINE)
+            .expect("the broadcaster must reach the link");
+        // Frame 0 is inside the link now. A flusher that sends outside
+        // the session's lock pops frame 1 and overtakes it, and this
+        // sweep returns; one that sends under the lock waits its turn,
+        // and all there is to see of that is the sweep not returning.
+        let (swept_tx, swept_rx) = mpsc::channel();
+        scope.spawn(move || {
+            registry.sweep();
+            let _ = swept_tx.send(());
+        });
+        let _ = swept_rx.recv_timeout(Duration::from_millis(5));
+        release.send(()).expect("the held send is still waiting");
+    });
+    let order: Vec<u8> = link.accepted().iter().map(|frame| frame[0]).collect();
+    assert_eq!(order, [0, 1, 2], "the link must see broadcast order");
+}
+
+#[test]
+fn concurrent_flushers_keep_a_sessions_frames_in_order() {
+    let (done_tx, done_rx) = mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        for _ in 0..200 {
+            flush_beside_a_held_send();
+        }
+        let _ = done_tx.send(());
+    });
+    if done_rx.recv_timeout(DEADLINE) == Err(mpsc::RecvTimeoutError::Timeout) {
+        panic!("a flusher hung");
+    }
+    if let Err(panic) = rounds.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 // ---------------------------------------------------------------------
