@@ -14,6 +14,7 @@
 //! buffering control for events themselves.
 
 use crate::item::Item;
+use mbthread::{Constraint, Message, Priority};
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,6 +111,22 @@ pub(crate) struct EventMsg {
     pub(crate) target: EventTarget,
 }
 
+impl EventMsg {
+    /// The kernel message that carries `event` to `target`, and the
+    /// constraint every control event travels under: more urgent than any
+    /// data processing (§2.2).
+    pub(crate) fn message(
+        event: &ControlEvent,
+        target: EventTarget,
+    ) -> (Message, Option<Constraint>) {
+        let event = event.clone();
+        (
+            Message::new(tags::CTRL, EventMsg { event, target }),
+            Some(Constraint::priority(Priority::CONTROL)),
+        )
+    }
+}
+
 /// Kernel message tags used by the Infopipe runtime.
 pub(crate) mod tags {
     use mbthread::Tag;
@@ -126,6 +143,9 @@ pub(crate) mod tags {
     pub(crate) const CTRL: Tag = Tag(0x4950_0005);
     /// A buffer informs a waiting upstream owner that space freed up.
     pub(crate) const SPACE: Tag = Tag(0x4950_0006);
+    /// The `PUT` stream of a push-position coroutine is over (no payload,
+    /// no reply): the one way such a coroutine learns of end of stream.
+    pub(crate) const END: Tag = Tag(0x4950_0007);
 
     /// Tags that may interrupt a blocked data operation.
     pub(crate) const INTERRUPTS: &[Tag] = &[CTRL];

@@ -19,14 +19,21 @@
 //! owner's coroutine set, interacting synchronously so that activity
 //! travels with the data (Fig. 5). For the paper's Fig. 9 configurations
 //! this yields exactly 1 thread for a/b/c, 2 for d/g/h, and 3 for e/f —
-//! verified by this module's tests and by the `fig9_configs` benchmark.
+//! verified by the integration tests and by the `fig9_configs` benchmark.
+//!
+//! The table exists in code once: `lower_pull` and `lower_push` pick
+//! the node of the section tree (`runtime::nodes`) a stage becomes, and
+//! the report's [`Exec`] is read off that node. The tree the planner
+//! builds is the tree the threads run: a coroutine is a *planned* node
+//! until every section of the pipeline has validated, and only then does
+//! launch turn planned nodes into threads in place — so a composition
+//! error anywhere costs no thread. See `docs/threading.md`.
 
 use crate::buffer::BufHandle;
 use crate::error::PipeError;
 use crate::graph::{GraphInner, NodeId, NodeKind};
-use crate::pump::Pump;
-use crate::stage::{ActiveObject, Style};
-use crate::tee::SplitKind;
+use crate::runtime::{OwnerRole, PullNode, PushNode};
+use crate::stage::Style;
 use std::collections::BTreeSet;
 use typespec::Typespec;
 
@@ -67,16 +74,6 @@ impl std::fmt::Display for Exec {
     }
 }
 
-/// Decides how a stage of the given style is executed in the given mode —
-/// the core of thread transparency.
-#[must_use]
-pub fn exec_for(style_name: &str, mode: Mode) -> Exec {
-    match (style_name, mode) {
-        ("function", _) | ("producer", Mode::Pull) | ("consumer", Mode::Push) => Exec::Direct,
-        _ => Exec::Coroutine,
-    }
-}
-
 /// One stage's placement in the plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StagePlacement {
@@ -102,7 +99,7 @@ pub struct SectionReport {
     pub owner: String,
     /// What owns the activity: "pump", "active-source", or "active-sink".
     pub owner_kind: String,
-    /// Placement of every stage in the section.
+    /// Placement of every stage in the section, source to sink.
     pub stages: Vec<StagePlacement>,
     /// Number of coroutines allocated (extra threads beyond the owner's).
     pub coroutines: usize,
@@ -160,79 +157,20 @@ impl std::fmt::Display for PlanReport {
 }
 
 // ---------------------------------------------------------------------
-// Build structures handed to the runtime
+// What the planner hands to the runtime
 // ---------------------------------------------------------------------
 
-/// The upstream (pull-side) chain of a thread, innermost-first.
-pub(crate) enum PullBuild {
-    /// A directly-called stage; `up` continues toward the boundary.
-    Stage {
-        id: NodeId,
-        style: Style,
-        up: Box<PullBuild>,
-    },
-    /// A coroutine stage: spawned on its own thread together with
-    /// everything further upstream.
-    Coroutine {
-        id: NodeId,
-        style: Style,
-        up: Box<PullBuild>,
-    },
-    /// The chain starts at a buffer.
-    Buffer { handle: BufHandle },
-    /// The chain started at a source endpoint stage (already included as a
-    /// `Stage`/`Coroutine` entry); nothing further upstream.
-    Origin,
-}
-
-/// The downstream (push-side) tree of a thread.
-pub(crate) enum PushBuild {
-    Stage {
-        id: NodeId,
-        style: Style,
-        down: Box<PushBuild>,
-    },
-    Coroutine {
-        id: NodeId,
-        style: Style,
-        down: Box<PushBuild>,
-    },
-    Split {
-        id: NodeId,
-        kind: SplitKind,
-        branches: Vec<PushBuild>,
-    },
-    Buffer {
-        handle: BufHandle,
-    },
-    /// The tree ended at a sink endpoint stage; nothing further down.
-    End,
-}
-
-/// Who owns a section's activity.
-pub(crate) enum OwnerBuild {
-    Pump {
-        pump: Box<dyn Pump>,
-    },
-    ActiveSource {
-        id: NodeId,
-        stage: Box<dyn ActiveObject>,
-    },
-    ActiveSink {
-        id: NodeId,
-        stage: Box<dyn ActiveObject>,
-    },
-}
-
-pub(crate) struct SectionBuild {
-    pub(crate) name: String,
-    pub(crate) owner: OwnerBuild,
-    pub(crate) up: PullBuild,
-    pub(crate) down: PushBuild,
+/// One section: its activity owner and the trees that owner's thread
+/// operates, coroutines still planned.
+pub(crate) struct Section {
+    pub(crate) role: OwnerRole,
+    pub(crate) up: PullNode,
+    pub(crate) down: PushNode,
 }
 
 pub(crate) struct Plan {
-    pub(crate) sections: Vec<SectionBuild>,
+    /// One per entry of `report.sections`, in the same order.
+    pub(crate) sections: Vec<Section>,
     pub(crate) report: PlanReport,
     /// Buffers by node, for probes and end-of-stream propagation.
     pub(crate) buffers: Vec<(NodeId, BufHandle)>,
@@ -308,34 +246,51 @@ fn is_boundary(g: &GraphInner, id: NodeId) -> bool {
     matches!(g.node(id).kind.as_ref(), Some(NodeKind::Buffer(_)))
 }
 
-fn style_name_of(g: &GraphInner, id: NodeId) -> &'static str {
+/// Whether a node can own its section's activity: a pump, or an active
+/// object at either end of the pipeline (an active intermediate is a
+/// coroutine, not an owner).
+fn is_owner(g: &GraphInner, id: NodeId) -> bool {
     match g.node(id).kind.as_ref() {
-        Some(NodeKind::Stage(s)) => match s {
-            Style::Consumer(_) => "consumer",
-            Style::Producer(_) => "producer",
-            Style::Function(_) => "function",
-            Style::Active(_) => "active",
-        },
-        _ => "?",
+        Some(NodeKind::Pump(_)) => true,
+        Some(NodeKind::Stage(Style::Active(_))) => {
+            g.in_edges(id).next().is_none() || g.out_edges(id).next().is_none()
+        }
+        _ => false,
     }
 }
 
-/// Whether a node can own its section's activity.
-fn owner_kind(g: &GraphInner, id: NodeId) -> Option<&'static str> {
-    match g.node(id).kind.as_ref() {
-        Some(NodeKind::Pump(_)) => Some("pump"),
-        Some(NodeKind::Stage(Style::Active(_))) => {
-            let source = g.in_edges(id).next().is_none();
-            let sink = g.out_edges(id).next().is_none();
-            if source {
-                Some("active-source")
-            } else if sink {
-                Some("active-sink")
-            } else {
-                None // an active intermediate is a coroutine, not an owner
-            }
-        }
-        _ => None,
+/// The pull-mode column of the style × mode table: producers and functions
+/// are called directly, a consumer or an active object becomes a planned
+/// coroutine owning everything further upstream.
+fn lower_pull(id: NodeId, style: Style, up: PullNode) -> PullNode {
+    let up = Box::new(up);
+    match style {
+        Style::Producer(stage) => PullNode::Producer { id, stage, up },
+        Style::Function(stage) => PullNode::Function { id, stage, up },
+        style @ (Style::Consumer(_) | Style::Active(_)) => PullNode::Planned { id, style, up },
+    }
+}
+
+/// The push-mode column: consumers and functions are called directly, a
+/// producer or an active object becomes a planned coroutine owning
+/// everything further downstream.
+fn lower_push(id: NodeId, style: Style, down: PushNode) -> PushNode {
+    let down = Box::new(down);
+    match style {
+        Style::Consumer(stage) => PushNode::Consumer { id, stage, down },
+        Style::Function(stage) => PushNode::Function { id, stage, down },
+        style @ (Style::Producer(_) | Style::Active(_)) => PushNode::Planned { id, style, down },
+    }
+}
+
+/// The report entry of the node a stage (or tee) was lowered to.
+fn placement(g: &GraphInner, id: NodeId, style: &str, mode: Mode, exec: Exec) -> StagePlacement {
+    StagePlacement {
+        name: g.node(id).name.clone(),
+        style: style.to_owned(),
+        mode,
+        exec,
+        transport: g.node(id).transport.clone(),
     }
 }
 
@@ -361,9 +316,9 @@ pub(crate) fn plan(g: &mut GraphInner) -> Result<Plan, PipeError> {
     let mut sections = Vec::new();
     let mut report = PlanReport::default();
     for ids in &section_ids {
-        let (build, rep) = plan_section(g, ids)?;
-        sections.push(build);
-        report.sections.push(rep);
+        let (section, described) = plan_section(g, ids)?;
+        sections.push(section);
+        report.sections.push(described);
     }
 
     // Collect buffer handles (still present in the graph) and teach each
@@ -480,65 +435,43 @@ fn take_style(g: &mut GraphInner, id: NodeId) -> Style {
     }
 }
 
-fn plan_section(
-    g: &mut GraphInner,
-    ids: &[NodeId],
-) -> Result<(SectionBuild, SectionReport), PipeError> {
+fn plan_section(g: &mut GraphInner, ids: &[NodeId]) -> Result<(Section, SectionReport), PipeError> {
+    let names = |ids: &[NodeId]| ids.iter().map(|&id| g.node(id).name.clone()).collect();
     // Identify the activity owner.
-    let owners: Vec<(NodeId, &'static str)> = ids
-        .iter()
-        .filter_map(|&id| owner_kind(g, id).map(|k| (id, k)))
-        .collect();
-    if owners.is_empty() {
-        return Err(PipeError::NoActivity {
-            section: ids.iter().map(|&id| g.node(id).name.clone()).collect(),
-        });
-    }
-    if owners.len() > 1 {
-        return Err(PipeError::MultipleActivity {
-            owners: owners
-                .iter()
-                .map(|&(id, _)| g.node(id).name.clone())
-                .collect(),
-        });
-    }
-    let (owner_id, okind) = owners[0];
-    let owner_name = g.node(owner_id).name.clone();
-
-    let mut placements = Vec::new();
-    let mut coroutines = 0usize;
-
-    // ---- upstream (pull side) ----
-    let up_start = match okind {
-        "active-source" => None,
-        _ => g.in_edges(owner_id).next().map(|e| e.from),
+    let owners: Vec<NodeId> = ids.iter().copied().filter(|&id| is_owner(g, id)).collect();
+    let owner_id = match owners[..] {
+        [] => {
+            return Err(PipeError::NoActivity {
+                section: names(ids),
+            })
+        }
+        [one] => one,
+        _ => {
+            return Err(PipeError::MultipleActivity {
+                owners: names(&owners),
+            })
+        }
     };
-    let up = build_pull(g, up_start, &mut placements, &mut coroutines)?;
 
-    // ---- downstream (push side) ----
-    let down_start = match okind {
-        "active-sink" => None,
-        _ => g.out_edges(owner_id).next().map(|e| e.to),
-    };
+    // An active source has nothing upstream and an active sink nothing
+    // downstream, so the owner's edges say where each side starts.
+    let up_start = g.in_edges(owner_id).next().map(|e| e.from);
+    let down_start = g.out_edges(owner_id).next().map(|e| e.to);
+    let mut stages = Vec::new();
+    let up = build_pull(g, up_start, &mut stages)?;
     let down = match down_start {
-        None => PushBuild::End,
-        Some(first) => build_push(g, first, &mut placements, &mut coroutines)?,
+        None => PushNode::End,
+        Some(first) => build_push(g, first, &mut stages)?,
     };
 
-    // ---- the owner itself ----
-    let owner = match g.nodes[owner_id.0].kind.take() {
-        Some(NodeKind::Pump(p)) => OwnerBuild::Pump { pump: p },
-        Some(NodeKind::Stage(Style::Active(a))) => {
-            if okind == "active-source" {
-                OwnerBuild::ActiveSource {
-                    id: owner_id,
-                    stage: a,
-                }
+    let role = match g.nodes[owner_id.0].kind.take() {
+        Some(NodeKind::Pump(pump)) => OwnerRole::Pump { pump },
+        Some(NodeKind::Stage(Style::Active(stage))) => {
+            let id = owner_id;
+            if g.in_edges(id).next().is_none() {
+                OwnerRole::ActiveSource { id, stage }
             } else {
-                OwnerBuild::ActiveSink {
-                    id: owner_id,
-                    stage: a,
-                }
+                OwnerRole::ActiveSink { id, stage }
             }
         }
         other => unreachable!(
@@ -548,20 +481,12 @@ fn plan_section(
     };
 
     let report = SectionReport {
-        owner: owner_name.clone(),
-        owner_kind: okind.to_owned(),
-        stages: placements,
-        coroutines,
+        owner: g.node(owner_id).name.clone(),
+        owner_kind: role.kind_name().to_owned(),
+        coroutines: stages.iter().filter(|p| p.exec == Exec::Coroutine).count(),
+        stages,
     };
-    Ok((
-        SectionBuild {
-            name: owner_name,
-            owner,
-            up,
-            down,
-        },
-        report,
-    ))
+    Ok((Section { role, up, down }, report))
 }
 
 /// Builds the pull-side chain starting at `start` (the node immediately
@@ -570,19 +495,15 @@ fn build_pull(
     g: &mut GraphInner,
     start: Option<NodeId>,
     placements: &mut Vec<StagePlacement>,
-    coroutines: &mut usize,
-) -> Result<PullBuild, PipeError> {
-    let Some(first) = start else {
-        return Ok(PullBuild::Origin);
-    };
+) -> Result<PullNode, PipeError> {
     // Collect the chain owner-adjacent first.
     let mut chain = Vec::new();
-    let mut cur = Some(first);
-    let mut terminator = PullBuild::Origin;
+    let mut cur = start;
+    let mut built = PullNode::Origin;
     while let Some(id) = cur {
         match g.node(id).kind.as_ref() {
             Some(NodeKind::Buffer(h)) => {
-                terminator = PullBuild::Buffer { handle: h.clone() };
+                built = PullNode::Buffer(h.clone());
                 break;
             }
             Some(NodeKind::Split(_)) => {
@@ -600,104 +521,58 @@ fn build_pull(
             None => return Err(PipeError::AlreadyStarted),
         }
     }
-    // Fold from the boundary inward.
-    let mut built = terminator;
+    // Fold from the boundary inward; the placements then read source to
+    // owner.
     for &id in chain.iter().rev() {
-        let sname = style_name_of(g, id);
-        let exec = exec_for(sname, Mode::Pull);
-        let name = g.node(id).name.clone();
-        let transport = g.node(id).transport.clone();
         let style = take_style(g, id);
-        built = match exec {
-            Exec::Direct => PullBuild::Stage {
-                id,
-                style,
-                up: Box::new(built),
-            },
-            Exec::Coroutine => {
-                *coroutines += 1;
-                PullBuild::Coroutine {
-                    id,
-                    style,
-                    up: Box::new(built),
-                }
-            }
-        };
-        placements.push(StagePlacement {
-            name,
-            style: sname.to_owned(),
-            mode: Mode::Pull,
-            exec,
-            transport,
-        });
+        let style_name = style.style_name();
+        built = lower_pull(id, style, built);
+        placements.push(placement(g, id, style_name, Mode::Pull, built.exec()));
     }
-    // Placements read more naturally source-to-owner.
-    placements.reverse();
     Ok(built)
 }
 
-/// Builds the push-side tree rooted at `start` (the node immediately
+/// Builds the push-side tree rooted at `id` (the node immediately
 /// downstream of the owner).
 fn build_push(
     g: &mut GraphInner,
     id: NodeId,
     placements: &mut Vec<StagePlacement>,
-    coroutines: &mut usize,
-) -> Result<PushBuild, PipeError> {
+) -> Result<PushNode, PipeError> {
     match g.node(id).kind.as_ref() {
-        Some(NodeKind::Buffer(h)) => Ok(PushBuild::Buffer { handle: h.clone() }),
+        Some(NodeKind::Buffer(h)) => Ok(PushNode::Buffer(h.clone())),
         Some(NodeKind::Split(_)) => {
             let branch_heads: Vec<NodeId> = g.out_edges(id).map(|e| e.to).collect();
-            let name = g.node(id).name.clone();
-            let kind = match g.nodes[id.0].kind.take() {
-                Some(NodeKind::Split(k)) => k,
-                _ => unreachable!("split checked above"),
+            let Some(NodeKind::Split(kind)) = g.nodes[id.0].kind.take() else {
+                unreachable!("split checked above")
             };
-            placements.push(StagePlacement {
-                name,
-                style: kind.kind_name().to_owned(),
-                mode: Mode::Push,
-                exec: Exec::Direct,
-                transport: g.node(id).transport.clone(),
-            });
-            let mut branches = Vec::new();
-            for head in branch_heads {
-                branches.push(build_push(g, head, placements, coroutines)?);
-            }
-            Ok(PushBuild::Split { id, kind, branches })
+            placements.push(placement(g, id, kind.kind_name(), Mode::Push, Exec::Direct));
+            let branches = branch_heads
+                .into_iter()
+                .map(|head| build_push(g, head, placements))
+                .collect::<Result<_, _>>()?;
+            Ok(PushNode::Split { kind, branches })
         }
         Some(NodeKind::Stage(_)) => {
-            let sname = style_name_of(g, id);
-            let exec = exec_for(sname, Mode::Push);
-            let name = g.node(id).name.clone();
-            placements.push(StagePlacement {
-                name,
-                style: sname.to_owned(),
-                mode: Mode::Push,
-                exec,
-                transport: g.node(id).transport.clone(),
-            });
             let next = g.out_edges(id).next().map(|e| e.to);
             let style = take_style(g, id);
+            // The stage reads before what follows it; its node exists only
+            // once what follows is built, so `exec` is filled in then.
+            let slot = placements.len();
+            placements.push(placement(
+                g,
+                id,
+                style.style_name(),
+                Mode::Push,
+                Exec::Direct,
+            ));
             let down = match next {
-                None => PushBuild::End,
-                Some(n) => build_push(g, n, placements, coroutines)?,
+                None => PushNode::End,
+                Some(n) => build_push(g, n, placements)?,
             };
-            match exec {
-                Exec::Direct => Ok(PushBuild::Stage {
-                    id,
-                    style,
-                    down: Box::new(down),
-                }),
-                Exec::Coroutine => {
-                    *coroutines += 1;
-                    Ok(PushBuild::Coroutine {
-                        id,
-                        style,
-                        down: Box::new(down),
-                    })
-                }
-            }
+            let node = lower_push(id, style, down);
+            placements[slot].exec = node.exec();
+            Ok(node)
         }
         Some(NodeKind::Pump(_)) => unreachable!("second pump in section should have been caught"),
         None => Err(PipeError::AlreadyStarted),
@@ -744,22 +619,6 @@ pub(crate) fn compute_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_table_matches_paper() {
-        // Pull mode: producer and function direct, consumer and active
-        // need coroutines.
-        assert_eq!(exec_for("producer", Mode::Pull), Exec::Direct);
-        assert_eq!(exec_for("function", Mode::Pull), Exec::Direct);
-        assert_eq!(exec_for("consumer", Mode::Pull), Exec::Coroutine);
-        assert_eq!(exec_for("active", Mode::Pull), Exec::Coroutine);
-        // Push mode: consumer and function direct, producer and active
-        // need coroutines.
-        assert_eq!(exec_for("consumer", Mode::Push), Exec::Direct);
-        assert_eq!(exec_for("function", Mode::Push), Exec::Direct);
-        assert_eq!(exec_for("producer", Mode::Push), Exec::Coroutine);
-        assert_eq!(exec_for("active", Mode::Push), Exec::Coroutine);
-    }
 
     #[test]
     fn displays_are_nonempty() {

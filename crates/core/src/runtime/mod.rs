@@ -7,13 +7,16 @@
 //! * [`mod@self`] — shared state, the data-movement primitives
 //!   (buffer put/take, synchronous GET/PUT round-trips), and event
 //!   broadcast,
-//! * [`nodes`] — the direct-call interpretation trees (`PullNode`,
-//!   `PushNode`) and coroutine spawning,
+//! * [`nodes`] — the section tree (`PullNode`, `PushNode`): built by the
+//!   planner, its planned coroutines turned into threads in place at
+//!   launch, then interpreted per item,
 //! * [`stagectx`] — the [`StageCtx`]/[`EventCtx`] API components see,
 //! * [`owner`] — the section owner's code function (pump scheduling),
 //! * [`coroutine`] — the generated glue adapting activity styles
-//!   (Figs. 5–8),
+//!   (Figs. 5–8) and its `GET` / `PUT` / `END` protocol,
 //! * [`running`] — pipeline launch and the [`RunningPipeline`] handle.
+//!
+//! `docs/threading.md` walks through the whole path from plan to thread.
 
 mod coroutine;
 mod nodes;
@@ -24,13 +27,15 @@ mod stagectx;
 pub use running::{EventSubscription, RunningPipeline};
 pub use stagectx::{EventCtx, StageCtx};
 
+pub(crate) use nodes::{PullNode, PushNode};
+pub(crate) use owner::OwnerRole;
 pub(crate) use running::launch as launch_pipeline;
 
 use crate::buffer::{BufHandle, PutOutcome, TakeOutcome, Wakeups};
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
 use crate::graph::StageId;
 use crate::item::Item;
-use mbthread::{Constraint, Ctx, Envelope, Kernel, Message, Priority, SyncOutcome, Tag, ThreadId};
+use mbthread::{Ctx, Envelope, Kernel, Message, SyncOutcome, Tag, ThreadId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -78,6 +83,16 @@ pub(crate) struct Routing {
     pub(crate) listeners: Vec<ThreadId>,
 }
 
+impl Routing {
+    /// Enters a freshly spawned section or coroutine thread and the
+    /// stages it dispatches events for.
+    pub(crate) fn enroll(&mut self, thread: ThreadId, stages: Vec<StageId>) {
+        self.threads.push(thread);
+        self.stage_thread
+            .extend(stages.into_iter().map(|s| (s, thread)));
+    }
+}
+
 /// Per-thread runtime state (owner or coroutine).
 pub(crate) struct RtState {
     pub(crate) shared: Arc<Shared>,
@@ -100,23 +115,38 @@ impl RtState {
         }
     }
 
-    /// Inspects a control envelope mid-block: remembers it for later
-    /// dispatch and notes stop/EOS urgency. Returns the event kind's
-    /// effect on the blocked operation.
-    fn note_control(&mut self, env: Envelope) -> ControlFlowHint {
+    /// Inspects a control envelope mid-block and remembers it for later
+    /// dispatch. Returns whether it aborts the blocked operation: only a
+    /// stop request does. A broadcast `Eos` informs stages; the end of a
+    /// stream arrives on the data path (buffer marks, `GET` replies, the
+    /// coroutine `END` signal).
+    fn note_control(&mut self, env: Envelope) -> bool {
         let Ok(msg) = env.into_message().into_body::<EventMsg>() else {
-            return ControlFlowHint::Keep;
+            return false;
         };
-        let hint = match &msg.event {
-            ControlEvent::Stop => {
-                self.stopping = true;
-                ControlFlowHint::Abort
-            }
-            ControlEvent::Eos => ControlFlowHint::Eos,
-            _ => ControlFlowHint::Keep,
-        };
+        let stop = matches!(msg.event, ControlEvent::Stop);
+        self.stopping |= stop;
         self.pending_events.push_back(msg);
-        hint
+        stop
+    }
+
+    /// Hands an event to `thread`: queued locally when that is the calling
+    /// thread (no message round-trip), sent as a control message otherwise.
+    fn deliver(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        thread: ThreadId,
+        event: &ControlEvent,
+        target: EventTarget,
+    ) {
+        if thread == ctx.id() {
+            self.stopping |= matches!(event, ControlEvent::Stop);
+            let event = event.clone();
+            self.pending_events.push_back(EventMsg { event, target });
+        } else {
+            let (msg, constraint) = EventMsg::message(event, target);
+            let _ = ctx.send_with(thread, msg, constraint);
+        }
     }
 
     /// Broadcasts an event to every pipeline thread and listener.
@@ -125,27 +155,8 @@ impl RtState {
             let routing = self.shared.routing.lock();
             (routing.threads.clone(), routing.listeners.clone())
         };
-        let constraint = Some(Constraint::priority(Priority::CONTROL));
         for t in threads.into_iter().chain(listeners) {
-            if t == ctx.id() {
-                // Local delivery without a message round-trip.
-                self.pending_events.push_back(EventMsg {
-                    event: event.clone(),
-                    target: EventTarget::Broadcast,
-                });
-                if matches!(event, ControlEvent::Stop) {
-                    self.stopping = true;
-                }
-                continue;
-            }
-            let msg = Message::new(
-                tags::CTRL,
-                EventMsg {
-                    event: event.clone(),
-                    target: EventTarget::Broadcast,
-                },
-            );
-            let _ = ctx.send_with(t, msg, constraint);
+            self.deliver(ctx, t, event, EventTarget::Broadcast);
         }
     }
 
@@ -156,26 +167,10 @@ impl RtState {
         stage: StageId,
         event: &ControlEvent,
     ) {
-        let target = {
-            let routing = self.shared.routing.lock();
-            routing.stage_thread.get(&stage).copied()
-        };
-        let Some(thread) = target else { return };
-        if thread == ctx.id() {
-            self.pending_events.push_back(EventMsg {
-                event: event.clone(),
-                target: EventTarget::Stage(stage),
-            });
-            return;
+        let thread = self.shared.routing.lock().stage_thread.get(&stage).copied();
+        if let Some(thread) = thread {
+            self.deliver(ctx, thread, event, EventTarget::Stage(stage));
         }
-        let msg = Message::new(
-            tags::CTRL,
-            EventMsg {
-                event: event.clone(),
-                target: EventTarget::Stage(stage),
-            },
-        );
-        let _ = ctx.send_with(thread, msg, Some(Constraint::priority(Priority::CONTROL)));
     }
 
     /// Performs the wakeups a buffer mutation demands.
@@ -185,49 +180,23 @@ impl RtState {
         });
     }
 
-    /// Blocks until a message tagged `want` arrives, staying receptive to
-    /// control messages: controls are queued for later dispatch, a stop
-    /// request aborts the wait, and — when `eos_ends` — an end-of-stream
-    /// control ends it too (used by push-position coroutine glue, whose
-    /// only EOS signal is that control).
-    pub(crate) fn wait_tag_ext(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        want: Tag,
-        eos_ends: bool,
-    ) -> WaitOutcome {
-        loop {
-            if self.stopping {
-                return WaitOutcome::Stop;
-            }
-            let env = match ctx.receive_tags(&[want, tags::CTRL]) {
-                Ok(env) => env,
-                Err(_) => {
-                    self.stopping = true;
-                    return WaitOutcome::Stop;
-                }
+    /// Blocks until a message with one of the `accept`ed tags arrives,
+    /// staying receptive to control messages: `accept` lists
+    /// [`tags::CTRL`], controls are queued for later dispatch, and a stop
+    /// request (or shutdown) aborts the wait with `None`.
+    pub(crate) fn wait_tag(&mut self, ctx: &mut Ctx<'_>, accept: &[Tag]) -> Option<Envelope> {
+        debug_assert!(accept.contains(&tags::CTRL), "a wait deaf to stop");
+        while !self.stopping {
+            let Ok(env) = ctx.receive_tags(accept) else {
+                self.stopping = true;
+                break;
             };
-            if env.tag() == tags::CTRL {
-                match self.note_control(env) {
-                    ControlFlowHint::Abort => return WaitOutcome::Stop,
-                    ControlFlowHint::Eos if eos_ends => return WaitOutcome::Eos,
-                    // Otherwise EOS is handled by the data path (buffer
-                    // marks / GET replies carry it); informational here.
-                    ControlFlowHint::Eos | ControlFlowHint::Keep => {}
-                }
-                continue;
+            if env.tag() != tags::CTRL {
+                return Some(env);
             }
-            return WaitOutcome::Msg(env);
+            self.note_control(env);
         }
-    }
-
-    /// [`RtState::wait_tag_ext`] for waits whose EOS arrives on the data
-    /// path; returns `None` on stop/shutdown.
-    pub(crate) fn wait_tag(&mut self, ctx: &mut Ctx<'_>, want: Tag) -> Option<Envelope> {
-        match self.wait_tag_ext(ctx, want, false) {
-            WaitOutcome::Msg(env) => Some(env),
-            WaitOutcome::Stop | WaitOutcome::Eos => None,
-        }
+        None
     }
 
     // ------------------------------------------------------------------
@@ -247,7 +216,7 @@ impl RtState {
                 TakeOutcome::Empty => return Pulled::Empty,
                 TakeOutcome::Eos => return Pulled::Eos,
                 TakeOutcome::MustWait => {
-                    if self.wait_tag(ctx, tags::ARRIVAL).is_none() {
+                    if self.wait_tag(ctx, &[tags::ARRIVAL, tags::CTRL]).is_none() {
                         return Pulled::Interrupted;
                     }
                 }
@@ -269,7 +238,7 @@ impl RtState {
                 PutOutcome::MustWait(returned) => {
                     item = returned;
                     buf.wait_for_space(ctx.id());
-                    if self.wait_tag(ctx, tags::SPACE).is_none() {
+                    if self.wait_tag(ctx, &[tags::SPACE, tags::CTRL]).is_none() {
                         return PushRes::Interrupted;
                     }
                 }
@@ -303,10 +272,12 @@ impl RtState {
                         None => Pulled::Eos,
                     };
                 }
-                Ok(SyncOutcome::Interrupted(p, ctl)) => match self.note_control(ctl) {
-                    ControlFlowHint::Abort => return Pulled::Interrupted,
-                    _ => pending = p,
-                },
+                Ok(SyncOutcome::Interrupted(p, ctl)) => {
+                    if self.note_control(ctl) {
+                        return Pulled::Interrupted;
+                    }
+                    pending = p;
+                }
                 Err(_) => {
                     self.stopping = true;
                     return Pulled::Interrupted;
@@ -328,10 +299,12 @@ impl RtState {
         loop {
             match ctx.wait_or(pending, tags::INTERRUPTS) {
                 Ok(SyncOutcome::Reply(_ack)) => return PushRes::Ok,
-                Ok(SyncOutcome::Interrupted(p, ctl)) => match self.note_control(ctl) {
-                    ControlFlowHint::Abort => return PushRes::Interrupted,
-                    _ => pending = p,
-                },
+                Ok(SyncOutcome::Interrupted(p, ctl)) => {
+                    if self.note_control(ctl) {
+                        return PushRes::Interrupted;
+                    }
+                    pending = p;
+                }
                 Err(_) => {
                     self.stopping = true;
                     return PushRes::Interrupted;
@@ -339,21 +312,4 @@ impl RtState {
             }
         }
     }
-}
-
-/// How a control event affects a blocked data operation.
-enum ControlFlowHint {
-    Keep,
-    Abort,
-    Eos,
-}
-
-/// Result of a control-receptive wait.
-pub(crate) enum WaitOutcome {
-    /// A wanted message arrived.
-    Msg(Envelope),
-    /// The wait was aborted by a stop request or shutdown.
-    Stop,
-    /// An end-of-stream control ended the wait (only when requested).
-    Eos,
 }

@@ -1,25 +1,32 @@
-//! Direct-call interpretation trees.
+//! The section tree: one data structure from planner to thread.
 //!
-//! A thread (section owner or coroutine) owns the contiguous run of
-//! directly-callable stages adjacent to it; these trees interpret data
-//! movement through that run. Where the plan placed a coroutine, the tree
-//! holds the coroutine's thread id and the data crosses over as a
-//! synchronous message round-trip — activity travels with the data
-//! (Fig. 5).
+//! The planner ([`crate::plan`]) builds a section as these trees. A stage
+//! whose style matches its mode is a direct-call node; any other is a
+//! `Planned` coroutine holding the stage and the part of the tree it will
+//! own. Launch walks each tree once more, after *every* section has
+//! validated, and turns each `Planned` node into `Coro(ThreadId)` in
+//! place, innermost first. From then on a thread (section owner or
+//! coroutine) interprets data movement through the contiguous run of
+//! direct stages adjacent to it, and where a `Coro` sits the data crosses
+//! over as a synchronous message round-trip — activity travels with the
+//! data (Fig. 5).
 
-use super::coroutine::{spawn_coroutine, CoroSide};
+use super::coroutine::{spawn_coroutine, CoroTree};
 use super::stagectx::StageCtx;
 use super::{Pulled, PushRes, RtState, Shared};
 use crate::buffer::BufHandle;
 use crate::error::PipeError;
-use crate::events::ControlEvent;
+use crate::events::tags;
 use crate::graph::NodeId;
 use crate::item::Item;
-use crate::plan::{PullBuild, PushBuild};
+use crate::plan::Exec;
 use crate::stage::{Consumer, Function, Producer, Stage, Style};
 use crate::tee::SplitKind;
-use mbthread::{Ctx, Priority, ThreadId};
+use mbthread::{Constraint, Ctx, Message, Priority, ThreadId};
 use std::sync::Arc;
+
+/// Data reached a node the planner built and launch never spawned.
+const UNSPAWNED: &str = "launch spawns every planned coroutine before the flow starts";
 
 /// The pull-side (upstream) chain owned by one thread.
 pub(crate) enum PullNode {
@@ -33,6 +40,13 @@ pub(crate) enum PullNode {
         stage: Box<dyn Function>,
         up: Box<PullNode>,
     },
+    /// A consumer or active object: a coroutine the planner placed and
+    /// launch has yet to spawn, owning everything further upstream.
+    Planned {
+        id: NodeId,
+        style: Style,
+        up: Box<PullNode>,
+    },
     /// The chain continues on another thread.
     Coro(ThreadId),
     Buffer(BufHandle),
@@ -41,12 +55,52 @@ pub(crate) enum PullNode {
 }
 
 impl PullNode {
+    /// Direct call or coroutine, as the planner's `match` decided it.
+    pub(crate) fn exec(&self) -> Exec {
+        match self {
+            PullNode::Planned { .. } | PullNode::Coro(_) => Exec::Coroutine,
+            _ => Exec::Direct,
+        }
+    }
+
+    /// Spawns the thread of every planned coroutine of this chain,
+    /// innermost (furthest upstream) first, so that each coroutine takes
+    /// the already spawned chain above it along. The direct stages left on
+    /// the calling thread are appended to `local_stages`, for the routing
+    /// table entry the caller makes once its own thread id is known.
+    pub(crate) fn spawn_coroutines(
+        &mut self,
+        shared: &Arc<Shared>,
+        priority: Priority,
+        local_stages: &mut Vec<NodeId>,
+    ) -> Result<(), PipeError> {
+        *self = match std::mem::replace(self, PullNode::Origin) {
+            PullNode::Planned { id, style, mut up } => {
+                let mut stages = vec![id];
+                up.spawn_coroutines(shared, priority, &mut stages)?;
+                let tree = CoroTree::AnswersGets(*up);
+                PullNode::Coro(spawn_coroutine(shared, id, style, tree, priority, stages)?)
+            }
+            mut node => {
+                if let PullNode::Producer { id, up, .. } | PullNode::Function { id, up, .. } =
+                    &mut node
+                {
+                    local_stages.push(*id);
+                    up.spawn_coroutines(shared, priority, local_stages)?;
+                }
+                node
+            }
+        };
+        Ok(())
+    }
+
     /// Pulls the next item through this chain.
     pub(crate) fn pull(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
         match self {
             PullNode::Origin => Pulled::Eos,
             PullNode::Buffer(h) => rt.buffer_take(ctx, h),
             PullNode::Coro(t) => rt.sync_get(ctx, *t),
+            PullNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PullNode::Function { stage, up, .. } => loop {
                 match up.pull(ctx, rt) {
                     Pulled::Item(x) => {
@@ -82,7 +136,10 @@ impl PullNode {
                 f(*id, stage.as_mut());
                 up.for_each_stage(f);
             }
-            PullNode::Coro(_) | PullNode::Buffer(_) | PullNode::Origin => {}
+            PullNode::Planned { .. }
+            | PullNode::Coro(_)
+            | PullNode::Buffer(_)
+            | PullNode::Origin => {}
         }
     }
 
@@ -92,7 +149,7 @@ impl PullNode {
         match self {
             PullNode::Buffer(h) => Some(h.clone()),
             PullNode::Producer { up, .. } | PullNode::Function { up, .. } => up.nearest_buffer(),
-            PullNode::Coro(_) | PullNode::Origin => None,
+            PullNode::Planned { .. } | PullNode::Coro(_) | PullNode::Origin => None,
         }
     }
 }
@@ -113,6 +170,14 @@ pub(crate) enum PushNode {
         kind: SplitKind,
         branches: Vec<PushNode>,
     },
+    /// A producer or active object: a coroutine the planner placed and
+    /// launch has yet to spawn, owning everything further downstream.
+    Planned {
+        id: NodeId,
+        style: Style,
+        down: Box<PushNode>,
+    },
+    /// The tree continues on another thread.
     Coro(ThreadId),
     Buffer(BufHandle),
     /// Nothing downstream (the tree ended at a sink stage).
@@ -120,12 +185,59 @@ pub(crate) enum PushNode {
 }
 
 impl PushNode {
+    /// Direct call or coroutine, as the planner's `match` decided it.
+    pub(crate) fn exec(&self) -> Exec {
+        match self {
+            PushNode::Planned { .. } | PushNode::Coro(_) => Exec::Coroutine,
+            _ => Exec::Direct,
+        }
+    }
+
+    /// [`PullNode::spawn_coroutines`] for the downstream tree: innermost
+    /// is furthest downstream here.
+    pub(crate) fn spawn_coroutines(
+        &mut self,
+        shared: &Arc<Shared>,
+        priority: Priority,
+        local_stages: &mut Vec<NodeId>,
+    ) -> Result<(), PipeError> {
+        *self = match std::mem::replace(self, PushNode::End) {
+            PushNode::Planned {
+                id,
+                style,
+                mut down,
+            } => {
+                let mut stages = vec![id];
+                down.spawn_coroutines(shared, priority, &mut stages)?;
+                let tree = CoroTree::ReceivesPuts(*down);
+                PushNode::Coro(spawn_coroutine(shared, id, style, tree, priority, stages)?)
+            }
+            mut node => {
+                match &mut node {
+                    PushNode::Consumer { id, down, .. } | PushNode::Function { id, down, .. } => {
+                        local_stages.push(*id);
+                        down.spawn_coroutines(shared, priority, local_stages)?;
+                    }
+                    PushNode::Split { branches, .. } => {
+                        for b in branches {
+                            b.spawn_coroutines(shared, priority, local_stages)?;
+                        }
+                    }
+                    _ => {}
+                }
+                node
+            }
+        };
+        Ok(())
+    }
+
     /// Pushes one item through this tree.
     pub(crate) fn push(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
         match self {
             PushNode::End => PushRes::Ok,
             PushNode::Buffer(h) => rt.buffer_put(ctx, h, item),
             PushNode::Coro(t) => rt.sync_put(ctx, *t, item),
+            PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PushNode::Function { stage, down, .. } => match stage.convert(item) {
                 Some(y) => down.push(ctx, rt, y),
                 None => PushRes::Ok,
@@ -181,7 +293,7 @@ impl PushNode {
                     b.for_each_stage(f);
                 }
             }
-            PushNode::Coro(_) | PushNode::Buffer(_) | PushNode::End => {}
+            PushNode::Planned { .. } | PushNode::Coro(_) | PushNode::Buffer(_) | PushNode::End => {}
         }
     }
 
@@ -194,25 +306,17 @@ impl PushNode {
                 let wake = h.mark_eos();
                 rt.send_wakeups(ctx, wake);
             }
+            // The glue's own signal, sent after the last `PUT` was acked:
+            // the coroutine ends its component's input and marks what lies
+            // below it in turn. A broadcast `Eos` must not do this job: it
+            // overtakes items still queued further upstream. It is as urgent
+            // as one, though, so that the end has run down the section
+            // before the owner announces `Eos` to whoever waits for it.
             PushNode::Coro(t) => {
-                // The coroutine's glue treats a targeted EOS like an
-                // upstream end of stream: it finishes its run and
-                // propagates further down.
-                let _ = *t;
-                // Delivered as a broadcast-priority control message.
-                let msg = mbthread::Message::new(
-                    crate::events::tags::CTRL,
-                    crate::events::EventMsg {
-                        event: ControlEvent::Eos,
-                        target: crate::events::EventTarget::Broadcast,
-                    },
-                );
-                let _ = ctx.send_with(
-                    *t,
-                    msg,
-                    Some(mbthread::Constraint::priority(Priority::CONTROL)),
-                );
+                let urgent = Some(Constraint::priority(Priority::CONTROL));
+                let _ = ctx.send_with(*t, Message::signal(tags::END), urgent);
             }
+            PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PushNode::Function { down, .. } | PushNode::Consumer { down, .. } => {
                 down.mark_eos(ctx, rt);
             }
@@ -221,122 +325,6 @@ impl PushNode {
                     b.mark_eos(ctx, rt);
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Instantiation: build plans → runtime trees, spawning coroutines
-// ---------------------------------------------------------------------
-
-/// Materializes a pull-side build chain, spawning coroutine threads as
-/// needed. Direct stage ids encountered for the *current* thread are
-/// appended to `local_stages` so the caller can register them in the
-/// routing table once its own thread id is known.
-pub(crate) fn instantiate_pull(
-    shared: &Arc<Shared>,
-    build: PullBuild,
-    priority: Priority,
-    local_stages: &mut Vec<NodeId>,
-) -> Result<PullNode, PipeError> {
-    match build {
-        PullBuild::Origin => Ok(PullNode::Origin),
-        PullBuild::Buffer { handle } => Ok(PullNode::Buffer(handle)),
-        PullBuild::Stage { id, style, up } => {
-            let up = instantiate_pull(shared, *up, priority, local_stages)?;
-            local_stages.push(id);
-            match style {
-                Style::Producer(stage) => Ok(PullNode::Producer {
-                    id,
-                    stage,
-                    up: Box::new(up),
-                }),
-                Style::Function(stage) => Ok(PullNode::Function {
-                    id,
-                    stage,
-                    up: Box::new(up),
-                }),
-                other => unreachable!(
-                    "planner placed a {} as direct in pull mode",
-                    other.style_name()
-                ),
-            }
-        }
-        PullBuild::Coroutine { id, style, up } => {
-            // The coroutine owns everything further upstream.
-            let mut coro_stages = vec![id];
-            let up = instantiate_pull(shared, *up, priority, &mut coro_stages)?;
-            let tid = spawn_coroutine(
-                shared,
-                CoroSide::AnswersGets,
-                id,
-                style,
-                Some(up),
-                None,
-                priority,
-                coro_stages,
-            )?;
-            Ok(PullNode::Coro(tid))
-        }
-    }
-}
-
-/// Materializes a push-side build tree, spawning coroutine threads as
-/// needed.
-pub(crate) fn instantiate_push(
-    shared: &Arc<Shared>,
-    build: PushBuild,
-    priority: Priority,
-    local_stages: &mut Vec<NodeId>,
-) -> Result<PushNode, PipeError> {
-    match build {
-        PushBuild::End => Ok(PushNode::End),
-        PushBuild::Buffer { handle } => Ok(PushNode::Buffer(handle)),
-        PushBuild::Split { id, kind, branches } => {
-            let mut out = Vec::new();
-            for b in branches {
-                out.push(instantiate_push(shared, b, priority, local_stages)?);
-            }
-            let _ = id;
-            Ok(PushNode::Split {
-                kind,
-                branches: out,
-            })
-        }
-        PushBuild::Stage { id, style, down } => {
-            let down = instantiate_push(shared, *down, priority, local_stages)?;
-            local_stages.push(id);
-            match style {
-                Style::Consumer(stage) => Ok(PushNode::Consumer {
-                    id,
-                    stage,
-                    down: Box::new(down),
-                }),
-                Style::Function(stage) => Ok(PushNode::Function {
-                    id,
-                    stage,
-                    down: Box::new(down),
-                }),
-                other => unreachable!(
-                    "planner placed a {} as direct in push mode",
-                    other.style_name()
-                ),
-            }
-        }
-        PushBuild::Coroutine { id, style, down } => {
-            let mut coro_stages = vec![id];
-            let down = instantiate_push(shared, *down, priority, &mut coro_stages)?;
-            let tid = spawn_coroutine(
-                shared,
-                CoroSide::ReceivesPuts,
-                id,
-                style,
-                None,
-                Some(down),
-                priority,
-                coro_stages,
-            )?;
-            Ok(PushNode::Coro(tid))
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::pump::{CycleOutcome, Pump, Schedule};
 use crate::stage::{ActiveObject, Stage};
 use mbthread::{Constraint, Ctx, Envelope, Flow, Message, Time, TimerId};
 
-/// Which kind of activity owner runs this section.
+/// Which kind of activity owner runs this section; built by the planner.
 pub(crate) enum OwnerRole {
     Pump {
         pump: Box<dyn Pump>,
@@ -25,6 +25,17 @@ pub(crate) enum OwnerRole {
         id: NodeId,
         stage: Box<dyn ActiveObject>,
     },
+}
+
+impl OwnerRole {
+    /// The kind as plan reports name it.
+    pub(crate) fn kind_name(&self) -> &'static str {
+        match self {
+            OwnerRole::Pump { .. } => "pump",
+            OwnerRole::ActiveSource { .. } => "active-source",
+            OwnerRole::ActiveSink { .. } => "active-sink",
+        }
+    }
 }
 
 /// The next cycle is due right away, under this constraint.

@@ -1,20 +1,20 @@
 //! Launching a planned pipeline and controlling it while it runs.
 
-use super::nodes::{instantiate_pull, instantiate_push};
 use super::owner::{OwnerFn, OwnerRole};
 use super::{Routing, RtState, Shared};
 use crate::buffer::BufferProbe;
 use crate::error::PipeError;
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
 use crate::graph::StageId;
-use crate::plan::{OwnerBuild, Plan, PlanReport};
-use mbthread::{Constraint, ExternalPort, Kernel, MatchSpec, Message, Priority, SpawnOptions};
+use crate::plan::{Plan, PlanReport};
+use mbthread::{ExternalPort, Kernel, MatchSpec, Priority, SpawnOptions};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Spawns all section and coroutine threads for a plan.
+/// Spawns all section and coroutine threads for a plan. Every section of
+/// the plan has validated by now, so a composition error spawns nothing.
 pub(crate) fn launch(
     kernel: Kernel,
     name: String,
@@ -40,38 +40,30 @@ pub(crate) fn launch(
         );
     }
 
-    let report = plan.report.clone();
-    for section in plan.sections {
-        let priority = match &section.owner {
-            OwnerBuild::Pump { pump } => pump.thread_priority(),
+    let report = plan.report;
+    for (mut section, described) in plan.sections.into_iter().zip(&report.sections) {
+        let priority = match &section.role {
+            OwnerRole::Pump { pump } => pump.thread_priority(),
             _ => Priority::NORMAL,
         };
+        // The planned coroutines become threads in place; what is left of
+        // the tree is what the owner's thread calls directly.
         let mut local_stages = Vec::new();
-        let up = instantiate_pull(&shared, section.up, priority, &mut local_stages)?;
-        let down = instantiate_push(&shared, section.down, priority, &mut local_stages)?;
-        let role = match section.owner {
-            OwnerBuild::Pump { pump } => OwnerRole::Pump { pump },
-            OwnerBuild::ActiveSource { id, stage } => {
-                local_stages.push(id);
-                OwnerRole::ActiveSource { id, stage }
-            }
-            OwnerBuild::ActiveSink { id, stage } => {
-                local_stages.push(id);
-                OwnerRole::ActiveSink { id, stage }
-            }
-        };
-        let owner = OwnerFn::new(role, up, down, RtState::new(Arc::clone(&shared)));
-        let tid = kernel
-            .spawn(
-                SpawnOptions::new(format!("section-{}", section.name)).priority(priority),
-                owner,
-            )
-            .map_err(PipeError::from)?;
-        let mut routing = shared.routing.lock();
-        routing.threads.push(tid);
-        for s in local_stages {
-            routing.stage_thread.insert(s, tid);
+        section
+            .up
+            .spawn_coroutines(&shared, priority, &mut local_stages)?;
+        section
+            .down
+            .spawn_coroutines(&shared, priority, &mut local_stages)?;
+        if let OwnerRole::ActiveSource { id, .. } | OwnerRole::ActiveSink { id, .. } = &section.role
+        {
+            local_stages.push(*id);
         }
+        let rt = RtState::new(Arc::clone(&shared));
+        let owner = OwnerFn::new(section.role, section.up, section.down, rt);
+        let options = SpawnOptions::new(format!("section-{}", described.owner)).priority(priority);
+        let tid = kernel.spawn(options, owner)?;
+        shared.routing.lock().enroll(tid, local_stages);
     }
 
     let port = kernel.external(&format!("pipeline-{name}"));
@@ -120,19 +112,10 @@ impl RunningPipeline {
             let routing = self.shared.routing.lock();
             (routing.threads.clone(), routing.listeners.clone())
         };
-        let constraint = Some(Constraint::priority(Priority::CONTROL));
         let mut delivered = false;
         for t in threads.into_iter().chain(listeners) {
-            let msg = Message::new(
-                tags::CTRL,
-                EventMsg {
-                    event: event.clone(),
-                    target: EventTarget::Broadcast,
-                },
-            );
-            if self.port.send_with(t, msg, constraint).is_ok() {
-                delivered = true;
-            }
+            let (msg, constraint) = EventMsg::message(&event, EventTarget::Broadcast);
+            delivered |= self.port.send_with(t, msg, constraint).is_ok();
         }
         if delivered {
             Ok(())

@@ -7,10 +7,11 @@ use infopipes::helpers::{
     PushDefrag, PushFrag, RelayConsumer, RelayProducer,
 };
 use infopipes::{
-    BufferSpec, ClockedPump, ControlEvent, FreePump, Item, OnEmpty, OnFull, PipeError, Pipeline,
-    Producer, Stage, StageCtx,
+    BufferSpec, ClockedPump, ControlEvent, EventCtx, Exec, FreePump, Function, Item, Mode, Node,
+    OnEmpty, OnFull, PipeError, Pipeline, Producer, Stage, StageCtx,
 };
 use mbthread::{Kernel, KernelConfig};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -854,6 +855,230 @@ fn early_ending_producer_coroutine_propagates_eos() {
         running.wait_quiescent();
         let got = out.lock().clone();
         assert_eq!(got, (0..5).collect::<Vec<u32>>());
+    }
+    kernel.shutdown();
+}
+
+// -------------------------------------------------------------------
+// Thread transparency: every style, every position, every section
+// -------------------------------------------------------------------
+
+const STYLES: [&str; 4] = ["producer", "consumer", "function", "active"];
+
+/// Adds an identity relay of the named activity style.
+fn add_relay<'p>(p: &'p Pipeline, style: &str, name: &str) -> Node<'p> {
+    match style {
+        "producer" => p.add_producer(name, RelayProducer::new(name)),
+        "consumer" => p.add_consumer(name, RelayConsumer::new(name)),
+        "function" => p.add_function(name, IdentityFn::new(name)),
+        "active" => p.add_active(name, ActiveRelay::new(name)),
+        other => panic!("no such style: {other}"),
+    }
+}
+
+#[test]
+fn exec_table_matches_paper() {
+    // Every style once upstream and once downstream of the pump: the
+    // report's eight placements are the paper's table, and the chain —
+    // five coroutines deep — still delivers.
+    let kernel = virtual_kernel();
+    {
+        let pipeline = Pipeline::new(&kernel, "table");
+        let source = pipeline.add_producer("source", IterSource::new("source", input()));
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let mut prev = source;
+        for mode in ["pull", "push"] {
+            if mode == "push" {
+                let pump = pipeline.add_pump("pump", FreePump::new());
+                prev = prev >> pump;
+            }
+            for style in STYLES {
+                prev = prev >> add_relay(&pipeline, style, &format!("{style}-{mode}"));
+            }
+        }
+        let _ = prev >> sink;
+        let running = pipeline.start().expect("plan");
+        let report = running.report();
+        let exec_of = |name: &str, mode: Mode| {
+            let stages = &report.sections[0].stages;
+            let placed = stages.iter().find(|p| p.name == name).expect(name);
+            assert_eq!(placed.mode, mode, "{name}");
+            placed.exec
+        };
+        // Pull mode: producer and function direct, consumer and active
+        // need coroutines.
+        assert_eq!(exec_of("producer-pull", Mode::Pull), Exec::Direct);
+        assert_eq!(exec_of("function-pull", Mode::Pull), Exec::Direct);
+        assert_eq!(exec_of("consumer-pull", Mode::Pull), Exec::Coroutine);
+        assert_eq!(exec_of("active-pull", Mode::Pull), Exec::Coroutine);
+        // Push mode: consumer and function direct, producer and active
+        // need coroutines.
+        assert_eq!(exec_of("consumer-push", Mode::Push), Exec::Direct);
+        assert_eq!(exec_of("function-push", Mode::Push), Exec::Direct);
+        assert_eq!(exec_of("producer-push", Mode::Push), Exec::Coroutine);
+        assert_eq!(exec_of("active-push", Mode::Push), Exec::Coroutine);
+        assert_eq!(report.total_threads(), 5);
+        running.start_flow().expect("start");
+        running.wait_quiescent();
+        assert_eq!(*out.lock(), input());
+    }
+    kernel.shutdown();
+}
+
+#[test]
+fn every_style_delivers_in_either_position_of_a_buffer_fed_section() {
+    // The first section announces `Eos` while its items still sit in the
+    // buffer. That broadcast informs stages; it must not end the input of
+    // a coroutine in the section below.
+    for style in STYLES {
+        for position in [Mode::Pull, Mode::Push] {
+            for clocked in [false, true] {
+                let kernel = virtual_kernel();
+                {
+                    let pipeline = Pipeline::new(&kernel, "buffer-fed");
+                    let source =
+                        pipeline.add_producer("source", IterSource::new("source", 0u32..6));
+                    let feeder = pipeline.add_pump("feeder", FreePump::new());
+                    let buffer = pipeline.add_buffer("buffer", 16);
+                    let x = add_relay(&pipeline, style, "x");
+                    let pump = if clocked {
+                        pipeline.add_pump("pump", ClockedPump::hz(10.0))
+                    } else {
+                        pipeline.add_pump("pump", FreePump::new())
+                    };
+                    let (sink, out) = CollectSink::<u32>::new("sink");
+                    let sink = pipeline.add_consumer("sink", sink);
+                    let fed = source >> feeder >> buffer;
+                    let _ = match position {
+                        Mode::Pull => fed >> x >> pump >> sink,
+                        Mode::Push => fed >> pump >> x >> sink,
+                    };
+                    let running = pipeline.start().expect("plan");
+                    running.start_flow().expect("start");
+                    running.wait_quiescent();
+                    assert_eq!(
+                        *out.lock(),
+                        (0..6).collect::<Vec<u32>>(),
+                        "{style} in {position} position, clocked pump: {clocked}"
+                    );
+                }
+                kernel.shutdown();
+            }
+        }
+    }
+}
+
+/// An identity function that logs the control events it is handed.
+struct EventLogger {
+    name: &'static str,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl Stage for EventLogger {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn on_event(&mut self, _ctx: &mut EventCtx<'_, '_>, event: &ControlEvent) {
+        self.log
+            .lock()
+            .push(format!("{}:{}", self.name, event.kind_name()));
+    }
+}
+
+impl Function for EventLogger {
+    fn convert(&mut self, item: Item) -> Option<Item> {
+        Some(item)
+    }
+}
+
+#[test]
+fn eos_reaches_each_stage_once_across_a_push_position_coroutine() {
+    for style in ["active", "producer"] {
+        let kernel = virtual_kernel();
+        {
+            let pipeline = Pipeline::new(&kernel, "eos-once");
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let logger = |name| EventLogger {
+                name,
+                log: Arc::clone(&log),
+            };
+            let source = pipeline.add_producer("source", IterSource::new("source", 0u32..3));
+            let up = pipeline.add_function("up", logger("up"));
+            let pump = pipeline.add_pump("pump", FreePump::new());
+            let x = add_relay(&pipeline, style, "x");
+            let down = pipeline.add_function("down", logger("down"));
+            let (sink, out) = CollectSink::<u32>::new("sink");
+            let sink = pipeline.add_consumer("sink", sink);
+            let _ = source >> up >> pump >> x >> down >> sink;
+            let running = pipeline.start().expect("plan");
+            running.start_flow().expect("start");
+            running.wait_quiescent();
+            assert_eq!(*out.lock(), vec![0, 1, 2]);
+            let mut log = log.lock().clone();
+            log.sort();
+            assert_eq!(
+                log,
+                ["down:eos", "down:start", "up:eos", "up:start"],
+                "{style}"
+            );
+        }
+        kernel.shutdown();
+    }
+}
+
+#[test]
+fn an_empty_stream_crosses_a_push_position_coroutine() {
+    // The coroutine never sees a `PUT`; the end of the stream must still
+    // reach the buffer below it, so that the second section ends too.
+    for style in ["active", "producer"] {
+        let kernel = virtual_kernel();
+        {
+            let pipeline = Pipeline::new(&kernel, "empty");
+            let source = pipeline.add_producer("source", IterSource::new("source", 0u32..0));
+            let p1 = pipeline.add_pump("p1", FreePump::new());
+            let x = add_relay(&pipeline, style, "x");
+            let buffer = pipeline.add_buffer("buffer", 4);
+            let p2 = pipeline.add_pump("p2", FreePump::new());
+            let (sink, out) = CollectSink::<u32>::new("sink");
+            let sink = pipeline.add_consumer("sink", sink);
+            let _ = source >> p1 >> x >> buffer >> p2 >> sink;
+            let running = pipeline.start().expect("plan");
+            let sub = running.subscribe();
+            running.start_flow().expect("start");
+            assert!(sub.wait_for("eos", Duration::from_secs(5)), "{style}: p1");
+            assert!(sub.wait_for("eos", Duration::from_secs(5)), "{style}: p2");
+            running.wait_quiescent();
+            assert!(out.lock().is_empty());
+        }
+        kernel.shutdown();
+    }
+}
+
+#[test]
+fn a_failed_start_spawns_no_thread() {
+    // The first section is valid and needs two coroutines; the second has
+    // no activity. Every section validates before any thread exists.
+    let kernel = virtual_kernel();
+    {
+        let pipeline = Pipeline::new(&kernel, "no-threads");
+        let source = pipeline.add_producer("source", IterSource::new("source", 0u32..3));
+        let a1 = pipeline.add_active("a1", ActiveRelay::new("a1"));
+        let pump = pipeline.add_pump("pump", FreePump::new());
+        let a2 = pipeline.add_active("a2", ActiveRelay::new("a2"));
+        let buffer = pipeline.add_buffer("buffer", 4);
+        let f = pipeline.add_function("f", IdentityFn::new("f"));
+        let (sink, _) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let _ = source >> a1 >> pump >> a2 >> buffer >> f >> sink;
+        let before = kernel.stats().threads_spawned;
+        match pipeline.start() {
+            Err(PipeError::NoActivity { section }) => {
+                assert!(section.iter().any(|s| s == "f"), "{section:?}");
+            }
+            other => panic!("expected NoActivity, got {other:?}"),
+        }
+        assert_eq!(kernel.stats().threads_spawned, before);
     }
     kernel.shutdown();
 }

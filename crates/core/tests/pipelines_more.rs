@@ -128,69 +128,79 @@ fn start_is_idempotent_and_stop_is_final() {
 
 #[test]
 fn adjacent_stage_events_travel_upstream() {
-    // §2.2's local control interaction: a sink tells its upstream
-    // neighbour something (here: a custom "seen" signal counted by an
-    // event-aware filter).
+    // §2.2's local control interaction. On a broadcast "poke" only `b`
+    // reacts, telling its neighbours "up" and "down"; whoever hears "up"
+    // passes it one hop further. `c` is a consumer in pull position, so it
+    // and everything upstream of it live on a coroutine thread: "up" skips
+    // the pump, crosses that thread boundary, and reaches nobody else.
     use infopipes::{EventCtx, Item, Stage, StageCtx};
     use parking_lot::Mutex;
 
-    struct CountingFilter {
-        seen: Arc<Mutex<u32>>,
+    struct Hop {
+        name: &'static str,
+        log: Arc<Mutex<Vec<String>>>,
     }
-    impl Stage for CountingFilter {
+    impl Stage for Hop {
         fn name(&self) -> &str {
-            "counting-filter"
+            self.name
         }
-        fn on_event(&mut self, _ctx: &mut EventCtx<'_, '_>, ev: &ControlEvent) {
-            if ev.kind_name() == "ping" {
-                *self.seen.lock() += 1;
+        fn on_event(&mut self, ctx: &mut EventCtx<'_, '_>, ev: &ControlEvent) {
+            match ev.kind_name() {
+                "poke" if self.name == "b" => {
+                    ctx.send_upstream(&ControlEvent::custom("up", 0.0));
+                    ctx.send_downstream(&ControlEvent::custom("down", 0.0));
+                }
+                kind @ ("up" | "down") => {
+                    self.log.lock().push(format!("{}:{kind}", self.name));
+                    if kind == "up" {
+                        ctx.send_upstream(ev);
+                    }
+                }
+                _ => {}
             }
         }
     }
-    impl infopipes::Function for CountingFilter {
+    impl infopipes::Function for Hop {
         fn convert(&mut self, item: Item) -> Option<Item> {
             Some(item)
         }
     }
-
-    struct PingingSink {
-        pinged: bool,
-    }
-    impl Stage for PingingSink {
-        fn name(&self) -> &str {
-            "pinging-sink"
-        }
-    }
-    impl infopipes::Consumer for PingingSink {
-        fn push(&mut self, ctx: &mut StageCtx<'_, '_>, _item: Item) {
-            if !self.pinged {
-                self.pinged = true;
-                // Broadcast is the event service; adjacent targeting is
-                // exercised via EventCtx in on_event handlers. Here the
-                // sink pings everyone once.
-                ctx.broadcast(&ControlEvent::custom("ping", 1.0));
-            }
+    impl infopipes::Consumer for Hop {
+        fn push(&mut self, ctx: &mut StageCtx<'_, '_>, item: Item) {
+            ctx.put(item);
         }
     }
 
     let kernel = virtual_kernel();
     {
         let pipeline = Pipeline::new(&kernel, "adjacent");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let hop = |name| Hop {
+            name,
+            log: Arc::clone(&log),
+        };
         let source = pipeline.add_producer("source", IterSource::new("source", 0u32..5));
-        let seen = Arc::new(Mutex::new(0));
-        let filter = pipeline.add_function(
-            "filter",
-            CountingFilter {
-                seen: Arc::clone(&seen),
-            },
-        );
+        let a = pipeline.add_function("a", hop("a"));
+        let c = pipeline.add_consumer("c", hop("c"));
         let pump = pipeline.add_pump("pump", FreePump::new());
-        let sink = pipeline.add_consumer("sink", PingingSink { pinged: false });
-        let _ = source >> filter >> pump >> sink;
+        let b = pipeline.add_function("b", hop("b"));
+        let d = pipeline.add_function("d", hop("d"));
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let _ = source >> a >> c >> pump >> b >> d >> sink;
         let running = pipeline.start().expect("plan");
+        assert_eq!(running.report().total_threads(), 2);
+        running
+            .send_event(ControlEvent::custom("poke", 0.0))
+            .expect("poke");
+        running.wait_quiescent();
+        let mut heard = log.lock().clone();
+        heard.sort();
+        assert_eq!(heard, ["a:up", "c:up", "d:down"]);
+        // The flow is none the worse for it.
         running.start_flow().expect("start");
         running.wait_quiescent();
-        assert_eq!(*seen.lock(), 1);
+        assert_eq!(*out.lock(), (0..5).collect::<Vec<u32>>());
     }
     kernel.shutdown();
 }

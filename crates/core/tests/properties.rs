@@ -17,17 +17,6 @@ enum StyleKind {
     Active,
 }
 
-impl StyleKind {
-    fn name(self) -> &'static str {
-        match self {
-            StyleKind::Producer => "producer",
-            StyleKind::Consumer => "consumer",
-            StyleKind::Function => "function",
-            StyleKind::Active => "active",
-        }
-    }
-}
-
 fn arb_style() -> impl Strategy<Value = StyleKind> {
     prop_oneof![
         Just(StyleKind::Producer),
@@ -37,21 +26,34 @@ fn arb_style() -> impl Strategy<Value = StyleKind> {
     ]
 }
 
-/// The paper's allocation rule, applied to one stage.
+/// The paper's allocation rule (§3.3), written out here so that the
+/// planner is checked against the table and not against itself.
 fn expected_exec(style: StyleKind, mode: Mode) -> Exec {
-    infopipes::plan::exec_for(style.name(), mode)
+    match (style, mode) {
+        (StyleKind::Producer, Mode::Pull) => Exec::Direct,
+        (StyleKind::Producer, Mode::Push) => Exec::Coroutine,
+        (StyleKind::Consumer, Mode::Pull) => Exec::Coroutine,
+        (StyleKind::Consumer, Mode::Push) => Exec::Direct,
+        (StyleKind::Function, Mode::Pull) => Exec::Direct,
+        (StyleKind::Function, Mode::Push) => Exec::Direct,
+        (StyleKind::Active, Mode::Pull) => Exec::Coroutine,
+        (StyleKind::Active, Mode::Push) => Exec::Coroutine,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For an arbitrary chain of identity components around one pump, the
-    /// planner allocates exactly the coroutines the paper's rule demands,
-    /// and the pipeline still delivers every item in order.
+    /// planner places every stage as the paper's rule demands, the kernel
+    /// spawns exactly the threads the report counts, and the pipeline
+    /// still delivers every item in order — in the source's own section
+    /// and, `buffer_fed`, in a section downstream of a buffer.
     #[test]
     fn planner_matches_the_rule_on_arbitrary_chains(
         chain in proptest::collection::vec(arb_style(), 0..5),
         pump_at in 0usize..6,
+        buffer_fed in any::<bool>(),
     ) {
         let pump_at = pump_at.min(chain.len());
         let kernel = Kernel::new(KernelConfig::virtual_time());
@@ -62,6 +64,15 @@ proptest! {
             let sink = pipeline.add_consumer("sink", sink);
 
             let mut nodes = Vec::new();
+            // What the report of the chain's section must read, stage by
+            // stage, source to sink.
+            let mut expected = Vec::new();
+            if buffer_fed {
+                nodes.push(pipeline.add_pump("feeder", FreePump::new()));
+                nodes.push(pipeline.add_buffer("buffer", 4));
+            } else {
+                expected.push(("source".to_owned(), Mode::Pull, Exec::Direct));
+            }
             for (i, style) in chain.iter().enumerate() {
                 if i == pump_at {
                     nodes.push(pipeline.add_pump("pump", FreePump::new()));
@@ -73,10 +84,13 @@ proptest! {
                     StyleKind::Function => pipeline.add_function(&name, IdentityFn::new(&name)),
                     StyleKind::Active => pipeline.add_active(&name, ActiveRelay::new(&name)),
                 });
+                let mode = if i < pump_at { Mode::Pull } else { Mode::Push };
+                expected.push((name, mode, expected_exec(*style, mode)));
             }
             if pump_at >= chain.len() {
                 nodes.push(pipeline.add_pump("pump", FreePump::new()));
             }
+            expected.push(("sink".to_owned(), Mode::Push, Exec::Direct));
             let mut prev = source;
             for n in nodes {
                 pipeline.connect(prev, n).expect("connect");
@@ -84,32 +98,29 @@ proptest! {
             }
             pipeline.connect(prev, sink).expect("connect");
 
+            let threads_before = kernel.stats().threads_spawned;
             let running = pipeline.start().expect("plan");
             let report = running.report();
-            prop_assert_eq!(report.sections.len(), 1);
-
-            // The expected coroutine count per the §3.3 rule.
-            let expected: usize = chain
+            prop_assert_eq!(report.sections.len(), 1 + usize::from(buffer_fed));
+            let section = report.sections.iter().find(|s| s.owner == "pump").expect("section");
+            let placed: Vec<(String, Mode, Exec)> = section
+                .stages
                 .iter()
-                .enumerate()
-                .map(|(i, style)| {
-                    let mode = if i < pump_at { Mode::Pull } else { Mode::Push };
-                    usize::from(expected_exec(*style, mode) == Exec::Coroutine)
-                })
-                .sum();
+                .map(|p| (p.name.clone(), p.mode, p.exec))
+                .collect();
+            prop_assert_eq!(&placed, &expected, "pump at {}:\n{}", pump_at, report);
+            let coroutines = expected.iter().filter(|e| e.2 == Exec::Coroutine).count();
+            prop_assert_eq!(report.total_coroutines(), coroutines);
+            // The report and the running threads come from one tree.
             prop_assert_eq!(
-                report.total_coroutines(),
-                expected,
-                "chain {:?} pump at {}:\n{}",
-                chain,
-                pump_at,
-                report
+                kernel.stats().threads_spawned - threads_before,
+                report.total_threads() as u64
             );
 
             running.start_flow().expect("start");
             running.wait_quiescent();
             let got = out.lock().clone();
-            prop_assert_eq!(got, (0..30).collect::<Vec<u32>>());
+            prop_assert_eq!(got, (0..30).collect::<Vec<u32>>(), "{}", report);
         }
         kernel.shutdown();
     }
