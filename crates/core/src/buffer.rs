@@ -346,17 +346,6 @@ impl BufferProbe {
     pub fn stats(&self) -> BufferStats {
         self.handle.stats()
     }
-
-    /// Fill level as a fraction of capacity (0.0–1.0).
-    #[must_use]
-    pub fn fill_fraction(&self) -> f64 {
-        let s = self.handle.stats();
-        if s.capacity == 0 {
-            0.0
-        } else {
-            s.fill as f64 / s.capacity as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -495,8 +484,8 @@ mod tests {
         let _ = b.try_put(item(0));
         let probe = BufferProbe { handle: b.clone() };
         assert_eq!(probe.name(), "jitter");
-        assert!((probe.fill_fraction() - 0.25).abs() < 1e-9);
-        assert_eq!(probe.stats().puts, 1);
+        let s = probe.stats();
+        assert_eq!((s.fill, s.capacity, s.puts), (1, 4, 1));
     }
 
     /// Fabricates a ThreadId for waiter-list tests (never dereferenced).

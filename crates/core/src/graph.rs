@@ -2,7 +2,7 @@
 //! [`Pipeline::connect`] or the `>>` operator, then brought to life with
 //! [`Pipeline::start`].
 
-use crate::buffer::{BufHandle, BufferProbe, BufferSpec, PutOutcome};
+use crate::buffer::{BufHandle, BufferSpec, PutOutcome};
 use crate::error::PipeError;
 use crate::item::Item;
 use crate::pump::Pump;
@@ -317,19 +317,6 @@ impl Pipeline {
     pub fn set_transport(&self, node: Node<'_>, transport: impl Into<String>) {
         let mut g = self.g.lock();
         g.nodes[node.id.0].transport = Some(transport.into());
-    }
-
-    /// A read-only probe on a buffer node (fill level, drops), for
-    /// feedback sensors.
-    ///
-    /// Returns `None` if the node is not a buffer.
-    #[must_use]
-    pub fn buffer_probe(&self, node: Node<'_>) -> Option<BufferProbe> {
-        let g = self.g.lock();
-        match g.nodes[node.id.0].kind.as_ref() {
-            Some(NodeKind::Buffer(h)) => Some(BufferProbe { handle: h.clone() }),
-            _ => None,
-        }
     }
 
     /// Connects `from`'s out-port to `to`'s in-port, checking port arity

@@ -197,7 +197,7 @@ impl Item {
 
     /// Whether this item supports duplication.
     #[must_use]
-    pub fn is_cloneable(&self) -> bool {
+    pub(crate) fn is_cloneable(&self) -> bool {
         matches!(self.payload, Payload::Bytes(_)) || self.cloner.is_some()
     }
 

@@ -90,7 +90,6 @@ pub use stats::{
     EntitySample, Metric, MetricValue, SourceBody, SourceId, SourceSample, StatsRegistry,
     StatsSnapshot,
 };
-pub use tee::SplitKind;
 
 // Re-export the flow-typing vocabulary so users need only one import.
 pub use typespec::{ItemType, OnEmpty, OnFull, Polarity, QosKey, QosRange, TypeError, Typespec};

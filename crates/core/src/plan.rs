@@ -126,12 +126,6 @@ impl PlanReport {
     pub fn total_threads(&self) -> usize {
         self.sections.iter().map(SectionReport::threads).sum()
     }
-
-    /// Total coroutines allocated.
-    #[must_use]
-    pub fn total_coroutines(&self) -> usize {
-        self.sections.iter().map(|s| s.coroutines).sum()
-    }
 }
 
 impl std::fmt::Display for PlanReport {
@@ -639,7 +633,6 @@ mod tests {
             }],
         };
         assert_eq!(report.total_threads(), 1);
-        assert_eq!(report.total_coroutines(), 0);
         assert!(report.to_string().contains("pump"));
         assert!(report.to_string().contains("dec"));
         assert!(report.to_string().contains("via tcp://10.0.0.7:4000"));

@@ -144,18 +144,6 @@ impl ClockedPump {
         }
     }
 
-    /// A pump with an explicit period.
-    #[must_use]
-    pub fn with_period(period: Duration) -> ClockedPump {
-        assert!(period > Duration::ZERO, "pump period must be positive");
-        ClockedPump {
-            period,
-            next: None,
-            priority: Priority::NORMAL,
-            stop_at_eos: true,
-        }
-    }
-
     /// Sets the static priority of the pump's thread.
     #[must_use]
     pub fn priority(mut self, priority: Priority) -> ClockedPump {

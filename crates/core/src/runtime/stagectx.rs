@@ -103,7 +103,7 @@ impl<'a, 'k> StageCtx<'a, 'k> {
 
     /// Takes the next item from upstream. Returns `None` at end of stream,
     /// when the pipeline is stopping, or when a non-blocking upstream is
-    /// empty (see [`StageCtx::upstream_was_empty`] to distinguish).
+    /// empty.
     pub fn get(&mut self) -> Option<Item> {
         let pulled = match &mut self.get {
             GetWiring::None => Pulled::Eos,
@@ -137,13 +137,6 @@ impl<'a, 'k> StageCtx<'a, 'k> {
         }
     }
 
-    /// Whether the last `get` returned `None` because a non-blocking
-    /// upstream was merely empty (rather than at end of stream).
-    #[must_use]
-    pub fn upstream_was_empty(&self) -> bool {
-        matches!(self.last_none, Some(Pulled::Empty))
-    }
-
     /// Whether a stop request has been observed; long-running `run` loops
     /// should exit when this turns true.
     #[must_use]
@@ -173,15 +166,6 @@ impl<'a, 'k> StageCtx<'a, 'k> {
     /// service.
     pub fn broadcast(&mut self, event: &ControlEvent) {
         self.rt.broadcast(self.ctx, event);
-    }
-
-    /// Takes the next control event queued for this thread, if any.
-    /// Active components should poll this inside their `run` loop, since
-    /// the middleware cannot call their `on_event` while `run` borrows the
-    /// component. (Rust's aliasing rules make the paper's reentrant
-    /// delivery unsound; polling is the ownership-friendly equivalent.)
-    pub fn poll_event(&mut self) -> Option<ControlEvent> {
-        self.rt.pending_events.pop_front().map(|m| m.event)
     }
 
     /// Posts a raw kernel message, inheriting the current constraint.

@@ -115,7 +115,7 @@ impl Style {
     /// The style's name as used in plan reports ("consumer", "producer",
     /// "function", "active").
     #[must_use]
-    pub fn style_name(&self) -> &'static str {
+    pub(crate) fn style_name(&self) -> &'static str {
         match self {
             Style::Consumer(_) => "consumer",
             Style::Producer(_) => "producer",
@@ -126,7 +126,7 @@ impl Style {
 
     /// The wrapped component's diagnostic name.
     #[must_use]
-    pub fn component_name(&self) -> &str {
+    pub(crate) fn component_name(&self) -> &str {
         match self {
             Style::Consumer(c) => c.name(),
             Style::Producer(p) => p.name(),

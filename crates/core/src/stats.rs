@@ -174,14 +174,13 @@ impl StatsSnapshot {
     }
 }
 
-/// Identifies a registered source, for [`StatsRegistry::unregister`].
+/// Identifies a registered source.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SourceId(u64);
 
 type Sampler = Box<dyn Fn() -> SourceBody + Send + Sync>;
 
 struct SourceEntry {
-    id: SourceId,
     name: String,
     subsystem: String,
     sampler: Sampler,
@@ -236,7 +235,6 @@ impl StatsRegistry {
     ) -> SourceId {
         let id = SourceId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         let entry = Arc::new(SourceEntry {
-            id,
             name: name.into(),
             subsystem: subsystem.into(),
             sampler: Box::new(sampler),
@@ -245,12 +243,6 @@ impl StatsRegistry {
         sources.retain(|s| s.name != entry.name);
         sources.push(entry);
         id
-    }
-
-    /// Removes a source; unknown ids (already replaced or unregistered)
-    /// are ignored.
-    pub fn unregister(&self, id: SourceId) {
-        self.inner.sources.lock().retain(|s| s.id != id);
     }
 
     /// The number of registered sources.
@@ -353,18 +345,13 @@ mod tests {
     }
 
     #[test]
-    fn reregistering_a_name_replaces_and_unregister_removes() {
+    fn reregistering_a_name_replaces_the_source() {
         let stats = StatsRegistry::new();
         let stale = stats.register("s", "x", || vec![Metric::counter("v", "", 1)].into());
         let fresh = stats.register("s", "x", || vec![Metric::counter("v", "", 2)].into());
+        assert_ne!(stale, fresh);
         assert_eq!(stats.len(), 1);
         assert_eq!(stats.snapshot().value("s", "v"), Some(2.0));
-        // The stale id no longer names anything; removing it is a no-op.
-        stats.unregister(stale);
-        assert_eq!(stats.len(), 1);
-        stats.unregister(fresh);
-        assert!(stats.is_empty());
-        assert!(stats.snapshot().sources.is_empty());
     }
 
     #[test]

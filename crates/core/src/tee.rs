@@ -14,7 +14,7 @@
 use crate::item::Item;
 
 /// How a split tee distributes items to its out-ports.
-pub enum SplitKind {
+pub(crate) enum SplitKind {
     /// Copy every item to every branch (requires cloneable items).
     Multicast,
     /// Route each item to the branch selected by the function
@@ -25,13 +25,13 @@ pub enum SplitKind {
 impl SplitKind {
     /// A router built from a closure.
     #[must_use]
-    pub fn router(f: impl FnMut(&Item) -> usize + Send + 'static) -> SplitKind {
+    pub(crate) fn router(f: impl FnMut(&Item) -> usize + Send + 'static) -> SplitKind {
         SplitKind::Router(Box::new(f))
     }
 
     /// The kind's name for plan reports.
     #[must_use]
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             SplitKind::Multicast => "multicast",
             SplitKind::Router(_) => "router",

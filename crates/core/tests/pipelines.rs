@@ -4,7 +4,7 @@
 
 use infopipes::helpers::{
     ActiveDefrag, ActiveRelay, CollectSink, FnFunction, IdentityFn, IterSource, PullDefrag,
-    PushDefrag, PushFrag, RelayConsumer, RelayProducer,
+    PullFrag, PushDefrag, PushFrag, RelayConsumer, RelayProducer,
 };
 use infopipes::{
     BufferSpec, ClockedPump, ControlEvent, EventCtx, Exec, FreePump, Function, Item, Mode, Node,
@@ -229,25 +229,39 @@ fn defrag_styles_agree_in_pull_mode() {
 
 #[test]
 fn fragment_then_defragment_round_trips() {
-    let kernel = virtual_kernel();
-    {
-        let pipeline = Pipeline::new(&kernel, "frag-defrag");
-        let payloads: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 6]).collect();
-        let source = pipeline.add_producer("source", IterSource::new("source", payloads.clone()));
-        let frag = pipeline.add_consumer("frag", PushFrag::new());
-        let pump = pipeline.add_pump("pump", FreePump::new());
-        let defrag = pipeline.add_consumer("defrag", PushDefrag::new());
-        let (sink, out) = CollectSink::<Vec<u8>>::new("sink");
-        let sink = pipeline.add_consumer("sink", sink);
-        // frag is a consumer upstream of the pump: it gets a coroutine.
-        let _ = source >> frag >> pump >> defrag >> sink;
-        let running = pipeline.start().expect("plan");
-        assert_eq!(running.report().total_threads(), 2);
-        running.start_flow().expect("start");
-        running.wait_quiescent();
-        assert_eq!(*out.lock(), payloads);
-    }
-    kernel.shutdown();
+    let payloads: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 6]).collect();
+    let run = |add_frag: &dyn for<'p> Fn(&'p Pipeline) -> Node<'p>| {
+        let kernel = virtual_kernel();
+        let result = {
+            let pipeline = Pipeline::new(&kernel, "frag-defrag");
+            let source =
+                pipeline.add_producer("source", IterSource::new("source", payloads.clone()));
+            let frag = add_frag(&pipeline);
+            let pump = pipeline.add_pump("pump", FreePump::new());
+            let defrag = pipeline.add_consumer("defrag", PushDefrag::new());
+            let (sink, out) = CollectSink::<Vec<u8>>::new("sink");
+            let sink = pipeline.add_consumer("sink", sink);
+            let _ = source >> frag >> pump >> defrag >> sink;
+            let running = pipeline.start().expect("plan");
+            let threads = running.report().total_threads();
+            running.start_flow().expect("start");
+            running.wait_quiescent();
+            let collected = out.lock().clone();
+            (collected, threads)
+        };
+        kernel.shutdown();
+        result
+    };
+    // Fig. 4: the fragmenter upstream of the pump, in both styles. The
+    // consumer is the easy direction to write but needs a coroutine in
+    // pull position; the producer keeps the second half between calls
+    // (Fig. 4a's difficulty) and is called directly.
+    let (push_out, push_threads) = run(&|p| p.add_consumer("frag", PushFrag::new()));
+    let (pull_out, pull_threads) = run(&|p| p.add_producer("frag", PullFrag::new()));
+    assert_eq!(push_out, payloads, "consumer style in pull mode");
+    assert_eq!(pull_out, push_out, "producer style in pull mode");
+    assert_eq!(push_threads, 2);
+    assert_eq!(pull_threads, 1);
 }
 
 // -------------------------------------------------------------------

@@ -110,7 +110,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&placed, &expected, "pump at {}:\n{}", pump_at, report);
             let coroutines = expected.iter().filter(|e| e.2 == Exec::Coroutine).count();
-            prop_assert_eq!(report.total_coroutines(), coroutines);
+            prop_assert_eq!(report.sections.iter().map(|s| s.coroutines).sum::<usize>(), coroutines);
             // The report and the running threads come from one tree.
             prop_assert_eq!(
                 kernel.stats().threads_spawned - threads_before,

@@ -20,6 +20,13 @@ where
     }
 }
 
+/// Lower the level when delivery exceeds this fraction of target (of the
+/// *reduced* expectation at the current level).
+const LOWER_ABOVE: f64 = 0.97;
+
+/// Consecutive good windows required before lowering (hysteresis).
+const PATIENCE: u32 = 3;
+
 /// The drop-level policy of Fig. 1: watches the consumer-side delivery
 /// rate and raises or lowers the producer-side
 /// `media::PriorityDropFilter`'s level with
@@ -32,11 +39,6 @@ pub struct DropLevelController {
     max_level: u8,
     /// Raise the level when delivery falls below this fraction of target.
     pub raise_below: f64,
-    /// Lower the level when delivery exceeds this fraction of target
-    /// (of the *reduced* expectation at the current level).
-    pub lower_above: f64,
-    /// Consecutive good windows required before lowering (hysteresis).
-    pub patience: u32,
     good_windows: u32,
     /// Expected delivery fraction of the nominal rate at each drop level.
     fractions: [f64; 3],
@@ -61,8 +63,6 @@ impl DropLevelController {
             level: 0,
             max_level: 2,
             raise_below: 0.85,
-            lower_above: 0.97,
-            patience: 3,
             good_windows: 0,
             fractions: [1.0, 0.34, 0.12],
         }
@@ -103,9 +103,9 @@ impl Controller for DropLevelController {
             self.good_windows = 0;
             return Some(ControlEvent::SetDropLevel(self.level));
         }
-        if ratio > self.lower_above && self.level > 0 {
+        if ratio > LOWER_ABOVE && self.level > 0 {
             self.good_windows += 1;
-            if self.good_windows >= self.patience {
+            if self.good_windows >= PATIENCE {
                 self.level -= 1;
                 self.good_windows = 0;
                 return Some(ControlEvent::SetDropLevel(self.level));
@@ -157,15 +157,8 @@ impl SignalRule {
 
     /// Overrides the raise threshold.
     #[must_use]
-    pub fn raising_at(mut self, raise_at: f64) -> SignalRule {
+    pub(crate) fn raising_at(mut self, raise_at: f64) -> SignalRule {
         self.raise_at = raise_at;
-        self
-    }
-
-    /// Overrides the calm threshold.
-    #[must_use]
-    pub fn lowering_at(mut self, lower_at: f64) -> SignalRule {
-        self.lower_at = lower_at;
         self
     }
 
@@ -173,13 +166,6 @@ impl SignalRule {
     #[must_use]
     pub fn capped(mut self, max_level: u8) -> SignalRule {
         self.max_level = max_level;
-        self
-    }
-
-    /// Overrides the recovery patience.
-    #[must_use]
-    pub fn with_patience(mut self, patience: u32) -> SignalRule {
-        self.patience = patience;
         self
     }
 }
@@ -436,8 +422,17 @@ mod tests {
     #[test]
     fn unified_recovery_follows_the_slowest_signal() {
         let mut c = UnifiedCongestionController::new()
-            .with_signal(SignalRule::new("a").with_patience(1))
-            .with_signal(SignalRule::new("b").with_patience(1).capped(1));
+            .with_signal(SignalRule {
+                patience: 1,
+                ..SignalRule::new("a")
+            })
+            .with_signal(
+                SignalRule {
+                    patience: 1,
+                    ..SignalRule::new("b")
+                }
+                .capped(1),
+            );
         assert_eq!(
             c.observe(&reading("a", 1.0)),
             Some(ControlEvent::SetDropLevel(1))

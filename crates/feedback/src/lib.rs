@@ -17,5 +17,5 @@ mod session;
 
 pub use controller::{Controller, DropLevelController, SignalRule, UnifiedCongestionController};
 pub use loopctl::{FeedbackLoop, LoopStats};
-pub use sensor::{RateSensor, RegistrySensor, SensorReading};
+pub use sensor::{RegistrySensor, SensorReading};
 pub use session::SessionControllerBank;

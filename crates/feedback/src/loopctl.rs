@@ -20,8 +20,8 @@ pub struct LoopStats {
 /// A pass-through pipeline component hosting a feedback loop.
 ///
 /// Placed anywhere in a pipeline (consumer style, forwarding items
-/// untouched), it measures the through-rate with an embedded
-/// [`RateSensor`], feeds the readings — and any custom sensor events
+/// untouched), it measures the through-rate with an embedded rate
+/// sensor, feeds the readings — and any custom sensor events
 /// arriving from elsewhere — to its [`Controller`], and broadcasts the
 /// controller's commands. In the Fig. 1 pipeline it sits on the consumer
 /// side while its commands steer the producer-side drop filter across the

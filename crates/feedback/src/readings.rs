@@ -23,8 +23,9 @@ pub const POOL_MISS: &str = "pool-miss-rate";
 /// controlling on it.
 pub const UDP_RX_SHED: &str = "udp-rx-shed";
 
-/// Consumer-side delivery rate in items per second, as reported by a
-/// [`RateSensor`](crate::RateSensor) window.
+/// Consumer-side delivery rate in items per second, as reported by the
+/// rate sensor a [`FeedbackLoop`](crate::FeedbackLoop) embeds, once per
+/// window.
 pub const RECV_RATE_HZ: &str = "recv-rate-hz";
 
 /// Replay lag-behind-schedule in seconds: how far past its recorded

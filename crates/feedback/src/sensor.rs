@@ -1,7 +1,7 @@
 //! Sensors: components that measure a flow and report readings as custom
 //! control events.
 
-use infopipes::{ControlEvent, Function, Item, Stage, StatsRegistry};
+use infopipes::{ControlEvent, StatsRegistry};
 use std::fmt;
 
 /// A named scalar measurement, as carried by a
@@ -17,7 +17,7 @@ pub struct SensorReading {
 impl SensorReading {
     /// Parses a reading out of a control event, if it is a custom event.
     #[must_use]
-    pub fn from_event(event: &ControlEvent) -> Option<SensorReading> {
+    pub(crate) fn from_event(event: &ControlEvent) -> Option<SensorReading> {
         match event {
             ControlEvent::Custom { name, value } => Some(SensorReading {
                 name: name.to_string(),
@@ -25,12 +25,6 @@ impl SensorReading {
             }),
             _ => None,
         }
-    }
-
-    /// The control event broadcasting this reading.
-    #[must_use]
-    pub fn to_event(&self) -> ControlEvent {
-        ControlEvent::custom(&self.name, self.value)
     }
 }
 
@@ -40,18 +34,15 @@ impl fmt::Display for SensorReading {
     }
 }
 
-/// A pass-through sensor measuring the *rate* of items flowing by: every
-/// `report_every` items it broadcasts a `recv-rate-hz` reading computed
-/// over that window. Function style: zero-cost placement anywhere in a
-/// pipeline (the paper's consumer-side sensor of Fig. 1).
-pub struct RateSensor {
+/// Measures the *rate* of items flowing by: every `report_every`
+/// inter-arrival intervals it yields a reading over them (the paper's
+/// consumer-side sensor of Fig. 1, embedded in a
+/// [`FeedbackLoop`](crate::FeedbackLoop)).
+pub(crate) struct RateSensor {
     name: String,
     report_every: u64,
     seen: u64,
     window_start_us: Option<u64>,
-    pending_report: Option<f64>,
-    /// Total items observed.
-    pub total: u64,
 }
 
 impl RateSensor {
@@ -60,24 +51,25 @@ impl RateSensor {
     /// # Panics
     ///
     /// Panics if `report_every` is zero.
-    #[must_use]
-    pub fn new(name: impl Into<String>, report_every: u64) -> RateSensor {
+    pub(crate) fn new(name: impl Into<String>, report_every: u64) -> RateSensor {
         assert!(report_every > 0, "report_every must be positive");
         RateSensor {
             name: name.into(),
             report_every,
             seen: 0,
             window_start_us: None,
-            pending_report: None,
-            total: 0,
         }
     }
 
     /// Observes one item at the given kernel time; returns a rate reading
-    /// when a window completes.
-    pub fn observe(&mut self, now_us: u64) -> Option<SensorReading> {
-        self.total += 1;
-        let start = *self.window_start_us.get_or_insert(now_us);
+    /// when a window completes. A window is `report_every` inter-arrival
+    /// intervals: the very first item only starts the clock (it closes
+    /// no interval), and the item that closes a window opens the next.
+    pub(crate) fn observe(&mut self, now_us: u64) -> Option<SensorReading> {
+        let Some(start) = self.window_start_us else {
+            self.window_start_us = Some(now_us);
+            return None;
+        };
         self.seen += 1;
         if self.seen < self.report_every {
             return None;
@@ -90,30 +82,6 @@ impl RateSensor {
             name: self.name.clone(),
             value: rate,
         })
-    }
-
-    /// Takes a report computed during `convert` (functions have no
-    /// broadcast access; the enclosing
-    /// [`FeedbackLoop`](crate::FeedbackLoop) or a consumer wrapper
-    /// forwards it).
-    pub fn take_report(&mut self) -> Option<f64> {
-        self.pending_report.take()
-    }
-}
-
-impl Stage for RateSensor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl Function for RateSensor {
-    fn convert(&mut self, item: Item) -> Option<Item> {
-        let now_us = item.meta.ts.as_micros();
-        if let Some(reading) = self.observe(now_us) {
-            self.pending_report = Some(reading.value);
-        }
-        Some(item)
     }
 }
 
@@ -277,7 +245,7 @@ mod tests {
             name: "fill-level".into(),
             value: 0.75,
         };
-        let ev = r.to_event();
+        let ev = ControlEvent::custom(&r.name, r.value);
         assert_eq!(SensorReading::from_event(&ev), Some(r));
         assert_eq!(SensorReading::from_event(&ControlEvent::Start), None);
     }
@@ -285,21 +253,16 @@ mod tests {
     #[test]
     fn rate_sensor_reports_per_window() {
         let mut s = RateSensor::new(crate::readings::RECV_RATE_HZ, 5);
-        // 5 items 10 ms apart: the first completes a window after 40 ms
-        // of elapsed window time (4 intervals observed from the window
-        // start).
+        // A flow paced at exactly 100 Hz: 11 items 10 ms apart are two
+        // windows of 5 intervals each. The first item opens the first
+        // window without counting toward it.
         let mut out = Vec::new();
-        for i in 0..10u64 {
+        for i in 0..11u64 {
             if let Some(r) = s.observe(i * 10_000) {
                 out.push(r.value);
             }
         }
-        assert_eq!(out.len(), 2);
-        // Window 1: 5 items over 40 ms -> 125 Hz; window 2: 5 items over
-        // 50 ms -> 100 Hz.
-        assert!((out[0] - 125.0).abs() < 1.0, "{out:?}");
-        assert!((out[1] - 100.0).abs() < 1.0, "{out:?}");
-        assert_eq!(s.total, 10);
+        assert_eq!(out, [100.0, 100.0]);
     }
 
     #[test]

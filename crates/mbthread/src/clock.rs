@@ -64,13 +64,6 @@ impl Time {
         self.0 / 1_000_000
     }
 
-    /// The time elapsed since `earlier`, or [`Duration::ZERO`] if `earlier`
-    /// is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
     /// Adds a duration, saturating at [`Time::MAX`].
     #[must_use]
     pub fn saturating_add(self, d: Duration) -> Time {
@@ -102,7 +95,7 @@ impl Sub<Time> for Time {
     /// Returns the duration between two times, saturating to zero if `rhs`
     /// is later than `self`.
     fn sub(self, rhs: Time) -> Duration {
-        self.saturating_since(rhs)
+        Duration::from_nanos(self.0.saturating_sub(rhs.0))
     }
 }
 

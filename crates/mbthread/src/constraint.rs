@@ -79,7 +79,7 @@ impl Constraint {
     /// Compares two constraints by urgency. `Greater` means `self` is more
     /// urgent and should run first.
     #[must_use]
-    pub fn urgency_cmp(&self, other: &Constraint) -> Ordering {
+    pub(crate) fn urgency_cmp(&self, other: &Constraint) -> Ordering {
         self.priority.cmp(&other.priority).then_with(|| {
             // Within a priority band, an earlier deadline is more urgent,
             // and any deadline beats no deadline.
@@ -94,7 +94,7 @@ impl Constraint {
 
     /// Returns the more urgent of two constraints.
     #[must_use]
-    pub fn max_urgency(self, other: Constraint) -> Constraint {
+    pub(crate) fn max_urgency(self, other: Constraint) -> Constraint {
         if self.urgency_cmp(&other) == Ordering::Less {
             other
         } else {

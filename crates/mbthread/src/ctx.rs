@@ -10,7 +10,7 @@ use crate::clock::Time;
 use crate::constraint::{Constraint, Priority};
 use crate::error::{KernelError, SendError};
 use crate::kernel::{KGuard, Kernel};
-use crate::message::{Envelope, MatchSpec, Message, ReplyToken, SpecRef, Tag};
+use crate::message::{Envelope, Message, ReplyToken, SpecRef, Tag};
 use crate::sched::{self, KState};
 use crate::thread::{CodeFn, RunState, ThreadId};
 use crate::timer::{TimerId, TimerKind};
@@ -171,15 +171,6 @@ impl<'k> Ctx<'k> {
         code: impl CodeFn,
     ) -> Result<ThreadId, KernelError> {
         self.kernel.spawn(opts, code)
-    }
-
-    /// The constraint of the message currently being processed, if any.
-    /// New messages sent by this thread inherit it by default, which is how
-    /// a pump's constraint propagates across its coroutine set.
-    #[must_use]
-    pub fn current_constraint(&self) -> Option<Constraint> {
-        let state = self.kernel.inner.lock();
-        state.rec(self.me).and_then(|r| r.cur)
     }
 
     /// Adopts a new current constraint mid-processing. Coroutine glue uses
@@ -386,34 +377,14 @@ impl<'k> Ctx<'k> {
         self.blocking_receive(SpecRef::ANY, false)
     }
 
-    /// Suspends until a message matching `spec` arrives; non-matching
-    /// messages stay queued in arrival order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
-    pub fn receive_matching(&mut self, spec: &MatchSpec) -> Result<Envelope, KernelError> {
-        self.blocking_receive(spec.as_ref(), false)
-    }
-
-    /// [`Ctx::receive_matching`] for a borrowed tag set: suspends until a
-    /// message whose tag is in `tags` arrives, without building a
-    /// [`MatchSpec`].
+    /// Suspends until a message whose tag is in `tags` arrives;
+    /// non-matching messages stay queued in arrival order.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive_tags(&mut self, tags: &[Tag]) -> Result<Envelope, KernelError> {
         self.blocking_receive(SpecRef::tags(tags), false)
-    }
-
-    /// Takes a matching message from the mailbox without blocking.
-    #[must_use]
-    pub fn try_receive(&mut self, spec: &MatchSpec) -> Option<Envelope> {
-        let mut state = self.kernel.inner.lock();
-        let rec = state.rec_mut(self.me)?;
-        let idx = rec.find_match(spec.as_ref())?;
-        rec.mailbox.remove(idx)
     }
 
     /// Top-level receive for the thread main loop. In the critical section

@@ -143,26 +143,18 @@ impl ExternalPort {
         out.ok_or(KernelError::Shutdown).and_then(|r| r)
     }
 
-    /// Blocks until a message matching `spec` arrives at this port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
-    pub fn recv_matching(&self, spec: &MatchSpec) -> Result<Envelope, KernelError> {
-        self.blocking_recv(spec, None).expect("no timeout given")
-    }
-
     /// Blocks until any message arrives at this port.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn recv(&self) -> Result<Envelope, KernelError> {
-        self.recv_matching(&MatchSpec::Any)
+        self.blocking_recv(&MatchSpec::Any, None)
+            .expect("no timeout given")
     }
 
-    /// Like [`ExternalPort::recv_matching`] with a wall-clock timeout;
-    /// `None` on timeout.
+    /// Blocks until a message matching `spec` arrives at this port, or
+    /// `timeout` (wall clock) passes; `None` on timeout.
     pub fn recv_timeout(&self, spec: &MatchSpec, timeout: Duration) -> Option<Envelope> {
         self.blocking_recv(spec, Some(timeout)).and_then(Result::ok)
     }

@@ -260,12 +260,6 @@ impl Kernel {
         kernel
     }
 
-    /// The clock mode this kernel runs under.
-    #[must_use]
-    pub fn clock_mode(&self) -> ClockMode {
-        self.inner.cfg.clock
-    }
-
     /// Current kernel time.
     #[must_use]
     pub fn now(&self) -> Time {
@@ -390,12 +384,6 @@ impl Kernel {
             state.wait(&self.inner.cv_global);
         }
         state.quiescence_waiters -= 1;
-    }
-
-    /// Whether shutdown has been initiated.
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.inner.lock().shutdown
     }
 
     /// A human-readable dump of every thread's state, for debugging
@@ -613,9 +601,8 @@ mod tests {
     #[test]
     fn kernel_starts_and_shuts_down_cleanly() {
         let kernel = Kernel::new(KernelConfig::default());
-        assert!(!kernel.is_shutdown());
         kernel.shutdown();
-        assert!(kernel.is_shutdown());
+        assert!(kernel.inner.lock().shutdown);
         // Idempotent.
         kernel.shutdown();
     }

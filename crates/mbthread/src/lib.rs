@@ -79,9 +79,9 @@
 //! const PING: Tag = Tag(1);
 //!
 //! let echo = kernel
-//!     .spawn("echo", |ctx: &mut mbthread::Ctx<'_>, env: mbthread::Envelope| {
-//!         // Reply to every message with the same body.
-//!         let n: u64 = *env.message().body_ref::<u64>().unwrap();
+//!     .spawn("echo", |ctx: &mut mbthread::Ctx<'_>, mut env: mbthread::Envelope| {
+//!         // Reply to every message with its body plus one.
+//!         let n: u64 = env.message_mut().take_body().unwrap();
 //!         ctx.reply(&env, Message::new(PING, n + 1)).ok();
 //!         Flow::Continue
 //!     })
@@ -89,7 +89,7 @@
 //!
 //! let port = kernel.external("main");
 //! let reply = port.send_sync(echo, Message::new(PING, 41u64)).unwrap();
-//! assert_eq!(*reply.message().body_ref::<u64>().unwrap(), 42);
+//! assert_eq!(reply.expect_body::<u64>(), 42);
 //! kernel.shutdown();
 //! # }
 //! ```

@@ -58,12 +58,6 @@ impl Message {
         self.tag
     }
 
-    /// Borrows the body if it has type `T`.
-    #[must_use]
-    pub fn body_ref<T: Any>(&self) -> Option<&T> {
-        self.body.downcast_ref::<T>()
-    }
-
     /// Consumes the message and extracts the body as `T`.
     ///
     /// # Errors
@@ -297,8 +291,6 @@ mod tests {
     fn message_body_round_trip() {
         let m = Message::new(Tag(7), String::from("payload"));
         assert_eq!(m.tag(), Tag(7));
-        assert_eq!(m.body_ref::<String>().unwrap(), "payload");
-        assert!(m.body_ref::<u32>().is_none());
         let s = m.into_body::<String>().unwrap();
         assert_eq!(s, "payload");
     }

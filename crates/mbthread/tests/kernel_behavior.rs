@@ -27,8 +27,8 @@ fn entries(l: &Log) -> Vec<String> {
 fn sync_ping_pong_round_trips() {
     let kernel = Kernel::new(KernelConfig::default());
     let server = kernel
-        .spawn("server", |ctx: &mut Ctx<'_>, env: Envelope| {
-            let n: u64 = *env.message().body_ref::<u64>().unwrap();
+        .spawn("server", |ctx: &mut Ctx<'_>, mut env: Envelope| {
+            let n: u64 = env.message_mut().take_body().unwrap();
             ctx.reply(&env, Message::new(DATA, n * 2)).unwrap();
             Flow::Continue
         })
@@ -36,7 +36,7 @@ fn sync_ping_pong_round_trips() {
     let port = kernel.external("test");
     for i in 0..100u64 {
         let reply = port.send_sync(server, Message::new(DATA, i)).unwrap();
-        assert_eq!(*reply.message().body_ref::<u64>().unwrap(), i * 2);
+        assert_eq!(reply.expect_body::<u64>(), i * 2);
     }
     kernel.shutdown();
 }
@@ -48,10 +48,7 @@ fn async_messages_are_fifo_per_sender() {
     let seen2 = Arc::clone(&seen);
     let sink = kernel
         .spawn("sink", move |_: &mut Ctx<'_>, env: Envelope| {
-            seen2
-                .lock()
-                .unwrap()
-                .push(*env.message().body_ref::<u64>().unwrap());
+            seen2.lock().unwrap().push(env.expect_body::<u64>());
             Flow::Continue
         })
         .unwrap();
@@ -272,7 +269,7 @@ fn wait_or_delivers_control_while_blocked_for_reply() {
         .spawn("slow", |ctx: &mut Ctx<'_>, env: Envelope| {
             if env.wants_reply() {
                 // Hold the request until nudged.
-                let nudge = ctx.receive_matching(&MatchSpec::Tags(vec![TICK])).unwrap();
+                let nudge = ctx.receive_tags(&[TICK]).unwrap();
                 drop(nudge);
                 ctx.reply(&env, Message::signal(DATA)).unwrap();
             }
@@ -326,7 +323,7 @@ fn receive_matching_leaves_other_messages_queued() {
             // First delivery: wait specifically for a CTL message even
             // though DATA messages arrive first.
             assert_eq!(env.tag(), Tag(0));
-            let ctl = ctx.receive_matching(&MatchSpec::Tags(vec![CTL])).unwrap();
+            let ctl = ctx.receive_tags(&[CTL]).unwrap();
             log(&order2, format!("got-{}", ctl.tag().0));
             // The earlier DATA messages are still queued, in order.
             let d1 = ctx.receive().unwrap();
@@ -389,7 +386,7 @@ fn priority_inheritance_resolves_inversion() {
                     }
                     // WORK message: wake HIGH, which sync-sends to us and
                     // blocks; its request now sits in our queue.
-                    let high = *env.message().body_ref::<mbthread::ThreadId>().unwrap();
+                    let high = env.expect_body::<mbthread::ThreadId>();
                     ctx.send_with(high, Message::signal(DATA), None).unwrap();
                     // Make MEDIUM runnable, then do more "work".
                     ctx.send_with(medium, Message::signal(DATA), None).unwrap();
@@ -548,8 +545,8 @@ fn stale_reply_is_rejected() {
 
 #[test]
 fn real_clock_timers_fire() {
+    assert_eq!(KernelConfig::default().clock, ClockMode::Real);
     let kernel = Kernel::new(KernelConfig::default());
-    assert_eq!(kernel.clock_mode(), ClockMode::Real);
     let fired = Arc::new(Mutex::new(false));
     let fired2 = Arc::clone(&fired);
     let t = kernel

@@ -14,8 +14,6 @@ pub struct DisplayStats {
     pub timing: TimingStats,
     /// Sequence numbers presented, in order.
     pub presented: Vec<u64>,
-    /// Frames whose checksum did not match their payload (pipeline bug).
-    pub corrupt: u64,
 }
 
 impl DisplayStats {

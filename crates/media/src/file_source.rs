@@ -60,7 +60,7 @@ impl MpegFileSource {
     /// Generates the frame at position `seq` (also usable without a
     /// pipeline, e.g. to precompute expected outputs in tests).
     #[must_use]
-    pub fn frame_at(&mut self, seq: u64) -> CompressedFrame {
+    pub(crate) fn frame_at(&mut self, seq: u64) -> CompressedFrame {
         let ftype = self.gop.frame_type(seq);
         let nominal = match ftype {
             crate::FrameType::I => self.base_size * 4,

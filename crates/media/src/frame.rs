@@ -29,7 +29,7 @@ impl FrameType {
     /// (crate::PriorityDropFilter) starts discarding this type:
     /// level ≥ 1 drops B, ≥ 2 drops P, ≥ 3 drops I.
     #[must_use]
-    pub fn drop_threshold(self) -> u8 {
+    pub(crate) fn drop_threshold(self) -> u8 {
         match self {
             FrameType::B => 1,
             FrameType::P => 2,

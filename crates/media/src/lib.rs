@@ -1,7 +1,6 @@
 //! Synthetic media substrate for the Infopipes reproduction.
 //!
-//! The paper's evaluation pipelines process MPEG video, PCM audio, and
-//! MIDI. Real codecs and media files are not required to exercise the
+//! The paper's evaluation pipelines process MPEG video and MIDI. Real codecs and media files are not required to exercise the
 //! middleware: what matters to Infopipes is item *sizes*, *timing*, and
 //! the *inter-frame dependencies* that determine what breaks when frames
 //! are dropped. This crate provides synthetic equivalents:
@@ -15,15 +14,12 @@
 //! * a [`PriorityDropFilter`] controlled by
 //!   [`ControlEvent::SetDropLevel`](infopipes::ControlEvent::SetDropLevel),
 //! * [`Fragmenter`]/[`Defragmenter`] for MTU-sized network packets,
-//! * measuring sinks: [`DisplaySink`] (presentation jitter),
-//!   [`AudioDevice`] (an active clock-driven sink counting deadline
-//!   misses, §3.1's audio example),
+//! * a measuring sink: [`DisplaySink`] (presentation jitter),
 //! * tiny-item MIDI flows for the small-message overhead experiments
 //!   (§4's MIDI-mixer motivation).
 
 #![warn(missing_docs)]
 
-mod audio;
 mod decoder;
 mod display;
 mod drop_filter;
@@ -34,7 +30,6 @@ mod gop;
 mod midi;
 mod stats;
 
-pub use audio::{AudioDevice, AudioSource, AudioStats, Sample};
 pub use decoder::{DecodeCost, Decoder, DecoderStats};
 pub use display::{DisplaySink, DisplayStats, Resizer};
 pub use drop_filter::{DropFilterStats, PriorityDropFilter};

@@ -9,12 +9,6 @@ pub struct TimingStats {
 }
 
 impl TimingStats {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> TimingStats {
-        TimingStats::default()
-    }
-
     /// Records one arrival at the given kernel time (microseconds).
     pub fn record(&mut self, at_us: u64) {
         self.arrivals_us.push(at_us);
@@ -26,22 +20,14 @@ impl TimingStats {
         self.arrivals_us.len()
     }
 
-    /// All recorded arrival times (microseconds).
-    #[must_use]
-    pub fn arrivals_us(&self) -> &[u64] {
-        &self.arrivals_us
-    }
-
     /// Inter-arrival intervals in microseconds.
-    #[must_use]
-    pub fn intervals_us(&self) -> Vec<u64> {
+    fn intervals_us(&self) -> Vec<u64> {
         self.arrivals_us.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Mean inter-arrival interval (microseconds); `None` with fewer than
     /// two arrivals.
-    #[must_use]
-    pub fn mean_interval_us(&self) -> Option<f64> {
+    fn mean_interval_us(&self) -> Option<f64> {
         let iv = self.intervals_us();
         if iv.is_empty() {
             return None;
@@ -57,12 +43,6 @@ impl TimingStats {
         let iv = self.intervals_us();
         let mean = self.mean_interval_us()?;
         Some(iv.iter().map(|&d| (d as f64 - mean).abs()).sum::<f64>() / iv.len() as f64)
-    }
-
-    /// The largest single inter-arrival interval (microseconds).
-    #[must_use]
-    pub fn max_interval_us(&self) -> Option<u64> {
-        self.intervals_us().into_iter().max()
     }
 }
 
@@ -87,30 +67,28 @@ mod tests {
 
     #[test]
     fn perfectly_paced_arrivals_have_zero_jitter() {
-        let mut t = TimingStats::new();
+        let mut t = TimingStats::default();
         for i in 0..10u64 {
             t.record(i * 1000);
         }
         assert_eq!(t.count(), 10);
         assert_eq!(t.mean_interval_us(), Some(1000.0));
         assert_eq!(t.jitter_us(), Some(0.0));
-        assert_eq!(t.max_interval_us(), Some(1000));
     }
 
     #[test]
     fn bursty_arrivals_show_jitter() {
-        let mut t = TimingStats::new();
+        let mut t = TimingStats::default();
         for at in [0u64, 100, 1900, 2000, 3900] {
             t.record(at);
         }
         let j = t.jitter_us().unwrap();
         assert!(j > 500.0, "jitter {j}");
-        assert_eq!(t.max_interval_us(), Some(1900));
     }
 
     #[test]
     fn degenerate_cases_are_none() {
-        let mut t = TimingStats::new();
+        let mut t = TimingStats::default();
         assert_eq!(t.mean_interval_us(), None);
         assert_eq!(t.jitter_us(), None);
         t.record(5);

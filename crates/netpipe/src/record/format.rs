@@ -49,10 +49,10 @@ pub const CHUNK_PREAMBLE_LEN: usize = 8;
 
 /// Top-level record opcodes.
 pub(crate) mod op {
-    pub const HEADER: u8 = 1;
-    pub const CHANNEL: u8 = 2;
-    pub const CHUNK: u8 = 3;
-    pub const FOOTER: u8 = 4;
+    pub(crate) const HEADER: u8 = 1;
+    pub(crate) const CHANNEL: u8 = 2;
+    pub(crate) const CHUNK: u8 = 3;
+    pub(crate) const FOOTER: u8 = 4;
 }
 
 /// Largest accepted top-level record body: a full chunk of

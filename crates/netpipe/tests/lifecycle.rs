@@ -1,7 +1,9 @@
-//! Every thread the link layer starts is gone once its owners are.
+//! Every thread the link layer starts is gone once its owners are, and
+//! every pooled receive buffer comes home once the frames are consumed.
 //!
 //! For each backend: listen, connect, accept, bind both receive sides,
-//! stream, run the serving tier's accept loop and housekeeper and an
+//! stream (a pooling backend's receive pool must then have nothing
+//! checked out), run the serving tier's accept loop and housekeeper and an
 //! inspector beside it — then drop everything and hold the process to
 //! the thread count it started with. This is what proves the `Worker`
 //! arrangement: owners join their service threads, and a worker that
@@ -16,8 +18,9 @@ use infopipes::helpers::CollectSink;
 use infopipes::{BufferSpec, FreePump, Pipeline, StatsRegistry};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
-    AcceptLoop, Acceptor, Frame, InProcTransport, InspectClient, InspectServer, Link, ServeConfig,
-    SessionRegistry, SimConfig, SimTransport, TcpTransport, Transport, UdpTransport, Unmarshal,
+    AcceptLoop, Acceptor, Frame, InProcTransport, InspectClient, InspectServer, Link, PoolStats,
+    ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpLink, TcpTransport, Transport,
+    UdpLink, UdpTransport, Unmarshal,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -32,7 +35,14 @@ fn live_threads() -> usize {
 }
 
 /// Drives every service thread a backend has, then lets go of all of it.
-fn exercise<T: Transport>(kernel: &Kernel, transport: &T, addrs: [&str; 3]) {
+/// `pool` reads the receiving link's buffer pool, for backends that
+/// receive into one.
+fn exercise<T: Transport>(
+    kernel: &Kernel,
+    transport: &T,
+    addrs: [&str; 3],
+    pool: Option<fn(&T::Link) -> PoolStats>,
+) {
     // A point-to-point link with both receive sides bound.
     let acceptor = transport.listen(addrs[0]).expect("listen");
     let client = transport.connect(&acceptor.local_addr()).expect("connect");
@@ -60,6 +70,20 @@ fn exercise<T: Transport>(kernel: &Kernel, transport: &T, addrs: [&str; 3]) {
     while got.lock().len() < FRAMES as usize {
         assert!(Instant::now() < deadline, "stalled at {:?}", got.lock());
         std::thread::sleep(Duration::from_millis(2));
+    }
+    // The sink holds every frame, so no payload view is left downstream:
+    // each buffer the receiver filled is back in its pool.
+    if let Some(pool) = pool {
+        let stats = pool(&server);
+        assert!(
+            stats.hits + stats.misses >= u64::from(FRAMES),
+            "frames bypassed the receive pool: {stats:?}"
+        );
+        while pool(&server).outstanding > 0 {
+            let stats = pool(&server);
+            assert!(Instant::now() < deadline, "receive buffers leak: {stats:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
     // An orderly end: the one way a datagram peer learns we are done.
     assert!(client.send(Frame::Fin).accepted());
@@ -121,7 +145,7 @@ fn every_backend_returns_to_its_thread_baseline() {
     };
     let sockets = ["127.0.0.1:0"; 3];
     run("inproc", &|k| {
-        exercise(k, &InProcTransport::new(), ["a", "b", "c"]);
+        exercise(k, &InProcTransport::new(), ["a", "b", "c"], None);
     });
     run("sim", &|k| {
         let cfg = SimConfig {
@@ -129,10 +153,14 @@ fn every_backend_returns_to_its_thread_baseline() {
             seed,
             ..SimConfig::default()
         };
-        exercise(k, &SimTransport::new(k, cfg), ["a", "b", "c"]);
+        exercise(k, &SimTransport::new(k, cfg), ["a", "b", "c"], None);
     });
-    run("tcp", &|k| exercise(k, &TcpTransport::new(), sockets));
-    run("udp", &|k| exercise(k, &UdpTransport::new(), sockets));
+    run("tcp", &|k| {
+        exercise(k, &TcpTransport::new(), sockets, Some(TcpLink::pool_stats));
+    });
+    run("udp", &|k| {
+        exercise(k, &UdpTransport::new(), sockets, Some(UdpLink::pool_stats));
+    });
     assert_eq!(
         PANICS.load(Ordering::SeqCst),
         0,

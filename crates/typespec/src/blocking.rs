@@ -17,14 +17,6 @@ pub enum OnFull {
     DropOldest,
 }
 
-impl OnFull {
-    /// Whether this policy can suspend the caller.
-    #[must_use]
-    pub fn may_block(self) -> bool {
-        self == OnFull::Block
-    }
-}
-
 impl fmt::Display for OnFull {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -46,14 +38,6 @@ pub enum OnEmpty {
     ReturnNone,
 }
 
-impl OnEmpty {
-    /// Whether this policy can suspend the caller.
-    #[must_use]
-    pub fn may_block(self) -> bool {
-        self == OnEmpty::Block
-    }
-}
-
 impl fmt::Display for OnEmpty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -72,11 +56,6 @@ mod tests {
     fn defaults_block() {
         assert_eq!(OnFull::default(), OnFull::Block);
         assert_eq!(OnEmpty::default(), OnEmpty::Block);
-        assert!(OnFull::Block.may_block());
-        assert!(!OnFull::DropNewest.may_block());
-        assert!(!OnFull::DropOldest.may_block());
-        assert!(OnEmpty::Block.may_block());
-        assert!(!OnEmpty::ReturnNone.may_block());
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl ItemType {
 
     /// Whether this is the wildcard type.
     #[must_use]
-    pub fn is_any(&self) -> bool {
+    pub(crate) fn is_any(&self) -> bool {
         self.id.is_none() && self.name == "*"
     }
 

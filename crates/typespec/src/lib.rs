@@ -9,7 +9,9 @@
 //!   polymorphic components (filters) acquiring an *induced* polarity when
 //!   composed,
 //! * the **blocking behaviour** when an operation cannot be performed
-//!   immediately (block, drop, or return nothing),
+//!   immediately (block, drop, or return nothing: [`OnFull`], [`OnEmpty`]),
+//!   declared and enforced by the buffer that can be full or empty rather
+//!   than carried in the spec,
 //! * the **control events** a component can send or react to,
 //! * **QoS parameter ranges** — frame rates, latency, jitter, bandwidth —
 //!   which narrow as specs flow through a pipeline,
@@ -41,8 +43,8 @@
 //!     QosRange::new(15.0, 30.0)
 //! );
 //! // Push connects to pull; two pushes clash.
-//! assert!(Polarity::Positive.connects_to(Polarity::Negative));
-//! assert!(!Polarity::Positive.connects_to(Polarity::Positive));
+//! assert!(Polarity::Positive.unify(Polarity::Negative).is_ok());
+//! assert!(Polarity::Positive.unify(Polarity::Positive).is_err());
 //! ```
 
 mod blocking;
@@ -59,7 +61,7 @@ pub use blocking::{OnEmpty, OnFull};
 pub use check::{check_chain, check_connection};
 pub use error::TypeError;
 pub use item_type::ItemType;
-pub use polarity::{induce_chain, Polarity};
+pub use polarity::Polarity;
 pub use qos::{QosKey, QosMap, QosRange};
 pub use transform::{IdentityTransform, SpecTransform};
 pub use typespec::Typespec;

@@ -39,15 +39,6 @@ impl Polarity {
         }
     }
 
-    /// Whether a port of this polarity may be connected to one of `other`.
-    #[must_use]
-    pub fn connects_to(self, other: Polarity) -> bool {
-        !matches!(
-            (self, other),
-            (Polarity::Positive, Polarity::Positive) | (Polarity::Negative, Polarity::Negative)
-        )
-    }
-
     /// Resolves the pair of polarities after connecting two ports,
     /// inducing fixed polarities into polymorphic ports.
     ///
@@ -68,12 +59,6 @@ impl Polarity {
             (a, b) => Ok((a, b)),
         }
     }
-
-    /// Whether this polarity is fixed (not polymorphic).
-    #[must_use]
-    pub fn is_fixed(self) -> bool {
-        self != Polarity::Polymorphic
-    }
 }
 
 impl fmt::Display for Polarity {
@@ -85,23 +70,6 @@ impl fmt::Display for Polarity {
         };
         f.write_str(s)
     }
-}
-
-/// Propagates an induced polarity through a chain of polymorphic
-/// components, as when one end of a filter chain is connected to a fixed
-/// port (§2.3, "induced polarity").
-///
-/// Given the polarity now imposed at the upstream end of the chain and the
-/// number of chained polymorphic components, returns the polarity each
-/// component's downstream port acquires. In this in-out model every
-/// component simply passes the driving direction along, so all downstream
-/// ports share the imposed activity direction.
-#[must_use]
-pub fn induce_chain(imposed: Polarity, chain_len: usize) -> Vec<Polarity> {
-    // A filter whose in-port received polarity `p` exposes the same
-    // activity direction downstream: if items are pushed into it, it pushes
-    // onward; if items are pulled from it, it pulls onward.
-    (0..chain_len).map(|_| imposed).collect()
 }
 
 #[cfg(test)]
@@ -124,14 +92,12 @@ mod tests {
 
     #[test]
     fn opposite_fixed_polarities_connect() {
-        assert!(Polarity::Positive.connects_to(Polarity::Negative));
-        assert!(Polarity::Negative.connects_to(Polarity::Positive));
+        assert!(Polarity::Positive.unify(Polarity::Negative).is_ok());
+        assert!(Polarity::Negative.unify(Polarity::Positive).is_ok());
     }
 
     #[test]
     fn equal_fixed_polarities_clash() {
-        assert!(!Polarity::Positive.connects_to(Polarity::Positive));
-        assert!(!Polarity::Negative.connects_to(Polarity::Negative));
         assert!(Polarity::Positive.unify(Polarity::Positive).is_err());
         assert!(Polarity::Negative.unify(Polarity::Negative).is_err());
     }
@@ -143,8 +109,8 @@ mod tests {
             Polarity::Negative,
             Polarity::Polymorphic,
         ] {
-            assert!(Polarity::Polymorphic.connects_to(p));
-            assert!(p.connects_to(Polarity::Polymorphic));
+            assert!(Polarity::Polymorphic.unify(p).is_ok());
+            assert!(p.unify(Polarity::Polymorphic).is_ok());
         }
     }
 
@@ -158,13 +124,21 @@ mod tests {
         assert_eq!((a, b), (Polarity::Polymorphic, Polarity::Polymorphic));
     }
 
+    /// A polymorphic filter (`α → α`) connected to a fixed port acquires
+    /// the complementary polarity at that end and, being in-out, exposes
+    /// the imposed one at its other end, so a whole chain of them passes
+    /// the driving direction along (§2.3, "induced polarity").
     #[test]
     fn induced_chain_propagates_direction() {
-        assert_eq!(
-            induce_chain(Polarity::Negative, 3),
-            vec![Polarity::Negative; 3]
-        );
-        assert!(induce_chain(Polarity::Positive, 0).is_empty());
+        for imposed in [Polarity::Positive, Polarity::Negative] {
+            let mut out = imposed;
+            for _ in 0..3 {
+                let (_, filter_in) = out.unify(Polarity::Polymorphic).unwrap();
+                assert_eq!(filter_in, imposed.complement());
+                out = filter_in.complement();
+            }
+            assert_eq!(out, imposed);
+        }
     }
 
     #[test]

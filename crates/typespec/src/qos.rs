@@ -70,12 +70,6 @@ impl QosRange {
         QosRange::new(v, v)
     }
 
-    /// The range `[v, +inf)`.
-    #[must_use]
-    pub fn at_least(v: f64) -> QosRange {
-        QosRange::new(v, f64::INFINITY)
-    }
-
     /// The range `(-inf, v]`.
     #[must_use]
     pub fn at_most(v: f64) -> QosRange {
@@ -110,7 +104,7 @@ impl QosRange {
 
     /// Whether this range lies entirely within `other`.
     #[must_use]
-    pub fn is_subrange_of(&self, other: &QosRange) -> bool {
+    pub(crate) fn is_subrange_of(&self, other: &QosRange) -> bool {
         self.min >= other.min && self.max <= other.max
     }
 
@@ -259,8 +253,6 @@ mod tests {
 
     #[test]
     fn half_open_constructors() {
-        assert!(QosRange::at_least(3.0).contains(1e12));
-        assert!(!QosRange::at_least(3.0).contains(2.9));
         assert!(QosRange::at_most(3.0).contains(-1e12));
         assert!(QosRange::exactly(4.0).contains(4.0));
         assert!(!QosRange::exactly(4.0).contains(4.1));

@@ -1,6 +1,5 @@
 //! The [`Typespec`] itself: the bundle of flow properties at one port.
 
-use crate::blocking::{OnEmpty, OnFull};
 use crate::error::TypeError;
 use crate::item_type::ItemType;
 use crate::qos::{QosKey, QosMap, QosRange};
@@ -18,8 +17,6 @@ use std::fmt;
 pub struct Typespec {
     item: ItemType,
     qos: QosMap,
-    on_full: Option<OnFull>,
-    on_empty: Option<OnEmpty>,
     /// Control events the upstream flow can emit toward this port.
     events_offered: BTreeSet<String>,
     /// Control events a component requires its peers to understand.
@@ -94,32 +91,6 @@ impl Typespec {
         &mut self.qos
     }
 
-    /// Sets the full-buffer behaviour of the flow.
-    #[must_use]
-    pub fn with_on_full(mut self, policy: OnFull) -> Typespec {
-        self.on_full = Some(policy);
-        self
-    }
-
-    /// The declared full-buffer behaviour, if any.
-    #[must_use]
-    pub fn on_full(&self) -> Option<OnFull> {
-        self.on_full
-    }
-
-    /// Sets the empty-buffer behaviour of the flow.
-    #[must_use]
-    pub fn with_on_empty(mut self, policy: OnEmpty) -> Typespec {
-        self.on_empty = Some(policy);
-        self
-    }
-
-    /// The declared empty-buffer behaviour, if any.
-    #[must_use]
-    pub fn on_empty(&self) -> Option<OnEmpty> {
-        self.on_empty
-    }
-
     /// Declares that the flow can deliver the named control event.
     #[must_use]
     pub fn offering_event(mut self, name: impl Into<String>) -> Typespec {
@@ -175,8 +146,7 @@ impl Typespec {
     /// Intersects two specs into the most general spec satisfying both.
     ///
     /// Item types must be compatible (the more specific wins); QoS ranges
-    /// are intersected dimension-wise; blocking behaviours must agree when
-    /// both declared; offered events accumulate; required events of either
+    /// are intersected dimension-wise; offered events accumulate; required events of either
     /// side must be offered by the union of offers or stay required;
     /// locations must agree when both known.
     ///
@@ -192,22 +162,6 @@ impl Typespec {
                 found: self.item.clone(),
             })?;
         let qos = self.qos.intersect(&other.qos)?;
-        let on_full = match (self.on_full, other.on_full) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(TypeError::Rejected(format!(
-                    "conflicting full-buffer behaviour: {a} vs {b}"
-                )));
-            }
-            (a, b) => a.or(b),
-        };
-        let on_empty = match (self.on_empty, other.on_empty) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(TypeError::Rejected(format!(
-                    "conflicting empty-buffer behaviour: {a} vs {b}"
-                )));
-            }
-            (a, b) => a.or(b),
-        };
         let location = match (&self.location, &other.location) {
             (Some(a), Some(b)) if a != b => {
                 return Err(TypeError::Rejected(format!(
@@ -241,8 +195,6 @@ impl Typespec {
         Ok(Typespec {
             item,
             qos,
-            on_full,
-            on_empty,
             events_offered,
             events_required,
             location,
@@ -327,20 +279,6 @@ mod tests {
             a.intersect(&b),
             Err(TypeError::ItemMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn intersect_rejects_conflicting_blocking() {
-        let a = Typespec::new().with_on_full(OnFull::Block);
-        let b = Typespec::new().with_on_full(OnFull::DropOldest);
-        assert!(a.intersect(&b).is_err());
-        // Agreeing or one-sided declarations are fine.
-        let c = Typespec::new().with_on_full(OnFull::Block);
-        assert_eq!(a.intersect(&c).unwrap().on_full(), Some(OnFull::Block));
-        assert_eq!(
-            a.intersect(&Typespec::new()).unwrap().on_full(),
-            Some(OnFull::Block)
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the Typespec algebra.
 
 use proptest::prelude::*;
-use typespec::{induce_chain, ItemType, Polarity, QosKey, QosMap, QosRange, Typespec};
+use typespec::{ItemType, Polarity, QosKey, QosMap, QosRange, Typespec};
 
 fn arb_polarity() -> impl Strategy<Value = Polarity> {
     prop_oneof![
@@ -25,6 +25,11 @@ fn arb_key() -> impl Strategy<Value = QosKey> {
     ]
 }
 
+/// Whether `inner` lies entirely within `outer`.
+fn within(inner: &QosRange, outer: &QosRange) -> bool {
+    inner.min() >= outer.min() && inner.max() <= outer.max()
+}
+
 fn arb_qos_map() -> impl Strategy<Value = QosMap> {
     proptest::collection::vec((arb_key(), arb_range()), 0..6)
         .prop_map(|entries| entries.into_iter().collect())
@@ -36,36 +41,42 @@ proptest! {
     /// same fixed polarity.
     #[test]
     fn unify_is_sound(a in arb_polarity(), b in arb_polarity()) {
+        let fixed = |p: Polarity| p != Polarity::Polymorphic;
         match a.unify(b) {
             Ok((ra, rb)) => {
-                prop_assert!(a.connects_to(b));
+                prop_assert!(!(a == b && fixed(a)));
                 prop_assert!(
-                    !(ra == rb && ra.is_fixed()),
+                    !(ra == rb && fixed(ra)),
                     "unify produced {ra} to {rb}"
                 );
                 // Fixed inputs are never changed by unification.
-                if a.is_fixed() { prop_assert_eq!(ra, a); }
-                if b.is_fixed() { prop_assert_eq!(rb, b); }
+                if fixed(a) { prop_assert_eq!(ra, a); }
+                if fixed(b) { prop_assert_eq!(rb, b); }
             }
-            Err(_) => prop_assert!(!a.connects_to(b)),
+            Err(_) => prop_assert!(a == b && fixed(a)),
         }
     }
 
-    /// connects_to is symmetric.
+    /// Whether two ports connect does not depend on the order they are
+    /// named in.
     #[test]
     fn connectivity_is_symmetric(a in arb_polarity(), b in arb_polarity()) {
-        prop_assert_eq!(a.connects_to(b), b.connects_to(a));
+        prop_assert_eq!(a.unify(b).is_ok(), b.unify(a).is_ok());
     }
 
-    /// An induced polarity through a chain matches the imposed direction
-    /// at every link.
+    /// An induced polarity through a chain of polymorphic filters matches
+    /// the imposed direction at every link.
     #[test]
     fn induced_chains_are_uniform(fixed in prop_oneof![
         Just(Polarity::Positive), Just(Polarity::Negative)
     ], len in 0usize..16) {
-        let chain = induce_chain(fixed, len);
-        prop_assert_eq!(chain.len(), len);
-        prop_assert!(chain.iter().all(|p| *p == fixed));
+        let mut out = fixed;
+        for _ in 0..len {
+            let (_, filter_in) = out.unify(Polarity::Polymorphic).unwrap();
+            prop_assert_eq!(filter_in, fixed.complement());
+            out = filter_in.complement();
+        }
+        prop_assert_eq!(out, fixed);
     }
 
     /// Range intersection is commutative and yields a subrange of both.
@@ -75,8 +86,8 @@ proptest! {
         let ba = b.intersect(&a);
         prop_assert_eq!(ab, ba);
         if let Some(m) = ab {
-            prop_assert!(m.is_subrange_of(&a));
-            prop_assert!(m.is_subrange_of(&b));
+            prop_assert!(within(&m, &a));
+            prop_assert!(within(&m, &b));
         }
         // Self-intersection is identity.
         prop_assert_eq!(a.intersect(&a), Some(a));
@@ -96,8 +107,8 @@ proptest! {
                 // Every dimension of the result is a subrange of whichever
                 // inputs constrain it.
                 for (k, r) in x.iter() {
-                    if let Some(ra) = a.get(k) { prop_assert!(r.is_subrange_of(&ra)); }
-                    if let Some(rb) = b.get(k) { prop_assert!(r.is_subrange_of(&rb)); }
+                    if let Some(ra) = a.get(k) { prop_assert!(within(r, &ra)); }
+                    if let Some(rb) = b.get(k) { prop_assert!(within(r, &rb)); }
                 }
             }
             (Err(_), Err(_)) => {}

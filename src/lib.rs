@@ -7,7 +7,7 @@
 //! * [`mbthread`] — message-based user-level threads (§4 substrate)
 //! * [`typespec`] — flow typing and QoS algebra (§2.3)
 //! * [`infopipes`] — pipelines, planner, runtime (§2–3)
-//! * [`media`] — video/audio/MIDI components for the paper's workloads
+//! * [`media`] — video/MIDI components for the paper's workloads
 //! * [`feedback`] — feedback loops and controllers (Fig. 1)
 //! * [`netpipe`] — netpipes: marshalling, transports, remote factories (§2.4)
 
