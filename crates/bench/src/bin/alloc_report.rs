@@ -19,11 +19,12 @@
 //!   from a typed value boxes it, so this is *not* zero; published to
 //!   keep the claim honest about where the remaining allocations live.
 //! * **tcp_batched / tcp_unbatched** — 256-byte frames over loopback TCP
-//!   with the default [`BatchPolicy`](netpipe::BatchPolicy) versus `unbatched()`. Batching must
+//!   with the default batching versus `without_batching()`. Batching must
 //!   deliver >= 1.5x frames/sec (exit 1 otherwise); syscalls/frame shows
 //!   why (one `writev` carries up to 64 frames).
 //! * **udp_packed** — small frames packed into shared datagrams; the
-//!   sub-1.0 sends/frame is the packing at work. Published only.
+//!   sub-1.0 sends/frame is the packing at work. UDP may lose frames, its
+//!   `Fin` included, so the case reports what arrived. Published only.
 //!
 //! Run with `cargo run --release -p infopipes-bench --bin alloc_report`.
 //! Writes `BENCH_alloc.json` into the current directory. `--smoke` runs
@@ -39,7 +40,8 @@ use netpipe::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counts every allocation event (`alloc`, `alloc_zeroed`, `realloc`)
@@ -232,16 +234,31 @@ fn socket_lane<T: Transport>(
     let link = transport.connect(&acceptor.local_addr()).unwrap();
     let server = acceptor.accept().unwrap();
     let pool = BufferPool::new();
+    let done = Arc::new(AtomicBool::new(false));
 
-    // Consumer: count data frames until the stream's `Fin`.
+    // Consumer: count data frames until the stream's `Fin` — or, on UDP
+    // once the sender is done, until the link goes quiet: there the `Fin`
+    // is one datagram with no delivery guarantee. Returns the count and
+    // when the last frame arrived, so a quiet wait is not timed.
+    let lossy = name.starts_with("udp");
+    let sender_done = Arc::clone(&done);
     let consumer = std::thread::spawn(move || {
         let mut got = 0usize;
+        let mut last_frame = Instant::now();
         loop {
-            match server.recv(Duration::from_secs(30)) {
-                RecvOutcome::Frame(Frame::Data(_)) => got += 1,
-                RecvOutcome::Frame(_) => {}
-                RecvOutcome::Fin | RecvOutcome::Closed => return got,
-                RecvOutcome::TimedOut => panic!("{name}: receiver starved"),
+            match server.recv(Duration::from_millis(500)) {
+                RecvOutcome::Frame(frame) => {
+                    got += usize::from(matches!(frame, Frame::Data(_)));
+                    last_frame = Instant::now();
+                }
+                RecvOutcome::Fin | RecvOutcome::Closed => return (got, Instant::now()),
+                RecvOutcome::TimedOut if lossy && sender_done.load(Ordering::Acquire) => {
+                    return (got, last_frame)
+                }
+                RecvOutcome::TimedOut => assert!(
+                    last_frame.elapsed() < Duration::from_secs(30),
+                    "{name}: receiver starved"
+                ),
             }
         }
     });
@@ -272,15 +289,16 @@ fn socket_lane<T: Transport>(
         send_one();
     }
     assert!(link.send(Frame::Fin).accepted(), "fin refused");
-    let got = consumer.join().expect("consumer thread");
-    let elapsed = t0.elapsed();
+    done.store(true, Ordering::Release);
+    let (got, last_arrival) = consumer.join().expect("consumer thread");
+    let elapsed = last_arrival.saturating_duration_since(t0);
     let (da, df) = (allocs() - a0, frees() - f0);
     let stats = link.stats();
 
     // UDP is lossy by contract; TCP must deliver everything.
     let expected = frames + (frames / 10).max(16);
     assert!(
-        got <= expected && (name.starts_with("udp") || got == expected),
+        got <= expected && (lossy || got == expected),
         "{name}: delivered {got} of {expected}"
     );
     let measured_sent = (stats.sent - sent_before).max(1);

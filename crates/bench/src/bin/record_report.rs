@@ -22,10 +22,9 @@
 use infopipes::helpers::IterSource;
 use infopipes::{payload_copy_count, BufferSpec, FreePump, PayloadBytes, Pipeline};
 use mbthread::{Kernel, KernelConfig};
-use netpipe::record::ChannelDecl;
 use netpipe::{
-    Acceptor, DigestSink, Link, PipelineTransportExt, RecordingLink, ReplayMode, Replayer,
-    SimConfig, SimTransport, TraceReader, TraceWriter, Transport,
+    Acceptor, ChannelDecl, DigestSink, Link, PipelineTransportExt, RecordingLink, ReplayMode,
+    Replayer, SimConfig, SimTransport, TraceReader, TraceWriter, Transport,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -27,9 +27,3 @@ pub const UDP_RX_SHED: &str = "udp-rx-shed";
 /// rate sensor a [`FeedbackLoop`](crate::FeedbackLoop) embeds, once per
 /// window.
 pub const RECV_RATE_HZ: &str = "recv-rate-hz";
-
-/// Replay lag-behind-schedule in seconds: how far past its recorded
-/// virtual timestamp the replayer delivered the most recent frame. Zero
-/// under an unloaded virtual-time kernel; a persistently positive value
-/// means the replay target cannot keep up with the recorded schedule.
-pub const REPLAY_LAG: &str = "replay-lag-sec";

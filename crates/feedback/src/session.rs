@@ -78,15 +78,9 @@ impl<C: Controller> SessionControllerBank<C> {
         commands
     }
 
-    /// Drops a session's controller (call when the session is evicted —
-    /// otherwise the bank grows with every client that ever connected).
-    pub fn forget(&mut self, session: u64) {
-        self.controllers.remove(&session);
-    }
-
-    /// Retains only the sessions `keep` approves of (bulk companion to
-    /// [`forget`](SessionControllerBank::forget), for reconciling against
-    /// a registry roster).
+    /// Retains only the sessions `keep` approves of: drop an evicted
+    /// session's controller, or reconcile against a registry roster —
+    /// otherwise the bank grows with every client that ever connected.
     pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
         self.controllers.retain(|&id, _| keep(id));
     }
@@ -155,7 +149,7 @@ mod tests {
         let mut bank = SessionControllerBank::new(saturation_controller);
         let _ = bank.observe_values(readings::SEND_SATURATION, [(1, 0.9)]);
         assert_eq!(bank.len(), 1);
-        bank.forget(1);
+        bank.retain(|id| id != 1);
         assert!(bank.is_empty());
         // A fresh controller starts over at level 0 → first saturated
         // window commands level 1 again.

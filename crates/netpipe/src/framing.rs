@@ -51,10 +51,10 @@ impl FrameKind {
 
 /// Maximum accepted frame payload (64 MiB): a corrupted length prefix must
 /// not allocate unbounded memory.
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Length of the `[kind: u8][len: u32 LE]` frame header.
-pub const HEADER_LEN: usize = 5;
+pub(crate) const HEADER_LEN: usize = 5;
 
 /// Assembles the 5-byte frame header on the stack.
 pub(crate) fn encode_header(kind: FrameKind, payload_len: usize) -> [u8; HEADER_LEN] {
@@ -108,7 +108,7 @@ pub(crate) fn write_all_vectored(
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; rejects payloads over [`MAX_FRAME`].
+/// Propagates I/O errors; rejects payloads over 64 MiB.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -122,41 +122,11 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
     w.flush()
 }
 
-/// Reads one frame; `Ok(None)` on a clean end of stream.
-///
-/// The payload is read into one buffer and sealed as [`PayloadBytes`]
-/// directly: the receive side performs a single read-time copy off the
-/// stream (unavoidable with real I/O) and none after it.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects malformed kinds and oversized lengths.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameKind, PayloadBytes)>> {
-    let mut kind_byte = [0u8; 1];
-    match r.read_exact(&mut kind_byte) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let kind = FrameKind::from_byte(kind_byte[0])?;
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length exceeds MAX_FRAME",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some((kind, PayloadBytes::from_vec(payload))))
-}
-
 /// Reads one frame into a buffer drawn from `pool`; `Ok(None)` on a clean
 /// end of stream.
 ///
-/// The allocation-free variant of [`read_frame`]: in steady state the
+/// The receive side performs a single read-time copy off the stream
+/// (unavoidable with real I/O) and none after it; in steady state the
 /// payload lands in a recycled pool buffer and is sealed without any heap
 /// allocation.
 ///
@@ -194,6 +164,10 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn read_one(r: &mut impl Read) -> io::Result<Option<(FrameKind, PayloadBytes)>> {
+        read_frame_in(r, &BufferPool::new())
+    }
+
     #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
@@ -203,18 +177,18 @@ mod tests {
 
         let mut cur = Cursor::new(buf);
         assert_eq!(
-            read_frame(&mut cur).unwrap(),
+            read_one(&mut cur).unwrap(),
             Some((FrameKind::Data, PayloadBytes::from(&b"hello"[..])))
         );
         assert_eq!(
-            read_frame(&mut cur).unwrap(),
+            read_one(&mut cur).unwrap(),
             Some((FrameKind::Event, PayloadBytes::new()))
         );
         assert_eq!(
-            read_frame(&mut cur).unwrap(),
+            read_one(&mut cur).unwrap(),
             Some((FrameKind::Fin, PayloadBytes::new()))
         );
-        assert_eq!(read_frame(&mut cur).unwrap(), None);
+        assert_eq!(read_one(&mut cur).unwrap(), None);
     }
 
     #[test]
@@ -241,7 +215,7 @@ mod tests {
     #[test]
     fn unknown_kind_is_rejected() {
         let mut cur = Cursor::new(vec![9u8, 0, 0, 0, 0]);
-        assert!(read_frame(&mut cur).is_err());
+        assert!(read_one(&mut cur).is_err());
     }
 
     #[test]
@@ -249,7 +223,7 @@ mod tests {
         let mut buf = vec![0u8];
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut cur = Cursor::new(buf);
-        assert!(read_frame(&mut cur).is_err());
+        assert!(read_one(&mut cur).is_err());
     }
 
     #[test]
@@ -258,6 +232,6 @@ mod tests {
         write_frame(&mut buf, FrameKind::Data, b"hello").unwrap();
         buf.truncate(buf.len() - 2);
         let mut cur = Cursor::new(buf);
-        assert!(read_frame(&mut cur).is_err());
+        assert!(read_one(&mut cur).is_err());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every stats producer in the stack — the serving tier's
 //! [`SessionRegistry`], per-link
-//! [`LinkStats`](crate::transport::LinkStats), buffer pools, the
+//! [`LinkStats`](crate::LinkStats), buffer pools, the
 //! mbthread kernel, unmarshal counters, feedback loops, and the
 //! process-wide payload-copy counter — registers a named, typed source
 //! in one [`StatsRegistry`]. A single
@@ -18,11 +18,13 @@
 //!    [`register_saturation`], [`register_process_globals`]) that adapt
 //!    each subsystem's native stats type to the registry's
 //!    metric/entity model under a stable subsystem label.
-//! 2. A **versioned wire schema** ([`schema`]) framing snapshots as
-//!    [`Frame::Control`](crate::transport::Frame) payloads via the
-//!    [`crate::wire`] codec, plus hand-built JSON and table renderings.
-//! 3. A **control-channel server and client** ([`server`]) running the
-//!    request/reply exchange over *any* [`Transport`]
+//! 2. A **versioned wire schema** ([`WireSnapshot`], [`SCHEMA_VERSION`])
+//!    framing snapshots as [`Frame::Control`](crate::Frame) payloads via
+//!    the [`crate::wire`] codec, plus hand-built JSON and table
+//!    renderings.
+//! 3. A **control-channel server and client** ([`InspectServer`],
+//!    [`InspectClient`]) running the request/reply exchange over *any*
+//!    [`Transport`]
 //!    (inproc, sim, TCP, UDP) — the same transport-agnosticism the
 //!    remote factory protocol established for data, applied to
 //!    observability.
@@ -32,19 +34,15 @@
 //! short-lived snapshot lock, so an idle inspector costs nothing on the
 //! data path.
 //!
-//! [`Transport`]: crate::transport::Transport
+//! [`Transport`]: crate::Transport
 
-pub mod schema;
-pub mod server;
+mod schema;
+mod server;
 
-pub use schema::{
-    InspectReply, InspectRequest, WireEntity, WireMetric, WireSnapshot, WireSource, WireValue,
-    SCHEMA_VERSION,
-};
+pub use schema::{WireEntity, WireMetric, WireSnapshot, WireSource, WireValue, SCHEMA_VERSION};
 pub use server::{InspectClient, InspectError, InspectServer};
 
 use crate::marshal::UnmarshalCounters;
-use crate::record::{RecorderCounters, ReplayCounters};
 use crate::serve::SessionRegistry;
 use crate::transport::{Link, SaturationProbe};
 use feedback::LoopStats;
@@ -54,28 +52,26 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Subsystem label for serving-tier sources.
-pub const SUBSYSTEM_SERVE: &str = "serve";
+const SUBSYSTEM_SERVE: &str = "serve";
 /// Subsystem label for transport sources (links, saturation probes).
-pub const SUBSYSTEM_TRANSPORT: &str = "transport";
+const SUBSYSTEM_TRANSPORT: &str = "transport";
 /// Subsystem label for buffer pools.
-pub const SUBSYSTEM_POOL: &str = "pool";
+const SUBSYSTEM_POOL: &str = "pool";
 /// Subsystem label for the mbthread kernel.
-pub const SUBSYSTEM_KERNEL: &str = "kernel";
+const SUBSYSTEM_KERNEL: &str = "kernel";
 /// Subsystem label for the marshalling layer.
-pub const SUBSYSTEM_MARSHAL: &str = "marshal";
+const SUBSYSTEM_MARSHAL: &str = "marshal";
 /// Subsystem label for feedback loops.
-pub const SUBSYSTEM_FEEDBACK: &str = "feedback";
+const SUBSYSTEM_FEEDBACK: &str = "feedback";
 /// Subsystem label for process-wide core counters.
-pub const SUBSYSTEM_CORE: &str = "core";
-/// Subsystem label for the record & replay subsystem.
-pub const SUBSYSTEM_RECORD: &str = "record";
+const SUBSYSTEM_CORE: &str = "core";
 
 /// Registers a serving-tier [`SessionRegistry`] under `name`.
 ///
 /// Aggregate metrics mirror
-/// [`RegistryStats`](crate::serve::RegistryStats); each resident
+/// [`RegistryStats`](crate::RegistryStats); each resident
 /// session appears as an entity (id = session id) with its
-/// [`SessionSnapshot`](crate::serve::SessionSnapshot) detail, so
+/// [`SessionSnapshot`](crate::SessionSnapshot) detail, so
 /// evicted-and-reaped sessions drop out of the roster while the
 /// `*_total` counters keep counting them.
 pub fn register_registry_stats<L: Link>(
@@ -89,7 +85,6 @@ pub fn register_registry_stats<L: Link>(
         let metrics = vec![
             Metric::counter("accepted_total", "sessions", s.accepted_total),
             Metric::counter("evicted_total", "sessions", s.evicted_total),
-            Metric::gauge("connecting", "sessions", s.connecting as f64),
             Metric::gauge("active", "sessions", s.active as f64),
             Metric::gauge("draining", "sessions", s.draining as f64),
             Metric::gauge("evicted_resident", "sessions", s.evicted_resident as f64),
@@ -120,7 +115,7 @@ pub fn register_registry_stats<L: Link>(
     })
 }
 
-/// Registers one transport link's [`LinkStats`](crate::transport::LinkStats)
+/// Registers one transport link's [`LinkStats`](crate::LinkStats)
 /// under `name`.
 pub fn register_link<L: Link>(
     stats: &StatsRegistry,
@@ -237,56 +232,6 @@ pub fn register_saturation(
     let probe = probe.clone();
     stats.register(name, SUBSYSTEM_TRANSPORT, move || {
         SourceBody::metrics(vec![Metric::gauge("saturation", "fraction", probe.get())])
-    })
-}
-
-/// Registers a [`TraceWriter`](crate::TraceWriter)'s
-/// [`RecorderCounters`] under `name` (take the handle with
-/// [`TraceWriter::counters`](crate::TraceWriter::counters)): records
-/// and payload bytes accepted, file bytes written, and chunk flushes.
-pub fn register_recorder(
-    stats: &StatsRegistry,
-    name: impl Into<String>,
-    counters: &Arc<RecorderCounters>,
-) -> SourceId {
-    let counters = Arc::clone(counters);
-    stats.register(name, SUBSYSTEM_RECORD, move || {
-        SourceBody::metrics(vec![
-            Metric::counter("records", "records", counters.records()),
-            Metric::counter("payload_bytes", "bytes", counters.payload_bytes()),
-            Metric::counter("file_bytes", "bytes", counters.file_bytes()),
-            Metric::counter("chunk_flushes", "chunks", counters.chunk_flushes()),
-        ])
-    })
-}
-
-/// Registers a running replay's [`ReplayCounters`] under `name` (take
-/// the handle with
-/// [`ReplayHandle::counters`](crate::ReplayHandle::counters)).
-/// `recovered_bytes` is the torn-tail byte count the
-/// [`TraceReader`](crate::TraceReader) reported for the trace being
-/// replayed (0 for a clean file). The `lag_behind` gauge is the
-/// registry-side twin of the [`feedback::readings::REPLAY_LAG`]
-/// reading: seconds the most recent frame went out past its recorded
-/// timestamp.
-pub fn register_replayer(
-    stats: &StatsRegistry,
-    name: impl Into<String>,
-    counters: &Arc<ReplayCounters>,
-    recovered_bytes: u64,
-) -> SourceId {
-    let counters = Arc::clone(counters);
-    stats.register(name, SUBSYSTEM_RECORD, move || {
-        SourceBody::metrics(vec![
-            Metric::counter("frames", "frames", counters.frames()),
-            Metric::counter("bytes", "bytes", counters.bytes()),
-            Metric::counter("unroutable", "records", counters.unroutable()),
-            Metric::counter("send_failures", "frames", counters.send_failures()),
-            Metric::counter("torn_recovered_bytes", "bytes", recovered_bytes),
-            Metric::gauge("lag_behind", "seconds", counters.lag_last_ns() as f64 / 1e9),
-            Metric::gauge("lag_max", "seconds", counters.lag_max_ns() as f64 / 1e9),
-            Metric::text("done", if counters.is_done() { "true" } else { "false" }),
-        ])
     })
 }
 

@@ -20,7 +20,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// Client → server requests on the inspector channel.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum InspectRequest {
+pub(crate) enum InspectRequest {
     /// Ask for one full snapshot; `0` carries the client's schema
     /// version.
     Snapshot(u32),
@@ -28,7 +28,7 @@ pub enum InspectRequest {
 
 /// Server → client replies.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum InspectReply {
+pub(crate) enum InspectReply {
     /// One full snapshot.
     Snapshot(WireSnapshot),
 }

@@ -7,8 +7,8 @@
 //! client goes, stopped and joined with the server. The exchange
 //! uses only [`Frame::Control`] frames, so it runs unchanged over
 //! inproc, sim, TCP, and UDP — exactly the property the remote factory
-//! protocol ([`crate::remote`]) established for data pipelines, applied
-//! to the observability plane.
+//! protocol ([`crate::RemoteHost`]) established for data pipelines,
+//! applied to the observability plane.
 //!
 //! The client side, [`InspectClient`], is symmetric: connect over any
 //! [`Transport`], call [`fetch`](InspectClient::fetch), get one
@@ -20,8 +20,6 @@ use crate::wire;
 use crate::worker::{spawn_accept_loop, Accepted, Stop, Worker};
 use infopipes::StatsRegistry;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How long the client waits for a snapshot reply before giving up.
@@ -74,7 +72,6 @@ impl From<crate::TransportError> for InspectError {
 /// Shut down explicitly with [`shutdown`](InspectServer::shutdown) or
 /// implicitly on drop.
 pub struct InspectServer {
-    served: Arc<AtomicU64>,
     accept: Option<Worker<Accepted>>,
 }
 
@@ -89,28 +86,18 @@ impl InspectServer {
     where
         A: Acceptor + 'static,
     {
-        let served = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&served);
         let accept = spawn_accept_loop("inspect-accept", acceptor, move |link| {
             let registry = registry.clone();
-            let served = Arc::clone(&counter);
             // A client whose handler cannot be spawned is dropped.
             Worker::spawn("inspect-handler", move |stop| {
-                handle_link(&link, &registry, stop, &served);
+                handle_link(&link, &registry, stop);
             })
             .ok()
         })
         .expect("spawn inspect accept thread");
         InspectServer {
-            served,
             accept: Some(accept),
         }
-    }
-
-    /// How many snapshots this server has answered so far.
-    #[must_use]
-    pub fn snapshots_served(&self) -> u64 {
-        self.served.load(Ordering::Acquire)
     }
 
     /// Stops the accept loop and all handler threads, and waits for
@@ -120,7 +107,7 @@ impl InspectServer {
     }
 }
 
-fn handle_link<L: Link>(link: &L, registry: &StatsRegistry, stop: &Stop, served: &AtomicU64) {
+fn handle_link<L: Link>(link: &L, registry: &StatsRegistry, stop: &Stop) {
     while !stop.requested() {
         match link.recv(POLL) {
             RecvOutcome::Frame(Frame::Control(payload)) => {
@@ -135,9 +122,6 @@ fn handle_link<L: Link>(link: &L, registry: &StatsRegistry, stop: &Stop, served:
                 let Ok(bytes) = wire::to_bytes(&reply) else {
                     return;
                 };
-                // Counted before the send: a client that has decoded the
-                // reply must already observe the bump.
-                served.fetch_add(1, Ordering::AcqRel);
                 if !link.send(Frame::Control(bytes)).accepted() {
                     return;
                 }
@@ -238,7 +222,6 @@ mod tests {
             let client = InspectClient::connect(&transport, "inspect").unwrap();
             client.fetch().unwrap();
         }
-        assert_eq!(server.snapshots_served(), CLIENTS);
         let done = server.accept.take().unwrap().shutdown().unwrap();
         assert_eq!(done.links, CLIENTS);
         assert!(

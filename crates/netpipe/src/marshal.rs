@@ -132,21 +132,6 @@ impl<T: Serialize + Send + 'static> Function for Marshal<T> {
     }
 }
 
-/// A point-in-time snapshot of an [`Unmarshal`] filter's counters (see
-/// [`UnmarshalCounters::snapshot`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UnmarshalStats {
-    /// Messages decoded.
-    pub decoded: u64,
-    /// Messages dropped because decoding failed (corruption).
-    pub errors: u64,
-    /// The location stamped into the flow's Typespec as it leaves this
-    /// filter — the transport peer identity when configured with
-    /// [`Unmarshal::at_peer`], a hand-written node name with
-    /// [`Unmarshal::at_node`], `None` when the rewrite is disabled.
-    pub location: Option<String>,
-}
-
 /// The live counters behind an [`Unmarshal`] filter, shared with
 /// observers through [`Unmarshal::stats_handle`].
 ///
@@ -174,20 +159,13 @@ impl UnmarshalCounters {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// The configured location stamp, if any.
+    /// The location stamped into the flow's Typespec as it leaves the
+    /// filter — the transport peer identity when configured with
+    /// [`Unmarshal::at_peer`], a hand-written node name with
+    /// [`Unmarshal::at_node`], `None` when the rewrite is disabled.
     #[must_use]
     pub fn location(&self) -> Option<String> {
         self.location.lock().clone()
-    }
-
-    /// A consistent snapshot of all counters.
-    #[must_use]
-    pub fn snapshot(&self) -> UnmarshalStats {
-        UnmarshalStats {
-            decoded: self.decoded(),
-            errors: self.errors(),
-            location: self.location(),
-        }
     }
 }
 
@@ -229,8 +207,7 @@ impl<T: DeserializeOwned + Clone + Send + 'static> Unmarshal<T> {
         self.at_node(peer.to_string())
     }
 
-    /// A handle on the decode counters, sampled lock-free (see
-    /// [`UnmarshalCounters::snapshot`]).
+    /// A handle on the decode counters, sampled lock-free.
     #[must_use]
     pub fn stats_handle(&self) -> Arc<UnmarshalCounters> {
         Arc::clone(&self.stats)
@@ -313,14 +290,7 @@ mod tests {
         assert!(u.convert(garbage).is_none());
         assert_eq!(stats.errors(), 1);
         assert_eq!(stats.decoded(), 0);
-        assert_eq!(
-            stats.snapshot(),
-            UnmarshalStats {
-                decoded: 0,
-                errors: 1,
-                location: None
-            }
-        );
+        assert_eq!(stats.location(), None);
     }
 
     #[test]

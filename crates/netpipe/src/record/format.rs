@@ -27,25 +27,24 @@ use infopipes::PayloadBytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
-use typespec::{ItemType, Typespec};
 
 /// The 8-byte file preamble.
-pub const TRACE_MAGIC: [u8; 8] = *b"NPTRACE\0";
+pub(crate) const TRACE_MAGIC: [u8; 8] = *b"NPTRACE\0";
 
 /// The trace container schema version, stored in the [`TraceHeader`].
 /// Bump on any layout change; readers accept any version up to their
 /// own and refuse newer files loudly instead of misdecoding.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+pub(crate) const TRACE_SCHEMA_VERSION: u32 = 1;
 
 /// Length of a top-level record header (`op` + `len`).
-pub const TOP_HEADER_LEN: usize = 5;
+pub(crate) const TOP_HEADER_LEN: usize = 5;
 
 /// Length of a data-record header inside a chunk
 /// (`channel` + `ts` + `kind` + `plen`).
-pub const DATA_HEADER_LEN: usize = 15;
+pub(crate) const DATA_HEADER_LEN: usize = 15;
 
 /// Length of the chunk-body preamble (`crc` + `count`).
-pub const CHUNK_PREAMBLE_LEN: usize = 8;
+pub(crate) const CHUNK_PREAMBLE_LEN: usize = 8;
 
 /// Top-level record opcodes.
 pub(crate) mod op {
@@ -58,7 +57,7 @@ pub(crate) mod op {
 /// Largest accepted top-level record body: a full chunk of
 /// [`MAX_FRAME`](crate::framing::MAX_FRAME)-sized payloads plus slack.
 /// A corrupted length prefix must not allocate unbounded memory.
-pub const MAX_TOP_RECORD: usize = (64 << 20) + (1 << 16);
+pub(crate) const MAX_TOP_RECORD: usize = (64 << 20) + (1 << 16);
 
 /// Errors raised by the record & replay subsystem.
 #[derive(Debug)]
@@ -137,8 +136,7 @@ impl From<&SimConfig> for ScenarioConfig {
 
 impl ScenarioConfig {
     /// Reconstructs the [`SimConfig`] this scenario describes.
-    #[must_use]
-    pub fn to_sim_config(&self) -> SimConfig {
+    pub(crate) fn to_sim_config(&self) -> SimConfig {
         SimConfig {
             latency: Duration::from_nanos(self.latency_ns),
             jitter: Duration::from_nanos(self.jitter_ns),
@@ -152,7 +150,7 @@ impl ScenarioConfig {
 /// The trace file header (op 1, always the first record).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceHeader {
-    /// The writer's [`TRACE_SCHEMA_VERSION`].
+    /// The writer's trace container schema version.
     pub version: u32,
     /// A human-chosen trace name (the session or experiment label).
     pub name: String,
@@ -162,15 +160,15 @@ pub struct TraceHeader {
 }
 
 /// A channel declaration (op 2): the trace-local id data records refer
-/// to, plus enough of the channel's typespec to re-register the flow on
-/// replay.
+/// to, plus the channel's item type, location and QoS ranges.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChannelDecl {
     /// Trace-local channel id, referenced by data records.
     pub id: u16,
     /// The channel's name (usually the link or stage name).
     pub name: String,
-    /// The flow's item type name ([`ItemType::name`]).
+    /// The flow's item type name
+    /// ([`ItemType::name`](typespec::ItemType::name)).
     pub item: String,
     /// The flow's location property, if stamped.
     pub location: Option<String>,
@@ -189,34 +187,6 @@ impl ChannelDecl {
             item: item.into(),
             location: None,
             qos: Vec::new(),
-        }
-    }
-
-    /// Captures a channel's [`Typespec`] into a declaration.
-    #[must_use]
-    pub fn describe(id: u16, name: impl Into<String>, spec: &Typespec) -> ChannelDecl {
-        ChannelDecl {
-            id,
-            name: name.into(),
-            item: spec.item().name().to_owned(),
-            location: spec.location().map(str::to_owned),
-            qos: spec
-                .qos_map()
-                .iter()
-                .map(|(k, r)| (k.to_string(), r.min(), r.max()))
-                .collect(),
-        }
-    }
-
-    /// Reconstructs a [`Typespec`] carrying the declared item type and
-    /// location (QoS triples are informational and not reconstructed —
-    /// their keys are display-form).
-    #[must_use]
-    pub fn to_typespec(&self) -> Typespec {
-        let spec = Typespec::with_item_type(ItemType::named(self.item.clone()));
-        match &self.location {
-            Some(loc) => spec.at_location(loc.clone()),
-            None => spec,
         }
     }
 }
@@ -348,19 +318,6 @@ mod tests {
         let bytes = wire::to_bytes(&footer).unwrap();
         let back: TraceFooter = wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, footer);
-    }
-
-    #[test]
-    fn channel_decl_captures_and_rebuilds_a_typespec() {
-        let spec = Typespec::of::<u32>().at_location("sim://edge");
-        let decl = ChannelDecl::describe(4, "uplink", &spec);
-        assert_eq!(decl.id, 4);
-        assert_eq!(decl.item, spec.item().name());
-        assert_eq!(decl.location.as_deref(), Some("sim://edge"));
-
-        let back = decl.to_typespec();
-        assert_eq!(back.item().name(), spec.item().name());
-        assert_eq!(back.location(), Some("sim://edge"));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!
 //! The pieces:
 //!
-//! * **Format** ([`mod@format`]): an MCAP-inspired chunked container —
-//!   magic + versioned header ([`TRACE_SCHEMA_VERSION`]), channel
-//!   declaration records ([`ChannelDecl`]), CRC-guarded chunks of data
-//!   records `{channel, virtual timestamp, frame kind, payload}`, and a
-//!   footer index ([`TraceFooter`]). The sim scenario
+//! * **Format** (`format`): an MCAP-inspired chunked container —
+//!   magic + versioned header ([`TraceHeader`]), channel declaration
+//!   records ([`ChannelDecl`]), CRC-guarded chunks of data records
+//!   `{channel, virtual timestamp, frame kind, payload}`, and a footer
+//!   index ([`TraceFooter`]). The sim scenario
 //!   ([`ScenarioConfig`]) is serialized into the header so a replay
 //!   reconstructs the exact network.
 //! * **Writer** ([`TraceWriter`]): append-only, chunked, zero-copy —
@@ -37,17 +37,16 @@
 //! See `docs/record_replay.md` for the format specification and replay
 //! semantics.
 
-pub mod format;
+mod format;
 mod reader;
 mod recorder;
 mod replayer;
 mod writer;
 
 pub use format::{
-    ChannelDecl, ChunkIndexEntry, ScenarioConfig, TraceError, TraceFooter, TraceHeader,
-    TraceRecord, TRACE_MAGIC, TRACE_SCHEMA_VERSION,
+    ChannelDecl, ChunkIndexEntry, ScenarioConfig, TraceError, TraceFooter, TraceHeader, TraceRecord,
 };
 pub use reader::TraceReader;
 pub use recorder::{DigestProbe, DigestSink, Recorder, RecordingLink};
-pub use replayer::{record_to_frame, ReplayCounters, ReplayHandle, ReplayMode, Replayer};
-pub use writer::{ChunkPolicy, RecorderCounters, RecorderStats, TraceWriter};
+pub use replayer::{ReplayCounters, ReplayHandle, ReplayMode, Replayer};
+pub use writer::{RecorderStats, TraceWriter};

@@ -116,19 +116,7 @@ impl TraceReader {
     /// damaged mid-file; [`TraceError::Version`] for traces written by a
     /// newer schema; I/O errors other than clean truncation.
     pub fn open(path: impl AsRef<Path>) -> Result<TraceReader, TraceError> {
-        Self::open_with_pool(path, &BufferPool::new())
-    }
-
-    /// Like [`TraceReader::open`], drawing chunk buffers from `pool` so
-    /// repeated opens (replay sweeps) recycle their chunk allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceReader::open`].
-    pub fn open_with_pool(
-        path: impl AsRef<Path>,
-        pool: &BufferPool,
-    ) -> Result<TraceReader, TraceError> {
+        let pool = BufferPool::new();
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         let mut r = BufReader::new(file);

@@ -22,7 +22,7 @@ use super::format::{TraceError, TraceRecord};
 use super::reader::TraceReader;
 use crate::framing::FrameKind;
 use crate::proto::WireEvent;
-use crate::transport::{Frame, Link, SendStatus};
+use crate::transport::{Frame, Link};
 use crate::wire;
 use infopipes::PayloadBytes;
 use mbthread::{Ctx, Envelope, Flow, Kernel, Message, Tag, ThreadId, Time};
@@ -45,16 +45,12 @@ pub enum ReplayMode {
     AsFastAsPossible,
 }
 
-/// Lock-free counters shared between a running replay and the
-/// inspector ([`crate::inspect::register_replayer`]).
+/// Lock-free counters of a running replay, read through its
+/// [`ReplayHandle`].
 #[derive(Debug, Default)]
 pub struct ReplayCounters {
     frames: AtomicU64,
     bytes: AtomicU64,
-    unroutable: AtomicU64,
-    send_failures: AtomicU64,
-    lag_last_ns: AtomicU64,
-    lag_max_ns: AtomicU64,
     done: AtomicBool,
 }
 
@@ -67,27 +63,6 @@ impl ReplayCounters {
     /// Payload bytes re-offered so far.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Records skipped because no link is routed for their channel.
-    pub fn unroutable(&self) -> u64 {
-        self.unroutable.load(Ordering::Relaxed)
-    }
-
-    /// Sends the link reported [`SendStatus::Closed`] for.
-    pub fn send_failures(&self) -> u64 {
-        self.send_failures.load(Ordering::Relaxed)
-    }
-
-    /// How far behind its recorded timestamp the most recent frame went
-    /// out (ns). Always 0 under an unloaded virtual-time kernel.
-    pub fn lag_last_ns(&self) -> u64 {
-        self.lag_last_ns.load(Ordering::Relaxed)
-    }
-
-    /// The worst lag observed (ns).
-    pub fn lag_max_ns(&self) -> u64 {
-        self.lag_max_ns.load(Ordering::Relaxed)
     }
 
     /// Whether the replay has delivered its last record.
@@ -105,7 +80,7 @@ impl ReplayCounters {
 /// # Errors
 ///
 /// [`TraceError::Wire`] when an event payload fails to decode.
-pub fn record_to_frame(kind: FrameKind, payload: &PayloadBytes) -> Result<Frame, TraceError> {
+fn record_to_frame(kind: FrameKind, payload: &PayloadBytes) -> Result<Frame, TraceError> {
     Ok(match kind {
         FrameKind::Data => Frame::Data(payload.clone()),
         FrameKind::Event => Frame::Event(wire::from_bytes::<WireEvent>(payload.as_slice())?),
@@ -125,26 +100,16 @@ struct ReplayFn<L: Link> {
 impl<L: Link> ReplayFn<L> {
     fn send_record(&self, ctx: &mut Ctx<'_>, idx: usize) {
         let rec = &self.records[idx];
+        // A record on a channel no link is routed for, or an event that no
+        // longer decodes, is skipped; a send into a closed link still
+        // counts as offered.
         let Some(link) = self.routes.get(&rec.channel) else {
-            self.counters.unroutable.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let frame = match record_to_frame(rec.kind, &rec.payload) {
-            Ok(frame) => frame,
-            Err(_) => {
-                self.counters.send_failures.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        let Ok(frame) = record_to_frame(rec.kind, &rec.payload) else {
+            return;
         };
-        if matches!(self.mode, ReplayMode::AsRecorded) {
-            let lag = ctx.now().as_nanos().saturating_sub(rec.ts_ns);
-            self.counters.lag_last_ns.store(lag, Ordering::Relaxed);
-            self.counters.lag_max_ns.fetch_max(lag, Ordering::Relaxed);
-        }
-        let status = link.send_via(&mut |to, msg| ctx.send(to, msg).is_ok(), frame);
-        if matches!(status, SendStatus::Closed) {
-            self.counters.send_failures.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = link.send_via(&mut |to, msg| ctx.send(to, msg).is_ok(), frame);
         self.counters.frames.fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes
@@ -197,8 +162,7 @@ impl ReplayHandle {
         self.thread
     }
 
-    /// The shared counters (hand to
-    /// [`register_replayer`](crate::inspect::register_replayer)).
+    /// The replay's counters.
     #[must_use]
     pub fn counters(&self) -> Arc<ReplayCounters> {
         Arc::clone(&self.counters)
@@ -244,16 +208,7 @@ impl<L: Link> Replayer<L> {
     ///
     /// [`ExternalPort::send_at`]: mbthread::ExternalPort::send_at
     pub fn launch(self, reader: &TraceReader) -> Result<ReplayHandle, TraceError> {
-        self.launch_records(reader.records.clone())
-    }
-
-    /// Like [`Replayer::launch`] over an explicit record list (already
-    /// filtered or sliced by the caller).
-    ///
-    /// # Errors
-    ///
-    /// As [`Replayer::launch`].
-    pub fn launch_records(self, records: Vec<TraceRecord>) -> Result<ReplayHandle, TraceError> {
+        let records = reader.records.clone();
         let counters = Arc::new(ReplayCounters::default());
         let kick_at = match self.mode {
             ReplayMode::AsRecorded => Time::from_nanos(records.first().map_or(0, |r| r.ts_ns)),

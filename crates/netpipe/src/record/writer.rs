@@ -4,9 +4,9 @@
 //! links share one writer) accumulating data records into an in-memory
 //! chunk: each [`record`](TraceWriter::record) stores a stack-assembled
 //! 15-byte header plus the payload's refcounted [`PayloadBytes`] handle
-//! — **no payload copy**. When the chunk reaches its
-//! [`ChunkPolicy`] bound it is flushed as one vectored write
-//! (header slices interleaved with payload slices, via the same
+//! — **no payload copy**. When the chunk reaches [`CHUNK_RECORDS`]
+//! records or [`CHUNK_BYTES`] payload bytes it is flushed as one vectored
+//! write (header slices interleaved with payload slices, via the same
 //! [`write_all_vectored`](crate::framing) path the TCP backend batches
 //! through), with a CRC-32 over the record region computed incrementally
 //! at record time.
@@ -26,67 +26,21 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// When an in-memory chunk is flushed to the file.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ChunkPolicy {
-    /// Maximum data records per chunk.
-    pub max_records: usize,
-    /// Maximum payload bytes per chunk.
-    pub max_bytes: usize,
-}
+/// Data records after which the open chunk is flushed.
+const CHUNK_RECORDS: usize = 64;
+/// Payload bytes after which the open chunk is flushed.
+const CHUNK_BYTES: usize = 256 * 1024;
 
-impl Default for ChunkPolicy {
-    fn default() -> ChunkPolicy {
-        ChunkPolicy {
-            max_records: 64,
-            max_bytes: 256 * 1024,
-        }
-    }
-}
-
-/// Lock-free counters shared between a [`TraceWriter`] and the
-/// inspector ([`crate::inspect::register_recorder`]).
+/// Lock-free counters shared by a [`TraceWriter`]'s clones.
 #[derive(Debug, Default)]
-pub struct RecorderCounters {
+struct RecorderCounters {
     records: AtomicU64,
     payload_bytes: AtomicU64,
     file_bytes: AtomicU64,
     chunk_flushes: AtomicU64,
 }
 
-impl RecorderCounters {
-    /// Data records accepted so far.
-    pub fn records(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes accepted so far.
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written to the file so far (headers, chunks, footer).
-    pub fn file_bytes(&self) -> u64 {
-        self.file_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Chunks flushed so far.
-    pub fn chunk_flushes(&self) -> u64 {
-        self.chunk_flushes.load(Ordering::Relaxed)
-    }
-
-    /// A plain-value snapshot.
-    pub fn snapshot(&self) -> RecorderStats {
-        RecorderStats {
-            records: self.records(),
-            payload_bytes: self.payload_bytes(),
-            file_bytes: self.file_bytes(),
-            chunk_flushes: self.chunk_flushes(),
-        }
-    }
-}
-
-/// A point-in-time view of a writer's [`RecorderCounters`].
+/// A point-in-time view of a writer's counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecorderStats {
     /// Data records accepted.
@@ -107,8 +61,7 @@ struct Pending {
 }
 
 struct WriterInner {
-    sink: Box<dyn Write + Send>,
-    policy: ChunkPolicy,
+    sink: BufWriter<File>,
     /// Records of the open (unflushed) chunk.
     pending: Vec<Pending>,
     pending_payload_bytes: usize,
@@ -204,7 +157,7 @@ impl WriterInner {
 
 struct Shared {
     inner: Mutex<WriterInner>,
-    counters: Arc<RecorderCounters>,
+    counters: RecorderCounters,
 }
 
 /// A handle onto one trace file being written. Cheap to clone; clones
@@ -228,25 +181,9 @@ impl TraceWriter {
         name: &str,
         scenario: Option<&SimConfig>,
     ) -> Result<TraceWriter, TraceError> {
-        let file = BufWriter::new(File::create(path)?);
-        TraceWriter::to_sink(Box::new(file), name, scenario)
-    }
-
-    /// Like [`TraceWriter::create`] over an arbitrary sink (tests,
-    /// in-memory captures).
-    ///
-    /// # Errors
-    ///
-    /// I/O or wire-codec failures writing the preamble.
-    pub fn to_sink(
-        sink: Box<dyn Write + Send>,
-        name: &str,
-        scenario: Option<&SimConfig>,
-    ) -> Result<TraceWriter, TraceError> {
-        let counters = Arc::new(RecorderCounters::default());
+        let counters = RecorderCounters::default();
         let mut inner = WriterInner {
-            sink,
-            policy: ChunkPolicy::default(),
+            sink: BufWriter::new(File::create(path)?),
             pending: Vec::new(),
             pending_payload_bytes: 0,
             crc: infopipes::Crc32::new(),
@@ -272,14 +209,6 @@ impl TraceWriter {
                 counters,
             }),
         })
-    }
-
-    /// Overrides the chunk flush policy (builder style; affects all
-    /// clones).
-    #[must_use]
-    pub fn with_chunk_policy(self, policy: ChunkPolicy) -> TraceWriter {
-        self.shared.inner.lock().policy = policy;
-        self
     }
 
     /// Declares a channel. The open chunk is flushed first so the
@@ -342,9 +271,7 @@ impl TraceWriter {
             .payload_bytes
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         inner.pending.push(Pending { header, payload });
-        if inner.pending.len() >= inner.policy.max_records
-            || inner.pending_payload_bytes >= inner.policy.max_bytes
-        {
+        if inner.pending.len() >= CHUNK_RECORDS || inner.pending_payload_bytes >= CHUNK_BYTES {
             inner.flush_chunk(&self.shared.counters)?;
         }
         Ok(())
@@ -357,7 +284,12 @@ impl TraceWriter {
     /// # Errors
     ///
     /// As [`TraceWriter::record`], plus wire-codec failures for events.
-    pub fn record_frame(&self, channel: u16, ts_ns: u64, frame: &Frame) -> Result<(), TraceError> {
+    pub(crate) fn record_frame(
+        &self,
+        channel: u16,
+        ts_ns: u64,
+        frame: &Frame,
+    ) -> Result<(), TraceError> {
         let (kind, payload) = match frame {
             Frame::Data(p) => (FrameKind::Data, p.clone()),
             Frame::Event(ev) => (FrameKind::Event, wire::to_payload(ev)?),
@@ -392,17 +324,16 @@ impl TraceWriter {
         self.shared.inner.lock().finish(&self.shared.counters)
     }
 
-    /// The shared counters (hand to
-    /// [`register_recorder`](crate::inspect::register_recorder)).
-    #[must_use]
-    pub fn counters(&self) -> Arc<RecorderCounters> {
-        Arc::clone(&self.shared.counters)
-    }
-
     /// A point-in-time stats snapshot.
     #[must_use]
     pub fn stats(&self) -> RecorderStats {
-        self.shared.counters.snapshot()
+        let c = &self.shared.counters;
+        RecorderStats {
+            records: c.records.load(Ordering::Relaxed),
+            payload_bytes: c.payload_bytes.load(Ordering::Relaxed),
+            file_bytes: c.file_bytes.load(Ordering::Relaxed),
+            chunk_flushes: c.chunk_flushes.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -418,5 +349,106 @@ impl std::fmt::Debug for TraceWriter {
         f.debug_struct("TraceWriter")
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::WireEvent;
+    use crate::record::TraceReader;
+    use std::path::PathBuf;
+
+    struct TempTrace(PathBuf);
+
+    impl TempTrace {
+        fn new(name: &str) -> TempTrace {
+            TempTrace(
+                std::env::temp_dir()
+                    .join(format!("nptrace-unit-{}-{name}.trace", std::process::id())),
+            )
+        }
+    }
+
+    impl Drop for TempTrace {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// Each frame kind a recording tap hands the writer comes back with
+    /// its kind and payload: data shared as-is, the event wire-encoded,
+    /// control bytes wrapped, `Fin` empty.
+    #[test]
+    fn record_frame_round_trips_every_frame_kind() {
+        let path = TempTrace::new("frames");
+        let writer = TraceWriter::create(&path.0, "frames", None).expect("create");
+        let event = WireEvent::SetDropLevel(2);
+        writer
+            .record_frame(0, 1, &Frame::Data(PayloadBytes::from_vec(vec![1, 2, 3])))
+            .expect("data");
+        writer
+            .record_frame(0, 2, &Frame::Event(event.clone()))
+            .expect("event");
+        writer
+            .record_frame(0, 3, &Frame::Control(vec![9, 9, 9]))
+            .expect("control");
+        writer.record_frame(0, 4, &Frame::Fin).expect("fin");
+        writer.finish().expect("finish");
+
+        let reader = TraceReader::open(&path.0).expect("open");
+        let got: Vec<_> = reader
+            .records
+            .iter()
+            .map(|r| (r.ts_ns, r.kind, r.payload.as_slice().to_vec()))
+            .collect();
+        let encoded = wire::to_payload(&event).expect("encode");
+        assert_eq!(
+            got,
+            vec![
+                (1, FrameKind::Data, vec![1, 2, 3]),
+                (2, FrameKind::Event, encoded.as_slice().to_vec()),
+                (3, FrameKind::Control, vec![9, 9, 9]),
+                (4, FrameKind::Fin, Vec::new()),
+            ]
+        );
+        let back: WireEvent =
+            wire::from_bytes(reader.records[1].payload.as_slice()).expect("decode");
+        assert_eq!(back, event);
+    }
+
+    /// Payload bytes bound a chunk as well as record count: five 100 KiB
+    /// records — far fewer than `CHUNK_RECORDS` — flush a chunk each
+    /// time the open chunk reaches `CHUNK_BYTES`.
+    #[test]
+    fn payload_bytes_bound_a_chunk() {
+        let path = TempTrace::new("bytes");
+        let writer = TraceWriter::create(&path.0, "bytes", None).expect("create");
+        let record_bytes = 100 * 1024;
+        for i in 0..5u64 {
+            writer
+                .record(
+                    0,
+                    i,
+                    FrameKind::Data,
+                    PayloadBytes::from_vec(vec![i as u8; record_bytes]),
+                )
+                .expect("record");
+        }
+        // Records 0-2 reach 300 KiB >= CHUNK_BYTES and flush; 3-4 stay open.
+        let stats = writer.stats();
+        assert_eq!(stats.chunk_flushes, 1, "{stats:?}");
+        assert_eq!(stats.payload_bytes, 5 * record_bytes as u64);
+        writer.finish().expect("finish");
+
+        let reader = TraceReader::open(&path.0).expect("open");
+        let footer = reader.footer.as_ref().expect("footer");
+        let per_chunk: Vec<u32> = footer.chunks.iter().map(|c| c.records).collect();
+        assert_eq!(per_chunk, vec![3, 2]);
+        assert_eq!(footer.bytes, stats.payload_bytes);
+        for (i, rec) in reader.records.iter().enumerate() {
+            assert_eq!(rec.payload.len(), record_bytes);
+            assert!(rec.payload.as_slice().iter().all(|&b| b == i as u8));
+        }
     }
 }

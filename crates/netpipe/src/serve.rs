@@ -9,12 +9,11 @@
 //! * an [`AcceptLoop`] per transport turns incoming links into
 //!   registered **sessions** — it polls
 //!   [`Acceptor::accept_timeout`] so shutdown never needs a poison
-//!   connection. Its thread, like the [`Housekeeper`]'s, is one of the
-//!   crate's shared service workers: stopped and joined on shutdown or
-//!   drop,
+//!   connection. Its thread is one of the crate's shared service
+//!   workers: stopped and joined on shutdown or drop,
 //! * a [`SessionRegistry`] owns the roster: each session walks the
-//!   lifecycle [`Connecting` → `Active` → `Draining` →
-//!   `Evicted`](SessionState), observable through
+//!   lifecycle [`Active` → `Draining` → `Evicted`](SessionState),
+//!   observable through
 //!   [`SessionSnapshot`]s and aggregate [`RegistryStats`],
 //! * [`SessionRegistry::broadcast`] tees one sealed
 //!   [`PayloadBytes`] frame into every active session's bounded send
@@ -47,7 +46,7 @@
 //! said it would not wait. Because no data frame reaches the link any
 //! other way, nothing can fill the lane between the question and the
 //! send — the "never blocks" contract holds by construction — and two
-//! flushers of one session (a broadcaster and a housekeeper) cannot
+//! flushers of one session (a broadcaster and a sweeper) cannot
 //! reorder its frames. A frame for a session whose queue is empty and
 //! whose link is ready goes straight to the link under the same
 //! acquisition and never touches the queue. Control frames and `Fin`
@@ -61,25 +60,22 @@
 //! # Typical assembly
 //!
 //! ```no_run
-//! use netpipe::serve::{AcceptLoop, ServeConfig, SessionRegistry};
-//! use netpipe::{InProcTransport, Transport};
+//! use netpipe::{AcceptLoop, InProcTransport, ServeConfig, SessionRegistry, Transport};
 //!
 //! let transport = InProcTransport::new();
 //! let acceptor = transport.listen("studio").unwrap();
 //! let registry = SessionRegistry::new(ServeConfig::default());
 //! let accept = AcceptLoop::spawn(acceptor, registry.clone());
 //! // ... the producer pipeline ends in
-//! // `BroadcastSendEnd::new("fan-out", registry.clone())` ...
+//! // `NetSendEnd::new("fan-out", registry.clone())` ...
 //! accept.shutdown();
 //! ```
 
-use crate::proto::WireEvent;
 use crate::transport::{
-    sealed, Acceptor, Frame, KernelPost, Link, NetSendEnd, PeerIdentity, SaturationWindow,
-    SendSink, SendStatus,
+    sealed, Acceptor, Frame, KernelPost, Link, PeerIdentity, SaturationWindow, SendSink, SendStatus,
 };
 use crate::worker::{spawn_accept_loop, Accepted, Worker};
-use infopipes::{ControlEvent, PayloadBytes};
+use infopipes::PayloadBytes;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::fmt;
@@ -94,14 +90,12 @@ pub type SessionId = u64;
 /// Where a session is in its lifecycle.
 ///
 /// ```text
-/// Connecting ──activate──▶ Active ──drain──▶ Draining ──flushed/deadline──▶ Evicted
-///      │                     │                                                 ▲
-///      └──── link closed ────┴────────────────── evict ───────────────────────┘
+/// Active ──drain──▶ Draining ──flushed/deadline──▶ Evicted
+///   │                                                ▲
+///   └────────────────── link closed ─────────────────┘
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SessionState {
-    /// Registered but not yet receiving broadcasts (handshake pending).
-    Connecting,
     /// Receiving broadcast frames.
     Active,
     /// No new frames; queued frames are flushed until empty or the drain
@@ -115,7 +109,6 @@ pub enum SessionState {
 impl fmt::Display for SessionState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            SessionState::Connecting => "connecting",
             SessionState::Active => "active",
             SessionState::Draining => "draining",
             SessionState::Evicted => "evicted",
@@ -132,7 +125,7 @@ pub struct ServeConfig {
     /// marked pressured.
     pub queue_capacity: usize,
     /// Send attempts per session between saturation readings (mirrors
-    /// [`NetSendEnd`]'s window).
+    /// [`NetSendEnd`](crate::NetSendEnd)'s window).
     pub saturation_window: u64,
     /// How long a [`Draining`](SessionState::Draining) session may keep
     /// flushing before it is force-evicted with its queue unsent.
@@ -217,8 +210,6 @@ pub struct RegistryStats {
     pub accepted_total: u64,
     /// Sessions that reached [`SessionState::Evicted`].
     pub evicted_total: u64,
-    /// Resident sessions currently [`SessionState::Connecting`].
-    pub connecting: usize,
     /// Resident sessions currently [`SessionState::Active`].
     pub active: usize,
     /// Resident sessions currently [`SessionState::Draining`].
@@ -255,8 +246,8 @@ struct RegistryInner<L> {
 /// refcounted broadcast fan-out, per-session congestion readings.
 ///
 /// Cheaply cloneable; clones share the roster (the [`AcceptLoop`] holds
-/// one clone, the producer-side [`BroadcastSendEnd`] another, the
-/// feedback loop a third).
+/// one clone, the producer-side [`NetSendEnd`](crate::NetSendEnd)
+/// another, the feedback loop a third).
 pub struct SessionRegistry<L: Link> {
     inner: Arc<RegistryInner<L>>,
 }
@@ -291,37 +282,16 @@ impl<L: Link> SessionRegistry<L> {
         self.inner.cfg
     }
 
-    /// Registers a link as a [`Connecting`](SessionState::Connecting)
-    /// session; it receives no broadcasts until
-    /// [`activate`](SessionRegistry::activate)d.
-    pub fn register(&self, link: L) -> SessionId {
-        self.enroll(link, SessionState::Connecting)
-    }
-
-    /// Moves a [`Connecting`](SessionState::Connecting) session into
-    /// [`Active`](SessionState::Active); no-op in any other state.
-    pub fn activate(&self, id: SessionId) {
-        if let Some(s) = self.find(id) {
-            let mut cell = s.cell.lock();
-            if cell.state == SessionState::Connecting {
-                cell.state = SessionState::Active;
-            }
-        }
-    }
-
-    /// Registers and immediately activates (the accept loop's path).
+    /// Registers a link as an [`Active`](SessionState::Active) session
+    /// (the accept loop's path).
     pub fn admit(&self, link: L) -> SessionId {
-        self.enroll(link, SessionState::Active)
-    }
-
-    fn enroll(&self, link: L, state: SessionState) -> SessionId {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let session = Arc::new(SessionShared {
             id,
             peer: link.peer(),
             link,
             cell: Mutex::new(SessionCell {
-                state,
+                state: SessionState::Active,
                 drain_deadline: None,
                 // Preallocated once: steady-state broadcasts push into
                 // existing capacity, keeping the fan-out allocation-free.
@@ -446,12 +416,8 @@ impl<L: Link> SessionRegistry<L> {
         true
     }
 
-    /// Sends a control event to every connecting, active, or draining
-    /// session (control lane — overtakes queued data on every backend).
-    pub fn broadcast_event(&self, event: &ControlEvent) {
-        self.broadcast_ctrl(&Frame::Event(WireEvent::from(event)));
-    }
-
+    /// Sends a control frame to every active or draining session (control
+    /// lane — overtakes queued data on every backend).
     fn broadcast_ctrl(&self, frame: &Frame) {
         for s in self.roster().iter() {
             let state = s.cell.lock().state;
@@ -470,8 +436,8 @@ impl<L: Link> SessionRegistry<L> {
         }
     }
 
-    /// Starts draining every connecting or active session (the serving
-    /// tier's response to end of stream).
+    /// Starts draining every active session (the serving tier's response
+    /// to end of stream).
     pub fn drain_all(&self) {
         for s in self.roster().iter() {
             self.start_drain(&mut s.cell.lock());
@@ -479,7 +445,7 @@ impl<L: Link> SessionRegistry<L> {
     }
 
     fn start_drain(&self, cell: &mut SessionCell) {
-        if matches!(cell.state, SessionState::Connecting | SessionState::Active) {
+        if cell.state == SessionState::Active {
             cell.state = SessionState::Draining;
             cell.drain_deadline = Some(Instant::now() + self.inner.cfg.drain_deadline);
         }
@@ -487,9 +453,8 @@ impl<L: Link> SessionRegistry<L> {
 
     /// One housekeeping pass: flushes active and draining queues,
     /// completes drains (empty queue → `Fin` → evicted), and force-evicts
-    /// draining sessions past their deadline. Call this from a
-    /// housekeeper thread ([`SessionRegistry::spawn_housekeeper`]) or
-    /// between broadcasts.
+    /// draining sessions past their deadline. Call this between
+    /// broadcasts, or periodically from a thread of your own.
     pub fn sweep(&self) {
         for s in self.roster().iter() {
             let mut cell = s.cell.lock();
@@ -500,7 +465,7 @@ impl<L: Link> SessionRegistry<L> {
                         || cell.frames.is_empty()
                         || cell.drain_deadline.is_some_and(|d| Instant::now() >= d)
                 }
-                SessionState::Connecting | SessionState::Evicted => false,
+                SessionState::Evicted => false,
             };
             if done {
                 self.evict_locked(s, cell);
@@ -508,19 +473,13 @@ impl<L: Link> SessionRegistry<L> {
         }
     }
 
-    /// Evicts a session immediately: its queue is released (every queued
-    /// frame's refcount drops), a `Fin` is sent best-effort, and the
-    /// session becomes [`Evicted`](SessionState::Evicted) (resident until
-    /// [`reap`](SessionRegistry::reap)).
-    pub fn evict(&self, id: SessionId) {
-        if let Some(s) = self.find(id) {
-            self.evict_locked(&s, s.cell.lock());
-        }
-    }
-
-    /// Evicts the session whose lock the caller holds. Only the caller
-    /// that makes the transition gets past the check, so the `Fin` goes
-    /// out once — on the control lane, after the lock is released.
+    /// Evicts the session whose lock the caller holds: its queue is
+    /// released (every queued frame's refcount drops), a `Fin` is sent
+    /// best-effort, and the session becomes
+    /// [`Evicted`](SessionState::Evicted) (resident until
+    /// [`reap`](SessionRegistry::reap)). Only the caller that makes the
+    /// transition gets past the check, so the `Fin` goes out once — on the
+    /// control lane, after the lock is released.
     fn evict_locked(&self, s: &SessionShared<L>, mut cell: MutexGuard<'_, SessionCell>) {
         if cell.state == SessionState::Evicted {
             return;
@@ -554,7 +513,7 @@ impl<L: Link> SessionRegistry<L> {
     }
 
     /// Drains the pending per-session saturation readings (the same
-    /// 0..=1 pressured-fraction a [`NetSendEnd`]
+    /// 0..=1 pressured-fraction a [`NetSendEnd`](crate::NetSendEnd)
     /// broadcasts under [`feedback::readings::SEND_SATURATION`], but one
     /// stream per session). Feed these to a per-session controller bank.
     pub fn take_readings(&self) -> Vec<(SessionId, f64)> {
@@ -603,7 +562,6 @@ impl<L: Link> SessionRegistry<L> {
         for s in roster.iter() {
             let cell = s.cell.lock();
             match cell.state {
-                SessionState::Connecting => stats.connecting += 1,
                 SessionState::Active => stats.active += 1,
                 SessionState::Draining => stats.draining += 1,
                 SessionState::Evicted => stats.evicted_resident += 1,
@@ -633,23 +591,6 @@ impl<L: Link> SessionRegistry<L> {
     fn roster(&self) -> Roster<L> {
         Arc::clone(&self.inner.roster.lock())
     }
-
-    /// Spawns a thread that calls [`sweep`](SessionRegistry::sweep) and
-    /// [`reap`](SessionRegistry::reap) every `period` until the returned
-    /// handle is shut down or dropped.
-    #[must_use]
-    pub fn spawn_housekeeper(&self, period: Duration) -> Housekeeper {
-        let registry = self.clone();
-        let worker = Worker::spawn("serve-housekeeper", move |stop| loop {
-            registry.sweep();
-            registry.reap();
-            if stop.sleep(period) {
-                return;
-            }
-        })
-        .expect("spawn housekeeper");
-        Housekeeper { _worker: worker }
-    }
 }
 
 impl<L: Link> fmt::Debug for SessionRegistry<L> {
@@ -661,19 +602,6 @@ impl<L: Link> fmt::Debug for SessionRegistry<L> {
             .field("evicted_total", &stats.evicted_total)
             .finish()
     }
-}
-
-/// Handle to a registry housekeeper thread
-/// ([`SessionRegistry::spawn_housekeeper`]); stops and joins it on
-/// [`shutdown`](Housekeeper::shutdown) or drop, without waiting out the
-/// current period.
-pub struct Housekeeper {
-    _worker: Worker,
-}
-
-impl Housekeeper {
-    /// Stops the housekeeper and waits for its thread to exit.
-    pub fn shutdown(self) {}
 }
 
 /// A serving thread turning incoming links into registered sessions:
@@ -716,20 +644,16 @@ impl fmt::Debug for AcceptLoop {
     }
 }
 
-/// The producer-side pipeline stage of the serving tier: the
-/// [`NetSendEnd`] whose sink is a session roster instead of one link. It
-/// accepts [`WireBytes`](crate::WireBytes) and tees each sealed payload
-/// into every registered session via [`SessionRegistry::broadcast`].
-///
-/// Broadcast control events go to every session's control lane; end of
-/// stream starts a registry-wide drain (sessions flush their queues, get
-/// a `Fin`, and are evicted). Per-session saturation readings come out
-/// of the registry ([`SessionRegistry::take_readings`]), not the
-/// pipeline's event bus.
-pub type BroadcastSendEnd<L> = NetSendEnd<SessionRegistry<L>>;
-
 impl<L: Link> sealed::Sealed for SessionRegistry<L> {}
 
+/// A [`NetSendEnd`](crate::NetSendEnd) over a session roster is the
+/// producer-side pipeline stage of the serving tier: it tees each sealed
+/// payload into every registered session via
+/// [`SessionRegistry::broadcast`]. Broadcast control events go to every
+/// session's control lane; end of stream starts a registry-wide drain
+/// (sessions flush their queues, get a `Fin`, and are evicted).
+/// Per-session saturation readings come out of the registry
+/// ([`SessionRegistry::take_readings`]), not the pipeline's event bus.
 impl<L: Link> SendSink for SessionRegistry<L> {
     fn transmit(&self, _post: KernelPost<'_>, frame: Frame) -> Option<SendStatus> {
         match frame {

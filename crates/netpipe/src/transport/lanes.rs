@@ -225,9 +225,7 @@ impl LaneQueue {
         }
     }
 
-    /// Waits until something is due, then takes a write batch. An
-    /// undersized all-data batch is held open for one `policy.linger`:
-    /// frames arriving meanwhile join the same write.
+    /// Waits until something is due, then takes a write batch.
     pub(crate) fn take_batch(&self, policy: BatchPolicy) -> Batch {
         let mut batch = Batch::default();
         let mut q = self.lanes.lock();
@@ -237,16 +235,6 @@ impl LaneQueue {
                 break;
             }
             self.wait(&mut q, None);
-        }
-        if let Some(linger) = policy.linger {
-            if batch.ctrl.is_empty()
-                && !batch.fin
-                && batch.data.len() < policy.max_frames
-                && batch.data_bytes < policy.max_bytes
-            {
-                self.wait(&mut q, Some(linger));
-                q.take(policy, &mut batch);
-            }
         }
         if !batch.data.is_empty() {
             self.wake(q); // space freed

@@ -231,7 +231,7 @@ pub(crate) mod rendezvous {
 pub use inproc::{InProcAcceptor, InProcLink, InProcTransport};
 pub use sim::{SimAcceptor, SimConfig, SimLink, SimTransport};
 pub use tcp::{TcpAcceptor, TcpLink, TcpTransport};
-pub use udp::{UdpAcceptor, UdpLink, UdpTransport, DEFAULT_MAX_DATAGRAM};
+pub use udp::{UdpAcceptor, UdpLink, UdpTransport};
 
 use crate::marshal::WireBytes;
 use crate::proto::WireEvent;
@@ -370,19 +370,6 @@ pub struct LinkStats {
     pub rx_shed: u64,
 }
 
-impl LinkStats {
-    /// The delivered fraction of sent frames, as observable by a single
-    /// end (in-process backends share counters between both ends).
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.sent as f64
-        }
-    }
-}
-
 /// Lock-free shared counters backing [`LinkStats`].
 #[derive(Debug, Default)]
 pub(crate) struct SharedStats {
@@ -428,8 +415,6 @@ pub enum TransportError {
     Closed,
     /// The receive side was already consumed by `bind_receiver`.
     ReceiverTaken,
-    /// An operation timed out.
-    Timeout,
     /// A socket error.
     Io(std::io::Error),
 }
@@ -441,7 +426,6 @@ impl fmt::Display for TransportError {
             TransportError::AddrInUse(a) => write!(f, "address '{a}' already bound"),
             TransportError::Closed => write!(f, "link closed"),
             TransportError::ReceiverTaken => write!(f, "receive side already bound"),
-            TransportError::Timeout => write!(f, "operation timed out"),
             TransportError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -458,7 +442,7 @@ impl From<std::io::Error> for TransportError {
 /// A kernel-thread message poster, for [`Link::send_via`]: pipeline
 /// stages post through their kernel context so in-kernel backends (the
 /// simulator) stay deterministic under virtual time.
-pub type KernelPost<'a> = &'a mut dyn FnMut(ThreadId, Message) -> bool;
+pub(crate) type KernelPost<'a> = &'a mut dyn FnMut(ThreadId, Message) -> bool;
 
 // ---------------------------------------------------------------------
 // The traits
@@ -512,7 +496,7 @@ pub trait Acceptor: Send {
     /// `Ok(None)` means the timeout elapsed with no connection pending.
     ///
     /// This is the polling form accept loops are built on
-    /// ([`AcceptLoop`](crate::serve::AcceptLoop)): a serving thread can
+    /// ([`AcceptLoop`](crate::AcceptLoop)): a serving thread can
     /// check its shutdown flag between bounded waits instead of parking
     /// forever inside [`Acceptor::accept`].
     ///
@@ -527,9 +511,9 @@ pub trait Acceptor: Send {
 /// Links are cheaply cloneable handles; clones share the underlying
 /// connection (one clone feeds a [`NetSendEnd`] stage while another is
 /// probed for [`LinkStats`]). They are also `Sync`: the serving tier
-/// ([`crate::serve`]) sends on a link from whichever thread runs the
-/// broadcast sweep while an accept loop and housekeeper hold the same
-/// handle.
+/// ([`SessionRegistry`](crate::SessionRegistry)) sends on a link from
+/// whichever thread runs the broadcast sweep while an accept loop holds
+/// the same handle.
 pub trait Link: Clone + Send + Sync + 'static {
     /// Identity of the remote end.
     fn peer(&self) -> PeerIdentity;
@@ -542,9 +526,10 @@ pub trait Link: Clone + Send + Sync + 'static {
     /// waiting (inproc, sim, udp) are always ready — the default. A
     /// stream backend whose send can wait for queue space (TCP) must
     /// report readiness honestly, so a fan-out sweep
-    /// ([`crate::serve`]) can leave a stalled client's frames queued
-    /// instead of stalling inside its send path. A closed link is
-    /// "ready": its send returns [`SendStatus::Closed`] immediately.
+    /// ([`SessionRegistry::sweep`](crate::SessionRegistry::sweep)) can
+    /// leave a stalled client's frames queued instead of stalling inside
+    /// its send path. A closed link is "ready": its send returns
+    /// [`SendStatus::Closed`] immediately.
     fn send_ready(&self) -> bool {
         true
     }
@@ -675,23 +660,19 @@ impl SaturationProbe {
     }
 }
 
-/// How a wire-backed link coalesces small data frames before writing.
+/// How the TCP writer coalesces small data frames into one vectored
+/// write.
 ///
 /// A batch closes when it reaches `max_frames` frames or `max_bytes`
-/// payload bytes, when a control/event frame needs to overtake, at end of
-/// stream, or — if `linger` is set — when the linger deadline passes with
-/// the batch still undersized. The default (`linger: None`) flushes as
-/// soon as the sender's queue runs dry, trading no latency for fewer
-/// syscalls only under genuine load.
+/// payload bytes, when a control/event frame needs to overtake, or at end
+/// of stream; the writer flushes as soon as the sender's queue runs dry,
+/// trading no latency for fewer syscalls only under genuine load.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
+pub(crate) struct BatchPolicy {
     /// Maximum data frames coalesced into one vectored write.
-    pub max_frames: usize,
+    pub(crate) max_frames: usize,
     /// Maximum payload bytes coalesced into one vectored write.
-    pub max_bytes: usize,
-    /// How long to hold an undersized batch open waiting for more frames;
-    /// `None` sends as soon as the queue is drained.
-    pub linger: Option<Duration>,
+    pub(crate) max_bytes: usize,
 }
 
 impl Default for BatchPolicy {
@@ -699,15 +680,13 @@ impl Default for BatchPolicy {
         BatchPolicy {
             max_frames: 64,
             max_bytes: 256 * 1024,
-            linger: None,
         }
     }
 }
 
 impl BatchPolicy {
     /// A policy that never coalesces: each frame is written on its own.
-    #[must_use]
-    pub fn unbatched() -> BatchPolicy {
+    pub(crate) fn unbatched() -> BatchPolicy {
         BatchPolicy {
             max_frames: 1,
             ..BatchPolicy::default()
@@ -758,7 +737,7 @@ pub(crate) mod sealed {
 
 /// What a [`NetSendEnd`] transmits into: one [`Link`], or the session
 /// roster of a serving tier
-/// ([`SessionRegistry`](crate::serve::SessionRegistry)). Sealed — a new
+/// ([`SessionRegistry`](crate::SessionRegistry)). Sealed — a new
 /// transport implements [`Link`] and gets this for free.
 pub trait SendSink: sealed::Sealed + Send + 'static {
     /// Transmits one frame from inside a kernel thread. A single link
@@ -778,8 +757,7 @@ impl<L: Link> SendSink for L {
 /// The producer-side end of a netpipe: a passive pipeline sink accepting
 /// [`WireBytes`] and transmitting them as data frames into a
 /// [`SendSink`] — over any [`Link`], or fanned out to every session of a
-/// [`SessionRegistry`](crate::serve::SessionRegistry)
-/// ([`BroadcastSendEnd`](crate::serve::BroadcastSendEnd)). Broadcast
+/// [`SessionRegistry`](crate::SessionRegistry). Broadcast
 /// control events are forwarded on the control lane; end of stream
 /// becomes a `Fin` frame.
 ///

@@ -398,7 +398,8 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// A transport with the default send-queue depth (1024 data frames)
-    /// and the default [`BatchPolicy`].
+    /// and frame coalescing on: up to 64 frames or 256 KiB per vectored
+    /// write.
     #[must_use]
     pub fn new() -> TcpTransport {
         TcpTransport {
@@ -417,21 +418,13 @@ impl TcpTransport {
         }
     }
 
-    /// Overrides how the writer thread coalesces small frames into one
-    /// vectored write. Applies to every link this transport creates or
-    /// accepts.
-    #[must_use]
-    pub fn with_batching(mut self, batch: BatchPolicy) -> TcpTransport {
-        self.batch = batch;
-        self
-    }
-
     /// Disables frame coalescing: each frame gets its own write
     /// (the pre-batching behaviour; useful for latency-sensitive or
     /// comparison runs).
     #[must_use]
-    pub fn without_batching(self) -> TcpTransport {
-        self.with_batching(BatchPolicy::unbatched())
+    pub fn without_batching(mut self) -> TcpTransport {
+        self.batch = BatchPolicy::unbatched();
+        self
     }
 }
 

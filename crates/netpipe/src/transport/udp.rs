@@ -33,8 +33,8 @@
 
 use super::lanes::LaneQueue;
 use super::{
-    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, Pending, ReceiverSlot,
-    RecvOutcome, SendStatus, SharedStats, Transport, TransportError,
+    Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, ReceiverSlot, RecvOutcome, SendStatus,
+    SharedStats, Transport, TransportError,
 };
 use crate::proto::WireEvent;
 use crate::wire;
@@ -57,13 +57,16 @@ const TAG_FIN: u8 = 3;
 /// `[TAG_BATCH]([len: u32 LE][payload])*` — N frames for one `send`.
 const TAG_BATCH: u8 = 4;
 
-/// The largest payload the backend will put in one datagram by default,
-/// comfortably under the UDP maximum (65507) to leave header room.
-pub const DEFAULT_MAX_DATAGRAM: usize = 60 * 1024;
+/// The largest payload the backend puts in one datagram, comfortably
+/// under the UDP maximum (65507) to leave header room.
+const MAX_DATAGRAM: usize = 60 * 1024;
 
 /// How long a partial packed datagram is held open before the flusher
-/// sends it, when the policy doesn't specify a linger.
-const DEFAULT_UDP_LINGER: Duration = Duration::from_millis(1);
+/// sends it.
+const UDP_LINGER: Duration = Duration::from_millis(1);
+
+/// Data frames packed into one datagram at most.
+const PACK_FRAMES: u64 = 64;
 
 /// Seals `payload` into a pooled buffer — the receive-side copy off the
 /// socket, allocation-free once the pool is warm.
@@ -158,15 +161,12 @@ struct UdpInner {
     peer: PeerIdentity,
     side: LinkSide,
     rx: Arc<LaneQueue>,
-    max_datagram: usize,
     stats: Arc<SharedStats>,
     fin_sent: AtomicBool,
     receiver: ReceiverSlot,
     /// Pool arriving data payloads are sealed into (shared with the
     /// listener's [`PeerEntry`] on the server side).
     rx_pool: BufferPool,
-    /// Small-frame packing policy; `None` sends one datagram per frame.
-    batch: Option<BatchPolicy>,
     tx_batch: Mutex<TxBatch>,
     /// The linger flusher, spawned on the first packed frame; `None`
     /// remembers a refused spawn, after which packed frames flush inline.
@@ -256,18 +256,16 @@ pub struct UdpLink {
 }
 
 impl UdpLink {
-    fn new(peer_addr: String, side: LinkSide, entry: PeerEntry, cfg: &UdpTransport) -> UdpLink {
+    fn new(peer_addr: String, side: LinkSide, entry: PeerEntry) -> UdpLink {
         UdpLink {
             inner: Arc::new(UdpInner {
                 peer: PeerIdentity::new("udp", peer_addr),
                 side,
                 rx: entry.rx,
-                max_datagram: cfg.max_datagram,
                 stats: entry.stats,
                 fin_sent: AtomicBool::new(false),
                 receiver: ReceiverSlot::default(),
                 rx_pool: entry.pool,
-                batch: cfg.batch,
                 tx_batch: Mutex::new(TxBatch::default()),
                 flusher: OnceLock::new(),
             }),
@@ -287,12 +285,11 @@ impl UdpLink {
     /// packed datagram is pending, until the link is gone or finished.
     /// Without a flusher (the OS refused the thread) nothing may stay
     /// pending, so the frame goes out now.
-    fn ensure_flusher(&self, linger: Duration) {
+    fn ensure_flusher(&self) {
         let flusher = self.inner.flusher.get_or_init(|| {
             let weak = Arc::downgrade(&self.inner);
-            let linger = linger.max(Duration::from_micros(100));
             Worker::spawn("udp-netpipe-flusher", move |stop: &Stop| {
-                while !stop.sleep(linger) {
+                while !stop.sleep(UDP_LINGER) {
                     let Some(inner) = weak.upgrade() else { return };
                     inner.flush_pending();
                     if inner.fin_sent.load(Ordering::Acquire) {
@@ -364,25 +361,22 @@ impl Link for UdpLink {
         match frame {
             Frame::Data(bytes) => {
                 inner.stats.sent.fetch_add(1, Ordering::Relaxed);
-                if bytes.len() > inner.max_datagram {
+                if bytes.len() > MAX_DATAGRAM {
                     // An oversized frame cannot ride one datagram: shed
                     // it, like a router refusing a jumbo packet.
                     inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
                     return SendStatus::Dropped;
                 }
-                let Some(policy) = inner.batch else {
-                    return inner.send_data_single(&bytes);
-                };
                 // Pack small frames: `[len][payload]` entries appended to
                 // the pending `TAG_BATCH` datagram, flushed when the next
-                // frame would overflow it, when it reaches `max_frames`,
+                // frame would overflow it, when it reaches `PACK_FRAMES`,
                 // or when the linger flusher fires.
                 let entry_len = 4 + bytes.len();
                 let mut batch = inner.tx_batch.lock();
-                if batch.frames > 0 && batch.buf.len() + entry_len > inner.max_datagram + 1 {
+                if batch.frames > 0 && batch.buf.len() + entry_len > MAX_DATAGRAM + 1 {
                     inner.flush_batch(&mut batch);
                 }
-                if 1 + entry_len > inner.max_datagram + 1 {
+                if 1 + entry_len > MAX_DATAGRAM + 1 {
                     // Too big to pack even alone (entry framing would
                     // overflow the datagram): pending data already went
                     // out above, so ordering holds — send it singly.
@@ -397,11 +391,11 @@ impl Link for UdpLink {
                 batch.buf.extend_from_slice(&bytes);
                 batch.frames += 1;
                 batch.payload_bytes += bytes.len() as u64;
-                if batch.frames >= policy.max_frames.max(1) as u64 {
+                if batch.frames >= PACK_FRAMES {
                     inner.flush_batch(&mut batch);
                 } else {
                     drop(batch);
-                    self.ensure_flusher(policy.linger.unwrap_or(DEFAULT_UDP_LINGER));
+                    self.ensure_flusher();
                 }
                 SendStatus::Sent
             }
@@ -544,7 +538,6 @@ fn reader_loop(server: &Weak<ServerShared>, stop: &Stop) {
 /// links and exits once the last of them is gone.
 pub struct UdpAcceptor {
     server: Arc<ServerShared>,
-    cfg: UdpTransport,
 }
 
 impl Drop for UdpAcceptor {
@@ -587,7 +580,6 @@ impl UdpAcceptor {
             peer_addr.to_string(),
             side,
             entry.ok_or(TransportError::Closed)?,
-            &self.cfg,
         ))
     }
 }
@@ -604,59 +596,19 @@ impl std::fmt::Debug for UdpAcceptor {
 // The transport
 // ---------------------------------------------------------------------
 
-/// The UDP transport. Stateless apart from configuration; addresses are
-/// standard socket addresses (`127.0.0.1:0` binds an ephemeral port).
-#[derive(Clone, Debug)]
-pub struct UdpTransport {
-    max_datagram: usize,
-    batch: Option<BatchPolicy>,
-}
+/// The UDP transport. Stateless; addresses are standard socket addresses
+/// (`127.0.0.1:0` binds an ephemeral port).
+#[derive(Clone, Debug, Default)]
+pub struct UdpTransport;
 
 impl UdpTransport {
-    /// A transport with the default datagram payload limit
-    /// ([`DEFAULT_MAX_DATAGRAM`]) and small-frame packing on (default
-    /// [`BatchPolicy`], ~1 ms linger).
+    /// A transport with a 60 KiB datagram payload limit (larger data
+    /// frames are dropped at the send end, and counted, as on a path with
+    /// a hard MTU) and small-frame packing on: up to 64 frames per
+    /// datagram, a partial one sent after ~1 ms.
     #[must_use]
     pub fn new() -> UdpTransport {
-        UdpTransport {
-            max_datagram: DEFAULT_MAX_DATAGRAM,
-            batch: Some(BatchPolicy::default()),
-        }
-    }
-
-    /// Overrides the per-datagram payload limit; larger data frames are
-    /// dropped at the send end (and counted), as on a path with a hard
-    /// MTU.
-    #[must_use]
-    pub fn with_max_datagram(max_datagram: usize) -> UdpTransport {
-        UdpTransport {
-            max_datagram: max_datagram.max(1),
-            ..UdpTransport::new()
-        }
-    }
-
-    /// Overrides how small data frames pack into shared datagrams. A
-    /// `linger` of `None` falls back to the backend's ~1 ms default —
-    /// UDP has no writer queue to drain, so a partial packed datagram is
-    /// always closed by the linger flusher.
-    #[must_use]
-    pub fn with_batching(mut self, batch: BatchPolicy) -> UdpTransport {
-        self.batch = Some(batch);
-        self
-    }
-
-    /// Disables packing: every data frame rides its own datagram (the
-    /// pre-batching behaviour).
-    #[must_use]
-    pub fn without_batching(mut self) -> UdpTransport {
-        self.batch = None;
-        self
-    }
-}
-
-impl Default for UdpTransport {
-    fn default() -> Self {
-        UdpTransport::new()
+        UdpTransport
     }
 }
 
@@ -681,10 +633,7 @@ impl Transport for UdpTransport {
             reader_loop(&weak, stop);
         })?;
         let _ = server.reader.set(reader);
-        Ok(UdpAcceptor {
-            server,
-            cfg: self.clone(),
-        })
+        Ok(UdpAcceptor { server })
     }
 
     fn connect(&self, addr: &str) -> Result<UdpLink, TransportError> {
@@ -715,7 +664,7 @@ impl Transport for UdpTransport {
             socket,
             recv_buf: Mutex::new(Vec::new()),
         };
-        Ok(UdpLink::new(addr.to_owned(), side, PeerEntry::new(), self))
+        Ok(UdpLink::new(addr.to_owned(), side, PeerEntry::new()))
     }
 }
 
@@ -836,11 +785,11 @@ mod tests {
 
     #[test]
     fn oversized_frames_are_shed_and_counted() {
-        let transport = UdpTransport::with_max_datagram(64);
+        let transport = UdpTransport::new();
         let acceptor = transport.listen("127.0.0.1:0").unwrap();
         let client = transport.connect(&acceptor.local_addr()).unwrap();
         assert_eq!(
-            client.send(Frame::Data(PayloadBytes::from(vec![0u8; 1024]))),
+            client.send(Frame::Data(PayloadBytes::from(vec![0u8; MAX_DATAGRAM + 1]))),
             SendStatus::Dropped
         );
         let stats = client.stats();

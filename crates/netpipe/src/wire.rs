@@ -72,7 +72,7 @@ impl de::Error for WireError {
 ///
 /// Any [`WireError`] reported during serialization (e.g. map lengths
 /// exceeding `u32`).
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
+pub(crate) fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
     serialize_into(&mut out, value)?;
     Ok(out)
@@ -85,7 +85,7 @@ pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
 /// # Errors
 ///
 /// Any [`WireError`] reported during serialization.
-pub fn serialize_into<T: Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), WireError> {
+fn serialize_into<T: Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), WireError> {
     value.serialize(&mut WireSerializer { out })
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Thread transparency means the middleware, not each component, owns
 //! thread creation and lifetime. Every service thread of this crate — the
-//! serving tier's accept loop and housekeeper, the inspector's accept loop
-//! and per-client handlers, the remote host's event forwarder, the
+//! serving tier's accept loop, the inspector's accept loop and
+//! per-client handlers, the remote host's event forwarder, the
 //! receive pump behind `bind_receiver`, the TCP writer, the UDP flusher
 //! and reader — is a [`Worker`]: a named thread with a stop request that
 //! is stopped and joined when its owner drops it. [`spawn_accept_loop`]

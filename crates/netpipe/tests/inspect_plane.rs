@@ -142,7 +142,6 @@ fn check_inspect<T: Transport>(transport: &T, addr: &str, kernel: &Kernel) {
     // A second fetch observes a strictly newer registry sequence.
     let again = client.fetch().expect("second fetch");
     assert!(again.seq > snap.seq, "seq must advance per snapshot");
-    assert!(server.snapshots_served() >= 2);
 
     server.shutdown();
 }

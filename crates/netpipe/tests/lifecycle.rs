@@ -1,11 +1,13 @@
 //! Every thread the link layer starts is gone once its owners are, and
-//! every pooled receive buffer comes home once the frames are consumed.
+//! every pooled buffer comes home once the frames are consumed.
 //!
 //! For each backend: listen, connect, accept, bind both receive sides,
-//! stream (a pooling backend's receive pool must then have nothing
-//! checked out), run the serving tier's accept loop and housekeeper and an
-//! inspector beside it — then drop everything and hold the process to
-//! the thread count it started with. This is what proves the `Worker`
+//! stream frames sealed from a pool the test owns (that pool, and a
+//! pooling backend's receive pool, must then have nothing checked out:
+//! the sending side — writer, ring, simulated queue — let go of every
+//! frame), run the serving tier's accept loop and an inspector beside it
+//! — then drop everything and hold the process to the thread count it
+//! started with. This is what proves the `Worker`
 //! arrangement: owners join their service threads, and a worker that
 //! ends up dropping its own last owner (the UDP flusher and reader, a
 //! receive pump) neither leaks nor joins itself — a self-join panics
@@ -18,9 +20,9 @@ use infopipes::helpers::CollectSink;
 use infopipes::{BufferSpec, FreePump, Pipeline, StatsRegistry};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
-    AcceptLoop, Acceptor, Frame, InProcTransport, InspectClient, InspectServer, Link, PoolStats,
-    ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpLink, TcpTransport, Transport,
-    UdpLink, UdpTransport, Unmarshal,
+    wire, AcceptLoop, Acceptor, BufferPool, Frame, InProcTransport, InspectClient, InspectServer,
+    Link, PoolStats, ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpLink, TcpTransport,
+    Transport, UdpLink, UdpTransport, Unmarshal,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -62,13 +64,21 @@ fn exercise<T: Transport>(
     let running = consumer.start().expect("plan");
     running.start_flow().expect("start");
 
+    let send_pool = BufferPool::new();
     for i in 0..FRAMES {
-        let frame = Frame::Data(netpipe::wire::to_payload(&i).expect("encode"));
+        let frame = Frame::Data(wire::to_payload_in(&send_pool, 64, &i).expect("encode"));
         assert!(client.send(frame).accepted(), "frame {i}");
     }
     let deadline = Instant::now() + DEADLINE;
     while got.lock().len() < FRAMES as usize {
         assert!(Instant::now() < deadline, "stalled at {:?}", got.lock());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The sink holds every frame, so no part of the sending side may
+    // still hold one: each buffer the test sealed is back in its pool.
+    while send_pool.stats().outstanding > 0 {
+        let stats = send_pool.stats();
+        assert!(Instant::now() < deadline, "send buffers leak: {stats:?}");
         std::thread::sleep(Duration::from_millis(2));
     }
     // The sink holds every frame, so no payload view is left downstream:
@@ -88,13 +98,11 @@ fn exercise<T: Transport>(
     // An orderly end: the one way a datagram peer learns we are done.
     assert!(client.send(Frame::Fin).accepted());
 
-    // The serving tier: an accept loop admitting one session, and a
-    // housekeeper whose period only a stop request can cut short.
+    // The serving tier: an accept loop admitting one session.
     let sessions = transport.listen(addrs[1]).expect("listen");
     let session_addr = sessions.local_addr();
     let registry = SessionRegistry::new(ServeConfig::default());
     let accept = AcceptLoop::spawn(sessions, registry.clone());
-    let housekeeper = registry.spawn_housekeeper(Duration::from_secs(3600));
     let viewer = transport.connect(&session_addr).expect("connect");
     let deadline = Instant::now() + DEADLINE;
     while registry.stats().active < 1 {
@@ -109,7 +117,7 @@ fn exercise<T: Transport>(
     let probe = InspectClient::connect(transport, &control_addr).expect("connect");
     probe.fetch().expect("fetch");
 
-    drop((probe, inspector, viewer, housekeeper, accept, registry));
+    drop((probe, inspector, viewer, accept, registry));
     drop((client, server, acceptor, running));
 }
 

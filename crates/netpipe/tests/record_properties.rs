@@ -1,11 +1,11 @@
 //! Property-based tests for the trace container: arbitrary record
 //! streams round-trip bit-identically through the writer and reader —
 //! including zero-length payloads and payloads that are zero-copy
-//! slices of one shared parent buffer — under arbitrary chunk policies.
+//! slices of one shared parent buffer — under arbitrary chunk bounds,
+//! set by flushing the writer every few records.
 
 use infopipes::PayloadBytes;
-use netpipe::record::{ChannelDecl, ChunkPolicy};
-use netpipe::{FrameKind, TraceReader, TraceWriter};
+use netpipe::{ChannelDecl, FrameKind, TraceReader, TraceWriter};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,11 +44,9 @@ fn arb_record() -> impl Strategy<Value = GenRecord> {
         })
 }
 
-fn arb_policy() -> impl Strategy<Value = ChunkPolicy> {
-    (1usize..9, 1usize..512).prop_map(|(max_records, max_bytes)| ChunkPolicy {
-        max_records,
-        max_bytes,
-    })
+/// How many records go into each chunk before the test flushes it.
+fn arb_chunk_records() -> impl Strategy<Value = usize> {
+    1usize..9
 }
 
 /// A unique scratch path per proptest case.
@@ -69,18 +67,19 @@ impl Drop for TempTrace {
     }
 }
 
-fn check_round_trip(records: &[(u16, u64, FrameKind, PayloadBytes)], policy: ChunkPolicy) {
+fn check_round_trip(records: &[(u16, u64, FrameKind, PayloadBytes)], chunk_records: usize) {
     let path = TempTrace(scratch());
-    let writer = TraceWriter::create(&path.0, "prop", None)
-        .expect("create")
-        .with_chunk_policy(policy);
+    let writer = TraceWriter::create(&path.0, "prop", None).expect("create");
     writer
         .declare_channel(&ChannelDecl::new(0, "prop", "bytes"))
         .expect("declare");
-    for (channel, ts, kind, payload) in records {
+    for (i, (channel, ts, kind, payload)) in records.iter().enumerate() {
         writer
             .record(*channel, *ts, *kind, payload.clone())
             .expect("record");
+        if (i + 1) % chunk_records == 0 {
+            writer.flush().expect("flush");
+        }
     }
     writer.finish().expect("finish");
 
@@ -107,17 +106,17 @@ fn check_round_trip(records: &[(u16, u64, FrameKind, PayloadBytes)], policy: Chu
 
 proptest! {
     /// Arbitrary record streams round-trip exactly under arbitrary
-    /// chunk policies.
+    /// chunk bounds.
     #[test]
     fn record_streams_round_trip(
         records in proptest::collection::vec(arb_record(), 0..48),
-        policy in arb_policy(),
+        chunk_records in arb_chunk_records(),
     ) {
         let owned: Vec<_> = records
             .iter()
             .map(|r| (r.channel, r.ts_ns, r.kind, PayloadBytes::from_vec(r.payload.clone())))
             .collect();
-        check_round_trip(&owned, policy);
+        check_round_trip(&owned, chunk_records);
     }
 
     /// Payloads that are zero-copy slices of one shared parent buffer
@@ -127,7 +126,7 @@ proptest! {
     fn shared_parent_slices_round_trip(
         parent in proptest::collection::vec(any::<u8>(), 1..512),
         cuts in proptest::collection::vec((any::<u16>(), any::<u64>(), arb_kind()), 1..24),
-        policy in arb_policy(),
+        chunk_records in arb_chunk_records(),
     ) {
         let shared = PayloadBytes::from_vec(parent);
         // Deterministic overlapping windows over the parent — several
@@ -142,7 +141,7 @@ proptest! {
                 (*channel, *ts, *kind, shared.slice(start..end))
             })
             .collect();
-        check_round_trip(&records, policy);
+        check_round_trip(&records, chunk_records);
     }
 
     /// The reader's frame-aware digest is a pure function of the record
@@ -151,23 +150,24 @@ proptest! {
     fn digest_is_stable_across_rewrites(
         records in proptest::collection::vec(arb_record(), 1..24),
     ) {
-        let write_once = |policy: ChunkPolicy| {
+        let write_once = |chunk_records: usize| {
             let path = TempTrace(scratch());
-            let writer = TraceWriter::create(&path.0, "digest", None)
-                .expect("create")
-                .with_chunk_policy(policy);
-            for r in &records {
+            let writer = TraceWriter::create(&path.0, "digest", None).expect("create");
+            for (i, r) in records.iter().enumerate() {
                 writer
                     .record(r.channel, r.ts_ns, r.kind, PayloadBytes::from_vec(r.payload.clone()))
                     .expect("record");
+                if (i + 1) % chunk_records == 0 {
+                    writer.flush().expect("flush");
+                }
             }
             writer.finish().expect("finish");
             TraceReader::open(&path.0).expect("open").digest()
         };
         // Chunking differently must not change the digest: chunk bounds
         // are a container concern, not part of the recorded stream.
-        let a = write_once(ChunkPolicy { max_records: 2, max_bytes: 64 });
-        let b = write_once(ChunkPolicy::default());
+        let a = write_once(2);
+        let b = write_once(usize::MAX);
         prop_assert_eq!(a, b);
     }
 }

@@ -7,13 +7,12 @@
 //! one lucky seed.
 
 use infopipes::helpers::IterSource;
-use infopipes::{payload_copy_count, BufferSpec, FreePump, PayloadBytes, Pipeline, StatsRegistry};
+use infopipes::{payload_copy_count, BufferSpec, FreePump, PayloadBytes, Pipeline};
 use mbthread::{Kernel, KernelConfig};
-use netpipe::record::{ChannelDecl, ChunkPolicy, TraceError};
 use netpipe::{
-    Acceptor, DigestSink, Frame, FrameKind, Link, Marshal, PipelineTransportExt, Recorder,
-    RecordingLink, RecvOutcome, ReplayMode, Replayer, SimConfig, SimTransport, TraceReader,
-    TraceWriter, Transport, WireEvent, TRACE_SCHEMA_VERSION,
+    wire, Acceptor, ChannelDecl, DigestSink, Frame, FrameKind, Link, Marshal, PipelineTransportExt,
+    Recorder, RecordingLink, RecvOutcome, ReplayCounters, ReplayMode, Replayer, SimConfig,
+    SimTransport, TraceError, TraceReader, TraceWriter, Transport, WireEvent,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -50,7 +49,8 @@ impl Drop for TempTrace {
 // Container round-trip
 // ---------------------------------------------------------------------
 
-/// Everything the writer accepts comes back: multiple chunks, all four
+/// Everything the writer accepts comes back: multiple chunks (140 data
+/// records cross the writer's 64-record chunk bound twice), all four
 /// frame kinds, zero-length payloads, the channel declaration, the
 /// scenario, and a footer index agreeing with the chunks on disk.
 #[test]
@@ -64,41 +64,44 @@ fn container_round_trips_records_chunks_and_footer() {
         seed: 42,
     };
 
-    let writer = TraceWriter::create(&path.0, "roundtrip", Some(&scenario))
-        .expect("create")
-        .with_chunk_policy(ChunkPolicy {
-            max_records: 4,
-            max_bytes: 1 << 20,
-        });
+    let writer = TraceWriter::create(&path.0, "roundtrip", Some(&scenario)).expect("create");
     writer
         .declare_channel(&ChannelDecl::new(0, "video", "u32"))
         .expect("declare");
 
     let mut expect = Vec::new();
-    for i in 0..11u64 {
+    for i in 0..140u64 {
         let payload = PayloadBytes::from_vec((0..i as u8).collect());
         expect.push((0u16, i * 1_000, FrameKind::Data, payload.len()));
         writer
             .record(0, i * 1_000, FrameKind::Data, payload)
             .expect("record");
     }
+    let event = wire::to_payload(&WireEvent::SetDropLevel(2)).expect("encode");
+    expect.push((0, 140_000, FrameKind::Event, event.len()));
     writer
-        .record_frame(0, 11_000, &Frame::Event(WireEvent::SetDropLevel(2)))
+        .record(0, 140_000, FrameKind::Event, event)
         .expect("event");
-    expect.push((0, 11_000, FrameKind::Event, usize::MAX)); // length checked loosely
     writer
-        .record_frame(0, 12_000, &Frame::Control(vec![9, 9, 9]))
+        .record(
+            0,
+            141_000,
+            FrameKind::Control,
+            PayloadBytes::from_vec(vec![9, 9, 9]),
+        )
         .expect("control");
-    expect.push((0, 12_000, FrameKind::Control, 3));
-    writer.record_frame(0, 13_000, &Frame::Fin).expect("fin");
-    expect.push((0, 13_000, FrameKind::Fin, 0));
+    expect.push((0, 141_000, FrameKind::Control, 3));
+    writer
+        .record(0, 142_000, FrameKind::Fin, PayloadBytes::new())
+        .expect("fin");
+    expect.push((0, 142_000, FrameKind::Fin, 0));
     writer.finish().expect("finish");
     let stats = writer.stats();
 
     let reader = TraceReader::open(&path.0).expect("open");
     assert!(reader.clean_close, "finished trace closes cleanly");
     assert_eq!(reader.recovered_bytes, 0);
-    assert_eq!(reader.header.version, TRACE_SCHEMA_VERSION);
+    assert_eq!(reader.header.version, 1);
     assert_eq!(reader.header.name, "roundtrip");
 
     let rt = reader.scenario().expect("scenario survives the header");
@@ -116,21 +119,22 @@ fn container_round_trips_records_chunks_and_footer() {
         assert_eq!(rec.channel, *ch);
         assert_eq!(rec.ts_ns, *ts);
         assert_eq!(rec.kind, *kind);
-        if *len != usize::MAX {
-            assert_eq!(rec.payload.len(), *len);
-        }
+        assert_eq!(rec.payload.len(), *len);
     }
     // Payload bytes are the writer's bytes, bit for bit.
     assert_eq!(reader.records[5].payload.as_slice(), &[0, 1, 2, 3, 4]);
-    assert_eq!(reader.records[12].payload.as_slice(), &[9, 9, 9]);
+    assert_eq!(reader.records[141].payload.as_slice(), &[9, 9, 9]);
 
     let footer = reader.footer.as_ref().expect("footer");
     assert_eq!(footer.records, stats.records);
     assert_eq!(footer.records, expect.len() as u64);
+    let payload_bytes: usize = expect.iter().map(|(_, _, _, len)| len).sum();
+    assert_eq!(stats.payload_bytes, payload_bytes as u64);
+    assert_eq!(footer.bytes, stats.payload_bytes);
     assert_eq!(footer.chunks.len() as u64, stats.chunk_flushes);
     assert!(
         stats.chunk_flushes >= 3,
-        "a 4-record policy over 14 records must flush several chunks: {stats:?}"
+        "143 records must flush several 64-record chunks: {stats:?}"
     );
     assert_eq!(
         footer
@@ -167,16 +171,13 @@ fn alien_files_are_refused() {
 /// The crash-safety regression: a valid trace chopped at *every* byte
 /// offset of its tail still opens, yields only genuine records (a
 /// strict prefix of the full trace, byte-identical), reports the
-/// dropped bytes, and claims a clean close only for the full file.
+/// dropped bytes, and claims a clean close only for the full file. The
+/// writer is flushed every three records, so the tail holds several
+/// chunks.
 #[test]
 fn torn_tail_recovers_at_every_chop_offset() {
     let path = TempTrace(trace_path("torn"));
-    let writer = TraceWriter::create(&path.0, "torn", None)
-        .expect("create")
-        .with_chunk_policy(ChunkPolicy {
-            max_records: 3,
-            max_bytes: 1 << 20,
-        });
+    let writer = TraceWriter::create(&path.0, "torn", None).expect("create");
     writer
         .declare_channel(&ChannelDecl::new(7, "ch", "bytes"))
         .expect("declare");
@@ -191,6 +192,9 @@ fn torn_tail_recovers_at_every_chop_offset() {
                 PayloadBytes::from_vec(vec![i as u8; (i as usize % 5) * 3]),
             )
             .expect("record");
+        if i % 3 == 2 {
+            writer.flush().expect("flush");
+        }
     }
     writer.finish().expect("finish");
 
@@ -275,9 +279,7 @@ fn record_session(path: &std::path::Path, cfg: &SimConfig, n: u32) -> (u64, u64)
 /// Replays the trace through a fresh sim built from the recorded
 /// scenario, digesting what the far end receives. Returns
 /// (delivered digest, delivered frames, replay counters).
-fn replay_session(
-    path: &std::path::Path,
-) -> (u64, u64, std::sync::Arc<netpipe::record::ReplayCounters>) {
+fn replay_session(path: &std::path::Path) -> (u64, u64, std::sync::Arc<ReplayCounters>) {
     let reader = TraceReader::open(path).expect("open");
     let cfg = reader.scenario().expect("recorded scenario");
     let kernel = Kernel::new(KernelConfig::virtual_time());
@@ -354,12 +356,19 @@ fn double_replay_is_bit_identical() {
         (d0, frames0),
         "replay must reproduce the original delivery"
     );
-    assert_eq!(c1.frames(), reader.records.len() as u64);
-    assert_eq!(c1.unroutable(), 0);
     assert_eq!(
-        c1.lag_max_ns(),
-        0,
-        "under unloaded virtual time the replayer is never late"
+        c1.frames(),
+        reader.records.len() as u64,
+        "every record is routed and offered"
+    );
+    assert_eq!(
+        c1.bytes(),
+        reader
+            .records
+            .iter()
+            .map(|r| r.payload.len() as u64)
+            .sum::<u64>(),
+        "every record's payload is offered"
     );
 }
 
@@ -428,22 +437,24 @@ fn replayed_control_events_overtake_data() {
     writer
         .declare_channel(&ChannelDecl::new(0, "burst", "bytes"))
         .expect("declare");
-    let sends = 50usize;
+    let sends = 50u64;
     for i in 0..sends {
         writer
-            .record_frame(
+            .record(
                 0,
-                i as u64,
-                &Frame::Data(PayloadBytes::from_vec(vec![0u8; 1024])),
+                i,
+                FrameKind::Data,
+                PayloadBytes::from_vec(vec![0u8; 1024]),
             )
             .expect("data");
     }
     // The event is recorded *after* every data frame…
+    let event = wire::to_payload(&WireEvent::SetDropLevel(3)).expect("encode");
     writer
-        .record_frame(0, sends as u64, &Frame::Event(WireEvent::SetDropLevel(3)))
+        .record(0, sends, FrameKind::Event, event)
         .expect("event");
     writer
-        .record_frame(0, sends as u64 + 1, &Frame::Fin)
+        .record(0, sends + 1, FrameKind::Fin, PayloadBytes::new())
         .expect("fin");
     writer.finish().expect("finish");
 
@@ -553,82 +564,21 @@ fn recording_performs_zero_payload_copies() {
 }
 
 // ---------------------------------------------------------------------
-// Inspector integration
-// ---------------------------------------------------------------------
-
-/// Recorder and replayer counters surface through the stats registry
-/// under the `record` subsystem.
-#[test]
-fn inspector_exports_recorder_and_replayer() {
-    let path = TempTrace(trace_path("inspect"));
-    let writer = TraceWriter::create(&path.0, "inspect", None).expect("create");
-    writer
-        .declare_channel(&ChannelDecl::new(0, "ch", "bytes"))
-        .expect("declare");
-    for i in 0..5u64 {
-        writer
-            .record(0, i, FrameKind::Data, PayloadBytes::from_vec(vec![1, 2, 3]))
-            .expect("record");
-    }
-    writer.finish().expect("finish");
-
-    let stats = StatsRegistry::new();
-    netpipe::inspect::register_recorder(&stats, "trace-writer", &writer.counters());
-
-    let reader = TraceReader::open(&path.0).expect("open");
-    let kernel = Kernel::new(KernelConfig::virtual_time());
-    let handle = {
-        let transport = SimTransport::new(&kernel, SimConfig::default());
-        let acceptor = transport.listen("ins").expect("listen");
-        let link = transport.connect("ins").expect("connect");
-        let _server = acceptor.accept().expect("accept");
-        let handle = Replayer::new(&kernel, ReplayMode::AsFastAsPossible)
-            .route(0, link)
-            .launch(&reader)
-            .expect("launch");
-        kernel.wait_quiescent();
-        handle
-    };
-    netpipe::inspect::register_replayer(
-        &stats,
-        "trace-replay",
-        &handle.counters(),
-        reader.recovered_bytes,
-    );
-
-    let snap = stats.snapshot();
-    assert_eq!(snap.value("trace-writer", "records"), Some(5.0));
-    assert_eq!(snap.value("trace-writer", "payload_bytes"), Some(15.0));
-    assert!(snap.value("trace-writer", "file_bytes").unwrap_or(0.0) > 0.0);
-    assert!(snap.value("trace-writer", "chunk_flushes").unwrap_or(0.0) >= 1.0);
-
-    assert_eq!(snap.value("trace-replay", "frames"), Some(5.0));
-    assert_eq!(snap.value("trace-replay", "bytes"), Some(15.0));
-    assert_eq!(snap.value("trace-replay", "unroutable"), Some(0.0));
-    assert_eq!(
-        snap.value("trace-replay", "torn_recovered_bytes"),
-        Some(0.0)
-    );
-    assert_eq!(snap.value("trace-replay", "lag_behind"), Some(0.0));
-
-    let source = snap.source("trace-replay").expect("replay source");
-    assert_eq!(
-        source.subsystem,
-        netpipe::inspect::SUBSYSTEM_RECORD,
-        "replay stats live under the record subsystem"
-    );
-    kernel.shutdown();
-}
-
-// ---------------------------------------------------------------------
 // Replay edge cases
 // ---------------------------------------------------------------------
 
-/// Records on channels without a route are counted, not fatal; an empty
+/// Records on channels without a route are skipped, not fatal; an empty
 /// trace replay completes immediately.
 #[test]
 fn unrouted_channels_and_empty_traces_are_graceful() {
     let path = TempTrace(trace_path("unrouted"));
+    let empty_path = TempTrace(trace_path("unrouted-empty"));
+    TraceWriter::create(&empty_path.0, "empty", None)
+        .expect("create")
+        .finish()
+        .expect("finish");
+    let empty = TraceReader::open(&empty_path.0).expect("open");
+    assert!(empty.records.is_empty());
     let writer = TraceWriter::create(&path.0, "unrouted", None).expect("create");
     writer
         .record(3, 0, FrameKind::Data, PayloadBytes::from_vec(vec![1]))
@@ -646,21 +596,21 @@ fn unrouted_channels_and_empty_traces_are_graceful() {
         let link = transport.connect("unr").expect("connect");
         let _server = acceptor.accept().expect("accept");
 
-        // Only channel 3 is routed; channel 4's record is unroutable.
+        // Only channel 3 is routed; channel 4's record is skipped.
         let handle = Replayer::new(&kernel, ReplayMode::AsRecorded)
-            .route(3, link)
+            .route(3, link.clone())
             .launch(&reader)
             .expect("launch");
         kernel.wait_quiescent();
         assert!(handle.is_done());
-        assert_eq!(handle.counters().unroutable(), 1);
         assert_eq!(handle.counters().frames(), 1);
+        assert_eq!(link.stats().sent, 1);
 
         // An empty replay is done on arrival.
         let link2 = transport.connect("unr").expect("connect");
         let handle2 = Replayer::new(&kernel, ReplayMode::AsRecorded)
             .route(0, link2)
-            .launch_records(Vec::new())
+            .launch(&empty)
             .expect("launch empty");
         kernel.wait_quiescent();
         assert!(handle2.is_done());
@@ -714,13 +664,16 @@ fn replay_offers_frames_even_when_the_link_sheds() {
     kernel.shutdown();
 }
 
-/// Send after `Fin` is how a replay meets a closed link: the counters
-/// record the failures instead of erroring the replay thread.
+/// Send after `Fin` is how a replay meets a closed link: the frames are
+/// offered and refused by the link instead of erroring the replay
+/// thread.
 #[test]
 fn replay_counts_sends_into_a_closed_link() {
     let path = TempTrace(trace_path("closed"));
     let writer = TraceWriter::create(&path.0, "closed", None).expect("create");
-    writer.record_frame(0, 0, &Frame::Fin).expect("fin");
+    writer
+        .record(0, 0, FrameKind::Fin, PayloadBytes::new())
+        .expect("fin");
     for i in 1..4u64 {
         writer
             .record(0, i, FrameKind::Data, PayloadBytes::from_vec(vec![1]))
@@ -736,16 +689,17 @@ fn replay_counts_sends_into_a_closed_link() {
         let link = transport.connect("cls").expect("connect");
         let _server = acceptor.accept().expect("accept");
         let handle = Replayer::new(&kernel, ReplayMode::AsRecorded)
-            .route(0, link)
+            .route(0, link.clone())
             .launch(&reader)
             .expect("launch");
         kernel.wait_quiescent();
         assert!(handle.is_done());
         assert_eq!(handle.counters().frames(), 4);
-        assert!(
-            handle.counters().send_failures() >= 1,
+        assert_eq!(
+            link.stats().sent,
+            0,
             "data after Fin lands on a closed link: {:?}",
-            handle.counters().send_failures()
+            link.stats()
         );
     }
     kernel.shutdown();

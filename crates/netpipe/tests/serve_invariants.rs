@@ -27,11 +27,12 @@ use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 
-/// The smallest possible always-accepting link: every data frame is
-/// counted as sent, every Fin acknowledged (and counted).
+/// The smallest possible link: every data frame is counted as sent
+/// until the link is closed, every Fin acknowledged (and counted).
 #[derive(Clone, Default)]
 struct MiniLink {
     fins: Arc<AtomicUsize>,
+    closed: Arc<AtomicBool>,
 }
 
 impl Link for MiniLink {
@@ -41,6 +42,8 @@ impl Link for MiniLink {
     fn send(&self, frame: Frame) -> SendStatus {
         if matches!(frame, Frame::Fin) {
             self.fins.fetch_add(1, Ordering::Relaxed);
+        } else if self.closed.load(Ordering::Relaxed) {
+            return SendStatus::Closed;
         }
         SendStatus::Sent
     }
@@ -70,8 +73,8 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
         drain_deadline: Duration::from_millis(50),
         ..ServeConfig::default()
     });
-    // Ids admitted but not yet claimed by the evictor/drainer.
-    let pending: Arc<Mutex<Vec<SessionId>>> = Arc::new(Mutex::new(Vec::new()));
+    // Sessions admitted but not yet claimed by the evictor/drainer.
+    let pending: Arc<Mutex<Vec<(SessionId, MiniLink)>>> = Arc::new(Mutex::new(Vec::new()));
     let stop = Arc::new(AtomicBool::new(false));
 
     let mut threads = Vec::new();
@@ -81,8 +84,9 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
         let pending = Arc::clone(&pending);
         threads.push(std::thread::spawn(move || {
             for i in 0..PER_ADMITTER {
-                let id = registry.admit(MiniLink::default());
-                pending.lock().unwrap().push(id);
+                let link = MiniLink::default();
+                let id = registry.admit(link.clone());
+                pending.lock().unwrap().push((id, link));
                 if i % 8 == 0 {
                     std::thread::yield_now();
                 }
@@ -104,8 +108,10 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
         }));
     }
 
-    // An evictor and a drainer each claim sessions and retire them (an
-    // id is claimed exactly once, so eviction totals stay checkable).
+    // An evictor and a drainer each claim sessions and retire them (a
+    // session is claimed exactly once, so eviction totals stay
+    // checkable). The evictor closes the session's link, as a client
+    // that disconnects does: the next send to it evicts the session.
     for evict in [true, false] {
         let registry = registry.clone();
         let pending = Arc::clone(&pending);
@@ -114,8 +120,8 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
             while !stop.load(Ordering::Acquire) {
                 let claimed = pending.lock().unwrap().pop();
                 match claimed {
-                    Some(id) if evict => registry.evict(id),
-                    Some(id) => registry.drain(id),
+                    Some((_, link)) if evict => link.closed.store(true, Ordering::Relaxed),
+                    Some((id, _)) => registry.drain(id),
                     None => std::thread::yield_now(),
                 }
             }
@@ -149,7 +155,7 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
             "evictions cannot outrun admissions"
         );
         assert!(stats.accepted_total <= TOTAL);
-        let resident = stats.connecting + stats.active + stats.draining + stats.evicted_resident;
+        let resident = stats.active + stats.draining + stats.evicted_resident;
         assert!(
             resident as u64 <= stats.accepted_total,
             "resident sessions ({resident}) exceed admissions ({})",
@@ -201,7 +207,7 @@ fn registry_accounting_survives_concurrent_lifecycle_churn() {
     assert_eq!(stats.accepted_total, TOTAL);
     assert_eq!(stats.evicted_total, TOTAL);
     assert_eq!(stats.evicted_resident as u64, TOTAL);
-    assert_eq!(stats.connecting + stats.active + stats.draining, 0);
+    assert_eq!(stats.active + stats.draining, 0);
     assert_eq!(stats.queued_frames, 0, "evicted queues must be empty");
     assert_eq!(
         stats.enqueued_total,
@@ -329,7 +335,7 @@ fn end_of_stream_retires_a_large_roster() {
         .collect();
     assert_eq!(registry.stats().active, SESSIONS);
 
-    // What a `Fin` through `BroadcastSendEnd` runs.
+    // What a `Fin` through a `NetSendEnd` over the registry runs.
     registry.drain_all();
     registry.sweep();
     assert_eq!(registry.stats().evicted_resident, SESSIONS);

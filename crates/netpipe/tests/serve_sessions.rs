@@ -1,8 +1,8 @@
 //! Session lifecycle coverage for the serving tier: refcounted fan-out,
 //! slow-client isolation and eviction, mid-broadcast disconnects, and
 //! the per-session feedback loop. A scripted stub [`Link`] drives the
-//! lifecycle deterministically; a pipeline ending in a
-//! [`BroadcastSendEnd`] drives the tier the way a producer does; a
+//! lifecycle deterministically; a pipeline ending in a [`NetSendEnd`]
+//! over the registry drives the tier the way a producer does; a
 //! real-socket TCP smoke closes the loop end to end.
 
 use infopipes::helpers::IterSource;
@@ -11,7 +11,7 @@ use infopipes::{
 };
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
-    AcceptLoop, Acceptor, BroadcastSendEnd, Frame, InProcTransport, Link, LinkStats, Marshal,
+    AcceptLoop, Acceptor, Frame, InProcTransport, Link, LinkStats, Marshal, NetSendEnd,
     PeerIdentity, RecvOutcome, SendStatus, ServeConfig, SessionRegistry, SessionState,
     TcpTransport, Transport, TransportError, WireEvent,
 };
@@ -436,7 +436,7 @@ fn per_session_readings_drive_independent_drop_levels() {
 }
 
 // ---------------------------------------------------------------------
-// A producer pipeline drives the tier through `BroadcastSendEnd`
+// A producer pipeline drives the tier through a `NetSendEnd`
 // ---------------------------------------------------------------------
 
 #[test]
@@ -463,10 +463,7 @@ fn pipeline_broadcasts_events_and_frames_then_drains_every_session() {
     let src = producer.add_producer("src", IterSource::new("src", 0..FRAMES));
     let pump = producer.add_pump("pump", FreePump::new());
     let marshal = producer.add_function("marshal", Marshal::<u32>::new("marshal"));
-    let fan_out = producer.add_consumer(
-        "fan-out",
-        BroadcastSendEnd::new("fan-out", registry.clone()),
-    );
+    let fan_out = producer.add_consumer("fan-out", NetSendEnd::new("fan-out", registry.clone()));
     let _ = src >> pump >> marshal >> fan_out;
     let running = producer.start().expect("plan");
 

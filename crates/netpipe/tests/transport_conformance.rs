@@ -664,12 +664,12 @@ fn udp_conforms() {
     // 200 small datagrams over loopback arrive complete and in order —
     // the backend's lossless-default configuration.
     check_ordering(&UdpTransport::new(), "127.0.0.1:0");
-    // A 512-byte datagram ceiling: every 1 KiB frame is shed at the send
-    // end and counted, the honest datagram analogue of a hard MTU.
+    // Past the 60 KiB datagram ceiling: every 64 KiB frame is shed at the
+    // send end and counted, the honest datagram analogue of a hard MTU.
     check_backpressure(
-        &UdpTransport::with_max_datagram(512),
+        &UdpTransport::new(),
         "127.0.0.1:0",
-        1024,
+        64 * 1024,
         50,
         true,
         false,

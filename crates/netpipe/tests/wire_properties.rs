@@ -1,6 +1,6 @@
 //! Property-based tests: the wire codec round-trips arbitrary values.
 
-use netpipe::wire::{from_bytes, to_bytes};
+use netpipe::wire::{from_bytes, to_payload};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -62,21 +62,21 @@ fn arb_composite() -> impl Strategy<Value = Composite> {
 proptest! {
     #[test]
     fn composites_round_trip(v in arb_composite()) {
-        let bytes = to_bytes(&v).expect("serialize");
+        let bytes = to_payload(&v).expect("serialize");
         let back: Composite = from_bytes(&bytes).expect("deserialize");
         prop_assert_eq!(back, v);
     }
 
     #[test]
     fn strings_round_trip(s in ".*") {
-        let bytes = to_bytes(&s).expect("serialize");
+        let bytes = to_payload(&s).expect("serialize");
         let back: String = from_bytes(&bytes).expect("deserialize");
         prop_assert_eq!(back, s);
     }
 
     #[test]
     fn byte_vectors_round_trip(v in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let bytes = to_bytes(&v).expect("serialize");
+        let bytes = to_payload(&v).expect("serialize");
         let back: Vec<u8> = from_bytes(&bytes).expect("deserialize");
         prop_assert_eq!(back, v);
     }
@@ -86,7 +86,7 @@ proptest! {
     /// something without reading past the end.
     #[test]
     fn truncation_is_safe(v in arb_composite(), cut in 0usize..64) {
-        let bytes = to_bytes(&v).expect("serialize");
+        let bytes = to_payload(&v).expect("serialize");
         if cut < bytes.len() {
             let _ = from_bytes::<Composite>(&bytes[..cut]);
         }
@@ -117,7 +117,7 @@ proptest! {
             pts_us: pts,
             bytes: data.into(),
         };
-        let bytes = to_bytes(&pkt).expect("serialize");
+        let bytes = to_payload(&pkt).expect("serialize");
         let back: media::Packet = from_bytes(&bytes).expect("deserialize");
         prop_assert_eq!(back, pkt);
     }
@@ -131,16 +131,16 @@ proptest! {
         cut in 0usize..64,
     ) {
         use infopipes::PayloadBytes;
-        let as_vec = to_bytes(&data).expect("vec encode");
-        let as_payload = to_bytes(&PayloadBytes::from_vec(data.clone())).expect("payload encode");
+        let as_vec = to_payload(&data).expect("vec encode");
+        let as_payload = to_payload(&PayloadBytes::from_vec(data.clone())).expect("payload encode");
         prop_assert_eq!(&as_vec, &as_payload);
         let back: PayloadBytes = from_bytes(&as_vec).expect("payload decode");
         prop_assert_eq!(back.as_slice(), data.as_slice());
         // A slice encodes exactly its viewed bytes.
         let start = cut.min(data.len());
         let sliced = PayloadBytes::from_vec(data.clone()).slice(start..);
-        let enc = to_bytes(&sliced).expect("slice encode");
-        let expect = to_bytes(&data[start..].to_vec()).expect("tail encode");
+        let enc = to_payload(&sliced).expect("slice encode");
+        let expect = to_payload(&data[start..].to_vec()).expect("tail encode");
         prop_assert_eq!(enc, expect);
     }
 
@@ -157,7 +157,7 @@ proptest! {
         use infopipes::PayloadBytes;
         type Message = (String, PayloadBytes, u64);
         let sent: Message = (lead, PayloadBytes::from_vec(data), trail);
-        let wire = PayloadBytes::from_vec(to_bytes(&sent).expect("serialize"));
+        let wire = to_payload(&sent).expect("serialize");
         let at = 4 + sent.0.len() + 4;
 
         let viewed: Message = wire.decode_with(from_bytes).expect("decode");

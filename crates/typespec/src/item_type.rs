@@ -13,8 +13,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ItemType {
     name: String,
-    /// `None` for the wildcard and for named-only formats negotiated over
-    /// the wire (a remote peer cannot share our `TypeId`s).
+    /// `None` for the wildcard and for named-only formats.
     id: Option<TypeId>,
 }
 
@@ -37,8 +36,9 @@ impl ItemType {
         }
     }
 
-    /// A named format without a Rust type identity, as used when specs are
-    /// marshalled across a netpipe.
+    /// A named format without a Rust type identity, such as the encoded
+    /// stream a decoder accepts in a §2.3 composition check; it matches
+    /// other descriptors by name.
     #[must_use]
     pub fn named(name: impl Into<String>) -> ItemType {
         ItemType {
@@ -62,8 +62,8 @@ impl ItemType {
     /// Whether items of this type can flow where `other` is expected.
     ///
     /// The wildcard is compatible with everything. Two typed descriptors
-    /// must have the same `TypeId`; descriptors that lost their `TypeId`
-    /// in marshalling fall back to name equality.
+    /// must have the same `TypeId`; a named-only descriptor falls back to
+    /// name equality.
     #[must_use]
     pub fn compatible_with(&self, other: &ItemType) -> bool {
         if self.is_any() || other.is_any() {

@@ -16,7 +16,10 @@ for f in $(find crates/netpipe/src -name '*.rs' ! -name worker.rs); do
     fi
 done
 
-# Public surface nothing outside its own crate uses (ROADMAP item 7).
+# Public surface nothing outside its own crate uses. The self-test runs
+# the census on synthetic trees in a temporary directory first: each kind
+# of violation must fail it.
+python3 scripts/public_census.py --self-test || status=1
 python3 scripts/public_census.py || status=1
 
 exit "$status"
