@@ -113,8 +113,9 @@ where
     F: FnMut(In) -> Option<Out> + Send + 'static,
 {
     fn convert(&mut self, item: Item) -> Option<Item> {
-        let meta = item.meta;
-        let (v, _) = item.into_payload::<In>().ok()?;
+        // A `u64` or `PayloadBytes` moves in and out without a box, so
+        // converting one allocates nothing.
+        let (v, meta) = item.into_payload::<In>().ok()?;
         (self.f)(v).map(|out| {
             let mut it = Item::cloneable(out);
             it.meta = meta;

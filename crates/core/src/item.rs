@@ -17,14 +17,43 @@ pub struct Meta {
 
 type Cloner = fn(&(dyn Any + Send)) -> Option<Box<dyn Any + Send>>;
 
-/// The two payload representations: the general boxed `Any`, and the
-/// first-class [`PayloadBytes`] fast path. Keeping bytes out of the box
-/// means creating a bytes item performs no allocation beyond the shared
-/// buffer itself, and duplicating one (multicast tees) is a refcount
-/// bump rather than a deep clone.
+/// The payload representations. The shapes the hot paths carry — a
+/// [`PayloadBytes`] handle and a `u64` word — are stored inline, so
+/// creating or duplicating one allocates nothing (a bytes duplicate is a
+/// refcount bump, which is what makes multicast tees zero-copy). Every
+/// other type is boxed as `Any`, with the cloner [`Item::cloneable`]
+/// supplies, or none when the item was made with [`Item::new`].
 enum Payload {
-    Any(Box<dyn Any + Send>),
+    Any(Box<dyn Any + Send>, Option<Cloner>),
     Bytes(PayloadBytes),
+    Word(u64),
+}
+
+impl Payload {
+    fn as_any(&self) -> &dyn Any {
+        match self {
+            Payload::Any(b, _) => &**b,
+            Payload::Bytes(p) => p,
+            Payload::Word(w) => w,
+        }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        match self {
+            Payload::Any(b, _) => &mut **b,
+            Payload::Bytes(p) => p,
+            Payload::Word(w) => w,
+        }
+    }
+}
+
+/// Moves `v` out as a `T` if it is one, without boxing it.
+fn cast<V: Any, T: Any>(v: V) -> Result<T, V> {
+    let mut slot = Some(v);
+    if let Some(t) = (&mut slot as &mut dyn Any).downcast_mut::<Option<T>>() {
+        return Ok(t.take().expect("slot holds the value"));
+    }
+    Err(slot.expect("slot holds the value"))
 }
 
 /// A single unit of information flowing through an Infopipe: a type-erased
@@ -37,13 +66,17 @@ enum Payload {
 /// Items created with [`Item::cloneable`] can be duplicated by multicast
 /// tees; items created with [`Item::new`] cannot. Items created with
 /// [`Item::bytes`] carry a shared byte buffer and are always duplicable
-/// — the duplicate shares the allocation (zero-copy). The typed
-/// accessors ([`Item::is`], [`Item::payload_ref`], [`Item::into_payload`],
-/// …) treat a bytes item exactly like an item holding a `PayloadBytes`
-/// value, so stages need not know which representation they received.
+/// — the duplicate shares the allocation (zero-copy).
+///
+/// Two shapes are held inline rather than boxed: a [`PayloadBytes`]
+/// handle (from [`Item::bytes`], or [`Item::cloneable`] given one) and a
+/// `u64` (from [`Item::cloneable`]). Making, converting or duplicating
+/// such an item allocates nothing. The typed accessors ([`Item::is`],
+/// [`Item::payload_ref`], [`Item::into_payload`], …) treat an inline
+/// payload exactly like a boxed one of the same type, so stages need not
+/// know which representation they received.
 pub struct Item {
     payload: Payload,
-    cloner: Option<Cloner>,
     /// Metadata travelling with the payload.
     pub meta: Meta,
 }
@@ -53,23 +86,28 @@ impl Item {
     #[must_use]
     pub fn new<T: Any + Send>(payload: T) -> Item {
         Item {
-            payload: Payload::Any(Box::new(payload)),
-            cloner: None,
+            payload: Payload::Any(Box::new(payload), None),
             meta: Meta::default(),
         }
     }
 
     /// Wraps a cloneable payload, enabling multicast tees to duplicate the
-    /// item.
+    /// item. A `u64` or a [`PayloadBytes`] is held inline, without a box.
     #[must_use]
     pub fn cloneable<T: Any + Send + Clone>(payload: T) -> Item {
         fn clone_impl<T: Any + Send + Clone>(p: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
             p.downcast_ref::<T>()
                 .map(|v| Box::new(v.clone()) as Box<dyn Any + Send>)
         }
+        let payload = match cast::<T, u64>(payload) {
+            Ok(w) => Payload::Word(w),
+            Err(payload) => match cast::<T, PayloadBytes>(payload) {
+                Ok(p) => Payload::Bytes(p),
+                Err(payload) => Payload::Any(Box::new(payload), Some(clone_impl::<T>)),
+            },
+        };
         Item {
-            payload: Payload::Any(Box::new(payload)),
-            cloner: Some(clone_impl::<T>),
+            payload,
             meta: Meta::default(),
         }
     }
@@ -81,7 +119,6 @@ impl Item {
     pub fn bytes(payload: impl Into<PayloadBytes>) -> Item {
         Item {
             payload: Payload::Bytes(payload.into()),
-            cloner: None,
             meta: Meta::default(),
         }
     }
@@ -103,19 +140,13 @@ impl Item {
     /// Whether the payload is a `T`.
     #[must_use]
     pub fn is<T: Any>(&self) -> bool {
-        match &self.payload {
-            Payload::Any(b) => b.as_ref().is::<T>(),
-            Payload::Bytes(p) => (p as &dyn Any).is::<T>(),
-        }
+        self.payload.as_any().is::<T>()
     }
 
     /// Borrows the payload as `T`.
     #[must_use]
     pub fn payload_ref<T: Any>(&self) -> Option<&T> {
-        match &self.payload {
-            Payload::Any(b) => b.as_ref().downcast_ref::<T>(),
-            Payload::Bytes(p) => (p as &dyn Any).downcast_ref::<T>(),
-        }
+        self.payload.as_any().downcast_ref::<T>()
     }
 
     /// Mutably borrows the payload as `T`.
@@ -125,20 +156,13 @@ impl Item {
     /// sliced), but the shared bytes behind it remain immutable.
     #[must_use]
     pub fn payload_mut<T: Any>(&mut self) -> Option<&mut T> {
-        match &mut self.payload {
-            Payload::Any(b) => b.as_mut().downcast_mut::<T>(),
-            Payload::Bytes(p) => (p as &mut dyn Any).downcast_mut::<T>(),
-        }
+        self.payload.as_any_mut().downcast_mut::<T>()
     }
 
-    /// Borrows the payload as a shared byte buffer, if this item is on
-    /// the bytes fast path.
+    /// Borrows the payload as a shared byte buffer, if it is one.
     #[must_use]
     pub fn as_payload_bytes(&self) -> Option<&PayloadBytes> {
-        match &self.payload {
-            Payload::Bytes(p) => Some(p),
-            Payload::Any(b) => b.as_ref().downcast_ref::<PayloadBytes>(),
-        }
+        self.payload_ref()
     }
 
     /// Consumes the item, extracting the payload.
@@ -148,32 +172,23 @@ impl Item {
     /// Returns the item unchanged if the payload is not a `T`.
     pub fn into_payload<T: Any>(self) -> Result<(T, Meta), Item> {
         let meta = self.meta;
-        let cloner = self.cloner;
-        match self.payload {
-            Payload::Any(payload) => match payload.downcast::<T>() {
-                Ok(b) => Ok((*b, meta)),
-                Err(payload) => Err(Item {
-                    payload: Payload::Any(payload),
-                    cloner,
-                    meta,
-                }),
+        // An inline payload moves out without boxing: this runs per item
+        // on the data path, so no allocation is allowed here.
+        let payload = match self.payload {
+            Payload::Any(b, cloner) => match b.downcast::<T>() {
+                Ok(v) => return Ok((*v, meta)),
+                Err(b) => Payload::Any(b, cloner),
             },
-            Payload::Bytes(p) => {
-                // Move the buffer out without boxing when `T` is
-                // `PayloadBytes` itself (this runs per frame on the data
-                // path, so no allocation is allowed here); anything else
-                // is a type mismatch.
-                let mut slot = Some(p);
-                match (&mut slot as &mut dyn Any).downcast_mut::<Option<T>>() {
-                    Some(t) => Ok((t.take().expect("slot holds the payload"), meta)),
-                    None => Err(Item {
-                        payload: Payload::Bytes(slot.take().expect("slot holds the payload")),
-                        cloner,
-                        meta,
-                    }),
-                }
-            }
-        }
+            Payload::Bytes(p) => match cast(p) {
+                Ok(v) => return Ok((v, meta)),
+                Err(p) => Payload::Bytes(p),
+            },
+            Payload::Word(w) => match cast(w) {
+                Ok(v) => return Ok((v, meta)),
+                Err(w) => Payload::Word(w),
+            },
+        };
+        Err(Item { payload, meta })
     }
 
     /// Consumes the item, extracting the payload.
@@ -198,7 +213,7 @@ impl Item {
     /// Whether this item supports duplication.
     #[must_use]
     pub(crate) fn is_cloneable(&self) -> bool {
-        matches!(self.payload, Payload::Bytes(_)) || self.cloner.is_some()
+        !matches!(self.payload, Payload::Any(_, None))
     }
 
     /// Duplicates the item (payload, meta, and cloneability); `None` if the
@@ -207,12 +222,12 @@ impl Item {
     #[must_use]
     pub fn try_clone(&self) -> Option<Item> {
         let payload = match &self.payload {
+            Payload::Any(b, cloner) => Payload::Any((*cloner)?(&**b)?, *cloner),
             Payload::Bytes(p) => Payload::Bytes(p.clone()),
-            Payload::Any(b) => Payload::Any(self.cloner?(b.as_ref())?),
+            Payload::Word(w) => Payload::Word(*w),
         };
         Some(Item {
             payload,
-            cloner: self.cloner,
             meta: self.meta,
         })
     }
@@ -272,6 +287,31 @@ mod tests {
         let item = Item::new(5u32);
         assert!(!item.is_cloneable());
         assert!(item.try_clone().is_none());
+        // A word made with `new` stays boxed and not duplicable.
+        let word = Item::new(5u64);
+        assert!(matches!(word.payload, Payload::Any(_, None)));
+        assert!(!word.is_cloneable());
+        assert!(word.try_clone().is_none());
+        assert_eq!(word.expect::<u64>(), 5);
+    }
+
+    #[test]
+    fn cloneable_words_are_inline() {
+        let mut item = Item::cloneable(7u64).with_seq(2);
+        assert!(matches!(item.payload, Payload::Word(7)), "no box");
+        assert!(item.is::<u64>());
+        assert!(!item.is::<u32>());
+        assert_eq!(item.payload_ref::<u64>(), Some(&7));
+        assert!(item.payload_ref::<i64>().is_none());
+        *item.payload_mut::<u64>().unwrap() += 1;
+        assert!(item.payload_mut::<u32>().is_none());
+        let dup = item.try_clone().unwrap();
+        assert!(matches!(dup.payload, Payload::Word(8)));
+        assert_eq!(dup.meta, item.meta);
+        let wrong = item.into_payload::<u32>().unwrap_err();
+        assert_eq!(wrong.meta.seq, 2, "meta survives the failed extraction");
+        assert!(matches!(wrong.payload, Payload::Word(8)));
+        assert_eq!(wrong.into_payload::<u64>().unwrap(), (8, dup.meta));
     }
 
     #[test]
@@ -304,13 +344,26 @@ mod tests {
 
     #[test]
     fn cloneable_payload_bytes_values_also_share() {
-        // Even without the fast path, a PayloadBytes wrapped via
-        // `cloneable` duplicates by refcount because its Clone is shallow.
+        // A PayloadBytes given to `cloneable` takes the inline bytes
+        // shape, so it duplicates by refcount like an `Item::bytes`.
         let buf = PayloadBytes::from_vec(vec![5; 16]);
-        let item = Item::cloneable(buf.clone());
+        let mut item = Item::cloneable(buf.clone()).with_seq(6);
+        assert!(matches!(item.payload, Payload::Bytes(_)), "no box");
+        assert!(item.is::<PayloadBytes>());
+        assert!(!item.is::<u64>());
         assert_eq!(item.as_payload_bytes().unwrap().as_ptr(), buf.as_ptr());
+        assert_eq!(item.payload_ref::<PayloadBytes>().unwrap().len(), 16);
+        assert!(item.payload_ref::<Vec<u8>>().is_none());
+        *item.payload_mut::<PayloadBytes>().unwrap() = buf.slice(4..8);
+        assert!(item.payload_mut::<u64>().is_none());
         let dup = item.try_clone().unwrap();
-        assert_eq!(dup.expect::<PayloadBytes>().as_ptr(), buf.as_ptr());
+        assert_eq!(dup.meta, item.meta);
+        assert!(dup.expect::<PayloadBytes>().shares_allocation_with(&buf));
+        let wrong = item.into_payload::<u64>().unwrap_err();
+        assert_eq!(wrong.meta.seq, 6, "meta survives the failed extraction");
+        let (back, meta) = wrong.into_payload::<PayloadBytes>().unwrap();
+        assert_eq!((back.len(), meta.seq), (4, 6));
+        assert!(back.shares_allocation_with(&buf));
     }
 
     #[test]

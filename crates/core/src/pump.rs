@@ -39,6 +39,12 @@
 //! free-running pump keeps the CPU until it blocks — on a full or empty
 //! buffer, or on a coroutine — which is the hand-off rule the kernel has
 //! for any thread with a message waiting.
+//!
+//! A cycle reads the kernel clock only when the pump's policy asks for it:
+//! [`Pump::after_cycle`] receives the time as a closure, which a
+//! [`ClockedPump`] calls once per tick and a [`FreePump`] never calls. A
+//! free-running chain therefore pays no clock read per item (under a
+//! virtual clock, no kernel lock either).
 
 use crate::events::ControlEvent;
 use mbthread::{Constraint, Priority, Time};
@@ -93,8 +99,9 @@ pub trait Pump: Send + 'static {
     /// schedule.
     fn on_start(&mut self, now: Time) -> Schedule;
 
-    /// Called after each cycle; returns the next cycle's schedule.
-    fn after_cycle(&mut self, now: Time, outcome: CycleOutcome) -> Schedule;
+    /// Called after each cycle; returns the next cycle's schedule. `now`
+    /// reads the kernel clock: call it only if the policy needs the time.
+    fn after_cycle(&mut self, now: &dyn Fn() -> Time, outcome: CycleOutcome) -> Schedule;
 
     /// Handles a control event; returning `Some` reschedules the next
     /// cycle (used by [`ControlEvent::SetRate`] and stop handling).
@@ -106,8 +113,7 @@ pub trait Pump: Send + 'static {
     /// The constraint attached to the next cycle's messages. The default
     /// is the pump's thread priority; clocked pumps add their tick
     /// deadline so earlier deadlines win within a priority band.
-    fn cycle_constraint(&self, now: Time) -> Option<Constraint> {
-        let _ = now;
+    fn cycle_constraint(&self) -> Option<Constraint> {
         Some(Constraint::priority(self.thread_priority()))
     }
 }
@@ -123,8 +129,6 @@ pub struct ClockedPump {
     period: Duration,
     next: Option<Time>,
     priority: Priority,
-    /// Stop automatically at end of stream (default true).
-    stop_at_eos: bool,
 }
 
 impl ClockedPump {
@@ -140,7 +144,6 @@ impl ClockedPump {
             period: Duration::from_secs_f64(1.0 / hz),
             next: None,
             priority: Priority::NORMAL,
-            stop_at_eos: true,
         }
     }
 
@@ -173,17 +176,14 @@ impl Pump for ClockedPump {
         Schedule::At(at)
     }
 
-    fn after_cycle(&mut self, now: Time, outcome: CycleOutcome) -> Schedule {
+    fn after_cycle(&mut self, now: &dyn Fn() -> Time, outcome: CycleOutcome) -> Schedule {
         match outcome {
-            CycleOutcome::Eos if self.stop_at_eos => {
+            CycleOutcome::Eos | CycleOutcome::Interrupted => {
                 self.next = None;
                 Schedule::Stopped
             }
-            CycleOutcome::Interrupted => {
-                self.next = None;
-                Schedule::Stopped
-            }
-            _ => {
+            CycleOutcome::Moved | CycleOutcome::UpstreamEmpty => {
+                let now = now();
                 let anchor = self.next.unwrap_or(now);
                 let mut at = anchor + self.period;
                 if at <= now {
@@ -208,7 +208,7 @@ impl Pump for ClockedPump {
         }
     }
 
-    fn cycle_constraint(&self, _now: Time) -> Option<Constraint> {
+    fn cycle_constraint(&self) -> Option<Constraint> {
         // The next tick is this cycle's deadline: within a priority band,
         // pumps with nearer ticks run first (EDF).
         match self.next {
@@ -262,7 +262,7 @@ impl Pump for FreePump {
         Schedule::Immediately
     }
 
-    fn after_cycle(&mut self, _now: Time, outcome: CycleOutcome) -> Schedule {
+    fn after_cycle(&mut self, _now: &dyn Fn() -> Time, outcome: CycleOutcome) -> Schedule {
         match outcome {
             CycleOutcome::Moved => Schedule::Immediately,
             CycleOutcome::UpstreamEmpty => Schedule::OnArrival,
@@ -274,6 +274,12 @@ impl Pump for FreePump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// A clock for `after_cycle` that reads `ms` milliseconds.
+    fn at(ms: u64) -> impl Fn() -> Time {
+        move || Time::from_millis(ms)
+    }
 
     #[test]
     fn clocked_pump_ticks_drift_free() {
@@ -282,21 +288,39 @@ mod tests {
         assert_eq!(s0, Schedule::At(Time::from_millis(100)));
         // Cycle ran promptly: next tick anchored at 200 ms even though the
         // cycle finished at 105 ms.
-        let s1 = p.after_cycle(Time::from_millis(105), CycleOutcome::Moved);
+        let s1 = p.after_cycle(&at(105), CycleOutcome::Moved);
         assert_eq!(s1, Schedule::At(Time::from_millis(200)));
         // Skipping-the-anchor case: a huge overrun re-anchors.
-        let s2 = p.after_cycle(Time::from_millis(950), CycleOutcome::Moved);
+        let s2 = p.after_cycle(&at(950), CycleOutcome::Moved);
         assert_eq!(s2, Schedule::At(Time::from_millis(1050)));
+    }
+
+    #[test]
+    fn clocked_pump_reads_the_clock_once_per_tick() {
+        let reads = Cell::new(0);
+        let now = || {
+            reads.set(reads.get() + 1);
+            Time::from_millis(105)
+        };
+        let mut p = ClockedPump::hz(10.0);
+        let _ = p.on_start(Time::ZERO);
+        for (n, outcome) in [CycleOutcome::Moved, CycleOutcome::UpstreamEmpty]
+            .into_iter()
+            .enumerate()
+        {
+            let _ = p.after_cycle(&now, outcome);
+            assert_eq!(reads.get(), n + 1, "one read for a {outcome:?} cycle");
+        }
+        // Stopping needs no time at all.
+        assert_eq!(p.after_cycle(&now, CycleOutcome::Eos), Schedule::Stopped);
+        assert_eq!(reads.get(), 2);
     }
 
     #[test]
     fn clocked_pump_stops_at_eos() {
         let mut p = ClockedPump::hz(30.0);
         let _ = p.on_start(Time::ZERO);
-        assert_eq!(
-            p.after_cycle(Time::from_millis(33), CycleOutcome::Eos),
-            Schedule::Stopped
-        );
+        assert_eq!(p.after_cycle(&at(33), CycleOutcome::Eos), Schedule::Stopped);
     }
 
     #[test]
@@ -315,27 +339,25 @@ mod tests {
     fn clocked_pump_constraint_carries_deadline() {
         let mut p = ClockedPump::hz(10.0).priority(Priority::HIGH);
         let _ = p.on_start(Time::ZERO);
-        let c = p.cycle_constraint(Time::ZERO).unwrap();
+        let c = p.cycle_constraint().unwrap();
         assert_eq!(c.priority, Priority::HIGH);
         assert_eq!(c.deadline, Some(Time::from_millis(100)));
     }
 
     #[test]
     fn free_pump_follows_supply() {
+        // A free pump's policy needs no time: it never reads the clock.
+        let never = || -> Time { panic!("a free pump read the clock") };
         let mut p = FreePump::new();
         assert_eq!(p.on_start(Time::ZERO), Schedule::Immediately);
-        assert_eq!(
-            p.after_cycle(Time::ZERO, CycleOutcome::Moved),
-            Schedule::Immediately
-        );
-        assert_eq!(
-            p.after_cycle(Time::ZERO, CycleOutcome::UpstreamEmpty),
-            Schedule::OnArrival
-        );
-        assert_eq!(
-            p.after_cycle(Time::ZERO, CycleOutcome::Eos),
-            Schedule::Stopped
-        );
+        for (outcome, next) in [
+            (CycleOutcome::Moved, Schedule::Immediately),
+            (CycleOutcome::UpstreamEmpty, Schedule::OnArrival),
+            (CycleOutcome::Eos, Schedule::Stopped),
+            (CycleOutcome::Interrupted, Schedule::Stopped),
+        ] {
+            assert_eq!(p.after_cycle(&never, outcome), next);
+        }
     }
 
     #[test]

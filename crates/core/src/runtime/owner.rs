@@ -10,7 +10,7 @@ use crate::events::{tags, ControlEvent, EventMsg};
 use crate::graph::NodeId;
 use crate::pump::{CycleOutcome, Pump, Schedule};
 use crate::stage::{ActiveObject, Stage};
-use mbthread::{Constraint, Ctx, Envelope, Flow, Message, Time, TimerId};
+use mbthread::{Constraint, Ctx, Envelope, Flow, Message, TimerId};
 
 /// Which kind of activity owner runs this section; built by the planner.
 pub(crate) enum OwnerRole {
@@ -96,12 +96,7 @@ impl OwnerFn {
     /// Arms what `schedule` asks for. Returns the next cycle's constraint
     /// when that cycle is due right away; the caller then either runs it
     /// where it stands or asks for it with [`OwnerFn::send_tick`].
-    fn apply_schedule(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        schedule: Schedule,
-        now: Time,
-    ) -> Option<DueNow> {
+    fn apply_schedule(&mut self, ctx: &mut Ctx<'_>, schedule: Schedule) -> Option<DueNow> {
         if let Some(t) = self.pending_tick.take() {
             let _ = ctx.cancel_timer(t);
         }
@@ -109,7 +104,7 @@ impl OwnerFn {
         let OwnerRole::Pump { pump } = &self.role else {
             return None;
         };
-        let constraint = pump.cycle_constraint(now);
+        let constraint = pump.cycle_constraint();
         let due_now = match schedule {
             Schedule::Stopped => {
                 self.stopped = true;
@@ -144,8 +139,8 @@ impl OwnerFn {
     /// [`OwnerFn::apply_schedule`] from outside a cycle (start, a
     /// rescheduling event): a cycle due right away goes through the main
     /// loop, behind the events still to be delivered.
-    fn reschedule(&mut self, ctx: &mut Ctx<'_>, schedule: Schedule, now: Time) {
-        if let Some(due) = self.apply_schedule(ctx, schedule, now) {
+    fn reschedule(&mut self, ctx: &mut Ctx<'_>, schedule: Schedule) {
+        if let Some(due) = self.apply_schedule(ctx, schedule) {
             Self::send_tick(ctx, due);
         }
     }
@@ -161,12 +156,11 @@ impl OwnerFn {
     fn run_cycles(&mut self, ctx: &mut Ctx<'_>, current: Option<Constraint>) {
         while self.started && !self.stopped && !self.rt.stopping {
             let outcome = self.cycle(ctx);
-            let now = ctx.now();
             let schedule = match &mut self.role {
-                OwnerRole::Pump { pump } => pump.after_cycle(now, outcome),
+                OwnerRole::Pump { pump } => pump.after_cycle(&|| ctx.now(), outcome),
                 _ => Schedule::Stopped,
             };
-            let Some(due) = self.apply_schedule(ctx, schedule, now) else {
+            let Some(due) = self.apply_schedule(ctx, schedule) else {
                 return;
             };
             let stay = due.0 == current && self.rt.pending_events.is_empty() && ctx.undisturbed();
@@ -228,23 +222,21 @@ impl OwnerFn {
                     self.started = true;
                     match &mut self.role {
                         OwnerRole::Pump { pump } => {
-                            let now = ctx.now();
-                            let s = pump.on_start(now);
-                            self.reschedule(ctx, s, now);
+                            let s = pump.on_start(ctx.now());
+                            self.reschedule(ctx, s);
                         }
                         _ => self.run_active(ctx),
                     }
                 }
                 ControlEvent::Start => {}
                 other => {
-                    let now = ctx.now();
                     let resched = match &mut self.role {
-                        OwnerRole::Pump { pump } => pump.on_event(now, other),
+                        OwnerRole::Pump { pump } => pump.on_event(ctx.now(), other),
                         _ => None,
                     };
                     if let Some(s) = resched {
                         if self.started && !self.stopped {
-                            self.reschedule(ctx, s, now);
+                            self.reschedule(ctx, s);
                         }
                     }
                 }
