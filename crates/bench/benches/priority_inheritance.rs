@@ -74,14 +74,12 @@ fn run_scenario(inheritance: bool) -> u64 {
                 let _ = ctx.send_with(low, Message::signal(WORK), None);
                 let _ = ctx.send_with(medium, Message::new(WORK, 0u64), None);
                 let before = medium_units3.load(Ordering::Relaxed);
-                let pending = ctx
-                    .begin_sync_with(
-                        low,
-                        Message::signal(REQ),
-                        Some(Constraint::priority(Priority::HIGH)),
-                    )
-                    .expect("begin");
-                let _ = ctx.wait(pending);
+                let _ = ctx.call(
+                    low,
+                    Message::signal(REQ),
+                    Some(Constraint::priority(Priority::HIGH)),
+                    &[],
+                );
                 let after = medium_units3.load(Ordering::Relaxed);
                 observed.store(after - before, Ordering::Relaxed);
                 Flow::Stop

@@ -131,6 +131,9 @@ pub fn run_fig9(cfg: &Fig9Config, items: u32) -> (PlanReport, usize, KernelStats
 
         let running = pipeline.start().expect("plan");
         let report = running.report().clone();
+        // Every thread `start` spawned parks before the snapshot, so the
+        // delta counts the flow alone and repeats exactly.
+        kernel.wait_quiescent();
         let before = kernel.stats();
         running.start_flow().expect("start");
         running.wait_quiescent();
@@ -148,8 +151,21 @@ mod tests {
 
     #[test]
     fn all_fig9_configs_match_the_paper() {
-        for cfg in &FIG9 {
-            let (report, delivered, _) = run_fig9(cfg, 50);
+        // (context switches, kernel messages) for 50 items, a–h: per item
+        // and coroutine, two switches and two messages (a `GET` or `PUT`
+        // and its reply); the rest is per stream (start, `END`, `Eos`).
+        const COST: [(u64, u64); 8] = [
+            (0, 2),
+            (0, 2),
+            (0, 2),
+            (106, 106),
+            (211, 209),
+            (211, 209),
+            (106, 105),
+            (106, 106),
+        ];
+        for (cfg, (switches, messages)) in FIG9.iter().zip(COST) {
+            let (report, delivered, stats) = run_fig9(cfg, 50);
             assert_eq!(
                 report.total_threads(),
                 cfg.expected_threads,
@@ -157,6 +173,12 @@ mod tests {
                 cfg.label
             );
             assert_eq!(delivered, 50, "config {} lost items", cfg.label);
+            assert_eq!(
+                (stats.context_switches, stats.messages_sent),
+                (switches, messages),
+                "config {}: (switches, messages)",
+                cfg.label
+            );
         }
     }
 }

@@ -76,14 +76,20 @@ impl MsgEndpoint {
         if let Some(item) = self.item.take() {
             return Pulled::Item(item);
         }
-        // Coming back for more: the previous pusher may now resume (the
-        // deferred ack — control returns upstream).
-        self.ack_put(ctx);
         if self.closed {
+            self.ack_put(ctx);
             return Pulled::Eos;
         }
-        match rt.wait_tag(ctx, &[tags::PUT, tags::END, tags::CTRL]) {
-            Some(env) if env.tag() == tags::PUT => Pulled::Item(self.accept_put(ctx, env)),
+        // Coming back for more: the previous pusher may now resume (the
+        // deferred ack — control returns upstream), and the wait for the
+        // next `PUT` begins in the same kernel operation.
+        let accept = [tags::PUT, tags::END, tags::CTRL];
+        let next = match self.pending.take() {
+            Some(put) => rt.answer_and_wait(ctx, &put, Message::signal(tags::PUT), &accept),
+            None => rt.wait_tag(ctx, &accept),
+        };
+        match next {
+            Some(env) if env.tag() == tags::PUT => Pulled::Item(self.accept_put(env)),
             Some(_end) => {
                 self.closed = true;
                 Pulled::Eos
@@ -93,9 +99,9 @@ impl MsgEndpoint {
     }
 
     /// Takes the item out of a `PUT` and keeps the envelope for the
-    /// deferred ack.
-    fn accept_put(&mut self, ctx: &mut Ctx<'_>, mut env: Envelope) -> Item {
-        ctx.adopt_constraint(env.constraint());
+    /// deferred ack. The kernel made the `PUT`'s constraint current when it
+    /// delivered the request.
+    fn accept_put(&mut self, mut env: Envelope) -> Item {
         let item = env.message_mut().take_body().expect("PUT carries an Item");
         self.pending = Some(env);
         item
@@ -108,18 +114,17 @@ impl MsgEndpoint {
         }
     }
 
-    /// Component-facing `put` in pull position: answer the pending `GET`,
-    /// then wait until the next `GET` arrives (Fig. 7b's
-    /// "pull-mode wrapper for push").
+    /// Component-facing `put` in pull position: answer the pending `GET`
+    /// and wait until the next `GET` arrives, in one kernel operation
+    /// (Fig. 7b's "pull-mode wrapper for push").
     pub(crate) fn msg_put(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
         let Some(env) = self.pending.take() else {
             // The downstream requester went away (stop); discard.
             return PushRes::Interrupted;
         };
-        let _ = ctx.reply(&env, Message::new(tags::GET, GetReply(Some(item))));
-        match rt.wait_tag(ctx, &[tags::GET, tags::CTRL]) {
+        let answer = Message::new(tags::GET, GetReply(Some(item)));
+        match rt.answer_and_wait(ctx, &env, answer, &[tags::GET, tags::CTRL]) {
             Some(env) => {
-                ctx.adopt_constraint(env.constraint());
                 self.pending = Some(env);
                 PushRes::Ok
             }
@@ -290,7 +295,7 @@ impl mbthread::CodeFn for CoroFn {
                 if env.tag() == tags::PUT {
                     // A finished coroutine discards the item and acks at
                     // once, so the upstream does not hang.
-                    let item = self.ep.accept_put(ctx, env);
+                    let item = self.ep.accept_put(env);
                     self.ep.item = fresh.then_some(item);
                 } else {
                     self.ep.closed = true;

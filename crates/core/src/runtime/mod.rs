@@ -199,6 +199,33 @@ impl RtState {
         None
     }
 
+    /// [`RtState::wait_tag`] that first answers the request `req` with
+    /// `answer`, in the same kernel critical section as the wait's first
+    /// receive. The answer goes out even when the wait is already aborted.
+    pub(crate) fn answer_and_wait(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        req: &Envelope,
+        answer: Message,
+        accept: &[Tag],
+    ) -> Option<Envelope> {
+        if self.stopping {
+            let _ = ctx.reply(req, answer);
+            return None;
+        }
+        match ctx.reply_and_receive(req, answer, accept) {
+            Ok(env) if env.tag() != tags::CTRL => Some(env),
+            Ok(ctl) => {
+                self.note_control(ctl);
+                self.wait_tag(ctx, accept)
+            }
+            Err(_) => {
+                self.stopping = true;
+                None
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Buffer operations (blocking, control-receptive)
     // ------------------------------------------------------------------
@@ -253,61 +280,48 @@ impl RtState {
     /// Requests the next item from an upstream coroutine (a synchronous
     /// GET that handles control events while blocked).
     pub(crate) fn sync_get(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId) -> Pulled {
-        if self.stopping {
-            return Pulled::Interrupted;
-        }
-        let Ok(mut pending) = ctx.begin_sync(coro, Message::signal(tags::GET)) else {
-            self.stopping = true;
+        let Some(mut env) = self.sync_call(ctx, coro, Message::signal(tags::GET)) else {
             return Pulled::Interrupted;
         };
-        loop {
-            match ctx.wait_or(pending, tags::INTERRUPTS) {
-                Ok(SyncOutcome::Reply(mut env)) => {
-                    let reply: crate::events::GetReply = env
-                        .message_mut()
-                        .take_body()
-                        .expect("GET reply carries GetReply");
-                    return match reply.0 {
-                        Some(item) => Pulled::Item(item),
-                        None => Pulled::Eos,
-                    };
-                }
-                Ok(SyncOutcome::Interrupted(p, ctl)) => {
-                    if self.note_control(ctl) {
-                        return Pulled::Interrupted;
-                    }
-                    pending = p;
-                }
-                Err(_) => {
-                    self.stopping = true;
-                    return Pulled::Interrupted;
-                }
-            }
+        let reply: crate::events::GetReply = env
+            .message_mut()
+            .take_body()
+            .expect("GET reply carries GetReply");
+        match reply.0 {
+            Some(item) => Pulled::Item(item),
+            None => Pulled::Eos,
         }
     }
 
     /// Hands an item to a downstream coroutine and waits until the
     /// coroutine comes back for more (the synchronous hand-off of Fig. 5).
     pub(crate) fn sync_put(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId, item: Item) -> PushRes {
-        if self.stopping {
-            return PushRes::Interrupted;
+        match self.sync_call(ctx, coro, Message::new(tags::PUT, item)) {
+            Some(_ack) => PushRes::Ok,
+            None => PushRes::Interrupted,
         }
-        let Ok(mut pending) = ctx.begin_sync(coro, Message::new(tags::PUT, item)) else {
-            self.stopping = true;
-            return PushRes::Interrupted;
-        };
+    }
+
+    /// One synchronous round trip to a coroutine, receptive to control
+    /// events while blocked: the reply, or `None` when a stop request or
+    /// shutdown aborted it.
+    fn sync_call(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId, msg: Message) -> Option<Envelope> {
+        if self.stopping {
+            return None;
+        }
+        let mut outcome = ctx.call(coro, msg, None, tags::INTERRUPTS);
         loop {
-            match ctx.wait_or(pending, tags::INTERRUPTS) {
-                Ok(SyncOutcome::Reply(_ack)) => return PushRes::Ok,
-                Ok(SyncOutcome::Interrupted(p, ctl)) => {
+            match outcome {
+                Ok(SyncOutcome::Reply(env)) => return Some(env),
+                Ok(SyncOutcome::Interrupted(pending, ctl)) => {
                     if self.note_control(ctl) {
-                        return PushRes::Interrupted;
+                        return None;
                     }
-                    pending = p;
+                    outcome = ctx.wait_or(pending, tags::INTERRUPTS);
                 }
                 Err(_) => {
                     self.stopping = true;
-                    return PushRes::Interrupted;
+                    return None;
                 }
             }
         }

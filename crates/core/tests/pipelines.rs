@@ -630,6 +630,98 @@ fn broadcast_events_reach_stages_in_coroutines() {
 }
 
 #[test]
+fn a_request_taken_after_a_control_event_governs_the_coroutine() {
+    // §4: a coroutine's messages carry the constraint of the request it
+    // serves. A clocked pump gives every cycle its own deadline, and `Poke`
+    // broadcasts an event between items, so each coroutine takes its next
+    // GET (pull position) or PUT (push position) after a control message
+    // instead of in the operation that answered the previous request.
+    use mbthread::{MatchSpec, Message, Tag, ThreadId};
+    const UP: Tag = Tag(1);
+    const DOWN: Tag = Tag(2);
+
+    struct Tap {
+        probe: ThreadId,
+        tag: Tag,
+    }
+    impl Stage for Tap {
+        fn name(&self) -> &str {
+            "tap"
+        }
+    }
+    impl infopipes::Consumer for Tap {
+        fn push(&mut self, ctx: &mut StageCtx<'_, '_>, item: Item) {
+            ctx.post(self.probe, Message::signal(self.tag));
+            ctx.put(item);
+        }
+    }
+    impl infopipes::ActiveObject for Tap {
+        fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
+            while let Some(item) = ctx.get() {
+                ctx.post(self.probe, Message::signal(self.tag));
+                ctx.put(item);
+            }
+        }
+    }
+    struct Poke;
+    impl Stage for Poke {
+        fn name(&self) -> &str {
+            "poke"
+        }
+    }
+    impl infopipes::Consumer for Poke {
+        fn push(&mut self, ctx: &mut StageCtx<'_, '_>, item: Item) {
+            ctx.broadcast(&ControlEvent::custom("poke", 0.0));
+            ctx.put(item);
+        }
+    }
+
+    let kernel = virtual_kernel();
+    {
+        let probe = kernel.external("probe");
+        let tap = |tag| Tap {
+            probe: probe.id(),
+            tag,
+        };
+        let pipeline = Pipeline::new(&kernel, "governed");
+        let source = pipeline.add_producer("source", IterSource::new("source", 0u32..5));
+        let up = pipeline.add_consumer("up", tap(UP));
+        let pump = pipeline.add_pump("pump", ClockedPump::hz(1000.0));
+        let poke = pipeline.add_consumer("poke", Poke);
+        let down = pipeline.add_active("down", tap(DOWN));
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let _ = source >> up >> pump >> poke >> down >> sink;
+        let running = pipeline.start().expect("plan");
+        // The pump's thread and one coroutine on each side of it.
+        assert_eq!(running.report().total_threads(), 3);
+        running.start_flow().expect("start");
+        running.wait_quiescent();
+        assert_eq!(*out.lock(), (0..5).collect::<Vec<u32>>());
+
+        let (mut ups, mut downs) = (Vec::new(), Vec::new());
+        while let Some(env) = probe.recv_timeout(&MatchSpec::Any, Duration::from_millis(1)) {
+            let deadline = env.constraint().and_then(|c| c.deadline);
+            let side = if env.tag() == UP {
+                &mut ups
+            } else {
+                &mut downs
+            };
+            side.push(deadline);
+        }
+        // Item n travels in cycle n on both sides, under that cycle's
+        // deadline and no other.
+        assert_eq!(ups.len(), 5);
+        assert_eq!(ups, downs);
+        assert!(
+            ups.windows(2).all(|w| w[0].is_some() && w[0] < w[1]),
+            "one deadline per cycle: {ups:?}"
+        );
+    }
+    kernel.shutdown();
+}
+
+#[test]
 fn eos_event_reaches_external_subscribers() {
     let kernel = virtual_kernel();
     {

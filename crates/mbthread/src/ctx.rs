@@ -59,10 +59,11 @@ impl From<String> for SpawnOptions {
     }
 }
 
-/// A synchronous send in flight: proof that a reply token is outstanding.
+/// A synchronous send interrupted before its reply: proof that a reply
+/// token is outstanding.
 ///
-/// Obtain one from [`Ctx::begin_sync`], then consume it with [`Ctx::wait`]
-/// or [`Ctx::wait_or`]. Dropping it unclaimed cancels the wait and discards
+/// Handed out by [`SyncOutcome::Interrupted`]; resume the wait with
+/// [`Ctx::wait_or`]. Dropping it unclaimed cancels the wait and discards
 /// any late reply.
 #[derive(Debug)]
 pub struct PendingReply {
@@ -74,12 +75,6 @@ pub struct PendingReply {
 }
 
 impl PendingReply {
-    /// The thread the request was sent to.
-    #[must_use]
-    pub fn peer(&self) -> ThreadId {
-        self.to
-    }
-
     fn consume(&mut self) {
         self.live = false;
     }
@@ -104,9 +99,9 @@ impl Drop for PendingReply {
     }
 }
 
-/// Outcome of [`Ctx::wait_or`]: either the awaited reply, or an
-/// interrupting message (e.g. a control event) with the wait still
-/// pending.
+/// Outcome of [`Ctx::call`] and [`Ctx::wait_or`]: either the awaited
+/// reply, or an interrupting message (e.g. a control event) with the wait
+/// still pending.
 #[derive(Debug)]
 pub enum SyncOutcome {
     /// The reply arrived; the synchronous send is complete.
@@ -173,19 +168,6 @@ impl<'k> Ctx<'k> {
         self.kernel.spawn(opts, code)
     }
 
-    /// Adopts a new current constraint mid-processing. Coroutine glue uses
-    /// this when a fresh request arrives inside a long-running handler:
-    /// "messages between coroutines inherit the constraint from the
-    /// message received by the sending component" (§4), so the latest
-    /// received constraint must govern subsequent sends.
-    pub fn adopt_constraint(&mut self, constraint: Option<Constraint>) {
-        let mut state = self.kernel.inner.lock();
-        if let Some(rec) = state.rec_mut(self.me) {
-            rec.cur = constraint;
-            rec.processing = true;
-        }
-    }
-
     // ------------------------------------------------------------------
     // Sending
     // ------------------------------------------------------------------
@@ -234,72 +216,43 @@ impl<'k> Ctx<'k> {
         Ok(())
     }
 
-    /// Starts a synchronous send: enqueues the request and returns a
-    /// [`PendingReply`] that must be consumed with [`Ctx::wait`] or
-    /// [`Ctx::wait_or`]. While the reply is outstanding, this thread
-    /// donates its urgency to the receiver (priority inheritance).
+    /// Sends synchronously and blocks, in one critical section, until the
+    /// reply or a message with one of `interrupt_tags` arrives. This is how
+    /// a component blocked in a `push` or `pull` stays receptive to control
+    /// events (§4 of the paper): on [`SyncOutcome::Interrupted`], handle the
+    /// interrupt, then resume with [`Ctx::wait_or`]. While the reply is
+    /// outstanding, this thread donates its urgency to the receiver
+    /// (priority inheritance).
+    ///
+    /// The request carries `constraint`, or with `None` the constraint of
+    /// the message being processed (as [`Ctx::send`] does). The send is a
+    /// preemption point only if an interrupt is already queued: otherwise
+    /// the thread blocks, which hands the CPU to the most urgent runnable
+    /// thread anyway.
     ///
     /// # Errors
     ///
-    /// Fails if the target does not exist, has terminated, or the kernel is
-    /// shutting down.
-    pub fn begin_sync(&mut self, to: ThreadId, msg: Message) -> Result<PendingReply, SendError> {
-        self.post_sync(to, msg, None)
-    }
-
-    /// [`Ctx::begin_sync`] with an explicit constraint.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the target does not exist, has terminated, or the kernel is
-    /// shutting down.
-    pub fn begin_sync_with(
+    /// Fails if the target is unknown or terminated before replying, or
+    /// the kernel is shutting down.
+    pub fn call(
         &mut self,
         to: ThreadId,
         msg: Message,
         constraint: Option<Constraint>,
-    ) -> Result<PendingReply, SendError> {
-        self.post_sync(to, msg, Some(constraint))
-    }
-
-    /// The synchronous counterpart of [`Ctx::post`].
-    fn post_sync(
-        &mut self,
-        to: ThreadId,
-        msg: Message,
-        explicit: Option<Option<Constraint>>,
-    ) -> Result<PendingReply, SendError> {
+        interrupt_tags: &[Tag],
+    ) -> Result<SyncOutcome, KernelError> {
         let inner = &self.kernel.inner;
         let mut state = inner.lock();
-        let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
+        let constraint = constraint.or_else(|| self.constraint_of(&state));
         let token = sched::enqueue_request(&mut state, &inner.stats, self.me, to, msg, constraint)?;
-        let _ = self.maybe_preempt(&mut state);
-        Ok(PendingReply {
-            kernel: self.kernel.clone(),
-            token,
-            to,
-            me: self.me,
-            live: true,
-        })
+        let spec = SpecRef::reply_or_tags(token, interrupt_tags);
+        self.preempt_unless_blocking(&mut state, spec);
+        self.await_reply(&mut state, spec, to)
     }
 
-    /// Blocks until the reply to `pending` arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::PeerGone`] if the receiver terminated without
-    /// replying, or [`KernelError::Shutdown`].
-    pub fn wait(&mut self, mut pending: PendingReply) -> Result<Envelope, KernelError> {
-        let out = self.blocking_receive(SpecRef::reply_or_tags(pending.token, &[]), true);
-        pending.consume();
-        out
-    }
-
-    /// Blocks until either the reply to `pending` arrives or a message with
-    /// one of `interrupt_tags` does. This is how a component blocked in a
-    /// `push` or `pull` stays receptive to control events (§4 of the
-    /// paper): handle the interrupt, then call `wait_or` again with the
-    /// returned pending reply.
+    /// Resumes the wait of an interrupted [`Ctx::call`]: blocks until either
+    /// the reply arrives or another message with one of `interrupt_tags`
+    /// does.
     ///
     /// # Errors
     ///
@@ -310,31 +263,26 @@ impl<'k> Ctx<'k> {
         mut pending: PendingReply,
         interrupt_tags: &[Tag],
     ) -> Result<SyncOutcome, KernelError> {
+        // The wait passes to `await_reply`, which hands out a fresh
+        // `PendingReply` if it is interrupted again.
+        pending.consume();
+        let mut state = self.kernel.inner.lock();
         let spec = SpecRef::reply_or_tags(pending.token, interrupt_tags);
-        let env = match self.blocking_receive(spec, true) {
-            Ok(env) => env,
-            Err(e) => {
-                pending.consume();
-                return Err(e);
-            }
-        };
-        if spec.is_reply(&env) {
-            pending.consume();
-            Ok(SyncOutcome::Reply(env))
-        } else {
-            Ok(SyncOutcome::Interrupted(pending, env))
-        }
+        self.await_reply(&mut state, spec, pending.to)
     }
 
-    /// Sends synchronously and blocks for the reply: `begin_sync` + `wait`.
+    /// Sends synchronously and blocks for the reply: [`Ctx::call`] with the
+    /// inherited constraint and no interrupts.
     ///
     /// # Errors
     ///
     /// Fails if the target is unknown, terminated before replying, or the
     /// kernel is shutting down.
     pub fn send_sync(&mut self, to: ThreadId, msg: Message) -> Result<Envelope, KernelError> {
-        let pending = self.begin_sync(to, msg)?;
-        self.wait(pending)
+        match self.call(to, msg, None, &[])? {
+            SyncOutcome::Reply(env) => Ok(env),
+            SyncOutcome::Interrupted(..) => unreachable!("a wait without interrupt tags"),
+        }
     }
 
     /// Replies to a synchronous request. Consumes the envelope's reply
@@ -346,45 +294,72 @@ impl<'k> Ctx<'k> {
     /// (or was already replied to); [`SendError::UnknownThread`] if the
     /// requester has terminated.
     pub fn reply(&mut self, env: &Envelope, msg: Message) -> Result<(), SendError> {
-        let token = env.reply_to.ok_or(SendError::NotARequest)?;
-        let to = env.from.ok_or(SendError::NotARequest)?;
-        let inner = &self.kernel.inner;
-        let mut state = inner.lock();
-        // Each request may be answered once: the token is retired here, so
-        // a second reply (or a reply after the waiter gave up) fails.
-        if !state.pending_tokens.remove(&token.0) {
-            return Err(SendError::StaleReply);
-        }
-        let constraint = self.constraint_of(&state);
-        let mut reply_env = state.stamp(Some(self.me), msg, constraint);
-        reply_env.in_reply = Some(token);
-        sched::enqueue(&mut state, &inner.stats, to, reply_env)?;
+        let mut state = self.kernel.inner.lock();
+        self.reply_locked(&mut state, env, msg)?;
         let _ = self.maybe_preempt(&mut state);
         Ok(())
+    }
+
+    /// Replies to `req` and blocks for the next message whose tag is in
+    /// `tags`, in one critical section: the server side of a hand-off. The
+    /// received message is taken as [`Ctx::receive_tags`] takes it, so a
+    /// request received here becomes the message this thread processes.
+    ///
+    /// A reply that [`Ctx::reply`] would refuse (the requester gave up its
+    /// wait or terminated) is dropped, and the receive goes ahead. The
+    /// reply is a preemption point only if a matching message is already
+    /// queued: otherwise the thread blocks, which hands the CPU to the most
+    /// urgent runnable thread anyway.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
+    pub fn reply_and_receive(
+        &mut self,
+        req: &Envelope,
+        msg: Message,
+        tags: &[Tag],
+    ) -> Result<Envelope, KernelError> {
+        let mut state = self.kernel.inner.lock();
+        let _ = self.reply_locked(&mut state, req, msg);
+        let spec = SpecRef::tags(tags);
+        self.preempt_unless_blocking(&mut state, spec);
+        self.receive_locked(&mut state, spec, false)
     }
 
     // ------------------------------------------------------------------
     // Receiving
     // ------------------------------------------------------------------
 
-    /// Suspends until any message arrives. Used for mid-processing waits;
-    /// the constraint of the outer message being processed is unchanged.
+    /// Suspends until any message arrives. Used for mid-processing waits:
+    /// the constraint of the outer message being processed stays current,
+    /// unless the received envelope is a request (it
+    /// [wants a reply](Envelope::wants_reply)). This thread then serves
+    /// that request, so its constraint becomes current: "messages between
+    /// coroutines inherit the constraint from the message received by the
+    /// sending component" (§4).
+    ///
+    /// A reply carries the current constraint too, so a thread that
+    /// receives a second request before answering the first stamps the
+    /// first reply with the second request's constraint. Answer a request
+    /// before receiving the next one where its reply must keep its own.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive(&mut self) -> Result<Envelope, KernelError> {
-        self.blocking_receive(SpecRef::ANY, false)
+        self.blocking_receive(SpecRef::ANY)
     }
 
     /// Suspends until a message whose tag is in `tags` arrives;
-    /// non-matching messages stay queued in arrival order.
+    /// non-matching messages stay queued in arrival order. A received
+    /// request becomes current as in [`Ctx::receive`].
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive_tags(&mut self, tags: &[Tag]) -> Result<Envelope, KernelError> {
-        self.blocking_receive(SpecRef::tags(tags), false)
+        self.blocking_receive(SpecRef::tags(tags))
     }
 
     /// Top-level receive for the thread main loop. In the critical section
@@ -522,6 +497,61 @@ impl<'k> Ctx<'k> {
         state.rec(self.me).and_then(|r| r.cur)
     }
 
+    /// Queues the reply to `env`; the send half of [`Ctx::reply`].
+    fn reply_locked(
+        &self,
+        state: &mut KGuard<'_>,
+        env: &Envelope,
+        msg: Message,
+    ) -> Result<(), SendError> {
+        let token = env.reply_to.ok_or(SendError::NotARequest)?;
+        let to = env.from.ok_or(SendError::NotARequest)?;
+        // Each request may be answered once: the token is retired here, so
+        // a second reply (or a reply after the waiter gave up) fails.
+        if !state.pending_tokens.remove(&token.0) {
+            return Err(SendError::StaleReply);
+        }
+        let constraint = self.constraint_of(state);
+        let mut reply_env = state.stamp(Some(self.me), msg, constraint);
+        reply_env.in_reply = Some(token);
+        sched::enqueue(state, &self.kernel.inner.stats, to, reply_env)
+    }
+
+    /// The blocking half of a synchronous send to `to`: the reply, or an
+    /// interrupt with the wait still pending.
+    fn await_reply(
+        &self,
+        state: &mut KGuard<'_>,
+        spec: SpecRef<'_>,
+        to: ThreadId,
+    ) -> Result<SyncOutcome, KernelError> {
+        let env = self.receive_locked(state, spec, true)?;
+        if spec.is_reply(&env) {
+            return Ok(SyncOutcome::Reply(env));
+        }
+        let pending = PendingReply {
+            kernel: self.kernel.clone(),
+            token: spec.reply.expect("a reply wait").0,
+            to,
+            me: self.me,
+            live: true,
+        };
+        Ok(SyncOutcome::Interrupted(pending, env))
+    }
+
+    /// The send half of a combined send-and-receive is a preemption point
+    /// only when the receive half will not block; blocking dispatches the
+    /// most urgent runnable thread anyway.
+    fn preempt_unless_blocking(&self, state: &mut KGuard<'_>, spec: SpecRef<'_>) {
+        if state
+            .rec(self.me)
+            .is_some_and(|rec| rec.find_match(spec).is_some())
+        {
+            // A failure means shutdown, which the receive reports.
+            let _ = self.maybe_preempt(state);
+        }
+    }
+
     /// Parks until this thread is first granted the CPU.
     pub(crate) fn park_initial(&mut self) -> Result<(), KernelError> {
         let mut state = self.kernel.inner.lock();
@@ -546,15 +576,17 @@ impl<'k> Ctx<'k> {
         }
     }
 
+    /// A mid-processing receive in a critical section of its own.
+    fn blocking_receive(&mut self, spec: SpecRef<'_>) -> Result<Envelope, KernelError> {
+        let mut state = self.kernel.inner.lock();
+        self.receive_locked(&mut state, spec, false)
+    }
+
     /// The core blocking receive: takes a matching message or gives up the
     /// CPU until one arrives. With `sync`, the receive is the wait of an
     /// outstanding synchronous send: it fails when the peer terminates, and
-    /// the reply's arrival ends the priority donation to the peer.
-    fn blocking_receive(&mut self, spec: SpecRef<'_>, sync: bool) -> Result<Envelope, KernelError> {
-        let mut state = self.kernel.inner.lock();
-        self.receive_locked(&mut state, spec, sync)
-    }
-
+    /// the reply's arrival ends the priority donation to the peer. Without
+    /// it, a received request becomes the message being processed.
     fn receive_locked(
         &self,
         state: &mut KGuard<'_>,
@@ -576,8 +608,13 @@ impl<'k> Ctx<'k> {
                 }
                 if let Some(idx) = rec.find_match(spec) {
                     let env = rec.mailbox.remove(idx).expect("index from find_match");
-                    if sync && spec.is_reply(&env) {
-                        rec.waiting_on = None;
+                    if sync {
+                        if spec.is_reply(&env) {
+                            rec.waiting_on = None;
+                        }
+                    } else if env.wants_reply() {
+                        rec.cur = env.constraint();
+                        rec.processing = true;
                     }
                     return Ok(env);
                 }
@@ -619,8 +656,8 @@ impl<'k> Ctx<'k> {
             return Ok(());
         }
         let mut my_eff = None;
-        let someone_better = state.threads.iter().any(|(&id, rec)| {
-            id != self.me && !rec.external && rec.state == RunState::Runnable && {
+        let someone_better = state.threads().any(|(id, rec)| {
+            id != self.me && rec.wants_cpu() && {
                 let mine =
                     my_eff.get_or_insert_with(|| sched::effective(state, &inner.cfg, self.me));
                 sched::effective(state, &inner.cfg, id).urgency_cmp(mine)

@@ -219,7 +219,7 @@ impl fmt::Debug for Kernel {
         let mut state = self.inner.lock();
         f.debug_struct("Kernel")
             .field("clock", &self.inner.cfg.clock)
-            .field("threads", &state.threads.len())
+            .field("threads", &state.threads().count())
             .field("running", &state.running)
             .field("now", &self.inner.now(&state))
             .field("idle", &state.is_idle())
@@ -295,10 +295,7 @@ impl Kernel {
             if state.shutdown {
                 return Err(KernelError::Shutdown);
             }
-            let id = state.alloc_thread_id();
-            state
-                .threads
-                .insert(id, ThreadRec::new(opts.name.clone(), opts.priority, false));
+            let id = state.add_thread(ThreadRec::new(opts.name.clone(), opts.priority, false));
             state.make_runnable(id);
             StatCounters::bump(&self.inner.stats.threads_spawned);
             self.inner.reschedule(&mut state);
@@ -320,14 +317,8 @@ impl Kernel {
     /// does not participate in kernel scheduling.
     #[must_use]
     pub fn external(&self, name: &str) -> ExternalPort {
-        let id = {
-            let mut state = self.inner.lock();
-            let id = state.alloc_thread_id();
-            state
-                .threads
-                .insert(id, ThreadRec::new(name.to_owned(), Priority::NORMAL, true));
-            id
-        };
+        let rec = ThreadRec::new(name.to_owned(), Priority::NORMAL, true);
+        let id = self.inner.lock().add_thread(rec);
         ExternalPort::new(self.clone(), id)
     }
 
@@ -398,7 +389,7 @@ impl Kernel {
             self.inner.now(&state),
             state.running
         );
-        for (id, rec) in &state.threads {
+        for (id, rec) in state.threads() {
             let _ = writeln!(
                 out,
                 "  {id} {:24} {:?} queued={} wait={:?} sleeping={} cur={:?} ext={}",

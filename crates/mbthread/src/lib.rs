@@ -36,6 +36,15 @@
 //! A send, reply or receive is one critical section under the kernel
 //! mutex and wakes at most the one OS thread that must run next:
 //!
+//! * **A synchronous hand-off is one critical section per side.**
+//!   [`Ctx::call`] enqueues a request and blocks for its reply (or an
+//!   interrupting control message); [`Ctx::reply_and_receive`] answers a
+//!   request and blocks for the next message. A received request becomes
+//!   the receiver's current constraint in that same section. Neither
+//!   checks for preemption after its send half unless its receive half
+//!   finds a message already queued: a thread that blocks hands the CPU
+//!   to the most urgent runnable thread anyway.
+//!
 //! * **No OS wake is issued with the kernel mutex held.** Granting the CPU
 //!   (or queueing a message for an [`ExternalPort`]) only records the wake;
 //!   the lock guard delivers it after releasing the mutex — a parking
@@ -52,7 +61,8 @@
 //!   [`KernelStats::dispatcher_wakeups`] counts the times it did wake.
 //! * The hand-off allocates nothing: tag sets of blocked receives are
 //!   copied into a per-thread buffer that is reused, and effective
-//!   priorities are computed by iteration over the thread table.
+//!   priorities are computed by iteration over the thread table, a
+//!   vector indexed by thread id.
 //! * **A thread with more work of its own need not send itself a message
 //!   to stay preemptible.** [`Ctx::undisturbed`] tells it whether anything
 //!   needs it back in its main loop — a message in its mailbox, a more

@@ -17,7 +17,7 @@ use crate::thread::{RunState, ThreadId, ThreadRec};
 use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
 use parking_lot::Condvar;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::Arc;
 
@@ -61,7 +61,9 @@ impl Wakes {
 
 /// Everything the scheduler knows, guarded by the kernel mutex.
 pub(crate) struct KState {
-    pub(crate) threads: BTreeMap<ThreadId, ThreadRec>,
+    /// Every thread ever created, indexed by its id: ids are dense and
+    /// never reused, and a terminated thread's record stays (`Done`).
+    threads: Vec<ThreadRec>,
     pub(crate) running: Option<ThreadId>,
     /// Previous occupant of the CPU, for context-switch counting.
     pub(crate) last_running: Option<ThreadId>,
@@ -73,7 +75,6 @@ pub(crate) struct KState {
     /// program can finish spawning threads and arming timers from
     /// external threads without racing the clock.
     pub(crate) clock_holds: u32,
-    pub(crate) next_thread: u64,
     pub(crate) next_token: u64,
     pub(crate) next_timer: u64,
     pub(crate) send_seq: u64,
@@ -100,13 +101,12 @@ pub(crate) struct KState {
 impl KState {
     pub(crate) fn new() -> Self {
         KState {
-            threads: BTreeMap::new(),
+            threads: Vec::new(),
             running: None,
             last_running: None,
             shutdown: false,
             vnow: Time::ZERO,
             clock_holds: 0,
-            next_thread: 0,
             next_token: 0,
             next_timer: 0,
             send_seq: 0,
@@ -129,18 +129,24 @@ impl KState {
         self.generation.store(next, MemOrdering::Release);
     }
 
-    pub(crate) fn alloc_thread_id(&mut self) -> ThreadId {
-        let id = ThreadId(self.next_thread);
-        self.next_thread += 1;
+    /// Enters a new thread's record under the next id.
+    pub(crate) fn add_thread(&mut self, rec: ThreadRec) -> ThreadId {
+        let id = ThreadId(self.threads.len() as u64);
+        self.threads.push(rec);
         id
     }
 
     pub(crate) fn rec(&self, id: ThreadId) -> Option<&ThreadRec> {
-        self.threads.get(&id)
+        self.threads.get(usize::try_from(id.0).ok()?)
     }
 
     pub(crate) fn rec_mut(&mut self, id: ThreadId) -> Option<&mut ThreadRec> {
-        self.threads.get_mut(&id)
+        self.threads.get_mut(usize::try_from(id.0).ok()?)
+    }
+
+    /// Every thread record, in id order.
+    pub(crate) fn threads(&self) -> impl Iterator<Item = (ThreadId, &ThreadRec)> {
+        (0u64..).map(ThreadId).zip(&self.threads)
     }
 
     /// Marks a blocked or freshly created thread ready to run.
@@ -148,7 +154,7 @@ impl KState {
         self.disturb();
         let seq = self.ready_seq;
         self.ready_seq += 1;
-        if let Some(rec) = self.threads.get_mut(&id) {
+        if let Some(rec) = self.rec_mut(id) {
             debug_assert!(
                 rec.state != RunState::Running,
                 "make_runnable on running thread {id}"
@@ -177,9 +183,7 @@ impl KState {
     }
 
     pub(crate) fn has_runnable(&self) -> bool {
-        self.threads
-            .values()
-            .any(|r| r.state == RunState::Runnable && !r.external)
+        self.threads.iter().any(ThreadRec::wants_cpu)
     }
 
     /// True when nothing can make progress without external input: no
@@ -211,7 +215,7 @@ impl KState {
     pub(crate) fn begin_shutdown(&mut self) {
         self.shutdown = true;
         self.disturb();
-        for rec in self.threads.values() {
+        for rec in &self.threads {
             self.wakes.push(Arc::clone(&rec.cv));
         }
         self.wakes.dispatcher = true;
@@ -275,7 +279,7 @@ fn effective_along(
         // us their urgency (classic priority inheritance).
         if depth < MAX_DONATION_DEPTH && !chain[..depth].contains(&id) {
             chain[depth] = id;
-            for (&waiter, wrec) in &state.threads {
+            for (waiter, wrec) in state.threads() {
                 if wrec.waiting_on == Some(id) {
                     let donated = effective_along(state, cfg, waiter, chain, depth + 1);
                     eff = eff.max_urgency(donated);
@@ -291,10 +295,7 @@ fn effective_along(
 /// moment each thread became runnable (the E7 ablation).
 pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
     let mut best: Option<(ThreadId, Constraint, u64)> = None;
-    for (&id, rec) in &state.threads {
-        if rec.state != RunState::Runnable || rec.external {
-            continue;
-        }
+    for (id, rec) in state.threads().filter(|(_, rec)| rec.wants_cpu()) {
         let eff = effective(state, cfg, id);
         match &best {
             None => best = Some((id, eff, rec.ready_seq)),
@@ -397,10 +398,7 @@ pub(crate) fn enqueue(
     if state.shutdown {
         return Err(SendError::Shutdown);
     }
-    let rec = state
-        .threads
-        .get_mut(&to)
-        .ok_or(SendError::UnknownThread(to))?;
+    let rec = state.rec_mut(to).ok_or(SendError::UnknownThread(to))?;
     if rec.state == RunState::Done {
         return Err(SendError::UnknownThread(to));
     }
@@ -480,10 +478,9 @@ pub(crate) fn terminate(state: &mut KState, id: ThreadId) {
         rec.mailbox.clear();
     }
     let orphans: Vec<ThreadId> = state
-        .threads
-        .iter()
+        .threads()
         .filter(|(_, r)| r.waiting_on == Some(id) && r.state == RunState::Blocked)
-        .map(|(wid, _)| *wid)
+        .map(|(wid, _)| wid)
         .collect();
     for w in orphans {
         if let Some(rec) = state.rec_mut(w) {
@@ -513,10 +510,8 @@ mod tests {
     }
 
     fn spawn_rec(state: &mut KState, pri: Priority) -> ThreadId {
-        let id = state.alloc_thread_id();
-        state
-            .threads
-            .insert(id, ThreadRec::new(format!("t{}", id.0), pri, false));
+        let name = format!("t{}", state.threads.len());
+        let id = state.add_thread(ThreadRec::new(name, pri, false));
         state.make_runnable(id);
         id
     }
@@ -662,6 +657,44 @@ mod tests {
         assert_eq!(state.rec(waiter).unwrap().peer_gone, Some(dead));
         assert_eq!(state.rec(waiter).unwrap().state, RunState::Runnable);
         assert_eq!(state.rec(dead).unwrap().state, RunState::Done);
+    }
+
+    #[test]
+    fn lone_runnable_thread_is_picked() {
+        let mut state = KState::new();
+        let blocked = spawn_rec(&mut state, Priority::CONTROL);
+        state.rec_mut(blocked).unwrap().state = RunState::Blocked;
+        let lone = spawn_rec(&mut state, Priority::LOW);
+        assert_eq!(pick_next(&state, &cfg()), Some(lone));
+        state.rec_mut(lone).unwrap().state = RunState::Blocked;
+        assert_eq!(pick_next(&state, &cfg()), None);
+    }
+
+    #[test]
+    fn done_thread_record_stays_addressable() {
+        let mut state = KState::new();
+        let done = spawn_rec(&mut state, Priority::NORMAL);
+        let live = spawn_rec(&mut state, Priority::NORMAL);
+        terminate(&mut state, done);
+        assert_eq!(state.rec(done).unwrap().state, RunState::Done);
+        assert_eq!(state.rec(done).unwrap().name, "t0");
+        let ids: Vec<ThreadId> = state.threads().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![done, live]);
+        assert_eq!(pick_next(&state, &cfg()), Some(live));
+    }
+
+    #[test]
+    fn enqueue_past_the_table_fails() {
+        let mut state = KState::new();
+        let stats = StatCounters::default();
+        spawn_rec(&mut state, Priority::NORMAL);
+        let unknown = ThreadId::from_raw(1);
+        let env = state.stamp(None, Message::signal(Tag(0)), None);
+        assert_eq!(
+            enqueue(&mut state, &stats, unknown, env).unwrap_err(),
+            SendError::UnknownThread(unknown)
+        );
+        assert!(state.rec(ThreadId::from_raw(u64::MAX)).is_none());
     }
 
     #[test]

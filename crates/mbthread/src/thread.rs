@@ -153,6 +153,12 @@ impl ThreadRec {
         }
     }
 
+    /// Whether the scheduler may grant this thread the CPU: runnable, and
+    /// a kernel thread rather than an external port.
+    pub(crate) fn wants_cpu(&self) -> bool {
+        self.state == RunState::Runnable && !self.external
+    }
+
     /// Index of the first queued envelope matching `spec`.
     pub(crate) fn find_match(&self, spec: SpecRef<'_>) -> Option<usize> {
         self.mailbox.iter().position(|env| spec.matches(env))

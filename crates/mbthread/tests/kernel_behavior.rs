@@ -4,7 +4,7 @@
 
 use mbthread::{
     ClockMode, Constraint, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, MatchSpec,
-    Message, Priority, SpawnOptions, Tag, Time,
+    Message, Priority, SpawnOptions, SyncOutcome, Tag, Time,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -280,18 +280,17 @@ fn wait_or_delivers_control_while_blocked_for_reply() {
     let order2 = Arc::clone(&order);
     let client = kernel
         .spawn("client", move |ctx: &mut Ctx<'_>, _env: Envelope| {
-            let pending = ctx.begin_sync(slow, Message::signal(DATA)).unwrap();
-            let mut pending = Some(pending);
+            let mut outcome = ctx.call(slow, Message::signal(DATA), None, &[CTL]);
             loop {
-                match ctx.wait_or(pending.take().unwrap(), &[CTL]).unwrap() {
-                    mbthread::SyncOutcome::Reply(_) => {
+                match outcome.unwrap() {
+                    SyncOutcome::Reply(_) => {
                         log(&order2, "reply");
                         break;
                     }
-                    mbthread::SyncOutcome::Interrupted(p, ctl) => {
+                    SyncOutcome::Interrupted(pending, ctl) => {
                         assert_eq!(ctl.tag(), CTL);
                         log(&order2, "control");
-                        pending = Some(p);
+                        outcome = ctx.wait_or(pending, &[CTL]);
                     }
                 }
             }
@@ -406,14 +405,13 @@ fn priority_inheritance_resolves_inversion() {
             .spawn(
                 SpawnOptions::new("high").priority(Priority::HIGH),
                 move |ctx: &mut Ctx<'_>, _env: Envelope| {
-                    let pending = ctx
-                        .begin_sync_with(
-                            low,
-                            Message::signal(DATA),
-                            Some(Constraint::priority(Priority::HIGH)),
-                        )
-                        .unwrap();
-                    ctx.wait(pending).unwrap();
+                    ctx.call(
+                        low,
+                        Message::signal(DATA),
+                        Some(Constraint::priority(Priority::HIGH)),
+                        &[],
+                    )
+                    .unwrap();
                     log(&order_high, "high-done");
                     Flow::Stop
                 },
@@ -578,5 +576,158 @@ fn external_recv_timeout_expires() {
     let port = kernel.external("test");
     let got = port.recv_timeout(&MatchSpec::Any, Duration::from_millis(10));
     assert!(got.is_none());
+    kernel.shutdown();
+}
+
+/// Answers every request with `DATA` and waits for the next one in the
+/// same kernel operation, until the kernel shuts down.
+fn spawn_replier(kernel: &Kernel) -> mbthread::ThreadId {
+    kernel
+        .spawn("replier", |ctx: &mut Ctx<'_>, mut env: Envelope| {
+            while env.wants_reply() {
+                match ctx.reply_and_receive(&env, Message::signal(DATA), &[DATA]) {
+                    Ok(next) => env = next,
+                    Err(_) => return Flow::Stop,
+                }
+            }
+            Flow::Continue
+        })
+        .unwrap()
+}
+
+#[test]
+fn call_and_reply_and_receive_round_trip_costs_two_switches() {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let replier = spawn_replier(&kernel);
+    let delta = Arc::new(Mutex::new(None));
+    let delta2 = Arc::clone(&delta);
+    let client = kernel
+        .spawn("client", move |ctx: &mut Ctx<'_>, _env: Envelope| {
+            // The first request starts the replier's loop.
+            ctx.send_sync(replier, Message::signal(DATA)).unwrap();
+            let before = ctx.kernel().stats();
+            let out = ctx.call(replier, Message::signal(DATA), None, &[CTL]);
+            assert!(matches!(out, Ok(SyncOutcome::Reply(_))));
+            *delta2.lock().unwrap() = Some(ctx.kernel().stats().delta_since(&before));
+            Flow::Stop
+        })
+        .unwrap();
+    let port = kernel.external("test");
+    port.send(client, Message::signal(DATA)).unwrap();
+    kernel.wait_quiescent();
+    let delta = delta.lock().unwrap().take().unwrap();
+    assert_eq!(
+        (
+            delta.context_switches,
+            delta.messages_sent,
+            delta.sync_sends
+        ),
+        (2, 2, 1)
+    );
+    kernel.shutdown();
+}
+
+#[test]
+fn a_received_request_becomes_the_current_constraint() {
+    let at = |ms| {
+        Some(Constraint::with_deadline(
+            Priority::NORMAL,
+            Time::from_millis(ms),
+        ))
+    };
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let probe = kernel.external("probe");
+    let probe_id = probe.id();
+    let server = kernel
+        .spawn("server", move |ctx: &mut Ctx<'_>, first: Envelope| {
+            let request = ctx
+                .reply_and_receive(&first, Message::signal(DATA), &[DATA, TICK])
+                .unwrap();
+            assert!(request.wants_reply());
+            ctx.send(probe_id, Message::signal(DATA)).unwrap();
+            let tick = ctx
+                .reply_and_receive(&request, Message::signal(DATA), &[DATA, TICK])
+                .unwrap();
+            assert!(!tick.wants_reply());
+            ctx.send(probe_id, Message::signal(DATA)).unwrap();
+            // The plain receive adopts the same way: a TICK, then a request.
+            let tick = ctx.receive_tags(&[DATA, TICK]).unwrap();
+            assert!(!tick.wants_reply());
+            ctx.send(probe_id, Message::signal(DATA)).unwrap();
+            let request = ctx.receive_tags(&[DATA, TICK]).unwrap();
+            assert!(request.wants_reply());
+            ctx.send(probe_id, Message::signal(DATA)).unwrap();
+            ctx.reply(&request, Message::signal(DATA)).unwrap();
+            Flow::Continue
+        })
+        .unwrap();
+    let client = kernel
+        .spawn("client", move |ctx: &mut Ctx<'_>, _env: Envelope| {
+            ctx.call(server, Message::signal(DATA), at(1), &[]).unwrap();
+            ctx.call(server, Message::signal(DATA), at(2), &[]).unwrap();
+            ctx.send_with(server, Message::signal(TICK), at(3)).unwrap();
+            ctx.send_with(server, Message::signal(TICK), at(5)).unwrap();
+            ctx.call(server, Message::signal(DATA), at(4), &[]).unwrap();
+            Flow::Stop
+        })
+        .unwrap();
+    let port = kernel.external("test");
+    port.send(client, Message::signal(DATA)).unwrap();
+    kernel.wait_quiescent();
+    // Each request's constraint governs the server's sends from the
+    // moment it is received, whichever receive took it; the asynchronous
+    // TICKs change nothing.
+    let seen: Vec<_> = (0..4).map(|_| probe.recv().unwrap().constraint()).collect();
+    assert_eq!(seen, vec![at(2), at(2), at(2), at(4)]);
+    kernel.shutdown();
+}
+
+#[test]
+fn a_call_that_finds_its_interrupt_queued_is_a_preemption_point() {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let order: Log = Arc::new(Mutex::new(Vec::new()));
+    let replier = spawn_replier(&kernel);
+    let order_hi = Arc::clone(&order);
+    let urgent = kernel
+        .spawn(
+            SpawnOptions::new("urgent").priority(Priority::CONTROL),
+            move |_: &mut Ctx<'_>, _env: Envelope| {
+                log(&order_hi, "urgent-ran");
+                Flow::Continue
+            },
+        )
+        .unwrap();
+    let (running_tx, running_rx) = std::sync::mpsc::channel();
+    let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+    let order_lo = Arc::clone(&order);
+    let caller = kernel
+        .spawn("caller", move |ctx: &mut Ctx<'_>, _env: Envelope| {
+            // Hold the CPU while the test makes `urgent` runnable and queues
+            // our interrupt: an external send preempts nobody.
+            running_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            let mut outcome = ctx.call(replier, Message::signal(DATA), None, &[CTL]);
+            loop {
+                match outcome.unwrap() {
+                    SyncOutcome::Reply(_) => break,
+                    SyncOutcome::Interrupted(pending, _ctl) => {
+                        log(&order_lo, "interrupted");
+                        outcome = ctx.wait_or(pending, &[CTL]);
+                    }
+                }
+            }
+            log(&order_lo, "reply");
+            Flow::Stop
+        })
+        .unwrap();
+    kernel.wait_quiescent();
+    let port = kernel.external("test");
+    port.send(caller, Message::signal(DATA)).unwrap();
+    running_rx.recv().unwrap();
+    port.send(urgent, Message::signal(DATA)).unwrap();
+    port.send(caller, Message::signal(CTL)).unwrap();
+    go_tx.send(()).unwrap();
+    kernel.wait_quiescent();
+    assert_eq!(entries(&order), vec!["urgent-ran", "interrupted", "reply"]);
     kernel.shutdown();
 }
