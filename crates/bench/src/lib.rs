@@ -9,6 +9,7 @@ use infopipes::helpers::{
 };
 use infopipes::{FreePump, Pipeline, PlanReport};
 use mbthread::{Kernel, KernelConfig, KernelStats};
+use media::{MidiSink, MidiSource};
 
 /// Which of the three slots (upstream, downstream) holds which style in a
 /// Fig. 9 configuration.
@@ -145,6 +146,55 @@ pub fn run_fig9(cfg: &Fig9Config, items: u32) -> (PlanReport, usize, KernelStats
     result
 }
 
+/// MIDI events per [`run_midi`] chain.
+pub const MIDI_EVENTS: u64 = 300;
+
+/// §4's MIDI motivation: "for pipelines that handle many control events or
+/// many small data items such as a MIDI mixer … allocating a thread for
+/// each pipeline component would introduce a significant context switching
+/// overhead." Runs [`MIDI_EVENTS`] events through a pump and `chain_len`
+/// identity components — active relays, one kernel thread each, when
+/// `per_component_threads`, directly called functions otherwise — on a
+/// virtual-time kernel; returns the events delivered and the context
+/// switches of the flow.
+#[must_use]
+pub fn run_midi(chain_len: usize, per_component_threads: bool) -> (usize, u64) {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let result = {
+        let pipeline = Pipeline::new(&kernel, "midi");
+        let src = pipeline.add_producer("src", MidiSource::new(0, MIDI_EVENTS, 100));
+        let pump = pipeline.add_pump("pump", FreePump::new());
+        let (sink, out) = MidiSink::new();
+        let sink = pipeline.add_consumer("sink", sink);
+        let mut prev = pipeline.connect(src, pump).map(|()| pump).expect("connect");
+        for i in 0..chain_len {
+            let name = format!("s{i}");
+            let node = if per_component_threads {
+                pipeline.add_active(&name, ActiveRelay::new(&name))
+            } else {
+                pipeline.add_function(&name, IdentityFn::new(&name))
+            };
+            pipeline.connect(prev, node).expect("connect");
+            prev = node;
+        }
+        pipeline.connect(prev, sink).expect("connect");
+
+        let running = pipeline.start().expect("plan");
+        // The spawned threads switch their way to their first receive;
+        // count from the point where they are all parked there, or the
+        // row reads one or two short depending on who ran last.
+        kernel.wait_quiescent();
+        let before = kernel.stats();
+        running.start_flow().expect("start");
+        running.wait_quiescent();
+        let delta = kernel.stats().delta_since(&before);
+        let n = out.lock().len();
+        (n, delta.context_switches)
+    };
+    kernel.shutdown();
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,16 +203,18 @@ mod tests {
     fn all_fig9_configs_match_the_paper() {
         // (context switches, kernel messages) for 50 items, a–h: per item
         // and coroutine, two switches and two messages (a `GET` or `PUT`
-        // and its reply); the rest is per stream (start, `END`, `Eos`).
+        // and its reply). The rest is per stream: a `Start` per thread, the
+        // pump's `TICK`, and the end on the data path (a last `GET`
+        // answered `None`, or an `END`). No coroutine is sent an `Eos`.
         const COST: [(u64, u64); 8] = [
             (0, 2),
             (0, 2),
             (0, 2),
-            (106, 106),
-            (211, 209),
-            (211, 209),
-            (106, 105),
-            (106, 106),
+            (104, 105),
+            (207, 207),
+            (207, 207),
+            (104, 104),
+            (104, 105),
         ];
         for (cfg, (switches, messages)) in FIG9.iter().zip(COST) {
             let (report, delivered, stats) = run_fig9(cfg, 50);
@@ -179,6 +231,17 @@ mod tests {
                 "config {}: (switches, messages)",
                 cfg.label
             );
+        }
+    }
+
+    #[test]
+    fn midi_overhead_rows_are_exact() {
+        // Direct calls make no switch. A chain of n active relays makes 2
+        // per event and relay (a `PUT` and its deferred ack), plus 1 + 3n
+        // per stream.
+        for (n, switches) in [(1, 604), (2, 1207), (4, 2413), (8, 4825)] {
+            assert_eq!(run_midi(n, false), (300, 0), "{n} functions");
+            assert_eq!(run_midi(n, true), (300, switches), "{n} active relays");
         }
     }
 }

@@ -27,7 +27,7 @@ pub enum ControlEvent {
     Start,
     /// Stop the pipeline: pumps cease scheduling; blocked cycles abort.
     Stop,
-    /// The source is exhausted; emitted by the section that discovers it.
+    /// End of stream: each stage hears it once, after its last item.
     Eos,
     /// Adjust a pump's rate (Hz). Interpreted by rate-controllable pumps.
     SetRate(f64),

@@ -197,13 +197,14 @@ fn flow_spec_rec(
         match g.node(id).kind.as_ref() {
             None => Err(PipeError::AlreadyStarted),
             Some(NodeKind::Stage(style)) => {
+                let stage = style.stage();
                 if preds.is_empty() {
                     // A source: it offers its own spec.
-                    Ok(style.offers())
+                    Ok(stage.offers())
                 } else {
                     let upstream = flow_spec_rec(g, preds[0], visiting)?;
-                    let agreed = upstream.intersect(&style.accepts())?;
-                    style.transform_spec(&agreed).map_err(PipeError::Type)
+                    let agreed = upstream.intersect(&stage.accepts())?;
+                    stage.transform_spec(&agreed).map_err(PipeError::Type)
                 }
             }
             Some(NodeKind::Pump(_) | NodeKind::Split(_)) => {

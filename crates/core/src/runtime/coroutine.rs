@@ -14,16 +14,18 @@
 //!   (arrows 5–7 of Fig. 5),
 //! * `END` — the upstream thread's `PUT` stream is over (no payload, no
 //!   reply). It is sent after the last `PUT` was acked, so it can overtake
-//!   no item, and it is the *only* thing that ends a coroutine's input: a
-//!   broadcast `Eos` is an event for stages, announced by whichever
-//!   section ran dry first, while items may still sit in a buffer further
-//!   upstream.
+//!   no item, and it is the only thing that ends a coroutine's input.
 //!
 //! Which side is message-driven depends on the coroutine's position: pull
 //! position ⇒ it answers `GET`s and *directly calls* its own upstream
 //! chain; push position ⇒ it receives `PUT`s and directly calls its own
 //! downstream tree. While blocked on either, the thread stays receptive to
 //! control messages (§4).
+//!
+//! When the component's run is over, the coroutine ends its stream before
+//! it answers the last `GET` or `PUT`: its stages hear `Eos` on its own
+//! event queue, behind the events already waiting, then what lies below
+//! is end-marked.
 
 use super::nodes::{PullNode, PushNode};
 use super::stagectx::{EventCtx, GetWiring, PutWiring, StageCtx};
@@ -202,6 +204,18 @@ impl CoroFn {
             ),
         }
         self.finished = true;
+        // Ended on `END` or `None` from upstream, or on its own while
+        // upstream may keep flowing: either way, its stream is over.
+        if !self.rt.stopping {
+            self.rt
+                .deliver(ctx, ctx.id(), &ControlEvent::Eos, EventTarget::Broadcast);
+            let own = Some((self.stage_id, self.style.stage_mut()));
+            let (up, mut down) = self.tree.parts();
+            drain_pending(ctx, &mut self.rt, own, up, down.as_deref_mut());
+            if let Some(down) = down {
+                down.mark_eos(ctx, &mut self.rt);
+            }
+        }
     }
 }
 
@@ -241,15 +255,12 @@ pub(crate) fn dispatch_event_to(
 pub(crate) fn drain_pending(
     ctx: &mut Ctx<'_>,
     rt: &mut RtState,
-    own: Option<(NodeId, &mut dyn Stage)>,
-    up: Option<&mut PullNode>,
-    down: Option<&mut PushNode>,
+    mut own: Option<(NodeId, &mut dyn Stage)>,
+    mut up: Option<&mut PullNode>,
+    mut down: Option<&mut PushNode>,
 ) {
     // Cap the drain so a handler that re-enqueues cannot loop forever.
     let mut budget = rt.pending_events.len().max(4) * 4;
-    let mut own = own;
-    let mut up = up;
-    let mut down = down;
     while budget > 0 {
         budget -= 1;
         let Some(msg) = rt.pending_events.pop_front() else {
@@ -306,28 +317,15 @@ impl mbthread::CodeFn for CoroFn {
                     // to say at the end of an empty one, and what lies
                     // below must hear of the end either way.
                     self.drive(ctx);
-                    // The component ended — on `END`, or on its own while
-                    // upstream may keep flowing: propagate the end.
-                    match &mut self.tree {
-                        CoroTree::ReceivesPuts(down) if !self.rt.stopping => {
-                            down.mark_eos(ctx, &mut self.rt);
-                        }
-                        _ => {}
-                    }
                 }
                 self.ep.ack_put(ctx);
             }
             _ => { /* stray ARRIVAL/SPACE wakeups are harmless */ }
         }
         // Deliver the event just received and any queued mid-processing.
-        let own: &mut dyn Stage = match &mut self.style {
-            Style::Consumer(c) => c.as_mut(),
-            Style::Producer(p) => p.as_mut(),
-            Style::Function(f) => f.as_mut(),
-            Style::Active(a) => a.as_mut(),
-        };
+        let own = Some((self.stage_id, self.style.stage_mut()));
         let (up, down) = self.tree.parts();
-        drain_pending(ctx, &mut self.rt, Some((self.stage_id, own)), up, down);
+        drain_pending(ctx, &mut self.rt, own, up, down);
         Flow::Continue
     }
 }
@@ -342,7 +340,7 @@ pub(crate) fn spawn_coroutine(
     priority: Priority,
     stages: Vec<NodeId>,
 ) -> Result<ThreadId, PipeError> {
-    let name = format!("coro-{}", style.component_name());
+    let name = format!("coro-{}", style.stage().name());
     let coro = CoroFn {
         stage_id,
         style,

@@ -117,9 +117,8 @@ impl RtState {
 
     /// Inspects a control envelope mid-block and remembers it for later
     /// dispatch. Returns whether it aborts the blocked operation: only a
-    /// stop request does. A broadcast `Eos` informs stages; the end of a
-    /// stream arrives on the data path (buffer marks, `GET` replies, the
-    /// coroutine `END` signal).
+    /// stop request does. The end of a stream arrives on the data path
+    /// (buffer marks, `GET` replies, the coroutine `END` signal).
     fn note_control(&mut self, env: Envelope) -> bool {
         let Ok(msg) = env.into_message().into_body::<EventMsg>() else {
             return false;

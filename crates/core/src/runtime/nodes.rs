@@ -12,7 +12,7 @@
 //! data (Fig. 5).
 
 use super::coroutine::{spawn_coroutine, CoroTree};
-use super::stagectx::StageCtx;
+use super::stagectx::{GetWiring, PutWiring, StageCtx};
 use super::{Pulled, PushRes, RtState, Shared};
 use crate::buffer::BufHandle;
 use crate::error::PipeError;
@@ -115,7 +115,7 @@ impl PullNode {
                 }
             },
             PullNode::Producer { stage, up, .. } => {
-                let mut sctx = StageCtx::pull_position(ctx, rt, up);
+                let mut sctx = StageCtx::wired(ctx, rt, GetWiring::Tree(up), PutWiring::None);
                 match stage.pull(&mut sctx) {
                     Some(item) => Pulled::Item(item),
                     None => sctx.none_reason(),
@@ -243,7 +243,7 @@ impl PushNode {
                 None => PushRes::Ok,
             },
             PushNode::Consumer { stage, down, .. } => {
-                let mut sctx = StageCtx::push_position(ctx, rt, down);
+                let mut sctx = StageCtx::wired(ctx, rt, GetWiring::None, PutWiring::Tree(down));
                 stage.push(&mut sctx, item);
                 sctx.push_status()
             }
@@ -307,11 +307,10 @@ impl PushNode {
                 rt.send_wakeups(ctx, wake);
             }
             // The glue's own signal, sent after the last `PUT` was acked:
-            // the coroutine ends its component's input and marks what lies
-            // below it in turn. A broadcast `Eos` must not do this job: it
-            // overtakes items still queued further upstream. It is as urgent
-            // as one, though, so that the end has run down the section
-            // before the owner announces `Eos` to whoever waits for it.
+            // the coroutine ends its component's input, then its own
+            // stream in turn. It goes at control priority, so
+            // that the end has run down the section before the owner tells
+            // the subscribers.
             PushNode::Coro(t) => {
                 let urgent = Some(Constraint::priority(Priority::CONTROL));
                 let _ = ctx.send_with(*t, Message::signal(tags::END), urgent);

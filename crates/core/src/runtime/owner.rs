@@ -6,7 +6,7 @@ use super::nodes::{PullNode, PushNode};
 use super::stagectx::{GetWiring, PutWiring, StageCtx};
 use super::{Pulled, PushRes, RtState};
 use crate::buffer::BufHandle;
-use crate::events::{tags, ControlEvent, EventMsg};
+use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
 use crate::graph::NodeId;
 use crate::pump::{CycleOutcome, Pump, Schedule};
 use crate::stage::{ActiveObject, Stage};
@@ -34,6 +34,16 @@ impl OwnerRole {
             OwnerRole::Pump { .. } => "pump",
             OwnerRole::ActiveSource { .. } => "active-source",
             OwnerRole::ActiveSink { .. } => "active-sink",
+        }
+    }
+
+    /// An active endpoint's own stage; a pump has none.
+    fn active_stage(&mut self) -> Option<(NodeId, &mut dyn Stage)> {
+        match self {
+            OwnerRole::ActiveSource { id, stage } | OwnerRole::ActiveSink { id, stage } => {
+                Some((*id, stage.as_mut()))
+            }
+            OwnerRole::Pump { .. } => None,
         }
     }
 }
@@ -84,9 +94,7 @@ impl OwnerFn {
             }
             Pulled::Empty => CycleOutcome::UpstreamEmpty,
             Pulled::Eos => {
-                // Propagate end of stream downstream and announce it.
-                self.down.mark_eos(ctx, &mut self.rt);
-                self.rt.broadcast(ctx, &ControlEvent::Eos);
+                self.section_ended(ctx);
                 CycleOutcome::Eos
             }
             Pulled::Interrupted => CycleOutcome::Interrupted,
@@ -171,35 +179,45 @@ impl OwnerFn {
         }
     }
 
-    /// Runs an active endpoint's main function to completion.
+    /// The end of the section's stream: its stages hear `Eos` behind the
+    /// events already queued, what lies below is end-marked, and the
+    /// pipeline's external subscribers hear one `Eos`.
+    fn section_ended(&mut self, ctx: &mut Ctx<'_>) {
+        self.rt
+            .deliver(ctx, ctx.id(), &ControlEvent::Eos, EventTarget::Broadcast);
+        self.drain(ctx);
+        self.down.mark_eos(ctx, &mut self.rt);
+        let listeners = self.rt.shared.routing.lock().listeners.clone();
+        for t in listeners {
+            self.rt
+                .deliver(ctx, t, &ControlEvent::Eos, EventTarget::Broadcast);
+        }
+    }
+
+    /// Runs an active endpoint's main function to completion. An endpoint
+    /// ends its stream by returning, unless it was stopped.
     fn run_active(&mut self, ctx: &mut Ctx<'_>) {
-        let rt = &mut self.rt;
-        match &mut self.role {
+        let (stage, get, put) = match &mut self.role {
             OwnerRole::ActiveSource { stage, .. } => {
-                {
-                    let mut sctx =
-                        StageCtx::wired(ctx, rt, GetWiring::None, PutWiring::Tree(&mut self.down));
-                    stage.run(&mut sctx);
-                }
-                if !rt.stopping {
-                    self.down.mark_eos(ctx, rt);
-                    rt.broadcast(ctx, &ControlEvent::Eos);
-                }
+                (stage, GetWiring::None, PutWiring::Tree(&mut self.down))
             }
             OwnerRole::ActiveSink { stage, .. } => {
-                let mut sctx =
-                    StageCtx::wired(ctx, rt, GetWiring::Tree(&mut self.up), PutWiring::None);
-                stage.run(&mut sctx);
+                (stage, GetWiring::Tree(&mut self.up), PutWiring::None)
             }
             OwnerRole::Pump { .. } => unreachable!("run_active on a pump section"),
+        };
+        let mut sctx = StageCtx::wired(ctx, &mut self.rt, get, put);
+        stage.run(&mut sctx);
+        if !sctx.stopping() {
+            self.section_ended(ctx);
         }
         self.stopped = true;
     }
 
-    /// Processes every queued control event: owner-level handling (start,
-    /// stop, pump rescheduling) followed by delivery to this thread's
-    /// stages. Events queue up while data processing is in progress and
-    /// are handled here, as soon as it is done (§3.2).
+    /// Processes every queued control event: delivery to this thread's
+    /// stages first, so they hear `Start` before an active endpoint runs,
+    /// then owner-level handling (start, stop, pump rescheduling). Events
+    /// queue up while data is processed and are handled here (§3.2).
     fn drain(&mut self, ctx: &mut Ctx<'_>) {
         let mut budget = self.rt.pending_events.len().max(4) * 4;
         while budget > 0 {
@@ -208,8 +226,15 @@ impl OwnerFn {
                 break;
             };
             let EventMsg { event, target } = msg;
-
-            // Owner-level handling first.
+            dispatch_event_to(
+                ctx,
+                &mut self.rt,
+                &event,
+                target,
+                self.role.active_stage(),
+                Some(&mut self.up),
+                Some(&mut self.down),
+            );
             match &event {
                 ControlEvent::Stop => {
                     self.rt.stopping = true;
@@ -241,24 +266,6 @@ impl OwnerFn {
                     }
                 }
             }
-
-            // Then deliver to the stages this thread owns (and, for active
-            // endpoints not currently inside run(), the endpoint itself).
-            let own: Option<(NodeId, &mut dyn Stage)> = match &mut self.role {
-                OwnerRole::ActiveSource { id, stage } | OwnerRole::ActiveSink { id, stage } => {
-                    Some((*id, stage.as_mut()))
-                }
-                OwnerRole::Pump { .. } => None,
-            };
-            dispatch_event_to(
-                ctx,
-                &mut self.rt,
-                &event,
-                target,
-                own,
-                Some(&mut self.up),
-                Some(&mut self.down),
-            );
         }
     }
 }

@@ -149,8 +149,8 @@ impl RunningPipeline {
         self.probes.get(buffer_name).cloned()
     }
 
-    /// Subscribes to broadcast control events (e.g. to wait for
-    /// [`ControlEvent::Eos`] from outside).
+    /// Subscribes to broadcast control events, and to one
+    /// [`ControlEvent::Eos`] per section whose stream ends.
     #[must_use]
     pub fn subscribe(&self) -> EventSubscription {
         let port = self.shared.kernel.external("pipeline-listener");

@@ -55,36 +55,6 @@ pub struct StageCtx<'a, 'k> {
 }
 
 impl<'a, 'k> StageCtx<'a, 'k> {
-    pub(crate) fn pull_position(
-        ctx: &'a mut Ctx<'k>,
-        rt: &'a mut RtState,
-        up: &'a mut PullNode,
-    ) -> Self {
-        StageCtx {
-            ctx,
-            rt,
-            get: GetWiring::Tree(up),
-            put: PutWiring::None,
-            last_none: None,
-            push_status: PushRes::Ok,
-        }
-    }
-
-    pub(crate) fn push_position(
-        ctx: &'a mut Ctx<'k>,
-        rt: &'a mut RtState,
-        down: &'a mut PushNode,
-    ) -> Self {
-        StageCtx {
-            ctx,
-            rt,
-            get: GetWiring::None,
-            put: PutWiring::Tree(down),
-            last_none: None,
-            push_status: PushRes::Ok,
-        }
-    }
-
     pub(crate) fn wired(
         ctx: &'a mut Ctx<'k>,
         rt: &'a mut RtState,

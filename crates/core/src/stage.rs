@@ -38,7 +38,7 @@ pub trait Stage: Send + 'static {
 
     /// Handles a control event addressed to (or broadcast past) this
     /// component. Handlers should be short (§2.2); they run at control
-    /// priority.
+    /// priority. [`ControlEvent::Eos`] arrives once, after the last item.
     fn on_event(&mut self, ctx: &mut EventCtx<'_, '_>, event: &ControlEvent) {
         let _ = (ctx, event);
     }
@@ -124,47 +124,29 @@ impl Style {
         }
     }
 
-    /// The wrapped component's diagnostic name.
-    #[must_use]
-    pub(crate) fn component_name(&self) -> &str {
+    /// The wrapped component, whatever its style.
+    pub(crate) fn stage(&self) -> &dyn Stage {
         match self {
-            Style::Consumer(c) => c.name(),
-            Style::Producer(p) => p.name(),
-            Style::Function(f) => f.name(),
-            Style::Active(a) => a.name(),
+            Style::Consumer(c) => c.as_ref(),
+            Style::Producer(p) => p.as_ref(),
+            Style::Function(f) => f.as_ref(),
+            Style::Active(a) => a.as_ref(),
         }
     }
 
-    pub(crate) fn accepts(&self) -> Typespec {
+    /// [`Style::stage`], mutably.
+    pub(crate) fn stage_mut(&mut self) -> &mut dyn Stage {
         match self {
-            Style::Consumer(c) => c.accepts(),
-            Style::Producer(p) => p.accepts(),
-            Style::Function(f) => f.accepts(),
-            Style::Active(a) => a.accepts(),
-        }
-    }
-
-    pub(crate) fn offers(&self) -> Typespec {
-        match self {
-            Style::Consumer(c) => c.offers(),
-            Style::Producer(p) => p.offers(),
-            Style::Function(f) => f.offers(),
-            Style::Active(a) => a.offers(),
-        }
-    }
-
-    pub(crate) fn transform_spec(&self, input: &Typespec) -> Result<Typespec, TypeError> {
-        match self {
-            Style::Consumer(c) => c.transform_spec(input),
-            Style::Producer(p) => p.transform_spec(input),
-            Style::Function(f) => f.transform_spec(input),
-            Style::Active(a) => a.transform_spec(input),
+            Style::Consumer(c) => c.as_mut(),
+            Style::Producer(p) => p.as_mut(),
+            Style::Function(f) => f.as_mut(),
+            Style::Active(a) => a.as_mut(),
         }
     }
 }
 
 impl std::fmt::Debug for Style {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}({})", self.style_name(), self.component_name())
+        write!(f, "{}({})", self.style_name(), self.stage().name())
     }
 }

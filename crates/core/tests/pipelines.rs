@@ -7,8 +7,8 @@ use infopipes::helpers::{
     PullFrag, PushDefrag, PushFrag, RelayConsumer, RelayProducer,
 };
 use infopipes::{
-    BufferSpec, ClockedPump, ControlEvent, EventCtx, Exec, FreePump, Function, Item, Mode, Node,
-    OnEmpty, OnFull, PipeError, Pipeline, Producer, Stage, StageCtx,
+    ActiveObject, BufferSpec, ClockedPump, ControlEvent, EventCtx, Exec, FreePump, Function, Item,
+    Mode, Node, OnEmpty, OnFull, PipeError, Pipeline, Producer, Stage, StageCtx,
 };
 use mbthread::{Kernel, KernelConfig};
 use parking_lot::Mutex;
@@ -1034,9 +1034,9 @@ fn exec_table_matches_paper() {
 
 #[test]
 fn every_style_delivers_in_either_position_of_a_buffer_fed_section() {
-    // The first section announces `Eos` while its items still sit in the
-    // buffer. That broadcast informs stages; it must not end the input of
-    // a coroutine in the section below.
+    // The first section ends while its items still sit in the buffer: only
+    // the drained, end-marked buffer ends the input of a coroutine in the
+    // section below.
     for style in STYLES {
         for position in [Mode::Pull, Mode::Push] {
             for clocked in [false, true] {
@@ -1075,7 +1075,8 @@ fn every_style_delivers_in_either_position_of_a_buffer_fed_section() {
     }
 }
 
-/// An identity function that logs the control events it is handed.
+/// An identity function that logs each item it converts and each control
+/// event it is handed.
 struct EventLogger {
     name: &'static str,
     log: Arc<Mutex<Vec<String>>>,
@@ -1094,13 +1095,207 @@ impl Stage for EventLogger {
 
 impl Function for EventLogger {
     fn convert(&mut self, item: Item) -> Option<Item> {
+        self.log.lock().push(format!("{}:item", self.name));
         Some(item)
     }
 }
 
+/// Broadcasts a `custom` event, which stays queued on the calling thread
+/// while an active run goes on.
+fn announce(ctx: &mut StageCtx<'_, '_>) {
+    ctx.broadcast(&ControlEvent::custom("custom", 0.0));
+}
+
+/// An active source: its run puts `0..n` and returns, announcing after
+/// its first item when `announces` is set.
+struct ActiveCount {
+    n: u32,
+    announces: bool,
+}
+
+impl Stage for ActiveCount {}
+
+impl ActiveObject for ActiveCount {
+    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
+        for i in 0..self.n {
+            ctx.put(Item::cloneable(i));
+            if i == 0 && self.announces {
+                announce(ctx);
+            }
+        }
+    }
+}
+
+/// An active relay that returns after `limit` items or at the end of its
+/// input, announcing after its first item when `announces` is set.
+struct ActiveTake {
+    limit: usize,
+    announces: bool,
+}
+
+impl Stage for ActiveTake {}
+
+impl ActiveObject for ActiveTake {
+    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
+        for i in 0..self.limit {
+            let Some(item) = ctx.get() else { return };
+            ctx.put(item);
+            if i == 0 && self.announces {
+                announce(ctx);
+            }
+        }
+    }
+}
+
+/// What a passive sink collected.
+type Collected = Option<Arc<Mutex<Vec<u32>>>>;
+
+/// Builds one topology over three items, its loggers made by the closure;
+/// returns what its sink collects, if it has a passive one.
+type Topology = fn(&Pipeline, &dyn Fn(&'static str) -> EventLogger) -> Collected;
+
 #[test]
-fn eos_reaches_each_stage_once_across_a_push_position_coroutine() {
-    for style in ["active", "producer"] {
+fn eos_reaches_each_stage_once_after_its_last_item() {
+    fn sink(p: &Pipeline) -> (Node<'_>, Arc<Mutex<Vec<u32>>>) {
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        (p.add_consumer("sink", sink), out)
+    }
+    fn source(p: &Pipeline) -> Node<'_> {
+        p.add_producer("source", IterSource::new("source", 0u32..3))
+    }
+    const PLAIN: &[&str] = &["start", "item", "item", "item", "eos"];
+    // An event queued during an active run is heard before `Eos`.
+    const ANNOUNCED: &[&str] = &["start", "item", "item", "item", "custom", "eos"];
+    // (what, the loggers, each one's log, the topology): every stage is in
+    // one thread's tree, and every thread's stream ends once.
+    let cases: [(&str, &[&str], &[&str], Topology); 10] = [
+        ("a section below a buffer", &["down"], PLAIN, |p, logger| {
+            let (p1, p2) = (
+                p.add_pump("p1", FreePump::new()),
+                p.add_pump("p2", FreePump::new()),
+            );
+            let down = p.add_function("down", logger("down"));
+            let (sink, out) = sink(p);
+            let _ = source(p) >> p1 >> p.add_buffer("buffer", 16) >> p2 >> down >> sink;
+            Some(out)
+        }),
+        (
+            "an active push-position coroutine",
+            &["up", "down"],
+            PLAIN,
+            |p, logger| {
+                let (up, down) = (
+                    p.add_function("up", logger("up")),
+                    p.add_function("down", logger("down")),
+                );
+                let (x, (sink, out)) = (add_relay(p, "active", "x"), sink(p));
+                let _ = source(p) >> up >> p.add_pump("pump", FreePump::new()) >> x >> down >> sink;
+                Some(out)
+            },
+        ),
+        (
+            "a producer push-position coroutine",
+            &["up", "down"],
+            PLAIN,
+            |p, logger| {
+                let (up, down) = (
+                    p.add_function("up", logger("up")),
+                    p.add_function("down", logger("down")),
+                );
+                let (x, (sink, out)) = (add_relay(p, "producer", "x"), sink(p));
+                let _ = source(p) >> up >> p.add_pump("pump", FreePump::new()) >> x >> down >> sink;
+                Some(out)
+            },
+        ),
+        (
+            "a consumer pull-position coroutine",
+            &["up"],
+            PLAIN,
+            |p, logger| {
+                let (up, x) = (
+                    p.add_function("up", logger("up")),
+                    add_relay(p, "consumer", "x"),
+                );
+                let (sink, out) = sink(p);
+                let _ = source(p) >> up >> x >> p.add_pump("pump", FreePump::new()) >> sink;
+                Some(out)
+            },
+        ),
+        (
+            "an active pull-position coroutine",
+            &["up"],
+            PLAIN,
+            |p, logger| {
+                let (up, x) = (
+                    p.add_function("up", logger("up")),
+                    add_relay(p, "active", "x"),
+                );
+                let (sink, out) = sink(p);
+                let _ = source(p) >> up >> x >> p.add_pump("pump", FreePump::new()) >> sink;
+                Some(out)
+            },
+        ),
+        (
+            "an announcing active pull-position coroutine",
+            &["up"],
+            ANNOUNCED,
+            |p, logger| {
+                let up = p.add_function("up", logger("up"));
+                let take = ActiveTake {
+                    limit: usize::MAX,
+                    announces: true,
+                };
+                let (sink, out) = sink(p);
+                let x = p.add_active("x", take);
+                let _ = source(p) >> up >> x >> p.add_pump("pump", FreePump::new()) >> sink;
+                Some(out)
+            },
+        ),
+        ("an active-source section", &["down"], PLAIN, |p, logger| {
+            let count = ActiveCount {
+                n: 3,
+                announces: false,
+            };
+            let (sink, out) = sink(p);
+            let _ = p.add_active("source", count) >> p.add_function("down", logger("down")) >> sink;
+            Some(out)
+        }),
+        (
+            "an announcing active-source section",
+            &["down"],
+            ANNOUNCED,
+            |p, logger| {
+                let count = ActiveCount {
+                    n: 3,
+                    announces: true,
+                };
+                let (sink, out) = sink(p);
+                let _ =
+                    p.add_active("source", count) >> p.add_function("down", logger("down")) >> sink;
+                Some(out)
+            },
+        ),
+        ("an active-sink section", &["up"], PLAIN, |p, logger| {
+            let x = add_relay(p, "active", "x");
+            let _ = source(p) >> p.add_function("up", logger("up")) >> x;
+            None
+        }),
+        // Returning on its own ends an active sink's stream as well.
+        (
+            "an active-sink section that returns early",
+            &["up"],
+            &["start", "item", "item", "eos"],
+            |p, logger| {
+                let take = ActiveTake {
+                    limit: 2,
+                    announces: false,
+                };
+                let _ = source(p) >> p.add_function("up", logger("up")) >> p.add_active("x", take);
+                None
+            },
+        ),
+    ];
+    for (what, loggers, expected, build) in cases {
         let kernel = virtual_kernel();
         {
             let pipeline = Pipeline::new(&kernel, "eos-once");
@@ -1109,25 +1304,26 @@ fn eos_reaches_each_stage_once_across_a_push_position_coroutine() {
                 name,
                 log: Arc::clone(&log),
             };
-            let source = pipeline.add_producer("source", IterSource::new("source", 0u32..3));
-            let up = pipeline.add_function("up", logger("up"));
-            let pump = pipeline.add_pump("pump", FreePump::new());
-            let x = add_relay(&pipeline, style, "x");
-            let down = pipeline.add_function("down", logger("down"));
-            let (sink, out) = CollectSink::<u32>::new("sink");
-            let sink = pipeline.add_consumer("sink", sink);
-            let _ = source >> up >> pump >> x >> down >> sink;
+            let out = build(&pipeline, &logger);
             let running = pipeline.start().expect("plan");
+            let sub = running.subscribe();
             running.start_flow().expect("start");
+            assert!(sub.wait_for("eos", Duration::from_secs(5)), "{what}");
             running.wait_quiescent();
-            assert_eq!(*out.lock(), vec![0, 1, 2]);
-            let mut log = log.lock().clone();
-            log.sort();
-            assert_eq!(
-                log,
-                ["down:eos", "down:start", "up:eos", "up:start"],
-                "{style}"
-            );
+            let log = log.lock().clone();
+            // Stages on different threads hear `Start` in either order;
+            // each stage's own log is exact.
+            for name in loggers {
+                let own: Vec<&str> = log
+                    .iter()
+                    .filter_map(|entry| entry.strip_prefix(name)?.strip_prefix(':'))
+                    .collect();
+                assert_eq!(own, expected, "{what}: {name}");
+            }
+            assert_eq!(log.len(), expected.len() * loggers.len(), "{what}: {log:?}");
+            if let Some(out) = out {
+                assert_eq!(*out.lock(), [0, 1, 2], "{what}");
+            }
         }
         kernel.shutdown();
     }

@@ -293,7 +293,7 @@ impl RemoteHost {
         let forwarder = spawn_event_forwarder(link.clone(), &running)
             .map_err(|e| RemoteError::Transport(e.into()))?;
         // Our own subscription, opened before streaming so the pipeline's
-        // EOS broadcast cannot slip past between loop exit and teardown —
+        // EOS announcement cannot slip past between loop exit and teardown —
         // and after the forwarder's, so an event we see here is already
         // in the forwarder's mailbox.
         let eos_probe = running.subscribe();
@@ -302,8 +302,8 @@ impl RemoteHost {
         let result = stream_frames(link, &inbox_sender, &running, &spec);
         if result.is_ok() {
             // The stream ended in order: wait (bounded) for the end of
-            // stream to drain through the pipeline and surface as the EOS
-            // broadcast; stopping the forwarder then flushes it to the
+            // stream to drain through the pipeline and surface as its EOS
+            // announcement; stopping the forwarder then flushes it to the
             // client.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while std::time::Instant::now() < deadline {

@@ -13,12 +13,12 @@
 //! (Fig. 1), not here.
 
 use infopipes::helpers::{CollectSink, FnFunction, IterSource};
-use infopipes::{BufferSpec, ControlEvent, FreePump, PayloadBytes, Pipeline};
+use infopipes::{BufferSpec, ControlEvent, FreePump, PayloadBytes, Pipeline, RunningPipeline};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
-    AcceptLoop, Acceptor, Frame, InProcTransport, Link, Marshal, PipelineTransportExt, RecvOutcome,
-    SendStatus, ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpTransport, Transport,
-    UdpTransport, Unmarshal, WireBytes,
+    AcceptLoop, Acceptor, Frame, InProcTransport, Link, Marshal, NetSendEnd, PipelineTransportExt,
+    RecvOutcome, SendSink, SendStatus, ServeConfig, SessionRegistry, SimConfig, SimTransport,
+    TcpTransport, Transport, UdpTransport, Unmarshal, WireBytes,
 };
 use std::time::{Duration, Instant};
 
@@ -64,14 +64,22 @@ fn check_ordering<T: Transport>(transport: &T, addr: &str) {
         );
     }
     assert_eq!(client.send(Frame::Fin), SendStatus::Sent);
+    assert_eq!(
+        recv_until_fin(&server),
+        (0..200).collect::<Vec<u32>>(),
+        "in order, complete"
+    );
+}
 
+/// The data frames `server` receives before `Fin`, decoded.
+fn recv_until_fin<L: Link>(server: &L) -> Vec<u32> {
     let mut got = Vec::new();
     let deadline = Instant::now() + DEADLINE;
     loop {
         match server.recv(Duration::from_millis(100)) {
             RecvOutcome::Frame(Frame::Data(bytes)) => got.push(decode(&bytes)),
             RecvOutcome::Frame(_) => {}
-            RecvOutcome::Fin => break,
+            RecvOutcome::Fin => return got,
             RecvOutcome::Closed => panic!("link closed before Fin ({} frames)", got.len()),
             RecvOutcome::TimedOut => {
                 assert!(
@@ -82,7 +90,6 @@ fn check_ordering<T: Transport>(transport: &T, addr: &str) {
             }
         }
     }
-    assert_eq!(got, (0..200).collect::<Vec<u32>>(), "in order, complete");
 }
 
 // ---------------------------------------------------------------------
@@ -239,7 +246,7 @@ fn check_clean_shutdown<T: Transport>(transport: &T, addr: &str, kernel: &Kernel
     }
     assert_eq!(client.send(Frame::Fin), SendStatus::Sent);
 
-    // Everything lands, then the EOS control event sweeps the pipeline.
+    // Everything lands, then the section announces EOS to subscribers.
     let deadline = Instant::now() + DEADLINE;
     while out.lock().len() < 20 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -256,7 +263,7 @@ fn check_clean_shutdown<T: Transport>(transport: &T, addr: &str, kernel: &Kernel
             None => {}
         }
     }
-    assert!(saw_eos, "Fin must finish the inbox and broadcast EOS");
+    assert!(saw_eos, "Fin must finish the inbox and announce EOS");
 
     // The reverse direction outlives the forward Fin…
     assert!(server
@@ -549,6 +556,45 @@ fn check_accept_loop_shutdown<T: Transport>(transport: &T, addr: &str, clients: 
 }
 
 // ---------------------------------------------------------------------
+// Property 9: a send end below a buffer ends its stream after its data
+// ---------------------------------------------------------------------
+
+/// Starts `src >> p1 >> buffer >> p2 >> marshal >> NetSendEnd(sink)` over
+/// 64 integers. The send end's section ends only once the buffer has
+/// drained, so its `Fin` must follow every frame.
+fn start_buffered_producer<S: SendSink>(kernel: &Kernel, sink: S) -> RunningPipeline {
+    let producer = Pipeline::new(kernel, "buffered-producer");
+    let src = producer.add_producer("src", IterSource::new("src", 0u32..64));
+    let p1 = producer.add_pump("p1", FreePump::new());
+    let buffer = producer.add_buffer("buffer", 128);
+    let p2 = producer.add_pump("p2", FreePump::new());
+    let marshal = producer.add_function("marshal", Marshal::<u32>::new("marshal"));
+    let send = producer.add_consumer("send", NetSendEnd::new("send", sink));
+    let _ = src >> p1 >> buffer >> p2 >> marshal >> send;
+    let running = producer.start().expect("plan");
+    running.start_flow().expect("start");
+    running
+}
+
+fn check_send_end_below_a_buffer<T: Transport>(transport: &T, addr: &str, kernel: &Kernel) {
+    let (client, server) = connect_pair(transport, addr);
+    let _running = start_buffered_producer(kernel, client);
+    assert_eq!(recv_until_fin(&server), (0..64).collect::<Vec<u32>>());
+}
+
+/// The same over a session registry: `Fin` starts the drain, which must
+/// not overtake the buffered frames either.
+fn check_registry_below_a_buffer(kernel: &Kernel) {
+    let transport = InProcTransport::new();
+    let acceptor = transport.listen("fan-out").expect("listen");
+    let client = transport.connect("fan-out").expect("connect");
+    let registry = SessionRegistry::new(ServeConfig::default());
+    registry.admit(acceptor.accept().expect("accept"));
+    let _running = start_buffered_producer(kernel, registry);
+    assert_eq!(recv_until_fin(&client), (0..64).collect::<Vec<u32>>());
+}
+
+// ---------------------------------------------------------------------
 // The four backends × the conformance properties
 // ---------------------------------------------------------------------
 
@@ -571,6 +617,8 @@ fn inproc_conforms() {
     check_pooled_recycling(&InProcTransport::new(), "pool");
     check_inproc_zero_copy(&kernel);
     check_accept_loop_shutdown(&InProcTransport::new(), "accept", 8);
+    check_send_end_below_a_buffer(&InProcTransport::new(), "buffered", &kernel);
+    check_registry_below_a_buffer(&kernel);
     kernel.shutdown();
 }
 
@@ -625,6 +673,7 @@ fn sim_conforms() {
     check_payload_immutability(&fast(&kernel), "immut");
     check_pooled_recycling(&fast(&kernel), "pool");
     check_accept_loop_shutdown(&fast(&kernel), "accept", 8);
+    check_send_end_below_a_buffer(&fast(&kernel), "buffered", &kernel);
     kernel.shutdown();
 }
 
@@ -655,6 +704,7 @@ fn tcp_conforms() {
     check_payload_immutability(&TcpTransport::new(), "127.0.0.1:0");
     check_pooled_recycling(&TcpTransport::new(), "127.0.0.1:0");
     check_accept_loop_shutdown(&TcpTransport::new(), "127.0.0.1:0", 8);
+    check_send_end_below_a_buffer(&TcpTransport::new(), "127.0.0.1:0", &kernel);
     kernel.shutdown();
 }
 
