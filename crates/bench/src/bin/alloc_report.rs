@@ -14,7 +14,8 @@
 //! * **inproc_unpooled** — the same loop sealing through `wire::to_payload`
 //!   (fresh `Vec` + `Arc` per frame), for contrast. Published only.
 //! * **pipeline_inproc** — the full scheduled pipeline (pumps, inbox,
-//!   drain thread) from the zero-copy bench. The kernel hand-off, the
+//!   the sender delivering into the bound inbox) from the zero-copy
+//!   bench. The kernel hand-off, the
 //!   pump cycle and the `PayloadBytes` and `u64` items it carries
 //!   allocate nothing in the steady state; what is left is set-up and
 //!   the occasional wake-up. The run fails (exit 1) above 0.25
@@ -163,9 +164,9 @@ fn inproc_lane(name: &'static str, frames: usize, pooled: bool) -> CaseResult {
     }
 }
 
-/// The full scheduled path (producer pump → net sink → inproc ring →
-/// drain thread → inbox → consumer pump → sink): what a frame costs once
-/// the kernel is in the loop.
+/// The full scheduled path (producer pump → net sink → the sending
+/// thread's delivery into the bound inbox → consumer pump → sink): what
+/// a frame costs once the kernel is in the loop.
 fn pipeline_lane(frames: usize) -> CaseResult {
     let kernel = Kernel::new(KernelConfig::default());
     let result = {

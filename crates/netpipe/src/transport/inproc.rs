@@ -2,20 +2,29 @@
 //!
 //! `inproc` links connect pipelines running in the same process (e.g.
 //! two kernels in one test, or co-located producer/consumer nodes)
-//! without sockets or simulation. The data lane is a lock-free Vyukov
-//! MPMC ring — full-queue sends are *dropped* (and counted), making the
+//! without sockets or simulation.
+//!
+//! A polled direction ([`Link::recv`]: the factory protocol, the serving
+//! tier's sessions) queues. Its data lane is a lock-free Vyukov MPMC
+//! ring — full-queue sends are *dropped* (and counted), making the
 //! backend behave like a bounded lossy network rather than an infinite
-//! pipe, so backpressure experiments behave the same as on `sim`. The
+//! pipe, so backpressure experiments behave the same as on `sim`. Its
 //! control lane is a small mutex-guarded deque (rare traffic, must never
 //! be dropped).
+//!
+//! A bound direction ([`Link::bind_receiver`]) queues nothing. With no
+//! network to cross, the sending thread itself delivers each frame into
+//! the binding: data to the inbox, events to the callback, and `Fin` —
+//! or the sending end's drop — to the inbox's end. No receive thread
+//! sits between the two pipelines.
 
 use super::rendezvous::{self, Registry};
 use super::{
-    Frame, Link, LinkStats, PeerIdentity, ReceiverSlot, RecvOutcome, SendStatus, SharedStats,
-    Transport, TransportError,
+    Bound, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats, Transport,
+    TransportError,
 };
 use crate::marshal::WireBytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
@@ -132,6 +141,19 @@ impl<T> Drop for Ring<T> {
 // Directions and links
 // ---------------------------------------------------------------------
 
+/// Who hears a direction's arrivals.
+enum Receiver {
+    /// Polled through `recv`: the parked poller to unpark on arrival (one
+    /// receiver at a time).
+    Polled(Option<Thread>),
+    /// Bound by `bind_receiver`: each send delivers into it, on the
+    /// sending thread.
+    Bound(Bound),
+    /// Was bound, and its stream has ended (`Fin`, or the sending end
+    /// dropped): the binding has been let go.
+    Ended,
+}
+
 /// One direction of an inproc connection.
 // Not a `lanes::LaneQueue`: the data lane is the lock-free ring, so the
 // lane order is restated in `try_recv` (with `Fin` a flag, not a frame).
@@ -143,14 +165,19 @@ struct Direction {
     /// a receive locks `ctrl` only when a control frame is waiting (the
     /// common case is none). `Release` store, `Acquire` load: a receiver
     /// that sees the count sees the frame. It is no part of the wake-up:
-    /// a sender still goes through `waiter` after publishing, and a
-    /// receiver still re-checks the lanes after registering there.
+    /// a sender publishes under `rx` and wakes the poller registered
+    /// there, and a poller still re-checks the lanes after registering.
     ctrl_queued: AtomicUsize,
-    /// Parked receiver to unpark on arrival (one receiver at a time).
-    /// Taken on every send; an atomic "someone is waiting" flag in front
-    /// of it was measured and cost more than it saved.
-    waiter: Mutex<Option<Thread>>,
-    /// Sender posted a `Fin`.
+    /// The one lock a send takes: it queues and wakes the parked poller,
+    /// or delivers into the binding, under it. So `bind_receiver` can
+    /// flush the queues into a new binding with no frame slipping past.
+    /// An atomic "someone is waiting" flag in front of it was measured
+    /// and cost more than it saved.
+    rx: Mutex<Receiver>,
+    /// `rx` has left `Polled`: lets a poll that finds nothing answer
+    /// `Closed` without taking the lock.
+    bound: AtomicBool,
+    /// Sender posted a `Fin` to a polled direction.
     fin: AtomicBool,
     /// Sender handle dropped without `Fin`.
     closed: AtomicBool,
@@ -165,17 +192,12 @@ impl Direction {
             data: Ring::new(capacity),
             ctrl: Mutex::new(VecDeque::new()),
             ctrl_queued: AtomicUsize::new(0),
-            waiter: Mutex::new(None),
+            rx: Mutex::new(Receiver::Polled(None)),
+            bound: AtomicBool::new(false),
             fin: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             stats: Arc::new(SharedStats::default()),
             high_water: capacity.next_power_of_two().max(2) * 3 / 4,
-        }
-    }
-
-    fn wake_receiver(&self) {
-        if let Some(t) = self.waiter.lock().take() {
-            t.unpark();
         }
     }
 
@@ -189,7 +211,89 @@ impl Direction {
         if self.fin.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire) {
             return SendStatus::Closed;
         }
-        let status = match frame {
+        let mut rx = self.rx.lock();
+        match &mut *rx {
+            Receiver::Polled(waiter) => {
+                let status = self.enqueue(frame);
+                let waiter = waiter.take();
+                drop(rx);
+                if let Some(t) = waiter {
+                    t.unpark();
+                }
+                status
+            }
+            Receiver::Bound(bound) => {
+                if let Frame::Data(bytes) = &frame {
+                    self.stats.sent.fetch_add(1, Ordering::Relaxed);
+                    let len = bytes.len() as u64;
+                    self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
+                }
+                if matches!(frame, Frame::Fin) {
+                    self.end(rx);
+                } else {
+                    bound.accept(None, frame, &self.stats);
+                }
+                SendStatus::Sent
+            }
+            Receiver::Ended => SendStatus::Closed,
+        }
+    }
+
+    /// Ends a bound stream. `Ended` goes in under the lock, so no later
+    /// send reaches the binding; the binding hears `Fin` and is dropped
+    /// after it, so its callback's captures never drop under the lock.
+    fn end(&self, mut rx: MutexGuard<'_, Receiver>) {
+        if let Receiver::Bound(bound) = std::mem::replace(&mut *rx, Receiver::Ended) {
+            drop(rx);
+            bound.accept(None, Frame::Fin, &self.stats);
+        }
+    }
+
+    /// The sending end is gone without a `Fin`: a poller reads `Closed`
+    /// once the lanes drain, and a binding's inbox ends.
+    fn close(&self) {
+        let mut rx = self.rx.lock();
+        self.closed.store(true, Ordering::Release);
+        match &mut *rx {
+            Receiver::Polled(waiter) => {
+                if let Some(t) = waiter.take() {
+                    t.unpark();
+                }
+            }
+            Receiver::Bound(_) => self.end(rx),
+            Receiver::Ended => {}
+        }
+    }
+
+    /// Binds the receive side. Under the lock every send takes, the
+    /// queued backlog goes into the binding first, in lane order; every
+    /// later send delivers itself.
+    fn bind(&self, bound: Bound) -> Result<(), TransportError> {
+        let mut rx = self.rx.lock();
+        if !matches!(*rx, Receiver::Polled(_)) {
+            return Err(TransportError::ReceiverTaken);
+        }
+        self.bound.store(true, Ordering::Release);
+        loop {
+            match self.try_recv() {
+                Some(RecvOutcome::Frame(frame)) => bound.accept(None, frame, &self.stats),
+                // `Fin`, or the sender vanished: the stream is already over.
+                Some(_) => {
+                    *rx = Receiver::Ended;
+                    drop(rx);
+                    bound.accept(None, Frame::Fin, &self.stats);
+                    return Ok(());
+                }
+                None => break,
+            }
+        }
+        *rx = Receiver::Bound(bound);
+        Ok(())
+    }
+
+    /// Queues a frame for polls, in its lane. Called under `rx`.
+    fn enqueue(&self, frame: Frame) -> SendStatus {
+        match frame {
             Frame::Data(bytes) => {
                 let len = bytes.len() as u64;
                 match self.data.push(bytes) {
@@ -221,13 +325,12 @@ impl Direction {
                 self.ctrl_queued.store(ctrl.len(), Ordering::Release);
                 SendStatus::Sent
             }
-        };
-        self.wake_receiver();
-        status
+        }
     }
 
     /// Pops the next frame. Events and control messages overtake queued
     /// data; `Fin` only ends the stream once the data lane is drained.
+    /// Whoever takes a data frame counts its delivery.
     fn try_recv(&self) -> Option<RecvOutcome> {
         // Read the end marks before the lanes: whatever the sender
         // published ahead of its `Fin` (or of vanishing) is visible to
@@ -247,7 +350,6 @@ impl Direction {
             }
         }
         if let Some(bytes) = self.data.pop() {
-            self.stats.delivered.fetch_add(1, Ordering::Relaxed);
             return Some(RecvOutcome::Frame(Frame::Data(bytes)));
         }
         ended
@@ -259,19 +361,29 @@ impl Direction {
         if let Some(out) = self.try_recv() {
             return out;
         }
+        // A bound direction queues nothing, so there is nothing to wait
+        // for.
+        if self.bound.load(Ordering::Acquire) {
+            return RecvOutcome::Closed;
+        }
         if timeout.is_zero() {
             return RecvOutcome::TimedOut;
         }
         let mut now = Instant::now();
         let deadline = now + timeout;
         while now < deadline {
-            *self.waiter.lock() = Some(std::thread::current());
+            match &mut *self.rx.lock() {
+                Receiver::Polled(waiter) => *waiter = Some(std::thread::current()),
+                _ => return RecvOutcome::Closed,
+            }
             // Re-check after registering, then park for the remainder.
             let early = self.try_recv();
             if early.is_none() {
                 std::thread::park_timeout(deadline - now);
             }
-            self.waiter.lock().take();
+            if let Receiver::Polled(waiter) = &mut *self.rx.lock() {
+                waiter.take();
+            }
             if let Some(out) = early.or_else(|| self.try_recv()) {
                 return out;
             }
@@ -287,15 +399,13 @@ struct LinkShared {
     out: Arc<Direction>,
     /// Inbound direction (this end receives here).
     inn: Arc<Direction>,
-    receiver: ReceiverSlot,
 }
 
 impl Drop for LinkShared {
     fn drop(&mut self) {
         // A vanished end closes its outbound direction so the peer's
         // receiver does not wait forever.
-        self.out.closed.store(true, Ordering::Release);
-        self.out.wake_receiver();
+        self.out.close();
     }
 }
 
@@ -315,7 +425,8 @@ impl Link for InProcLink {
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
-        self.shared.inn.recv(timeout)
+        let inn = &self.shared.inn;
+        inn.stats.count_delivery(inn.recv(timeout))
     }
 
     fn bind_receiver(
@@ -323,14 +434,9 @@ impl Link for InProcLink {
         inbox: Option<infopipes::InboxSender>,
         on_event: impl Fn(infopipes::ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
-        // Refusals are credited to the inbound direction's stats, which
-        // the peer's `stats()` reads as its outbound counters.
-        let rx_stats = Arc::clone(&self.shared.inn.stats);
-        self.shared
-            .receiver
-            .bind(self.clone(), inbox, on_event, rx_stats, |link| {
-                Arc::strong_count(&link.shared) == 1
-            })
+        // Deliveries and refusals are credited to the inbound direction's
+        // stats, which the peer's `stats()` reads as its outbound counters.
+        self.shared.inn.bind(Bound::new(inbox, on_event))
     }
 
     fn stats(&self) -> LinkStats {
@@ -411,7 +517,6 @@ impl Transport for InProcTransport {
                 peer: PeerIdentity::new("inproc", addr),
                 out: Arc::clone(&a_to_b),
                 inn: Arc::clone(&b_to_a),
-                receiver: ReceiverSlot::default(),
             }),
         };
         let server = InProcLink {
@@ -419,7 +524,6 @@ impl Transport for InProcTransport {
                 peer: PeerIdentity::new("inproc", format!("{addr}#client-{n}")),
                 out: b_to_a,
                 inn: a_to_b,
-                receiver: ReceiverSlot::default(),
             }),
         };
         endpoint.offer(server);
@@ -596,7 +700,7 @@ mod tests {
                 });
                 // Send only once the receiver has registered to be woken.
                 let started = Instant::now();
-                while dir.waiter.lock().is_none() {
+                while matches!(*dir.rx.lock(), Receiver::Polled(None)) {
                     assert!(started.elapsed() < GUARD, "receiver never parked");
                     std::thread::yield_now();
                 }
@@ -609,5 +713,147 @@ mod tests {
                 );
             });
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Bound directions: the sender delivers
+    // -----------------------------------------------------------------
+
+    use crate::transport::Acceptor;
+    use infopipes::helpers::CollectSink;
+    use infopipes::{BufferSpec, ControlEvent, FreePump, InboxSender, Pipeline, RunningPipeline};
+    use mbthread::{Kernel, KernelConfig};
+
+    fn pair() -> (InProcLink, InProcLink) {
+        let transport = InProcTransport::new();
+        let acceptor = transport.listen("bound").unwrap();
+        let client = transport.connect("bound").unwrap();
+        (client, acceptor.accept().unwrap())
+    }
+
+    fn wire(seq: u32) -> Frame {
+        Frame::Data(crate::wire::to_payload(&seq).unwrap())
+    }
+
+    /// `inbox >> pump >> unmarshal >> sink` on `kernel`, not yet started.
+    fn consumer(kernel: &Kernel, inbox: usize) -> (Pipeline, InboxSender, Arc<Mutex<Vec<u32>>>) {
+        let pipeline = Pipeline::new(kernel, "consumer");
+        let (node, sender) = pipeline.add_inbox("net-in", BufferSpec::bounded(inbox));
+        let pump = pipeline.add_pump("pump", FreePump::new());
+        let unmarshal = pipeline.add_function("unmarshal", crate::Unmarshal::<u32>::new("u"));
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let _ = node >> pump >> unmarshal >> sink;
+        (pipeline, sender, out)
+    }
+
+    /// Waits for the pipeline's end of stream, then returns what it got.
+    fn collect_until_eos(running: &RunningPipeline, out: &Mutex<Vec<u32>>) -> Vec<u32> {
+        let events = running.subscribe();
+        running.start_flow().unwrap();
+        let started = Instant::now();
+        while events.recv_timeout(Duration::from_millis(50)) != Some(ControlEvent::Eos) {
+            assert!(started.elapsed() < GUARD, "no end of stream");
+        }
+        out.lock().clone()
+    }
+
+    #[test]
+    fn a_backlog_reaches_the_binding_in_order_at_bind_time() {
+        let kernel = Kernel::new(KernelConfig::default());
+        let (client, server) = pair();
+        for seq in 0..5 {
+            client.send(wire(seq));
+        }
+        client.send(event(1));
+        for seq in 5..10 {
+            client.send(wire(seq));
+        }
+        client.send(Frame::Fin);
+
+        let (pipeline, inbox, out) = consumer(&kernel, 64);
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&heard);
+        server
+            .bind_receiver(Some(inbox), move |ev| log.lock().push(ev))
+            .unwrap();
+        // All of it was handed over before `bind_receiver` returned.
+        assert_eq!(*heard.lock(), vec![ControlEvent::SetRate(1.0)]);
+        assert_eq!(client.stats().delivered, 10);
+        assert_eq!(client.send(wire(99)), SendStatus::Closed);
+
+        let running = pipeline.start().unwrap();
+        assert_eq!(
+            collect_until_eos(&running, &out),
+            (0..10).collect::<Vec<u32>>()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(out.lock().len(), 10, "nothing arrives twice");
+        assert_eq!(heard.lock().len(), 1, "nothing arrives twice");
+        let stats = client.stats();
+        assert_eq!((stats.sent, stats.delivered, stats.refused), (10, 10, 0));
+        drop(running);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn binding_mid_stream_loses_and_repeats_nothing() {
+        const FRAMES: u32 = 10_000;
+        let kernel = Kernel::new(KernelConfig::default());
+        let (client, server) = pair();
+        // Deep enough that the inbox never refuses: a refusal is a loss
+        // this test would blame on the binding.
+        let (pipeline, inbox, out) = consumer(&kernel, FRAMES as usize);
+        let sent = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for seq in 0..FRAMES {
+                    // The ring is lossy while unbound: offer again.
+                    while client.send(wire(seq)) == SendStatus::Dropped {
+                        std::thread::yield_now();
+                    }
+                    sent.store(seq as usize + 1, Ordering::Release);
+                }
+                client.send(Frame::Fin);
+            });
+            // Bind once a backlog exists and while the stream still runs.
+            let started = Instant::now();
+            while sent.load(Ordering::Acquire) < 500 {
+                assert!(started.elapsed() < GUARD, "sender stalled");
+                std::thread::yield_now();
+            }
+            server.bind_receiver(Some(inbox), |_| {}).unwrap();
+        });
+        let running = pipeline.start().unwrap();
+        assert_eq!(
+            collect_until_eos(&running, &out),
+            (0..FRAMES).collect::<Vec<u32>>()
+        );
+        let stats = client.stats();
+        assert_eq!((stats.delivered, stats.refused), (u64::from(FRAMES), 0));
+        drop(running);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn a_bound_link_polls_closed_and_binds_once() {
+        let (client, server) = pair();
+        server.bind_receiver(None, |_| {}).unwrap();
+        assert!(matches!(server.recv(Duration::ZERO), RecvOutcome::Closed));
+        assert!(matches!(
+            server.recv(Duration::from_millis(10)),
+            RecvOutcome::Closed
+        ));
+        assert!(matches!(
+            server.bind_receiver(None, |_| {}),
+            Err(TransportError::ReceiverTaken)
+        ));
+        // Still taken once the stream has ended.
+        client.send(Frame::Fin);
+        assert!(matches!(
+            server.bind_receiver(None, |_| {}),
+            Err(TransportError::ReceiverTaken)
+        ));
+        assert!(matches!(server.recv(Duration::ZERO), RecvOutcome::Closed));
     }
 }

@@ -23,11 +23,11 @@
 use super::lanes::LaneQueue;
 use super::rendezvous::{self, Registry};
 use super::{
-    Frame, KernelPost, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
+    Bound, Frame, KernelPost, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
     Transport, TransportError,
 };
 use crate::marshal::WireBytes;
-use infopipes::{ControlEvent, InboxSender, Item};
+use infopipes::{ControlEvent, InboxSender};
 use mbthread::{Ctx, Envelope, ExternalPort, Flow, Kernel, Message, Tag, ThreadId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -75,43 +75,6 @@ impl Default for SimConfig {
 // ---------------------------------------------------------------------
 // Receiving side state
 // ---------------------------------------------------------------------
-
-type EventCallback = Box<dyn Fn(ControlEvent) + Send>;
-
-/// A pipeline binding: arrivals flow straight into it.
-struct Bound {
-    inbox: Option<InboxSender>,
-    on_event: EventCallback,
-}
-
-impl Bound {
-    /// Hands one arrived frame to the pipeline — through `ctx` from the
-    /// direction's kernel thread (deterministic delivery), without it
-    /// for the backlog `bind_receiver` finds already queued.
-    fn accept(&self, mut ctx: Option<&mut Ctx<'_>>, frame: Frame, stats: &SharedStats) {
-        match (frame, &self.inbox) {
-            (Frame::Data(bytes), Some(inbox)) => {
-                let item = Item::bytes(bytes);
-                let taken = match ctx.as_mut() {
-                    Some(ctx) => inbox.put_via(ctx, item),
-                    None => inbox.put(item),
-                };
-                let counter = if taken {
-                    &stats.delivered
-                } else {
-                    &stats.refused
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            (Frame::Fin, Some(inbox)) => match ctx {
-                Some(ctx) => inbox.finish_via(ctx),
-                None => inbox.finish(),
-            },
-            (Frame::Event(ev), _) => (self.on_event)(ev.into()),
-            _ => {}
-        }
-    }
-}
 
 struct RxShared {
     /// Frames awaiting external `recv` polls, until a binding exists.
@@ -375,10 +338,7 @@ impl Link for SimLink {
         if slot.is_some() {
             return Err(TransportError::ReceiverTaken);
         }
-        let bound = Bound {
-            inbox,
-            on_event: Box::new(on_event),
-        };
+        let bound = Bound::new(inbox, on_event);
         // Flush frames that arrived before binding (external path).
         loop {
             match rx.queue.try_recv() {

@@ -4,10 +4,12 @@
 //! thread creation and lifetime. Every service thread of this crate — the
 //! serving tier's accept loop, the inspector's accept loop and
 //! per-client handlers, the remote host's event forwarder, the
-//! receive pump behind `bind_receiver`, the TCP writer, the UDP flusher
-//! and reader — is a [`Worker`]: a named thread with a stop request that
-//! is stopped and joined when its owner drops it. [`spawn_accept_loop`]
-//! is the one accept loop on top of it.
+//! receive pump behind a TCP or UDP link's `bind_receiver`, the TCP
+//! writer, the UDP flusher and reader — is a [`Worker`]: a named thread
+//! with a stop request that is stopped and joined when its owner drops
+//! it. [`spawn_accept_loop`] is the one accept loop on top of it. An
+//! inproc or sim binding has no thread: the sender's thread, or the
+//! simulator's kernel thread, delivers.
 //!
 //! A worker whose body can drop its own last owner (the UDP flusher and
 //! reader upgrade a `Weak`; a receive pump holds a clone of the link that

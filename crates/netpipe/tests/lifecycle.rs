@@ -1,13 +1,14 @@
 //! Every thread the link layer starts is gone once its owners are, and
 //! every pooled buffer comes home once the frames are consumed.
 //!
-//! For each backend: listen, connect, accept, bind both receive sides,
-//! stream frames sealed from a pool the test owns (that pool, and a
-//! pooling backend's receive pool, must then have nothing checked out:
-//! the sending side — writer, ring, simulated queue — let go of every
-//! frame), run the serving tier's accept loop and an inspector beside it
-//! — then drop everything and hold the process to the thread count it
-//! started with. This is what proves the `Worker`
+//! For each backend: listen, connect, accept, bind both receive sides
+//! (inproc and sim deliver on threads they already have, so binding
+//! starts none), stream frames sealed from a pool the test owns (that
+//! pool, and a pooling backend's receive pool, must then have nothing
+//! checked out: the sending side — writer, ring, simulated queue — let
+//! go of every frame), run the serving tier's accept loop and an
+//! inspector beside it — then drop everything and hold the process to
+//! the thread count it started with. This is what proves the `Worker`
 //! arrangement: owners join their service threads, and a worker that
 //! ends up dropping its own last owner (the UDP flusher and reader, a
 //! receive pump) neither leaks nor joins itself — a self-join panics
@@ -17,14 +18,16 @@
 #![cfg(target_os = "linux")]
 
 use infopipes::helpers::CollectSink;
-use infopipes::{BufferSpec, FreePump, Pipeline, StatsRegistry};
+use infopipes::{BufferSpec, ControlEvent, FreePump, InboxSender, Pipeline, StatsRegistry};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     wire, AcceptLoop, Acceptor, BufferPool, Frame, InProcTransport, InspectClient, InspectServer,
     Link, PoolStats, ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpLink, TcpTransport,
     Transport, UdpLink, UdpTransport, Unmarshal,
 };
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(20);
@@ -36,20 +39,9 @@ fn live_threads() -> usize {
         .count()
 }
 
-/// Drives every service thread a backend has, then lets go of all of it.
-/// `pool` reads the receiving link's buffer pool, for backends that
-/// receive into one.
-fn exercise<T: Transport>(
-    kernel: &Kernel,
-    transport: &T,
-    addrs: [&str; 3],
-    pool: Option<fn(&T::Link) -> PoolStats>,
-) {
-    // A point-to-point link with both receive sides bound.
-    let acceptor = transport.listen(addrs[0]).expect("listen");
-    let client = transport.connect(&acceptor.local_addr()).expect("connect");
-    let server = acceptor.accept().expect("accept");
-
+/// `inbox >> pump >> unmarshal >> sink` on `kernel`, not yet started:
+/// the pipeline, its inbox's sender and the sink's log.
+fn consumer(kernel: &Kernel) -> (Pipeline, InboxSender, Arc<Mutex<Vec<u32>>>) {
     let consumer = Pipeline::new(kernel, "consumer");
     let (inbox, inbox_sender) = consumer.add_inbox("net-in", BufferSpec::bounded(256));
     let pump = consumer.add_pump("pump", FreePump::new());
@@ -57,10 +49,31 @@ fn exercise<T: Transport>(
     let (sink, got) = CollectSink::<u32>::new("sink");
     let sink = consumer.add_consumer("sink", sink);
     let _ = inbox >> pump >> unmarshal >> sink;
+    (consumer, inbox_sender, got)
+}
+
+/// Drives every service thread a backend has, then lets go of all of it.
+/// `pool` reads the receiving link's buffer pool, for backends that
+/// receive into one. Returns how many threads the two `bind_receiver`
+/// calls started.
+fn exercise<T: Transport>(
+    kernel: &Kernel,
+    transport: &T,
+    addrs: [&str; 3],
+    pool: Option<fn(&T::Link) -> PoolStats>,
+) -> usize {
+    // A point-to-point link with both receive sides bound.
+    let acceptor = transport.listen(addrs[0]).expect("listen");
+    let client = transport.connect(&acceptor.local_addr()).expect("connect");
+    let server = acceptor.accept().expect("accept");
+
+    let (consumer, inbox_sender, got) = consumer(kernel);
+    let unbound = live_threads();
     server
         .bind_receiver(Some(inbox_sender), |_| {})
         .expect("bind data side");
     client.bind_receiver(None, |_| {}).expect("bind event side");
+    let bind_threads = live_threads() - unbound;
     let running = consumer.start().expect("plan");
     running.start_flow().expect("start");
 
@@ -119,6 +132,41 @@ fn exercise<T: Transport>(
 
     drop((probe, inspector, viewer, accept, registry));
     drop((client, server, acceptor, running));
+    bind_threads
+}
+
+/// A bound inproc link whose sending end goes without a `Fin` still ends
+/// the consumer's stream: the sender's drop finishes the inbox, with no
+/// receive thread left to notice the link closing.
+fn dropped_sender_ends_the_stream(kernel: &Kernel) {
+    let transport = InProcTransport::new();
+    let acceptor = transport.listen("dropped").expect("listen");
+    let client = transport.connect("dropped").expect("connect");
+    let server = acceptor.accept().expect("accept");
+
+    let (consumer, inbox_sender, got) = consumer(kernel);
+    server
+        .bind_receiver(Some(inbox_sender), |_| {})
+        .expect("bind");
+    let running = consumer.start().expect("plan");
+    let events = running.subscribe();
+    running.start_flow().expect("start");
+
+    for i in 0..FRAMES {
+        let frame = Frame::Data(wire::to_payload(&i).expect("encode"));
+        assert!(client.send(frame).accepted(), "frame {i}");
+    }
+    drop(client);
+    let deadline = Instant::now() + DEADLINE;
+    while events.recv_timeout(Duration::from_millis(50)) != Some(ControlEvent::Eos) {
+        assert!(
+            Instant::now() < deadline,
+            "a dropped sender must end the stream ({} frames)",
+            got.lock().len()
+        );
+    }
+    assert_eq!(*got.lock(), (0..FRAMES).collect::<Vec<u32>>());
+    drop((server, acceptor, running));
 }
 
 fn settle(baseline: usize, backend: &str) {
@@ -152,8 +200,11 @@ fn every_backend_returns_to_its_thread_baseline() {
         settle(baseline, backend);
     };
     let sockets = ["127.0.0.1:0"; 3];
+    // Backends whose sends are the arrivals bind without a thread.
     run("inproc", &|k| {
-        exercise(k, &InProcTransport::new(), ["a", "b", "c"], None);
+        let started = exercise(k, &InProcTransport::new(), ["a", "b", "c"], None);
+        assert_eq!(started, 0, "inproc: binding started a thread");
+        dropped_sender_ends_the_stream(k);
     });
     run("sim", &|k| {
         let cfg = SimConfig {
@@ -161,7 +212,8 @@ fn every_backend_returns_to_its_thread_baseline() {
             seed,
             ..SimConfig::default()
         };
-        exercise(k, &SimTransport::new(k, cfg), ["a", "b", "c"], None);
+        let started = exercise(k, &SimTransport::new(k, cfg), ["a", "b", "c"], None);
+        assert_eq!(started, 0, "sim: binding started a thread");
     });
     run("tcp", &|k| {
         exercise(k, &TcpTransport::new(), sockets, Some(TcpLink::pool_stats));

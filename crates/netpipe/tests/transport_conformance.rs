@@ -1,7 +1,8 @@
 //! The shared transport-conformance suite (§2.4's pluggability,
-//! enforced): every backend must satisfy the same four properties —
+//! enforced): every backend must satisfy the same properties —
 //! **ordering**, **backpressure on a full link**, **control-event
-//! priority**, and **clean shutdown** — exercised through generic
+//! priority**, **clean shutdown**, and the numbered ones below, up to a
+//! receiver **bound mid-stream** — exercised through generic
 //! helpers that know nothing about the backend beyond the [`Transport`]
 //! and [`Link`] traits. A new backend earns its place by passing this
 //! file with three added tests.
@@ -13,13 +14,17 @@
 //! (Fig. 1), not here.
 
 use infopipes::helpers::{CollectSink, FnFunction, IterSource};
-use infopipes::{BufferSpec, ControlEvent, FreePump, PayloadBytes, Pipeline, RunningPipeline};
+use infopipes::{
+    BufferSpec, ControlEvent, EventSubscription, FreePump, PayloadBytes, Pipeline, RunningPipeline,
+};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     AcceptLoop, Acceptor, Frame, InProcTransport, Link, Marshal, NetSendEnd, PipelineTransportExt,
     RecvOutcome, SendSink, SendStatus, ServeConfig, SessionRegistry, SimConfig, SimTransport,
     TcpTransport, Transport, UdpTransport, Unmarshal, WireBytes,
 };
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(20);
@@ -221,13 +226,14 @@ fn check_event_priority<T: Transport>(transport: &T, addr: &str, payload: usize,
 // Property 4: clean shutdown end to end
 // ---------------------------------------------------------------------
 
-/// `Fin` finishes a bound pipeline inbox (EOS reaches the sink), the
-/// reverse direction keeps working, and sends after `Fin` report
-/// `Closed`.
-fn check_clean_shutdown<T: Transport>(transport: &T, addr: &str, kernel: &Kernel) {
-    let (client, server) = connect_pair(transport, addr);
-
-    let pipeline = Pipeline::new(kernel, "shutdown-consumer");
+/// Binds `server`'s receive side to a running `inbox >> pump >>
+/// unmarshal >> sink`: the pipeline, its event subscription (taken
+/// before the flow starts) and the sink's log.
+fn bound_consumer<L: Link>(
+    kernel: &Kernel,
+    server: &L,
+) -> (RunningPipeline, EventSubscription, Arc<Mutex<Vec<u32>>>) {
+    let pipeline = Pipeline::new(kernel, "bound-consumer");
     let (inbox, inbox_sender) = pipeline.add_inbox("net-in", BufferSpec::bounded(256));
     let pump = pipeline.add_pump("pump", FreePump::new());
     let un = pipeline.add_function("unmarshal", Unmarshal::<u32>::new("unmarshal"));
@@ -240,6 +246,15 @@ fn check_clean_shutdown<T: Transport>(transport: &T, addr: &str, kernel: &Kernel
     let running = pipeline.start().expect("plan");
     let events = running.subscribe();
     running.start_flow().expect("start");
+    (running, events, out)
+}
+
+/// `Fin` finishes a bound pipeline inbox (EOS reaches the sink), the
+/// reverse direction keeps working, and sends after `Fin` report
+/// `Closed`.
+fn check_clean_shutdown<T: Transport>(transport: &T, addr: &str, kernel: &Kernel) {
+    let (client, server) = connect_pair(transport, addr);
+    let (_running, events, out) = bound_consumer(kernel, &server);
 
     for i in 0..20u32 {
         assert!(client.send(data_frame(i)).accepted());
@@ -404,11 +419,8 @@ fn check_pooled_recycling<T: Transport>(transport: &T, addr: &str) {
 /// unmarshal >> sink` and proves by pointer identity that the payload
 /// buffer sealed by the marshaller is the very allocation the
 /// unmarshaller decodes from — zero payload copies across the send end,
-/// the lock-free ring, the drain thread, and the inbox.
+/// the sender's own delivery into the bound inbox, and the inbox.
 fn check_inproc_zero_copy(kernel: &Kernel) {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-
     let transport = InProcTransport::new();
     let acceptor = transport.listen("zero-copy").unwrap();
     let link = transport.connect("zero-copy").unwrap();
@@ -595,6 +607,35 @@ fn check_registry_below_a_buffer(kernel: &Kernel) {
 }
 
 // ---------------------------------------------------------------------
+// Property 10: a receiver bound mid-stream misses nothing
+// ---------------------------------------------------------------------
+
+/// Frames sent before `bind_receiver`, frames sent after it, then `Fin`:
+/// by the time the stream ends the sink holds every one, in order — the
+/// backlog a binding inherits is neither lost nor overtaken.
+fn check_bound_mid_stream<T: Transport>(transport: &T, addr: &str, kernel: &Kernel) {
+    let (client, server) = connect_pair(transport, addr);
+    for i in 0..50u32 {
+        assert!(client.send(data_frame(i)).accepted(), "frame {i}");
+    }
+    let (_running, events, out) = bound_consumer(kernel, &server);
+    for i in 50..100u32 {
+        assert!(client.send(data_frame(i)).accepted(), "frame {i}");
+    }
+    assert_eq!(client.send(Frame::Fin), SendStatus::Sent);
+
+    let deadline = Instant::now() + DEADLINE;
+    while events.recv_timeout(Duration::from_millis(100)) != Some(ControlEvent::Eos) {
+        assert!(
+            Instant::now() < deadline,
+            "no end of stream ({} frames)",
+            out.lock().len()
+        );
+    }
+    assert_eq!(*out.lock(), (0..100).collect::<Vec<u32>>());
+}
+
+// ---------------------------------------------------------------------
 // The four backends × the conformance properties
 // ---------------------------------------------------------------------
 
@@ -619,6 +660,7 @@ fn inproc_conforms() {
     check_accept_loop_shutdown(&InProcTransport::new(), "accept", 8);
     check_send_end_below_a_buffer(&InProcTransport::new(), "buffered", &kernel);
     check_registry_below_a_buffer(&kernel);
+    check_bound_mid_stream(&InProcTransport::new(), "mid-stream", &kernel);
     kernel.shutdown();
 }
 
@@ -674,6 +716,7 @@ fn sim_conforms() {
     check_pooled_recycling(&fast(&kernel), "pool");
     check_accept_loop_shutdown(&fast(&kernel), "accept", 8);
     check_send_end_below_a_buffer(&fast(&kernel), "buffered", &kernel);
+    check_bound_mid_stream(&fast(&kernel), "mid-stream", &kernel);
     kernel.shutdown();
 }
 
@@ -705,6 +748,7 @@ fn tcp_conforms() {
     check_pooled_recycling(&TcpTransport::new(), "127.0.0.1:0");
     check_accept_loop_shutdown(&TcpTransport::new(), "127.0.0.1:0", 8);
     check_send_end_below_a_buffer(&TcpTransport::new(), "127.0.0.1:0", &kernel);
+    check_bound_mid_stream(&TcpTransport::new(), "127.0.0.1:0", &kernel);
     kernel.shutdown();
 }
 
