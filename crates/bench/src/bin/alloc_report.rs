@@ -7,7 +7,7 @@
 //! then measures the per-frame deltas:
 //!
 //! * **inproc_pooled** — the zero-allocation claim: pooled sealing
-//!   (`wire::to_payload_in`) → lock-free inproc ring → `recv` → decode →
+//!   (`wire::to_payload_in`) → inproc lane queue → `recv` → decode →
 //!   drop-recycles, in a tight loop. After warm-up this is *exactly* 0
 //!   allocations and 0 socket writes per frame, and the run fails (exit
 //!   1) otherwise.
@@ -55,6 +55,9 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
 
+// A counting allocator must implement the `unsafe` trait: the one
+// place the workspace's `unsafe_code = "deny"` is lifted.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -122,7 +125,7 @@ fn inproc_step(pool: Option<&BufferPool>, link: &impl Link, server: &impl Link, 
         Some(pool) => wire::to_payload_in(pool, 64, &i).expect("seal"),
         None => wire::to_payload(&i).expect("seal"),
     };
-    assert!(link.send(Frame::Data(payload)).accepted(), "ring full");
+    assert!(link.send(Frame::Data(payload)).accepted(), "lane full");
     match server.recv(Duration::from_secs(5)) {
         RecvOutcome::Frame(Frame::Data(p)) => {
             let back: u64 = wire::from_bytes(&p).expect("decode");
@@ -133,7 +136,7 @@ fn inproc_step(pool: Option<&BufferPool>, link: &impl Link, server: &impl Link, 
 }
 
 /// The tight-loop lane: no scheduler, no threads — exactly the per-frame
-/// cost of pooled (or unpooled) sealing plus the lock-free ring.
+/// cost of pooled (or unpooled) sealing plus the inproc lane queue.
 fn inproc_lane(name: &'static str, frames: usize, pooled: bool) -> CaseResult {
     let transport = InProcTransport::with_capacity(64);
     let acceptor = transport.listen("alloc-lane").unwrap();
@@ -142,8 +145,8 @@ fn inproc_lane(name: &'static str, frames: usize, pooled: bool) -> CaseResult {
     let pool = BufferPool::new();
     let pool = pooled.then_some(&pool);
 
-    // Warm-up: first touches allocate (pool classes, ring wakeups, lazy
-    // thread-locals); the steady state must not.
+    // Warm-up: first touches allocate (pool classes, the lane's deque,
+    // lazy thread-locals); the steady state must not.
     for i in 0..(frames / 4).max(16) {
         inproc_step(pool, &link, &server, i as u64);
     }

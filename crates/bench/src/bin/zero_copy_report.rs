@@ -3,10 +3,10 @@
 //! semantics, on large frames.
 //!
 //! The pipeline is the real remote lane — producer pump, a tap at the
-//! marshalling position, `NetSendEnd`, the lock-free inproc ring, the
-//! drain thread, a bounded inbox, consumer pump, and a tap at the
-//! unmarshalling position. The two configurations differ only in the
-//! taps:
+//! marshalling position, `NetSendEnd`, the sending thread's delivery
+//! into the bound inproc direction's inbox, consumer pump, and a tap at
+//! the unmarshalling position. The two configurations differ only in
+//! the taps:
 //!
 //! * **zero_copy** — taps pass the sealed buffer through untouched; every
 //!   crossing is a refcount (what the middleware does since the
@@ -39,9 +39,9 @@ struct LaneResult {
 fn run_lane(frames: usize, frame_bytes: usize, deep: bool) -> LaneResult {
     let kernel = Kernel::new(KernelConfig::default());
     let result = {
-        // Ring and inbox sized above the total frame count: the free
-        // pump bursts at memory speed and the lossy lane must not shed
-        // anything during a throughput measurement.
+        // Data lane and inbox sized above the total frame count: the
+        // free pump bursts at memory speed and the lossy lane must not
+        // shed anything during a throughput measurement.
         let transport = InProcTransport::with_capacity(2 * frames.max(1024));
         let acceptor = transport.listen("lane").unwrap();
         let link = transport.connect("lane").unwrap();

@@ -472,7 +472,7 @@ mod tests {
         assert_eq!(s.len(), 30);
         assert_eq!(s[0], 10);
         assert!(s.shares_allocation_with(&p));
-        assert_eq!(s.as_ptr(), unsafe { p.as_ptr().add(10) });
+        assert_eq!(s.as_ptr(), p.as_ptr().wrapping_add(10));
         // A slice of a slice is relative to the child view.
         let s2 = s.slice(5..=6);
         assert_eq!(&s2[..], &[15, 16]);

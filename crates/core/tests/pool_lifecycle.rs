@@ -26,6 +26,9 @@ fn tally(delta: isize) {
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the tally touches no
 // allocator state.
+// A counting allocator must implement the `unsafe` trait: the one
+// place the workspace's `unsafe_code = "deny"` is lifted.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size() as isize);

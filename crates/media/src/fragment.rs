@@ -345,7 +345,7 @@ mod tests {
                 "packet {} must alias the parent frame",
                 pkt.index
             );
-            assert_eq!(pkt.bytes.as_ptr(), unsafe { parent.as_ptr().add(offset) });
+            assert_eq!(pkt.bytes.as_ptr(), parent.as_ptr().wrapping_add(offset));
             offset += pkt.bytes.len();
         }
         assert_eq!(offset, 100);

@@ -4,7 +4,7 @@
 //! codec is written against `io::Read`/`io::Write`, so every transport
 //! that runs over an ordered byte stream (TCP today; QUIC streams or
 //! Unix sockets tomorrow) reuses it unchanged — backends with message
-//! boundaries of their own (the simulator, in-process rings) skip it
+//! boundaries of their own (the simulator, in-process lanes) skip it
 //! entirely and carry [`Frame`](crate::Frame) values directly.
 
 use infopipes::{BufferPool, PayloadBytes};

@@ -1,16 +1,16 @@
-//! The in-process transport: a lock-free bounded ring per direction.
+//! The in-process transport: one two-lane queue per direction.
 //!
 //! `inproc` links connect pipelines running in the same process (e.g.
 //! two kernels in one test, or co-located producer/consumer nodes)
 //! without sockets or simulation.
 //!
+//! Each direction is a [`LaneQueue`] the sending thread arrives into.
 //! A polled direction ([`Link::recv`]: the factory protocol, the serving
-//! tier's sessions) queues. Its data lane is a lock-free Vyukov MPMC
-//! ring — full-queue sends are *dropped* (and counted), making the
-//! backend behave like a bounded lossy network rather than an infinite
-//! pipe, so backpressure experiments behave the same as on `sim`. Its
-//! control lane is a small mutex-guarded deque (rare traffic, must never
-//! be dropped).
+//! tier's sessions) queues: a send that finds the data lane full is
+//! *dropped* (and counted), making the backend behave like a bounded
+//! lossy network rather than an infinite pipe, so backpressure
+//! experiments behave the same as on `sim`; control frames are never
+//! dropped.
 //!
 //! A bound direction ([`Link::bind_receiver`]) queues nothing. With no
 //! network to cross, the sending thread itself delivers each frame into
@@ -18,378 +18,59 @@
 //! or the sending end's drop — to the inbox's end. No receive thread
 //! sits between the two pipelines.
 
+use super::lanes::{Arrival, LaneQueue};
 use super::rendezvous::{self, Registry};
 use super::{
-    Bound, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats, Transport,
+    Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats, Transport,
     TransportError,
 };
-use crate::marshal::WireBytes;
-use parking_lot::{Mutex, MutexGuard};
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
-use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------
-// Lock-free bounded MPMC ring (Vyukov's array queue)
-// ---------------------------------------------------------------------
-
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// A bounded multi-producer multi-consumer queue; `push` never blocks
-/// and fails when full, `pop` never blocks and fails when empty.
-pub(crate) struct Ring<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
-}
-
-unsafe impl<T: Send> Send for Ring<T> {}
-unsafe impl<T: Send> Sync for Ring<T> {}
-
-impl<T> Ring<T> {
-    fn new(capacity: usize) -> Ring<T> {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring {
-            slots,
-            mask: cap - 1,
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, value: T) -> Result<(), T> {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq as isize - pos as isize {
-                0 => {
-                    match self.enqueue.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // The slot is ours: write, then publish.
-                            unsafe { (*slot.value.get()).write(value) };
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                d if d < 0 => return Err(value), // full
-                _ => pos = self.enqueue.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    fn pop(&self) -> Option<T> {
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq as isize - (pos.wrapping_add(1)) as isize {
-                0 => {
-                    match self.dequeue.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq.store(
-                                pos.wrapping_add(self.mask).wrapping_add(1),
-                                Ordering::Release,
-                            );
-                            return Some(value);
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                d if d < 0 => return None, // empty
-                _ => pos = self.dequeue.load(Ordering::Relaxed),
-            }
-        }
-    }
-}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-// ---------------------------------------------------------------------
-// Directions and links
-// ---------------------------------------------------------------------
-
-/// Who hears a direction's arrivals.
-enum Receiver {
-    /// Polled through `recv`: the parked poller to unpark on arrival (one
-    /// receiver at a time).
-    Polled(Option<Thread>),
-    /// Bound by `bind_receiver`: each send delivers into it, on the
-    /// sending thread.
-    Bound(Bound),
-    /// Was bound, and its stream has ended (`Fin`, or the sending end
-    /// dropped): the binding has been let go.
-    Ended,
-}
+use std::time::Duration;
 
 /// One direction of an inproc connection.
-// Not a `lanes::LaneQueue`: the data lane is the lock-free ring, so the
-// lane order is restated in `try_recv` (with `Fin` a flag, not a frame).
 struct Direction {
-    data: Ring<WireBytes>,
-    /// Events and factory messages only; `Fin` is the flag below.
-    ctrl: Mutex<VecDeque<Frame>>,
-    /// Length of `ctrl`, stored under its lock by whoever changed it, so
-    /// a receive locks `ctrl` only when a control frame is waiting (the
-    /// common case is none). `Release` store, `Acquire` load: a receiver
-    /// that sees the count sees the frame. It is no part of the wake-up:
-    /// a sender publishes under `rx` and wakes the poller registered
-    /// there, and a poller still re-checks the lanes after registering.
-    ctrl_queued: AtomicUsize,
-    /// The one lock a send takes: it queues and wakes the parked poller,
-    /// or delivers into the binding, under it. So `bind_receiver` can
-    /// flush the queues into a new binding with no frame slipping past.
-    /// An atomic "someone is waiting" flag in front of it was measured
-    /// and cost more than it saved.
-    rx: Mutex<Receiver>,
-    /// `rx` has left `Polled`: lets a poll that finds nothing answer
-    /// `Closed` without taking the lock.
-    bound: AtomicBool,
-    /// Sender posted a `Fin` to a polled direction.
-    fin: AtomicBool,
-    /// Sender handle dropped without `Fin`.
-    closed: AtomicBool,
-    stats: Arc<SharedStats>,
-    /// High-water mark: `Saturated` above this many queued data frames.
+    /// The one lock a send takes: it queues and wakes a poller, or
+    /// delivers into the binding, under it.
+    queue: LaneQueue,
+    stats: SharedStats,
+    /// High-water mark: `Saturated` at this many queued data frames.
     high_water: usize,
 }
 
 impl Direction {
     fn new(capacity: usize) -> Direction {
         Direction {
-            data: Ring::new(capacity),
-            ctrl: Mutex::new(VecDeque::new()),
-            ctrl_queued: AtomicUsize::new(0),
-            rx: Mutex::new(Receiver::Polled(None)),
-            bound: AtomicBool::new(false),
-            fin: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            stats: Arc::new(SharedStats::default()),
-            high_water: capacity.next_power_of_two().max(2) * 3 / 4,
+            queue: LaneQueue::new(capacity),
+            stats: SharedStats::default(),
+            high_water: (capacity * 3 / 4).max(1),
         }
-    }
-
-    fn queued_data(&self) -> usize {
-        let enq = self.data.enqueue.load(Ordering::Relaxed);
-        let deq = self.data.dequeue.load(Ordering::Relaxed);
-        enq.wrapping_sub(deq)
     }
 
     fn send(&self, frame: Frame) -> SendStatus {
-        if self.fin.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire) {
+        let len = match &frame {
+            Frame::Data(bytes) => Some(bytes.len() as u64),
+            _ => None,
+        };
+        let arrival = self.queue.arrive(None, frame, &self.stats);
+        if arrival == Arrival::Ended {
             return SendStatus::Closed;
         }
-        let mut rx = self.rx.lock();
-        match &mut *rx {
-            Receiver::Polled(waiter) => {
-                let status = self.enqueue(frame);
-                let waiter = waiter.take();
-                drop(rx);
-                if let Some(t) = waiter {
-                    t.unpark();
-                }
-                status
-            }
-            Receiver::Bound(bound) => {
-                if let Frame::Data(bytes) = &frame {
-                    self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                    let len = bytes.len() as u64;
-                    self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
-                }
-                if matches!(frame, Frame::Fin) {
-                    self.end(rx);
-                } else {
-                    bound.accept(None, frame, &self.stats);
-                }
-                SendStatus::Sent
-            }
-            Receiver::Ended => SendStatus::Closed,
-        }
-    }
-
-    /// Ends a bound stream. `Ended` goes in under the lock, so no later
-    /// send reaches the binding; the binding hears `Fin` and is dropped
-    /// after it, so its callback's captures never drop under the lock.
-    fn end(&self, mut rx: MutexGuard<'_, Receiver>) {
-        if let Receiver::Bound(bound) = std::mem::replace(&mut *rx, Receiver::Ended) {
-            drop(rx);
-            bound.accept(None, Frame::Fin, &self.stats);
-        }
-    }
-
-    /// The sending end is gone without a `Fin`: a poller reads `Closed`
-    /// once the lanes drain, and a binding's inbox ends.
-    fn close(&self) {
-        let mut rx = self.rx.lock();
-        self.closed.store(true, Ordering::Release);
-        match &mut *rx {
-            Receiver::Polled(waiter) => {
-                if let Some(t) = waiter.take() {
-                    t.unpark();
-                }
-            }
-            Receiver::Bound(_) => self.end(rx),
-            Receiver::Ended => {}
-        }
-    }
-
-    /// Binds the receive side. Under the lock every send takes, the
-    /// queued backlog goes into the binding first, in lane order; every
-    /// later send delivers itself.
-    fn bind(&self, bound: Bound) -> Result<(), TransportError> {
-        let mut rx = self.rx.lock();
-        if !matches!(*rx, Receiver::Polled(_)) {
-            return Err(TransportError::ReceiverTaken);
-        }
-        self.bound.store(true, Ordering::Release);
-        loop {
-            match self.try_recv() {
-                Some(RecvOutcome::Frame(frame)) => bound.accept(None, frame, &self.stats),
-                // `Fin`, or the sender vanished: the stream is already over.
-                Some(_) => {
-                    *rx = Receiver::Ended;
-                    drop(rx);
-                    bound.accept(None, Frame::Fin, &self.stats);
-                    return Ok(());
-                }
-                None => break,
-            }
-        }
-        *rx = Receiver::Bound(bound);
-        Ok(())
-    }
-
-    /// Queues a frame for polls, in its lane. Called under `rx`.
-    fn enqueue(&self, frame: Frame) -> SendStatus {
-        match frame {
-            Frame::Data(bytes) => {
-                let len = bytes.len() as u64;
-                match self.data.push(bytes) {
-                    Ok(()) => {
-                        self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
-                        if self.queued_data() >= self.high_water {
-                            SendStatus::Saturated
-                        } else {
-                            SendStatus::Sent
-                        }
-                    }
-                    Err(_) => {
-                        // `sent` counts every frame handed to the link,
-                        // dropped or not (matching the sim backend).
-                        self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        SendStatus::Dropped
-                    }
-                }
-            }
-            Frame::Fin => {
-                self.fin.store(true, Ordering::Release);
-                SendStatus::Sent
-            }
-            ctrl_frame => {
-                let mut ctrl = self.ctrl.lock();
-                ctrl.push_back(ctrl_frame);
-                self.ctrl_queued.store(ctrl.len(), Ordering::Release);
-                SendStatus::Sent
-            }
-        }
-    }
-
-    /// Pops the next frame. Events and control messages overtake queued
-    /// data; `Fin` only ends the stream once the data lane is drained.
-    /// Whoever takes a data frame counts its delivery.
-    fn try_recv(&self) -> Option<RecvOutcome> {
-        // Read the end marks before the lanes: whatever the sender
-        // published ahead of its `Fin` (or of vanishing) is visible to
-        // the pops that follow these loads.
-        let ended = if self.fin.load(Ordering::Acquire) {
-            Some(RecvOutcome::Fin)
-        } else if self.closed.load(Ordering::Acquire) {
-            Some(RecvOutcome::Closed)
-        } else {
-            None
+        let Some(len) = len else {
+            return SendStatus::Sent;
         };
-        if self.ctrl_queued.load(Ordering::Acquire) > 0 {
-            let mut ctrl = self.ctrl.lock();
-            if let Some(frame) = ctrl.pop_front() {
-                self.ctrl_queued.store(ctrl.len(), Ordering::Release);
-                return Some(RecvOutcome::Frame(frame));
-            }
+        // `sent` counts every frame handed to the link, dropped or not
+        // (matching the sim backend).
+        self.stats.sent.fetch_add(1, Ordering::Relaxed);
+        if arrival == Arrival::Shed {
+            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return SendStatus::Dropped;
         }
-        if let Some(bytes) = self.data.pop() {
-            return Some(RecvOutcome::Frame(Frame::Data(bytes)));
+        self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
+        match arrival {
+            Arrival::Queued(queued) if queued >= self.high_water => SendStatus::Saturated,
+            _ => SendStatus::Sent,
         }
-        ended
-    }
-
-    fn recv(&self, timeout: Duration) -> RecvOutcome {
-        // Try before reading the clock: a frame that is already there,
-        // or a poll (`Duration::ZERO`), never needs the time.
-        if let Some(out) = self.try_recv() {
-            return out;
-        }
-        // A bound direction queues nothing, so there is nothing to wait
-        // for.
-        if self.bound.load(Ordering::Acquire) {
-            return RecvOutcome::Closed;
-        }
-        if timeout.is_zero() {
-            return RecvOutcome::TimedOut;
-        }
-        let mut now = Instant::now();
-        let deadline = now + timeout;
-        while now < deadline {
-            match &mut *self.rx.lock() {
-                Receiver::Polled(waiter) => *waiter = Some(std::thread::current()),
-                _ => return RecvOutcome::Closed,
-            }
-            // Re-check after registering, then park for the remainder.
-            let early = self.try_recv();
-            if early.is_none() {
-                std::thread::park_timeout(deadline - now);
-            }
-            if let Receiver::Polled(waiter) = &mut *self.rx.lock() {
-                waiter.take();
-            }
-            if let Some(out) = early.or_else(|| self.try_recv()) {
-                return out;
-            }
-            now = Instant::now();
-        }
-        RecvOutcome::TimedOut
     }
 }
 
@@ -405,7 +86,7 @@ impl Drop for LinkShared {
     fn drop(&mut self) {
         // A vanished end closes its outbound direction so the peer's
         // receiver does not wait forever.
-        self.out.close();
+        self.out.queue.close(None);
     }
 }
 
@@ -426,7 +107,7 @@ impl Link for InProcLink {
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
         let inn = &self.shared.inn;
-        inn.stats.count_delivery(inn.recv(timeout))
+        inn.stats.count_delivery(inn.queue.recv(timeout))
     }
 
     fn bind_receiver(
@@ -436,7 +117,8 @@ impl Link for InProcLink {
     ) -> Result<(), TransportError> {
         // Deliveries and refusals are credited to the inbound direction's
         // stats, which the peer's `stats()` reads as its outbound counters.
-        self.shared.inn.bind(Bound::new(inbox, on_event))
+        let inn = &self.shared.inn;
+        inn.queue.bind(inbox, on_event, &inn.stats)
     }
 
     fn stats(&self) -> LinkStats {
@@ -477,8 +159,8 @@ impl InProcTransport {
         InProcTransport::with_capacity(1024)
     }
 
-    /// A transport whose data lane rings hold `capacity` frames (rounded
-    /// up to a power of two) before dropping.
+    /// A transport whose directions' data lanes hold `capacity` frames
+    /// before dropping.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> InProcTransport {
         InProcTransport {
@@ -545,63 +227,9 @@ pub type InProcAcceptor = rendezvous::Bound<InProcLink>;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_is_fifo_and_bounded() {
-        let ring: Ring<WireBytes> = Ring::new(4);
-        for i in 0..4u8 {
-            ring.push(WireBytes::from(vec![i])).unwrap();
-        }
-        assert!(
-            ring.push(WireBytes::from(vec![9])).is_err(),
-            "full ring refuses"
-        );
-        for i in 0..4u8 {
-            assert_eq!(ring.pop().unwrap(), vec![i]);
-        }
-        assert!(ring.pop().is_none());
-    }
-
-    #[test]
-    fn ring_passes_buffers_through_without_copying() {
-        let ring: Ring<WireBytes> = Ring::new(4);
-        let buf = WireBytes::from(vec![1, 2, 3]);
-        let ptr = buf.as_ptr();
-        ring.push(buf).unwrap();
-        assert_eq!(
-            ring.pop().unwrap().as_ptr(),
-            ptr,
-            "the ring must move the shared buffer, not copy it"
-        );
-    }
-
-    #[test]
-    fn ring_survives_concurrent_producers() {
-        let ring: Arc<Ring<WireBytes>> = Arc::new(Ring::new(1024));
-        let mut handles = Vec::new();
-        for t in 0..4u8 {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200u8 {
-                    while ring.push(WireBytes::from(vec![t, i])).is_err() {
-                        std::thread::yield_now();
-                    }
-                }
-            }));
-        }
-        let mut seen = 0;
-        while seen < 800 {
-            if ring.pop().is_some() {
-                seen += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(ring.pop().is_none());
-    }
+    use crate::marshal::WireBytes;
+    use parking_lot::Mutex;
+    use std::time::Instant;
 
     const GUARD: Duration = Duration::from_secs(20);
 
@@ -632,9 +260,8 @@ mod tests {
                 dir.send(data(1));
                 dir.send(event(7));
             }
-            assert_eq!(expect_frame(dir.recv(Duration::ZERO)), event(7));
-            assert_eq!(dir.ctrl_queued.load(Ordering::Acquire), 0);
-            assert_eq!(expect_frame(dir.recv(Duration::ZERO)), data(1));
+            assert_eq!(expect_frame(dir.queue.recv(Duration::ZERO)), event(7));
+            assert_eq!(expect_frame(dir.queue.recv(Duration::ZERO)), data(1));
         }
     }
 
@@ -658,7 +285,7 @@ mod tests {
             let (mut next_data, mut next_event) = (0, 0);
             let started = Instant::now();
             while next_data < DATA || next_event < EVENTS {
-                match dir.recv(Duration::ZERO) {
+                match dir.queue.recv(Duration::ZERO) {
                     RecvOutcome::Frame(frame @ Frame::Data(_)) => {
                         assert_eq!(frame, data(next_data));
                         next_data += 1;
@@ -675,18 +302,23 @@ mod tests {
                 }
             }
         });
-        assert_eq!(dir.ctrl_queued.load(Ordering::Acquire), 0);
-        assert!(matches!(dir.recv(Duration::ZERO), RecvOutcome::TimedOut));
+        assert!(matches!(
+            dir.queue.recv(Duration::ZERO),
+            RecvOutcome::TimedOut
+        ));
     }
 
     #[test]
     fn a_poll_times_out_when_empty_and_ends_after_the_data() {
         let dir = Direction::new(8);
-        assert!(matches!(dir.recv(Duration::ZERO), RecvOutcome::TimedOut));
+        assert!(matches!(
+            dir.queue.recv(Duration::ZERO),
+            RecvOutcome::TimedOut
+        ));
         dir.send(data(1));
         dir.send(Frame::Fin);
-        assert_eq!(expect_frame(dir.recv(Duration::ZERO)), data(1));
-        assert!(matches!(dir.recv(Duration::ZERO), RecvOutcome::Fin));
+        assert_eq!(expect_frame(dir.queue.recv(Duration::ZERO)), data(1));
+        assert!(matches!(dir.queue.recv(Duration::ZERO), RecvOutcome::Fin));
     }
 
     #[test]
@@ -696,11 +328,11 @@ mod tests {
             std::thread::scope(|scope| {
                 let receiver = scope.spawn(|| {
                     let started = Instant::now();
-                    (dir.recv(Duration::from_secs(1)), started.elapsed())
+                    (dir.queue.recv(Duration::from_secs(1)), started.elapsed())
                 });
                 // Send only once the receiver has registered to be woken.
                 let started = Instant::now();
-                while matches!(*dir.rx.lock(), Receiver::Polled(None)) {
+                while dir.queue.sleepers() == 0 {
                     assert!(started.elapsed() < GUARD, "receiver never parked");
                     std::thread::yield_now();
                 }
@@ -808,7 +440,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for seq in 0..FRAMES {
-                    // The ring is lossy while unbound: offer again.
+                    // The data lane is lossy while unbound: offer again.
                     while client.send(wire(seq)) == SendStatus::Dropped {
                         std::thread::yield_now();
                     }

@@ -1,19 +1,84 @@
-//! The two-lane frame queue: the one statement of the lane policy.
+//! The two-lane frame queue: the one statement of the lane policy, and
+//! the one arrival path.
 //!
 //! Control frames (events, factory messages) ride an unbounded lane and
 //! overtake queued data; data rides a bounded lane; `Fin` is a mark, not
 //! a queued frame, honoured only once both lanes are empty, so end of
 //! stream never overtakes its own data and stays readable afterwards.
-//! The TCP send queue, the UDP receive queue and the simulator's
-//! external receive queue are this type. (`inproc` keeps its lock-free
-//! ring for the data lane and so cannot share the lock this queue is
-//! built around.)
+//!
+//! The TCP send queue is this type, and so is the receive side of every
+//! backend that is *handed* its frames: an inproc direction (the sending
+//! thread arrives), a sim direction (its kernel thread arrives) and a
+//! UDP link (the socket reader arrives). Such a queue is polled until it
+//! is bound, `Bound` after, and `Ended` after that. Polled, an arrival
+//! queues; bound, the arriving thread delivers it into the binding under
+//! the queue's one lock. `bind` flushes the backlog into the binding
+//! under that same lock, so nothing that arrives meanwhile is lost or
+//! overtaken, and nothing is delivered twice.
 
-use super::{BatchPolicy, Frame, RecvOutcome};
-use infopipes::PayloadBytes;
+use super::{BatchPolicy, Frame, RecvOutcome, SharedStats, TransportError};
+use infopipes::{ControlEvent, InboxSender, Item, PayloadBytes};
+use mbthread::Ctx;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+
+/// A receive queue's binding: the pipeline that hears its arrivals, fed
+/// by whichever thread delivers them.
+struct Bound {
+    inbox: Option<InboxSender>,
+    on_event: Box<dyn Fn(ControlEvent) + Send>,
+}
+
+impl Bound {
+    /// Hands one arrived frame to the pipeline: data to the inbox
+    /// (counted in `stats` as delivered or refused), events to the
+    /// callback. Wake-ups go through `ctx` when a kernel thread delivers
+    /// (the simulator, deterministically), through the inbox's own port
+    /// otherwise.
+    fn accept(&self, mut ctx: Option<&mut Ctx<'_>>, frame: Frame, stats: &SharedStats) {
+        match (frame, &self.inbox) {
+            (Frame::Data(bytes), Some(inbox)) => {
+                // The bytes fast path: the inbox item shares the frame
+                // buffer, no copy and no payload box.
+                let item = Item::bytes(bytes);
+                let taken = match ctx.as_mut() {
+                    Some(ctx) => inbox.put_via(ctx, item),
+                    None => inbox.put(item),
+                };
+                let counter = if taken {
+                    &stats.delivered
+                } else {
+                    &stats.refused
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            (Frame::Event(ev), _) => (self.on_event)(ev.into()),
+            _ => {}
+        }
+    }
+
+    /// The stream is over: the inbox ends, and the binding is let go.
+    fn finish(self, ctx: Option<&mut Ctx<'_>>) {
+        if let Some(inbox) = &self.inbox {
+            match ctx {
+                Some(ctx) => inbox.finish_via(ctx),
+                None => inbox.finish(),
+            }
+        }
+    }
+}
+
+/// Who hears a queue's arrivals.
+enum Receiver {
+    /// Polled through `recv`: arrivals queue.
+    Polled,
+    /// Bound by `bind`: each arrival is delivered into it.
+    Bound(Bound),
+    /// Was bound, and its stream has ended: the binding has been let go.
+    Ended,
+}
 
 struct Lanes {
     ctrl: VecDeque<Frame>,
@@ -21,8 +86,9 @@ struct Lanes {
     /// `Fin` was queued; nothing follows it.
     fin: bool,
     /// The other side of the queue is gone (the TCP writer exited, the
-    /// UDP socket failed, the simulated peer was dropped).
+    /// UDP socket failed, the sending end was dropped).
     closed: bool,
+    receiver: Receiver,
     /// Threads asleep on the queue's condvar that no
     /// [`wake`](LaneQueue::wake) has notified yet.
     waiters: usize,
@@ -40,7 +106,8 @@ impl Lanes {
         }
     }
 
-    /// The lane policy, one frame at a time.
+    /// The lane policy, one frame at a time. A bound queue holds nothing
+    /// for a poller: it reads `Closed`.
     fn next(&mut self) -> Option<RecvOutcome> {
         if let Some(frame) = self.ctrl.pop_front() {
             return Some(RecvOutcome::Frame(frame));
@@ -50,7 +117,7 @@ impl Lanes {
         }
         if self.fin {
             Some(RecvOutcome::Fin)
-        } else if self.closed {
+        } else if self.closed || !matches!(self.receiver, Receiver::Polled) {
             Some(RecvOutcome::Closed)
         } else {
             None
@@ -89,6 +156,20 @@ pub(crate) struct LaneQueue {
     capacity: usize,
 }
 
+/// What became of an [`arrive`](LaneQueue::arrive)d frame.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Queued for polls; the data lane now holds this many frames.
+    Queued(usize),
+    /// A data frame found its lane full and was shed.
+    Shed,
+    /// Handed to the binding.
+    Delivered,
+    /// The stream is over (`Fin` arrived, or the other side is gone):
+    /// nothing took the frame.
+    Ended,
+}
+
 impl LaneQueue {
     pub(crate) fn new(capacity: usize) -> LaneQueue {
         LaneQueue {
@@ -97,6 +178,7 @@ impl LaneQueue {
                 data: VecDeque::new(),
                 fin: false,
                 closed: false,
+                receiver: Receiver::Polled,
                 waiters: 0,
                 wakes: 0,
             }),
@@ -171,22 +253,102 @@ impl LaneQueue {
         !q.fin && !q.closed && q.data.len() >= self.capacity
     }
 
-    /// The receiving side of a lossy link queues an arrival: never
-    /// waits, never refuses a control frame; a data frame that finds its
-    /// lane full is shed and `false` returned.
-    pub(crate) fn arrive(&self, frame: Frame) -> bool {
+    /// The receiving side takes an arrival, on the arriving thread: it
+    /// never waits, and never refuses a control frame while the stream
+    /// runs. Polled, the frame queues, and a data frame that finds its
+    /// lane full is shed. Bound, the frame is delivered into the binding
+    /// under the queue's lock, with wake-ups through `ctx` when a kernel
+    /// thread delivers; `Fin` ends the binding. Deliveries and refusals
+    /// are counted in `stats`.
+    pub(crate) fn arrive(
+        &self,
+        ctx: Option<&mut Ctx<'_>>,
+        frame: Frame,
+        stats: &SharedStats,
+    ) -> Arrival {
         let mut q = self.lanes.lock();
-        if matches!(frame, Frame::Data(_)) && q.data.len() >= self.capacity {
-            return false;
+        match &q.receiver {
+            Receiver::Polled if q.fin || q.closed => Arrival::Ended,
+            Receiver::Polled => {
+                if matches!(frame, Frame::Data(_)) && q.data.len() >= self.capacity {
+                    return Arrival::Shed;
+                }
+                q.put(frame);
+                let queued = q.data.len();
+                self.wake(q);
+                Arrival::Queued(queued)
+            }
+            Receiver::Bound(_) if matches!(frame, Frame::Fin) => {
+                self.end(q, ctx);
+                Arrival::Delivered
+            }
+            Receiver::Bound(bound) => {
+                bound.accept(ctx, frame, stats);
+                Arrival::Delivered
+            }
+            Receiver::Ended => Arrival::Ended,
         }
-        q.put(frame);
-        self.wake(q);
-        true
     }
 
-    /// Marks the other side gone and wakes every waiter.
-    pub(crate) fn close(&self) {
-        self.lanes.lock().closed = true;
+    /// Binds the receive side: data to `inbox` (counted in `stats` as
+    /// delivered or refused), events to `on_event`, the stream's end to
+    /// the inbox's end. Under the lock every arrival takes, the backlog
+    /// goes into the binding first, in lane order; every later arrival
+    /// delivers itself.
+    pub(crate) fn bind(
+        &self,
+        inbox: Option<InboxSender>,
+        on_event: impl Fn(ControlEvent) + Send + 'static,
+        stats: &SharedStats,
+    ) -> Result<(), TransportError> {
+        let mut q = self.lanes.lock();
+        if !matches!(q.receiver, Receiver::Polled) {
+            return Err(TransportError::ReceiverTaken);
+        }
+        let bound = Bound {
+            inbox,
+            on_event: Box::new(on_event),
+        };
+        loop {
+            match q.next() {
+                Some(RecvOutcome::Frame(frame)) => bound.accept(None, frame, stats),
+                // `Fin`, or the other side is gone: the stream is over.
+                Some(_) => {
+                    q.receiver = Receiver::Ended;
+                    drop(q);
+                    bound.finish(None);
+                    return Ok(());
+                }
+                None => break,
+            }
+        }
+        q.receiver = Receiver::Bound(bound);
+        // A poller asleep on the queue now reads `Closed`.
+        self.wake(q);
+        Ok(())
+    }
+
+    /// Lets go of a binding whose stream is over. `Ended` goes in under
+    /// the lock, so no later arrival reaches the binding; the inbox hears
+    /// its end after the unlock, and the binding drops there too, so its
+    /// callback's captures never drop under the lock.
+    fn end(&self, mut q: MutexGuard<'_, Lanes>, ctx: Option<&mut Ctx<'_>>) {
+        if !matches!(q.receiver, Receiver::Bound(_)) {
+            return;
+        }
+        let ended = std::mem::replace(&mut q.receiver, Receiver::Ended);
+        drop(q);
+        if let Receiver::Bound(bound) = ended {
+            bound.finish(ctx);
+        }
+    }
+
+    /// Marks the other side gone: a poller reads `Closed` once the lanes
+    /// drain, a binding's inbox ends, and every waiter wakes.
+    pub(crate) fn close(&self, ctx: Option<&mut Ctx<'_>>) {
+        let mut q = self.lanes.lock();
+        q.closed = true;
+        self.end(q, ctx);
         self.cv.notify_all();
     }
 
@@ -211,18 +373,32 @@ impl LaneQueue {
 
     /// The next frame by lane policy, waiting up to `timeout` for one.
     pub(crate) fn recv(&self, timeout: Duration) -> RecvOutcome {
-        let deadline = Instant::now() + timeout;
         let mut q = self.lanes.lock();
+        // Look before reading the clock: a frame that is already there,
+        // or a poll (`Duration::ZERO`), never needs the time.
+        if let Some(out) = q.next() {
+            return out;
+        }
+        if timeout.is_zero() {
+            return RecvOutcome::TimedOut;
+        }
+        let deadline = Instant::now() + timeout;
         loop {
-            if let Some(out) = q.next() {
-                return out;
-            }
             let now = Instant::now();
             if now >= deadline {
                 return RecvOutcome::TimedOut;
             }
             self.wait(&mut q, Some(deadline - now));
+            if let Some(out) = q.next() {
+                return out;
+            }
         }
+    }
+
+    /// Threads asleep on the queue that no wake has struck yet.
+    #[cfg(test)]
+    pub(crate) fn sleepers(&self) -> usize {
+        self.lanes.lock().waiters
     }
 
     /// Waits until something is due, then takes a write batch.
@@ -322,7 +498,10 @@ mod tests {
             thread::scope(|s| {
                 let reader = s.spawn(|| q.recv(Duration::from_secs(3600)));
                 await_waiters(&q, 1);
-                assert!(q.arrive(Frame::Control(vec![1, 2, 3])));
+                assert_eq!(
+                    q.arrive(None, Frame::Control(vec![1, 2, 3]), &SharedStats::default()),
+                    Arrival::Queued(0)
+                );
                 match reader.join().unwrap() {
                     RecvOutcome::Frame(Frame::Control(bytes)) => assert_eq!(bytes, [1, 2, 3]),
                     other => panic!("expected the control frame, got {other:?}"),
@@ -341,7 +520,7 @@ mod tests {
                 let offer = s.spawn(|| full.offer(data(1)));
                 let closed = s.spawn(|| full.wait_closed(Duration::from_secs(3600)));
                 await_waiters(&full, 2);
-                full.close();
+                full.close(None);
                 assert_eq!(offer.join().unwrap(), None, "the frame was not queued");
                 assert!(closed.join().unwrap());
             });
@@ -351,7 +530,7 @@ mod tests {
             thread::scope(|s| {
                 let recv = s.spawn(|| empty.recv(Duration::from_secs(3600)));
                 await_waiters(&empty, 1);
-                empty.close();
+                empty.close(None);
                 assert!(matches!(recv.join().unwrap(), RecvOutcome::Closed));
             });
             assert_eq!(empty.lanes.lock().waiters, 0);
@@ -416,6 +595,46 @@ mod tests {
                 p.join().unwrap();
             }
             assert_eq!(next, [PER_PRODUCER; 2]);
+            assert!(q.try_recv().is_none());
+            assert_eq!(q.lanes.lock().waiters, 0);
+        });
+    }
+
+    /// Four producers arrive 200 frames each while one poller drains:
+    /// each producer's frames come out complete and in order. A full lane
+    /// sheds, so a producer offers a shed frame again.
+    #[test]
+    fn concurrent_arrivals_keep_each_producers_order() {
+        const PER_PRODUCER: u64 = 200;
+        within_deadline(|| {
+            let q = Arc::new(LaneQueue::new(16));
+            let producers: Vec<_> = (0..4u64)
+                .map(|id| {
+                    let q = Arc::clone(&q);
+                    thread::spawn(move || {
+                        let stats = SharedStats::default();
+                        for seq in 0..PER_PRODUCER {
+                            while q.arrive(None, data(id << 32 | seq), &stats) == Arrival::Shed {
+                                thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let mut next = [0u64; 4];
+            while next.iter().sum::<u64>() < 4 * PER_PRODUCER {
+                match q.recv(Duration::from_secs(3600)) {
+                    RecvOutcome::Frame(Frame::Data(bytes)) => {
+                        let (id, seq) = ((tag(&bytes) >> 32) as usize, tag(&bytes) & 0xffff_ffff);
+                        assert_eq!(seq, next[id], "producer {id} out of order");
+                        next[id] += 1;
+                    }
+                    other => panic!("expected data, got {other:?}"),
+                }
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
             assert!(q.try_recv().is_none());
             assert_eq!(q.lanes.lock().waiters, 0);
         });

@@ -36,7 +36,7 @@
 //!
 //! | backend | scheme | loss | timing |
 //! |---------|--------|------|--------|
-//! | [`InProcTransport`] | `inproc` | drops on full ring | immediate |
+//! | [`InProcTransport`] | `inproc` | drops on a full data lane | immediate |
 //! | [`SimTransport`] | `sim` | drops on queue overflow | modelled latency/bandwidth/jitter, deterministic under virtual time |
 //! | [`TcpTransport`] | `tcp` | reliable (saturates, never drops) | real sockets |
 //! | [`UdpTransport`] | `udp` | lossy datagrams (oversize or overflow shed) | real sockets |
@@ -58,20 +58,21 @@
 //!    that ordering out again: put the private `lanes::LaneQueue` wherever
 //!    your backend queues frames — `offer`/`take_batch` on a sending side
 //!    that waits for room (TCP), `arrive`/`recv` on a receiving side that
-//!    sheds (UDP, sim) — and the policy comes with it.
-//! 4. Implement `bind_receiver` one of two ways. A backend that reads a
-//!    socket binds through a `ReceiverSlot` field: it enforces the
-//!    single-binding rule and drains `recv` on a `worker::Worker` thread
-//!    that is joined with the link (TCP, UDP). A backend whose sends are
-//!    the arrivals keeps a private `Bound` under the lock its sends
-//!    take, and delivers into it on the thread that produces the
-//!    arrival: the sender's own thread (inproc), or the direction's
-//!    kernel thread, which keeps the simulator deterministic under
-//!    virtual time (sim). Its `bind_receiver` flushes the backlog into
-//!    the binding under that lock, so nothing sent meanwhile is lost or
-//!    reordered. Every thread your backend needs (a writer, a flusher, a
-//!    socket reader) is a `Worker` — the crate spawns threads nowhere
-//!    else, and CI greps for it.
+//!    sheds — and the policy comes with it.
+//! 4. Give the receive side one arrival path. A backend whose receiver
+//!    is *handed* its frames — by the sending thread (inproc), by the
+//!    direction's kernel thread, which keeps the simulator deterministic
+//!    under virtual time (sim), or by a socket reader (the UDP server) —
+//!    `arrive`s each one into its `LaneQueue` on that thread, and its
+//!    `bind_receiver` is the queue's `bind`. A bound queue delivers each
+//!    arrival into the pipeline under its lock, and `bind` flushes the
+//!    backlog in under the same lock, so nothing sent meanwhile is lost
+//!    or reordered. Only a link whose `recv` reads the socket itself
+//!    (TCP, the UDP client) binds through a `ReceiverSlot` field, which
+//!    drains `recv` on a `worker::Worker` thread joined with the link.
+//!    Every thread your backend needs (a writer, a flusher, a socket
+//!    reader) is a `Worker` — the crate spawns threads nowhere else, and
+//!    CI greps for it.
 //! 5. Run the conformance suite (`crates/netpipe/tests/
 //!    transport_conformance.rs`) against the new backend: ordering,
 //!    backpressure, control-event priority, and clean shutdown are the
@@ -246,7 +247,7 @@ use infopipes::{
     Consumer, ControlEvent, EventCtx, InboxSender, Item, ItemType, Node, PayloadBytes, Pipeline,
     Stage, StageCtx,
 };
-use mbthread::{Ctx, Message, ThreadId};
+use mbthread::{Message, ThreadId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
@@ -563,8 +564,11 @@ pub trait Link: Clone + Send + Sync + 'static {
     /// Which thread runs `on_event` (and puts into `inbox`) depends on
     /// the backend:
     ///
-    /// * TCP and UDP: the link's receive pump, a service thread joined
-    ///   with the link.
+    /// * TCP and the UDP client: the link's receive pump, a service
+    ///   thread joined with the link.
+    /// * UDP server: the listener's reader thread. A data binding keeps
+    ///   its link open until the stream ends, whether or not the caller
+    ///   keeps a handle.
     /// * sim: the direction's kernel thread, which keeps delivery
     ///   deterministic under virtual time.
     /// * inproc: the thread that sends the frame on the peer end, while
@@ -574,9 +578,10 @@ pub trait Link: Clone + Send + Sync + 'static {
     ///   back: that send would wait for a lock its own thread holds.
     ///
     /// Frames that arrived before the binding are delivered into it, in
-    /// order, before `bind_receiver` returns (sim, inproc) or by the
-    /// pump (TCP, UDP). Once bound, [`Link::recv`] on sim and inproc
-    /// answers [`RecvOutcome::Closed`].
+    /// order, before `bind_receiver` returns (sim, inproc, UDP server)
+    /// or by the pump (TCP, UDP client). Once bound, [`Link::recv`] on
+    /// sim, inproc and a UDP server link answers
+    /// [`RecvOutcome::Closed`].
     ///
     /// # Errors
     ///
@@ -591,59 +596,9 @@ pub trait Link: Clone + Send + Sync + 'static {
     fn stats(&self) -> LinkStats;
 }
 
-/// The receive binding of a backend whose sends are the arrivals (sim,
-/// inproc): no thread of its own, each frame handed over by the thread
-/// that delivers it, under the lock that keeps the binding.
-pub(crate) struct Bound {
-    inbox: Option<InboxSender>,
-    on_event: Box<dyn Fn(ControlEvent) + Send>,
-}
-
-impl Bound {
-    pub(crate) fn new(
-        inbox: Option<InboxSender>,
-        on_event: impl Fn(ControlEvent) + Send + 'static,
-    ) -> Bound {
-        Bound {
-            inbox,
-            on_event: Box::new(on_event),
-        }
-    }
-
-    /// Hands one arrived frame to the pipeline: data to the inbox
-    /// (counted in `stats` as delivered or refused), events to the
-    /// callback, `Fin` to the inbox's end. Wake-ups go through `ctx`
-    /// when a kernel thread delivers (the simulator, deterministically),
-    /// through the inbox's own port otherwise.
-    pub(crate) fn accept(&self, mut ctx: Option<&mut Ctx<'_>>, frame: Frame, stats: &SharedStats) {
-        match (frame, &self.inbox) {
-            (Frame::Data(bytes), Some(inbox)) => {
-                // The bytes fast path: the inbox item shares the frame
-                // buffer, no copy and no payload box.
-                let item = Item::bytes(bytes);
-                let taken = match ctx.as_mut() {
-                    Some(ctx) => inbox.put_via(ctx, item),
-                    None => inbox.put(item),
-                };
-                let counter = if taken {
-                    &stats.delivered
-                } else {
-                    &stats.refused
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            (Frame::Fin, Some(inbox)) => match ctx {
-                Some(ctx) => inbox.finish_via(ctx),
-                None => inbox.finish(),
-            },
-            (Frame::Event(ev), _) => (self.on_event)(ev.into()),
-            _ => {}
-        }
-    }
-}
-
-/// The receive binding of a socket-reading link (TCP, UDP): at most
-/// one, its pump thread owned by the link it drains.
+/// The receive binding of a link whose `recv` reads the socket itself
+/// (TCP, the UDP client): at most one, its pump thread owned by the link
+/// it drains.
 #[derive(Default)]
 pub(crate) struct ReceiverSlot(Mutex<Option<Worker>>);
 

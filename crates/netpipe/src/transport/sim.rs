@@ -17,19 +17,25 @@
 //! datagram network — data frames may be **reordered**. The in-order
 //! conformance property applies to the jitter-free configuration;
 //! jittered links are for experiments whose consumers (defragmenters,
-//! jitter buffers) are built to tolerate reordering. `Fin` is never
-//! reordered ahead of data: it waits for every in-flight frame to land.
+//! jitter buffers) are built to tolerate reordering. The end of the
+//! stream is never reordered ahead of data: `Fin`, or word that the
+//! sending end is gone without one, waits for every in-flight frame to
+//! land.
+//!
+//! The receiving end of a direction is a [`LaneQueue`] its kernel thread
+//! arrives into: polled, it queues for [`Link::recv`]; bound, the kernel
+//! thread delivers into the binding, which keeps delivery deterministic
+//! under virtual time.
 
 use super::lanes::LaneQueue;
 use super::rendezvous::{self, Registry};
 use super::{
-    Bound, Frame, KernelPost, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
+    Frame, KernelPost, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
     Transport, TransportError,
 };
 use crate::marshal::WireBytes;
 use infopipes::{ControlEvent, InboxSender};
 use mbthread::{Ctx, Envelope, ExternalPort, Flow, Kernel, Message, Tag, ThreadId};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,11 +44,11 @@ use std::time::Duration;
 
 /// Send end → direction thread: a data frame to transmit.
 const NET_DATA: Tag = Tag(0x4E50_0001);
-/// Send end → direction thread: a control-lane frame (latency only).
+/// Send end → direction thread: a [`Ctrl`] (latency only).
 const NET_CTRL: Tag = Tag(0x4E50_0002);
 /// Direction thread → itself (timer): a data frame arrives now.
 const NET_DELIVER_DATA: Tag = Tag(0x4E50_0003);
-/// Direction thread → itself (timer): a control frame arrives now.
+/// Direction thread → itself (timer): a [`Ctrl`] arrives now.
 const NET_DELIVER_CTRL: Tag = Tag(0x4E50_0004);
 
 /// Link parameters.
@@ -72,25 +78,12 @@ impl Default for SimConfig {
     }
 }
 
-// ---------------------------------------------------------------------
-// Receiving side state
-// ---------------------------------------------------------------------
-
-struct RxShared {
-    /// Frames awaiting external `recv` polls, until a binding exists.
-    /// Its data lane is unbounded: the link's byte queue has already
-    /// admitted whatever arrives here.
-    queue: LaneQueue,
-    bound: Mutex<Option<Bound>>,
-}
-
-impl RxShared {
-    fn new() -> RxShared {
-        RxShared {
-            queue: LaneQueue::new(usize::MAX),
-            bound: Mutex::new(None),
-        }
-    }
+/// What the control lane carries to the receiving end.
+enum Ctrl {
+    /// An event, a factory message, or `Fin`.
+    Frame(Frame),
+    /// The sending end is gone without `Fin`: the receiving end closes.
+    Gone,
 }
 
 // ---------------------------------------------------------------------
@@ -108,13 +101,15 @@ struct InFlight {
 
 struct DirectionFn {
     cfg: SimConfig,
-    rx: Arc<RxShared>,
+    /// The receiving end. Its data lane is unbounded: the link's byte
+    /// queue has already admitted whatever arrives here.
+    rx: Arc<LaneQueue>,
     stats: Arc<SharedStats>,
     in_flight: Arc<InFlight>,
     busy_until_ns: u64,
-    /// A `Fin` arrived while data frames were still in flight; deliver it
-    /// once the last one lands.
-    eos_pending: bool,
+    /// The end of the stream arrived while data frames were still in
+    /// flight; delivered once the last one lands.
+    end_pending: Option<Ctrl>,
     rng: StdRng,
 }
 
@@ -136,18 +131,14 @@ impl DirectionFn {
         )
     }
 
-    /// Hands an arrived frame to the receiving end, from the kernel
-    /// thread: a binding gets direct (deterministic) delivery, otherwise
-    /// the frame queues for external polls.
-    fn deliver(&self, ctx: &mut Ctx<'_>, frame: Frame) {
-        // Held across the enqueue so `bind_receiver` cannot take the
-        // backlog and miss this frame.
-        let bound = self.rx.bound.lock();
-        match &*bound {
-            Some(bound) => bound.accept(Some(ctx), frame, &self.stats),
-            None => {
-                self.rx.queue.arrive(frame);
+    /// Hands a control-lane arrival to the receiving end, from the
+    /// kernel thread (deterministic under virtual time).
+    fn deliver(&self, ctx: &mut Ctx<'_>, ctrl: Ctrl) {
+        match ctrl {
+            Ctrl::Frame(frame) => {
+                self.rx.arrive(Some(ctx), frame, &self.stats);
             }
+            Ctrl::Gone => self.rx.close(Some(ctx)),
         }
     }
 }
@@ -170,7 +161,7 @@ impl mbthread::CodeFn for DirectionFn {
                 let _ = ctx.set_timer(arrival, Message::new(NET_DELIVER_DATA, bytes), None);
             }
             t if t == NET_CTRL => {
-                let Some(frame) = env.message_mut().take_body::<Frame>() else {
+                let Some(ctrl) = env.message_mut().take_body::<Ctrl>() else {
                     return Flow::Continue;
                 };
                 // Control lane: propagation latency only, no queueing.
@@ -178,7 +169,7 @@ impl mbthread::CodeFn for DirectionFn {
                     ctx.now().as_nanos()
                         + u64::try_from(self.cfg.latency.as_nanos()).unwrap_or(u64::MAX),
                 );
-                let _ = ctx.set_timer(arrival, Message::new(NET_DELIVER_CTRL, frame), None);
+                let _ = ctx.set_timer(arrival, Message::new(NET_DELIVER_CTRL, ctrl), None);
             }
             t if t == NET_DELIVER_DATA => {
                 let Some(bytes) = env.message_mut().take_body::<WireBytes>() else {
@@ -188,25 +179,26 @@ impl mbthread::CodeFn for DirectionFn {
                     .bytes
                     .fetch_sub(bytes.len(), Ordering::AcqRel);
                 self.in_flight.frames.fetch_sub(1, Ordering::AcqRel);
-                // Delivery accounting for bound sinks happens in deliver();
-                // external sinks count on the recv side.
-                self.deliver(ctx, Frame::Data(bytes));
-                if self.eos_pending && self.in_flight.frames.load(Ordering::Acquire) == 0 {
-                    self.eos_pending = false;
-                    self.deliver(ctx, Frame::Fin);
+                // A binding counts its deliveries as it takes them; polls
+                // count on the recv side.
+                self.rx.arrive(Some(ctx), Frame::Data(bytes), &self.stats);
+                if self.in_flight.frames.load(Ordering::Acquire) == 0 {
+                    if let Some(end) = self.end_pending.take() {
+                        self.deliver(ctx, end);
+                    }
                 }
             }
             t if t == NET_DELIVER_CTRL => {
-                let Some(frame) = env.message_mut().take_body::<Frame>() else {
+                let Some(ctrl) = env.message_mut().take_body::<Ctrl>() else {
                     return Flow::Continue;
                 };
                 // End of stream waits for in-flight data to land.
-                if matches!(frame, Frame::Fin) && self.in_flight.frames.load(Ordering::Acquire) > 0
-                {
-                    self.eos_pending = true;
+                let ends = matches!(ctrl, Ctrl::Frame(Frame::Fin) | Ctrl::Gone);
+                if ends && self.in_flight.frames.load(Ordering::Acquire) > 0 {
+                    self.end_pending = Some(ctrl);
                     return Flow::Continue;
                 }
-                self.deliver(ctx, frame);
+                self.deliver(ctx, ctrl);
             }
             _ => {}
         }
@@ -260,11 +252,13 @@ impl TxShared {
                 };
                 Ok((Message::new(NET_DATA, bytes), status))
             }
-            Frame::Fin => {
-                self.fin_sent.store(true, Ordering::Release);
-                Ok((Message::new(NET_CTRL, Frame::Fin), SendStatus::Sent))
+            ctrl_frame => {
+                if matches!(ctrl_frame, Frame::Fin) {
+                    self.fin_sent.store(true, Ordering::Release);
+                }
+                let msg = Message::new(NET_CTRL, Ctrl::Frame(ctrl_frame));
+                Ok((msg, SendStatus::Sent))
             }
-            ctrl_frame => Ok((Message::new(NET_CTRL, ctrl_frame), SendStatus::Sent)),
         }
     }
 }
@@ -272,20 +266,30 @@ impl TxShared {
 struct SimLinkShared {
     peer: PeerIdentity,
     tx: TxShared,
-    rx: Arc<RxShared>,
+    rx: Arc<LaneQueue>,
     /// The inbound direction's stats: this end's receive bookkeeping
     /// (delivered/refused) is credited to the direction the peer sends
     /// on, so the peer's `stats()` shows what its traffic achieved.
     rx_stats: Arc<SharedStats>,
-    /// The peer end's receive state, closed when this end vanishes.
-    peer_rx: Arc<RxShared>,
+    /// The peer end's receive queue, closed here when this end vanishes
+    /// after its kernel is gone.
+    peer_rx: Arc<LaneQueue>,
 }
 
 impl Drop for SimLinkShared {
     fn drop(&mut self) {
-        // A vanished end closes the peer's receive side so nothing polls
-        // forever.
-        self.peer_rx.queue.close();
+        // A vanished end closes the peer's receive side, so nothing waits
+        // on it forever: through the direction thread, after the data
+        // still in flight, unless a `Fin` already ends the stream there.
+        let tx = &self.tx;
+        if tx.fin_sent.load(Ordering::Acquire) {
+            return;
+        }
+        let gone = Message::new(NET_CTRL, Ctrl::Gone);
+        if tx.port.send(tx.thread, gone).is_err() {
+            // The kernel is shut down, and the direction thread with it.
+            self.peer_rx.close(None);
+        }
     }
 }
 
@@ -321,11 +325,8 @@ impl Link for SimLink {
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
-        let rx = &self.shared.rx;
-        if rx.bound.lock().is_some() {
-            return RecvOutcome::Closed;
-        }
-        self.shared.rx_stats.count_delivery(rx.queue.recv(timeout))
+        let shared = &self.shared;
+        shared.rx_stats.count_delivery(shared.rx.recv(timeout))
     }
 
     fn bind_receiver(
@@ -333,25 +334,8 @@ impl Link for SimLink {
         inbox: Option<InboxSender>,
         on_event: impl Fn(ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
-        let rx = &self.shared.rx;
-        let mut slot = rx.bound.lock();
-        if slot.is_some() {
-            return Err(TransportError::ReceiverTaken);
-        }
-        let bound = Bound::new(inbox, on_event);
-        // Flush frames that arrived before binding (external path).
-        loop {
-            match rx.queue.try_recv() {
-                Some(RecvOutcome::Frame(frame)) => bound.accept(None, frame, &self.shared.rx_stats),
-                Some(RecvOutcome::Fin) => {
-                    bound.accept(None, Frame::Fin, &self.shared.rx_stats);
-                    break;
-                }
-                _ => break,
-            }
-        }
-        *slot = Some(bound);
-        Ok(())
+        let shared = &self.shared;
+        shared.rx.bind(inbox, on_event, &shared.rx_stats)
     }
 
     fn stats(&self) -> LinkStats {
@@ -402,7 +386,7 @@ impl SimTransport {
     fn spawn_direction(
         &self,
         label: &str,
-        rx: Arc<RxShared>,
+        rx: Arc<LaneQueue>,
         stats: Arc<SharedStats>,
     ) -> Result<(ThreadId, Arc<InFlight>), TransportError> {
         let in_flight = Arc::new(InFlight::default());
@@ -413,7 +397,7 @@ impl SimTransport {
             stats,
             in_flight: Arc::clone(&in_flight),
             busy_until_ns: 0,
-            eos_pending: false,
+            end_pending: None,
             rng: StdRng::seed_from_u64(seed),
         };
         let thread = self
@@ -443,8 +427,8 @@ impl Transport for SimTransport {
         // Two modelled directions, each with its own kernel thread. The
         // `stats` of a direction are shared by its sender (sent/dropped)
         // and its receiver (delivered/refused).
-        let a_rx = Arc::new(RxShared::new()); // client receives here (b→a)
-        let b_rx = Arc::new(RxShared::new()); // server receives here (a→b)
+        let a_rx = Arc::new(LaneQueue::new(usize::MAX)); // client receives here (b→a)
+        let b_rx = Arc::new(LaneQueue::new(usize::MAX)); // server receives here (a→b)
         let a_to_b_stats = Arc::new(SharedStats::default());
         let b_to_a_stats = Arc::new(SharedStats::default());
         let (a_to_b_thread, a_to_b_bytes) = self.spawn_direction(
@@ -629,6 +613,41 @@ mod tests {
             end_us >= 5_000_000,
             "5 packets at 1 s each need 5 virtual seconds, got {end_us} us"
         );
+    }
+
+    /// A sending end dropped without `Fin` closes the peer's receive side
+    /// only once its data in flight has landed: a poller reads every
+    /// frame, then `Closed`.
+    #[test]
+    fn a_dropped_sender_closes_after_its_data_in_flight() {
+        let kernel = Kernel::new(KernelConfig::default());
+        {
+            let cfg = SimConfig {
+                latency: Duration::from_millis(20),
+                ..SimConfig::default()
+            };
+            let transport = SimTransport::new(&kernel, cfg);
+            let acceptor = transport.listen("gone").unwrap();
+            let client = transport.connect("gone").unwrap();
+            let server = acceptor.accept().unwrap();
+            for i in 0..5u32 {
+                let frame = Frame::Data(crate::wire::to_payload(&i).unwrap());
+                assert!(client.send(frame).accepted());
+            }
+            drop(client);
+            let mut got = Vec::new();
+            loop {
+                match server.recv(Duration::from_secs(20)) {
+                    RecvOutcome::Frame(Frame::Data(bytes)) => {
+                        got.push(crate::wire::from_bytes::<u32>(&bytes).unwrap());
+                    }
+                    RecvOutcome::Closed => break,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            assert_eq!(got, (0..5).collect::<Vec<u32>>());
+        }
+        kernel.shutdown();
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
             break;
         }
     }
-    tx.queue.close();
+    tx.queue.close(None);
 }
 
 // ---------------------------------------------------------------------

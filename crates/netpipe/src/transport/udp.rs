@@ -14,7 +14,7 @@
 //!   client; a connect is announced with a `HELLO` datagram, and the
 //!   acceptor-side link demultiplexes by source address. A dedicated
 //!   reader thread on the server routes arriving datagrams to per-peer
-//!   queues.
+//!   queues, and delivers them itself into a bound link's pipeline.
 //! * **control priority at the receiver** — datagrams arrive in kernel
 //!   order, so the receive side drains everything available before
 //!   serving, and control-lane frames overtake queued data there (the
@@ -31,7 +31,7 @@
 //! contiguous), and receives seal each datagram once — the unavoidable
 //! I/O-boundary copies, with none elsewhere.
 
-use super::lanes::LaneQueue;
+use super::lanes::{Arrival, LaneQueue};
 use super::{
     Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, ReceiverSlot, RecvOutcome, SendStatus,
     SharedStats, Transport, TransportError,
@@ -125,13 +125,14 @@ struct TxBatch {
 /// memory use and counted drops, not an unbounded backlog.
 const RX_QUEUE_FRAMES: usize = 1024;
 
-/// Enqueues an arrived frame on a link's receive queue. The data lane
-/// is bounded ([`RX_QUEUE_FRAMES`]): overflow sheds the arrival, keeping
-/// the backend lossy rather than unbounded when the consumer stalls. A
-/// shed is counted both as a drop (it is loss) and separately as
-/// `rx_shed`, the memory-pressure signal feedback loops watch.
+/// Hands an arrived frame to a link's receive queue, which queues it or
+/// delivers it into the link's binding. The data lane is bounded
+/// ([`RX_QUEUE_FRAMES`]): overflow sheds the arrival, keeping the backend
+/// lossy rather than unbounded when the consumer stalls. A shed is
+/// counted both as a drop (it is loss) and separately as `rx_shed`, the
+/// memory-pressure signal feedback loops watch.
 fn rx_push(rx: &LaneQueue, frame: Frame, stats: &SharedStats) {
-    if !rx.arrive(frame) {
+    if rx.arrive(None, frame, stats) == Arrival::Shed {
         stats.dropped.fetch_add(1, Ordering::Relaxed);
         stats.rx_shed.fetch_add(1, Ordering::Relaxed);
     }
@@ -143,14 +144,17 @@ fn rx_push(rx: &LaneQueue, frame: Frame, stats: &SharedStats) {
 
 enum LinkSide {
     /// Client side: owns its socket; `recv` reads datagrams itself into
-    /// a reusable buffer (allocated once per link, not per poll).
+    /// a reusable buffer (allocated once per link, not per poll), so a
+    /// binding needs a pump to drain it.
     Client {
         socket: UdpSocket,
         recv_buf: Mutex<Vec<u8>>,
+        receiver: ReceiverSlot,
     },
-    /// Server side: datagrams arrive via the listener's reader thread.
-    /// The strong ref keeps the shared socket and reader alive for as
-    /// long as any accepted link exists, acceptor dropped or not.
+    /// Server side: datagrams arrive via the listener's reader thread,
+    /// which queues them or delivers them into the binding. The strong
+    /// ref keeps the shared socket and reader alive for as long as any
+    /// accepted link exists, acceptor dropped or not.
     Server {
         server: Arc<ServerShared>,
         peer_addr: SocketAddr,
@@ -163,7 +167,6 @@ struct UdpInner {
     rx: Arc<LaneQueue>,
     stats: Arc<SharedStats>,
     fin_sent: AtomicBool,
-    receiver: ReceiverSlot,
     /// Pool arriving data payloads are sealed into (shared with the
     /// listener's [`PeerEntry`] on the server side).
     rx_pool: BufferPool,
@@ -264,7 +267,6 @@ impl UdpLink {
                 rx: entry.rx,
                 stats: entry.stats,
                 fin_sent: AtomicBool::new(false),
-                receiver: ReceiverSlot::default(),
                 rx_pool: entry.pool,
                 tx_batch: Mutex::new(TxBatch::default()),
                 flusher: OnceLock::new(),
@@ -310,7 +312,10 @@ impl UdpLink {
     /// port-unreachable after the server socket closed — marks the link
     /// closed.
     fn pump_client_socket(&self, wait: Duration) {
-        let LinkSide::Client { socket, recv_buf } = &self.inner.side else {
+        let LinkSide::Client {
+            socket, recv_buf, ..
+        } = &self.inner.side
+        else {
             return;
         };
         let mut buf = recv_buf.lock();
@@ -340,7 +345,7 @@ impl UdpLink {
                     return;
                 }
                 Err(_) => {
-                    self.inner.rx.close();
+                    self.inner.rx.close(None);
                     return;
                 }
             }
@@ -450,12 +455,26 @@ impl Link for UdpLink {
         inbox: Option<infopipes::InboxSender>,
         on_event: impl Fn(infopipes::ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
-        let rx_stats = Arc::clone(&self.inner.stats);
-        self.inner
-            .receiver
-            .bind(self.clone(), inbox, on_event, rx_stats, |link| {
-                Arc::strong_count(&link.inner) == 1
-            })
+        let inner = &self.inner;
+        match &inner.side {
+            LinkSide::Client { receiver, .. } => {
+                let rx_stats = Arc::clone(&inner.stats);
+                receiver.bind(self.clone(), inbox, on_event, rx_stats, |link| {
+                    Arc::strong_count(&link.inner) == 1
+                })
+            }
+            // The listener's reader thread delivers. A data binding holds
+            // its own handle until the stream ends — "bind and forget" —
+            // so the peer's entry, and the reader, outlive the caller's.
+            LinkSide::Server { .. } => {
+                let link = inbox.is_some().then(|| self.clone());
+                let on_event = move |ev| {
+                    let _ = &link;
+                    on_event(ev);
+                };
+                inner.rx.bind(inbox, on_event, &inner.stats)
+            }
+        }
     }
 
     fn stats(&self) -> LinkStats {
@@ -506,7 +525,8 @@ struct ServerShared {
 }
 
 /// Routes every arriving datagram: `HELLO` creates a peer entry and
-/// wakes `accept`; anything else lands in its peer's queue. Holds only a
+/// wakes `accept`; anything else arrives in its peer's queue, which
+/// queues it or delivers it into the peer link's binding. Holds only a
 /// weak ref, so the thread reaps itself once the acceptor and every
 /// accepted link are gone.
 fn reader_loop(server: &Weak<ServerShared>, stop: &Stop) {
@@ -522,10 +542,16 @@ fn reader_loop(server: &Weak<ServerShared>, stop: &Stop) {
                         slot.insert(PeerEntry::new());
                         srv.pending.offer(from);
                     }
-                } else if let Some(entry) = srv.peers.lock().get(&from) {
-                    decode_into(buf[0], &buf[1..n], &entry.pool, &mut |frame| {
-                        rx_push(&entry.rx, frame, &entry.stats);
-                    });
+                } else {
+                    // Deliver outside `peers`: a binding that ends lets go
+                    // of its link handle, maybe the last one, whose drop
+                    // locks `peers`.
+                    let entry = srv.peers.lock().get(&from).cloned();
+                    if let Some(entry) = entry {
+                        decode_into(buf[0], &buf[1..n], &entry.pool, &mut |frame| {
+                            rx_push(&entry.rx, frame, &entry.stats);
+                        });
+                    }
                 }
             }
             _ => {}
@@ -663,6 +689,7 @@ impl Transport for UdpTransport {
         let side = LinkSide::Client {
             socket,
             recv_buf: Mutex::new(Vec::new()),
+            receiver: ReceiverSlot::default(),
         };
         Ok(UdpLink::new(addr.to_owned(), side, PeerEntry::new()))
     }
@@ -712,10 +739,12 @@ mod tests {
                 &stats,
             );
         }
-        // Control frames are never shed, and still overtake the backlog —
-        // even one the network reordered behind the `Fin`.
-        rx_push(&rx, Frame::Fin, &stats);
+        // Control frames are never shed, and still overtake the backlog;
+        // nothing arrives after the `Fin`.
         rx_push(&rx, Frame::Event(WireEvent::SetDropLevel(1)), &stats);
+        rx_push(&rx, Frame::Fin, &stats);
+        let late = Frame::Event(WireEvent::SetDropLevel(2));
+        assert_eq!(rx.arrive(None, late, &stats), Arrival::Ended);
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 10);
         // Sheds are also split out as the memory-pressure signal.
         assert_eq!(stats.rx_shed.load(Ordering::Relaxed), 10);
@@ -730,6 +759,52 @@ mod tests {
         // `Fin` kept its place behind the data, and stays readable.
         assert!(matches!(rx.try_recv(), Some(RecvOutcome::Fin)));
         assert!(matches!(rx.try_recv(), Some(RecvOutcome::Fin)));
+    }
+
+    /// "Bind and forget": a bound server link whose handles are all
+    /// dropped, the acceptor's too, keeps hearing its peer on the reader
+    /// thread until `Fin` ends the stream.
+    #[test]
+    fn a_bound_server_link_outlives_its_handle_until_fin() {
+        use infopipes::helpers::CollectSink;
+        use infopipes::{BufferSpec, ControlEvent, FreePump, Pipeline};
+        use mbthread::{Kernel, KernelConfig};
+
+        let kernel = Kernel::new(KernelConfig::default());
+        let transport = UdpTransport::new();
+        let acceptor = transport.listen("127.0.0.1:0").unwrap();
+        let client = transport.connect(&acceptor.local_addr()).unwrap();
+        let server = acceptor.accept().unwrap();
+
+        let pipeline = Pipeline::new(&kernel, "consumer");
+        let (inbox, sender) = pipeline.add_inbox("net-in", BufferSpec::bounded(64));
+        let pump = pipeline.add_pump("pump", FreePump::new());
+        let unmarshal = pipeline.add_function("unmarshal", crate::Unmarshal::<u32>::new("u"));
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let _ = inbox >> pump >> unmarshal >> sink;
+        server.bind_receiver(Some(sender), |_| {}).unwrap();
+        drop((server, acceptor));
+
+        let running = pipeline.start().unwrap();
+        let events = running.subscribe();
+        running.start_flow().unwrap();
+        for seq in 0..20u32 {
+            let frame = Frame::Data(wire::to_payload(&seq).unwrap());
+            assert!(client.send(frame).accepted(), "frame {seq}");
+        }
+        assert_eq!(client.send(Frame::Fin), SendStatus::Sent);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while events.recv_timeout(Duration::from_millis(50)) != Some(ControlEvent::Eos) {
+            assert!(
+                Instant::now() < deadline,
+                "no end of stream ({} frames)",
+                out.lock().len()
+            );
+        }
+        assert_eq!(*out.lock(), (0..20).collect::<Vec<u32>>());
+        drop(running);
+        kernel.shutdown();
     }
 
     #[test]

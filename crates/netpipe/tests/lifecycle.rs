@@ -2,18 +2,20 @@
 //! every pooled buffer comes home once the frames are consumed.
 //!
 //! For each backend: listen, connect, accept, bind both receive sides
-//! (inproc and sim deliver on threads they already have, so binding
-//! starts none), stream frames sealed from a pool the test owns (that
-//! pool, and a pooling backend's receive pool, must then have nothing
-//! checked out: the sending side — writer, ring, simulated queue — let
-//! go of every frame), run the serving tier's accept loop and an
-//! inspector beside it — then drop everything and hold the process to
-//! the thread count it started with. This is what proves the `Worker`
-//! arrangement: owners join their service threads, and a worker that
-//! ends up dropping its own last owner (the UDP flusher and reader, a
-//! receive pump) neither leaks nor joins itself — a self-join panics
-//! that worker, which the panic hook below turns into a failure. One
-//! `#[test]`, so no sibling test's threads or panics blur the count.
+//! (inproc, sim and the UDP server deliver on threads they already have,
+//! so binding them starts none; only a link whose `recv` reads its own
+//! socket — TCP, the UDP client — binds with a pump), stream frames
+//! sealed from a pool the test owns (that pool, and a pooling backend's
+//! receive pool, must then have nothing checked out: the sending side —
+//! writer, lane queue, simulated queue — let go of every frame), run the
+//! serving tier's accept loop and an inspector beside it — then drop
+//! everything and hold the process to the thread count it started with.
+//! This is what proves the `Worker` arrangement: owners join their
+//! service threads, and a worker that ends up dropping its own last
+//! owner (the UDP flusher and reader, a receive pump) neither leaks nor
+//! joins itself — a self-join panics that worker, which the panic hook
+//! below turns into a failure. One `#[test]`, so no sibling test's
+//! threads or panics blur the count.
 
 #![cfg(target_os = "linux")]
 
@@ -135,13 +137,14 @@ fn exercise<T: Transport>(
     bind_threads
 }
 
-/// A bound inproc link whose sending end goes without a `Fin` still ends
-/// the consumer's stream: the sender's drop finishes the inbox, with no
-/// receive thread left to notice the link closing.
-fn dropped_sender_ends_the_stream(kernel: &Kernel) {
-    let transport = InProcTransport::new();
+/// A bound link whose sending end goes without a `Fin` still ends the
+/// consumer's stream, with no receive thread left to notice the link
+/// closing: the sender's drop finishes the inbox, at once on inproc, and
+/// on sim through the direction's kernel thread after the data still in
+/// flight.
+fn dropped_sender_ends_the_stream<T: Transport>(kernel: &Kernel, transport: &T) {
     let acceptor = transport.listen("dropped").expect("listen");
-    let client = transport.connect("dropped").expect("connect");
+    let client = transport.connect(&acceptor.local_addr()).expect("connect");
     let server = acceptor.accept().expect("accept");
 
     let (consumer, inbox_sender, got) = consumer(kernel);
@@ -204,7 +207,7 @@ fn every_backend_returns_to_its_thread_baseline() {
     run("inproc", &|k| {
         let started = exercise(k, &InProcTransport::new(), ["a", "b", "c"], None);
         assert_eq!(started, 0, "inproc: binding started a thread");
-        dropped_sender_ends_the_stream(k);
+        dropped_sender_ends_the_stream(k, &InProcTransport::new());
     });
     run("sim", &|k| {
         let cfg = SimConfig {
@@ -212,14 +215,19 @@ fn every_backend_returns_to_its_thread_baseline() {
             seed,
             ..SimConfig::default()
         };
-        let started = exercise(k, &SimTransport::new(k, cfg), ["a", "b", "c"], None);
+        let transport = SimTransport::new(k, cfg);
+        let started = exercise(k, &transport, ["a", "b", "c"], None);
         assert_eq!(started, 0, "sim: binding started a thread");
+        dropped_sender_ends_the_stream(k, &transport);
     });
     run("tcp", &|k| {
         exercise(k, &TcpTransport::new(), sockets, Some(TcpLink::pool_stats));
     });
+    // The UDP server's reader thread delivers into a binding; only the
+    // client, whose `recv` reads its own socket, binds with a pump.
     run("udp", &|k| {
-        exercise(k, &UdpTransport::new(), sockets, Some(UdpLink::pool_stats));
+        let started = exercise(k, &UdpTransport::new(), sockets, Some(UdpLink::pool_stats));
+        assert_eq!(started, 1, "udp: binding the server link started a thread");
     });
     assert_eq!(
         PANICS.load(Ordering::SeqCst),

@@ -145,7 +145,7 @@ fn udp_rx_shed_drives_the_drop_level() {
 }
 
 /// The end-to-end fusion the unified controller exists for: a real
-/// [`NetSendEnd`] saturating against a tiny undrained ring AND real
+/// [`NetSendEnd`] saturating against a tiny undrained lane AND real
 /// pool misses, both sampled from one registry by one sensor, fused by
 /// one controller. Send saturation (primary) escalates to level 2;
 /// memory pressure (secondary, capped) holds level 1 — and recovery
@@ -154,7 +154,7 @@ fn udp_rx_shed_drives_the_drop_level() {
 fn unified_controller_fuses_send_and_memory_pressure() {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     {
-        // A 4-slot ring that nobody drains: the send end sees Saturated
+        // A 4-frame data lane that nobody drains: the send end sees Saturated
         // and Dropped almost immediately.
         let transport = InProcTransport::with_capacity(4);
         let acceptor = transport.listen("congested").unwrap();
@@ -183,7 +183,7 @@ fn unified_controller_fuses_send_and_memory_pressure() {
 
         // The link really pushed back, and the probe exposes the last
         // completed saturation window to the registry.
-        assert!(link.stats().dropped > 0, "the tiny ring must shed");
+        assert!(link.stats().dropped > 0, "the tiny lane must shed");
         assert!(
             probe.get() > 0.5,
             "saturation probe must see the pressure: {}",

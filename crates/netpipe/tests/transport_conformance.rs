@@ -643,7 +643,8 @@ fn check_bound_mid_stream<T: Transport>(transport: &T, addr: &str, kernel: &Kern
 fn inproc_conforms() {
     let kernel = Kernel::new(KernelConfig::default());
     check_ordering(&InProcTransport::new(), "order");
-    // An 8-slot ring: a 50-frame burst with nobody reading must drop.
+    // An 8-frame data lane: a 50-frame burst with nobody reading must
+    // drop.
     check_backpressure(
         &InProcTransport::with_capacity(8),
         "bp",
@@ -775,5 +776,6 @@ fn udp_conforms() {
     check_payload_immutability(&UdpTransport::new(), "127.0.0.1:0");
     check_pooled_recycling(&UdpTransport::new(), "127.0.0.1:0");
     check_accept_loop_shutdown(&UdpTransport::new(), "127.0.0.1:0", 8);
+    check_bound_mid_stream(&UdpTransport::new(), "127.0.0.1:0", &kernel);
     kernel.shutdown();
 }

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 fn send_saturation_raises_the_drop_level() {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     {
-        // A 4-slot ring that nobody drains: the send end sees Saturated
+        // A 4-frame data lane that nobody drains: the send end sees Saturated
         // and Dropped almost immediately.
         let transport = InProcTransport::with_capacity(4);
         let acceptor = transport.listen("congested").unwrap();
@@ -53,7 +53,7 @@ fn send_saturation_raises_the_drop_level() {
         let stats = link.stats();
         assert!(
             stats.dropped > 0,
-            "the tiny ring must shed frames: {stats:?}"
+            "the tiny lane must shed frames: {stats:?}"
         );
         // ...the send end turned that into readings the loop consumed...
         let ls = *loop_stats.lock();
