@@ -112,7 +112,7 @@ fn self_hosted() -> Demo {
     sessions.sweep();
 
     // A pool under memory pressure: the held payloads never come home.
-    let pool = BufferPool::with_classes(&[256], 2);
+    let pool = BufferPool::with_classes(&[256], 2 * 256);
     let mut held = Vec::new();
     for _ in 0..8 {
         held.push(pool.acquire(128).seal());

@@ -52,11 +52,14 @@
 //!   served from the smallest class ≥ the requested capacity; requests
 //!   above the largest class fall back to plain unpooled allocations
 //!   (counted in [`PoolStats::oversize`]).
-//! * **Per-class depth** (`per_class`): how many *free* buffers a class
-//!   retains. Any number may be checked out at once; a buffer that comes
-//!   home to a full free list is freed. More depth rides out deeper
-//!   bursts without allocating; each retained buffer pins its class's
-//!   bytes.
+//! * **Per-class budget** (`budget`, in bytes): a class keeps at most
+//!   ⌊budget / class size⌋ *free* buffers. Any number may be checked out
+//!   at once; a buffer that comes home to a full free list is freed. The
+//!   free list grows on demand, and only buffers that were live at the
+//!   same time can come home, so it never outgrows the class's
+//!   high-water mark of live buffers: retention keeps memory the stream
+//!   already held at its peak. A bigger budget rides out deeper bursts
+//!   without allocating; each retained buffer pins its class's bytes.
 
 use crate::payload::PayloadBytes;
 use parking_lot::Mutex;
@@ -75,8 +78,9 @@ const DEFAULT_CLASSES: [usize; 7] = [
     1 << 20,
 ];
 
-/// Default per-class free-list depth.
-const DEFAULT_PER_CLASS: usize = 32;
+/// Default per-class budget of free bytes: 512 of the 4 KiB buffers a
+/// 1 KiB packet plus its header seals into.
+const DEFAULT_BUDGET: usize = 2 << 20;
 
 /// The backing memory of one pooled buffer, and its way home.
 #[derive(Debug)]
@@ -141,13 +145,14 @@ impl Drop for PooledRef {
         let Some(pool) = mem.home.upgrade() else {
             return;
         };
-        let mut class = pool.classes[mem.class].state.lock();
-        if class.free.len() < pool.per_class {
-            class.free.push(mem);
+        let class = &pool.classes[mem.class];
+        let mut state = class.state.lock();
+        if state.free.len() < class.keep {
+            state.free.push(mem);
         } else {
             // Free list full: let the buffer go, outside the lock its
             // own drop takes.
-            drop(class);
+            drop(state);
             drop(mem);
         }
     }
@@ -162,12 +167,13 @@ struct ClassState {
 
 struct SizeClass {
     size: usize,
+    /// The most free buffers the class keeps: its budget over its size.
+    keep: usize,
     state: Mutex<ClassState>,
 }
 
 struct PoolShared {
     classes: Vec<SizeClass>,
-    per_class: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     oversize: AtomicU64,
@@ -217,39 +223,40 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool with the default size classes (256 B – 1 MiB in 4x steps)
-    /// and per-class depth (32 free buffers).
+    /// and per-class budget (2 MiB of free buffers).
     #[must_use]
     pub fn new() -> BufferPool {
-        BufferPool::with_classes(&DEFAULT_CLASSES, DEFAULT_PER_CLASS)
+        BufferPool::with_classes(&DEFAULT_CLASSES, DEFAULT_BUDGET)
     }
 
-    /// A pool with custom size classes and per-class free-list depth.
-    /// Classes are sorted and deduplicated; zero-sized classes are
-    /// dropped.
+    /// A pool with custom size classes, each keeping at most
+    /// ⌊`budget` / class size⌋ free buffers (`budget` in bytes; a class
+    /// larger than the budget keeps none). Classes are sorted and
+    /// deduplicated; zero-sized classes are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if no positive class size remains or `per_class` is zero.
+    /// Panics if no positive class size remains or `budget` is zero.
     #[must_use]
-    pub fn with_classes(sizes: &[usize], per_class: usize) -> BufferPool {
+    pub fn with_classes(sizes: &[usize], budget: usize) -> BufferPool {
         let mut sizes: Vec<usize> = sizes.iter().copied().filter(|&s| s > 0).collect();
         sizes.sort_unstable();
         sizes.dedup();
         assert!(!sizes.is_empty(), "a pool needs at least one size class");
-        assert!(per_class > 0, "per-class depth must be positive");
+        assert!(budget > 0, "per-class budget must be positive");
         BufferPool {
             shared: Arc::new(PoolShared {
                 classes: sizes
                     .into_iter()
                     .map(|size| SizeClass {
                         size,
+                        keep: budget / size,
                         state: Mutex::new(ClassState {
-                            free: Vec::with_capacity(per_class),
+                            free: Vec::new(),
                             live: 0,
                         }),
                     })
                     .collect(),
-                per_class,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 oversize: AtomicU64::new(0),
@@ -402,7 +409,7 @@ mod tests {
 
     #[test]
     fn sealed_buffers_recycle_on_last_drop() {
-        let pool = BufferPool::with_classes(&[64], 4);
+        let pool = BufferPool::with_classes(&[64], 4 * 64);
         assert_eq!(gauges(&pool), (0, 0));
         let mut b = pool.acquire(16);
         assert_eq!(gauges(&pool), (1, 1), "a buffer being written is out");
@@ -438,7 +445,7 @@ mod tests {
 
     #[test]
     fn clones_and_slices_keep_the_buffer_checked_out() {
-        let pool = BufferPool::with_classes(&[64], 4);
+        let pool = BufferPool::with_classes(&[64], 4 * 64);
         let mut b = pool.acquire(8);
         b.buf_mut().extend_from_slice(&[5; 8]);
         let sealed = b.seal();
@@ -474,7 +481,7 @@ mod tests {
 
     #[test]
     fn size_class_selection_and_oversize() {
-        let pool = BufferPool::with_classes(&[16, 64, 256], 2);
+        let pool = BufferPool::with_classes(&[16, 64, 256], 2 * 256);
         assert!(pool.acquire(10).capacity() >= 10);
         assert_eq!(pool.acquire(16).capacity(), 16);
         assert_eq!(pool.acquire(17).capacity(), 64);
@@ -505,7 +512,8 @@ mod tests {
 
     #[test]
     fn per_class_depth_bounds_retention() {
-        let pool = BufferPool::with_classes(&[32], 2);
+        // ⌊95 / 32⌋: two free buffers, the remainder buys nothing.
+        let pool = BufferPool::with_classes(&[32], 95);
         let a = pool.acquire(8).seal();
         let b = pool.acquire(8).seal();
         let c = pool.acquire(8).seal();
@@ -515,33 +523,33 @@ mod tests {
         drop(b);
         assert_eq!(gauges(&pool), (1, 3));
         drop(c);
-        assert_eq!(gauges(&pool), (0, 2), "free list capped at per_class");
+        assert_eq!(gauges(&pool), (0, 2), "free list capped by the budget");
     }
 
-    /// `per_class` bounds the free buffers kept, not the buffers known:
+    /// The budget bounds the free buffers kept, not the buffers known:
     /// with that many sealed buffers alive, one more that comes home
     /// must still serve the next acquire.
     #[test]
     fn a_free_buffer_is_a_hit_however_many_are_out() {
-        const PER_CLASS: usize = 4;
-        let pool = BufferPool::with_classes(&[32], PER_CLASS);
-        let held: Vec<PayloadBytes> = (0..PER_CLASS).map(|_| pool.acquire(8).seal()).collect();
+        const KEEP: usize = 4;
+        let pool = BufferPool::with_classes(&[32], KEEP * 32);
+        let held: Vec<PayloadBytes> = (0..KEEP).map(|_| pool.acquire(8).seal()).collect();
         let extra = pool.acquire(8).seal();
         let ptr = extra.as_ptr();
         drop(extra);
-        assert_eq!(gauges(&pool), (PER_CLASS, PER_CLASS + 1));
+        assert_eq!(gauges(&pool), (KEEP, KEEP + 1));
         let hits = pool.stats().hits;
         let mut again = pool.acquire(8);
         again.buf_mut().push(1);
         assert_eq!(pool.stats().hits, hits + 1, "a free buffer must be found");
         assert_eq!(again.seal().as_ptr(), ptr);
         drop(held);
-        assert_eq!(gauges(&pool), (0, PER_CLASS));
+        assert_eq!(gauges(&pool), (0, KEEP));
     }
 
     #[test]
     fn unsealed_drop_recycles() {
-        let pool = BufferPool::with_classes(&[32], 4);
+        let pool = BufferPool::with_classes(&[32], 4 * 32);
         let ptr = {
             let mut b = pool.acquire(8);
             b.buf_mut().push(1);
@@ -556,7 +564,7 @@ mod tests {
 
     #[test]
     fn miss_rate_reflects_pressure() {
-        let pool = BufferPool::with_classes(&[32], 8);
+        let pool = BufferPool::with_classes(&[32], 8 * 32);
         assert_eq!(pool.stats().miss_rate(), 0.0);
         // Hold everything: every acquire misses.
         let held: Vec<PayloadBytes> = (0..4).map(|_| pool.acquire(8).seal()).collect();
@@ -570,6 +578,34 @@ mod tests {
         assert!(stats.miss_rate() < 0.6);
     }
 
+    /// The default pool keeps a stream's packets in flight: a burst of
+    /// 500 held packet buffers (1 KiB plus a header, so the 4 KiB class)
+    /// all come home, and an identical second burst allocates nothing.
+    /// A burst above the 2 MiB budget leaves exactly 512 free.
+    #[test]
+    fn the_default_budget_keeps_a_burst_in_flight() {
+        const PACKET: usize = 1024 + 16;
+        let pool = BufferPool::new();
+        let burst = |n: usize| -> Vec<PayloadBytes> {
+            (0..n)
+                .map(|_| {
+                    let mut b = pool.acquire(PACKET);
+                    b.buf_mut().resize(PACKET, 0xA5);
+                    b.seal()
+                })
+                .collect()
+        };
+        drop(burst(500));
+        assert_eq!(gauges(&pool), (0, 500));
+        let misses = pool.stats().misses;
+        let again = burst(500);
+        assert_eq!(pool.stats().misses, misses, "the second burst missed");
+        drop(again);
+
+        drop(burst(600));
+        assert_eq!(gauges(&pool), (0, 512), "free list capped at 2 MiB / 4 KiB");
+    }
+
     /// Two threads drop the last two views of one buffer at the same
     /// instant. Whoever is last takes it home — or, when each saw the
     /// other's reference, nobody does and it is freed: at most once
@@ -577,7 +613,7 @@ mod tests {
     #[test]
     fn racing_last_drops_recycle_at_most_once() {
         use std::sync::atomic::AtomicU32;
-        let pool = BufferPool::with_classes(&[64], 4);
+        let pool = BufferPool::with_classes(&[64], 4 * 64);
         for round in 0..2000u32 {
             let bytes = round.to_le_bytes();
             let mut b = pool.acquire(8);

@@ -71,7 +71,7 @@ fn sealed(pool: &BufferPool, fill: u8) -> PayloadBytes {
 #[test]
 fn views_outlive_the_pool_and_nothing_stays_behind() {
     let before = live_bytes();
-    let pool = BufferPool::with_classes(&[CLASS], 8);
+    let pool = BufferPool::with_classes(&[CLASS], 8 * CLASS);
     let mut views: Vec<PayloadBytes> = (0..8).map(|i| sealed(&pool, i)).collect();
     let held = views.split_off(4);
     drop(views);
@@ -102,12 +102,12 @@ fn views_outlive_the_pool_and_nothing_stays_behind() {
     );
 }
 
-/// The views go first: the pool retains up to `per_class` of their
-/// buffers, and frees every one of them when its last handle drops.
+/// The views go first: the pool retains as many of their buffers as
+/// its budget holds, and frees every one of them when its last handle drops.
 #[test]
 fn the_pool_outlives_its_views_and_frees_what_it_retained() {
     let before = live_bytes();
-    let pool = BufferPool::with_classes(&[CLASS], 4);
+    let pool = BufferPool::with_classes(&[CLASS], 4 * CLASS);
     let views: Vec<PayloadBytes> = (0..6).map(|i| sealed(&pool, i)).collect();
     let peak = live_bytes();
     drop(views);
@@ -115,7 +115,7 @@ fn the_pool_outlives_its_views_and_frees_what_it_retained() {
     assert_eq!((stats.outstanding, stats.pooled), (0, 4));
     assert!(
         peak - live_bytes() >= 2 * CLASS as isize,
-        "buffers beyond per_class are freed on the way home"
+        "buffers beyond the budget are freed on the way home"
     );
     assert!(live_bytes() - before >= 4 * CLASS as isize);
     drop(pool);

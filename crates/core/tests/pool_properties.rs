@@ -8,7 +8,8 @@ use infopipes::{BufferPool, PayloadBytes};
 use proptest::prelude::*;
 
 /// The pool's default size-class ladder (kept in sync with `pool.rs`;
-/// asserted against real capacities below, so drift fails the test).
+/// asserted against real capacities below, so drift fails the test, as
+/// drift in the budget fails the retention model).
 const CLASSES: [usize; 7] = [
     256,
     1 << 10,
@@ -18,6 +19,9 @@ const CLASSES: [usize; 7] = [
     256 << 10,
     1 << 20,
 ];
+
+/// The default pool's per-class budget of free bytes.
+const BUDGET: usize = 2 << 20;
 
 /// The smallest class that fits `n`, or `None` when `n` is oversize.
 fn expected_class(n: usize) -> Option<usize> {
@@ -67,13 +71,21 @@ proptest! {
         prop_assert_eq!(stats.misses, sizes.len() as u64, "nothing came home yet");
         prop_assert_eq!(stats.oversize, expect_oversize);
 
-        // Each dropped payload hands its classed buffer back — fewer
-        // than `per_class` per class here, so the pool keeps them all.
-        let pooled = classed;
+        // Each dropped payload hands its classed buffer back, kept while
+        // its class holds fewer than ⌊2 MiB / class size⌋ free (two of
+        // the 1 MiB class) and freed otherwise.
+        let mut pooled = classed;
+        let mut free = [0usize; CLASSES.len()];
         for (payload, n) in live {
             drop(payload);
-            if expected_class(n).is_some() {
+            if let Some(class) = expected_class(n) {
                 classed -= 1;
+                let at = CLASSES.iter().position(|&c| c == class).expect("a class");
+                if free[at] < BUDGET / class {
+                    free[at] += 1;
+                } else {
+                    pooled -= 1;
+                }
             }
             let stats = pool.stats();
             prop_assert_eq!(stats.outstanding, classed);
@@ -82,21 +94,26 @@ proptest! {
         prop_assert_eq!(pool.stats().outstanding, 0);
     }
 
-    /// The free list against a model, one class, a shallow `per_class`:
+    /// The free list against a model, one class, a small byte budget:
     /// an acquire is a hit iff a buffer is free, and then hands out an
     /// allocation that went home; clones keep a buffer out until the
     /// last one drops; `outstanding` and `pooled` (= free + outstanding)
-    /// are exact after every step; at most `per_class` stay free.
+    /// are exact after every step; at most ⌊budget / 128⌋ stay free, and
+    /// never more than were ever checked out at once.
     #[test]
     fn stats_follow_the_free_list_model(
         ops in proptest::collection::vec((0usize..4, 0usize..64), 1..96),
-        per_class in 1usize..5,
+        budget in 1usize..(5 * 128),
     ) {
-        let pool = BufferPool::with_classes(&[128], per_class);
+        const CLASS: usize = 128;
+        let keep = budget / CLASS;
+        let pool = BufferPool::with_classes(&[CLASS], budget);
         // Checked-out buffers by address, with every live alias.
         let mut out: Vec<(*const u8, Vec<PayloadBytes>)> = Vec::new();
         let mut free: Vec<*const u8> = Vec::new();
         let (mut hits, mut misses) = (0u64, 0u64);
+        // The class's high-water mark of live buffers.
+        let mut peak_out = 0;
         for (op, pick) in ops {
             match op {
                 // Acquire, write, seal.
@@ -116,6 +133,7 @@ proptest! {
                     prop_assert!(out.iter().all(|(p, _)| *p != sealed.as_ptr()),
                         "a checked-out buffer was handed out again");
                     out.push((sealed.as_ptr(), vec![sealed]));
+                    peak_out = peak_out.max(out.len());
                 }
                 // Alias a live buffer once more.
                 2 if !out.is_empty() => {
@@ -130,7 +148,7 @@ proptest! {
                     out[at].1.pop();
                     if out[at].1.is_empty() {
                         let (ptr, _) = out.swap_remove(at);
-                        if free.len() < per_class {
+                        if free.len() < keep {
                             free.push(ptr);
                         }
                     }
@@ -144,6 +162,9 @@ proptest! {
             prop_assert_eq!((stats.hits, stats.misses), (hits, misses));
             prop_assert_eq!(stats.outstanding, out.len());
             prop_assert_eq!(stats.pooled, out.len() + free.len());
+            let kept = stats.pooled - stats.outstanding;
+            prop_assert!(kept <= keep, "{} free over a budget of {}", kept, keep);
+            prop_assert!(kept <= peak_out, "{} free above the peak of {} live", kept, peak_out);
         }
     }
 

@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn pool_and_globals_register_and_sample() {
         let stats = StatsRegistry::new();
-        let pool = BufferPool::with_classes(&[64], 4);
+        let pool = BufferPool::with_classes(&[64], 4 * 64);
         register_pool(&stats, "rx-pool", &pool);
         register_process_globals(&stats);
 

@@ -6,9 +6,12 @@
 //! inbox by the default `bind_receiver` thread, "network packets …
 //! mapped to messages by the platform" (§4).
 //!
-//! TCP is reliable: data frames are never dropped. Backpressure shows up
-//! as [`SendStatus::Saturated`] once the bounded send queue fills (the
-//! send then completes blockingly). Control-lane frames jump the local
+//! TCP is reliable: a data frame the link accepts is never dropped. The
+//! one exception is refused up front: a frame above `MAX_FRAME` (64 MiB),
+//! which the peer's reader would take for a broken stream, is shed at
+//! `send` as [`SendStatus::Dropped`] and counted, and the link carries on.
+//! Backpressure shows up as [`SendStatus::Saturated`] once the bounded
+//! send queue fills (the send then completes blockingly). Control-lane frames jump the local
 //! send queue, which is how out-of-band priority manifests on a single
 //! ordered byte stream.
 
@@ -47,6 +50,13 @@ struct TxShared {
 impl TxShared {
     fn send(&self, frame: Frame) -> SendStatus {
         let data_len = match &frame {
+            Frame::Data(bytes) if bytes.len() > MAX_FRAME => {
+                // No reader takes a frame this long: shed it here, so
+                // the frames batched beside it still go out.
+                self.stats.sent.fetch_add(1, Ordering::Relaxed);
+                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                return SendStatus::Dropped;
+            }
             Frame::Data(bytes) => Some(bytes.len() as u64),
             _ => None,
         };
@@ -95,14 +105,19 @@ fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
                 Frame::Data(_) | Frame::Fin => unreachable!("only ctrl-lane frames queued"),
             }
         }
+        // `send` already shed oversized data frames; an oversized control
+        // frame fails the link, as write_frame would.
+        if ctrl_payloads
+            .iter()
+            .any(|(_, bytes)| bytes.len() > MAX_FRAME)
+        {
+            break;
+        }
         let frames: Vec<(FrameKind, &[u8])> = ctrl_payloads
             .iter()
             .map(|(kind, bytes)| (*kind, bytes.as_slice()))
             .chain(data.iter().map(|bytes| (FrameKind::Data, bytes.as_slice())))
             .collect();
-        if frames.iter().any(|(_, bytes)| bytes.len() > MAX_FRAME) {
-            break; // oversized frame: fail the link, as write_frame would
-        }
         let headers: Vec<[u8; HEADER_LEN]> = frames
             .iter()
             .map(|(kind, bytes)| encode_header(*kind, bytes.len()))
@@ -148,7 +163,8 @@ struct FrameReader {
     /// one per frame.
     pos: usize,
     /// Receive-side buffer pool: data payloads are sealed into recycled
-    /// buffers, so the steady-state read path allocates nothing.
+    /// buffers, so the steady-state read path allocates nothing while
+    /// the buffers in flight fit the pool's per-class budget.
     pool: BufferPool,
 }
 
@@ -370,7 +386,8 @@ impl Link for TcpLink {
     }
 
     fn stats(&self) -> LinkStats {
-        // TCP never drops; `delivered` counts what this end received.
+        // TCP drops only frames refused at `send` as oversized;
+        // `delivered` counts what this end received.
         self.inner.stats.snapshot()
     }
 }
@@ -516,5 +533,45 @@ impl std::fmt::Debug for TcpAcceptor {
         f.debug_struct("TcpAcceptor")
             .field("addr", &self.local_addr())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use infopipes::PayloadBytes;
+
+    fn data(bytes: Vec<u8>) -> Frame {
+        Frame::Data(PayloadBytes::from(bytes))
+    }
+
+    /// A data frame above `MAX_FRAME` is shed at `send` and counted; the
+    /// frames around it arrive in order and the link stays open.
+    #[test]
+    fn oversized_frames_are_shed_and_the_link_survives() {
+        let transport = TcpTransport::new();
+        let acceptor = transport.listen("127.0.0.1:0").unwrap();
+        let client = transport.connect(&acceptor.local_addr()).unwrap();
+        let server = acceptor.accept().unwrap();
+        let statuses = [
+            client.send(data(vec![1])),
+            client.send(data(vec![0; MAX_FRAME + 1])),
+            client.send(data(vec![2])),
+        ];
+        assert_eq!(
+            statuses,
+            [SendStatus::Sent, SendStatus::Dropped, SendStatus::Sent]
+        );
+        let recv_data = || match server.recv(Duration::from_secs(10)) {
+            RecvOutcome::Frame(Frame::Data(bytes)) => bytes.to_vec(),
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(recv_data(), [1]);
+        assert_eq!(recv_data(), [2]);
+        assert_eq!(client.send(data(vec![3])), SendStatus::Sent);
+        assert_eq!(recv_data(), [3], "the link stays open");
+        let stats = client.stats();
+        assert_eq!((stats.sent, stats.dropped), (4, 1));
+        assert_eq!(stats.bytes_sent, 3);
     }
 }

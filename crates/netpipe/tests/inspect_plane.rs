@@ -57,7 +57,7 @@ impl Manifold {
         inspect::register_registry_stats(&stats, "sessions", &sessions);
         inspect::register_link(&stats, "session-link-0", &client_ends[0]);
 
-        let pool = BufferPool::with_classes(&[256], 4);
+        let pool = BufferPool::with_classes(&[256], 4 * 256);
         let _allocating = pool.acquire(100);
         inspect::register_pool(&stats, "rx-pool", &pool);
 

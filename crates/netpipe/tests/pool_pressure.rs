@@ -36,7 +36,7 @@ fn feed(
 #[test]
 fn pool_miss_rate_drives_the_drop_level() {
     let stats = StatsRegistry::new();
-    let pool = BufferPool::with_classes(&[256], 1);
+    let pool = BufferPool::with_classes(&[256], 256);
     inspect::register_pool(&stats, "rx-pool", &pool);
     let mut sensor = RegistrySensor::new(&stats).gauge("rx-pool", "miss_rate", readings::POOL_MISS);
     let mut controller = UnifiedCongestionController::standard();
@@ -167,7 +167,7 @@ fn unified_controller_fuses_send_and_memory_pressure() {
 
         let stats = StatsRegistry::new();
         inspect::register_saturation(&stats, "send-probe", &probe);
-        let pool = BufferPool::with_classes(&[256], 1);
+        let pool = BufferPool::with_classes(&[256], 256);
         inspect::register_pool(&stats, "rx-pool", &pool);
 
         let pipeline = Pipeline::new(&kernel, "producer");
