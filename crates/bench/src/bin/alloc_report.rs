@@ -26,7 +26,10 @@
 //!   why (one `writev` carries up to 64 frames). The send and receive
 //!   pools keep what the stream holds in flight, so `tcp_batched` seals
 //!   every frame into a recycled buffer on both ends; the run fails
-//!   (exit 1) above 0.5 allocations per frame.
+//!   (exit 1) above 0.5 allocations per frame. `rx_acquires_per_frame`
+//!   counts the receive pool's buffers per frame: the reader seals each
+//!   socket read into one, so a batched stream needs far fewer than one
+//!   per frame, and the run fails (exit 1) above 0.5.
 //! * **udp_packed** — small frames packed into shared datagrams; the
 //!   sub-1.0 sends/frame is the packing at work. UDP may lose frames, its
 //!   `Fin` included, so the case reports what arrived. Published only.
@@ -37,12 +40,12 @@
 //! whose frames take well under a second.
 
 use infopipes::helpers::{CollectSink, FnFunction, IterSource};
-use infopipes::{BufferPool, BufferSpec, FreePump, PayloadBytes, Pipeline};
+use infopipes::{BufferPool, BufferSpec, FreePump, PayloadBytes, Pipeline, PoolStats};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::wire;
 use netpipe::{
-    Acceptor, Frame, InProcTransport, Link, PipelineTransportExt, RecvOutcome, TcpTransport,
-    Transport, UdpTransport,
+    Acceptor, Frame, InProcTransport, Link, PipelineTransportExt, RecvOutcome, TcpLink,
+    TcpTransport, Transport, UdpTransport,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
@@ -100,6 +103,9 @@ struct CaseResult {
     allocs_per_frame: f64,
     frees_per_frame: f64,
     wire_writes_per_frame: f64,
+    /// Receive-pool acquisitions per frame, where the receiving link
+    /// has a pool to read.
+    rx_acquires_per_frame: Option<f64>,
     frames_per_sec: f64,
 }
 
@@ -109,13 +115,16 @@ impl CaseResult {
             concat!(
                 "    {{\"case\": \"{}\", \"frames\": {}, ",
                 "\"allocs_per_frame\": {:.4}, \"frees_per_frame\": {:.4}, ",
-                "\"wire_writes_per_frame\": {:.4}, \"frames_per_sec\": {:.0}}}"
+                "\"wire_writes_per_frame\": {:.4}, \"rx_acquires_per_frame\": {}, ",
+                "\"frames_per_sec\": {:.0}}}"
             ),
             self.name,
             self.frames,
             self.allocs_per_frame,
             self.frees_per_frame,
             self.wire_writes_per_frame,
+            self.rx_acquires_per_frame
+                .map_or_else(|| "null".to_owned(), |a| format!("{a:.4}")),
             self.frames_per_sec
         )
     }
@@ -166,6 +175,7 @@ fn inproc_lane(name: &'static str, frames: usize, pooled: bool) -> CaseResult {
         allocs_per_frame: da as f64 / frames as f64,
         frees_per_frame: df as f64 / frames as f64,
         wire_writes_per_frame: link.stats().wire_writes as f64 / frames as f64,
+        rx_acquires_per_frame: None,
         frames_per_sec: frames as f64 / elapsed.as_secs_f64(),
     }
 }
@@ -223,6 +233,7 @@ fn pipeline_lane(frames: usize) -> CaseResult {
             allocs_per_frame: da as f64 / frames as f64,
             frees_per_frame: df as f64 / frames as f64,
             wire_writes_per_frame: link.stats().wire_writes as f64 / frames as f64,
+            rx_acquires_per_frame: None,
             frames_per_sec: frames as f64 / elapsed.as_secs_f64(),
         }
     };
@@ -232,16 +243,24 @@ fn pipeline_lane(frames: usize) -> CaseResult {
 
 /// Drives `frames` small data frames through a socket transport while a
 /// consumer thread drains the far end; returns the per-frame numbers
-/// from the *sender's* link stats (`wire_writes` / `sent`).
+/// from the *sender's* link stats (`wire_writes` / `sent`), and from the
+/// receiving link's pool where `rx_pool` reads one.
 fn socket_lane<T: Transport>(
     name: &'static str,
     transport: T,
     frames: usize,
     frame_bytes: usize,
+    rx_pool: Option<fn(&T::Link) -> PoolStats>,
 ) -> CaseResult {
     let acceptor = transport.listen("127.0.0.1:0").unwrap();
     let link = transport.connect(&acceptor.local_addr()).unwrap();
     let server = acceptor.accept().unwrap();
+    let receiver = server.clone();
+    let rx_acquires = || {
+        rx_pool
+            .map(|stats| stats(&receiver))
+            .map(|s| s.hits + s.misses)
+    };
     let pool = BufferPool::new();
     let done = Arc::new(AtomicBool::new(false));
 
@@ -291,6 +310,7 @@ fn socket_lane<T: Transport>(
         send_one();
     }
 
+    let acquires_before = rx_acquires();
     let (a0, f0, t0) = (allocs(), frees(), Instant::now());
     let sent_before = link.stats().sent;
     let writes_before = link.stats().wire_writes;
@@ -317,6 +337,9 @@ fn socket_lane<T: Transport>(
         allocs_per_frame: da as f64 / frames as f64,
         frees_per_frame: df as f64 / frames as f64,
         wire_writes_per_frame: (stats.wire_writes - writes_before) as f64 / measured_sent as f64,
+        rx_acquires_per_frame: rx_acquires()
+            .zip(acquires_before)
+            .map(|(after, before)| (after - before) as f64 / frames as f64),
         frames_per_sec: frames as f64 / elapsed.as_secs_f64(),
     }
 }
@@ -334,14 +357,21 @@ fn main() {
     let pooled = inproc_lane("inproc_pooled", inproc_frames, true);
     let unpooled = inproc_lane("inproc_unpooled", inproc_frames, false);
     let pipeline = pipeline_lane(pipeline_frames);
-    let tcp_batched = socket_lane("tcp_batched", TcpTransport::new(), socket_frames, 256);
+    let tcp_batched = socket_lane(
+        "tcp_batched",
+        TcpTransport::new(),
+        socket_frames,
+        256,
+        Some(TcpLink::pool_stats),
+    );
     let tcp_unbatched = socket_lane(
         "tcp_unbatched",
         TcpTransport::new().without_batching(),
         socket_frames,
         256,
+        Some(TcpLink::pool_stats),
     );
-    let udp_packed = socket_lane("udp_packed", UdpTransport::new(), socket_frames, 256);
+    let udp_packed = socket_lane("udp_packed", UdpTransport::new(), socket_frames, 256, None);
 
     let cases = [
         &pooled,
@@ -352,17 +382,19 @@ fn main() {
         &udp_packed,
     ];
     println!(
-        "{:>16} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "case", "frames", "allocs/frm", "frees/frm", "writes/frm", "frames/s"
+        "{:>16} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "case", "frames", "allocs/frm", "frees/frm", "writes/frm", "rx-acq/frm", "frames/s"
     );
     for c in cases {
         println!(
-            "{:>16} {:>8} {:>12.4} {:>12.4} {:>12.4} {:>12.0}",
+            "{:>16} {:>8} {:>12.4} {:>12.4} {:>12.4} {:>12} {:>12.0}",
             c.name,
             c.frames,
             c.allocs_per_frame,
             c.frees_per_frame,
             c.wire_writes_per_frame,
+            c.rx_acquires_per_frame
+                .map_or_else(|| "-".to_owned(), |a| format!("{a:.4}")),
             c.frames_per_sec
         );
     }
@@ -418,6 +450,13 @@ fn main() {
             "FAIL: tcp_batched makes {:.4} allocs per frame > 0.5",
             tcp_batched.allocs_per_frame
         );
+        failed = true;
+    }
+    // The TCP reader seals a read, not a frame, into a receive-pool
+    // buffer: a batched stream lands many frames per read.
+    let rx_acquires = tcp_batched.rx_acquires_per_frame.unwrap_or(f64::INFINITY);
+    if rx_acquires > 0.5 {
+        eprintln!("FAIL: tcp_batched takes {rx_acquires:.4} receive-pool buffers per frame > 0.5");
         failed = true;
     }
     // And batching must buy >= 1.5x on small TCP frames.

@@ -102,6 +102,41 @@ pub(crate) struct BufState {
     drops: u64,
 }
 
+impl BufState {
+    /// The one full-buffer policy: stores `item` (`Ok(true)`), drops it
+    /// or the oldest item for it (`Ok(false)`), or hands it back because
+    /// the caller must wait for space (`Err`). Takers to wake on the
+    /// arrival are moved into `wake`.
+    fn put(&mut self, item: Item, wake: &mut Wakeups) -> Result<bool, Item> {
+        if self.q.len() >= self.spec.capacity {
+            match self.spec.on_full {
+                OnFull::Block => return Err(item),
+                OnFull::DropNewest => {
+                    self.drops += 1;
+                    return Ok(false);
+                }
+                OnFull::DropOldest => {
+                    self.q.pop_front();
+                    self.drops += 1;
+                    self.q.push_back(item);
+                    self.puts += 1;
+                    // The fill level did not go 0→1, so no arrival
+                    // notification is needed; takers were not blocked.
+                    return Ok(false);
+                }
+            }
+        }
+        let was_empty = self.q.is_empty();
+        self.q.push_back(item);
+        self.puts += 1;
+        wake.arrivals.append(&mut self.get_waiters);
+        if was_empty {
+            wake.arrivals.append(&mut self.arrival_watchers);
+        }
+        Ok(true)
+    }
+}
+
 /// What a caller must do after a successful buffer mutation: send an
 /// `ARRIVAL` or `SPACE` message to each listed thread.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -201,34 +236,26 @@ impl BufHandle {
 
     /// Attempts to store an item without blocking.
     pub(crate) fn try_put(&self, item: Item) -> PutOutcome {
-        let mut s = self.state.lock();
-        if s.q.len() >= s.spec.capacity {
-            match s.spec.on_full {
-                OnFull::Block => return PutOutcome::MustWait(item),
-                OnFull::DropNewest => {
-                    s.drops += 1;
-                    return PutOutcome::Dropped(Wakeups::default());
-                }
-                OnFull::DropOldest => {
-                    s.q.pop_front();
-                    s.drops += 1;
-                    s.q.push_back(item);
-                    s.puts += 1;
-                    // The fill level did not go 0→1, so no arrival
-                    // notification is needed; takers were not blocked.
-                    return PutOutcome::Dropped(Wakeups::default());
-                }
-            }
-        }
-        let was_empty = s.q.is_empty();
-        s.q.push_back(item);
-        s.puts += 1;
         let mut wake = Wakeups::default();
-        wake.arrivals.append(&mut s.get_waiters);
-        if was_empty {
-            wake.arrivals.append(&mut s.arrival_watchers);
+        match self.state.lock().put(item, &mut wake) {
+            Ok(true) => PutOutcome::Stored(wake),
+            Ok(false) => PutOutcome::Dropped(wake),
+            Err(item) => PutOutcome::MustWait(item),
         }
-        PutOutcome::Stored(wake)
+    }
+
+    /// Offers every item in turn under one lock, as that many
+    /// [`try_put`](Self::try_put)s would, and returns how many were not
+    /// stored as offered (dropped or refused), with the wake-ups they
+    /// owe: each waiter appears at most once, however many items landed.
+    pub(crate) fn put_all(&self, items: impl IntoIterator<Item = Item>) -> (usize, Wakeups) {
+        let mut wake = Wakeups::default();
+        let mut rejected = 0;
+        let mut s = self.state.lock();
+        for item in items {
+            rejected += usize::from(!matches!(s.put(item, &mut wake), Ok(true)));
+        }
+        (rejected, wake)
     }
 
     /// Attempts to remove an item without blocking. On
@@ -486,6 +513,63 @@ mod tests {
         assert_eq!(probe.name(), "jitter");
         let s = probe.stats();
         assert_eq!((s.fill, s.capacity, s.puts), (1, 4, 1));
+    }
+
+    /// A batch put is N single puts under one lock: the same stored,
+    /// dropped and refused counts and the same contents, for every
+    /// full-buffer policy at random capacities, fills and batch sizes —
+    /// and every waiting thread is named once, however many items land.
+    #[test]
+    fn a_batch_put_equals_that_many_single_puts() {
+        let mut rng = proptest::TestRng::deterministic("batch_put");
+        for on_full in [OnFull::Block, OnFull::DropNewest, OnFull::DropOldest] {
+            for _ in 0..200 {
+                let spec = BufferSpec::bounded(1 + rng.below(8)).on_full(on_full);
+                let (single, batch) =
+                    (BufHandle::new("s", spec.clone()), BufHandle::new("b", spec));
+                let prefill = rng.below(10);
+                for b in [&single, &batch] {
+                    if prefill == 0 {
+                        // An empty buffer has a parked pump and a taker.
+                        assert!(b.watch_arrival(dummy_thread(1)));
+                        assert!(matches!(
+                            b.take_or_wait(dummy_thread(2)),
+                            TakeOutcome::MustWait
+                        ));
+                    }
+                    for n in 0..prefill {
+                        let _ = b.try_put(item(n as u32));
+                    }
+                }
+                let items = (0..rng.below(12)).map(|n| item(100 + n as u32));
+
+                let mut arrivals = Vec::new();
+                let mut rejected = 0;
+                for it in items.clone() {
+                    match single.try_put(it) {
+                        PutOutcome::Stored(wake) => arrivals.extend(wake.arrivals),
+                        PutOutcome::Dropped(_) | PutOutcome::MustWait(_) => rejected += 1,
+                    }
+                }
+                let (batch_rejected, wake) = batch.put_all(items);
+
+                assert_eq!(batch_rejected, rejected, "{on_full:?}");
+                assert_eq!(batch.stats(), single.stats(), "stored and dropped");
+                let mut distinct = wake.arrivals.clone();
+                distinct.dedup();
+                assert_eq!(distinct, wake.arrivals, "one ARRIVAL per watcher");
+                assert_eq!(wake.arrivals, arrivals);
+                assert!(wake.space.is_empty());
+                let drain = |b: &BufHandle| {
+                    let mut out = Vec::new();
+                    while let TakeOutcome::Taken(it, _) = b.take_or_wait(me()) {
+                        out.push(it.expect::<u32>());
+                    }
+                    out
+                };
+                assert_eq!(drain(&batch), drain(&single), "contents");
+            }
+        }
     }
 
     /// Fabricates a ThreadId for waiter-list tests (never dereferenced).

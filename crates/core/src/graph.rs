@@ -2,7 +2,7 @@
 //! [`Pipeline::connect`] or the `>>` operator, then brought to life with
 //! [`Pipeline::start`].
 
-use crate::buffer::{BufHandle, BufferSpec, PutOutcome};
+use crate::buffer::{BufHandle, BufferSpec};
 use crate::error::PipeError;
 use crate::item::Item;
 use crate::pump::Pump;
@@ -407,23 +407,31 @@ pub struct InboxSender {
 }
 
 impl InboxSender {
-    /// Stores `item` and sends the wake-ups through `post`; `false` if
-    /// the buffer dropped or refused it.
-    fn put_with(&self, item: Item, post: impl FnMut(ThreadId, Message)) -> bool {
-        match self.buf.try_put(item) {
-            PutOutcome::Stored(wake) => {
-                wake.post(post);
-                true
-            }
-            PutOutcome::Dropped(_) | PutOutcome::MustWait(_) => false,
-        }
+    /// Stores `items` under one buffer lock, then sends the wake-ups
+    /// through `post`; returns how many the buffer dropped or refused.
+    fn put_all_with(
+        &self,
+        items: impl IntoIterator<Item = Item>,
+        post: impl FnMut(ThreadId, Message),
+    ) -> usize {
+        let (rejected, wake) = self.buf.put_all(items);
+        wake.post(post);
+        rejected
     }
 
     /// Injects an item. Returns `false` if the buffer was full and its
     /// policy discarded the item (or refused it: a `Block` policy cannot
     /// suspend an external sender, so a full blocking inbox also refuses).
     pub fn put(&self, item: Item) -> bool {
-        self.put_with(item, |t, msg| {
+        self.put_all(std::iter::once(item)) == 0
+    }
+
+    /// Injects several items at once: the same outcome as one
+    /// [`put`](Self::put) per item, in order, for one buffer lock and at
+    /// most one wake-up per waiting thread. Returns how many items
+    /// `put` would have answered `false` for.
+    pub fn put_all(&self, items: impl IntoIterator<Item = Item>) -> usize {
+        self.put_all_with(items, |t, msg| {
             let _ = self.port.send(t, msg);
         })
     }
@@ -439,9 +447,9 @@ impl InboxSender {
     /// thread), sending wakeups through the given context instead of the
     /// external port. Returns `false` if the buffer refused the item.
     pub fn put_via(&self, ctx: &mut mbthread::Ctx<'_>, item: Item) -> bool {
-        self.put_with(item, |t, msg| {
+        self.put_all_with(std::iter::once(item), |t, msg| {
             let _ = ctx.send(t, msg);
-        })
+        }) == 0
     }
 
     /// Signals end of stream from a kernel thread.

@@ -7,7 +7,7 @@
 //! packets allocates packet headers only — never the payload.
 
 use crate::frame::{CompressedFrame, FrameType};
-use infopipes::{Consumer, Item, ItemType, PayloadBytes, Stage, StageCtx};
+use infopipes::{BufferPool, Consumer, Item, ItemType, PayloadBytes, Stage, StageCtx};
 use serde::{Deserialize, Serialize};
 use typespec::{TypeError, Typespec};
 
@@ -91,6 +91,9 @@ impl Consumer for Fragmenter {
 /// out-of-order-lost packets is discarded when the next frame begins.
 pub struct Defragmenter {
     current: Option<PartialFrame>,
+    /// Where multi-packet frames are reassembled: recycled buffers, so a
+    /// warm reassembly allocates nothing.
+    pool: BufferPool,
     /// Frames discarded because packets were lost.
     pub incomplete_dropped: u64,
 }
@@ -113,18 +116,18 @@ struct PartialFrame {
 impl PartialFrame {
     /// Joins the fragments into one payload. A single-fragment frame is
     /// returned as the fragment's own view (no copy); multi-fragment
-    /// frames are concatenated into one fresh buffer — the single
+    /// frames are concatenated into one buffer from `pool` — the single
     /// reassembly copy a scatter of packets fundamentally needs.
-    fn assemble(self) -> PayloadBytes {
+    fn assemble(self, pool: &BufferPool) -> PayloadBytes {
         if let [only] = &self.parts[..] {
             return only.clone();
         }
         let total: usize = self.parts.iter().map(PayloadBytes::len).sum();
-        let mut out = Vec::with_capacity(total);
+        let mut out = pool.acquire(total);
         for p in &self.parts {
-            out.extend_from_slice(p);
+            out.buf_mut().extend_from_slice(p);
         }
-        PayloadBytes::from_vec(out)
+        out.seal()
     }
 }
 
@@ -134,6 +137,7 @@ impl Defragmenter {
     pub fn new() -> Defragmenter {
         Defragmenter {
             current: None,
+            pool: BufferPool::new(),
             incomplete_dropped: 0,
         }
     }
@@ -207,7 +211,7 @@ impl Consumer for Defragmenter {
                 seq: done.frame_seq,
                 pts_us: done.pts_us,
                 ftype: done.ftype,
-                data: done.assemble(),
+                data: done.assemble(&self.pool),
             };
             let mut out = Item::cloneable(frame);
             out.meta = meta;
@@ -349,6 +353,38 @@ mod tests {
             offset += pkt.bytes.len();
         }
         assert_eq!(offset, 100);
+    }
+
+    /// Multi-packet frames reassemble into the defragmenter's pool: one
+    /// copy into a recycled buffer, byte-identical, and home again once
+    /// the frames drop.
+    #[test]
+    fn multi_packet_frames_reassemble_into_pooled_buffers() {
+        let frames: Vec<CompressedFrame> = (0..6).map(|s| frame(s, 100)).collect();
+        let defrag = Defragmenter::new();
+        let pool = defrag.pool.clone();
+        let kernel = Kernel::new(KernelConfig::virtual_time());
+        let got = {
+            let pipeline = Pipeline::new(&kernel, "defrag-pool");
+            let src = pipeline.add_producer("src", IterSource::new("src", frames.clone()));
+            let pump = pipeline.add_pump("pump", FreePump::new());
+            let frag = pipeline.add_consumer("frag", Fragmenter::new(32));
+            let defrag = pipeline.add_consumer("defrag", defrag);
+            let (sink, out) = CollectSink::<CompressedFrame>::new("sink");
+            let sink = pipeline.add_consumer("sink", sink);
+            let _ = src >> pump >> frag >> defrag >> sink;
+            let running = pipeline.start().unwrap();
+            running.start_flow().unwrap();
+            running.wait_quiescent();
+            let v = out.lock().clone();
+            v
+        };
+        kernel.shutdown();
+        assert_eq!(got, frames);
+        assert!(got.iter().all(|f| f.data.is_pooled()));
+        assert!(pool.stats().outstanding > 0);
+        drop(got);
+        assert_eq!(pool.stats().outstanding, 0);
     }
 
     #[test]

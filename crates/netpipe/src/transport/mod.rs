@@ -69,7 +69,9 @@
 //!    backlog in under the same lock, so nothing sent meanwhile is lost
 //!    or reordered. Only a link whose `recv` reads the socket itself
 //!    (TCP, the UDP client) binds through a `ReceiverSlot` field, which
-//!    drains `recv` on a `worker::Worker` thread joined with the link.
+//!    drains `recv` on a `worker::Worker` thread joined with the link,
+//!    one read's frames per inbox put — so such a `recv` given a zero
+//!    timeout must answer from frames already read, never the socket.
 //!    Every thread your backend needs (a writer, a flusher, a socket
 //!    reader) is a `Worker` — the crate spawns threads nowhere else, and
 //!    CI greps for it.
@@ -565,7 +567,10 @@ pub trait Link: Clone + Send + Sync + 'static {
     /// the backend:
     ///
     /// * TCP and the UDP client: the link's receive pump, a service
-    ///   thread joined with the link.
+    ///   thread joined with the link. It hands over what one socket read
+    ///   brought at once: all its data frames in one put into `inbox`,
+    ///   under one buffer lock with one wake-up (a TCP read is up to
+    ///   64 KiB of frames, a UDP client read the datagrams queued).
     /// * UDP server: the listener's reader thread. A data binding keeps
     ///   its link open until the stream ends, whether or not the caller
     ///   keeps a handle.
@@ -608,6 +613,13 @@ impl ReceiverSlot {
     /// `rx_stats`), events to the callback, and finishing the inbox on
     /// `Fin`/close.
     ///
+    /// The pump hands the inbox what the link has already read as one
+    /// batch: after a frame arrives it drains `recv` with a zero timeout,
+    /// which on these backends answers from frames already read without
+    /// touching the socket, and puts the data frames gathered under one
+    /// inbox lock with one wake-up. Any other frame flushes the data
+    /// ahead of it first, so the pipeline sees the wire's order.
+    ///
     /// An events-only binding (`inbox == None`) additionally reaps
     /// itself once `abandoned` reports that the pump holds the last
     /// handle — otherwise an abandoned client link would keep its
@@ -622,33 +634,50 @@ impl ReceiverSlot {
         rx_stats: Arc<SharedStats>,
         abandoned: impl Fn(&L) -> bool + Send + 'static,
     ) -> Result<(), TransportError> {
+        const IDLE: Duration = Duration::from_millis(50);
         let mut slot = self.0.lock();
         if slot.is_some() {
             return Err(TransportError::ReceiverTaken);
         }
-        *slot = Some(Worker::spawn("netpipe-receiver", move |_| loop {
-            match link.recv(Duration::from_millis(50)) {
-                RecvOutcome::Frame(Frame::Data(bytes)) => {
-                    if let Some(inbox) = &inbox {
+        *slot = Some(Worker::spawn("netpipe-receiver", move |_| {
+            // One batch, reused read after read.
+            let mut batch: Vec<Item> = Vec::new();
+            let mut wait = IDLE;
+            loop {
+                let outcome = link.recv(wait);
+                if let RecvOutcome::Frame(Frame::Data(bytes)) = outcome {
+                    if inbox.is_some() {
                         // The bytes fast path: the inbox item shares the
                         // frame buffer, no copy and no payload box.
-                        if !inbox.put(Item::bytes(bytes)) {
-                            rx_stats.refused.fetch_add(1, Ordering::Relaxed);
+                        batch.push(Item::bytes(bytes));
+                    }
+                    wait = Duration::ZERO;
+                    continue;
+                }
+                // The data read so far goes in before whatever followed
+                // it on the wire.
+                if let (Some(inbox), false) = (&inbox, batch.is_empty()) {
+                    let refused = inbox.put_all(batch.drain(..));
+                    rx_stats
+                        .refused
+                        .fetch_add(refused as u64, Ordering::Relaxed);
+                }
+                let idle = wait == IDLE;
+                wait = IDLE;
+                match outcome {
+                    RecvOutcome::Frame(Frame::Event(ev)) => on_event(ev.into()),
+                    RecvOutcome::Frame(_) => {}
+                    RecvOutcome::TimedOut => {
+                        if idle && inbox.is_none() && abandoned(&link) {
+                            return;
                         }
                     }
-                }
-                RecvOutcome::Frame(Frame::Event(ev)) => on_event(ev.into()),
-                RecvOutcome::Frame(_) => {}
-                RecvOutcome::TimedOut => {
-                    if inbox.is_none() && abandoned(&link) {
+                    RecvOutcome::Fin | RecvOutcome::Closed => {
+                        if let Some(inbox) = &inbox {
+                            inbox.finish();
+                        }
                         return;
                     }
-                }
-                RecvOutcome::Fin | RecvOutcome::Closed => {
-                    if let Some(inbox) = &inbox {
-                        inbox.finish();
-                    }
-                    return;
                 }
             }
         })?);

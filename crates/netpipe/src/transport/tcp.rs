@@ -6,6 +6,14 @@
 //! inbox by the default `bind_receiver` thread, "network packets …
 //! mapped to messages by the platform" (§4).
 //!
+//! The receive side works per read, not per frame. A read lands up to
+//! 64 KiB in the reader's parse buffer; the complete frames in it are
+//! copied once into one pooled buffer, and each data frame is a view of
+//! it. `recv` serves those frames one per call without touching the
+//! socket, and the receive pump puts all of a read's data frames into
+//! the inbox at once. So the receive pool counts reads, not frames, and
+//! a data frame pins its read's buffer until its last view drops.
+//!
 //! TCP is reliable: a data frame the link accepts is never dropped. The
 //! one exception is refused up front: a frame above `MAX_FRAME` (64 MiB),
 //! which the peer's reader would take for a broken stream, is shed at
@@ -152,24 +160,37 @@ fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
 // The link
 // ---------------------------------------------------------------------
 
-/// Incremental frame reader: partial frames survive timed-out polls, so
-/// a slow-arriving large frame is never corrupted by polling `recv`.
+/// The parse buffer's size: the most one socket read lands, and so the
+/// most one read's pooled buffer holds, unless a single frame is longer.
+const READ_BUF: usize = 64 << 10;
+
+/// Incremental frame reader, one copy per read: the socket reads into
+/// the parse buffer, and the complete frames at its front are copied
+/// once, headers and all, into one pooled buffer. Every data frame of
+/// that read is then a view of it, and the partial frame left behind
+/// moves to the front. Partial frames survive timed-out polls, so a
+/// slow-arriving large frame is never corrupted by polling `recv`.
 struct FrameReader {
     stream: TcpStream,
+    /// The parse buffer, always at its full length: `buf[..filled]` is
+    /// received and not yet sealed, and the socket reads into the rest.
+    /// [`READ_BUF`] long, except while one frame needs more: then it
+    /// grows with the bytes actually received, at most doubling, never
+    /// by what a length prefix announces.
     buf: Vec<u8>,
-    /// Bytes before `pos` are consumed; frames parse from `buf[pos..]`.
-    /// The buffer is compacted only before a refill, so a read that
-    /// lands dozens of small frames costs one memmove total instead of
-    /// one per frame.
-    pos: usize,
-    /// Receive-side buffer pool: data payloads are sealed into recycled
-    /// buffers, so the steady-state read path allocates nothing while
+    filled: usize,
+    /// The complete frames of the last read, sealed; frames are served
+    /// from `sealed[next..]`, and the buffer is let go after the last.
+    sealed: WireBytes,
+    next: usize,
+    /// Receive-side buffer pool: each read is sealed into a recycled
+    /// buffer, so the steady-state read path allocates nothing while
     /// the buffers in flight fit the pool's per-class budget.
     pool: BufferPool,
 }
 
 enum ReadStep {
-    /// A data frame, sealed straight out of the stream buffer.
+    /// A data frame: a view of its read's sealed buffer.
     Data(WireBytes),
     /// A control-lane frame (event/control/fin) with its raw payload —
     /// kept as a `Vec` so `Frame::Control` needs no second copy.
@@ -179,62 +200,125 @@ enum ReadStep {
     Broken,
 }
 
+/// The header at the front of `bytes`: the frame's kind and payload
+/// length, or `None` while fewer than [`HEADER_LEN`] bytes are there.
+/// `Err` for a kind no writer sends or a length above `MAX_FRAME`.
+fn header(bytes: &[u8]) -> Result<Option<(FrameKind, usize)>, ()> {
+    let Some(header) = bytes.get(..HEADER_LEN) else {
+        return Ok(None);
+    };
+    let kind = FrameKind::from_byte(header[0]).map_err(|_| ())?;
+    let len = u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize;
+    if len > MAX_FRAME {
+        return Err(());
+    }
+    Ok(Some((kind, len)))
+}
+
 impl FrameReader {
-    /// Tries to complete one frame before `deadline`.
-    fn read_frame_by(&mut self, deadline: Instant) -> ReadStep {
+    fn new(stream: TcpStream, pool: BufferPool) -> FrameReader {
+        FrameReader {
+            stream,
+            buf: vec![0; READ_BUF],
+            filled: 0,
+            sealed: WireBytes::new(),
+            next: 0,
+            pool,
+        }
+    }
+
+    /// The next frame, waiting at most `timeout` for the socket; a zero
+    /// `timeout` serves only frames already read.
+    fn read_frame(&mut self, timeout: Duration) -> ReadStep {
+        let mut deadline = None;
         loop {
-            // A complete `[kind][len: u32 LE][payload]` at the cursor?
-            let pending = &self.buf[self.pos..];
-            if pending.len() >= 5 {
-                let Ok(kind) = FrameKind::from_byte(pending[0]) else {
-                    return ReadStep::Broken;
-                };
-                let len = u32::from_le_bytes(pending[1..5].try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME {
-                    return ReadStep::Broken;
-                }
-                if pending.len() >= 5 + len {
-                    // One read-side copy out of the stream buffer, into
-                    // whichever representation the frame kind needs.
-                    let step = match kind {
-                        FrameKind::Data => {
-                            let mut b = self.pool.acquire(len);
-                            b.buf_mut().extend_from_slice(&pending[5..5 + len]);
-                            ReadStep::Data(b.seal())
-                        }
-                        other => ReadStep::Ctrl(other, pending[5..5 + len].to_vec()),
-                    };
-                    self.pos += 5 + len;
-                    if self.pos == self.buf.len() {
-                        self.buf.clear();
-                        self.pos = 0;
-                    }
-                    return step;
-                }
+            if let Some(step) = self.next_sealed() {
+                return step;
+            }
+            match self.seal_complete() {
+                Ok(true) => continue,
+                Ok(false) => {}
+                Err(()) => return ReadStep::Broken,
             }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return ReadStep::TimedOut;
             }
-            // About to refill: reclaim the consumed prefix so the buffer
-            // stays bounded by one read plus one partial frame.
-            if self.pos > 0 {
-                self.buf.drain(..self.pos);
-                self.pos = 0;
+            if self.filled == self.buf.len() {
+                // One frame fills the buffer: double it, at most to the
+                // frame's length, so what it holds stays at least half
+                // received bytes.
+                let (_, len) = header(&self.buf).ok().flatten().expect("checked by seal");
+                let grown = (2 * self.buf.len()).min(HEADER_LEN + len);
+                self.buf.reserve_exact(grown - self.buf.len());
+                self.buf.resize(grown, 0);
             }
             let _ = self
                 .stream
                 .set_read_timeout(Some((deadline - now).max(Duration::from_millis(1))));
-            let mut tmp = [0u8; 16 * 1024];
-            match self.stream.read(&mut tmp) {
+            match self.stream.read(&mut self.buf[self.filled..]) {
                 Ok(0) => return ReadStep::Eof,
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
+                Ok(n) => self.filled += n,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut => {}
                 Err(_) => return ReadStep::Broken,
             }
         }
+    }
+
+    /// Serves the next frame of the sealed read, if one is left.
+    fn next_sealed(&mut self) -> Option<ReadStep> {
+        let (kind, len) = header(&self.sealed[self.next..]).expect("validated when sealed")?;
+        let start = self.next + HEADER_LEN;
+        let end = start + len;
+        let step = match kind {
+            FrameKind::Data => ReadStep::Data(self.sealed.slice(start..end)),
+            other => ReadStep::Ctrl(other, self.sealed[start..end].to_vec()),
+        };
+        self.next = end;
+        if end == self.sealed.len() {
+            // Served out: the frames' own views keep the buffer alive
+            // for as long as anyone needs it, and no longer.
+            self.sealed = WireBytes::new();
+            self.next = 0;
+        }
+        Some(step)
+    }
+
+    /// Seals the complete frames at the front of the parse buffer into
+    /// one pooled buffer and moves the partial tail to the front; `false`
+    /// if not one frame is complete. `Err` if the first frame's header is
+    /// malformed (a malformed header after good frames is reported once
+    /// they are served).
+    fn seal_complete(&mut self) -> Result<bool, ()> {
+        let received = &self.buf[..self.filled];
+        let mut complete = 0;
+        loop {
+            match header(&received[complete..]) {
+                Ok(Some((_, len))) if received.len() - complete - HEADER_LEN >= len => {
+                    complete += HEADER_LEN + len;
+                }
+                Err(()) if complete == 0 => return Err(()),
+                _ => break,
+            }
+        }
+        if complete == 0 {
+            return Ok(false);
+        }
+        let mut sealed = self.pool.acquire(complete);
+        sealed.buf_mut().extend_from_slice(&received[..complete]);
+        self.sealed = sealed.seal();
+        self.next = 0;
+        self.buf.copy_within(complete..self.filled, 0);
+        self.filled -= complete;
+        if self.buf.len() > READ_BUF && self.filled <= READ_BUF {
+            // The long frame is out: back to the usual size.
+            self.buf.truncate(READ_BUF);
+            self.buf.shrink_to_fit();
+        }
+        Ok(true)
     }
 }
 
@@ -300,12 +384,7 @@ impl TcpLink {
             inner: Arc::new(TcpInner {
                 peer: PeerIdentity::new("tcp", peer_addr.to_string()),
                 tx,
-                reader: Mutex::new(Some(FrameReader {
-                    stream,
-                    buf: Vec::new(),
-                    pos: 0,
-                    pool: rx_pool.clone(),
-                })),
+                reader: Mutex::new(Some(FrameReader::new(stream, rx_pool.clone()))),
                 fin_seen: AtomicBool::new(false),
                 stats,
                 rx_pool,
@@ -316,8 +395,9 @@ impl TcpLink {
         })
     }
 
-    /// Statistics of the receive-side buffer pool: hit/miss counts and
-    /// the number of payload buffers still checked out downstream.
+    /// Statistics of the receive-side buffer pool: hit/miss counts (one
+    /// acquire per socket read that completed a frame, not per frame)
+    /// and the number of read buffers still pinned by frames downstream.
     #[must_use]
     pub fn pool_stats(&self) -> infopipes::PoolStats {
         self.inner.rx_pool.stats()
@@ -343,12 +423,11 @@ impl Link for TcpLink {
         if self.inner.fin_seen.load(Ordering::Acquire) {
             return RecvOutcome::Fin;
         }
-        let deadline = Instant::now() + timeout;
         let mut guard = self.inner.reader.lock();
         let Some(reader) = guard.as_mut() else {
             return RecvOutcome::Closed;
         };
-        match reader.read_frame_by(deadline) {
+        match reader.read_frame(timeout) {
             ReadStep::Data(payload) => {
                 self.inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
                 RecvOutcome::Frame(Frame::Data(payload))
@@ -539,10 +618,192 @@ impl std::fmt::Debug for TcpAcceptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infopipes::PayloadBytes;
+    use infopipes::helpers::CollectSink;
+    use infopipes::{BufferSpec, FreePump, PayloadBytes, Pipeline};
+    use mbthread::{Kernel, KernelConfig};
+    use proptest::TestRng;
+    use std::io::Write;
 
     fn data(bytes: Vec<u8>) -> Frame {
         Frame::Data(PayloadBytes::from(bytes))
+    }
+
+    /// A server link accepted from a raw client socket, which the test
+    /// writes wire bytes into by hand.
+    fn raw_pair() -> (TcpStream, TcpLink) {
+        let acceptor = TcpTransport::new().listen("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(acceptor.local_addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        (raw, acceptor.accept().unwrap())
+    }
+
+    /// `frame` as the writer puts it on the wire.
+    fn wire_bytes(frame: &Frame) -> Vec<u8> {
+        let (kind, payload) = match frame {
+            Frame::Data(bytes) => (FrameKind::Data, bytes.to_vec()),
+            Frame::Event(ev) => (FrameKind::Event, wire::to_bytes(ev).unwrap()),
+            Frame::Control(bytes) => (FrameKind::Control, bytes.clone()),
+            Frame::Fin => (FrameKind::Fin, Vec::new()),
+        };
+        let mut out = encode_header(kind, payload.len()).to_vec();
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// Every frame the link has read so far, until a poll times out.
+    fn drain(link: &TcpLink) -> Vec<Frame> {
+        let mut got = Vec::new();
+        loop {
+            match link.recv(Duration::from_millis(10)) {
+                RecvOutcome::Frame(frame) => got.push(frame),
+                RecvOutcome::TimedOut => return got,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    fn random_frame(rng: &mut TestRng, n: usize) -> Frame {
+        let len = match rng.below(10) {
+            0..=4 => rng.below(64),
+            5..=7 => rng.below(4 << 10),
+            _ => rng.below(200 << 10),
+        };
+        let bytes: Vec<u8> = (0..len).map(|i| (i + n) as u8).collect();
+        match rng.below(10) {
+            0 => Frame::Event(WireEvent::SetRate(n as f64)),
+            1 => Frame::Control(bytes),
+            _ => data(bytes),
+        }
+    }
+
+    /// Frames of random kind and size (some longer than the parse
+    /// buffer) written in random pieces, split inside headers too, arrive
+    /// once each and in order; the data frames one read completes are
+    /// views of one pooled buffer (two when the piece overflows the parse
+    /// buffer), and nothing stays checked out once they drop.
+    #[test]
+    fn frames_in_random_pieces_arrive_in_order_one_buffer_per_read() {
+        let mut rng = TestRng::deterministic("tcp_reader_pieces");
+        for _ in 0..5 {
+            let (mut raw, link) = raw_pair();
+            let frames: Vec<Frame> = (0..30).map(|n| random_frame(&mut rng, n)).collect();
+            let bytes: Vec<u8> = frames.iter().flat_map(wire_bytes).collect();
+            let mut got = Vec::new();
+            let mut at = 0;
+            while at < bytes.len() {
+                // Up to 40 KiB, often under a header's length.
+                let piece = match rng.below(3) {
+                    0 => 1 + rng.below(HEADER_LEN),
+                    _ => 1 + rng.below(40 << 10),
+                };
+                let end = (at + piece).min(bytes.len());
+                raw.write_all(&bytes[at..end]).unwrap();
+                at = end;
+                let read = drain(&link);
+                let views: Vec<&PayloadBytes> = read
+                    .iter()
+                    .filter_map(|f| match f {
+                        Frame::Data(bytes) => Some(bytes),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(views.iter().all(|v| v.is_pooled()));
+                let buffers = 1 + views
+                    .windows(2)
+                    .filter(|w| !w[0].shares_allocation_with(w[1]))
+                    .count();
+                assert!(views.is_empty() || buffers <= 2, "{buffers} buffers");
+                got.extend(read);
+            }
+            assert_eq!(got, frames);
+            drop(got);
+            assert_eq!(link.pool_stats().outstanding, 0);
+        }
+    }
+
+    /// A length prefix is a claim, not a reservation: a header announcing
+    /// `MAX_FRAME` followed by 1 KiB and end of stream grows nothing, and
+    /// the link reads closed.
+    #[test]
+    fn a_hostile_length_prefix_reserves_nothing() {
+        let (mut raw, link) = raw_pair();
+        raw.write_all(&encode_header(FrameKind::Data, MAX_FRAME))
+            .unwrap();
+        raw.write_all(&[7; 1024]).unwrap();
+        drop(raw);
+        assert!(matches!(
+            link.recv(Duration::from_secs(10)),
+            RecvOutcome::Closed
+        ));
+        let reader = link.inner.reader.lock();
+        let capacity = reader.as_ref().expect("reader").buf.capacity();
+        assert!(capacity <= 128 << 10, "parse buffer grew to {capacity}");
+    }
+
+    /// Many small frames in one write seal into a handful of pool
+    /// buffers: one per read, not one per frame.
+    #[test]
+    fn small_frames_of_one_write_seal_per_read() {
+        const FRAMES: usize = 2000;
+        let (mut raw, link) = raw_pair();
+        let frames: Vec<Frame> = (0..FRAMES).map(|n| data(vec![n as u8; 27])).collect();
+        let bytes: Vec<u8> = frames.iter().flat_map(wire_bytes).collect();
+        raw.write_all(&bytes).unwrap();
+        let got = drain(&link);
+        assert_eq!(got, frames);
+        let stats = link.pool_stats();
+        let bound = bytes.len().div_ceil(READ_BUF) as u64 + 1;
+        assert!(
+            stats.hits + stats.misses <= bound,
+            "{FRAMES} frames took {} pool buffers, more than {bound}",
+            stats.hits + stats.misses
+        );
+    }
+
+    /// The receive pump keeps the wire's order across lanes: an event
+    /// between two data frames of one read is delivered after the first
+    /// is in the inbox and before the second.
+    #[test]
+    fn an_event_flushes_the_data_ahead_of_it() {
+        let kernel = Kernel::new(KernelConfig::default());
+        {
+            let (mut raw, link) = raw_pair();
+            let consumer = Pipeline::new(&kernel, "consumer");
+            let (inbox, inbox_sender) = consumer.add_inbox("net-in", BufferSpec::bounded(16));
+            let pump = consumer.add_pump("pump", FreePump::new());
+            let (sink, got) = CollectSink::<PayloadBytes>::new("sink");
+            let sink = consumer.add_consumer("sink", sink);
+            let _ = inbox >> pump >> sink;
+            let running = consumer.start().unwrap();
+            running.start_flow().unwrap();
+            let probe = running.probe("net-in").expect("inbox probe");
+            let puts_at_event = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&puts_at_event);
+            link.bind_receiver(Some(inbox_sender), move |_| {
+                seen.lock().push(probe.stats().puts);
+            })
+            .unwrap();
+
+            let bytes: Vec<u8> = [
+                data(vec![1, 2, 3]),
+                Frame::Event(WireEvent::Start),
+                data(vec![4, 5]),
+            ]
+            .iter()
+            .flat_map(wire_bytes)
+            .collect();
+            raw.write_all(&bytes).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while got.lock().len() < 2 {
+                assert!(Instant::now() < deadline, "stalled at {:?}", got.lock());
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(*puts_at_event.lock(), [1]);
+            let got: Vec<Vec<u8>> = got.lock().iter().map(PayloadBytes::to_vec).collect();
+            assert_eq!(got, [vec![1, 2, 3], vec![4, 5]]);
+            drop((raw, link, running));
+        }
+        kernel.shutdown();
     }
 
     /// A data frame above `MAX_FRAME` is shed at `send` and counted; the
