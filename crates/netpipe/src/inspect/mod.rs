@@ -39,6 +39,8 @@
 mod schema;
 mod server;
 
+#[cfg(test)]
+pub(crate) use schema::InspectReply;
 pub use schema::{WireEntity, WireMetric, WireSnapshot, WireSource, WireValue, SCHEMA_VERSION};
 pub use server::{InspectClient, InspectError, InspectServer};
 

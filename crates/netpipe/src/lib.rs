@@ -69,6 +69,8 @@ mod remote;
 mod serve;
 mod transport;
 pub mod wire;
+#[cfg(test)]
+mod wire_golden;
 mod worker;
 
 pub use framing::{read_frame_in, write_frame, FrameKind};

@@ -214,3 +214,11 @@ fn sim_snapshots_are_deterministic() {
         "two virtual-time runs must produce byte-identical snapshots"
     );
 }
+
+/// The snapshot JSON is pinned: the renderer, the schema and the
+/// manifold's sources render exactly what the committed file holds.
+#[test]
+fn sim_snapshot_json_matches_the_committed_rendering() {
+    let golden = include_str!("golden/inspect_sim_snapshot.json");
+    assert_eq!(sim_snapshot_json(), golden.trim_end());
+}
