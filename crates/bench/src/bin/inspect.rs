@@ -19,9 +19,9 @@
 
 use feedback::{readings, FeedbackLoop, UnifiedCongestionController};
 use infopipes::helpers::IterSource;
-use infopipes::{BufferPool, FreePump, Pipeline, StatsRegistry};
+use infopipes::{BufferPool, FreePump, Pipeline, StatsRegistry, StatsSnapshot};
 use mbthread::{Kernel, KernelConfig};
-use netpipe::inspect::{self, InspectClient, InspectServer, WireSnapshot, SCHEMA_VERSION};
+use netpipe::inspect::{self, InspectClient, InspectServer, SCHEMA_VERSION};
 use netpipe::{
     Acceptor, Marshal, NetSendEnd, ServeConfig, SessionRegistry, SimConfig, SimTransport,
     TcpTransport, Transport, Unmarshal,
@@ -150,11 +150,13 @@ fn self_hosted() -> Demo {
 
 /// The CI gates: what a schema-valid, non-empty, manifold-covering
 /// snapshot must contain.
-fn gates(snap: &WireSnapshot) -> Vec<(&'static str, bool)> {
-    let subsystems = snap.subsystems();
-    let has = |s: &str| subsystems.contains(&s);
+///
+/// `fetch` has already refused a snapshot of another schema version than
+/// this client's, so the first gate pins this client's.
+fn gates(snap: &StatsSnapshot) -> Vec<(&'static str, bool)> {
+    let has = |s: &str| snap.sources.iter().any(|src| src.subsystem == s);
     vec![
-        ("schema_version_1", snap.version == SCHEMA_VERSION),
+        ("schema_version_1", SCHEMA_VERSION == 1),
         ("snapshot_nonempty", !snap.sources.is_empty()),
         ("covers_serve", has("serve")),
         ("covers_transport", has("transport")),
@@ -207,12 +209,12 @@ fn main() {
         loop {
             let snap = client.fetch().expect("fetch snapshot");
             if json {
-                println!("{}", snap.to_json());
+                println!("{}", inspect::to_json(&snap));
             } else {
                 if watch {
                     print!("\x1b[2J\x1b[H");
                 }
-                print!("{}", snap.render_table());
+                print!("{}", inspect::render_table(&snap));
             }
             if !watch {
                 return;
@@ -229,7 +231,7 @@ fn main() {
         // terminates on its own.
         for _ in 0..5 {
             let snap = client.fetch().expect("fetch snapshot");
-            print!("\x1b[2J\x1b[H{}", snap.render_table());
+            print!("\x1b[2J\x1b[H{}", inspect::render_table(&snap));
             std::io::stdout().flush().ok();
             std::thread::sleep(Duration::from_millis(500));
         }
@@ -239,9 +241,9 @@ fn main() {
 
     let snap = client.fetch().expect("fetch snapshot");
     if json {
-        println!("{}", snap.to_json());
+        println!("{}", inspect::to_json(&snap));
     } else {
-        print!("{}", snap.render_table());
+        print!("{}", inspect::render_table(&snap));
     }
 
     if smoke {
@@ -265,7 +267,7 @@ fn main() {
             ),
             failed.is_empty(),
             gate_rows.join(",\n"),
-            snap.to_json()
+            inspect::to_json(&snap)
         );
         let mut f = std::fs::File::create("BENCH_inspect.json").expect("create BENCH_inspect.json");
         f.write_all(report.as_bytes()).expect("write json");

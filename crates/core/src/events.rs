@@ -15,13 +15,16 @@
 
 use crate::item::Item;
 use mbthread::{Constraint, Message, Priority};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A control event exchanged between pipeline components.
 ///
 /// Events are cheap to clone so the event service can broadcast them.
-#[derive(Clone, Debug, PartialEq)]
+/// Netpipes carry them as they are: the variant and field order is the
+/// wire format, so a new variant goes last.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ControlEvent {
     /// Start the pipeline: pumps begin scheduling cycles.
     Start,
@@ -44,7 +47,7 @@ pub enum ControlEvent {
     /// sequence number (the paper's reference-frame release example).
     FrameRelease(u64),
     /// A named application event carrying an optional scalar, e.g. a
-    /// feedback report. Kept marshalling-friendly for netpipes.
+    /// feedback report.
     Custom {
         /// Event name, used for dispatch.
         name: Arc<str>,

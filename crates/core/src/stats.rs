@@ -20,14 +20,19 @@
 //! `(subsystem, name)`, so two snapshots of the same quiescent process
 //! render identically (the inspector's wire schema and the simulator
 //! tests rely on this).
+//!
+//! The snapshot tree is serializable as it stands: the inspector sends a
+//! [`StatsSnapshot`] over the wire, so its field and variant order is
+//! that wire format.
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One sampled value: monotone counter, instantaneous gauge, or label.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum MetricValue {
     /// A monotonically non-decreasing count (frames sent, bytes, errors).
     Counter(u64),
@@ -40,7 +45,7 @@ pub enum MetricValue {
 impl MetricValue {
     /// The numeric value, if this metric has one.
     #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             MetricValue::Counter(v) => Some(*v as f64),
             MetricValue::Gauge(v) => Some(*v),
@@ -50,12 +55,12 @@ impl MetricValue {
 }
 
 /// A named, typed measurement with its unit.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Metric {
     /// Metric name, unique within its source (e.g. `"sent"`).
     pub name: String,
     /// Unit label (e.g. `"frames"`, `"bytes"`, `"fraction"`, `""`).
-    pub unit: &'static str,
+    pub unit: String,
     /// The sampled value.
     pub value: MetricValue,
 }
@@ -66,7 +71,7 @@ impl Metric {
     pub fn counter(name: impl Into<String>, unit: &'static str, value: u64) -> Metric {
         Metric {
             name: name.into(),
-            unit,
+            unit: unit.to_owned(),
             value: MetricValue::Counter(value),
         }
     }
@@ -76,7 +81,7 @@ impl Metric {
     pub fn gauge(name: impl Into<String>, unit: &'static str, value: f64) -> Metric {
         Metric {
             name: name.into(),
-            unit,
+            unit: unit.to_owned(),
             value: MetricValue::Gauge(value),
         }
     }
@@ -86,7 +91,7 @@ impl Metric {
     pub fn text(name: impl Into<String>, value: impl Into<String>) -> Metric {
         Metric {
             name: name.into(),
-            unit: "",
+            unit: String::new(),
             value: MetricValue::Text(value.into()),
         }
     }
@@ -95,7 +100,7 @@ impl Metric {
 /// Metrics for one entity in a source's roster (one session of a
 /// registry, one lane of a fan-out) — sources with per-entity detail
 /// report one sample per entity alongside their aggregate metrics.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EntitySample {
     /// Entity id, unique within the source (e.g. a session id).
     pub id: String,
@@ -131,7 +136,7 @@ impl From<Vec<Metric>> for SourceBody {
 }
 
 /// One source's contribution to a [`StatsSnapshot`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SourceSample {
     /// The source's registered name (e.g. `"broadcast-link"`).
     pub source: String,
@@ -152,7 +157,7 @@ impl SourceSample {
 }
 
 /// A point-in-time sample of every registered source.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// 1-based snapshot sequence number of the producing registry.
     pub seq: u64,

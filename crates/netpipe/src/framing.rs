@@ -1,12 +1,20 @@
-//! Length-prefixed framing for *any* stream-oriented transport backend.
+//! Frame encoding for every transport backend and trace that turns
+//! frames into bytes.
 //!
-//! Each frame is `[kind: u8][len: u32 LE][payload: len bytes]`. The
-//! codec is written against `io::Read`/`io::Write`, so every transport
-//! that runs over an ordered byte stream (TCP today; QUIC streams or
-//! Unix sockets tomorrow) reuses it unchanged — backends with message
-//! boundaries of their own (the simulator, in-process lanes) skip it
-//! entirely and carry [`Frame`](crate::Frame) values directly.
+//! A [`Frame`] is a [`FrameKind`] plus payload bytes; `frame_to_parts`
+//! and `frame_from_parts` are the one mapping between the two, shared
+//! by TCP (both directions), UDP (one frame per datagram, tagged with
+//! the kind byte) and NPTRACE records. Backends with message boundaries
+//! of their own (the simulator, in-process lanes) carry [`Frame`]
+//! values directly.
+//!
+//! On a byte stream each frame is `[kind: u8][len: u32 LE][payload: len
+//! bytes]`. That codec is written against `io::Read`/`io::Write`, so
+//! every transport that runs over an ordered byte stream (TCP today;
+//! QUIC streams or Unix sockets tomorrow) reuses it unchanged.
 
+use crate::transport::Frame;
+use crate::wire::{self, WireError};
 use infopipes::{BufferPool, PayloadBytes};
 use std::io::{self, IoSlice, Read, Write};
 
@@ -47,6 +55,34 @@ impl FrameKind {
             }
         })
     }
+}
+
+/// A frame's kind and payload bytes: data shares its buffer, an event is
+/// wire-encoded, control bytes are copied, `Fin` is empty.
+///
+/// # Errors
+///
+/// A [`WireError`] if an event fails to encode.
+pub(crate) fn frame_to_parts(frame: &Frame) -> Result<(FrameKind, PayloadBytes), WireError> {
+    Ok(match frame {
+        Frame::Data(bytes) => (FrameKind::Data, bytes.clone()),
+        Frame::Event(ev) => (FrameKind::Event, wire::to_payload(ev)?),
+        Frame::Control(bytes) => (FrameKind::Control, PayloadBytes::from(bytes.as_slice())),
+        Frame::Fin => (FrameKind::Fin, PayloadBytes::new()),
+    })
+}
+
+/// The frame a kind and its payload bytes encode; a data frame keeps the
+/// payload buffer. `None` for an event payload that fails to decode:
+/// every reader skips that frame and reads on, since the framing around
+/// it still marks where the next frame starts.
+pub(crate) fn frame_from_parts(kind: FrameKind, payload: PayloadBytes) -> Option<Frame> {
+    Some(match kind {
+        FrameKind::Data => Frame::Data(payload),
+        FrameKind::Event => Frame::Event(wire::from_bytes(&payload).ok()?),
+        FrameKind::Control => Frame::Control(payload.to_vec()),
+        FrameKind::Fin => Frame::Fin,
+    })
 }
 
 /// Maximum accepted frame payload (64 MiB): a corrupted length prefix must

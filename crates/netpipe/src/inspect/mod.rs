@@ -18,10 +18,11 @@
 //!    [`register_saturation`], [`register_process_globals`]) that adapt
 //!    each subsystem's native stats type to the registry's
 //!    metric/entity model under a stable subsystem label.
-//! 2. A **versioned wire schema** ([`WireSnapshot`], [`SCHEMA_VERSION`])
-//!    framing snapshots as [`Frame::Control`](crate::Frame) payloads via
-//!    the [`crate::wire`] codec, plus hand-built JSON and table
-//!    renderings.
+//! 2. A **versioned wire schema** ([`SCHEMA_VERSION`]) framing core's
+//!    [`StatsSnapshot`](infopipes::StatsSnapshot) itself as
+//!    [`Frame::Control`](crate::Frame) payloads via the [`crate::wire`]
+//!    codec, plus hand-built JSON and table renderings ([`to_json`],
+//!    [`render_table`]).
 //! 3. A **control-channel server and client** ([`InspectServer`],
 //!    [`InspectClient`]) running the request/reply exchange over *any*
 //!    [`Transport`]
@@ -41,8 +42,8 @@ mod server;
 
 #[cfg(test)]
 pub(crate) use schema::InspectReply;
-pub use schema::{WireEntity, WireMetric, WireSnapshot, WireSource, WireValue, SCHEMA_VERSION};
-pub use server::{InspectClient, InspectError, InspectServer};
+pub use schema::{render_table, to_json, SCHEMA_VERSION};
+pub use server::{InspectClient, InspectServer};
 
 use crate::marshal::UnmarshalCounters;
 use crate::serve::SessionRegistry;

@@ -2,7 +2,7 @@
 //!
 //! An [`InspectServer`] parks the crate's shared accept loop on any
 //! [`Acceptor`] and answers [`InspectRequest`]s on each
-//! accepted link with a freshly sampled [`WireSnapshot`]. Each client
+//! accepted link with a freshly sampled [`StatsSnapshot`]. Each client
 //! gets a handler thread the accept loop owns: reaped as soon as the
 //! client goes, stopped and joined with the server. The exchange
 //! uses only [`Frame::Control`] frames, so it runs unchanged over
@@ -12,58 +12,16 @@
 //!
 //! The client side, [`InspectClient`], is symmetric: connect over any
 //! [`Transport`], call [`fetch`](InspectClient::fetch), get one
-//! coherent [`WireSnapshot`].
+//! coherent [`StatsSnapshot`]. It runs the same request/reply exchange
+//! as [`RemoteClient`](crate::RemoteClient), under the same timeout and
+//! [`RemoteError`].
 
-use super::schema::{InspectReply, InspectRequest, WireSnapshot, SCHEMA_VERSION};
+use super::schema::{InspectReply, InspectRequest, SCHEMA_VERSION};
+use crate::proto::{request, send_ctrl, RemoteError, POLL};
 use crate::transport::{Acceptor, Frame, Link, RecvOutcome, Transport};
 use crate::wire;
 use crate::worker::{spawn_accept_loop, Accepted, Stop, Worker};
-use infopipes::StatsRegistry;
-use std::fmt;
-use std::time::Duration;
-
-/// How long the client waits for a snapshot reply before giving up.
-const CTRL_TIMEOUT: Duration = Duration::from_secs(20);
-/// Poll granularity for receive loops.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Errors of the inspector protocol.
-#[derive(Debug)]
-pub enum InspectError {
-    /// A transport error.
-    Transport(crate::TransportError),
-    /// A malformed protocol message.
-    Wire(String),
-    /// The peer violated the protocol (wrong frame, timeout, closed).
-    Protocol(String),
-    /// The server speaks a different schema version.
-    Version {
-        /// The version the server announced.
-        got: u32,
-    },
-}
-
-impl fmt::Display for InspectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InspectError::Transport(e) => write!(f, "transport error: {e}"),
-            InspectError::Wire(s) => write!(f, "malformed message: {s}"),
-            InspectError::Protocol(s) => write!(f, "protocol violation: {s}"),
-            InspectError::Version { got } => write!(
-                f,
-                "schema version mismatch: server speaks v{got}, client speaks v{SCHEMA_VERSION}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InspectError {}
-
-impl From<crate::TransportError> for InspectError {
-    fn from(e: crate::TransportError) -> Self {
-        InspectError::Transport(e)
-    }
-}
+use infopipes::{StatsRegistry, StatsSnapshot};
 
 /// A running inspector endpoint: an accept loop plus one handler thread
 /// per connected client, each answering snapshot requests from a shared
@@ -117,12 +75,8 @@ fn handle_link<L: Link>(link: &L, registry: &StatsRegistry, stop: &Stop) {
                 let InspectRequest::Snapshot(_client_version) = req;
                 // v1 serves every client; the reply carries the server
                 // version so the client decides compatibility.
-                let snap = WireSnapshot::from(&registry.snapshot());
-                let reply = InspectReply::Snapshot(snap);
-                let Ok(bytes) = wire::to_bytes(&reply) else {
-                    return;
-                };
-                if !link.send(Frame::Control(bytes)).accepted() {
+                let reply = InspectReply::Snapshot(SCHEMA_VERSION, registry.snapshot());
+                if send_ctrl(link, &reply).is_err() {
                     return;
                 }
             }
@@ -143,11 +97,11 @@ impl<L: Link> InspectClient<L> {
     ///
     /// # Errors
     ///
-    /// [`InspectError::Transport`] when the connect fails.
+    /// [`RemoteError::Transport`] when the connect fails.
     pub fn connect<T: Transport<Link = L>>(
         transport: &T,
         addr: &str,
-    ) -> Result<InspectClient<L>, InspectError> {
+    ) -> Result<InspectClient<L>, RemoteError> {
         Ok(InspectClient {
             link: transport.connect(addr)?,
         })
@@ -163,44 +117,16 @@ impl<L: Link> InspectClient<L> {
     ///
     /// # Errors
     ///
-    /// [`InspectError::Transport`] if the request is not accepted,
-    /// [`InspectError::Wire`] on a malformed reply,
-    /// [`InspectError::Protocol`] on timeout or an unexpected frame,
-    /// [`InspectError::Version`] if the server speaks a different
+    /// [`RemoteError::Transport`] if the request is not accepted,
+    /// [`RemoteError::Wire`] on a malformed reply,
+    /// [`RemoteError::Protocol`] on timeout or an unexpected frame,
+    /// [`RemoteError::Version`] if the server speaks a different
     /// schema version.
-    pub fn fetch(&self) -> Result<WireSnapshot, InspectError> {
-        let req = wire::to_bytes(&InspectRequest::Snapshot(SCHEMA_VERSION))
-            .map_err(|e| InspectError::Wire(e.to_string()))?;
-        if !self.link.send(Frame::Control(req)).accepted() {
-            return Err(InspectError::Transport(crate::TransportError::Closed));
-        }
-        let deadline = std::time::Instant::now() + CTRL_TIMEOUT;
-        loop {
-            match self.link.recv(POLL) {
-                RecvOutcome::Frame(Frame::Control(payload)) => {
-                    let InspectReply::Snapshot(snap) = wire::from_bytes(&payload)
-                        .map_err(|e| InspectError::Wire(e.to_string()))?;
-                    if snap.version != SCHEMA_VERSION {
-                        return Err(InspectError::Version { got: snap.version });
-                    }
-                    return Ok(snap);
-                }
-                // Inspector links may coexist with event chatter; skip.
-                RecvOutcome::Frame(Frame::Event(_)) | RecvOutcome::TimedOut => {}
-                RecvOutcome::Frame(_) => {
-                    return Err(InspectError::Protocol(
-                        "expected a snapshot reply, got a data frame".into(),
-                    ));
-                }
-                RecvOutcome::Fin | RecvOutcome::Closed => {
-                    return Err(InspectError::Protocol("connection closed".into()));
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(InspectError::Protocol(
-                    "timed out waiting for a snapshot".into(),
-                ));
-            }
+    pub fn fetch(&self) -> Result<StatsSnapshot, RemoteError> {
+        let ask = InspectRequest::Snapshot(SCHEMA_VERSION);
+        match request(&self.link, &ask, "a snapshot reply")? {
+            InspectReply::Snapshot(SCHEMA_VERSION, snap) => Ok(snap),
+            InspectReply::Snapshot(got, _) => Err(RemoteError::Version { got }),
         }
     }
 }
@@ -228,6 +154,23 @@ mod tests {
             done.peak_handlers <= 8,
             "{} handlers were held at once for {CLIENTS} sequential clients",
             done.peak_handlers
+        );
+    }
+
+    /// A reply from a server of another schema version is refused with
+    /// the version it announced, not misdecoded.
+    #[test]
+    fn a_reply_of_another_schema_version_is_refused() {
+        let transport = InProcTransport::new();
+        let acceptor = transport.listen("inspect-v2").unwrap();
+        let client = InspectClient::connect(&transport, "inspect-v2").unwrap();
+        let server = acceptor.accept().unwrap();
+        let reply = InspectReply::Snapshot(SCHEMA_VERSION + 1, StatsSnapshot::default());
+        send_ctrl(&server, &reply).unwrap();
+        let err = client.fetch().unwrap_err();
+        assert!(
+            matches!(err, RemoteError::Version { got } if got == SCHEMA_VERSION + 1),
+            "{err:?}"
         );
     }
 }

@@ -75,15 +75,15 @@ mod worker;
 
 pub use framing::{read_frame_in, write_frame, FrameKind};
 pub use infopipes::{BufferPool, PayloadBytes, PoolStats};
-pub use inspect::{InspectClient, InspectError, InspectServer, WireSnapshot};
+pub use inspect::{InspectClient, InspectServer};
 pub use marshal::{Marshal, Unmarshal, UnmarshalCounters, WireBytes};
-pub use proto::WireEvent;
+pub use proto::RemoteError;
 pub use record::{
     ChannelDecl, ChunkIndexEntry, DigestProbe, DigestSink, Recorder, RecorderStats, RecordingLink,
     ReplayCounters, ReplayHandle, ReplayMode, Replayer, ScenarioConfig, TraceError, TraceFooter,
     TraceHeader, TraceReader, TraceRecord, TraceWriter,
 };
-pub use remote::{ComponentRegistry, RemoteClient, RemoteError, RemoteHost, SpecSummary};
+pub use remote::{ComponentRegistry, RemoteClient, RemoteHost, SpecSummary};
 pub use serve::{
     AcceptLoop, RegistryStats, ServeConfig, SessionId, SessionRegistry, SessionSnapshot,
     SessionState,

@@ -7,10 +7,10 @@
 //! the virtual clock, and sending every due record through
 //! [`Link::send_via`] before sleeping again. Sequential delivery is
 //! what preserves the control-overtakes-data property end to end: a
-//! [`FrameKind::Control`] or event record captured ahead of queued data
-//! is re-offered to the link in exactly that relative order, and the
-//! link's own control lane does the overtaking — the same division of
-//! labor as live traffic.
+//! [`FrameKind::Control`](crate::FrameKind::Control) or event record
+//! captured ahead of queued data is re-offered to the link in exactly
+//! that relative order, and the link's own control lane does the
+//! overtaking — the same division of labor as live traffic.
 //!
 //! Under a virtual-time kernel the entire replay is deterministic: the
 //! clock only advances to the next timer deadline, so every record is
@@ -20,11 +20,8 @@
 
 use super::format::{TraceError, TraceRecord};
 use super::reader::TraceReader;
-use crate::framing::FrameKind;
-use crate::proto::WireEvent;
-use crate::transport::{Frame, Link};
-use crate::wire;
-use infopipes::PayloadBytes;
+use crate::framing;
+use crate::transport::Link;
 use mbthread::{Ctx, Envelope, Flow, Kernel, Message, Tag, ThreadId, Time};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,24 +68,6 @@ impl ReplayCounters {
     }
 }
 
-/// Rebuilds a transport [`Frame`] from a recorded `(kind, payload)`.
-///
-/// Data payloads move zero-copy (the frame shares the trace chunk's
-/// buffer); events are wire-decoded; control bytes are copied out of
-/// the shared buffer into the `Vec` the frame variant requires.
-///
-/// # Errors
-///
-/// [`TraceError::Wire`] when an event payload fails to decode.
-fn record_to_frame(kind: FrameKind, payload: &PayloadBytes) -> Result<Frame, TraceError> {
-    Ok(match kind {
-        FrameKind::Data => Frame::Data(payload.clone()),
-        FrameKind::Event => Frame::Event(wire::from_bytes::<WireEvent>(payload.as_slice())?),
-        FrameKind::Control => Frame::Control(payload.as_slice().to_vec()),
-        FrameKind::Fin => Frame::Fin,
-    })
-}
-
 struct ReplayFn<L: Link> {
     records: Vec<TraceRecord>,
     next: usize,
@@ -106,7 +85,9 @@ impl<L: Link> ReplayFn<L> {
         let Some(link) = self.routes.get(&rec.channel) else {
             return;
         };
-        let Ok(frame) = record_to_frame(rec.kind, &rec.payload) else {
+        // Data moves zero-copy (the frame shares the trace chunk's
+        // buffer); an event that fails to decode is skipped.
+        let Some(frame) = framing::frame_from_parts(rec.kind, rec.payload.clone()) else {
             return;
         };
         let _ = link.send_via(&mut |to, msg| ctx.send(to, msg).is_ok(), frame);

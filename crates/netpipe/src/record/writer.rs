@@ -17,7 +17,6 @@ use super::format::{
 };
 use crate::framing::{self, FrameKind, MAX_FRAME};
 use crate::transport::{Frame, SimConfig};
-use crate::wire;
 use infopipes::PayloadBytes;
 use parking_lot::Mutex;
 use std::fs::File;
@@ -277,9 +276,10 @@ impl TraceWriter {
         Ok(())
     }
 
-    /// Records a transport [`Frame`]: data payloads are shared
-    /// (zero-copy); events are wire-encoded; control bytes are wrapped;
-    /// `Fin` is a zero-length record.
+    /// Records a transport [`Frame`] with the kind and bytes every
+    /// backend writes (`framing::frame_to_parts`): data payloads are
+    /// shared (zero-copy); events are wire-encoded; control bytes are
+    /// copied; `Fin` is a zero-length record.
     ///
     /// # Errors
     ///
@@ -290,12 +290,7 @@ impl TraceWriter {
         ts_ns: u64,
         frame: &Frame,
     ) -> Result<(), TraceError> {
-        let (kind, payload) = match frame {
-            Frame::Data(p) => (FrameKind::Data, p.clone()),
-            Frame::Event(ev) => (FrameKind::Event, wire::to_payload(ev)?),
-            Frame::Control(v) => (FrameKind::Control, PayloadBytes::from_vec(v.clone())),
-            Frame::Fin => (FrameKind::Fin, PayloadBytes::new()),
-        };
+        let (kind, payload) = framing::frame_to_parts(frame)?;
         self.record(channel, ts_ns, kind, payload)
     }
 
@@ -355,8 +350,9 @@ impl std::fmt::Debug for TraceWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::WireEvent;
     use crate::record::TraceReader;
+    use crate::wire;
+    use infopipes::ControlEvent;
     use std::path::PathBuf;
 
     struct TempTrace(PathBuf);
@@ -383,7 +379,7 @@ mod tests {
     fn record_frame_round_trips_every_frame_kind() {
         let path = TempTrace::new("frames");
         let writer = TraceWriter::create(&path.0, "frames", None).expect("create");
-        let event = WireEvent::SetDropLevel(2);
+        let event = ControlEvent::SetDropLevel(2);
         writer
             .record_frame(0, 1, &Frame::Data(PayloadBytes::from_vec(vec![1, 2, 3])))
             .expect("data");
@@ -412,7 +408,7 @@ mod tests {
                 (4, FrameKind::Fin, Vec::new()),
             ]
         );
-        let back: WireEvent =
+        let back: ControlEvent =
             wire::from_bytes(reader.records[1].payload.as_slice()).expect("decode");
         assert_eq!(back, event);
     }

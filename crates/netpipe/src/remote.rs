@@ -18,7 +18,7 @@
 //! `RemoteClient<SimLink>` run exactly the same code — swapping the
 //! transport swaps the wire, nothing else.
 
-use crate::proto::{CtrlMsg, WireEvent};
+use crate::proto::{recv_ctrl, request, send_ctrl, CtrlMsg, RemoteError, POLL};
 use crate::transport::{Frame, Link, PeerIdentity, RecvOutcome, Transport};
 use crate::wire;
 use crate::worker::Worker;
@@ -26,46 +26,10 @@ use infopipes::{
     BufferSpec, ControlEvent, FreePump, InboxSender, Item, Pipeline, RunningPipeline, Style,
 };
 use mbthread::Kernel;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
-
-/// How long protocol peers wait for a control reply before giving up.
-const CTRL_TIMEOUT: Duration = Duration::from_secs(20);
-/// The host's per-iteration poll granularity while streaming.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Errors of the remote factory protocol.
-#[derive(Debug)]
-pub enum RemoteError {
-    /// A transport error.
-    Transport(crate::TransportError),
-    /// A malformed protocol message.
-    Wire(String),
-    /// The peer violated the protocol (wrong message at the wrong time).
-    Protocol(String),
-    /// The host refused the request (unknown component, bad composition).
-    Refused(String),
-}
-
-impl fmt::Display for RemoteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RemoteError::Transport(e) => write!(f, "transport error: {e}"),
-            RemoteError::Wire(s) => write!(f, "malformed message: {s}"),
-            RemoteError::Protocol(s) => write!(f, "protocol violation: {s}"),
-            RemoteError::Refused(s) => write!(f, "host refused: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for RemoteError {}
-
-impl From<crate::TransportError> for RemoteError {
-    fn from(e: crate::TransportError) -> Self {
-        RemoteError::Transport(e)
-    }
-}
 
 /// Named factories for components a host can instantiate on behalf of
 /// remote clients. Factories receive the requesting client's
@@ -129,8 +93,9 @@ impl fmt::Debug for ComponentRegistry {
     }
 }
 
-/// A marshalled Typespec summary, as returned by remote spec queries.
-#[derive(Clone, Debug, PartialEq)]
+/// A marshalled Typespec summary, as returned by remote spec queries
+/// (the host sends it as it is).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SpecSummary {
     /// The item type's name.
     pub item: String,
@@ -138,55 +103,6 @@ pub struct SpecSummary {
     pub location: Option<String>,
     /// QoS entries: (dimension, min, max).
     pub qos: Vec<(String, f64, f64)>,
-}
-
-fn send_ctrl<L: Link>(link: &L, msg: &CtrlMsg) -> Result<(), RemoteError> {
-    let bytes = wire::to_bytes(msg).map_err(|e| RemoteError::Wire(e.to_string()))?;
-    if link.send(Frame::Control(bytes)).accepted() {
-        Ok(())
-    } else {
-        Err(RemoteError::Transport(crate::TransportError::Closed))
-    }
-}
-
-/// Waits for the next control frame; events arriving during setup are
-/// skipped (they are not ours to handle yet), data frames are a protocol
-/// violation.
-fn recv_ctrl<L: Link>(link: &L, what: &str) -> Result<CtrlMsg, RemoteError> {
-    let deadline = std::time::Instant::now() + CTRL_TIMEOUT;
-    loop {
-        match link.recv(POLL) {
-            RecvOutcome::Frame(Frame::Control(payload)) => {
-                return wire::from_bytes(&payload).map_err(|e| RemoteError::Wire(e.to_string()));
-            }
-            RecvOutcome::Frame(Frame::Event(_)) | RecvOutcome::TimedOut => {}
-            RecvOutcome::Frame(other) => {
-                return Err(RemoteError::Protocol(format!(
-                    "expected {what}, got a {} frame",
-                    frame_name(&other)
-                )));
-            }
-            RecvOutcome::Fin | RecvOutcome::Closed => {
-                return Err(RemoteError::Protocol("connection closed".into()));
-            }
-        }
-        // Checked on every iteration: a peer streaming events faster than
-        // the poll period must not be able to starve the deadline.
-        if std::time::Instant::now() >= deadline {
-            return Err(RemoteError::Protocol(format!(
-                "timed out waiting for {what}"
-            )));
-        }
-    }
-}
-
-fn frame_name(frame: &Frame) -> &'static str {
-    match frame {
-        Frame::Data(_) => "data",
-        Frame::Event(_) => "event",
-        Frame::Control(_) => "control",
-        Frame::Fin => "fin",
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -253,17 +169,19 @@ impl RemoteHost {
         // Capture the end-of-chain spec for queries before starting.
         let spec = pipeline
             .query_spec(prev)
-            .map(|s| CtrlMsg::SpecReply {
-                item: s.item().name().to_owned(),
-                location: Some(
-                    s.location()
-                        .map_or_else(|| self.node_name.clone(), ToOwned::to_owned),
-                ),
-                qos: s
-                    .qos_map()
-                    .iter()
-                    .map(|(k, r)| (k.to_string(), r.min(), r.max()))
-                    .collect(),
+            .map(|s| {
+                CtrlMsg::SpecReply(SpecSummary {
+                    item: s.item().name().to_owned(),
+                    location: Some(
+                        s.location()
+                            .map_or_else(|| self.node_name.clone(), ToOwned::to_owned),
+                    ),
+                    qos: s
+                        .qos_map()
+                        .iter()
+                        .map(|(k, r)| (k.to_string(), r.min(), r.max()))
+                        .collect(),
+                })
             })
             .map_err(|e| e.to_string());
 
@@ -332,7 +250,7 @@ fn stream_frames<L: Link>(
                 let _ = inbox_sender.put(Item::bytes(bytes));
             }
             RecvOutcome::Frame(Frame::Event(ev)) => {
-                let _ = running.send_event(ev.into());
+                let _ = running.send_event(ev);
             }
             RecvOutcome::Frame(Frame::Control(payload)) => {
                 match wire::from_bytes::<CtrlMsg>(&payload) {
@@ -384,7 +302,7 @@ fn spawn_event_forwarder<L: Link>(link: L, running: &RunningPipeline) -> std::io
             continue;
         };
         let local = matches!(ev, ControlEvent::Start | ControlEvent::Stop);
-        if !local && !link.send(Frame::Event(WireEvent::from(&ev))).accepted() {
+        if !local && !link.send(Frame::Event(ev)).accepted() {
             return;
         }
     })
@@ -461,13 +379,10 @@ impl<L: Link> RemoteClient<L> {
     /// errors.
     pub fn create_pipeline(&mut self, components: &[&str]) -> Result<(), RemoteError> {
         self.ensure_setup_phase()?;
-        send_ctrl(
-            &self.link,
-            &CtrlMsg::CreatePipeline {
-                components: components.iter().map(|s| (*s).to_owned()).collect(),
-            },
-        )?;
-        match recv_ctrl(&self.link, "Created")? {
+        let create = CtrlMsg::CreatePipeline {
+            components: components.iter().map(|s| (*s).to_owned()).collect(),
+        };
+        match request(&self.link, &create, "Created")? {
             CtrlMsg::Created { error: None } => Ok(()),
             CtrlMsg::Created { error: Some(e) } => Err(RemoteError::Refused(e)),
             other => Err(RemoteError::Protocol(format!(
@@ -485,17 +400,8 @@ impl<L: Link> RemoteClient<L> {
     /// Transport or protocol errors.
     pub fn query_spec(&mut self) -> Result<SpecSummary, RemoteError> {
         self.ensure_setup_phase()?;
-        send_ctrl(&self.link, &CtrlMsg::QuerySpec)?;
-        match recv_ctrl(&self.link, "SpecReply")? {
-            CtrlMsg::SpecReply {
-                item,
-                location,
-                qos,
-            } => Ok(SpecSummary {
-                item,
-                location,
-                qos,
-            }),
+        match request(&self.link, &CtrlMsg::QuerySpec, "SpecReply")? {
+            CtrlMsg::SpecReply(spec) => Ok(spec),
             CtrlMsg::Created { error: Some(e) } => Err(RemoteError::Refused(e)),
             other => Err(RemoteError::Protocol(format!(
                 "expected SpecReply, got {other:?}"

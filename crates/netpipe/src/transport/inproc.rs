@@ -238,7 +238,7 @@ mod tests {
     }
 
     fn event(n: u32) -> Frame {
-        Frame::Event(crate::proto::WireEvent::SetRate(f64::from(n)))
+        Frame::Event(infopipes::ControlEvent::SetRate(f64::from(n)))
     }
 
     fn expect_frame(out: RecvOutcome) -> Frame {

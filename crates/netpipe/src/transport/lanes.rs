@@ -54,7 +54,7 @@ impl Bound {
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
             }
-            (Frame::Event(ev), _) => (self.on_event)(ev.into()),
+            (Frame::Event(ev), _) => (self.on_event)(ev),
             _ => {}
         }
     }

@@ -243,7 +243,6 @@ pub use tcp::{TcpAcceptor, TcpLink, TcpTransport};
 pub use udp::{UdpAcceptor, UdpLink, UdpTransport};
 
 use crate::marshal::WireBytes;
-use crate::proto::WireEvent;
 use crate::worker::Worker;
 use infopipes::{
     Consumer, ControlEvent, EventCtx, InboxSender, Item, ItemType, Node, PayloadBytes, Pipeline,
@@ -267,12 +266,16 @@ use typespec::Typespec;
 /// Data frames carry [`PayloadBytes`]: cloning a frame (or teeing it to
 /// several links) shares the sealed buffer by refcount, so the transport
 /// layer never copies a payload it did not itself read off a wire.
+/// Event frames carry core's [`ControlEvent`] itself. Backends that put
+/// frames on a wire (TCP, UDP) and NPTRACE records turn a frame into a
+/// [`FrameKind`](crate::FrameKind) and bytes, and back, in one place:
+/// [`framing`](crate::framing).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// A marshalled data item (data lane).
     Data(PayloadBytes),
     /// An out-of-band control event (control lane, priority).
-    Event(WireEvent),
+    Event(ControlEvent),
     /// A factory/query protocol message (control lane, priority).
     Control(Vec<u8>),
     /// Orderly end of stream (control lane).
@@ -665,7 +668,7 @@ impl ReceiverSlot {
                 let idle = wait == IDLE;
                 wait = IDLE;
                 match outcome {
-                    RecvOutcome::Frame(Frame::Event(ev)) => on_event(ev.into()),
+                    RecvOutcome::Frame(Frame::Event(ev)) => on_event(ev),
                     RecvOutcome::Frame(_) => {}
                     RecvOutcome::TimedOut => {
                         if idle && inbox.is_none() && abandoned(&link) {
@@ -919,7 +922,7 @@ impl<S: SendSink> Stage for NetSendEnd<S> {
             // sides using the same reading name — echo back and forth
             // forever.
             ControlEvent::Custom { name, .. } if name.as_ref() == self.reading_name => return,
-            other => Frame::Event(WireEvent::from(other)),
+            other => Frame::Event(other.clone()),
         };
         let _ = self.sink.transmit(&mut |to, msg| ctx.post(to, msg), frame);
     }

@@ -29,11 +29,9 @@ use super::{
     SendStatus, SharedStats, Transport, TransportError,
 };
 use crate::framing::{
-    encode_header, write_all_vectored, write_frame, FrameKind, HEADER_LEN, MAX_FRAME,
+    self, encode_header, write_all_vectored, write_frame, FrameKind, HEADER_LEN, MAX_FRAME,
 };
 use crate::marshal::WireBytes;
-use crate::proto::WireEvent;
-use crate::wire;
 use crate::worker::Worker;
 use infopipes::BufferPool;
 use parking_lot::Mutex;
@@ -99,20 +97,13 @@ fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
             ctrl, data, fin, ..
         } = tx.queue.take_batch(tx.batch);
 
-        // Encode control frames outside the lock (events marshal here);
-        // they lead the write, so their priority survives the batch.
-        let mut ctrl_payloads: Vec<(FrameKind, Vec<u8>)> = Vec::with_capacity(ctrl.len());
-        for f in ctrl {
-            match f {
-                Frame::Event(ev) => {
-                    if let Ok(bytes) = wire::to_bytes(&ev) {
-                        ctrl_payloads.push((FrameKind::Event, bytes));
-                    }
-                }
-                Frame::Control(bytes) => ctrl_payloads.push((FrameKind::Control, bytes)),
-                Frame::Data(_) | Frame::Fin => unreachable!("only ctrl-lane frames queued"),
-            }
-        }
+        // Encode control frames outside the lock (events marshal here;
+        // one that fails to is left out); they lead the write, so their
+        // priority survives the batch.
+        let ctrl_payloads: Vec<(FrameKind, WireBytes)> = ctrl
+            .iter()
+            .filter_map(|f| framing::frame_to_parts(f).ok())
+            .collect();
         // `send` already shed oversized data frames; an oversized control
         // frame fails the link, as write_frame would.
         if ctrl_payloads
@@ -190,11 +181,9 @@ struct FrameReader {
 }
 
 enum ReadStep {
-    /// A data frame: a view of its read's sealed buffer.
-    Data(WireBytes),
-    /// A control-lane frame (event/control/fin) with its raw payload —
-    /// kept as a `Vec` so `Frame::Control` needs no second copy.
-    Ctrl(FrameKind, Vec<u8>),
+    /// A frame; a data frame's payload is a view of its read's sealed
+    /// buffer.
+    Frame(Frame),
     Eof,
     TimedOut,
     Broken,
@@ -268,23 +257,26 @@ impl FrameReader {
         }
     }
 
-    /// Serves the next frame of the sealed read, if one is left.
+    /// Serves the next frame of the sealed read, if one is left. An
+    /// event that fails to decode is skipped; the frames behind it are
+    /// served as usual.
     fn next_sealed(&mut self) -> Option<ReadStep> {
-        let (kind, len) = header(&self.sealed[self.next..]).expect("validated when sealed")?;
-        let start = self.next + HEADER_LEN;
-        let end = start + len;
-        let step = match kind {
-            FrameKind::Data => ReadStep::Data(self.sealed.slice(start..end)),
-            other => ReadStep::Ctrl(other, self.sealed[start..end].to_vec()),
-        };
-        self.next = end;
-        if end == self.sealed.len() {
-            // Served out: the frames' own views keep the buffer alive
-            // for as long as anyone needs it, and no longer.
-            self.sealed = WireBytes::new();
-            self.next = 0;
+        loop {
+            let (kind, len) = header(&self.sealed[self.next..]).expect("validated when sealed")?;
+            let start = self.next + HEADER_LEN;
+            let end = start + len;
+            let payload = self.sealed.slice(start..end);
+            self.next = end;
+            if end == self.sealed.len() {
+                // Served out: the frames' own views keep the buffer alive
+                // for as long as anyone needs it, and no longer.
+                self.sealed = WireBytes::new();
+                self.next = 0;
+            }
+            if let Some(frame) = framing::frame_from_parts(kind, payload) {
+                return Some(ReadStep::Frame(frame));
+            }
         }
-        Some(step)
     }
 
     /// Seals the complete frames at the front of the parse buffer into
@@ -428,24 +420,16 @@ impl Link for TcpLink {
             return RecvOutcome::Closed;
         };
         match reader.read_frame(timeout) {
-            ReadStep::Data(payload) => {
-                self.inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                RecvOutcome::Frame(Frame::Data(payload))
-            }
-            ReadStep::Ctrl(FrameKind::Event, payload) => {
-                match wire::from_bytes::<WireEvent>(&payload) {
-                    Ok(ev) => RecvOutcome::Frame(Frame::Event(ev)),
-                    Err(_) => RecvOutcome::Closed,
-                }
-            }
-            ReadStep::Ctrl(FrameKind::Control, payload) => {
-                RecvOutcome::Frame(Frame::Control(payload))
-            }
-            ReadStep::Ctrl(FrameKind::Fin, _) => {
+            ReadStep::Frame(Frame::Fin) => {
                 self.inner.fin_seen.store(true, Ordering::Release);
                 RecvOutcome::Fin
             }
-            ReadStep::Ctrl(FrameKind::Data, _) => unreachable!("data frames use ReadStep::Data"),
+            ReadStep::Frame(frame) => {
+                if let Frame::Data(_) = frame {
+                    self.inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
+                }
+                RecvOutcome::Frame(frame)
+            }
             ReadStep::TimedOut => RecvOutcome::TimedOut,
             ReadStep::Eof | ReadStep::Broken => RecvOutcome::Closed,
         }
@@ -619,7 +603,7 @@ impl std::fmt::Debug for TcpAcceptor {
 mod tests {
     use super::*;
     use infopipes::helpers::CollectSink;
-    use infopipes::{BufferSpec, FreePump, PayloadBytes, Pipeline};
+    use infopipes::{BufferSpec, ControlEvent, FreePump, PayloadBytes, Pipeline};
     use mbthread::{Kernel, KernelConfig};
     use proptest::TestRng;
     use std::io::Write;
@@ -639,12 +623,7 @@ mod tests {
 
     /// `frame` as the writer puts it on the wire.
     fn wire_bytes(frame: &Frame) -> Vec<u8> {
-        let (kind, payload) = match frame {
-            Frame::Data(bytes) => (FrameKind::Data, bytes.to_vec()),
-            Frame::Event(ev) => (FrameKind::Event, wire::to_bytes(ev).unwrap()),
-            Frame::Control(bytes) => (FrameKind::Control, bytes.clone()),
-            Frame::Fin => (FrameKind::Fin, Vec::new()),
-        };
+        let (kind, payload) = framing::frame_to_parts(frame).unwrap();
         let mut out = encode_header(kind, payload.len()).to_vec();
         out.extend_from_slice(&payload);
         out
@@ -670,7 +649,7 @@ mod tests {
         };
         let bytes: Vec<u8> = (0..len).map(|i| (i + n) as u8).collect();
         match rng.below(10) {
-            0 => Frame::Event(WireEvent::SetRate(n as f64)),
+            0 => Frame::Event(ControlEvent::SetRate(n as f64)),
             1 => Frame::Control(bytes),
             _ => data(bytes),
         }
@@ -786,7 +765,7 @@ mod tests {
 
             let bytes: Vec<u8> = [
                 data(vec![1, 2, 3]),
-                Frame::Event(WireEvent::Start),
+                Frame::Event(ControlEvent::Start),
                 data(vec![4, 5]),
             ]
             .iter()
@@ -801,6 +780,44 @@ mod tests {
             assert_eq!(*puts_at_event.lock(), [1]);
             let got: Vec<Vec<u8>> = got.lock().iter().map(PayloadBytes::to_vec).collect();
             assert_eq!(got, [vec![1, 2, 3], vec![4, 5]]);
+            drop((raw, link, running));
+        }
+        kernel.shutdown();
+    }
+
+    /// An event frame whose payload does not decode is skipped: the data
+    /// behind it still reaches the inbox, and the `Fin` after it still
+    /// ends the stream.
+    #[test]
+    fn an_undecodable_event_is_skipped_and_the_stream_reads_on() {
+        let kernel = Kernel::new(KernelConfig::default());
+        {
+            let (mut raw, link) = raw_pair();
+            let consumer = Pipeline::new(&kernel, "consumer");
+            let (inbox, inbox_sender) = consumer.add_inbox("net-in", BufferSpec::bounded(16));
+            let pump = consumer.add_pump("pump", FreePump::new());
+            let (sink, got) = CollectSink::<PayloadBytes>::new("sink");
+            let sink = consumer.add_consumer("sink", sink);
+            let _ = inbox >> pump >> sink;
+            let running = consumer.start().unwrap();
+            let events = running.subscribe();
+            running.start_flow().unwrap();
+            link.bind_receiver(Some(inbox_sender), |_| {}).unwrap();
+
+            let mut bytes = wire_bytes(&data(vec![1, 2, 3]));
+            bytes.extend_from_slice(&encode_header(FrameKind::Event, 4));
+            bytes.extend_from_slice(&[0xFF; 4]);
+            bytes.extend(wire_bytes(&data(vec![4, 5])));
+            bytes.extend(wire_bytes(&Frame::Fin));
+            raw.write_all(&bytes).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while events.recv_timeout(Duration::from_millis(50)) != Some(ControlEvent::Eos) {
+                assert!(Instant::now() < deadline, "no end of stream");
+            }
+            let got: Vec<Vec<u8>> = got.lock().iter().map(PayloadBytes::to_vec).collect();
+            assert_eq!(got, [vec![1, 2, 3], vec![4, 5]]);
+            let stats = link.stats();
+            assert_eq!((stats.delivered, stats.dropped), (2, 0));
             drop((raw, link, running));
         }
         kernel.shutdown();

@@ -2,7 +2,10 @@
 //!
 //! Unlike TCP there is no stream to frame: **one frame is one
 //! datagram**, encoded as `[kind: u8][payload]` (the datagram boundary
-//! is the length). The backend is honest about UDP's nature:
+//! is the length), with the kind byte and payload of
+//! [`framing`](crate::framing), as on TCP. Two tags are UDP's own: a
+//! packed datagram of several data frames, and the `HELLO` that
+//! announces a connect. The backend is honest about UDP's nature:
 //!
 //! * **lossy** — a frame larger than the configured datagram limit is
 //!   dropped at the send end (and counted), the network itself may shed
@@ -36,8 +39,7 @@ use super::{
     Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, ReceiverSlot, RecvOutcome, SendStatus,
     SharedStats, Transport, TransportError,
 };
-use crate::proto::WireEvent;
-use crate::wire;
+use crate::framing::{self, FrameKind};
 use crate::worker::{Stop, Worker};
 use infopipes::{BufferPool, PayloadBytes};
 use parking_lot::Mutex;
@@ -47,12 +49,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Datagram type bytes (first byte of every datagram).
+// Datagram type bytes (first byte of every datagram): a
+// [`FrameKind`]'s byte (0–3), or one of these two.
+/// A connect announcement.
 const TAG_HELLO: u8 = 0xF0;
-const TAG_DATA: u8 = 0;
-const TAG_EVENT: u8 = 1;
-const TAG_CONTROL: u8 = 2;
-const TAG_FIN: u8 = 3;
 /// A packed datagram of several small data frames:
 /// `[TAG_BATCH]([len: u32 LE][payload])*` — N frames for one `send`.
 const TAG_BATCH: u8 = 4;
@@ -78,30 +78,25 @@ fn seal_pooled(pool: &BufferPool, payload: &[u8]) -> PayloadBytes {
 
 /// Decodes one datagram into zero or more frames. A [`TAG_BATCH`]
 /// datagram fans out into one `Data` frame per packed entry; a truncated
-/// trailing entry (corruption) discards the remainder only.
+/// trailing entry (corruption) discards the remainder only. Any other
+/// tag is a [`FrameKind`], decoded as every backend does; an unknown tag
+/// or an event that fails to decode is skipped.
 fn decode_into(tag: u8, payload: &[u8], pool: &BufferPool, push: &mut impl FnMut(Frame)) {
-    match tag {
-        TAG_DATA => push(Frame::Data(seal_pooled(pool, payload))),
-        TAG_BATCH => {
-            let mut rest = payload;
-            while rest.len() >= 4 {
-                let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-                rest = &rest[4..];
-                if rest.len() < len {
-                    break;
-                }
-                push(Frame::Data(seal_pooled(pool, &rest[..len])));
-                rest = &rest[len..];
+    if tag == TAG_BATCH {
+        let mut rest = payload;
+        while rest.len() >= 4 {
+            let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+            rest = &rest[4..];
+            if rest.len() < len {
+                break;
             }
+            push(Frame::Data(seal_pooled(pool, &rest[..len])));
+            rest = &rest[len..];
         }
-        TAG_EVENT => {
-            if let Ok(ev) = wire::from_bytes::<WireEvent>(payload) {
-                push(Frame::Event(ev));
-            }
+    } else if let Ok(kind) = FrameKind::from_byte(tag) {
+        if let Some(frame) = framing::frame_from_parts(kind, seal_pooled(pool, payload)) {
+            push(frame);
         }
-        TAG_CONTROL => push(Frame::Control(payload.to_vec())),
-        TAG_FIN => push(Frame::Fin),
-        _ => {}
     }
 }
 
@@ -225,9 +220,9 @@ impl UdpInner {
         self.flush_batch(&mut batch);
     }
 
-    /// Sends a data frame singly: `[TAG_DATA][payload]`, one datagram.
+    /// Sends a data frame singly: `[kind][payload]`, one datagram.
     fn send_data_single(&self, bytes: &PayloadBytes) -> SendStatus {
-        match self.send_tagged(TAG_DATA, bytes) {
+        match self.send_tagged(FrameKind::Data.to_byte(), bytes) {
             Ok(_) => {
                 self.stats
                     .bytes_sent
@@ -407,7 +402,7 @@ impl Link for UdpLink {
             Frame::Fin => {
                 // End of stream must not overtake its own data.
                 inner.flush_pending();
-                let _ = inner.raw_send(&[TAG_FIN]);
+                let _ = inner.raw_send(&[FrameKind::Fin.to_byte()]);
                 inner.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
                 inner.fin_sent.store(true, Ordering::Release);
                 SendStatus::Sent
@@ -415,14 +410,9 @@ impl Link for UdpLink {
             ctrl_frame => {
                 // Control-lane frames go out immediately, overtaking any
                 // pending packed data — out-of-band priority.
-                let _ = match ctrl_frame {
-                    Frame::Event(ev) => match wire::to_bytes(&ev) {
-                        Ok(payload) => inner.send_tagged(TAG_EVENT, &payload),
-                        Err(_) => return SendStatus::Sent,
-                    },
-                    Frame::Control(payload) => inner.send_tagged(TAG_CONTROL, &payload),
-                    Frame::Data(_) | Frame::Fin => unreachable!("matched above"),
-                };
+                if let Ok((kind, payload)) = framing::frame_to_parts(&ctrl_frame) {
+                    let _ = inner.send_tagged(kind.to_byte(), &payload);
+                }
                 SendStatus::Sent
             }
         }
@@ -698,6 +688,8 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
+    use infopipes::ControlEvent;
 
     #[test]
     fn hello_establishes_a_demultiplexed_peer() {
@@ -741,9 +733,9 @@ mod tests {
         }
         // Control frames are never shed, and still overtake the backlog;
         // nothing arrives after the `Fin`.
-        rx_push(&rx, Frame::Event(WireEvent::SetDropLevel(1)), &stats);
+        rx_push(&rx, Frame::Event(ControlEvent::SetDropLevel(1)), &stats);
         rx_push(&rx, Frame::Fin, &stats);
-        let late = Frame::Event(WireEvent::SetDropLevel(2));
+        let late = Frame::Event(ControlEvent::SetDropLevel(2));
         assert_eq!(rx.arrive(None, late, &stats), Arrival::Ended);
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 10);
         // Sheds are also split out as the memory-pressure signal.

@@ -715,6 +715,32 @@ impl<'de> de::VariantAccess<'de> for EnumAccess<'_, 'de> {
     }
 }
 
+/// The hostile-input cases every control-plane decoder is held to:
+/// `valid` cut at every length, `valid` with each byte replaced in turn,
+/// and random garbage. A strict prefix of an encoding must be
+/// [`WireError::Eof`]; the rest may decode or fail, but never panic.
+#[cfg(test)]
+pub(crate) fn check_hostile<T: DeserializeOwned>(valid: &[u8], seed: &str) {
+    assert!(from_bytes::<T>(valid).is_ok(), "the valid encoding decodes");
+    for cut in 0..valid.len() {
+        assert_eq!(from_bytes::<T>(&valid[..cut]).err(), Some(WireError::Eof));
+    }
+    let mut mutated = valid.to_vec();
+    for at in 0..valid.len() {
+        for byte in [0x00, 0x7F, 0x80, 0xFF, !valid[at]] {
+            mutated[at] = byte;
+            let _ = from_bytes::<T>(&mutated);
+        }
+        mutated[at] = valid[at];
+    }
+    let mut rng = proptest::TestRng::deterministic(seed);
+    for _ in 0..2000 {
+        let len = rng.below(64);
+        let garbage: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        let _ = from_bytes::<T>(&garbage);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

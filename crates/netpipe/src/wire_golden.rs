@@ -14,81 +14,32 @@ use crate::SpecSummary;
 use infopipes::{ControlEvent, EntitySample, Metric, SourceSample, StatsSnapshot};
 
 fn event_bytes(ev: &ControlEvent) -> Vec<u8> {
-    wire::to_bytes(&crate::WireEvent::from(ev)).expect("encode event")
+    wire::to_bytes(ev).expect("encode event")
 }
 
 fn event_from(bytes: &[u8]) -> ControlEvent {
-    wire::from_bytes::<crate::WireEvent>(bytes)
-        .expect("decode event")
-        .into()
+    wire::from_bytes(bytes).expect("decode event")
 }
 
 fn spec_reply_bytes(spec: &SpecSummary) -> Vec<u8> {
-    let msg = CtrlMsg::SpecReply {
-        item: spec.item.clone(),
-        location: spec.location.clone(),
-        qos: spec.qos.clone(),
-    };
-    wire::to_bytes(&msg).expect("encode spec reply")
+    wire::to_bytes(&CtrlMsg::SpecReply(spec.clone())).expect("encode spec reply")
 }
 
 fn spec_reply_from(bytes: &[u8]) -> SpecSummary {
     match wire::from_bytes(bytes).expect("decode spec reply") {
-        CtrlMsg::SpecReply {
-            item,
-            location,
-            qos,
-        } => SpecSummary {
-            item,
-            location,
-            qos,
-        },
+        CtrlMsg::SpecReply(spec) => spec,
         other => panic!("not a spec reply: {other:?}"),
     }
 }
 
 fn snapshot_reply_bytes(snap: &StatsSnapshot) -> Vec<u8> {
-    let reply = InspectReply::Snapshot(crate::WireSnapshot::from(snap));
+    let reply = InspectReply::Snapshot(SCHEMA_VERSION, snap.clone());
     wire::to_bytes(&reply).expect("encode snapshot reply")
 }
 
 fn snapshot_reply_from(bytes: &[u8]) -> (u32, StatsSnapshot) {
-    let InspectReply::Snapshot(wire_snap) = wire::from_bytes(bytes).expect("decode snapshot");
-    let snap = StatsSnapshot {
-        seq: wire_snap.seq,
-        sources: wire_snap
-            .sources
-            .iter()
-            .map(|s| SourceSample {
-                source: s.name.clone(),
-                subsystem: s.subsystem.clone(),
-                metrics: s.metrics.iter().map(metric_from).collect(),
-                entities: s
-                    .entities
-                    .iter()
-                    .map(|e| EntitySample {
-                        id: e.id.clone(),
-                        metrics: e.metrics.iter().map(metric_from).collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    };
-    (wire_snap.version, snap)
-}
-
-fn metric_from(m: &crate::inspect::WireMetric) -> Metric {
-    let unit: &'static str = match m.unit.as_str() {
-        "frames" => "frames",
-        "fraction" => "fraction",
-        "" => "",
-        other => panic!("unit {other} not in the golden cases"),
-    };
-    match &m.value {
-        crate::inspect::WireValue::Counter(v) => Metric::counter(m.name.clone(), unit, *v),
-        crate::inspect::WireValue::Gauge(v) => Metric::gauge(m.name.clone(), unit, *v),
-        crate::inspect::WireValue::Text(s) => Metric::text(m.name.clone(), s.clone()),
-    }
+    let InspectReply::Snapshot(version, snap) = wire::from_bytes(bytes).expect("decode snapshot");
+    (version, snap)
 }
 
 // ---------------------------------------------------------------------

@@ -7,12 +7,12 @@
 //! one lucky seed.
 
 use infopipes::helpers::IterSource;
-use infopipes::{payload_copy_count, BufferSpec, FreePump, PayloadBytes, Pipeline};
+use infopipes::{payload_copy_count, BufferSpec, ControlEvent, FreePump, PayloadBytes, Pipeline};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     wire, Acceptor, ChannelDecl, DigestSink, Frame, FrameKind, Link, Marshal, PipelineTransportExt,
     Recorder, RecordingLink, RecvOutcome, ReplayCounters, ReplayMode, Replayer, SimConfig,
-    SimTransport, TraceError, TraceReader, TraceWriter, Transport, WireEvent,
+    SimTransport, TraceError, TraceReader, TraceWriter, Transport,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -77,7 +77,7 @@ fn container_round_trips_records_chunks_and_footer() {
             .record(0, i * 1_000, FrameKind::Data, payload)
             .expect("record");
     }
-    let event = wire::to_payload(&WireEvent::SetDropLevel(2)).expect("encode");
+    let event = wire::to_payload(&ControlEvent::SetDropLevel(2)).expect("encode");
     expect.push((0, 140_000, FrameKind::Event, event.len()));
     writer
         .record(0, 140_000, FrameKind::Event, event)
@@ -449,7 +449,7 @@ fn replayed_control_events_overtake_data() {
             .expect("data");
     }
     // The event is recorded *after* every data frame…
-    let event = wire::to_payload(&WireEvent::SetDropLevel(3)).expect("encode");
+    let event = wire::to_payload(&ControlEvent::SetDropLevel(3)).expect("encode");
     writer
         .record(0, sends, FrameKind::Event, event)
         .expect("event");
@@ -492,7 +492,7 @@ fn replayed_control_events_overtake_data() {
         match server.recv(Duration::from_millis(100)) {
             RecvOutcome::Frame(Frame::Data(_)) => data_seen += 1,
             RecvOutcome::Frame(Frame::Event(ev)) => {
-                assert_eq!(ev, WireEvent::SetDropLevel(3));
+                assert_eq!(ev, ControlEvent::SetDropLevel(3));
                 event_after.get_or_insert(data_seen);
             }
             RecvOutcome::Frame(_) => {}

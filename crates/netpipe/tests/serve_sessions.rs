@@ -13,7 +13,7 @@ use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     AcceptLoop, Acceptor, Frame, InProcTransport, Link, LinkStats, Marshal, NetSendEnd,
     PeerIdentity, RecvOutcome, SendStatus, ServeConfig, SessionRegistry, SessionState,
-    TcpTransport, Transport, TransportError, WireEvent,
+    TcpTransport, Transport, TransportError,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -498,10 +498,7 @@ fn pipeline_broadcasts_events_and_frames_then_drains_every_session() {
             }
         }
         assert_eq!(frames, (0..FRAMES).collect::<Vec<u32>>());
-        assert_eq!(
-            events,
-            vec![WireEvent::from(&ControlEvent::custom("tune", 0.25))]
-        );
+        assert_eq!(events, vec![ControlEvent::custom("tune", 0.25)]);
     }
     assert_eq!(payload_copy_count(), copies_before);
 

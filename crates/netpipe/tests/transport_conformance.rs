@@ -189,7 +189,7 @@ fn check_event_priority<T: Transport>(transport: &T, addr: &str, payload: usize,
     }
     // The event is sent *after* every data frame…
     assert!(client
-        .send(Frame::Event(netpipe::WireEvent::SetDropLevel(3)))
+        .send(Frame::Event(infopipes::ControlEvent::SetDropLevel(3)))
         .accepted());
     assert_eq!(client.send(Frame::Fin), SendStatus::Sent);
 
@@ -201,7 +201,7 @@ fn check_event_priority<T: Transport>(transport: &T, addr: &str, payload: usize,
         match server.recv(Duration::from_millis(100)) {
             RecvOutcome::Frame(Frame::Data(_)) => data_seen += 1,
             RecvOutcome::Frame(Frame::Event(ev)) => {
-                assert_eq!(ev, netpipe::WireEvent::SetDropLevel(3));
+                assert_eq!(ev, infopipes::ControlEvent::SetDropLevel(3));
                 event_after.get_or_insert(data_seen);
             }
             RecvOutcome::Frame(_) => {}
@@ -282,13 +282,13 @@ fn check_clean_shutdown<T: Transport>(transport: &T, addr: &str, kernel: &Kernel
 
     // The reverse direction outlives the forward Fin…
     assert!(server
-        .send(Frame::Event(netpipe::WireEvent::SetRate(12.5)))
+        .send(Frame::Event(infopipes::ControlEvent::SetRate(12.5)))
         .accepted());
     let deadline = Instant::now() + DEADLINE;
     loop {
         match client.recv(Duration::from_millis(100)) {
             RecvOutcome::Frame(Frame::Event(ev)) => {
-                assert_eq!(ev, netpipe::WireEvent::SetRate(12.5));
+                assert_eq!(ev, infopipes::ControlEvent::SetRate(12.5));
                 break;
             }
             RecvOutcome::Frame(_) => {}

@@ -1,5 +1,6 @@
 //! Property-based tests: the wire codec round-trips arbitrary values.
 
+use infopipes::ControlEvent;
 use netpipe::wire::{from_bytes, to_payload};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -59,6 +60,22 @@ fn arb_composite() -> impl Strategy<Value = Composite> {
         })
 }
 
+/// Every control event variant: netpipes carry core's type as it is.
+fn arb_event() -> impl Strategy<Value = ControlEvent> {
+    prop_oneof![
+        Just(ControlEvent::Start),
+        Just(ControlEvent::Stop),
+        Just(ControlEvent::Eos),
+        prop::num::f64::NORMAL.prop_map(ControlEvent::SetRate),
+        any::<u8>().prop_map(ControlEvent::SetDropLevel),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(width, height)| ControlEvent::WindowResize { width, height }),
+        any::<u64>().prop_map(ControlEvent::FrameRelease),
+        (".{0,16}", prop::num::f64::NORMAL)
+            .prop_map(|(name, value)| ControlEvent::custom(name, value)),
+    ]
+}
+
 proptest! {
     #[test]
     fn composites_round_trip(v in arb_composite()) {
@@ -85,10 +102,15 @@ proptest! {
     /// either errors or (for prefixes that happen to align) decodes
     /// something without reading past the end.
     #[test]
-    fn truncation_is_safe(v in arb_composite(), cut in 0usize..64) {
+    fn truncation_is_safe(v in arb_composite(), ev in arb_event(), cut in 0usize..64) {
         let bytes = to_payload(&v).expect("serialize");
         if cut < bytes.len() {
             let _ = from_bytes::<Composite>(&bytes[..cut]);
+        }
+        let bytes = to_payload(&ev).expect("serialize");
+        prop_assert_eq!(from_bytes::<ControlEvent>(&bytes).expect("deserialize"), ev);
+        if cut < bytes.len() {
+            prop_assert!(from_bytes::<ControlEvent>(&bytes[..cut]).is_err());
         }
     }
 
@@ -98,6 +120,7 @@ proptest! {
         let _ = from_bytes::<Composite>(&bytes);
         let _ = from_bytes::<Shape>(&bytes);
         let _ = from_bytes::<String>(&bytes);
+        let _ = from_bytes::<ControlEvent>(&bytes);
     }
 
     /// Media packets (the real wire traffic) round-trip.

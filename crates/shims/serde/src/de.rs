@@ -581,6 +581,13 @@ impl<'de> Deserialize<'de> for String {
     }
 }
 
+/// A fresh, unshared `Arc<str>` (real serde: `rc`).
+impl<'de> Deserialize<'de> for std::sync::Arc<str> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        String::deserialize(deserializer).map(std::sync::Arc::from)
+    }
+}
+
 impl<'de> Deserialize<'de> for () {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct UnitVisitor;

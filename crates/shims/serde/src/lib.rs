@@ -6,6 +6,12 @@
 //! trait pairs with their compound-access companions, and derive macros
 //! for plain structs and enums (via the sibling `serde_derive` shim).
 //!
+//! Real serde implements `Serialize` for `Arc<T>` and `Deserialize` for
+//! `Arc<str>` only behind its `rc` feature. The shim always has them and
+//! keeps an empty `rc` feature, so a crate that serializes shared
+//! pointers (`infopipes`) requests it and keeps building unchanged when
+//! the real crate is swapped in.
+//!
 //! The netpipe wire codec (`netpipe::wire`) implements these traits from
 //! scratch, exactly as it would against real serde; swapping the real
 //! crate back in requires no source changes in the workspace.

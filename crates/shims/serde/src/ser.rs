@@ -304,6 +304,13 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
+/// Shared pointers serialize as what they point to (real serde: `rc`).
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(serializer)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         match self {

@@ -93,9 +93,10 @@ fn send_saturation_raises_the_drop_level() {
         loop {
             match remote_end.recv(Duration::from_millis(100)) {
                 netpipe::RecvOutcome::Frame(netpipe::Frame::Event(ev)) => {
-                    if let netpipe::WireEvent::Custom { name, .. } = &ev {
+                    if let ControlEvent::Custom { name, .. } = &ev {
                         assert_ne!(
-                            name, SEND_SATURATION,
+                            name.as_ref(),
+                            SEND_SATURATION,
                             "the send end's own congestion reading leaked onto the wire"
                         );
                     }
