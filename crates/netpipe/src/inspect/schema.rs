@@ -200,9 +200,8 @@ mod tests {
     }
 
     /// Hostile input on both directions of the inspector channel:
-    /// truncations, mutations and garbage fail typed, and huge length or
-    /// count prefixes with nothing behind them are errors, not
-    /// allocations.
+    /// truncations, mutations and garbage fail typed, and so do huge
+    /// length or count prefixes with nothing behind them.
     #[test]
     fn hostile_inspect_messages_fail_typed() {
         let req = wire::to_bytes(&InspectRequest::Snapshot(SCHEMA_VERSION)).unwrap();

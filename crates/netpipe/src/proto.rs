@@ -217,7 +217,7 @@ mod tests {
             qos: vec![("frame-rate-hz".into(), 24.0, 30.0)],
         }))
         .unwrap();
-        crate::wire::check_hostile::<CtrlMsg>(&valid, "ctrl_msgs");
+        wire::check_hostile::<CtrlMsg>(&valid, "ctrl_msgs");
         let max = u32::MAX.to_le_bytes();
         for prefix in [
             [&[0, 0, 0, 0][..], &max].concat(), // CreatePipeline, u32::MAX names
@@ -229,10 +229,10 @@ mod tests {
         }
     }
 
-    /// A reply that never comes, a data frame instead of one, and a
-    /// closed link each end the exchange with a protocol error.
+    /// A data frame where a reply belongs, and a link that closes
+    /// before one comes, each end the exchange with a protocol error.
     #[test]
-    fn request_fails_on_the_wrong_frame_and_on_close() {
+    fn request_fails_on_a_data_frame_and_on_close() {
         let transport = InProcTransport::new();
         let acceptor = transport.listen("proto").unwrap();
         let client = transport.connect("proto").unwrap();
@@ -247,10 +247,9 @@ mod tests {
             "{err:?}"
         );
         drop(server);
-        let err = request::<_, CtrlMsg>(&client, &CtrlMsg::QuerySpec, "SpecReply").unwrap_err();
+        let err = recv_ctrl::<_, CtrlMsg>(&client, "SpecReply").unwrap_err();
         assert!(
-            matches!(&err, RemoteError::Protocol(s) if s == "connection closed")
-                || matches!(err, RemoteError::Transport(_)),
+            matches!(&err, RemoteError::Protocol(s) if s == "connection closed"),
             "{err:?}"
         );
     }

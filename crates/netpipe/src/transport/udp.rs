@@ -49,8 +49,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-// Datagram type bytes (first byte of every datagram): a
-// [`FrameKind`]'s byte (0–3), or one of these two.
+// The first byte of every datagram is a `FrameKind`'s (0–3) or one of
+// these two tags.
 /// A connect announcement.
 const TAG_HELLO: u8 = 0xF0;
 /// A packed datagram of several small data frames:
