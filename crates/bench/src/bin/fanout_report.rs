@@ -115,18 +115,14 @@ impl CaseResult {
 
 /// Spawns `READERS` threads sharing the client links between them; each
 /// drains its shard round-robin until every link in it has seen `Fin`.
-/// Returns handles yielding (frames, bytes) delivered per shard.
-///
-/// `poll` is the per-link recv timeout. Queue-backed transports hand
-/// over buffered frames even at `Duration::ZERO`; a stream transport
-/// only pulls from the socket inside a recv with time on the clock, so
-/// the TCP lane must poll with a small nonzero timeout.
+/// Returns handles yielding (frames, bytes) delivered per shard. Every
+/// lane polls at `Duration::ZERO`: each link's frames are already in its
+/// receive queue.
 ///
 /// Every delivered data frame also bumps `progress`, so the lane driver
 /// can watch the reader side go quiet before starting the drain.
 fn spawn_readers<L: Link>(
     links: Vec<L>,
-    poll: Duration,
     progress: &std::sync::Arc<AtomicU64>,
 ) -> Vec<std::thread::JoinHandle<(u64, u64)>> {
     let mut shards: Vec<Vec<L>> = (0..READERS).map(|_| Vec::new()).collect();
@@ -145,7 +141,7 @@ fn spawn_readers<L: Link>(
                 while !open.is_empty() {
                     let mut progressed = false;
                     open.retain(|link| loop {
-                        match link.recv(poll) {
+                        match link.recv(Duration::ZERO) {
                             RecvOutcome::Frame(Frame::Data(payload)) => {
                                 frames += 1;
                                 bytes += payload.len() as u64;
@@ -180,13 +176,6 @@ fn fanout_lane<T: Transport>(
     sessions: usize,
     frames: usize,
 ) -> CaseResult {
-    // Stream transports need recv time on the clock to pull from the
-    // socket; queue transports hand over buffered frames at ZERO cost.
-    let poll = if scheme == "tcp" {
-        Duration::from_millis(1)
-    } else {
-        Duration::ZERO
-    };
     let acceptor = transport.listen(addr).expect("listen");
     let bound = acceptor.local_addr();
     let registry: SessionRegistry<T::Link> = SessionRegistry::new(ServeConfig {
@@ -204,7 +193,7 @@ fn fanout_lane<T: Transport>(
         std::thread::sleep(Duration::from_millis(1));
     }
     let progress = std::sync::Arc::new(AtomicU64::new(0));
-    let readers = spawn_readers(clients, poll, &progress);
+    let readers = spawn_readers(clients, &progress);
 
     // The broadcast phase: one pooled, sealed payload per frame, teed to
     // every session by refcount. The counters around it are the claim.

@@ -107,7 +107,7 @@ impl Link for InProcLink {
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
         let inn = &self.shared.inn;
-        inn.stats.count_delivery(inn.queue.recv(timeout))
+        inn.queue.recv(timeout, &inn.stats)
     }
 
     fn bind_receiver(
@@ -260,8 +260,14 @@ mod tests {
                 dir.send(data(1));
                 dir.send(event(7));
             }
-            assert_eq!(expect_frame(dir.queue.recv(Duration::ZERO)), event(7));
-            assert_eq!(expect_frame(dir.queue.recv(Duration::ZERO)), data(1));
+            assert_eq!(
+                expect_frame(dir.queue.recv(Duration::ZERO, &dir.stats)),
+                event(7)
+            );
+            assert_eq!(
+                expect_frame(dir.queue.recv(Duration::ZERO, &dir.stats)),
+                data(1)
+            );
         }
     }
 
@@ -285,7 +291,7 @@ mod tests {
             let (mut next_data, mut next_event) = (0, 0);
             let started = Instant::now();
             while next_data < DATA || next_event < EVENTS {
-                match dir.queue.recv(Duration::ZERO) {
+                match dir.queue.recv(Duration::ZERO, &dir.stats) {
                     RecvOutcome::Frame(frame @ Frame::Data(_)) => {
                         assert_eq!(frame, data(next_data));
                         next_data += 1;
@@ -303,7 +309,7 @@ mod tests {
             }
         });
         assert!(matches!(
-            dir.queue.recv(Duration::ZERO),
+            dir.queue.recv(Duration::ZERO, &dir.stats),
             RecvOutcome::TimedOut
         ));
     }
@@ -312,13 +318,19 @@ mod tests {
     fn a_poll_times_out_when_empty_and_ends_after_the_data() {
         let dir = Direction::new(8);
         assert!(matches!(
-            dir.queue.recv(Duration::ZERO),
+            dir.queue.recv(Duration::ZERO, &dir.stats),
             RecvOutcome::TimedOut
         ));
         dir.send(data(1));
         dir.send(Frame::Fin);
-        assert_eq!(expect_frame(dir.queue.recv(Duration::ZERO)), data(1));
-        assert!(matches!(dir.queue.recv(Duration::ZERO), RecvOutcome::Fin));
+        assert_eq!(
+            expect_frame(dir.queue.recv(Duration::ZERO, &dir.stats)),
+            data(1)
+        );
+        assert!(matches!(
+            dir.queue.recv(Duration::ZERO, &dir.stats),
+            RecvOutcome::Fin
+        ));
     }
 
     #[test]
@@ -328,7 +340,10 @@ mod tests {
             std::thread::scope(|scope| {
                 let receiver = scope.spawn(|| {
                     let started = Instant::now();
-                    (dir.queue.recv(Duration::from_secs(1)), started.elapsed())
+                    (
+                        dir.queue.recv(Duration::from_secs(1), &dir.stats),
+                        started.elapsed(),
+                    )
                 });
                 // Send only once the receiver has registered to be woken.
                 let started = Instant::now();

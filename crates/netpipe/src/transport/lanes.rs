@@ -7,22 +7,24 @@
 //! stream never overtakes its own data and stays readable afterwards.
 //!
 //! The TCP send queue is this type, and so is the receive side of every
-//! backend that is *handed* its frames: an inproc direction (the sending
-//! thread arrives), a sim direction (its kernel thread arrives) and a
-//! UDP link (the socket reader arrives). Such a queue is polled until it
-//! is bound, `Bound` after, and `Ended` after that. Polled, an arrival
-//! queues; bound, the arriving thread delivers it into the binding under
-//! the queue's one lock. `bind` flushes the backlog into the binding
-//! under that same lock, so nothing that arrives meanwhile is lost or
-//! overtaken, and nothing is delivered twice.
+//! backend: an inproc direction (the sending thread arrives), a sim
+//! direction (its kernel thread arrives), a TCP link and a UDP link (the
+//! socket reader arrives, a read's frames at a time). Such a queue is
+//! polled until it is bound, `Bound` after, and `Ended` after that.
+//! Polled, an arrival queues; bound, the arriving thread delivers it into
+//! the binding under the queue's one lock. `bind` flushes the backlog
+//! into the binding under that same lock, so nothing that arrives
+//! meanwhile is lost or overtaken, and nothing is delivered twice.
 
 use super::{BatchPolicy, Frame, RecvOutcome, SharedStats, TransportError};
 use infopipes::{ControlEvent, InboxSender, Item, PayloadBytes};
 use mbthread::Ctx;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+use std::vec::Drain;
 
 /// A receive queue's binding: the pipeline that hears its arrivals, fed
 /// by whichever thread delivers them.
@@ -59,6 +61,36 @@ impl Bound {
         }
     }
 
+    /// Hands one read's frames to the pipeline, up to `Fin`: each run of
+    /// data frames in one put (counted in `stats` as delivered or
+    /// refused), each event to the callback once the data ahead of it is
+    /// in. `true` if `Fin` came.
+    fn accept_all(&self, frames: &mut Peekable<Drain<'_, Frame>>, stats: &SharedStats) -> bool {
+        let is_data = |f: &Frame| matches!(f, Frame::Data(_));
+        loop {
+            if let (Some(inbox), true) = (&self.inbox, frames.peek().is_some_and(is_data)) {
+                let mut run = 0;
+                let refused = inbox.put_all(std::iter::from_fn(|| {
+                    let Some(Frame::Data(bytes)) = frames.next_if(is_data) else {
+                        return None;
+                    };
+                    run += 1;
+                    Some(Item::bytes(bytes))
+                }));
+                stats
+                    .delivered
+                    .fetch_add((run - refused) as u64, Ordering::Relaxed);
+                stats.refused.fetch_add(refused as u64, Ordering::Relaxed);
+            }
+            match frames.next() {
+                None => return false,
+                Some(Frame::Fin) => return true,
+                Some(Frame::Event(ev)) => (self.on_event)(ev),
+                Some(_) => {}
+            }
+        }
+    }
+
     /// The stream is over: the inbox ends, and the binding is let go.
     fn finish(self, ctx: Option<&mut Ctx<'_>>) {
         if let Some(inbox) = &self.inbox {
@@ -85,8 +117,9 @@ struct Lanes {
     data: VecDeque<PayloadBytes>,
     /// `Fin` was queued; nothing follows it.
     fin: bool,
-    /// The other side of the queue is gone (the TCP writer exited, the
-    /// UDP socket failed, the sending end was dropped).
+    /// The other side of the queue is gone (the TCP writer exited, a
+    /// socket reader's stream ended or failed, the sending end or the
+    /// link was dropped).
     closed: bool,
     receiver: Receiver,
     /// Threads asleep on the queue's condvar that no
@@ -154,6 +187,18 @@ pub(crate) struct LaneQueue {
     cv: Condvar,
     /// Data frames the bounded lane holds.
     capacity: usize,
+}
+
+/// Data frames a socket link's receive lane holds for polls.
+pub(crate) const RX_QUEUE_FRAMES: usize = 1024;
+
+/// What a polled receive lane does with a data frame that arrives while
+/// it is full: a lossy backend (UDP) sheds it; a reliable one (TCP)
+/// keeps it, and its reader waits for room before the next read.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum OnFull {
+    Shed,
+    Keep,
 }
 
 /// What became of an [`arrive`](LaneQueue::arrive)d frame.
@@ -290,6 +335,68 @@ impl LaneQueue {
         }
     }
 
+    /// The receiving side takes one socket read's frames at once, on the
+    /// reader's thread, under one lock and with one wake-up: it never
+    /// waits, and never refuses a control frame while the stream runs.
+    /// Polled, the frames queue; a data frame that finds its lane full
+    /// goes as `full` says. Bound, each run of data frames goes into the
+    /// inbox in one put, a control frame flushes the data ahead of it
+    /// first, and `Fin` ends the binding. Deliveries, refusals and sheds
+    /// are counted in `stats`. `frames` is left empty; `false` once the
+    /// stream is over (`Fin` arrived, or the other side is gone).
+    pub(crate) fn arrive_all(
+        &self,
+        frames: &mut Vec<Frame>,
+        full: OnFull,
+        stats: &SharedStats,
+    ) -> bool {
+        let mut frames = frames.drain(..).peekable();
+        let mut q = self.lanes.lock();
+        match &q.receiver {
+            Receiver::Polled if !(q.fin || q.closed) => {
+                for frame in frames.by_ref() {
+                    let is_data = matches!(frame, Frame::Data(_));
+                    if is_data && full == OnFull::Shed && q.data.len() >= self.capacity {
+                        stats.dropped.fetch_add(1, Ordering::Relaxed);
+                        stats.rx_shed.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    q.put(frame);
+                    if q.fin {
+                        break;
+                    }
+                }
+                let open = !q.fin;
+                self.wake(q);
+                open
+            }
+            Receiver::Bound(bound) => {
+                if !bound.accept_all(&mut frames, stats) {
+                    return true;
+                }
+                self.end(q, None);
+                false
+            }
+            _ => false,
+        }
+    }
+
+    /// The reader of a reliable stream waits here before each socket
+    /// read until its polled data lane has room (a bound lane always
+    /// has); `false` once the stream is over.
+    pub(crate) fn wait_room(&self) -> bool {
+        let mut q = self.lanes.lock();
+        loop {
+            match q.receiver {
+                Receiver::Ended => return false,
+                Receiver::Bound(_) => return true,
+                Receiver::Polled if q.fin || q.closed => return false,
+                Receiver::Polled if q.data.len() < self.capacity => return true,
+                Receiver::Polled => self.wait(&mut q, None),
+            }
+        }
+    }
+
     /// Binds the receive side: data to `inbox` (counted in `stats` as
     /// delivered or refused), events to `on_event`, the stream's end to
     /// the inbox's end. Under the lock every arrival takes, the backlog
@@ -326,6 +433,24 @@ impl LaneQueue {
         // A poller asleep on the queue now reads `Closed`.
         self.wake(q);
         Ok(())
+    }
+
+    /// [`bind`](LaneQueue::bind) for a socket link: a data binding holds
+    /// `link` until the stream ends ("bind and forget"), so the reader
+    /// delivers the rest after the caller drops every handle.
+    pub(crate) fn bind_holding<L: Send + 'static>(
+        &self,
+        link: L,
+        inbox: Option<InboxSender>,
+        on_event: impl Fn(ControlEvent) + Send + 'static,
+        stats: &SharedStats,
+    ) -> Result<(), TransportError> {
+        let link = inbox.is_some().then_some(link);
+        let on_event = move |ev| {
+            let _ = &link;
+            on_event(ev);
+        };
+        self.bind(inbox, on_event, stats)
     }
 
     /// Lets go of a binding whose stream is over. `Ended` goes in under
@@ -366,18 +491,37 @@ impl LaneQueue {
         true
     }
 
-    /// The next frame by lane policy, if any is due.
-    pub(crate) fn try_recv(&self) -> Option<RecvOutcome> {
-        self.lanes.lock().next()
+    /// Hands a poller the frame `next` gave. A data frame is counted in
+    /// `stats` as delivered, and makes room: a reader waiting for it is
+    /// woken.
+    fn taken(
+        &self,
+        q: MutexGuard<'_, Lanes>,
+        out: RecvOutcome,
+        stats: &SharedStats,
+    ) -> RecvOutcome {
+        if matches!(out, RecvOutcome::Frame(Frame::Data(_))) {
+            stats.delivered.fetch_add(1, Ordering::Relaxed);
+            self.wake(q);
+        }
+        out
     }
 
-    /// The next frame by lane policy, waiting up to `timeout` for one.
-    pub(crate) fn recv(&self, timeout: Duration) -> RecvOutcome {
+    /// The next frame by lane policy, if any is due.
+    #[cfg(test)]
+    pub(crate) fn try_recv(&self, stats: &SharedStats) -> Option<RecvOutcome> {
+        let mut q = self.lanes.lock();
+        q.next().map(|out| self.taken(q, out, stats))
+    }
+
+    /// The next frame by lane policy, waiting up to `timeout` for one;
+    /// a data frame is counted in `stats` as delivered.
+    pub(crate) fn recv(&self, timeout: Duration, stats: &SharedStats) -> RecvOutcome {
         let mut q = self.lanes.lock();
         // Look before reading the clock: a frame that is already there,
         // or a poll (`Duration::ZERO`), never needs the time.
         if let Some(out) = q.next() {
-            return out;
+            return self.taken(q, out, stats);
         }
         if timeout.is_zero() {
             return RecvOutcome::TimedOut;
@@ -390,7 +534,7 @@ impl LaneQueue {
             }
             self.wait(&mut q, Some(deadline - now));
             if let Some(out) = q.next() {
-                return out;
+                return self.taken(q, out, stats);
             }
         }
     }
@@ -476,7 +620,7 @@ mod tests {
                 assert_eq!(blocked.join().unwrap(), Some(true), "it waited: pressure");
             });
             assert_eq!(q.lanes.lock().waiters, 0);
-            match q.try_recv() {
+            match q.try_recv(&SharedStats::default()) {
                 Some(RecvOutcome::Frame(Frame::Data(bytes))) => assert_eq!(tag(&bytes), 2),
                 other => panic!("the blocked frame must be queued, got {other:?}"),
             }
@@ -496,7 +640,7 @@ mod tests {
                 assert!(batch.ctrl.is_empty() && !batch.fin);
             });
             thread::scope(|s| {
-                let reader = s.spawn(|| q.recv(Duration::from_secs(3600)));
+                let reader = s.spawn(|| q.recv(Duration::from_secs(3600), &SharedStats::default()));
                 await_waiters(&q, 1);
                 assert_eq!(
                     q.arrive(None, Frame::Control(vec![1, 2, 3]), &SharedStats::default()),
@@ -528,7 +672,8 @@ mod tests {
 
             let empty = LaneQueue::new(1);
             thread::scope(|s| {
-                let recv = s.spawn(|| empty.recv(Duration::from_secs(3600)));
+                let recv =
+                    s.spawn(|| empty.recv(Duration::from_secs(3600), &SharedStats::default()));
                 await_waiters(&empty, 1);
                 empty.close(None);
                 assert!(matches!(recv.join().unwrap(), RecvOutcome::Closed));
@@ -544,14 +689,14 @@ mod tests {
         within_deadline(|| {
             let q = LaneQueue::new(4);
             assert!(matches!(
-                q.recv(Duration::from_millis(2)),
+                q.recv(Duration::from_millis(2), &SharedStats::default()),
                 RecvOutcome::TimedOut
             ));
             assert!(!q.wait_closed(Duration::from_millis(2)));
             assert_eq!(q.lanes.lock().waiters, 0);
             // And a real sleeper after it is counted, and woken.
             thread::scope(|s| {
-                let reader = s.spawn(|| q.recv(Duration::from_secs(3600)));
+                let reader = s.spawn(|| q.recv(Duration::from_secs(3600), &SharedStats::default()));
                 await_waiters(&q, 1);
                 assert_eq!(q.offer(data(9)), Some(false));
                 assert_eq!(q.lanes.lock().waiters, 0, "one notify serves it");
@@ -560,6 +705,41 @@ mod tests {
                     RecvOutcome::Frame(Frame::Data(_))
                 ));
             });
+        });
+    }
+
+    /// A reliable stream's reader stops at a full polled lane and goes on
+    /// once polls have made room; a bound lane always has room, and an
+    /// ended one never again.
+    #[test]
+    fn a_reader_waits_for_room_until_polls_make_some() {
+        within_deadline(|| {
+            let q = LaneQueue::new(2);
+            let stats = SharedStats::default();
+            let mut frames = vec![data(0), data(1), data(2)];
+            assert!(q.arrive_all(&mut frames, OnFull::Keep, &stats));
+            assert!(frames.is_empty());
+            thread::scope(|s| {
+                let reader = s.spawn(|| q.wait_room());
+                await_waiters(&q, 1);
+                // Two of three queued frames still fill the lane.
+                assert!(matches!(
+                    q.recv(Duration::ZERO, &stats),
+                    RecvOutcome::Frame(Frame::Data(_))
+                ));
+                await_waiters(&q, 1);
+                assert!(!reader.is_finished());
+                assert!(matches!(
+                    q.recv(Duration::ZERO, &stats),
+                    RecvOutcome::Frame(Frame::Data(_))
+                ));
+                assert!(reader.join().unwrap());
+            });
+            q.bind(None, |_| {}, &stats).unwrap();
+            assert!(q.wait_room());
+            q.close(None);
+            assert!(!q.wait_room());
+            assert_eq!(q.lanes.lock().waiters, 0);
         });
     }
 
@@ -595,7 +775,7 @@ mod tests {
                 p.join().unwrap();
             }
             assert_eq!(next, [PER_PRODUCER; 2]);
-            assert!(q.try_recv().is_none());
+            assert!(q.try_recv(&SharedStats::default()).is_none());
             assert_eq!(q.lanes.lock().waiters, 0);
         });
     }
@@ -623,7 +803,7 @@ mod tests {
                 .collect();
             let mut next = [0u64; 4];
             while next.iter().sum::<u64>() < 4 * PER_PRODUCER {
-                match q.recv(Duration::from_secs(3600)) {
+                match q.recv(Duration::from_secs(3600), &SharedStats::default()) {
                     RecvOutcome::Frame(Frame::Data(bytes)) => {
                         let (id, seq) = ((tag(&bytes) >> 32) as usize, tag(&bytes) & 0xffff_ffff);
                         assert_eq!(seq, next[id], "producer {id} out of order");
@@ -635,7 +815,7 @@ mod tests {
             for p in producers {
                 p.join().unwrap();
             }
-            assert!(q.try_recv().is_none());
+            assert!(q.try_recv(&SharedStats::default()).is_none());
             assert_eq!(q.lanes.lock().waiters, 0);
         });
     }

@@ -59,22 +59,21 @@
 //!    your backend queues frames — `offer`/`take_batch` on a sending side
 //!    that waits for room (TCP), `arrive`/`recv` on a receiving side that
 //!    sheds — and the policy comes with it.
-//! 4. Give the receive side one arrival path. A backend whose receiver
-//!    is *handed* its frames — by the sending thread (inproc), by the
+//! 4. Give the receive side the one arrival path: a `LaneQueue`, whose
+//!    `recv` is your `recv` and whose `bind` is your `bind_receiver`.
+//!    Whatever hands the receiver its frames `arrive`s them into the
+//!    queue on its own thread — the sending thread (inproc), the
 //!    direction's kernel thread, which keeps the simulator deterministic
-//!    under virtual time (sim), or by a socket reader (the UDP server) —
-//!    `arrive`s each one into its `LaneQueue` on that thread, and its
-//!    `bind_receiver` is the queue's `bind`. A bound queue delivers each
-//!    arrival into the pipeline under its lock, and `bind` flushes the
-//!    backlog in under the same lock, so nothing sent meanwhile is lost
-//!    or reordered. Only a link whose `recv` reads the socket itself
-//!    (TCP, the UDP client) binds through a `ReceiverSlot` field, which
-//!    drains `recv` on a `worker::Worker` thread joined with the link,
-//!    one read's frames per inbox put — so such a `recv` given a zero
-//!    timeout must answer from frames already read, never the socket.
-//!    Every thread your backend needs (a writer, a flusher, a socket
-//!    reader) is a `Worker` — the crate spawns threads nowhere else, and
-//!    CI greps for it.
+//!    under virtual time (sim), or a socket reader (TCP, UDP), which
+//!    `arrive_all`s each read's frames under one lock and with one inbox
+//!    put. A bound queue delivers each arrival into the pipeline under
+//!    its lock, and `bind` flushes the backlog in under the same lock, so
+//!    nothing sent meanwhile is lost or reordered. A socket reader is
+//!    started by the link's first `recv` or `bind_receiver`, so a link
+//!    nobody reads runs none, and a data binding holds its link until the
+//!    stream ends (`bind_holding`). Every thread your backend needs (a
+//!    writer, a flusher, a socket reader) is a `worker::Worker` — the
+//!    crate spawns threads nowhere else, and CI greps for it.
 //! 5. Run the conformance suite (`crates/netpipe/tests/
 //!    transport_conformance.rs`) against the new backend: ordering,
 //!    backpressure, control-event priority, and clean shutdown are the
@@ -243,7 +242,6 @@ pub use tcp::{TcpAcceptor, TcpLink, TcpTransport};
 pub use udp::{UdpAcceptor, UdpLink, UdpTransport};
 
 use crate::marshal::WireBytes;
-use crate::worker::Worker;
 use infopipes::{
     Consumer, ControlEvent, EventCtx, InboxSender, Item, ItemType, Node, PayloadBytes, Pipeline,
     Stage, StageCtx,
@@ -363,11 +361,14 @@ impl fmt::Display for PeerIdentity {
 pub struct LinkStats {
     /// Data frames handed to the link by this end.
     pub sent: u64,
-    /// Data frames this end received.
+    /// Data frames this end received: handed to a `recv` poller, or
+    /// taken by the bound inbox. Each data frame that reaches a bound
+    /// receive side counts once, here or in `refused`.
     pub delivered: u64,
     /// Data frames dropped by the link (queue overflow / lossy backend).
     pub dropped: u64,
-    /// Data frames refused by a full consumer inbox on this end.
+    /// Data frames refused by a full consumer inbox on this end (and so
+    /// not counted in `delivered`).
     pub refused: u64,
     /// Payload bytes accepted for sending.
     pub bytes_sent: u64,
@@ -395,14 +396,6 @@ pub(crate) struct SharedStats {
 }
 
 impl SharedStats {
-    /// Counts a data frame handed to the receiver of a polled `recv`.
-    pub(crate) fn count_delivery(&self, outcome: RecvOutcome) -> RecvOutcome {
-        if matches!(outcome, RecvOutcome::Frame(Frame::Data(_))) {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-        }
-        outcome
-    }
-
     pub(crate) fn snapshot(&self) -> LinkStats {
         LinkStats {
             sent: self.sent.load(Ordering::Relaxed),
@@ -557,7 +550,8 @@ pub trait Link: Clone + Send + Sync + 'static {
     }
 
     /// Receives the next frame, waiting at most `timeout`. Control-lane
-    /// frames have priority over queued data frames.
+    /// frames have priority over queued data frames. A zero `timeout`
+    /// polls: every frame the link has received is there to be taken.
     fn recv(&self, timeout: Duration) -> RecvOutcome;
 
     /// Permanently binds the receive side to a pipeline: data frames feed
@@ -566,17 +560,16 @@ pub trait Link: Clone + Send + Sync + 'static {
     /// finishes the inbox. At most one binding per link — "network
     /// packets … are mapped to messages by the platform" (§4).
     ///
-    /// Which thread runs `on_event` (and puts into `inbox`) depends on
-    /// the backend:
+    /// The thread that delivers a frame runs `on_event` (and puts into
+    /// `inbox`); which one that is depends on the backend:
     ///
-    /// * TCP and the UDP client: the link's receive pump, a service
-    ///   thread joined with the link. It hands over what one socket read
-    ///   brought at once: all its data frames in one put into `inbox`,
-    ///   under one buffer lock with one wake-up (a TCP read is up to
-    ///   64 KiB of frames, a UDP client read the datagrams queued).
-    /// * UDP server: the listener's reader thread. A data binding keeps
-    ///   its link open until the stream ends, whether or not the caller
-    ///   keeps a handle.
+    /// * TCP and UDP: the socket reader — the link's own (TCP, the UDP
+    ///   client), or the listener's (the UDP server). It hands over what
+    ///   one socket read brought at once: its data frames in one put
+    ///   into `inbox`, under one buffer lock with one wake-up (a TCP
+    ///   read is up to 64 KiB of frames, a UDP read one datagram). A
+    ///   data binding keeps its link open until the stream ends,
+    ///   whether or not the caller keeps a handle.
     /// * sim: the direction's kernel thread, which keeps delivery
     ///   deterministic under virtual time.
     /// * inproc: the thread that sends the frame on the peer end, while
@@ -586,10 +579,8 @@ pub trait Link: Clone + Send + Sync + 'static {
     ///   back: that send would wait for a lock its own thread holds.
     ///
     /// Frames that arrived before the binding are delivered into it, in
-    /// order, before `bind_receiver` returns (sim, inproc, UDP server)
-    /// or by the pump (TCP, UDP client). Once bound, [`Link::recv`] on
-    /// sim, inproc and a UDP server link answers
-    /// [`RecvOutcome::Closed`].
+    /// order, before `bind_receiver` returns, and once bound,
+    /// [`Link::recv`] answers [`RecvOutcome::Closed`].
     ///
     /// # Errors
     ///
@@ -602,90 +593,6 @@ pub trait Link: Clone + Send + Sync + 'static {
 
     /// This end's link statistics.
     fn stats(&self) -> LinkStats;
-}
-
-/// The receive binding of a link whose `recv` reads the socket itself
-/// (TCP, the UDP client): at most one, its pump thread owned by the link
-/// it drains.
-#[derive(Default)]
-pub(crate) struct ReceiverSlot(Mutex<Option<Worker>>);
-
-impl ReceiverSlot {
-    /// Binds the shared receive pump: drains [`Link::recv`] on a worker
-    /// thread, feeding data to the inbox (counting refusals into
-    /// `rx_stats`), events to the callback, and finishing the inbox on
-    /// `Fin`/close.
-    ///
-    /// The pump hands the inbox what the link has already read as one
-    /// batch: after a frame arrives it drains `recv` with a zero timeout,
-    /// which on these backends answers from frames already read without
-    /// touching the socket, and puts the data frames gathered under one
-    /// inbox lock with one wake-up. Any other frame flushes the data
-    /// ahead of it first, so the pipeline sees the wire's order.
-    ///
-    /// An events-only binding (`inbox == None`) additionally reaps
-    /// itself once `abandoned` reports that the pump holds the last
-    /// handle — otherwise an abandoned client link would keep its
-    /// connection (and this thread) alive forever. Data bindings
-    /// intentionally stay alive while the peer may still send ("bind and
-    /// forget" is the normal consumer-side pattern).
-    pub(crate) fn bind<L: Link>(
-        &self,
-        link: L,
-        inbox: Option<InboxSender>,
-        on_event: impl Fn(ControlEvent) + Send + 'static,
-        rx_stats: Arc<SharedStats>,
-        abandoned: impl Fn(&L) -> bool + Send + 'static,
-    ) -> Result<(), TransportError> {
-        const IDLE: Duration = Duration::from_millis(50);
-        let mut slot = self.0.lock();
-        if slot.is_some() {
-            return Err(TransportError::ReceiverTaken);
-        }
-        *slot = Some(Worker::spawn("netpipe-receiver", move |_| {
-            // One batch, reused read after read.
-            let mut batch: Vec<Item> = Vec::new();
-            let mut wait = IDLE;
-            loop {
-                let outcome = link.recv(wait);
-                if let RecvOutcome::Frame(Frame::Data(bytes)) = outcome {
-                    if inbox.is_some() {
-                        // The bytes fast path: the inbox item shares the
-                        // frame buffer, no copy and no payload box.
-                        batch.push(Item::bytes(bytes));
-                    }
-                    wait = Duration::ZERO;
-                    continue;
-                }
-                // The data read so far goes in before whatever followed
-                // it on the wire.
-                if let (Some(inbox), false) = (&inbox, batch.is_empty()) {
-                    let refused = inbox.put_all(batch.drain(..));
-                    rx_stats
-                        .refused
-                        .fetch_add(refused as u64, Ordering::Relaxed);
-                }
-                let idle = wait == IDLE;
-                wait = IDLE;
-                match outcome {
-                    RecvOutcome::Frame(Frame::Event(ev)) => on_event(ev),
-                    RecvOutcome::Frame(_) => {}
-                    RecvOutcome::TimedOut => {
-                        if idle && inbox.is_none() && abandoned(&link) {
-                            return;
-                        }
-                    }
-                    RecvOutcome::Fin | RecvOutcome::Closed => {
-                        if let Some(inbox) = &inbox {
-                            inbox.finish();
-                        }
-                        return;
-                    }
-                }
-            }
-        })?);
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------

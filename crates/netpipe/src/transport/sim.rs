@@ -326,7 +326,7 @@ impl Link for SimLink {
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
         let shared = &self.shared;
-        shared.rx_stats.count_delivery(shared.rx.recv(timeout))
+        shared.rx.recv(timeout, &shared.rx_stats)
     }
 
     fn bind_receiver(

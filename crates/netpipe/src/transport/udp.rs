@@ -15,13 +15,15 @@
 //!   Fig. 1 on a real socket.
 //! * **connectionless underneath** — the listener socket serves every
 //!   client; a connect is announced with a `HELLO` datagram, and the
-//!   acceptor-side link demultiplexes by source address. A dedicated
-//!   reader thread on the server routes arriving datagrams to per-peer
-//!   queues, and delivers them itself into a bound link's pipeline.
+//!   acceptor-side link demultiplexes by source address. A reader thread
+//!   arrives each datagram's frames in its link's receive queue, which
+//!   queues them for `recv` or delivers them into a bound pipeline: on
+//!   the server one reader routes every peer's datagrams, on a client
+//!   one reader, started by the link's first `recv` or
+//!   `bind_receiver`, reads its own socket. Both run one body.
 //! * **control priority at the receiver** — datagrams arrive in kernel
-//!   order, so the receive side drains everything available before
-//!   serving, and control-lane frames overtake queued data there (the
-//!   same reordering point the in-process backend uses).
+//!   order, and control-lane frames overtake data queued at the receiver
+//!   (the same reordering point the in-process backend uses).
 //!
 //! `Fin` travels in-band as its own datagram; with no handshake there
 //! is no delivery guarantee for it. A client whose socket reports a
@@ -34,20 +36,21 @@
 //! contiguous), and receives seal each datagram once — the unavoidable
 //! I/O-boundary copies, with none elsewhere.
 
-use super::lanes::{Arrival, LaneQueue};
+use super::lanes::{LaneQueue, OnFull, RX_QUEUE_FRAMES};
 use super::{
-    Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, ReceiverSlot, RecvOutcome, SendStatus,
-    SharedStats, Transport, TransportError,
+    Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, RecvOutcome, SendStatus, SharedStats,
+    Transport, TransportError,
 };
 use crate::framing::{self, FrameKind};
 use crate::worker::{Stop, Worker};
 use infopipes::{BufferPool, PayloadBytes};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // The first byte of every datagram is a `FrameKind`'s (0–3) or one of
 // these two tags.
@@ -76,12 +79,12 @@ fn seal_pooled(pool: &BufferPool, payload: &[u8]) -> PayloadBytes {
     b.seal()
 }
 
-/// Decodes one datagram into zero or more frames. A [`TAG_BATCH`]
-/// datagram fans out into one `Data` frame per packed entry; a truncated
-/// trailing entry (corruption) discards the remainder only. Any other
-/// tag is a [`FrameKind`], decoded as every backend does; an unknown tag
-/// or an event that fails to decode is skipped.
-fn decode_into(tag: u8, payload: &[u8], pool: &BufferPool, push: &mut impl FnMut(Frame)) {
+/// Decodes one datagram into zero or more frames, appended to `frames`.
+/// A [`TAG_BATCH`] datagram fans out into one `Data` frame per packed
+/// entry; a truncated trailing entry (corruption) discards the remainder
+/// only. Any other tag is a [`FrameKind`], decoded as every backend does;
+/// an unknown tag or an event that fails to decode is skipped.
+fn decode_into(tag: u8, payload: &[u8], pool: &BufferPool, frames: &mut Vec<Frame>) {
     if tag == TAG_BATCH {
         let mut rest = payload;
         while rest.len() >= 4 {
@@ -90,13 +93,11 @@ fn decode_into(tag: u8, payload: &[u8], pool: &BufferPool, push: &mut impl FnMut
             if rest.len() < len {
                 break;
             }
-            push(Frame::Data(seal_pooled(pool, &rest[..len])));
+            frames.push(Frame::Data(seal_pooled(pool, &rest[..len])));
             rest = &rest[len..];
         }
     } else if let Ok(kind) = FrameKind::from_byte(tag) {
-        if let Some(frame) = framing::frame_from_parts(kind, seal_pooled(pool, payload)) {
-            push(frame);
-        }
+        frames.extend(framing::frame_from_parts(kind, seal_pooled(pool, payload)));
     }
 }
 
@@ -112,25 +113,35 @@ struct TxBatch {
 }
 
 // ---------------------------------------------------------------------
-// Receive-side queue shared by both link flavours
+// Receive side: one datagram-reading body for both link flavours
 // ---------------------------------------------------------------------
 
-/// Data frames the receive queue holds before shedding arrivals: like
-/// the other lossy backends, a stalled consumer must produce bounded
-/// memory use and counted drops, not an unbounded backlog.
-const RX_QUEUE_FRAMES: usize = 1024;
+/// How long a reader waits on a quiet socket before it looks for a stop
+/// request.
+const READ_POLL: Duration = Duration::from_millis(50);
 
-/// Hands an arrived frame to a link's receive queue, which queues it or
-/// delivers it into the link's binding. The data lane is bounded
-/// ([`RX_QUEUE_FRAMES`]): overflow sheds the arrival, keeping the backend
-/// lossy rather than unbounded when the consumer stalls. A shed is
-/// counted both as a drop (it is loss) and separately as `rx_shed`, the
-/// memory-pressure signal feedback loops watch.
-fn rx_push(rx: &LaneQueue, frame: Frame, stats: &SharedStats) {
-    if rx.arrive(None, frame, stats) == Arrival::Shed {
-        stats.dropped.fetch_add(1, Ordering::Relaxed);
-        stats.rx_shed.fetch_add(1, Ordering::Relaxed);
+/// The body of every UDP reader: reads `socket` until a stop is
+/// requested or `arrive`, handed each datagram's sender, tag and
+/// payload, answers `false`. `false` if a hard socket error ended it —
+/// e.g. `ECONNREFUSED` from an ICMP port-unreachable after the server
+/// socket closed.
+fn read_datagrams(
+    socket: &UdpSocket,
+    stop: &Stop,
+    mut arrive: impl FnMut(SocketAddr, u8, &[u8]) -> bool,
+) -> bool {
+    let mut buf = vec![0u8; 64 * 1024 + 1];
+    let _ = socket.set_read_timeout(Some(READ_POLL));
+    while !stop.requested() {
+        match socket.recv_from(&mut buf) {
+            Ok((n, from)) if n > 0 && !arrive(from, buf[0], &buf[1..n]) => break,
+            // Benign: an empty datagram, timeout expiry or a signal.
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+            Err(_) => return false,
+        }
     }
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -138,18 +149,16 @@ fn rx_push(rx: &LaneQueue, frame: Frame, stats: &SharedStats) {
 // ---------------------------------------------------------------------
 
 enum LinkSide {
-    /// Client side: owns its socket; `recv` reads datagrams itself into
-    /// a reusable buffer (allocated once per link, not per poll), so a
-    /// binding needs a pump to drain it.
+    /// Client side: owns its socket, read by the link's own reader,
+    /// started by the first `recv` or `bind_receiver`; `None` if the OS
+    /// refused the thread (the receive queue is closed then).
     Client {
         socket: UdpSocket,
-        recv_buf: Mutex<Vec<u8>>,
-        receiver: ReceiverSlot,
+        reader: OnceLock<Option<Worker>>,
     },
-    /// Server side: datagrams arrive via the listener's reader thread,
-    /// which queues them or delivers them into the binding. The strong
-    /// ref keeps the shared socket and reader alive for as long as any
-    /// accepted link exists, acceptor dropped or not.
+    /// Server side: datagrams arrive via the listener's reader thread.
+    /// The strong ref keeps the shared socket and reader alive for as
+    /// long as any accepted link exists, acceptor dropped or not.
     Server {
         server: Arc<ServerShared>,
         peer_addr: SocketAddr,
@@ -301,50 +310,32 @@ impl UdpLink {
         }
     }
 
-    /// Drains every datagram currently readable on the client socket
-    /// into the rx queue (so control frames can overtake queued data).
-    /// A hard socket error — e.g. `ECONNREFUSED` from an ICMP
-    /// port-unreachable after the server socket closed — marks the link
-    /// closed.
-    fn pump_client_socket(&self, wait: Duration) {
-        let LinkSide::Client {
-            socket, recv_buf, ..
-        } = &self.inner.side
-        else {
+    /// Starts a client link's reader, once (a server link's is the
+    /// listener's); a thread the OS refuses closes the receive queue.
+    fn start_reader(&self) {
+        let inner = &self.inner;
+        let LinkSide::Client { socket, reader } = &inner.side else {
             return;
         };
-        let mut buf = recv_buf.lock();
-        if buf.is_empty() {
-            buf.resize(64 * 1024 + 1, 0);
-        }
-        // First read may block up to `wait`; subsequent reads only drain
-        // what is already queued in the kernel.
-        let mut timeout = wait;
-        loop {
-            let _ = socket.set_read_timeout(Some(timeout.max(Duration::from_millis(1))));
-            match socket.recv(&mut buf) {
-                Ok(n) if n > 0 => {
-                    decode_into(buf[0], &buf[1..n], &self.inner.rx_pool, &mut |frame| {
-                        rx_push(&self.inner.rx, frame, &self.inner.stats);
-                    });
-                    timeout = Duration::from_micros(100);
-                }
-                Ok(_) => return,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    // Benign: timeout expiry or a signal (EINTR) — the
-                    // link itself is fine.
-                    return;
-                }
-                Err(_) => {
-                    self.inner.rx.close(None);
-                    return;
-                }
-            }
-        }
+        reader.get_or_init(|| {
+            let (rx, stats) = (Arc::clone(&inner.rx), Arc::clone(&inner.stats));
+            let pool = inner.rx_pool.clone();
+            (socket.try_clone())
+                .and_then(|socket| {
+                    Worker::spawn("udp-netpipe-reader", move |stop| {
+                        let mut frames = Vec::new();
+                        let healthy = read_datagrams(&socket, stop, |_, tag, payload| {
+                            decode_into(tag, payload, &pool, &mut frames);
+                            rx.arrive_all(&mut frames, OnFull::Shed, &stats)
+                        });
+                        if !healthy {
+                            rx.close(None);
+                        }
+                    })
+                })
+                .inspect_err(|_| inner.rx.close(None))
+                .ok()
+        });
     }
 }
 
@@ -419,25 +410,8 @@ impl Link for UdpLink {
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
-        let rx = &self.inner.rx;
-        let outcome = match &self.inner.side {
-            // The listener's reader thread fills the queue.
-            LinkSide::Server { .. } => rx.recv(timeout),
-            LinkSide::Client { .. } => {
-                let deadline = Instant::now() + timeout;
-                loop {
-                    if let Some(out) = rx.try_recv() {
-                        break out;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break RecvOutcome::TimedOut;
-                    }
-                    self.pump_client_socket(deadline - now);
-                }
-            }
-        };
-        self.inner.stats.count_delivery(outcome)
+        self.start_reader();
+        self.inner.rx.recv(timeout, &self.inner.stats)
     }
 
     fn bind_receiver(
@@ -446,25 +420,11 @@ impl Link for UdpLink {
         on_event: impl Fn(infopipes::ControlEvent) + Send + 'static,
     ) -> Result<(), TransportError> {
         let inner = &self.inner;
-        match &inner.side {
-            LinkSide::Client { receiver, .. } => {
-                let rx_stats = Arc::clone(&inner.stats);
-                receiver.bind(self.clone(), inbox, on_event, rx_stats, |link| {
-                    Arc::strong_count(&link.inner) == 1
-                })
-            }
-            // The listener's reader thread delivers. A data binding holds
-            // its own handle until the stream ends — "bind and forget" —
-            // so the peer's entry, and the reader, outlive the caller's.
-            LinkSide::Server { .. } => {
-                let link = inbox.is_some().then(|| self.clone());
-                let on_event = move |ev| {
-                    let _ = &link;
-                    on_event(ev);
-                };
-                inner.rx.bind(inbox, on_event, &inner.stats)
-            }
-        }
+        inner
+            .rx
+            .bind_holding(self.clone(), inbox, on_event, &inner.stats)?;
+        self.start_reader();
+        Ok(())
     }
 
     fn stats(&self) -> LinkStats {
@@ -517,36 +477,33 @@ struct ServerShared {
 /// Routes every arriving datagram: `HELLO` creates a peer entry and
 /// wakes `accept`; anything else arrives in its peer's queue, which
 /// queues it or delivers it into the peer link's binding. Holds only a
-/// weak ref, so the thread reaps itself once the acceptor and every
-/// accepted link are gone.
-fn reader_loop(server: &Weak<ServerShared>, stop: &Stop) {
-    let mut buf = vec![0u8; 64 * 1024 + 1];
-    while !stop.requested() {
-        let Some(srv) = server.upgrade() else { return };
-        let _ = srv.socket.set_read_timeout(Some(Duration::from_millis(50)));
-        match srv.socket.recv_from(&mut buf) {
-            Ok((n, from)) if n > 0 => {
-                if buf[0] == TAG_HELLO {
-                    let mut peers = srv.peers.lock();
-                    if let std::collections::hash_map::Entry::Vacant(slot) = peers.entry(from) {
-                        slot.insert(PeerEntry::new());
-                        srv.pending.offer(from);
-                    }
-                } else {
-                    // Deliver outside `peers`: a binding that ends lets go
-                    // of its link handle, maybe the last one, whose drop
-                    // locks `peers`.
-                    let entry = srv.peers.lock().get(&from).cloned();
-                    if let Some(entry) = entry {
-                        decode_into(buf[0], &buf[1..n], &entry.pool, &mut |frame| {
-                            rx_push(&entry.rx, frame, &entry.stats);
-                        });
-                    }
-                }
+/// weak ref, so the thread is stopped once the acceptor and every
+/// accepted link are gone. A socket error is taken for transient: the
+/// reader reads on.
+fn reader_loop(socket: &UdpSocket, server: &Weak<ServerShared>, stop: &Stop) {
+    let mut frames = Vec::new();
+    let mut route = |from, tag, payload: &[u8]| {
+        let Some(srv) = server.upgrade() else {
+            return false;
+        };
+        if tag == TAG_HELLO {
+            let mut peers = srv.peers.lock();
+            if let std::collections::hash_map::Entry::Vacant(slot) = peers.entry(from) {
+                slot.insert(PeerEntry::new());
+                srv.pending.offer(from);
             }
-            _ => {}
+        } else {
+            // Deliver outside `peers`: a binding that ends lets go of its
+            // link handle, maybe the last one, whose drop locks `peers`.
+            let entry = srv.peers.lock().get(&from).cloned();
+            if let Some(entry) = entry {
+                decode_into(tag, payload, &entry.pool, &mut frames);
+                entry.rx.arrive_all(&mut frames, OnFull::Shed, &entry.stats);
+            }
         }
-    }
+        true
+    };
+    while !read_datagrams(socket, stop, &mut route) {}
 }
 
 /// A bound UDP listening endpoint. Dropping it unblocks pending
@@ -644,9 +601,9 @@ impl Transport for UdpTransport {
             pending: Pending::new(),
             reader: OnceLock::new(),
         });
-        let weak = Arc::downgrade(&server);
+        let (socket, weak) = (Arc::clone(&server.socket), Arc::downgrade(&server));
         let reader = Worker::spawn("udp-netpipe-reader", move |stop| {
-            reader_loop(&weak, stop);
+            reader_loop(&socket, &weak, stop);
         })?;
         let _ = server.reader.set(reader);
         Ok(UdpAcceptor { server })
@@ -678,8 +635,7 @@ impl Transport for UdpTransport {
         }
         let side = LinkSide::Client {
             socket,
-            recv_buf: Mutex::new(Vec::new()),
-            receiver: ReceiverSlot::default(),
+            reader: OnceLock::new(),
         };
         Ok(UdpLink::new(addr.to_owned(), side, PeerEntry::new()))
     }
@@ -690,6 +646,7 @@ mod tests {
     use super::*;
     use crate::wire;
     use infopipes::ControlEvent;
+    use std::time::Instant;
 
     #[test]
     fn hello_establishes_a_demultiplexed_peer() {
@@ -724,23 +681,20 @@ mod tests {
     fn receive_queue_is_bounded_and_sheds_with_counting() {
         let rx = LaneQueue::new(RX_QUEUE_FRAMES);
         let stats = SharedStats::default();
-        for i in 0..(RX_QUEUE_FRAMES + 10) {
-            rx_push(
-                &rx,
-                Frame::Data(PayloadBytes::from(vec![(i % 251) as u8])),
-                &stats,
-            );
-        }
+        let mut frames: Vec<Frame> = (0..(RX_QUEUE_FRAMES + 10))
+            .map(|i| Frame::Data(PayloadBytes::from(vec![(i % 251) as u8])))
+            .collect();
+        assert!(rx.arrive_all(&mut frames, OnFull::Shed, &stats));
         // Control frames are never shed, and still overtake the backlog;
         // nothing arrives after the `Fin`.
-        rx_push(&rx, Frame::Event(ControlEvent::SetDropLevel(1)), &stats);
-        rx_push(&rx, Frame::Fin, &stats);
-        let late = Frame::Event(ControlEvent::SetDropLevel(2));
-        assert_eq!(rx.arrive(None, late, &stats), Arrival::Ended);
+        let mut frames = vec![Frame::Event(ControlEvent::SetDropLevel(1)), Frame::Fin];
+        assert!(!rx.arrive_all(&mut frames, OnFull::Shed, &stats), "ended");
+        let mut late = vec![Frame::Event(ControlEvent::SetDropLevel(2))];
+        assert!(!rx.arrive_all(&mut late, OnFull::Shed, &stats));
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 10);
         // Sheds are also split out as the memory-pressure signal.
         assert_eq!(stats.rx_shed.load(Ordering::Relaxed), 10);
-        let pop = || rx.try_recv().map(|out| stats.count_delivery(out));
+        let pop = || rx.try_recv(&stats);
         assert!(matches!(pop(), Some(RecvOutcome::Frame(Frame::Event(_)))));
         let mut data = 0;
         while let Some(RecvOutcome::Frame(Frame::Data(_))) = pop() {
@@ -749,8 +703,8 @@ mod tests {
         assert_eq!(data, RX_QUEUE_FRAMES, "backlog capped at the queue bound");
         assert_eq!(stats.delivered.load(Ordering::Relaxed), data as u64);
         // `Fin` kept its place behind the data, and stays readable.
-        assert!(matches!(rx.try_recv(), Some(RecvOutcome::Fin)));
-        assert!(matches!(rx.try_recv(), Some(RecvOutcome::Fin)));
+        assert!(matches!(rx.try_recv(&stats), Some(RecvOutcome::Fin)));
+        assert!(matches!(rx.try_recv(&stats), Some(RecvOutcome::Fin)));
     }
 
     /// "Bind and forget": a bound server link whose handles are all
@@ -809,7 +763,7 @@ mod tests {
             dgram.extend_from_slice(payload);
         }
         let mut got = Vec::new();
-        decode_into(dgram[0], &dgram[1..], &pool, &mut |f| got.push(f));
+        decode_into(dgram[0], &dgram[1..], &pool, &mut got);
         let payloads: Vec<Vec<u8>> = got
             .iter()
             .map(|f| match f {

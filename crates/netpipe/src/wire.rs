@@ -617,6 +617,9 @@ impl<'de> de::Deserializer<'de> for &mut WireDeserializer<'de> {
     }
 }
 
+/// A counted sequence or map. Its `size_hint`, which sizes the
+/// preallocation, is never more than the bytes left to decode from, so
+/// a count prefix cannot size one beyond the input's own length.
 struct Counted<'a, 'de> {
     de: &'a mut WireDeserializer<'de>,
     left: usize,
@@ -637,7 +640,7 @@ impl<'de> de::SeqAccess<'de> for Counted<'_, 'de> {
     }
 
     fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
+        Some(self.left.min(self.de.input.len()))
     }
 }
 
@@ -663,7 +666,7 @@ impl<'de> de::MapAccess<'de> for Counted<'_, 'de> {
     }
 
     fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
+        Some(self.left.min(self.de.input.len()))
     }
 }
 

@@ -3,22 +3,24 @@
 //! Thread transparency means the middleware, not each component, owns
 //! thread creation and lifetime. Every service thread of this crate — the
 //! serving tier's accept loop, the inspector's accept loop and
-//! per-client handlers, the remote host's event forwarder, the
-//! receive pump behind a TCP or UDP client link's `bind_receiver`, the
-//! TCP writer, the UDP flusher and reader — is a [`Worker`]: a named
-//! thread with a stop request that is stopped and joined when its owner
-//! drops it. [`spawn_accept_loop`] is the one accept loop on top of it.
-//! An inproc, sim or UDP server binding has no thread of its own: the
-//! sender's thread, the simulator's kernel thread, or the UDP listener's
-//! reader delivers.
+//! per-client handlers, the remote host's event forwarder, the TCP
+//! writer and reader, the UDP flusher and readers — is a [`Worker`]: a
+//! named thread with a stop request that is stopped and joined when its
+//! owner drops it. [`spawn_accept_loop`] is the one accept loop on top of
+//! it. No link has a receive thread of its own beyond its socket reader:
+//! whatever delivers a frame — the sender's thread (inproc), the
+//! simulator's kernel thread (sim), a socket reader (TCP, UDP) — arrives
+//! it into the link's receive queue, and into a bound pipeline from
+//! there. A socket link starts its reader on its first `recv` or
+//! `bind_receiver`, so a link nobody reads runs none.
 //!
 //! A worker whose body can drop its own last owner (the UDP flusher and
-//! reader upgrade a `Weak`, and the reader ends a server link's binding,
-//! which holds that link's handle; a receive pump holds a clone of the
-//! link that owns it) is dropped *on its own thread*. Joining there would wait for
-//! itself, so that one drop lets go of the handle instead: the body is by
-//! then on its way out, and `crates/netpipe/tests/lifecycle.rs` holds
-//! every backend to "thread count returns to baseline".
+//! server reader upgrade a `Weak`, and a reader that ends a data binding
+//! lets go of the link handle the binding held) is dropped *on its own
+//! thread*. Joining there would wait for itself, so that one drop lets go
+//! of the handle instead: the body is by then on its way out, and
+//! `crates/netpipe/tests/lifecycle.rs` holds every backend to "thread
+//! count returns to baseline".
 
 use crate::transport::{Acceptor, TransportError};
 use std::io;

@@ -1,21 +1,30 @@
 //! Every thread the link layer starts is gone once its owners are, and
 //! every pooled buffer comes home once the frames are consumed.
 //!
-//! For each backend: listen, connect, accept, bind both receive sides
-//! (inproc, sim and the UDP server deliver on threads they already have,
-//! so binding them starts none; only a link whose `recv` reads its own
-//! socket — TCP, the UDP client — binds with a pump), stream frames
-//! sealed from a pool the test owns (that pool, and a pooling backend's
-//! receive pool, must then have nothing checked out: the sending side —
-//! writer, lane queue, simulated queue — let go of every frame), run the
-//! serving tier's accept loop and an inspector beside it — then drop
-//! everything and hold the process to the thread count it started with.
+//! For each backend: listen, connect, accept, bind the server's receive
+//! side to a pipeline, poll the client's and then bind it to events only
+//! (`RemoteClient`'s pattern), stream frames sealed from a pool the test
+//! owns (that pool, and a pooling backend's receive pool, must then have
+//! nothing checked out: the sending side — writer, lane queue, simulated
+//! queue — let go of every frame), run the serving tier's accept loop and
+//! an inspector beside it — then drop everything and hold the process to
+//! the thread count it started with.
+//!
+//! One thread rule holds on the way. A link that reads its own socket
+//! (TCP, the UDP client) runs one reader, started when it is first
+//! polled or bound — none while nobody reads it, and no second one when
+//! a polled link is then bound. Any other link (inproc, sim, the UDP
+//! server) starts no thread when bound: the sender's thread, the
+//! simulator's kernel thread or the listener's reader delivers. And an
+//! events-only bound TCP client whose handles are all dropped takes its
+//! reader with it.
+//!
 //! This is what proves the `Worker` arrangement: owners join their
 //! service threads, and a worker that ends up dropping its own last
-//! owner (the UDP flusher and reader, a receive pump) neither leaks nor
-//! joins itself — a self-join panics that worker, which the panic hook
-//! below turns into a failure. One `#[test]`, so no sibling test's
-//! threads or panics blur the count.
+//! owner (the UDP flusher and readers, a reader whose binding held the
+//! last handle on its link) neither leaks nor joins itself — a self-join
+//! panics that worker, which the panic hook below turns into a failure.
+//! One `#[test]`, so no sibling test's threads or panics blur the count.
 
 #![cfg(target_os = "linux")]
 
@@ -70,26 +79,41 @@ fn consumer(kernel: &Kernel) -> (Pipeline, InboxSender, Received) {
 
 /// Drives every service thread a backend has, then lets go of all of it.
 /// `pool` reads the receiving link's buffer pool, for backends that
-/// receive into one. Returns how many threads the two `bind_receiver`
-/// calls started.
+/// receive into one. `own_reader` says which of (server, client) reads
+/// its own socket: by the thread rule such a link starts one reader
+/// when first read, and any other link none.
 fn exercise<T: Transport>(
     kernel: &Kernel,
     transport: &T,
     addrs: [&str; 3],
     pool: Option<fn(&T::Link) -> PoolStats>,
-) -> usize {
+    own_reader: [bool; 2],
+) {
     // A point-to-point link with both receive sides bound.
     let acceptor = transport.listen(addrs[0]).expect("listen");
     let client = transport.connect(&acceptor.local_addr()).expect("connect");
     let server = acceptor.accept().expect("accept");
 
     let (consumer, inbox_sender, (got, unpooled)) = consumer(kernel);
-    let unbound = live_threads();
+    let rule = |since: usize, own: bool, link: &str| {
+        let started = live_threads().saturating_sub(since);
+        assert_eq!(
+            started,
+            usize::from(own),
+            "{}: {link} started {started} threads",
+            transport.scheme()
+        );
+    };
+    let before = live_threads();
     server
         .bind_receiver(Some(inbox_sender), |_| {})
         .expect("bind data side");
+    rule(before, own_reader[0], "a bound server link");
+    let before = live_threads();
+    let _ = client.recv(Duration::ZERO);
+    rule(before, own_reader[1], "a polled client link");
     client.bind_receiver(None, |_| {}).expect("bind event side");
-    let bind_threads = live_threads() - unbound;
+    rule(before, own_reader[1], "a polled, then bound client link");
     let running = consumer.start().expect("plan");
     running.start_flow().expect("start");
 
@@ -156,7 +180,21 @@ fn exercise<T: Transport>(
 
     drop((probe, inspector, viewer, accept, registry));
     drop((client, server, acceptor, running));
-    bind_threads
+}
+
+/// An events-only binding does not hold its link: once every handle of a
+/// bound TCP client is gone, so are its writer and reader, though the
+/// peer (a bare socket, which starts no thread) keeps the connection
+/// open and never sends a `Fin`.
+fn abandoned_event_binding_leaves_no_thread() {
+    let before = live_threads();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("listen");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let client = TcpTransport::new().connect(&addr).expect("connect");
+    let (_peer, _) = listener.accept().expect("accept");
+    client.bind_receiver(None, |_| {}).expect("bind event side");
+    drop(client);
+    settle(before, "tcp: an abandoned events-only binding");
 }
 
 /// A bound link whose sending end goes without a `Fin` still ends the
@@ -225,10 +263,14 @@ fn every_backend_returns_to_its_thread_baseline() {
         settle(baseline, backend);
     };
     let sockets = ["127.0.0.1:0"; 3];
-    // Backends whose sends are the arrivals bind without a thread.
     run("inproc", &|k| {
-        let started = exercise(k, &InProcTransport::new(), ["a", "b", "c"], None);
-        assert_eq!(started, 0, "inproc: binding started a thread");
+        exercise(
+            k,
+            &InProcTransport::new(),
+            ["a", "b", "c"],
+            None,
+            [false; 2],
+        );
         dropped_sender_ends_the_stream(k, &InProcTransport::new());
     });
     run("sim", &|k| {
@@ -238,18 +280,29 @@ fn every_backend_returns_to_its_thread_baseline() {
             ..SimConfig::default()
         };
         let transport = SimTransport::new(k, cfg);
-        let started = exercise(k, &transport, ["a", "b", "c"], None);
-        assert_eq!(started, 0, "sim: binding started a thread");
+        exercise(k, &transport, ["a", "b", "c"], None, [false; 2]);
         dropped_sender_ends_the_stream(k, &transport);
     });
     run("tcp", &|k| {
-        exercise(k, &TcpTransport::new(), sockets, Some(TcpLink::pool_stats));
+        exercise(
+            k,
+            &TcpTransport::new(),
+            sockets,
+            Some(TcpLink::pool_stats),
+            [true; 2],
+        );
+        abandoned_event_binding_leaves_no_thread();
     });
-    // The UDP server's reader thread delivers into a binding; only the
-    // client, whose `recv` reads its own socket, binds with a pump.
+    // The UDP server link is fed by the listener's reader; the client
+    // reads its own socket.
     run("udp", &|k| {
-        let started = exercise(k, &UdpTransport::new(), sockets, Some(UdpLink::pool_stats));
-        assert_eq!(started, 1, "udp: binding the server link started a thread");
+        exercise(
+            k,
+            &UdpTransport::new(),
+            sockets,
+            Some(UdpLink::pool_stats),
+            [false, true],
+        );
     });
     assert_eq!(
         PANICS.load(Ordering::SeqCst),

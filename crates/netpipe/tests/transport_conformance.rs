@@ -2,7 +2,8 @@
 //! enforced): every backend must satisfy the same properties —
 //! **ordering**, **backpressure on a full link**, **control-event
 //! priority**, **clean shutdown**, and the numbered ones below, up to a
-//! receiver **bound mid-stream** — exercised through generic
+//! receiver **bound mid-stream**, a refused frame **counted once** and a
+//! **zero-timeout poll** that receives — exercised through generic
 //! helpers that know nothing about the backend beyond the [`Transport`]
 //! and [`Link`] traits. A new backend earns its place by passing this
 //! file with three added tests.
@@ -636,6 +637,86 @@ fn check_bound_mid_stream<T: Transport>(transport: &T, addr: &str, kernel: &Kern
 }
 
 // ---------------------------------------------------------------------
+// Property 11: a data frame a bound receive side refuses counts once
+// ---------------------------------------------------------------------
+
+/// A receive side bound to an inbox nobody drains: the first frames go
+/// in, the rest are refused, and each data frame that arrived is counted
+/// once, in `delivered` or in `refused`, never in both. Backends credit
+/// a direction's receive counters to either end, so both ends' counters
+/// are summed; only one direction carries data. The client end is the
+/// bound one, so a client link's own reader is held to it too.
+fn check_counted_once<T: Transport>(transport: &T, addr: &str, kernel: &Kernel) {
+    const FRAMES: u32 = 50;
+    let (client, server) = connect_pair(transport, addr);
+    let pipeline = Pipeline::new(kernel, "refusing");
+    let (_inbox, inbox_sender) = pipeline.add_inbox("net-in", BufferSpec::bounded(4));
+    client
+        .bind_receiver(Some(inbox_sender), |_| {})
+        .expect("bind receiver");
+    for i in 0..FRAMES {
+        assert!(server.send(data_frame(i)).accepted(), "frame {i}");
+    }
+    assert_eq!(server.send(Frame::Fin), SendStatus::Sent);
+
+    let counted = || {
+        let (c, s) = (client.stats(), server.stats());
+        (c.delivered + s.delivered, c.refused + s.refused)
+    };
+    let deadline = Instant::now() + DEADLINE;
+    while counted().0 + counted().1 < u64::from(FRAMES) {
+        assert!(Instant::now() < deadline, "counted {:?}", counted());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Anything counted twice would show up late, too.
+    std::thread::sleep(Duration::from_millis(50));
+    let (delivered, refused) = counted();
+    assert!(
+        refused > 0,
+        "a full inbox must refuse ({delivered} delivered)"
+    );
+    assert_eq!(
+        delivered + refused,
+        u64::from(FRAMES),
+        "delivered {delivered} + refused {refused}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Property 12: a zero-timeout poll still receives
+// ---------------------------------------------------------------------
+
+/// A `recv(Duration::ZERO)` loop is a complete receiver: it sees every
+/// frame up to `Fin`, in order, on a link whose frames come off a
+/// socket as much as on one handed its frames. The client end polls.
+fn check_zero_timeout_polls<T: Transport>(transport: &T, addr: &str) {
+    let (client, server) = connect_pair(transport, addr);
+    for i in 0..100u32 {
+        assert!(server.send(data_frame(i)).accepted(), "frame {i}");
+    }
+    assert_eq!(server.send(Frame::Fin), SendStatus::Sent);
+    let mut got = Vec::new();
+    let deadline = Instant::now() + DEADLINE;
+    loop {
+        match client.recv(Duration::ZERO) {
+            RecvOutcome::Frame(Frame::Data(bytes)) => got.push(decode(&bytes)),
+            RecvOutcome::Frame(_) => {}
+            RecvOutcome::Fin => break,
+            RecvOutcome::Closed => panic!("link closed before Fin ({} frames)", got.len()),
+            RecvOutcome::TimedOut => {
+                assert!(
+                    Instant::now() < deadline,
+                    "polls found {} frames",
+                    got.len()
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+    assert_eq!(got, (0..100).collect::<Vec<u32>>());
+}
+
+// ---------------------------------------------------------------------
 // The four backends × the conformance properties
 // ---------------------------------------------------------------------
 
@@ -662,6 +743,8 @@ fn inproc_conforms() {
     check_send_end_below_a_buffer(&InProcTransport::new(), "buffered", &kernel);
     check_registry_below_a_buffer(&kernel);
     check_bound_mid_stream(&InProcTransport::new(), "mid-stream", &kernel);
+    check_counted_once(&InProcTransport::new(), "counted", &kernel);
+    check_zero_timeout_polls(&InProcTransport::new(), "zero");
     kernel.shutdown();
 }
 
@@ -718,6 +801,8 @@ fn sim_conforms() {
     check_accept_loop_shutdown(&fast(&kernel), "accept", 8);
     check_send_end_below_a_buffer(&fast(&kernel), "buffered", &kernel);
     check_bound_mid_stream(&fast(&kernel), "mid-stream", &kernel);
+    check_counted_once(&fast(&kernel), "counted", &kernel);
+    check_zero_timeout_polls(&fast(&kernel), "zero");
     kernel.shutdown();
 }
 
@@ -750,6 +835,8 @@ fn tcp_conforms() {
     check_accept_loop_shutdown(&TcpTransport::new(), "127.0.0.1:0", 8);
     check_send_end_below_a_buffer(&TcpTransport::new(), "127.0.0.1:0", &kernel);
     check_bound_mid_stream(&TcpTransport::new(), "127.0.0.1:0", &kernel);
+    check_counted_once(&TcpTransport::new(), "127.0.0.1:0", &kernel);
+    check_zero_timeout_polls(&TcpTransport::new(), "127.0.0.1:0");
     kernel.shutdown();
 }
 
@@ -777,5 +864,7 @@ fn udp_conforms() {
     check_pooled_recycling(&UdpTransport::new(), "127.0.0.1:0");
     check_accept_loop_shutdown(&UdpTransport::new(), "127.0.0.1:0", 8);
     check_bound_mid_stream(&UdpTransport::new(), "127.0.0.1:0", &kernel);
+    check_counted_once(&UdpTransport::new(), "127.0.0.1:0", &kernel);
+    check_zero_timeout_polls(&UdpTransport::new(), "127.0.0.1:0");
     kernel.shutdown();
 }

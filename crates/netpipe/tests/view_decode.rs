@@ -9,7 +9,7 @@
 //! on their own thread.
 
 use infopipes::helpers::{CollectSink, IterSource};
-use infopipes::{payload_copy_count, FreePump, PayloadBytes, Pipeline};
+use infopipes::{payload_copy_count, FreePump, PayloadBytes, Pipeline, SourceSample};
 use mbthread::{Kernel, KernelConfig};
 use media::{CompressedFrame, Defragmenter, Fragmenter, FrameType, Packet};
 use netpipe::wire::{self, WireError};
@@ -198,6 +198,13 @@ fn truncated_and_lying_input_fails_typed_and_allocates_nothing() {
     let (viewed, bytes) = allocated_by(|| lying.decode_with(wire::from_bytes::<Packet>));
     assert_eq!(viewed, Err(WireError::Eof));
     assert_eq!(bytes, 0, "nothing may be sized by the prefix");
+
+    // A count prefix that promises 4 G elements (~100 B each) over an
+    // empty tail: no preallocation beyond what the input could hold.
+    let count = u32::MAX.to_le_bytes();
+    let (decoded, bytes) = allocated_by(|| wire::from_bytes::<Vec<SourceSample>>(&count[..]));
+    assert_eq!(decoded, Err(WireError::Eof));
+    assert_eq!(bytes, 0, "nothing may be sized by the count");
 
     // One that promises less than is there: the rest is trailing bytes.
     let mut modest = on_wire.to_vec();
