@@ -298,12 +298,12 @@ fn socket_lane<T: Transport>(
     let send_one = || {
         let mut buf = pool.acquire(frame_bytes);
         buf.buf_mut().extend_from_slice(&body);
-        let frame = Frame::Data(buf.seal());
-        // A full send queue refuses rather than blocks; spin until the
-        // writer drains it.
-        while !link.send(frame.clone()).accepted() {
-            std::thread::yield_now();
-        }
+        // A full send queue waits for the writer to make room, on TCP
+        // and UDP alike: every frame is accepted.
+        assert!(
+            link.send(Frame::Data(buf.seal())).accepted(),
+            "{name}: send refused"
+        );
     };
 
     for _ in 0..(frames / 10).max(16) {

@@ -158,13 +158,18 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
     w.flush()
 }
 
+/// The most a frame's buffer grows by before the bytes to fill it have
+/// been read: a length prefix is a claim, not a reservation.
+const READ_STEP: usize = 64 << 10;
+
 /// Reads one frame into a buffer drawn from `pool`; `Ok(None)` on a clean
 /// end of stream.
 ///
 /// The receive side performs a single read-time copy off the stream
 /// (unavoidable with real I/O) and none after it; in steady state the
 /// payload lands in a recycled pool buffer and is sealed without any heap
-/// allocation.
+/// allocation. The buffer grows with the bytes actually read, at most
+/// doubling, never by what the length prefix announces.
 ///
 /// # Errors
 ///
@@ -189,9 +194,13 @@ pub fn read_frame_in(
             "frame length exceeds MAX_FRAME",
         ));
     }
-    let mut buf = pool.acquire(len);
-    buf.buf_mut().resize(len, 0);
-    r.read_exact(buf.buf_mut())?;
+    let mut buf = pool.acquire(len.min(READ_STEP));
+    let payload = buf.buf_mut();
+    while payload.len() < len {
+        let at = payload.len();
+        payload.resize(at + (len - at).min(at.max(READ_STEP)), 0);
+        r.read_exact(&mut payload[at..])?;
+    }
     Ok(Some((kind, buf.seal())))
 }
 
@@ -260,6 +269,75 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut cur = Cursor::new(buf);
         assert!(read_one(&mut cur).is_err());
+    }
+
+    /// A length prefix is a claim, not a reservation: one announcing
+    /// `MAX_FRAME` followed by 1 KiB and end of stream is an error, and
+    /// the buffer it read into, back in its pool, holds no more than
+    /// 128 KiB.
+    #[test]
+    fn a_hostile_length_prefix_reserves_only_what_arrives() {
+        let mut stream = encode_header(FrameKind::Data, MAX_FRAME).to_vec();
+        stream.extend_from_slice(&[7; 1024]);
+        let pool = BufferPool::new();
+        let err = read_frame_in(&mut Cursor::new(stream), &pool).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut again = pool.acquire(READ_STEP);
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.oversize), (1, 0), "{stats:?}");
+        let reserved = again.buf_mut().capacity();
+        assert!(reserved <= 128 << 10, "reserved {reserved} bytes");
+    }
+
+    /// Reads frames off `bytes` until the stream ends or fails: every
+    /// outcome is a frame, the end, or a typed error, never a panic.
+    fn read_all(bytes: &[u8], pool: &BufferPool) {
+        let mut cur = Cursor::new(bytes);
+        loop {
+            match read_frame_in(&mut cur, pool) {
+                Ok(Some((_, payload))) => assert!(payload.len() <= bytes.len()),
+                Ok(None) => return,
+                Err(e) => {
+                    let kind = e.kind();
+                    assert!(
+                        matches!(
+                            kind,
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ),
+                        "untyped error {e:?}"
+                    );
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_streams_read_as_frames_or_typed_errors() {
+        let mut valid = Vec::new();
+        write_frame(&mut valid, FrameKind::Data, b"hello").unwrap();
+        write_frame(&mut valid, FrameKind::Event, &[1, 2, 3]).unwrap();
+        write_frame(&mut valid, FrameKind::Control, b"").unwrap();
+        write_frame(&mut valid, FrameKind::Fin, b"").unwrap();
+        let pool = BufferPool::new();
+        for cut in 0..=valid.len() {
+            read_all(&valid[..cut], &pool);
+        }
+        let mut mutated = valid.clone();
+        for at in 0..valid.len() {
+            for byte in [0x00, 0x7F, 0x80, 0xFF, !valid[at]] {
+                mutated[at] = byte;
+                read_all(&mutated, &pool);
+            }
+            mutated[at] = valid[at];
+        }
+        let mut rng = proptest::TestRng::deterministic("framing_hostile_streams");
+        for _ in 0..2000 {
+            let len = rng.below(64);
+            let garbage: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            read_all(&garbage, &pool);
+        }
+        assert_eq!(pool.stats().oversize, 0, "nothing reserved above a class");
     }
 
     #[test]

@@ -6,23 +6,29 @@
 //! a queued frame, honoured only once both lanes are empty, so end of
 //! stream never overtakes its own data and stays readable afterwards.
 //!
-//! The TCP send queue is this type, and so is the receive side of every
-//! backend: an inproc direction (the sending thread arrives), a sim
-//! direction (its kernel thread arrives), a TCP link and a UDP link (the
-//! socket reader arrives, a read's frames at a time). Such a queue is
-//! polled until it is bound, `Bound` after, and `Ended` after that.
-//! Polled, an arrival queues; bound, the arriving thread delivers it into
-//! the binding under the queue's one lock. `bind` flushes the backlog
-//! into the binding under that same lock, so nothing that arrives
-//! meanwhile is lost or overtaken, and nothing is delivered twice.
+//! The receive side of every backend is this type: an inproc direction
+//! (the sending thread arrives), a sim direction (its kernel thread
+//! arrives), a TCP link and a UDP link (the socket reader arrives, a
+//! read's frames at a time). Such a queue is polled until it is bound,
+//! `Bound` after, and `Ended` after that. Polled, an arrival queues;
+//! bound, the arriving thread delivers it into the binding under the
+//! queue's one lock. `bind` flushes the backlog into the binding under
+//! that same lock, so nothing that arrives meanwhile is lost or
+//! overtaken, and nothing is delivered twice.
+//!
+//! The send side of a socket link (TCP, UDP) is a [`Transmit`]: this
+//! queue, drained a batch at a time by one writer thread that the link's
+//! first send starts, into the backend's one drain function.
 
-use super::{BatchPolicy, Frame, RecvOutcome, SharedStats, TransportError};
+use super::{BatchPolicy, Frame, RecvOutcome, SendStatus, SharedStats, TransportError};
+use crate::worker::Worker;
 use infopipes::{ControlEvent, InboxSender, Item, PayloadBytes};
 use mbthread::Ctx;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use std::vec::Drain;
 
@@ -117,9 +123,9 @@ struct Lanes {
     data: VecDeque<PayloadBytes>,
     /// `Fin` was queued; nothing follows it.
     fin: bool,
-    /// The other side of the queue is gone (the TCP writer exited, a
-    /// socket reader's stream ended or failed, the sending end or the
-    /// link was dropped).
+    /// The other side of the queue is gone (a socket link's writer
+    /// exited, a socket reader's stream ended or failed, the sending end
+    /// or the link was dropped).
     closed: bool,
     receiver: Receiver,
     /// Threads asleep on the queue's condvar that no
@@ -563,6 +569,127 @@ impl LaneQueue {
     }
 }
 
+/// Data frames a socket link's send lane holds before `send` waits.
+pub(crate) const TX_QUEUE_FRAMES: usize = 1024;
+
+/// A backend's drain: puts one batch on its wire `W` — control frames,
+/// then data, then `Fin` if due — counting the socket writes in `stats`.
+/// `false` once the wire is broken.
+pub(crate) type WireDrain<W> = fn(&mut W, &Batch, &SharedStats) -> bool;
+
+/// The send side of a socket link. A data frame above `max_frame` is
+/// shed and counted; every other frame takes the lane policy, and the
+/// one writer, started by the link's first `send`, hands each batch to
+/// the backend's [`WireDrain`]: a batch forms exactly when the sender
+/// outruns the wire. A link that never sends starts no writer.
+pub(crate) struct Transmit<W> {
+    queue: Arc<LaneQueue>,
+    policy: BatchPolicy,
+    max_frame: usize,
+    stats: Arc<SharedStats>,
+    drain: WireDrain<W>,
+    /// The wire, until the writer or the closing `Fin` takes it.
+    wire: Mutex<Option<W>>,
+    name: &'static str,
+    /// The writer; `None` if the OS refused the thread (the lane is
+    /// closed then) or the link closed before it ever sent.
+    writer: OnceLock<Option<Worker>>,
+}
+
+impl<W: Send + 'static> Transmit<W> {
+    pub(crate) fn new(
+        name: &'static str,
+        wire: W,
+        drain: WireDrain<W>,
+        max_frame: usize,
+        queue_frames: usize,
+        policy: BatchPolicy,
+        stats: Arc<SharedStats>,
+    ) -> Transmit<W> {
+        Transmit {
+            queue: Arc::new(LaneQueue::new(queue_frames)),
+            policy,
+            max_frame,
+            stats,
+            drain,
+            wire: Mutex::new(Some(wire)),
+            name,
+            writer: OnceLock::new(),
+        }
+    }
+
+    /// Queues one frame for the writer. `Saturated` if it met pressure
+    /// (a data frame waited for room, or left the lane more than half
+    /// full), `Closed` once `Fin` is queued or the wire is gone.
+    pub(crate) fn send(&self, frame: Frame) -> SendStatus {
+        let stats = &self.stats;
+        let data_len = match &frame {
+            Frame::Data(bytes) if bytes.len() > self.max_frame => {
+                // No peer takes a frame this long: shed it, and only it.
+                stats.sent.fetch_add(1, Ordering::Relaxed);
+                stats.dropped.fetch_add(1, Ordering::Relaxed);
+                return SendStatus::Dropped;
+            }
+            Frame::Data(bytes) => Some(bytes.len() as u64),
+            _ => None,
+        };
+        self.start_writer();
+        let Some(pressured) = self.queue.offer(frame) else {
+            return SendStatus::Closed;
+        };
+        // Counted only once queued: a frame abandoned because the writer
+        // died mid-wait was never sent.
+        if let Some(len) = data_len {
+            stats.sent.fetch_add(1, Ordering::Relaxed);
+            stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
+        }
+        if pressured {
+            SendStatus::Saturated
+        } else {
+            SendStatus::Sent
+        }
+    }
+
+    /// Whether a data-frame `send` would return without waiting.
+    pub(crate) fn send_ready(&self) -> bool {
+        !self.queue.would_block()
+    }
+
+    /// Starts the writer, once; a thread the OS refuses closes the lane.
+    fn start_writer(&self) {
+        self.writer.get_or_init(|| {
+            let mut wire = self.wire.lock().take()?;
+            let (queue, stats) = (Arc::clone(&self.queue), Arc::clone(&self.stats));
+            let (policy, drain) = (self.policy, self.drain);
+            Worker::spawn(self.name, move |_| {
+                loop {
+                    let batch = queue.take_batch(policy);
+                    if !drain(&mut wire, &batch, &stats) || batch.fin {
+                        break;
+                    }
+                }
+                queue.close(None);
+            })
+            .inspect_err(|_| self.queue.close(None))
+            .ok()
+        });
+    }
+
+    /// The link is going: queues `Fin` and gives the writer up to 2 s to
+    /// put it on the wire behind the queued data. A link that never sent
+    /// has no writer and nothing queued: its `Fin` goes out through the
+    /// drain here, and nothing waits.
+    pub(crate) fn close(&self) {
+        if self.queue.offer(Frame::Fin).is_some() && self.writer.set(None).is_ok() {
+            if let Some(mut wire) = self.wire.lock().take() {
+                (self.drain)(&mut wire, &self.queue.take_batch(self.policy), &self.stats);
+            }
+            self.queue.close(None);
+        }
+        self.queue.wait_closed(Duration::from_secs(2));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -817,6 +944,89 @@ mod tests {
             }
             assert!(q.try_recv(&SharedStats::default()).is_none());
             assert_eq!(q.lanes.lock().waiters, 0);
+        });
+    }
+
+    /// Each batch a drain was handed: the thread it ran on, its data
+    /// tags, and whether `Fin` closed it.
+    type Record = Arc<Mutex<Vec<(thread::ThreadId, Vec<u64>, bool)>>>;
+
+    fn record(log: &mut Record, batch: &Batch, _: &SharedStats) -> bool {
+        let tags = batch.data.iter().map(tag).collect();
+        log.lock().push((thread::current().id(), tags, batch.fin));
+        true
+    }
+
+    fn recording_transmit(log: &Record, queue_frames: usize) -> Transmit<Record> {
+        let stats = Arc::new(SharedStats::default());
+        let policy = BatchPolicy::default();
+        Transmit::new(
+            "test-writer",
+            Arc::clone(log),
+            record,
+            64,
+            queue_frames,
+            policy,
+            stats,
+        )
+    }
+
+    /// Eight threads make the first sends on one fresh transmit queue at
+    /// once: exactly one writer starts, on a thread of its own, and each
+    /// sender's frames reach the drain complete and in order, `Fin` last.
+    #[test]
+    fn concurrent_first_sends_start_exactly_one_writer() {
+        const SENDERS: u64 = 8;
+        const PER_SENDER: u64 = 500;
+        within_deadline(|| {
+            let log = Record::default();
+            let tx = Arc::new(recording_transmit(&log, 16));
+            let start = Arc::new(std::sync::Barrier::new(SENDERS as usize));
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|id| {
+                    let (tx, start) = (Arc::clone(&tx), Arc::clone(&start));
+                    thread::spawn(move || {
+                        start.wait();
+                        for seq in 0..PER_SENDER {
+                            assert!(tx.send(data(id << 32 | seq)).accepted());
+                        }
+                        thread::current().id()
+                    })
+                })
+                .collect();
+            let mut not_writers: Vec<_> = senders.into_iter().map(|s| s.join().unwrap()).collect();
+            not_writers.push(thread::current().id());
+            tx.close();
+            let log = log.lock();
+            let writers: std::collections::HashSet<_> = log.iter().map(|(t, ..)| *t).collect();
+            assert_eq!(writers.len(), 1, "{} writers drained", writers.len());
+            assert!(writers.iter().all(|w| !not_writers.contains(w)));
+            let fins: Vec<bool> = log.iter().map(|(.., fin)| *fin).collect();
+            assert_eq!(fins.iter().position(|&fin| fin), Some(fins.len() - 1));
+            let mut next = [0u64; SENDERS as usize];
+            for tag in log.iter().flat_map(|(_, tags, _)| tags) {
+                let (id, seq) = ((tag >> 32) as usize, tag & 0xffff_ffff);
+                assert_eq!(seq, next[id], "sender {id} out of order");
+                next[id] += 1;
+            }
+            assert_eq!(next, [PER_SENDER; SENDERS as usize]);
+        });
+    }
+
+    /// A transmit queue that never sent starts no writer: its closing
+    /// `Fin` goes through the drain on the closing thread, and data
+    /// above the frame limit is shed without starting one either.
+    #[test]
+    fn a_queue_that_never_sends_closes_on_the_closing_thread() {
+        within_deadline(|| {
+            let log = Record::default();
+            let tx = recording_transmit(&log, 16);
+            let long = Frame::Data(PayloadBytes::from_vec(vec![0; 65]));
+            assert_eq!(tx.send(long), SendStatus::Dropped);
+            tx.close();
+            assert!(tx.writer.get().is_some_and(Option::is_none), "no writer");
+            assert_eq!(*log.lock(), [(thread::current().id(), vec![], true)]);
+            assert_eq!(tx.send(data(1)), SendStatus::Closed);
         });
     }
 }

@@ -39,7 +39,7 @@
 //! | [`InProcTransport`] | `inproc` | drops on a full data lane | immediate |
 //! | [`SimTransport`] | `sim` | drops on queue overflow | modelled latency/bandwidth/jitter, deterministic under virtual time |
 //! | [`TcpTransport`] | `tcp` | reliable (saturates, never drops) | real sockets |
-//! | [`UdpTransport`] | `udp` | lossy datagrams (oversize or overflow shed) | real sockets |
+//! | [`UdpTransport`] | `udp` | lossy datagrams (oversize or receive overflow shed; sends saturate) | real sockets |
 //!
 //! # Writing your own backend
 //!
@@ -55,10 +55,14 @@
 //!    feedback loops' signal), [`Link::recv`], and [`Link::stats`].
 //! 3. Keep the two-lane contract: control frames must not wait behind
 //!    data frames, and `Fin` must not overtake its own data. Do not write
-//!    that ordering out again: put the private `lanes::LaneQueue` wherever
-//!    your backend queues frames — `offer`/`take_batch` on a sending side
-//!    that waits for room (TCP), `arrive`/`recv` on a receiving side that
-//!    sheds — and the policy comes with it.
+//!    that ordering out again. A socket backend's send side is the private
+//!    `lanes::Transmit`, which owns the `LaneQueue`, the oversized-frame
+//!    shed, `send_ready`, the closing `Fin` and the one writer (started by
+//!    the first send); the backend supplies only a drain that puts one
+//!    batch on its wire (TCP's vectored write, UDP's datagram packer).
+//!    The simulator's send side *is* its network model (byte-queue
+//!    admission, posts that keep virtual time deterministic), and an
+//!    inproc sender arrives straight in the peer's queue.
 //! 4. Give the receive side the one arrival path: a `LaneQueue`, whose
 //!    `recv` is your `recv` and whose `bind` is your `bind_receiver`.
 //!    Whatever hands the receiver its frames `arrive`s them into the
@@ -72,8 +76,8 @@
 //!    started by the link's first `recv` or `bind_receiver`, so a link
 //!    nobody reads runs none, and a data binding holds its link until the
 //!    stream ends (`bind_holding`). Every thread your backend needs (a
-//!    writer, a flusher, a socket reader) is a `worker::Worker` — the
-//!    crate spawns threads nowhere else, and CI greps for it.
+//!    writer, a socket reader) is a `worker::Worker` — the crate spawns
+//!    threads nowhere else, and CI greps for it.
 //! 5. Run the conformance suite (`crates/netpipe/tests/
 //!    transport_conformance.rs`) against the new backend: ordering,
 //!    backpressure, control-event priority, and clean shutdown are the
@@ -528,9 +532,9 @@ pub trait Link: Clone + Send + Sync + 'static {
 
     /// Whether a data-lane [`send`](Link::send) would return without
     /// blocking right now. Backends that shed on overflow instead of
-    /// waiting (inproc, sim, udp) are always ready — the default. A
-    /// stream backend whose send can wait for queue space (TCP) must
-    /// report readiness honestly, so a fan-out sweep
+    /// waiting (inproc, sim) are always ready — the default. A backend
+    /// whose send can wait for queue space (TCP, UDP) must report
+    /// readiness honestly, so a fan-out sweep
     /// ([`SessionRegistry::sweep`](crate::SessionRegistry::sweep)) can
     /// leave a stalled client's frames queued instead of stalling inside
     /// its send path. A closed link is "ready": its send returns
@@ -625,8 +629,8 @@ impl SaturationProbe {
     }
 }
 
-/// How the TCP writer coalesces small data frames into one vectored
-/// write.
+/// How a socket link's writer coalesces queued data frames into one
+/// batch: one vectored write on TCP, shared datagrams on UDP.
 ///
 /// A batch closes when it reaches `max_frames` frames or `max_bytes`
 /// payload bytes, when a control/event frame needs to overtake, or at end
@@ -634,9 +638,9 @@ impl SaturationProbe {
 /// trading no latency for fewer syscalls only under genuine load.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct BatchPolicy {
-    /// Maximum data frames coalesced into one vectored write.
+    /// Maximum data frames coalesced into one batch.
     pub(crate) max_frames: usize,
-    /// Maximum payload bytes coalesced into one vectored write.
+    /// Maximum payload bytes coalesced into one batch.
     pub(crate) max_bytes: usize,
 }
 

@@ -217,7 +217,8 @@ struct TxShared {
     stats: Arc<SharedStats>,
     in_flight: Arc<InFlight>,
     queue_bytes: usize,
-    fin_sent: AtomicBool,
+    /// `Fin` was posted: nothing follows it.
+    finished: AtomicBool,
 }
 
 impl TxShared {
@@ -227,7 +228,7 @@ impl TxShared {
     /// dropped or not, so `delivered / sent` reflects offered load (same
     /// convention as the inproc backend).
     fn admit(&self, frame: Frame) -> Result<(Message, SendStatus), SendStatus> {
-        if self.fin_sent.load(Ordering::Acquire) {
+        if self.finished.load(Ordering::Acquire) {
             return Err(SendStatus::Closed);
         }
         match frame {
@@ -254,7 +255,7 @@ impl TxShared {
             }
             ctrl_frame => {
                 if matches!(ctrl_frame, Frame::Fin) {
-                    self.fin_sent.store(true, Ordering::Release);
+                    self.finished.store(true, Ordering::Release);
                 }
                 let msg = Message::new(NET_CTRL, Ctrl::Frame(ctrl_frame));
                 Ok((msg, SendStatus::Sent))
@@ -282,7 +283,7 @@ impl Drop for SimLinkShared {
         // on it forever: through the direction thread, after the data
         // still in flight, unless a `Fin` already ends the stream there.
         let tx = &self.tx;
-        if tx.fin_sent.load(Ordering::Acquire) {
+        if tx.finished.load(Ordering::Acquire) {
             return;
         }
         let gone = Message::new(NET_CTRL, Ctrl::Gone);
@@ -451,7 +452,7 @@ impl Transport for SimTransport {
                     stats: Arc::clone(&a_to_b_stats),
                     in_flight: a_to_b_bytes,
                     queue_bytes: self.cfg.queue_bytes,
-                    fin_sent: AtomicBool::new(false),
+                    finished: AtomicBool::new(false),
                 },
                 rx: Arc::clone(&a_rx),
                 rx_stats: b_to_a_stats.clone(),
@@ -467,7 +468,7 @@ impl Transport for SimTransport {
                     stats: b_to_a_stats,
                     in_flight: b_to_a_bytes,
                     queue_bytes: self.cfg.queue_bytes,
-                    fin_sent: AtomicBool::new(false),
+                    finished: AtomicBool::new(false),
                 },
                 rx: b_rx,
                 rx_stats: a_to_b_stats,

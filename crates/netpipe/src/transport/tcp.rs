@@ -1,13 +1,16 @@
 //! The TCP transport, over real sockets.
 //!
-//! The send side hands frames to a writer OS thread (so a uniprocessor
-//! kernel never blocks on socket I/O); the receive side is a reader OS
-//! thread that reads frames off the stream into the link's receive
-//! [`LaneQueue`] — polled through [`Link::recv`] or delivered by the
-//! reader into a bound pipeline, "network packets … mapped to messages
-//! by the platform" (§4). The reader starts with the link's first `recv`
-//! or `bind_receiver`: a link nobody reads (a serving-tier session, a
-//! producer's link) runs its writer alone.
+//! The send side is the socket links' one [`Transmit`]: frames queue,
+//! and a writer OS thread (so a uniprocessor kernel never blocks on
+//! socket I/O) drains them through [`write_batch`], one vectored write
+//! per batch. The receive side is a reader OS thread that reads frames
+//! off the stream into the link's receive [`LaneQueue`] — polled through
+//! [`Link::recv`] or delivered by the reader into a bound pipeline,
+//! "network packets … mapped to messages by the platform" (§4). The
+//! writer starts with the link's first `send`, the reader with its first
+//! `recv` or `bind_receiver`: a link nobody reads (a serving-tier
+//! session, a producer's link) runs no reader, and one that only sends
+//! the `Fin` its drop sends (a consumer's link) runs no writer.
 //!
 //! The receive side works per read, not per frame. A read lands up to
 //! 64 KiB in the reader's parse buffer; the complete frames in it are
@@ -21,20 +24,18 @@
 //! which the peer's reader would take for a broken stream, is shed at
 //! `send` as [`SendStatus::Dropped`] and counted, and the link carries on.
 //! Backpressure shows up as [`SendStatus::Saturated`] once the bounded
-//! send queue fills (the send then completes blockingly), and a polled
-//! receive lane that fills stops the reader, so the stream backs up into
-//! the peer's send queue. Control-lane frames jump the local send queue,
-//! which is how out-of-band priority manifests on a single ordered byte
-//! stream.
+//! send queue is more than half full (a send to a full queue waits for
+//! room), and a polled receive lane that fills stops the reader, so the
+//! stream backs up into the peer's send queue. Control-lane frames jump
+//! the local send queue, which is how out-of-band priority manifests on
+//! a single ordered byte stream.
 
-use super::lanes::{Batch, LaneQueue, OnFull, RX_QUEUE_FRAMES};
+use super::lanes::{Batch, LaneQueue, OnFull, Transmit, RX_QUEUE_FRAMES, TX_QUEUE_FRAMES};
 use super::{
     Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
     SharedStats, Transport, TransportError,
 };
-use crate::framing::{
-    self, encode_header, write_all_vectored, write_frame, FrameKind, HEADER_LEN, MAX_FRAME,
-};
+use crate::framing::{self, encode_header, write_all_vectored, FrameKind, HEADER_LEN, MAX_FRAME};
 use crate::marshal::WireBytes;
 use crate::worker::Worker;
 use infopipes::BufferPool;
@@ -45,109 +46,47 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
-// Send side: the two-lane queue drained by a writer thread
+// Send side: the drain a link's `Transmit` writes each batch through
 // ---------------------------------------------------------------------
 
-struct TxShared {
-    /// Data lane bounded by `TcpTransport::send_queue`; closed once the
-    /// writer thread exits (socket error or `Fin` written).
-    queue: LaneQueue,
-    batch: BatchPolicy,
-    stats: Arc<SharedStats>,
-}
-
-impl TxShared {
-    fn send(&self, frame: Frame) -> SendStatus {
-        let data_len = match &frame {
-            Frame::Data(bytes) if bytes.len() > MAX_FRAME => {
-                // No reader takes a frame this long: shed it here, so
-                // the frames batched beside it still go out.
-                self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                return SendStatus::Dropped;
-            }
-            Frame::Data(bytes) => Some(bytes.len() as u64),
-            _ => None,
-        };
-        // Reliable transport: a full data lane waits for space rather
-        // than drop, and reports the congestion.
-        let Some(pressured) = self.queue.offer(frame) else {
-            return SendStatus::Closed;
-        };
-        // Accounting happens only once the frame is actually queued: a
-        // frame abandoned because the writer died mid-wait must not
-        // count as sent on a never-drops transport.
-        if let Some(len) = data_len {
-            self.stats.sent.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes_sent.fetch_add(len, Ordering::Relaxed);
-        }
-        if pressured {
-            SendStatus::Saturated
-        } else {
-            SendStatus::Sent
-        }
+/// The TCP drain: one vectored write per batch — control frames first
+/// (their priority survives the batch), then data, then `Fin` if it is
+/// due — each a stack-assembled 5-byte header plus its payload, with no
+/// coalescing copy. N small frames cost one `write_vectored` syscall
+/// instead of N (counted in `wire_writes`). After `Fin` the write half
+/// shuts down. `false` once the stream is broken.
+fn write_batch(stream: &mut TcpStream, batch: &Batch, stats: &SharedStats) -> bool {
+    // Events marshal here, outside the queue's lock; one that fails to
+    // is left out.
+    let ctrl: Vec<(FrameKind, WireBytes)> = (batch.ctrl.iter())
+        .filter_map(|f| framing::frame_to_parts(f).ok())
+        .collect();
+    // `send` already shed oversized data frames; an oversized control
+    // frame fails the link, as `write_frame` would.
+    if ctrl.iter().any(|(_, bytes)| bytes.len() > MAX_FRAME) {
+        return false;
     }
-}
-
-/// The writer thread: coalesces queued frames into one vectored write —
-/// control frames first (their priority is preserved inside the batch),
-/// then data frames, each as a stack-assembled 5-byte header plus its
-/// shared payload buffer, with no coalescing copy. N small frames cost
-/// one `write_vectored` syscall instead of N (counted in `wire_writes`).
-fn writer_loop(tx: &TxShared, stream: &mut TcpStream) {
-    loop {
-        let Batch {
-            ctrl, data, fin, ..
-        } = tx.queue.take_batch(tx.batch);
-
-        // Encode control frames outside the lock (events marshal here;
-        // one that fails to is left out); they lead the write, so their
-        // priority survives the batch.
-        let ctrl_payloads: Vec<(FrameKind, WireBytes)> = ctrl
-            .iter()
-            .filter_map(|f| framing::frame_to_parts(f).ok())
-            .collect();
-        // `send` already shed oversized data frames; an oversized control
-        // frame fails the link, as write_frame would.
-        if ctrl_payloads
-            .iter()
-            .any(|(_, bytes)| bytes.len() > MAX_FRAME)
-        {
-            break;
-        }
-        let frames: Vec<(FrameKind, &[u8])> = ctrl_payloads
-            .iter()
-            .map(|(kind, bytes)| (*kind, bytes.as_slice()))
-            .chain(data.iter().map(|bytes| (FrameKind::Data, bytes.as_slice())))
-            .collect();
-        let headers: Vec<[u8; HEADER_LEN]> = frames
-            .iter()
-            .map(|(kind, bytes)| encode_header(*kind, bytes.len()))
-            .collect();
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len() * 2);
-        for (header, (_, bytes)) in headers.iter().zip(&frames) {
-            slices.push(IoSlice::new(header));
-            slices.push(IoSlice::new(bytes));
-        }
-        if !slices.is_empty() {
-            match write_all_vectored(stream, &mut slices) {
-                Ok(calls) => {
-                    tx.stats
-                        .wire_writes
-                        .fetch_add(calls as u64, Ordering::Relaxed);
-                }
-                Err(_) => break,
-            }
-        }
-        if fin {
-            if write_frame(stream, FrameKind::Fin, &[]).is_ok() {
-                tx.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            break;
-        }
+    let data = (batch.data.iter()).map(|bytes| (FrameKind::Data, bytes.as_slice()));
+    let frames = (ctrl.iter())
+        .map(|(kind, bytes)| (*kind, bytes.as_slice()))
+        .chain(data)
+        .chain(batch.fin.then_some((FrameKind::Fin, &[][..])));
+    let headers: Vec<[u8; HEADER_LEN]> = (frames.clone())
+        .map(|(kind, bytes)| encode_header(kind, bytes.len()))
+        .collect();
+    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(headers.len() * 2);
+    for (header, (_, bytes)) in headers.iter().zip(frames) {
+        slices.push(IoSlice::new(header));
+        slices.push(IoSlice::new(bytes));
     }
-    tx.queue.close(None);
+    let Ok(calls) = write_all_vectored(stream, &mut slices) else {
+        return false;
+    };
+    stats.wire_writes.fetch_add(calls as u64, Ordering::Relaxed);
+    if batch.fin {
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+    }
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -279,7 +218,9 @@ fn reader_loop(mut reader: FrameReader, rx: &LaneQueue, stats: &SharedStats) {
 
 struct TcpInner {
     peer: PeerIdentity,
-    tx: Arc<TxShared>,
+    /// The send side: the writer, started by the first `send`, writes a
+    /// clone of the socket.
+    tx: Transmit<TcpStream>,
     /// What the reader arrives into: polled by `recv`, or bound.
     rx: Arc<LaneQueue>,
     stats: Arc<SharedStats>,
@@ -293,19 +234,15 @@ struct TcpInner {
     /// The reader, started by the first `recv` or `bind_receiver`;
     /// `None` if the OS refused the thread (the lane is closed then).
     reader: OnceLock<Option<Worker>>,
-    /// Joined when the link goes, like the reader, after `drop` below
-    /// has made both exit.
-    _writer: Worker,
 }
 
 impl Drop for TcpInner {
     fn drop(&mut self) {
-        // Best-effort orderly close: ask for Fin, give the writer a
-        // bounded window to flush, then cut the socket and the receive
-        // lane, so the joins below cannot hang on a peer that stopped
-        // reading, or on one that never stops sending.
-        self.tx.send(Frame::Fin);
-        self.tx.queue.wait_closed(Duration::from_secs(2));
+        // Best-effort orderly close: `Fin` within a bounded flush window,
+        // then cut the socket and the receive lane, so the joins below
+        // cannot hang on a peer that stopped reading, or on one that
+        // never stops sending.
+        self.tx.close();
         let _ = self.socket.shutdown(std::net::Shutdown::Both);
         self.rx.close(None);
     }
@@ -318,23 +255,19 @@ pub struct TcpLink {
 }
 
 impl TcpLink {
-    fn from_stream(
-        stream: TcpStream,
-        send_queue: usize,
-        batch: BatchPolicy,
-    ) -> Result<TcpLink, TransportError> {
+    fn from_stream(stream: TcpStream, config: &TcpTransport) -> Result<TcpLink, TransportError> {
+        stream.set_nodelay(true).ok();
         let peer_addr = stream.peer_addr()?;
         let stats = Arc::new(SharedStats::default());
-        let tx = Arc::new(TxShared {
-            queue: LaneQueue::new(send_queue),
-            batch,
-            stats: Arc::clone(&stats),
-        });
-        let mut write_half = stream.try_clone()?;
-        let tx2 = Arc::clone(&tx);
-        let writer = Worker::spawn("tcp-netpipe-writer", move |_| {
-            writer_loop(&tx2, &mut write_half);
-        })?;
+        let tx = Transmit::new(
+            "tcp-netpipe-writer",
+            stream.try_clone()?,
+            write_batch,
+            MAX_FRAME,
+            config.send_queue,
+            config.batch,
+            Arc::clone(&stats),
+        );
         Ok(TcpLink {
             inner: Arc::new(TcpInner {
                 peer: PeerIdentity::new("tcp", peer_addr.to_string()),
@@ -344,7 +277,6 @@ impl TcpLink {
                 rx_pool: BufferPool::new(),
                 socket: stream,
                 reader: OnceLock::new(),
-                _writer: writer,
             }),
         })
     }
@@ -385,9 +317,7 @@ impl Link for TcpLink {
     }
 
     fn send_ready(&self) -> bool {
-        // A finished or dead writer makes `send` return Closed without
-        // waiting, so only a full data lane means "would block".
-        !self.inner.tx.queue.would_block()
+        self.inner.tx.send_ready()
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
@@ -443,7 +373,7 @@ impl TcpTransport {
     #[must_use]
     pub fn new() -> TcpTransport {
         TcpTransport {
-            send_queue: 1024,
+            send_queue: TX_QUEUE_FRAMES,
             batch: BatchPolicy::default(),
         }
     }
@@ -458,9 +388,10 @@ impl TcpTransport {
         }
     }
 
-    /// Disables frame coalescing: each frame gets its own write
-    /// (the pre-batching behaviour; useful for latency-sensitive or
-    /// comparison runs).
+    /// Disables frame coalescing: each frame gets its own write. The
+    /// default writer already writes as soon as its queue runs dry, so
+    /// this buys no latency; it is the baseline that measures what
+    /// batching saves.
     #[must_use]
     pub fn without_batching(mut self) -> TcpTransport {
         self.batch = BatchPolicy::unbatched();
@@ -486,23 +417,20 @@ impl Transport for TcpTransport {
         let listener = TcpListener::bind(addr)?;
         Ok(TcpAcceptor {
             listener,
-            send_queue: self.send_queue,
-            batch: self.batch,
+            config: self.clone(),
         })
     }
 
     fn connect(&self, addr: &str) -> Result<TcpLink, TransportError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        TcpLink::from_stream(stream, self.send_queue, self.batch)
+        TcpLink::from_stream(TcpStream::connect(addr)?, self)
     }
 }
 
 /// A bound TCP listener.
 pub struct TcpAcceptor {
     listener: TcpListener,
-    send_queue: usize,
-    batch: BatchPolicy,
+    /// The transport that bound it: accepted links take its settings.
+    config: TcpTransport,
 }
 
 impl Acceptor for TcpAcceptor {
@@ -517,8 +445,7 @@ impl Acceptor for TcpAcceptor {
 
     fn accept(&self) -> Result<TcpLink, TransportError> {
         let (stream, _) = self.listener.accept()?;
-        stream.set_nodelay(true).ok();
-        TcpLink::from_stream(stream, self.send_queue, self.batch)
+        TcpLink::from_stream(stream, &self.config)
     }
 
     fn accept_timeout(&self, timeout: Duration) -> Result<Option<TcpLink>, TransportError> {
@@ -533,8 +460,7 @@ impl Acceptor for TcpAcceptor {
                     // Accepted sockets do not inherit the listener's
                     // nonblocking mode on every platform; force it off.
                     stream.set_nonblocking(false).ok();
-                    stream.set_nodelay(true).ok();
-                    break TcpLink::from_stream(stream, self.send_queue, self.batch).map(Some);
+                    break TcpLink::from_stream(stream, &self.config).map(Some);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     let now = Instant::now();

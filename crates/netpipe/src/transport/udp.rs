@@ -7,12 +7,18 @@
 //! packed datagram of several data frames, and the `HELLO` that
 //! announces a connect. The backend is honest about UDP's nature:
 //!
-//! * **lossy** — a frame larger than the configured datagram limit is
-//!   dropped at the send end (and counted), the network itself may shed
-//!   datagrams under load, and a stalled receiver sheds arrivals once
-//!   its bounded receive queue fills (also counted); nothing is
-//!   retransmitted. This is the "arbitrary dropping in the network" of
-//!   Fig. 1 on a real socket.
+//! * **lossy** — a frame larger than [`MAX_DATAGRAM`] is dropped at the
+//!   send end (and counted), the network itself may shed datagrams under
+//!   load, and a stalled receiver sheds arrivals once its bounded
+//!   receive queue fills (also counted); nothing is retransmitted. This
+//!   is the "arbitrary dropping in the network" of Fig. 1 on a real
+//!   socket.
+//! * **TCP's send path** — frames queue in the link's [`Transmit`], and
+//!   its writer, started by the first `send`, packs each batch into
+//!   shared datagrams ([`send_batch`]); a lone frame goes out at once. A
+//!   send waits for room, and reports `Saturated` and `send_ready`, as on
+//!   TCP: while the writer lags, up to 1 024 frames (of up to 60 KiB)
+//!   queue, bounded in frames, not bytes.
 //! * **connectionless underneath** — the listener socket serves every
 //!   client; a connect is announced with a `HELLO` datagram, and the
 //!   acceptor-side link demultiplexes by source address. A reader thread
@@ -25,8 +31,9 @@
 //!   order, and control-lane frames overtake data queued at the receiver
 //!   (the same reordering point the in-process backend uses).
 //!
-//! `Fin` travels in-band as its own datagram; with no handshake there
-//! is no delivery guarantee for it. A client whose socket reports a
+//! `Fin` travels in-band as its own datagram, behind the data queued
+//! ahead of it, and a dropped link sends one too; with no handshake
+//! there is no delivery guarantee for it. A client whose socket reports a
 //! hard error (e.g. `ECONNREFUSED` via ICMP after the server vanished)
 //! surfaces `Closed`; a peer that vanishes *silently* is
 //! indistinguishable from an idle link — inherent to UDP — and must be
@@ -36,10 +43,10 @@
 //! contiguous), and receives seal each datagram once — the unavoidable
 //! I/O-boundary copies, with none elsewhere.
 
-use super::lanes::{LaneQueue, OnFull, RX_QUEUE_FRAMES};
+use super::lanes::{Batch, LaneQueue, OnFull, Transmit, RX_QUEUE_FRAMES, TX_QUEUE_FRAMES};
 use super::{
-    Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, RecvOutcome, SendStatus, SharedStats,
-    Transport, TransportError,
+    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, Pending, RecvOutcome, SendStatus,
+    SharedStats, Transport, TransportError,
 };
 use crate::framing::{self, FrameKind};
 use crate::worker::{Stop, Worker};
@@ -48,7 +55,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -57,19 +64,12 @@ use std::time::Duration;
 /// A connect announcement.
 const TAG_HELLO: u8 = 0xF0;
 /// A packed datagram of several small data frames:
-/// `[TAG_BATCH]([len: u32 LE][payload])*` — N frames for one `send`.
+/// `[TAG_BATCH]([len: u32 LE][payload])*` — N frames for one `sendto`.
 const TAG_BATCH: u8 = 4;
 
 /// The largest payload the backend puts in one datagram, comfortably
 /// under the UDP maximum (65507) to leave header room.
 const MAX_DATAGRAM: usize = 60 * 1024;
-
-/// How long a partial packed datagram is held open before the flusher
-/// sends it.
-const UDP_LINGER: Duration = Duration::from_millis(1);
-
-/// Data frames packed into one datagram at most.
-const PACK_FRAMES: u64 = 64;
 
 /// Seals `payload` into a pooled buffer — the receive-side copy off the
 /// socket, allocation-free once the pool is warm.
@@ -101,15 +101,83 @@ fn decode_into(tag: u8, payload: &[u8], pool: &BufferPool, frames: &mut Vec<Fram
     }
 }
 
-/// The packed datagram under construction on the send side.
-#[derive(Default)]
-struct TxBatch {
-    /// `[TAG_BATCH]([len][payload])*` so far; empty when no batch is open.
+// ---------------------------------------------------------------------
+// Send side: the drain a link's `Transmit` sends each batch through
+// ---------------------------------------------------------------------
+
+/// Where a link's datagrams go, and the buffer its writer packs them in.
+struct UdpWire {
+    socket: Arc<UdpSocket>,
+    /// The peer's address on the listener's shared socket; `None` on a
+    /// client's connected socket.
+    to: Option<SocketAddr>,
+    /// The datagram being assembled, reused from batch to batch.
     buf: Vec<u8>,
-    /// Frames packed into `buf`.
-    frames: u64,
-    /// Payload bytes packed into `buf` (for `bytes_sent` on flush).
-    payload_bytes: u64,
+}
+
+impl UdpWire {
+    /// Sends the datagram in `buf`, if any, counting the write; a failed
+    /// send sheds the `frames` data frames it carried — UDP loss is per
+    /// datagram. `buf` is left empty.
+    fn flush(&mut self, frames: u64, stats: &SharedStats) {
+        if self.buf.is_empty() {
+            return;
+        }
+        let sent = match self.to {
+            Some(peer) => self.socket.send_to(&self.buf, peer),
+            None => self.socket.send(&self.buf),
+        };
+        match sent {
+            Ok(_) => stats.wire_writes.fetch_add(1, Ordering::Relaxed),
+            Err(_) => stats.dropped.fetch_add(frames, Ordering::Relaxed),
+        };
+        self.buf.clear();
+    }
+
+    /// Sends `[tag][payload]` as one datagram.
+    fn send_tagged(&mut self, tag: u8, payload: &[u8], frames: u64, stats: &SharedStats) {
+        self.buf.push(tag);
+        self.buf.extend_from_slice(payload);
+        self.flush(frames, stats);
+    }
+}
+
+/// The UDP drain: one datagram per control frame, then the data packed
+/// into [`TAG_BATCH`] datagrams of up to [`MAX_DATAGRAM`] bytes (a frame
+/// too long to pack goes alone), then `Fin` if it is due. A full socket
+/// buffer is loss, not a broken link: the writer carries on.
+fn send_batch(wire: &mut UdpWire, batch: &Batch, stats: &SharedStats) -> bool {
+    for frame in &batch.ctrl {
+        if let Ok((kind, payload)) = framing::frame_to_parts(frame) {
+            wire.send_tagged(kind.to_byte(), &payload, 0, stats);
+        }
+    }
+    let mut packed = 0;
+    for bytes in &batch.data {
+        let entry = 4 + bytes.len();
+        if packed > 0 && wire.buf.len() + entry > MAX_DATAGRAM + 1 {
+            wire.flush(packed, stats);
+            packed = 0;
+        }
+        if 1 + entry > MAX_DATAGRAM + 1 {
+            // The entry's length prefix would overflow the datagram: the
+            // frame goes alone, after the data packed ahead of it.
+            wire.send_tagged(FrameKind::Data.to_byte(), bytes, 1, stats);
+            continue;
+        }
+        if packed == 0 {
+            wire.buf.push(TAG_BATCH);
+        }
+        let len = u32::try_from(bytes.len()).expect("datagram-sized frame fits u32");
+        wire.buf.extend_from_slice(&len.to_le_bytes());
+        wire.buf.extend_from_slice(bytes);
+        packed += 1;
+    }
+    wire.flush(packed, stats);
+    if batch.fin {
+        wire.send_tagged(FrameKind::Fin.to_byte(), &[], 0, stats);
+    }
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -153,7 +221,7 @@ enum LinkSide {
     /// started by the first `recv` or `bind_receiver`; `None` if the OS
     /// refused the thread (the receive queue is closed then).
     Client {
-        socket: UdpSocket,
+        socket: Arc<UdpSocket>,
         reader: OnceLock<Option<Worker>>,
     },
     /// Server side: datagrams arrive via the listener's reader thread.
@@ -168,88 +236,21 @@ enum LinkSide {
 struct UdpInner {
     peer: PeerIdentity,
     side: LinkSide,
+    /// The send side: the writer, started by the first `send`, packs and
+    /// sends the datagrams.
+    tx: Transmit<UdpWire>,
     rx: Arc<LaneQueue>,
     stats: Arc<SharedStats>,
-    fin_sent: AtomicBool,
     /// Pool arriving data payloads are sealed into (shared with the
     /// listener's [`PeerEntry`] on the server side).
     rx_pool: BufferPool,
-    tx_batch: Mutex<TxBatch>,
-    /// The linger flusher, spawned on the first packed frame; `None`
-    /// remembers a refused spawn, after which packed frames flush inline.
-    flusher: OnceLock<Option<Worker>>,
-}
-
-impl UdpInner {
-    /// Sends one raw datagram toward the peer.
-    fn raw_send(&self, dgram: &[u8]) -> std::io::Result<usize> {
-        match &self.side {
-            LinkSide::Client { socket, .. } => socket.send(dgram),
-            LinkSide::Server { server, peer_addr } => server.socket.send_to(dgram, peer_addr),
-        }
-    }
-
-    /// Sends `[tag][payload]` as one datagram, counting the write.
-    fn send_tagged(&self, tag: u8, payload: &[u8]) -> std::io::Result<usize> {
-        let mut dgram = Vec::with_capacity(payload.len() + 1);
-        dgram.push(tag);
-        dgram.extend_from_slice(payload);
-        let sent = self.raw_send(&dgram)?;
-        self.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
-        Ok(sent)
-    }
-
-    /// Sends the pending packed datagram, if any. A failed send sheds
-    /// every frame in the packet — UDP loss is per-datagram.
-    fn flush_batch(&self, batch: &mut TxBatch) {
-        if batch.frames == 0 {
-            return;
-        }
-        match self.raw_send(&batch.buf) {
-            Ok(_) => {
-                self.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_sent
-                    .fetch_add(batch.payload_bytes, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stats
-                    .dropped
-                    .fetch_add(batch.frames, Ordering::Relaxed);
-            }
-        }
-        batch.buf.clear();
-        batch.frames = 0;
-        batch.payload_bytes = 0;
-    }
-
-    /// Flushes the pending packed datagram (linger expiry, `Fin`, drop).
-    fn flush_pending(&self) {
-        let mut batch = self.tx_batch.lock();
-        self.flush_batch(&mut batch);
-    }
-
-    /// Sends a data frame singly: `[kind][payload]`, one datagram.
-    fn send_data_single(&self, bytes: &PayloadBytes) -> SendStatus {
-        match self.send_tagged(FrameKind::Data.to_byte(), bytes) {
-            Ok(_) => {
-                self.stats
-                    .bytes_sent
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                SendStatus::Sent
-            }
-            Err(_) => {
-                // A full socket buffer is genuine loss on UDP.
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                SendStatus::Dropped
-            }
-        }
-    }
 }
 
 impl Drop for UdpInner {
     fn drop(&mut self) {
-        self.flush_pending();
+        // The peer's stream ends as on every backend: `Fin`, behind the
+        // queued data, within the bounded flush window.
+        self.tx.close();
         if let LinkSide::Server { server, peer_addr } = &self.side {
             server.peers.lock().remove(peer_addr);
         }
@@ -264,16 +265,33 @@ pub struct UdpLink {
 
 impl UdpLink {
     fn new(peer_addr: String, side: LinkSide, entry: PeerEntry) -> UdpLink {
+        let (socket, to) = match &side {
+            LinkSide::Client { socket, .. } => (Arc::clone(socket), None),
+            LinkSide::Server { server, peer_addr } => {
+                (Arc::clone(&server.socket), Some(*peer_addr))
+            }
+        };
+        let wire = UdpWire {
+            socket,
+            to,
+            buf: Vec::new(),
+        };
         UdpLink {
             inner: Arc::new(UdpInner {
                 peer: PeerIdentity::new("udp", peer_addr),
                 side,
+                tx: Transmit::new(
+                    "udp-netpipe-writer",
+                    wire,
+                    send_batch,
+                    MAX_DATAGRAM,
+                    TX_QUEUE_FRAMES,
+                    BatchPolicy::default(),
+                    Arc::clone(&entry.stats),
+                ),
                 rx: entry.rx,
                 stats: entry.stats,
-                fin_sent: AtomicBool::new(false),
                 rx_pool: entry.pool,
-                tx_batch: Mutex::new(TxBatch::default()),
-                flusher: OnceLock::new(),
             }),
         }
     }
@@ -285,31 +303,6 @@ impl UdpLink {
         self.inner.rx_pool.stats()
     }
 
-    /// Makes sure a packed frame left pending gets sent within one
-    /// linger: spawns the flusher on first use — a worker holding only a
-    /// `Weak` ref that ticks at the linger interval and sends whatever
-    /// packed datagram is pending, until the link is gone or finished.
-    /// Without a flusher (the OS refused the thread) nothing may stay
-    /// pending, so the frame goes out now.
-    fn ensure_flusher(&self) {
-        let flusher = self.inner.flusher.get_or_init(|| {
-            let weak = Arc::downgrade(&self.inner);
-            Worker::spawn("udp-netpipe-flusher", move |stop: &Stop| {
-                while !stop.sleep(UDP_LINGER) {
-                    let Some(inner) = weak.upgrade() else { return };
-                    inner.flush_pending();
-                    if inner.fin_sent.load(Ordering::Acquire) {
-                        return;
-                    }
-                }
-            })
-            .ok()
-        });
-        if flusher.is_none() {
-            self.inner.flush_pending();
-        }
-    }
-
     /// Starts a client link's reader, once (a server link's is the
     /// listener's); a thread the OS refuses closes the receive queue.
     fn start_reader(&self) {
@@ -319,22 +312,19 @@ impl UdpLink {
         };
         reader.get_or_init(|| {
             let (rx, stats) = (Arc::clone(&inner.rx), Arc::clone(&inner.stats));
-            let pool = inner.rx_pool.clone();
-            (socket.try_clone())
-                .and_then(|socket| {
-                    Worker::spawn("udp-netpipe-reader", move |stop| {
-                        let mut frames = Vec::new();
-                        let healthy = read_datagrams(&socket, stop, |_, tag, payload| {
-                            decode_into(tag, payload, &pool, &mut frames);
-                            rx.arrive_all(&mut frames, OnFull::Shed, &stats)
-                        });
-                        if !healthy {
-                            rx.close(None);
-                        }
-                    })
-                })
-                .inspect_err(|_| inner.rx.close(None))
-                .ok()
+            let (socket, pool) = (Arc::clone(socket), inner.rx_pool.clone());
+            Worker::spawn("udp-netpipe-reader", move |stop| {
+                let mut frames = Vec::new();
+                let healthy = read_datagrams(&socket, stop, |_, tag, payload| {
+                    decode_into(tag, payload, &pool, &mut frames);
+                    rx.arrive_all(&mut frames, OnFull::Shed, &stats)
+                });
+                if !healthy {
+                    rx.close(None);
+                }
+            })
+            .inspect_err(|_| inner.rx.close(None))
+            .ok()
         });
     }
 }
@@ -345,68 +335,11 @@ impl Link for UdpLink {
     }
 
     fn send(&self, frame: Frame) -> SendStatus {
-        let inner = &self.inner;
-        if inner.fin_sent.load(Ordering::Acquire) {
-            return SendStatus::Closed;
-        }
-        match frame {
-            Frame::Data(bytes) => {
-                inner.stats.sent.fetch_add(1, Ordering::Relaxed);
-                if bytes.len() > MAX_DATAGRAM {
-                    // An oversized frame cannot ride one datagram: shed
-                    // it, like a router refusing a jumbo packet.
-                    inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    return SendStatus::Dropped;
-                }
-                // Pack small frames: `[len][payload]` entries appended to
-                // the pending `TAG_BATCH` datagram, flushed when the next
-                // frame would overflow it, when it reaches `PACK_FRAMES`,
-                // or when the linger flusher fires.
-                let entry_len = 4 + bytes.len();
-                let mut batch = inner.tx_batch.lock();
-                if batch.frames > 0 && batch.buf.len() + entry_len > MAX_DATAGRAM + 1 {
-                    inner.flush_batch(&mut batch);
-                }
-                if 1 + entry_len > MAX_DATAGRAM + 1 {
-                    // Too big to pack even alone (entry framing would
-                    // overflow the datagram): pending data already went
-                    // out above, so ordering holds — send it singly.
-                    drop(batch);
-                    return inner.send_data_single(&bytes);
-                }
-                if batch.frames == 0 {
-                    batch.buf.push(TAG_BATCH);
-                }
-                let len = u32::try_from(bytes.len()).expect("datagram-sized frame fits u32");
-                batch.buf.extend_from_slice(&len.to_le_bytes());
-                batch.buf.extend_from_slice(&bytes);
-                batch.frames += 1;
-                batch.payload_bytes += bytes.len() as u64;
-                if batch.frames >= PACK_FRAMES {
-                    inner.flush_batch(&mut batch);
-                } else {
-                    drop(batch);
-                    self.ensure_flusher();
-                }
-                SendStatus::Sent
-            }
-            Frame::Fin => {
-                // End of stream must not overtake its own data.
-                inner.flush_pending();
-                let _ = inner.raw_send(&[FrameKind::Fin.to_byte()]);
-                inner.stats.wire_writes.fetch_add(1, Ordering::Relaxed);
-                inner.fin_sent.store(true, Ordering::Release);
-                SendStatus::Sent
-            }
-            ctrl_frame => {
-                // Control-lane frames go out immediately, overtaking any
-                // pending packed data — out-of-band priority.
-                if let Ok((kind, payload)) = framing::frame_to_parts(&ctrl_frame) {
-                    let _ = inner.send_tagged(kind.to_byte(), &payload);
-                }
-                SendStatus::Sent
-            }
-        }
+        self.inner.tx.send(frame)
+    }
+
+    fn send_ready(&self) -> bool {
+        self.inner.tx.send_ready()
     }
 
     fn recv(&self, timeout: Duration) -> RecvOutcome {
@@ -577,8 +510,8 @@ pub struct UdpTransport;
 impl UdpTransport {
     /// A transport with a 60 KiB datagram payload limit (larger data
     /// frames are dropped at the send end, and counted, as on a path with
-    /// a hard MTU) and small-frame packing on: up to 64 frames per
-    /// datagram, a partial one sent after ~1 ms.
+    /// a hard MTU) and small-frame packing on: the frames queued while
+    /// the writer sent the last batch, up to 64, share datagrams.
     #[must_use]
     pub fn new() -> UdpTransport {
         UdpTransport
@@ -634,7 +567,7 @@ impl Transport for UdpTransport {
             let _ = socket.send(&[TAG_HELLO]);
         }
         let side = LinkSide::Client {
-            socket,
+            socket: Arc::new(socket),
             reader: OnceLock::new(),
         };
         Ok(UdpLink::new(addr.to_owned(), side, PeerEntry::new()))
@@ -802,6 +735,53 @@ mod tests {
             "packing should cost fewer datagrams than frames: {:?}",
             client.stats()
         );
+    }
+
+    /// Decodes one datagram (`[tag][payload]`): no panic, and no frame
+    /// longer than the datagram that carried it.
+    fn decode_hostile(dgram: &[u8], pool: &BufferPool) {
+        let Some((&tag, payload)) = dgram.split_first() else {
+            return;
+        };
+        let mut frames = Vec::new();
+        decode_into(tag, payload, pool, &mut frames);
+        for frame in &frames {
+            let len = match frame {
+                Frame::Data(bytes) => bytes.len(),
+                Frame::Control(bytes) => bytes.len(),
+                Frame::Event(_) | Frame::Fin => 0,
+            };
+            assert!(len <= payload.len(), "a {len}-byte frame from {dgram:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_datagrams_decode_without_panic_or_growth() {
+        let mut valid = vec![TAG_BATCH];
+        for payload in [&b"aa"[..], &b""[..], &[9; 40][..], &b"cccc"[..]] {
+            valid.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            valid.extend_from_slice(payload);
+        }
+        let pool = BufferPool::new();
+        for cut in 0..=valid.len() {
+            decode_hostile(&valid[..cut], &pool);
+        }
+        let mut mutated = valid.clone();
+        for at in 0..valid.len() {
+            for byte in [0x00, 0x7F, 0x80, 0xFF, !valid[at]] {
+                mutated[at] = byte;
+                decode_hostile(&mutated, &pool);
+            }
+            mutated[at] = valid[at];
+        }
+        let mut rng = proptest::TestRng::deterministic("udp_hostile_datagrams");
+        for _ in 0..2000 {
+            let len = 1 + rng.below(64);
+            let mut dgram: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            // Every tag the demux knows, and some it does not.
+            dgram[0] = [TAG_BATCH, TAG_HELLO, 0, 1, 2, 3, rng.below(256) as u8][rng.below(7)];
+            decode_hostile(&dgram, &pool);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Thread transparency means the middleware, not each component, owns
 //! thread creation and lifetime. Every service thread of this crate — the
 //! serving tier's accept loop, the inspector's accept loop and
-//! per-client handlers, the remote host's event forwarder, the TCP
-//! writer and reader, the UDP flusher and readers — is a [`Worker`]: a
+//! per-client handlers, the remote host's event forwarder, the socket
+//! links' writers and readers — is a [`Worker`]: a
 //! named thread with a stop request that is stopped and joined when its
 //! owner drops it. [`spawn_accept_loop`] is the one accept loop on top of
 //! it. No link has a receive thread of its own beyond its socket reader:
@@ -12,11 +12,12 @@
 //! simulator's kernel thread (sim), a socket reader (TCP, UDP) — arrives
 //! it into the link's receive queue, and into a bound pipeline from
 //! there. A socket link starts its reader on its first `recv` or
-//! `bind_receiver`, so a link nobody reads runs none.
+//! `bind_receiver`, and its writer on its first `send`, so a link nobody
+//! reads runs no reader, and one that never sends runs no writer.
 //!
-//! A worker whose body can drop its own last owner (the UDP flusher and
-//! server reader upgrade a `Weak`, and a reader that ends a data binding
-//! lets go of the link handle the binding held) is dropped *on its own
+//! A worker whose body can drop its own last owner (the UDP server
+//! reader upgrades a `Weak`, and a reader that ends a data binding lets
+//! go of the link handle the binding held) is dropped *on its own
 //! thread*. Joining there would wait for itself, so that one drop lets go
 //! of the handle instead: the body is by then on its way out, and
 //! `crates/netpipe/tests/lifecycle.rs` holds every backend to "thread
@@ -27,7 +28,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The stop request a worker body polls between units of work.
 pub(crate) struct Stop(Arc<AtomicBool>);
@@ -35,22 +36,6 @@ pub(crate) struct Stop(Arc<AtomicBool>);
 impl Stop {
     pub(crate) fn requested(&self) -> bool {
         self.0.load(Ordering::Acquire)
-    }
-
-    /// Sleeps up to `period`; returns early, and `true`, once a stop is
-    /// requested ([`Worker`] unparks the thread when it asks).
-    pub(crate) fn sleep(&self, period: Duration) -> bool {
-        let deadline = Instant::now() + period;
-        loop {
-            if self.requested() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            std::thread::park_timeout(deadline - now);
-        }
     }
 }
 
@@ -92,9 +77,6 @@ impl<T> Worker<T> {
     /// Asks the body to stop without waiting for it.
     pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = &self.handle {
-            handle.thread().unpark();
-        }
     }
 
     /// Whether the body has returned.
@@ -182,8 +164,9 @@ mod tests {
 
     #[test]
     fn a_worker_dropped_by_its_own_body_does_not_join_itself() {
-        // The owner hands the body the only reference to itself — what
-        // the UDP flusher ends up holding once every link clone is gone.
+        // The owner hands the body the only reference to itself — what a
+        // reader ends up holding once its binding took the last link
+        // handle.
         let (tx, rx) = std::sync::mpsc::channel::<Worker>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let worker = Worker::spawn("test-self-owner", move |_| {

@@ -10,19 +10,27 @@
 //! an inspector beside it — then drop everything and hold the process to
 //! the thread count it started with.
 //!
-//! One thread rule holds on the way. A link that reads its own socket
-//! (TCP, the UDP client) runs one reader, started when it is first
-//! polled or bound — none while nobody reads it, and no second one when
-//! a polled link is then bound. Any other link (inproc, sim, the UDP
-//! server) starts no thread when bound: the sender's thread, the
-//! simulator's kernel thread or the listener's reader delivers. And an
-//! events-only bound TCP client whose handles are all dropped takes its
-//! reader with it.
+//! One thread rule holds on the way, with exact counts:
+//!
+//! * connect and accept start no thread (the simulator's connect starts
+//!   the two direction kernel threads that are its network model);
+//! * a link that reads its own socket (TCP, the UDP client) runs one
+//!   reader, started when it is first polled or bound — none while
+//!   nobody reads it, and no second one when a polled link is then
+//!   bound. Any other link (inproc, sim, the UDP server) starts no thread
+//!   when bound: the sender's thread, the simulator's kernel thread or
+//!   the listener's reader delivers;
+//! * a socket link's (TCP, UDP) first send starts exactly one writer,
+//!   and later sends start none; inproc and sim start none. A link that
+//!   only ever sends the drop's `Fin` starts none: that `Fin` goes out on
+//!   the dropping thread;
+//! * an events-only bound TCP client whose handles are all dropped takes
+//!   its reader with it.
 //!
 //! This is what proves the `Worker` arrangement: owners join their
 //! service threads, and a worker that ends up dropping its own last
-//! owner (the UDP flusher and readers, a reader whose binding held the
-//! last handle on its link) neither leaks nor joins itself — a self-join
+//! owner (the UDP server's reader, a reader whose binding held the last
+//! handle on its link) neither leaks nor joins itself — a self-join
 //! panics that worker, which the panic hook below turns into a failure.
 //! One `#[test]`, so no sibling test's threads or panics blur the count.
 
@@ -35,8 +43,8 @@ use infopipes::{
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     wire, AcceptLoop, Acceptor, BufferPool, Frame, InProcTransport, InspectClient, InspectServer,
-    Link, PoolStats, ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpLink, TcpTransport,
-    Transport, UdpLink, UdpTransport, Unmarshal,
+    Link, PoolStats, RecvOutcome, ServeConfig, SessionRegistry, SimConfig, SimTransport, TcpLink,
+    TcpTransport, Transport, UdpLink, UdpTransport, Unmarshal,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,33 +85,54 @@ fn consumer(kernel: &Kernel) -> (Pipeline, InboxSender, Received) {
     (consumer, inbox_sender, (got, unpooled))
 }
 
+/// The thread rule for one backend: what its links start, and when.
+#[derive(Copy, Clone)]
+struct Threads {
+    /// Started by a connect and its accept together.
+    per_connection: usize,
+    /// Which of (server, client) reads its own socket: such a link starts
+    /// one reader when first read, and any other link none.
+    own_reader: [bool; 2],
+    /// Whether a link's first send starts a writer.
+    writer: bool,
+}
+
+/// Inproc and sim links start no thread of their own.
+const IN_PROCESS: Threads = Threads {
+    per_connection: 0,
+    own_reader: [false; 2],
+    writer: false,
+};
+
 /// Drives every service thread a backend has, then lets go of all of it.
 /// `pool` reads the receiving link's buffer pool, for backends that
-/// receive into one. `own_reader` says which of (server, client) reads
-/// its own socket: by the thread rule such a link starts one reader
-/// when first read, and any other link none.
+/// receive into one. `threads` is the backend's thread rule, checked
+/// exactly at each step that may start a thread.
 fn exercise<T: Transport>(
     kernel: &Kernel,
     transport: &T,
     addrs: [&str; 3],
     pool: Option<fn(&T::Link) -> PoolStats>,
-    own_reader: [bool; 2],
+    threads: Threads,
 ) {
-    // A point-to-point link with both receive sides bound.
-    let acceptor = transport.listen(addrs[0]).expect("listen");
-    let client = transport.connect(&acceptor.local_addr()).expect("connect");
-    let server = acceptor.accept().expect("accept");
-
-    let (consumer, inbox_sender, (got, unpooled)) = consumer(kernel);
-    let rule = |since: usize, own: bool, link: &str| {
+    let rule = |since: usize, expected: usize, step: &str| {
         let started = live_threads().saturating_sub(since);
         assert_eq!(
             started,
-            usize::from(own),
-            "{}: {link} started {started} threads",
+            expected,
+            "{}: {step} started {started} threads",
             transport.scheme()
         );
     };
+    // A point-to-point link with both receive sides bound.
+    let acceptor = transport.listen(addrs[0]).expect("listen");
+    let before = live_threads();
+    let client = transport.connect(&acceptor.local_addr()).expect("connect");
+    let server = acceptor.accept().expect("accept");
+    rule(before, threads.per_connection, "connect and accept");
+
+    let (consumer, inbox_sender, (got, unpooled)) = consumer(kernel);
+    let own_reader = threads.own_reader.map(usize::from);
     let before = live_threads();
     server
         .bind_receiver(Some(inbox_sender), |_| {})
@@ -118,10 +147,15 @@ fn exercise<T: Transport>(
     running.start_flow().expect("start");
 
     let send_pool = BufferPool::new();
-    for i in 0..FRAMES {
-        let frame = Frame::Data(wire::to_payload_in(&send_pool, 64, &i).expect("encode"));
-        assert!(client.send(frame).accepted(), "frame {i}");
+    let frame = |i: u32| Frame::Data(wire::to_payload_in(&send_pool, 64, &i).expect("encode"));
+    let before = live_threads();
+    assert!(client.send(frame(0)).accepted(), "frame 0");
+    rule(before, usize::from(threads.writer), "a link's first send");
+    let before = live_threads();
+    for i in 1..FRAMES {
+        assert!(client.send(frame(i)).accepted(), "frame {i}");
     }
+    rule(before, 0, "a link's later sends");
     let deadline = Instant::now() + DEADLINE;
     while got.lock().len() < FRAMES as usize {
         assert!(Instant::now() < deadline, "stalled at {:?}", got.lock());
@@ -197,13 +231,38 @@ fn abandoned_event_binding_leaves_no_thread() {
     settle(before, "tcp: an abandoned events-only binding");
 }
 
-/// A bound link whose sending end goes without a `Fin` still ends the
-/// consumer's stream, with no receive thread left to notice the link
-/// closing: the sender's drop finishes the inbox, at once on inproc, and
-/// on sim through the direction's kernel thread after the data still in
-/// flight.
-fn dropped_sender_ends_the_stream<T: Transport>(kernel: &Kernel, transport: &T) {
-    let acceptor = transport.listen("dropped").expect("listen");
+/// A link that only ever sends the drop's `Fin` holds no thread of its
+/// own while it lives, and its peer still reads that `Fin`: it went out
+/// on the dropping thread.
+fn fin_only_link_starts_no_writer<T: Transport>(transport: &T, addr: &str) {
+    let acceptor = transport.listen(addr).expect("listen");
+    let before = live_threads();
+    let client = transport.connect(&acceptor.local_addr()).expect("connect");
+    let server = acceptor.accept().expect("accept");
+    assert_eq!(
+        live_threads(),
+        before,
+        "{}: a link that never sent holds a thread",
+        transport.scheme()
+    );
+    drop(client);
+    match server.recv(DEADLINE) {
+        RecvOutcome::Fin => {}
+        other => panic!(
+            "{}: the drop's Fin must arrive, got {other:?}",
+            transport.scheme()
+        ),
+    }
+    drop((server, acceptor));
+}
+
+/// A bound link whose sending end goes without an explicit `Fin` still
+/// ends the consumer's stream: the sender's drop finishes the inbox — at
+/// once on inproc, on sim through the direction's kernel thread after the
+/// data still in flight, and on TCP and UDP with the `Fin` the drop sends
+/// behind the queued data.
+fn dropped_sender_ends_the_stream<T: Transport>(kernel: &Kernel, transport: &T, addr: &str) {
+    let acceptor = transport.listen(addr).expect("listen");
     let client = transport.connect(&acceptor.local_addr()).expect("connect");
     let server = acceptor.accept().expect("accept");
 
@@ -269,9 +328,9 @@ fn every_backend_returns_to_its_thread_baseline() {
             &InProcTransport::new(),
             ["a", "b", "c"],
             None,
-            [false; 2],
+            IN_PROCESS,
         );
-        dropped_sender_ends_the_stream(k, &InProcTransport::new());
+        dropped_sender_ends_the_stream(k, &InProcTransport::new(), "dropped");
     });
     run("sim", &|k| {
         let cfg = SimConfig {
@@ -280,29 +339,39 @@ fn every_backend_returns_to_its_thread_baseline() {
             ..SimConfig::default()
         };
         let transport = SimTransport::new(k, cfg);
-        exercise(k, &transport, ["a", "b", "c"], None, [false; 2]);
-        dropped_sender_ends_the_stream(k, &transport);
+        // A connection's two direction kernel threads are the network
+        // model; the links start nothing beyond them.
+        let threads = Threads {
+            per_connection: 2,
+            ..IN_PROCESS
+        };
+        exercise(k, &transport, ["a", "b", "c"], None, threads);
+        dropped_sender_ends_the_stream(k, &transport, "dropped");
     });
     run("tcp", &|k| {
-        exercise(
-            k,
-            &TcpTransport::new(),
-            sockets,
-            Some(TcpLink::pool_stats),
-            [true; 2],
-        );
+        let threads = Threads {
+            per_connection: 0,
+            own_reader: [true; 2],
+            writer: true,
+        };
+        let pool = Some(TcpLink::pool_stats as fn(&TcpLink) -> PoolStats);
+        exercise(k, &TcpTransport::new(), sockets, pool, threads);
         abandoned_event_binding_leaves_no_thread();
+        fin_only_link_starts_no_writer(&TcpTransport::new(), sockets[0]);
+        dropped_sender_ends_the_stream(k, &TcpTransport::new(), sockets[0]);
     });
     // The UDP server link is fed by the listener's reader; the client
     // reads its own socket.
     run("udp", &|k| {
-        exercise(
-            k,
-            &UdpTransport::new(),
-            sockets,
-            Some(UdpLink::pool_stats),
-            [false, true],
-        );
+        let threads = Threads {
+            per_connection: 0,
+            own_reader: [false, true],
+            writer: true,
+        };
+        let pool = Some(UdpLink::pool_stats as fn(&UdpLink) -> PoolStats);
+        exercise(k, &UdpTransport::new(), sockets, pool, threads);
+        fin_only_link_starts_no_writer(&UdpTransport::new(), sockets[0]);
+        dropped_sender_ends_the_stream(k, &UdpTransport::new(), sockets[0]);
     });
     assert_eq!(
         PANICS.load(Ordering::SeqCst),
