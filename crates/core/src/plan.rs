@@ -256,24 +256,46 @@ fn is_owner(g: &GraphInner, id: NodeId) -> bool {
 
 /// The pull-mode column of the style × mode table: producers and functions
 /// are called directly, a consumer or an active object becomes a planned
-/// coroutine owning everything further upstream.
+/// coroutine owning everything further upstream. A function joins the run
+/// directly upstream of it as that run's last stage, or starts one.
 fn lower_pull(id: NodeId, style: Style, up: PullNode) -> PullNode {
+    let (style, up) = match (style, up) {
+        (Style::Function(stage), PullNode::Run { mut stages, up }) => {
+            stages.push((id, stage));
+            return PullNode::Run { stages, up };
+        }
+        other => other,
+    };
     let up = Box::new(up);
     match style {
         Style::Producer(stage) => PullNode::Producer { id, stage, up },
-        Style::Function(stage) => PullNode::Function { id, stage, up },
+        Style::Function(stage) => PullNode::Run {
+            stages: vec![(id, stage)],
+            up,
+        },
         style @ (Style::Consumer(_) | Style::Active(_)) => PullNode::Planned { id, style, up },
     }
 }
 
 /// The push-mode column: consumers and functions are called directly, a
 /// producer or an active object becomes a planned coroutine owning
-/// everything further downstream.
+/// everything further downstream. A function joins the run directly
+/// downstream of it as that run's first stage, or starts one.
 fn lower_push(id: NodeId, style: Style, down: PushNode) -> PushNode {
+    let (style, down) = match (style, down) {
+        (Style::Function(stage), PushNode::Run { mut stages, down }) => {
+            stages.insert(0, (id, stage));
+            return PushNode::Run { stages, down };
+        }
+        other => other,
+    };
     let down = Box::new(down);
     match style {
         Style::Consumer(stage) => PushNode::Consumer { id, stage, down },
-        Style::Function(stage) => PushNode::Function { id, stage, down },
+        Style::Function(stage) => PushNode::Run {
+            stages: vec![(id, stage)],
+            down,
+        },
         style @ (Style::Producer(_) | Style::Active(_)) => PushNode::Planned { id, style, down },
     }
 }

@@ -3,13 +3,14 @@
 //! The planner ([`crate::plan`]) builds a section as these trees. A stage
 //! whose style matches its mode is a direct-call node; any other is a
 //! `Planned` coroutine holding the stage and the part of the tree it will
-//! own. Launch walks each tree once more, after *every* section has
-//! validated, and turns each `Planned` node into `Coro(ThreadId)` in
-//! place, innermost first. From then on a thread (section owner or
-//! coroutine) interprets data movement through the contiguous run of
-//! direct stages adjacent to it, and where a `Coro` sits the data crosses
-//! over as a synchronous message round-trip — activity travels with the
-//! data (Fig. 5).
+//! own. Each maximal run of adjacent function stages is one `Run` node,
+//! which passes an item through its stages in one loop. Launch walks each
+//! tree once more, after *every* section has validated, and turns each
+//! `Planned` node into `Coro(ThreadId)` in place, innermost first. From
+//! then on a thread (section owner or coroutine) interprets data movement
+//! through the contiguous run of direct stages adjacent to it, and where
+//! a `Coro` sits the data crosses over as a synchronous message
+//! round-trip — activity travels with the data (Fig. 5).
 
 use super::coroutine::{spawn_coroutine, CoroTree};
 use super::stagectx::{GetWiring, PutWiring, StageCtx};
@@ -28,6 +29,18 @@ use std::sync::Arc;
 /// Data reached a node the planner built and launch never spawned.
 const UNSPAWNED: &str = "launch spawns every planned coroutine before the flow starts";
 
+/// Adjacent function stages, in flow order (source to sink).
+pub(crate) type Run = Vec<(NodeId, Box<dyn Function>)>;
+
+/// Passes `item` through each stage of a run in turn; `None` once a stage
+/// drops it.
+fn convert_run(stages: &mut Run, mut item: Item) -> Option<Item> {
+    for (_, stage) in stages {
+        item = stage.convert(item)?;
+    }
+    Some(item)
+}
+
 /// The pull-side (upstream) chain owned by one thread.
 pub(crate) enum PullNode {
     Producer {
@@ -35,9 +48,9 @@ pub(crate) enum PullNode {
         stage: Box<dyn Producer>,
         up: Box<PullNode>,
     },
-    Function {
-        id: NodeId,
-        stage: Box<dyn Function>,
+    /// A run of adjacent function stages, in flow order, fed by `up`.
+    Run {
+        stages: Run,
         up: Box<PullNode>,
     },
     /// A consumer or active object: a coroutine the planner placed and
@@ -82,11 +95,16 @@ impl PullNode {
                 PullNode::Coro(spawn_coroutine(shared, id, style, tree, priority, stages)?)
             }
             mut node => {
-                if let PullNode::Producer { id, up, .. } | PullNode::Function { id, up, .. } =
-                    &mut node
-                {
-                    local_stages.push(*id);
-                    up.spawn_coroutines(shared, priority, local_stages)?;
+                match &mut node {
+                    PullNode::Producer { id, up, .. } => {
+                        local_stages.push(*id);
+                        up.spawn_coroutines(shared, priority, local_stages)?;
+                    }
+                    PullNode::Run { stages, up } => {
+                        local_stages.extend(stages.iter().rev().map(|(id, _)| *id));
+                        up.spawn_coroutines(shared, priority, local_stages)?;
+                    }
+                    _ => {}
                 }
                 node
             }
@@ -101,10 +119,10 @@ impl PullNode {
             PullNode::Buffer(h) => rt.buffer_take(ctx, h),
             PullNode::Coro(t) => rt.sync_get(ctx, *t),
             PullNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
-            PullNode::Function { stage, up, .. } => loop {
+            PullNode::Run { stages, up } => loop {
                 match up.pull(ctx, rt) {
                     Pulled::Item(x) => {
-                        if let Some(y) = stage.convert(x) {
+                        if let Some(y) = convert_run(stages, x) {
                             return Pulled::Item(y);
                         }
                         // Dropped: keep pulling — in pull mode a dropping
@@ -125,15 +143,17 @@ impl PullNode {
     }
 
     /// Visits every stage in this thread's chain (not crossing coroutine
-    /// or buffer boundaries).
+    /// or buffer boundaries), nearest the owner first.
     pub(crate) fn for_each_stage(&mut self, f: &mut dyn FnMut(NodeId, &mut dyn Stage)) {
         match self {
             PullNode::Producer { id, stage, up } => {
                 f(*id, stage.as_mut());
                 up.for_each_stage(f);
             }
-            PullNode::Function { id, stage, up } => {
-                f(*id, stage.as_mut());
+            PullNode::Run { stages, up } => {
+                for (id, stage) in stages.iter_mut().rev() {
+                    f(*id, stage.as_mut());
+                }
                 up.for_each_stage(f);
             }
             PullNode::Planned { .. }
@@ -148,7 +168,7 @@ impl PullNode {
     pub(crate) fn nearest_buffer(&self) -> Option<BufHandle> {
         match self {
             PullNode::Buffer(h) => Some(h.clone()),
-            PullNode::Producer { up, .. } | PullNode::Function { up, .. } => up.nearest_buffer(),
+            PullNode::Producer { up, .. } | PullNode::Run { up, .. } => up.nearest_buffer(),
             PullNode::Planned { .. } | PullNode::Coro(_) | PullNode::Origin => None,
         }
     }
@@ -161,9 +181,9 @@ pub(crate) enum PushNode {
         stage: Box<dyn Consumer>,
         down: Box<PushNode>,
     },
-    Function {
-        id: NodeId,
-        stage: Box<dyn Function>,
+    /// A run of adjacent function stages, in flow order, feeding `down`.
+    Run {
+        stages: Run,
         down: Box<PushNode>,
     },
     Split {
@@ -214,8 +234,12 @@ impl PushNode {
             }
             mut node => {
                 match &mut node {
-                    PushNode::Consumer { id, down, .. } | PushNode::Function { id, down, .. } => {
+                    PushNode::Consumer { id, down, .. } => {
                         local_stages.push(*id);
+                        down.spawn_coroutines(shared, priority, local_stages)?;
+                    }
+                    PushNode::Run { stages, down } => {
+                        local_stages.extend(stages.iter().map(|(id, _)| *id));
                         down.spawn_coroutines(shared, priority, local_stages)?;
                     }
                     PushNode::Split { branches, .. } => {
@@ -238,7 +262,7 @@ impl PushNode {
             PushNode::Buffer(h) => rt.buffer_put(ctx, h, item),
             PushNode::Coro(t) => rt.sync_put(ctx, *t, item),
             PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
-            PushNode::Function { stage, down, .. } => match stage.convert(item) {
+            PushNode::Run { stages, down } => match convert_run(stages, item) {
                 Some(y) => down.push(ctx, rt, y),
                 None => PushRes::Ok,
             },
@@ -284,8 +308,10 @@ impl PushNode {
                 f(*id, stage.as_mut());
                 down.for_each_stage(f);
             }
-            PushNode::Function { id, stage, down } => {
-                f(*id, stage.as_mut());
+            PushNode::Run { stages, down } => {
+                for (id, stage) in stages {
+                    f(*id, stage.as_mut());
+                }
                 down.for_each_stage(f);
             }
             PushNode::Split { branches, .. } => {
@@ -316,7 +342,7 @@ impl PushNode {
                 let _ = ctx.send_with(*t, Message::signal(tags::END), urgent);
             }
             PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
-            PushNode::Function { down, .. } | PushNode::Consumer { down, .. } => {
+            PushNode::Run { down, .. } | PushNode::Consumer { down, .. } => {
                 down.mark_eos(ctx, rt);
             }
             PushNode::Split { branches, .. } => {

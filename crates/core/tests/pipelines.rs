@@ -1357,6 +1357,58 @@ fn an_empty_stream_crosses_a_push_position_coroutine() {
     }
 }
 
+/// A run of three function stages on each side of the pump is one run
+/// node per side. A control event reaches each of the six stages exactly
+/// once: the push-side run in flow order, and the pull-side run, as every
+/// pull chain, nearest the owner first.
+#[test]
+fn an_event_reaches_each_stage_of_a_run_once_in_order() {
+    let kernel = virtual_kernel();
+    {
+        let pipeline = Pipeline::new(&kernel, "run-events");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let logger = |name: &'static str| {
+            let stage = EventLogger {
+                name,
+                log: Arc::clone(&log),
+            };
+            pipeline.add_function(name, stage)
+        };
+        let source = pipeline.add_producer("source", IterSource::new("source", 0u32..3));
+        let (sink, out) = CollectSink::<u32>::new("sink");
+        let sink = pipeline.add_consumer("sink", sink);
+        let _ = source
+            >> logger("a")
+            >> logger("b")
+            >> logger("c")
+            >> pipeline.add_pump("pump", FreePump::new())
+            >> logger("d")
+            >> logger("e")
+            >> logger("f")
+            >> sink;
+        let running = pipeline.start().expect("plan");
+        assert_eq!(running.report().total_threads(), 1);
+        let sub = running.subscribe();
+        running.start_flow().expect("start");
+        assert!(sub.wait_for("eos", Duration::from_secs(5)));
+        running.wait_quiescent();
+        running
+            .send_event(ControlEvent::custom("poke", 0.0))
+            .expect("send");
+        running.wait_quiescent();
+        let log = log.lock().clone();
+        for kind in ["start", "poke", "eos"] {
+            let heard: Vec<&str> = log
+                .iter()
+                .filter_map(|entry| entry.strip_suffix(kind)?.strip_suffix(':'))
+                .collect();
+            assert_eq!(heard, ["c", "b", "a", "d", "e", "f"], "{kind}: {log:?}");
+        }
+        assert_eq!(*out.lock(), [0, 1, 2]);
+    }
+    kernel.shutdown();
+}
+
 #[test]
 fn a_failed_start_spawns_no_thread() {
     // The first section is valid and needs two coroutines; the second has

@@ -3,9 +3,9 @@
 //! sequences, and pipeline output correctness for random style chains.
 
 use infopipes::helpers::{
-    ActiveRelay, CollectSink, IdentityFn, IterSource, RelayConsumer, RelayProducer,
+    ActiveRelay, CollectSink, FnFunction, IdentityFn, IterSource, RelayConsumer, RelayProducer,
 };
-use infopipes::{BufferSpec, Exec, FreePump, Mode, OnEmpty, OnFull, Pipeline};
+use infopipes::{BufferSpec, Exec, FreePump, Mode, Node, OnEmpty, OnFull, Pipeline};
 use mbthread::{Kernel, KernelConfig};
 use proptest::prelude::*;
 
@@ -14,6 +14,8 @@ enum StyleKind {
     Producer,
     Consumer,
     Function,
+    /// A function that drops some items (see [`drops`]).
+    Dropping,
     Active,
 }
 
@@ -22,8 +24,43 @@ fn arb_style() -> impl Strategy<Value = StyleKind> {
         Just(StyleKind::Producer),
         Just(StyleKind::Consumer),
         Just(StyleKind::Function),
+        Just(StyleKind::Dropping),
         Just(StyleKind::Active),
     ]
+}
+
+/// Whether the dropping function at chain position `i` drops `x`: each
+/// position drops the multiples of its own modulus, so a run that skips
+/// a stage changes what arrives.
+fn drops(i: usize, x: u32) -> bool {
+    x.is_multiple_of(i as u32 + 3)
+}
+
+/// What reaches the sink of a chain fed `0..30`: the reference filter.
+fn reference(chain: &[StyleKind]) -> Vec<u32> {
+    (0..30)
+        .filter(|&x| {
+            chain
+                .iter()
+                .enumerate()
+                .all(|(i, s)| *s != StyleKind::Dropping || !drops(i, x))
+        })
+        .collect()
+}
+
+/// Adds the stage at chain position `i` as a `u32` relay of `style`.
+fn add_stage<'p>(pipeline: &'p Pipeline, i: usize, style: StyleKind) -> Node<'p> {
+    let name = format!("s{i}");
+    match style {
+        StyleKind::Producer => pipeline.add_producer(&name, RelayProducer::new(&name)),
+        StyleKind::Consumer => pipeline.add_consumer(&name, RelayConsumer::new(&name)),
+        StyleKind::Function => pipeline.add_function(&name, IdentityFn::new(&name)),
+        StyleKind::Dropping => pipeline.add_function(
+            &name,
+            FnFunction::new(&name, move |x: u32| (!drops(i, x)).then_some(x)),
+        ),
+        StyleKind::Active => pipeline.add_active(&name, ActiveRelay::new(&name)),
+    }
 }
 
 /// The paper's allocation rule (§3.3), written out here so that the
@@ -36,6 +73,7 @@ fn expected_exec(style: StyleKind, mode: Mode) -> Exec {
         (StyleKind::Consumer, Mode::Push) => Exec::Direct,
         (StyleKind::Function, Mode::Pull) => Exec::Direct,
         (StyleKind::Function, Mode::Push) => Exec::Direct,
+        (StyleKind::Dropping, _) => Exec::Direct,
         (StyleKind::Active, Mode::Pull) => Exec::Coroutine,
         (StyleKind::Active, Mode::Push) => Exec::Coroutine,
     }
@@ -44,15 +82,17 @@ fn expected_exec(style: StyleKind, mode: Mode) -> Exec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For an arbitrary chain of identity components around one pump, the
+    /// For an arbitrary chain of relay components around one pump, the
     /// planner places every stage as the paper's rule demands, the kernel
     /// spawns exactly the threads the report counts, and the pipeline
-    /// still delivers every item in order — in the source's own section
-    /// and, `buffer_fed`, in a section downstream of a buffer.
+    /// delivers what the reference filter keeps, in order — in the
+    /// source's own section and, `buffer_fed`, in a section downstream of
+    /// a buffer. Adjacent functions, dropping or not, form runs on either
+    /// side of the pump.
     #[test]
     fn planner_matches_the_rule_on_arbitrary_chains(
-        chain in proptest::collection::vec(arb_style(), 0..5),
-        pump_at in 0usize..6,
+        chain in proptest::collection::vec(arb_style(), 0..7),
+        pump_at in 0usize..8,
         buffer_fed in any::<bool>(),
     ) {
         let pump_at = pump_at.min(chain.len());
@@ -77,15 +117,9 @@ proptest! {
                 if i == pump_at {
                     nodes.push(pipeline.add_pump("pump", FreePump::new()));
                 }
-                let name = format!("s{i}");
-                nodes.push(match style {
-                    StyleKind::Producer => pipeline.add_producer(&name, RelayProducer::new(&name)),
-                    StyleKind::Consumer => pipeline.add_consumer(&name, RelayConsumer::new(&name)),
-                    StyleKind::Function => pipeline.add_function(&name, IdentityFn::new(&name)),
-                    StyleKind::Active => pipeline.add_active(&name, ActiveRelay::new(&name)),
-                });
+                nodes.push(add_stage(&pipeline, i, *style));
                 let mode = if i < pump_at { Mode::Pull } else { Mode::Push };
-                expected.push((name, mode, expected_exec(*style, mode)));
+                expected.push((format!("s{i}"), mode, expected_exec(*style, mode)));
             }
             if pump_at >= chain.len() {
                 nodes.push(pipeline.add_pump("pump", FreePump::new()));
@@ -120,7 +154,7 @@ proptest! {
             running.start_flow().expect("start");
             running.wait_quiescent();
             let got = out.lock().clone();
-            prop_assert_eq!(got, (0..30).collect::<Vec<u32>>(), "{}", report);
+            prop_assert_eq!(got, reference(&chain), "{}", report);
         }
         kernel.shutdown();
     }
@@ -196,6 +230,55 @@ proptest! {
         let last = closure.last().copied().unwrap_or(seq);
         if gop.dependency(seq).is_some() {
             prop_assert_eq!(gop.frame_type(last), media::FrameType::I);
+        }
+    }
+}
+
+/// Runs of every length, on either side of the pump and split by it: a
+/// run of functions, every other one dropping, runs on the pump's one
+/// thread, keeps one report entry per stage, and delivers what the
+/// reference filter keeps.
+#[test]
+fn function_runs_of_every_length_filter_like_the_reference() {
+    for len in 1..=6 {
+        let chain: Vec<StyleKind> = (0..len)
+            .map(|i| {
+                if i % 2 == 0 {
+                    StyleKind::Dropping
+                } else {
+                    StyleKind::Function
+                }
+            })
+            .collect();
+        for pump_at in 0..=len {
+            let kernel = Kernel::new(KernelConfig::virtual_time());
+            {
+                let pipeline = Pipeline::new(&kernel, "runs");
+                let mut prev = pipeline.add_producer("source", IterSource::new("source", 0u32..30));
+                for (i, style) in chain.iter().enumerate() {
+                    if i == pump_at {
+                        prev = prev >> pipeline.add_pump("pump", FreePump::new());
+                    }
+                    prev = prev >> add_stage(&pipeline, i, *style);
+                }
+                if pump_at == len {
+                    prev = prev >> pipeline.add_pump("pump", FreePump::new());
+                }
+                let (sink, out) = CollectSink::<u32>::new("sink");
+                let _ = prev >> pipeline.add_consumer("sink", sink);
+                let running = pipeline.start().expect("plan");
+                let report = running.report();
+                assert_eq!(report.total_threads(), 1, "{report}");
+                assert_eq!(report.sections[0].stages.len(), len + 2, "{report}");
+                running.start_flow().expect("start");
+                running.wait_quiescent();
+                assert_eq!(
+                    *out.lock(),
+                    reference(&chain),
+                    "run of {len}, pump at {pump_at}"
+                );
+            }
+            kernel.shutdown();
         }
     }
 }

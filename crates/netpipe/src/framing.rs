@@ -162,6 +162,45 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
 /// been read: a length prefix is a claim, not a reservation.
 const READ_STEP: usize = 64 << 10;
 
+/// Fills `buf` from `r` and returns how many bytes arrived: `buf.len()`,
+/// or fewer if the stream ended first.
+pub(crate) fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// Reads a body whose length prefix claims `len` bytes into a buffer
+/// drawn from `pool`, and seals it. The buffer grows with the bytes
+/// actually read, at most doubling, never by what the prefix announces.
+/// The flag is `false` if the stream ended first; the bytes are then
+/// what arrived.
+pub(crate) fn read_claimed(
+    r: &mut impl Read,
+    pool: &BufferPool,
+    len: usize,
+) -> io::Result<(PayloadBytes, bool)> {
+    let mut buf = pool.acquire(len.min(READ_STEP));
+    let body = buf.buf_mut();
+    while body.len() < len {
+        let at = body.len();
+        body.resize(at + (len - at).min(at.max(READ_STEP)), 0);
+        let n = fill(r, &mut body[at..])?;
+        if at + n < body.len() {
+            body.truncate(at + n);
+            return Ok((buf.seal(), false));
+        }
+    }
+    Ok((buf.seal(), true))
+}
+
 /// Reads one frame into a buffer drawn from `pool`; `Ok(None)` on a clean
 /// end of stream.
 ///
@@ -194,14 +233,10 @@ pub fn read_frame_in(
             "frame length exceeds MAX_FRAME",
         ));
     }
-    let mut buf = pool.acquire(len.min(READ_STEP));
-    let payload = buf.buf_mut();
-    while payload.len() < len {
-        let at = payload.len();
-        payload.resize(at + (len - at).min(at.max(READ_STEP)), 0);
-        r.read_exact(&mut payload[at..])?;
+    match read_claimed(r, pool, len)? {
+        (payload, true) => Ok(Some((kind, payload))),
+        (_, false) => Err(io::ErrorKind::UnexpectedEof.into()),
     }
-    Ok(Some((kind, buf.seal())))
 }
 
 #[cfg(test)]

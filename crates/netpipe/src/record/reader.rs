@@ -25,12 +25,12 @@ use super::format::{
     op, ChannelDecl, TraceError, TraceFooter, TraceHeader, TraceRecord, CHUNK_PREAMBLE_LEN,
     DATA_HEADER_LEN, MAX_TOP_RECORD, TRACE_MAGIC, TRACE_SCHEMA_VERSION,
 };
-use crate::framing::FrameKind;
+use crate::framing::{fill, read_claimed, FrameKind};
 use crate::transport::SimConfig;
 use crate::wire;
 use infopipes::{BufferPool, Digest64, PayloadBytes};
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::path::Path;
 
 /// A fully parsed trace.
@@ -50,40 +50,22 @@ pub struct TraceReader {
     pub recovered_bytes: u64,
 }
 
-/// What `read_exact_or_eof` observed.
-enum Fill {
-    /// The buffer was filled completely.
-    Full,
-    /// EOF arrived after `n` bytes (possibly 0).
-    Short(usize),
-}
-
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<Fill, TraceError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(Fill::Short(filled)),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TraceError::Io(e)),
-        }
-    }
-    Ok(Fill::Full)
-}
-
 /// Parses complete data records off the front of `body`'s record
-/// region, appending them to `salvaged`, and returns how many bytes
-/// they consumed. A record whose header or payload extends past the end
-/// of `body` terminates the parse — callers decide whether that is a
-/// torn tail (salvage) or a count mismatch (corruption).
+/// region, at most `max` of them, appending them to `salvaged`, and
+/// returns how many bytes they consumed. A record whose header or
+/// payload extends past the end of `body` terminates the parse — callers
+/// decide whether that is a torn tail (salvage) or a count mismatch
+/// (corruption).
 fn parse_records(
     body: &PayloadBytes,
     from: usize,
+    max: usize,
     salvaged: &mut Vec<TraceRecord>,
 ) -> Result<usize, TraceError> {
     let bytes = body.as_slice();
     let mut at = from;
-    while bytes.len() - at >= DATA_HEADER_LEN {
+    let limit = salvaged.len().saturating_add(max);
+    while salvaged.len() < limit && bytes.len() - at >= DATA_HEADER_LEN {
         let h = &bytes[at..at + DATA_HEADER_LEN];
         let channel = u16::from_le_bytes([h[0], h[1]]);
         let ts_ns = u64::from_le_bytes(h[2..10].try_into().expect("8-byte slice"));
@@ -122,12 +104,11 @@ impl TraceReader {
         let mut r = BufReader::new(file);
 
         let mut magic = [0u8; TRACE_MAGIC.len()];
-        match read_exact_or_eof(&mut r, &mut magic)? {
-            Fill::Full if magic == TRACE_MAGIC => {}
-            // A file too short to hold the magic *could* be a torn
-            // creation, but nothing is salvageable and misidentifying an
-            // unrelated file would be worse: refuse.
-            _ => return Err(TraceError::Corrupt("bad trace magic".into())),
+        // A file too short to hold the magic *could* be a torn creation,
+        // but nothing is salvageable and misidentifying an unrelated file
+        // would be worse: refuse.
+        if fill(&mut r, &mut magic)? < magic.len() || magic != TRACE_MAGIC {
+            return Err(TraceError::Corrupt("bad trace magic".into()));
         }
 
         let mut header: Option<TraceHeader> = None;
@@ -144,13 +125,13 @@ impl TraceReader {
         loop {
             let record_start = offset;
             let mut top = [0u8; super::format::TOP_HEADER_LEN];
-            match read_exact_or_eof(&mut r, &mut top)? {
-                Fill::Short(0) => break, // clean end of records
-                Fill::Short(_) => {
+            match fill(&mut r, &mut top)? {
+                0 => break, // clean end of records
+                n if n < top.len() => {
                     torn = true;
                     break;
                 }
-                Fill::Full => {}
+                _ => {}
             }
             offset += top.len() as u64;
             let opcode = top[0];
@@ -164,24 +145,21 @@ impl TraceReader {
             }
 
             // Chunk bodies go through the pool (the payload fast path);
-            // metadata records are small and short-lived.
-            let (body, short) = {
-                let mut buf = pool.acquire(len);
-                buf.buf_mut().resize(len, 0);
-                match read_exact_or_eof(&mut r, buf.buf_mut())? {
-                    Fill::Full => (buf.seal(), None),
-                    Fill::Short(n) => {
-                        buf.buf_mut().truncate(n);
-                        (buf.seal(), Some(n))
-                    }
-                }
-            };
-            if let Some(n) = short {
+            // metadata records are small and short-lived. The length is
+            // a claim: the buffer grows only with the bytes that arrive.
+            let (body, whole) = read_claimed(&mut r, &pool, len)?;
+            if !whole {
                 // Torn body. For a chunk, salvage the complete record
                 // prefix of what survived; everything else is dropped.
                 torn = true;
-                if opcode == op::CHUNK && n > CHUNK_PREAMBLE_LEN {
-                    let consumed = parse_records(&body, CHUNK_PREAMBLE_LEN, &mut records)?;
+                if opcode == op::CHUNK && body.len() > CHUNK_PREAMBLE_LEN {
+                    // A length field damaged upwards reads as a torn
+                    // tail too: salvage no more than the chunk declares,
+                    // not the records behind it parsed as its own.
+                    let bytes = body.as_slice();
+                    let count = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
+                    let consumed =
+                        parse_records(&body, CHUNK_PREAMBLE_LEN, count as usize, &mut records)?;
                     valid_end = record_start
                         + (super::format::TOP_HEADER_LEN + CHUNK_PREAMBLE_LEN + consumed) as u64;
                 }
@@ -220,7 +198,8 @@ impl TraceReader {
                         )));
                     }
                     let before = records.len();
-                    let consumed = parse_records(&body, CHUNK_PREAMBLE_LEN, &mut records)?;
+                    let consumed =
+                        parse_records(&body, CHUNK_PREAMBLE_LEN, usize::MAX, &mut records)?;
                     if records.len() - before != count || consumed != region.len() {
                         return Err(TraceError::Corrupt(format!(
                             "chunk at offset {record_start} declared {count} records, parsed {}",

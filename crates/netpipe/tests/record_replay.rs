@@ -229,6 +229,62 @@ fn torn_tail_recovers_at_every_chop_offset() {
     }
 }
 
+/// Hostile input: a small trace cut at every byte, and with each of its
+/// bytes replaced in turn, opens or fails with a typed error — never a
+/// panic. A file that still opens holds no more records than the trace.
+#[test]
+fn mutated_traces_open_or_fail_typed() {
+    let path = TempTrace(trace_path("mutate"));
+    let writer =
+        TraceWriter::create(&path.0, "mutate", Some(&SimConfig::default())).expect("create");
+    writer
+        .declare_channel(&ChannelDecl::new(3, "ch", "bytes"))
+        .expect("declare");
+    for i in 0..6u64 {
+        let kind = if i == 4 {
+            FrameKind::Event
+        } else {
+            FrameKind::Data
+        };
+        writer
+            .record(
+                3,
+                i,
+                kind,
+                PayloadBytes::from_vec(vec![i as u8; i as usize]),
+            )
+            .expect("record");
+        if i % 2 == 1 {
+            writer.flush().expect("flush");
+        }
+    }
+    writer.finish().expect("finish");
+    let full = std::fs::read(&path.0).expect("read");
+    assert_eq!(
+        TraceReader::open(&path.0).expect("full open").records.len(),
+        6
+    );
+
+    let mutants = (0..full.len())
+        .map(|cut| (format!("cut at {cut}"), full[..cut].to_vec()))
+        .chain((0..full.len()).flat_map(|at| {
+            [0xff, 0x01].map(|flip| {
+                let mut bytes = full.clone();
+                bytes[at] ^= flip;
+                (format!("byte {at} ^ {flip:#x}"), bytes)
+            })
+        }));
+    let mutant = TempTrace(trace_path("mutant"));
+    for (what, bytes) in mutants {
+        std::fs::write(&mutant.0, &bytes).expect("write mutant");
+        match TraceReader::open(&mutant.0) {
+            Ok(got) => assert!(got.records.len() <= 6, "{what}: invented records"),
+            Err(TraceError::Corrupt(_) | TraceError::Version(_) | TraceError::Wire(_)) => {}
+            Err(e) => panic!("{what}: untyped failure {e:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Replay determinism (the tentpole property)
 // ---------------------------------------------------------------------

@@ -2,7 +2,9 @@
 //! between a marshalled packet and the defragmenter's join, no
 //! allocation for a decoded payload, a copy exactly where there is no
 //! source to view — and the decode source is scoped, so a nested decode
-//! (or a panic inside one) cannot leave the wrong buffer installed.
+//! (or a panic inside one) cannot leave the wrong buffer installed. A
+//! trace's length fields are claims too: opening a file that claims far
+//! more than it holds allocates what it holds.
 //!
 //! Deep copies are tallied process-wide and allocations per thread, so
 //! the tests here take turns ([`exclusive`]) and keep the measured work
@@ -13,7 +15,7 @@ use infopipes::{payload_copy_count, FreePump, PayloadBytes, Pipeline, SourceSamp
 use mbthread::{Kernel, KernelConfig};
 use media::{CompressedFrame, Defragmenter, Fragmenter, FrameType, Packet};
 use netpipe::wire::{self, WireError};
-use netpipe::{BufferPool, Marshal, Unmarshal};
+use netpipe::{BufferPool, Marshal, TraceError, TraceReader, Unmarshal};
 use serde::Deserialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -291,4 +293,26 @@ fn a_nested_decode_restores_the_outer_source() {
 fn a_panic_in_a_nested_decode_restores_the_outer_source() {
     let _turn = exclusive();
     nested_decode_restores_the_outer_source::<true>();
+}
+
+/// An 18-byte file: the NPTRACE magic, a chunk header claiming the
+/// largest accepted record (64 MiB + 64 KiB), and 5 body bytes. Opening
+/// it allocates no more than 128 KiB and fails typed: the torn chunk
+/// holds nothing, and there is no header.
+#[test]
+fn a_hostile_trace_length_allocates_only_what_the_file_holds() {
+    const CHUNK: u8 = 3;
+    const MAX_TOP_RECORD: u32 = (64 << 20) + (1 << 16);
+    let _turn = exclusive();
+    let mut file = b"NPTRACE\0".to_vec();
+    file.push(CHUNK);
+    file.extend_from_slice(&MAX_TOP_RECORD.to_le_bytes());
+    file.extend_from_slice(&[0; 5]);
+    assert_eq!(file.len(), 18);
+    let path = std::env::temp_dir().join(format!("view-decode-{}.trace", std::process::id()));
+    std::fs::write(&path, &file).unwrap();
+    let (opened, bytes) = allocated_by(|| TraceReader::open(&path));
+    let _ = std::fs::remove_file(&path);
+    assert!(matches!(opened, Err(TraceError::Corrupt(_))), "{opened:?}");
+    assert!(bytes <= 128 << 10, "opening allocated {bytes} bytes");
 }
