@@ -1,7 +1,7 @@
 //! Allocation and syscall census for the steady-state frame path.
 //!
-//! A counting [`GlobalAlloc`] wrapped around the system allocator tallies
-//! every heap allocation in the process; socket-write syscalls come from
+//! The workspace's counting allocator (`counting_alloc`) tallies every
+//! heap allocation in the process; socket-write syscalls come from
 //! the transports' `wire_writes` counter (each entry is one `write`/
 //! `writev`/`sendto` on the wire). Each case drives a warm-up pass first,
 //! then measures the per-frame deltas:
@@ -22,23 +22,23 @@
 //!   thread. After warm-up an item allocates nothing: exactly 0
 //!   allocations per item, and the run fails (exit 1) otherwise. A
 //!   "frame" is an item here.
-//! * **pipeline_inproc** — the full scheduled pipeline (pumps, inbox,
-//!   the sender delivering into the bound inbox) from the zero-copy
-//!   bench. The kernel hand-off, the
-//!   pump cycle and the `PayloadBytes` and `u64` items it carries
-//!   allocate nothing in the steady state; what is left is set-up and
-//!   the occasional wake-up. The run fails (exit 1) above 0.25
-//!   allocations per frame.
-//! * **tcp_batched / tcp_unbatched** — 256-byte frames over loopback TCP
-//!   with the default batching versus `without_batching()`. Batching must
-//!   deliver >= 1.5x frames/sec (exit 1 otherwise); syscalls/frame shows
-//!   why (one `writev` carries up to 64 frames). The send and receive
-//!   pools keep what the stream holds in flight, so `tcp_batched` seals
-//!   every frame into a recycled buffer on both ends; the run fails
-//!   (exit 1) above 0.5 allocations per frame. `rx_acquires_per_frame`
-//!   counts the receive pool's buffers per frame: the reader seals each
-//!   socket read into one, so a batched stream needs far fewer than one
-//!   per frame, and the run fails (exit 1) above 0.5.
+//! * **pipeline_inproc** — the full scheduled pipeline: producer pump,
+//!   net sink, the sender delivering into the bound inbox, consumer pump,
+//!   sink. The kernel hand-off, the pump cycle and the `PayloadBytes` and
+//!   `u64` items it carries allocate nothing in the steady state; what is
+//!   left is set-up and the occasional wake-up. The run fails (exit 1)
+//!   above 0.25 allocations per frame.
+//! * **tcp_batched** — 256-byte frames over loopback TCP, the sender
+//!   outrunning the wire. The writer coalesces what queued while it
+//!   wrote, up to 64 frames per `writev`, so the run fails (exit 1) above
+//!   0.25 socket writes per frame: a writer that stopped coalescing makes
+//!   one per frame. The send and receive pools keep what the stream holds
+//!   in flight, so every frame is sealed into a recycled buffer on both
+//!   ends; the run fails (exit 1) above 0.5 allocations per frame.
+//!   `rx_acquires_per_frame` counts the receive pool's buffers per frame:
+//!   the reader seals each socket read into one, so a batched stream
+//!   needs far fewer than one per frame, and the run fails (exit 1) above
+//!   0.5.
 //! * **udp_packed** — small frames packed into shared datagrams; the
 //!   sub-1.0 sends/frame is the packing at work. UDP may lose frames, its
 //!   `Fin` included, so the case reports what arrived. Published only.
@@ -48,6 +48,7 @@
 //! tiny frame counts and skips every hard gate; CI runs the full census,
 //! whose frames take well under a second.
 
+use counting_alloc::{allocs, frees};
 use infopipes::helpers::{CollectSink, FnFunction, FnSink, IterSource};
 use infopipes::{BufferPool, BufferSpec, FreePump, PayloadBytes, Pipeline, PoolStats};
 use mbthread::{Kernel, KernelConfig};
@@ -56,55 +57,13 @@ use netpipe::{
     Acceptor, Frame, InProcTransport, Link, PipelineTransportExt, RecvOutcome, TcpLink,
     TcpTransport, Transport, UdpTransport,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Counts every allocation event (`alloc`, `alloc_zeroed`, `realloc`)
-/// and every `dealloc` in the process, then delegates to [`System`].
-/// Cases read deltas around their measured section.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-
-// A counting allocator must implement the `unsafe` trait: the one
-// place the workspace's `unsafe_code = "deny"` is lifted.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-fn frees() -> u64 {
-    FREES.load(Ordering::Relaxed)
-}
+static A: counting_alloc::Counting = counting_alloc::Counting;
 
 struct CaseResult {
     name: &'static str,
@@ -448,13 +407,6 @@ fn main() {
         256,
         Some(TcpLink::pool_stats),
     );
-    let tcp_unbatched = socket_lane(
-        "tcp_unbatched",
-        TcpTransport::new().without_batching(),
-        socket_frames,
-        256,
-        Some(TcpLink::pool_stats),
-    );
     let udp_packed = socket_lane("udp_packed", UdpTransport::new(), socket_frames, 256, None);
 
     let cases = [
@@ -463,7 +415,6 @@ fn main() {
         &chain,
         &pipeline,
         &tcp_batched,
-        &tcp_unbatched,
         &udp_packed,
     ];
     println!(
@@ -484,16 +435,13 @@ fn main() {
         );
     }
 
-    let speedup = tcp_batched.frames_per_sec / tcp_unbatched.frames_per_sec;
-    println!("tcp batched vs unbatched: {speedup:.2}x frames/sec");
-
     let rows: Vec<String> = cases.iter().map(|c| c.json()).collect();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"alloc_report\",\n",
             "  \"note\": \"wire_writes are socket write syscalls on the send path; {}\",\n",
             "  \"pooling_note\": \"{}\",\n",
-            "  \"tcp_batch_speedup\": {:.3},\n  \"cases\": [\n{}\n  ]\n}}\n"
+            "  \"cases\": [\n{}\n  ]\n}}\n"
         ),
         if smoke {
             "--smoke run: a few hundred frames per case, rates mean little"
@@ -501,7 +449,6 @@ fn main() {
             "full run, every gate applied"
         },
         POOLING_NOTE,
-        speedup,
         rows.join(",\n")
     );
     let mut f = std::fs::File::create("BENCH_alloc.json").expect("create BENCH_alloc.json");
@@ -509,7 +456,7 @@ fn main() {
     println!("wrote BENCH_alloc.json");
 
     if smoke {
-        println!("smoke mode: skipping the allocation and speedup gates");
+        println!("smoke mode: skipping the allocation and syscall gates");
         return;
     }
     let mut failed = false;
@@ -554,9 +501,13 @@ fn main() {
         eprintln!("FAIL: tcp_batched takes {rx_acquires:.4} receive-pool buffers per frame > 0.5");
         failed = true;
     }
-    // And batching must buy >= 1.5x on small TCP frames.
-    if speedup < 1.5 {
-        eprintln!("FAIL: tcp batching speedup {speedup:.2}x < 1.5x");
+    // The writer coalesces what the sender queues while it writes: a
+    // sender that outruns the wire shares each `writev` among many frames.
+    if tcp_batched.wire_writes_per_frame > 0.25 {
+        eprintln!(
+            "FAIL: tcp_batched makes {:.4} socket writes per frame > 0.25",
+            tcp_batched.wire_writes_per_frame
+        );
         failed = true;
     }
     if failed {

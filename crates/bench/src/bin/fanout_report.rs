@@ -11,9 +11,16 @@
 //!   ([`infopipes::payload_copy_count`]) across the broadcast phase.
 //!   Fan-out is refcounted, so this must be **exactly 0** no matter how
 //!   many sessions ride one producer — the capacity claim's teeth,
-//! * **allocs/delivery**: heap allocations per delivered frame from a
-//!   counting global allocator (published for context; the steady-state
-//!   allocation story is `alloc_report`'s gate).
+//! * **allocs/delivery**: heap allocations per delivered frame from the
+//!   workspace's counting allocator (`counting_alloc`; published for
+//!   context, the steady-state allocation story is `alloc_report`'s
+//!   gate),
+//! * **shed_total**: frames the registry shed (queue overflow or a
+//!   refused send); a sustained row sheds none.
+//!
+//! The broadcaster runs closed loop: before each frame it waits until
+//! fewer than `CREDIT` broadcast deliveries are unread, so no reader
+//! falls a lane behind.
 //!
 //! The inproc ladder rises to 1024 concurrent sessions; a simulated-
 //! network row and a real-socket TCP row prove the same path off the
@@ -22,57 +29,29 @@
 //! Run with `cargo run --release -p infopipes-bench --bin fanout_report`.
 //! Writes `BENCH_fanout.json` into the current directory. `--smoke`
 //! shrinks frame counts for CI but keeps the 1024-session row and BOTH
-//! hard gates: ≥ 1000 sessions sustained (every session active and
-//! served through the whole broadcast phase) and zero payload copies.
+//! hard gates: ≥ 1000 sessions sustained (every session active through
+//! the whole broadcast phase, and `sessions × frames` delivered) and zero
+//! payload copies. Every other row must be sustained too.
 
+use counting_alloc::allocs;
 use infopipes::{payload_copy_count, BufferPool};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
     AcceptLoop, Acceptor, Frame, InProcTransport, Link, RecvOutcome, ServeConfig, SessionRegistry,
     SimConfig, SimTransport, TcpTransport, Transport,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// A counting allocator must implement the `unsafe` trait: the one
-// place the workspace's `unsafe_code = "deny"` is lifted.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static A: counting_alloc::Counting = counting_alloc::Counting;
 
 const FRAME_BYTES: usize = 4096;
 const READERS: usize = 4;
+/// Unread deliveries the broadcaster lets stand before its next frame:
+/// below the 256-frame inproc lane and the sim link's 1 MiB queue.
+const CREDIT: u64 = 128;
 const DEADLINE: Duration = Duration::from_secs(120);
 
 struct CaseResult {
@@ -86,6 +65,8 @@ struct CaseResult {
     allocs_per_delivery: f64,
     sustained: bool,
     min_session_sent: u64,
+    /// Frames the registry shed: queue overflow or a refused send.
+    shed_total: u64,
 }
 
 impl CaseResult {
@@ -96,7 +77,7 @@ impl CaseResult {
                 "\"frames\": {}, \"frame_bytes\": {}, \"delivered\": {}, ",
                 "\"aggregate_bytes_per_sec\": {:.0}, \"payload_copies\": {}, ",
                 "\"allocs_per_delivery\": {:.4}, \"sustained\": {}, ",
-                "\"min_session_sent\": {}}}"
+                "\"min_session_sent\": {}, \"shed_total\": {}}}"
             ),
             self.name,
             self.transport,
@@ -108,7 +89,8 @@ impl CaseResult {
             self.payload_copies,
             self.allocs_per_delivery,
             self.sustained,
-            self.min_session_sent
+            self.min_session_sent,
+            self.shed_total
         )
     }
 }
@@ -203,6 +185,15 @@ fn fanout_lane<T: Transport>(
     let allocs0 = allocs();
     let t0 = Instant::now();
     for i in 0..frames {
+        // Closed loop: the next frame waits until fewer than `CREDIT` of
+        // the deliveries already broadcast are unread. No session then
+        // lags by `CREDIT` frames, so none overflows its lane and sheds.
+        let deadline = Instant::now() + DEADLINE;
+        while (i * sessions) as u64 - progress.load(Ordering::Relaxed) >= CREDIT {
+            assert!(Instant::now() < deadline, "{name}: readers stalled");
+            registry.sweep();
+            std::thread::sleep(Duration::from_micros(100));
+        }
         let mut buf = pool.acquire(FRAME_BYTES);
         buf.buf_mut().extend_from_slice(&body);
         let payload = buf.seal();
@@ -238,8 +229,6 @@ fn fanout_lane<T: Transport>(
     let payload_copies = payload_copy_count() - copies0;
     let alloc_delta = allocs() - allocs0;
 
-    // Sustained = nobody fell out of the roster mid-broadcast, and every
-    // session was actually served frames (no silently starved client).
     let stats = registry.stats();
     let min_session_sent = registry
         .sessions()
@@ -247,7 +236,6 @@ fn fanout_lane<T: Transport>(
         .map(|s| s.sent)
         .min()
         .unwrap_or(0);
-    let sustained = stats.active == sessions && stats.evicted_total == 0 && min_session_sent > 0;
 
     // Orderly teardown: drain every session to its Fin so readers exit.
     registry.drain_all();
@@ -270,6 +258,11 @@ fn fanout_lane<T: Transport>(
     let elapsed = t0.elapsed();
     accept.shutdown();
 
+    // Sustained = nobody fell out of the roster mid-broadcast, and every
+    // session got every frame: none shed, none starved.
+    let sustained = stats.active == sessions
+        && stats.evicted_total == 0
+        && delivered == (sessions * frames) as u64;
     CaseResult {
         name,
         transport: scheme,
@@ -281,6 +274,7 @@ fn fanout_lane<T: Transport>(
         allocs_per_delivery: alloc_delta as f64 / delivered.max(1) as f64,
         sustained,
         min_session_sent,
+        shed_total: stats.shed_total,
     }
 }
 
@@ -339,12 +333,20 @@ fn main() {
     kernel.shutdown();
 
     println!(
-        "{:>14} {:>9} {:>8} {:>10} {:>14} {:>8} {:>12} {:>10}",
-        "case", "sessions", "frames", "delivered", "agg MB/s", "copies", "allocs/dlv", "sustained"
+        "{:>14} {:>9} {:>8} {:>10} {:>14} {:>8} {:>12} {:>6} {:>10}",
+        "case",
+        "sessions",
+        "frames",
+        "delivered",
+        "agg MB/s",
+        "copies",
+        "allocs/dlv",
+        "shed",
+        "sustained"
     );
     for c in &cases {
         println!(
-            "{:>14} {:>9} {:>8} {:>10} {:>14.2} {:>8} {:>12.4} {:>10}",
+            "{:>14} {:>9} {:>8} {:>10} {:>14.2} {:>8} {:>12.4} {:>6} {:>10}",
             c.name,
             c.sessions,
             c.frames,
@@ -352,6 +354,7 @@ fn main() {
             c.aggregate_bytes_per_sec / 1e6,
             c.payload_copies,
             c.allocs_per_delivery,
+            c.shed_total,
             c.sustained
         );
     }
@@ -360,10 +363,12 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"fanout_report\",\n",
-            "  \"note\": \"one producer broadcast to N sessions; ",
-            "payload_copies must be 0 (refcounted fan-out)\",\n",
+            "  \"note\": \"one producer broadcast to N sessions, closed loop (at most ",
+            "{} unread deliveries before each frame); payload_copies must be 0 ",
+            "(refcounted fan-out); sustained = no eviction and sessions x frames delivered\",\n",
             "  \"smoke\": {},\n  \"cases\": [\n{}\n  ]\n}}\n"
         ),
+        CREDIT,
         smoke,
         rows.join(",\n")
     );
@@ -397,8 +402,14 @@ fn main() {
         }
         if !c.sustained {
             eprintln!(
-                "FAIL: {} did not sustain all {} sessions (min frames/session {})",
-                c.name, c.sessions, c.min_session_sent
+                "FAIL: {} did not sustain all {} sessions: delivered {} of {} \
+                 (min frames/session {}, shed {})",
+                c.name,
+                c.sessions,
+                c.delivered,
+                c.sessions * c.frames,
+                c.min_session_sent,
+                c.shed_total
             );
             failed = true;
         }

@@ -4,58 +4,14 @@
 //! goes last, nothing is left allocated.
 
 use infopipes::{BufferPool, PayloadBytes};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Tallies, per thread, the bytes allocated and not yet freed, then
-/// delegates to [`System`]. Per thread, so the harness and other tests
-/// do not show in a test's delta.
-struct LiveBytes;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it inside the
-    // allocator neither allocates nor registers anything.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn tally(delta: isize) {
-    // A thread being torn down may free after its slot is gone.
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the tally touches no
-// allocator state.
-// A counting allocator must implement the `unsafe` trait: the one
-// place the workspace's `unsafe_code = "deny"` is lifted.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size() as isize);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        tally(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
-static ALLOCATOR: LiveBytes = LiveBytes;
+static A: counting_alloc::Counting = counting_alloc::Counting;
 
+/// Bytes this thread has allocated and not yet freed. Per thread, so the
+/// harness and other tests do not show in a test's delta.
 fn live_bytes() -> isize {
-    LIVE.with(Cell::get)
+    counting_alloc::allocated_bytes() as isize - counting_alloc::freed_bytes() as isize
 }
 
 const CLASS: usize = 4096;

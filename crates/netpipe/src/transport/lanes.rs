@@ -20,7 +20,9 @@
 //! queue, drained a batch at a time by one writer thread that the link's
 //! first send starts, into the backend's one drain function.
 
-use super::{BatchPolicy, Frame, RecvOutcome, SendStatus, SharedStats, TransportError};
+use super::{
+    Frame, RecvOutcome, SendStatus, SharedStats, TransportError, BATCH_BYTES, BATCH_FRAMES,
+};
 use crate::worker::Worker;
 use infopipes::{ControlEvent, InboxSender, Item, PayloadBytes};
 use mbthread::Ctx;
@@ -164,10 +166,11 @@ impl Lanes {
     }
 
     /// The lane policy, a write batch at a time: every control frame,
-    /// then data up to the policy, and whether `Fin` is due after them.
-    fn take(&mut self, policy: BatchPolicy, batch: &mut Batch) {
+    /// then data up to the batch limits, and whether `Fin` is due after
+    /// them.
+    fn take(&mut self, batch: &mut Batch) {
         batch.ctrl.extend(self.ctrl.drain(..));
-        while batch.data.len() < policy.max_frames.max(1) && batch.data_bytes < policy.max_bytes {
+        while batch.data.len() < BATCH_FRAMES && batch.data_bytes < BATCH_BYTES {
             let Some(bytes) = self.data.pop_front() else {
                 break;
             };
@@ -552,11 +555,11 @@ impl LaneQueue {
     }
 
     /// Waits until something is due, then takes a write batch.
-    pub(crate) fn take_batch(&self, policy: BatchPolicy) -> Batch {
+    pub(crate) fn take_batch(&self) -> Batch {
         let mut batch = Batch::default();
         let mut q = self.lanes.lock();
         loop {
-            q.take(policy, &mut batch);
+            q.take(&mut batch);
             if !batch.ctrl.is_empty() || !batch.data.is_empty() || batch.fin {
                 break;
             }
@@ -584,7 +587,6 @@ pub(crate) type WireDrain<W> = fn(&mut W, &Batch, &SharedStats) -> bool;
 /// outruns the wire. A link that never sends starts no writer.
 pub(crate) struct Transmit<W> {
     queue: Arc<LaneQueue>,
-    policy: BatchPolicy,
     max_frame: usize,
     stats: Arc<SharedStats>,
     drain: WireDrain<W>,
@@ -603,12 +605,10 @@ impl<W: Send + 'static> Transmit<W> {
         drain: WireDrain<W>,
         max_frame: usize,
         queue_frames: usize,
-        policy: BatchPolicy,
         stats: Arc<SharedStats>,
     ) -> Transmit<W> {
         Transmit {
             queue: Arc::new(LaneQueue::new(queue_frames)),
-            policy,
             max_frame,
             stats,
             drain,
@@ -660,10 +660,10 @@ impl<W: Send + 'static> Transmit<W> {
         self.writer.get_or_init(|| {
             let mut wire = self.wire.lock().take()?;
             let (queue, stats) = (Arc::clone(&self.queue), Arc::clone(&self.stats));
-            let (policy, drain) = (self.policy, self.drain);
+            let drain = self.drain;
             Worker::spawn(self.name, move |_| {
                 loop {
-                    let batch = queue.take_batch(policy);
+                    let batch = queue.take_batch();
                     if !drain(&mut wire, &batch, &stats) || batch.fin {
                         break;
                     }
@@ -682,7 +682,7 @@ impl<W: Send + 'static> Transmit<W> {
     pub(crate) fn close(&self) {
         if self.queue.offer(Frame::Fin).is_some() && self.writer.set(None).is_ok() {
             if let Some(mut wire) = self.wire.lock().take() {
-                (self.drain)(&mut wire, &self.queue.take_batch(self.policy), &self.stats);
+                (self.drain)(&mut wire, &self.queue.take_batch(), &self.stats);
             }
             self.queue.close(None);
         }
@@ -742,7 +742,7 @@ mod tests {
             thread::scope(|s| {
                 let blocked = s.spawn(|| q.offer(data(2)));
                 await_waiters(&q, 1);
-                let batch = q.take_batch(BatchPolicy::default());
+                let batch = q.take_batch();
                 assert_eq!(batch.data.iter().map(tag).collect::<Vec<_>>(), [0, 1]);
                 assert_eq!(blocked.join().unwrap(), Some(true), "it waited: pressure");
             });
@@ -759,7 +759,7 @@ mod tests {
         within_deadline(|| {
             let q = LaneQueue::new(8);
             thread::scope(|s| {
-                let writer = s.spawn(|| q.take_batch(BatchPolicy::default()));
+                let writer = s.spawn(|| q.take_batch());
                 await_waiters(&q, 1);
                 assert_eq!(q.offer(data(7)), Some(false));
                 let batch = writer.join().unwrap();
@@ -890,7 +890,7 @@ mod tests {
                 .collect();
             let mut next = [0u64; 2];
             while next.iter().sum::<u64>() < 2 * PER_PRODUCER {
-                let batch = q.take_batch(BatchPolicy::default());
+                let batch = q.take_batch();
                 assert!(batch.data.len() <= 4, "the lane holds four");
                 for bytes in &batch.data {
                     let (id, seq) = ((tag(bytes) >> 32) as usize, tag(bytes) & 0xffff_ffff);
@@ -959,14 +959,12 @@ mod tests {
 
     fn recording_transmit(log: &Record, queue_frames: usize) -> Transmit<Record> {
         let stats = Arc::new(SharedStats::default());
-        let policy = BatchPolicy::default();
         Transmit::new(
             "test-writer",
             Arc::clone(log),
             record,
             64,
             queue_frames,
-            policy,
             stats,
         )
     }

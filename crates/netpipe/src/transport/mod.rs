@@ -630,38 +630,15 @@ impl SaturationProbe {
 }
 
 /// How a socket link's writer coalesces queued data frames into one
-/// batch: one vectored write on TCP, shared datagrams on UDP.
-///
-/// A batch closes when it reaches `max_frames` frames or `max_bytes`
-/// payload bytes, when a control/event frame needs to overtake, or at end
-/// of stream; the writer flushes as soon as the sender's queue runs dry,
-/// trading no latency for fewer syscalls only under genuine load.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) struct BatchPolicy {
-    /// Maximum data frames coalesced into one batch.
-    pub(crate) max_frames: usize,
-    /// Maximum payload bytes coalesced into one batch.
-    pub(crate) max_bytes: usize,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> BatchPolicy {
-        BatchPolicy {
-            max_frames: 64,
-            max_bytes: 256 * 1024,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// A policy that never coalesces: each frame is written on its own.
-    pub(crate) fn unbatched() -> BatchPolicy {
-        BatchPolicy {
-            max_frames: 1,
-            ..BatchPolicy::default()
-        }
-    }
-}
+/// batch (one vectored write on TCP, shared datagrams on UDP): a batch
+/// closes at `BATCH_FRAMES` data frames or `BATCH_BYTES` payload bytes,
+/// when a control/event frame needs to overtake, or at end of stream.
+/// The writer flushes as soon as the sender's queue runs dry, so a batch
+/// forms only when the sender outruns the wire: fewer syscalls under
+/// load, no added latency.
+pub(crate) const BATCH_FRAMES: usize = 64;
+/// See [`BATCH_FRAMES`].
+pub(crate) const BATCH_BYTES: usize = 256 * 1024;
 
 /// The default congestion-report window (data sends per reading).
 const SATURATION_WINDOW: u64 = 32;

@@ -32,8 +32,8 @@
 
 use super::lanes::{Batch, LaneQueue, OnFull, Transmit, RX_QUEUE_FRAMES, TX_QUEUE_FRAMES};
 use super::{
-    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus,
-    SharedStats, Transport, TransportError,
+    Acceptor, Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, SharedStats,
+    Transport, TransportError,
 };
 use crate::framing::{self, encode_header, write_all_vectored, FrameKind, HEADER_LEN, MAX_FRAME};
 use crate::marshal::WireBytes;
@@ -265,7 +265,6 @@ impl TcpLink {
             write_batch,
             MAX_FRAME,
             config.send_queue,
-            config.batch,
             Arc::clone(&stats),
         );
         Ok(TcpLink {
@@ -363,18 +362,16 @@ impl std::fmt::Debug for TcpLink {
 #[derive(Clone, Debug)]
 pub struct TcpTransport {
     send_queue: usize,
-    batch: BatchPolicy,
 }
 
 impl TcpTransport {
-    /// A transport with the default send-queue depth (1024 data frames)
-    /// and frame coalescing on: up to 64 frames or 256 KiB per vectored
-    /// write.
+    /// A transport with the default send-queue depth (1024 data frames).
+    /// Each link's writer coalesces what its sender queued while it
+    /// wrote: up to 64 frames or 256 KiB per vectored write.
     #[must_use]
     pub fn new() -> TcpTransport {
         TcpTransport {
             send_queue: TX_QUEUE_FRAMES,
-            batch: BatchPolicy::default(),
         }
     }
 
@@ -382,20 +379,7 @@ impl TcpTransport {
     /// `Saturated` (and block) when it fills.
     #[must_use]
     pub fn with_send_queue(send_queue: usize) -> TcpTransport {
-        TcpTransport {
-            send_queue,
-            ..TcpTransport::new()
-        }
-    }
-
-    /// Disables frame coalescing: each frame gets its own write. The
-    /// default writer already writes as soon as its queue runs dry, so
-    /// this buys no latency; it is the baseline that measures what
-    /// batching saves.
-    #[must_use]
-    pub fn without_batching(mut self) -> TcpTransport {
-        self.batch = BatchPolicy::unbatched();
-        self
+        TcpTransport { send_queue }
     }
 }
 

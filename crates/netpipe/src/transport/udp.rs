@@ -45,8 +45,8 @@
 
 use super::lanes::{Batch, LaneQueue, OnFull, Transmit, RX_QUEUE_FRAMES, TX_QUEUE_FRAMES};
 use super::{
-    Acceptor, BatchPolicy, Frame, Link, LinkStats, PeerIdentity, Pending, RecvOutcome, SendStatus,
-    SharedStats, Transport, TransportError,
+    Acceptor, Frame, Link, LinkStats, PeerIdentity, Pending, RecvOutcome, SendStatus, SharedStats,
+    Transport, TransportError,
 };
 use crate::framing::{self, FrameKind};
 use crate::worker::{Stop, Worker};
@@ -286,7 +286,6 @@ impl UdpLink {
                     send_batch,
                     MAX_DATAGRAM,
                     TX_QUEUE_FRAMES,
-                    BatchPolicy::default(),
                     Arc::clone(&entry.stats),
                 ),
                 rx: entry.rx,

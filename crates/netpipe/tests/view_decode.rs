@@ -17,64 +17,20 @@ use media::{CompressedFrame, Defragmenter, Fragmenter, FrameType, Packet};
 use netpipe::wire::{self, WireError};
 use netpipe::{BufferPool, Marshal, TraceError, TraceReader, Unmarshal};
 use serde::Deserialize;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Tallies the bytes each thread asks the allocator for, then delegates
-/// to [`System`].
-struct AllocatedBytes;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it inside the
-    // allocator neither allocates nor registers anything.
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn tally(bytes: usize) {
-    // A thread being torn down may allocate after its slot is gone.
-    let _ = ALLOCATED.try_with(|sum| sum.set(sum.get() + bytes));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the tally touches no
-// allocator state.
-// A counting allocator must implement the `unsafe` trait: the one
-// place the workspace's `unsafe_code = "deny"` is lifted.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for AllocatedBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: AllocatedBytes = AllocatedBytes;
+static A: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Bytes this thread allocated while `work` ran.
 fn allocated_by<R>(work: impl FnOnce() -> R) -> (R, usize) {
     // A thread's first decode scope sets up its thread-local slot, which
     // some platforms allocate for: not the decode's cost.
     PayloadBytes::new().decode_with(|_| ());
-    let before = ALLOCATED.with(Cell::get);
+    let before = counting_alloc::allocated_bytes();
     let out = work();
-    (out, ALLOCATED.with(Cell::get) - before)
+    (out, (counting_alloc::allocated_bytes() - before) as usize)
 }
 
 /// One test at a time: `payload_copy_count` is process-wide.

@@ -5,6 +5,17 @@ set -u
 cd "$(dirname "$0")/.." || exit 1
 status=0
 
+# `unsafe` lives in one crate: `crates/counting_alloc` holds the one
+# `unsafe impl GlobalAlloc` and the one lift of the workspace's
+# `unsafe_code = "deny"`. Any other site fails, comments included.
+# (`benchmark/` is its own workspace and keeps its own allocator.)
+if grep -rnE --include='*.rs' \
+    'unsafe[[:space:]]+(impl|fn)\b|unsafe[[:space:]]*\{|(allow|expect)\([^)]*unsafe_code' \
+    crates src tests examples | grep -v '^crates/counting_alloc/'; then
+    echo "unsafe code outside crates/counting_alloc" >&2
+    status=1
+fi
+
 # netpipe spawns threads in one module: service threads are
 # `worker::Worker`s (stopped and joined by their owner); a spawn anywhere
 # else in the crate's non-test code escapes that lifecycle.
