@@ -151,15 +151,18 @@ impl Wakeups {
         self.arrivals.is_empty() && self.space.is_empty()
     }
 
-    /// Sends every notification through `post` — a kernel thread's
-    /// context, or the external port of a sender outside the kernel.
-    pub(crate) fn post(self, mut post: impl FnMut(ThreadId, Message)) {
-        for t in self.arrivals {
-            post(t, Message::signal(tags::ARRIVAL));
-        }
-        for t in self.space {
-            post(t, Message::signal(tags::SPACE));
-        }
+    /// Every notification, to be sent by a kernel thread or by the
+    /// external port of a sender outside the kernel.
+    pub(crate) fn messages(self) -> impl Iterator<Item = (ThreadId, Message)> + Send {
+        let arrivals = self
+            .arrivals
+            .into_iter()
+            .map(|t| (t, Message::signal(tags::ARRIVAL)));
+        let space = self
+            .space
+            .into_iter()
+            .map(|t| (t, Message::signal(tags::SPACE)));
+        arrivals.chain(space)
     }
 }
 

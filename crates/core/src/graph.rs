@@ -412,10 +412,10 @@ impl InboxSender {
     fn put_all_with(
         &self,
         items: impl IntoIterator<Item = Item>,
-        post: impl FnMut(ThreadId, Message),
+        mut post: impl FnMut(ThreadId, Message),
     ) -> usize {
         let (rejected, wake) = self.buf.put_all(items);
-        wake.post(post);
+        wake.messages().for_each(|(t, msg)| post(t, msg));
         rejected
     }
 
@@ -438,9 +438,9 @@ impl InboxSender {
 
     /// Signals end of stream to the pipeline.
     pub fn finish(&self) {
-        self.buf.mark_eos().post(|t, msg| {
+        for (t, msg) in self.buf.mark_eos().messages() {
             let _ = self.port.send(t, msg);
-        });
+        }
     }
 
     /// Injects an item from a *kernel* thread (e.g. a netpipe link
@@ -454,9 +454,9 @@ impl InboxSender {
 
     /// Signals end of stream from a kernel thread.
     pub fn finish_via(&self, ctx: &mut mbthread::Ctx<'_>) {
-        self.buf.mark_eos().post(|t, msg| {
+        for (t, msg) in self.buf.mark_eos().messages() {
             let _ = ctx.send(t, msg);
-        });
+        }
     }
 
     /// Current statistics of the underlying buffer.

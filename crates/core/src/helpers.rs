@@ -5,8 +5,8 @@
 
 use crate::events::ControlEvent;
 use crate::item::Item;
-use crate::runtime::{EventCtx, StageCtx};
-use crate::stage::{ActiveObject, Consumer, Function, Producer, Stage};
+use crate::runtime::{ActiveCtx, EventCtx, StageCtx};
+use crate::stage::{ActiveObject, ActiveRun, Consumer, Function, Producer, Stage};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -233,13 +233,15 @@ impl Stage for ActiveRelay {
 }
 
 impl ActiveObject for ActiveRelay {
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-        while !ctx.stopping() {
-            match ctx.get() {
-                Some(item) => ctx.put(item),
-                None => break,
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            while !ctx.stopping() {
+                match ctx.get().await {
+                    Some(item) => ctx.put(item).await,
+                    None => break,
+                }
             }
-        }
+        })
     }
 }
 
@@ -412,15 +414,18 @@ impl Stage for ActiveDefrag {
 }
 
 impl ActiveObject for ActiveDefrag {
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-        while !ctx.stopping() {
-            let Some(first) = ctx.get() else { break };
-            let seq = first.meta.seq;
-            let x1 = first.expect::<Vec<u8>>();
-            let Some(second) = ctx.get() else { break };
-            let x2 = second.expect::<Vec<u8>>();
-            ctx.put(Item::cloneable(assemble(x1, x2)).with_seq(seq / 2));
-        }
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            while !ctx.stopping() {
+                let Some(first) = ctx.get().await else { break };
+                let seq = first.meta.seq;
+                let x1 = first.expect::<Vec<u8>>();
+                let Some(second) = ctx.get().await else { break };
+                let x2 = second.expect::<Vec<u8>>();
+                ctx.put(Item::cloneable(assemble(x1, x2)).with_seq(seq / 2))
+                    .await;
+            }
+        })
     }
 }
 

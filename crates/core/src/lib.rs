@@ -84,8 +84,8 @@ pub use payload::{payload_copy_count, PayloadBytes};
 pub use plan::{Exec, Mode, PlanReport, SectionReport, StagePlacement};
 pub use pool::{BufferPool, PoolBuffer, PoolStats};
 pub use pump::{ClockedPump, CycleOutcome, FreePump, Pump, Schedule};
-pub use runtime::{EventCtx, EventSubscription, RunningPipeline, StageCtx};
-pub use stage::{ActiveObject, Consumer, Function, Producer, Stage, Style};
+pub use runtime::{ActiveCtx, EventCtx, EventSubscription, RunningPipeline, StageCtx};
+pub use stage::{ActiveObject, ActiveRun, Consumer, Function, Producer, Stage, Style};
 pub use stats::{
     EntitySample, Metric, MetricValue, SourceBody, SourceId, SourceSample, StatsRegistry,
     StatsSnapshot,

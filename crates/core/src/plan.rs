@@ -21,6 +21,13 @@
 //! this yields exactly 1 thread for a/b/c, 2 for d/g/h, and 3 for e/f —
 //! verified by the integration tests and by the `fig9_configs` benchmark.
 //!
+//! A kernel thread is not always an OS thread. An active object's
+//! coroutine is *polled* — a future the kernel's hand-off polls on the OS
+//! thread that gives up the CPU — when every stage it calls directly runs
+//! without blocking; any other coroutine, and every section owner, has an
+//! OS thread of its own. The report marks each coroutine `polled` or
+//! `os-thread` and states both counts per section.
+//!
 //! The table exists in code once: `lower_pull` and `lower_push` pick
 //! the node of the section tree (`runtime::nodes`) a stage becomes, and
 //! the report's [`Exec`] is read off that node. The tree the planner
@@ -90,6 +97,8 @@ pub struct StagePlacement {
     /// [`Pipeline::set_transport`](crate::Pipeline::set_transport));
     /// `None` for purely local stages.
     pub transport: Option<String>,
+    /// A coroutine that is polled rather than backed by an OS thread.
+    pub(crate) polled: bool,
 }
 
 /// One section's thread/coroutine allocation.
@@ -110,6 +119,13 @@ impl SectionReport {
     #[must_use]
     pub fn threads(&self) -> usize {
         1 + self.coroutines
+    }
+
+    /// The OS threads behind them: the owner's and one per coroutine that
+    /// is not polled.
+    pub(crate) fn os_threads(&self) -> usize {
+        let backed = |p: &&StagePlacement| p.exec == Exec::Coroutine && !p.polled;
+        1 + self.stages.iter().filter(backed).count()
     }
 }
 
@@ -133,13 +149,17 @@ impl std::fmt::Display for PlanReport {
         for (i, s) in self.sections.iter().enumerate() {
             writeln!(
                 f,
-                "section {i}: owner {} ({}), {} thread(s)",
+                "section {i}: owner {} ({}), {} thread(s) on {} OS thread(s)",
                 s.owner,
                 s.owner_kind,
-                s.threads()
+                s.threads(),
+                s.os_threads()
             )?;
             for p in &s.stages {
                 write!(f, "  {:24} {:8} {} {}", p.name, p.style, p.mode, p.exec)?;
+                if p.exec == Exec::Coroutine {
+                    write!(f, " {}", if p.polled { "polled" } else { "os-thread" })?;
+                }
                 match &p.transport {
                     Some(t) => writeln!(f, " via {t}")?,
                     None => writeln!(f)?,
@@ -308,6 +328,7 @@ fn placement(g: &GraphInner, id: NodeId, style: &str, mode: Mode, exec: Exec) ->
         mode,
         exec,
         transport: g.node(id).transport.clone(),
+        polled: false,
     }
 }
 
@@ -544,7 +565,10 @@ fn build_pull(
         let style = take_style(g, id);
         let style_name = style.style_name();
         built = lower_pull(id, style, built);
-        placements.push(placement(g, id, style_name, Mode::Pull, built.exec()));
+        placements.push(StagePlacement {
+            polled: built.polled(),
+            ..placement(g, id, style_name, Mode::Pull, built.exec())
+        });
     }
     Ok(built)
 }
@@ -589,6 +613,7 @@ fn build_push(
             };
             let node = lower_push(id, style, down);
             placements[slot].exec = node.exec();
+            placements[slot].polled = node.polled();
             Ok(node)
         }
         Some(NodeKind::Pump(_)) => unreachable!("second pump in section should have been caught"),
@@ -651,6 +676,7 @@ mod tests {
                     mode: Mode::Push,
                     exec: Exec::Direct,
                     transport: Some("tcp://10.0.0.7:4000".into()),
+                    polled: false,
                 }],
                 coroutines: 0,
             }],

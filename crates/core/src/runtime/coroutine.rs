@@ -26,16 +26,24 @@
 //! it answers the last `GET` or `PUT`: its stages hear `Eos` on its own
 //! event queue, behind the events already waiting, then what lies below
 //! is end-marked.
+//!
+//! The glue is one async implementation. An active object's coroutine
+//! whose direct stages all run without blocking (`PullNode::polled`) is a
+//! polled kernel thread: the glue's kernel operations suspend it, and the
+//! OS thread that hands it the CPU polls it. Any other coroutine — a
+//! passive component in the opposite polarity, whose `pull` or `push`
+//! needs a real stack — is an OS-backed kernel thread that runs the same
+//! glue through `block_on`.
 
 use super::nodes::{PullNode, PushNode};
-use super::stagectx::{EventCtx, GetWiring, PutWiring, StageCtx};
-use super::{Pulled, PushRes, RtState, Shared};
+use super::stagectx::{ActiveCtx, EventCtx, GetWiring, PutWiring, StageCtx};
+use super::{block_on, Pulled, PushRes, RtState, Shared};
 use crate::error::PipeError;
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget, GetReply};
 use crate::graph::NodeId;
 use crate::item::Item;
 use crate::stage::{Stage, Style};
-use mbthread::{Ctx, Envelope, Flow, Message, Priority, SpawnOptions, ThreadId};
+use mbthread::{Ctx, Envelope, Flow, Message, PolledFn, Priority, SpawnOptions, ThreadId};
 use std::sync::Arc;
 
 /// A coroutine's position, held as the part of the section tree it calls
@@ -74,12 +82,12 @@ impl MsgEndpoint {
     /// Component-facing `get` in push position: consume the pending item
     /// or ack-and-wait for the next `PUT` (Fig. 7a's
     /// "push-mode wrapper for pull").
-    pub(crate) fn msg_get(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
+    pub(crate) async fn msg_get(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
         if let Some(item) = self.item.take() {
             return Pulled::Item(item);
         }
         if self.closed {
-            self.ack_put(ctx);
+            self.ack_put(ctx).await;
             return Pulled::Eos;
         }
         // Coming back for more: the previous pusher may now resume (the
@@ -87,8 +95,11 @@ impl MsgEndpoint {
         // next `PUT` begins in the same kernel operation.
         let accept = [tags::PUT, tags::END, tags::CTRL];
         let next = match self.pending.take() {
-            Some(put) => rt.answer_and_wait(ctx, &put, Message::signal(tags::PUT), &accept),
-            None => rt.wait_tag(ctx, &accept),
+            Some(put) => {
+                rt.answer_and_wait(ctx, put, Message::signal(tags::PUT), &accept)
+                    .await
+            }
+            None => rt.wait_tag(ctx, &accept).await,
         };
         match next {
             Some(env) if env.tag() == tags::PUT => Pulled::Item(self.accept_put(env)),
@@ -110,22 +121,31 @@ impl MsgEndpoint {
     }
 
     /// Acks the pending `PUT`, if any.
-    fn ack_put(&mut self, ctx: &mut Ctx<'_>) {
+    async fn ack_put(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(env) = self.pending.take() {
-            let _ = ctx.reply(&env, Message::signal(tags::PUT));
+            let ack = ctx.reply_async(&env, Message::signal(tags::PUT));
+            let _ = ack.await;
         }
     }
 
     /// Component-facing `put` in pull position: answer the pending `GET`
     /// and wait until the next `GET` arrives, in one kernel operation
     /// (Fig. 7b's "pull-mode wrapper for push").
-    pub(crate) fn msg_put(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
+    pub(crate) async fn msg_put(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        rt: &mut RtState,
+        item: Item,
+    ) -> PushRes {
         let Some(env) = self.pending.take() else {
             // The downstream requester went away (stop); discard.
             return PushRes::Interrupted;
         };
         let answer = Message::new(tags::GET, GetReply(Some(item)));
-        match rt.answer_and_wait(ctx, &env, answer, &[tags::GET, tags::CTRL]) {
+        match rt
+            .answer_and_wait(ctx, env, answer, &[tags::GET, tags::CTRL])
+            .await
+        {
             Some(env) => {
                 self.pending = Some(env);
                 PushRes::Ok
@@ -148,7 +168,7 @@ struct CoroFn {
 
 impl CoroFn {
     /// Runs the style-specific wrapper loop until the stream ends.
-    fn drive(&mut self, ctx: &mut Ctx<'_>) {
+    async fn drive(&mut self, ctx: &mut Ctx<'_>) {
         let stage_id = self.stage_id;
         let rt = &mut self.rt;
         let ep = &mut self.ep;
@@ -156,12 +176,12 @@ impl CoroFn {
             // Active object anywhere: its own loop, wired per position
             // (Figs. 5 and 6).
             (Style::Active(stage), CoroTree::AnswersGets(up)) => {
-                let mut sctx = StageCtx::wired(ctx, rt, GetWiring::Tree(up), PutWiring::Msg(ep));
-                stage.run(&mut sctx);
+                let mut actx = ActiveCtx::wired(ctx, rt, GetWiring::Tree(up), PutWiring::Msg(ep));
+                stage.run(&mut actx).await;
             }
             (Style::Active(stage), CoroTree::ReceivesPuts(down)) => {
-                let mut sctx = StageCtx::wired(ctx, rt, GetWiring::Msg(ep), PutWiring::Tree(down));
-                stage.run(&mut sctx);
+                let mut actx = ActiveCtx::wired(ctx, rt, GetWiring::Msg(ep), PutWiring::Tree(down));
+                stage.run(&mut actx).await;
             }
             // A pull-style (producer) component used in push mode: wrap its
             // pull in a loop that pushes results onward (Fig. 7a).
@@ -171,7 +191,7 @@ impl CoroFn {
                     stage.pull(&mut sctx)
                 };
                 let Some(item) = produced else { break };
-                if down.push(ctx, rt, item) == PushRes::Interrupted {
+                if down.push_async(ctx, rt, item).await == PushRes::Interrupted {
                     break;
                 }
                 rt.items_moved += 1;
@@ -184,7 +204,7 @@ impl CoroFn {
             // A push-style (consumer) component used in pull mode: wrap its
             // push in a loop that pulls inputs for it (Figs. 7b and 8b).
             (Style::Consumer(stage), CoroTree::AnswersGets(up)) => loop {
-                let Pulled::Item(item) = up.pull(ctx, rt) else {
+                let Pulled::Item(item) = up.pull_async(ctx, rt).await else {
                     break;
                 };
                 let status = {
@@ -213,9 +233,71 @@ impl CoroFn {
             let (up, mut down) = self.tree.parts();
             drain_pending(ctx, &mut self.rt, own, up, down.as_deref_mut());
             if let Some(down) = down {
-                down.mark_eos(ctx, &mut self.rt);
+                down.mark_eos_async(ctx, &mut self.rt).await;
             }
         }
+    }
+}
+
+impl PolledFn for CoroFn {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        // `drive` returns only when the component's run is over, and no
+        // message is handled here while it runs: a request that reaches
+        // this function finds the coroutine either fresh or finished.
+        match (env.tag(), &self.tree) {
+            (tags::CTRL, _) => {
+                if let Ok(msg) = env.into_message().into_body::<EventMsg>() {
+                    self.rt.stopping |= matches!(msg.event, ControlEvent::Stop);
+                    self.rt.pending_events.push_back(msg);
+                }
+            }
+            (tags::GET, CoroTree::AnswersGets(_)) => {
+                self.ep.pending = Some(env);
+                if !self.finished && !self.rt.stopping {
+                    self.drive(ctx).await;
+                }
+                // Whatever request is left over gets "end of stream".
+                if let Some(env) = self.ep.pending.take() {
+                    let end = ctx.reply_async(&env, Message::new(tags::GET, GetReply(None)));
+                    let _ = end.await;
+                }
+            }
+            (tags::PUT | tags::END, CoroTree::ReceivesPuts(_)) => {
+                let fresh = !self.finished && !self.rt.stopping;
+                if env.tag() == tags::PUT {
+                    // A finished coroutine discards the item and acks at
+                    // once, so the upstream does not hang.
+                    let item = self.ep.accept_put(env);
+                    self.ep.item = fresh.then_some(item);
+                } else {
+                    self.ep.closed = true;
+                }
+                if fresh {
+                    // An `END` before the first `PUT` runs the component
+                    // too, against an ended stream: it may have something
+                    // to say at the end of an empty one, and what lies
+                    // below must hear of the end either way.
+                    self.drive(ctx).await;
+                }
+                self.ep.ack_put(ctx).await;
+            }
+            _ => { /* stray ARRIVAL/SPACE wakeups are harmless */ }
+        }
+        // Deliver the event just received and any queued mid-processing.
+        let own = Some((self.stage_id, self.style.stage_mut()));
+        let (up, down) = self.tree.parts();
+        drain_pending(ctx, &mut self.rt, own, up, down);
+        Flow::Continue
+    }
+}
+
+/// A coroutine on an OS thread of its own: the same glue, each of whose
+/// kernel operations parks that thread.
+struct OnOsThread(CoroFn);
+
+impl mbthread::CodeFn for OnOsThread {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        block_on(|| self.0.on_message(ctx, env))
     }
 }
 
@@ -279,59 +361,9 @@ pub(crate) fn drain_pending(
     }
 }
 
-impl mbthread::CodeFn for CoroFn {
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
-        // `drive` returns only when the component's run is over, and no
-        // message is handled here while it runs: a request that reaches
-        // this function finds the coroutine either fresh or finished.
-        match (env.tag(), &self.tree) {
-            (tags::CTRL, _) => {
-                if let Ok(msg) = env.into_message().into_body::<EventMsg>() {
-                    self.rt.stopping |= matches!(msg.event, ControlEvent::Stop);
-                    self.rt.pending_events.push_back(msg);
-                }
-            }
-            (tags::GET, CoroTree::AnswersGets(_)) => {
-                self.ep.pending = Some(env);
-                if !self.finished && !self.rt.stopping {
-                    self.drive(ctx);
-                }
-                // Whatever request is left over gets "end of stream".
-                if let Some(env) = self.ep.pending.take() {
-                    let _ = ctx.reply(&env, Message::new(tags::GET, GetReply(None)));
-                }
-            }
-            (tags::PUT | tags::END, CoroTree::ReceivesPuts(_)) => {
-                let fresh = !self.finished && !self.rt.stopping;
-                if env.tag() == tags::PUT {
-                    // A finished coroutine discards the item and acks at
-                    // once, so the upstream does not hang.
-                    let item = self.ep.accept_put(env);
-                    self.ep.item = fresh.then_some(item);
-                } else {
-                    self.ep.closed = true;
-                }
-                if fresh {
-                    // An `END` before the first `PUT` runs the component
-                    // too, against an ended stream: it may have something
-                    // to say at the end of an empty one, and what lies
-                    // below must hear of the end either way.
-                    self.drive(ctx);
-                }
-                self.ep.ack_put(ctx);
-            }
-            _ => { /* stray ARRIVAL/SPACE wakeups are harmless */ }
-        }
-        // Deliver the event just received and any queued mid-processing.
-        let own = Some((self.stage_id, self.style.stage_mut()));
-        let (up, down) = self.tree.parts();
-        drain_pending(ctx, &mut self.rt, own, up, down);
-        Flow::Continue
-    }
-}
-
-/// Spawns the coroutine thread for one stage and registers it, with the
-/// direct `stages` it owns, in the routing table.
+/// Spawns the coroutine thread for one stage — polled, or on an OS thread
+/// of its own — and registers it, with the direct `stages` it owns, in the
+/// routing table.
 pub(crate) fn spawn_coroutine(
     shared: &Arc<Shared>,
     stage_id: NodeId,
@@ -339,6 +371,7 @@ pub(crate) fn spawn_coroutine(
     tree: CoroTree,
     priority: Priority,
     stages: Vec<NodeId>,
+    polled: bool,
 ) -> Result<ThreadId, PipeError> {
     let name = format!("coro-{}", style.stage().name());
     let coro = CoroFn {
@@ -349,9 +382,12 @@ pub(crate) fn spawn_coroutine(
         ep: MsgEndpoint::default(),
         finished: false,
     };
-    let tid = shared
-        .kernel
-        .spawn(SpawnOptions::new(name).priority(priority), coro)?;
+    let opts = SpawnOptions::new(name).priority(priority);
+    let tid = if polled {
+        shared.kernel.spawn_polled(opts, coro)?
+    } else {
+        shared.kernel.spawn(opts, OnOsThread(coro))?
+    };
     shared.routing.lock().enroll(tid, stages);
     Ok(tid)
 }

@@ -10,10 +10,13 @@
 //! * [`nodes`] — the section tree (`PullNode`, `PushNode`): built by the
 //!   planner, its planned coroutines turned into threads in place at
 //!   launch, then interpreted per item,
-//! * [`stagectx`] — the [`StageCtx`]/[`EventCtx`] API components see,
+//! * [`stagectx`] — the [`StageCtx`]/[`ActiveCtx`]/[`EventCtx`] API
+//!   components see,
 //! * [`owner`] — the section owner's code function (pump scheduling),
 //! * [`coroutine`] — the generated glue adapting activity styles
-//!   (Figs. 5–8) and its `GET` / `PUT` / `END` protocol,
+//!   (Figs. 5–8) and its `GET` / `PUT` / `END` protocol; an active
+//!   object's coroutine is a polled kernel thread wherever it can be,
+//!   any other an OS-backed one,
 //! * [`running`] — pipeline launch and the [`RunningPipeline`] handle.
 //!
 //! `docs/threading.md` walks through the whole path from plan to thread.
@@ -25,7 +28,7 @@ mod running;
 mod stagectx;
 
 pub use running::{EventSubscription, RunningPipeline};
-pub use stagectx::{EventCtx, StageCtx};
+pub use stagectx::{ActiveCtx, EventCtx, StageCtx};
 
 pub(crate) use nodes::{PullNode, PushNode};
 pub(crate) use owner::OwnerRole;
@@ -38,7 +41,27 @@ use crate::item::Item;
 use mbthread::{Ctx, Envelope, Kernel, Message, SyncOutcome, Tag, ThreadId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
+
+/// Runs a glue operation to completion on a thread that parks rather than
+/// suspends: an OS-backed kernel thread, whose async kernel operations
+/// complete within their first poll. A polled thread reaches this only
+/// through stages it calls directly, which the planner admits only where
+/// nothing they reach can suspend (`PullNode::polled`).
+///
+/// The future is made and kept in this function's own frame, out of line:
+/// in the caller's, it would widen every frame of the recursive tree walk
+/// that never blocks (904 bytes instead of 312 for `PushNode::push`).
+#[inline(never)]
+pub(crate) fn block_on<F: Future>(make: impl FnOnce() -> F) -> F::Output {
+    let mut fut = std::pin::pin!(make());
+    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => unreachable!("a glue operation suspended a thread that must block"),
+    }
+}
 
 /// Result of pulling one item from upstream.
 #[derive(Debug)]
@@ -172,21 +195,26 @@ impl RtState {
         }
     }
 
-    /// Performs the wakeups a buffer mutation demands.
-    pub(crate) fn send_wakeups(&mut self, ctx: &mut Ctx<'_>, wake: Wakeups) {
-        wake.post(|t, msg| {
-            let _ = ctx.send(t, msg);
-        });
+    /// Performs the wakeups a buffer mutation demands. Each send is a
+    /// preemption point.
+    pub(crate) async fn send_wakeups(&mut self, ctx: &mut Ctx<'_>, wake: Wakeups) {
+        for (t, msg) in wake.messages() {
+            let _ = ctx.send_async(t, msg).await;
+        }
     }
+
+    // The operations below block the thread or, on a polled thread,
+    // suspend it: one implementation, awaited by a polled coroutine and
+    // run through `block_on` by an OS-backed thread.
 
     /// Blocks until a message with one of the `accept`ed tags arrives,
     /// staying receptive to control messages: `accept` lists
     /// [`tags::CTRL`], controls are queued for later dispatch, and a stop
     /// request (or shutdown) aborts the wait with `None`.
-    pub(crate) fn wait_tag(&mut self, ctx: &mut Ctx<'_>, accept: &[Tag]) -> Option<Envelope> {
+    pub(crate) async fn wait_tag(&mut self, ctx: &mut Ctx<'_>, accept: &[Tag]) -> Option<Envelope> {
         debug_assert!(accept.contains(&tags::CTRL), "a wait deaf to stop");
         while !self.stopping {
-            let Ok(env) = ctx.receive_tags(accept) else {
+            let Ok(env) = ctx.receive_tags_async(accept).await else {
                 self.stopping = true;
                 break;
             };
@@ -201,22 +229,24 @@ impl RtState {
     /// [`RtState::wait_tag`] that first answers the request `req` with
     /// `answer`, in the same kernel critical section as the wait's first
     /// receive. The answer goes out even when the wait is already aborted.
-    pub(crate) fn answer_and_wait(
+    pub(crate) async fn answer_and_wait(
         &mut self,
         ctx: &mut Ctx<'_>,
-        req: &Envelope,
+        req: Envelope,
         answer: Message,
         accept: &[Tag],
     ) -> Option<Envelope> {
         if self.stopping {
-            let _ = ctx.reply(req, answer);
+            let reply = ctx.reply_async(&req, answer);
+            let _ = reply.await;
             return None;
         }
-        match ctx.reply_and_receive(req, answer, accept) {
+        let received = ctx.reply_and_receive_async(&req, answer, accept);
+        match received.await {
             Ok(env) if env.tag() != tags::CTRL => Some(env),
             Ok(ctl) => {
                 self.note_control(ctl);
-                self.wait_tag(ctx, accept)
+                self.wait_tag(ctx, accept).await
             }
             Err(_) => {
                 self.stopping = true;
@@ -229,20 +259,24 @@ impl RtState {
     // Buffer operations (blocking, control-receptive)
     // ------------------------------------------------------------------
 
-    pub(crate) fn buffer_take(&mut self, ctx: &mut Ctx<'_>, buf: &BufHandle) -> Pulled {
+    pub(crate) async fn buffer_take(&mut self, ctx: &mut Ctx<'_>, buf: &BufHandle) -> Pulled {
         loop {
             if self.stopping {
                 return Pulled::Interrupted;
             }
             match buf.take_or_wait(ctx.id()) {
                 TakeOutcome::Taken(item, wake) => {
-                    self.send_wakeups(ctx, wake);
+                    self.send_wakeups(ctx, wake).await;
                     return Pulled::Item(item);
                 }
                 TakeOutcome::Empty => return Pulled::Empty,
                 TakeOutcome::Eos => return Pulled::Eos,
                 TakeOutcome::MustWait => {
-                    if self.wait_tag(ctx, &[tags::ARRIVAL, tags::CTRL]).is_none() {
+                    if self
+                        .wait_tag(ctx, &[tags::ARRIVAL, tags::CTRL])
+                        .await
+                        .is_none()
+                    {
                         return Pulled::Interrupted;
                     }
                 }
@@ -250,7 +284,12 @@ impl RtState {
         }
     }
 
-    pub(crate) fn buffer_put(&mut self, ctx: &mut Ctx<'_>, buf: &BufHandle, item: Item) -> PushRes {
+    pub(crate) async fn buffer_put(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        buf: &BufHandle,
+        item: Item,
+    ) -> PushRes {
         let mut item = item;
         loop {
             if self.stopping {
@@ -258,13 +297,17 @@ impl RtState {
             }
             match buf.try_put(item) {
                 PutOutcome::Stored(wake) | PutOutcome::Dropped(wake) => {
-                    self.send_wakeups(ctx, wake);
+                    self.send_wakeups(ctx, wake).await;
                     return PushRes::Ok;
                 }
                 PutOutcome::MustWait(returned) => {
                     item = returned;
                     buf.wait_for_space(ctx.id());
-                    if self.wait_tag(ctx, &[tags::SPACE, tags::CTRL]).is_none() {
+                    if self
+                        .wait_tag(ctx, &[tags::SPACE, tags::CTRL])
+                        .await
+                        .is_none()
+                    {
                         return PushRes::Interrupted;
                     }
                 }
@@ -278,8 +321,8 @@ impl RtState {
 
     /// Requests the next item from an upstream coroutine (a synchronous
     /// GET that handles control events while blocked).
-    pub(crate) fn sync_get(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId) -> Pulled {
-        let Some(mut env) = self.sync_call(ctx, coro, Message::signal(tags::GET)) else {
+    pub(crate) async fn sync_get(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId) -> Pulled {
+        let Some(mut env) = self.sync_call(ctx, coro, Message::signal(tags::GET)).await else {
             return Pulled::Interrupted;
         };
         let reply: crate::events::GetReply = env
@@ -294,8 +337,16 @@ impl RtState {
 
     /// Hands an item to a downstream coroutine and waits until the
     /// coroutine comes back for more (the synchronous hand-off of Fig. 5).
-    pub(crate) fn sync_put(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId, item: Item) -> PushRes {
-        match self.sync_call(ctx, coro, Message::new(tags::PUT, item)) {
+    pub(crate) async fn sync_put(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        coro: ThreadId,
+        item: Item,
+    ) -> PushRes {
+        match self
+            .sync_call(ctx, coro, Message::new(tags::PUT, item))
+            .await
+        {
             Some(_ack) => PushRes::Ok,
             None => PushRes::Interrupted,
         }
@@ -304,11 +355,16 @@ impl RtState {
     /// One synchronous round trip to a coroutine, receptive to control
     /// events while blocked: the reply, or `None` when a stop request or
     /// shutdown aborted it.
-    fn sync_call(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId, msg: Message) -> Option<Envelope> {
+    async fn sync_call(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        coro: ThreadId,
+        msg: Message,
+    ) -> Option<Envelope> {
         if self.stopping {
             return None;
         }
-        let mut outcome = ctx.call(coro, msg, None, tags::INTERRUPTS);
+        let mut outcome = ctx.call_async(coro, msg, None, tags::INTERRUPTS).await;
         loop {
             match outcome {
                 Ok(SyncOutcome::Reply(env)) => return Some(env),
@@ -316,7 +372,7 @@ impl RtState {
                     if self.note_control(ctl) {
                         return None;
                     }
-                    outcome = ctx.wait_or(pending, tags::INTERRUPTS);
+                    outcome = ctx.wait_or_async(pending, tags::INTERRUPTS).await;
                 }
                 Err(_) => {
                     self.stopping = true;

@@ -11,10 +11,18 @@
 //! through the contiguous run of direct stages adjacent to it, and where
 //! a `Coro` sits the data crosses over as a synchronous message
 //! round-trip — activity travels with the data (Fig. 5).
+//!
+//! A tree is walked in one of two ways. `pull`/`push` call every node
+//! and block at a coroutine or a buffer (through `block_on`): a section
+//! owner, an OS-backed coroutine and every passive stage walk so.
+//! `pull_async`/`push_async` await the run at the walker's end of the
+//! tree and the boundary beyond it, and call anything else as `pull`/
+//! `push` do: an active object walks so, and it is what lets its
+//! coroutine be polled. `polled` is the planner's test for that.
 
 use super::coroutine::{spawn_coroutine, CoroTree};
 use super::stagectx::{GetWiring, PutWiring, StageCtx};
-use super::{Pulled, PushRes, RtState, Shared};
+use super::{block_on, Pulled, PushRes, RtState, Shared};
 use crate::buffer::BufHandle;
 use crate::error::PipeError;
 use crate::events::tags;
@@ -76,6 +84,37 @@ impl PullNode {
         }
     }
 
+    /// Whether this planned coroutine runs polled: it is an active object
+    /// (a passive stage's own `pull` or `push` needs a real stack), and
+    /// everything it calls directly runs without blocking. Its
+    /// `pull_async` crosses a leading run and the boundary beyond it; a
+    /// producer there is called plainly, so the chain behind that must
+    /// reach no coroutine and no buffer (a buffer's wake-ups are
+    /// preemption points).
+    pub(crate) fn polled(&self) -> bool {
+        let PullNode::Planned { style, up, .. } = self else {
+            return false;
+        };
+        let beyond_run = match &**up {
+            PullNode::Run { up, .. } => &**up,
+            node => node,
+        };
+        matches!(style, Style::Active(_))
+            && match beyond_run {
+                PullNode::Producer { .. } => beyond_run.never_blocks(),
+                _ => true,
+            }
+    }
+
+    /// Whether pulling through this chain never blocks.
+    fn never_blocks(&self) -> bool {
+        match self {
+            PullNode::Origin => true,
+            PullNode::Producer { up, .. } | PullNode::Run { up, .. } => up.never_blocks(),
+            PullNode::Planned { .. } | PullNode::Coro(_) | PullNode::Buffer(_) => false,
+        }
+    }
+
     /// Spawns the thread of every planned coroutine of this chain,
     /// innermost (furthest upstream) first, so that each coroutine takes
     /// the already spawned chain above it along. The direct stages left on
@@ -87,12 +126,14 @@ impl PullNode {
         priority: Priority,
         local_stages: &mut Vec<NodeId>,
     ) -> Result<(), PipeError> {
+        let polled = self.polled();
         *self = match std::mem::replace(self, PullNode::Origin) {
             PullNode::Planned { id, style, mut up } => {
                 let mut stages = vec![id];
                 up.spawn_coroutines(shared, priority, &mut stages)?;
                 let tree = CoroTree::AnswersGets(*up);
-                PullNode::Coro(spawn_coroutine(shared, id, style, tree, priority, stages)?)
+                let tid = spawn_coroutine(shared, id, style, tree, priority, stages, polled)?;
+                PullNode::Coro(tid)
             }
             mut node => {
                 match &mut node {
@@ -112,12 +153,12 @@ impl PullNode {
         Ok(())
     }
 
-    /// Pulls the next item through this chain.
+    /// Pulls the next item through this chain, blocking where it waits.
     pub(crate) fn pull(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
         match self {
             PullNode::Origin => Pulled::Eos,
-            PullNode::Buffer(h) => rt.buffer_take(ctx, h),
-            PullNode::Coro(t) => rt.sync_get(ctx, *t),
+            PullNode::Buffer(h) => block_on(|| rt.buffer_take(ctx, h)),
+            PullNode::Coro(t) => block_on(|| rt.sync_get(ctx, *t)),
             PullNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PullNode::Run { stages, up } => loop {
                 match up.pull(ctx, rt) {
@@ -139,6 +180,33 @@ impl PullNode {
                     None => sctx.none_reason(),
                 }
             }
+        }
+    }
+
+    /// [`PullNode::pull`] for a thread that may suspend: a leading run
+    /// and the boundary beyond it are awaited.
+    pub(crate) async fn pull_async(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
+        let PullNode::Run { stages, up } = self else {
+            return self.pull_across(ctx, rt).await;
+        };
+        loop {
+            match up.pull_across(ctx, rt).await {
+                Pulled::Item(x) => {
+                    if let Some(y) = convert_run(stages, x) {
+                        return Pulled::Item(y);
+                    }
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Pulls from this node, awaiting it if it is a boundary.
+    async fn pull_across(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
+        match self {
+            PullNode::Buffer(h) => rt.buffer_take(ctx, h).await,
+            PullNode::Coro(t) => rt.sync_get(ctx, *t).await,
+            node => node.pull(ctx, rt),
         }
     }
 
@@ -213,6 +281,33 @@ impl PushNode {
         }
     }
 
+    /// [`PullNode::polled`] for a push-position coroutine: a consumer or a
+    /// tee beyond its leading run must reach no coroutine and no buffer.
+    pub(crate) fn polled(&self) -> bool {
+        let PushNode::Planned { style, down, .. } = self else {
+            return false;
+        };
+        let beyond_run = match &**down {
+            PushNode::Run { down, .. } => &**down,
+            node => node,
+        };
+        matches!(style, Style::Active(_))
+            && match beyond_run {
+                PushNode::Consumer { .. } | PushNode::Split { .. } => beyond_run.never_blocks(),
+                _ => true,
+            }
+    }
+
+    /// Whether pushing through this tree never blocks.
+    fn never_blocks(&self) -> bool {
+        match self {
+            PushNode::End => true,
+            PushNode::Consumer { down, .. } | PushNode::Run { down, .. } => down.never_blocks(),
+            PushNode::Split { branches, .. } => branches.iter().all(PushNode::never_blocks),
+            PushNode::Planned { .. } | PushNode::Coro(_) | PushNode::Buffer(_) => false,
+        }
+    }
+
     /// [`PullNode::spawn_coroutines`] for the downstream tree: innermost
     /// is furthest downstream here.
     pub(crate) fn spawn_coroutines(
@@ -221,6 +316,7 @@ impl PushNode {
         priority: Priority,
         local_stages: &mut Vec<NodeId>,
     ) -> Result<(), PipeError> {
+        let polled = self.polled();
         *self = match std::mem::replace(self, PushNode::End) {
             PushNode::Planned {
                 id,
@@ -230,7 +326,8 @@ impl PushNode {
                 let mut stages = vec![id];
                 down.spawn_coroutines(shared, priority, &mut stages)?;
                 let tree = CoroTree::ReceivesPuts(*down);
-                PushNode::Coro(spawn_coroutine(shared, id, style, tree, priority, stages)?)
+                let tid = spawn_coroutine(shared, id, style, tree, priority, stages, polled)?;
+                PushNode::Coro(tid)
             }
             mut node => {
                 match &mut node {
@@ -255,12 +352,12 @@ impl PushNode {
         Ok(())
     }
 
-    /// Pushes one item through this tree.
+    /// Pushes one item through this tree, blocking where it waits.
     pub(crate) fn push(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
         match self {
             PushNode::End => PushRes::Ok,
-            PushNode::Buffer(h) => rt.buffer_put(ctx, h, item),
-            PushNode::Coro(t) => rt.sync_put(ctx, *t, item),
+            PushNode::Buffer(h) => block_on(|| rt.buffer_put(ctx, h, item)),
+            PushNode::Coro(t) => block_on(|| rt.sync_put(ctx, *t, item)),
             PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PushNode::Run { stages, down } => match convert_run(stages, item) {
                 Some(y) => down.push(ctx, rt, y),
@@ -301,6 +398,32 @@ impl PushNode {
         }
     }
 
+    /// [`PushNode::push`] for a thread that may suspend: a leading run and
+    /// the boundary beyond it are awaited.
+    pub(crate) async fn push_async(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        rt: &mut RtState,
+        item: Item,
+    ) -> PushRes {
+        match self {
+            PushNode::Run { stages, down } => match convert_run(stages, item) {
+                Some(y) => down.push_across(ctx, rt, y).await,
+                None => PushRes::Ok,
+            },
+            node => node.push_across(ctx, rt, item).await,
+        }
+    }
+
+    /// Pushes into this node, awaiting it if it is a boundary.
+    async fn push_across(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
+        match self {
+            PushNode::Buffer(h) => rt.buffer_put(ctx, h, item).await,
+            PushNode::Coro(t) => rt.sync_put(ctx, *t, item).await,
+            node => node.push(ctx, rt, item),
+        }
+    }
+
     /// Visits every stage in this thread's tree.
     pub(crate) fn for_each_stage(&mut self, f: &mut dyn FnMut(NodeId, &mut dyn Stage)) {
         match self {
@@ -328,18 +451,8 @@ impl PushNode {
     pub(crate) fn mark_eos(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) {
         match self {
             PushNode::End => {}
-            PushNode::Buffer(h) => {
-                let wake = h.mark_eos();
-                rt.send_wakeups(ctx, wake);
-            }
-            // The glue's own signal, sent after the last `PUT` was acked:
-            // the coroutine ends its component's input, then its own
-            // stream in turn. It goes at control priority, so
-            // that the end has run down the section before the owner tells
-            // the subscribers.
-            PushNode::Coro(t) => {
-                let urgent = Some(Constraint::priority(Priority::CONTROL));
-                let _ = ctx.send_with(*t, Message::signal(tags::END), urgent);
+            node @ (PushNode::Buffer(_) | PushNode::Coro(_)) => {
+                block_on(|| node.mark_eos_async(ctx, rt))
             }
             PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PushNode::Run { down, .. } | PushNode::Consumer { down, .. } => {
@@ -350,6 +463,33 @@ impl PushNode {
                     b.mark_eos(ctx, rt);
                 }
             }
+        }
+    }
+
+    /// [`PushNode::mark_eos`] for a thread that may suspend: a leading run
+    /// and the boundary beyond it are awaited.
+    pub(crate) async fn mark_eos_async(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) {
+        let beyond_run = match self {
+            PushNode::Run { down, .. } => &mut **down,
+            node => node,
+        };
+        match beyond_run {
+            PushNode::Buffer(h) => {
+                let wake = h.mark_eos();
+                rt.send_wakeups(ctx, wake).await;
+            }
+            // The glue's own signal, sent after the last `PUT` was acked:
+            // the coroutine ends its component's input, then its own
+            // stream in turn. It goes at control priority, so
+            // that the end has run down the section before the owner tells
+            // the subscribers.
+            PushNode::Coro(t) => {
+                let urgent = Some(Constraint::priority(Priority::CONTROL));
+                let _ = ctx
+                    .send_with_async(*t, Message::signal(tags::END), urgent)
+                    .await;
+            }
+            node => node.mark_eos(ctx, rt),
         }
     }
 }

@@ -3,8 +3,8 @@
 
 use super::coroutine::dispatch_event_to;
 use super::nodes::{PullNode, PushNode};
-use super::stagectx::{GetWiring, PutWiring, StageCtx};
-use super::{Pulled, PushRes, RtState};
+use super::stagectx::{ActiveCtx, GetWiring, PutWiring};
+use super::{block_on, Pulled, PushRes, RtState};
 use crate::buffer::BufHandle;
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
 use crate::graph::NodeId;
@@ -194,8 +194,9 @@ impl OwnerFn {
         }
     }
 
-    /// Runs an active endpoint's main function to completion. An endpoint
-    /// ends its stream by returning, unless it was stopped.
+    /// Runs an active endpoint's main function to completion on this OS
+    /// thread. An endpoint ends its stream by returning, unless it was
+    /// stopped.
     fn run_active(&mut self, ctx: &mut Ctx<'_>) {
         let (stage, get, put) = match &mut self.role {
             OwnerRole::ActiveSource { stage, .. } => {
@@ -206,9 +207,9 @@ impl OwnerFn {
             }
             OwnerRole::Pump { .. } => unreachable!("run_active on a pump section"),
         };
-        let mut sctx = StageCtx::wired(ctx, &mut self.rt, get, put);
-        stage.run(&mut sctx);
-        if !sctx.stopping() {
+        let mut actx = ActiveCtx::wired(ctx, &mut self.rt, get, put);
+        block_on(|| stage.run(&mut actx));
+        if !actx.stopping() {
             self.section_ended(ctx);
         }
         self.stopped = true;

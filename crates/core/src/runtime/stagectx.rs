@@ -1,15 +1,18 @@
 //! The contexts handed to component code.
 //!
-//! [`StageCtx`] is what `push`/`pull`/`run` implementations see: `get` and
-//! `put` operations whose meaning depends on where the middleware placed
-//! the component — direct calls into adjacent stages, buffer operations,
-//! or synchronous coroutine messages. The component cannot tell the
-//! difference; that is thread transparency. [`EventCtx`] is the narrower
-//! context available to control-event handlers.
+//! [`StageCtx`] is what `push`/`pull` implementations see, [`ActiveCtx`]
+//! what an active object's `run` sees: `get` and `put` operations whose
+//! meaning depends on where the middleware placed the component — direct
+//! calls into adjacent stages, buffer operations, or synchronous
+//! coroutine messages. The component cannot tell the difference; that is
+//! thread transparency. An active object awaits its `get` and `put`, so
+//! its coroutine can be a polled kernel thread that suspends where it
+//! would otherwise block. [`EventCtx`] is the narrower context available
+//! to control-event handlers.
 
 use super::coroutine::MsgEndpoint;
 use super::nodes::{PullNode, PushNode};
-use super::{Pulled, PushRes, RtState};
+use super::{block_on, Pulled, PushRes, RtState};
 use crate::events::ControlEvent;
 use crate::graph::StageId;
 use crate::item::Item;
@@ -36,13 +39,12 @@ pub(crate) enum PutWiring<'a> {
     Msg(&'a mut MsgEndpoint),
 }
 
-/// The interaction context of a running component.
+/// The interaction context of a running passive component.
 ///
-/// Provided to [`Consumer::push`](crate::Consumer::push),
-/// [`Producer::pull`](crate::Producer::pull), and
-/// [`ActiveObject::run`](crate::ActiveObject::run). All blocking
-/// operations remain receptive to control events: stop requests make
-/// subsequent `get`s return `None` and `put`s become no-ops, with
+/// Provided to [`Consumer::push`](crate::Consumer::push) and
+/// [`Producer::pull`](crate::Producer::pull). All blocking operations
+/// remain receptive to control events: stop requests make subsequent
+/// `get`s return `None` and `put`s become no-ops, with
 /// [`StageCtx::stopping`] turning true.
 pub struct StageCtx<'a, 'k> {
     pub(crate) ctx: &'a mut Ctx<'k>,
@@ -78,7 +80,7 @@ impl<'a, 'k> StageCtx<'a, 'k> {
         let pulled = match &mut self.get {
             GetWiring::None => Pulled::Eos,
             GetWiring::Tree(up) => up.pull(self.ctx, self.rt),
-            GetWiring::Msg(ep) => ep.msg_get(self.ctx, self.rt),
+            GetWiring::Msg(ep) => block_on(|| ep.msg_get(self.ctx, self.rt)),
         };
         match pulled {
             Pulled::Item(item) => {
@@ -98,7 +100,7 @@ impl<'a, 'k> StageCtx<'a, 'k> {
         let res = match &mut self.put {
             PutWiring::None => PushRes::Ok,
             PutWiring::Tree(down) => down.push(self.ctx, self.rt, item),
-            PutWiring::Msg(ep) => ep.msg_put(self.ctx, self.rt, item),
+            PutWiring::Msg(ep) => block_on(|| ep.msg_put(self.ctx, self.rt, item)),
         };
         if res == PushRes::Interrupted {
             self.push_status = PushRes::Interrupted;
@@ -120,14 +122,14 @@ impl<'a, 'k> StageCtx<'a, 'k> {
         self.ctx.now()
     }
 
-    /// Suspends the component until the given kernel time. Intended for
-    /// clock-driven active sinks (audio devices with their own timing,
-    /// §3.1). Returns `false` if interrupted by shutdown.
-    pub fn sleep_until(&mut self, at: Time) -> bool {
-        self.ctx.sleep_until(at).is_ok()
-    }
-
-    /// Suspends the component for a duration of kernel time.
+    /// Blocks the component's thread for a duration of kernel time (a
+    /// clock-driven active object awaits [`ActiveCtx::sleep_until`]
+    /// instead). Returns `false` if interrupted by shutdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics in a stage that an active object's polled coroutine calls
+    /// directly: that thread suspends, it cannot block.
     pub fn sleep(&mut self, d: Duration) -> bool {
         self.ctx.sleep(d).is_ok()
     }
@@ -169,6 +171,104 @@ impl<'a, 'k> StageCtx<'a, 'k> {
 impl std::fmt::Debug for StageCtx<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StageCtx")
+            .field("stopping", &self.rt.stopping)
+            .finish()
+    }
+}
+
+/// The interaction context of an active object's main function
+/// ([`ActiveObject::run`](crate::ActiveObject::run)): [`StageCtx`]'s
+/// operations, with the ones that may wait awaited.
+///
+/// Where every stage its coroutine calls directly runs without blocking,
+/// the coroutine is a polled kernel thread: an awaited `get` or `put`
+/// suspends it, and the kernel's hand-off to the next thread is a poll on
+/// the same OS thread. Elsewhere (a section owner, a coroutine calling a
+/// blocking stage) the same `run` executes on an OS-backed thread, and the
+/// awaits complete in place. All waits remain receptive to control
+/// events, as [`StageCtx`]'s do.
+pub struct ActiveCtx<'a, 'k> {
+    ctx: &'a mut Ctx<'k>,
+    rt: &'a mut RtState,
+    get: GetWiring<'a>,
+    put: PutWiring<'a>,
+}
+
+impl<'a, 'k> ActiveCtx<'a, 'k> {
+    pub(crate) fn wired(
+        ctx: &'a mut Ctx<'k>,
+        rt: &'a mut RtState,
+        get: GetWiring<'a>,
+        put: PutWiring<'a>,
+    ) -> Self {
+        ActiveCtx { ctx, rt, get, put }
+    }
+
+    /// Takes the next item from upstream. Returns `None` at end of stream,
+    /// when the pipeline is stopping, or when a non-blocking upstream is
+    /// empty.
+    pub async fn get(&mut self) -> Option<Item> {
+        let pulled = match &mut self.get {
+            GetWiring::None => Pulled::Eos,
+            GetWiring::Tree(up) => up.pull_async(self.ctx, self.rt).await,
+            GetWiring::Msg(ep) => ep.msg_get(self.ctx, self.rt).await,
+        };
+        match pulled {
+            Pulled::Item(item) => Some(item),
+            _ => None,
+        }
+    }
+
+    /// Sends an item downstream. When the pipeline is stopping the item is
+    /// discarded ([`ActiveCtx::stopping`] turns true).
+    pub async fn put(&mut self, item: Item) {
+        let res = match &mut self.put {
+            PutWiring::None => PushRes::Ok,
+            PutWiring::Tree(down) => down.push_async(self.ctx, self.rt, item).await,
+            PutWiring::Msg(ep) => ep.msg_put(self.ctx, self.rt, item).await,
+        };
+        if res == PushRes::Ok {
+            self.rt.items_moved += 1;
+        }
+    }
+
+    /// Whether a stop request has been observed; the main loop should
+    /// return when this turns true.
+    #[must_use]
+    pub fn stopping(&self) -> bool {
+        self.rt.stopping
+    }
+
+    /// Current kernel time.
+    #[must_use]
+    pub fn now(&self) -> Time {
+        self.ctx.now()
+    }
+
+    /// Waits until the given kernel time: for clock-driven active sinks
+    /// (audio devices with their own timing, §3.1). Returns `false` if
+    /// interrupted by shutdown.
+    pub async fn sleep_until(&mut self, at: Time) -> bool {
+        self.ctx.sleep_until_async(at).await.is_ok()
+    }
+
+    /// Broadcasts a control event to the whole pipeline via the event
+    /// service. On a polled coroutine, a more urgent thread this makes
+    /// runnable runs at the next awaited operation.
+    pub fn broadcast(&mut self, event: &ControlEvent) {
+        self.rt.broadcast(self.ctx, event);
+    }
+
+    /// Posts a raw kernel message, inheriting the current constraint (see
+    /// [`StageCtx::post`]; preemption as in [`ActiveCtx::broadcast`]).
+    pub fn post(&mut self, to: mbthread::ThreadId, msg: mbthread::Message) -> bool {
+        self.ctx.send(to, msg).is_ok()
+    }
+}
+
+impl std::fmt::Debug for ActiveCtx<'_, '_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ActiveCtx")
             .field("stopping", &self.rt.stopping)
             .finish()
     }

@@ -10,7 +10,7 @@
 //! * a **function** — implements [`Function::convert`], a 0-or-1-to-one
 //!   mapping with no interaction,
 //! * an **active object** — implements [`ActiveObject::run`], a main loop
-//!   that freely mixes [`StageCtx::get`] and [`StageCtx::put`].
+//!   that freely mixes [`ActiveCtx::get`] and [`ActiveCtx::put`].
 //!
 //! *Thread transparency* means the choice is purely stylistic: the planner
 //! ([`crate::Pipeline::start`]) decides whether a given component can be
@@ -22,7 +22,9 @@
 
 use crate::events::ControlEvent;
 use crate::item::Item;
-use crate::runtime::{EventCtx, StageCtx};
+use crate::runtime::{ActiveCtx, EventCtx, StageCtx};
+use std::future::Future;
+use std::pin::Pin;
 use typespec::{TypeError, Typespec};
 
 /// Behaviour shared by all activity styles: control events and Typespec
@@ -88,14 +90,34 @@ pub trait Function: Stage {
     fn convert(&mut self, item: Item) -> Option<Item>;
 }
 
+/// An active object's main function as a future: the paper's coroutine,
+/// generated by the compiler from an `async` block.
+pub type ActiveRun<'a> = Pin<Box<dyn Future<Output = ()> + Send + 'a>>;
+
 /// A component with its own main loop (the paper's *active object* style,
 /// Figs. 5–6), e.g. reused legacy code that interleaves sends and receives
 /// however it likes.
+///
+/// ```
+/// use infopipes::{ActiveCtx, ActiveObject, ActiveRun, Stage};
+///
+/// struct Relay;
+/// impl Stage for Relay {}
+/// impl ActiveObject for Relay {
+///     fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+///         Box::pin(async move {
+///             while let Some(item) = ctx.get().await {
+///                 ctx.put(item).await;
+///             }
+///         })
+///     }
+/// }
+/// ```
 pub trait ActiveObject: Stage {
-    /// The component's main function. It should loop, calling
-    /// [`StageCtx::get`]/[`StageCtx::put`], until `get` returns `None`
-    /// (upstream end of stream) or [`StageCtx::stopping`] turns true.
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>);
+    /// The component's main function. It should loop, awaiting
+    /// [`ActiveCtx::get`]/[`ActiveCtx::put`], until `get` returns `None`
+    /// (upstream end of stream) or [`ActiveCtx::stopping`] turns true.
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a>;
 }
 
 /// A component implementation in one of the four activity styles, ready to

@@ -7,8 +7,9 @@ use infopipes::helpers::{
     PullFrag, PushDefrag, PushFrag, RelayConsumer, RelayProducer,
 };
 use infopipes::{
-    ActiveObject, BufferSpec, ClockedPump, ControlEvent, EventCtx, Exec, FreePump, Function, Item,
-    Mode, Node, OnEmpty, OnFull, PipeError, Pipeline, Producer, Stage, StageCtx,
+    ActiveCtx, ActiveObject, ActiveRun, BufferSpec, ClockedPump, ControlEvent, EventCtx, Exec,
+    FreePump, Function, Item, Mode, Node, OnEmpty, OnFull, PipeError, Pipeline, Producer, Stage,
+    StageCtx,
 };
 use mbthread::{Kernel, KernelConfig};
 use parking_lot::Mutex;
@@ -447,13 +448,15 @@ impl Stage for ActiveSource {
 }
 
 impl infopipes::ActiveObject for ActiveSource {
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-        for v in self.items.drain(..) {
-            if ctx.stopping() {
-                break;
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            for v in self.items.drain(..) {
+                if ctx.stopping() {
+                    break;
+                }
+                ctx.put(Item::cloneable(v)).await;
             }
-            ctx.put(Item::cloneable(v));
-        }
+        })
     }
 }
 
@@ -468,12 +471,14 @@ impl Stage for ActiveSink {
 }
 
 impl infopipes::ActiveObject for ActiveSink {
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-        while let Some(item) = ctx.get() {
-            if let Some(v) = item.payload_ref::<u32>() {
-                self.out.lock().push(*v);
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            while let Some(item) = ctx.get().await {
+                if let Some(v) = item.payload_ref::<u32>() {
+                    self.out.lock().push(*v);
+                }
             }
-        }
+        })
     }
 }
 
@@ -656,11 +661,13 @@ fn a_request_taken_after_a_control_event_governs_the_coroutine() {
         }
     }
     impl infopipes::ActiveObject for Tap {
-        fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-            while let Some(item) = ctx.get() {
-                ctx.post(self.probe, Message::signal(self.tag));
-                ctx.put(item);
-            }
+        fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+            Box::pin(async move {
+                while let Some(item) = ctx.get().await {
+                    ctx.post(self.probe, Message::signal(self.tag));
+                    ctx.put(item).await;
+                }
+            })
         }
     }
     struct Poke;
@@ -719,6 +726,121 @@ fn a_request_taken_after_a_control_event_governs_the_coroutine() {
         );
     }
     kernel.shutdown();
+}
+
+#[test]
+fn a_stop_broadcast_reaches_a_blocked_polled_coroutine_within_one_hand_off() {
+    // §4's receptivity while blocked, for a polled coroutine (item 9's
+    // coroutine bound): `c` is blocked in a `PUT` (push position) or a
+    // `GET` (pull position) to the active relay `d` when a stage `d` calls
+    // directly broadcasts `Stop`. The broadcast cannot preempt `d` (a
+    // polled thread gives the CPU away only where it suspends), so `d`
+    // gives way at its next suspension point, and the blocked `PUT` or
+    // `GET` returns to `c` with the stop heard, after that one hand-off.
+    const AT: u32 = 3;
+    /// Switch count when the stop was broadcast.
+    type Broadcast = Arc<Mutex<Option<u64>>>;
+    /// What the first `get` or `put` of `c` to return after the broadcast
+    /// saw: whether it heard the stop, and the switch count.
+    type Heard = Arc<Mutex<Option<(bool, u64)>>>;
+
+    struct Stopper {
+        kernel: Kernel,
+        seen: u32,
+        broadcast: Broadcast,
+    }
+    impl Stage for Stopper {}
+    impl Stopper {
+        fn step(&mut self, ctx: &mut StageCtx<'_, '_>) {
+            self.seen += 1;
+            if self.seen == AT {
+                ctx.broadcast(&ControlEvent::Stop);
+                *self.broadcast.lock() = Some(self.kernel.stats().context_switches);
+            }
+        }
+    }
+    impl infopipes::Consumer for Stopper {
+        fn push(&mut self, ctx: &mut StageCtx<'_, '_>, _item: Item) {
+            self.step(ctx);
+        }
+    }
+    impl Producer for Stopper {
+        fn pull(&mut self, ctx: &mut StageCtx<'_, '_>) -> Option<Item> {
+            self.step(ctx);
+            Some(Item::cloneable(self.seen))
+        }
+    }
+
+    struct Heeds {
+        kernel: Kernel,
+        broadcast: Broadcast,
+        heard: Heard,
+    }
+    impl Stage for Heeds {}
+    impl Heeds {
+        fn stopped(&self, ctx: &ActiveCtx<'_, '_>) -> bool {
+            let mut heard = self.heard.lock();
+            if self.broadcast.lock().is_some() && heard.is_none() {
+                *heard = Some((ctx.stopping(), self.kernel.stats().context_switches));
+            }
+            ctx.stopping()
+        }
+    }
+    impl ActiveObject for Heeds {
+        fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+            Box::pin(async move {
+                loop {
+                    let got = ctx.get().await;
+                    let stopped = self.stopped(ctx);
+                    let Some(item) = got.filter(|_| !stopped) else {
+                        break;
+                    };
+                    ctx.put(item).await;
+                    if self.stopped(ctx) {
+                        break;
+                    }
+                }
+            })
+        }
+    }
+
+    for push in [true, false] {
+        let kernel = virtual_kernel();
+        let broadcast = Broadcast::default();
+        let heard = Heard::default();
+        {
+            let stopper = Stopper {
+                kernel: kernel.clone(),
+                seen: 0,
+                broadcast: Arc::clone(&broadcast),
+            };
+            let heeds = Heeds {
+                kernel: kernel.clone(),
+                broadcast: Arc::clone(&broadcast),
+                heard: Arc::clone(&heard),
+            };
+            let p = Pipeline::new(&kernel, "heeds");
+            let pump = p.add_pump("pump", FreePump::new());
+            let c = p.add_active("c", heeds);
+            let d = p.add_active("d", ActiveRelay::new("d"));
+            if push {
+                let source = p.add_producer("source", IterSource::new("source", 0u32..10));
+                let _ = source >> pump >> c >> d >> p.add_consumer("sink", stopper);
+            } else {
+                let (sink, _) = CollectSink::<u32>::new("sink");
+                let _ = p.add_producer("source", stopper) >> d >> c >> pump;
+                let _ = pump >> p.add_consumer("sink", sink);
+            }
+            let running = p.start().expect("plan");
+            let report = running.report().to_string();
+            assert_eq!(report.matches("coroutine polled").count(), 2, "{report}");
+            running.start_flow().expect("start");
+            running.wait_quiescent();
+        }
+        kernel.shutdown();
+        let at = broadcast.lock().expect("the stop was broadcast");
+        assert_eq!(*heard.lock(), Some((true, at + 1)), "push position: {push}");
+    }
 }
 
 #[test]
@@ -1033,6 +1155,144 @@ fn exec_table_matches_paper() {
 }
 
 #[test]
+fn a_polled_coroutine_sleeps_on_the_kernel_clock() {
+    // A clock-driven active object (§3.1) between the pump and the sink:
+    // its coroutine is polled, so its sleep suspends it, and the timer the
+    // dispatcher fires under the virtual clock grants it the CPU again.
+    struct Pacer;
+    impl Stage for Pacer {}
+    impl ActiveObject for Pacer {
+        fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+            Box::pin(async move {
+                while let Some(item) = ctx.get().await {
+                    let at = ctx.now() + Duration::from_millis(1);
+                    if !ctx.sleep_until(at).await {
+                        break;
+                    }
+                    ctx.put(item).await;
+                }
+            })
+        }
+    }
+    let kernel = virtual_kernel();
+    {
+        let clock = kernel.clone();
+        let arrivals = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&arrivals);
+        let p = Pipeline::new(&kernel, "paced");
+        let source = p.add_producer("source", IterSource::new("source", 0u32..3));
+        let sink = p.add_consumer(
+            "sink",
+            infopipes::helpers::FnSink::new("sink", move |v: u32, _| {
+                log.lock().push((v, clock.now().as_millis()));
+            }),
+        );
+        let _ = source >> p.add_pump("pump", FreePump::new()) >> p.add_active("x", Pacer) >> sink;
+        let running = p.start().expect("plan");
+        let report = running.report().to_string();
+        assert!(report.contains("coroutine polled"), "{report}");
+        running.start_flow().expect("start");
+        running.wait_quiescent();
+        assert_eq!(*arrivals.lock(), vec![(0, 1), (1, 2), (2, 3)]);
+    }
+    kernel.shutdown();
+}
+
+#[test]
+fn an_active_coroutine_is_polled_only_where_nothing_it_calls_blocks() {
+    // Each topology puts one coroutine `x` before or after the pump; the
+    // report says how it is backed, and the section's first line how many
+    // OS threads carry its kernel threads. Every flow still delivers.
+    type Build = fn(&Pipeline, Node<'_>, Node<'_>);
+    let cases: [(&str, Build, &str); 6] = [
+        // Direct stages that never block: a sink, a function run.
+        (
+            "polled",
+            |p, source, sink| {
+                let x = p.add_active("x", ActiveRelay::new("x"));
+                let _ = source >> p.add_pump("pump", FreePump::new()) >> x >> sink;
+            },
+            "2 thread(s) on 1 OS thread(s)",
+        ),
+        (
+            "polled",
+            |p, source, sink| {
+                let x = p.add_active("x", ActiveRelay::new("x"));
+                let f = p.add_function("f", IdentityFn::new("f"));
+                let _ = source >> f >> x >> p.add_pump("pump", FreePump::new()) >> sink;
+            },
+            "2 thread(s) on 1 OS thread(s)",
+        ),
+        // A buffer right after the run is awaited, not called.
+        (
+            "polled",
+            |p, source, sink| {
+                let pump = p.add_pump("pump", FreePump::new());
+                let x = p.add_active("x", ActiveRelay::new("x"));
+                let buf = p.add_buffer("buf", 2);
+                let _ = source >> pump >> x >> buf >> p.add_pump("drain", FreePump::new()) >> sink;
+            },
+            "2 thread(s) on 1 OS thread(s)",
+        ),
+        // A consumer `x` calls directly puts into a buffer: that blocks.
+        (
+            "os-thread",
+            |p, source, sink| {
+                let pump = p.add_pump("pump", FreePump::new());
+                let x = p.add_active("x", ActiveRelay::new("x"));
+                let relay = p.add_consumer("relay", RelayConsumer::new("relay"));
+                let buf = p.add_buffer("buf", 2);
+                let drain = p.add_pump("drain", FreePump::new());
+                let _ = source >> pump >> x >> relay >> buf >> drain >> sink;
+            },
+            "2 thread(s) on 2 OS thread(s)",
+        ),
+        // So does a producer `x` calls that takes from a buffer.
+        (
+            "os-thread",
+            |p, source, sink| {
+                let buf = p.add_buffer("buf", 2);
+                let relay = p.add_producer("relay", RelayProducer::new("relay"));
+                let x = p.add_active("x", ActiveRelay::new("x"));
+                let _ = source >> p.add_pump("fill", FreePump::new()) >> buf >> relay >> x;
+                let _ = x >> p.add_pump("pump", FreePump::new()) >> sink;
+            },
+            "2 thread(s) on 2 OS thread(s)",
+        ),
+        // A passive component in the opposite polarity needs a real stack.
+        (
+            "os-thread",
+            |p, source, sink| {
+                let x = p.add_consumer("x", RelayConsumer::new("x"));
+                let _ = source >> x >> p.add_pump("pump", FreePump::new()) >> sink;
+            },
+            "2 thread(s) on 2 OS thread(s)",
+        ),
+    ];
+    for (backing, build, threads) in cases {
+        let kernel = virtual_kernel();
+        {
+            let p = Pipeline::new(&kernel, "backing");
+            let source = p.add_producer("source", IterSource::new("source", 0u32..5));
+            let (sink, out) = CollectSink::<u32>::new("sink");
+            build(&p, source, p.add_consumer("sink", sink));
+            let running = p.start().expect("plan");
+            let report = running.report().to_string();
+            let line = report
+                .lines()
+                .find(|l| l.trim_start().starts_with("x "))
+                .expect("x is in the report");
+            assert!(line.ends_with(&format!("coroutine {backing}")), "{report}");
+            assert!(report.contains(threads), "{report}");
+            running.start_flow().expect("start");
+            running.wait_quiescent();
+            assert_eq!(*out.lock(), (0..5).collect::<Vec<u32>>(), "{report}");
+        }
+        kernel.shutdown();
+    }
+}
+
+#[test]
 fn every_style_delivers_in_either_position_of_a_buffer_fed_section() {
     // The first section ends while its items still sit in the buffer: only
     // the drained, end-marked buffer ends the input of a coroutine in the
@@ -1102,7 +1362,7 @@ impl Function for EventLogger {
 
 /// Broadcasts a `custom` event, which stays queued on the calling thread
 /// while an active run goes on.
-fn announce(ctx: &mut StageCtx<'_, '_>) {
+fn announce(ctx: &mut ActiveCtx<'_, '_>) {
     ctx.broadcast(&ControlEvent::custom("custom", 0.0));
 }
 
@@ -1116,13 +1376,15 @@ struct ActiveCount {
 impl Stage for ActiveCount {}
 
 impl ActiveObject for ActiveCount {
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-        for i in 0..self.n {
-            ctx.put(Item::cloneable(i));
-            if i == 0 && self.announces {
-                announce(ctx);
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            for i in 0..self.n {
+                ctx.put(Item::cloneable(i)).await;
+                if i == 0 && self.announces {
+                    announce(ctx);
+                }
             }
-        }
+        })
     }
 }
 
@@ -1136,14 +1398,16 @@ struct ActiveTake {
 impl Stage for ActiveTake {}
 
 impl ActiveObject for ActiveTake {
-    fn run(&mut self, ctx: &mut StageCtx<'_, '_>) {
-        for i in 0..self.limit {
-            let Some(item) = ctx.get() else { return };
-            ctx.put(item);
-            if i == 0 && self.announces {
-                announce(ctx);
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            for i in 0..self.limit {
+                let Some(item) = ctx.get().await else { return };
+                ctx.put(item).await;
+                if i == 0 && self.announces {
+                    announce(ctx);
+                }
             }
-        }
+        })
     }
 }
 

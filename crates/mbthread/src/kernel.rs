@@ -7,7 +7,7 @@ use crate::error::KernelError;
 use crate::external::ExternalPort;
 use crate::sched::{self, KState, SchedConfig};
 use crate::stats::{KernelStats, StatCounters};
-use crate::thread::{CodeFn, Flow, ThreadId, ThreadRec};
+use crate::thread::{CodeFn, Flow, PolledFn, ThreadId, ThreadRec};
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
@@ -16,6 +16,7 @@ use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 std::thread_local! {
@@ -27,6 +28,17 @@ std::thread_local! {
 
 pub(crate) fn on_kernel_thread() -> bool {
     IS_KERNEL_THREAD.with(|c| c.get())
+}
+
+std::thread_local! {
+    /// True while this OS thread polls a polled thread's body. A grant to a
+    /// polled thread made in there needs no dispatcher: the poller looks
+    /// at the CPU again as soon as the poll returns.
+    static POLLING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+pub(crate) fn polling() -> bool {
+    POLLING.with(|c| c.get())
 }
 
 /// Configuration for a [`Kernel`].
@@ -121,6 +133,60 @@ impl KernelInner {
         }
     }
 
+    /// Polls the thread holding the CPU for as long as it is a polled
+    /// thread: the calling OS thread, which has nothing to run itself, runs
+    /// it instead of waking another. Each poll runs with the mutex
+    /// released, the wakes owed so far delivered first. A polled body
+    /// that is away (another OS thread is polling it) is left to that
+    /// thread, which looks at the CPU again when it puts the body back.
+    /// Returns whether anything was polled.
+    pub(crate) fn poll_granted(&self, state: &mut KGuard<'_>) -> bool {
+        let mut polled = false;
+        while !state.shutdown {
+            let Some(id) = state.running else { break };
+            let Some(rec) = state.rec_mut(id).filter(|rec| rec.polled) else {
+                break;
+            };
+            let body = rec.body.take();
+            // This OS thread, or the one holding the body, polls it: the
+            // dispatcher is not needed for it.
+            state.wakes.poll = false;
+            let Some(mut body) = body else { break };
+            polled = true;
+            let outcome = state.unlocked(|| {
+                let outer = POLLING.with(|c| c.replace(true));
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    body.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+                }));
+                POLLING.with(|c| c.set(outer));
+                outcome
+            });
+            match outcome {
+                Ok(Poll::Pending) if !state.shutdown => {
+                    if let Some(rec) = state.rec_mut(id) {
+                        rec.body = Some(body);
+                    }
+                    continue;
+                }
+                Ok(Poll::Pending) => {}
+                Ok(Poll::Ready(())) => {
+                    sched::terminate(state, id);
+                    self.reschedule(state);
+                }
+                Err(payload) => {
+                    state.record_panic(id, payload.as_ref());
+                    sched::terminate(state, id);
+                    self.reschedule(state);
+                }
+            }
+            // A body's drop may lock the kernel (a cancelled synchronous
+            // send retires its reply token), and one that panicked may
+            // panic again: the poller must survive it.
+            let _ = state.unlocked(|| panic::catch_unwind(AssertUnwindSafe(|| drop(body))));
+        }
+        polled
+    }
+
     /// Registers a timer and tells the dispatcher about the new deadline.
     pub(crate) fn arm_timer(&self, state: &mut KState, at: Time, kind: TimerKind) -> TimerId {
         let id = sched::add_timer(state, at, kind);
@@ -164,6 +230,31 @@ impl KGuard<'_> {
         }
         let _ = cv.wait_for(self.guard.as_mut().expect("guard held"), timeout);
         true
+    }
+
+    /// Runs `f` with the mutex released, after delivering the wakes this
+    /// critical section owes.
+    pub(crate) fn unlocked<U>(&mut self, f: impl FnOnce() -> U) -> U {
+        let wakes = std::mem::take(&mut self.wakes);
+        let cv_global = &self.inner.cv_global;
+        MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
+            wakes.deliver(cv_global);
+            f()
+        })
+    }
+
+    /// Records the first panic of a user thread and poisons the kernel:
+    /// everything shuts down, so the failure is loud rather than a silent
+    /// hang.
+    fn record_panic(&mut self, me: ThreadId, payload: &(dyn std::any::Any + Send)) {
+        let msg = panic_message(payload);
+        let name = self
+            .rec(me)
+            .map_or_else(|| me.to_string(), |r| r.name.clone());
+        if self.panic.is_none() {
+            self.panic = Some((name, msg));
+        }
+        self.begin_shutdown();
     }
 
     fn deliver_wakes(&mut self) -> bool {
@@ -311,6 +402,37 @@ impl Kernel {
         Ok(id)
     }
 
+    /// Spawns a *polled* user-level thread running `code`: a kernel thread
+    /// like any other — scheduled, granted the CPU and counted in context
+    /// switches the same way — whose body is a future instead of an OS
+    /// thread. Whichever kernel OS thread gives up the CPU to it polls it
+    /// (the dispatcher, when it was granted from outside the kernel), so a
+    /// hand-off to it costs no OS context switch. It has no start hook:
+    /// its code runs from its first message on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Shutdown`] if the kernel is shutting down.
+    pub fn spawn_polled(
+        &self,
+        opts: impl Into<SpawnOptions>,
+        code: impl PolledFn,
+    ) -> Result<ThreadId, KernelError> {
+        let opts = opts.into();
+        let mut state = self.inner.lock();
+        if state.shutdown {
+            return Err(KernelError::Shutdown);
+        }
+        let id = state.add_thread(ThreadRec::new(opts.name, opts.priority, false));
+        let rec = state.rec_mut(id).expect("thread just added");
+        rec.polled = true;
+        rec.body = Some(Box::pin(polled_main(self.clone(), id, code)));
+        state.make_runnable(id);
+        StatCounters::bump(&self.inner.stats.threads_spawned);
+        self.inner.reschedule(&mut state);
+        Ok(id)
+    }
+
     /// Creates a mailbox for an OS thread outside the kernel (e.g. `main`
     /// in an example, or a network receiver). The port can send messages to
     /// kernel threads — including synchronously — and receive replies, but
@@ -392,7 +514,7 @@ impl Kernel {
         for (id, rec) in state.threads() {
             let _ = writeln!(
                 out,
-                "  {id} {:24} {:?} queued={} wait={:?} sleeping={} cur={:?} ext={}",
+                "  {id} {:24} {:?} queued={} wait={:?} sleeping={} cur={:?} ext={} polled={}",
                 rec.name,
                 rec.state,
                 rec.mailbox.len(),
@@ -400,14 +522,16 @@ impl Kernel {
                 rec.sleeping,
                 rec.cur,
                 rec.external,
+                rec.polled,
             );
         }
         out
     }
 
     /// Shuts the kernel down: blocked operations in every thread return
-    /// [`KernelError::Shutdown`], all backing OS threads are joined, and
-    /// the dispatcher exits. Idempotent.
+    /// [`KernelError::Shutdown`], every suspended polled thread's body is
+    /// dropped (outside the kernel mutex), all backing OS threads are
+    /// joined, and the dispatcher exits. Idempotent.
     ///
     /// # Panics
     ///
@@ -418,11 +542,14 @@ impl Kernel {
             !on_kernel_thread(),
             "shutdown must not be called from a kernel thread"
         );
-        let panic_info = {
+        let (panic_info, bodies) = {
             let mut state = self.inner.lock();
             state.begin_shutdown();
-            state.panic.clone()
+            (state.panic.clone(), state.take_bodies())
         };
+        // A body being polled right now is dropped by its poller, which
+        // sees the shutdown when the poll returns.
+        drop(bodies);
         let handles: Vec<_> = std::mem::take(&mut *self.inner.joins.lock());
         for handle in handles {
             let _ = handle.join();
@@ -499,19 +626,22 @@ fn thread_main(inner: &Arc<KernelInner>, me: ThreadId, mut code: Box<dyn CodeFn>
 
     let mut state = inner.lock();
     if let Err(payload) = result {
-        let msg = panic_message(payload.as_ref());
-        let name = state
-            .rec(me)
-            .map_or_else(|| me.to_string(), |r| r.name.clone());
-        if state.panic.is_none() {
-            state.panic = Some((name, msg));
-        }
-        // A panicking thread poisons the kernel: everything shuts down so
-        // the failure is loud rather than a silent hang.
-        state.begin_shutdown();
+        state.record_panic(me, payload.as_ref());
     }
     sched::terminate(&mut state, me);
     inner.reschedule(&mut state);
+}
+
+/// The body of a polled thread: [`thread_main`]'s loop, suspending where
+/// that one parks. Being polled at all means being granted the CPU, so
+/// there is no initial wait.
+async fn polled_main(kernel: Kernel, me: ThreadId, mut code: impl PolledFn) {
+    let mut ctx = Ctx::new_polled(&kernel, me);
+    while let Ok(env) = ctx.main_receive_async().await {
+        if code.on_message(&mut ctx, env).await == Flow::Stop {
+            break;
+        }
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -537,6 +667,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   the same when its own timer firing leaves the kernel quiescent),
 /// * a timer was armed ([`KernelInner::arm_timer`]),
 /// * a clock hold was released,
+/// * a polled thread was granted the CPU by a critical section that no
+///   kernel OS thread follows with a poll: an [`ExternalPort`] send, a
+///   spawn from outside the kernel, an OS-backed thread's exit,
 /// * shutdown began.
 ///
 /// Sends, replies and CPU hand-offs between threads never wake it. Like
@@ -549,11 +682,19 @@ fn dispatcher_main(inner: &Arc<KernelInner>) {
         if state.shutdown {
             // Wake everyone so blocked threads observe shutdown.
             state.begin_shutdown();
+            let bodies = state.take_bodies();
+            drop(state);
+            drop(bodies);
             return;
         }
         let now = inner.now(&state);
         let fired = sched::fire_due_timers(&mut state, &inner.stats, now);
         sched::dispatch(&mut state, &inner.cfg, &inner.stats);
+        // A polled thread granted from outside the kernel, or by a timer
+        // fired here, has no OS thread but this one to run on.
+        if inner.poll_granted(&mut state) {
+            continue;
+        }
         let idle = state.running.is_none();
 
         let slept = match (state.next_timer_deadline(), inner.cfg.clock) {

@@ -23,13 +23,16 @@
 //!   interface.
 //!
 //! Like the paper's platform, the package has *uniprocessor semantics*: at
-//! most one thread of a [`Kernel`] executes at any instant. Each user-level
-//! thread is backed by an OS thread, but a kernel-wide hand-off protocol
-//! guarantees mutual exclusion, which is what makes the Infopipe layer's
-//! synchronized-object components and coroutine sets correct without any
-//! per-component locks. A context switch is therefore a park/unpark pair —
-//! the microsecond-scale cost that §4 of the paper reports, two orders of
-//! magnitude above a plain function call.
+//! most one thread of a [`Kernel`] executes at any instant, under a
+//! kernel-wide hand-off protocol that guarantees mutual exclusion, which
+//! is what makes the Infopipe layer's synchronized-object components and
+//! coroutine sets correct without any per-component locks. A user-level
+//! thread is backed by an OS thread ([`Kernel::spawn`]), and a context
+//! switch to it is a park/unpark pair — the microsecond-scale cost that
+//! §4 of the paper reports. Or it is *polled* ([`Kernel::spawn_polled`]):
+//! its body is a future, and a context switch to it is a poll on the OS
+//! thread that gave up the CPU — the cheap user-level transfer the paper's
+//! coroutines assume.
 //!
 //! # What a message operation costs
 //!
@@ -45,6 +48,17 @@
 //!   finds a message already queued: a thread that blocks hands the CPU
 //!   to the most urgent runnable thread anyway.
 //!
+//! * **A hand-off to a polled thread is a poll, not an OS wake.** An OS
+//!   thread that gives up the CPU to a polled thread polls it itself, in
+//!   its park loop, and goes on polling while the CPU passes from one
+//!   polled thread to the next; a polled thread that blocks makes its poll
+//!   return `Pending`, and the polling OS thread looks at who holds the
+//!   CPU next. A polled thread granted from outside the kernel (an
+//!   [`ExternalPort`] send, a spawn, a timer) is polled by the dispatcher.
+//!   The [`Ctx`] operations a polled thread awaits (`call_async`,
+//!   `reply_and_receive_async`, …) take the same critical sections as
+//!   their blocking forms, so the kernel makes the same scheduling
+//!   decisions and counts the same switches whatever backs a thread.
 //! * **No OS wake is issued with the kernel mutex held.** Granting the CPU
 //!   (or queueing a message for an [`ExternalPort`]) only records the wake;
 //!   the lock guard delivers it after releasing the mutex — a parking
@@ -56,8 +70,9 @@
 //!   thread running or runnable — with a virtual-clock jump or a
 //!   [`Kernel::wait_quiescent`] caller pending, when a timer is armed
 //!   ([`Ctx::set_timer`], [`Ctx::sleep_until`], [`ExternalPort::send_at`]),
-//!   when a [`ClockHold`] is released, and at shutdown. Sends, replies and
-//!   hand-offs between threads never wake it;
+//!   when a [`ClockHold`] is released, when a polled thread is granted the
+//!   CPU with no kernel OS thread there to poll it, and at shutdown.
+//!   Sends, replies and hand-offs between threads never wake it;
 //!   [`KernelStats::dispatcher_wakeups`] counts the times it did wake.
 //! * The hand-off allocates nothing: tag sets of blocked receives are
 //!   copied into a per-thread buffer that is reused, and effective
@@ -124,5 +139,5 @@ pub use external::ExternalPort;
 pub use kernel::{ClockHold, Kernel, KernelConfig};
 pub use message::{Body, Envelope, MatchSpec, Message, Tag};
 pub use stats::KernelStats;
-pub use thread::{CodeFn, Flow, ThreadId};
+pub use thread::{CodeFn, Flow, PolledFn, ThreadId};
 pub use timer::TimerId;

@@ -11,9 +11,10 @@
 use crate::clock::{ClockMode, Time};
 use crate::constraint::{Constraint, Priority};
 use crate::error::SendError;
+use crate::kernel::polling;
 use crate::message::{Envelope, Message, ReplyToken};
 use crate::stats::StatCounters;
-use crate::thread::{RunState, ThreadId, ThreadRec};
+use crate::thread::{Body, RunState, ThreadId, ThreadRec};
 use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
 use parking_lot::Condvar;
 use std::cmp::Ordering;
@@ -28,6 +29,10 @@ use std::sync::Arc;
 pub(crate) struct Wakes {
     /// Notify `cv_global`: the dispatcher and `wait_quiescent` callers.
     pub(crate) dispatcher: bool,
+    /// A polled thread was granted the CPU. An OS thread that polls it
+    /// itself clears this (`KernelInner::poll_granted`); otherwise the
+    /// dispatcher is woken to poll it.
+    pub(crate) poll: bool,
     first: Option<Arc<Condvar>>,
     rest: Vec<Arc<Condvar>>,
 }
@@ -42,7 +47,7 @@ impl Wakes {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        !self.dispatcher && self.first.is_none()
+        !self.dispatcher && !self.poll && self.first.is_none()
     }
 
     /// Issues the wakes. Must be called with the kernel mutex released, so
@@ -51,9 +56,11 @@ impl Wakes {
         for cv in self.first.iter().chain(&self.rest) {
             cv.notify_all();
         }
-        if self.dispatcher {
+        if self.dispatcher || (self.poll && !polling()) {
             // Requested by the idle rule, a timer arming, a clock-hold
-            // release or shutdown (the sites that set `wakes.dispatcher`).
+            // release or shutdown (the sites that set `wakes.dispatcher`),
+            // or a polled thread granted the CPU with no OS thread there
+            // to poll it: inside a poll, the poller is that OS thread.
             cv_global.notify_all();
         }
     }
@@ -211,6 +218,15 @@ impl KState {
         }
     }
 
+    /// Takes every suspended polled thread's body, for the caller to drop
+    /// once the kernel mutex is released: a body's drop may lock it.
+    pub(crate) fn take_bodies(&mut self) -> Vec<Body> {
+        self.threads
+            .iter_mut()
+            .filter_map(|rec| rec.body.take())
+            .collect()
+    }
+
     /// Starts shutdown: every blocked OS thread is woken to observe it.
     pub(crate) fn begin_shutdown(&mut self) {
         self.shutdown = true;
@@ -319,7 +335,8 @@ pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
 }
 
 /// Hands the CPU to `id`: marks it running and records the wake its OS
-/// thread is owed.
+/// thread is owed, or for a polled thread that it needs a poller. A grant
+/// to a different thread is a context switch, whatever backs it.
 pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) {
     debug_assert!(state.running.is_none());
     if state.last_running != Some(id) {
@@ -329,8 +346,12 @@ pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) 
     state.running = Some(id);
     let rec = state.rec_mut(id).expect("granted thread exists");
     rec.state = RunState::Running;
-    let cv = Arc::clone(&rec.cv);
-    state.wakes.push(cv);
+    if rec.polled {
+        state.wakes.poll = true;
+    } else {
+        let cv = Arc::clone(&rec.cv);
+        state.wakes.push(cv);
+    }
 }
 
 /// If the CPU is free, dispatches the best runnable thread. Called (after

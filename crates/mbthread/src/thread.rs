@@ -7,6 +7,8 @@ use crate::message::{Envelope, ReplyToken, SpecRef, Tag};
 use parking_lot::Condvar;
 use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 /// Identifies a thread within its [`Kernel`](crate::Kernel).
@@ -74,6 +76,26 @@ where
     }
 }
 
+/// The behaviour of a *polled* user-level thread
+/// ([`Kernel::spawn_polled`](crate::Kernel::spawn_polled)): a
+/// [`CodeFn`] whose handler is a future. It suspends where an OS-backed
+/// thread parks, in the `*_async` forms of [`Ctx`]'s blocking
+/// operations, so a hand-off to it is a poll on the OS thread that gave
+/// up the CPU rather than an OS context switch.
+///
+/// The handler must not call a blocking [`Ctx`] operation (they panic on
+/// a polled thread); sends that are not awaited defer their preemption to
+/// the thread's next suspension point (see [`Ctx`]).
+pub trait PolledFn: Send + 'static {
+    /// Called once per received message, as [`CodeFn::on_message`] is.
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope)
+        -> impl Future<Output = Flow> + Send;
+}
+
+/// A polled thread's whole life as one future, from its first message to
+/// its return from the main loop.
+pub(crate) type Body = Pin<Box<dyn Future<Output = ()> + Send>>;
+
 /// Scheduler-visible state of a thread.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum RunState {
@@ -125,6 +147,12 @@ pub(crate) struct ThreadRec {
     /// External ports are mailboxes for OS threads outside the kernel's
     /// uniprocessor discipline; they are never scheduled.
     pub(crate) external: bool,
+    /// A polled thread has no OS thread of its own: whichever kernel OS
+    /// thread finds it granted the CPU polls its body.
+    pub(crate) polled: bool,
+    /// A polled thread's body while it is suspended; `None` while some OS
+    /// thread polls it (and always for OS-backed threads).
+    pub(crate) body: Option<Body>,
 }
 
 impl ThreadRec {
@@ -150,6 +178,8 @@ impl ThreadRec {
             ready_seq: 0,
             cv: Arc::new(Condvar::new()),
             external,
+            polled: false,
+            body: None,
         }
     }
 
@@ -193,6 +223,7 @@ impl fmt::Debug for ThreadRec {
             .field("wait", &self.wait_spec())
             .field("sleeping", &self.sleeping)
             .field("cur", &self.cur)
+            .field("polled", &self.polled)
             .finish()
     }
 }

@@ -4,8 +4,9 @@
 
 use mbthread::{
     ClockMode, Constraint, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, MatchSpec,
-    Message, Priority, SpawnOptions, SyncOutcome, Tag, Time,
+    Message, PolledFn, Priority, SpawnOptions, SyncOutcome, Tag, ThreadId, Time,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -595,10 +596,38 @@ fn spawn_replier(kernel: &Kernel) -> mbthread::ThreadId {
         .unwrap()
 }
 
+/// `spawn_replier`'s code on a polled thread.
+struct PolledReplier;
+
+impl PolledFn for PolledReplier {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, mut env: Envelope) -> Flow {
+        while env.wants_reply() {
+            let next = ctx.reply_and_receive_async(&env, Message::signal(DATA), &[DATA]);
+            match next.await {
+                Ok(next) => env = next,
+                Err(_) => return Flow::Stop,
+            }
+        }
+        Flow::Continue
+    }
+}
+
 #[test]
 fn call_and_reply_and_receive_round_trip_costs_two_switches() {
+    for polled in [false, true] {
+        call_round_trip(polled);
+    }
+}
+
+/// The round trip against a replier on an OS thread or a polled one: the
+/// kernel counts the same switches and messages either way.
+fn call_round_trip(polled: bool) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
-    let replier = spawn_replier(&kernel);
+    let replier = if polled {
+        kernel.spawn_polled("replier", PolledReplier).unwrap()
+    } else {
+        spawn_replier(&kernel)
+    };
     let delta = Arc::new(Mutex::new(None));
     let delta2 = Arc::clone(&delta);
     let client = kernel
@@ -730,4 +759,86 @@ fn a_call_that_finds_its_interrupt_queued_is_a_preemption_point() {
     kernel.wait_quiescent();
     assert_eq!(entries(&order), vec!["urgent-ran", "interrupted", "reply"]);
     kernel.shutdown();
+}
+
+/// A polled thread's code that panics on its first message.
+struct Bomb;
+
+impl PolledFn for Bomb {
+    async fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        panic!("boom")
+    }
+}
+
+#[test]
+#[should_panic(expected = "kernel thread 'bomb' panicked: boom")]
+fn a_polled_thread_panic_poisons_the_kernel() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let bomb = kernel.spawn_polled("bomb", Bomb).unwrap();
+    // Granted from outside the kernel, the bomb is polled by the
+    // dispatcher, which must survive the panic to shut down.
+    kernel
+        .external("main")
+        .send(bomb, Message::signal(DATA))
+        .unwrap();
+    kernel.wait_quiescent();
+    kernel.shutdown();
+}
+
+/// Locks the kernel mutex when dropped, which deadlocks a drop made under
+/// that mutex.
+struct LocksOnDrop {
+    kernel: Kernel,
+    dropped: Arc<AtomicBool>,
+}
+
+impl Drop for LocksOnDrop {
+    fn drop(&mut self) {
+        let dump = self.kernel.thread_dump();
+        self.dropped.store(dump.contains("stuck"), Ordering::SeqCst);
+    }
+}
+
+/// A polled thread that blocks for a reply that never comes.
+struct Stuck {
+    server: ThreadId,
+    _guard: LocksOnDrop,
+}
+
+impl PolledFn for Stuck {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        let _ = ctx
+            .call_async(self.server, Message::signal(DATA), None, &[])
+            .await;
+        Flow::Continue
+    }
+}
+
+#[test]
+fn shutdown_drops_a_blocked_polled_thread_outside_the_kernel_mutex() {
+    let kernel = Kernel::new(KernelConfig::default());
+    // Takes the request and never answers it.
+    let server = kernel
+        .spawn("server", |_: &mut Ctx<'_>, _: Envelope| Flow::Continue)
+        .unwrap();
+    let dropped = Arc::new(AtomicBool::new(false));
+    let stuck = Stuck {
+        server,
+        _guard: LocksOnDrop {
+            kernel: kernel.clone(),
+            dropped: Arc::clone(&dropped),
+        },
+    };
+    let stuck = kernel.spawn_polled("stuck", stuck).unwrap();
+    kernel
+        .external("main")
+        .send(stuck, Message::signal(DATA))
+        .unwrap();
+    kernel.wait_quiescent();
+    assert!(!dropped.load(Ordering::SeqCst));
+    kernel.shutdown();
+    assert!(
+        dropped.load(Ordering::SeqCst),
+        "the blocked body was dropped"
+    );
 }

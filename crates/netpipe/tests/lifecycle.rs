@@ -32,13 +32,18 @@
 //! owner (the UDP server's reader, a reader whose binding held the last
 //! handle on its link) neither leaks nor joins itself — a self-join
 //! panics that worker, which the panic hook below turns into a failure.
+//! The kernel keeps the same rule for a polled coroutine: a shutdown while
+//! one is blocked mid-`GET` drops its future, joins every OS thread and
+//! brings home the pooled frame the future held.
+//!
 //! One `#[test]`, so no sibling test's threads or panics blur the count.
 
 #![cfg(target_os = "linux")]
 
-use infopipes::helpers::{CollectSink, FnFunction};
+use infopipes::helpers::{ActiveRelay, CollectSink, FnFunction};
 use infopipes::{
-    BufferSpec, ControlEvent, FreePump, InboxSender, PayloadBytes, Pipeline, StatsRegistry,
+    ActiveCtx, ActiveObject, ActiveRun, BufferSpec, ControlEvent, FreePump, InboxSender, Item,
+    PayloadBytes, Pipeline, Stage, StatsRegistry,
 };
 use mbthread::{Kernel, KernelConfig};
 use netpipe::{
@@ -291,6 +296,48 @@ fn dropped_sender_ends_the_stream<T: Transport>(kernel: &Kernel, transport: &T, 
     drop((server, acceptor, running));
 }
 
+/// An active object that passes items on in pairs: it holds the first of
+/// each pair while it asks for the second.
+struct Pairs;
+
+impl Stage for Pairs {}
+
+impl ActiveObject for Pairs {
+    fn run<'a>(&'a mut self, ctx: &'a mut ActiveCtx<'_, '_>) -> ActiveRun<'a> {
+        Box::pin(async move {
+            while let Some(first) = ctx.get().await {
+                let Some(second) = ctx.get().await else { break };
+                ctx.put(first).await;
+                ctx.put(second).await;
+            }
+        })
+    }
+}
+
+/// `inbox >> relay >> pairs >> pump >> sink`: the two active objects are
+/// polled coroutines in pull position. One pooled frame goes in; `pairs`
+/// takes it and asks `relay` for a second, which waits on the empty
+/// inbox. The kernel is then shut down with `pairs` blocked mid-`GET`,
+/// the frame held by its future.
+fn polled_coroutine_blocked_mid_get(kernel: &Kernel, pool: &BufferPool) {
+    let pipeline = Pipeline::new(kernel, "polled");
+    let (inbox, sender) = pipeline.add_inbox("in", BufferSpec::bounded(4));
+    let relay = pipeline.add_active("relay", ActiveRelay::new("relay"));
+    let pairs = pipeline.add_active("pairs", Pairs);
+    let pump = pipeline.add_pump("pump", FreePump::new());
+    let (sink, got) = CollectSink::<PayloadBytes>::new("sink");
+    let _ = inbox >> relay >> pairs >> pump >> pipeline.add_consumer("sink", sink);
+    let running = pipeline.start().expect("plan");
+    let report = running.report().to_string();
+    assert_eq!(report.matches("coroutine polled").count(), 2, "{report}");
+    running.start_flow().expect("start");
+    let bytes = wire::to_payload_in(pool, 64, &7u32).expect("encode");
+    assert!(sender.put(Item::bytes(bytes)));
+    kernel.wait_quiescent();
+    assert!(got.lock().is_empty());
+    assert_eq!(pool.stats().outstanding, 1, "`pairs` holds the frame");
+}
+
 fn settle(baseline: usize, backend: &str) {
     let deadline = Instant::now() + Duration::from_secs(2);
     while live_threads() > baseline {
@@ -373,6 +420,9 @@ fn every_backend_returns_to_its_thread_baseline() {
         fin_only_link_starts_no_writer(&UdpTransport::new(), sockets[0]);
         dropped_sender_ends_the_stream(k, &UdpTransport::new(), sockets[0]);
     });
+    let pool = BufferPool::new();
+    run("polled", &|k| polled_coroutine_blocked_mid_get(k, &pool));
+    assert_eq!(pool.stats().outstanding, 0, "the held frame leaks");
     assert_eq!(
         PANICS.load(Ordering::SeqCst),
         0,

@@ -4,12 +4,23 @@
 //! and no kernel message per item with every stage a direct call (the
 //! pump cycles in place), 5 threads, 8 switches and 8 messages with four
 //! active objects — and the dispatcher OS thread is never woken.
+//!
+//! The four active objects' coroutines are polled kernel threads: the
+//! coroutine chain runs on two OS threads, the pump's and the
+//! dispatcher's, and every hand-off is a poll on the pump's OS thread,
+//! which therefore goes through the window without sleeping. Both counts
+//! come from procfs, so the two tests run one at a time.
+
+#![cfg(target_os = "linux")]
 
 use infopipes::helpers::{ActiveRelay, FnFunction, FnSink, IdentityFn, IterSource};
 use infopipes::{FreePump, Pipeline};
 use mbthread::{Kernel, KernelConfig, KernelStats};
 use parking_lot::Mutex;
 use std::sync::Arc;
+
+/// Serializes the tests: each counts the process's kernel OS threads.
+static ALONE: Mutex<()> = Mutex::new(());
 
 #[derive(Copy, Clone)]
 enum StageKind {
@@ -25,10 +36,47 @@ const MEASURED: u64 = 2_000;
 /// asks for a cycle through its main loop once after each disturbance.
 const STRAY_MESSAGES: u64 = 4;
 
+/// What the OS says about the thread that delivers an item to the sink.
+#[derive(Debug)]
+struct OsView {
+    /// Name of the delivering OS thread.
+    thread: String,
+    /// Its voluntary context switches so far.
+    voluntary_switches: u64,
+    /// OS threads of this process that back the kernel (named `mbt…`).
+    kernel_os_threads: usize,
+}
+
+impl OsView {
+    fn now() -> OsView {
+        let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+        let voluntary_switches = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("voluntary_ctxt_switches");
+        let comm = |dir: &std::path::Path| {
+            std::fs::read_to_string(dir.join("comm")).map(|name| name.trim().to_owned())
+        };
+        let kernel_os_threads = std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| comm(&task.ok()?.path()).ok())
+            .filter(|name| name.starts_with("mbt"))
+            .count();
+        OsView {
+            thread: comm(std::path::Path::new("/proc/thread-self")).expect("procfs"),
+            voluntary_switches,
+            kernel_os_threads,
+        }
+    }
+}
+
 /// Runs `source → pump → stages → sink` on a real-clock kernel; returns the
 /// planned thread count and the kernel-counter delta between the arrival
-/// of item `WARM` and of item `WARM + MEASURED` at the sink.
-fn run_chain(stages: &[StageKind]) -> (usize, KernelStats) {
+/// of item `WARM` and of item `WARM + MEASURED` at the sink, with the OS
+/// view at both.
+fn run_chain(stages: &[StageKind]) -> (usize, KernelStats, [OsView; 2]) {
+    let _alone = ALONE.lock();
     let kernel = Kernel::new(KernelConfig::default());
     let marks = Arc::new(Mutex::new(Vec::new()));
     let threads = {
@@ -54,7 +102,7 @@ fn run_chain(stages: &[StageKind]) -> (usize, KernelStats) {
             "sink",
             FnSink::new("sink", move |_: u64, _| {
                 if arrived == WARM || arrived == WARM + MEASURED {
-                    marks_in.lock().push(stats_of.stats());
+                    marks_in.lock().push((stats_of.stats(), OsView::now()));
                 }
                 arrived += 1;
             }),
@@ -69,14 +117,16 @@ fn run_chain(stages: &[StageKind]) -> (usize, KernelStats) {
         threads
     };
     kernel.shutdown();
-    let marks = marks.lock();
-    assert_eq!(marks.len(), 2, "the sink saw both window edges");
-    (threads, marks[1].delta_since(&marks[0]))
+    let marks = std::mem::take(&mut *marks.lock());
+    let Ok([(first, start), (last, end)]) = <[_; 2]>::try_from(marks) else {
+        panic!("the sink saw both window edges");
+    };
+    (threads, last.delta_since(&first), [start, end])
 }
 
 #[test]
 fn direct_chain_costs_no_message_per_item_and_no_dispatcher_wake() {
-    let (threads, delta) = run_chain(&[
+    let (threads, delta, _) = run_chain(&[
         Identity, Identity, Identity, Identity, Identity, Identity, Identity, Fold,
     ]);
     assert_eq!(threads, 1);
@@ -92,7 +142,7 @@ fn direct_chain_costs_no_message_per_item_and_no_dispatcher_wake() {
 
 #[test]
 fn coroutine_chain_costs_eight_switches_per_item_and_no_dispatcher_wake() {
-    let (threads, delta) = run_chain(&[
+    let (threads, delta, [start, end]) = run_chain(&[
         Identity, Active, Identity, Active, Identity, Active, Fold, Active,
     ]);
     assert_eq!(threads, 5);
@@ -105,4 +155,13 @@ fn coroutine_chain_costs_eight_switches_per_item_and_no_dispatcher_wake() {
     );
     assert_eq!(delta.sync_sends, 4 * MEASURED);
     assert_eq!(delta.dispatcher_wakeups, 0);
+    // Five kernel threads on two OS threads: the pump's, which polls the
+    // four coroutines and so delivers to the sink, and the dispatcher's.
+    for view in [&start, &end] {
+        assert_eq!(view.thread, "mbt-section-pum", "{view:?}");
+        assert_eq!(view.kernel_os_threads, 2, "{view:?}");
+    }
+    // 16 000 hand-offs, none of them a sleep of the pump's OS thread.
+    let slept = end.voluntary_switches - start.voluntary_switches;
+    assert!(slept <= 4, "the pump's OS thread slept {slept} times");
 }
