@@ -37,13 +37,15 @@
 
 use super::nodes::{PullNode, PushNode};
 use super::stagectx::{ActiveCtx, EventCtx, GetWiring, PutWiring, StageCtx};
-use super::{block_on, Pulled, PushRes, RtState, Shared};
+use super::{Pulled, PushRes, RtState, Shared};
 use crate::error::PipeError;
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget, GetReply};
 use crate::graph::NodeId;
 use crate::item::Item;
 use crate::stage::{Stage, Style};
-use mbthread::{Ctx, Envelope, Flow, Message, PolledFn, Priority, SpawnOptions, ThreadId};
+use mbthread::{
+    Ctx, Envelope, Flow, Message, OnOsThread, PolledFn, Priority, SpawnOptions, ThreadId,
+};
 use std::sync::Arc;
 
 /// A coroutine's position, held as the part of the section tree it calls
@@ -176,11 +178,21 @@ impl CoroFn {
             // Active object anywhere: its own loop, wired per position
             // (Figs. 5 and 6).
             (Style::Active(stage), CoroTree::AnswersGets(up)) => {
-                let mut actx = ActiveCtx::wired(ctx, rt, GetWiring::Tree(up), PutWiring::Msg(ep));
+                let mut actx = ActiveCtx(StageCtx::wired(
+                    ctx,
+                    rt,
+                    GetWiring::Tree(up),
+                    PutWiring::Msg(ep),
+                ));
                 stage.run(&mut actx).await;
             }
             (Style::Active(stage), CoroTree::ReceivesPuts(down)) => {
-                let mut actx = ActiveCtx::wired(ctx, rt, GetWiring::Msg(ep), PutWiring::Tree(down));
+                let mut actx = ActiveCtx(StageCtx::wired(
+                    ctx,
+                    rt,
+                    GetWiring::Msg(ep),
+                    PutWiring::Tree(down),
+                ));
                 stage.run(&mut actx).await;
             }
             // A pull-style (producer) component used in push mode: wrap its
@@ -288,16 +300,6 @@ impl PolledFn for CoroFn {
         let (up, down) = self.tree.parts();
         drain_pending(ctx, &mut self.rt, own, up, down);
         Flow::Continue
-    }
-}
-
-/// A coroutine on an OS thread of its own: the same glue, each of whose
-/// kernel operations parks that thread.
-struct OnOsThread(CoroFn);
-
-impl mbthread::CodeFn for OnOsThread {
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
-        block_on(|| self.0.on_message(ctx, env))
     }
 }
 

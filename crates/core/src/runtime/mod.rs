@@ -41,27 +41,7 @@ use crate::item::Item;
 use mbthread::{Ctx, Envelope, Kernel, Message, SyncOutcome, Tag, ThreadId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-
-/// Runs a glue operation to completion on a thread that parks rather than
-/// suspends: an OS-backed kernel thread, whose async kernel operations
-/// complete within their first poll. A polled thread reaches this only
-/// through stages it calls directly, which the planner admits only where
-/// nothing they reach can suspend (`PullNode::polled`).
-///
-/// The future is made and kept in this function's own frame, out of line:
-/// in the caller's, it would widen every frame of the recursive tree walk
-/// that never blocks (904 bytes instead of 312 for `PushNode::push`).
-#[inline(never)]
-pub(crate) fn block_on<F: Future>(make: impl FnOnce() -> F) -> F::Output {
-    let mut fut = std::pin::pin!(make());
-    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(out) => out,
-        Poll::Pending => unreachable!("a glue operation suspended a thread that must block"),
-    }
-}
 
 /// Result of pulling one item from upstream.
 #[derive(Debug)]

@@ -22,7 +22,7 @@
 
 use super::coroutine::{spawn_coroutine, CoroTree};
 use super::stagectx::{GetWiring, PutWiring, StageCtx};
-use super::{block_on, Pulled, PushRes, RtState, Shared};
+use super::{Pulled, PushRes, RtState, Shared};
 use crate::buffer::BufHandle;
 use crate::error::PipeError;
 use crate::events::tags;
@@ -31,7 +31,7 @@ use crate::item::Item;
 use crate::plan::Exec;
 use crate::stage::{Consumer, Function, Producer, Stage, Style};
 use crate::tee::SplitKind;
-use mbthread::{Constraint, Ctx, Message, Priority, ThreadId};
+use mbthread::{block_on, Constraint, Ctx, Message, Priority, ThreadId};
 use std::sync::Arc;
 
 /// Data reached a node the planner built and launch never spawned.

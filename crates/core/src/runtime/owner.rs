@@ -3,14 +3,14 @@
 
 use super::coroutine::dispatch_event_to;
 use super::nodes::{PullNode, PushNode};
-use super::stagectx::{ActiveCtx, GetWiring, PutWiring};
-use super::{block_on, Pulled, PushRes, RtState};
+use super::stagectx::{ActiveCtx, GetWiring, PutWiring, StageCtx};
+use super::{Pulled, PushRes, RtState};
 use crate::buffer::BufHandle;
 use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
 use crate::graph::NodeId;
 use crate::pump::{CycleOutcome, Pump, Schedule};
 use crate::stage::{ActiveObject, Stage};
-use mbthread::{Constraint, Ctx, Envelope, Flow, Message, TimerId};
+use mbthread::{block_on, Constraint, Ctx, Envelope, Flow, Message, TimerId};
 
 /// Which kind of activity owner runs this section; built by the planner.
 pub(crate) enum OwnerRole {
@@ -207,7 +207,7 @@ impl OwnerFn {
             }
             OwnerRole::Pump { .. } => unreachable!("run_active on a pump section"),
         };
-        let mut actx = ActiveCtx::wired(ctx, &mut self.rt, get, put);
+        let mut actx = ActiveCtx(StageCtx::wired(ctx, &mut self.rt, get, put));
         block_on(|| stage.run(&mut actx));
         if !actx.stopping() {
             self.section_ended(ctx);

@@ -12,11 +12,11 @@
 
 use super::coroutine::MsgEndpoint;
 use super::nodes::{PullNode, PushNode};
-use super::{block_on, Pulled, PushRes, RtState};
+use super::{Pulled, PushRes, RtState};
 use crate::events::ControlEvent;
 use crate::graph::StageId;
 use crate::item::Item;
-use mbthread::{Ctx, Time};
+use mbthread::{block_on, Ctx, Time};
 use std::time::Duration;
 
 /// What `get` is wired to for the current invocation.
@@ -82,6 +82,12 @@ impl<'a, 'k> StageCtx<'a, 'k> {
             GetWiring::Tree(up) => up.pull(self.ctx, self.rt),
             GetWiring::Msg(ep) => block_on(|| ep.msg_get(self.ctx, self.rt)),
         };
+        self.took(pulled)
+    }
+
+    /// What a `get` returns for what it pulled; why it was `None` is kept
+    /// for [`StageCtx::none_reason`].
+    fn took(&mut self, pulled: Pulled) -> Option<Item> {
         match pulled {
             Pulled::Item(item) => {
                 self.last_none = None;
@@ -102,6 +108,11 @@ impl<'a, 'k> StageCtx<'a, 'k> {
             PutWiring::Tree(down) => down.push(self.ctx, self.rt, item),
             PutWiring::Msg(ep) => block_on(|| ep.msg_put(self.ctx, self.rt, item)),
         };
+        self.gave(res);
+    }
+
+    /// Records how a `put` went, for [`StageCtx::push_status`].
+    fn gave(&mut self, res: PushRes) {
         if res == PushRes::Interrupted {
             self.push_status = PushRes::Interrupted;
         } else {
@@ -187,90 +198,63 @@ impl std::fmt::Debug for StageCtx<'_, '_> {
 /// blocking stage) the same `run` executes on an OS-backed thread, and the
 /// awaits complete in place. All waits remain receptive to control
 /// events, as [`StageCtx`]'s do.
-pub struct ActiveCtx<'a, 'k> {
-    ctx: &'a mut Ctx<'k>,
-    rt: &'a mut RtState,
-    get: GetWiring<'a>,
-    put: PutWiring<'a>,
-}
+#[derive(Debug)]
+pub struct ActiveCtx<'a, 'k>(pub(crate) StageCtx<'a, 'k>);
 
-impl<'a, 'k> ActiveCtx<'a, 'k> {
-    pub(crate) fn wired(
-        ctx: &'a mut Ctx<'k>,
-        rt: &'a mut RtState,
-        get: GetWiring<'a>,
-        put: PutWiring<'a>,
-    ) -> Self {
-        ActiveCtx { ctx, rt, get, put }
-    }
-
-    /// Takes the next item from upstream. Returns `None` at end of stream,
-    /// when the pipeline is stopping, or when a non-blocking upstream is
-    /// empty.
+impl ActiveCtx<'_, '_> {
+    /// Takes the next item from upstream (see [`StageCtx::get`]).
     pub async fn get(&mut self) -> Option<Item> {
-        let pulled = match &mut self.get {
+        let s = &mut self.0;
+        let pulled = match &mut s.get {
             GetWiring::None => Pulled::Eos,
-            GetWiring::Tree(up) => up.pull_async(self.ctx, self.rt).await,
-            GetWiring::Msg(ep) => ep.msg_get(self.ctx, self.rt).await,
+            GetWiring::Tree(up) => up.pull_async(s.ctx, s.rt).await,
+            GetWiring::Msg(ep) => ep.msg_get(s.ctx, s.rt).await,
         };
-        match pulled {
-            Pulled::Item(item) => Some(item),
-            _ => None,
-        }
+        s.took(pulled)
     }
 
-    /// Sends an item downstream. When the pipeline is stopping the item is
-    /// discarded ([`ActiveCtx::stopping`] turns true).
+    /// Sends an item downstream (see [`StageCtx::put`]).
     pub async fn put(&mut self, item: Item) {
-        let res = match &mut self.put {
+        let s = &mut self.0;
+        let res = match &mut s.put {
             PutWiring::None => PushRes::Ok,
-            PutWiring::Tree(down) => down.push_async(self.ctx, self.rt, item).await,
-            PutWiring::Msg(ep) => ep.msg_put(self.ctx, self.rt, item).await,
+            PutWiring::Tree(down) => down.push_async(s.ctx, s.rt, item).await,
+            PutWiring::Msg(ep) => ep.msg_put(s.ctx, s.rt, item).await,
         };
-        if res == PushRes::Ok {
-            self.rt.items_moved += 1;
-        }
+        s.gave(res);
     }
 
     /// Whether a stop request has been observed; the main loop should
     /// return when this turns true.
     #[must_use]
     pub fn stopping(&self) -> bool {
-        self.rt.stopping
+        self.0.stopping()
     }
 
     /// Current kernel time.
     #[must_use]
     pub fn now(&self) -> Time {
-        self.ctx.now()
+        self.0.now()
     }
 
     /// Waits until the given kernel time: for clock-driven active sinks
     /// (audio devices with their own timing, §3.1). Returns `false` if
     /// interrupted by shutdown.
     pub async fn sleep_until(&mut self, at: Time) -> bool {
-        self.ctx.sleep_until_async(at).await.is_ok()
+        self.0.ctx.sleep_until_async(at).await.is_ok()
     }
 
-    /// Broadcasts a control event to the whole pipeline via the event
-    /// service. On a polled coroutine, a more urgent thread this makes
-    /// runnable runs at the next awaited operation.
+    /// Broadcasts a control event (see [`StageCtx::broadcast`]). On a
+    /// polled coroutine, a more urgent thread this makes runnable runs at
+    /// the next awaited operation.
     pub fn broadcast(&mut self, event: &ControlEvent) {
-        self.rt.broadcast(self.ctx, event);
+        self.0.broadcast(event);
     }
 
-    /// Posts a raw kernel message, inheriting the current constraint (see
-    /// [`StageCtx::post`]; preemption as in [`ActiveCtx::broadcast`]).
+    /// Posts a raw kernel message (see [`StageCtx::post`]; preemption as
+    /// in [`ActiveCtx::broadcast`]).
     pub fn post(&mut self, to: mbthread::ThreadId, msg: mbthread::Message) -> bool {
-        self.ctx.send(to, msg).is_ok()
-    }
-}
-
-impl std::fmt::Debug for ActiveCtx<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActiveCtx")
-            .field("stopping", &self.rt.stopping)
-            .finish()
+        self.0.post(to, msg)
     }
 }
 

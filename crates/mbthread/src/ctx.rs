@@ -13,7 +13,7 @@ use crate::error::{KernelError, SendError};
 use crate::kernel::{KGuard, Kernel};
 use crate::message::{Envelope, Message, ReplyToken, SpecRef, Tag};
 use crate::sched::{self, KState};
-use crate::thread::{CodeFn, RunState, ThreadId};
+use crate::thread::{block_on, CodeFn, RunState, ThreadId};
 use crate::timer::{TimerId, TimerKind};
 use parking_lot::Condvar;
 use std::future::Future;
@@ -121,21 +121,30 @@ pub enum SyncOutcome {
 ///
 /// # Blocking and polled threads
 ///
-/// A thread's blocking operations ([`Ctx::call`], [`Ctx::receive_tags`],
-/// [`Ctx::sleep_until`], …) park its OS thread until it is granted the
-/// CPU again. Each has an `*_async` form that does the same on an
-/// OS-backed thread (it completes within its first poll) and *suspends*
-/// on a polled thread ([`Kernel::spawn_polled`]): the future returns
-/// `Pending` with the thread blocked in the kernel, and the OS thread
-/// that polled it goes on to poll — or wake — whichever thread the kernel
-/// granted the CPU. A polled thread must use the async forms; the
-/// blocking ones panic there.
+/// Each operation that may wait has one body, an `async fn`
+/// ([`Ctx::call_async`], [`Ctx::receive_tags_async`],
+/// [`Ctx::sleep_until_async`], …), and the kernel takes the same critical
+/// sections in it whatever backs the thread. Only where the thread has
+/// given up the CPU do the two backings part. An OS-backed thread parks its
+/// OS thread there, inside the critical section, until it is granted the
+/// CPU again, so its future completes within its first poll. A polled
+/// thread ([`Kernel::spawn_polled`]) *suspends*: the future returns
+/// `Pending` with the thread blocked in the kernel, the OS thread that
+/// polled it goes on to poll — or wake — whichever thread the kernel
+/// granted the CPU, and the future takes up its operation again once
+/// polled.
+///
+/// A blocking form ([`Ctx::call`], [`Ctx::receive_tags`],
+/// [`Ctx::sleep_until`], …) is its async form run to completion by
+/// [`block_on`](crate::block_on). It panics on a polled thread, before it
+/// touches the kernel: parking the OS thread polling it would stall every
+/// thread that OS thread runs.
 ///
 /// **Deferred preemption.** A send that is not awaited ([`Ctx::send`],
 /// [`Ctx::send_with`], [`Ctx::reply`]) cannot give the CPU away on a
 /// polled thread, since only a suspended future can. A more urgent thread
 /// such a send makes runnable therefore runs no later than the polled
-/// thread's next suspension point: every `*_async` operation first gives
+/// thread's next suspension point: every awaited operation first gives
 /// way to it, as the send would have on an OS-backed thread.
 pub struct Ctx<'k> {
     kernel: &'k Kernel,
@@ -175,8 +184,8 @@ impl<'k> Ctx<'k> {
         }
     }
 
-    /// Fails a blocking operation called on a polled thread: parking the
-    /// OS thread polling it would stall every thread that OS thread runs.
+    /// Fails a blocking form called on a polled thread: parking the OS
+    /// thread polling it would stall every thread that OS thread runs.
     fn must_block(&self, op: &str) {
         assert!(
             !self.polled,
@@ -228,7 +237,7 @@ impl<'k> Ctx<'k> {
     /// Fails if the target does not exist, has terminated, or the kernel is
     /// shutting down.
     pub fn send(&mut self, to: ThreadId, msg: Message) -> Result<(), SendError> {
-        self.post(to, msg, None)
+        self.post(to, msg, None, false).map(drop)
     }
 
     /// Sends a message asynchronously with an explicit constraint
@@ -244,24 +253,7 @@ impl<'k> Ctx<'k> {
         msg: Message,
         constraint: Option<Constraint>,
     ) -> Result<(), SendError> {
-        self.post(to, msg, Some(constraint))
-    }
-
-    /// One critical section per send; `explicit: None` inherits the
-    /// constraint of the message being processed.
-    fn post(
-        &mut self,
-        to: ThreadId,
-        msg: Message,
-        explicit: Option<Option<Constraint>>,
-    ) -> Result<(), SendError> {
-        let inner = &self.kernel.inner;
-        let mut state = inner.lock();
-        let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
-        let env = state.stamp(Some(self.me), msg, constraint);
-        sched::enqueue(&mut state, &inner.stats, to, env)?;
-        let _ = self.maybe_preempt(&mut state);
-        Ok(())
+        self.post(to, msg, Some(constraint), false).map(drop)
     }
 
     /// [`Ctx::send`] as a suspension point: on a polled thread, a more
@@ -294,30 +286,55 @@ impl<'k> Ctx<'k> {
         msg: Message,
         explicit: Option<Option<Constraint>>,
     ) -> Result<(), SendError> {
-        if !self.polled {
-            return self.post(to, msg, explicit);
-        }
         self.settle().await;
-        let gave_way = {
-            let inner = &self.kernel.inner;
-            let mut state = inner.lock();
-            let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
-            let env = state.stamp(Some(self.me), msg, constraint);
-            sched::enqueue(&mut state, &inner.stats, to, env)?;
-            self.give_way_if_preempted(&mut state)
-        };
-        if gave_way {
+        if self.post(to, msg, explicit, true)? {
             Suspend::default().await;
         }
         Ok(())
     }
 
-    /// Sends synchronously and blocks, in one critical section, until the
+    /// One critical section per send, ending in a preemption point;
+    /// `explicit: None` inherits the constraint of the message being
+    /// processed. Returns whether the thread must suspend (see
+    /// [`Ctx::preemption_point`]).
+    fn post(
+        &mut self,
+        to: ThreadId,
+        msg: Message,
+        explicit: Option<Option<Constraint>>,
+        awaited: bool,
+    ) -> Result<bool, SendError> {
+        let inner = &self.kernel.inner;
+        let mut state = inner.lock();
+        let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
+        let env = state.stamp(Some(self.me), msg, constraint);
+        sched::enqueue(&mut state, &inner.stats, to, env)?;
+        Ok(self.preemption_point(&mut state, awaited))
+    }
+
+    /// Sends synchronously and blocks for the reply: see
+    /// [`Ctx::call_async`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::call_async`].
+    pub fn call(
+        &mut self,
+        to: ThreadId,
+        msg: Message,
+        constraint: Option<Constraint>,
+        interrupt_tags: &[Tag],
+    ) -> Result<SyncOutcome, KernelError> {
+        self.must_block("call");
+        block_on(|| self.call_async(to, msg, constraint, interrupt_tags))
+    }
+
+    /// Sends synchronously and waits, in one critical section, until the
     /// reply or a message with one of `interrupt_tags` arrives. This is how
     /// a component blocked in a `push` or `pull` stays receptive to control
     /// events (§4 of the paper): on [`SyncOutcome::Interrupted`], handle the
-    /// interrupt, then resume with [`Ctx::wait_or`]. While the reply is
-    /// outstanding, this thread donates its urgency to the receiver
+    /// interrupt, then resume with [`Ctx::wait_or_async`]. While the reply
+    /// is outstanding, this thread donates its urgency to the receiver
     /// (priority inheritance).
     ///
     /// The request carries `constraint`, or with `None` the constraint of
@@ -330,31 +347,6 @@ impl<'k> Ctx<'k> {
     ///
     /// Fails if the target is unknown or terminated before replying, or
     /// the kernel is shutting down.
-    pub fn call(
-        &mut self,
-        to: ThreadId,
-        msg: Message,
-        constraint: Option<Constraint>,
-        interrupt_tags: &[Tag],
-    ) -> Result<SyncOutcome, KernelError> {
-        self.must_block("call");
-        let inner = &self.kernel.inner;
-        let mut state = inner.lock();
-        let constraint = constraint.or_else(|| self.constraint_of(&state));
-        let token = sched::enqueue_request(&mut state, &inner.stats, self.me, to, msg, constraint)?;
-        let spec = SpecRef::reply_or_tags(token, interrupt_tags);
-        self.preempt_unless_blocking(&mut state, spec);
-        self.await_reply(&mut state, spec, to)
-    }
-
-    /// The async form of [`Ctx::call`]: one critical section sends the
-    /// request and, unless it must give way first, takes the reply or
-    /// blocks for it; a polled thread then suspends until it is granted
-    /// the CPU with the reply (or an interrupt) in its mailbox.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ctx::call`].
     pub async fn call_async(
         &mut self,
         to: ThreadId,
@@ -362,65 +354,55 @@ impl<'k> Ctx<'k> {
         constraint: Option<Constraint>,
         interrupt_tags: &[Tag],
     ) -> Result<SyncOutcome, KernelError> {
-        if !self.polled {
-            return self.call(to, msg, constraint, interrupt_tags);
-        }
         self.settle().await;
-        let (spec, step) = {
+        let (spec, first) = {
             let inner = &self.kernel.inner;
             let mut state = inner.lock();
             let constraint = constraint.or_else(|| self.constraint_of(&state));
             let token =
                 sched::enqueue_request(&mut state, &inner.stats, self.me, to, msg, constraint)?;
             let spec = SpecRef::reply_or_tags(token, interrupt_tags);
-            (spec, self.take_unless_giving_way(&mut state, spec, true)?)
+            let first = self.take_after_send(&mut state, spec, Receipt::Reply)?;
+            (spec, first)
         };
-        let env = match step {
-            Some(env) => env,
-            None => self.receive_polled(spec, true).await?,
-        };
+        let env = self.receive_rest(first, spec, Receipt::Reply).await?;
         Ok(self.reply_outcome(env, spec, to))
     }
 
-    /// Resumes the wait of an interrupted [`Ctx::call`]: blocks until either
-    /// the reply arrives or another message with one of `interrupt_tags`
-    /// does.
+    /// Resumes the wait of an interrupted [`Ctx::call`]: see
+    /// [`Ctx::wait_or_async`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::wait_or_async`].
+    pub fn wait_or(
+        &mut self,
+        pending: PendingReply,
+        interrupt_tags: &[Tag],
+    ) -> Result<SyncOutcome, KernelError> {
+        self.must_block("wait_or");
+        block_on(|| self.wait_or_async(pending, interrupt_tags))
+    }
+
+    /// Resumes the wait of an interrupted [`Ctx::call_async`]: waits until
+    /// either the reply arrives or another message with one of
+    /// `interrupt_tags` does.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::PeerGone`] if the receiver terminated without
     /// replying, or [`KernelError::Shutdown`].
-    pub fn wait_or(
-        &mut self,
-        mut pending: PendingReply,
-        interrupt_tags: &[Tag],
-    ) -> Result<SyncOutcome, KernelError> {
-        // The wait passes to `await_reply`, which hands out a fresh
-        // `PendingReply` if it is interrupted again.
-        self.must_block("wait_or");
-        pending.consume();
-        let mut state = self.kernel.inner.lock();
-        let spec = SpecRef::reply_or_tags(pending.token, interrupt_tags);
-        self.await_reply(&mut state, spec, pending.to)
-    }
-
-    /// The async form of [`Ctx::wait_or`] (see [`Ctx::call_async`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Ctx::wait_or`].
     pub async fn wait_or_async(
         &mut self,
         mut pending: PendingReply,
         interrupt_tags: &[Tag],
     ) -> Result<SyncOutcome, KernelError> {
-        if !self.polled {
-            return self.wait_or(pending, interrupt_tags);
-        }
         self.settle().await;
+        // The wait passes to this receive, which hands out a fresh
+        // `PendingReply` if it is interrupted again.
         pending.consume();
         let spec = SpecRef::reply_or_tags(pending.token, interrupt_tags);
-        let env = self.receive_polled(spec, true).await?;
+        let env = self.receive_spec(spec, Receipt::Reply).await?;
         Ok(self.reply_outcome(env, spec, pending.to))
     }
 
@@ -447,14 +429,7 @@ impl<'k> Ctx<'k> {
     /// (or was already replied to); [`SendError::UnknownThread`] if the
     /// requester has terminated.
     pub fn reply(&mut self, env: &Envelope, msg: Message) -> Result<(), SendError> {
-        self.reply_along(ReplyRoute::of(env), msg)
-    }
-
-    fn reply_along(&mut self, route: ReplyRoute, msg: Message) -> Result<(), SendError> {
-        let mut state = self.kernel.inner.lock();
-        self.reply_locked(&mut state, route, msg)?;
-        let _ = self.maybe_preempt(&mut state);
-        Ok(())
+        self.reply_along(ReplyRoute::of(env), msg, false).map(drop)
     }
 
     /// [`Ctx::reply`] as a suspension point (see [`Ctx::send_async`]). The
@@ -470,32 +445,29 @@ impl<'k> Ctx<'k> {
     ) -> impl Future<Output = Result<(), SendError>> + Send + use<'s, 'k> {
         let route = ReplyRoute::of(env);
         async move {
-            if !self.polled {
-                return self.reply_along(route, msg);
-            }
             self.settle().await;
-            let gave_way = {
-                let mut state = self.kernel.inner.lock();
-                self.reply_locked(&mut state, route, msg)?;
-                self.give_way_if_preempted(&mut state)
-            };
-            if gave_way {
+            if self.reply_along(route, msg, true)? {
                 Suspend::default().await;
             }
             Ok(())
         }
     }
 
+    /// A reply in one critical section, ending in a preemption point (see
+    /// [`Ctx::post`]).
+    fn reply_along(
+        &mut self,
+        route: ReplyRoute,
+        msg: Message,
+        awaited: bool,
+    ) -> Result<bool, SendError> {
+        let mut state = self.kernel.inner.lock();
+        self.reply_locked(&mut state, route, msg)?;
+        Ok(self.preemption_point(&mut state, awaited))
+    }
+
     /// Replies to `req` and blocks for the next message whose tag is in
-    /// `tags`, in one critical section: the server side of a hand-off. The
-    /// received message is taken as [`Ctx::receive_tags`] takes it, so a
-    /// request received here becomes the message this thread processes.
-    ///
-    /// A reply that [`Ctx::reply`] would refuse (the requester gave up its
-    /// wait or terminated) is dropped, and the receive goes ahead. The
-    /// reply is a preemption point only if a matching message is already
-    /// queued: otherwise the thread blocks, which hands the CPU to the most
-    /// urgent runnable thread anyway.
+    /// `tags`: see [`Ctx::reply_and_receive_async`].
     ///
     /// # Errors
     ///
@@ -506,30 +478,25 @@ impl<'k> Ctx<'k> {
         msg: Message,
         tags: &[Tag],
     ) -> Result<Envelope, KernelError> {
-        self.reply_along_and_receive(ReplyRoute::of(req), msg, tags)
-    }
-
-    fn reply_along_and_receive(
-        &mut self,
-        route: ReplyRoute,
-        msg: Message,
-        tags: &[Tag],
-    ) -> Result<Envelope, KernelError> {
         self.must_block("reply_and_receive");
-        let mut state = self.kernel.inner.lock();
-        let _ = self.reply_locked(&mut state, route, msg);
-        let spec = SpecRef::tags(tags);
-        self.preempt_unless_blocking(&mut state, spec);
-        self.receive_locked(&mut state, spec, false)
+        block_on(|| self.reply_and_receive_async(req, msg, tags))
     }
 
-    /// The async form of [`Ctx::reply_and_receive`]: still one critical
-    /// section for the reply and the receive, unless the thread must give
-    /// way in between. The future holds what the reply needs of `req`.
+    /// Replies to `req` and waits for the next message whose tag is in
+    /// `tags`, in one critical section: the server side of a hand-off. The
+    /// received message is taken as [`Ctx::receive_tags_async`] takes it,
+    /// so a request received here becomes the message this thread
+    /// processes. The future holds what the reply needs of `req`.
+    ///
+    /// A reply that [`Ctx::reply`] would refuse (the requester gave up its
+    /// wait or terminated) is dropped, and the receive goes ahead. The
+    /// reply is a preemption point only if a matching message is already
+    /// queued: otherwise the thread blocks, which hands the CPU to the most
+    /// urgent runnable thread anyway.
     ///
     /// # Errors
     ///
-    /// As [`Ctx::reply_and_receive`].
+    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn reply_and_receive_async<'s, 't>(
         &'s mut self,
         req: &Envelope,
@@ -538,20 +505,14 @@ impl<'k> Ctx<'k> {
     ) -> impl Future<Output = Result<Envelope, KernelError>> + Send + use<'s, 't, 'k> {
         let route = ReplyRoute::of(req);
         async move {
-            if !self.polled {
-                return self.reply_along_and_receive(route, msg, tags);
-            }
             self.settle().await;
             let spec = SpecRef::tags(tags);
-            let step = {
+            let first = {
                 let mut state = self.kernel.inner.lock();
                 let _ = self.reply_locked(&mut state, route, msg);
-                self.take_unless_giving_way(&mut state, spec, false)?
+                self.take_after_send(&mut state, spec, Receipt::Nested)?
             };
-            match step {
-                Some(env) => Ok(env),
-                None => self.receive_polled(spec, false).await,
-            }
+            self.receive_rest(first, spec, Receipt::Nested).await
         }
     }
 
@@ -559,7 +520,7 @@ impl<'k> Ctx<'k> {
     // Receiving
     // ------------------------------------------------------------------
 
-    /// Suspends until any message arrives. Used for mid-processing waits:
+    /// Blocks until any message arrives. Used for mid-processing waits:
     /// the constraint of the outer message being processed stays current,
     /// unless the received envelope is a request (it
     /// [wants a reply](Envelope::wants_reply)). This thread then serves
@@ -577,87 +538,59 @@ impl<'k> Ctx<'k> {
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive(&mut self) -> Result<Envelope, KernelError> {
         self.must_block("receive");
-        self.blocking_receive(SpecRef::ANY)
+        block_on(|| self.receive_spec(SpecRef::ANY, Receipt::Nested))
     }
 
-    /// Suspends until a message whose tag is in `tags` arrives;
-    /// non-matching messages stay queued in arrival order. A received
-    /// request becomes current as in [`Ctx::receive`].
+    /// Blocks until a message whose tag is in `tags` arrives: see
+    /// [`Ctx::receive_tags_async`].
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive_tags(&mut self, tags: &[Tag]) -> Result<Envelope, KernelError> {
         self.must_block("receive_tags");
-        self.blocking_receive(SpecRef::tags(tags))
+        block_on(|| self.receive_tags_async(tags))
     }
 
-    /// The async form of [`Ctx::receive_tags`].
+    /// Waits until a message whose tag is in `tags` arrives; non-matching
+    /// messages stay queued in arrival order. A received request becomes
+    /// current as in [`Ctx::receive`].
     ///
     /// # Errors
     ///
-    /// As [`Ctx::receive_tags`].
+    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub async fn receive_tags_async(&mut self, tags: &[Tag]) -> Result<Envelope, KernelError> {
-        if !self.polled {
-            return self.receive_tags(tags);
-        }
         self.settle().await;
-        self.receive_polled(SpecRef::tags(tags), false).await
+        self.receive_spec(SpecRef::tags(tags), Receipt::Nested)
+            .await
+    }
+
+    /// [`Ctx::main_receive_async`] for an OS-backed thread's main loop.
+    ///
+    /// Out of line: inlined, it widens `thread_main`'s frame and so moves
+    /// the stack that every handler of the thread runs on. That alone, with
+    /// no added work, slowed the direct chain benchmark by ~5 %.
+    #[inline(never)]
+    pub(crate) fn main_receive(&mut self) -> Result<Envelope, KernelError> {
+        self.must_block("main_receive");
+        block_on(|| self.main_receive_async())
     }
 
     /// Top-level receive for the thread main loop. In the critical section
-    /// that dequeues the next message it also retires the previous
-    /// message's constraint and records the new one as the thread's
-    /// current constraint.
-    pub(crate) fn main_receive(&mut self) -> Result<Envelope, KernelError> {
-        let mut state = self.kernel.inner.lock();
-        Self::retire_message(&mut state, self.me);
-        let env = self.receive_locked(&mut state, SpecRef::ANY, false)?;
-        Self::process_message(&mut state, self.me, &env);
-        Ok(env)
-    }
-
-    /// [`Ctx::main_receive`] for a polled thread's main loop.
+    /// that takes the next message it also retires the previous message's
+    /// constraint and records the new one as the thread's current
+    /// constraint.
     pub(crate) async fn main_receive_async(&mut self) -> Result<Envelope, KernelError> {
         self.settle().await;
-        let mut waited = false;
-        loop {
-            if waited {
-                Suspend::default().await;
+        let first = {
+            let mut state = self.kernel.inner.lock();
+            if let Some(rec) = state.rec_mut(self.me) {
+                rec.cur = None;
+                rec.processing = false;
             }
-            let step = {
-                let mut state = self.kernel.inner.lock();
-                if !waited {
-                    Self::retire_message(&mut state, self.me);
-                }
-                let step = self.take_or_block(&mut state, SpecRef::ANY, false)?;
-                if let Some(env) = &step {
-                    Self::process_message(&mut state, self.me, env);
-                }
-                step
-            };
-            if let Some(env) = step {
-                return Ok(env);
-            }
-            waited = true;
-        }
-    }
-
-    /// Between two top-level messages: the previous one's constraint is
-    /// no longer current.
-    fn retire_message(state: &mut KState, me: ThreadId) {
-        if let Some(rec) = state.rec_mut(me) {
-            rec.cur = None;
-            rec.processing = false;
-        }
-    }
-
-    /// A top-level message is taken: its constraint becomes current.
-    fn process_message(state: &mut KState, me: ThreadId, env: &Envelope) {
-        if let Some(rec) = state.rec_mut(me) {
-            rec.cur = env.constraint();
-            rec.processing = true;
-        }
+            self.take_or_wait(&mut state, SpecRef::ANY, Receipt::Main)?
+        };
+        self.receive_rest(first, SpecRef::ANY, Receipt::Main).await
     }
 
     /// Whether this thread may go on with work of its own choosing instead
@@ -680,9 +613,13 @@ impl<'k> Ctx<'k> {
         }
         self.quiet_at = None;
         let mut state = inner.lock();
-        // `maybe_preempt` fails only once shutdown has begun; the mailbox
-        // is looked at after it, for what arrived while the CPU was away.
-        if state.shutdown || self.maybe_preempt(&mut state).is_err() || self.owes_preemption {
+        if state.shutdown {
+            return false;
+        }
+        self.preemption_point(&mut state, false);
+        // The mailbox is looked at after the preemption point, for what
+        // arrived while the CPU was away.
+        if state.shutdown || self.owes_preemption {
             return false;
         }
         if state.rec(self.me).is_some_and(|rec| rec.mailbox.is_empty()) {
@@ -695,58 +632,67 @@ impl<'k> Ctx<'k> {
     // Time
     // ------------------------------------------------------------------
 
-    /// Suspends this thread until the given kernel time.
+    /// Blocks this thread until the given kernel time: see
+    /// [`Ctx::sleep_until_async`].
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn sleep_until(&mut self, at: Time) -> Result<(), KernelError> {
         self.must_block("sleep_until");
-        let mut state = self.kernel.inner.lock();
-        self.sleep_locked(&mut state, at)
+        block_on(|| self.sleep_until_async(at))
     }
 
-    /// The async form of [`Ctx::sleep_until`].
+    /// Suspends this thread until the given kernel time; one that has
+    /// passed gives up the CPU to any other runnable thread.
     ///
     /// # Errors
     ///
-    /// As [`Ctx::sleep_until`].
+    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub async fn sleep_until_async(&mut self, at: Time) -> Result<(), KernelError> {
-        if !self.polled {
-            return self.sleep_until(at);
-        }
-        self.settle().await;
-        {
-            let mut state = self.kernel.inner.lock();
-            if at <= self.kernel.inner.now(&state) {
-                self.give_way(&mut state)?;
-            } else {
-                self.fall_asleep(&mut state, at)?;
-            }
-        }
-        Suspend::default().await;
-        Ok(())
+        self.pause(move |_| at).await
     }
 
-    /// Suspends this thread for the given duration (in kernel time).
+    /// Blocks this thread for the given duration (in kernel time).
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn sleep(&mut self, d: Duration) -> Result<(), KernelError> {
         self.must_block("sleep");
-        let inner = &self.kernel.inner;
-        let mut state = inner.lock();
-        let at = inner.now(&state) + d;
-        self.sleep_locked(&mut state, at)
+        block_on(|| self.pause(move |now| now + d))
     }
 
-    fn sleep_locked(&self, state: &mut KGuard<'_>, at: Time) -> Result<(), KernelError> {
-        if at <= self.kernel.inner.now(state) {
-            return self.yield_cpu(state);
+    /// Offers the CPU to any other runnable thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
+    pub fn yield_now(&mut self) -> Result<(), KernelError> {
+        self.must_block("yield_now");
+        block_on(|| self.pause(|now| now))
+    }
+
+    /// Gives up the CPU until kernel time `until(now)`, in one critical
+    /// section: a time that is not later than now leaves the thread
+    /// runnable.
+    async fn pause(&mut self, until: impl FnOnce(Time) -> Time) -> Result<(), KernelError> {
+        self.settle().await;
+        let suspend = {
+            let mut state = self.kernel.inner.lock();
+            let now = self.kernel.inner.now(&state);
+            let at = until(now);
+            if at <= now {
+                self.give_way(&mut state)?;
+            } else {
+                self.fall_asleep(&mut state, at)?;
+            }
+            self.regain_cpu(&mut state)?
+        };
+        if suspend {
+            Suspend::default().await;
         }
-        self.fall_asleep(state, at)?;
-        self.park(state)
+        Ok(())
     }
 
     /// Blocks this thread until a timer at `at` and gives up the CPU.
@@ -762,17 +708,6 @@ impl<'k> Ctx<'k> {
         state.running = None;
         inner.reschedule(state);
         Ok(())
-    }
-
-    /// Offers the CPU to any other runnable thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
-    pub fn yield_now(&mut self) -> Result<(), KernelError> {
-        self.must_block("yield_now");
-        let mut state = self.kernel.inner.lock();
-        self.yield_cpu(&mut state)
     }
 
     /// Asks the kernel to deliver `msg` to this thread at the given time,
@@ -828,18 +763,6 @@ impl<'k> Ctx<'k> {
         sched::enqueue(state, &self.kernel.inner.stats, to, reply_env)
     }
 
-    /// The blocking half of a synchronous send to `to`: the reply, or an
-    /// interrupt with the wait still pending.
-    fn await_reply(
-        &self,
-        state: &mut KGuard<'_>,
-        spec: SpecRef<'_>,
-        to: ThreadId,
-    ) -> Result<SyncOutcome, KernelError> {
-        let env = self.receive_locked(state, spec, true)?;
-        Ok(self.reply_outcome(env, spec, to))
-    }
-
     /// What a synchronous send's wait received: the reply, or an interrupt
     /// with the wait still pending.
     fn reply_outcome(&self, env: Envelope, spec: SpecRef<'_>, to: ThreadId) -> SyncOutcome {
@@ -856,68 +779,63 @@ impl<'k> Ctx<'k> {
         SyncOutcome::Interrupted(pending, env)
     }
 
-    /// The send half of a combined send-and-receive is a preemption point
-    /// only when the receive half will not block; blocking dispatches the
-    /// most urgent runnable thread anyway.
-    fn preempt_unless_blocking(&mut self, state: &mut KGuard<'_>, spec: SpecRef<'_>) {
-        if Self::has_match(state, self.me, spec) {
-            // A failure means shutdown, which the receive reports.
-            let _ = self.maybe_preempt(state);
-        }
-    }
-
-    fn has_match(state: &KState, me: ThreadId, spec: SpecRef<'_>) -> bool {
-        state
-            .rec(me)
-            .is_some_and(|rec| rec.find_match(spec).is_some())
-    }
-
-    /// The polled receive half of a combined send-and-receive, in the
-    /// send's critical section: [`Ctx::preempt_unless_blocking`], then the
-    /// receive's first attempt. `None` means the thread gave up the CPU
-    /// and must suspend, then receive.
-    fn take_unless_giving_way(
+    /// The receive half of a combined send-and-receive, in the send's
+    /// critical section. The send is a preemption point only when the
+    /// receive will not block, since blocking hands the CPU to the most
+    /// urgent runnable thread anyway; then comes the receive's first
+    /// attempt. `None` means the thread gave up the CPU and must suspend.
+    fn take_after_send(
         &mut self,
         state: &mut KGuard<'_>,
         spec: SpecRef<'_>,
-        sync: bool,
+        receipt: Receipt,
     ) -> Result<Option<Envelope>, KernelError> {
-        if Self::has_match(state, self.me, spec) && self.give_way_if_preempted(state) {
+        let queued = state
+            .rec(self.me)
+            .is_some_and(|rec| rec.find_match(spec).is_some());
+        if queued && self.preemption_point(state, true) {
             return Ok(None);
         }
-        self.take_or_block(state, spec, sync)
+        self.take_or_wait(state, spec, receipt)
     }
 
-    /// Suspends a polled thread that has given up the CPU until it is
-    /// granted it again, then receives as [`Ctx::receive_locked`] does.
-    async fn receive_polled(
+    /// A receive in critical sections of its own.
+    async fn receive_spec(
         &mut self,
         spec: SpecRef<'_>,
-        sync: bool,
+        receipt: Receipt,
+    ) -> Result<Envelope, KernelError> {
+        let first = self.take_or_wait(&mut self.kernel.inner.lock(), spec, receipt)?;
+        self.receive_rest(first, spec, receipt).await
+    }
+
+    /// The rest of a receive after its first attempt: `None` means the
+    /// thread is polled and gave up the CPU, so it suspends until it is
+    /// granted the CPU again, then tries again, as often as it takes.
+    async fn receive_rest(
+        &mut self,
+        mut step: Option<Envelope>,
+        spec: SpecRef<'_>,
+        receipt: Receipt,
     ) -> Result<Envelope, KernelError> {
         loop {
-            Suspend::default().await;
-            let step = {
-                let mut state = self.kernel.inner.lock();
-                self.take_or_block(&mut state, spec, sync)?
-            };
             if let Some(env) = step {
                 return Ok(env);
             }
+            Suspend::default().await;
+            step = self.take_or_wait(&mut self.kernel.inner.lock(), spec, receipt)?;
         }
     }
 
     /// A polled thread's owed preemption: if a send since its last
     /// suspension found a more urgent thread runnable, it gives way now.
+    /// Every awaited operation begins here.
     async fn settle(&mut self) {
         if !std::mem::take(&mut self.owes_preemption) {
             return;
         }
-        let gave_way = {
-            let mut state = self.kernel.inner.lock();
-            self.give_way_if_preempted(&mut state)
-        };
-        if gave_way {
+        let suspend = self.preemption_point(&mut self.kernel.inner.lock(), true);
+        if suspend {
             Suspend::default().await;
         }
     }
@@ -952,75 +870,62 @@ impl<'k> Ctx<'k> {
         }
     }
 
-    /// A mid-processing receive in a critical section of its own.
-    fn blocking_receive(&mut self, spec: SpecRef<'_>) -> Result<Envelope, KernelError> {
-        let mut state = self.kernel.inner.lock();
-        self.receive_locked(&mut state, spec, false)
-    }
-
-    /// The core blocking receive: takes a matching message or gives up the
-    /// CPU until one arrives. With `sync`, the receive is the wait of an
-    /// outstanding synchronous send: it fails when the peer terminates, and
-    /// the reply's arrival ends the priority donation to the peer. Without
-    /// it, a received request becomes the message being processed.
-    fn receive_locked(
-        &self,
-        state: &mut KGuard<'_>,
-        spec: SpecRef<'_>,
-        sync: bool,
-    ) -> Result<Envelope, KernelError> {
-        loop {
-            if let Some(env) = self.take_or_block(state, spec, sync)? {
-                return Ok(env);
-            }
-            self.park(state)?;
+    /// The thread has given up the CPU in this critical section. An
+    /// OS-backed thread parks until it is granted the CPU again and returns
+    /// `false`; a polled one returns `true`: it must suspend, and is polled
+    /// again once granted.
+    fn regain_cpu(&self, state: &mut KGuard<'_>) -> Result<bool, KernelError> {
+        if self.polled {
+            return Ok(true);
         }
+        self.park(state).map(|()| false)
     }
 
     /// One attempt of a receive: takes a matching message, or blocks this
-    /// thread on `spec` and gives up the CPU (`None`).
-    fn take_or_block(
+    /// thread on `spec` and gives up the CPU. An OS-backed thread then
+    /// parks in place and tries again, so it returns a message; a polled
+    /// one returns `None`: it must suspend before it tries again.
+    fn take_or_wait(
         &self,
         state: &mut KGuard<'_>,
         spec: SpecRef<'_>,
-        sync: bool,
+        receipt: Receipt,
     ) -> Result<Option<Envelope>, KernelError> {
-        if state.shutdown {
-            return Err(KernelError::Shutdown);
-        }
-        {
-            let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
-            if sync {
-                if let Some(peer) = rec.peer_gone.take() {
-                    rec.waiting_on = None;
-                    return Err(KernelError::PeerGone(peer));
-                }
+        loop {
+            if state.shutdown {
+                return Err(KernelError::Shutdown);
             }
-            if let Some(idx) = rec.find_match(spec) {
-                let env = rec.mailbox.remove(idx).expect("index from find_match");
-                if sync {
-                    if spec.is_reply(&env) {
+            {
+                let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
+                if receipt == Receipt::Reply {
+                    if let Some(peer) = rec.peer_gone.take() {
                         rec.waiting_on = None;
+                        return Err(KernelError::PeerGone(peer));
                     }
-                } else if env.wants_reply() {
-                    rec.cur = env.constraint();
-                    rec.processing = true;
                 }
-                return Ok(Some(env));
+                if let Some(idx) = rec.find_match(spec) {
+                    let env = rec.mailbox.remove(idx).expect("index from find_match");
+                    match receipt {
+                        Receipt::Reply if spec.is_reply(&env) => rec.waiting_on = None,
+                        Receipt::Reply => {}
+                        Receipt::Nested if !env.wants_reply() => {}
+                        Receipt::Nested | Receipt::Main => {
+                            rec.cur = env.constraint();
+                            rec.processing = true;
+                        }
+                    }
+                    return Ok(Some(env));
+                }
+                rec.state = RunState::Blocked;
+                rec.set_wait(spec);
             }
-            rec.state = RunState::Blocked;
-            rec.set_wait(spec);
+            debug_assert_eq!(state.running, Some(self.me));
+            state.running = None;
+            self.kernel.inner.reschedule(state);
+            if self.regain_cpu(state)? {
+                return Ok(None);
+            }
         }
-        debug_assert_eq!(state.running, Some(self.me));
-        state.running = None;
-        self.kernel.inner.reschedule(state);
-        Ok(None)
-    }
-
-    /// Gives up the CPU, staying runnable; returns once rescheduled.
-    fn yield_cpu(&self, state: &mut KGuard<'_>) -> Result<(), KernelError> {
-        self.give_way(state)?;
-        self.park(state)
     }
 
     /// Gives up the CPU, staying runnable.
@@ -1042,26 +947,24 @@ impl<'k> Ctx<'k> {
         Ok(())
     }
 
-    /// After waking another thread: hand over the CPU if that thread is now
-    /// more urgent than we are. A polled thread cannot hand it over here;
-    /// it owes the preemption to its next suspension point.
-    fn maybe_preempt(&mut self, state: &mut KGuard<'_>) -> Result<(), KernelError> {
+    /// After waking another thread: hands over the CPU if that thread is
+    /// now more urgent than this one. An OS-backed thread yields and parks
+    /// here. A polled thread gives way and returns `true` — it must
+    /// suspend — where the caller awaits; where it does not (`awaited`
+    /// false), the thread owes the preemption to its next suspension point.
+    /// A failure to give way means shutdown, which the thread's next
+    /// kernel operation reports.
+    fn preemption_point(&mut self, state: &mut KGuard<'_>, awaited: bool) -> bool {
         if !self.preempted(state) {
-            return Ok(());
+            return false;
         }
-        if self.polled {
+        if self.polled && !awaited {
             self.owes_preemption = true;
-            return Ok(());
+            return false;
         }
-        self.yield_cpu(state)
-    }
-
-    /// A polled thread's preemption point: gives up the CPU if a more
-    /// urgent thread is runnable. Returns whether it did (the caller then
-    /// suspends).
-    fn give_way_if_preempted(&mut self, state: &mut KGuard<'_>) -> bool {
-        self.owes_preemption = false;
-        self.preempted(state) && self.give_way(state).is_ok()
+        self.give_way(state)
+            .and_then(|()| self.regain_cpu(state))
+            .unwrap_or(false)
     }
 
     /// Whether a more urgent thread than this (running) one is runnable.
@@ -1080,6 +983,22 @@ impl<'k> Ctx<'k> {
             }
         })
     }
+}
+
+/// What a receive is for, which decides what taking a message does to the
+/// receiving thread.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Receipt {
+    /// The wait of an outstanding synchronous send: it fails when the peer
+    /// terminates, and the reply's arrival ends the priority donation to
+    /// the peer.
+    Reply,
+    /// A mid-processing receive: a received request becomes the message
+    /// being processed.
+    Nested,
+    /// The main loop's: the received message becomes the message being
+    /// processed.
+    Main,
 }
 
 /// Where the reply to a request goes: what a reply needs of the request's

@@ -55,10 +55,15 @@
 //!   return `Pending`, and the polling OS thread looks at who holds the
 //!   CPU next. A polled thread granted from outside the kernel (an
 //!   [`ExternalPort`] send, a spawn, a timer) is polled by the dispatcher.
-//!   The [`Ctx`] operations a polled thread awaits (`call_async`,
-//!   `reply_and_receive_async`, …) take the same critical sections as
-//!   their blocking forms, so the kernel makes the same scheduling
-//!   decisions and counts the same switches whatever backs a thread.
+//! * **Each operation has one body.** A [`Ctx`] operation that may wait
+//!   is an `async fn` (`call_async`, `reply_and_receive_async`, …), and
+//!   its blocking form ([`Ctx::call`], [`Ctx::reply_and_receive`], …) is
+//!   that async form run to completion by [`block_on`]. The two backings
+//!   part only where the thread has given up the CPU: an OS-backed thread
+//!   parks there, inside the critical section, and a polled one suspends
+//!   and takes the operation up again once polled. So the kernel takes the
+//!   same critical sections, makes the same scheduling decisions and
+//!   counts the same switches whatever backs a thread.
 //! * **No OS wake is issued with the kernel mutex held.** Granting the CPU
 //!   (or queueing a message for an [`ExternalPort`]) only records the wake;
 //!   the lock guard delivers it after releasing the mutex — a parking
@@ -139,5 +144,5 @@ pub use external::ExternalPort;
 pub use kernel::{ClockHold, Kernel, KernelConfig};
 pub use message::{Body, Envelope, MatchSpec, Message, Tag};
 pub use stats::KernelStats;
-pub use thread::{CodeFn, Flow, PolledFn, ThreadId};
+pub use thread::{block_on, CodeFn, Flow, OnOsThread, PolledFn, ThreadId};
 pub use timer::TimerId;

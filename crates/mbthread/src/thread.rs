@@ -10,6 +10,7 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Identifies a thread within its [`Kernel`](crate::Kernel).
 ///
@@ -90,6 +91,44 @@ pub trait PolledFn: Send + 'static {
     /// Called once per received message, as [`CodeFn::on_message`] is.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope)
         -> impl Future<Output = Flow> + Send;
+}
+
+/// A [`PolledFn`] on an OS thread of its own
+/// ([`Kernel::spawn`](crate::Kernel::spawn)): the same handler, run to
+/// completion by [`block_on`], each of whose kernel operations parks that
+/// OS thread where a polled thread would suspend.
+#[derive(Debug)]
+pub struct OnOsThread<P>(pub P);
+
+impl<P: PolledFn> CodeFn for OnOsThread<P> {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        block_on(|| self.0.on_message(ctx, env))
+    }
+}
+
+/// Runs a future to completion on a thread that parks rather than
+/// suspends: an OS-backed kernel thread, whose [`Ctx`] operations
+/// complete within their first poll. This is how each blocking form of a
+/// [`Ctx`] operation runs its async form, and how [`OnOsThread`] runs a
+/// [`PolledFn`].
+///
+/// The future is made and kept in this function's own frame, out of line:
+/// in the caller's, it would widen every frame of a recursive caller that
+/// never blocks (inlined into the pipeline's section-tree walk, it grew
+/// `PushNode::push`'s frame from 312 to 904 bytes and slowed the direct
+/// chain benchmark by 3–5 %).
+///
+/// # Panics
+///
+/// Panics if the future suspends: a polled thread awaits its [`Ctx`]
+/// operations instead.
+#[inline(never)]
+pub fn block_on<F: Future>(make: impl FnOnce() -> F) -> F::Output {
+    let mut fut = std::pin::pin!(make());
+    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!("a kernel operation suspended a thread that must block"),
+    }
 }
 
 /// A polled thread's whole life as one future, from its first message to

@@ -3,8 +3,9 @@
 //! preemption.
 
 use mbthread::{
-    ClockMode, Constraint, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, MatchSpec,
-    Message, PolledFn, Priority, SpawnOptions, SyncOutcome, Tag, ThreadId, Time,
+    ClockMode, Constraint, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, KernelStats,
+    MatchSpec, Message, OnOsThread, PolledFn, Priority, SpawnOptions, SyncOutcome, Tag, ThreadId,
+    Time,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,6 +23,30 @@ fn log(l: &Log, s: impl Into<String>) {
 
 fn entries(l: &Log) -> Vec<String> {
     l.lock().unwrap().clone()
+}
+
+/// What a scenario cost the kernel: context switches, messages, sync sends.
+type Cost = (u64, u64, u64);
+
+fn cost_since(kernel: &Kernel, before: &KernelStats) -> Cost {
+    let d = kernel.stats().delta_since(before);
+    (d.context_switches, d.messages_sent, d.sync_sends)
+}
+
+/// Spawns `code` as a polled thread, or as the same code on an OS thread of
+/// its own: a scenario run both ways must log the same and cost the same.
+fn spawn_backed(
+    kernel: &Kernel,
+    polled: bool,
+    opts: impl Into<SpawnOptions>,
+    code: impl PolledFn,
+) -> ThreadId {
+    if polled {
+        kernel.spawn_polled(opts, code)
+    } else {
+        kernel.spawn(opts, OnOsThread(code))
+    }
+    .unwrap()
 }
 
 #[test]
@@ -111,8 +136,31 @@ fn higher_priority_thread_is_scheduled_first() {
     kernel.shutdown();
 }
 
+/// Logs around an awaited send that wakes a more urgent thread.
+struct SendsUrgent {
+    urgent: ThreadId,
+    log: Log,
+}
+
+impl PolledFn for SendsUrgent {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        log(&self.log, "before-send");
+        // Waking a CONTROL-priority thread preempts us immediately.
+        let send = ctx.send_with_async(self.urgent, Message::signal(DATA), None);
+        send.await.unwrap();
+        log(&self.log, "after-send");
+        Flow::Continue
+    }
+}
+
 #[test]
 fn preemption_hands_cpu_to_more_urgent_thread_mid_turn() {
+    let [os, polled] = [false, true].map(preempt_mid_turn);
+    assert_eq!(os, polled);
+    assert_eq!(os.0, vec!["before-send", "urgent-ran", "after-send"]);
+}
+
+fn preempt_mid_turn(polled: bool) -> (Vec<String>, Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     let order: Log = Arc::new(Mutex::new(Vec::new()));
 
@@ -126,27 +174,16 @@ fn preemption_hands_cpu_to_more_urgent_thread_mid_turn() {
             },
         )
         .unwrap();
-    kernel.wait_quiescent();
-
-    let order_lo = Arc::clone(&order);
-    let sender = kernel
-        .spawn("sender", move |ctx: &mut Ctx<'_>, _env: Envelope| {
-            log(&order_lo, "before-send");
-            // Waking a CONTROL-priority thread preempts us immediately.
-            ctx.send_with(urgent, Message::signal(DATA), None).unwrap();
-            log(&order_lo, "after-send");
-            Flow::Continue
-        })
-        .unwrap();
+    let log = Arc::clone(&order);
+    let sender = spawn_backed(&kernel, polled, "sender", SendsUrgent { urgent, log });
     let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
     port.send(sender, Message::signal(DATA)).unwrap();
     kernel.wait_quiescent();
-
-    assert_eq!(
-        entries(&order),
-        vec!["before-send", "urgent-ran", "after-send"]
-    );
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    (entries(&order), cost)
 }
 
 #[test]
@@ -234,38 +271,127 @@ fn virtual_clock_is_deterministic_for_timers() {
     kernel.shutdown();
 }
 
+/// Sleeps for `delay` on its first message, then logs its name and stops.
+struct Sleeper {
+    name: &'static str,
+    delay: Duration,
+    log: Log,
+}
+
+impl PolledFn for Sleeper {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        let at = ctx.now() + self.delay;
+        ctx.sleep_until_async(at).await.unwrap();
+        log(&self.log, self.name);
+        Flow::Stop
+    }
+}
+
 #[test]
 fn sleep_until_orders_wakeups_by_deadline() {
+    let [os, polled] = [false, true].map(sleepers_wake);
+    assert_eq!(os, polled);
+    assert_eq!(os.0, vec!["a", "b", "c"]);
+}
+
+fn sleepers_wake(polled: bool) -> (Vec<String>, Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     let order: Log = Arc::new(Mutex::new(Vec::new()));
-    let mut ids = Vec::new();
-    for (name, delay_ms) in [("c", 30u64), ("a", 10), ("b", 20)] {
-        let order = Arc::clone(&order);
-        let id = kernel
-            .spawn(name, move |ctx: &mut Ctx<'_>, _env: Envelope| {
-                ctx.sleep(Duration::from_millis(delay_ms)).unwrap();
-                log(&order, name);
-                Flow::Stop
-            })
-            .unwrap();
-        ids.push(id);
-    }
+    let ids = [("c", 30u64), ("a", 10), ("b", 20)].map(|(name, delay_ms)| {
+        let sleeper = Sleeper {
+            name,
+            delay: Duration::from_millis(delay_ms),
+            log: Arc::clone(&order),
+        };
+        spawn_backed(&kernel, polled, name, sleeper)
+    });
     let port = kernel.external("test");
-    // Kick all three threads.
+    kernel.wait_quiescent();
+    let before = kernel.stats();
+    // Kick all three threads before the clock may jump to a deadline.
+    let hold = kernel.freeze_clock();
     for id in ids {
         port.send(id, Message::signal(DATA)).unwrap();
     }
+    hold.release();
     kernel.wait_quiescent();
-    assert_eq!(entries(&order), vec!["a", "b", "c"]);
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    (entries(&order), cost)
+}
+
+/// Calls `slow` with `CTL` as the interrupt tag, logging each interrupt and
+/// the reply.
+struct InterruptibleCall {
+    slow: ThreadId,
+    log: Log,
+}
+
+impl PolledFn for InterruptibleCall {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        let mut outcome = ctx
+            .call_async(self.slow, Message::signal(DATA), None, &[CTL])
+            .await;
+        loop {
+            match outcome.unwrap() {
+                SyncOutcome::Reply(_) => {
+                    log(&self.log, "reply");
+                    break;
+                }
+                SyncOutcome::Interrupted(pending, ctl) => {
+                    assert_eq!(ctl.tag(), CTL);
+                    log(&self.log, "control");
+                    outcome = ctx.wait_or_async(pending, &[CTL]).await;
+                }
+            }
+        }
+        Flow::Stop
+    }
 }
 
 #[test]
 fn wait_or_delivers_control_while_blocked_for_reply() {
+    // The blocking forms, then their async forms on either backing.
+    let blocking = control_while_blocked(|kernel, slow, order| {
+        kernel
+            .spawn("client", move |ctx: &mut Ctx<'_>, _env: Envelope| {
+                let mut outcome = ctx.call(slow, Message::signal(DATA), None, &[CTL]);
+                loop {
+                    match outcome.unwrap() {
+                        SyncOutcome::Reply(_) => {
+                            log(&order, "reply");
+                            break;
+                        }
+                        SyncOutcome::Interrupted(pending, ctl) => {
+                            assert_eq!(ctl.tag(), CTL);
+                            log(&order, "control");
+                            outcome = ctx.wait_or(pending, &[CTL]);
+                        }
+                    }
+                }
+                Flow::Stop
+            })
+            .unwrap()
+    });
+    let [os, polled] = [false, true].map(|polled| {
+        control_while_blocked(|kernel, slow, log| {
+            spawn_backed(kernel, polled, "client", InterruptibleCall { slow, log })
+        })
+    });
+    assert_eq!(os, polled);
+    assert_eq!(blocking, os);
+    assert_eq!(os.0, vec!["control", "reply"]);
+}
+
+/// The client `spawn_client` makes calls a peer that replies only once
+/// nudged, and gets a control message while it waits.
+fn control_while_blocked(
+    spawn_client: impl FnOnce(&Kernel, ThreadId, Log) -> ThreadId,
+) -> (Vec<String>, Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     let order: Log = Arc::new(Mutex::new(Vec::new()));
 
-    // The "slow" peer replies only after it receives a NUDGE message.
+    // The "slow" peer replies only after it receives a nudge.
     let slow = kernel
         .spawn("slow", |ctx: &mut Ctx<'_>, env: Envelope| {
             if env.wants_reply() {
@@ -277,70 +403,74 @@ fn wait_or_delivers_control_while_blocked_for_reply() {
             Flow::Continue
         })
         .unwrap();
-
-    let order2 = Arc::clone(&order);
-    let client = kernel
-        .spawn("client", move |ctx: &mut Ctx<'_>, _env: Envelope| {
-            let mut outcome = ctx.call(slow, Message::signal(DATA), None, &[CTL]);
-            loop {
-                match outcome.unwrap() {
-                    SyncOutcome::Reply(_) => {
-                        log(&order2, "reply");
-                        break;
-                    }
-                    SyncOutcome::Interrupted(pending, ctl) => {
-                        assert_eq!(ctl.tag(), CTL);
-                        log(&order2, "control");
-                        outcome = ctx.wait_or(pending, &[CTL]);
-                    }
-                }
-            }
-            Flow::Stop
-        })
-        .unwrap();
-
+    let client = spawn_client(&kernel, slow, Arc::clone(&order));
     let port = kernel.external("test");
-    port.send(client, Message::signal(DATA)).unwrap();
+    kernel.wait_quiescent();
+    let before = kernel.stats();
     // Let the client block on its sync send, then deliver a control event,
     // then let the peer reply.
-    std::thread::sleep(Duration::from_millis(20));
+    port.send(client, Message::signal(DATA)).unwrap();
+    kernel.wait_quiescent();
     port.send(client, Message::signal(CTL)).unwrap();
-    std::thread::sleep(Duration::from_millis(20));
+    kernel.wait_quiescent();
     port.send(slow, Message::signal(TICK)).unwrap();
     kernel.wait_quiescent();
-
-    assert_eq!(entries(&order), vec!["control", "reply"]);
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    (entries(&order), cost)
+}
+
+/// Waits specifically for a `CTL` message although `DATA` messages arrive
+/// first, then takes those.
+struct Selective {
+    log: Log,
+}
+
+impl PolledFn for Selective {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        assert_eq!(env.tag(), Tag(0));
+        let ctl = ctx.receive_tags_async(&[CTL]).await.unwrap();
+        log(&self.log, format!("got-{}", ctl.tag().0));
+        // The earlier DATA messages are still queued, in order.
+        for _ in 0..2 {
+            let data = ctx.receive_tags_async(&[DATA]).await.unwrap();
+            log(&self.log, format!("data-{}", data.expect_body::<u64>()));
+        }
+        Flow::Stop
+    }
 }
 
 #[test]
 fn receive_matching_leaves_other_messages_queued() {
+    let [os, polled] = [false, true].map(receive_selectively);
+    assert_eq!(os, polled);
+    assert_eq!(os.0, vec!["got-2", "data-1", "data-2"]);
+}
+
+fn receive_selectively(polled: bool) -> (Vec<String>, Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     let order: Log = Arc::new(Mutex::new(Vec::new()));
-    let order2 = Arc::clone(&order);
-    let t = kernel
-        .spawn("selective", move |ctx: &mut Ctx<'_>, env: Envelope| {
-            // First delivery: wait specifically for a CTL message even
-            // though DATA messages arrive first.
-            assert_eq!(env.tag(), Tag(0));
-            let ctl = ctx.receive_tags(&[CTL]).unwrap();
-            log(&order2, format!("got-{}", ctl.tag().0));
-            // The earlier DATA messages are still queued, in order.
-            let d1 = ctx.receive().unwrap();
-            let d2 = ctx.receive().unwrap();
-            log(&order2, format!("data-{}", d1.expect_body::<u64>()));
-            log(&order2, format!("data-{}", d2.expect_body::<u64>()));
-            Flow::Stop
+    let log = Arc::clone(&order);
+    let t = spawn_backed(&kernel, polled, "selective", Selective { log });
+    // Queues all four in one turn, so `selective` runs only once they are
+    // all there.
+    let feeder = kernel
+        .spawn("feeder", move |ctx: &mut Ctx<'_>, _env: Envelope| {
+            ctx.send(t, Message::signal(Tag(0))).unwrap();
+            ctx.send(t, Message::new(DATA, 1u64)).unwrap();
+            ctx.send(t, Message::new(DATA, 2u64)).unwrap();
+            ctx.send(t, Message::signal(CTL)).unwrap();
+            Flow::Continue
         })
         .unwrap();
     let port = kernel.external("test");
-    port.send(t, Message::signal(Tag(0))).unwrap();
-    port.send(t, Message::new(DATA, 1u64)).unwrap();
-    port.send(t, Message::new(DATA, 2u64)).unwrap();
-    port.send(t, Message::signal(CTL)).unwrap();
     kernel.wait_quiescent();
-    assert_eq!(entries(&order), vec!["got-2", "data-1", "data-2"]);
+    let before = kernel.stats();
+    port.send(feeder, Message::signal(DATA)).unwrap();
+    kernel.wait_quiescent();
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    (entries(&order), cost)
 }
 
 #[test]
@@ -443,27 +573,46 @@ fn priority_inheritance_resolves_inversion() {
     }
 }
 
+/// Sends synchronously to `peer` and logs the outcome.
+struct CallsPeer {
+    peer: ThreadId,
+    log: Log,
+}
+
+impl PolledFn for CallsPeer {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        let r = ctx.call_async(self.peer, Message::signal(DATA), None, &[]);
+        let r = r.await.map(|_| ());
+        log(&self.log, format!("{r:?}"));
+        Flow::Stop
+    }
+}
+
 #[test]
 fn peer_gone_detected_on_sync_send_to_dying_thread() {
+    let [os, polled] = [false, true].map(call_a_quitter);
+    assert_eq!(os, polled);
+    let (log, quitter) = os.0;
+    let gone: Result<(), _> = Err(KernelError::PeerGone(quitter));
+    assert_eq!(log, vec![format!("{gone:?}")]);
+}
+
+fn call_a_quitter(polled: bool) -> ((Vec<String>, ThreadId), Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
+    let order: Log = Arc::new(Mutex::new(Vec::new()));
     let quitter = kernel
         .spawn("quitter", |_: &mut Ctx<'_>, _env: Envelope| Flow::Stop)
         .unwrap();
-    let result = Arc::new(Mutex::new(None));
-    let result2 = Arc::clone(&result);
-    let caller = kernel
-        .spawn("caller", move |ctx: &mut Ctx<'_>, _env: Envelope| {
-            let r = ctx.send_sync(quitter, Message::signal(DATA));
-            *result2.lock().unwrap() = Some(r.map(|_| ()));
-            Flow::Stop
-        })
-        .unwrap();
+    let log = Arc::clone(&order);
+    let caller = spawn_backed(&kernel, polled, "caller", CallsPeer { peer: quitter, log });
     let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
     port.send(caller, Message::signal(DATA)).unwrap();
     kernel.wait_quiescent();
-    let got = result.lock().unwrap().take().unwrap();
-    assert_eq!(got, Err(KernelError::PeerGone(quitter)));
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    ((entries(&order), quitter), cost)
 }
 
 #[test]
@@ -522,24 +671,40 @@ fn context_switches_are_counted() {
     kernel.shutdown();
 }
 
+/// Replies twice to each request and logs both outcomes.
+struct RepliesTwice {
+    log: Log,
+}
+
+impl PolledFn for RepliesTwice {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        let first = ctx.reply_async(&env, Message::signal(DATA)).await;
+        let second = ctx.reply_async(&env, Message::signal(DATA)).await;
+        log(&self.log, format!("{first:?} {second:?}"));
+        Flow::Continue
+    }
+}
+
 #[test]
 fn stale_reply_is_rejected() {
+    let [os, polled] = [false, true].map(reply_twice);
+    assert_eq!(os, polled);
+    assert_eq!(os.0, vec!["Ok(()) Err(StaleReply)"]);
+}
+
+fn reply_twice(polled: bool) -> (Vec<String>, Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let seen2 = Arc::clone(&seen);
-    let server = kernel
-        .spawn("server", move |ctx: &mut Ctx<'_>, env: Envelope| {
-            let first = ctx.reply(&env, Message::signal(DATA));
-            let second = ctx.reply(&env, Message::signal(DATA));
-            seen2.lock().unwrap().push((first.is_ok(), second.is_err()));
-            Flow::Continue
-        })
-        .unwrap();
+    let order: Log = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&order);
+    let server = spawn_backed(&kernel, polled, "server", RepliesTwice { log });
     let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
     port.send_sync(server, Message::signal(DATA)).unwrap();
     kernel.wait_quiescent();
-    assert_eq!(*seen.lock().unwrap(), vec![(true, true)]);
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    (entries(&order), cost)
 }
 
 #[test]
@@ -711,8 +876,46 @@ fn a_received_request_becomes_the_current_constraint() {
     kernel.shutdown();
 }
 
+/// Holds the CPU until the test has queued its interrupt and made a more
+/// urgent thread runnable, then calls `replier` with `CTL` as the
+/// interrupt tag.
+struct CallsIntoQueuedInterrupt {
+    replier: ThreadId,
+    running: std::sync::mpsc::Sender<()>,
+    go: std::sync::mpsc::Receiver<()>,
+    log: Log,
+}
+
+impl PolledFn for CallsIntoQueuedInterrupt {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        // An external send preempts nobody.
+        self.running.send(()).unwrap();
+        self.go.recv().unwrap();
+        let mut outcome = ctx
+            .call_async(self.replier, Message::signal(DATA), None, &[CTL])
+            .await;
+        loop {
+            match outcome.unwrap() {
+                SyncOutcome::Reply(_) => break,
+                SyncOutcome::Interrupted(pending, _ctl) => {
+                    log(&self.log, "interrupted");
+                    outcome = ctx.wait_or_async(pending, &[CTL]).await;
+                }
+            }
+        }
+        log(&self.log, "reply");
+        Flow::Stop
+    }
+}
+
 #[test]
 fn a_call_that_finds_its_interrupt_queued_is_a_preemption_point() {
+    let [os, polled] = [false, true].map(call_into_queued_interrupt);
+    assert_eq!(os, polled);
+    assert_eq!(os.0, vec!["urgent-ran", "interrupted", "reply"]);
+}
+
+fn call_into_queued_interrupt(polled: bool) -> (Vec<String>, Cost) {
     let kernel = Kernel::new(KernelConfig::virtual_time());
     let order: Log = Arc::new(Mutex::new(Vec::new()));
     let replier = spawn_replier(&kernel);
@@ -727,38 +930,85 @@ fn a_call_that_finds_its_interrupt_queued_is_a_preemption_point() {
         )
         .unwrap();
     let (running_tx, running_rx) = std::sync::mpsc::channel();
-    let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-    let order_lo = Arc::clone(&order);
-    let caller = kernel
-        .spawn("caller", move |ctx: &mut Ctx<'_>, _env: Envelope| {
-            // Hold the CPU while the test makes `urgent` runnable and queues
-            // our interrupt: an external send preempts nobody.
-            running_tx.send(()).unwrap();
-            go_rx.recv().unwrap();
-            let mut outcome = ctx.call(replier, Message::signal(DATA), None, &[CTL]);
-            loop {
-                match outcome.unwrap() {
-                    SyncOutcome::Reply(_) => break,
-                    SyncOutcome::Interrupted(pending, _ctl) => {
-                        log(&order_lo, "interrupted");
-                        outcome = ctx.wait_or(pending, &[CTL]);
-                    }
-                }
-            }
-            log(&order_lo, "reply");
-            Flow::Stop
-        })
-        .unwrap();
-    kernel.wait_quiescent();
+    let (go_tx, go_rx) = std::sync::mpsc::channel();
+    let code = CallsIntoQueuedInterrupt {
+        replier,
+        running: running_tx,
+        go: go_rx,
+        log: Arc::clone(&order),
+    };
+    let caller = spawn_backed(&kernel, polled, "caller", code);
     let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
     port.send(caller, Message::signal(DATA)).unwrap();
     running_rx.recv().unwrap();
     port.send(urgent, Message::signal(DATA)).unwrap();
     port.send(caller, Message::signal(CTL)).unwrap();
     go_tx.send(()).unwrap();
     kernel.wait_quiescent();
-    assert_eq!(entries(&order), vec!["urgent-ran", "interrupted", "reply"]);
+    let cost = cost_since(&kernel, &before);
     kernel.shutdown();
+    (entries(&order), cost)
+}
+
+/// A polled thread that calls a blocking form: a call to `target`, or
+/// with none a sleep.
+struct CallsBlockingForm {
+    target: Option<ThreadId>,
+}
+
+impl PolledFn for CallsBlockingForm {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        match self.target {
+            Some(target) => drop(ctx.call(target, Message::signal(DATA), None, &[])),
+            None => drop(ctx.sleep(Duration::from_secs(1))),
+        }
+        Flow::Continue
+    }
+}
+
+/// Runs `code` on a polled thread, whose blocking form panics, and checks
+/// that the form left the kernel untouched; `kernel.shutdown` then
+/// re-panics with the form's message.
+fn blocking_form_on_a_polled_thread(code: impl FnOnce(&Kernel) -> CallsBlockingForm) {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let blocker = kernel.spawn_polled("blocker", code(&kernel)).unwrap();
+    kernel.wait_quiescent();
+    let before = kernel.stats();
+    let port = kernel.external("main");
+    port.send(blocker, Message::signal(DATA)).unwrap();
+    kernel.wait_quiescent();
+    // The panic came before the operation reached the kernel: no request
+    // was queued, no sleep begun.
+    assert_eq!(kernel.stats().delta_since(&before).sync_sends, 0);
+    let dump = kernel.thread_dump();
+    for name in ["target", "blocker"] {
+        let line = dump.lines().find(|l| l.contains(name));
+        if let Some(line) = line {
+            assert!(line.contains("queued=0 "), "{dump}");
+            assert!(line.contains("sleeping=false "), "{dump}");
+        }
+    }
+    kernel.shutdown();
+}
+
+#[test]
+#[should_panic(
+    expected = "kernel thread 'blocker' panicked: Ctx::call blocks, and thread:1 is a polled thread: use its async form"
+)]
+fn a_blocking_call_on_a_polled_thread_fails_before_it_touches_the_kernel() {
+    blocking_form_on_a_polled_thread(|kernel| CallsBlockingForm {
+        target: Some(kernel.external("target").id()),
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "kernel thread 'blocker' panicked: Ctx::sleep blocks, and thread:0 is a polled thread: use its async form"
+)]
+fn a_blocking_sleep_on_a_polled_thread_fails_before_it_touches_the_kernel() {
+    blocking_form_on_a_polled_thread(|_| CallsBlockingForm { target: None });
 }
 
 /// A polled thread's code that panics on its first message.
