@@ -22,6 +22,12 @@
 //!   thread. After warm-up an item allocates nothing: exactly 0
 //!   allocations per item, and the run fails (exit 1) otherwise. A
 //!   "frame" is an item here.
+//! * **chain_coroutine** — the same chain with every second stage an
+//!   active relay: four coroutines, eight context switches per item, all
+//!   polled on the pump's OS thread. Each `GET` and `PUT` carries its
+//!   requester's box, which comes back with the reply, so after warm-up
+//!   an item allocates nothing here either: exactly 0 allocations per
+//!   item, and the run fails (exit 1) otherwise.
 //! * **pipeline_inproc** — the full scheduled pipeline: producer pump,
 //!   net sink, the sender delivering into the bound inbox, consumer pump,
 //!   sink. The kernel hand-off, the pump cycle and the `PayloadBytes` and
@@ -49,7 +55,7 @@
 //! whose frames take well under a second.
 
 use counting_alloc::{allocs, frees};
-use infopipes::helpers::{CollectSink, FnFunction, FnSink, IterSource};
+use infopipes::helpers::{ActiveRelay, CollectSink, FnFunction, FnSink, IterSource};
 use infopipes::{BufferPool, BufferSpec, FreePump, PayloadBytes, Pipeline, PoolStats};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::wire;
@@ -148,13 +154,17 @@ fn inproc_lane(name: &'static str, frames: usize, pooled: bool) -> CaseResult {
     }
 }
 
-/// The direct chain on one kernel thread: source → pump → eight
-/// functions → sink. The sink marks the counters when the warm-up's last
-/// item and the run's last item arrive, so the delta spans exactly the
-/// measured items, on the thread that moves them.
-fn chain_direct(items: usize) -> CaseResult {
+/// The paper's chain on a `u64` source: a pump, eight stages and a sink.
+/// Direct, the stages are functions adding one, all called on one
+/// kernel thread; with coroutines, every second stage is an active relay
+/// (four coroutines, eight context switches per item). The sink marks the
+/// counters when the warm-up's last item and the run's last item arrive,
+/// so the delta spans exactly the measured items, on the thread that
+/// moves them.
+fn chain(name: &'static str, coroutines: bool, items: usize) -> CaseResult {
     type Marks = Mutex<[Option<(u64, u64, Instant)>; 2]>;
     const STAGES: u64 = 8;
+    let adders = if coroutines { STAGES / 2 } else { STAGES };
     let warm = (items as u64 / 4).max(16);
     let total = warm + items as u64;
     let marks: Arc<Marks> = Arc::new(Mutex::new([None; 2]));
@@ -166,12 +176,16 @@ fn chain_direct(items: usize) -> CaseResult {
             >> pipeline.add_pump("pump", FreePump::new());
         for i in 0..STAGES {
             let name = format!("s{i}");
-            prev =
-                prev >> pipeline.add_function(&name, FnFunction::new(&name, |x: u64| Some(x + 1)));
+            prev = prev
+                >> if coroutines && i % 2 == 1 {
+                    pipeline.add_active(&name, ActiveRelay::new(&name))
+                } else {
+                    pipeline.add_function(&name, FnFunction::new(&name, |x: u64| Some(x + 1)))
+                };
         }
         let (sink_marks, sink_wrong) = (Arc::clone(&marks), Arc::clone(&wrong));
         let sink = FnSink::new("sink", move |v: u64, seq: u64| {
-            if v != seq + STAGES {
+            if v != seq + adders {
                 sink_wrong.fetch_add(1, Ordering::Relaxed);
             }
             let slot = match seq + 1 {
@@ -185,13 +199,13 @@ fn chain_direct(items: usize) -> CaseResult {
         let running = pipeline.start().unwrap();
         assert_eq!(
             running.report().total_threads(),
-            1,
-            "a direct chain is one thread"
+            if coroutines { 5 } else { 1 },
+            "{name}: a direct chain is one thread, each active relay adds one"
         );
         running.start_flow().unwrap();
         let deadline = Instant::now() + Duration::from_secs(120);
         while marks.lock().expect("marks")[1].is_none() {
-            assert!(Instant::now() < deadline, "chain stalled");
+            assert!(Instant::now() < deadline, "{name} stalled");
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -199,13 +213,13 @@ fn chain_direct(items: usize) -> CaseResult {
     assert_eq!(
         wrong.load(Ordering::Relaxed),
         0,
-        "chain_direct delivered wrong values"
+        "{name} delivered wrong values"
     );
     let [Some((a0, f0, t0)), Some((a1, f1, t1))] = *marks.lock().expect("marks") else {
         unreachable!("both marks are set once the last item arrived")
     };
     CaseResult {
-        name: "chain_direct",
+        name,
         frames: items,
         allocs_per_frame: (a1 - a0) as f64 / items as f64,
         frees_per_frame: (f1 - f0) as f64 / items as f64,
@@ -398,7 +412,8 @@ fn main() {
     // zero-allocation loop is measured.
     let pooled = inproc_lane("inproc_pooled", inproc_frames, true);
     let unpooled = inproc_lane("inproc_unpooled", inproc_frames, false);
-    let chain = chain_direct(chain_items);
+    let direct = chain("chain_direct", false, chain_items);
+    let coroutine = chain("chain_coroutine", true, chain_items);
     let pipeline = pipeline_lane(pipeline_frames);
     let tcp_batched = socket_lane(
         "tcp_batched",
@@ -412,7 +427,8 @@ fn main() {
     let cases = [
         &pooled,
         &unpooled,
-        &chain,
+        &direct,
+        &coroutine,
         &pipeline,
         &tcp_batched,
         &udp_packed,
@@ -469,10 +485,20 @@ fn main() {
         failed = true;
     }
     // The paper's direct chain: no item allocates, not even rarely.
-    if chain.allocs_per_frame != 0.0 {
+    if direct.allocs_per_frame != 0.0 {
         eprintln!(
             "FAIL: chain_direct makes {:.4} allocs per item, not 0",
-            chain.allocs_per_frame
+            direct.allocs_per_frame
+        );
+        failed = true;
+    }
+    // The same chain with four active objects: a coroutine hand-off
+    // allocates nothing either (each `GET` and `PUT` carries its
+    // requester's box back and forth).
+    if coroutine.allocs_per_frame != 0.0 {
+        eprintln!(
+            "FAIL: chain_coroutine makes {:.4} allocs per item, not 0",
+            coroutine.allocs_per_frame
         );
         failed = true;
     }

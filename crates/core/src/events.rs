@@ -138,9 +138,13 @@ pub(crate) mod tags {
     pub(crate) const TICK: Tag = Tag(0x4950_0001);
     /// A buffer informs a waiting downstream owner that an item arrived.
     pub(crate) const ARRIVAL: Tag = Tag(0x4950_0002);
-    /// Synchronous get request to a coroutine (reply: `Option<Item>`).
+    /// Synchronous get request to a coroutine (payload: an empty
+    /// [`ItemSlot`](super::ItemSlot); reply: the slot with the item, or
+    /// empty at end of stream).
     pub(crate) const GET: Tag = Tag(0x4950_0003);
-    /// Synchronous put request to a coroutine (payload: `Item`).
+    /// Synchronous put request to a coroutine (payload: an
+    /// [`ItemSlot`](super::ItemSlot) with the item; reply, the ack: the
+    /// slot emptied).
     pub(crate) const PUT: Tag = Tag(0x4950_0004);
     /// A control event ([`EventMsg`](super::EventMsg) payload).
     pub(crate) const CTRL: Tag = Tag(0x4950_0005);
@@ -154,9 +158,19 @@ pub(crate) mod tags {
     pub(crate) const INTERRUPTS: &[Tag] = &[CTRL];
 }
 
-/// Reply payload of a GET round-trip: the pulled item, or `None` at end of
-/// stream.
-pub(crate) struct GetReply(pub(crate) Option<Item>);
+/// The body of every `GET` and `PUT` request and of its reply: a box the
+/// requester owns. It travels with the request and comes back with the
+/// reply, so once the requester has one a coroutine hand-off allocates
+/// nothing.
+pub(crate) type ItemSlot = Box<Option<Item>>;
+
+/// Takes the [`ItemSlot`] out of a `GET` or `PUT` message or its reply; a
+/// message without one yields a fresh empty slot.
+pub(crate) fn take_slot(msg: &mut Message) -> ItemSlot {
+    msg.take_boxed_body()
+        .downcast()
+        .unwrap_or_else(|_| Box::new(None))
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 //! three message kinds:
 //!
 //! * `GET` — a downstream thread asks for the next item; the coroutine
-//!   replies with `Some(item)` or `None` (end of stream),
+//!   replies with the item, or with none at the end of the stream,
 //! * `PUT` — an upstream thread hands an item over; the reply (the *ack*)
 //!   is deferred until the coroutine next comes back for more input, so
 //!   the upstream's `push` returns exactly when control flows back past it
@@ -15,6 +15,11 @@
 //! * `END` — the upstream thread's `PUT` stream is over (no payload, no
 //!   reply). It is sent after the last `PUT` was acked, so it can overtake
 //!   no item, and it is the only thing that ends a coroutine's input.
+//!
+//! A `GET` or `PUT` and its reply carry the requester's [`ItemSlot`]: the
+//! box goes out with the request, the coroutine keeps it while the
+//! request is pending and answers with it, so a hand-off allocates
+//! nothing.
 //!
 //! Which side is message-driven depends on the coroutine's position: pull
 //! position ⇒ it answers `GET`s and *directly calls* its own upstream
@@ -39,12 +44,12 @@ use super::nodes::{PullNode, PushNode};
 use super::stagectx::{ActiveCtx, EventCtx, GetWiring, PutWiring, StageCtx};
 use super::{Pulled, PushRes, RtState, Shared};
 use crate::error::PipeError;
-use crate::events::{tags, ControlEvent, EventMsg, EventTarget, GetReply};
+use crate::events::{tags, take_slot, ControlEvent, EventMsg, EventTarget, ItemSlot};
 use crate::graph::NodeId;
 use crate::item::Item;
 use crate::stage::{Stage, Style};
 use mbthread::{
-    Ctx, Envelope, Flow, Message, OnOsThread, PolledFn, Priority, SpawnOptions, ThreadId,
+    Ctx, Envelope, Flow, Message, OnOsThread, PolledFn, Priority, SpawnOptions, Tag, ThreadId,
 };
 use std::sync::Arc;
 
@@ -73,6 +78,9 @@ impl CoroTree {
 pub(crate) struct MsgEndpoint {
     /// The outstanding request: an unanswered `GET` or an un-acked `PUT`.
     pending: Option<Envelope>,
+    /// The requester's box, taken out of the pending request; the answer
+    /// carries it back.
+    slot: Option<ItemSlot>,
     /// Item extracted from the pending `PUT`, not yet consumed by the
     /// component.
     item: Option<Item>,
@@ -98,8 +106,8 @@ impl MsgEndpoint {
         let accept = [tags::PUT, tags::END, tags::CTRL];
         let next = match self.pending.take() {
             Some(put) => {
-                rt.answer_and_wait(ctx, put, Message::signal(tags::PUT), &accept)
-                    .await
+                let ack = self.answer(tags::PUT, None);
+                rt.answer_and_wait(ctx, put, ack, &accept).await
             }
             None => rt.wait_tag(ctx, &accept).await,
         };
@@ -113,19 +121,34 @@ impl MsgEndpoint {
         }
     }
 
+    /// Keeps a request and its slot until it is answered; returns what
+    /// the slot carried (a `PUT`'s item).
+    fn accept(&mut self, mut env: Envelope) -> Option<Item> {
+        let mut slot = take_slot(env.message_mut());
+        let item = slot.take();
+        self.slot = Some(slot);
+        self.pending = Some(env);
+        item
+    }
+
     /// Takes the item out of a `PUT` and keeps the envelope for the
     /// deferred ack. The kernel made the `PUT`'s constraint current when it
     /// delivered the request.
-    fn accept_put(&mut self, mut env: Envelope) -> Item {
-        let item = env.message_mut().take_body().expect("PUT carries an Item");
-        self.pending = Some(env);
-        item
+    fn accept_put(&mut self, env: Envelope) -> Item {
+        self.accept(env).expect("PUT carries an Item")
+    }
+
+    /// The answer to the pending request: its slot, holding `item`.
+    fn answer(&mut self, tag: Tag, item: Option<Item>) -> Message {
+        let mut slot = self.slot.take().unwrap_or_default();
+        *slot = item;
+        Message::from_body(tag, slot)
     }
 
     /// Acks the pending `PUT`, if any.
     async fn ack_put(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(env) = self.pending.take() {
-            let ack = ctx.reply_async(&env, Message::signal(tags::PUT));
+            let ack = ctx.reply_async(&env, self.answer(tags::PUT, None));
             let _ = ack.await;
         }
     }
@@ -143,13 +166,13 @@ impl MsgEndpoint {
             // The downstream requester went away (stop); discard.
             return PushRes::Interrupted;
         };
-        let answer = Message::new(tags::GET, GetReply(Some(item)));
+        let answer = self.answer(tags::GET, Some(item));
         match rt
             .answer_and_wait(ctx, env, answer, &[tags::GET, tags::CTRL])
             .await
         {
             Some(env) => {
-                self.pending = Some(env);
+                self.accept(env);
                 PushRes::Ok
             }
             None => PushRes::Interrupted,
@@ -264,13 +287,13 @@ impl PolledFn for CoroFn {
                 }
             }
             (tags::GET, CoroTree::AnswersGets(_)) => {
-                self.ep.pending = Some(env);
+                self.ep.accept(env);
                 if !self.finished && !self.rt.stopping {
                     self.drive(ctx).await;
                 }
                 // Whatever request is left over gets "end of stream".
                 if let Some(env) = self.ep.pending.take() {
-                    let end = ctx.reply_async(&env, Message::new(tags::GET, GetReply(None)));
+                    let end = ctx.reply_async(&env, self.ep.answer(tags::GET, None));
                     let _ = end.await;
                 }
             }

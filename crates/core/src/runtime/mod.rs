@@ -35,7 +35,7 @@ pub(crate) use owner::OwnerRole;
 pub(crate) use running::launch as launch_pipeline;
 
 use crate::buffer::{BufHandle, PutOutcome, TakeOutcome, Wakeups};
-use crate::events::{tags, ControlEvent, EventMsg, EventTarget};
+use crate::events::{tags, take_slot, ControlEvent, EventMsg, EventTarget, ItemSlot};
 use crate::graph::StageId;
 use crate::item::Item;
 use mbthread::{Ctx, Envelope, Kernel, Message, SyncOutcome, Tag, ThreadId};
@@ -106,6 +106,9 @@ pub(crate) struct RtState {
     pub(crate) stopping: bool,
     /// Items moved by this thread (diagnostics).
     pub(crate) items_moved: u64,
+    /// The box this thread's `GET`s and `PUT`s carry, while it is home:
+    /// it leaves with each request and comes back with the reply.
+    slot: Option<ItemSlot>,
 }
 
 impl RtState {
@@ -115,6 +118,7 @@ impl RtState {
             pending_events: VecDeque::new(),
             stopping: false,
             items_moved: 0,
+            slot: None,
         }
     }
 
@@ -302,14 +306,14 @@ impl RtState {
     /// Requests the next item from an upstream coroutine (a synchronous
     /// GET that handles control events while blocked).
     pub(crate) async fn sync_get(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId) -> Pulled {
-        let Some(mut env) = self.sync_call(ctx, coro, Message::signal(tags::GET)).await else {
+        let request = Message::from_body(tags::GET, self.slot.take().unwrap_or_default());
+        let Some(mut env) = self.sync_call(ctx, coro, request).await else {
             return Pulled::Interrupted;
         };
-        let reply: crate::events::GetReply = env
-            .message_mut()
-            .take_body()
-            .expect("GET reply carries GetReply");
-        match reply.0 {
+        let mut slot = take_slot(env.message_mut());
+        let item = slot.take();
+        self.slot = Some(slot);
+        match item {
             Some(item) => Pulled::Item(item),
             None => Pulled::Eos,
         }
@@ -323,11 +327,14 @@ impl RtState {
         coro: ThreadId,
         item: Item,
     ) -> PushRes {
-        match self
-            .sync_call(ctx, coro, Message::new(tags::PUT, item))
-            .await
-        {
-            Some(_ack) => PushRes::Ok,
+        let mut slot = self.slot.take().unwrap_or_default();
+        *slot = Some(item);
+        let request = Message::from_body(tags::PUT, slot);
+        match self.sync_call(ctx, coro, request).await {
+            Some(mut ack) => {
+                self.slot = Some(take_slot(ack.message_mut()));
+                PushRes::Ok
+            }
             None => PushRes::Interrupted,
         }
     }

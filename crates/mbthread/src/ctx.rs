@@ -92,14 +92,7 @@ impl Drop for PendingReply {
         // Cancel the wait: retire the token, stop donating priority, and
         // discard any reply that already landed in our mailbox.
         let mut state = self.kernel.inner.lock();
-        state.pending_tokens.remove(&self.token);
-        if let Some(rec) = state.rec_mut(self.me) {
-            if rec.waiting_on == Some(self.to) {
-                rec.waiting_on = None;
-            }
-            let token = ReplyToken(self.token);
-            rec.mailbox.retain(|env| env.in_reply != Some(token));
-        }
+        state.cancel_wait(self.me, self.to, self.token);
     }
 }
 
@@ -865,7 +858,7 @@ impl<'k> Ctx<'k> {
                 None => return Err(KernelError::Shutdown),
             }
             if !self.kernel.inner.poll_granted(state) {
-                state.wait(&self.cv);
+                state.park(self.me, &self.cv, None);
             }
         }
     }
@@ -895,30 +888,28 @@ impl<'k> Ctx<'k> {
             if state.shutdown {
                 return Err(KernelError::Shutdown);
             }
-            {
-                let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
-                if receipt == Receipt::Reply {
-                    if let Some(peer) = rec.peer_gone.take() {
-                        rec.waiting_on = None;
-                        return Err(KernelError::PeerGone(peer));
-                    }
+            let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
+            if receipt == Receipt::Reply {
+                if let Some(peer) = rec.peer_gone.take() {
+                    state.end_wait(self.me);
+                    return Err(KernelError::PeerGone(peer));
                 }
-                if let Some(idx) = rec.find_match(spec) {
-                    let env = rec.mailbox.remove(idx).expect("index from find_match");
-                    match receipt {
-                        Receipt::Reply if spec.is_reply(&env) => rec.waiting_on = None,
-                        Receipt::Reply => {}
-                        Receipt::Nested if !env.wants_reply() => {}
-                        Receipt::Nested | Receipt::Main => {
-                            rec.cur = env.constraint();
-                            rec.processing = true;
-                        }
-                    }
-                    return Ok(Some(env));
-                }
-                rec.state = RunState::Blocked;
-                rec.set_wait(spec);
             }
+            if let Some(idx) = rec.find_match(spec) {
+                let env = rec.mailbox.remove(idx).expect("index from find_match");
+                match receipt {
+                    Receipt::Reply if spec.is_reply(&env) => state.end_wait(self.me),
+                    Receipt::Reply => {}
+                    Receipt::Nested if !env.wants_reply() => {}
+                    Receipt::Nested | Receipt::Main => {
+                        rec.cur = env.constraint();
+                        rec.processing = true;
+                    }
+                }
+                return Ok(Some(env));
+            }
+            rec.state = RunState::Blocked;
+            rec.set_wait(spec);
             debug_assert_eq!(state.running, Some(self.me));
             state.running = None;
             self.kernel.inner.reschedule(state);
@@ -930,17 +921,10 @@ impl<'k> Ctx<'k> {
 
     /// Gives up the CPU, staying runnable.
     fn give_way(&self, state: &mut KGuard<'_>) -> Result<(), KernelError> {
-        if state.shutdown {
+        if state.shutdown || state.rec(self.me).is_none() {
             return Err(KernelError::Shutdown);
         }
-        let seq = state.ready_seq;
-        state.ready_seq += 1;
-        {
-            let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
-            rec.state = RunState::Runnable;
-            rec.ready_seq = seq;
-        }
-        state.disturb();
+        state.queue_ready(self.me);
         debug_assert_eq!(state.running, Some(self.me));
         state.running = None;
         self.kernel.inner.reschedule(state);
@@ -969,19 +953,7 @@ impl<'k> Ctx<'k> {
 
     /// Whether a more urgent thread than this (running) one is runnable.
     fn preempted(&self, state: &KState) -> bool {
-        let inner = &self.kernel.inner;
-        if !inner.cfg.preemptive || state.running != Some(self.me) {
-            return false;
-        }
-        let mut my_eff = None;
-        state.threads().any(|(id, rec)| {
-            id != self.me && rec.wants_cpu() && {
-                let mine =
-                    my_eff.get_or_insert_with(|| sched::effective(state, &inner.cfg, self.me));
-                sched::effective(state, &inner.cfg, id).urgency_cmp(mine)
-                    == std::cmp::Ordering::Greater
-            }
-        })
+        sched::preempted(state, &self.kernel.inner.cfg, self.me)
     }
 }
 

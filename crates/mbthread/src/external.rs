@@ -137,9 +137,7 @@ impl ExternalPort {
         inner.reschedule(&mut state);
         let out = self.recv_locked(&mut state, SpecRef::reply_or_tags(token, &[]), None);
         state.pending_tokens.remove(&token);
-        if let Some(rec) = state.rec_mut(self.id) {
-            rec.waiting_on = None;
-        }
+        state.end_wait(self.id);
         out.ok_or(KernelError::Shutdown).and_then(|r| r)
     }
 
@@ -187,33 +185,27 @@ impl ExternalPort {
             if state.shutdown {
                 return Some(Err(KernelError::Shutdown));
             }
-            {
-                let Some(rec) = state.rec_mut(self.id) else {
-                    return Some(Err(KernelError::Shutdown));
-                };
-                if let Some(peer) = rec.peer_gone.take() {
-                    rec.waiting_on = None;
-                    return Some(Err(KernelError::PeerGone(peer)));
-                }
-                if let Some(idx) = rec.find_match(spec) {
-                    let env = rec.mailbox.remove(idx).expect("index from find_match");
-                    return Some(Ok(env));
-                }
+            let Some(rec) = state.rec_mut(self.id) else {
+                return Some(Err(KernelError::Shutdown));
+            };
+            if let Some(peer) = rec.peer_gone.take() {
+                state.end_wait(self.id);
+                return Some(Err(KernelError::PeerGone(peer)));
             }
-            match deadline {
-                Some(dl) => {
-                    // The mailbox was re-checked above, so a wait that
-                    // timed out reports the timeout from here.
-                    let left = dl.checked_duration_since(std::time::Instant::now())?;
-                    if left.is_zero() {
-                        return None;
-                    }
-                    state.wait_for(&self.cv, left);
-                }
-                None => {
-                    state.wait(&self.cv);
-                }
+            if let Some(idx) = rec.find_match(spec) {
+                let env = rec.mailbox.remove(idx).expect("index from find_match");
+                return Some(Ok(env));
             }
+            let left = match deadline {
+                // The mailbox was re-checked above, so a wait that timed
+                // out reports the timeout from here.
+                Some(dl) => match dl.checked_duration_since(std::time::Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return None,
+                },
+                None => None,
+            };
+            state.park(self.id, &self.cv, left);
         }
     }
 }

@@ -232,13 +232,39 @@ impl KGuard<'_> {
         true
     }
 
+    /// [`KGuard::wait`] (or, with a `timeout`, [`KGuard::wait_for`]) on
+    /// thread `me`'s own condvar, counted in its [`ThreadRec::parked`] for
+    /// exactly as long as the OS thread sleeps there: both the count and
+    /// the wait are under the mutex, so a waker that finds it zero knows
+    /// the thread will re-check its state before it sleeps.
+    pub(crate) fn park(&mut self, me: ThreadId, cv: &Condvar, timeout: Option<Duration>) {
+        if self.deliver_wakes() {
+            return;
+        }
+        if let Some(rec) = self.rec_mut(me) {
+            rec.parked += 1;
+        }
+        let guard = self.guard.as_mut().expect("guard held");
+        match timeout {
+            Some(timeout) => drop(cv.wait_for(guard, timeout)),
+            None => cv.wait(guard),
+        }
+        if let Some(rec) = self.rec_mut(me) {
+            rec.parked -= 1;
+        }
+    }
+
     /// Runs `f` with the mutex released, after delivering the wakes this
     /// critical section owes.
     pub(crate) fn unlocked<U>(&mut self, f: impl FnOnce() -> U) -> U {
+        if self.wakes.is_empty() {
+            return MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), f);
+        }
         let wakes = std::mem::take(&mut self.wakes);
         let cv_global = &self.inner.cv_global;
+        let stats = &self.inner.stats;
         MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
-            wakes.deliver(cv_global);
+            wakes.deliver(cv_global, stats);
             f()
         })
     }
@@ -262,9 +288,9 @@ impl KGuard<'_> {
         if wakes.is_empty() {
             return false;
         }
-        let cv_global = &self.inner.cv_global;
+        let (cv_global, stats) = (&self.inner.cv_global, &self.inner.stats);
         MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
-            wakes.deliver(cv_global);
+            wakes.deliver(cv_global, stats);
         });
         true
     }
@@ -286,9 +312,12 @@ impl DerefMut for KGuard<'_> {
 
 impl Drop for KGuard<'_> {
     fn drop(&mut self) {
+        if self.wakes.is_empty() {
+            return;
+        }
         let wakes = std::mem::take(&mut self.wakes);
         drop(self.guard.take());
-        wakes.deliver(&self.inner.cv_global);
+        wakes.deliver(&self.inner.cv_global, &self.inner.stats);
     }
 }
 

@@ -37,7 +37,8 @@
 //! # What a message operation costs
 //!
 //! A send, reply or receive is one critical section under the kernel
-//! mutex and wakes at most the one OS thread that must run next:
+//! mutex and wakes at most the one OS thread that must run next, and that
+//! one only if it sleeps:
 //!
 //! * **A synchronous hand-off is one critical section per side.**
 //!   [`Ctx::call`] enqueues a request and blocks for its reply (or an
@@ -70,6 +71,13 @@
 //!   thread unlocks, notifies its successor, relocks and then waits for its
 //!   own turn — so a woken thread never blocks on the lock its waker still
 //!   holds.
+//! * **Only a sleeping OS thread is woken.** A thread's OS thread is
+//!   marked parked, under the mutex, for exactly as long as it waits on
+//!   its condvar; a hand-off notifies the condvar only while it is. A
+//!   thread that is not parked re-checks its state under the mutex before
+//!   it sleeps. So a hand-off back to the OS thread that is polling the
+//!   yielding thread makes no syscall; [`KernelStats::os_wakes`] counts
+//!   the notifications the kernel did issue.
 //! * **The dispatcher is not on the message path.** Its OS thread (timers,
 //!   virtual-time jumps) is woken only when the kernel goes idle — no
 //!   thread running or runnable — with a virtual-clock jump or a
@@ -79,10 +87,16 @@
 //!   CPU with no kernel OS thread there to poll it, and at shutdown.
 //!   Sends, replies and hand-offs between threads never wake it;
 //!   [`KernelStats::dispatcher_wakeups`] counts the times it did wake.
-//! * The hand-off allocates nothing: tag sets of blocked receives are
-//!   copied into a per-thread buffer that is reused, and effective
-//!   priorities are computed by iteration over the thread table, a
-//!   vector indexed by thread id.
+//! * **A hand-off walks no idle thread and allocates nothing.** The
+//!   scheduler keeps the threads that want the CPU in a queue in the order
+//!   they became runnable, and each thread lists the threads blocked on it
+//!   in a synchronous send. A pick walks that queue; a lone candidate is
+//!   picked without computing its effective constraint, and with
+//!   priority scheduling off the pick is the queue front. Priority
+//!   donation follows the waiter lists. So threads that wait for a message
+//!   cost a hand-off nothing. Tag sets of blocked receives are copied into
+//!   a per-thread buffer that is reused, and the queue and lists keep
+//!   their capacity.
 //! * **A thread with more work of its own need not send itself a message
 //!   to stay preemptible.** [`Ctx::undisturbed`] tells it whether anything
 //!   needs it back in its main loop — a message in its mailbox, a more

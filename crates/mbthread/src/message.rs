@@ -46,6 +46,15 @@ impl Message {
         }
     }
 
+    /// Creates a message around a body that is already boxed, such as one
+    /// taken out of an earlier message with [`Message::take_boxed_body`]:
+    /// a round trip that hands the same box back and forth allocates
+    /// nothing.
+    #[must_use]
+    pub fn from_body(tag: Tag, body: Body) -> Self {
+        Message { tag, body }
+    }
+
     /// Creates a message with a tag and no payload.
     #[must_use]
     pub fn signal(tag: Tag) -> Self {
@@ -86,6 +95,13 @@ impl Message {
             Ok(b) => Some(*b),
             Err(_) => unreachable!("checked is::<T>() above"),
         }
+    }
+
+    /// Moves the boxed body out of the message, whatever its type, leaving
+    /// `()` in its place (which allocates nothing), so the box can be
+    /// refilled and sent again with [`Message::from_body`].
+    pub fn take_boxed_body(&mut self) -> Body {
+        std::mem::replace(&mut self.body, Box::new(()))
     }
 }
 

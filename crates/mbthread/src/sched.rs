@@ -7,6 +7,26 @@
 //! transition. Nothing here wakes an OS thread: a transition that needs
 //! one records it in [`KState::wakes`], and the kernel guard delivers it
 //! after the mutex is released.
+//!
+//! A hand-off does only the work it needs, whatever the size of the
+//! thread table:
+//!
+//! * **The pick walks the runnable queue, not the thread table.**
+//!   [`KState`] keeps the threads that want the CPU in the order they
+//!   became runnable. A lone candidate is the pick under every policy, so
+//!   effective constraints are computed only when two or more threads want
+//!   the CPU; with `priority_scheduling` off the pick is the queue front.
+//! * **Donation follows waiter lists.** Each thread lists the threads
+//!   blocked on it in a synchronous send, so [`effective`] visits the
+//!   donors only, up to `MAX_DONATION_DEPTH` deep.
+//! * **An OS thread is woken only while it sleeps.** A grant to an
+//!   OS-backed thread, a message for an external port and a peer's
+//!   termination notify the thread's condvar only when it is parked on it
+//!   ([`ThreadRec::parked`]). The flag is read under the mutex and the
+//!   notification is sent after unlock; a thread that is not parked
+//!   re-checks its state under the mutex before it sleeps. So a hand-off
+//!   back to the OS thread that polled the yielding thread costs no
+//!   syscall.
 
 use crate::clock::{ClockMode, Time};
 use crate::constraint::{Constraint, Priority};
@@ -18,31 +38,41 @@ use crate::thread::{Body, RunState, ThreadId, ThreadRec};
 use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
 use parking_lot::Condvar;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::Arc;
 
 /// OS wakes a critical section has produced but not yet issued. A hand-off
-/// produces exactly one, which lives in the inline slot, so the message
-/// path never allocates here.
+/// produces at most one (none when the thread granted the CPU is polled,
+/// or its OS thread is awake), which lives in the inline slot, so the
+/// message path never allocates here.
 #[derive(Default)]
 pub(crate) struct Wakes {
     /// Notify `cv_global`: the dispatcher and `wait_quiescent` callers.
     pub(crate) dispatcher: bool,
-    /// A polled thread was granted the CPU. An OS thread that polls it
-    /// itself clears this (`KernelInner::poll_granted`); otherwise the
-    /// dispatcher is woken to poll it.
+    /// A polled thread was granted the CPU outside a poll. An OS thread
+    /// that polls it itself clears this (`KernelInner::poll_granted`);
+    /// otherwise the dispatcher is woken to poll it. A grant made inside a
+    /// poll does not set it: the poller is there.
     pub(crate) poll: bool,
-    first: Option<Arc<Condvar>>,
-    rest: Vec<Arc<Condvar>>,
+    first: Option<OsWake>,
+    rest: Vec<OsWake>,
+}
+
+/// One condvar to notify: a kernel thread's has one sleeper at most, a
+/// port's or a shutdown's may have more.
+struct OsWake {
+    cv: Arc<Condvar>,
+    all: bool,
 }
 
 impl Wakes {
-    pub(crate) fn push(&mut self, cv: Arc<Condvar>) {
+    fn push(&mut self, cv: Arc<Condvar>, all: bool) {
+        let wake = OsWake { cv, all };
         if self.first.is_none() {
-            self.first = Some(cv);
+            self.first = Some(wake);
         } else {
-            self.rest.push(cv);
+            self.rest.push(wake);
         }
     }
 
@@ -50,17 +80,24 @@ impl Wakes {
         !self.dispatcher && !self.poll && self.first.is_none()
     }
 
-    /// Issues the wakes. Must be called with the kernel mutex released, so
-    /// a woken thread finds it free.
-    pub(crate) fn deliver(self, cv_global: &Condvar) {
-        for cv in self.first.iter().chain(&self.rest) {
-            cv.notify_all();
+    /// Issues the wakes, counting each condvar notification in
+    /// `os_wakes`. Must be called with the kernel mutex released, so a
+    /// woken thread finds it free.
+    pub(crate) fn deliver(self, cv_global: &Condvar, stats: &StatCounters) {
+        for wake in self.first.iter().chain(&self.rest) {
+            StatCounters::bump(&stats.os_wakes);
+            if wake.all {
+                wake.cv.notify_all();
+            } else {
+                wake.cv.notify_one();
+            }
         }
-        if self.dispatcher || (self.poll && !polling()) {
+        if self.dispatcher || self.poll {
             // Requested by the idle rule, a timer arming, a clock-hold
             // release or shutdown (the sites that set `wakes.dispatcher`),
             // or a polled thread granted the CPU with no OS thread there
-            // to poll it: inside a poll, the poller is that OS thread.
+            // to poll it.
+            StatCounters::bump(&stats.os_wakes);
             cv_global.notify_all();
         }
     }
@@ -86,6 +123,10 @@ pub(crate) struct KState {
     pub(crate) next_timer: u64,
     pub(crate) send_seq: u64,
     pub(crate) ready_seq: u64,
+    /// Exactly the threads that want the CPU ([`ThreadRec::wants_cpu`]),
+    /// in `ready_seq` order: each is appended when it becomes runnable and
+    /// removed when it is granted the CPU or terminates.
+    runq: VecDeque<ThreadId>,
     pub(crate) timers: BinaryHeap<TimerKey>,
     pub(crate) timer_entries: HashMap<u64, TimerEntry>,
     /// Reply tokens of synchronous sends that have not been answered yet;
@@ -118,6 +159,7 @@ impl KState {
             next_timer: 0,
             send_seq: 0,
             ready_seq: 0,
+            runq: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_entries: HashMap::new(),
             pending_tokens: HashSet::new(),
@@ -158,19 +200,80 @@ impl KState {
 
     /// Marks a blocked or freshly created thread ready to run.
     pub(crate) fn make_runnable(&mut self, id: ThreadId) {
+        debug_assert!(
+            self.rec(id)
+                .is_none_or(|rec| rec.state != RunState::Running),
+            "make_runnable on running thread {id}"
+        );
+        self.queue_ready(id);
+    }
+
+    /// Puts a thread that is not `Done` at the back of the runnable queue,
+    /// stamped with the next `ready_seq`, and disturbs the running thread.
+    pub(crate) fn queue_ready(&mut self, id: ThreadId) {
         self.disturb();
         let seq = self.ready_seq;
         self.ready_seq += 1;
-        if let Some(rec) = self.rec_mut(id) {
-            debug_assert!(
-                rec.state != RunState::Running,
-                "make_runnable on running thread {id}"
-            );
-            if rec.state != RunState::Done {
-                rec.state = RunState::Runnable;
-                rec.receive_blocked = false;
-                rec.ready_seq = seq;
+        let Some(rec) = self.rec_mut(id) else { return };
+        if rec.state == RunState::Done {
+            return;
+        }
+        debug_assert!(rec.state != RunState::Runnable, "{id} queued twice");
+        rec.state = RunState::Runnable;
+        rec.receive_blocked = false;
+        rec.ready_seq = seq;
+        if rec.wants_cpu() {
+            self.runq.push_back(id);
+        }
+    }
+
+    /// Notifies the OS thread(s) parked on `id`'s condvar, once the mutex
+    /// is released; nothing if none is parked.
+    pub(crate) fn wake_if_parked(&mut self, id: ThreadId) {
+        // `threads` is indexed directly so `wakes` can be borrowed beside it.
+        let Some(rec) = usize::try_from(id.0).ok().and_then(|i| self.threads.get(i)) else {
+            return;
+        };
+        if rec.parked > 0 {
+            self.wakes.push(Arc::clone(&rec.cv), rec.external);
+        }
+    }
+
+    /// Records that `from` waits for a reply from `to`, in both records.
+    pub(crate) fn wait_for_reply(&mut self, from: ThreadId, to: ThreadId) {
+        self.end_wait(from);
+        let Some(rec) = self.rec_mut(from) else {
+            return;
+        };
+        rec.waiting_on = Some(to);
+        if let Some(target) = self.rec_mut(to) {
+            target.waiters.push(from);
+        }
+    }
+
+    /// Ends `id`'s wait for a reply, if any: it stops donating its urgency.
+    pub(crate) fn end_wait(&mut self, id: ThreadId) {
+        let Some(to) = self.rec_mut(id).and_then(|rec| rec.waiting_on.take()) else {
+            return;
+        };
+        if let Some(target) = self.rec_mut(to) {
+            if let Some(pos) = target.waiters.iter().position(|&w| w == id) {
+                target.waiters.swap_remove(pos);
             }
+        }
+    }
+
+    /// Cancels `me`'s synchronous send of `token` to `to` (a dropped
+    /// `PendingReply`): retires the token, ends the wait if it is still
+    /// on `to`, and discards a reply that already landed.
+    pub(crate) fn cancel_wait(&mut self, me: ThreadId, to: ThreadId, token: u64) {
+        self.pending_tokens.remove(&token);
+        if self.rec(me).is_some_and(|rec| rec.waiting_on == Some(to)) {
+            self.end_wait(me);
+        }
+        if let Some(rec) = self.rec_mut(me) {
+            let token = ReplyToken(token);
+            rec.mailbox.retain(|env| env.in_reply != Some(token));
         }
     }
 
@@ -190,7 +293,7 @@ impl KState {
     }
 
     pub(crate) fn has_runnable(&self) -> bool {
-        self.threads.iter().any(ThreadRec::wants_cpu)
+        !self.runq.is_empty()
     }
 
     /// True when nothing can make progress without external input: no
@@ -227,12 +330,13 @@ impl KState {
             .collect()
     }
 
-    /// Starts shutdown: every blocked OS thread is woken to observe it.
+    /// Starts shutdown: every OS thread, parked or about to park, is
+    /// woken to observe it.
     pub(crate) fn begin_shutdown(&mut self) {
         self.shutdown = true;
         self.disturb();
         for rec in &self.threads {
-            self.wakes.push(Arc::clone(&rec.cv));
+            self.wakes.push(Arc::clone(&rec.cv), true);
         }
         self.wakes.dispatcher = true;
     }
@@ -295,11 +399,9 @@ fn effective_along(
         // us their urgency (classic priority inheritance).
         if depth < MAX_DONATION_DEPTH && !chain[..depth].contains(&id) {
             chain[depth] = id;
-            for (waiter, wrec) in state.threads() {
-                if wrec.waiting_on == Some(id) {
-                    let donated = effective_along(state, cfg, waiter, chain, depth + 1);
-                    eff = eff.max_urgency(donated);
-                }
+            for &waiter in &rec.waiters {
+                let donated = effective_along(state, cfg, waiter, chain, depth + 1);
+                eff = eff.max_urgency(donated);
             }
         }
     }
@@ -308,34 +410,41 @@ fn effective_along(
 
 /// Picks the next thread to run: most urgent effective constraint first,
 /// FIFO among equals. With `priority_scheduling` off, pure FIFO by the
-/// moment each thread became runnable (the E7 ablation).
+/// moment each thread became runnable (the E7 ablation). A lone candidate
+/// is picked without computing its effective constraint.
 pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
-    let mut best: Option<(ThreadId, Constraint, u64)> = None;
-    for (id, rec) in state.threads().filter(|(_, rec)| rec.wants_cpu()) {
+    let mut queue = state.runq.iter().copied();
+    let front = queue.next()?;
+    if queue.len() == 0 || !cfg.priority_scheduling {
+        return Some(front);
+    }
+    let mut best = (front, effective(state, cfg, front));
+    for id in queue {
         let eff = effective(state, cfg, id);
-        match &best {
-            None => best = Some((id, eff, rec.ready_seq)),
-            Some((_, beff, bseq)) => {
-                let better = if cfg.priority_scheduling {
-                    match eff.urgency_cmp(beff) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => rec.ready_seq < *bseq,
-                        Ordering::Less => false,
-                    }
-                } else {
-                    rec.ready_seq < *bseq
-                };
-                if better {
-                    best = Some((id, eff, rec.ready_seq));
-                }
-            }
+        // The queue is in `ready_seq` order: a tie keeps the earlier one.
+        if eff.urgency_cmp(&best.1) == Ordering::Greater {
+            best = (id, eff);
         }
     }
-    best.map(|(id, _, _)| id)
+    Some(best.0)
+}
+
+/// Whether a thread more urgent than `me`, the running thread, wants the
+/// CPU (with preemption configured).
+pub(crate) fn preempted(state: &KState, cfg: &SchedConfig, me: ThreadId) -> bool {
+    if !cfg.preemptive || state.running != Some(me) || state.runq.is_empty() {
+        return false;
+    }
+    let mine = effective(state, cfg, me);
+    state
+        .runq
+        .iter()
+        .any(|&id| id != me && effective(state, cfg, id).urgency_cmp(&mine) == Ordering::Greater)
 }
 
 /// Hands the CPU to `id`: marks it running and records the wake its OS
-/// thread is owed, or for a polled thread that it needs a poller. A grant
+/// thread is owed if it is parked, or for a polled thread that it needs a
+/// poller. A grant
 /// to a different thread is a context switch, whatever backs it.
 pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) {
     debug_assert!(state.running.is_none());
@@ -344,13 +453,16 @@ pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) 
         state.last_running = Some(id);
     }
     state.running = Some(id);
+    if let Some(pos) = state.runq.iter().position(|&t| t == id) {
+        state.runq.remove(pos);
+    }
     let rec = state.rec_mut(id).expect("granted thread exists");
     rec.state = RunState::Running;
     if rec.polled {
-        state.wakes.poll = true;
+        // Inside a poll, the poller is the OS thread that polls it next.
+        state.wakes.poll |= !polling();
     } else {
-        let cv = Arc::clone(&rec.cv);
-        state.wakes.push(cv);
+        state.wake_if_parked(id);
     }
 }
 
@@ -428,9 +540,8 @@ pub(crate) fn enqueue(
     rec.mailbox.push_back(env);
     if rec.external {
         // External ports are OS threads waiting on their own condvar; they
-        // are not scheduled, just notified.
-        let cv = Arc::clone(&rec.cv);
-        state.wakes.push(cv);
+        // are not scheduled, just notified if asleep.
+        state.wake_if_parked(to);
     } else if matched && rec.state == RunState::Blocked && !rec.sleeping {
         state.make_runnable(to);
     }
@@ -455,9 +566,7 @@ pub(crate) fn enqueue_request(
     enqueue(state, stats, to, env)?;
     StatCounters::bump(&stats.sync_sends);
     state.pending_tokens.insert(token);
-    if let Some(rec) = state.rec_mut(from) {
-        rec.waiting_on = Some(to);
-    }
+    state.wait_for_reply(from, to);
     Ok(token)
 }
 
@@ -493,33 +602,38 @@ pub(crate) fn terminate(state: &mut KState, id: ThreadId) {
     if state.running == Some(id) {
         state.running = None;
     }
-    if let Some(rec) = state.rec_mut(id) {
-        rec.state = RunState::Done;
-        rec.receive_blocked = false;
-        rec.mailbox.clear();
+    let Some(rec) = state.rec_mut(id) else { return };
+    let queued = rec.wants_cpu();
+    rec.state = RunState::Done;
+    rec.receive_blocked = false;
+    rec.mailbox.clear();
+    // Its waiters stay listed (each ends its own wait when it takes
+    // `peer_gone`); the blocked ones are woken to take it.
+    let mut orphans = std::mem::take(&mut rec.waiters);
+    if queued {
+        state.runq.retain(|&t| t != id);
     }
-    let orphans: Vec<ThreadId> = state
-        .threads()
-        .filter(|(_, r)| r.waiting_on == Some(id) && r.state == RunState::Blocked)
-        .map(|(wid, _)| wid)
-        .collect();
-    for w in orphans {
-        if let Some(rec) = state.rec_mut(w) {
-            rec.peer_gone = Some(id);
-            if rec.external {
-                let cv = Arc::clone(&rec.cv);
-                state.wakes.push(cv);
-                continue;
-            }
+    orphans.sort_unstable();
+    for &w in &orphans {
+        let Some(rec) = state.rec_mut(w).filter(|r| r.state == RunState::Blocked) else {
+            continue;
+        };
+        rec.peer_gone = Some(id);
+        if rec.external {
+            state.wake_if_parked(w);
+        } else {
+            state.make_runnable(w);
         }
-        state.make_runnable(w);
+    }
+    if let Some(rec) = state.rec_mut(id) {
+        rec.waiters = orphans;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Message, Tag};
+    use crate::message::{Message, SpecRef, Tag};
 
     fn cfg() -> SchedConfig {
         SchedConfig {
@@ -535,6 +649,14 @@ mod tests {
         let id = state.add_thread(ThreadRec::new(name, pri, false));
         state.make_runnable(id);
         id
+    }
+
+    /// Blocks the runnable thread `id` as a receive does: it is granted the
+    /// CPU, then gives it up blocked.
+    fn block(state: &mut KState, id: ThreadId) {
+        grant_cpu(state, &StatCounters::default(), id);
+        state.rec_mut(id).unwrap().state = RunState::Blocked;
+        state.running = None;
     }
 
     #[test]
@@ -625,8 +747,8 @@ mod tests {
         let mut state = KState::new();
         let holder = spawn_rec(&mut state, Priority::LOW);
         let waiter = spawn_rec(&mut state, Priority::HIGH);
-        state.rec_mut(waiter).unwrap().state = RunState::Blocked;
-        state.rec_mut(waiter).unwrap().waiting_on = Some(holder);
+        block(&mut state, waiter);
+        state.wait_for_reply(waiter, holder);
         let eff = effective(&state, &cfg(), holder);
         assert_eq!(eff.priority, Priority::HIGH);
 
@@ -641,7 +763,7 @@ mod tests {
         let mut state = KState::new();
         let stats = StatCounters::default();
         let t = spawn_rec(&mut state, Priority::NORMAL);
-        state.rec_mut(t).unwrap().state = RunState::Blocked;
+        block(&mut state, t);
         state.rec_mut(t).unwrap().sleeping = true;
 
         let early = add_timer(&mut state, Time::from_millis(1), TimerKind::Wake(t));
@@ -672,8 +794,8 @@ mod tests {
         let mut state = KState::new();
         let dead = spawn_rec(&mut state, Priority::NORMAL);
         let waiter = spawn_rec(&mut state, Priority::NORMAL);
-        state.rec_mut(waiter).unwrap().state = RunState::Blocked;
-        state.rec_mut(waiter).unwrap().waiting_on = Some(dead);
+        block(&mut state, waiter);
+        state.wait_for_reply(waiter, dead);
         terminate(&mut state, dead);
         assert_eq!(state.rec(waiter).unwrap().peer_gone, Some(dead));
         assert_eq!(state.rec(waiter).unwrap().state, RunState::Runnable);
@@ -684,10 +806,10 @@ mod tests {
     fn lone_runnable_thread_is_picked() {
         let mut state = KState::new();
         let blocked = spawn_rec(&mut state, Priority::CONTROL);
-        state.rec_mut(blocked).unwrap().state = RunState::Blocked;
+        block(&mut state, blocked);
         let lone = spawn_rec(&mut state, Priority::LOW);
         assert_eq!(pick_next(&state, &cfg()), Some(lone));
-        state.rec_mut(lone).unwrap().state = RunState::Blocked;
+        block(&mut state, lone);
         assert_eq!(pick_next(&state, &cfg()), None);
     }
 
@@ -736,5 +858,390 @@ mod tests {
             enqueue(&mut state, &stats, t, env).unwrap_err(),
             SendError::UnknownThread(t)
         );
+    }
+
+    /// The scheduler this module's runnable queue and waiter lists
+    /// replaced: a full scan of the thread table for every pick, and of
+    /// the table again for the donors at each level of a donation chain.
+    /// Kept here only as the reference the property test holds the
+    /// scheduler to.
+    mod full_scan {
+        use super::super::{KState, SchedConfig, MAX_DONATION_DEPTH};
+        use crate::constraint::{Constraint, Priority};
+        use crate::thread::{RunState, ThreadId};
+        use std::cmp::Ordering;
+
+        pub(super) fn effective(state: &KState, cfg: &SchedConfig, id: ThreadId) -> Constraint {
+            effective_along(state, cfg, id, &mut [id; MAX_DONATION_DEPTH], 0)
+        }
+
+        fn effective_along(
+            state: &KState,
+            cfg: &SchedConfig,
+            id: ThreadId,
+            chain: &mut [ThreadId; MAX_DONATION_DEPTH],
+            depth: usize,
+        ) -> Constraint {
+            let Some(rec) = state.rec(id) else {
+                return Constraint::priority(Priority::LOW);
+            };
+            let mut eff = Constraint::priority(rec.static_pri);
+            if rec.processing {
+                if let Some(cur) = rec.cur {
+                    eff = eff.max_urgency(cur);
+                }
+            } else if rec.state == RunState::Runnable {
+                if let Some(c) = rec.mailbox.front().and_then(|e| e.constraint()) {
+                    eff = eff.max_urgency(c);
+                }
+            }
+            if cfg.priority_inheritance {
+                for env in &rec.mailbox {
+                    if let Some(c) = env.constraint() {
+                        eff = eff.max_urgency(c);
+                    }
+                }
+                if depth < MAX_DONATION_DEPTH && !chain[..depth].contains(&id) {
+                    chain[depth] = id;
+                    for (waiter, wrec) in state.threads() {
+                        if wrec.waiting_on == Some(id) {
+                            let donated = effective_along(state, cfg, waiter, chain, depth + 1);
+                            eff = eff.max_urgency(donated);
+                        }
+                    }
+                }
+            }
+            eff
+        }
+
+        pub(super) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
+            let mut best: Option<(ThreadId, Constraint, u64)> = None;
+            for (id, rec) in state.threads().filter(|(_, rec)| rec.wants_cpu()) {
+                let eff = effective(state, cfg, id);
+                match &best {
+                    None => best = Some((id, eff, rec.ready_seq)),
+                    Some((_, beff, bseq)) => {
+                        let better = if cfg.priority_scheduling {
+                            match eff.urgency_cmp(beff) {
+                                Ordering::Greater => true,
+                                Ordering::Equal => rec.ready_seq < *bseq,
+                                Ordering::Less => false,
+                            }
+                        } else {
+                            rec.ready_seq < *bseq
+                        };
+                        if better {
+                            best = Some((id, eff, rec.ready_seq));
+                        }
+                    }
+                }
+            }
+            best.map(|(id, _, _)| id)
+        }
+
+        pub(super) fn preempted(state: &KState, cfg: &SchedConfig, me: ThreadId) -> bool {
+            if !cfg.preemptive || state.running != Some(me) {
+                return false;
+            }
+            let mut my_eff = None;
+            state.threads().any(|(id, rec)| {
+                id != me && rec.wants_cpu() && {
+                    let mine = my_eff.get_or_insert_with(|| effective(state, cfg, me));
+                    effective(state, cfg, id).urgency_cmp(mine) == Ordering::Greater
+                }
+            })
+        }
+    }
+
+    const CTL: Tag = Tag(2);
+
+    /// A kernel driven one scheduler transition at a time, as the kernel's
+    /// operations drive it, with what the test needs to know about the
+    /// synchronous sends in flight.
+    struct World {
+        state: KState,
+        cfg: SchedConfig,
+        stats: StatCounters,
+        /// Synchronous sends not yet answered: (token, from, to).
+        requests: Vec<(u64, ThreadId, ThreadId)>,
+        /// The reply token each thread waits for, by thread index.
+        waits: Vec<Option<(u64, ThreadId)>>,
+        /// Interrupted waits whose `PendingReply` is still alive after
+        /// the thread began another: (thread, peer, token).
+        abandoned: Vec<(ThreadId, ThreadId, u64)>,
+    }
+
+    impl World {
+        fn new(cfg: SchedConfig) -> World {
+            let mut world = World {
+                state: KState::new(),
+                cfg,
+                stats: StatCounters::default(),
+                requests: Vec::new(),
+                waits: Vec::new(),
+                abandoned: Vec::new(),
+            };
+            world.spawn(1, false);
+            world.spawn(2, false);
+            world
+        }
+
+        fn ids(&self) -> usize {
+            self.waits.len()
+        }
+
+        fn nth(&self, r: u64) -> ThreadId {
+            ThreadId(r % self.ids() as u64)
+        }
+
+        fn constraint(r: u64) -> Option<Constraint> {
+            let priority = [Priority::LOW, Priority::NORMAL, Priority::HIGH][(r % 3) as usize];
+            match r % 5 {
+                0 => None,
+                1 | 2 => Some(Constraint::priority(priority)),
+                _ => Some(Constraint {
+                    priority,
+                    deadline: Some(Time::from_millis(r % 7)),
+                }),
+            }
+        }
+
+        fn spawn(&mut self, r: u64, external: bool) {
+            let pri = [
+                Priority::LOW,
+                Priority::NORMAL,
+                Priority::HIGH,
+                Priority::CONTROL,
+            ];
+            let name = format!("t{}", self.ids());
+            let rec = ThreadRec::new(name, pri[(r % 4) as usize], external);
+            let id = self.state.add_thread(rec);
+            self.waits.push(None);
+            if !external {
+                self.state.make_runnable(id);
+            }
+        }
+
+        /// One attempt of a receive by the running thread `me`, as
+        /// `Ctx::take_or_wait` makes it: the reply it waits for (or an
+        /// interrupt), else the next message, else it blocks.
+        fn receive(&mut self, me: ThreadId, r: u64) {
+            let idx = me.0 as usize;
+            if let Some((token, _)) = self.waits[idx] {
+                if self.state.rec_mut(me).unwrap().peer_gone.take().is_some() {
+                    self.state.end_wait(me);
+                    self.waits[idx] = None;
+                    return;
+                }
+                let tags = [CTL];
+                let spec = SpecRef::reply_or_tags(token, &tags);
+                let rec = self.state.rec_mut(me).unwrap();
+                if let Some(i) = rec.find_match(spec) {
+                    let env = rec.mailbox.remove(i).unwrap();
+                    if spec.is_reply(&env) {
+                        self.state.end_wait(me);
+                        self.waits[idx] = None;
+                    }
+                    return;
+                }
+                self.block(me, spec);
+                return;
+            }
+            let rec = self.state.rec_mut(me).unwrap();
+            if r.is_multiple_of(3) {
+                rec.cur = None;
+                rec.processing = false;
+            }
+            if let Some(env) = rec.mailbox.pop_front() {
+                rec.cur = env.constraint();
+                rec.processing = true;
+                return;
+            }
+            self.block(me, SpecRef::ANY);
+        }
+
+        fn block(&mut self, me: ThreadId, spec: SpecRef<'_>) {
+            let rec = self.state.rec_mut(me).unwrap();
+            rec.state = RunState::Blocked;
+            rec.set_wait(spec);
+            self.state.running = None;
+        }
+
+        /// A synchronous send from `from`; a kernel thread then waits for
+        /// the reply as `Ctx::call_async` does.
+        fn call(&mut self, from: ThreadId, to: ThreadId, r: u64) {
+            let msg = Message::signal(Tag(1));
+            let Ok(token) = enqueue_request(
+                &mut self.state,
+                &self.stats,
+                from,
+                to,
+                msg,
+                Self::constraint(r),
+            ) else {
+                return;
+            };
+            self.requests.push((token, from, to));
+            if let Some((old, peer)) = self.waits[from.0 as usize].replace((token, to)) {
+                self.abandoned.push((from, peer, old));
+            }
+            if self.state.running == Some(from) {
+                self.receive(from, r);
+            }
+        }
+
+        /// The running thread answers a request addressed to it, as
+        /// `Ctx::reply` does.
+        fn reply(&mut self, me: ThreadId, r: u64) {
+            let mine: Vec<usize> = (0..self.requests.len())
+                .filter(|&i| self.requests[i].2 == me)
+                .collect();
+            if mine.is_empty() {
+                return;
+            }
+            let (token, from, _) = self.requests.remove(mine[(r % mine.len() as u64) as usize]);
+            if !self.state.pending_tokens.remove(&token) {
+                return;
+            }
+            let cur = self.state.rec(me).and_then(|rec| rec.cur);
+            let mut env = self.state.stamp(Some(me), Message::signal(Tag(1)), cur);
+            env.in_reply = Some(ReplyToken(token));
+            let _ = enqueue(&mut self.state, &self.stats, from, env);
+        }
+
+        /// An external port's `send_sync` takes its reply (or learns its
+        /// peer is gone) and ends its wait.
+        fn port_takes_reply(&mut self, port: ThreadId) {
+            let idx = port.0 as usize;
+            let Some((token, _)) = self.waits[idx] else {
+                return;
+            };
+            let rec = self.state.rec_mut(port).unwrap();
+            let gone = rec.peer_gone.take().is_some();
+            let spec = SpecRef::reply_or_tags(token, &[]);
+            let replied = rec.find_match(spec).map(|i| rec.mailbox.remove(i));
+            if gone || replied.is_some() {
+                self.state.pending_tokens.remove(&token);
+                self.state.end_wait(port);
+                self.waits[idx] = None;
+            }
+        }
+
+        fn step(&mut self, word: u64) {
+            let (op, r) = (word % 13, word >> 8);
+            let running = self.state.running;
+            let external =
+                |w: &World, id: ThreadId| w.state.rec(id).is_some_and(|rec| rec.external);
+            match (op, running) {
+                (0, _) if self.ids() < 32 => self.spawn(r, r.is_multiple_of(5)),
+                (4, Some(me)) => self.receive(me, r),
+                (5, _) => {
+                    // An asynchronous send, from the running thread or
+                    // from outside the kernel.
+                    let tag = if r.is_multiple_of(2) { CTL } else { Tag(1) };
+                    let env =
+                        self.state
+                            .stamp(running, Message::signal(tag), Self::constraint(r >> 4));
+                    let to = self.nth(r >> 12);
+                    let _ = enqueue(&mut self.state, &self.stats, to, env);
+                }
+                (6, Some(me)) if !r.is_multiple_of(3) => self.call(me, self.nth(r >> 4), r >> 12),
+                (6, _) => {
+                    let port = self.nth(r >> 4);
+                    if external(self, port) && self.waits[port.0 as usize].is_none() {
+                        self.call(port, self.nth(r >> 12), r >> 20);
+                    }
+                }
+                (7, Some(me)) => self.reply(me, r),
+                (8, _) => {
+                    let port = self.nth(r);
+                    if external(self, port) {
+                        self.port_takes_reply(port);
+                    }
+                }
+                (9, Some(me)) => {
+                    // A `PendingReply` dropped: the running thread's own
+                    // interrupted wait, or one it abandoned for another.
+                    if let Some(i) = self.abandoned.iter().position(|a| a.0 == me) {
+                        let (_, to, token) = self.abandoned.remove(i);
+                        self.state.cancel_wait(me, to, token);
+                    } else if let Some((token, to)) = self.waits[me.0 as usize].take() {
+                        self.state.cancel_wait(me, to, token);
+                    }
+                }
+                (10, Some(me)) => {
+                    self.state.queue_ready(me);
+                    self.state.running = None;
+                }
+                (11, _) if r.is_multiple_of(4) => {
+                    let id = self.nth(r >> 4);
+                    terminate(&mut self.state, id);
+                    if let Some(rec) = self.state.rec_mut(id) {
+                        rec.state = RunState::Done;
+                    }
+                }
+                _ => dispatch(&mut self.state, &self.cfg, &self.stats),
+            }
+        }
+
+        /// Every decision the scheduler makes now equals the full scan's.
+        fn check(&self, step: usize) {
+            let (state, cfg) = (&self.state, &self.cfg);
+            let queued: Vec<ThreadId> = state.runq.iter().copied().collect();
+            let mut wanting: Vec<(u64, ThreadId)> = state
+                .threads()
+                .filter(|(_, rec)| rec.wants_cpu())
+                .map(|(id, rec)| (rec.ready_seq, id))
+                .collect();
+            wanting.sort_unstable();
+            let wanting: Vec<ThreadId> = wanting.into_iter().map(|(_, id)| id).collect();
+            assert_eq!(queued, wanting, "runnable queue at step {step}");
+            for (id, _) in state.threads() {
+                assert_eq!(
+                    effective(state, cfg, id),
+                    full_scan::effective(state, cfg, id),
+                    "effective constraint of {id} at step {step}"
+                );
+            }
+            assert_eq!(
+                pick_next(state, cfg),
+                full_scan::pick_next(state, cfg),
+                "pick at step {step}"
+            );
+            if let Some(me) = state.running {
+                assert_eq!(
+                    preempted(state, cfg, me),
+                    full_scan::preempted(state, cfg, me),
+                    "preemption of {me} at step {step}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random runs of spawns, blocks, asynchronous and synchronous
+        /// sends, replies, cancelled waits, yields and terminations over at
+        /// most 32 threads: after every step the runnable queue holds
+        /// exactly the threads that want the CPU, and every effective
+        /// constraint, pick and preemption equals the full scan's, with
+        /// priority inheritance on and off and in FIFO mode.
+        #[test]
+        fn scheduler_matches_the_full_scan(words in proptest::collection::vec(proptest::prelude::any::<u64>(), 50..400)) {
+            let fifo = SchedConfig {
+                priority_scheduling: false,
+                ..cfg()
+            };
+            let no_inheritance = SchedConfig {
+                priority_inheritance: false,
+                ..cfg()
+            };
+            for config in [cfg(), no_inheritance, fifo] {
+                let mut world = World::new(config);
+                for (step, &word) in words.iter().enumerate() {
+                    world.step(word);
+                    world.check(step);
+                }
+            }
+        }
     }
 }

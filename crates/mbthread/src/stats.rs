@@ -12,6 +12,7 @@ pub(crate) struct StatCounters {
     pub(crate) timer_fires: AtomicU64,
     pub(crate) threads_spawned: AtomicU64,
     pub(crate) dispatcher_wakeups: AtomicU64,
+    pub(crate) os_wakes: AtomicU64,
 }
 
 impl StatCounters {
@@ -23,6 +24,7 @@ impl StatCounters {
             timer_fires: self.timer_fires.load(Ordering::Relaxed),
             threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
             dispatcher_wakeups: self.dispatcher_wakeups.load(Ordering::Relaxed),
+            os_wakes: self.os_wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -35,7 +37,8 @@ impl StatCounters {
 ///
 /// Obtain one with [`Kernel::stats`](crate::Kernel::stats); subtract two
 /// snapshots with [`KernelStats::delta_since`] to measure the cost of a
-/// workload in context switches and messages.
+/// workload in context switches and messages, and in the OS wakes the
+/// kernel needed for them (`os_wakes`, `dispatcher_wakeups`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Number of times the CPU was handed from one thread to a *different*
@@ -57,6 +60,12 @@ pub struct KernelStats {
     /// at shutdown — never per message, so a timer-free message exchange
     /// leaves this counter unchanged.
     pub dispatcher_wakeups: u64,
+    /// Condition-variable notifications the kernel issued: one per wake of
+    /// an OS thread parked in a kernel thread or an external port, one per
+    /// notification of the dispatcher. A hand-off notifies only an OS
+    /// thread that sleeps, so one between polled threads, or back to the
+    /// OS thread that polled the yielding thread, leaves this unchanged.
+    pub os_wakes: u64,
 }
 
 impl KernelStats {
@@ -64,7 +73,7 @@ impl KernelStats {
     /// enumeration observability exporters iterate instead of hard-coding
     /// the field list.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
         [
             ("context_switches", self.context_switches),
             ("messages_sent", self.messages_sent),
@@ -72,6 +81,7 @@ impl KernelStats {
             ("timer_fires", self.timer_fires),
             ("threads_spawned", self.threads_spawned),
             ("dispatcher_wakeups", self.dispatcher_wakeups),
+            ("os_wakes", self.os_wakes),
         ]
     }
 
@@ -85,6 +95,7 @@ impl KernelStats {
             timer_fires: self.timer_fires - earlier.timer_fires,
             threads_spawned: self.threads_spawned - earlier.threads_spawned,
             dispatcher_wakeups: self.dispatcher_wakeups - earlier.dispatcher_wakeups,
+            os_wakes: self.os_wakes - earlier.os_wakes,
         }
     }
 }
@@ -102,6 +113,7 @@ mod tests {
             timer_fires: 2,
             threads_spawned: 3,
             dispatcher_wakeups: 7,
+            os_wakes: 9,
         };
         let b = KernelStats {
             context_switches: 4,
@@ -110,6 +122,7 @@ mod tests {
             timer_fires: 0,
             threads_spawned: 3,
             dispatcher_wakeups: 6,
+            os_wakes: 4,
         };
         let d = a.delta_since(&b);
         assert_eq!(d.context_switches, 6);
@@ -118,6 +131,7 @@ mod tests {
         assert_eq!(d.timer_fires, 2);
         assert_eq!(d.threads_spawned, 0);
         assert_eq!(d.dispatcher_wakeups, 1);
+        assert_eq!(d.os_wakes, 5);
     }
 
     #[test]

@@ -143,7 +143,8 @@ pub(crate) enum RunState {
     /// The single thread currently executing.
     Running,
     /// Suspended waiting for a matching message (spec in
-    /// [`ThreadRec::wait_spec`]) or for a timer ([`ThreadRec::sleeping`]).
+    /// [`ThreadRec::wait_spec`]) or for a timer ([`ThreadRec::sleeping`]);
+    /// also a new thread's state until it is first made runnable.
     Blocked,
     /// Terminated; kept for diagnostics until the kernel is dropped.
     Done,
@@ -173,8 +174,13 @@ pub(crate) struct ThreadRec {
     /// mid-processing" from "waiting to dequeue the next message".
     pub(crate) processing: bool,
     /// The thread this one is blocked on in a synchronous send, for
-    /// priority-inheritance donation chains.
+    /// priority-inheritance donation chains. Written only through
+    /// `KState::wait_for_reply` and `KState::end_wait`, which keep the
+    /// target's [`ThreadRec::waiters`] in step.
     pub(crate) waiting_on: Option<ThreadId>,
+    /// Every thread whose [`ThreadRec::waiting_on`] is this one, in no
+    /// particular order: the donors of this thread's urgency.
+    pub(crate) waiters: Vec<ThreadId>,
     /// Set when the peer this thread was synchronously waiting on
     /// terminated; the blocked operation returns an error.
     pub(crate) peer_gone: Option<ThreadId>,
@@ -183,6 +189,12 @@ pub(crate) struct ThreadRec {
     pub(crate) ready_seq: u64,
     /// Parks the backing OS thread (paired with the kernel mutex).
     pub(crate) cv: Arc<Condvar>,
+    /// How many OS threads sleep on [`ThreadRec::cv`] right now: set and
+    /// cleared under the kernel mutex around the wait itself. A wake is
+    /// sent only while it is nonzero; a thread that is not asleep re-checks
+    /// its state under the mutex before it sleeps. At most one for a kernel
+    /// thread; an external port may be received on from several OS threads.
+    pub(crate) parked: u32,
     /// External ports are mailboxes for OS threads outside the kernel's
     /// uniprocessor discipline; they are never scheduled.
     pub(crate) external: bool,
@@ -200,11 +212,7 @@ impl ThreadRec {
             name,
             static_pri,
             mailbox: VecDeque::new(),
-            state: if external {
-                RunState::Blocked
-            } else {
-                RunState::Runnable
-            },
+            state: RunState::Blocked,
             receive_blocked: false,
             wait_any: false,
             wait_reply: None,
@@ -213,9 +221,11 @@ impl ThreadRec {
             cur: None,
             processing: false,
             waiting_on: None,
+            waiters: Vec::new(),
             peer_gone: None,
             ready_seq: 0,
             cv: Arc::new(Condvar::new()),
+            parked: 0,
             external,
             polled: false,
             body: None,

@@ -1092,3 +1092,71 @@ fn shutdown_drops_a_blocked_polled_thread_outside_the_kernel_mutex() {
         "the blocked body was dropped"
     );
 }
+
+/// Answers every request at once.
+struct Replier;
+
+impl PolledFn for Replier {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        let reply = ctx.reply_async(&env, Message::signal(DATA));
+        reply.await.unwrap();
+        Flow::Continue
+    }
+}
+
+/// A kernel where an OS-backed client `call`s a polled replier, beside
+/// `idle` polled threads blocked in their main receive; each `TICK` to the
+/// client times `ROUND_TRIPS` calls and sends the time to `times`.
+fn round_trip_kernel(idle: usize, times: std::sync::mpsc::Sender<Duration>) -> (Kernel, ThreadId) {
+    const ROUND_TRIPS: u32 = 20_000;
+    let kernel = Kernel::new(KernelConfig::default());
+    for i in 0..idle {
+        kernel.spawn_polled(format!("idle-{i}"), Replier).unwrap();
+    }
+    let replier = kernel.spawn_polled("replier", Replier).unwrap();
+    let client = kernel
+        .spawn("client", move |ctx: &mut Ctx<'_>, _: Envelope| {
+            let start = std::time::Instant::now();
+            for _ in 0..ROUND_TRIPS {
+                ctx.send_sync(replier, Message::signal(DATA)).unwrap();
+            }
+            times.send(start.elapsed()).unwrap();
+            Flow::Continue
+        })
+        .unwrap();
+    kernel.wait_quiescent();
+    (kernel, client)
+}
+
+#[test]
+fn a_round_trip_costs_the_same_beside_a_thousand_idle_threads() {
+    // Picks walk the threads that want the CPU and donations walk the
+    // waiter lists, so threads that wait for a message cost a hand-off
+    // nothing. The idle threads are polled: they need no OS thread.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let kernels = [
+        round_trip_kernel(0, tx.clone()),
+        round_trip_kernel(1024, tx),
+    ];
+    let mut times = [Vec::new(), Vec::new()];
+    for _ in 0..5 {
+        for (side, (kernel, client)) in kernels.iter().enumerate() {
+            let port = kernel.external("kick");
+            port.send(*client, Message::signal(TICK)).unwrap();
+            times[side].push(rx.recv_timeout(Duration::from_secs(60)).unwrap());
+        }
+    }
+    for (kernel, _) in &kernels {
+        kernel.shutdown();
+    }
+    let [bare, crowded] = times.map(|mut t| {
+        t.sort_unstable();
+        t[t.len() / 2].as_secs_f64()
+    });
+    let ratio = crowded / bare;
+    eprintln!("round trip beside 1024 idle threads / beside none: {ratio:.3}");
+    assert!(
+        ratio <= 1.5,
+        "a round trip beside 1024 idle threads costs {ratio:.2}x"
+    );
+}

@@ -282,5 +282,6 @@ mod tests {
         assert!(src.metric("context_switches").is_some());
         assert!(src.metric("threads_spawned").is_some());
         assert!(src.metric("dispatcher_wakeups").is_some());
+        assert!(src.metric("os_wakes").is_some());
     }
 }

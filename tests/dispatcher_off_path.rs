@@ -3,7 +3,8 @@
 //! decisions cost exactly what the benchmark gates — 1 thread, 0 switches
 //! and no kernel message per item with every stage a direct call (the
 //! pump cycles in place), 5 threads, 8 switches and 8 messages with four
-//! active objects — and the dispatcher OS thread is never woken.
+//! active objects — and the kernel notifies no condvar: the dispatcher
+//! OS thread is never woken, and neither is any other.
 //!
 //! The four active objects' coroutines are polled kernel threads: the
 //! coroutine chain runs on two OS threads, the pump's and the
@@ -138,6 +139,7 @@ fn direct_chain_costs_no_message_per_item_and_no_dispatcher_wake() {
     );
     assert_eq!(delta.sync_sends, 0);
     assert_eq!(delta.dispatcher_wakeups, 0);
+    assert_eq!(delta.os_wakes, 0);
 }
 
 #[test]
@@ -155,6 +157,9 @@ fn coroutine_chain_costs_eight_switches_per_item_and_no_dispatcher_wake() {
     );
     assert_eq!(delta.sync_sends, 4 * MEASURED);
     assert_eq!(delta.dispatcher_wakeups, 0);
+    // Every hand-off back to the pump finds its OS thread awake, polling:
+    // no condvar notification, so no futex syscall.
+    assert_eq!(delta.os_wakes, 0);
     // Five kernel threads on two OS threads: the pump's, which polls the
     // four coroutines and so delivers to the sink, and the dispatcher's.
     for view in [&start, &end] {
