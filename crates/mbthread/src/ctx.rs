@@ -745,9 +745,10 @@ impl<'k> Ctx<'k> {
     ) -> Result<(), SendError> {
         let token = route.token.ok_or(SendError::NotARequest)?;
         let to = route.to.ok_or(SendError::NotARequest)?;
-        // Each request may be answered once: the token is retired here, so
-        // a second reply (or a reply after the waiter gave up) fails.
-        if !state.pending_tokens.remove(&token.0) {
+        // Each request may be answered once: the token is retired from the
+        // requester's record here, so a second reply (or a reply after the
+        // waiter gave up) fails.
+        if !state.retire_token(to, token.0) {
             return Err(SendError::StaleReply);
         }
         let constraint = self.constraint_of(state);
@@ -891,12 +892,15 @@ impl<'k> Ctx<'k> {
             let rec = state.rec_mut(self.me).ok_or(KernelError::Shutdown)?;
             if receipt == Receipt::Reply {
                 if let Some(peer) = rec.peer_gone.take() {
+                    // No reply can come from a terminated peer.
+                    if let Some(token) = spec.reply {
+                        rec.retire_token(token.0);
+                    }
                     state.end_wait(self.me);
                     return Err(KernelError::PeerGone(peer));
                 }
             }
-            if let Some(idx) = rec.find_match(spec) {
-                let env = rec.mailbox.remove(idx).expect("index from find_match");
+            if let Some(env) = rec.take_match(spec) {
                 match receipt {
                     Receipt::Reply if spec.is_reply(&env) => state.end_wait(self.me),
                     Receipt::Reply => {}

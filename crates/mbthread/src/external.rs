@@ -136,7 +136,7 @@ impl ExternalPort {
         let token = sched::enqueue_request(&mut state, &inner.stats, self.id, to, msg, None)?;
         inner.reschedule(&mut state);
         let out = self.recv_locked(&mut state, SpecRef::reply_or_tags(token, &[]), None);
-        state.pending_tokens.remove(&token);
+        state.retire_token(self.id, token);
         state.end_wait(self.id);
         out.ok_or(KernelError::Shutdown).and_then(|r| r)
     }
@@ -192,8 +192,7 @@ impl ExternalPort {
                 state.end_wait(self.id);
                 return Some(Err(KernelError::PeerGone(peer)));
             }
-            if let Some(idx) = rec.find_match(spec) {
-                let env = rec.mailbox.remove(idx).expect("index from find_match");
+            if let Some(env) = rec.take_match(spec) {
                 return Some(Ok(env));
             }
             let left = match deadline {

@@ -417,7 +417,7 @@ impl Kernel {
             }
             let id = state.add_thread(ThreadRec::new(opts.name.clone(), opts.priority, false));
             state.make_runnable(id);
-            StatCounters::bump(&self.inner.stats.threads_spawned);
+            self.inner.stats.threads_spawned.bump(&mut state);
             self.inner.reschedule(&mut state);
             id
         };
@@ -457,7 +457,7 @@ impl Kernel {
         rec.polled = true;
         rec.body = Some(Box::pin(polled_main(self.clone(), id, code)));
         state.make_runnable(id);
-        StatCounters::bump(&self.inner.stats.threads_spawned);
+        self.inner.stats.threads_spawned.bump(&mut state);
         self.inner.reschedule(&mut state);
         Ok(id)
     }
@@ -749,7 +749,7 @@ fn dispatcher_main(inner: &Arc<KernelInner>) {
             }
         };
         if slept {
-            StatCounters::bump(&inner.stats.dispatcher_wakeups);
+            inner.stats.dispatcher_wakeups.bump(&mut state);
         }
     }
 }

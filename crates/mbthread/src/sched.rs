@@ -27,6 +27,19 @@
 //!   re-checks its state under the mutex before it sleeps. So a hand-off
 //!   back to the OS thread that polled the yielding thread costs no
 //!   syscall.
+//! * **The bookkeeping takes no lock but the kernel mutex.** The kernel
+//!   counters bumped here have one writer, the holder of the mutex, and
+//!   are advanced by a relaxed load and a store
+//!   ([`Counter::bump`](crate::stats::Counter::bump) takes the locked
+//!   [`KState`] as proof); `Kernel::stats` reads them without the mutex,
+//!   so a snapshot may tear across fields. Only `os_wakes`, counted in
+//!   [`Wakes::deliver`] after unlock, is an atomic add.
+//! * **A reply token lives with its requester.** A synchronous send
+//!   pushes its token into the sender's [`ThreadRec::outstanding`]; the
+//!   reply retires it from there ([`KState::retire_token`]), and one that
+//!   finds it gone is stale. A cancelled wait, a port's finished
+//!   `send_sync` and a wait that ends in `PeerGone` retire it too.
+//!   Nothing is hashed.
 
 use crate::clock::{ClockMode, Time};
 use crate::constraint::{Constraint, Priority};
@@ -38,7 +51,7 @@ use crate::thread::{Body, RunState, ThreadId, ThreadRec};
 use crate::timer::{TimerEntry, TimerId, TimerKey, TimerKind};
 use parking_lot::Condvar;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::Arc;
 
@@ -85,7 +98,7 @@ impl Wakes {
     /// woken thread finds it free.
     pub(crate) fn deliver(self, cv_global: &Condvar, stats: &StatCounters) {
         for wake in self.first.iter().chain(&self.rest) {
-            StatCounters::bump(&stats.os_wakes);
+            stats.os_wake();
             if wake.all {
                 wake.cv.notify_all();
             } else {
@@ -97,7 +110,7 @@ impl Wakes {
             // release or shutdown (the sites that set `wakes.dispatcher`),
             // or a polled thread granted the CPU with no OS thread there
             // to poll it.
-            StatCounters::bump(&stats.os_wakes);
+            stats.os_wake();
             cv_global.notify_all();
         }
     }
@@ -129,9 +142,6 @@ pub(crate) struct KState {
     runq: VecDeque<ThreadId>,
     pub(crate) timers: BinaryHeap<TimerKey>,
     pub(crate) timer_entries: HashMap<u64, TimerEntry>,
-    /// Reply tokens of synchronous sends that have not been answered yet;
-    /// replying to a token not in this set is a stale reply.
-    pub(crate) pending_tokens: HashSet<u64>,
     /// First panic observed in a user thread (name, message).
     pub(crate) panic: Option<(String, String)>,
     /// Threads inside [`Kernel::wait_quiescent`]; while nonzero, going idle
@@ -162,7 +172,6 @@ impl KState {
             runq: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_entries: HashMap::new(),
-            pending_tokens: HashSet::new(),
             panic: None,
             quiescence_waiters: 0,
             wakes: Wakes::default(),
@@ -263,11 +272,18 @@ impl KState {
         }
     }
 
+    /// Retires `requester`'s reply token `token`: the reply is sent, or
+    /// no longer awaited. Returns whether it was still outstanding.
+    pub(crate) fn retire_token(&mut self, requester: ThreadId, token: u64) -> bool {
+        self.rec_mut(requester)
+            .is_some_and(|rec| rec.retire_token(token))
+    }
+
     /// Cancels `me`'s synchronous send of `token` to `to` (a dropped
     /// `PendingReply`): retires the token, ends the wait if it is still
     /// on `to`, and discards a reply that already landed.
     pub(crate) fn cancel_wait(&mut self, me: ThreadId, to: ThreadId, token: u64) {
-        self.pending_tokens.remove(&token);
+        self.retire_token(me, token);
         if self.rec(me).is_some_and(|rec| rec.waiting_on == Some(to)) {
             self.end_wait(me);
         }
@@ -449,11 +465,14 @@ pub(crate) fn preempted(state: &KState, cfg: &SchedConfig, me: ThreadId) -> bool
 pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) {
     debug_assert!(state.running.is_none());
     if state.last_running != Some(id) {
-        StatCounters::bump(&stats.context_switches);
+        stats.context_switches.bump(state);
         state.last_running = Some(id);
     }
     state.running = Some(id);
-    if let Some(pos) = state.runq.iter().position(|&t| t == id) {
+    // A lone candidate, and every FIFO pick, is the front.
+    if state.runq.front() == Some(&id) {
+        state.runq.pop_front();
+    } else if let Some(pos) = state.runq.iter().position(|&t| t == id) {
         state.runq.remove(pos);
     }
     let rec = state.rec_mut(id).expect("granted thread exists");
@@ -492,7 +511,7 @@ pub(crate) fn fire_due_timers(state: &mut KState, stats: &StatCounters, now: Tim
         if entry.cancelled {
             continue;
         }
-        StatCounters::bump(&stats.timer_fires);
+        stats.timer_fires.bump(state);
         fired += 1;
         match entry.kind {
             TimerKind::Wake(id) => {
@@ -535,22 +554,30 @@ pub(crate) fn enqueue(
     if rec.state == RunState::Done {
         return Err(SendError::UnknownThread(to));
     }
-    StatCounters::bump(&stats.messages_sent);
-    let matched = rec.wait_spec().is_some_and(|spec| spec.matches(&env));
+    let external = rec.external;
+    let runnable = !external
+        && rec.state == RunState::Blocked
+        && !rec.sleeping
+        && rec.wait_spec().is_some_and(|spec| spec.matches(&env));
     rec.mailbox.push_back(env);
-    if rec.external {
-        // External ports are OS threads waiting on their own condvar; they
-        // are not scheduled, just notified if asleep.
-        state.wake_if_parked(to);
-    } else if matched && rec.state == RunState::Blocked && !rec.sleeping {
+    stats.messages_sent.bump(state);
+    if runnable {
+        // Disturbs the running thread as well.
         state.make_runnable(to);
+    } else {
+        if external {
+            // External ports are OS threads waiting on their own condvar;
+            // they are not scheduled, just notified if asleep.
+            state.wake_if_parked(to);
+        }
+        state.disturb();
     }
-    state.disturb();
     Ok(())
 }
 
 /// Enqueues `msg` for `to` as a synchronous request from `from` and
-/// registers the wait (reply token, priority donation); returns the token.
+/// registers the wait (the reply token, kept in the requester's record,
+/// and priority donation); returns the token.
 pub(crate) fn enqueue_request(
     state: &mut KState,
     stats: &StatCounters,
@@ -564,8 +591,10 @@ pub(crate) fn enqueue_request(
     let mut env = state.stamp(Some(from), msg, constraint);
     env.reply_to = Some(ReplyToken(token));
     enqueue(state, stats, to, env)?;
-    StatCounters::bump(&stats.sync_sends);
-    state.pending_tokens.insert(token);
+    stats.sync_sends.bump(state);
+    if let Some(rec) = state.rec_mut(from) {
+        rec.outstanding.push(token);
+    }
     state.wait_for_reply(from, to);
     Ok(token)
 }
@@ -969,6 +998,9 @@ mod tests {
         /// Interrupted waits whose `PendingReply` is still alive after
         /// the thread began another: (thread, peer, token).
         abandoned: Vec<(ThreadId, ThreadId, u64)>,
+        /// The reply tokens each thread's record must hold, by thread
+        /// index: its synchronous sends neither answered nor cancelled.
+        owed: Vec<Vec<u64>>,
     }
 
     impl World {
@@ -980,6 +1012,7 @@ mod tests {
                 requests: Vec::new(),
                 waits: Vec::new(),
                 abandoned: Vec::new(),
+                owed: Vec::new(),
             };
             world.spawn(1, false);
             world.spawn(2, false);
@@ -1017,6 +1050,7 @@ mod tests {
             let rec = ThreadRec::new(name, pri[(r % 4) as usize], external);
             let id = self.state.add_thread(rec);
             self.waits.push(None);
+            self.owed.push(Vec::new());
             if !external {
                 self.state.make_runnable(id);
             }
@@ -1029,6 +1063,7 @@ mod tests {
             let idx = me.0 as usize;
             if let Some((token, _)) = self.waits[idx] {
                 if self.state.rec_mut(me).unwrap().peer_gone.take().is_some() {
+                    self.retire(me, token);
                     self.state.end_wait(me);
                     self.waits[idx] = None;
                     return;
@@ -1036,8 +1071,7 @@ mod tests {
                 let tags = [CTL];
                 let spec = SpecRef::reply_or_tags(token, &tags);
                 let rec = self.state.rec_mut(me).unwrap();
-                if let Some(i) = rec.find_match(spec) {
-                    let env = rec.mailbox.remove(i).unwrap();
+                if let Some(env) = rec.take_match(spec) {
                     if spec.is_reply(&env) {
                         self.state.end_wait(me);
                         self.waits[idx] = None;
@@ -1082,6 +1116,7 @@ mod tests {
                 return;
             };
             self.requests.push((token, from, to));
+            self.owed[from.0 as usize].push(token);
             if let Some((old, peer)) = self.waits[from.0 as usize].replace((token, to)) {
                 self.abandoned.push((from, peer, old));
             }
@@ -1100,13 +1135,25 @@ mod tests {
                 return;
             }
             let (token, from, _) = self.requests.remove(mine[(r % mine.len() as u64) as usize]);
-            if !self.state.pending_tokens.remove(&token) {
+            if !self.retire(from, token) {
                 return;
             }
             let cur = self.state.rec(me).and_then(|rec| rec.cur);
             let mut env = self.state.stamp(Some(me), Message::signal(Tag(1)), cur);
             env.in_reply = Some(ReplyToken(token));
             let _ = enqueue(&mut self.state, &self.stats, from, env);
+        }
+
+        /// Retires `requester`'s `token` from its record, as a reply or
+        /// an ended wait does, and checks the record held it exactly when
+        /// the model says it is owed.
+        fn retire(&mut self, requester: ThreadId, token: u64) -> bool {
+            let owed = &mut self.owed[requester.0 as usize];
+            let expected = owed.contains(&token);
+            owed.retain(|&t| t != token);
+            let held = self.state.retire_token(requester, token);
+            assert_eq!(held, expected, "token {token} of {requester}");
+            held
         }
 
         /// An external port's `send_sync` takes its reply (or learns its
@@ -1119,9 +1166,9 @@ mod tests {
             let rec = self.state.rec_mut(port).unwrap();
             let gone = rec.peer_gone.take().is_some();
             let spec = SpecRef::reply_or_tags(token, &[]);
-            let replied = rec.find_match(spec).map(|i| rec.mailbox.remove(i));
+            let replied = rec.take_match(spec);
             if gone || replied.is_some() {
-                self.state.pending_tokens.remove(&token);
+                self.retire(port, token);
                 self.state.end_wait(port);
                 self.waits[idx] = None;
             }
@@ -1162,11 +1209,16 @@ mod tests {
                 (9, Some(me)) => {
                     // A `PendingReply` dropped: the running thread's own
                     // interrupted wait, or one it abandoned for another.
-                    if let Some(i) = self.abandoned.iter().position(|a| a.0 == me) {
-                        let (_, to, token) = self.abandoned.remove(i);
+                    let cancelled = match self.abandoned.iter().position(|a| a.0 == me) {
+                        Some(i) => {
+                            let (_, to, token) = self.abandoned.remove(i);
+                            Some((token, to))
+                        }
+                        None => self.waits[me.0 as usize].take(),
+                    };
+                    if let Some((token, to)) = cancelled {
                         self.state.cancel_wait(me, to, token);
-                    } else if let Some((token, to)) = self.waits[me.0 as usize].take() {
-                        self.state.cancel_wait(me, to, token);
+                        self.owed[me.0 as usize].retain(|&t| t != token);
                     }
                 }
                 (10, Some(me)) => {
@@ -1196,7 +1248,12 @@ mod tests {
             wanting.sort_unstable();
             let wanting: Vec<ThreadId> = wanting.into_iter().map(|(_, id)| id).collect();
             assert_eq!(queued, wanting, "runnable queue at step {step}");
-            for (id, _) in state.threads() {
+            for (id, rec) in state.threads() {
+                let mut held = rec.outstanding.clone();
+                let mut owed = self.owed[id.0 as usize].clone();
+                held.sort_unstable();
+                owed.sort_unstable();
+                assert_eq!(held, owed, "reply tokens of {id} at step {step}");
                 assert_eq!(
                     effective(state, cfg, id),
                     full_scan::effective(state, cfg, id),
@@ -1222,7 +1279,8 @@ mod tests {
         /// Random runs of spawns, blocks, asynchronous and synchronous
         /// sends, replies, cancelled waits, yields and terminations over at
         /// most 32 threads: after every step the runnable queue holds
-        /// exactly the threads that want the CPU, and every effective
+        /// exactly the threads that want the CPU, every thread's record
+        /// holds exactly the reply tokens it is owed, and every effective
         /// constraint, pick and preemption equals the full scan's, with
         /// priority inheritance on and off and in FIFO mode.
         #[test]

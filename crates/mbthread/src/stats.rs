@@ -1,35 +1,65 @@
 //! Kernel statistics, used by the benchmark harness to count context
 //! switches and messages per pipeline item (experiments E1, E2, E6).
+//!
+//! Every counter but `os_wakes` has one writer: the holder of the kernel
+//! mutex. It is advanced by a plain load and store ([`Counter::bump`],
+//! which takes the locked [`KState`] as proof), so a hand-off does no
+//! locked read-modify-write beyond the mutex itself. Readers take no lock.
 
+use crate::sched::KState;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters maintained by the kernel.
 #[derive(Debug, Default)]
 pub(crate) struct StatCounters {
-    pub(crate) context_switches: AtomicU64,
-    pub(crate) messages_sent: AtomicU64,
-    pub(crate) sync_sends: AtomicU64,
-    pub(crate) timer_fires: AtomicU64,
-    pub(crate) threads_spawned: AtomicU64,
-    pub(crate) dispatcher_wakeups: AtomicU64,
-    pub(crate) os_wakes: AtomicU64,
+    pub(crate) context_switches: Counter,
+    pub(crate) messages_sent: Counter,
+    pub(crate) sync_sends: Counter,
+    pub(crate) timer_fires: Counter,
+    pub(crate) threads_spawned: Counter,
+    pub(crate) dispatcher_wakeups: Counter,
+    /// Counted after the mutex is released, by whichever OS thread issues
+    /// the wake (`Wakes::deliver`): the one counter with many writers.
+    os_wakes: AtomicU64,
 }
 
 impl StatCounters {
     pub(crate) fn snapshot(&self) -> KernelStats {
         KernelStats {
-            context_switches: self.context_switches.load(Ordering::Relaxed),
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            sync_sends: self.sync_sends.load(Ordering::Relaxed),
-            timer_fires: self.timer_fires.load(Ordering::Relaxed),
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            dispatcher_wakeups: self.dispatcher_wakeups.load(Ordering::Relaxed),
+            context_switches: self.context_switches.get(),
+            messages_sent: self.messages_sent.get(),
+            sync_sends: self.sync_sends.get(),
+            timer_fires: self.timer_fires.get(),
+            threads_spawned: self.threads_spawned.get(),
+            dispatcher_wakeups: self.dispatcher_wakeups.get(),
             os_wakes: self.os_wakes.load(Ordering::Relaxed),
         }
     }
 
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Counts one condvar notification; callable from any OS thread.
+    pub(crate) fn os_wake(&self) {
+        self.os_wakes.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A counter written only under the kernel mutex. One writer at a time
+/// needs no locked read-modify-write: the mutex orders each bump after the
+/// last, so a relaxed load and a store advance it, as
+/// [`KState::disturb`] advances the generation.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    /// Advances the counter by one. The locked kernel state is the proof
+    /// that the caller holds the mutex, so a bump outside it does not
+    /// compile.
+    pub(crate) fn bump(&self, _held: &mut KState) {
+        let next = self.0.load(Ordering::Relaxed) + 1;
+        self.0.store(next, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -39,6 +69,12 @@ impl StatCounters {
 /// snapshots with [`KernelStats::delta_since`] to measure the cost of a
 /// workload in context switches and messages, and in the OS wakes the
 /// kernel needed for them (`os_wakes`, `dispatcher_wakeups`).
+///
+/// Every counter but `os_wakes` has one writer, the holder of the kernel
+/// mutex, and each is exact. A snapshot reads them one by one without the
+/// mutex, so one taken while the kernel runs may tear across fields (hold
+/// a message's count but not yet its switch's); one taken while the
+/// kernel is quiescent does not.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Number of times the CPU was handed from one thread to a *different*
@@ -137,9 +173,10 @@ mod tests {
     #[test]
     fn counters_snapshot_matches_bumps() {
         let c = StatCounters::default();
-        StatCounters::bump(&c.messages_sent);
-        StatCounters::bump(&c.messages_sent);
-        StatCounters::bump(&c.context_switches);
+        let mut held = KState::new();
+        c.messages_sent.bump(&mut held);
+        c.messages_sent.bump(&mut held);
+        c.context_switches.bump(&mut held);
         let s = c.snapshot();
         assert_eq!(s.messages_sent, 2);
         assert_eq!(s.context_switches, 1);

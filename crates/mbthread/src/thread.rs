@@ -184,6 +184,11 @@ pub(crate) struct ThreadRec {
     /// Set when the peer this thread was synchronously waiting on
     /// terminated; the blocked operation returns an error.
     pub(crate) peer_gone: Option<ThreadId>,
+    /// Reply tokens of this thread's synchronous sends that are neither
+    /// answered nor cancelled: a reply must retire its token from here,
+    /// or it is stale. Almost always 0 or 1 long (2 while an interrupt
+    /// handler makes a call of its own); it keeps its allocation.
+    pub(crate) outstanding: Vec<u64>,
     /// Sequence stamp of the moment this thread last became runnable, for
     /// FIFO tie-breaking among equal urgencies.
     pub(crate) ready_seq: u64,
@@ -223,6 +228,7 @@ impl ThreadRec {
             waiting_on: None,
             waiters: Vec::new(),
             peer_gone: None,
+            outstanding: Vec::new(),
             ready_seq: 0,
             cv: Arc::new(Condvar::new()),
             parked: 0,
@@ -241,6 +247,25 @@ impl ThreadRec {
     /// Index of the first queued envelope matching `spec`.
     pub(crate) fn find_match(&self, spec: SpecRef<'_>) -> Option<usize> {
         self.mailbox.iter().position(|env| spec.matches(env))
+    }
+
+    /// Removes and returns the first queued envelope matching `spec`.
+    pub(crate) fn take_match(&mut self, spec: SpecRef<'_>) -> Option<Envelope> {
+        if spec.matches(self.mailbox.front()?) {
+            return self.mailbox.pop_front();
+        }
+        let idx = self.find_match(spec)?;
+        self.mailbox.remove(idx)
+    }
+
+    /// Removes `token` from [`ThreadRec::outstanding`]; returns whether it
+    /// was there.
+    pub(crate) fn retire_token(&mut self, token: u64) -> bool {
+        let Some(pos) = self.outstanding.iter().position(|&t| t == token) else {
+            return false;
+        };
+        self.outstanding.swap_remove(pos);
+        true
     }
 
     /// Records `spec` as what this thread's blocked receive accepts.

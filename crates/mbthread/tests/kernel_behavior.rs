@@ -707,6 +707,213 @@ fn reply_twice(polled: bool) -> (Vec<String>, Cost) {
     (entries(&order), cost)
 }
 
+/// The tag a [`spawn_nudged`] peer answers with: no scenario's thread
+/// sends it otherwise, so one that receives it got a reply.
+const ANSWER: Tag = Tag(4);
+
+/// Spawns a peer that holds each request until a `TICK` nudge, then
+/// answers it with `ANSWER` and logs the outcome of its reply.
+fn spawn_nudged(kernel: &Kernel, name: &'static str, order: &Log) -> ThreadId {
+    let order = Arc::clone(order);
+    kernel
+        .spawn(name, move |ctx: &mut Ctx<'_>, env: Envelope| {
+            if env.wants_reply() {
+                drop(ctx.receive_tags(&[TICK]).unwrap());
+                let r = ctx.reply(&env, Message::signal(ANSWER));
+                log(&order, format!("{name} {r:?}"));
+            }
+            Flow::Continue
+        })
+        .unwrap()
+}
+
+/// On `DATA`, calls `peer` with `CTL` as the interrupt tag and drops the
+/// wait at the interrupt; logs the tag of every other message.
+struct GivesUp {
+    peer: ThreadId,
+    log: Log,
+}
+
+impl PolledFn for GivesUp {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        if env.tag() != DATA {
+            log(&self.log, format!("got-{}", env.tag().0));
+            return Flow::Continue;
+        }
+        let call = ctx.call_async(self.peer, Message::signal(DATA), None, &[CTL]);
+        match call.await.unwrap() {
+            SyncOutcome::Interrupted(pending, _) => {
+                drop(pending);
+                log(&self.log, "gave-up");
+            }
+            SyncOutcome::Reply(_) => log(&self.log, "reply"),
+        }
+        Flow::Continue
+    }
+}
+
+#[test]
+fn a_reply_after_the_wait_was_dropped_is_stale() {
+    let [os, polled] = [false, true].map(reply_after_giving_up);
+    assert_eq!(os, polled);
+    // The late reply is refused, and only the later `TICK` reaches the
+    // requester.
+    assert_eq!(os.0, vec!["gave-up", "peer Err(StaleReply)", "got-3"]);
+}
+
+fn reply_after_giving_up(polled: bool) -> (Vec<String>, Cost) {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let order: Log = Arc::new(Mutex::new(Vec::new()));
+    let peer = spawn_nudged(&kernel, "peer", &order);
+    let log = Arc::clone(&order);
+    let client = spawn_backed(&kernel, polled, "client", GivesUp { peer, log });
+    let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
+    for (to, tag) in [(client, DATA), (client, CTL), (peer, TICK), (client, TICK)] {
+        port.send(to, Message::signal(tag)).unwrap();
+        kernel.wait_quiescent();
+    }
+    let cost = cost_since(&kernel, &before);
+    kernel.shutdown();
+    (entries(&order), cost)
+}
+
+/// On `DATA`, calls `peer` with `CTL` as the interrupt tag; at the
+/// interrupt, puts the outstanding wait into `stash` and terminates.
+struct QuitsMidCall {
+    peer: ThreadId,
+    stash: Arc<Mutex<Option<mbthread::PendingReply>>>,
+    log: Log,
+}
+
+impl PolledFn for QuitsMidCall {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        let call = ctx.call_async(self.peer, Message::signal(DATA), None, &[CTL]);
+        if let SyncOutcome::Interrupted(pending, _) = call.await.unwrap() {
+            *self.stash.lock().unwrap() = Some(pending);
+            log(&self.log, "quit");
+        }
+        Flow::Stop
+    }
+}
+
+#[test]
+fn a_reply_to_a_terminated_requester_fails() {
+    let [os, polled] = [false, true].map(reply_to_a_quitter);
+    assert_eq!(os, polled);
+    let ((log, client), _) = os;
+    let gone: Result<(), _> = Err(mbthread::SendError::UnknownThread(client));
+    assert_eq!(log, vec!["quit".to_owned(), format!("peer {gone:?}")]);
+}
+
+fn reply_to_a_quitter(polled: bool) -> ((Vec<String>, ThreadId), Cost) {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let order: Log = Arc::new(Mutex::new(Vec::new()));
+    let peer = spawn_nudged(&kernel, "peer", &order);
+    let stash = Arc::new(Mutex::new(None));
+    let code = QuitsMidCall {
+        peer,
+        stash: Arc::clone(&stash),
+        log: Arc::clone(&order),
+    };
+    let client = spawn_backed(&kernel, polled, "client", code);
+    let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
+    for (to, tag) in [(client, DATA), (client, CTL), (peer, TICK)] {
+        port.send(to, Message::signal(tag)).unwrap();
+        kernel.wait_quiescent();
+    }
+    let cost = cost_since(&kernel, &before);
+    // The wait outlived its thread; dropping it now changes nothing.
+    drop(stash.lock().unwrap().take());
+    kernel.shutdown();
+    ((entries(&order), client), cost)
+}
+
+/// On `DATA`, calls `outer` with `CTL` as the interrupt tag; at the
+/// interrupt, calls `inner` before it resumes the wait for `outer`, so
+/// two of its reply tokens are outstanding at once.
+struct NestedCalls {
+    outer: ThreadId,
+    inner: ThreadId,
+    log: Log,
+}
+
+impl PolledFn for NestedCalls {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
+        let call = ctx.call_async(self.outer, Message::signal(DATA), None, &[CTL]);
+        let SyncOutcome::Interrupted(pending, _) = call.await.unwrap() else {
+            panic!("the interrupt comes before the outer reply");
+        };
+        let call = ctx.call_async(self.inner, Message::signal(DATA), None, &[]);
+        if let SyncOutcome::Reply(env) = call.await.unwrap() {
+            log(&self.log, format!("client inner-{}", env.tag().0));
+        }
+        let wait = ctx.wait_or_async(pending, &[CTL]);
+        if let SyncOutcome::Reply(env) = wait.await.unwrap() {
+            log(&self.log, format!("client outer-{}", env.tag().0));
+        }
+        Flow::Stop
+    }
+}
+
+#[test]
+fn two_outstanding_replies_are_accepted_in_either_order() {
+    let [os, polled] = [false, true].map(|polled| nested_calls(polled, false));
+    assert_eq!(os, polled);
+    assert_eq!(
+        os.0,
+        vec![
+            "inner Ok(())",
+            "client inner-4",
+            "outer Ok(())",
+            "client outer-4"
+        ]
+    );
+    // The outer reply lands while the client waits for the inner one,
+    // and stays queued until the client resumes the outer wait.
+    let [os, polled] = [false, true].map(|polled| nested_calls(polled, true));
+    assert_eq!(os, polled);
+    assert_eq!(
+        os.0,
+        vec![
+            "outer Ok(())",
+            "inner Ok(())",
+            "client inner-4",
+            "client outer-4"
+        ]
+    );
+}
+
+fn nested_calls(polled: bool, outer_first: bool) -> (Vec<String>, Cost) {
+    let kernel = Kernel::new(KernelConfig::virtual_time());
+    let order: Log = Arc::new(Mutex::new(Vec::new()));
+    let outer = spawn_nudged(&kernel, "outer", &order);
+    let inner = spawn_nudged(&kernel, "inner", &order);
+    let log = Arc::clone(&order);
+    let client = spawn_backed(&kernel, polled, "client", NestedCalls { outer, inner, log });
+    let port = kernel.external("test");
+    kernel.wait_quiescent();
+    let before = kernel.stats();
+    let nudges = if outer_first {
+        [outer, inner]
+    } else {
+        [inner, outer]
+    };
+    let steps = [(client, DATA), (client, CTL)]
+        .into_iter()
+        .chain(nudges.map(|peer| (peer, TICK)));
+    for (to, tag) in steps {
+        port.send(to, Message::signal(tag)).unwrap();
+        kernel.wait_quiescent();
+    }
+    let cost = cost_since(&kernel, &before);
+    kernel.shutdown();
+    (entries(&order), cost)
+}
+
 #[test]
 fn real_clock_timers_fire() {
     assert_eq!(KernelConfig::default().clock, ClockMode::Real);
@@ -1159,4 +1366,132 @@ fn a_round_trip_costs_the_same_beside_a_thousand_idle_threads() {
         ratio <= 1.5,
         "a round trip beside 1024 idle threads costs {ratio:.2}x"
     );
+}
+
+/// Tags of the counting scenario; `DATA` is the payload the external
+/// senders send.
+const START: Tag = Tag(5);
+const GO: Tag = Tag(6);
+const REQ: Tag = Tag(7);
+const FINISH: Tag = Tag(8);
+
+/// How many calls the client of the counting scenario makes.
+const CALLS: u64 = 20_000;
+
+/// What a thread of the counting scenario does in its one turn, from
+/// `START` to `FINISH`.
+#[derive(Copy, Clone)]
+enum Role {
+    /// Answers `REQ` calls.
+    Server,
+    /// Waits for `GO`, then makes `CALLS` calls to this server.
+    Client(ThreadId),
+    /// Only waits: the external senders' `DATA` piles up in its mailbox
+    /// without waking it.
+    Sink,
+}
+
+/// A thread of the counting scenario: it counts the `DATA` it takes
+/// once its turn has ended.
+struct Counted {
+    role: Role,
+    data: Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl PolledFn for Counted {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        if env.tag() == DATA {
+            self.data.fetch_add(1, Ordering::Relaxed);
+            return Flow::Continue;
+        }
+        assert_eq!(env.tag(), START);
+        match self.role {
+            Role::Server => {
+                let mut next = ctx.receive_tags_async(&[REQ, FINISH]).await.unwrap();
+                while next.tag() == REQ {
+                    let reply =
+                        ctx.reply_and_receive_async(&next, Message::signal(REQ), &[REQ, FINISH]);
+                    next = reply.await.unwrap();
+                }
+            }
+            Role::Client(server) => {
+                ctx.receive_tags_async(&[GO]).await.unwrap();
+                for _ in 0..CALLS {
+                    let call = ctx.call_async(server, Message::signal(REQ), None, &[]);
+                    call.await.unwrap();
+                }
+                ctx.receive_tags_async(&[FINISH]).await.unwrap();
+            }
+            Role::Sink => drop(ctx.receive_tags_async(&[FINISH]).await.unwrap()),
+        }
+        Flow::Continue
+    }
+}
+
+#[test]
+fn counters_stay_exact_under_concurrent_senders() {
+    for polled in [false, true] {
+        counts_under_concurrent_senders(polled);
+    }
+}
+
+/// Four OS threads each send `DATA` to a kernel thread through ports of
+/// their own while a client and a server exchange synchronous calls:
+/// every message, switch and synchronous send is counted once, under the
+/// kernel mutex, whichever OS thread makes it.
+fn counts_under_concurrent_senders(polled: bool) {
+    const SENDERS: u64 = 4;
+    const EACH: u64 = 20_000;
+    let kernel = Kernel::new(KernelConfig::default());
+    let data = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let spawn = |name, role| {
+        let data = Arc::clone(&data);
+        spawn_backed(&kernel, polled, name, Counted { role, data })
+    };
+    let server = spawn("server", Role::Server);
+    let sink = spawn("sink", Role::Sink);
+    let client = spawn("client", Role::Client(server));
+    let port = kernel.external("test");
+    kernel.wait_quiescent();
+    // Every thread enters its turn and waits in it, the client last, so
+    // the CPU was last the client's when counting starts.
+    for to in [server, sink, client] {
+        port.send(to, Message::signal(START)).unwrap();
+        kernel.wait_quiescent();
+    }
+    let before = kernel.stats();
+    // The senders start together with the exchange.
+    let start = Arc::new(std::sync::Barrier::new(SENDERS as usize + 1));
+    let senders: Vec<_> = (0..SENDERS)
+        .map(|i| {
+            let port = kernel.external(&format!("sender-{i}"));
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..EACH {
+                    port.send(sink, Message::signal(DATA)).unwrap();
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    port.send(client, Message::signal(GO)).unwrap();
+    for sender in senders {
+        sender.join().unwrap();
+    }
+    kernel.wait_quiescent();
+    for to in [server, client, sink] {
+        port.send(to, Message::signal(FINISH)).unwrap();
+        kernel.wait_quiescent();
+    }
+    let d = kernel.stats().delta_since(&before);
+    kernel.shutdown();
+    assert_eq!(data.load(Ordering::Relaxed), SENDERS * EACH, "DATA taken");
+    // `GO`, three `FINISH`es, the senders' `DATA`, and a request and a
+    // reply per call.
+    assert_eq!(d.messages_sent, 4 + SENDERS * EACH + 2 * CALLS, "messages");
+    assert_eq!(d.sync_sends, CALLS, "sync sends");
+    // `DATA` wakes nobody, and `GO` finds the CPU last the client's: two
+    // switches per call, and one to each thread at its `FINISH`.
+    assert_eq!(d.context_switches, 2 * CALLS + 3, "switches");
 }

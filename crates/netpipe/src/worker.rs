@@ -30,18 +30,35 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// What a worker and its body tell each other.
+#[derive(Default)]
+struct Signals {
+    /// The owner asks the body to stop.
+    stop: AtomicBool,
+    /// The body has done its work ([`Stop::finish`]).
+    done: AtomicBool,
+}
+
 /// The stop request a worker body polls between units of work.
-pub(crate) struct Stop(Arc<AtomicBool>);
+pub(crate) struct Stop(Arc<Signals>);
 
 impl Stop {
     pub(crate) fn requested(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.0.stop.load(Ordering::Acquire)
+    }
+
+    /// Marks the body's work done, so [`Worker::is_finished`] reads `true`
+    /// from here on: a body calls it before it lets go of what its peer
+    /// waits on (a handler, before it drops its link), so an owner that
+    /// learns of that release through the peer finds the worker finished.
+    pub(crate) fn finish(&self) {
+        self.0.done.store(true, Ordering::Release);
     }
 }
 
 /// A named service thread, stopped and joined when dropped.
 pub(crate) struct Worker<T = ()> {
-    stop: Arc<AtomicBool>,
+    signals: Arc<Signals>,
     handle: Option<JoinHandle<T>>,
 }
 
@@ -55,13 +72,13 @@ impl<T: Send + 'static> Worker<T> {
         name: &str,
         body: impl FnOnce(&Stop) -> T + Send + 'static,
     ) -> io::Result<Worker<T>> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Stop(Arc::clone(&stop));
+        let signals = Arc::new(Signals::default());
+        let flag = Stop(Arc::clone(&signals));
         let handle = std::thread::Builder::new()
             .name(name.to_owned())
             .spawn(move || body(&flag))?;
         Ok(Worker {
-            stop,
+            signals,
             handle: Some(handle),
         })
     }
@@ -76,12 +93,15 @@ impl<T: Send + 'static> Worker<T> {
 impl<T> Worker<T> {
     /// Asks the body to stop without waiting for it.
     pub(crate) fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.signals.stop.store(true, Ordering::Release);
     }
 
-    /// Whether the body has returned.
+    /// Whether the body has returned or marked its work done
+    /// ([`Stop::finish`]); joining it then waits at most for the rest of
+    /// its return.
     pub(crate) fn is_finished(&self) -> bool {
-        self.handle.as_ref().is_none_or(JoinHandle::is_finished)
+        self.signals.done.load(Ordering::Acquire)
+            || self.handle.as_ref().is_none_or(JoinHandle::is_finished)
     }
 
     fn stop_and_join(&mut self) -> Option<T> {
@@ -117,8 +137,9 @@ pub(crate) struct Accepted {
 /// The one accept loop: polls [`Acceptor::accept_timeout`] so a stop
 /// request never needs a poison connection, and hands every accepted
 /// link to `serve`. A `serve` that answers with a per-link handler
-/// leaves the handler to the loop, which reaps finished ones on every
-/// poll and stops and joins the rest when it ends.
+/// leaves the handler to the loop, which reaps finished ones (see
+/// [`Worker::is_finished`]) on every poll and stops and joins the rest
+/// when it ends.
 ///
 /// # Errors
 ///
