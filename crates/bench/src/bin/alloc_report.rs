@@ -462,7 +462,9 @@ fn main() {
         if smoke {
             "--smoke run: a few hundred frames per case, rates mean little"
         } else {
-            "full run, every gate applied"
+            "full run, every gate applied; frames_per_sec is one ungated run per case \
+             and can move by half between runs on a shared host, so compare rates only \
+             across alternated runs"
         },
         POOLING_NOTE,
         rows.join(",\n")

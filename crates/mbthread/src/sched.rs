@@ -30,10 +30,11 @@
 //! * **The bookkeeping takes no lock but the kernel mutex.** The kernel
 //!   counters bumped here have one writer, the holder of the mutex, and
 //!   are advanced by a relaxed load and a store
-//!   ([`Counter::bump`](crate::stats::Counter::bump) takes the locked
-//!   [`KState`] as proof); `Kernel::stats` reads them without the mutex,
-//!   so a snapshot may tear across fields. Only `os_wakes`, counted in
-//!   [`Wakes::deliver`] after unlock, is an atomic add.
+//!   ([`Counter::bump`](crate::stats::Counter::bump) needs the `&mut`
+//!   [`KState`] that the mutex guard gives); `Kernel::stats` reads them
+//!   without the mutex, so a snapshot may tear across fields. Only
+//!   `os_wakes`, counted in [`Wakes::deliver`] after unlock, is an atomic
+//!   add.
 //! * **A reply token lives with its requester.** A synchronous send
 //!   pushes its token into the sender's [`ThreadRec::outstanding`]; the
 //!   reply retires it from there ([`KState::retire_token`]), and one that
@@ -469,10 +470,7 @@ pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) 
         state.last_running = Some(id);
     }
     state.running = Some(id);
-    // A lone candidate, and every FIFO pick, is the front.
-    if state.runq.front() == Some(&id) {
-        state.runq.pop_front();
-    } else if let Some(pos) = state.runq.iter().position(|&t| t == id) {
+    if let Some(pos) = state.runq.iter().position(|&t| t == id) {
         state.runq.remove(pos);
     }
     let rec = state.rec_mut(id).expect("granted thread exists");

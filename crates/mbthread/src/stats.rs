@@ -3,8 +3,9 @@
 //!
 //! Every counter but `os_wakes` has one writer: the holder of the kernel
 //! mutex. It is advanced by a plain load and store ([`Counter::bump`],
-//! which takes the locked [`KState`] as proof), so a hand-off does no
-//! locked read-modify-write beyond the mutex itself. Readers take no lock.
+//! which needs the `&mut` [`KState`] that the mutex guard gives), so a
+//! hand-off does no locked read-modify-write beyond the mutex itself.
+//! Readers take no lock.
 
 use crate::sched::KState;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +51,10 @@ impl StatCounters {
 pub(crate) struct Counter(AtomicU64);
 
 impl Counter {
-    /// Advances the counter by one. The locked kernel state is the proof
-    /// that the caller holds the mutex, so a bump outside it does not
-    /// compile.
+    /// Advances the counter by one. The caller must hold the kernel
+    /// mutex: the `&mut KState` it needs is what the mutex guard gives,
+    /// which makes a bump outside the mutex hard to write by mistake,
+    /// though the compiler does not tie it to this counter's kernel.
     pub(crate) fn bump(&self, _held: &mut KState) {
         let next = self.0.load(Ordering::Relaxed) + 1;
         self.0.store(next, Ordering::Relaxed);

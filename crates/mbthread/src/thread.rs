@@ -251,11 +251,13 @@ impl ThreadRec {
 
     /// Removes and returns the first queued envelope matching `spec`.
     pub(crate) fn take_match(&mut self, spec: SpecRef<'_>) -> Option<Envelope> {
-        if spec.matches(self.mailbox.front()?) {
-            return self.mailbox.pop_front();
+        // The front is the common case. `pop_front` is inlined here, while
+        // `VecDeque::remove` is compiled out of line and hands the
+        // envelope back through memory.
+        match self.find_match(spec)? {
+            0 => self.mailbox.pop_front(),
+            idx => self.mailbox.remove(idx),
         }
-        let idx = self.find_match(spec)?;
-        self.mailbox.remove(idx)
     }
 
     /// Removes `token` from [`ThreadRec::outstanding`]; returns whether it
