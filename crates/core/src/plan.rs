@@ -19,7 +19,8 @@
 //! owner's coroutine set, interacting synchronously so that activity
 //! travels with the data (Fig. 5). For the paper's Fig. 9 configurations
 //! this yields exactly 1 thread for a/b/c, 2 for d/g/h, and 3 for e/f —
-//! verified by the integration tests and by the `fig9_configs` benchmark.
+//! verified by the integration tests and by `infopipes-bench`'s
+//! `all_fig9_configs_match_the_paper`.
 //!
 //! A kernel thread is not always an OS thread. An active object's
 //! coroutine is *polled* — a future the kernel's hand-off polls on the OS
@@ -41,7 +42,7 @@ use crate::error::PipeError;
 use crate::graph::{GraphInner, NodeId, NodeKind};
 use crate::runtime::{OwnerRole, PullNode, PushNode};
 use crate::stage::Style;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use typespec::Typespec;
 
 /// The direction a stage operates in, relative to its section's owner.
@@ -194,63 +195,68 @@ pub(crate) struct Plan {
 // Flow spec propagation (Typespec queries and start-time checking)
 // ---------------------------------------------------------------------
 
+/// Each node's offered spec, computed once per query. `None` marks a node
+/// whose ancestry is being threaded: meeting it again is a cycle.
+type SpecMemo = BTreeMap<NodeId, Option<Typespec>>;
+
 /// Computes the spec of the flow offered at a node's output by threading
 /// Typespecs from the sources through every transformation (§2.3).
 pub(crate) fn flow_spec_at(g: &GraphInner, id: NodeId) -> Result<Typespec, PipeError> {
-    let mut visiting = BTreeSet::new();
-    flow_spec_rec(g, id, &mut visiting)
+    flow_spec_rec(g, id, &mut SpecMemo::new())
 }
 
-fn flow_spec_rec(
-    g: &GraphInner,
-    id: NodeId,
-    visiting: &mut BTreeSet<NodeId>,
-) -> Result<Typespec, PipeError> {
-    if !visiting.insert(id) {
-        return Err(PipeError::Type(typespec::TypeError::Rejected(format!(
-            "pipeline graph contains a cycle through '{}'",
-            g.node(id).name
-        ))));
+/// [`flow_spec_at`] sharing `memo` with the other queries of one check, so
+/// each stage's [`Stage::transform_spec`](crate::Stage::transform_spec)
+/// runs once however many paths reach it (a tee's branches meeting again
+/// at a buffer would otherwise double the work per diamond).
+fn flow_spec_rec(g: &GraphInner, id: NodeId, memo: &mut SpecMemo) -> Result<Typespec, PipeError> {
+    match memo.get(&id) {
+        Some(Some(spec)) => return Ok(spec.clone()),
+        Some(None) => {
+            return Err(PipeError::Type(typespec::TypeError::Rejected(format!(
+                "pipeline graph contains a cycle through '{}'",
+                g.node(id).name
+            ))))
+        }
+        None => {}
     }
-    let result = (|| {
-        let preds: Vec<NodeId> = g.in_edges(id).map(|e| e.from).collect();
-        match g.node(id).kind.as_ref() {
-            None => Err(PipeError::AlreadyStarted),
-            Some(NodeKind::Stage(style)) => {
-                let stage = style.stage();
-                if preds.is_empty() {
-                    // A source: it offers its own spec.
-                    Ok(stage.offers())
-                } else {
-                    let upstream = flow_spec_rec(g, preds[0], visiting)?;
-                    let agreed = upstream.intersect(&stage.accepts())?;
-                    stage.transform_spec(&agreed).map_err(PipeError::Type)
-                }
-            }
-            Some(NodeKind::Pump(_) | NodeKind::Split(_)) => {
-                if preds.is_empty() {
-                    Err(PipeError::Dangling {
-                        node: g.node(id).name.clone(),
-                        missing: "an input connection".into(),
-                    })
-                } else {
-                    flow_spec_rec(g, preds[0], visiting)
-                }
-            }
-            Some(NodeKind::Buffer(_)) => {
-                // Merge point: all incoming flows must agree; an unfed
-                // buffer (inbox) offers an unconstrained flow.
-                let mut spec = Typespec::new();
-                for p in preds {
-                    let up = flow_spec_rec(g, p, visiting)?;
-                    spec = spec.intersect(&up)?;
-                }
-                Ok(spec)
+    memo.insert(id, None);
+    let preds: Vec<NodeId> = g.in_edges(id).map(|e| e.from).collect();
+    let spec = match g.node(id).kind.as_ref() {
+        None => return Err(PipeError::AlreadyStarted),
+        Some(NodeKind::Stage(style)) => {
+            let stage = style.stage();
+            if preds.is_empty() {
+                // A source: it offers its own spec.
+                stage.offers()
+            } else {
+                let upstream = flow_spec_rec(g, preds[0], memo)?;
+                let agreed = upstream.intersect(&stage.accepts())?;
+                stage.transform_spec(&agreed).map_err(PipeError::Type)?
             }
         }
-    })();
-    visiting.remove(&id);
-    result
+        Some(NodeKind::Pump(_) | NodeKind::Split(_)) => {
+            if preds.is_empty() {
+                return Err(PipeError::Dangling {
+                    node: g.node(id).name.clone(),
+                    missing: "an input connection".into(),
+                });
+            }
+            flow_spec_rec(g, preds[0], memo)?
+        }
+        Some(NodeKind::Buffer(_)) => {
+            // Merge point: all incoming flows must agree; an unfed
+            // buffer (inbox) offers an unconstrained flow.
+            let mut spec = Typespec::new();
+            for p in preds {
+                let up = flow_spec_rec(g, p, memo)?;
+                spec = spec.intersect(&up)?;
+            }
+            spec
+        }
+    };
+    memo.insert(id, Some(spec.clone()));
+    Ok(spec)
 }
 
 // ---------------------------------------------------------------------
@@ -340,10 +346,11 @@ pub(crate) fn plan(g: &mut GraphInner) -> Result<Plan, PipeError> {
     }
     validate_arity(g)?;
     // Flow-spec check over the whole graph (every terminal node pulls the
-    // check through its ancestry).
+    // check through its ancestry, each node's spec computed once).
+    let mut specs = SpecMemo::new();
     for id in (0..g.nodes.len()).map(NodeId) {
         if g.out_edges(id).next().is_none() {
-            let _ = flow_spec_at(g, id)?;
+            let _ = flow_spec_rec(g, id, &mut specs)?;
         }
     }
 

@@ -50,8 +50,10 @@ pub trait Stage: Send + 'static {
         Typespec::new()
     }
 
-    /// Derives the out-port spec from the agreed in-port spec
-    /// (see [`typespec::SpecTransform`]).
+    /// Derives the out-port spec from the agreed in-port spec (§2.3: a
+    /// component transforms "a Typespec on each port to Typespecs on its
+    /// other ports"). Each [`Pipeline::query_spec`](crate::Pipeline::query_spec)
+    /// and [`Pipeline::start`](crate::Pipeline::start) calls it once.
     ///
     /// # Errors
     ///

@@ -152,10 +152,13 @@ fn fig9_h_consumer_producer_pump_is_two_threads() {
 // in every style and position
 // -------------------------------------------------------------------
 
+/// Runs ten 4-byte fragments through a defragmenter added by `add`, in
+/// push mode (after the pump) or pull mode (before it); returns the
+/// output, the plan's thread count and the flow's context switches.
 fn run_defrag(
     add: impl for<'p> FnOnce(&'p Pipeline) -> infopipes::Node<'p>,
     pump_before: bool,
-) -> (Vec<Vec<u8>>, usize) {
+) -> (Vec<Vec<u8>>, usize, u64) {
     let kernel = virtual_kernel();
     let result = {
         let pipeline = Pipeline::new(&kernel, "defrag");
@@ -174,10 +177,15 @@ fn run_defrag(
         }
         let running = pipeline.start().expect("plan");
         let threads = running.report().total_threads();
+        // Count from every thread parked in its main loop, so the
+        // switches are the flow's alone.
+        kernel.wait_quiescent();
+        let before = kernel.stats().context_switches;
         running.start_flow().expect("start");
         running.wait_quiescent();
+        let switches = kernel.stats().context_switches - before;
         let collected = out.lock().clone();
-        (collected, threads)
+        (collected, threads, switches)
     };
     kernel.shutdown();
     result
@@ -195,37 +203,44 @@ fn expected_defragged() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// E3 (Figs. 4, 6 and 8) in push mode: every style of defragmenter gives
+/// the same output. The consumer matches push mode and is called
+/// directly; the producer and the active object each need a coroutine.
 #[test]
 fn defrag_styles_agree_in_push_mode() {
-    let (push_out, push_threads) = run_defrag(|p| p.add_consumer("d", PushDefrag::new()), true);
-    let (pull_out, pull_threads) = run_defrag(|p| p.add_producer("d", PullDefrag::new()), true);
-    let (active_out, active_threads) = run_defrag(|p| p.add_active("d", ActiveDefrag::new()), true);
+    let push = run_defrag(|p| p.add_consumer("d", PushDefrag::new()), true);
+    let pull = run_defrag(|p| p.add_producer("d", PullDefrag::new()), true);
+    let active = run_defrag(|p| p.add_active("d", ActiveDefrag::new()), true);
 
     let want = expected_defragged();
-    assert_eq!(push_out, want, "consumer style in push mode");
-    assert_eq!(pull_out, want, "producer style wrapped for push mode");
-    assert_eq!(active_out, want, "active style wrapped for push mode");
-    // The consumer matches push mode: direct calls. The other two need a
-    // coroutine.
-    assert_eq!(push_threads, 1);
-    assert_eq!(pull_threads, 2);
-    assert_eq!(active_threads, 2);
+    assert_eq!(push.0, want, "consumer style in push mode");
+    assert_eq!(pull.0, want, "producer style wrapped for push mode");
+    assert_eq!(active.0, want, "active style wrapped for push mode");
+    // (threads, context switches): a coroutine is handed each of the 10
+    // fragments (a `PUT` and its ack, 2 switches), plus 4 per stream.
+    assert_eq!((push.1, push.2), (1, 0), "consumer");
+    assert_eq!((pull.1, pull.2), (2, 24), "producer");
+    assert_eq!((active.1, active.2), (2, 24), "active");
 }
 
+/// E3 in pull mode: the producer matches and is called directly; the
+/// consumer and the active object each need a coroutine.
 #[test]
 fn defrag_styles_agree_in_pull_mode() {
-    let (pull_out, pull_threads) = run_defrag(|p| p.add_producer("d", PullDefrag::new()), false);
-    let (push_out, push_threads) = run_defrag(|p| p.add_consumer("d", PushDefrag::new()), false);
-    let (active_out, active_threads) =
-        run_defrag(|p| p.add_active("d", ActiveDefrag::new()), false);
+    let pull = run_defrag(|p| p.add_producer("d", PullDefrag::new()), false);
+    let push = run_defrag(|p| p.add_consumer("d", PushDefrag::new()), false);
+    let active = run_defrag(|p| p.add_active("d", ActiveDefrag::new()), false);
 
     let want = expected_defragged();
-    assert_eq!(pull_out, want, "producer style in pull mode");
-    assert_eq!(push_out, want, "consumer style wrapped for pull mode");
-    assert_eq!(active_out, want, "active style wrapped for pull mode");
-    assert_eq!(pull_threads, 1);
-    assert_eq!(push_threads, 2);
-    assert_eq!(active_threads, 2);
+    assert_eq!(pull.0, want, "producer style in pull mode");
+    assert_eq!(push.0, want, "consumer style wrapped for pull mode");
+    assert_eq!(active.0, want, "active style wrapped for pull mode");
+    // (threads, context switches): the pump asks a coroutine for each of
+    // the 5 whole items (a `GET` and its reply, 2 switches), plus 4 per
+    // stream.
+    assert_eq!((pull.1, pull.2), (1, 0), "producer");
+    assert_eq!((push.1, push.2), (2, 14), "consumer");
+    assert_eq!((active.1, active.2), (2, 14), "active");
 }
 
 #[test]
@@ -1008,6 +1023,27 @@ fn query_spec_propagates_through_transformations() {
         assert!(!spec
             .item()
             .compatible_with(&infopipes::ItemType::of::<u32>()));
+    }
+    kernel.shutdown();
+}
+
+#[test]
+fn query_spec_rejects_a_cycle_through_a_buffer() {
+    let kernel = virtual_kernel();
+    {
+        let pipeline = Pipeline::new(&kernel, "cycle");
+        let buf = pipeline.add_buffer("buf", 4);
+        let pump = pipeline.add_pump("pump", FreePump::new());
+        let f = pipeline.add_function("f", IdentityFn::new("f"));
+        pipeline.connect(buf, pump).unwrap();
+        pipeline.connect(pump, f).unwrap();
+        pipeline.connect(f, buf).unwrap();
+        match pipeline.query_spec(f) {
+            Err(PipeError::Type(typespec::TypeError::Rejected(msg))) => {
+                assert_eq!(msg, "pipeline graph contains a cycle through 'f'");
+            }
+            other => panic!("expected a cycle, got {other:?}"),
+        }
     }
     kernel.shutdown();
 }

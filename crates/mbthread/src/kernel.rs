@@ -54,7 +54,9 @@ pub struct KernelConfig {
     /// urgent thread yields the CPU to it immediately.
     pub preemptive: bool,
     /// Enables priority scheduling altogether; with this off the scheduler
-    /// is plain FIFO (used by the control-latency ablation experiment).
+    /// grants the queue front, though while `preemptive` is on a more
+    /// urgent runnable thread still ends the running one's turn (the
+    /// ablation in `infopipes-bench`'s `control_events_overtake_busy_sections`).
     pub priority_scheduling: bool,
 }
 

@@ -427,7 +427,8 @@ fn effective_along(
 
 /// Picks the next thread to run: most urgent effective constraint first,
 /// FIFO among equals. With `priority_scheduling` off, pure FIFO by the
-/// moment each thread became runnable (the E7 ablation). A lone candidate
+/// moment each thread became runnable (the ablation in `infopipes-bench`'s
+/// `control_events_overtake_busy_sections`). A lone candidate
 /// is picked without computing its effective constraint.
 pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
     let mut queue = state.runq.iter().copied();

@@ -1,5 +1,7 @@
-//! Kernel statistics, used by the benchmark harness to count context
-//! switches and messages per pipeline item (experiments E1, E2, E6).
+//! Kernel statistics: the context switches and messages per pipeline item
+//! that `infopipes-bench`'s claim tests (`a_switch_costs_more_than_ten_calls`,
+//! `all_fig9_configs_match_the_paper`, `midi_overhead_rows_are_exact`) and
+//! the benchmark count.
 //!
 //! Every counter but `os_wakes` has one writer: the holder of the kernel
 //! mutex. It is advanced by a plain load and store ([`Counter::bump`],

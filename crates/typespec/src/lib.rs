@@ -20,9 +20,10 @@
 //!
 //! Typespecs are *incremental*: components do not carry a fixed spec but
 //! **transform** a spec on one port into the spec on their other ports
-//! (see [`SpecTransform`]). Composition type-checks by threading a spec
-//! from the source through every transformation and checking each
-//! connection with [`check_connection`].
+//! (`Stage::transform_spec` in the `infopipes` crate). Composition
+//! type-checks by threading a spec from the sources through every
+//! transformation, unifying the [`Polarity`] of each connection's ports
+//! and intersecting the specs that meet there ([`Typespec::intersect`]).
 //!
 //! Undefined properties follow "don't know / don't care" semantics: a
 //! property absent from a spec does not constrain composition; when two
@@ -48,20 +49,16 @@
 //! ```
 
 mod blocking;
-mod check;
 mod error;
 mod item_type;
 mod polarity;
 mod qos;
-mod transform;
 #[allow(clippy::module_inception)]
 mod typespec;
 
 pub use blocking::{OnEmpty, OnFull};
-pub use check::{check_chain, check_connection};
 pub use error::TypeError;
 pub use item_type::ItemType;
 pub use polarity::Polarity;
 pub use qos::{QosKey, QosMap, QosRange};
-pub use transform::{IdentityTransform, SpecTransform};
 pub use typespec::Typespec;

@@ -10,9 +10,10 @@ use std::fmt;
 /// Describes an information flow at one port of a pipeline component.
 ///
 /// Specs are built incrementally: sources supply what they can produce,
-/// every stage transforms the spec ([`SpecTransform`](crate::SpecTransform))
-/// and connections intersect the two sides' requirements
-/// ([`Typespec::intersect`]). Properties not mentioned are unconstrained.
+/// every stage transforms the spec (`Stage::transform_spec` in the
+/// `infopipes` crate) and connections intersect the two sides'
+/// requirements ([`Typespec::intersect`]). Properties not mentioned are
+/// unconstrained.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Typespec {
     item: ItemType,
