@@ -58,7 +58,7 @@ static DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
 /// Fan-out proofs read this around a broadcast: teeing one sealed buffer
 /// to N sessions must leave the count unchanged, because every
 /// per-session frame is a refcounted view of the same allocation. (The
-/// capacity bench `fanout_report` gates on exactly that delta.)
+/// bench crate's `fanout_capacity` test gates on exactly that delta.)
 #[must_use]
 pub fn payload_copy_count() -> u64 {
     DEEP_COPIES.load(Ordering::Relaxed)

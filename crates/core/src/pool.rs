@@ -36,9 +36,12 @@
 //! [`BufferPool::acquire`] is one lock and one pop: a hit whenever any
 //! buffer of the class is free, and a hit performs **zero heap
 //! allocations** — the pop, the clear, the serializer's writes into
-//! retained capacity, and the seal are all allocation-free (measured by
-//! `alloc_report` in the bench crate). A miss means the pool had to
-//! allocate.
+//! retained capacity, and the seal are all allocation-free
+//! (`crates/bench/tests/alloc_gates.rs` gates a warmed pooled inproc
+//! lane at exactly 0 allocations per frame). A miss means the pool had to
+//! allocate. The pool buys zero allocations, not speed: a pooled buffer
+//! costs two uncontended lock round trips and a `Weak` upgrade, more than
+//! the two thread-cache `malloc`/`free` pairs of sealing a fresh `Vec`.
 //!
 //! A view of a few bytes pins its whole buffer until it drops. That
 //! holds for slices and equally for fields decoded as views out of a

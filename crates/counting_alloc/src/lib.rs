@@ -5,7 +5,6 @@
 //!
 //! * allocation events, process-wide ([`allocs`]): `alloc`,
 //!   `alloc_zeroed` and `realloc`;
-//! * `dealloc` events, process-wide ([`frees`]);
 //! * bytes allocated by the calling thread ([`allocated_bytes`]); a
 //!   `realloc` adds its new size;
 //! * bytes freed by the calling thread ([`freed_bytes`]); a `realloc`
@@ -34,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // (allocated, freed) bytes. Const-initialised and without a
@@ -61,12 +59,6 @@ fn bytes() -> (u64, u64) {
 #[must_use]
 pub fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// `dealloc` events in the whole process so far.
-#[must_use]
-pub fn frees() -> u64 {
-    FREES.load(Ordering::Relaxed)
 }
 
 /// Bytes the calling thread has allocated so far; a `realloc` counts its
@@ -107,7 +99,6 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
         tally(0, layout.size());
         System.dealloc(ptr, layout)
     }

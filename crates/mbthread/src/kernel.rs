@@ -140,8 +140,9 @@ impl KernelInner {
     /// it instead of waking another. Each poll runs with the mutex
     /// released, the wakes owed so far delivered first. A polled body
     /// that is away (another OS thread is polling it) is left to that
-    /// thread, which looks at the CPU again when it puts the body back.
-    /// Returns whether anything was polled.
+    /// thread, which looks at the CPU again when it puts the body back. An
+    /// OS-backed thread that a poll granted the CPU is woken only then, so
+    /// it never finds that body away. Returns whether anything was polled.
     pub(crate) fn poll_granted(&self, state: &mut KGuard<'_>) -> bool {
         let mut polled = false;
         while !state.shutdown {
@@ -153,6 +154,7 @@ impl KernelInner {
             // This OS thread, or the one holding the body, polls it: the
             // dispatcher is not needed for it.
             state.wakes.poll = false;
+            state.unpolled = false;
             let Some(mut body) = body else { break };
             polled = true;
             let outcome = state.unlocked(|| {
@@ -167,6 +169,12 @@ impl KernelInner {
                 Ok(Poll::Pending) if !state.shutdown => {
                     if let Some(rec) = state.rec_mut(id) {
                         rec.body = Some(body);
+                    }
+                    // The poll may have granted an OS-backed thread the
+                    // CPU: its wake waited until the body was back
+                    // (`sched::grant_cpu`). A polled thread never parks.
+                    if let Some(next) = state.running {
+                        state.wake_if_parked(next);
                     }
                     continue;
                 }
@@ -703,9 +711,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   spawn from outside the kernel, an OS-backed thread's exit,
 /// * shutdown began.
 ///
-/// Sends, replies and CPU hand-offs between threads never wake it. Like
-/// every OS wake in this crate, the notification is issued by [`KGuard`]
-/// after the kernel mutex is released.
+/// Sends, replies and CPU hand-offs between threads never wake it, and
+/// it polls only a thread that no other OS thread has looked at since its
+/// grant (`KState::unpolled`). Like every OS wake in this crate, the
+/// notification is issued by [`KGuard`] after the kernel mutex is
+/// released.
 fn dispatcher_main(inner: &Arc<KernelInner>) {
     IS_KERNEL_THREAD.with(|c| c.set(true));
     let mut state = inner.lock();
@@ -722,8 +732,9 @@ fn dispatcher_main(inner: &Arc<KernelInner>) {
         let fired = sched::fire_due_timers(&mut state, &inner.stats, now);
         sched::dispatch(&mut state, &inner.cfg, &inner.stats);
         // A polled thread granted from outside the kernel, or by a timer
-        // fired here, has no OS thread but this one to run on.
-        if inner.poll_granted(&mut state) {
+        // fired here, has no OS thread but this one to run on. One that
+        // another OS thread has looked at since its grant is that thread's.
+        if state.unpolled && inner.poll_granted(&mut state) {
             continue;
         }
         let idle = state.running.is_none();

@@ -85,7 +85,9 @@
 //!   ([`Ctx::set_timer`], [`Ctx::sleep_until`], [`ExternalPort::send_at`]),
 //!   when a [`ClockHold`] is released, when a polled thread is granted the
 //!   CPU with no kernel OS thread there to poll it, and at shutdown.
-//!   Sends, replies and hand-offs between threads never wake it;
+//!   Sends, replies and hand-offs between threads never wake it, and it
+//!   polls no thread that another OS thread has looked at since its grant,
+//!   so a wake-up that reaches it late takes over no hand-off;
 //!   [`KernelStats::dispatcher_wakeups`] counts the times it did wake.
 //! * **A hand-off walks no idle thread and allocates nothing.** The
 //!   scheduler keeps the threads that want the CPU in a queue in the order

@@ -26,7 +26,11 @@
 //!   notification is sent after unlock; a thread that is not parked
 //!   re-checks its state under the mutex before it sleeps. So a hand-off
 //!   back to the OS thread that polled the yielding thread costs no
-//!   syscall.
+//!   syscall. A grant made inside a poll leaves the wake to the poller,
+//!   which issues it once it has put the polled body back: woken sooner,
+//!   the thread could hand the CPU straight back to the polled thread,
+//!   find its body away and go back to sleep, and the poller would go on
+//!   polling for it, one wake per hand-off.
 //! * **The bookkeeping takes no lock but the kernel mutex.** The kernel
 //!   counters bumped here have one writer, the holder of the mutex, and
 //!   are advanced by a relaxed load and a store
@@ -148,6 +152,12 @@ pub(crate) struct KState {
     /// Threads inside [`Kernel::wait_quiescent`]; while nonzero, going idle
     /// notifies `cv_global` under the real clock too.
     pub(crate) quiescence_waiters: u32,
+    /// A polled thread was granted the CPU outside a poll and no OS thread
+    /// has looked at it since: set with [`Wakes::poll`], cleared by
+    /// `KernelInner::poll_granted`. The dispatcher polls only while it is
+    /// set, so neither its OS thread's first run nor a wake-up that reaches
+    /// it late takes over a hand-off that its poller is about to poll.
+    pub(crate) unpolled: bool,
     /// Wakes owed to OS threads once the kernel mutex is released.
     pub(crate) wakes: Wakes,
     /// Changes whenever something happens that the running thread may have
@@ -175,6 +185,7 @@ impl KState {
             timer_entries: HashMap::new(),
             panic: None,
             quiescence_waiters: 0,
+            unpolled: false,
             wakes: Wakes::default(),
             generation: Arc::default(),
         }
@@ -460,10 +471,10 @@ pub(crate) fn preempted(state: &KState, cfg: &SchedConfig, me: ThreadId) -> bool
         .any(|&id| id != me && effective(state, cfg, id).urgency_cmp(&mine) == Ordering::Greater)
 }
 
-/// Hands the CPU to `id`: marks it running and records the wake its OS
-/// thread is owed if it is parked, or for a polled thread that it needs a
-/// poller. A grant
-/// to a different thread is a context switch, whatever backs it.
+/// Hands the CPU to `id`: marks it running and, outside a poll, records
+/// the wake its OS thread is owed if it is parked, or for a polled thread
+/// that it needs a poller. A grant to a different thread is a context
+/// switch, whatever backs it.
 pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) {
     debug_assert!(state.running.is_none());
     if state.last_running != Some(id) {
@@ -476,9 +487,14 @@ pub(crate) fn grant_cpu(state: &mut KState, stats: &StatCounters, id: ThreadId) 
     }
     let rec = state.rec_mut(id).expect("granted thread exists");
     rec.state = RunState::Running;
+    // Inside a poll, the poller polls a polled thread next, and wakes an
+    // OS-backed one once it has put the body back (`poll_granted`).
+    if polling() {
+        return;
+    }
     if rec.polled {
-        // Inside a poll, the poller is the OS thread that polls it next.
-        state.wakes.poll |= !polling();
+        state.wakes.poll = true;
+        state.unpolled = true;
     } else {
         state.wake_if_parked(id);
     }

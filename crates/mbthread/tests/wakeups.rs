@@ -8,7 +8,7 @@
 
 use mbthread::{
     ClockMode, Ctx, Envelope, Flow, Kernel, KernelConfig, KernelError, KernelStats, Message,
-    Priority, SpawnOptions, Tag, Time,
+    PolledFn, Priority, SpawnOptions, Tag, ThreadId, Time,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -131,6 +131,87 @@ fn sync_ping_pong_never_wakes_the_dispatcher() {
             kernel.shutdown();
         });
     }
+}
+
+/// Replies to every request.
+struct PolledEcho;
+
+impl PolledFn for PolledEcho {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        ctx.reply_async(&env, Message::signal(PING)).await.unwrap();
+        Flow::Continue
+    }
+}
+
+/// Forwards every request synchronously to `next`, then replies.
+struct PolledRelay {
+    next: ThreadId,
+}
+
+impl PolledFn for PolledRelay {
+    async fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) -> Flow {
+        ctx.call_async(self.next, Message::signal(PING), None, &[])
+            .await
+            .unwrap();
+        ctx.reply_async(&env, Message::signal(PING)).await.unwrap();
+        Flow::Continue
+    }
+}
+
+/// Regression: the dispatcher, woken for a timer, polled whichever polled
+/// thread held the CPU. Inside a relay's poll the relay grants the CPU to
+/// the echo and the poll returns; before the polling OS thread takes the
+/// kernel mutex again to poll the echo, a dispatcher that got the mutex
+/// first polled it instead, and the pinger's OS thread, finding the body
+/// away, went to sleep, to be woken by a condvar notification. Here the
+/// dispatcher wakes every 50 µs for timers that deliver to an unread port
+/// while an OS-backed pinger calls a polled relay that calls a polled
+/// echo: the hand-offs must still notify no condvar.
+#[test]
+fn a_dispatcher_woken_for_a_timer_takes_over_no_hand_off() {
+    const TIMERS: u32 = 2_000;
+    const SPACING: Duration = Duration::from_micros(50);
+    within(Duration::from_secs(60), || {
+        let kernel = Kernel::new(KernelConfig::default());
+        let echo = kernel.spawn_polled("echo", PolledEcho).unwrap();
+        let relay = kernel
+            .spawn_polled("relay", PolledRelay { next: echo })
+            .unwrap();
+        let pinger = kernel
+            .spawn("pinger", move |ctx: &mut Ctx<'_>, env: Envelope| {
+                let (to, until) = env.expect_body::<(ThreadId, Instant)>();
+                let before = ctx.kernel().stats();
+                while Instant::now() < until {
+                    ctx.send_sync(relay, Message::signal(PING)).unwrap();
+                }
+                let delta = ctx.kernel().stats().delta_since(&before);
+                ctx.send(to, Message::new(DONE, delta)).unwrap();
+                Flow::Continue
+            })
+            .unwrap();
+        // Every thread has run to its first receive before the timers and
+        // the window, which then hold nothing of the set-up.
+        kernel.wait_quiescent();
+        // The timers deliver to a port nobody reads, so each firing only
+        // wakes the dispatcher.
+        let unread = kernel.external("unread");
+        let port = kernel.external("main");
+        let first = kernel.now() + Duration::from_millis(2);
+        for i in 0..TIMERS {
+            port.send_at(unread.id(), first + SPACING * i, Message::signal(FLOOD))
+                .unwrap();
+        }
+        let until = Instant::now() + Duration::from_millis(2) + SPACING * TIMERS;
+        port.send(pinger, Message::new(GO, (port.id(), until)))
+            .unwrap();
+        let report = port.recv().unwrap();
+        assert_eq!(report.tag(), DONE);
+        let delta = report.expect_body::<KernelStats>();
+        assert!(delta.sync_sends > 0, "{delta:?}");
+        assert!(delta.dispatcher_wakeups > 0, "{delta:?}");
+        assert_eq!(delta.os_wakes, 0, "{delta:?}");
+        kernel.shutdown();
+    });
 }
 
 /// Regression: `sleep_until` arms a wake timer, and with the dispatcher

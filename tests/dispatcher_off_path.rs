@@ -19,6 +19,7 @@ use infopipes::{FreePump, Pipeline};
 use mbthread::{Kernel, KernelConfig, KernelStats};
 use parking_lot::Mutex;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Serializes the tests: each counts the process's kernel OS threads.
 static ALONE: Mutex<()> = Mutex::new(());
@@ -36,6 +37,24 @@ const MEASURED: u64 = 2_000;
 /// Messages the measured window may hold that are not per item: a pump
 /// asks for a cycle through its main loop once after each disturbance.
 const STRAY_MESSAGES: u64 = 4;
+/// OS threads that back the kernel in either chain: the section's, which
+/// also polls every coroutine, and the dispatcher's.
+const KERNEL_OS_THREADS: usize = 2;
+
+fn comm(dir: &std::path::Path) -> std::io::Result<String> {
+    std::fs::read_to_string(dir.join("comm")).map(|name| name.trim().to_owned())
+}
+
+/// OS threads of this process that back the kernel (named `mbt…`). An OS
+/// thread takes its name when it first runs, so one that has not run yet
+/// is not counted.
+fn kernel_os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| comm(&task.ok()?.path()).ok())
+        .filter(|name| name.starts_with("mbt"))
+        .count()
+}
 
 /// What the OS says about the thread that delivers an item to the sink.
 #[derive(Debug)]
@@ -44,7 +63,7 @@ struct OsView {
     thread: String,
     /// Its voluntary context switches so far.
     voluntary_switches: u64,
-    /// OS threads of this process that back the kernel (named `mbt…`).
+    /// [`kernel_os_threads`].
     kernel_os_threads: usize,
 }
 
@@ -56,18 +75,10 @@ impl OsView {
             .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
             .and_then(|v| v.trim().parse().ok())
             .expect("voluntary_ctxt_switches");
-        let comm = |dir: &std::path::Path| {
-            std::fs::read_to_string(dir.join("comm")).map(|name| name.trim().to_owned())
-        };
-        let kernel_os_threads = std::fs::read_dir("/proc/self/task")
-            .expect("procfs")
-            .filter_map(|task| comm(&task.ok()?.path()).ok())
-            .filter(|name| name.starts_with("mbt"))
-            .count();
         OsView {
             thread: comm(std::path::Path::new("/proc/thread-self")).expect("procfs"),
             voluntary_switches,
-            kernel_os_threads,
+            kernel_os_threads: kernel_os_threads(),
         }
     }
 }
@@ -113,6 +124,15 @@ fn run_chain(stages: &[StageKind]) -> (usize, KernelStats, [OsView; 2]) {
         }
         let running = pipeline.start().expect("plan");
         let threads = running.report().total_threads();
+        // The flow starts once every kernel OS thread has run, so none
+        // comes up inside the window: `Kernel::new` returns before its
+        // dispatcher's OS thread first runs, which on a busy host can be
+        // milliseconds later.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while kernel_os_threads() < KERNEL_OS_THREADS {
+            assert!(Instant::now() < deadline, "kernel OS threads never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         running.start_flow().expect("start");
         running.wait_quiescent();
         threads
@@ -164,7 +184,7 @@ fn coroutine_chain_costs_eight_switches_per_item_and_no_dispatcher_wake() {
     // four coroutines and so delivers to the sink, and the dispatcher's.
     for view in [&start, &end] {
         assert_eq!(view.thread, "mbt-section-pum", "{view:?}");
-        assert_eq!(view.kernel_os_threads, 2, "{view:?}");
+        assert_eq!(view.kernel_os_threads, KERNEL_OS_THREADS, "{view:?}");
     }
     // 16 000 hand-offs, none of them a sleep of the pump's OS thread.
     let slept = end.voluntary_switches - start.voluntary_switches;
