@@ -20,10 +20,13 @@
 //!   allocations per item here too.
 //! * **pipeline_inproc** — the full scheduled pipeline: producer pump,
 //!   net sink, the sender delivering into the bound inbox, consumer pump,
-//!   sink. The hand-off, the pump cycle and the `PayloadBytes` and `u64`
-//!   items allocate nothing in the steady state; what is left is set-up
-//!   and the occasional wake-up: at most 0.25 allocations per frame (an
-//!   `Item` that boxed its value again would read about 2).
+//!   sink. Counted from the flow's start in two parts at the sink's
+//!   2 048th frame: set-up (lazy first touches as the flow starts; at most
+//!   2 048 allocations) and the steady state after it, where the
+//!   hand-off, the pump cycle and the `PayloadBytes` and `u64` items
+//!   allocate nothing: exactly 0. Both together stay at most 0.25
+//!   allocations per frame (an `Item` that boxed its value again would
+//!   read about 2). The sink keeps nothing, so nothing grows.
 //! * **tcp_batched** — 256-byte frames over loopback TCP, the sender
 //!   outrunning the wire. The writer coalesces up to 64 queued frames per
 //!   `writev` (at most 0.25 socket writes per frame; one that stopped
@@ -38,7 +41,7 @@
 //! --nocapture` prints each case's figures.
 
 use counting_alloc::allocs;
-use infopipes::helpers::{ActiveRelay, CollectSink, FnFunction, FnSink, IterSource};
+use infopipes::helpers::{ActiveRelay, FnFunction, FnSink, IterSource};
 use infopipes::{BufferPool, BufferSpec, FreePump, PayloadBytes, Pipeline};
 use mbthread::{Kernel, KernelConfig};
 use netpipe::wire;
@@ -56,6 +59,9 @@ static A: counting_alloc::Counting = counting_alloc::Counting;
 const INPROC_FRAMES: usize = 200_000;
 const CHAIN_ITEMS: usize = 200_000;
 const PIPELINE_FRAMES: usize = 20_000;
+/// Where `pipeline_inproc`'s set-up ends and its steady state begins.
+const PIPELINE_WARM: usize = 2_048;
+const PIPELINE_SETUP_MAX: u64 = 2_048;
 const TCP_FRAMES: usize = 30_000;
 
 /// `count` events spread over `frames`.
@@ -160,10 +166,13 @@ fn chain(coroutines: bool, items: usize) -> (usize, u64) {
 
 /// `pipeline_inproc`, the full scheduled path (producer pump → net sink
 /// → the sending thread's delivery into the bound inbox → consumer pump
-/// → sink): returns the allocations over `frames`.
-fn pipeline_inproc(frames: usize) -> u64 {
+/// → sink): returns the allocations from the flow's start until the
+/// sink's `warm`-th frame, and those from there to its last.
+fn pipeline_inproc(frames: usize, warm: usize) -> (u64, u64) {
+    type Marks = Mutex<[Option<u64>; 2]>;
+    let marks: Arc<Marks> = Arc::new(Mutex::new([None; 2]));
     let kernel = Kernel::new(KernelConfig::default());
-    let delta = {
+    let a0 = {
         let transport = InProcTransport::with_capacity(2 * frames.max(1024));
         let acceptor = transport.listen("lane").unwrap();
         let link = transport.connect("lane").unwrap();
@@ -180,7 +189,17 @@ fn pipeline_inproc(frames: usize) -> u64 {
             "count",
             FnFunction::new("count", |b: PayloadBytes| Some(b.len() as u64)),
         );
-        let (sink, out) = CollectSink::<u64>::new("sink");
+        let sink_marks = Arc::clone(&marks);
+        let mut arrived = 0usize;
+        let sink = FnSink::new("sink", move |_len: u64, _seq: u64| {
+            arrived += 1;
+            let slot = match arrived {
+                n if n == warm => 0,
+                n if n == frames => 1,
+                _ => return,
+            };
+            sink_marks.lock().expect("marks")[slot] = Some(allocs());
+        });
         let sink = consumer.add_consumer("sink", sink);
         let _ = inbox >> pump_in >> count >> sink;
         receiver_end
@@ -199,14 +218,17 @@ fn pipeline_inproc(frames: usize) -> u64 {
         let a0 = allocs();
         running_producer.start_flow().unwrap();
         let deadline = Instant::now() + Duration::from_secs(120);
-        while out.lock().len() < frames {
+        while marks.lock().expect("marks")[1].is_none() {
             assert!(Instant::now() < deadline, "pipeline stalled");
             std::thread::sleep(Duration::from_millis(1));
         }
-        allocs() - a0
+        a0
     };
     kernel.shutdown();
-    delta
+    let [Some(warmed), Some(end)] = *marks.lock().expect("marks") else {
+        unreachable!("both marks are set once the last frame arrived")
+    };
+    (warmed - a0, end - warmed)
 }
 
 /// `tcp_batched`'s three figures, per frame.
@@ -318,10 +340,20 @@ fn steady_state_frame_paths_stay_within_their_allocation_and_syscall_gates() {
     assert_eq!(threads, 5, "the pump's thread and one per active relay");
     assert_eq!(allocated, 0, "chain_coroutine allocates per item");
 
-    // The scheduled pipeline boxes no item: what it allocates is set-up
-    // and wake-ups spread over the frames.
-    let allocs_per_frame = per_frame(pipeline_inproc(PIPELINE_FRAMES), PIPELINE_FRAMES);
-    println!("pipeline_inproc: {allocs_per_frame:.4} allocs per frame");
+    // The scheduled pipeline boxes no item: what it allocates is set-up,
+    // and none of it once the flow runs.
+    let (setup, steady) = pipeline_inproc(PIPELINE_FRAMES, PIPELINE_WARM);
+    let allocs_per_frame = per_frame(setup + steady, PIPELINE_FRAMES);
+    println!(
+        "pipeline_inproc: {setup} allocs up to frame {PIPELINE_WARM}, {steady} over the {} after; \
+         {allocs_per_frame:.4} per frame",
+        PIPELINE_FRAMES - PIPELINE_WARM
+    );
+    assert_eq!(steady, 0, "pipeline_inproc allocates in the steady state");
+    assert!(
+        setup <= PIPELINE_SETUP_MAX,
+        "pipeline_inproc makes {setup} allocs setting up > {PIPELINE_SETUP_MAX}"
+    );
     assert!(
         allocs_per_frame <= 0.25,
         "pipeline_inproc makes {allocs_per_frame:.4} allocs per frame > 0.25"

@@ -87,9 +87,12 @@ pub(crate) struct KernelInner {
     /// Locked only through [`KernelInner::lock`], whose guard delivers the
     /// wakes a critical section produced after releasing the mutex.
     state: Mutex<KState>,
-    /// The dispatcher and quiescence waiters sleep on it; see
-    /// [`dispatcher_main`] for when it is notified.
+    /// The dispatcher sleeps on it; see [`dispatcher_main`] for when it
+    /// is notified.
     cv_global: Condvar,
+    /// [`Kernel::wait_quiescent`] callers sleep on it: notified when the
+    /// kernel goes idle while one is registered, and at shutdown.
+    cv_quiet: Condvar,
     epoch: std::time::Instant,
     pub(crate) cfg: SchedConfig,
     pub(crate) stats: StatCounters,
@@ -131,7 +134,8 @@ impl KernelInner {
         if state.running.is_none() && (clock_may_jump || state.quiescence_waiters > 0) {
             // The kernel went idle: the dispatcher advances virtual time,
             // quiescence waiters re-check.
-            state.wakes.dispatcher = true;
+            state.wakes.dispatcher |= clock_may_jump;
+            state.wakes.quiet |= state.quiescence_waiters > 0;
         }
     }
 
@@ -195,6 +199,11 @@ impl KernelInner {
             let _ = state.unlocked(|| panic::catch_unwind(AssertUnwindSafe(|| drop(body))));
         }
         polled
+    }
+
+    /// Issues the wakes a critical section owed; the mutex is released.
+    fn deliver(&self, wakes: sched::Wakes) {
+        wakes.deliver(&self.cv_global, &self.cv_quiet, &self.stats);
     }
 
     /// Registers a timer and tells the dispatcher about the new deadline.
@@ -271,10 +280,9 @@ impl KGuard<'_> {
             return MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), f);
         }
         let wakes = std::mem::take(&mut self.wakes);
-        let cv_global = &self.inner.cv_global;
-        let stats = &self.inner.stats;
+        let inner = self.inner;
         MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
-            wakes.deliver(cv_global, stats);
+            inner.deliver(wakes);
             f()
         })
     }
@@ -298,9 +306,9 @@ impl KGuard<'_> {
         if wakes.is_empty() {
             return false;
         }
-        let (cv_global, stats) = (&self.inner.cv_global, &self.inner.stats);
+        let inner = self.inner;
         MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
-            wakes.deliver(cv_global, stats);
+            inner.deliver(wakes);
         });
         true
     }
@@ -327,7 +335,7 @@ impl Drop for KGuard<'_> {
         }
         let wakes = std::mem::take(&mut self.wakes);
         drop(self.guard.take());
-        wakes.deliver(&self.inner.cv_global, &self.inner.stats);
+        self.inner.deliver(wakes);
     }
 }
 
@@ -366,6 +374,7 @@ impl Kernel {
             generation: Arc::clone(&state.generation),
             state: Mutex::new(state),
             cv_global: Condvar::new(),
+            cv_quiet: Condvar::new(),
             epoch: std::time::Instant::now(),
             cfg: SchedConfig {
                 clock: cfg.clock,
@@ -533,7 +542,7 @@ impl Kernel {
         let mut state = self.inner.lock();
         state.quiescence_waiters += 1;
         while !(state.shutdown || state.is_idle()) {
-            state.wait(&self.inner.cv_global);
+            state.wait(&self.inner.cv_quiet);
         }
         state.quiescence_waiters -= 1;
     }
@@ -697,13 +706,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// otherwise blocked, and grants the CPU when a timer made a thread runnable
 /// while no user thread held it.
 ///
-/// It sleeps on `cv_global` and is woken only for something it (or a
-/// `wait_quiescent` caller sharing the condvar) acts on:
+/// It sleeps on `cv_global`, which is its alone, and is woken only for
+/// something it acts on:
 ///
-/// * the kernel went idle — no thread running, none runnable — and either
-///   the clock is virtual with a timer to jump to, or a `wait_quiescent`
-///   caller is registered ([`KernelInner::reschedule`]; the dispatcher does
-///   the same when its own timer firing leaves the kernel quiescent),
+/// * the kernel went idle — no thread running, none runnable — under the
+///   virtual clock with a timer to jump to ([`KernelInner::reschedule`],
+///   whose idle rule notifies `wait_quiescent` callers on `cv_quiet`
+///   instead; the dispatcher does that when its own timer firing leaves
+///   the kernel quiescent),
 /// * a timer was armed ([`KernelInner::arm_timer`]),
 /// * a clock hold was released,
 /// * a polled thread was granted the CPU by a critical section that no
@@ -756,7 +766,7 @@ fn dispatcher_main(inner: &Arc<KernelInner>) {
                 if idle && fired > 0 && pending.is_none() && state.quiescence_waiters > 0 {
                     // The last timer fired without making anything
                     // runnable: the kernel went idle here, not in a thread.
-                    state.wakes.dispatcher = true;
+                    state.wakes.quiet = true;
                 }
                 state.wait(&inner.cv_global)
             }

@@ -80,8 +80,9 @@
 //!   the notifications the kernel did issue.
 //! * **The dispatcher is not on the message path.** Its OS thread (timers,
 //!   virtual-time jumps) is woken only when the kernel goes idle — no
-//!   thread running or runnable — with a virtual-clock jump or a
-//!   [`Kernel::wait_quiescent`] caller pending, when a timer is armed
+//!   thread running or runnable — with a virtual-clock jump pending
+//!   ([`Kernel::wait_quiescent`] callers sleep on a condvar of their
+//!   own), when a timer is armed
 //!   ([`Ctx::set_timer`], [`Ctx::sleep_until`], [`ExternalPort::send_at`]),
 //!   when a [`ClockHold`] is released, when a polled thread is granted the
 //!   CPU with no kernel OS thread there to poll it, and at shutdown.

@@ -66,8 +66,11 @@ use std::sync::Arc;
 /// message path never allocates here.
 #[derive(Default)]
 pub(crate) struct Wakes {
-    /// Notify `cv_global`: the dispatcher and `wait_quiescent` callers.
+    /// Notify `cv_global`: the dispatcher.
     pub(crate) dispatcher: bool,
+    /// Notify `cv_quiet`: [`Kernel::wait_quiescent`](crate::Kernel::wait_quiescent)
+    /// callers.
+    pub(crate) quiet: bool,
     /// A polled thread was granted the CPU outside a poll. An OS thread
     /// that polls it itself clears this (`KernelInner::poll_granted`);
     /// otherwise the dispatcher is woken to poll it. A grant made inside a
@@ -95,13 +98,13 @@ impl Wakes {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        !self.dispatcher && !self.poll && self.first.is_none()
+        !self.dispatcher && !self.quiet && !self.poll && self.first.is_none()
     }
 
     /// Issues the wakes, counting each condvar notification in
     /// `os_wakes`. Must be called with the kernel mutex released, so a
     /// woken thread finds it free.
-    pub(crate) fn deliver(self, cv_global: &Condvar, stats: &StatCounters) {
+    pub(crate) fn deliver(self, cv_global: &Condvar, cv_quiet: &Condvar, stats: &StatCounters) {
         for wake in self.first.iter().chain(&self.rest) {
             stats.os_wake();
             if wake.all {
@@ -111,12 +114,18 @@ impl Wakes {
             }
         }
         if self.dispatcher || self.poll {
-            // Requested by the idle rule, a timer arming, a clock-hold
-            // release or shutdown (the sites that set `wakes.dispatcher`),
+            // Requested by the idle rule under the virtual clock, a timer
+            // arming, a clock-hold release or shutdown (the sites that set
+            // `wakes.dispatcher`),
             // or a polled thread granted the CPU with no OS thread there
             // to poll it.
             stats.os_wake();
             cv_global.notify_all();
+        }
+        if self.quiet {
+            // The kernel went idle with a waiter registered, or shut down.
+            stats.os_wake();
+            cv_quiet.notify_all();
         }
     }
 }
@@ -150,7 +159,7 @@ pub(crate) struct KState {
     /// First panic observed in a user thread (name, message).
     pub(crate) panic: Option<(String, String)>,
     /// Threads inside [`Kernel::wait_quiescent`]; while nonzero, going idle
-    /// notifies `cv_global` under the real clock too.
+    /// notifies `cv_quiet`.
     pub(crate) quiescence_waiters: u32,
     /// A polled thread was granted the CPU outside a poll and no OS thread
     /// has looked at it since: set with [`Wakes::poll`], cleared by
@@ -367,6 +376,7 @@ impl KState {
             self.wakes.push(Arc::clone(&rec.cv), true);
         }
         self.wakes.dispatcher = true;
+        self.wakes.quiet = true;
     }
 }
 

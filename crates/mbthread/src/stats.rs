@@ -95,10 +95,12 @@ pub struct KernelStats {
     pub threads_spawned: u64,
     /// Times the dispatcher OS thread came back from sleeping on its
     /// condition variable (notified or timed out). It is woken only when
-    /// the kernel goes idle with a clock jump or a quiescence waiter
-    /// pending, when a timer is armed, when a clock hold is released, and
-    /// at shutdown — never per message, so a timer-free message exchange
-    /// leaves this counter unchanged.
+    /// the kernel goes idle with a virtual-clock jump pending, when a timer
+    /// is armed, when a clock hold is released, when a polled thread is
+    /// granted the CPU with no OS thread there to poll it, and at shutdown
+    /// — never per message, so a timer-free message exchange leaves this
+    /// counter unchanged. `wait_quiescent` callers sleep on a condvar of
+    /// their own.
     pub dispatcher_wakeups: u64,
     /// Condition-variable notifications the kernel issued: one per wake of
     /// an OS thread parked in a kernel thread or an external port, one per

@@ -281,6 +281,39 @@ fn wait_quiescent_returns_when_the_last_thread_blocks() {
     });
 }
 
+/// `wait_quiescent` callers sleep on a condvar of their own: the idle
+/// rule that wakes them leaves the dispatcher asleep when the clock is
+/// real and no timer is armed. Each round the waiter registers while an
+/// OS-backed thread spins, and is woken when that thread blocks.
+#[test]
+fn quiescence_waiters_never_wake_the_dispatcher() {
+    const ROUNDS: u64 = 40;
+    within(Duration::from_secs(60), || {
+        let kernel = Kernel::new(config(ClockMode::Real));
+        let spinner = kernel
+            .spawn("spinner", |_: &mut Ctx<'_>, _: Envelope| {
+                // Busy long enough for the waiter to register first.
+                let until = Instant::now() + Duration::from_millis(3);
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                Flow::Continue
+            })
+            .unwrap();
+        let port = kernel.external("main");
+        kernel.wait_quiescent();
+        let before = kernel.stats();
+        for _ in 0..ROUNDS {
+            port.send(spinner, Message::signal(GO)).unwrap();
+            kernel.wait_quiescent();
+        }
+        let delta = kernel.stats().delta_since(&before);
+        assert_eq!(delta.dispatcher_wakeups, 0, "{delta:?}");
+        drop(port);
+        kernel.shutdown();
+    });
+}
+
 /// A thread whose only activity is a timer `after_ms` from its start.
 fn spawn_timer_only(kernel: &Kernel, after_ms: u64, fired_at: &Arc<AtomicU64>) {
     struct TimerOnly {

@@ -40,21 +40,28 @@
 //!
 //! A session has **one lock**: its lifecycle state, drain deadline,
 //! queue, saturation window and frame counters share a cell, taken once
-//! per session by [`broadcast`](SessionRegistry::broadcast),
-//! [`sweep`](SessionRegistry::sweep) and the snapshot calls. Every data
-//! send happens under that lock and only after [`Link::send_ready`]
-//! said it would not wait. Because no data frame reaches the link any
-//! other way, nothing can fill the lane between the question and the
-//! send — the "never blocks" contract holds by construction — and two
-//! flushers of one session (a broadcaster and a sweeper) cannot
-//! reorder its frames. A frame for a session whose queue is empty and
-//! whose link is ready goes straight to the link under the same
-//! acquisition and never touches the queue. Control frames and `Fin`
-//! travel the control lane outside the lock. Lock order: roster, then a
-//! session's cell, then the readings queue; no two cells at once.
+//! per session by [`broadcast`](SessionRegistry::broadcast) and the
+//! snapshot calls, and by [`sweep`](SessionRegistry::sweep) for a
+//! session with work only: one that is draining or has frames queued.
+//! Every data send happens under that lock and only after
+//! [`Link::send_ready`] said it would not wait. Because no data frame
+//! reaches the link any other way, nothing can fill the lane between the
+//! question and the send — the "never blocks" contract holds by
+//! construction — and two flushers of one session (a broadcaster and a
+//! sweeper) cannot reorder its frames. A frame for a session whose queue
+//! is empty and whose link is ready goes straight to the link under the
+//! same acquisition and never touches the queue. Control frames and
+//! `Fin` travel the control lane outside the lock. Lock order: roster,
+//! then a session's cell, then the readings queue; no two cells at once.
+//!
+//! Each session carries a "has work" mark, written under its lock when
+//! it changes; `sweep` reads it without the lock and skips an idle
+//! session, whose flush would send nothing. A frame queued after the
+//! read waits for the next sweep, as one queued after a sweep has
+//! visited its session always did.
 //!
 //! The roster is an `Arc`'d vector replaced copy-on-write by
-//! `register`/`reap`; a pass over it holds one refcount, not the roster
+//! `admit`/`reap`; a pass over it holds one refcount, not the roster
 //! lock and not a private copy.
 //!
 //! # Typical assembly
@@ -79,7 +86,7 @@ use infopipes::PayloadBytes;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -175,6 +182,26 @@ struct SessionShared<L> {
     link: L,
     cell: Mutex<SessionCell>,
     drop_level: AtomicU8,
+    /// Whether `sweep` has anything to do here: the session is draining,
+    /// or active with frames queued. Written under the cell's lock, and
+    /// only when it changes; `sweep` reads it without the lock. Relaxed:
+    /// it publishes nothing, since a sweep that sees it set takes the
+    /// lock before it touches the cell.
+    busy: AtomicBool,
+}
+
+impl<L> SessionShared<L> {
+    /// Brings the `busy` mark in line with the cell the caller holds.
+    fn mark(&self, cell: &SessionCell) {
+        let busy = match cell.state {
+            SessionState::Active => !cell.frames.is_empty(),
+            SessionState::Draining => true,
+            SessionState::Evicted => false,
+        };
+        if self.busy.load(Ordering::Relaxed) != busy {
+            self.busy.store(busy, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A point-in-time view of one session (see
@@ -304,6 +331,7 @@ impl<L: Link> SessionRegistry<L> {
                 thinned: 0,
             }),
             drop_level: AtomicU8::new(0),
+            busy: AtomicBool::new(false),
         });
         // Counted before it is resident, so a concurrent `stats` never
         // sees more sessions in the roster than were ever accepted.
@@ -342,6 +370,7 @@ impl<L: Link> SessionRegistry<L> {
             cell.enqueued += 1;
             reached += 1;
             let open = if cell.frames.is_empty() && s.link.send_ready() {
+                // The queue stays empty: the mark stays clear.
                 self.send(s, &mut cell, payload.clone()) != SendStatus::Closed
             } else {
                 if cell.frames.len() >= capacity {
@@ -353,7 +382,9 @@ impl<L: Link> SessionRegistry<L> {
                     self.observe(s, &mut cell, true);
                 }
                 cell.frames.push_back(payload.clone());
-                self.flush(s, &mut cell)
+                let open = self.flush(s, &mut cell);
+                s.mark(&cell);
+                open
             };
             if !open {
                 self.evict_locked(s, cell);
@@ -432,7 +463,7 @@ impl<L: Link> SessionRegistry<L> {
     /// empty or the drain deadline, then the session is evicted.
     pub fn drain(&self, id: SessionId) {
         if let Some(s) = self.find(id) {
-            self.start_drain(&mut s.cell.lock());
+            self.start_drain(&s, &mut s.cell.lock());
         }
     }
 
@@ -440,23 +471,29 @@ impl<L: Link> SessionRegistry<L> {
     /// to end of stream).
     pub fn drain_all(&self) {
         for s in self.roster().iter() {
-            self.start_drain(&mut s.cell.lock());
+            self.start_drain(s, &mut s.cell.lock());
         }
     }
 
-    fn start_drain(&self, cell: &mut SessionCell) {
+    fn start_drain(&self, s: &SessionShared<L>, cell: &mut SessionCell) {
         if cell.state == SessionState::Active {
             cell.state = SessionState::Draining;
             cell.drain_deadline = Some(Instant::now() + self.inner.cfg.drain_deadline);
+            s.mark(cell);
         }
     }
 
-    /// One housekeeping pass: flushes active and draining queues,
-    /// completes drains (empty queue → `Fin` → evicted), and force-evicts
-    /// draining sessions past their deadline. Call this between
-    /// broadcasts, or periodically from a thread of your own.
+    /// One housekeeping pass over the sessions with work: flushes active
+    /// queues and draining ones, completes drains (empty queue → `Fin` →
+    /// evicted), and force-evicts draining sessions past their deadline.
+    /// An idle session — active with nothing queued — is skipped without
+    /// its lock. Call this between broadcasts, or periodically from a
+    /// thread of your own.
     pub fn sweep(&self) {
         for s in self.roster().iter() {
+            if !s.busy.load(Ordering::Relaxed) {
+                continue;
+            }
             let mut cell = s.cell.lock();
             let done = match cell.state {
                 SessionState::Active => !self.flush(s, &mut cell),
@@ -469,6 +506,8 @@ impl<L: Link> SessionRegistry<L> {
             };
             if done {
                 self.evict_locked(s, cell);
+            } else {
+                s.mark(&cell);
             }
         }
     }
@@ -488,6 +527,7 @@ impl<L: Link> SessionRegistry<L> {
         cell.drain_deadline = None;
         cell.shed += cell.frames.len() as u64;
         cell.frames.clear();
+        s.mark(&cell);
         drop(cell);
         let _ = s.link.send(Frame::Fin);
         // Release pairs with the Acquire load in `stats`.
@@ -667,5 +707,145 @@ impl<L: Link> SendSink for SessionRegistry<L> {
             ctrl_frame => self.broadcast_ctrl(&ctrl_frame),
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{LinkStats, RecvOutcome, TransportError};
+    use infopipes::{ControlEvent, InboxSender};
+    use std::sync::mpsc;
+
+    /// A link whose readiness the test sets, recording every data frame.
+    #[derive(Clone)]
+    struct StubLink {
+        ready: Arc<AtomicBool>,
+        data: Arc<Mutex<Vec<PayloadBytes>>>,
+    }
+
+    impl StubLink {
+        fn new(ready: bool) -> StubLink {
+            StubLink {
+                ready: Arc::new(AtomicBool::new(ready)),
+                data: Arc::default(),
+            }
+        }
+    }
+
+    impl Link for StubLink {
+        fn peer(&self) -> PeerIdentity {
+            PeerIdentity::new("stub", "serve")
+        }
+        fn send_ready(&self) -> bool {
+            self.ready.load(Ordering::Relaxed)
+        }
+        fn send(&self, frame: Frame) -> SendStatus {
+            if let Frame::Data(bytes) = frame {
+                self.data.lock().push(bytes);
+            }
+            SendStatus::Sent
+        }
+        fn recv(&self, _timeout: Duration) -> RecvOutcome {
+            RecvOutcome::TimedOut
+        }
+        fn bind_receiver(
+            &self,
+            _inbox: Option<InboxSender>,
+            _on_event: impl Fn(ControlEvent) + Send + 'static,
+        ) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn stats(&self) -> LinkStats {
+            LinkStats::default()
+        }
+    }
+
+    /// The test holds an idle session's lock while `sweep` runs on
+    /// another thread. The lock is released before the join, so a sweep
+    /// that waits for it fails the test instead of hanging it.
+    #[test]
+    fn sweep_skips_an_idle_session_without_its_lock() {
+        let registry = SessionRegistry::new(ServeConfig::default());
+        registry.admit(StubLink::new(true));
+        registry.broadcast(&PayloadBytes::from(vec![1]));
+        let session = Arc::clone(&registry.roster()[0]);
+        let held = session.cell.lock();
+        let (done, returned) = mpsc::channel();
+        let sweeper = {
+            let registry = registry.clone();
+            std::thread::spawn(move || {
+                registry.sweep();
+                let _ = done.send(());
+            })
+        };
+        let in_time = returned.recv_timeout(Duration::from_secs(2)).is_ok();
+        drop(held);
+        sweeper.join().expect("sweep panicked");
+        assert!(in_time, "sweep waited for an idle session's lock");
+    }
+
+    #[test]
+    fn frames_queued_behind_an_unready_link_go_out_in_order_on_the_next_sweep() {
+        let registry = SessionRegistry::new(ServeConfig::default());
+        let link = StubLink::new(false);
+        registry.admit(link.clone());
+        for n in 1..=3u8 {
+            registry.broadcast(&PayloadBytes::from(vec![n]));
+        }
+        registry.sweep();
+        assert!(link.data.lock().is_empty());
+        assert_eq!(registry.stats().queued_frames, 3);
+
+        link.ready.store(true, Ordering::Relaxed);
+        registry.sweep();
+        let sent: Vec<u8> = link.data.lock().iter().map(|p| p[0]).collect();
+        assert_eq!(sent, [1, 2, 3]);
+        let stats = registry.stats();
+        assert_eq!((stats.queued_frames, stats.sent_total), (0, 3), "{stats:?}");
+    }
+
+    #[test]
+    fn a_sweeper_racing_a_broadcaster_strands_and_reorders_nothing() {
+        // Below the queue capacity, so nothing is shed, and ending on a
+        // stretch where the link is not ready, so the last frames wait
+        // for the final sweep.
+        const FRAMES: u16 = 210;
+        let registry = SessionRegistry::new(ServeConfig::default());
+        let link = StubLink::new(true);
+        registry.admit(link.clone());
+        let stop = Arc::new(AtomicBool::new(false));
+        let sweeper = {
+            let (registry, stop) = (registry.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    registry.sweep();
+                }
+            })
+        };
+        for n in 0..FRAMES {
+            // The link flips between ready and not every 7 frames, so
+            // frames queue and drain while the sweeper runs.
+            link.ready.store((n / 7) % 2 == 0, Ordering::Relaxed);
+            registry.broadcast(&PayloadBytes::from(n.to_le_bytes().to_vec()));
+        }
+        stop.store(true, Ordering::Relaxed);
+        sweeper.join().expect("sweeper panicked");
+
+        link.ready.store(true, Ordering::Relaxed);
+        registry.sweep();
+        let sent: Vec<u16> = link
+            .data
+            .lock()
+            .iter()
+            .map(|p| u16::from_le_bytes([p[0], p[1]]))
+            .collect();
+        assert_eq!(sent, (0..FRAMES).collect::<Vec<_>>());
+        let stats = registry.stats();
+        assert_eq!(
+            (stats.queued_frames, stats.sent_total, stats.shed_total),
+            (0, u64::from(FRAMES), 0),
+            "{stats:?}"
+        );
     }
 }

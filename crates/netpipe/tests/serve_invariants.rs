@@ -13,15 +13,18 @@
 //! * every snapshot balances *exactly* while frames move — a session's
 //!   counters and queue depth are read under its one lock:
 //!   `enqueued == sent + shed + queued`,
-//! * end of stream retires a large roster in one pass per call.
+//! * end of stream retires a large roster in one pass per call,
+//! * `sweep`, which skips sessions it finds idle, still leaves no work
+//!   behind: at any point of an arbitrary run, one sweep over links that
+//!   all accept drains every queue and retires every draining session.
 
-use infopipes::{ControlEvent, InboxSender};
+use infopipes::{ControlEvent, InboxSender, PayloadBytes};
 use netpipe::{
     Frame, Link, LinkStats, PeerIdentity, RecvOutcome, SendStatus, ServeConfig, SessionId,
     SessionRegistry, SessionState, TransportError,
 };
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -345,4 +348,113 @@ fn end_of_stream_retires_a_large_roster() {
         assert_eq!(link.fins.load(Ordering::Relaxed), 1, "one Fin each");
     }
     assert_eq!(registry.stats().evicted_total, SESSIONS as u64);
+}
+
+/// A link whose behaviour the test sets: ready and `Sent` (0), not
+/// ready (1), `Saturated` (2), `Dropped` (3) or `Closed` (4).
+#[derive(Clone, Default)]
+struct ScriptedLink {
+    mode: Arc<AtomicU8>,
+}
+
+impl Link for ScriptedLink {
+    fn peer(&self) -> PeerIdentity {
+        PeerIdentity::new("stub", "scripted")
+    }
+    fn send_ready(&self) -> bool {
+        self.mode.load(Ordering::Relaxed) != 1
+    }
+    fn send(&self, _frame: Frame) -> SendStatus {
+        match self.mode.load(Ordering::Relaxed) {
+            2 => SendStatus::Saturated,
+            3 => SendStatus::Dropped,
+            4 => SendStatus::Closed,
+            _ => SendStatus::Sent,
+        }
+    }
+    fn recv(&self, _timeout: Duration) -> RecvOutcome {
+        RecvOutcome::TimedOut
+    }
+    fn bind_receiver(
+        &self,
+        _inbox: Option<InboxSender>,
+        _on_event: impl Fn(ControlEvent) + Send + 'static,
+    ) -> Result<(), TransportError> {
+        Ok(())
+    }
+    fn stats(&self) -> LinkStats {
+        LinkStats::default()
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+    /// Arbitrary runs of admissions, broadcasts into links that go
+    /// ready, not ready, saturated, dropping or closed, sweeps, drains,
+    /// drop levels and reaps, with the drain deadline already passed or
+    /// an hour away. Now and then, and at the end, every link starts to
+    /// accept and one sweep must leave no session with work: no frame
+    /// queued and no session draining. A session whose "has work" mark
+    /// lagged its cell would be skipped and fail it.
+    #[test]
+    fn a_sweep_over_ready_links_leaves_no_work_behind(
+        words in proptest::collection::vec(proptest::prelude::any::<u64>(), 20..300)
+    ) {
+        let registry = SessionRegistry::new(ServeConfig {
+            queue_capacity: 3,
+            saturation_window: 4,
+            drain_deadline: if words[0] % 2 == 0 {
+                Duration::ZERO
+            } else {
+                Duration::from_secs(3600)
+            },
+        });
+        let payload = PayloadBytes::from(vec![7]);
+        let mut links: Vec<(SessionId, ScriptedLink)> = Vec::new();
+        for (step, &word) in words.iter().enumerate() {
+            // A resident (or reaped: the call must then do nothing) session.
+            let pick = links
+                .get(((word >> 8) as usize) % links.len().max(1))
+                .cloned();
+            let heal = step + 1 == words.len() || word % 16 == 15;
+            match (word % 16, pick) {
+                _ if heal => {
+                    for (_, link) in &links {
+                        link.mode.store(0, Ordering::Relaxed);
+                    }
+                    registry.sweep();
+                }
+                (0..=2, _) | (_, None) => {
+                    let link = ScriptedLink::default();
+                    links.push((registry.admit(link.clone()), link));
+                }
+                (3..=5, Some((_, link))) => {
+                    link.mode.store(((word >> 32) % 5) as u8, Ordering::Relaxed);
+                }
+                (6..=9, _) => {
+                    registry.broadcast(&payload);
+                }
+                (10 | 11, _) => registry.sweep(),
+                (12, Some((id, _))) => registry.drain(id),
+                (13, Some((id, _))) => registry.set_drop_level(id, ((word >> 32) % 3) as u8),
+                _ if (word >> 32).is_multiple_of(2) => {
+                    registry.reap();
+                }
+                _ => registry.drain_all(),
+            }
+            if heal {
+                for snap in registry.sessions() {
+                    proptest::prop_assert!(
+                        snap.queued == 0 && snap.state != SessionState::Draining,
+                        "session {} left {} ({} queued) after step {} ({:#x})",
+                        snap.id,
+                        snap.state,
+                        snap.queued,
+                        step,
+                        word
+                    );
+                }
+            }
+        }
+    }
 }
