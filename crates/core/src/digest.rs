@@ -1,88 +1,17 @@
-//! Content digests for the record & replay subsystem: a streaming CRC-32
-//! guarding trace chunks against torn tails, and a streaming 64-bit
-//! stream digest proving replayed flows byte-identical.
+//! A stream digest for checking a workload's output: the sink folds in
+//! what arrived, the harness folds in what it generated, and the two
+//! values must match.
 //!
-//! Both are tiny, dependency-free, and deterministic across platforms —
-//! the point is reproducibility, not cryptography. The CRC is the
-//! IEEE 802.3 polynomial (the same one MCAP, gzip, and PNG use), so a
-//! recorded chunk can in principle be validated by external tooling; the
-//! stream digest is FNV-1a 64, framed per update so that
-//! `update(b"ab"); update(b"c")` and `update(b"a"); update(b"bc")`
-//! produce *different* digests — a replay must reproduce the exact frame
-//! boundaries, not just the concatenated byte stream.
+//! It is tiny, dependency-free and deterministic across platforms — the
+//! point is reproducibility, not cryptography. The digest is FNV-1a 64
+//! over the little-endian bytes of each folded value, so it commits to
+//! every value and to their order.
 
-/// Streaming CRC-32 (IEEE reflected polynomial `0xEDB8_8320`).
-#[derive(Clone, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// A fresh CRC accumulator.
-    #[must_use]
-    pub fn new() -> Crc32 {
-        Crc32 { state: !0 }
-    }
-
-    /// Folds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let table = crc_table();
-        let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// The checksum of everything folded in so far.
-    #[must_use]
-    pub fn value(&self) -> u32 {
-        !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC-32 of a byte slice.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.value()
-}
-
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    })
-}
-
-/// A streaming, frame-aware 64-bit digest (FNV-1a) over a sequence of
-/// byte chunks.
+/// A streaming 64-bit digest (FNV-1a) over a sequence of `u64` values.
 ///
-/// Each [`update`](Digest64::update) folds the chunk's *length* in
-/// before its bytes, so the digest commits to the chunk boundaries: two
-/// streams carrying the same bytes split into different frames digest
-/// differently. This is what the replay determinism gates compare — a
-/// replayed session must deliver the same frames, not merely the same
-/// bytes.
+/// The benchmark's workloads fold each item's sequence number and
+/// fingerprint in, so a sink that saw an item lost, repeated, reordered
+/// or corrupted reads a different value than the reference.
 #[derive(Clone, Debug)]
 pub struct Digest64 {
     state: u64,
@@ -98,26 +27,15 @@ impl Digest64 {
         Digest64 { state: FNV_OFFSET }
     }
 
-    fn fold(&mut self, bytes: &[u8]) {
+    /// Folds a `u64` in (e.g. a sequence number or a payload's
+    /// fingerprint).
+    pub fn update_u64(&mut self, v: u64) {
         let mut h = self.state;
-        for &b in bytes {
+        for b in v.to_le_bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(FNV_PRIME);
         }
         self.state = h;
-    }
-
-    /// Folds one framed chunk in: its length first, then its bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let len = bytes.len() as u64;
-        self.fold(&len.to_le_bytes());
-        self.fold(bytes);
-    }
-
-    /// Folds a bare `u64` in (e.g. a timestamp or a tag that should be
-    /// part of the committed stream identity).
-    pub fn update_u64(&mut self, v: u64) {
-        self.fold(&v.to_le_bytes());
     }
 
     /// The digest of everything folded in so far.
@@ -137,49 +55,27 @@ impl Default for Digest64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn crc_matches_known_vectors() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc_streams_like_one_shot() {
-        let mut c = Crc32::new();
-        c.update(b"1234");
-        c.update(b"56789");
-        assert_eq!(c.value(), crc32(b"123456789"));
-    }
-
-    #[test]
-    fn digest_commits_to_frame_boundaries() {
-        let mut a = Digest64::new();
-        a.update(b"ab");
-        a.update(b"c");
-        let mut b = Digest64::new();
-        b.update(b"a");
-        b.update(b"bc");
-        assert_ne!(a.value(), b.value());
-
-        let mut c = Digest64::new();
-        c.update(b"ab");
-        c.update(b"c");
-        assert_eq!(a.value(), c.value());
-    }
-
-    #[test]
-    fn digest_covers_scalars_and_empty_frames() {
-        let mut a = Digest64::new();
-        a.update(b"");
-        let b = Digest64::new();
-        // An empty frame still moves the digest (its length is folded in).
-        assert_ne!(a.value(), b.value());
-
-        let mut c = Digest64::new();
-        c.update_u64(7);
+    fn digest(values: &[u64]) -> u64 {
         let mut d = Digest64::new();
-        d.update_u64(8);
-        assert_ne!(c.value(), d.value());
+        for &v in values {
+            d.update_u64(v);
+        }
+        d.value()
+    }
+
+    #[test]
+    fn digest_commits_to_each_value_and_its_order() {
+        assert_eq!(digest(&[1, 2, 3]), digest(&[1, 2, 3]));
+        assert_ne!(digest(&[1, 2, 3]), digest(&[2, 1, 3]), "reordered");
+        assert_ne!(digest(&[1, 2, 3]), digest(&[1, 2]), "lost");
+        assert_ne!(digest(&[1, 2, 3]), digest(&[1, 2, 3, 3]), "repeated");
+    }
+
+    #[test]
+    fn digest_covers_every_value_including_zero() {
+        assert_ne!(digest(&[7]), digest(&[8]), "corrupted");
+        assert_ne!(digest(&[1 << 56]), digest(&[0]), "high byte");
+        // A zero still moves the digest: every value folds in 8 bytes.
+        assert_ne!(digest(&[0]), digest(&[]));
     }
 }

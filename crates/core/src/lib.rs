@@ -75,7 +75,7 @@ mod tee;
 pub mod helpers;
 
 pub use buffer::{BufferProbe, BufferSpec, BufferStats};
-pub use digest::{crc32, Crc32, Digest64};
+pub use digest::Digest64;
 pub use error::PipeError;
 pub use events::ControlEvent;
 pub use graph::{InboxSender, Node, NodeId, Pipeline};

@@ -18,7 +18,6 @@ use crate::kernel::{KGuard, Kernel};
 use crate::message::{Envelope, MatchSpec, Message, SpecRef};
 use crate::sched::{self};
 use crate::thread::{RunState, ThreadId};
-use crate::timer::{TimerId, TimerKind};
 use parking_lot::Condvar;
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,42 +84,6 @@ impl ExternalPort {
         // thread is woken when `state` drops.
         inner.reschedule(&mut state);
         Ok(())
-    }
-
-    /// Schedules `msg` for delivery to a kernel thread at the absolute
-    /// kernel time `at` — timestamped delivery from outside the kernel.
-    ///
-    /// This is the injection point for *replayed* traffic: an external
-    /// driver (e.g. a trace replayer assembling its session) can schedule
-    /// work at a recorded virtual timestamp before the virtual clock
-    /// starts advancing, instead of racing the kernel with an immediate
-    /// send. A deadline at or before the current kernel time delivers as
-    /// soon as the kernel next dispatches. Like all timer deliveries, a
-    /// target that terminates before the deadline silently drops the
-    /// message.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the target does not exist (or already terminated) or the
-    /// kernel is shutting down.
-    pub fn send_at(&self, to: ThreadId, at: Time, msg: Message) -> Result<TimerId, SendError> {
-        let inner = &self.kernel.inner;
-        let mut state = inner.lock();
-        if state.shutdown {
-            return Err(SendError::Shutdown);
-        }
-        if state.rec(to).is_none() {
-            return Err(SendError::UnknownThread(to));
-        }
-        Ok(inner.arm_timer(
-            &mut state,
-            at,
-            TimerKind::Deliver {
-                to,
-                msg,
-                constraint: None,
-            },
-        ))
     }
 
     /// Sends a message and blocks the calling OS thread until the kernel

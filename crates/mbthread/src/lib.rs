@@ -83,7 +83,7 @@
 //!   thread running or runnable — with a virtual-clock jump pending
 //!   ([`Kernel::wait_quiescent`] callers sleep on a condvar of their
 //!   own), when a timer is armed
-//!   ([`Ctx::set_timer`], [`Ctx::sleep_until`], [`ExternalPort::send_at`]),
+//!   ([`Ctx::set_timer`], [`Ctx::sleep_until`]),
 //!   when a [`ClockHold`] is released, when a polled thread is granted the
 //!   CPU with no kernel OS thread there to poll it, and at shutdown.
 //!   Sends, replies and hand-offs between threads never wake it, and it

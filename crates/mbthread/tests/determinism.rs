@@ -240,69 +240,3 @@ fn clock_holds_nest_and_release_on_drop() {
     kernel.shutdown();
     assert_eq!(*fires.lock().unwrap(), vec![2000]);
 }
-
-/// `ExternalPort::send_at` — the replay kick-off primitive — delivers
-/// at exactly the virtual deadline, even when the deadline is scheduled
-/// from outside the kernel before the clock starts moving, and refuses
-/// unknown targets.
-#[test]
-fn external_send_at_delivers_at_the_virtual_deadline() {
-    let kernel = Kernel::new(KernelConfig::virtual_time());
-    let fires: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-
-    struct Recorder {
-        fires: Arc<Mutex<Vec<u64>>>,
-        remaining: u32,
-    }
-    impl mbthread::CodeFn for Recorder {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) -> Flow {
-            self.fires.lock().unwrap().push(ctx.now().as_micros());
-            self.remaining -= 1;
-            if self.remaining == 0 {
-                Flow::Stop
-            } else {
-                Flow::Continue
-            }
-        }
-    }
-
-    // Freeze across kick-off so the clock cannot outrun the schedule —
-    // the same construction pattern the trace replayer uses.
-    let hold = kernel.freeze_clock();
-    let thread = kernel
-        .spawn(
-            "recorder",
-            Recorder {
-                fires: Arc::clone(&fires),
-                remaining: 3,
-            },
-        )
-        .unwrap();
-    let port = kernel.external("driver");
-    // Scheduled out of order; delivery must follow the deadlines.
-    for ms in [30u64, 10, 20] {
-        port.send_at(
-            thread,
-            mbthread::Time::from_nanos(ms * 1_000_000),
-            Message::signal(TICK),
-        )
-        .unwrap();
-    }
-    assert!(
-        port.send_at(
-            mbthread::ThreadId::from_raw(9999),
-            mbthread::Time::from_nanos(1),
-            Message::signal(TICK),
-        )
-        .is_err(),
-        "send_at to an unknown thread must be refused"
-    );
-    drop(hold);
-    kernel.wait_quiescent();
-    kernel.shutdown();
-    assert_eq!(
-        *fires.lock().unwrap(),
-        vec![10_000, 20_000, 30_000],
-        "deliveries land at their virtual deadlines, in deadline order"
-    );
-}

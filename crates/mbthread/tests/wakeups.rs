@@ -164,9 +164,10 @@ impl PolledFn for PolledRelay {
 /// kernel mutex again to poll the echo, a dispatcher that got the mutex
 /// first polled it instead, and the pinger's OS thread, finding the body
 /// away, went to sleep, to be woken by a condvar notification. Here the
-/// dispatcher wakes every 50 µs for timers that deliver to an unread port
-/// while an OS-backed pinger calls a polled relay that calls a polled
-/// echo: the hand-offs must still notify no condvar.
+/// dispatcher wakes every 50 µs for timers that deliver to a thread
+/// waiting for something else, while an OS-backed pinger calls a polled
+/// relay that calls a polled echo: the hand-offs must still notify no
+/// condvar.
 #[test]
 fn a_dispatcher_woken_for_a_timer_takes_over_no_hand_off() {
     const TIMERS: u32 = 2_000;
@@ -189,18 +190,27 @@ fn a_dispatcher_woken_for_a_timer_takes_over_no_hand_off() {
                 Flow::Continue
             })
             .unwrap();
+        // The flooder arms the timers for itself, then waits for a `GO`
+        // that never comes: a thread is woken only by a message its wait
+        // matches, so each firing only wakes the dispatcher.
+        let flooder = kernel
+            .spawn("flooder", |ctx: &mut Ctx<'_>, mut env: Envelope| {
+                let first = env.message_mut().take_body::<Time>().unwrap();
+                for i in 0..TIMERS {
+                    let _ = ctx.set_timer(first + SPACING * i, Message::signal(FLOOD), None);
+                }
+                ctx.reply(&env, Message::signal(DONE)).unwrap();
+                // Only shutdown ends this wait.
+                let _ = ctx.receive_tags(&[GO]);
+                Flow::Stop
+            })
+            .unwrap();
         // Every thread has run to its first receive before the timers and
         // the window, which then hold nothing of the set-up.
         kernel.wait_quiescent();
-        // The timers deliver to a port nobody reads, so each firing only
-        // wakes the dispatcher.
-        let unread = kernel.external("unread");
         let port = kernel.external("main");
         let first = kernel.now() + Duration::from_millis(2);
-        for i in 0..TIMERS {
-            port.send_at(unread.id(), first + SPACING * i, Message::signal(FLOOD))
-                .unwrap();
-        }
+        port.send_sync(flooder, Message::new(GO, first)).unwrap();
         let until = Instant::now() + Duration::from_millis(2) + SPACING * TIMERS;
         port.send(pinger, Message::new(GO, (port.id(), until)))
             .unwrap();

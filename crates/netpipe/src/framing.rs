@@ -1,12 +1,11 @@
-//! Frame encoding for every transport backend and trace that turns
-//! frames into bytes.
+//! Frame encoding for every transport backend that turns frames into
+//! bytes.
 //!
 //! A [`Frame`] is a [`FrameKind`] plus payload bytes; `frame_to_parts`
 //! and `frame_from_parts` are the one mapping between the two, shared
-//! by TCP (both directions), UDP (one frame per datagram, tagged with
-//! the kind byte) and NPTRACE records. Backends with message boundaries
-//! of their own (the simulator, in-process lanes) carry [`Frame`]
-//! values directly.
+//! by TCP (both directions) and UDP (one frame per datagram, tagged with
+//! the kind byte). Backends with message boundaries of their own (the
+//! simulator, in-process lanes) carry [`Frame`] values directly.
 //!
 //! On a byte stream each frame is `[kind: u8][len: u32 LE][payload: len
 //! bytes]`. That codec is written against `io::Read`/`io::Write`, so
@@ -162,45 +161,6 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
 /// been read: a length prefix is a claim, not a reservation.
 const READ_STEP: usize = 64 << 10;
 
-/// Fills `buf` from `r` and returns how many bytes arrived: `buf.len()`,
-/// or fewer if the stream ended first.
-pub(crate) fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
-/// Reads a body whose length prefix claims `len` bytes into a buffer
-/// drawn from `pool`, and seals it. The buffer grows with the bytes
-/// actually read, at most doubling, never by what the prefix announces.
-/// The flag is `false` if the stream ended first; the bytes are then
-/// what arrived.
-pub(crate) fn read_claimed(
-    r: &mut impl Read,
-    pool: &BufferPool,
-    len: usize,
-) -> io::Result<(PayloadBytes, bool)> {
-    let mut buf = pool.acquire(len.min(READ_STEP));
-    let body = buf.buf_mut();
-    while body.len() < len {
-        let at = body.len();
-        body.resize(at + (len - at).min(at.max(READ_STEP)), 0);
-        let n = fill(r, &mut body[at..])?;
-        if at + n < body.len() {
-            body.truncate(at + n);
-            return Ok((buf.seal(), false));
-        }
-    }
-    Ok((buf.seal(), true))
-}
-
 /// Reads one frame into a buffer drawn from `pool`; `Ok(None)` on a clean
 /// end of stream.
 ///
@@ -212,7 +172,8 @@ pub(crate) fn read_claimed(
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; rejects malformed kinds and oversized lengths.
+/// Propagates I/O errors; rejects malformed kinds and oversized lengths,
+/// and reports `UnexpectedEof` if the stream ends inside a frame.
 pub fn read_frame_in(
     r: &mut impl Read,
     pool: &BufferPool,
@@ -233,10 +194,14 @@ pub fn read_frame_in(
             "frame length exceeds MAX_FRAME",
         ));
     }
-    match read_claimed(r, pool, len)? {
-        (payload, true) => Ok(Some((kind, payload))),
-        (_, false) => Err(io::ErrorKind::UnexpectedEof.into()),
+    let mut buf = pool.acquire(len.min(READ_STEP));
+    let body = buf.buf_mut();
+    while body.len() < len {
+        let at = body.len();
+        body.resize(at + (len - at).min(at.max(READ_STEP)), 0);
+        r.read_exact(&mut body[at..])?;
     }
+    Ok(Some((kind, buf.seal())))
 }
 
 #[cfg(test)]

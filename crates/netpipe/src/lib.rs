@@ -45,12 +45,6 @@
 //!   pipeline from a client's component list and forwards control
 //!   events in both directions — the same [`RemoteClient`] code
 //!   runs over TCP, the simulator, or an in-process link,
-//! * **record & replay**: a chunked, CRC-guarded trace container
-//!   capturing frames (with virtual timestamps, channel
-//!   typespecs, and the sim scenario) zero-copy off any link or
-//!   pipeline edge ([`RecordingLink`], [`Recorder`]), crash-safe
-//!   recovery on open ([`TraceReader`]), and a [`Replayer`] that
-//!   re-runs a trace bit-identically under virtual time,
 //! * a **live inspector** ([`inspect`]): every subsystem's stats —
 //!   sessions, links, pools, kernel, marshalling, feedback loops —
 //!   registered in one process-wide
@@ -64,7 +58,6 @@ pub mod framing;
 pub mod inspect;
 mod marshal;
 mod proto;
-mod record;
 mod remote;
 mod serve;
 mod transport;
@@ -78,11 +71,6 @@ pub use infopipes::{BufferPool, PayloadBytes, PoolStats};
 pub use inspect::{InspectClient, InspectServer};
 pub use marshal::{Marshal, Unmarshal, UnmarshalCounters, WireBytes};
 pub use proto::RemoteError;
-pub use record::{
-    ChannelDecl, ChunkIndexEntry, DigestProbe, DigestSink, Recorder, RecorderStats, RecordingLink,
-    ReplayCounters, ReplayHandle, ReplayMode, Replayer, ScenarioConfig, TraceError, TraceFooter,
-    TraceHeader, TraceReader, TraceRecord, TraceWriter,
-};
 pub use remote::{ComponentRegistry, RemoteClient, RemoteHost, SpecSummary};
 pub use serve::{
     AcceptLoop, RegistryStats, ServeConfig, SessionId, SessionRegistry, SessionSnapshot,

@@ -269,7 +269,7 @@ use typespec::Typespec;
 /// several links) shares the sealed buffer by refcount, so the transport
 /// layer never copies a payload it did not itself read off a wire.
 /// Event frames carry core's [`ControlEvent`] itself. Backends that put
-/// frames on a wire (TCP, UDP) and NPTRACE records turn a frame into a
+/// frames on a wire (TCP, UDP) turn a frame into a
 /// [`FrameKind`](crate::FrameKind) and bytes, and back, in one place:
 /// [`framing`](crate::framing).
 #[derive(Clone, Debug, PartialEq)]

@@ -1,9 +1,8 @@
 //! Golden bytes of the control plane: what this build writes for every
 //! control event, a spec reply and an inspector snapshot, pinned as hex.
 //!
-//! Peers built from older sources, and NPTRACE files already on disk,
-//! decode exactly these bytes; a change that moves one of them breaks
-//! them without a version bump. The adapters at the top name the types
+//! Peers built from older sources decode exactly these bytes; a change
+//! that moves one of them breaks them without a version bump. The adapters at the top name the types
 //! that carry each message and are the only lines a change of those
 //! types may touch; the cases and their bytes stay as they are.
 

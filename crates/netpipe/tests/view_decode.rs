@@ -3,7 +3,7 @@
 //! allocation for a decoded payload, a copy exactly where there is no
 //! source to view — and the decode source is scoped, so a nested decode
 //! (or a panic inside one) cannot leave the wrong buffer installed. A
-//! trace's length fields are claims too: opening a file that claims far
+//! frame's length prefix is a claim too: reading a stream that claims far
 //! more than it holds allocates what it holds.
 //!
 //! Deep copies are tallied process-wide and allocations per thread, so
@@ -15,8 +15,9 @@ use infopipes::{payload_copy_count, FreePump, PayloadBytes, Pipeline, SourceSamp
 use mbthread::{Kernel, KernelConfig};
 use media::{CompressedFrame, Defragmenter, Fragmenter, FrameType, Packet};
 use netpipe::wire::{self, WireError};
-use netpipe::{BufferPool, Marshal, TraceError, TraceReader, Unmarshal};
+use netpipe::{read_frame_in, BufferPool, Marshal, Unmarshal};
 use serde::Deserialize;
+use std::io::{self, Cursor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -251,24 +252,20 @@ fn a_panic_in_a_nested_decode_restores_the_outer_source() {
     nested_decode_restores_the_outer_source::<true>();
 }
 
-/// An 18-byte file: the NPTRACE magic, a chunk header claiming the
-/// largest accepted record (64 MiB + 64 KiB), and 5 body bytes. Opening
-/// it allocates no more than 128 KiB and fails typed: the torn chunk
-/// holds nothing, and there is no header.
+/// A 10-byte stream: a frame header whose length claims the largest
+/// accepted frame (64 MiB), and 5 body bytes. Reading it allocates no
+/// more than 128 KiB and fails typed: the stream ends inside the frame.
 #[test]
-fn a_hostile_trace_length_allocates_only_what_the_file_holds() {
-    const CHUNK: u8 = 3;
-    const MAX_TOP_RECORD: u32 = (64 << 20) + (1 << 16);
+fn a_hostile_frame_length_allocates_only_what_the_stream_holds() {
+    const MAX_FRAME: u32 = 64 << 20;
     let _turn = exclusive();
-    let mut file = b"NPTRACE\0".to_vec();
-    file.push(CHUNK);
-    file.extend_from_slice(&MAX_TOP_RECORD.to_le_bytes());
-    file.extend_from_slice(&[0; 5]);
-    assert_eq!(file.len(), 18);
-    let path = std::env::temp_dir().join(format!("view-decode-{}.trace", std::process::id()));
-    std::fs::write(&path, &file).unwrap();
-    let (opened, bytes) = allocated_by(|| TraceReader::open(&path));
-    let _ = std::fs::remove_file(&path);
-    assert!(matches!(opened, Err(TraceError::Corrupt(_))), "{opened:?}");
-    assert!(bytes <= 128 << 10, "opening allocated {bytes} bytes");
+    let mut stream = vec![0u8];
+    stream.extend_from_slice(&MAX_FRAME.to_le_bytes());
+    stream.extend_from_slice(&[0; 5]);
+    assert_eq!(stream.len(), 10);
+    let pool = BufferPool::new();
+    let (read, bytes) = allocated_by(|| read_frame_in(&mut Cursor::new(&stream), &pool));
+    let err = read.expect_err("a stream that ends inside a frame");
+    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err:?}");
+    assert!(bytes <= 128 << 10, "reading allocated {bytes} bytes");
 }
