@@ -493,17 +493,15 @@ mod tests {
     /// inheritance off. Gate: the data items moved between the broadcast
     /// and the handler, exactly. With priority scheduling none: the
     /// broadcasting section is preempted at the end of its cycle and the
-    /// handler runs first. With the FIFO ablation one per other busy
-    /// section: each was queued ahead of the handler and runs one cycle
-    /// (the event in its own mailbox ends its run of cycles) before the
-    /// handler gets the CPU. `preemptive` stays on in both; with it off as
-    /// well, the broadcasting section and every section queued ahead of
-    /// the handler run to their ends first.
+    /// handler runs first. With the FIFO ablation every item still to
+    /// move: no thread is more urgent than another, so none is preempted,
+    /// and the broadcasting section and every section queued ahead of the
+    /// handler run to their ends before it gets the CPU.
     #[test]
     fn control_events_overtake_busy_sections() {
         assert_eq!(
             (control_latency(true), control_latency(false)),
-            (0, BUSY_SECTIONS - 1),
+            (0, BUSY_SECTIONS * BUSY_ITEMS - PROBE_AFTER),
             "(priority, FIFO)"
         );
     }

@@ -49,8 +49,11 @@ use crate::graph::NodeId;
 use crate::item::Item;
 use crate::stage::{Stage, Style};
 use mbthread::{
-    Ctx, Envelope, Flow, Message, OnOsThread, PolledFn, Priority, SpawnOptions, Tag, ThreadId,
+    Ctx, Envelope, Flow, KernelError, Message, OnOsThread, PolledFn, Priority, SendError,
+    SpawnOptions, Tag, ThreadId,
 };
+use std::future::Future;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// A coroutine's position, held as the part of the section tree it calls
@@ -96,20 +99,31 @@ impl MsgEndpoint {
         if let Some(item) = self.item.take() {
             return Pulled::Item(item);
         }
-        if self.closed {
-            self.ack_put(ctx).await;
-            return Pulled::Eos;
+        if self.closed || rt.stopping {
+            // Nothing more to wait for: the pusher resumes at once.
+            if self.pending.is_some() {
+                let _ = self.reply(ctx, tags::PUT, None).await;
+            }
+            return if self.closed {
+                Pulled::Eos
+            } else {
+                Pulled::Interrupted
+            };
         }
         // Coming back for more: the previous pusher may now resume (the
         // deferred ack — control returns upstream), and the wait for the
         // next `PUT` begins in the same kernel operation.
         let accept = [tags::PUT, tags::END, tags::CTRL];
-        let next = match self.pending.take() {
-            Some(put) => {
-                let ack = self.answer(tags::PUT, None);
-                rt.answer_and_wait(ctx, put, ack, &accept).await
+        let mut got = if self.pending.is_some() {
+            self.answer_and_wait(ctx, tags::PUT, None, &accept).await
+        } else {
+            ctx.receive_tags_async(&accept).await
+        };
+        let next = loop {
+            if let ControlFlow::Break(next) = rt.received(got) {
+                break next;
             }
-            None => rt.wait_tag(ctx, &accept).await,
+            got = ctx.receive_tags_async(&accept).await;
         };
         match next {
             Some(env) if env.tag() == tags::PUT => Pulled::Item(self.accept_put(env)),
@@ -145,12 +159,31 @@ impl MsgEndpoint {
         Message::from_body(tag, slot)
     }
 
-    /// Acks the pending `PUT`, if any.
-    async fn ack_put(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(env) = self.pending.take() {
-            let ack = ctx.reply_async(&env, self.answer(tags::PUT, None));
-            let _ = ack.await;
-        }
+    /// Answers the pending request with `item` (a `PUT`'s ack carries
+    /// none). The future holds what the reply needs of the request, not
+    /// the request.
+    fn reply<'s, 'k>(
+        &mut self,
+        ctx: &'s mut Ctx<'k>,
+        tag: Tag,
+        item: Option<Item>,
+    ) -> impl Future<Output = Result<(), SendError>> + use<'s, 'k> {
+        let req = self.pending.take().expect("a pending request to answer");
+        ctx.reply_async(&req, self.answer(tag, item))
+    }
+
+    /// Answers the pending request with `item` and waits for the next
+    /// message whose tag is in `accept`, in one kernel operation. The
+    /// future holds what the reply needs of the request, not the request.
+    fn answer_and_wait<'s, 't, 'k>(
+        &mut self,
+        ctx: &'s mut Ctx<'k>,
+        tag: Tag,
+        item: Option<Item>,
+        accept: &'t [Tag],
+    ) -> impl Future<Output = Result<Envelope, KernelError>> + use<'s, 't, 'k> {
+        let req = self.pending.take().expect("a pending request to answer");
+        ctx.reply_and_receive_async(&req, self.answer(tag, item), accept)
     }
 
     /// Component-facing `put` in pull position: answer the pending `GET`
@@ -162,15 +195,26 @@ impl MsgEndpoint {
         rt: &mut RtState,
         item: Item,
     ) -> PushRes {
-        let Some(env) = self.pending.take() else {
+        if self.pending.is_none() {
             // The downstream requester went away (stop); discard.
             return PushRes::Interrupted;
+        }
+        if rt.stopping {
+            // The answer goes out even though the wait is aborted.
+            let _ = self.reply(ctx, tags::GET, Some(item)).await;
+            return PushRes::Interrupted;
+        }
+        let accept = [tags::GET, tags::CTRL];
+        let mut got = self
+            .answer_and_wait(ctx, tags::GET, Some(item), &accept)
+            .await;
+        let next = loop {
+            if let ControlFlow::Break(next) = rt.received(got) {
+                break next;
+            }
+            got = ctx.receive_tags_async(&accept).await;
         };
-        let answer = self.answer(tags::GET, Some(item));
-        match rt
-            .answer_and_wait(ctx, env, answer, &[tags::GET, tags::CTRL])
-            .await
-        {
+        match next {
             Some(env) => {
                 self.accept(env);
                 PushRes::Ok
@@ -292,9 +336,8 @@ impl PolledFn for CoroFn {
                     self.drive(ctx).await;
                 }
                 // Whatever request is left over gets "end of stream".
-                if let Some(env) = self.ep.pending.take() {
-                    let end = ctx.reply_async(&env, self.ep.answer(tags::GET, None));
-                    let _ = end.await;
+                if self.ep.pending.is_some() {
+                    let _ = self.ep.reply(ctx, tags::GET, None).await;
                 }
             }
             (tags::PUT | tags::END, CoroTree::ReceivesPuts(_)) => {
@@ -314,7 +357,9 @@ impl PolledFn for CoroFn {
                     // below must hear of the end either way.
                     self.drive(ctx).await;
                 }
-                self.ep.ack_put(ctx).await;
+                if self.ep.pending.is_some() {
+                    let _ = self.ep.reply(ctx, tags::PUT, None).await;
+                }
             }
             _ => { /* stray ARRIVAL/SPACE wakeups are harmless */ }
         }

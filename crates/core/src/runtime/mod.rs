@@ -5,8 +5,8 @@
 //! Layout:
 //!
 //! * [`mod@self`] — shared state, the data-movement primitives
-//!   (buffer put/take, synchronous GET/PUT round-trips), and event
-//!   broadcast,
+//!   (buffer put/take, the request of a synchronous GET/PUT round trip and
+//!   what each of its kernel operations comes to), and event broadcast,
 //! * [`nodes`] — the section tree (`PullNode`, `PushNode`): built by the
 //!   planner, its planned coroutines turned into threads in place at
 //!   launch, then interpreted per item,
@@ -38,9 +38,13 @@ use crate::buffer::{BufHandle, PutOutcome, TakeOutcome, Wakeups};
 use crate::events::{tags, take_slot, ControlEvent, EventMsg, EventTarget, ItemSlot};
 use crate::graph::StageId;
 use crate::item::Item;
-use mbthread::{Ctx, Envelope, Kernel, Message, SyncOutcome, Tag, ThreadId};
+use mbthread::{
+    Ctx, Envelope, Kernel, KernelError, Message, PendingReply, SyncOutcome, Tag, ThreadId,
+};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Result of pulling one item from upstream.
@@ -179,62 +183,109 @@ impl RtState {
         }
     }
 
-    /// Performs the wakeups a buffer mutation demands. Each send is a
-    /// preemption point.
-    pub(crate) async fn send_wakeups(&mut self, ctx: &mut Ctx<'_>, wake: Wakeups) {
-        for (t, msg) in wake.messages() {
-            let _ = ctx.send_async(t, msg).await;
-        }
-    }
-
     // The operations below block the thread or, on a polled thread,
     // suspend it: one implementation, awaited by a polled coroutine and
-    // run through `block_on` by an OS-backed thread.
+    // run through `block_on` by an OS-backed thread. The round trips to a
+    // coroutine and a coroutine's answer-and-wait await their kernel
+    // operations one level up (`PushNode::push_async`,
+    // `PullNode::pull_async`, `MsgEndpoint`), and hand what each returns
+    // to `received` or `replied` here before the next await, so that no
+    // kernel operation's output is held across the next one.
 
     /// Blocks until a message with one of the `accept`ed tags arrives,
     /// staying receptive to control messages: `accept` lists
     /// [`tags::CTRL`], controls are queued for later dispatch, and a stop
     /// request (or shutdown) aborts the wait with `None`.
-    pub(crate) async fn wait_tag(&mut self, ctx: &mut Ctx<'_>, accept: &[Tag]) -> Option<Envelope> {
+    ///
+    /// A function returning an `async` block rather than an `async fn`,
+    /// as [`send_wakeups`] is: an `async fn`'s future keeps its arguments
+    /// twice, and this one sits inside every buffer operation's.
+    pub(crate) fn wait_tag<'s, 'k>(
+        &'s mut self,
+        ctx: &'s mut Ctx<'k>,
+        accept: &'s [Tag],
+    ) -> impl Future<Output = Option<Envelope>> + use<'s, 'k> {
         debug_assert!(accept.contains(&tags::CTRL), "a wait deaf to stop");
-        while !self.stopping {
-            let Ok(env) = ctx.receive_tags_async(accept).await else {
-                self.stopping = true;
-                break;
-            };
-            if env.tag() != tags::CTRL {
-                return Some(env);
+        async move {
+            while !self.stopping {
+                let got = ctx.receive_tags_async(accept).await;
+                if let ControlFlow::Break(got) = self.received(got) {
+                    return got;
+                }
             }
-            self.note_control(env);
+            None
         }
-        None
     }
 
-    /// [`RtState::wait_tag`] that first answers the request `req` with
-    /// `answer`, in the same kernel critical section as the wait's first
-    /// receive. The answer goes out even when the wait is already aborted.
-    pub(crate) async fn answer_and_wait(
+    /// What a control-receptive wait makes of one receive: the message it
+    /// waits for (`Break(Some)`), the end of the wait on a stop request or
+    /// shutdown (`Break(None)`), or a control message, queued for later
+    /// dispatch while the wait goes on (`Continue`).
+    pub(crate) fn received(
         &mut self,
-        ctx: &mut Ctx<'_>,
-        req: Envelope,
-        answer: Message,
-        accept: &[Tag],
-    ) -> Option<Envelope> {
-        if self.stopping {
-            let reply = ctx.reply_async(&req, answer);
-            let _ = reply.await;
-            return None;
-        }
-        let received = ctx.reply_and_receive_async(&req, answer, accept);
-        match received.await {
-            Ok(env) if env.tag() != tags::CTRL => Some(env),
+        got: Result<Envelope, KernelError>,
+    ) -> ControlFlow<Option<Envelope>> {
+        match got {
+            Ok(env) if env.tag() != tags::CTRL => ControlFlow::Break(Some(env)),
             Ok(ctl) => {
                 self.note_control(ctl);
-                self.wait_tag(ctx, accept).await
+                if self.stopping {
+                    ControlFlow::Break(None)
+                } else {
+                    ControlFlow::Continue(())
+                }
             }
             Err(_) => {
                 self.stopping = true;
-                None
+                ControlFlow::Break(None)
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Coroutine round trips
+    // ------------------------------------------------------------------
+
+    /// The request of a synchronous round trip to a coroutine (a `GET`, or
+    /// a `PUT` of `item`): this thread's box, holding `item`. `None` once a
+    /// stop request has been observed.
+    pub(crate) fn request(&mut self, tag: Tag, item: Option<Item>) -> Option<Message> {
+        if self.stopping {
+            return None;
+        }
+        let mut slot = self.slot.take().unwrap_or_default();
+        *slot = item;
+        Some(Message::from_body(tag, slot))
+    }
+
+    /// What one kernel operation of a round trip came to. A reply ends it
+    /// with what its box carried, as a pull sees it (an item, or none at
+    /// the end of the stream), and the box comes home for the next
+    /// request. A control message is queued for later dispatch and the
+    /// wait goes on (`Continue`, with the wait to resume), unless it is a
+    /// stop request; that and shutdown end it with
+    /// [`Pulled::Interrupted`].
+    pub(crate) fn replied(
+        &mut self,
+        outcome: Result<SyncOutcome, KernelError>,
+    ) -> ControlFlow<Pulled, PendingReply> {
+        match outcome {
+            Ok(SyncOutcome::Reply(mut env)) => {
+                let mut slot = take_slot(env.message_mut());
+                let item = slot.take();
+                self.slot = Some(slot);
+                ControlFlow::Break(item.map_or(Pulled::Eos, Pulled::Item))
+            }
+            Ok(SyncOutcome::Interrupted(pending, ctl)) => {
+                if self.note_control(ctl) {
+                    ControlFlow::Break(Pulled::Interrupted)
+                } else {
+                    ControlFlow::Continue(pending)
+                }
+            }
+            Err(_) => {
+                self.stopping = true;
+                ControlFlow::Break(Pulled::Interrupted)
             }
         }
     }
@@ -244,128 +295,60 @@ impl RtState {
     // ------------------------------------------------------------------
 
     pub(crate) async fn buffer_take(&mut self, ctx: &mut Ctx<'_>, buf: &BufHandle) -> Pulled {
-        loop {
+        let (item, wake) = loop {
             if self.stopping {
                 return Pulled::Interrupted;
             }
             match buf.take_or_wait(ctx.id()) {
-                TakeOutcome::Taken(item, wake) => {
-                    self.send_wakeups(ctx, wake).await;
-                    return Pulled::Item(item);
-                }
+                TakeOutcome::Taken(item, wake) => break (item, wake),
                 TakeOutcome::Empty => return Pulled::Empty,
                 TakeOutcome::Eos => return Pulled::Eos,
-                TakeOutcome::MustWait => {
-                    if self
-                        .wait_tag(ctx, &[tags::ARRIVAL, tags::CTRL])
-                        .await
-                        .is_none()
-                    {
-                        return Pulled::Interrupted;
-                    }
-                }
+                TakeOutcome::MustWait => {}
             }
-        }
+            let accept = [tags::ARRIVAL, tags::CTRL];
+            if self.wait_tag(ctx, &accept).await.is_none() {
+                return Pulled::Interrupted;
+            }
+        };
+        send_wakeups(ctx, wake).await;
+        Pulled::Item(item)
     }
 
     pub(crate) async fn buffer_put(
         &mut self,
         ctx: &mut Ctx<'_>,
         buf: &BufHandle,
-        item: Item,
+        mut item: Item,
     ) -> PushRes {
-        let mut item = item;
-        loop {
+        let wake = loop {
             if self.stopping {
                 return PushRes::Interrupted;
             }
             match buf.try_put(item) {
-                PutOutcome::Stored(wake) | PutOutcome::Dropped(wake) => {
-                    self.send_wakeups(ctx, wake).await;
-                    return PushRes::Ok;
-                }
-                PutOutcome::MustWait(returned) => {
-                    item = returned;
-                    buf.wait_for_space(ctx.id());
-                    if self
-                        .wait_tag(ctx, &[tags::SPACE, tags::CTRL])
-                        .await
-                        .is_none()
-                    {
-                        return PushRes::Interrupted;
-                    }
-                }
+                PutOutcome::Stored(wake) | PutOutcome::Dropped(wake) => break wake,
+                PutOutcome::MustWait(returned) => item = returned,
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Coroutine round-trips
-    // ------------------------------------------------------------------
-
-    /// Requests the next item from an upstream coroutine (a synchronous
-    /// GET that handles control events while blocked).
-    pub(crate) async fn sync_get(&mut self, ctx: &mut Ctx<'_>, coro: ThreadId) -> Pulled {
-        let request = Message::from_body(tags::GET, self.slot.take().unwrap_or_default());
-        let Some(mut env) = self.sync_call(ctx, coro, request).await else {
-            return Pulled::Interrupted;
+            buf.wait_for_space(ctx.id());
+            let accept = [tags::SPACE, tags::CTRL];
+            if self.wait_tag(ctx, &accept).await.is_none() {
+                return PushRes::Interrupted;
+            }
         };
-        let mut slot = take_slot(env.message_mut());
-        let item = slot.take();
-        self.slot = Some(slot);
-        match item {
-            Some(item) => Pulled::Item(item),
-            None => Pulled::Eos,
-        }
+        send_wakeups(ctx, wake).await;
+        PushRes::Ok
     }
+}
 
-    /// Hands an item to a downstream coroutine and waits until the
-    /// coroutine comes back for more (the synchronous hand-off of Fig. 5).
-    pub(crate) async fn sync_put(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        coro: ThreadId,
-        item: Item,
-    ) -> PushRes {
-        let mut slot = self.slot.take().unwrap_or_default();
-        *slot = Some(item);
-        let request = Message::from_body(tags::PUT, slot);
-        match self.sync_call(ctx, coro, request).await {
-            Some(mut ack) => {
-                self.slot = Some(take_slot(ack.message_mut()));
-                PushRes::Ok
-            }
-            None => PushRes::Interrupted,
-        }
-    }
-
-    /// One synchronous round trip to a coroutine, receptive to control
-    /// events while blocked: the reply, or `None` when a stop request or
-    /// shutdown aborted it.
-    async fn sync_call(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        coro: ThreadId,
-        msg: Message,
-    ) -> Option<Envelope> {
-        if self.stopping {
-            return None;
-        }
-        let mut outcome = ctx.call_async(coro, msg, None, tags::INTERRUPTS).await;
-        loop {
-            match outcome {
-                Ok(SyncOutcome::Reply(env)) => return Some(env),
-                Ok(SyncOutcome::Interrupted(pending, ctl)) => {
-                    if self.note_control(ctl) {
-                        return None;
-                    }
-                    outcome = ctx.wait_or_async(pending, tags::INTERRUPTS).await;
-                }
-                Err(_) => {
-                    self.stopping = true;
-                    return None;
-                }
-            }
+/// Performs the wakeups a buffer mutation demands. Each send is a
+/// preemption point.
+pub(crate) fn send_wakeups<'s, 'k>(
+    ctx: &'s mut Ctx<'k>,
+    wake: Wakeups,
+) -> impl Future<Output = ()> + use<'s, 'k> {
+    let mut messages = wake.messages();
+    async move {
+        for (t, msg) in messages.by_ref() {
+            let _ = ctx.send_async(t, msg).await;
         }
     }
 }

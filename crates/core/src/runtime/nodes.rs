@@ -22,7 +22,7 @@
 
 use super::coroutine::{spawn_coroutine, CoroTree};
 use super::stagectx::{GetWiring, PutWiring, StageCtx};
-use super::{Pulled, PushRes, RtState, Shared};
+use super::{send_wakeups, Pulled, PushRes, RtState, Shared};
 use crate::buffer::BufHandle;
 use crate::error::PipeError;
 use crate::events::tags;
@@ -32,6 +32,7 @@ use crate::plan::Exec;
 use crate::stage::{Consumer, Function, Producer, Stage, Style};
 use crate::tee::SplitKind;
 use mbthread::{block_on, Constraint, Ctx, Message, Priority, ThreadId};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Data reached a node the planner built and launch never spawned.
@@ -157,8 +158,9 @@ impl PullNode {
     pub(crate) fn pull(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
         match self {
             PullNode::Origin => Pulled::Eos,
-            PullNode::Buffer(h) => block_on(|| rt.buffer_take(ctx, h)),
-            PullNode::Coro(t) => block_on(|| rt.sync_get(ctx, *t)),
+            node @ (PullNode::Buffer(_) | PullNode::Coro(_)) => {
+                block_on(|| node.pull_async(ctx, rt))
+            }
             PullNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PullNode::Run { stages, up } => loop {
                 match up.pull(ctx, rt) {
@@ -184,29 +186,41 @@ impl PullNode {
     }
 
     /// [`PullNode::pull`] for a thread that may suspend: a leading run
-    /// and the boundary beyond it are awaited.
+    /// and the boundary beyond it are awaited. A coroutine beyond it is
+    /// asked with a `GET` here, with the kernel operations awaited in
+    /// place.
     pub(crate) async fn pull_async(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
-        let PullNode::Run { stages, up } = self else {
-            return self.pull_across(ctx, rt).await;
+        let (mut run, beyond) = match self {
+            PullNode::Run { stages, up } => (Some(stages), &mut **up),
+            node => (None, node),
         };
         loop {
-            match up.pull_across(ctx, rt).await {
-                Pulled::Item(x) => {
+            let pulled = match &mut *beyond {
+                PullNode::Buffer(h) => rt.buffer_take(ctx, h).await,
+                PullNode::Coro(t) => {
+                    let Some(request) = rt.request(tags::GET, None) else {
+                        return Pulled::Interrupted;
+                    };
+                    let mut outcome = ctx.call_async(*t, request, None, tags::INTERRUPTS).await;
+                    loop {
+                        let pending = match rt.replied(outcome) {
+                            ControlFlow::Break(pulled) => break pulled,
+                            ControlFlow::Continue(pending) => pending,
+                        };
+                        outcome = ctx.wait_or_async(pending, tags::INTERRUPTS).await;
+                    }
+                }
+                node => node.pull(ctx, rt),
+            };
+            match (pulled, run.as_deref_mut()) {
+                (Pulled::Item(x), Some(stages)) => {
                     if let Some(y) = convert_run(stages, x) {
                         return Pulled::Item(y);
                     }
+                    // Dropped by the run: pull again.
                 }
-                other => return other,
+                (pulled, _) => return pulled,
             }
-        }
-    }
-
-    /// Pulls from this node, awaiting it if it is a boundary.
-    async fn pull_across(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState) -> Pulled {
-        match self {
-            PullNode::Buffer(h) => rt.buffer_take(ctx, h).await,
-            PullNode::Coro(t) => rt.sync_get(ctx, *t).await,
-            node => node.pull(ctx, rt),
         }
     }
 
@@ -356,8 +370,9 @@ impl PushNode {
     pub(crate) fn push(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
         match self {
             PushNode::End => PushRes::Ok,
-            PushNode::Buffer(h) => block_on(|| rt.buffer_put(ctx, h, item)),
-            PushNode::Coro(t) => block_on(|| rt.sync_put(ctx, *t, item)),
+            node @ (PushNode::Buffer(_) | PushNode::Coro(_)) => {
+                block_on(|| node.push_async(ctx, rt, item))
+            }
             PushNode::Planned { .. } => unreachable!("{UNSPAWNED}"),
             PushNode::Run { stages, down } => match convert_run(stages, item) {
                 Some(y) => down.push(ctx, rt, y),
@@ -399,27 +414,38 @@ impl PushNode {
     }
 
     /// [`PushNode::push`] for a thread that may suspend: a leading run and
-    /// the boundary beyond it are awaited.
+    /// the boundary beyond it are awaited. A coroutine beyond it is handed
+    /// the item with a `PUT` here, with the kernel operations awaited in
+    /// place; the push returns once the coroutine acks.
     pub(crate) async fn push_async(
         &mut self,
         ctx: &mut Ctx<'_>,
         rt: &mut RtState,
         item: Item,
     ) -> PushRes {
-        match self {
+        let (beyond, item) = match self {
             PushNode::Run { stages, down } => match convert_run(stages, item) {
-                Some(y) => down.push_across(ctx, rt, y).await,
-                None => PushRes::Ok,
+                Some(y) => (&mut **down, y),
+                None => return PushRes::Ok,
             },
-            node => node.push_across(ctx, rt, item).await,
-        }
-    }
-
-    /// Pushes into this node, awaiting it if it is a boundary.
-    async fn push_across(&mut self, ctx: &mut Ctx<'_>, rt: &mut RtState, item: Item) -> PushRes {
-        match self {
+            node => (node, item),
+        };
+        match beyond {
             PushNode::Buffer(h) => rt.buffer_put(ctx, h, item).await,
-            PushNode::Coro(t) => rt.sync_put(ctx, *t, item).await,
+            PushNode::Coro(t) => {
+                let Some(request) = rt.request(tags::PUT, Some(item)) else {
+                    return PushRes::Interrupted;
+                };
+                let mut outcome = ctx.call_async(*t, request, None, tags::INTERRUPTS).await;
+                loop {
+                    let pending = match rt.replied(outcome) {
+                        ControlFlow::Break(Pulled::Interrupted) => return PushRes::Interrupted,
+                        ControlFlow::Break(_ack) => return PushRes::Ok,
+                        ControlFlow::Continue(pending) => pending,
+                    };
+                    outcome = ctx.wait_or_async(pending, tags::INTERRUPTS).await;
+                }
+            }
             node => node.push(ctx, rt, item),
         }
     }
@@ -476,7 +502,7 @@ impl PushNode {
         match beyond_run {
             PushNode::Buffer(h) => {
                 let wake = h.mark_eos();
-                rt.send_wakeups(ctx, wake).await;
+                send_wakeups(ctx, wake).await;
             }
             // The glue's own signal, sent after the last `PUT` was acked:
             // the coroutine ends its component's input, then its own

@@ -319,3 +319,73 @@ impl std::fmt::Debug for EventCtx<'_, '_> {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{Routing, Shared};
+    use mbthread::{Envelope, Flow, Kernel, KernelConfig, Message, Tag, ThreadId};
+    use parking_lot::Mutex;
+    use std::mem::size_of_val;
+    use std::sync::{mpsc, Arc};
+
+    /// The most an active object's `get` or `put` future may hold,
+    /// whatever it is wired to: the kernel's hand-off future and at most
+    /// one level of glue between the two.
+    const ACTIVE_OP_FUTURE: usize = 512;
+
+    /// The size gate of an active object's hand-offs, on the wiring of the
+    /// benchmark's coroutine chain: `get` answers `PUT`s, `put` sends them
+    /// to the next coroutine. Each future is built and dropped, never
+    /// polled. `cargo test -p infopipes --lib size_gate -- --nocapture`
+    /// prints the table.
+    #[test]
+    fn size_gate_active_get_and_put() {
+        let kernel = Kernel::new(KernelConfig::virtual_time());
+        let shared = Arc::new(Shared {
+            kernel: kernel.clone(),
+            routing: Mutex::new(Routing::default()),
+            name: "sizes".into(),
+        });
+        let (tx, rx) = mpsc::channel();
+        let probe = move |ctx: &mut Ctx<'_>, _: Envelope| {
+            let mut rt = RtState::new(Arc::clone(&shared));
+            let mut ep = MsgEndpoint::default();
+            let mut down = PushNode::Coro(ThreadId::from_raw(0));
+            let get = {
+                let wiring = (GetWiring::Msg(&mut ep), PutWiring::None);
+                let mut actx = ActiveCtx(StageCtx::wired(ctx, &mut rt, wiring.0, wiring.1));
+                let bytes = size_of_val(&actx.get());
+                bytes
+            };
+            let put = {
+                let wiring = (GetWiring::None, PutWiring::Tree(&mut down));
+                let mut actx = ActiveCtx(StageCtx::wired(ctx, &mut rt, wiring.0, wiring.1));
+                let bytes = size_of_val(&actx.put(Item::new(0u64)));
+                bytes
+            };
+            tx.send([
+                ("ActiveCtx::get, wired to a MsgEndpoint", get),
+                ("ActiveCtx::put, wired to a PushNode::Coro", put),
+            ])
+            .expect("the test waits");
+            Flow::Stop
+        };
+        let id = kernel.spawn("sizes", probe).expect("spawn");
+        let port = kernel.external("main");
+        port.send(id, Message::signal(Tag(0))).expect("send");
+        let rows = rx.recv().expect("the probe reports");
+        drop(port);
+        kernel.shutdown();
+        println!("{:<42} {:>5} {:>7}", "future", "bytes", "at most");
+        for (name, bytes) in rows {
+            println!("{name:<42} {bytes:>5} {ACTIVE_OP_FUTURE:>7}");
+        }
+        for (name, bytes) in rows {
+            assert!(
+                bytes <= ACTIVE_OP_FUTURE,
+                "{name} is {bytes} bytes, over {ACTIVE_OP_FUTURE}"
+            );
+        }
+    }
+}

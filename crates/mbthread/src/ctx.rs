@@ -114,8 +114,8 @@ pub enum SyncOutcome {
 ///
 /// # Blocking and polled threads
 ///
-/// Each operation that may wait has one body, an `async fn`
-/// ([`Ctx::call_async`], [`Ctx::receive_tags_async`],
+/// Each operation that may wait has one body, the future its async form
+/// returns ([`Ctx::call_async`], [`Ctx::receive_tags_async`],
 /// [`Ctx::sleep_until_async`], …), and the kernel takes the same critical
 /// sections in it whatever backs the thread. Only where the thread has
 /// given up the CPU do the two backings part. An OS-backed thread parks its
@@ -126,6 +126,17 @@ pub enum SyncOutcome {
 /// polled it goes on to poll — or wake — whichever thread the kernel
 /// granted the CPU, and the future takes up its operation again once
 /// polled.
+///
+/// The futures of a hand-off (a call, its resumed wait, a reply with a
+/// receive, a receive, a send) are small state machines written out by
+/// hand, not `async fn`s: each holds its arguments until its first
+/// critical section and then only what its next one needs — a call its
+/// reply token, peer and interrupt tags, a receive its tags — and none
+/// holds an [`Envelope`] or a [`SyncOutcome`] while it is suspended. A
+/// polled thread's whole stack of glue is one future, so every byte one
+/// of them holds is moved and kept for every hand-off it takes part in
+/// (at most 128 bytes each; `docs/threading.md`, "What a hand-off
+/// carries").
 ///
 /// A blocking form ([`Ctx::call`], [`Ctx::receive_tags`],
 /// [`Ctx::sleep_until`], …) is its async form run to completion by
@@ -230,7 +241,7 @@ impl<'k> Ctx<'k> {
     /// Fails if the target does not exist, has terminated, or the kernel is
     /// shutting down.
     pub fn send(&mut self, to: ThreadId, msg: Message) -> Result<(), SendError> {
-        self.post(to, msg, None, false).map(drop)
+        self.post(Outgoing::Send(to, msg, None))
     }
 
     /// Sends a message asynchronously with an explicit constraint
@@ -246,7 +257,7 @@ impl<'k> Ctx<'k> {
         msg: Message,
         constraint: Option<Constraint>,
     ) -> Result<(), SendError> {
-        self.post(to, msg, Some(constraint), false).map(drop)
+        self.post(Outgoing::Send(to, msg, Some(constraint)))
     }
 
     /// [`Ctx::send`] as a suspension point: on a polled thread, a more
@@ -255,8 +266,12 @@ impl<'k> Ctx<'k> {
     /// # Errors
     ///
     /// As [`Ctx::send`].
-    pub async fn send_async(&mut self, to: ThreadId, msg: Message) -> Result<(), SendError> {
-        self.post_async(to, msg, None).await
+    pub fn send_async(
+        &mut self,
+        to: ThreadId,
+        msg: Message,
+    ) -> impl Future<Output = Result<(), SendError>> + Send + use<'_, 'k> {
+        Post::new(self, Outgoing::Send(to, msg, None))
     }
 
     /// [`Ctx::send_with`] as a suspension point (see [`Ctx::send_async`]).
@@ -264,45 +279,36 @@ impl<'k> Ctx<'k> {
     /// # Errors
     ///
     /// As [`Ctx::send_with`].
-    pub async fn send_with_async(
+    pub fn send_with_async(
         &mut self,
         to: ThreadId,
         msg: Message,
         constraint: Option<Constraint>,
-    ) -> Result<(), SendError> {
-        self.post_async(to, msg, Some(constraint)).await
+    ) -> impl Future<Output = Result<(), SendError>> + Send + use<'_, 'k> {
+        Post::new(self, Outgoing::Send(to, msg, Some(constraint)))
     }
 
-    async fn post_async(
-        &mut self,
-        to: ThreadId,
-        msg: Message,
-        explicit: Option<Option<Constraint>>,
-    ) -> Result<(), SendError> {
-        self.settle().await;
-        if self.post(to, msg, explicit, true)? {
-            Suspend::default().await;
-        }
+    /// A send that is not awaited, in one critical section ending in a
+    /// preemption point, which a polled thread owes to its next suspension
+    /// point.
+    fn post(&mut self, outgoing: Outgoing) -> Result<(), SendError> {
+        let mut state = self.kernel.inner.lock();
+        self.send_locked(&mut state, outgoing)?;
+        self.preemption_point(&mut state, false);
         Ok(())
     }
 
-    /// One critical section per send, ending in a preemption point;
-    /// `explicit: None` inherits the constraint of the message being
-    /// processed. Returns whether the thread must suspend (see
-    /// [`Ctx::preemption_point`]).
-    fn post(
-        &mut self,
-        to: ThreadId,
-        msg: Message,
-        explicit: Option<Option<Constraint>>,
-        awaited: bool,
-    ) -> Result<bool, SendError> {
-        let inner = &self.kernel.inner;
-        let mut state = inner.lock();
-        let constraint = explicit.unwrap_or_else(|| self.constraint_of(&state));
-        let env = state.stamp(Some(self.me), msg, constraint);
-        sched::enqueue(&mut state, &inner.stats, to, env)?;
-        Ok(self.preemption_point(&mut state, awaited))
+    /// Queues `outgoing` in the caller's critical section; a send with no
+    /// explicit constraint inherits that of the message being processed.
+    fn send_locked(&self, state: &mut KGuard<'_>, outgoing: Outgoing) -> Result<(), SendError> {
+        match outgoing {
+            Outgoing::Send(to, msg, explicit) => {
+                let constraint = explicit.unwrap_or_else(|| self.constraint_of(state));
+                let env = Envelope::new(Some(self.me), msg, constraint);
+                sched::enqueue(state, &self.kernel.inner.stats, to, env)
+            }
+            Outgoing::Reply(route, msg) => self.reply_locked(state, route, msg),
+        }
     }
 
     /// Sends synchronously and blocks for the reply: see
@@ -340,26 +346,19 @@ impl<'k> Ctx<'k> {
     ///
     /// Fails if the target is unknown or terminated before replying, or
     /// the kernel is shutting down.
-    pub async fn call_async(
-        &mut self,
+    pub fn call_async<'s, 't>(
+        &'s mut self,
         to: ThreadId,
         msg: Message,
         constraint: Option<Constraint>,
-        interrupt_tags: &[Tag],
-    ) -> Result<SyncOutcome, KernelError> {
-        self.settle().await;
-        let (spec, first) = {
-            let inner = &self.kernel.inner;
-            let mut state = inner.lock();
-            let constraint = constraint.or_else(|| self.constraint_of(&state));
-            let token =
-                sched::enqueue_request(&mut state, &inner.stats, self.me, to, msg, constraint)?;
-            let spec = SpecRef::reply_or_tags(token, interrupt_tags);
-            let first = self.take_after_send(&mut state, spec, Receipt::Reply)?;
-            (spec, first)
+        interrupt_tags: &'t [Tag],
+    ) -> impl Future<Output = Result<SyncOutcome, KernelError>> + Send + use<'s, 't, 'k> {
+        let step = CallStep::Send {
+            to,
+            msg,
+            constraint,
         };
-        let env = self.receive_rest(first, spec, Receipt::Reply).await?;
-        Ok(self.reply_outcome(env, spec, to))
+        Call::new(self, interrupt_tags, step)
     }
 
     /// Resumes the wait of an interrupted [`Ctx::call`]: see
@@ -385,18 +384,12 @@ impl<'k> Ctx<'k> {
     ///
     /// Returns [`KernelError::PeerGone`] if the receiver terminated without
     /// replying, or [`KernelError::Shutdown`].
-    pub async fn wait_or_async(
-        &mut self,
-        mut pending: PendingReply,
-        interrupt_tags: &[Tag],
-    ) -> Result<SyncOutcome, KernelError> {
-        self.settle().await;
-        // The wait passes to this receive, which hands out a fresh
-        // `PendingReply` if it is interrupted again.
-        pending.consume();
-        let spec = SpecRef::reply_or_tags(pending.token, interrupt_tags);
-        let env = self.receive_spec(spec, Receipt::Reply).await?;
-        Ok(self.reply_outcome(env, spec, pending.to))
+    pub fn wait_or_async<'s, 't>(
+        &'s mut self,
+        pending: PendingReply,
+        interrupt_tags: &'t [Tag],
+    ) -> impl Future<Output = Result<SyncOutcome, KernelError>> + Send + use<'s, 't, 'k> {
+        Call::new(self, interrupt_tags, CallStep::Resume(pending))
     }
 
     /// Sends synchronously and blocks for the reply: [`Ctx::call`] with the
@@ -422,7 +415,7 @@ impl<'k> Ctx<'k> {
     /// (or was already replied to); [`SendError::UnknownThread`] if the
     /// requester has terminated.
     pub fn reply(&mut self, env: &Envelope, msg: Message) -> Result<(), SendError> {
-        self.reply_along(ReplyRoute::of(env), msg, false).map(drop)
+        self.post(Outgoing::Reply(ReplyRoute::of(env), msg))
     }
 
     /// [`Ctx::reply`] as a suspension point (see [`Ctx::send_async`]). The
@@ -436,27 +429,7 @@ impl<'k> Ctx<'k> {
         env: &Envelope,
         msg: Message,
     ) -> impl Future<Output = Result<(), SendError>> + Send + use<'s, 'k> {
-        let route = ReplyRoute::of(env);
-        async move {
-            self.settle().await;
-            if self.reply_along(route, msg, true)? {
-                Suspend::default().await;
-            }
-            Ok(())
-        }
-    }
-
-    /// A reply in one critical section, ending in a preemption point (see
-    /// [`Ctx::post`]).
-    fn reply_along(
-        &mut self,
-        route: ReplyRoute,
-        msg: Message,
-        awaited: bool,
-    ) -> Result<bool, SendError> {
-        let mut state = self.kernel.inner.lock();
-        self.reply_locked(&mut state, route, msg)?;
-        Ok(self.preemption_point(&mut state, awaited))
+        Post::new(self, Outgoing::Reply(ReplyRoute::of(env), msg))
     }
 
     /// Replies to `req` and blocks for the next message whose tag is in
@@ -496,17 +469,8 @@ impl<'k> Ctx<'k> {
         msg: Message,
         tags: &'t [Tag],
     ) -> impl Future<Output = Result<Envelope, KernelError>> + Send + use<'s, 't, 'k> {
-        let route = ReplyRoute::of(req);
-        async move {
-            self.settle().await;
-            let spec = SpecRef::tags(tags);
-            let first = {
-                let mut state = self.kernel.inner.lock();
-                let _ = self.reply_locked(&mut state, route, msg);
-                self.take_after_send(&mut state, spec, Receipt::Nested)?
-            };
-            self.receive_rest(first, spec, Receipt::Nested).await
-        }
+        let step = ReceiveStep::Reply(ReplyRoute::of(req), msg);
+        Receive::new(self, Some(tags), Receipt::Nested, step)
     }
 
     // ------------------------------------------------------------------
@@ -531,7 +495,7 @@ impl<'k> Ctx<'k> {
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
     pub fn receive(&mut self) -> Result<Envelope, KernelError> {
         self.must_block("receive");
-        block_on(|| self.receive_spec(SpecRef::ANY, Receipt::Nested))
+        block_on(|| Receive::new(self, None, Receipt::Nested, ReceiveStep::Begin))
     }
 
     /// Blocks until a message whose tag is in `tags` arrives: see
@@ -552,10 +516,11 @@ impl<'k> Ctx<'k> {
     /// # Errors
     ///
     /// Returns [`KernelError::Shutdown`] when the kernel shuts down.
-    pub async fn receive_tags_async(&mut self, tags: &[Tag]) -> Result<Envelope, KernelError> {
-        self.settle().await;
-        self.receive_spec(SpecRef::tags(tags), Receipt::Nested)
-            .await
+    pub fn receive_tags_async<'s, 't>(
+        &'s mut self,
+        tags: &'t [Tag],
+    ) -> impl Future<Output = Result<Envelope, KernelError>> + Send + use<'s, 't, 'k> {
+        Receive::new(self, Some(tags), Receipt::Nested, ReceiveStep::Begin)
     }
 
     /// [`Ctx::main_receive_async`] for an OS-backed thread's main loop.
@@ -573,17 +538,10 @@ impl<'k> Ctx<'k> {
     /// that takes the next message it also retires the previous message's
     /// constraint and records the new one as the thread's current
     /// constraint.
-    pub(crate) async fn main_receive_async(&mut self) -> Result<Envelope, KernelError> {
-        self.settle().await;
-        let first = {
-            let mut state = self.kernel.inner.lock();
-            if let Some(rec) = state.rec_mut(self.me) {
-                rec.cur = None;
-                rec.processing = false;
-            }
-            self.take_or_wait(&mut state, SpecRef::ANY, Receipt::Main)?
-        };
-        self.receive_rest(first, SpecRef::ANY, Receipt::Main).await
+    pub(crate) fn main_receive_async(
+        &mut self,
+    ) -> impl Future<Output = Result<Envelope, KernelError>> + Send + use<'_, 'k> {
+        Receive::new(self, None, Receipt::Main, ReceiveStep::Begin)
     }
 
     /// Whether this thread may go on with work of its own choosing instead
@@ -743,8 +701,7 @@ impl<'k> Ctx<'k> {
         route: ReplyRoute,
         msg: Message,
     ) -> Result<(), SendError> {
-        let token = route.token.ok_or(SendError::NotARequest)?;
-        let to = route.to.ok_or(SendError::NotARequest)?;
+        let (token, to) = route.0.ok_or(SendError::NotARequest)?;
         // Each request may be answered once: the token is retired from the
         // requester's record here, so a second reply (or a reply after the
         // waiter gave up) fails.
@@ -752,20 +709,19 @@ impl<'k> Ctx<'k> {
             return Err(SendError::StaleReply);
         }
         let constraint = self.constraint_of(state);
-        let mut reply_env = state.stamp(Some(self.me), msg, constraint);
-        reply_env.in_reply = Some(token);
-        sched::enqueue(state, &self.kernel.inner.stats, to, reply_env)
+        let reply = Envelope::new(Some(self.me), msg, constraint).into_reply(token);
+        sched::enqueue(state, &self.kernel.inner.stats, to, reply)
     }
 
     /// What a synchronous send's wait received: the reply, or an interrupt
     /// with the wait still pending.
-    fn reply_outcome(&self, env: Envelope, spec: SpecRef<'_>, to: ThreadId) -> SyncOutcome {
-        if spec.is_reply(&env) {
+    fn reply_outcome(&self, env: Envelope, token: u64, to: ThreadId) -> SyncOutcome {
+        if env.is_reply_to(ReplyToken(token)) {
             return SyncOutcome::Reply(env);
         }
         let pending = PendingReply {
             kernel: self.kernel.clone(),
-            token: spec.reply.expect("a reply wait").0,
+            token,
             to,
             me: self.me,
             live: true,
@@ -793,45 +749,20 @@ impl<'k> Ctx<'k> {
         self.take_or_wait(state, spec, receipt)
     }
 
-    /// A receive in critical sections of its own.
-    async fn receive_spec(
-        &mut self,
-        spec: SpecRef<'_>,
-        receipt: Receipt,
-    ) -> Result<Envelope, KernelError> {
-        let first = self.take_or_wait(&mut self.kernel.inner.lock(), spec, receipt)?;
-        self.receive_rest(first, spec, receipt).await
-    }
-
-    /// The rest of a receive after its first attempt: `None` means the
-    /// thread is polled and gave up the CPU, so it suspends until it is
-    /// granted the CPU again, then tries again, as often as it takes.
-    async fn receive_rest(
-        &mut self,
-        mut step: Option<Envelope>,
-        spec: SpecRef<'_>,
-        receipt: Receipt,
-    ) -> Result<Envelope, KernelError> {
-        loop {
-            if let Some(env) = step {
-                return Ok(env);
-            }
-            Suspend::default().await;
-            step = self.take_or_wait(&mut self.kernel.inner.lock(), spec, receipt)?;
-        }
-    }
-
     /// A polled thread's owed preemption: if a send since its last
     /// suspension found a more urgent thread runnable, it gives way now.
-    /// Every awaited operation begins here.
+    /// Every awaited operation begins with it: a sleep here, the others in
+    /// their first critical section ([`Ctx::give_way_owed`]).
     async fn settle(&mut self) {
-        if !std::mem::take(&mut self.owes_preemption) {
-            return;
-        }
-        let suspend = self.preemption_point(&mut self.kernel.inner.lock(), true);
-        if suspend {
+        if self.owes_preemption && self.give_way_owed(&mut self.kernel.inner.lock()) {
             Suspend::default().await;
         }
+    }
+
+    /// [`Ctx::settle`] in a critical section of the operation's: returns
+    /// whether the thread gave way and must suspend.
+    fn give_way_owed(&mut self, state: &mut KGuard<'_>) -> bool {
+        std::mem::take(&mut self.owes_preemption) && self.preemption_point(state, true)
     }
 
     /// Parks until this thread is first granted the CPU.
@@ -980,17 +911,11 @@ enum Receipt {
 /// Where the reply to a request goes: what a reply needs of the request's
 /// envelope.
 #[derive(Copy, Clone)]
-struct ReplyRoute {
-    token: Option<ReplyToken>,
-    to: Option<ThreadId>,
-}
+struct ReplyRoute(Option<(ReplyToken, ThreadId)>);
 
 impl ReplyRoute {
     fn of(env: &Envelope) -> Self {
-        ReplyRoute {
-            token: env.reply_to,
-            to: env.from,
-        }
+        ReplyRoute(env.reply_to().zip(env.from()))
     }
 }
 
@@ -1012,8 +937,312 @@ impl Future for Suspend {
     }
 }
 
+/// A message a thread sends without waiting for an answer.
+enum Outgoing {
+    /// A message for a thread, with an explicit constraint or (`None`)
+    /// the one of the message being processed.
+    Send(ThreadId, Message, Option<Option<Constraint>>),
+    /// The reply to a request.
+    Reply(ReplyRoute, Message),
+}
+
+/// [`Ctx::send_async`], [`Ctx::send_with_async`] and [`Ctx::reply_async`].
+/// Its first poll gives way if a preemption is owed, then sends in one
+/// critical section that ends in a preemption point; a polled thread that
+/// gives way there suspends once.
+struct Post<'s, 'k> {
+    ctx: &'s mut Ctx<'k>,
+    /// What to send; `None` once sent.
+    outgoing: Option<Outgoing>,
+    settled: bool,
+}
+
+impl<'s, 'k> Post<'s, 'k> {
+    fn new(ctx: &'s mut Ctx<'k>, outgoing: Outgoing) -> Self {
+        Post {
+            ctx,
+            outgoing: Some(outgoing),
+            settled: false,
+        }
+    }
+}
+
+impl Future for Post<'_, '_> {
+    type Output = Result<(), SendError>;
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        if this.outgoing.is_none() {
+            // Polled again after giving way: the CPU is back.
+            return Poll::Ready(Ok(()));
+        }
+        let ctx = &mut *this.ctx;
+        let mut state = ctx.kernel.inner.lock();
+        if !std::mem::replace(&mut this.settled, true) && ctx.give_way_owed(&mut state) {
+            return Poll::Pending;
+        }
+        let outgoing = this.outgoing.take().expect("checked above");
+        if let Err(e) = ctx.send_locked(&mut state, outgoing) {
+            return Poll::Ready(Err(e));
+        }
+        if ctx.preemption_point(&mut state, true) {
+            Poll::Pending
+        } else {
+            Poll::Ready(Ok(()))
+        }
+    }
+}
+
+/// [`Ctx::call_async`] and [`Ctx::wait_or_async`]. Its first poll gives
+/// way if a preemption is owed, then sends the request (or resumes the
+/// wait) and makes the receive's first attempt in one critical section;
+/// each later poll retakes. Once the request is out it holds what a
+/// retake needs (the token, the peer, the interrupt tags), and never the
+/// reply it is waiting for.
+struct Call<'s, 'k, 't> {
+    ctx: &'s mut Ctx<'k>,
+    tags: &'t [Tag],
+    step: CallStep,
+    settled: bool,
+}
+
+enum CallStep {
+    /// The request, not yet sent.
+    Send {
+        to: ThreadId,
+        msg: Message,
+        constraint: Option<Constraint>,
+    },
+    /// An interrupted call's wait, not yet resumed: dropped unresumed, it
+    /// cancels the wait.
+    Resume(PendingReply),
+    /// Waiting for the reply to `token` from `to`, or an interrupt.
+    Wait { token: u64, to: ThreadId },
+    /// The future has completed.
+    Done,
+}
+
+impl<'s, 'k, 't> Call<'s, 'k, 't> {
+    fn new(ctx: &'s mut Ctx<'k>, tags: &'t [Tag], step: CallStep) -> Self {
+        Call {
+            ctx,
+            tags,
+            step,
+            settled: false,
+        }
+    }
+}
+
+impl Future for Call<'_, '_, '_> {
+    type Output = Result<SyncOutcome, KernelError>;
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let ctx = &mut *this.ctx;
+        let mut state = ctx.kernel.inner.lock();
+        if !std::mem::replace(&mut this.settled, true) && ctx.give_way_owed(&mut state) {
+            return Poll::Pending;
+        }
+        let (token, to, taken) = match std::mem::replace(&mut this.step, CallStep::Done) {
+            CallStep::Send {
+                to,
+                msg,
+                constraint,
+            } => {
+                let constraint = constraint.or_else(|| ctx.constraint_of(&state));
+                let stats = &ctx.kernel.inner.stats;
+                match sched::enqueue_request(&mut state, stats, ctx.me, to, msg, constraint) {
+                    Ok(token) => {
+                        let spec = SpecRef::reply_or_tags(token, this.tags);
+                        (
+                            token,
+                            to,
+                            ctx.take_after_send(&mut state, spec, Receipt::Reply),
+                        )
+                    }
+                    Err(e) => return Poll::Ready(Err(e.into())),
+                }
+            }
+            CallStep::Resume(mut pending) => {
+                // The wait passes to this receive, which hands out a fresh
+                // `PendingReply` if it is interrupted again.
+                pending.consume();
+                let spec = SpecRef::reply_or_tags(pending.token, this.tags);
+                let taken = ctx.take_or_wait(&mut state, spec, Receipt::Reply);
+                (pending.token, pending.to, taken)
+            }
+            CallStep::Wait { token, to } => {
+                let spec = SpecRef::reply_or_tags(token, this.tags);
+                (
+                    token,
+                    to,
+                    ctx.take_or_wait(&mut state, spec, Receipt::Reply),
+                )
+            }
+            CallStep::Done => panic!("a kernel operation polled after it completed"),
+        };
+        drop(state);
+        match taken {
+            Ok(Some(env)) => Poll::Ready(Ok(ctx.reply_outcome(env, token, to))),
+            Ok(None) => {
+                this.step = CallStep::Wait { token, to };
+                Poll::Pending
+            }
+            Err(e) => Poll::Ready(Err(e)),
+        }
+    }
+}
+
+/// [`Ctx::receive_tags_async`], [`Ctx::reply_and_receive_async`], the
+/// main loop's receive and [`Ctx::receive`]. Its first poll gives way if
+/// a preemption is owed, then begins the receive (after the reply, or
+/// after retiring the main loop's previous message) and makes its first
+/// attempt in one critical section; each later poll retakes. Once begun it
+/// holds only its match spec and what a receipt does.
+struct Receive<'s, 'k, 't> {
+    ctx: &'s mut Ctx<'k>,
+    /// Accept a message whose tag is in these, or (`None`) any message.
+    tags: Option<&'t [Tag]>,
+    receipt: Receipt,
+    step: ReceiveStep,
+    settled: bool,
+}
+
+enum ReceiveStep {
+    /// The receive, not yet begun.
+    Begin,
+    /// The receive, not yet begun, after the reply it sends first.
+    Reply(ReplyRoute, Message),
+    /// Waiting for a matching message.
+    Wait,
+    /// The future has completed.
+    Done,
+}
+
+impl<'s, 'k, 't> Receive<'s, 'k, 't> {
+    fn new(
+        ctx: &'s mut Ctx<'k>,
+        tags: Option<&'t [Tag]>,
+        receipt: Receipt,
+        step: ReceiveStep,
+    ) -> Self {
+        Receive {
+            ctx,
+            tags,
+            receipt,
+            step,
+            settled: false,
+        }
+    }
+}
+
+impl Future for Receive<'_, '_, '_> {
+    type Output = Result<Envelope, KernelError>;
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let ctx = &mut *this.ctx;
+        let mut state = ctx.kernel.inner.lock();
+        if !std::mem::replace(&mut this.settled, true) && ctx.give_way_owed(&mut state) {
+            return Poll::Pending;
+        }
+        let spec = this.tags.map_or(SpecRef::ANY, SpecRef::tags);
+        let taken = match std::mem::replace(&mut this.step, ReceiveStep::Done) {
+            ReceiveStep::Begin => {
+                if this.receipt == Receipt::Main {
+                    if let Some(rec) = state.rec_mut(ctx.me) {
+                        rec.cur = None;
+                        rec.processing = false;
+                    }
+                }
+                ctx.take_or_wait(&mut state, spec, this.receipt)
+            }
+            ReceiveStep::Reply(route, msg) => {
+                // A reply the requester no longer waits for is dropped.
+                let _ = ctx.reply_locked(&mut state, route, msg);
+                ctx.take_after_send(&mut state, spec, this.receipt)
+            }
+            ReceiveStep::Wait => ctx.take_or_wait(&mut state, spec, this.receipt),
+            ReceiveStep::Done => panic!("a kernel operation polled after it completed"),
+        };
+        drop(state);
+        match taken {
+            Ok(Some(env)) => Poll::Ready(Ok(env)),
+            Ok(None) => {
+                this.step = ReceiveStep::Wait;
+                Poll::Pending
+            }
+            Err(e) => Poll::Ready(Err(e)),
+        }
+    }
+}
+
 impl std::fmt::Debug for Ctx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx").field("thread", &self.me).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::KernelConfig;
+    use std::mem::{size_of, size_of_val};
+
+    /// The most a kernel hand-off future may hold: its arguments once,
+    /// then what a retake needs. Each is built and dropped, never polled.
+    const HAND_OFF_FUTURE: usize = 128;
+
+    /// The size gate of a hand-off: what the kernel moves per operation.
+    /// `cargo test -p mbthread --lib size_gate -- --nocapture` prints the
+    /// table.
+    #[test]
+    fn size_gate_hand_off_futures_and_envelopes() {
+        let kernel = Kernel::new(KernelConfig::virtual_time());
+        let port = kernel.external("sizes");
+        let mut ctx = Ctx::new(&kernel, port.id());
+        let tags = [Tag(1), Tag(2)];
+        let req = Envelope::new(Some(port.id()), Message::signal(Tag(1)), None)
+            .into_request(ReplyToken(0));
+        let pending = PendingReply {
+            kernel: kernel.clone(),
+            token: 0,
+            to: port.id(),
+            me: port.id(),
+            live: false,
+        };
+        let call = size_of_val(&ctx.call_async(port.id(), Message::signal(Tag(1)), None, &tags));
+        let wait_or = size_of_val(&ctx.wait_or_async(pending, &tags));
+        let reply_and_receive =
+            size_of_val(&ctx.reply_and_receive_async(&req, Message::signal(Tag(1)), &tags));
+        let receive_tags = size_of_val(&ctx.receive_tags_async(&tags));
+        let main_receive = size_of_val(&ctx.main_receive_async());
+        let rows = [
+            ("Ctx::call_async", call, HAND_OFF_FUTURE),
+            ("Ctx::wait_or_async", wait_or, HAND_OFF_FUTURE),
+            (
+                "Ctx::reply_and_receive_async",
+                reply_and_receive,
+                HAND_OFF_FUTURE,
+            ),
+            ("Ctx::receive_tags_async", receive_tags, HAND_OFF_FUTURE),
+            ("the main loop's receive", main_receive, HAND_OFF_FUTURE),
+            ("Envelope", size_of::<Envelope>(), 64),
+            (
+                "Result<SyncOutcome, KernelError>",
+                size_of::<Result<SyncOutcome, KernelError>>(),
+                96,
+            ),
+        ];
+        println!("{:<34} {:>5} {:>7}", "type", "bytes", "at most");
+        for (name, bytes, budget) in rows {
+            println!("{name:<34} {bytes:>5} {budget:>7}");
+        }
+        drop(ctx);
+        drop(port);
+        kernel.shutdown();
+        for (name, bytes, budget) in rows {
+            assert!(bytes <= budget, "{name} is {bytes} bytes, over {budget}");
+        }
     }
 }

@@ -78,7 +78,7 @@ impl ExternalPort {
     ) -> Result<(), SendError> {
         let inner = &self.kernel.inner;
         let mut state = inner.lock();
-        let env = state.stamp(Some(self.id), msg, constraint);
+        let env = Envelope::new(Some(self.id), msg, constraint);
         sched::enqueue(&mut state, &inner.stats, to, env)?;
         // If the kernel was idle the target gets the CPU here; its OS
         // thread is woken when `state` drops.

@@ -51,12 +51,14 @@ pub struct KernelConfig {
     /// by threads synchronously blocked on it.
     pub priority_inheritance: bool,
     /// Enables preemption at message operations: a thread that wakes a more
-    /// urgent thread yields the CPU to it immediately.
+    /// urgent thread yields the CPU to it immediately (with
+    /// `priority_scheduling` on; without it no thread is more urgent).
     pub preemptive: bool,
-    /// Enables priority scheduling altogether; with this off the scheduler
-    /// grants the queue front, though while `preemptive` is on a more
-    /// urgent runnable thread still ends the running one's turn (the
-    /// ablation in `infopipes-bench`'s `control_events_overtake_busy_sections`).
+    /// Enables priority scheduling altogether. With this off the scheduler
+    /// is FIFO: it grants the CPU to the thread that became runnable first,
+    /// and no thread preempts another, so a running thread keeps the CPU
+    /// until it blocks, sleeps or yields (the ablation in
+    /// `infopipes-bench`'s `control_events_overtake_busy_sections`).
     pub priority_scheduling: bool,
 }
 
@@ -103,9 +105,11 @@ pub(crate) struct KernelInner {
 
 impl KernelInner {
     pub(crate) fn lock(&self) -> KGuard<'_> {
+        let mut guard = self.state.lock();
+        self.stats.lock_acquisitions.bump(&mut guard);
         KGuard {
             inner: self,
-            guard: Some(self.state.lock()),
+            guard: Some(guard),
         }
     }
 
@@ -161,6 +165,7 @@ impl KernelInner {
             state.unpolled = false;
             let Some(mut body) = body else { break };
             polled = true;
+            self.stats.polls.bump(state);
             let outcome = state.unlocked(|| {
                 let outer = POLLING.with(|c| c.replace(true));
                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -239,6 +244,7 @@ impl KGuard<'_> {
             return false;
         }
         cv.wait(self.guard.as_mut().expect("guard held"));
+        self.relocked();
         true
     }
 
@@ -248,6 +254,7 @@ impl KGuard<'_> {
             return false;
         }
         let _ = cv.wait_for(self.guard.as_mut().expect("guard held"), timeout);
+        self.relocked();
         true
     }
 
@@ -268,6 +275,7 @@ impl KGuard<'_> {
             Some(timeout) => drop(cv.wait_for(guard, timeout)),
             None => cv.wait(guard),
         }
+        self.relocked();
         if let Some(rec) = self.rec_mut(me) {
             rec.parked -= 1;
         }
@@ -276,15 +284,25 @@ impl KGuard<'_> {
     /// Runs `f` with the mutex released, after delivering the wakes this
     /// critical section owes.
     pub(crate) fn unlocked<U>(&mut self, f: impl FnOnce() -> U) -> U {
-        if self.wakes.is_empty() {
-            return MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), f);
-        }
-        let wakes = std::mem::take(&mut self.wakes);
+        let out = if self.wakes.is_empty() {
+            MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), f)
+        } else {
+            let wakes = std::mem::take(&mut self.wakes);
+            let inner = self.inner;
+            MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
+                inner.deliver(wakes);
+                f()
+            })
+        };
+        self.relocked();
+        out
+    }
+
+    /// Counts the re-acquisition of the mutex after this critical section
+    /// released it.
+    fn relocked(&mut self) {
         let inner = self.inner;
-        MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
-            inner.deliver(wakes);
-            f()
-        })
+        inner.stats.lock_acquisitions.bump(self);
     }
 
     /// Records the first panic of a user thread and poisons the kernel:
@@ -310,6 +328,7 @@ impl KGuard<'_> {
         MutexGuard::unlocked(self.guard.as_mut().expect("guard held"), || {
             inner.deliver(wakes);
         });
+        self.relocked();
         true
     }
 }

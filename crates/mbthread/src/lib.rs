@@ -57,9 +57,9 @@
 //!   CPU next. A polled thread granted from outside the kernel (an
 //!   [`ExternalPort`] send, a spawn, a timer) is polled by the dispatcher.
 //! * **Each operation has one body.** A [`Ctx`] operation that may wait
-//!   is an `async fn` (`call_async`, `reply_and_receive_async`, …), and
-//!   its blocking form ([`Ctx::call`], [`Ctx::reply_and_receive`], …) is
-//!   that async form run to completion by [`block_on`]. The two backings
+//!   is a future (`call_async`, `reply_and_receive_async`, …), and its
+//!   blocking form ([`Ctx::call`], [`Ctx::reply_and_receive`], …) is that
+//!   future run to completion by [`block_on`]. The two backings
 //!   part only where the thread has given up the CPU: an OS-backed thread
 //!   parks there, inside the critical section, and a polled one suspends
 //!   and takes the operation up again once polled. So the kernel takes the

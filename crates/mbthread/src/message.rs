@@ -7,7 +7,8 @@
 //! expirations, and OS signals are mapped to messages by the platform, so a
 //! code function sees a single uniform event interface.
 
-use crate::constraint::Constraint;
+use crate::clock::Time;
+use crate::constraint::{Constraint, Priority};
 use crate::thread::ThreadId;
 use std::any::Any;
 use std::fmt;
@@ -111,31 +112,101 @@ impl fmt::Debug for Message {
     }
 }
 
-/// A sequence number uniquely identifying a pending synchronous send.
+/// The number of a pending synchronous send: its request carries it, and
+/// so does the reply that answers it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct ReplyToken(pub(crate) u64);
 
+/// What an envelope's token word means.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Route {
+    /// No token: an asynchronous send.
+    Plain,
+    /// A synchronous request: the reply carries the token back to `from`.
+    Request,
+    /// The reply to the request with the token.
+    Reply,
+}
+
 /// A message in flight, together with its routing metadata.
+///
+/// 56 bytes: the [`Message`] (24) and one word each for the sender, the
+/// reply token and the constraint's deadline, then the constraint's
+/// priority and four one-byte fields that say which of them are set and
+/// what the token means. A hand-off moves an envelope through the kernel
+/// twice, so its size is part of the cost of a switch
+/// (`docs/threading.md`, "What a hand-off carries").
 pub struct Envelope {
-    pub(crate) from: Option<ThreadId>,
     pub(crate) msg: Message,
-    pub(crate) constraint: Option<Constraint>,
-    /// Set when this envelope is a synchronous request: replies must carry
-    /// this token back to `from`.
-    pub(crate) reply_to: Option<ReplyToken>,
-    /// Set when this envelope *is* a reply to the given token.
-    pub(crate) in_reply: Option<ReplyToken>,
-    /// Kernel-wide send sequence number; preserves FIFO order in traces.
-    pub(crate) seq: u64,
+    /// The sender, if `has_from`.
+    from: ThreadId,
+    /// A request's or a reply's token, as `route` says.
+    token: u64,
+    /// The constraint's deadline, if `has_deadline`.
+    deadline: Time,
+    /// The constraint's priority, if `has_constraint`.
+    priority: Priority,
+    route: Route,
+    has_from: bool,
+    has_constraint: bool,
+    has_deadline: bool,
 }
 
 impl Envelope {
-    /// The sending thread, if the message came from inside the kernel.
-    /// `None` for messages injected from an [`ExternalPort`](crate::ExternalPort)
-    /// (crate::ExternalPort) or by a timer.
+    /// An asynchronous send's envelope.
+    pub(crate) fn new(
+        from: Option<ThreadId>,
+        msg: Message,
+        constraint: Option<Constraint>,
+    ) -> Envelope {
+        let deadline = constraint.and_then(|c| c.deadline);
+        Envelope {
+            msg,
+            from: from.unwrap_or(ThreadId(0)),
+            token: 0,
+            deadline: deadline.unwrap_or(Time::ZERO),
+            priority: constraint.map_or(Priority::NORMAL, |c| c.priority),
+            route: Route::Plain,
+            has_from: from.is_some(),
+            has_constraint: constraint.is_some(),
+            has_deadline: deadline.is_some(),
+        }
+    }
+
+    /// This envelope as the synchronous request `token`.
+    pub(crate) fn into_request(self, token: ReplyToken) -> Envelope {
+        self.routed(Route::Request, token)
+    }
+
+    /// This envelope as the reply to the request `token`.
+    pub(crate) fn into_reply(self, token: ReplyToken) -> Envelope {
+        self.routed(Route::Reply, token)
+    }
+
+    fn routed(self, route: Route, token: ReplyToken) -> Envelope {
+        Envelope {
+            route,
+            token: token.0,
+            ..self
+        }
+    }
+
+    /// The token the reply to this request must carry; `None` unless this
+    /// is a synchronous request.
+    pub(crate) fn reply_to(&self) -> Option<ReplyToken> {
+        (self.route == Route::Request).then_some(ReplyToken(self.token))
+    }
+
+    /// Whether this is the reply to the request `token`.
+    pub(crate) fn is_reply_to(&self, token: ReplyToken) -> bool {
+        self.route == Route::Reply && self.token == token.0
+    }
+
+    /// The sending thread or [`ExternalPort`](crate::ExternalPort); `None`
+    /// for a message a timer delivers.
     #[must_use]
     pub fn from(&self) -> Option<ThreadId> {
-        self.from
+        self.has_from.then_some(self.from)
     }
 
     /// The carried message.
@@ -160,13 +231,16 @@ impl Envelope {
     /// The scheduling constraint attached by the sender, if any.
     #[must_use]
     pub fn constraint(&self) -> Option<Constraint> {
-        self.constraint
+        self.has_constraint.then(|| Constraint {
+            priority: self.priority,
+            deadline: self.has_deadline.then_some(self.deadline),
+        })
     }
 
     /// Whether the sender is blocked waiting for a reply to this envelope.
     #[must_use]
     pub fn wants_reply(&self) -> bool {
-        self.reply_to.is_some()
+        self.route == Route::Request
     }
 
     /// Consumes the envelope, returning the message.
@@ -198,11 +272,10 @@ impl Envelope {
 impl fmt::Debug for Envelope {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Envelope")
-            .field("from", &self.from)
+            .field("from", &self.from())
             .field("tag", &self.msg.tag())
-            .field("constraint", &self.constraint)
-            .field("wants_reply", &self.wants_reply())
-            .field("seq", &self.seq)
+            .field("constraint", &self.constraint())
+            .field("route", &self.route)
             .finish()
     }
 }
@@ -280,7 +353,7 @@ impl<'a> SpecRef<'a> {
 
     /// Whether `env` is the reply this spec waits for.
     pub(crate) fn is_reply(&self, env: &Envelope) -> bool {
-        self.reply.is_some() && env.in_reply == self.reply
+        self.reply.is_some_and(|token| env.is_reply_to(token))
     }
 
     pub(crate) fn matches(&self, env: &Envelope) -> bool {
@@ -293,13 +366,10 @@ mod tests {
     use super::*;
 
     fn env(tag: Tag, in_reply: Option<u64>) -> Envelope {
-        Envelope {
-            from: None,
-            msg: Message::signal(tag),
-            constraint: None,
-            reply_to: None,
-            in_reply: in_reply.map(ReplyToken),
-            seq: 0,
+        let env = Envelope::new(None, Message::signal(tag), None);
+        match in_reply {
+            Some(token) => env.into_reply(ReplyToken(token)),
+            None => env,
         }
     }
 
@@ -338,6 +408,70 @@ mod tests {
         assert!(both.matches(&env(Tag(5), None)));
         assert!(both.matches(&env(Tag(0), Some(9))));
         assert!(!both.matches(&env(Tag(4), Some(8))));
+    }
+
+    /// Every combination of sender, constraint and route reads back as it
+    /// went in, at the edge values of each field; a reply never wants one.
+    #[test]
+    fn compact_envelope_round_trips_every_field() {
+        let senders = [None, Some(ThreadId(0)), Some(ThreadId(u64::MAX))];
+        let mut constraints = vec![None];
+        for priority in [Priority(i32::MIN), Priority::NORMAL, Priority(i32::MAX)] {
+            for deadline in [None, Some(Time::ZERO), Some(Time::MAX)] {
+                constraints.push(Some(Constraint { priority, deadline }));
+            }
+        }
+        for from in senders {
+            for &constraint in &constraints {
+                for token in [0, u64::MAX - 1].map(ReplyToken) {
+                    let make = || Envelope::new(from, Message::signal(Tag(u32::MAX)), constraint);
+                    let (plain, request, reply) =
+                        (make(), make().into_request(token), make().into_reply(token));
+                    for env in [&plain, &request, &reply] {
+                        assert_eq!(env.from(), from);
+                        assert_eq!(env.constraint(), constraint);
+                        assert_eq!(env.tag(), Tag(u32::MAX));
+                    }
+                    assert!(!plain.wants_reply());
+                    assert_eq!(plain.reply_to(), None);
+                    assert!(!plain.is_reply_to(token));
+                    assert!(request.wants_reply());
+                    assert_eq!(request.reply_to(), Some(token));
+                    assert!(!request.is_reply_to(token));
+                    assert!(!reply.wants_reply());
+                    assert_eq!(reply.reply_to(), None);
+                    assert!(reply.is_reply_to(token));
+                    assert!(!reply.is_reply_to(ReplyToken(token.0 ^ 1)));
+                }
+            }
+        }
+    }
+
+    /// A cancelled wait discards the reply to its own token and nothing
+    /// else: not the reply to another token, and not a request that
+    /// carries the same number.
+    #[test]
+    fn cancel_wait_discards_exactly_its_own_reply() {
+        use crate::sched::KState;
+        use crate::thread::ThreadRec;
+        let mut state = KState::new();
+        let me = state.add_thread(ThreadRec::new("me".into(), Priority::NORMAL, false));
+        let peer = state.add_thread(ThreadRec::new("peer".into(), Priority::NORMAL, false));
+        for token in [0, u64::MAX - 1].map(ReplyToken) {
+            let other = ReplyToken(token.0 ^ 1);
+            let signal = |tag| Envelope::new(Some(peer), Message::signal(Tag(tag)), None);
+            let mailbox = &mut state.rec_mut(me).unwrap().mailbox;
+            mailbox.extend([
+                signal(1).into_reply(token),
+                signal(2).into_reply(other),
+                signal(3).into_request(token),
+                signal(4),
+            ]);
+            state.cancel_wait(me, peer, token.0);
+            let mailbox = &mut state.rec_mut(me).unwrap().mailbox;
+            let left: Vec<Tag> = mailbox.drain(..).map(|env| env.tag()).collect();
+            assert_eq!(left, [Tag(2), Tag(3), Tag(4)]);
+        }
     }
 
     #[test]

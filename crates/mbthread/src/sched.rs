@@ -148,7 +148,6 @@ pub(crate) struct KState {
     pub(crate) clock_holds: u32,
     pub(crate) next_token: u64,
     pub(crate) next_timer: u64,
-    pub(crate) send_seq: u64,
     pub(crate) ready_seq: u64,
     /// Exactly the threads that want the CPU ([`ThreadRec::wants_cpu`]),
     /// in `ready_seq` order: each is appended when it becomes runnable and
@@ -187,7 +186,6 @@ impl KState {
             clock_holds: 0,
             next_token: 0,
             next_timer: 0,
-            send_seq: 0,
             ready_seq: 0,
             runq: VecDeque::new(),
             timers: BinaryHeap::new(),
@@ -309,8 +307,8 @@ impl KState {
             self.end_wait(me);
         }
         if let Some(rec) = self.rec_mut(me) {
-            let token = ReplyToken(token);
-            rec.mailbox.retain(|env| env.in_reply != Some(token));
+            rec.mailbox
+                .retain(|env| !env.is_reply_to(ReplyToken(token)));
         }
     }
 
@@ -337,25 +335,6 @@ impl KState {
     /// thread running or runnable and no pending timers.
     pub(crate) fn is_idle(&mut self) -> bool {
         self.running.is_none() && !self.has_runnable() && self.next_timer_deadline().is_none()
-    }
-
-    /// Wraps `msg` in an envelope carrying the next send sequence number.
-    pub(crate) fn stamp(
-        &mut self,
-        from: Option<ThreadId>,
-        msg: Message,
-        constraint: Option<Constraint>,
-    ) -> Envelope {
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        Envelope {
-            from,
-            msg,
-            constraint,
-            reply_to: None,
-            in_reply: None,
-            seq,
-        }
     }
 
     /// Takes every suspended polled thread's body, for the caller to drop
@@ -469,9 +448,14 @@ pub(crate) fn pick_next(state: &KState, cfg: &SchedConfig) -> Option<ThreadId> {
 }
 
 /// Whether a thread more urgent than `me`, the running thread, wants the
-/// CPU (with preemption configured).
+/// CPU (with preemption configured). Without priority scheduling no thread
+/// is more urgent than another, so none is preempted.
 pub(crate) fn preempted(state: &KState, cfg: &SchedConfig, me: ThreadId) -> bool {
-    if !cfg.preemptive || state.running != Some(me) || state.runq.is_empty() {
+    if !cfg.preemptive
+        || !cfg.priority_scheduling
+        || state.running != Some(me)
+        || state.runq.is_empty()
+    {
         return false;
     }
     let mine = effective(state, cfg, me);
@@ -555,7 +539,7 @@ pub(crate) fn fire_due_timers(state: &mut KState, stats: &StatCounters, now: Tim
                 msg,
                 constraint,
             } => {
-                let env = state.stamp(None, msg, constraint);
+                let env = Envelope::new(None, msg, constraint);
                 // A dead target silently drops the delivery.
                 let _ = enqueue(state, stats, to, env);
             }
@@ -613,8 +597,7 @@ pub(crate) fn enqueue_request(
 ) -> Result<u64, SendError> {
     let token = state.next_token;
     state.next_token += 1;
-    let mut env = state.stamp(Some(from), msg, constraint);
-    env.reply_to = Some(ReplyToken(token));
+    let env = Envelope::new(Some(from), msg, constraint).into_request(ReplyToken(token));
     enqueue(state, stats, to, env)?;
     stats.sync_sends.bump(state);
     if let Some(rec) = state.rec_mut(from) {
@@ -748,14 +731,11 @@ mod tests {
         let mut state = KState::new();
         let stats = StatCounters::default();
         let t = spawn_rec(&mut state, Priority::LOW);
-        let env = Envelope {
-            from: None,
-            msg: Message::signal(Tag(1)),
-            constraint: Some(Constraint::priority(Priority::CONTROL)),
-            reply_to: None,
-            in_reply: None,
-            seq: 0,
-        };
+        let env = Envelope::new(
+            None,
+            Message::signal(Tag(1)),
+            Some(Constraint::priority(Priority::CONTROL)),
+        );
         enqueue(&mut state, &stats, t, env).unwrap();
         let eff = effective(&state, &cfg(), t);
         assert_eq!(eff.priority, Priority::CONTROL);
@@ -777,14 +757,11 @@ mod tests {
         // message queued behind it.
         state.rec_mut(t).unwrap().cur = Some(Constraint::priority(Priority::NORMAL));
         state.rec_mut(t).unwrap().processing = true;
-        let env = Envelope {
-            from: None,
-            msg: Message::signal(Tag(1)),
-            constraint: Some(Constraint::priority(Priority::CONTROL)),
-            reply_to: None,
-            in_reply: None,
-            seq: 0,
-        };
+        let env = Envelope::new(
+            None,
+            Message::signal(Tag(1)),
+            Some(Constraint::priority(Priority::CONTROL)),
+        );
         enqueue(&mut state, &stats, t, env).unwrap();
 
         let eff_pi = effective(&state, &cfg(), t);
@@ -886,7 +863,7 @@ mod tests {
         let stats = StatCounters::default();
         spawn_rec(&mut state, Priority::NORMAL);
         let unknown = ThreadId::from_raw(1);
-        let env = state.stamp(None, Message::signal(Tag(0)), None);
+        let env = Envelope::new(None, Message::signal(Tag(0)), None);
         assert_eq!(
             enqueue(&mut state, &stats, unknown, env).unwrap_err(),
             SendError::UnknownThread(unknown)
@@ -900,14 +877,7 @@ mod tests {
         let stats = StatCounters::default();
         let t = spawn_rec(&mut state, Priority::NORMAL);
         terminate(&mut state, t);
-        let env = Envelope {
-            from: None,
-            msg: Message::signal(Tag(0)),
-            constraint: None,
-            reply_to: None,
-            in_reply: None,
-            seq: 0,
-        };
+        let env = Envelope::new(None, Message::signal(Tag(0)), None);
         assert_eq!(
             enqueue(&mut state, &stats, t, env).unwrap_err(),
             SendError::UnknownThread(t)
@@ -994,7 +964,7 @@ mod tests {
         }
 
         pub(super) fn preempted(state: &KState, cfg: &SchedConfig, me: ThreadId) -> bool {
-            if !cfg.preemptive || state.running != Some(me) {
+            if !cfg.preemptive || !cfg.priority_scheduling || state.running != Some(me) {
                 return false;
             }
             let mut my_eff = None;
@@ -1164,8 +1134,8 @@ mod tests {
                 return;
             }
             let cur = self.state.rec(me).and_then(|rec| rec.cur);
-            let mut env = self.state.stamp(Some(me), Message::signal(Tag(1)), cur);
-            env.in_reply = Some(ReplyToken(token));
+            let env =
+                Envelope::new(Some(me), Message::signal(Tag(1)), cur).into_reply(ReplyToken(token));
             let _ = enqueue(&mut self.state, &self.stats, from, env);
         }
 
@@ -1212,8 +1182,7 @@ mod tests {
                     // from outside the kernel.
                     let tag = if r.is_multiple_of(2) { CTL } else { Tag(1) };
                     let env =
-                        self.state
-                            .stamp(running, Message::signal(tag), Self::constraint(r >> 4));
+                        Envelope::new(running, Message::signal(tag), Self::constraint(r >> 4));
                     let to = self.nth(r >> 12);
                     let _ = enqueue(&mut self.state, &self.stats, to, env);
                 }

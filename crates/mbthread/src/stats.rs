@@ -21,6 +21,8 @@ pub(crate) struct StatCounters {
     pub(crate) timer_fires: Counter,
     pub(crate) threads_spawned: Counter,
     pub(crate) dispatcher_wakeups: Counter,
+    pub(crate) lock_acquisitions: Counter,
+    pub(crate) polls: Counter,
     /// Counted after the mutex is released, by whichever OS thread issues
     /// the wake (`Wakes::deliver`): the one counter with many writers.
     os_wakes: AtomicU64,
@@ -36,6 +38,8 @@ impl StatCounters {
             threads_spawned: self.threads_spawned.get(),
             dispatcher_wakeups: self.dispatcher_wakeups.get(),
             os_wakes: self.os_wakes.load(Ordering::Relaxed),
+            lock_acquisitions: self.lock_acquisitions.get(),
+            polls: self.polls.get(),
         }
     }
 
@@ -108,6 +112,15 @@ pub struct KernelStats {
     /// thread that sleeps, so one between polled threads, or back to the
     /// OS thread that polled the yielding thread, leaves this unchanged.
     pub os_wakes: u64,
+    /// Acquisitions of the kernel mutex: every lock, and every re-lock
+    /// after the mutex was released inside a critical section (to poll a
+    /// polled thread, to deliver wakes, or in a condition-variable wait).
+    /// A hand-off takes it a fixed number of times, so a change in the
+    /// count per item is a change in the kernel's hand-off path, whatever
+    /// the host.
+    pub lock_acquisitions: u64,
+    /// Polls of a polled thread's body, one per hand-off to it.
+    pub polls: u64,
 }
 
 impl KernelStats {
@@ -115,7 +128,7 @@ impl KernelStats {
     /// enumeration observability exporters iterate instead of hard-coding
     /// the field list.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 7] {
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
         [
             ("context_switches", self.context_switches),
             ("messages_sent", self.messages_sent),
@@ -124,6 +137,8 @@ impl KernelStats {
             ("threads_spawned", self.threads_spawned),
             ("dispatcher_wakeups", self.dispatcher_wakeups),
             ("os_wakes", self.os_wakes),
+            ("lock_acquisitions", self.lock_acquisitions),
+            ("polls", self.polls),
         ]
     }
 
@@ -138,6 +153,8 @@ impl KernelStats {
             threads_spawned: self.threads_spawned - earlier.threads_spawned,
             dispatcher_wakeups: self.dispatcher_wakeups - earlier.dispatcher_wakeups,
             os_wakes: self.os_wakes - earlier.os_wakes,
+            lock_acquisitions: self.lock_acquisitions - earlier.lock_acquisitions,
+            polls: self.polls - earlier.polls,
         }
     }
 }
@@ -156,6 +173,8 @@ mod tests {
             threads_spawned: 3,
             dispatcher_wakeups: 7,
             os_wakes: 9,
+            lock_acquisitions: 30,
+            polls: 8,
         };
         let b = KernelStats {
             context_switches: 4,
@@ -165,6 +184,8 @@ mod tests {
             threads_spawned: 3,
             dispatcher_wakeups: 6,
             os_wakes: 4,
+            lock_acquisitions: 12,
+            polls: 8,
         };
         let d = a.delta_since(&b);
         assert_eq!(d.context_switches, 6);
@@ -174,6 +195,8 @@ mod tests {
         assert_eq!(d.threads_spawned, 0);
         assert_eq!(d.dispatcher_wakeups, 1);
         assert_eq!(d.os_wakes, 5);
+        assert_eq!(d.lock_acquisitions, 18);
+        assert_eq!(d.polls, 0);
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! and no kernel message per item with every stage a direct call (the
 //! pump cycles in place), 5 threads, 8 switches and 8 messages with four
 //! active objects — and the kernel notifies no condvar: the dispatcher
-//! OS thread is never woken, and neither is any other.
+//! OS thread is never woken, and neither is any other. The kernel's own
+//! work per item is pinned too: the direct chain takes the kernel mutex
+//! not at all, the coroutine chain 23 times and polls a coroutine's body
+//! 7 times (one per hand-off to a coroutine; the eighth goes back to the
+//! pump).
 //!
 //! The four active objects' coroutines are polled kernel threads: the
 //! coroutine chain runs on two OS threads, the pump's and the
@@ -37,6 +41,11 @@ const MEASURED: u64 = 2_000;
 /// Messages the measured window may hold that are not per item: a pump
 /// asks for a cycle through its main loop once after each disturbance.
 const STRAY_MESSAGES: u64 = 4;
+/// Kernel-mutex acquisitions the measured window may hold that are not per
+/// item: the test's own thread starting its wait for quiescence, or the
+/// dispatcher's OS thread taking its first look at the kernel, late on a
+/// busy host.
+const STRAY_LOCKS: u64 = 4;
 /// OS threads that back the kernel in either chain: the section's, which
 /// also polls every coroutine, and the dispatcher's.
 const KERNEL_OS_THREADS: usize = 2;
@@ -160,6 +169,12 @@ fn direct_chain_costs_no_message_per_item_and_no_dispatcher_wake() {
     assert_eq!(delta.sync_sends, 0);
     assert_eq!(delta.dispatcher_wakeups, 0);
     assert_eq!(delta.os_wakes, 0);
+    assert!(
+        delta.lock_acquisitions <= STRAY_LOCKS,
+        "{} kernel-mutex acquisitions over {MEASURED} items",
+        delta.lock_acquisitions
+    );
+    assert_eq!(delta.polls, 0);
 }
 
 #[test]
@@ -176,6 +191,18 @@ fn coroutine_chain_costs_eight_switches_per_item_and_no_dispatcher_wake() {
         delta.messages_sent
     );
     assert_eq!(delta.sync_sends, 4 * MEASURED);
+    // Per item: the pump's `PUT` and its check for disturbances before
+    // the next cycle; one critical section per hand-off side in the
+    // coroutines (3 `PUT`s and 4 acks, each with its wait); and two per
+    // poll, 7 polls (the poller's re-lock when the body returns, and the
+    // resumed future's retake of its message): 23.
+    let locks = 23 * MEASURED;
+    assert!(
+        (locks..=locks + STRAY_LOCKS).contains(&delta.lock_acquisitions),
+        "{} kernel-mutex acquisitions over {MEASURED} items",
+        delta.lock_acquisitions
+    );
+    assert_eq!(delta.polls, 7 * MEASURED);
     assert_eq!(delta.dispatcher_wakeups, 0);
     // Every hand-off back to the pump finds its OS thread awake, polling:
     // no condvar notification, so no futex syscall.
